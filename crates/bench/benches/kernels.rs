@@ -4,8 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sia_blocks::{
-    contract, contract_into_ctx, dgemm, dgemm_with, permute, Block, BlockPool, ContractCtx,
-    ContractionPlan, GemmConfig, GemmLayout, PoolConfig, Shape,
+    contract, contract_into_ctx, dgemm, permute, Block, BlockPool, ContractCtx, ContractionPlan,
+    GemmLayout, PoolConfig, Shape,
 };
 
 fn ramp(shape: Shape) -> Block {
@@ -103,42 +103,6 @@ fn bench_fold_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The threaded GEMM at bench-relevant sizes (thread counts beyond the
-/// machine's core count just measure scheduling overhead).
-fn bench_gemm_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dgemm_threads");
-    for threads in [1usize, 2, 4] {
-        let n = 256usize;
-        let a: Vec<f64> = (0..n * n).map(|i| (i % 13) as f64 - 6.0).collect();
-        let b = a.clone();
-        let cfg = GemmConfig::with_threads(threads);
-        group.throughput(Throughput::Elements(2 * (n as u64).pow(3)));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |bench, _| {
-                let mut out = vec![0.0f64; n * n];
-                bench.iter(|| {
-                    dgemm_with(
-                        cfg,
-                        n,
-                        n,
-                        n,
-                        1.0,
-                        black_box(&a),
-                        GemmLayout::NoTrans,
-                        black_box(&b),
-                        GemmLayout::NoTrans,
-                        0.0,
-                        &mut out,
-                    );
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 /// The permutation the contraction engine leans on (SIAL's `V1(K,J,I) =
 /// V2(I,J,K)`).
 fn bench_permute(c: &mut Criterion) {
@@ -162,7 +126,6 @@ criterion_group!(
     bench_matrix_contraction,
     bench_gemm,
     bench_fold_ablation,
-    bench_gemm_threads,
     bench_permute
 );
 criterion_main!(benches);

@@ -8,7 +8,7 @@ use sia_bytecode::{ArrayId, BoolExpr, CmpOp, IndexId, ScalarExpr};
 use sia_fabric::{Message, Rank};
 use sia_runtime::cache::BlockCache;
 use sia_runtime::scheduler::{GuidedScheduler, IterationSpace};
-use sia_runtime::BlockKey;
+use sia_runtime::{BlockKey, Payload};
 use std::time::Duration;
 
 fn bench_block_cache(c: &mut Criterion) {
@@ -19,7 +19,7 @@ fn bench_block_cache(c: &mut Criterion) {
             for i in 0..1000i64 {
                 let key = BlockKey::new(ArrayId(0), &[i % 300, i / 300]);
                 if cache.lookup(&key).is_none() {
-                    cache.fill(key, Block::zeros(Shape::new(&[8])).into());
+                    cache.fill(key, Payload::Data(Block::zeros(Shape::new(&[8])).into()));
                 }
             }
             black_box(cache.stats())

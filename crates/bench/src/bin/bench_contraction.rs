@@ -1,7 +1,9 @@
 //! Contraction hot-path baseline: GEMM throughput (seed kernel replica vs
-//! the MR×NR kernel at 1/2/4 threads), block-contraction GFLOP/s across
-//! segment sizes, the transpose-folding ablation, and the permute-on-pack
-//! grid (shape × transpose class × threads, folded vs materialized). Writes
+//! the MR×NR kernel), block-contraction GFLOP/s across segment sizes, the
+//! transpose-folding ablation, and the permute-on-pack grid (shape ×
+//! transpose class, folded vs materialized). One GEMM runs on one thread —
+//! the SIP's parallelism is across workers — which is the `t1` in the keys.
+//! Writes
 //! the numbers to `BENCH_contraction.json` at the repo root so future PRs
 //! can track the perf trajectory.
 //!
@@ -16,8 +18,8 @@
 //! failure; used by CI.
 
 use sia_blocks::{
-    active_microkernel, contract_into_ctx, dgemm_with, Block, BlockPool, ContractCtx,
-    ContractionPlan, GemmConfig, GemmLayout, PoolConfig, Shape,
+    active_microkernel, contract_into_ctx, dgemm, Block, BlockPool, ContractCtx, ContractionPlan,
+    GemmLayout, PoolConfig, Shape,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -183,7 +185,7 @@ fn main() {
     ));
     println!("microkernel: {}", active_microkernel());
 
-    // ---- raw GEMM at 512^3: seed kernel vs MR×NR at 1/2/4 threads ----------
+    // ---- raw GEMM at 512^3: seed kernel vs MR×NR ----------------------------
     let n = 512usize;
     let a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64).collect();
     let b = a.clone();
@@ -194,37 +196,14 @@ fn main() {
     println!("gemm 512^3 seed kernel   : {seed:.2} GFLOP/s");
     json.push_str(&format!("  \"gemm_512_seed_gflops\": {seed:.3},\n"));
 
-    let mut threaded = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let cfg = GemmConfig::with_threads(threads);
-        let g = gf(
-            flops,
-            time(|| {
-                dgemm_with(
-                    cfg,
-                    n,
-                    n,
-                    n,
-                    1.0,
-                    &a,
-                    GemmLayout::NoTrans,
-                    &b,
-                    GemmLayout::NoTrans,
-                    0.0,
-                    &mut c,
-                )
-            }),
-        );
-        println!("gemm 512^3 MRxNR t={threads}    : {g:.2} GFLOP/s");
-        json.push_str(&format!("  \"gemm_512_t{threads}_gflops\": {g:.3},\n"));
-        threaded.push(g);
-    }
-    println!(
-        "speedup vs seed (t=1): {:.2}x; t=2 vs t=1: {:.2}x (on {} host cpus)",
-        threaded[0] / seed,
-        threaded[1] / threaded[0],
-        std::thread::available_parallelism().map_or(1, |p| p.get()),
+    let (nn, no) = (GemmLayout::NoTrans, 0.0);
+    let g = gf(
+        flops,
+        time(|| dgemm(n, n, n, 1.0, &a, nn, &b, nn, no, &mut c)),
     );
+    println!("gemm 512^3 MRxNR         : {g:.2} GFLOP/s");
+    json.push_str(&format!("  \"gemm_512_t1_gflops\": {g:.3},\n"));
+    println!("speedup vs seed: {:.2}x", g / seed);
 
     // ---- block contraction across segment sizes ----------------------------
     // The paper's R(M,N,I,J) = V(M,N,L,S)·T(L,S,I,J) on one block pair.
@@ -263,7 +242,7 @@ fn main() {
         ));
     }
 
-    // ---- permute-on-pack grid: shape × transpose class × threads -----------
+    // ---- permute-on-pack grid: shape × transpose class ---------------------
     // Folded (read operands through views, permutation folded into the
     // pack) vs materialized (permute-then-GEMM ablation). Both paths are
     // timed best-of-rounds: the folded path does strictly no more work, so
@@ -271,42 +250,33 @@ fn main() {
     // scheduler noise on small hosts.
     for (name, plan, ga, gb) in grid_shapes(512, 256, 24, 16) {
         let gflops = plan.flops(ga.shape(), gb.shape()) as f64;
-        for threads in [1usize, 2, 4] {
-            let cfg = GemmConfig::with_threads(threads);
-            let mut out = Block::zeros(plan.output_shape(ga.shape(), gb.shape()));
-            let mut fold_secs = f64::INFINITY;
-            let mut mat_secs = f64::INFINITY;
-            for _round in 0..4 {
-                let mut ctx_m = ContractCtx::with_pool(pool.clone())
-                    .gemm(cfg)
-                    .fold_transposes(false);
-                mat_secs = mat_secs.min(time(|| {
-                    contract_into_ctx(&mut ctx_m, &plan, &ga, &gb, 0.0, &mut out)
-                }));
-                let mut ctx_f = ContractCtx::with_pool(pool.clone()).gemm(cfg);
-                fold_secs = fold_secs.min(time(|| {
-                    contract_into_ctx(&mut ctx_f, &plan, &ga, &gb, 0.0, &mut out)
-                }));
-                if fold_secs <= mat_secs {
-                    break;
-                }
+        let mut out = Block::zeros(plan.output_shape(ga.shape(), gb.shape()));
+        let mut fold_secs = f64::INFINITY;
+        let mut mat_secs = f64::INFINITY;
+        for _round in 0..4 {
+            let mut ctx_m = ContractCtx::with_pool(pool.clone()).fold_transposes(false);
+            mat_secs = mat_secs.min(time(|| {
+                contract_into_ctx(&mut ctx_m, &plan, &ga, &gb, 0.0, &mut out)
+            }));
+            let mut ctx_f = ContractCtx::with_pool(pool.clone());
+            fold_secs = fold_secs.min(time(|| {
+                contract_into_ctx(&mut ctx_f, &plan, &ga, &gb, 0.0, &mut out)
+            }));
+            if fold_secs <= mat_secs {
+                break;
             }
-            let (gfold, gmat) = (gf(gflops, fold_secs), gf(gflops, mat_secs));
-            println!(
-                "grid {name:<4} t={threads}: fold {gfold:.2} GFLOP/s, materialize {gmat:.2} GFLOP/s ({:+.1}%)",
-                (gfold / gmat - 1.0) * 100.0
-            );
-            json.push_str(&format!(
-                "  \"grid_{name}_t{threads}_fold_gflops\": {gfold:.3},\n"
-            ));
-            json.push_str(&format!(
-                "  \"grid_{name}_t{threads}_mat_gflops\": {gmat:.3},\n"
-            ));
         }
+        let (gfold, gmat) = (gf(gflops, fold_secs), gf(gflops, mat_secs));
+        println!(
+            "grid {name:<4}: fold {gfold:.2} GFLOP/s, materialize {gmat:.2} GFLOP/s ({:+.1}%)",
+            (gfold / gmat - 1.0) * 100.0
+        );
+        json.push_str(&format!("  \"grid_{name}_t1_fold_gflops\": {gfold:.3},\n"));
+        json.push_str(&format!("  \"grid_{name}_t1_mat_gflops\": {gmat:.3},\n"));
     }
 
     json.push_str(&format!(
-        "  \"host_cpus\": {},\n  \"note\": \"thread scaling is bounded by host cpu count\"\n}}\n",
+        "  \"host_cpus\": {}\n}}\n",
         std::thread::available_parallelism().map_or(1, |p| p.get())
     ));
 

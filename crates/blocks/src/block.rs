@@ -50,6 +50,20 @@ impl Block {
         Block { shape, data }
     }
 
+    /// Decodes a block whose elements are stored as little-endian `f64`s —
+    /// the payload layout of every on-disk block format. `None` when `bytes`
+    /// is not exactly `shape.len()` elements long.
+    pub fn from_le_bytes(shape: Shape, bytes: &[u8]) -> Option<Self> {
+        if shape.len().checked_mul(8)? != bytes.len() {
+            return None;
+        }
+        let data = bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
+            .collect();
+        Some(Block { shape, data })
+    }
+
     /// Builds a block by evaluating `f` at every multi-index.
     pub fn from_fn(shape: Shape, mut f: impl FnMut(&[usize]) -> f64) -> Self {
         let mut data = Vec::with_capacity(shape.len());

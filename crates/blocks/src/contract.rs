@@ -325,7 +325,7 @@ impl PackStats {
 #[derive(Debug, Clone, Default)]
 pub struct ContractCtx {
     pool: Option<BlockPool>,
-    /// GEMM tuning (thread count) used for every contraction in this ctx.
+    /// GEMM cache blocking used for every contraction in this ctx.
     pub gemm: GemmConfig,
     /// When false, operands are always materialized in GEMM order — the
     /// pre-folding behavior, kept for ablation runs.
@@ -348,12 +348,6 @@ impl ContractCtx {
             pool: Some(pool),
             ..ContractCtx::default()
         }
-    }
-
-    /// Sets the GEMM tuning (builder style).
-    pub fn gemm(mut self, cfg: GemmConfig) -> Self {
-        self.gemm = cfg;
-        self
     }
 
     /// Disables transpose folding (builder style, for ablations).

@@ -22,11 +22,9 @@
 //! The microkernel is selected once per GEMM by [`select_microkernel`]:
 //! AVX2+FMA on x86-64 (runtime-detected), NEON `float64x2_t` tiles on
 //! AArch64 (baseline there, no detection needed), and a portable unrolled
-//! scalar tile everywhere else. The M dimension can additionally be split
-//! across threads — each thread owns a disjoint row range of C and packs
-//! its own A slivers, while the B panel (identical for every band) is
-//! packed once per (jc, pc) block and shared (configure via
-//! [`GemmConfig`]).
+//! scalar tile everywhere else. One GEMM runs on one thread: a super
+//! instruction is serial and the SIP's parallelism is across workers, as in
+//! the paper. [`GemmConfig`] tunes the cache blocking.
 
 use crate::view::MatView;
 
@@ -48,8 +46,6 @@ pub enum GemmLayout {
 /// cores the bench grid runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GemmConfig {
-    /// Worker threads to split the M dimension across (1 = run inline).
-    pub threads: usize,
     /// Rows of op(A) per cache panel (rounded up to an MR multiple).
     pub mc: usize,
     /// Depth per cache panel.
@@ -61,7 +57,6 @@ pub struct GemmConfig {
 impl Default for GemmConfig {
     fn default() -> Self {
         GemmConfig {
-            threads: 1,
             mc: 128,
             kc: 256,
             nc: 1024,
@@ -70,14 +65,6 @@ impl Default for GemmConfig {
 }
 
 impl GemmConfig {
-    /// A default-blocking config with the given thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        GemmConfig {
-            threads,
-            ..GemmConfig::default()
-        }
-    }
-
     /// The sanitized `(mc, kc, nc)` triple: microkernel-aligned and nonzero.
     pub fn blocking(&self) -> (usize, usize, usize) {
         let mc = self.mc.max(1).div_ceil(MR) * MR;
@@ -92,9 +79,6 @@ pub const MR: usize = 4;
 /// Register tile width (columns of the microkernel).
 pub const NR: usize = 8;
 
-/// Below this many multiply-adds, spawning threads costs more than it saves.
-const MIN_FLOPS_PER_THREAD: usize = 1 << 16;
-
 /// Caller-provided packing scratch for [`dgemm_view`]: lets the contraction
 /// layer route the pack panels through its block pool instead of allocating
 /// per call. Size each slice with [`pack_buf_elems`]; undersized buffers
@@ -107,8 +91,7 @@ pub struct PackBufs<'s> {
 }
 
 /// Element counts `(apack, bpack)` needed to pack an `m x k` by `k x n`
-/// product under `cfg`'s blocking. Valid for every row band the threaded
-/// split can produce (bands are never larger than `m`).
+/// product under `cfg`'s blocking.
 pub fn pack_buf_elems(cfg: &GemmConfig, m: usize, n: usize, k: usize) -> (usize, usize) {
     let (mc, kc, nc) = cfg.blocking();
     let kd = kc.min(k).max(1);
@@ -117,8 +100,9 @@ pub fn pack_buf_elems(cfg: &GemmConfig, m: usize, n: usize, k: usize) -> (usize,
     (a, b)
 }
 
-/// `C(m x n) = alpha * op(A) * op(B) + beta * C` with row-major storage,
-/// single-threaded. See [`dgemm_with`] for the threaded form.
+/// `C(m x n) = alpha * op(A) * op(B) + beta * C` with row-major storage.
+/// Single-threaded, like every super instruction: the SIP's parallelism is
+/// across workers. See [`dgemm_with`] for explicit cache blocking.
 ///
 /// * `op(A)` is `m x k`: if `ta == NoTrans`, `a` is `m x k`; if `Trans`,
 ///   `a` is stored `k x m`.
@@ -142,8 +126,7 @@ pub fn dgemm(
     dgemm_with(GemmConfig::default(), m, n, k, alpha, a, ta, b, tb, beta, c);
 }
 
-/// [`dgemm`] with explicit tuning: `cfg.threads > 1` splits the M dimension
-/// across scoped threads, each owning a disjoint row band of `C`.
+/// [`dgemm`] with explicit cache blocking.
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm_with(
     cfg: GemmConfig,
@@ -198,84 +181,16 @@ pub fn dgemm_view(
     }
 
     let (mc, kc, nc) = cfg.blocking();
-    let threads = cfg
-        .threads
-        .max(1)
-        .min(m.div_ceil(MR))
-        .min((m * n * k / MIN_FLOPS_PER_THREAD).max(1));
-
-    if threads <= 1 {
-        let (a_need, b_need) = pack_buf_elems(&cfg, m, n, k);
-        match bufs {
-            Some(bufs) if bufs.apack.len() >= a_need && bufs.bpack.len() >= b_need => {
-                gemm_rows(
-                    0, m, n, k, alpha, a, b, c, bufs.apack, bufs.bpack, mc, kc, nc,
-                );
-            }
-            _ => {
-                let mut apack = vec![0.0f64; a_need];
-                let mut bpack = vec![0.0f64; b_need];
-                gemm_rows(
-                    0, m, n, k, alpha, a, b, c, &mut apack, &mut bpack, mc, kc, nc,
-                );
-            }
+    let (a_need, b_need) = pack_buf_elems(&cfg, m, n, k);
+    match bufs {
+        Some(bufs) if bufs.apack.len() >= a_need && bufs.bpack.len() >= b_need => {
+            gemm_rows(m, n, k, alpha, a, b, c, bufs.apack, bufs.bpack, mc, kc, nc);
         }
-        return;
-    }
-
-    // Split C into `threads` disjoint row bands (MR-aligned so sliver
-    // packing never straddles a band boundary). The packed B panel is
-    // identical for every band, so it is packed exactly once per (jc, pc)
-    // block by the calling thread — through the possibly-permuted view —
-    // and read concurrently by all bands; only the A slivers are per-band.
-    // Without this, a folded operand permutation would pay its gather once
-    // per band instead of once, and lose to permute-then-GEMM at high
-    // thread counts. A-pack scratch is thread-local (allocated once per
-    // band, reused across blocks) since the pool behind `bufs` is
-    // single-threaded by design; `bufs.bpack` is still honored because
-    // only this thread writes it.
-    let kernel = select_microkernel();
-    let rows_per = m.div_ceil(threads).div_ceil(MR) * MR;
-    let bands: Vec<(usize, usize)> = (0..m.div_ceil(rows_per))
-        .map(|t| (t * rows_per, rows_per.min(m - t * rows_per)))
-        .collect();
-    let mut apacks: Vec<Vec<f64>> = bands
-        .iter()
-        .map(|&(_, band)| vec![0.0f64; pack_buf_elems(&cfg, band, n, k).0])
-        .collect();
-    let (_, b_need) = pack_buf_elems(&cfg, m, n, k);
-    let mut bpack_local = Vec::new();
-    let bpack: &mut [f64] = match bufs {
-        Some(bufs) if bufs.bpack.len() >= b_need => bufs.bpack,
         _ => {
-            bpack_local.resize(b_need, 0.0);
-            &mut bpack_local
+            let mut apack = vec![0.0f64; a_need];
+            let mut bpack = vec![0.0f64; b_need];
+            gemm_rows(m, n, k, alpha, a, b, c, &mut apack, &mut bpack, mc, kc, nc);
         }
-    };
-    let mut jj = 0;
-    while jj < n {
-        let nb = nc.min(n - jj);
-        let n_slivers = nb.div_ceil(NR);
-        let mut p0 = 0;
-        while p0 < k {
-            let pb = kc.min(k - p0);
-            pack_b(&mut bpack[..n_slivers * NR * pb], b, p0, pb, jj, nb);
-            let bp: &[f64] = &bpack[..n_slivers * NR * pb];
-            std::thread::scope(|scope| {
-                let mut rest = &mut *c;
-                for (&(row0, band), apack) in bands.iter().zip(apacks.iter_mut()) {
-                    let (mine, tail) = rest.split_at_mut(band * n);
-                    rest = tail;
-                    scope.spawn(move || {
-                        gemm_panel_rows(
-                            kernel, row0, band, n, alpha, a, bp, p0, pb, jj, nb, mine, apack, mc,
-                        );
-                    });
-                }
-            });
-            p0 += pb;
-        }
-        jj += nb;
     }
 }
 
@@ -290,19 +205,18 @@ fn scale_c(beta: f64, c: &mut [f64]) {
     }
 }
 
-/// Computes rows `row0 .. row0+rows` of `C += alpha * A * B`, where `c_band`
-/// holds exactly those rows. The jc -> pc -> ic loop nest is the BLIS order:
-/// B is packed once per (jc, pc) block, A once per (jc, pc, ic) panel.
+/// Computes `C += alpha * A * B` over all `rows` rows of `c`. The
+/// jc -> pc -> ic loop nest is the BLIS order: B is packed once per (jc, pc)
+/// block, A once per (jc, pc, ic) panel.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows(
-    row0: usize,
     rows: usize,
     n: usize,
     k: usize,
     alpha: f64,
     a: &MatView<'_>,
     b: &MatView<'_>,
-    c_band: &mut [f64],
+    c: &mut [f64],
     apack: &mut [f64],
     bpack: &mut [f64],
     mc: usize,
@@ -320,7 +234,6 @@ fn gemm_rows(
             pack_b(&mut bpack[..n_slivers * NR * pb], b, p0, pb, jj, nb);
             gemm_panel_rows(
                 kernel,
-                row0,
                 rows,
                 n,
                 alpha,
@@ -330,7 +243,7 @@ fn gemm_rows(
                 pb,
                 jj,
                 nb,
-                c_band,
+                c,
                 apack,
                 mc,
             );
@@ -340,13 +253,12 @@ fn gemm_rows(
     }
 }
 
-/// One (jc, pc) block of a row band: the ic loop over `rows`, packing A
-/// panels and sweeping the microkernel against an already-packed shared B
-/// panel (`bpack`, sized `nb.div_ceil(NR) * NR * pb`).
+/// One (jc, pc) block: the ic loop over `rows`, packing A panels and
+/// sweeping the microkernel against the already-packed B panel (`bpack`,
+/// sized `nb.div_ceil(NR) * NR * pb`).
 #[allow(clippy::too_many_arguments)]
 fn gemm_panel_rows(
     kernel: MicroKernelFn,
-    row0: usize,
     rows: usize,
     n: usize,
     alpha: f64,
@@ -356,7 +268,7 @@ fn gemm_panel_rows(
     pb: usize,
     jj: usize,
     nb: usize,
-    c_band: &mut [f64],
+    c: &mut [f64],
     apack: &mut [f64],
     mc: usize,
 ) {
@@ -364,14 +276,7 @@ fn gemm_panel_rows(
     let mut i0 = 0;
     while i0 < rows {
         let ib = mc.min(rows - i0);
-        pack_a(
-            &mut apack[..ib.div_ceil(MR) * MR * pb],
-            a,
-            row0 + i0,
-            ib,
-            p0,
-            pb,
-        );
+        pack_a(&mut apack[..ib.div_ceil(MR) * MR * pb], a, i0, ib, p0, pb);
         // Microkernel sweep over the packed panel.
         let mut ii = 0;
         while ii < ib {
@@ -381,7 +286,7 @@ fn gemm_panel_rows(
                 let j0 = js * NR;
                 let nr = NR.min(nb - j0);
                 let bp = &bpack[js * NR * pb..(js + 1) * NR * pb];
-                let crows = &mut c_band[(i0 + ii) * n..];
+                let crows = &mut c[(i0 + ii) * n..];
                 if mr == MR {
                     kernel(ap, bp, pb, alpha, crows, n, jj + j0, mr, nr);
                 } else {
@@ -977,7 +882,6 @@ mod tests {
         // Degenerate mc/kc/nc (sanitized up to tile multiples) stress every
         // panel boundary at once.
         let cfg = GemmConfig {
-            threads: 1,
             mc: 1,
             kc: 1,
             nc: 1,
@@ -1121,7 +1025,7 @@ mod tests {
     fn edge_tiles_read_only_valid_rows() {
         // Operand slices sized exactly: any read past `rows` would panic in
         // the safe indexing paths. Sweep every MR remainder (incl. rows <
-        // MR) and NR remainders, threaded and not.
+        // MR) and NR remainders.
         for rows in [1, 2, 3, 5, 6, 7, 129, 130, 131] {
             for n in [1, 7, 8, 9] {
                 let k = 10;
@@ -1137,79 +1041,6 @@ mod tests {
                 check(rows, n, k, GemmLayout::Trans, GemmLayout::NoTrans, 1.0, 1.0);
             }
         }
-        check_with(
-            GemmConfig::with_threads(2),
-            131,
-            9,
-            70,
-            GemmLayout::NoTrans,
-            GemmLayout::Trans,
-            1.0,
-            0.0,
-        );
-    }
-
-    #[test]
-    fn threaded_matches_naive() {
-        for threads in [2, 3, 4] {
-            let cfg = GemmConfig::with_threads(threads);
-            check_with(
-                cfg,
-                97,
-                63,
-                150,
-                GemmLayout::NoTrans,
-                GemmLayout::NoTrans,
-                1.0,
-                0.0,
-            );
-            check_with(
-                cfg,
-                97,
-                63,
-                150,
-                GemmLayout::Trans,
-                GemmLayout::NoTrans,
-                2.0,
-                1.0,
-            );
-            check_with(
-                cfg,
-                64,
-                64,
-                300,
-                GemmLayout::NoTrans,
-                GemmLayout::Trans,
-                1.0,
-                -0.5,
-            );
-            check_with(
-                cfg,
-                64,
-                64,
-                300,
-                GemmLayout::Trans,
-                GemmLayout::Trans,
-                -1.0,
-                0.0,
-            );
-        }
-    }
-
-    #[test]
-    fn threaded_tiny_falls_back_inline() {
-        // Far below MIN_FLOPS_PER_THREAD: must still be correct (and not
-        // spawn MR-starved bands).
-        check_with(
-            GemmConfig::with_threads(8),
-            3,
-            3,
-            3,
-            GemmLayout::NoTrans,
-            GemmLayout::NoTrans,
-            1.0,
-            0.0,
-        );
     }
 
     #[test]

@@ -45,6 +45,19 @@ impl Shape {
         }
     }
 
+    /// Non-panicking [`Shape::new`] for extents read from outside the
+    /// program: `None` when the rank exceeds [`MAX_RANK`], an extent is zero
+    /// or over `u32::MAX`, or the element count overflows `usize`.
+    pub fn try_new(dims: &[usize]) -> Option<Self> {
+        let fits = dims.len() <= MAX_RANK
+            && dims.iter().all(|&x| (1..=u32::MAX as usize).contains(&x))
+            && dims
+                .iter()
+                .try_fold(1usize, |n, &x| n.checked_mul(x))
+                .is_some();
+        fits.then(|| Shape::new(dims))
+    }
+
     /// The scalar shape (rank 0, one element).
     pub fn scalar() -> Self {
         Shape {

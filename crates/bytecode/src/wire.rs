@@ -18,9 +18,9 @@ use std::fmt;
 
 /// Magic bytes of a serialized program.
 pub const MAGIC: &[u8; 4] = b"SIAB";
-/// Current format version. Version 2 added the per-array `sparse` flag;
-/// version 3 added the optional per-instruction source line table. Version-1
-/// and version-2 streams still decode (dense arrays / no line table).
+/// The format version this crate writes and the only one it reads: nothing
+/// outside this repository produces bytecode, so a stream of another
+/// version is stale and must be recompiled ([`WireError::BadVersion`]).
 pub const VERSION: u32 = 3;
 
 /// Errors decoding a serialized program.
@@ -771,7 +771,7 @@ pub fn decode_program(data: &[u8]) -> R<Program> {
         return Err(WireError::BadMagic);
     }
     let version = get_u32(&mut buf)?;
-    if version == 0 || version > VERSION {
+    if version != VERSION {
         return Err(WireError::BadVersion(version));
     }
     let name = get_str(&mut buf)?;
@@ -788,7 +788,7 @@ pub fn decode_program(data: &[u8]) -> R<Program> {
             name: get_str(b)?,
             kind: get_array_kind(b)?,
             dims: get_vec(b, |b2| Ok(IndexId(get_u32(b2)?)))?,
-            sparse: if version >= 2 { get_u8(b)? != 0 } else { false },
+            sparse: get_u8(b)? != 0,
         })
     })?;
     let scalars = get_vec(&mut buf, |b| {
@@ -806,22 +806,18 @@ pub fn decode_program(data: &[u8]) -> R<Program> {
     })?;
     let strings = get_vec(&mut buf, get_str)?;
     let code = get_vec(&mut buf, get_instruction)?;
-    let line_table = if version >= 3 {
-        match get_u8(&mut buf)? {
-            0 => None,
-            1 => Some(LineTable {
-                file: get_str(&mut buf)?,
-                lines: get_vec(&mut buf, get_u32)?,
-            }),
-            t => {
-                return Err(WireError::BadTag {
-                    what: "LineTable",
-                    tag: t,
-                })
-            }
+    let line_table = match get_u8(&mut buf)? {
+        0 => None,
+        1 => Some(LineTable {
+            file: get_str(&mut buf)?,
+            lines: get_vec(&mut buf, get_u32)?,
+        }),
+        t => {
+            return Err(WireError::BadTag {
+                what: "LineTable",
+                tag: t,
+            })
         }
-    } else {
-        None
     };
     Ok(Program {
         name,
@@ -960,13 +956,17 @@ mod tests {
     }
 
     #[test]
-    fn bad_version_rejected() {
-        let mut bytes = encode_program(&sample_program()).to_vec();
-        bytes[4] = 0xFF;
-        assert!(matches!(
-            decode_program(&bytes).unwrap_err(),
-            WireError::BadVersion(_)
-        ));
+    fn only_the_current_version_decodes() {
+        // Older versions (1: no sparse flags, 2: no line table) are refused
+        // like any unknown one, not read on a best-effort basis.
+        for version in [0, 1, 2, VERSION + 1, 0xFF] {
+            let mut bytes = encode_program(&sample_program()).to_vec();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_program(&bytes).unwrap_err(),
+                WireError::BadVersion(version)
+            );
+        }
     }
 
     #[test]
@@ -977,39 +977,6 @@ mod tests {
         for cut in [5, 9, 20, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_program(&bytes[..cut]).is_err(), "cut={cut}");
         }
-    }
-
-    #[test]
-    fn v2_stream_without_line_table_still_loads() {
-        // Encode, then strip the v3 tail (presence byte + table) and patch
-        // the header back to version 2 — exactly what a pre-v3 writer
-        // produced.
-        let mut p = sample_program();
-        let with = encode_program(&p).to_vec();
-        p.line_table = None;
-        let without = encode_program(&p).to_vec();
-        let tail = with.len() - (without.len() - 1);
-        let mut v2 = with[..with.len() - tail].to_vec();
-        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let q = decode_program(&v2).unwrap();
-        assert_eq!(q.line_table, None);
-        assert_eq!(q.code, sample_program().code);
-    }
-
-    #[test]
-    fn v1_stream_still_loads_dense() {
-        // A v1 stream has neither per-array sparse flags nor the v3 tail;
-        // use an array-free program so the only difference is the tail.
-        let mut p = sample_program();
-        p.line_table = None;
-        p.arrays.clear();
-        p.code.clear();
-        let mut bytes = encode_program(&p).to_vec();
-        bytes.truncate(bytes.len() - 1); // drop v3 presence byte
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let q = decode_program(&bytes).unwrap();
-        assert_eq!(q.name, "roundtrip");
-        assert_eq!(q.line_table, None);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! keys ever fetched; hash collisions can at worst over-count refetches on
 //! huge key populations, and the counter is diagnostic only.
 
-use crate::msg::BlockKey;
+use crate::msg::{BlockKey, Payload};
 use sia_blocks::BlockHandle;
 use std::collections::HashMap;
 
@@ -259,71 +259,61 @@ impl BlockCache {
         }
     }
 
-    /// Stores arrived data, completing an in-flight entry (or inserting
-    /// fresh — e.g. a block pushed by a prefetching peer). The handle is
-    /// shared with the sender's allocation; no copy is made here.
-    pub fn fill(&mut self, key: BlockKey, data: BlockHandle) {
-        let incoming = data.heap_bytes();
-        // The delivery baseline: this local binding stands in for the slot
-        // that will hold the handle, so the count is exactly the shares that
-        // came with the data (home pin, journal copy), not a consumer's.
-        let base = data.holders();
-        let t = self.tick();
-        if let Some(slot) = self.map.get_mut(&key) {
-            if let CacheEntry::Ready(old) = &slot.entry {
-                self.ready_bytes -= old.heap_bytes();
-            }
-            slot.entry = CacheEntry::Ready(data);
-            slot.stamp = t;
-            slot.base_holders = base;
-            self.ready_bytes += incoming;
-            self.make_room_keeping(Some(&key));
-            return;
-        }
-        self.ever_fetched.test_and_set(&key);
-        self.map.insert(
-            key,
-            Slot {
-                entry: CacheEntry::Ready(data),
-                stamp: t,
-                base_holders: base,
-            },
-        );
-        self.ready_bytes += incoming;
-        self.make_room_keeping(Some(&key));
-    }
-
-    /// Records a typed-absent answer for a sparse block, completing an
-    /// in-flight entry (or inserting fresh). Absent entries carry no payload
-    /// bytes, so no room is made.
+    /// Stores an arrived reply, completing an in-flight entry (or inserting
+    /// fresh — e.g. a block pushed by a multicasting peer). A data handle is
+    /// shared with the sender's allocation; no copy is made here. A
+    /// typed-absent answer carries no payload bytes, so no room is made.
     ///
-    /// A `Ready` entry is never demoted: with envelope batching, a norm
-    /// record for a key can legitimately arrive *after* the real payload
-    /// it was screened before (the two travelled in different envelopes,
-    /// or a retried multicast hop raced a demand fetch). The payload is
-    /// the newer truth within an epoch — barrier invalidation removes the
-    /// entry, so a genuinely newer absence always starts from an empty
-    /// slot.
-    pub fn fill_absent(&mut self, key: BlockKey, norm: f64) {
-        let t = self.tick();
-        if let Some(slot) = self.map.get_mut(&key) {
-            if matches!(slot.entry, CacheEntry::Ready(_)) {
-                return;
+    /// A `Ready` entry is never demoted by an absent answer: with envelope
+    /// batching, a norm record for a key can legitimately arrive *after*
+    /// the real payload it was screened before (the two travelled in
+    /// different envelopes, or a retried multicast hop raced a demand
+    /// fetch). The payload is the newer truth within an epoch — barrier
+    /// invalidation removes the entry, so a genuinely newer absence always
+    /// starts from an empty slot.
+    pub fn fill(&mut self, key: BlockKey, payload: Payload) {
+        // The delivery baseline is read while the handle is still this
+        // local binding, standing in for the slot that will hold it, so the
+        // count is exactly the shares that came with the data (home pin,
+        // journal copy), not a consumer's.
+        let (entry, incoming, base) = match payload {
+            Payload::Data(data) => {
+                let (bytes, base) = (data.heap_bytes(), data.holders());
+                (CacheEntry::Ready(data), Some(bytes), base)
             }
-            slot.entry = CacheEntry::Absent { norm };
-            slot.stamp = t;
-            slot.base_holders = 0;
-            return;
+            Payload::Absent { norm } => (CacheEntry::Absent { norm }, None, 0),
+        };
+        let t = self.tick();
+        match self.map.get_mut(&key) {
+            Some(slot) => {
+                if let CacheEntry::Ready(old) = &slot.entry {
+                    if incoming.is_none() {
+                        return;
+                    }
+                    self.ready_bytes -= old.heap_bytes();
+                }
+                *slot = Slot {
+                    entry,
+                    stamp: t,
+                    base_holders: base,
+                };
+            }
+            None => {
+                self.ever_fetched.test_and_set(&key);
+                self.map.insert(
+                    key,
+                    Slot {
+                        entry,
+                        stamp: t,
+                        base_holders: base,
+                    },
+                );
+            }
         }
-        self.ever_fetched.test_and_set(&key);
-        self.map.insert(
-            key,
-            Slot {
-                entry: CacheEntry::Absent { norm },
-                stamp: t,
-                base_holders: 0,
-            },
-        );
+        if let Some(bytes) = incoming {
+            self.ready_bytes += bytes;
+            self.make_room_keeping(Some(&key));
+        }
     }
 
     /// Removes a specific entry (e.g. after a barrier invalidates cached
@@ -456,12 +446,16 @@ mod tests {
         BlockHandle::new(Block::filled(Shape::new(&[2]), v))
     }
 
+    fn data(v: f64) -> Payload {
+        Payload::Data(blk(v))
+    }
+
     const B: u64 = 16;
 
     #[test]
     fn fill_then_hit() {
         let mut c = BlockCache::new(4 * B);
-        c.fill(key(1), blk(1.0));
+        c.fill(key(1), data(1.0));
         match c.lookup(&key(1)) {
             Some(CacheEntry::Ready(b)) => assert_eq!(b.data()[0], 1.0),
             other => panic!("{other:?}"),
@@ -480,11 +474,11 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let mut c = BlockCache::new(2 * B);
-        c.fill(key(1), blk(1.0));
-        c.fill(key(2), blk(2.0));
+        c.fill(key(1), data(1.0));
+        c.fill(key(2), data(2.0));
         // Touch 1 so 2 becomes LRU.
         let _ = c.lookup(&key(1));
-        c.fill(key(3), blk(3.0));
+        c.fill(key(3), data(3.0));
         assert!(c.peek(&key(2)).is_none(), "LRU entry evicted");
         assert!(c.peek(&key(1)).is_some());
         assert!(c.peek(&key(3)).is_some());
@@ -500,10 +494,10 @@ mod tests {
         let large = BlockHandle::new(Block::filled(Shape::new(&[12]), 9.0)); // 96 B
         let mut c = BlockCache::new(8 * B); // 128 B
         for i in 0..4 {
-            c.fill(key(i), small(i as f64));
+            c.fill(key(i), Payload::Data(small(i as f64)));
         }
         assert_eq!(c.ready_bytes(), 4 * B);
-        c.fill(key(100), large);
+        c.fill(key(100), Payload::Data(large));
         // 64 + 96 = 160 > 128: the two oldest small blocks must go.
         assert_eq!(c.ready_bytes(), 2 * B + 96);
         assert!(c.peek(&key(0)).is_none());
@@ -520,17 +514,17 @@ mod tests {
         // never evicted, even under pressure — the prefetch-vs-working-set
         // guarantee.
         let mut c = BlockCache::new(2 * B);
-        c.fill(key(1), blk(1.0));
+        c.fill(key(1), data(1.0));
         let held = match c.lookup(&key(1)) {
             Some(CacheEntry::Ready(h)) => h.clone(), // consumer takes a hold
             other => panic!("{other:?}"),
         };
-        c.fill(key(2), blk(2.0));
-        c.fill(key(3), blk(3.0)); // pressure: must evict, but not key 1
+        c.fill(key(2), data(2.0));
+        c.fill(key(3), data(3.0)); // pressure: must evict, but not key 1
         assert!(c.peek(&key(1)).is_some(), "held entry survived");
         assert!(c.peek(&key(2)).is_none(), "consumer-free LRU entry evicted");
         drop(held);
-        c.fill(key(4), blk(4.0)); // key 1 back at its baseline → evictable
+        c.fill(key(4), data(4.0)); // key 1 back at its baseline → evictable
         assert!(c.peek(&key(1)).is_none());
         assert_eq!(c.ready_bytes(), 2 * B);
     }
@@ -543,9 +537,9 @@ mod tests {
         // evictable or a zero-copy fabric would make the cache unbounded.
         let home_pin = blk(1.0); // stands in for the home rank's copy
         let mut c = BlockCache::new(2 * B);
-        c.fill(key(1), home_pin.clone());
-        c.fill(key(2), blk(2.0));
-        c.fill(key(3), blk(3.0)); // pressure: key 1 is LRU and evictable
+        c.fill(key(1), Payload::Data(home_pin.clone()));
+        c.fill(key(2), data(2.0));
+        c.fill(key(3), data(3.0)); // pressure: key 1 is LRU and evictable
         assert!(c.peek(&key(1)).is_none(), "delivery share did not pin");
         assert!(c.peek(&key(2)).is_some());
         assert!(c.peek(&key(3)).is_some());
@@ -562,7 +556,7 @@ mod tests {
         assert!(c.mark_in_flight(key(1)));
         assert!(c.mark_in_flight(key(2)));
         // In-flight entries hold no bytes; a fill coexists with them.
-        c.fill(key(3), blk(3.0));
+        c.fill(key(3), data(3.0));
         assert_eq!(c.len(), 3);
         assert!(c.peek(&key(1)).is_some());
         assert!(c.peek(&key(2)).is_some());
@@ -573,15 +567,15 @@ mod tests {
         let mut c = BlockCache::new(4 * B);
         assert!(c.mark_in_flight(key(1)));
         assert!(!c.mark_in_flight(key(1)), "second mark is a no-op");
-        c.fill(key(1), blk(1.0));
+        c.fill(key(1), data(1.0));
         assert!(!c.mark_in_flight(key(1)), "ready entry needs no fetch");
     }
 
     #[test]
     fn refetch_counted() {
         let mut c = BlockCache::new(B);
-        c.fill(key(1), blk(1.0));
-        c.fill(key(2), blk(2.0)); // evicts 1
+        c.fill(key(1), data(1.0));
+        c.fill(key(2), data(2.0)); // evicts 1
         assert!(c.mark_in_flight(key(1)), "must fetch again");
         assert_eq!(c.stats().refetches, 1);
     }
@@ -591,7 +585,7 @@ mod tests {
         let mut c = BlockCache::new(2 * B);
         c.mark_in_flight(key(1));
         assert!(matches!(c.peek(&key(1)), Some(CacheEntry::InFlight)));
-        c.fill(key(1), blk(5.0));
+        c.fill(key(1), data(5.0));
         assert!(matches!(c.peek(&key(1)), Some(CacheEntry::Ready(_))));
         assert_eq!(c.len(), 1);
         assert_eq!(c.ready_bytes(), B);
@@ -600,8 +594,8 @@ mod tests {
     #[test]
     fn invalidate_array_spares_in_flight() {
         let mut c = BlockCache::new(4 * B);
-        c.fill(BlockKey::new(ArrayId(0), &[1]), blk(1.0));
-        c.fill(BlockKey::new(ArrayId(1), &[1]), blk(2.0));
+        c.fill(BlockKey::new(ArrayId(0), &[1]), data(1.0));
+        c.fill(BlockKey::new(ArrayId(1), &[1]), data(2.0));
         c.mark_in_flight(BlockKey::new(ArrayId(0), &[2]));
         c.invalidate_array(ArrayId(0));
         assert!(c.peek(&BlockKey::new(ArrayId(0), &[1])).is_none());
@@ -621,10 +615,10 @@ mod tests {
         assert_eq!(c.stats().reissues, 1);
         // The re-issued fetch's reply (or a late duplicate of the original)
         // completes the entry as usual …
-        c.fill(key(1), blk(7.0));
+        c.fill(key(1), data(7.0));
         assert!(matches!(c.peek(&key(1)), Some(CacheEntry::Ready(_))));
         // … and a second, duplicated reply just refreshes it.
-        c.fill(key(1), blk(7.0));
+        c.fill(key(1), data(7.0));
         assert_eq!(c.len(), 1);
         assert_eq!(c.ready_bytes(), B, "duplicate fill does not double-count");
         // Ready and absent entries refuse the re-arm.
@@ -646,7 +640,7 @@ mod tests {
     fn evict_until_frees_and_reports() {
         let mut c = BlockCache::new(8 * B);
         for i in 0..6 {
-            c.fill(key(i), blk(i as f64));
+            c.fill(key(i), data(i as f64));
         }
         let freed = c.evict_until(2 * B);
         assert_eq!(freed, 4 * B);
@@ -660,7 +654,7 @@ mod tests {
     fn absent_completes_in_flight_and_counts_hit() {
         let mut c = BlockCache::new(2 * B);
         c.mark_in_flight(key(1));
-        c.fill_absent(key(1), 1e-12);
+        c.fill(key(1), Payload::Absent { norm: 1e-12 });
         match c.lookup(&key(1)) {
             Some(CacheEntry::Absent { norm }) => assert_eq!(*norm, 1e-12),
             other => panic!("{other:?}"),
@@ -677,9 +671,9 @@ mod tests {
     #[test]
     fn absent_never_demotes_ready() {
         let mut c = BlockCache::new(4 * B);
-        c.fill(key(1), blk(1.0));
+        c.fill(key(1), data(1.0));
         assert_eq!(c.ready_bytes(), B);
-        c.fill_absent(key(1), 0.0);
+        c.fill(key(1), Payload::Absent { norm: 0.0 });
         match c.peek(&key(1)) {
             Some(CacheEntry::Ready(h)) => assert_eq!(h.data()[0], 1.0),
             other => panic!("payload was demoted to {other:?}"),
@@ -688,11 +682,11 @@ mod tests {
         // After barrier invalidation the slot is empty, so a genuinely
         // newer absence lands.
         c.invalidate(&key(1));
-        c.fill_absent(key(1), 0.5);
+        c.fill(key(1), Payload::Absent { norm: 0.5 });
         assert!(matches!(c.peek(&key(1)), Some(CacheEntry::Absent { .. })));
         assert_eq!(c.ready_bytes(), 0);
         // And a later real fill makes the block concrete again.
-        c.fill(key(1), blk(2.0));
+        c.fill(key(1), data(2.0));
         assert!(matches!(c.peek(&key(1)), Some(CacheEntry::Ready(_))));
         assert_eq!(c.ready_bytes(), B);
     }
@@ -700,7 +694,10 @@ mod tests {
     #[test]
     fn invalidate_array_drops_absent_entries() {
         let mut c = BlockCache::new(4 * B);
-        c.fill_absent(BlockKey::new(ArrayId(0), &[1]), 0.0);
+        c.fill(
+            BlockKey::new(ArrayId(0), &[1]),
+            Payload::Absent { norm: 0.0 },
+        );
         c.mark_in_flight(BlockKey::new(ArrayId(0), &[2]));
         c.invalidate_array(ArrayId(0));
         assert!(

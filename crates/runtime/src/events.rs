@@ -16,7 +16,7 @@
 //! * **wait spans** — blocked intervals attributed by
 //!   [`WaitCause`](crate::metrics::WaitCause), nested inside the
 //!   instruction that blocked;
-//! * **comm-flight spans** — remote fetch issue → `BlockData` arrival,
+//! * **comm-flight spans** — remote fetch issue → `Block` arrival,
 //!   correlated by `ReqId` and drawn as async events so concurrent
 //!   prefetches stack; the overlap metric integrates these against wait;
 //! * **cache fill/evict, serve, flush, checkpoint/restore, recovery** —

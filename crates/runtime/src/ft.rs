@@ -18,37 +18,47 @@
 //!   replay their current-epoch put journals that were homed at the corpse.
 
 use crate::layout::FaultConfig;
-use crate::msg::{BlockKey, OpId, SipMsg};
+use crate::msg::{BlockKey, OpId, Payload, SipMsg};
 use sia_blocks::{Block, BlockHandle, Shape};
 use sia_bytecode::{ArrayId, PutMode};
 use sia_fabric::ReqId;
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// A tracked, unacknowledged PUT or PREPARE. The payload is retained so the
-/// operation can be retried (or re-routed to a new home) verbatim; the
-/// handle shares the wire message's allocation, so retention is free.
+/// A tracked, unacknowledged store (PUT or PREPARE — the key's array kind
+/// says which). The payload is retained so the operation can be retried (or
+/// re-routed to a new home) verbatim; the handle shares the wire message's
+/// allocation, so retention is free.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingOp {
     pub key: BlockKey,
     pub data: BlockHandle,
     pub mode: PutMode,
-    /// True for PREPARE (served, homed at an I/O server), false for PUT.
-    pub served: bool,
     pub sent_at: Instant,
     /// Current timeout (grows by the backoff factor per retry).
     pub timeout: Duration,
     pub attempts: u32,
 }
 
-/// A tracked, unanswered GET or REQUEST.
+impl PendingOp {
+    /// The wire message that (re)sends this store: retries and journal
+    /// replays ship the full block, sharing the retained allocation.
+    pub(crate) fn store_msg(&self, op: OpId) -> SipMsg {
+        SipMsg::Store {
+            key: self.key,
+            payload: Payload::Data(self.data.clone()),
+            mode: self.mode,
+            op,
+        }
+    }
+}
+
+/// A tracked, unanswered fetch (GET or REQUEST, by the key's array kind).
 #[derive(Debug, Clone)]
 pub(crate) struct FetchState {
     pub req: ReqId,
-    /// True for REQUEST (served), false for GET (distributed).
-    pub served: bool,
     pub sent_at: Instant,
     pub timeout: Duration,
     pub attempts: u32,
@@ -134,58 +144,22 @@ impl FtState {
         self.applied.retain(|_, e| *e + 2 > current_epoch);
     }
 
-    /// Arms (or re-arms) a tracked PUT/PREPARE flight and returns the wire
-    /// message to send. This is the single construction point for flights:
-    /// first sends, journal replays after a rank death, and the fault-free
-    /// path (via [`flight_msg`]) all build the same shape. The retained
-    /// pending payload and the wire payload share one allocation.
-    pub(crate) fn arm_flight(
-        &mut self,
-        op: OpId,
-        key: BlockKey,
-        data: BlockHandle,
-        mode: PutMode,
-        served: bool,
-    ) -> SipMsg {
+    /// Arms (or re-arms) a tracked store flight: the full block is retained
+    /// until the home acknowledges, so a retry or journal replay resends it
+    /// even when the first transmission was a screened norm record (the
+    /// home's op dedup keeps that idempotent).
+    pub(crate) fn arm_flight(&mut self, op: OpId, key: BlockKey, data: BlockHandle, mode: PutMode) {
         self.pending.insert(
             op.0,
             PendingOp {
                 key,
-                data: data.clone(),
+                data,
                 mode,
-                served,
                 sent_at: Instant::now(),
                 timeout: self.cfg.retry_timeout,
                 attempts: 0,
             },
         );
-        flight_msg(op, key, data, mode, served)
-    }
-}
-
-/// Builds the wire message for a PUT (distributed home) or PREPARE (served,
-/// I/O server) flight.
-pub(crate) fn flight_msg(
-    op: OpId,
-    key: BlockKey,
-    data: BlockHandle,
-    mode: PutMode,
-    served: bool,
-) -> SipMsg {
-    if served {
-        SipMsg::PrepareBlock {
-            key,
-            data,
-            mode,
-            op,
-        }
-    } else {
-        SipMsg::PutBlock {
-            key,
-            data,
-            mode,
-            op,
-        }
     }
 }
 
@@ -280,67 +254,74 @@ pub(crate) fn write_epoch_checkpoint(
     std::fs::rename(&tmp, path)
 }
 
-/// Reads an epoch checkpoint back. Returns `(epoch, blocks, applied ops)`.
-#[allow(clippy::type_complexity)]
-pub(crate) fn read_epoch_checkpoint(
-    path: &Path,
-) -> std::io::Result<(u64, Vec<(BlockKey, Block)>, Vec<u64>)> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic)?;
-    if &magic != EPOCH_MAGIC {
-        return Err(bad("bad epoch checkpoint magic"));
+/// What an epoch checkpoint holds: `(epoch, blocks, applied ops)`.
+type EpochCheckpoint = (u64, Vec<(BlockKey, Block)>, Vec<u64>);
+
+/// Reads an epoch checkpoint back. The file comes from disk, so nothing in
+/// it is trusted: a truncated or inconsistent one is `InvalidData`, never a
+/// panic or an allocation its own length cannot back.
+pub(crate) fn read_epoch_checkpoint(path: &Path) -> std::io::Result<EpochCheckpoint> {
+    let raw = std::fs::read(path)?;
+    parse_epoch_checkpoint(&raw).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("corrupt epoch checkpoint {}", path.display()),
+        )
+    })
+}
+
+fn parse_epoch_checkpoint(mut raw: &[u8]) -> Option<EpochCheckpoint> {
+    /// Splits `n` bytes off the front.
+    fn take<'a>(raw: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = raw.split_at_checked(n)?;
+        *raw = rest;
+        Some(head)
     }
-    let mut u64buf = [0u8; 8];
-    f.read_exact(&mut u64buf)?;
-    let epoch = u64::from_le_bytes(u64buf);
-    f.read_exact(&mut u64buf)?;
-    let nblocks = u64::from_le_bytes(u64buf) as usize;
-    let mut blocks = Vec::with_capacity(nblocks);
+    fn u32(raw: &mut &[u8]) -> Option<u32> {
+        Some(u32::from_le_bytes(take(raw, 4)?.try_into().ok()?))
+    }
+    fn u64(raw: &mut &[u8]) -> Option<u64> {
+        Some(u64::from_le_bytes(take(raw, 8)?.try_into().ok()?))
+    }
+    let raw = &mut raw;
+    if take(raw, 8)? != EPOCH_MAGIC {
+        return None;
+    }
+    let epoch = u64(raw)?;
+    // Counts are bounded by the bytes that remain, never trusted to size an
+    // allocation.
+    let nblocks = u64(raw)?;
+    let mut blocks = Vec::new();
     for _ in 0..nblocks {
-        let mut u32buf = [0u8; 4];
-        f.read_exact(&mut u32buf)?;
-        let array = ArrayId(u32::from_le_bytes(u32buf));
-        let mut rank = [0u8; 1];
-        f.read_exact(&mut rank)?;
-        let rank = rank[0] as usize;
+        let array = ArrayId(u32(raw)?);
+        let rank = *take(raw, 1)?.first()? as usize;
         if rank > 8 {
-            return Err(bad("block rank > 8"));
+            return None;
         }
-        let mut segs = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            f.read_exact(&mut u32buf)?;
-            segs.push(i32::from_le_bytes(u32buf) as i64);
+        let segs = (0..rank)
+            .map(|_| u32(raw).map(|s| s as i32 as i64))
+            .collect::<Option<Vec<i64>>>()?;
+        let ndims = u32(raw)? as usize;
+        if ndims > sia_blocks::MAX_RANK {
+            return None;
         }
-        let key = BlockKey::new(array, &segs);
-        f.read_exact(&mut u32buf)?;
-        let ndims = u32::from_le_bytes(u32buf) as usize;
-        if ndims > 8 {
-            return Err(bad("block dims > 8"));
-        }
-        let mut dims = Vec::with_capacity(ndims);
-        for _ in 0..ndims {
-            f.read_exact(&mut u64buf)?;
-            dims.push(u64::from_le_bytes(u64buf) as usize);
-        }
-        let shape = Shape::new(&dims);
-        let mut block = Block::zeros(shape);
-        for v in block.data_mut() {
-            f.read_exact(&mut u64buf)?;
-            *v = f64::from_le_bytes(u64buf);
-        }
-        blocks.push((key, block));
+        let dims = (0..ndims)
+            .map(|_| u64(raw).and_then(|d| usize::try_from(d).ok()))
+            .collect::<Option<Vec<usize>>>()?;
+        let shape = Shape::try_new(&dims)?;
+        let data = take(raw, shape.len().checked_mul(8)?)?;
+        blocks.push((
+            BlockKey::new(array, &segs),
+            Block::from_le_bytes(shape, data)?,
+        ));
     }
-    f.read_exact(&mut u64buf)?;
-    let nops = u64::from_le_bytes(u64buf) as usize;
-    let mut ops = Vec::with_capacity(nops);
+    let nops = u64(raw)?;
+    let mut ops = Vec::new();
     for _ in 0..nops {
-        f.read_exact(&mut u64buf)?;
-        ops.push(u64::from_le_bytes(u64buf));
-        f.read_exact(&mut u64buf)?; // epoch tag, not needed by the restorer
+        ops.push(u64(raw)?);
+        u64(raw)?; // epoch tag, not needed by the restorer
     }
-    Ok((epoch, blocks, ops))
+    Some((epoch, blocks, ops))
 }
 
 #[cfg(test)]
@@ -395,6 +376,28 @@ mod tests {
         let mut ops = ops;
         ops.sort_unstable();
         assert_eq!(ops, vec![77, 99]);
+
+        // The file is outside input: every truncation, a zero extent, a
+        // rank no shape has and counts no file could back are `InvalidData`
+        // — never a panic or an allocation sized by the file's own claims.
+        let valid = std::fs::read(&path).unwrap();
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut raw = valid.clone();
+            raw[at..at + bytes.len()].copy_from_slice(bytes);
+            raw
+        };
+        // magic 8 · epoch 8 · nblocks 8 · array 4 · rank 1 · segs 2×4 · ndims 4 · dims 2×8
+        let (nblocks_at, ndims_at, dim0_at) = (16, 37, 41);
+        let mut corrupt: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+        corrupt.push(patched(nblocks_at, &u64::MAX.to_le_bytes()));
+        corrupt.push(patched(ndims_at, &9u32.to_le_bytes()));
+        corrupt.push(patched(dim0_at, &0u64.to_le_bytes()));
+        corrupt.push(patched(dim0_at, &u64::MAX.to_le_bytes()));
+        for raw in corrupt {
+            std::fs::write(&path, &raw).unwrap();
+            let err = read_epoch_checkpoint(&path).expect_err("corrupt checkpoint decoded");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

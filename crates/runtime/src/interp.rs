@@ -13,7 +13,7 @@ use crate::error::RuntimeError;
 use crate::events::{EventKind, RecoveryEvent};
 use crate::ft::TakeoverChunk;
 use crate::metrics::WaitCause;
-use crate::msg::{BarrierKind, BlockKey, SipMsg};
+use crate::msg::{BarrierKind, BlockKey, Payload, SipMsg};
 use crate::registry::{SuperArg, SuperEnv};
 use crate::scheduler::{eval_bool, eval_scalar};
 use crate::worker::{Fetch, LoopFrame, PardoState, Worker};
@@ -394,41 +394,23 @@ impl Worker {
                 self.prefetch_ahead(block.array, &block.indices)?;
                 Ok(Some(pc + 1))
             }
-            I::Put { dest, src, mode } => {
+            I::Put { dest, src, mode } | I::Prepare { dest, src, mode } => {
                 let data = self.read_block(src.array, &src.indices, wait)?;
                 let segs = self.seg_values(&dest.indices)?;
                 let (key, slice) = self.layout.storage_target(dest.array, &dest.indices, &segs);
                 if slice.is_some() {
-                    return Err(RuntimeError::BadProgram(
-                        "sub-addressed put destination is not supported".into(),
-                    ));
+                    return Err(RuntimeError::BadProgram(format!(
+                        "sub-addressed {} destination is not supported",
+                        ins.mnemonic()
+                    )));
                 }
                 let op = self.derive_op(pc, &key);
-                let home = self.dist_home(&key);
+                let home = self.home_of(&key)?;
                 if home == self.endpoint.rank() {
-                    self.apply_put_deduped(key, data, *mode, op);
+                    self.apply_store_deduped(key, Payload::Data(data), *mode, op);
                 } else {
-                    self.send_put(home, key, data, *mode, op)?;
+                    self.send_store(home, key, data, *mode, op)?;
                 }
-                Ok(Some(pc + 1))
-            }
-            I::Prepare { dest, src, mode } => {
-                if self.layout.topology.io_servers == 0 {
-                    return Err(RuntimeError::ServedIo("prepare with io_servers = 0".into()));
-                }
-                let data = self.read_block(src.array, &src.indices, wait)?;
-                let segs = self.seg_values(&dest.indices)?;
-                let (key, slice) = self.layout.storage_target(dest.array, &dest.indices, &segs);
-                if slice.is_some() {
-                    return Err(RuntimeError::BadProgram(
-                        "sub-addressed prepare destination is not supported".into(),
-                    ));
-                }
-                let op = self.derive_op(pc, &key);
-                let home = self.layout.home_of_served(&key);
-                self.send_prepare(home, key, data, *mode, op)?;
-                // The freshest copy is at the server now.
-                self.mem.cache_invalidate(&key);
                 Ok(Some(pc + 1))
             }
             I::BlocksToList { array, label } => {
@@ -711,14 +693,11 @@ impl Worker {
         };
         // Conflicting accesses must be complete before we report in: drain
         // outstanding acks first.
-        let mut total = match kind {
-            BarrierKind::Sip => {
-                self.wait_until(WaitCause::AckDrain, "put acks", |w| w.puts_drained())?
-            }
-            BarrierKind::Server => self.wait_until(WaitCause::AckDrain, "prepare acks", |w| {
-                w.prepares_drained()
-            })?,
+        let (acks, stored) = match kind {
+            BarrierKind::Sip => ("put acks", ArrayKind::Distributed),
+            BarrierKind::Server => ("prepare acks", ArrayKind::Served),
         };
+        let mut total = self.wait_until(WaitCause::AckDrain, acks, |w| w.stores_drained(stored))?;
         let master = self.layout.topology.master();
         self.endpoint.send(master, SipMsg::BarrierEnter { kind })?;
         if self.ft.is_some() {
@@ -801,7 +780,7 @@ impl Worker {
             // The master counts this chunk complete only once its data is
             // durable at the (surviving) homes.
             self.wait_until(WaitCause::Recovery, "takeover put acks", |w| {
-                w.puts_drained()
+                w.stores_drained(ArrayKind::Distributed)
             })?;
             Ok(())
         })();

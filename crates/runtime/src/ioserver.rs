@@ -13,14 +13,15 @@
 use crate::error::RuntimeError;
 use crate::events::{EventKind, TraceSink};
 use crate::layout::Layout;
-use crate::msg::{BlockKey, OpId, SipMsg};
-use sia_blocks::{Block, BlockHandle, Shape};
-use sia_bytecode::PutMode;
+use crate::msg::{BlockKey, OpId, Payload, SipMsg};
+use sia_blocks::{Block, BlockHandle, Shape, MAX_RANK};
+use sia_bytecode::{ArrayKind, PutMode};
 use sia_fabric::Endpoint;
 use std::collections::HashMap;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,6 +64,16 @@ fn key_filename(key: &BlockKey) -> String {
     format!("a{}_{}.blk", key.array.0, segs.join("_"))
 }
 
+/// A staging name for an atomic tmp+rename write of `path` that no other
+/// writer shares: several servers — other jobs of one daemon, other
+/// processes — may write the same file of a shared served directory at
+/// once, and each must rename only bytes it wrote itself.
+fn staging_path(path: &Path) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    path.with_extension(format!("{}-{n}.tmp", std::process::id()))
+}
+
 fn write_block_file(path: &Path, block: &Block) -> Result<(), RuntimeError> {
     let mut buf: Vec<u8> = Vec::with_capacity(16 + block.len() * 8);
     let dims = block.shape().dims();
@@ -73,51 +84,45 @@ fn write_block_file(path: &Path, block: &Block) -> Result<(), RuntimeError> {
     for v in block.data() {
         buf.extend_from_slice(&v.to_le_bytes());
     }
-    let tmp = path.with_extension("tmp");
+    let tmp = staging_path(path);
     fs::File::create(&tmp)
         .and_then(|mut f| f.write_all(&buf))
         .and_then(|_| fs::rename(&tmp, path))
         .map_err(|e| RuntimeError::ServedIo(format!("write {}: {e}", path.display())))
 }
 
+/// Decodes the bytes of a block file: `u32` rank, `u32` extents, `f64`
+/// elements, all little-endian. `None` when the file is truncated, names a
+/// rank or extent no shape can have, or its length does not match its
+/// header — the file comes from disk, so nothing in it is trusted.
+fn parse_block_file(raw: &[u8]) -> Option<Block> {
+    let (rank, rest) = raw.split_first_chunk::<4>()?;
+    let rank = u32::from_le_bytes(*rank) as usize;
+    if rank > MAX_RANK {
+        return None;
+    }
+    let (dims, data) = rest.split_at_checked(rank * 4)?;
+    let dims: Vec<usize> = dims
+        .chunks_exact(4)
+        .map(|d| u32::from_le_bytes(d.try_into().expect("chunks_exact(4)")) as usize)
+        .collect();
+    Block::from_le_bytes(Shape::try_new(&dims)?, data)
+}
+
 fn read_block_file(path: &Path) -> Result<Option<Block>, RuntimeError> {
-    let mut raw = Vec::new();
-    match fs::File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut raw)
-                .map_err(|e| RuntimeError::ServedIo(format!("read {}: {e}", path.display())))?;
-        }
+    let raw = match fs::read(path) {
+        Ok(raw) => raw,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => {
             return Err(RuntimeError::ServedIo(format!(
-                "open {}: {e}",
+                "read {}: {e}",
                 path.display()
             )));
         }
-    }
-    if raw.len() < 4 {
-        return Err(RuntimeError::ServedIo("truncated block file".into()));
-    }
-    let rank = u32::from_le_bytes(raw[0..4].try_into().unwrap()) as usize;
-    let mut off = 4;
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(u32::from_le_bytes(raw[off..off + 4].try_into().unwrap()) as usize);
-        off += 4;
-    }
-    let shape = if dims.is_empty() {
-        Shape::scalar()
-    } else {
-        Shape::new(&dims)
     };
-    let mut data = Vec::with_capacity(shape.len());
-    for _ in 0..shape.len() {
-        data.push(f64::from_le_bytes(raw[off..off + 8].try_into().map_err(
-            |_| RuntimeError::ServedIo("truncated block file".into()),
-        )?));
-        off += 8;
-    }
-    Ok(Some(Block::from_data(shape, data)))
+    parse_block_file(&raw)
+        .map(Some)
+        .ok_or_else(|| RuntimeError::ServedIo(format!("corrupt block file {}", path.display())))
 }
 
 impl IoServer {
@@ -290,16 +295,6 @@ impl IoServer {
         }
     }
 
-    /// [`IoServer::prepare_absent`] behind the same duplicate suppression as
-    /// [`IoServer::prepare_deduped`].
-    fn prepare_absent_deduped(&mut self, key: BlockKey, norm: f64, mode: PutMode, op: OpId) {
-        if op.is_tracked() && self.applied_ops.insert(op.0, self.epoch).is_some() {
-            self.stats.dup_prepares_suppressed += 1;
-            return;
-        }
-        self.prepare_absent(key, norm, mode);
-    }
-
     fn prepare(
         &mut self,
         key: BlockKey,
@@ -345,22 +340,29 @@ impl IoServer {
         Ok(())
     }
 
-    /// Applies a prepare unless its op id was already applied (a duplicate
-    /// from a sender retry, fabric duplication, or chunk re-execution).
-    /// Duplicates are suppressed but still acknowledged, so the sender's
-    /// retry loop settles.
-    fn prepare_deduped(
-        &mut self,
-        key: BlockKey,
-        data: BlockHandle,
-        mode: PutMode,
-        op: OpId,
-    ) -> Result<(), RuntimeError> {
+    /// True the first time a tracked op id is seen in the dedup window; a
+    /// repeat (a sender retry, fabric duplication, or chunk re-execution) is
+    /// counted and must not be applied again — though it is still
+    /// acknowledged, so the sender's retry loop settles. Blocks and norm
+    /// records share the one window. Untracked ops always apply.
+    fn first_delivery(&mut self, op: OpId) -> bool {
         if op.is_tracked() && self.applied_ops.insert(op.0, self.epoch).is_some() {
             self.stats.dup_prepares_suppressed += 1;
+            return false;
+        }
+        true
+    }
+
+    /// Served arrays are the only ones homed here; a fetch or store of any
+    /// other kind was addressed to the wrong role.
+    fn check_served(&self, what: &str, key: &BlockKey) -> Result<(), RuntimeError> {
+        if self.layout.array_kind(key.array) == ArrayKind::Served {
             return Ok(());
         }
-        self.prepare(key, data, mode)
+        Err(RuntimeError::Internal(format!(
+            "protocol error: I/O server {} received a {what} of non-served block {key:?}",
+            self.endpoint.rank()
+        )))
     }
 
     /// Commits a served epoch: flushes everything dirty, records the epoch
@@ -372,7 +374,7 @@ impl IoServer {
         let path = self
             .dir
             .join(format!("manifest_r{}.txt", self.endpoint.rank().0));
-        let tmp = path.with_extension("tmp");
+        let tmp = staging_path(&path);
         fs::write(&tmp, format!("{epoch}\n"))
             .and_then(|_| fs::rename(&tmp, &path))
             .map_err(|e| RuntimeError::ServedIo(format!("manifest {}: {e}", path.display())))?;
@@ -415,43 +417,42 @@ impl IoServer {
                 Some(env) => {
                     let src = env.src;
                     match env.msg {
-                        SipMsg::RequestBlock { key, req } => {
+                        SipMsg::Fetch { key, req } => {
+                            self.check_served("fetch", &key)?;
                             // A sparse block with no payload anywhere is
                             // typed-absent: ship the norm bound instead of
                             // materializing and caching a zero block.
-                            if self.layout.array_sparse(key.array) && self.is_absent(&key) {
-                                let norm = self.norms.get(&key).copied().unwrap_or(0.0);
-                                let _ = self
-                                    .endpoint
-                                    .send(src, SipMsg::BlockAbsent { key, norm, req });
-                                continue;
+                            let payload =
+                                if self.layout.array_sparse(key.array) && self.is_absent(&key) {
+                                    Payload::Absent {
+                                        norm: self.norms.get(&key).copied().unwrap_or(0.0),
+                                    }
+                                } else {
+                                    let t0 = Instant::now();
+                                    let reads0 = self.stats.disk_reads;
+                                    let data = self.load(key)?;
+                                    let disk = self.stats.disk_reads > reads0;
+                                    self.trace.span_since(EventKind::Serve { key, disk }, t0);
+                                    Payload::Data(data)
+                                };
+                            let _ = self.endpoint.send(src, SipMsg::Block { key, payload, req });
+                        }
+                        SipMsg::Store {
+                            key,
+                            payload,
+                            mode,
+                            op,
+                        } => {
+                            self.check_served("store", &key)?;
+                            if self.first_delivery(op) {
+                                match payload {
+                                    Payload::Data(data) => self.prepare(key, data, mode)?,
+                                    Payload::Absent { norm } => {
+                                        self.prepare_absent(key, norm, mode)
+                                    }
+                                }
                             }
-                            let t0 = Instant::now();
-                            let reads0 = self.stats.disk_reads;
-                            let data = self.load(key)?;
-                            let disk = self.stats.disk_reads > reads0;
-                            self.trace.span_since(EventKind::Serve { key, disk }, t0);
-                            let _ = self
-                                .endpoint
-                                .send(src, SipMsg::BlockData { key, data, req });
-                        }
-                        SipMsg::PrepareBlock {
-                            key,
-                            data,
-                            mode,
-                            op,
-                        } => {
-                            self.prepare_deduped(key, data, mode, op)?;
-                            let _ = self.endpoint.send(src, SipMsg::PrepareAck { key, op });
-                        }
-                        SipMsg::PutAbsent {
-                            key,
-                            norm,
-                            mode,
-                            op,
-                        } => {
-                            self.prepare_absent_deduped(key, norm, mode, op);
-                            let _ = self.endpoint.send(src, SipMsg::PrepareAck { key, op });
+                            let _ = self.endpoint.send(src, SipMsg::StoreAck { key, op });
                         }
                         SipMsg::EpochMark { epoch } => {
                             self.mark_epoch(epoch)?;
@@ -533,46 +534,10 @@ mod tests {
         )
     }
 
-    fn sparse_test_layout() -> Arc<Layout> {
-        let program = Program {
-            indices: vec![IndexDecl {
-                name: "i".into(),
-                kind: IndexKind::AoIndex,
-                low: Value::Lit(1),
-                high: Value::Lit(4),
-            }],
-            arrays: vec![ArrayDecl {
-                name: "S".into(),
-                kind: ArrayKind::Served,
-                dims: vec![IndexId(0), IndexId(0)],
-                sparse: true,
-            }],
-            ..Default::default()
-        };
-        Arc::new(
-            Layout::new(
-                Arc::new(program),
-                &ConstBindings::new(),
-                SegmentConfig {
-                    default: 4,
-                    ..Default::default()
-                },
-                Topology::new(1, 1),
-            )
-            .unwrap(),
-        )
-    }
-
     fn test_server(dir: &Path, capacity: usize) -> IoServer {
         let (mut eps, _) = sia_fabric::build::<SipMsg>(3);
         let ep = eps.remove(2);
         IoServer::new(test_layout(), ep, dir.to_path_buf(), capacity).unwrap()
-    }
-
-    fn sparse_server(dir: &Path, capacity: usize) -> IoServer {
-        let (mut eps, _) = sia_fabric::build::<SipMsg>(3);
-        let ep = eps.remove(2);
-        IoServer::new(sparse_test_layout(), ep, dir.to_path_buf(), capacity).unwrap()
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -599,16 +564,6 @@ mod tests {
         let got = s.load(key).unwrap();
         assert_eq!(got, blk(3.0));
         assert_eq!(s.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn accumulate_mode_adds() {
-        let dir = tmpdir("acc");
-        let mut s = test_server(&dir, 8);
-        let key = BlockKey::new(ArrayId(0), &[1, 1]);
-        s.prepare(key, blk(1.0), PutMode::Replace).unwrap();
-        s.prepare(key, blk(2.0), PutMode::Accumulate).unwrap();
-        assert_eq!(s.load(key).unwrap(), blk(3.0));
     }
 
     #[test]
@@ -680,30 +635,90 @@ mod tests {
         assert!(read_block_file(&dir.join("missing.blk")).unwrap().is_none());
     }
 
+    /// Regression: the staging name used to be `<file>.tmp` for every writer,
+    /// so two servers of one shared directory (two daemon jobs) flushing the
+    /// same block raced — one renamed the other's half-written bytes, the
+    /// loser's rename then failed.
     #[test]
-    fn duplicate_prepare_suppressed() {
-        let dir = tmpdir("dup");
-        let mut s = test_server(&dir, 8);
-        let key = BlockKey::new(ArrayId(0), &[2, 3]);
-        let op = OpId(0xdead_beef);
-        // An accumulate retried (or duplicated by the fabric, or re-executed
-        // by a takeover chunk) must count exactly once.
-        s.prepare_deduped(key, blk(2.0), PutMode::Accumulate, op)
-            .unwrap();
-        s.prepare_deduped(key, blk(2.0), PutMode::Accumulate, op)
-            .unwrap();
-        assert_eq!(s.load(key).unwrap(), blk(2.0));
-        assert_eq!(s.stats().dup_prepares_suppressed, 1);
-        // A different op id is a genuinely new operation.
-        s.prepare_deduped(key, blk(3.0), PutMode::Accumulate, OpId(0xfeed))
-            .unwrap();
-        assert_eq!(s.load(key).unwrap(), blk(5.0));
-        // Untracked ops bypass suppression entirely.
-        s.prepare_deduped(key, blk(1.0), PutMode::Replace, OpId::NONE)
-            .unwrap();
-        s.prepare_deduped(key, blk(1.0), PutMode::Replace, OpId::NONE)
-            .unwrap();
-        assert_eq!(s.stats().dup_prepares_suppressed, 1);
+    fn two_servers_flushing_one_file_do_not_collide() {
+        const ROUNDS: usize = 1000;
+        let dir = tmpdir("shared");
+        let key = BlockKey::new(ArrayId(0), &[2, 2]);
+        let file = dir.join(key_filename(&key));
+        assert_ne!(
+            staging_path(&file),
+            staging_path(&file),
+            "one name per write"
+        );
+        // Both threads leave the barrier into `flush_all` together, every
+        // round.
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let writers: Vec<_> = [1.0, 2.0]
+            .into_iter()
+            .map(|v| {
+                let (dir, start) = (dir.clone(), Arc::clone(&start));
+                std::thread::spawn(move || -> Result<(), RuntimeError> {
+                    let mut s = test_server(&dir, 8);
+                    // A failed round still meets the other thread at the
+                    // barrier, so a collision fails the test, not hangs it.
+                    let mut outcome = Ok(());
+                    for _ in 0..ROUNDS {
+                        let prepared = s.prepare(key, blk(v), PutMode::Replace);
+                        start.wait();
+                        outcome = outcome.and(prepared).and(s.flush_all());
+                    }
+                    outcome
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join()
+                .unwrap()
+                .expect("no ServedIo error from a shared directory");
+        }
+        let last = read_block_file(&file).unwrap().unwrap();
+        assert!(
+            last == *blk(1.0) || last == *blk(2.0),
+            "one writer's whole payload"
+        );
+        let leftovers = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+            .count();
+        assert_eq!(leftovers, 0, "every staged file was renamed");
+    }
+
+    /// A block file is outside input: every truncation and every header no
+    /// shape can have is a typed `ServedIo` error — never a panic, never an
+    /// allocation sized by the file's own claims.
+    #[test]
+    fn corrupt_block_files_are_typed_errors() {
+        let dir = tmpdir("corrupt");
+        let path = dir.join("x.blk");
+        let b = Block::from_fn(Shape::new(&[2, 3]), |i| (i[0] * 3 + i[1]) as f64);
+        write_block_file(&path, &b).unwrap();
+        let valid = fs::read(&path).unwrap();
+        assert_eq!(parse_block_file(&valid), Some(b));
+
+        let patched = |at: usize, word: u32| {
+            let mut raw = valid.clone();
+            raw[at..at + 4].copy_from_slice(&word.to_le_bytes());
+            raw
+        };
+        let mut corrupt: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+        corrupt.push(patched(0, 9)); // rank over MAX_RANK
+        corrupt.push(patched(0, u32::MAX)); // rank no file could back
+        corrupt.push(patched(4, 0)); // zero extent
+        corrupt.push(patched(4, u32::MAX)); // extent the payload cannot back
+        corrupt.push([valid.as_slice(), &[0u8; 8]].concat()); // trailing bytes
+        for raw in corrupt {
+            fs::write(&path, &raw).unwrap();
+            match read_block_file(&path) {
+                Err(RuntimeError::ServedIo(m)) => assert!(m.contains("corrupt"), "{m}"),
+                other => panic!("{} bytes decoded to {other:?}", raw.len()),
+            }
+        }
     }
 
     #[test]
@@ -711,8 +726,8 @@ mod tests {
         let dir = tmpdir("epoch");
         let mut s = test_server(&dir, 8);
         let key = BlockKey::new(ArrayId(0), &[1, 2]);
-        s.prepare_deduped(key, blk(4.0), PutMode::Replace, OpId(7))
-            .unwrap();
+        assert!(s.first_delivery(OpId(7)));
+        s.prepare(key, blk(4.0), PutMode::Replace).unwrap();
         s.mark_epoch(1).unwrap();
         assert!(s.stats().disk_writes >= 1, "mark flushes dirty blocks");
         let manifest = dir.join(format!("manifest_r{}.txt", s.endpoint.rank().0));
@@ -727,69 +742,9 @@ mod tests {
     }
 
     #[test]
-    fn absent_replace_drops_payload_and_real_prepare_clears_norm() {
-        let dir = tmpdir("absent");
-        let mut s = sparse_server(&dir, 8);
-        let key = BlockKey::new(ArrayId(0), &[1, 2]);
-        s.prepare(key, blk(3.0), PutMode::Replace).unwrap();
-        s.flush_all().unwrap();
-        assert!(!s.is_absent(&key));
-        // A dropped Replace removes both the cached copy and the disk file.
-        s.prepare_absent(key, 1e-12, PutMode::Replace);
-        assert!(s.is_absent(&key), "payload gone from cache and disk");
-        assert_eq!(s.norms.get(&key).copied(), Some(1e-12));
-        // A later real prepare makes the block resident again and clears the
-        // norm entry so it cannot shadow live data.
-        s.prepare(key, blk(2.0), PutMode::Replace).unwrap();
-        assert!(!s.is_absent(&key));
-        assert!(!s.norms.contains_key(&key));
-        assert_eq!(s.load(key).unwrap(), blk(2.0));
-    }
-
-    #[test]
-    fn absent_accumulate_bounds_and_resident_noop() {
-        let dir = tmpdir("absacc");
-        let mut s = sparse_server(&dir, 8);
-        let absent = BlockKey::new(ArrayId(0), &[3, 3]);
-        // Accumulating norm bounds onto an absent block sums them
-        // (triangle inequality keeps the bound sound).
-        s.prepare_absent(absent, 0.25, PutMode::Accumulate);
-        s.prepare_absent(absent, 0.50, PutMode::Accumulate);
-        assert_eq!(s.norms.get(&absent).copied(), Some(0.75));
-        // Onto a resident block it is a no-op: the payload stays exact.
-        let resident = BlockKey::new(ArrayId(0), &[1, 1]);
-        s.prepare(resident, blk(4.0), PutMode::Replace).unwrap();
-        s.prepare_absent(resident, 0.25, PutMode::Accumulate);
-        assert!(!s.norms.contains_key(&resident));
-        assert_eq!(s.load(resident).unwrap(), blk(4.0));
-    }
-
-    #[test]
-    fn duplicate_put_absent_suppressed() {
-        let dir = tmpdir("absdup");
-        let mut s = sparse_server(&dir, 8);
-        let key = BlockKey::new(ArrayId(0), &[2, 4]);
-        let op = OpId(0xabcd);
-        // A retried/duplicated dropped-accumulate must bound the norm once.
-        s.prepare_absent_deduped(key, 0.5, PutMode::Accumulate, op);
-        s.prepare_absent_deduped(key, 0.5, PutMode::Accumulate, op);
-        assert_eq!(s.norms.get(&key).copied(), Some(0.5));
-        assert_eq!(s.stats().dup_prepares_suppressed, 1);
-        // Real and absent prepares share one dedup window: a dropped resend
-        // of an already-applied real prepare is suppressed too.
-        let key2 = BlockKey::new(ArrayId(0), &[4, 2]);
-        let op2 = OpId(0xbeef);
-        s.prepare_deduped(key2, blk(2.0), PutMode::Accumulate, op2)
-            .unwrap();
-        s.prepare_absent_deduped(key2, 0.1, PutMode::Accumulate, op2);
-        assert_eq!(s.load(key2).unwrap(), blk(2.0));
-        assert!(!s.norms.contains_key(&key2));
-    }
-
-    #[test]
     fn delete_array_clears_norm_table() {
         let dir = tmpdir("absdel");
-        let mut s = sparse_server(&dir, 8);
+        let mut s = test_server(&dir, 8);
         let key = BlockKey::new(ArrayId(0), &[1, 3]);
         s.prepare_absent(key, 0.5, PutMode::Replace);
         s.delete_array(ArrayId(0)).unwrap();

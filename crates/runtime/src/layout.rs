@@ -164,15 +164,6 @@ pub struct SipConfig {
     pub chunk_policy: Option<crate::scheduler::ChunkPolicy>,
     /// Distributed-block placement strategy.
     pub placement: Placement,
-    /// Intra-worker thread **count** for the block-contraction GEMM
-    /// (1 = serial). [`SipConfigBuilder::build`] clamps this to the host's
-    /// `available_parallelism`; the pre-clamp request is kept in
-    /// `gemm_threads_requested`.
-    pub gemm_threads: usize,
-    /// The `gemm_threads` value as requested, before the builder clamped it
-    /// to the host parallelism. Equal to `gemm_threads` when no clamp
-    /// applied. The profile report calls out any difference.
-    pub gemm_threads_requested: usize,
     /// Feed transpose-shaped operand permutations to the GEMM as layout
     /// flags instead of materializing permuted copies (ablation switch).
     pub fold_transposes: bool,
@@ -236,8 +227,6 @@ impl Default for SipConfig {
             chunk_factor: 2,
             chunk_policy: None,
             placement: Placement::default(),
-            gemm_threads: 1,
-            gemm_threads_requested: 1,
             fold_transposes: true,
             service_poll: Duration::from_millis(1),
             wait_poll: Duration::from_micros(200),
@@ -396,12 +385,6 @@ impl SipConfigBuilder {
         self
     }
 
-    /// Intra-worker threads for the block-contraction GEMM.
-    pub fn gemm_threads(mut self, n: usize) -> Self {
-        self.config.gemm_threads = n;
-        self
-    }
-
     /// Transpose-folding ablation switch.
     pub fn fold_transposes(mut self, yes: bool) -> Self {
         self.config.fold_transposes = yes;
@@ -468,22 +451,10 @@ impl SipConfigBuilder {
 
     /// Validates and produces the config.
     pub fn build(self) -> Result<SipConfig, ConfigError> {
-        let mut c = self.config;
+        let c = self.config;
         if c.workers < 1 {
             return Err(ConfigError("workers must be ≥ 1".into()));
         }
-        if c.gemm_threads < 1 {
-            return Err(ConfigError("gemm_threads must be ≥ 1".into()));
-        }
-        // Clamp the GEMM thread count to what the host can actually run;
-        // oversubscribing the band-parallel kernel only adds scheduling
-        // noise. The request is preserved so the profile report can call
-        // out the clamp.
-        c.gemm_threads_requested = c.gemm_threads;
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        c.gemm_threads = c.gemm_threads.min(avail);
         if c.cache_blocks < 1 {
             return Err(ConfigError("cache_blocks must be ≥ 1".into()));
         }
@@ -941,6 +912,16 @@ impl Layout {
         self.topology.home_of_served(key)
     }
 
+    /// Home rank of a remote block by its array's kind: the I/O server of a
+    /// served block, else the distributed home skipping `dead` workers.
+    pub fn home_of(&self, key: &BlockKey, dead: &[bool]) -> Rank {
+        if self.array_kind(key.array) == ArrayKind::Served {
+            self.home_of_served(key)
+        } else {
+            self.home_of_distributed_excluding(key, dead)
+        }
+    }
+
     /// Name of the active placement strategy.
     pub fn placement_name(&self) -> &'static str {
         self.placement_map.name()
@@ -1292,26 +1273,5 @@ mod tests {
             let s = t.home_of_served(&k);
             assert!(s.0 >= 4 && s.0 <= 5);
         }
-    }
-
-    /// The builder clamps an oversubscribed GEMM thread request to the
-    /// host's parallelism while preserving the request for the profile
-    /// report, and a sane request passes through unchanged.
-    #[test]
-    fn gemm_threads_clamped_to_host_parallelism() {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-
-        let absurd = avail * 64 + 1;
-        let c = SipConfig::builder().gemm_threads(absurd).build().unwrap();
-        assert_eq!(c.gemm_threads, avail, "clamped to host parallelism");
-        assert_eq!(c.gemm_threads_requested, absurd, "request preserved");
-
-        let c = SipConfig::builder().gemm_threads(1).build().unwrap();
-        assert_eq!(c.gemm_threads, 1);
-        assert_eq!(c.gemm_threads_requested, 1);
-
-        assert!(SipConfig::builder().gemm_threads(0).build().is_err());
     }
 }

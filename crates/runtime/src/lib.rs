@@ -91,7 +91,7 @@ pub use metrics::{
     CommStats, FaultStats, Merge, Metrics, RecoveryStats, ServerStats, SparseStats, WaitCause,
     WaitStats,
 };
-pub use msg::{BlockKey, OpId, SipMsg};
+pub use msg::{BlockKey, OpId, Payload, SipMsg};
 pub use plan::{BroadcastOp, CommPlan, CommPlanner, CommVolume, OwnerCompute, PlanSummary};
 pub use profile::{ProfileLine, ProfileReport, WorkerProfile};
 pub use registry::{SuperArg, SuperEnv, SuperRegistry};
@@ -414,13 +414,6 @@ impl Sip {
         profile.metrics.plan.predicted_bytes = comm_plan.volume.total();
         profile.metrics.plan.actual_bytes = stats.total_bytes_sent();
         profile.dry_run_estimate_bytes = estimate.per_worker_bytes;
-        profile.gemm_threads = self.config.gemm_threads;
-        // A config built without the builder never recorded a request;
-        // treat the effective value as the request in that case.
-        profile.gemm_threads_requested = self
-            .config
-            .gemm_threads_requested
-            .max(self.config.gemm_threads);
 
         // ---- merged trace timeline -------------------------------------------
         let trace = if trace_on {

@@ -19,7 +19,7 @@ use crate::events::{EventKind, RecoveryEvent, TraceEvent, TraceSink};
 use crate::ft;
 use crate::layout::{FaultConfig, Layout, Placement};
 use crate::metrics::{Merge, RecoveryStats, ServerStats};
-use crate::msg::{BarrierKind, BlockKey, OpId, SipMsg};
+use crate::msg::{BarrierKind, BlockKey, OpId, Payload, SipMsg};
 use crate::plan::CommPlan;
 use crate::profile::WorkerProfile;
 use crate::scheduler::{ChunkPolicy, GuidedScheduler, IterationSpace};
@@ -577,15 +577,7 @@ impl Master {
                 for (key, data) in blocks {
                     let data: BlockHandle = data.into();
                     let home = self.layout.home_of_distributed_excluding(&key, &dead);
-                    let _ = self.endpoint.send(
-                        home,
-                        SipMsg::PutBlock {
-                            key,
-                            data: data.clone(),
-                            mode: PutMode::Replace,
-                            op: OpId::NONE,
-                        },
-                    );
+                    let _ = self.endpoint.send(home, restore_msg(key, data.clone()));
                     if track {
                         pending.insert(key, (home, data));
                     }
@@ -679,15 +671,7 @@ impl Master {
                 fl.sent_at = Instant::now();
                 fl.timeout = fl.timeout.mul_f64(backoff);
                 for (key, (home, data)) in &fl.pending {
-                    let _ = self.endpoint.send(
-                        *home,
-                        SipMsg::PutBlock {
-                            key: *key,
-                            data: data.clone(),
-                            mode: PutMode::Replace,
-                            op: OpId::NONE,
-                        },
-                    );
+                    let _ = self.endpoint.send(*home, restore_msg(*key, data.clone()));
                 }
             }
         }
@@ -763,15 +747,7 @@ impl Master {
         for (key, data) in blocks {
             let data: BlockHandle = data.into();
             let home = self.layout.home_of_distributed_excluding(&key, &dead);
-            let _ = self.endpoint.send(
-                home,
-                SipMsg::PutBlock {
-                    key,
-                    data: data.clone(),
-                    mode: PutMode::Replace,
-                    op: OpId::NONE,
-                },
-            );
+            let _ = self.endpoint.send(home, restore_msg(key, data.clone()));
             pending.insert(key, (home, data));
             self.recovery.restored_blocks += 1;
             self.trace.instant(EventKind::Recovery {
@@ -1004,7 +980,7 @@ impl Master {
                 SipMsg::CkptDone { label, restore } => {
                     self.handle_ckpt_done(label, restore)?;
                 }
-                SipMsg::PutAck { key, .. } => self.handle_put_ack(key),
+                SipMsg::StoreAck { key, .. } => self.handle_put_ack(key),
                 SipMsg::WorkerDone {
                     scalars,
                     blocks,
@@ -1049,6 +1025,18 @@ impl Master {
                 }
             }
         }
+    }
+}
+
+/// The store that puts one checkpointed block back at its (surviving) home:
+/// `list_to_blocks` restores and dead-rank recovery both send it, untracked
+/// — the master's own flight table retries it until acknowledged.
+fn restore_msg(key: BlockKey, data: BlockHandle) -> SipMsg {
+    SipMsg::Store {
+        key,
+        payload: Payload::Data(data),
+        mode: PutMode::Replace,
+        op: OpId::NONE,
     }
 }
 

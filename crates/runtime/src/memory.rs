@@ -23,7 +23,7 @@
 
 use crate::cache::{BlockCache, CacheEntry, CacheStats};
 use crate::error::RuntimeError;
-use crate::msg::BlockKey;
+use crate::msg::{BlockKey, Payload};
 use sia_blocks::BlockHandle;
 use sia_bytecode::ArrayId;
 use std::collections::HashMap;
@@ -346,15 +346,11 @@ impl BlockManager {
         self.cache.refresh_in_flight(key)
     }
 
-    /// Stores an arrived remote block, sharing the sender's allocation.
-    pub fn cache_fill(&mut self, key: BlockKey, data: BlockHandle) {
-        self.cache.fill(key, data);
+    /// Stores an arrived remote block (sharing the sender's allocation) or
+    /// the typed-absent answer for a sparse one.
+    pub fn cache_fill(&mut self, key: BlockKey, payload: Payload) {
+        self.cache.fill(key, payload);
         self.note_usage();
-    }
-
-    /// Records a typed-absent reply for a sparse remote block (no payload).
-    pub fn cache_fill_absent(&mut self, key: BlockKey, norm: f64) {
-        self.cache.fill_absent(key, norm);
     }
 
     /// Drops one cached copy (a fresher value exists).
@@ -419,7 +415,7 @@ mod tests {
         let mut m = BlockManager::new(1024, None);
         m.home_insert(key(1), blk(1.0));
         m.local_insert(BlockKey::new(ArrayId(1), &[1]), blk(2.0));
-        m.cache_fill(BlockKey::new(ArrayId(2), &[1]), blk(3.0));
+        m.cache_fill(BlockKey::new(ArrayId(2), &[1]), Payload::Data(blk(3.0)));
         let s = m.stats();
         assert_eq!(s.pinned_bytes, 128);
         assert_eq!(s.cached_bytes, 64);
@@ -445,8 +441,8 @@ mod tests {
         let mut m = BlockManager::new(1024, Some(192));
         m.home_insert(key(1), blk(1.0));
         m.home_insert(key(2), blk(2.0));
-        m.cache_fill(BlockKey::new(ArrayId(2), &[1]), blk(3.0));
-        m.cache_fill(BlockKey::new(ArrayId(2), &[2]), blk(4.0));
+        m.cache_fill(BlockKey::new(ArrayId(2), &[1]), Payload::Data(blk(3.0)));
+        m.cache_fill(BlockKey::new(ArrayId(2), &[2]), Payload::Data(blk(4.0)));
         m.enforce_budget()
             .expect("eviction pressure should suffice");
         let s = m.stats();
@@ -478,12 +474,12 @@ mod tests {
         // the budget unreachable the manager reports OverBudget rather than
         // freeing memory out from under the holder.
         let mut m = BlockManager::new(1024, Some(64));
-        m.cache_fill(key(1), blk(1.0));
+        m.cache_fill(key(1), Payload::Data(blk(1.0)));
         let held = match m.cache_lookup(&key(1)) {
             Some(CacheEntry::Ready(h)) => h.clone(),
             other => panic!("{other:?}"),
         };
-        m.cache_fill(key(2), blk(2.0));
+        m.cache_fill(key(2), Payload::Data(blk(2.0)));
         m.enforce_budget().expect("consumer-free entry evicted");
         assert!(matches!(
             m.cache_peek(&key(1)),

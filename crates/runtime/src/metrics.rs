@@ -150,7 +150,7 @@ impl Merge for WaitStats {
 /// Communication-flight counters: the data behind the overlap metric.
 ///
 /// A *flight* is the interval from issuing a remote block fetch
-/// (GET/REQUEST) to its `BlockData` arrival. The *exposed* share is the
+/// (GET/REQUEST) to its `Block` arrival. The *exposed* share is the
 /// part the worker spent blocked waiting for that specific block; the
 /// rest was hidden under computation (the paper's prefetch/look-ahead
 /// claim, measured).

@@ -94,6 +94,33 @@ pub enum BarrierKind {
     Server,
 }
 
+/// What a block-transfer message carries: the block, or — for an absent
+/// block of a `sparse` array — only its norm bound. The fabric never ships
+/// an absent block's payload.
+#[derive(Debug, Clone)]
+pub enum Payload {
+    /// The block's contents. A shared handle: in-process delivery (and
+    /// fault-injection duplication) costs a reference-count bump, not a
+    /// copy.
+    Data(BlockHandle),
+    /// The block is absent (exactly zero).
+    Absent {
+        /// Frobenius-norm bound of the dropped payload (0.0 if never
+        /// written).
+        norm: f64,
+    },
+}
+
+impl Payload {
+    /// Payload bytes that travel with the message (0 for a norm record).
+    pub fn heap_bytes(&self) -> u64 {
+        match self {
+            Payload::Data(b) => b.heap_bytes(),
+            Payload::Absent { .. } => 0,
+        }
+    }
+}
+
 /// One SIP protocol message.
 #[derive(Debug, Clone)]
 pub enum SipMsg {
@@ -149,91 +176,46 @@ pub enum SipMsg {
     },
 
     // ---- block traffic (worker <-> worker / io server) ----------------------
-    /// Fetch a distributed block from its home.
-    GetBlock {
+    // One vocabulary for distributed (`get`/`put`) and served (`request`/
+    // `prepare`) arrays: the key's array kind tells both ends which of the
+    // two a message belongs to, and a home that receives a key of the other
+    // kind reports a protocol error.
+    /// Fetch a block from its home (a worker for a distributed array, an
+    /// I/O server for a served one).
+    Fetch {
         /// The block wanted.
         key: BlockKey,
-        /// Correlates the `BlockData` reply.
+        /// Correlates the `Block` reply.
         req: ReqId,
     },
-    /// A block in flight (reply to `GetBlock`/`RequestBlock`). The payload
-    /// is a shared handle: in-process delivery (and fault-injection
-    /// duplication) costs a reference-count bump, not a copy.
-    BlockData {
+    /// A block in flight (reply to `Fetch`).
+    Block {
         /// The block's identity.
         key: BlockKey,
-        /// Its contents (shared with the sender's store).
-        data: BlockHandle,
+        /// Its contents, or the norm bound of a sparse array's absent block.
+        payload: Payload,
         /// The request this answers (`ReqId::NONE` for unsolicited pushes).
         req: ReqId,
     },
-    /// Store (or accumulate into) a distributed block at its home.
-    PutBlock {
+    /// Store (or accumulate into) a block at its home. An absent payload is
+    /// a store the sender screened: the block's Frobenius norm fell under
+    /// the sparsity threshold and only the norm travels.
+    Store {
         /// Destination block.
         key: BlockKey,
-        /// Payload (shared with the sender's retry/journal state).
-        data: BlockHandle,
+        /// Payload (a handle is shared with the sender's retry/journal
+        /// state).
+        payload: Payload,
         /// Replace or accumulate.
         mode: PutMode,
         /// Duplicate-suppression id (`OpId::NONE` when untracked).
         op: OpId,
     },
-    /// Home acknowledges a `PutBlock` (workers drain acks before barriers).
-    PutAck {
+    /// Home acknowledges a `Store` (workers drain acks before barriers).
+    StoreAck {
         /// The block acknowledged.
         key: BlockKey,
         /// The operation acknowledged.
-        op: OpId,
-    },
-    /// Fetch a served block from its I/O server.
-    RequestBlock {
-        /// The block wanted.
-        key: BlockKey,
-        /// Correlates the `BlockData` reply.
-        req: ReqId,
-    },
-    /// Store (or accumulate into) a served block at its I/O server.
-    PrepareBlock {
-        /// Destination block.
-        key: BlockKey,
-        /// Payload (shared with the sender's retry state).
-        data: BlockHandle,
-        /// Replace or accumulate.
-        mode: PutMode,
-        /// Duplicate-suppression id (`OpId::NONE` when untracked).
-        op: OpId,
-    },
-    /// I/O server acknowledges a `PrepareBlock`.
-    PrepareAck {
-        /// The block acknowledged.
-        key: BlockKey,
-        /// The operation acknowledged.
-        op: OpId,
-    },
-    /// Reply to `GetBlock`/`RequestBlock` when a sparse array's block is
-    /// absent (exactly zero). Only the norm bound travels — the fabric never
-    /// ships an absent block's payload.
-    BlockAbsent {
-        /// The block's identity.
-        key: BlockKey,
-        /// Frobenius-norm bound of the dropped payload (0.0 if never
-        /// written).
-        norm: f64,
-        /// The request this answers (`ReqId::NONE` for unsolicited pushes).
-        req: ReqId,
-    },
-    /// Store an *absent* sparse block at its home (distributed) or I/O
-    /// server (served): the payload's Frobenius norm fell under the
-    /// screening threshold and was dropped at the sender. Acknowledged by
-    /// `PutAck` / `PrepareAck` like its dense counterpart.
-    PutAbsent {
-        /// Destination block.
-        key: BlockKey,
-        /// Frobenius norm of the dropped payload (the screening bound).
-        norm: f64,
-        /// Replace or accumulate semantics of the original store.
-        mode: PutMode,
-        /// Duplicate-suppression id (`OpId::NONE` when untracked).
         op: OpId,
     },
     /// Delete all blocks of an array (distributed at homes, served at I/O
@@ -244,37 +226,19 @@ pub enum SipMsg {
     },
     /// One hop of a planner-scheduled tree multicast: the home pushes a
     /// broadcast-shaped operand's block down a binary tree of workers
-    /// instead of answering per-rank GETs. Receivers at tree position `pos`
-    /// forward to positions `2·pos+1` and `2·pos+2` (positions are rotated
-    /// so the home is the root). Best-effort: a dropped hop degrades to the
-    /// demand `GetBlock` path, so no retry state is kept.
-    MulticastBlock {
+    /// instead of answering per-rank fetches. Receivers at tree position
+    /// `pos` forward to positions `2·pos+1` and `2·pos+2` (positions are
+    /// rotated so the home is the root). A sparse array's absent block
+    /// travels the same tree as a norm record, so consumers learn absence
+    /// without a round trip each. Best-effort: a dropped hop degrades to
+    /// the demand `Fetch` path, so no retry state is kept.
+    Multicast {
         /// The block's identity.
         key: BlockKey,
-        /// Its contents (shared with the home's store).
-        data: BlockHandle,
+        /// Its contents (shared with the home's store) or norm bound.
+        payload: Payload,
         /// The sender's distributed-array epoch; receivers in a different
         /// epoch drop the push (their cache was invalidated since).
-        epoch: u64,
-        /// This receiver's position in the multicast tree.
-        pos: u32,
-        /// Flight id correlating the trace events of one block's tree.
-        flight: u64,
-    },
-    /// The typed-absent hop of a tree multicast: a sparse broadcast-shaped
-    /// block with no payload at the home travels the same tree as a
-    /// lightweight norm record, so consumers learn absence without a
-    /// point-to-point GET round trip each. Same best-effort contract as
-    /// [`SipMsg::MulticastBlock`]: a dropped hop degrades to the demand
-    /// path, which ships [`SipMsg::BlockAbsent`].
-    MulticastAbsent {
-        /// The block's identity.
-        key: BlockKey,
-        /// Frobenius-norm bound of the absent payload (0.0 if never
-        /// written).
-        norm: f64,
-        /// The sender's distributed-array epoch; receivers in a different
-        /// epoch drop the push.
         epoch: u64,
         /// This receiver's position in the multicast tree.
         pos: u32,
@@ -396,10 +360,18 @@ impl Message for SipMsg {
     fn approx_bytes(&self) -> usize {
         let block_bytes = |b: &BlockHandle| b.len() * 8 + 32;
         match self {
-            SipMsg::BlockData { data, .. }
-            | SipMsg::PutBlock { data, .. }
-            | SipMsg::PrepareBlock { data, .. }
-            | SipMsg::MulticastBlock { data, .. }
+            SipMsg::Block {
+                payload: Payload::Data(data),
+                ..
+            }
+            | SipMsg::Store {
+                payload: Payload::Data(data),
+                ..
+            }
+            | SipMsg::Multicast {
+                payload: Payload::Data(data),
+                ..
+            }
             | SipMsg::CkptBlock { data, .. } => block_bytes(data),
             SipMsg::Batch(msgs) => 16 + msgs.iter().map(|m| m.approx_bytes()).sum::<usize>(),
             SipMsg::ChunkAssign { iters, .. } => {
@@ -416,24 +388,18 @@ impl Message for SipMsg {
         }
     }
 
-    /// Only data-plane traffic is faultable: block fetches, puts, prepares,
-    /// and their acks. Control-plane messages (scheduling, barriers,
+    /// Only data-plane traffic is faultable: block fetches, stores, their
+    /// replies and acks, and multicast hops. Control-plane messages (scheduling, barriers,
     /// collectives, lifecycle) ride a reliable channel, mirroring clusters
     /// whose management network is separate from the data interconnect.
     fn faultable(&self) -> bool {
         matches!(
             self,
-            SipMsg::GetBlock { .. }
-                | SipMsg::BlockData { .. }
-                | SipMsg::PutBlock { .. }
-                | SipMsg::PutAck { .. }
-                | SipMsg::RequestBlock { .. }
-                | SipMsg::PrepareBlock { .. }
-                | SipMsg::PrepareAck { .. }
-                | SipMsg::BlockAbsent { .. }
-                | SipMsg::PutAbsent { .. }
-                | SipMsg::MulticastBlock { .. }
-                | SipMsg::MulticastAbsent { .. }
+            SipMsg::Fetch { .. }
+                | SipMsg::Block { .. }
+                | SipMsg::Store { .. }
+                | SipMsg::StoreAck { .. }
+                | SipMsg::Multicast { .. }
                 | SipMsg::Batch(_)
         )
     }
@@ -512,22 +478,18 @@ mod tests {
 
     #[test]
     fn message_sizes_scale_with_payload() {
-        let small = SipMsg::BlockData {
+        let block = |n: usize| SipMsg::Block {
             key: BlockKey::new(ArrayId(0), &[1]),
-            data: Block::zeros(Shape::new(&[2])).into(),
+            payload: Payload::Data(Block::zeros(Shape::new(&[n])).into()),
             req: ReqId::NONE,
         };
-        let big = SipMsg::BlockData {
-            key: BlockKey::new(ArrayId(0), &[1]),
-            data: Block::zeros(Shape::new(&[100])).into(),
-            req: ReqId::NONE,
-        };
+        let (small, big) = (block(2), block(100));
         assert!(big.approx_bytes() > small.approx_bytes());
     }
 
     #[test]
     fn batch_accepts_data_plane_refuses_control_plane() {
-        let data_msg = || SipMsg::PutAck {
+        let data_msg = || SipMsg::StoreAck {
             key: BlockKey::new(ArrayId(0), &[1]),
             op: OpId(7),
         };
@@ -545,9 +507,9 @@ mod tests {
 
     #[test]
     fn batch_bytes_sum_parts() {
-        let part = SipMsg::BlockData {
+        let part = SipMsg::Block {
             key: BlockKey::new(ArrayId(0), &[1]),
-            data: Block::zeros(Shape::new(&[100])).into(),
+            payload: Payload::Data(Block::zeros(Shape::new(&[100])).into()),
             req: ReqId::NONE,
         };
         let part_bytes = part.approx_bytes();
@@ -558,17 +520,433 @@ mod tests {
     #[test]
     fn dup_shares_payload_allocation() {
         let data = BlockHandle::new(Block::zeros(Shape::new(&[64])));
-        let msg = SipMsg::BlockData {
+        let msg = SipMsg::Block {
             key: BlockKey::new(ArrayId(0), &[1]),
-            data: data.clone(),
+            payload: Payload::Data(data.clone()),
             req: ReqId::NONE,
         };
         let dup = msg.dup().unwrap();
         match dup {
-            SipMsg::BlockData { data: d, .. } => {
+            SipMsg::Block {
+                payload: Payload::Data(d),
+                ..
+            } => {
                 assert!(BlockHandle::ptr_eq(&d, &data), "dup copied the payload")
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    // ---- the block-transfer protocol, one table for both homes --------------
+
+    use crate::ioserver::IoServer;
+    use crate::layout::{FaultConfig, Layout, SegmentConfig, SipConfig, Topology};
+    use crate::registry::SuperRegistry;
+    use crate::worker::Worker;
+    use sia_bytecode::{
+        ArrayDecl, ArrayKind, ConstBindings, IndexDecl, IndexId, IndexKind, Program, Value,
+    };
+    use sia_fabric::{Endpoint, FaultPlan};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    const DIST: ArrayId = ArrayId(0);
+    const SERVED: ArrayId = ArrayId(1);
+
+    /// One worker (rank 1) homing sparse distributed `D`, one I/O server
+    /// (rank 2) homing sparse served `S`; rank 0 plays the client.
+    fn two_home_layout() -> Arc<Layout> {
+        let array = |name: &str, kind| ArrayDecl {
+            name: name.into(),
+            kind,
+            dims: vec![IndexId(0), IndexId(0)],
+            sparse: true,
+        };
+        let program = Program {
+            indices: vec![IndexDecl {
+                name: "i".into(),
+                kind: IndexKind::AoIndex,
+                low: Value::Lit(1),
+                high: Value::Lit(64),
+            }],
+            arrays: vec![
+                array("D", ArrayKind::Distributed),
+                array("S", ArrayKind::Served),
+            ],
+            ..Default::default()
+        };
+        let segments = SegmentConfig {
+            default: 4,
+            ..Default::default()
+        };
+        Arc::new(
+            Layout::new(
+                Arc::new(program),
+                &ConstBindings::new(),
+                segments,
+                Topology::new(1, 1),
+            )
+            .unwrap(),
+        )
+    }
+
+    /// A home under test, driven only through the fabric.
+    enum Home {
+        /// Stepped on the test thread: `service_messages` after every send.
+        Worker(Box<Worker>),
+        /// Runs its own message loop; `join` yields `run`'s result.
+        Server(
+            std::thread::JoinHandle<Result<crate::metrics::ServerStats, crate::RuntimeError>>,
+            std::path::PathBuf,
+        ),
+    }
+
+    struct Rig {
+        client: Endpoint<SipMsg>,
+        home: Home,
+        to: Rank,
+        array: ArrayId,
+    }
+
+    fn rig(worker_home: bool, tag: &str) -> Rig {
+        let layout = two_home_layout();
+        let (mut eps, _) = sia_fabric::build::<SipMsg>(3);
+        let server_ep = eps.pop().unwrap();
+        let worker_ep = eps.pop().unwrap();
+        let client = eps.pop().unwrap();
+        if worker_home {
+            // Op-id dedup at a worker home is part of fault tolerance.
+            let config = SipConfig {
+                workers: 1,
+                fault: Some(FaultConfig::new(FaultPlan::seeded(1))),
+                ..SipConfig::default()
+            };
+            let w = Worker::new(layout, config, worker_ep, SuperRegistry::new());
+            Rig {
+                client,
+                home: Home::Worker(Box::new(w)),
+                to: Rank(1),
+                array: DIST,
+            }
+        } else {
+            let dir = std::env::temp_dir().join(format!("sia-proto-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let d = dir.clone();
+            let server = std::thread::spawn(move || IoServer::new(layout, server_ep, d, 8)?.run());
+            Rig {
+                client,
+                home: Home::Server(server, dir),
+                to: Rank(2),
+                array: SERVED,
+            }
+        }
+    }
+
+    impl Rig {
+        fn send(&mut self, msg: SipMsg) {
+            self.client.send(self.to, msg).unwrap();
+            if let Home::Worker(w) = &mut self.home {
+                w.service_messages();
+            }
+        }
+
+        fn recv(&self) -> SipMsg {
+            self.client
+                .recv_timeout(Duration::from_secs(10))
+                .expect("home answered")
+                .msg
+        }
+
+        /// Sends one store and consumes its acknowledgement.
+        fn store(&mut self, key: BlockKey, payload: &Payload, mode: PutMode, op: OpId) {
+            self.send(SipMsg::Store {
+                key,
+                payload: payload.clone(),
+                mode,
+                op,
+            });
+            match self.recv() {
+                SipMsg::StoreAck { key: k, op: o } => assert_eq!((k, o), (key, op)),
+                other => panic!("expected one StoreAck per delivery, got {other:?}"),
+            }
+        }
+
+        fn fetch(&mut self, key: BlockKey) -> Payload {
+            self.send(SipMsg::Fetch {
+                key,
+                req: ReqId::NONE,
+            });
+            match self.recv() {
+                SipMsg::Block {
+                    key: k, payload, ..
+                } => {
+                    assert_eq!(k, key);
+                    payload
+                }
+                other => panic!("expected Block, got {other:?}"),
+            }
+        }
+
+        /// Makes everything stored so far durable where the home has a disk
+        /// tier (an I/O server flushes on `EpochMark`); a worker home has
+        /// none.
+        fn flush(&mut self, epoch: u64) {
+            if let Home::Server(..) = self.home {
+                self.send(SipMsg::EpochMark { epoch });
+                assert!(matches!(self.recv(), SipMsg::EpochAck { .. }));
+            }
+        }
+    }
+
+    /// A payload as the table spells it: a 4×4 block filled with one value,
+    /// or a norm record.
+    #[derive(Clone, Copy, Debug)]
+    enum P {
+        Data(f64),
+        Absent(f64),
+    }
+
+    impl P {
+        fn payload(self) -> Payload {
+            match self {
+                P::Data(v) => Payload::Data(Block::filled(Shape::new(&[4, 4]), v).into()),
+                P::Absent(norm) => Payload::Absent { norm },
+            }
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Delivery {
+        Once,
+        /// The same tracked op delivered twice (retry, fabric duplication,
+        /// chunk re-execution): applied once, acknowledged twice.
+        Duplicated,
+        /// Untracked (`OpId::NONE`) stores bypass the dedup window: sent
+        /// twice, applied twice.
+        UntrackedTwice,
+    }
+
+    struct Row {
+        name: &'static str,
+        /// Stores applied first, each under its own op id; `true` flushes
+        /// afterwards so the store under test meets on-disk state.
+        prior: &'static [(P, PutMode, bool)],
+        store: (P, PutMode),
+        /// What a fetch must report once the store was applied once …
+        want: P,
+        /// … and once it really was applied twice.
+        want_twice: P,
+    }
+
+    const R: PutMode = PutMode::Replace;
+    const A: PutMode = PutMode::Accumulate;
+
+    const TABLE: &[Row] = &[
+        Row {
+            name: "data/replace onto nothing",
+            prior: &[],
+            store: (P::Data(3.0), R),
+            want: P::Data(3.0),
+            want_twice: P::Data(3.0),
+        },
+        Row {
+            name: "data/replace supersedes a recorded norm",
+            prior: &[(P::Absent(0.5), R, false)],
+            store: (P::Data(3.0), R),
+            want: P::Data(3.0),
+            want_twice: P::Data(3.0),
+        },
+        Row {
+            name: "data/accumulate adds to the resident block",
+            prior: &[(P::Data(1.0), R, false)],
+            store: (P::Data(2.0), A),
+            want: P::Data(3.0),
+            want_twice: P::Data(5.0),
+        },
+        Row {
+            name: "data/accumulate adds to the flushed block",
+            prior: &[(P::Data(1.0), R, true)],
+            store: (P::Data(2.0), A),
+            want: P::Data(3.0),
+            want_twice: P::Data(5.0),
+        },
+        Row {
+            name: "data/accumulate onto a recorded norm makes the block real",
+            prior: &[(P::Absent(0.5), R, false)],
+            store: (P::Data(2.0), A),
+            want: P::Data(2.0),
+            want_twice: P::Data(4.0),
+        },
+        Row {
+            name: "absent/replace drops the resident payload",
+            prior: &[(P::Data(1.0), R, false)],
+            store: (P::Absent(0.25), R),
+            want: P::Absent(0.25),
+            want_twice: P::Absent(0.25),
+        },
+        Row {
+            name: "absent/replace drops the flushed payload",
+            prior: &[(P::Data(1.0), R, true)],
+            store: (P::Absent(0.25), R),
+            want: P::Absent(0.25),
+            want_twice: P::Absent(0.25),
+        },
+        Row {
+            name: "absent/accumulate sums norm bounds (triangle inequality)",
+            prior: &[(P::Absent(0.25), R, false)],
+            store: (P::Absent(0.5), A),
+            want: P::Absent(0.75),
+            want_twice: P::Absent(1.25),
+        },
+        Row {
+            name: "absent/accumulate onto nothing records the bound",
+            prior: &[],
+            store: (P::Absent(0.5), A),
+            want: P::Absent(0.5),
+            want_twice: P::Absent(1.0),
+        },
+        Row {
+            name: "absent/accumulate onto a resident block is a no-op",
+            prior: &[(P::Data(4.0), R, false)],
+            store: (P::Absent(0.25), A),
+            want: P::Data(4.0),
+            want_twice: P::Data(4.0),
+        },
+    ];
+
+    fn assert_payload_eq(got: &Payload, want: P, ctx: &str) {
+        match (got, &want.payload()) {
+            (Payload::Data(g), Payload::Data(w)) => assert_eq!(g.data(), w.data(), "{ctx}"),
+            (Payload::Absent { norm: g }, Payload::Absent { norm: w }) => {
+                assert_eq!(g, w, "{ctx}")
+            }
+            _ => panic!("{ctx}: fetch reply {got:?}, want {want:?}"),
+        }
+    }
+
+    /// home ∈ {worker, I/O server} × payload ∈ {data, absent} × mode ∈
+    /// {replace, accumulate} × delivery: the resulting store state as a
+    /// `Fetch` reports it (payload type included), and exactly one
+    /// `StoreAck` per delivery.
+    #[test]
+    fn protocol_table() {
+        for worker_home in [true, false] {
+            let mut rig = rig(worker_home, "table");
+            let (mut next_op, mut next_key, mut dups, mut epoch) = (1u64, 0i64, 0u64, 0u64);
+            for row in TABLE {
+                for delivery in [
+                    Delivery::Once,
+                    Delivery::Duplicated,
+                    Delivery::UntrackedTwice,
+                ] {
+                    let ctx = format!(
+                        "{} home, {}, {delivery:?}",
+                        if worker_home { "worker" } else { "I/O server" },
+                        row.name
+                    );
+                    // A fresh block per case.
+                    next_key += 1;
+                    let key = BlockKey::new(rig.array, &[next_key, 1]);
+                    assert_payload_eq(&rig.fetch(key), P::Absent(0.0), &ctx);
+                    for (payload, mode, flush) in row.prior {
+                        next_op += 1;
+                        rig.store(key, &payload.payload(), *mode, OpId(next_op));
+                        if *flush {
+                            epoch += 1;
+                            rig.flush(epoch);
+                        }
+                    }
+                    let (payload, mode) = (row.store.0.payload(), row.store.1);
+                    next_op += 1;
+                    let want = match delivery {
+                        Delivery::Once => {
+                            rig.store(key, &payload, mode, OpId(next_op));
+                            row.want
+                        }
+                        Delivery::Duplicated => {
+                            rig.store(key, &payload, mode, OpId(next_op));
+                            rig.store(key, &payload, mode, OpId(next_op));
+                            dups += 1;
+                            row.want
+                        }
+                        Delivery::UntrackedTwice => {
+                            rig.store(key, &payload, mode, OpId::NONE);
+                            rig.store(key, &payload, mode, OpId::NONE);
+                            row.want_twice
+                        }
+                    };
+                    assert_payload_eq(&rig.fetch(key), want, &ctx);
+                }
+            }
+
+            // Blocks and norm records share one dedup window: a screened
+            // resend of an already-applied real store is suppressed too.
+            let key = BlockKey::new(rig.array, &[next_key + 1, 1]);
+            next_op += 1;
+            rig.store(key, &P::Data(2.0).payload(), A, OpId(next_op));
+            rig.store(key, &P::Absent(0.1).payload(), R, OpId(next_op));
+            dups += 1;
+            assert_payload_eq(&rig.fetch(key), P::Data(2.0), "shared dedup window");
+
+            match rig.home {
+                Home::Worker(w) => {
+                    assert_eq!(w.profile.metrics.fault.dup_puts_suppressed, dups);
+                }
+                Home::Server(server, dir) => {
+                    rig.client.send(rig.to, SipMsg::Shutdown).unwrap();
+                    let stats = server.join().unwrap().unwrap();
+                    assert_eq!(stats.dup_prepares_suppressed, dups);
+                    let _ = std::fs::remove_dir_all(dir);
+                }
+            }
+        }
+    }
+
+    /// A fetch or store addressed to the wrong role is diagnosed, never
+    /// silently served: a worker warns, an I/O server's loop ends in a typed
+    /// error.
+    #[test]
+    fn wrong_role_fetch_and_store_are_diagnosed() {
+        for store in [false, true] {
+            let msg = |array| {
+                let key = BlockKey::new(array, &[1, 1]);
+                if store {
+                    SipMsg::Store {
+                        key,
+                        payload: P::Data(1.0).payload(),
+                        mode: R,
+                        op: OpId::NONE,
+                    }
+                } else {
+                    SipMsg::Fetch {
+                        key,
+                        req: ReqId::NONE,
+                    }
+                }
+            };
+
+            let mut rig_w = rig(true, "role");
+            rig_w.send(msg(SERVED));
+            assert!(rig_w.client.try_recv().is_none(), "no reply, no ack");
+            let Home::Worker(w) = &mut rig_w.home else {
+                unreachable!()
+            };
+            assert!(
+                w.warnings.iter().any(|m| m.contains("protocol error")),
+                "{:?}",
+                w.warnings
+            );
+            assert_eq!(w.mem.home_len(), 0, "nothing was stored");
+
+            let mut rig_s = rig(false, &format!("role{}", store as u8));
+            rig_s.send(msg(DIST));
+            let Home::Server(server, dir) = rig_s.home else {
+                unreachable!()
+            };
+            let err = server.join().unwrap().unwrap_err();
+            assert!(err.to_string().contains("protocol error"), "{err}");
+            assert!(rig_s.client.try_recv().is_none(), "no reply, no ack");
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 }

@@ -105,12 +105,6 @@ pub struct ProfileReport {
     pub dry_run_estimate_bytes: u64,
     /// Total pardo iterations executed.
     pub iterations: u64,
-    /// Effective GEMM thread count (after the config builder's clamp to
-    /// host parallelism; filled in by the runtime after the merge).
-    pub gemm_threads: usize,
-    /// GEMM thread count as originally requested; differs from
-    /// `gemm_threads` only when the builder clamped it.
-    pub gemm_threads_requested: usize,
 }
 
 impl ProfileReport {
@@ -162,8 +156,6 @@ impl ProfileReport {
             metrics,
             dry_run_estimate_bytes: 0,
             iterations,
-            gemm_threads: 0,
-            gemm_threads_requested: 0,
         }
     }
 
@@ -222,10 +214,6 @@ impl ProfileReport {
         w.f64(self.wait_fraction());
         w.key("dry_run_estimate_bytes");
         w.u64(self.dry_run_estimate_bytes);
-        w.key("gemm_threads");
-        w.u64(self.gemm_threads as u64);
-        w.key("gemm_threads_requested");
-        w.u64(self.gemm_threads_requested as u64);
         w.key("overlap");
         w.begin_object();
         w.key("mean");
@@ -321,13 +309,6 @@ impl fmt::Display for ProfileReport {
                 )?;
             }
             None => writeln!(f, "overlap: no remote block fetches")?,
-        }
-        if self.gemm_threads_requested > self.gemm_threads {
-            writeln!(
-                f,
-                "gemm threads: {} (requested {}, clamped to host parallelism)",
-                self.gemm_threads, self.gemm_threads_requested
-            )?;
         }
         if self.dry_run_estimate_bytes > 0 || !quiet(&self.metrics.memory) {
             writeln!(

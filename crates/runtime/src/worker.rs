@@ -13,12 +13,12 @@ use crate::ft::{self, FetchState, FtState, JournalEntry, TakeoverChunk};
 use crate::layout::{Layout, Placement, SipConfig};
 use crate::memory::BlockManager;
 use crate::metrics::WaitCause;
-use crate::msg::{BarrierKind, BlockKey, OpId, SipMsg};
+use crate::msg::{BarrierKind, BlockKey, OpId, Payload, SipMsg};
 use crate::plan::CommPlan;
 use crate::profile::WorkerProfile;
 use crate::registry::SuperRegistry;
 use sia_blocks::{Block, BlockHandle};
-use sia_blocks::{BlockPool, ContractCtx, GemmConfig, PoolConfig};
+use sia_blocks::{BlockPool, ContractCtx, PoolConfig};
 use sia_bytecode::{ArrayId, ArrayKind, IndexId, PutMode};
 use sia_fabric::{Endpoint, Rank, ReqId};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -98,8 +98,9 @@ pub struct Worker {
     pub(crate) pardo_epochs: HashMap<u32, u64>,
 
     // ---- communication state ----
-    pub(crate) outstanding_puts: u64,
-    pub(crate) outstanding_prepares: u64,
+    /// Unacknowledged untracked stores: `[puts, prepares]` (fault-free runs;
+    /// under fault tolerance `FtState::pending` tracks them instead).
+    pub(crate) outstanding: [u64; 2],
     pub(crate) barrier_release: Option<BarrierKind>,
     pub(crate) reduce_result: Option<f64>,
     pub(crate) ckpt_released: HashSet<u32>,
@@ -179,7 +180,6 @@ impl Worker {
         Worker {
             mem: BlockManager::new(cache_bytes, config.memory_budget),
             contract_ctx: ContractCtx::with_pool(pool.clone())
-                .gemm(GemmConfig::with_threads(config.gemm_threads))
                 .fold_transposes(config.fold_transposes),
             pool,
             layout,
@@ -193,8 +193,7 @@ impl Worker {
             call_stack: Vec::new(),
             pardo: None,
             pardo_epochs: HashMap::new(),
-            outstanding_puts: 0,
-            outstanding_prepares: 0,
+            outstanding: [0; 2],
             barrier_release: None,
             reduce_result: None,
             ckpt_released: HashSet::new(),
@@ -276,7 +275,17 @@ impl Worker {
 
     fn handle(&mut self, src: Rank, msg: SipMsg) {
         match msg {
-            SipMsg::GetBlock { key, req } => {
+            // Workers home distributed arrays only; a fetch or store of any
+            // other kind was addressed to the wrong role.
+            SipMsg::Fetch { key, .. } | SipMsg::Store { key, .. }
+                if self.layout.array_kind(key.array) != ArrayKind::Distributed =>
+            {
+                self.warnings.push(format!(
+                    "protocol error: worker received a fetch/store of non-distributed block \
+                     {key:?} from {src}"
+                ));
+            }
+            SipMsg::Fetch { key, req } => {
                 // Conflict check: serving a block Replace-put in this same
                 // epoch means the program raced a read against a write.
                 if self.replace_epoch.get(&key) == Some(&self.dist_epoch) {
@@ -286,128 +295,38 @@ impl Worker {
                     ));
                 }
                 self.serve_epoch.insert(key, self.dist_epoch);
-                match self.mem.serve_home(&key) {
-                    // Serve from the authoritative store; the reply shares
-                    // the store's allocation (zero-copy).
-                    Some(data) => {
-                        let _ = self
-                            .endpoint
-                            .send(src, SipMsg::BlockData { key, data, req });
-                    }
-                    // A sparse array's missing block is typed-absent: ship
-                    // the norm bound, never a zero payload.
-                    None if self.layout.array_sparse(key.array) => {
-                        let norm = self.mem.home_absent_norm(&key).unwrap_or(0.0);
-                        let _ = self
-                            .endpoint
-                            .send(src, SipMsg::BlockAbsent { key, norm, req });
-                    }
-                    // Dense unfilled blocks read as zero ("blocks are
-                    // allocated … only when actually filled"), which is what
-                    // makes symmetric-array declarations cheap.
-                    None => {
-                        let data = BlockHandle::zeros(self.layout.declared_block_shape(key.array));
-                        let _ = self
-                            .endpoint
-                            .send(src, SipMsg::BlockData { key, data, req });
-                    }
-                }
+                let payload = self.read_home(&key);
+                let _ = self.endpoint.send(src, SipMsg::Block { key, payload, req });
             }
-            SipMsg::PutBlock {
+            SipMsg::Store {
                 key,
-                data,
+                payload,
                 mode,
                 op,
             } => {
-                self.apply_put_deduped(key, data, mode, op);
-                let _ = self.endpoint.send(src, SipMsg::PutAck { key, op });
+                self.apply_store_deduped(key, payload, mode, op);
+                let _ = self.endpoint.send(src, SipMsg::StoreAck { key, op });
             }
-            SipMsg::PutAck { key, op } => {
-                self.profile.metrics.comm.puts_acked += 1;
-                self.finish_put_flight(op, key, CommOp::Put);
+            SipMsg::StoreAck { key, op } => {
+                let served = self.layout.array_kind(key.array) == ArrayKind::Served;
+                let comm = &mut self.profile.metrics.comm;
+                if served {
+                    comm.prepares_acked += 1;
+                } else {
+                    comm.puts_acked += 1;
+                }
+                self.finish_put_flight(op, key, if served { CommOp::Prepare } else { CommOp::Put });
                 match self.ft.as_mut() {
                     Some(ft) if op.is_tracked() => {
                         ft.pending.remove(&op.0);
                     }
                     _ => {
-                        self.outstanding_puts = self.outstanding_puts.saturating_sub(1);
+                        let n = &mut self.outstanding[served as usize];
+                        *n = n.saturating_sub(1);
                     }
                 }
             }
-            SipMsg::PrepareAck { key, op } => {
-                self.profile.metrics.comm.prepares_acked += 1;
-                self.finish_put_flight(op, key, CommOp::Prepare);
-                match self.ft.as_mut() {
-                    Some(ft) if op.is_tracked() => {
-                        ft.pending.remove(&op.0);
-                    }
-                    _ => {
-                        self.outstanding_prepares = self.outstanding_prepares.saturating_sub(1);
-                    }
-                }
-            }
-            SipMsg::BlockData { key, data, .. } => {
-                if let Some(ft) = self.ft.as_mut() {
-                    ft.fetches.remove(&key);
-                }
-                if let Some((t0, id)) = self.flights.remove(&key) {
-                    let flight_ns = t0.elapsed().as_nanos() as u64;
-                    self.profile.metrics.comm.flight_nanos += flight_ns;
-                    if self.trace.is_on() {
-                        let end = self.trace.now_ns();
-                        self.trace.span(
-                            EventKind::Flight {
-                                op: CommOp::Get,
-                                key,
-                                id,
-                            },
-                            end.saturating_sub(flight_ns),
-                            end,
-                        );
-                        self.trace.instant(EventKind::CacheFill {
-                            key,
-                            bytes: data.heap_bytes(),
-                        });
-                    }
-                }
-                // The cache entry shares the envelope's allocation.
-                self.mem.cache_fill(key, data);
-                self.drain_evictions_into_trace();
-            }
-            SipMsg::BlockAbsent { key, norm, .. } => {
-                // The typed-absent counterpart of BlockData: completes the
-                // in-flight fetch with a norm bound instead of a payload.
-                if let Some(ft) = self.ft.as_mut() {
-                    ft.fetches.remove(&key);
-                }
-                if let Some((t0, id)) = self.flights.remove(&key) {
-                    let flight_ns = t0.elapsed().as_nanos() as u64;
-                    self.profile.metrics.comm.flight_nanos += flight_ns;
-                    if self.trace.is_on() {
-                        let end = self.trace.now_ns();
-                        self.trace.span(
-                            EventKind::Flight {
-                                op: CommOp::Get,
-                                key,
-                                id,
-                            },
-                            end.saturating_sub(flight_ns),
-                            end,
-                        );
-                    }
-                }
-                self.profile.metrics.sparse.bytes_not_shipped += self.layout.block_bytes(key.array);
-                self.mem.cache_fill_absent(key, norm);
-            }
-            SipMsg::PutAbsent {
-                key,
-                norm,
-                mode,
-                op,
-            } => {
-                self.apply_absent_deduped(key, norm, mode, op);
-                let _ = self.endpoint.send(src, SipMsg::PutAck { key, op });
-            }
+            SipMsg::Block { key, payload, .. } => self.on_block(key, payload, None),
             SipMsg::ChunkAssign {
                 pardo_pc,
                 epoch,
@@ -462,23 +381,18 @@ impl Worker {
             SipMsg::CkptRelease { label } => {
                 self.ckpt_released.insert(label);
             }
-            SipMsg::MulticastBlock {
+            SipMsg::Multicast {
                 key,
-                data,
+                payload,
                 epoch,
                 pos,
                 flight,
             } => {
-                self.on_multicast(key, data, epoch, pos, flight);
-            }
-            SipMsg::MulticastAbsent {
-                key,
-                norm,
-                epoch,
-                pos,
-                flight,
-            } => {
-                self.on_multicast_absent(key, norm, epoch, pos, flight);
+                // A stale push raced a barrier: drop it; demand fetches
+                // recover.
+                if epoch == self.dist_epoch {
+                    self.on_block(key, payload, Some((pos, flight)));
+                }
             }
             SipMsg::DeleteArray { array } => {
                 self.mem.home_remove_array(array);
@@ -495,8 +409,6 @@ impl Worker {
             SipMsg::Batch(_)
             | SipMsg::ChunkRequest { .. }
             | SipMsg::ChunkDone { .. }
-            | SipMsg::RequestBlock { .. }
-            | SipMsg::PrepareBlock { .. }
             | SipMsg::BarrierEnter { .. }
             | SipMsg::ReduceContrib { .. }
             | SipMsg::CkptBlock { .. }
@@ -552,22 +464,13 @@ impl Worker {
             loop {
                 let key = BlockKey::new(b.array, &segs);
                 if self.layout.slot_of_distributed(&key) == own {
-                    match self.mem.serve_home(&key) {
-                        Some(data) => {
-                            let flight = self.new_multicast_hop(key, 0);
-                            self.multicast_forward(key, data, self.dist_epoch, 0, flight);
-                        }
-                        // A sparse array's absent block rides the same tree
-                        // as a lightweight norm record, so consumers don't
-                        // each pay a point-to-point GET just to learn
-                        // absence. Dense unfilled blocks stay on the demand
-                        // path (they read as zeros there).
-                        None if self.layout.array_sparse(key.array) => {
-                            let norm = self.mem.home_absent_norm(&key).unwrap_or(0.0);
-                            let flight = self.new_multicast_hop(key, 0);
-                            self.multicast_forward_absent(key, norm, self.dist_epoch, 0, flight);
-                        }
-                        None => {}
+                    // A sparse array's absent block rides the tree as a norm
+                    // record, so consumers don't each pay a round trip just
+                    // to learn absence. Dense unfilled blocks stay on the
+                    // demand path (they read as zeros there).
+                    if let Some(payload) = self.home_payload(&key) {
+                        let flight = self.new_multicast_hop(key, 0);
+                        self.multicast_forward(key, payload, self.dist_epoch, 0, flight);
                     }
                 }
                 let mut d = segs.len();
@@ -592,57 +495,51 @@ impl Worker {
         self.flush_forwards();
     }
 
-    /// Accepts a pushed multicast copy: fills the cache exactly like a
-    /// solicited `BlockData` (completing any demand fetch already in
-    /// flight) and forwards the block to this tree position's children.
-    fn on_multicast(
-        &mut self,
-        key: BlockKey,
-        data: BlockHandle,
-        epoch: u64,
-        pos: u32,
-        flight: u64,
-    ) {
-        // Stale push — the sender raced a barrier. Drop it; demand fetches
-        // recover.
-        if epoch != self.dist_epoch {
-            return;
-        }
+    /// A block — or a sparse array's absence record — arrived: the reply to
+    /// a fetch (`hop` is `None`) or a multicast push, with this rank's tree
+    /// position and the parent hop's flight id. Either completes a demand
+    /// fetch in flight; a push is also forwarded to this position's
+    /// children. The cache entry shares the envelope's allocation.
+    fn on_block(&mut self, key: BlockKey, payload: Payload, hop: Option<(u32, u64)>) {
         if let Some(ft) = self.ft.as_mut() {
             ft.fetches.remove(&key);
         }
-        if let Some((t0, _)) = self.flights.remove(&key) {
-            self.profile.metrics.comm.flight_nanos += t0.elapsed().as_nanos() as u64;
+        let fetch = self.flights.remove(&key);
+        if let Some((t0, id)) = fetch {
+            let flight_ns = t0.elapsed().as_nanos() as u64;
+            self.profile.metrics.comm.flight_nanos += flight_ns;
+            if hop.is_none() && self.trace.is_on() {
+                let end = self.trace.now_ns();
+                self.trace.span(
+                    EventKind::Flight {
+                        op: CommOp::Get,
+                        key,
+                        id,
+                    },
+                    end.saturating_sub(flight_ns),
+                    end,
+                );
+            }
         }
-        let hop = self.new_multicast_hop(key, flight);
-        if self.trace.is_on() {
-            self.trace.instant(EventKind::CacheFill {
-                key,
-                bytes: data.heap_bytes(),
-            });
+        if let Some((pos, parent)) = hop {
+            let id = self.new_multicast_hop(key, parent);
+            self.multicast_forward(key, payload.clone(), self.dist_epoch, pos, id);
         }
-        self.multicast_forward(key, data.clone(), epoch, pos, hop);
-        self.mem.cache_fill(key, data);
+        match &payload {
+            Payload::Data(data) => {
+                if self.trace.is_on() && (hop.is_some() || fetch.is_some()) {
+                    self.trace.instant(EventKind::CacheFill {
+                        key,
+                        bytes: data.heap_bytes(),
+                    });
+                }
+            }
+            Payload::Absent { .. } => {
+                self.profile.metrics.sparse.bytes_not_shipped += self.layout.block_bytes(key.array);
+            }
+        }
+        self.mem.cache_fill(key, payload);
         self.drain_evictions_into_trace();
-    }
-
-    /// Accepts a pushed typed-absent record: fills the cache like a
-    /// solicited [`SipMsg::BlockAbsent`] (completing any demand fetch in
-    /// flight) and forwards the record to this tree position's children.
-    fn on_multicast_absent(&mut self, key: BlockKey, norm: f64, epoch: u64, pos: u32, flight: u64) {
-        if epoch != self.dist_epoch {
-            return;
-        }
-        if let Some(ft) = self.ft.as_mut() {
-            ft.fetches.remove(&key);
-        }
-        if let Some((t0, _)) = self.flights.remove(&key) {
-            self.profile.metrics.comm.flight_nanos += t0.elapsed().as_nanos() as u64;
-        }
-        let hop = self.new_multicast_hop(key, flight);
-        self.multicast_forward_absent(key, norm, epoch, pos, hop);
-        self.profile.metrics.sparse.bytes_not_shipped += self.layout.block_bytes(key.array);
-        self.mem.cache_fill_absent(key, norm);
     }
 
     /// Records a multicast hop in the trace and returns its globally
@@ -660,14 +557,14 @@ impl Worker {
         id
     }
 
-    /// Stages the block to the tree children of `pos` (positions `2p+1`
-    /// and `2p+2`, ranks rotated so the home slot is the root). Staged —
-    /// not sent — so several forwards to one child batch into a single
-    /// envelope at the next [`Worker::flush_forwards`].
+    /// Stages the block (or norm record) to the tree children of `pos`
+    /// (positions `2p+1` and `2p+2`, ranks rotated so the home slot is the
+    /// root). Staged — not sent — so several forwards to one child batch
+    /// into a single envelope at the next [`Worker::flush_forwards`].
     fn multicast_forward(
         &mut self,
         key: BlockKey,
-        data: BlockHandle,
+        payload: Payload,
         epoch: u64,
         pos: u32,
         flight: u64,
@@ -681,49 +578,14 @@ impl Worker {
             }
             let widx = (home + child as usize) % workers;
             let to = self.layout.topology.worker(widx);
+            // A norm record counts as a hop with zero shipped bytes.
             self.profile.metrics.plan.multicast_blocks += 1;
-            self.profile.metrics.plan.multicast_bytes += data.heap_bytes();
+            self.profile.metrics.plan.multicast_bytes += payload.heap_bytes();
             let _ = self.endpoint.stage(
                 to,
-                SipMsg::MulticastBlock {
+                SipMsg::Multicast {
                     key,
-                    data: data.clone(),
-                    epoch,
-                    pos: child,
-                    flight,
-                },
-            );
-            self.staged_forwards = true;
-        }
-    }
-
-    /// Stages a typed-absent record to the tree children of `pos` — the
-    /// payload-free counterpart of [`Worker::multicast_forward`].
-    fn multicast_forward_absent(
-        &mut self,
-        key: BlockKey,
-        norm: f64,
-        epoch: u64,
-        pos: u32,
-        flight: u64,
-    ) {
-        let workers = self.layout.topology.workers;
-        let own = self.worker_index();
-        let home = (own + workers - (pos as usize % workers)) % workers;
-        for child in [2 * pos + 1, 2 * pos + 2] {
-            if (child as usize) >= workers {
-                continue;
-            }
-            let widx = (home + child as usize) % workers;
-            let to = self.layout.topology.worker(widx);
-            // A norm record is a multicast block with zero shipped payload:
-            // count the hop, not the bytes.
-            self.profile.metrics.plan.multicast_blocks += 1;
-            let _ = self.endpoint.stage(
-                to,
-                SipMsg::MulticastAbsent {
-                    key,
-                    norm,
+                    payload: payload.clone(),
                     epoch,
                     pos: child,
                     flight,
@@ -753,39 +615,48 @@ impl Worker {
         }
     }
 
-    /// Applies a put to the authoritative store (used by the home for remote
-    /// puts and by the owner for local ones). A Replace adopts the payload
-    /// handle outright; an Accumulate mutates the resident block
+    /// Applies a store to the authoritative store (used by the home for
+    /// remote puts and by the owner for local ones). A Replace adopts the
+    /// payload handle outright; an Accumulate mutates the resident block
     /// copy-on-write (in place unless a concurrent serve still shares it).
-    pub(crate) fn apply_put_local(&mut self, key: BlockKey, data: BlockHandle, mode: PutMode) {
+    /// An absent payload records only its norm bound: a Replace removes any
+    /// resident block; an Accumulate onto a resident block is a no-op (the
+    /// dropped contribution is within the screening bound), onto an absent
+    /// block it sums the bounds (triangle inequality).
+    pub(crate) fn apply_store_local(&mut self, key: BlockKey, payload: Payload, mode: PutMode) {
         // Sparse screening at the home: a payload under the threshold is
         // dropped and only its norm bound is recorded. Also reached by a
         // fault-tolerance journal replay of a put the sender dropped (replay
         // resends the full block), keeping replay idempotent with the drop.
-        if self.sparsity_active(key.array) {
-            let norm = data.norm();
-            if norm < self.config.sparsity_threshold {
-                self.apply_absent_local(key, norm, mode);
-                return;
-            }
-        }
-        match mode {
-            PutMode::Replace => {
-                if self.serve_epoch.get(&key) == Some(&self.dist_epoch) {
-                    self.warnings.push(format!(
-                        "possible barrier misuse: block {key:?} replaced after being read \
-                         in the same sip_barrier epoch"
-                    ));
-                }
-                self.replace_epoch.insert(key, self.dist_epoch);
-                self.mem.home_insert(key, data);
-            }
-            PutMode::Accumulate => match self.mem.home_entry_mut(&key) {
-                Some(existing) => existing.make_mut().accumulate(&data),
-                None => {
-                    self.mem.home_insert(key, data);
-                }
+        let payload = match payload {
+            Payload::Data(data) => match self.screen(&key, &data) {
+                Some(norm) => Payload::Absent { norm },
+                None => Payload::Data(data),
             },
+            absent => absent,
+        };
+        if mode == PutMode::Replace {
+            if self.serve_epoch.get(&key) == Some(&self.dist_epoch) {
+                self.warnings.push(format!(
+                    "possible barrier misuse: block {key:?} replaced after being read \
+                     in the same sip_barrier epoch"
+                ));
+            }
+            self.replace_epoch.insert(key, self.dist_epoch);
+        }
+        match (payload, mode) {
+            (Payload::Data(data), PutMode::Replace) => self.mem.home_insert(key, data),
+            (Payload::Data(data), PutMode::Accumulate) => match self.mem.home_entry_mut(&key) {
+                Some(existing) => existing.make_mut().accumulate(&data),
+                None => self.mem.home_insert(key, data),
+            },
+            (Payload::Absent { norm }, PutMode::Replace) => self.mem.home_record_absent(key, norm),
+            (Payload::Absent { norm }, PutMode::Accumulate) => {
+                if !self.mem.home_contains(&key) {
+                    let prior = self.mem.home_absent_norm(&key).unwrap_or(0.0);
+                    self.mem.home_record_absent(key, prior + norm);
+                }
+            }
         }
         // A fresher value exists; drop any stale cached copy.
         self.mem.cache_invalidate(&key);
@@ -797,55 +668,40 @@ impl Worker {
         self.config.sparsity_threshold > 0.0 && self.layout.array_sparse(array)
     }
 
-    /// Applies a dropped (absent) put to the authoritative store: a Replace
-    /// removes any resident payload and records the norm bound; an
-    /// Accumulate onto a resident block is a no-op (the dropped contribution
-    /// is within the screening bound), onto an absent block it accumulates
-    /// the bound (triangle inequality).
-    pub(crate) fn apply_absent_local(&mut self, key: BlockKey, norm: f64, mode: PutMode) {
-        match mode {
-            PutMode::Replace => {
-                if self.serve_epoch.get(&key) == Some(&self.dist_epoch) {
-                    self.warnings.push(format!(
-                        "possible barrier misuse: block {key:?} replaced after being read \
-                         in the same sip_barrier epoch"
-                    ));
-                }
-                self.replace_epoch.insert(key, self.dist_epoch);
-                self.mem.home_record_absent(key, norm);
-            }
-            PutMode::Accumulate => {
-                if !self.mem.home_contains(&key) {
-                    let prior = self.mem.home_absent_norm(&key).unwrap_or(0.0);
-                    self.mem.home_record_absent(key, prior + norm);
-                }
-            }
+    /// Sparse screening: the norm of `data` when `key`'s array is screened
+    /// and the norm falls under the threshold (the store then carries only
+    /// the norm); `None` means the block itself is stored.
+    fn screen(&self, key: &BlockKey, data: &BlockHandle) -> Option<f64> {
+        if !self.sparsity_active(key.array) {
+            return None;
         }
-        self.mem.cache_invalidate(&key);
+        let norm = data.norm();
+        (norm < self.config.sparsity_threshold).then_some(norm)
     }
 
-    /// [`Worker::apply_absent_local`] with the same duplicate suppression as
-    /// [`Worker::apply_put_deduped`], so retried/duplicated `PutAbsent`
-    /// messages cannot re-accumulate a norm bound.
-    pub(crate) fn apply_absent_deduped(
-        &mut self,
-        key: BlockKey,
-        norm: f64,
-        mode: PutMode,
-        op: OpId,
-    ) {
-        let epoch = self.dist_epoch;
-        let duplicate = op.is_tracked()
-            && !self
-                .ft
-                .as_mut()
-                .map(|ft| ft.note_applied(op.0, epoch))
-                .unwrap_or(true);
-        if duplicate {
-            self.profile.metrics.fault.dup_puts_suppressed += 1;
-        } else {
-            self.apply_absent_local(key, norm, mode);
+    /// What the authoritative store holds for `key`: the block (sharing the
+    /// store's allocation), a sparse array's typed absence with its norm
+    /// bound, or `None` for a dense array's unfilled block.
+    fn home_payload(&mut self, key: &BlockKey) -> Option<Payload> {
+        match self.mem.serve_home(key) {
+            Some(data) => Some(Payload::Data(data)),
+            None if self.layout.array_sparse(key.array) => Some(Payload::Absent {
+                norm: self.mem.home_absent_norm(key).unwrap_or(0.0),
+            }),
+            None => None,
         }
+    }
+
+    /// [`Worker::home_payload`] as a reader sees it: a dense array's
+    /// unfilled block reads as zero ("blocks are allocated … only when
+    /// actually filled"), which is what makes symmetric-array declarations
+    /// cheap.
+    fn read_home(&mut self, key: &BlockKey) -> Payload {
+        self.home_payload(key).unwrap_or_else(|| {
+            Payload::Data(BlockHandle::zeros(
+                self.layout.declared_block_shape(key.array),
+            ))
+        })
     }
 
     /// Waits (servicing messages and pumping retries) until `done(self)`
@@ -933,14 +789,27 @@ impl Worker {
 
     // ---- block access ---------------------------------------------------------------
 
-    /// Home of a distributed block, skipping dead workers under fault
-    /// tolerance. The single resolver for distributed homes on the worker:
-    /// every caller goes through here (or through the layout facade with an
-    /// explicit dead mask), so nothing can pick the stale non-excluding
-    /// variant during recovery.
-    pub(crate) fn dist_home(&self, key: &BlockKey) -> Rank {
+    /// Home of a distributed block (skipping dead workers under fault
+    /// tolerance) or a served one, by the array's kind. The single resolver
+    /// on the worker: every caller goes through here (or through
+    /// [`Layout::home_of`] with an explicit dead mask), so nothing can pick
+    /// the stale non-excluding variant during recovery.
+    pub(crate) fn home_of(&self, key: &BlockKey) -> Result<Rank, RuntimeError> {
+        match self.layout.array_kind(key.array) {
+            ArrayKind::Served if self.layout.topology.io_servers == 0 => {
+                return Err(RuntimeError::ServedIo(
+                    "program uses served arrays but io_servers = 0".into(),
+                ));
+            }
+            ArrayKind::Distributed | ArrayKind::Served => {}
+            other => {
+                return Err(RuntimeError::BadProgram(format!(
+                    "block access on {other:?} array"
+                )));
+            }
+        }
         let dead = self.ft.as_ref().map(|ft| ft.dead.as_slice()).unwrap_or(&[]);
-        self.layout.home_of_distributed_excluding(key, dead)
+        Ok(self.layout.home_of(key, dead))
     }
 
     /// The single entry point for distributed/served block access, returning
@@ -959,44 +828,20 @@ impl Worker {
         fetch: Fetch,
         wait: &mut Duration,
     ) -> Result<BlockGet, RuntimeError> {
-        let kind = self.layout.array_kind(key.array);
-        let home = match kind {
-            ArrayKind::Distributed => self.dist_home(&key),
-            ArrayKind::Served => {
-                if self.layout.topology.io_servers == 0 {
-                    return Err(RuntimeError::ServedIo(
-                        "program uses served arrays but io_servers = 0".into(),
-                    ));
-                }
-                self.layout.home_of_served(&key)
-            }
-            other => {
-                return Err(RuntimeError::BadProgram(format!(
-                    "block access on {other:?} array"
-                )));
-            }
-        };
+        let home = self.home_of(&key)?;
         if home == self.endpoint.rank() {
-            // Authoritative store; nothing to fetch. The handle shares the
-            // store's allocation. Unfilled blocks of a dense array read as
-            // zero ("blocks are allocated … only when actually filled");
-            // missing blocks of a sparse array are typed-absent.
+            // Authoritative store; nothing to fetch.
             return Ok(match fetch {
                 Fetch::NoWait => BlockGet::Pending,
-                Fetch::Wait => match self.mem.serve_home(&key) {
-                    Some(h) => BlockGet::Ready(h),
-                    None if self.layout.array_sparse(key.array) => BlockGet::AbsentZero {
-                        norm: self.mem.home_absent_norm(&key).unwrap_or(0.0),
-                    },
-                    None => BlockGet::Ready(BlockHandle::zeros(
-                        self.layout.declared_block_shape(key.array),
-                    )),
+                Fetch::Wait => match self.read_home(&key) {
+                    Payload::Data(h) => BlockGet::Ready(h),
+                    Payload::Absent { norm } => BlockGet::AbsentZero { norm },
                 },
             });
         }
         if fetch == Fetch::NoWait {
             if self.mem.cache_mark_in_flight(key) {
-                self.send_fetch(home, key, kind)?;
+                self.send_fetch(home, key)?;
             }
             return Ok(BlockGet::Pending);
         }
@@ -1012,7 +857,7 @@ impl Worker {
                     // filled entry before this waiter observed it: the next
                     // round trip re-fetches (counted as a refetch).
                     if self.mem.cache_mark_in_flight(key) {
-                        self.send_fetch(home, key, kind)?;
+                        self.send_fetch(home, key)?;
                     }
                     None
                 }
@@ -1042,14 +887,9 @@ impl Worker {
         }
     }
 
-    /// Sends the GET/REQUEST for a block just marked in flight, registering
-    /// it for retry under fault tolerance.
-    fn send_fetch(
-        &mut self,
-        home: Rank,
-        key: BlockKey,
-        kind: ArrayKind,
-    ) -> Result<(), RuntimeError> {
+    /// Sends the fetch for a block just marked in flight, registering it for
+    /// retry under fault tolerance.
+    fn send_fetch(&mut self, home: Rank, key: BlockKey) -> Result<(), RuntimeError> {
         // A real id is only needed for retry correlation (FT) or flight
         // correlation in the trace; fault-free untraced runs skip it.
         let req = if self.ft.is_some() || self.trace.is_on() {
@@ -1065,17 +905,13 @@ impl Worker {
                 key,
                 FetchState {
                     req,
-                    served: kind == ArrayKind::Served,
                     sent_at: Instant::now(),
                     timeout,
                     attempts: 0,
                 },
             );
         }
-        let msg = match kind {
-            ArrayKind::Served => SipMsg::RequestBlock { key, req },
-            _ => SipMsg::GetBlock { key, req },
-        };
+        let msg = SipMsg::Fetch { key, req };
         if self.ft.is_some() {
             // The fetch is registered for retry; a send failure means the
             // home just died and the retry will re-route after RankDead.
@@ -1325,11 +1161,12 @@ impl Worker {
 
     // ---- fault tolerance --------------------------------------------------------
 
-    /// Sends a PUT to `home`, tracking the op for retry/journal replay under
-    /// fault tolerance (or counting an outstanding ack on the fault-free
-    /// fast path). The journal entry, the retained pending payload, and the
+    /// Sends a store (PUT or PREPARE, by `key`'s array kind) to `home`,
+    /// tracking the op for retry — and, for puts, journal replay — under
+    /// fault tolerance, or counting an outstanding ack on the fault-free
+    /// fast path. The journal entry, the retained pending payload, and the
     /// wire message all share one allocation.
-    pub(crate) fn send_put(
+    pub(crate) fn send_store(
         &mut self,
         home: Rank,
         key: BlockKey,
@@ -1337,16 +1174,32 @@ impl Worker {
         mode: PutMode,
         op: OpId,
     ) -> Result<(), RuntimeError> {
+        let served = self.layout.array_kind(key.array) == ArrayKind::Served;
         // Tracked ops get a traced flight span; untracked (`OpId::NONE`)
-        // puts have no correlatable id, so they are counted but not spanned.
+        // stores have no correlatable id, so they are counted but not
+        // spanned.
         if self.trace.is_on() && op.is_tracked() {
             self.put_flights.insert(op.0, Instant::now());
         }
         // Sparse screening at the sender: a payload under the threshold
-        // ships as a norm-only PutAbsent instead of the block.
-        let dropped = self.screen_outgoing(&key, &data);
+        // ships as a norm record instead of the block.
+        let dropped = self.screen(&key, &data);
+        if dropped.is_some() {
+            self.profile.metrics.sparse.bytes_not_shipped += data.heap_bytes();
+        }
+        let wire = |data: BlockHandle| SipMsg::Store {
+            key,
+            payload: match dropped {
+                Some(norm) => Payload::Absent { norm },
+                None => Payload::Data(data),
+            },
+            mode,
+            op,
+        };
         if let Some(ft) = self.ft.as_mut() {
-            if ft.cfg.expects_crash() {
+            // I/O servers never die in the fault model, so prepares are not
+            // journaled.
+            if !served && ft.cfg.expects_crash() {
                 self.mem.note_share(&data);
                 ft.journal.push(JournalEntry {
                     op: op.0,
@@ -1356,113 +1209,30 @@ impl Worker {
                 });
             }
             self.mem.note_share(&data);
-            // The retained payload backs retries and journal replay even
-            // when the first transmission is a PutAbsent: a retry resends
-            // the full block and the home's op dedup keeps it idempotent.
-            let msg = ft.arm_flight(op, key, data, mode, false);
-            let msg = match dropped {
-                Some(norm) => SipMsg::PutAbsent {
-                    key,
-                    norm,
-                    mode,
-                    op,
-                },
-                None => msg,
-            };
+            ft.arm_flight(op, key, data.clone(), mode);
             // Tracked for retry: a failed send to a dying home re-routes
             // once the master broadcasts RankDead.
-            let _ = self.endpoint.send(home, msg);
+            let _ = self.endpoint.send(home, wire(data));
         } else {
-            self.outstanding_puts += 1;
-            let msg = match dropped {
-                Some(norm) => SipMsg::PutAbsent {
-                    key,
-                    norm,
-                    mode,
-                    op,
-                },
-                None => ft::flight_msg(op, key, data, mode, false),
-            };
-            self.endpoint.send(home, msg)?;
+            self.outstanding[served as usize] += 1;
+            self.endpoint.send(home, wire(data))?;
+        }
+        if served {
+            // The freshest copy is at the server now.
+            self.mem.cache_invalidate(&key);
         }
         Ok(())
     }
 
-    /// Sender-side sparse screening: when `key`'s array is screened and the
-    /// payload's Frobenius norm falls under the threshold, counts the bytes
-    /// the fabric will not ship and returns the norm; `None` means ship the
-    /// block.
-    fn screen_outgoing(&mut self, key: &BlockKey, data: &BlockHandle) -> Option<f64> {
-        if !self.sparsity_active(key.array) {
-            return None;
-        }
-        let norm = data.norm();
-        if norm >= self.config.sparsity_threshold {
-            return None;
-        }
-        self.profile.metrics.sparse.bytes_not_shipped += data.heap_bytes();
-        Some(norm)
-    }
-
-    /// Sends a PREPARE to an I/O server, tracking the op for retry under
-    /// fault tolerance. I/O servers never die in the fault model, so
-    /// prepares are not journaled.
-    pub(crate) fn send_prepare(
-        &mut self,
-        home: Rank,
-        key: BlockKey,
-        data: BlockHandle,
-        mode: PutMode,
-        op: OpId,
-    ) -> Result<(), RuntimeError> {
-        if self.trace.is_on() && op.is_tracked() {
-            self.put_flights.insert(op.0, Instant::now());
-        }
-        // Screened like puts: a negligible prepare ships norm-only (the
-        // server answers with a PrepareAck either way).
-        let dropped = self.screen_outgoing(&key, &data);
-        if let Some(ft) = self.ft.as_mut() {
-            self.mem.note_share(&data);
-            let msg = ft.arm_flight(op, key, data, mode, true);
-            let msg = match dropped {
-                Some(norm) => SipMsg::PutAbsent {
-                    key,
-                    norm,
-                    mode,
-                    op,
-                },
-                None => msg,
-            };
-            let _ = self.endpoint.send(home, msg);
-        } else {
-            self.outstanding_prepares += 1;
-            let msg = match dropped {
-                Some(norm) => SipMsg::PutAbsent {
-                    key,
-                    norm,
-                    mode,
-                    op,
-                },
-                None => ft::flight_msg(op, key, data, mode, true),
-            };
-            self.endpoint.send(home, msg)?;
-        }
-        Ok(())
-    }
-
-    /// True when every PUT has been acknowledged.
-    pub(crate) fn puts_drained(&self) -> bool {
+    /// True when every store to arrays of `kind` — PUTs for distributed,
+    /// PREPAREs for served — has been acknowledged.
+    pub(crate) fn stores_drained(&self, kind: ArrayKind) -> bool {
         match &self.ft {
-            Some(ft) => !ft.pending.values().any(|p| !p.served),
-            None => self.outstanding_puts == 0,
-        }
-    }
-
-    /// True when every PREPARE has been acknowledged.
-    pub(crate) fn prepares_drained(&self) -> bool {
-        match &self.ft {
-            Some(ft) => !ft.pending.values().any(|p| p.served),
-            None => self.outstanding_prepares == 0,
+            Some(ft) => !ft
+                .pending
+                .values()
+                .any(|p| self.layout.array_kind(p.key.array) == kind),
+            None => self.outstanding[(kind == ArrayKind::Served) as usize] == 0,
         }
     }
 
@@ -1493,14 +1263,15 @@ impl Worker {
         ))
     }
 
-    /// Applies a put (local or arriving over the wire) with duplicate
+    /// Applies a store (local or arriving over the wire) with duplicate
     /// suppression: a tracked op already in the applied window is dropped.
     /// This is what makes retries, fabric duplication, and chunk
-    /// re-execution idempotent.
-    pub(crate) fn apply_put_deduped(
+    /// re-execution idempotent — for blocks and norm records alike, which
+    /// share the one window.
+    pub(crate) fn apply_store_deduped(
         &mut self,
         key: BlockKey,
-        data: BlockHandle,
+        payload: Payload,
         mode: PutMode,
         op: OpId,
     ) {
@@ -1514,7 +1285,7 @@ impl Worker {
         if duplicate {
             self.profile.metrics.fault.dup_puts_suppressed += 1;
         } else {
-            self.apply_put_local(key, data, mode);
+            self.apply_store_local(key, payload, mode);
         }
     }
 
@@ -1538,11 +1309,8 @@ impl Worker {
             if now.duration_since(p.sent_at) < p.timeout {
                 continue;
             }
-            let home = if p.served {
-                layout.home_of_served(&p.key)
-            } else {
-                layout.home_of_distributed_excluding(&p.key, &ft.dead)
-            };
+            let served = layout.array_kind(p.key.array) == ArrayKind::Served;
+            let home = layout.home_of(&p.key, &ft.dead);
             if p.attempts >= max_retries {
                 return Err(RuntimeError::Comm {
                     kind: CommKind::Timeout,
@@ -1550,7 +1318,7 @@ impl Worker {
                     key: Some(p.key),
                     context: format!(
                         "{} unacknowledged after {} attempts",
-                        if p.served { "PREPARE" } else { "PUT" },
+                        if served { "PREPARE" } else { "PUT" },
                         p.attempts + 1
                     ),
                 });
@@ -1558,16 +1326,13 @@ impl Worker {
             p.attempts += 1;
             p.sent_at = now;
             p.timeout = p.timeout.mul_f64(backoff);
-            if p.served {
+            if served {
                 prepare_retries += 1;
             } else {
                 put_retries += 1;
             }
             // The resend shares the retained payload's allocation.
-            resend.push((
-                home,
-                ft::flight_msg(OpId(op), p.key, p.data.clone(), p.mode, p.served),
-            ));
+            resend.push((home, p.store_msg(OpId(op))));
         }
         let mut fetch_retries = 0u64;
         let mut refreshed: Vec<BlockKey> = Vec::new();
@@ -1575,11 +1340,7 @@ impl Worker {
             if now.duration_since(f.sent_at) < f.timeout {
                 continue;
             }
-            let home = if f.served {
-                layout.home_of_served(key)
-            } else {
-                layout.home_of_distributed_excluding(key, &ft.dead)
-            };
+            let home = layout.home_of(key, &ft.dead);
             if f.attempts >= max_retries {
                 return Err(RuntimeError::Comm {
                     kind: CommKind::Timeout,
@@ -1587,7 +1348,11 @@ impl Worker {
                     key: Some(*key),
                     context: format!(
                         "{} reply lost after {} attempts",
-                        if f.served { "REQUEST" } else { "GET" },
+                        if layout.array_kind(key.array) == ArrayKind::Served {
+                            "REQUEST"
+                        } else {
+                            "GET"
+                        },
                         f.attempts + 1
                     ),
                 });
@@ -1597,18 +1362,13 @@ impl Worker {
             f.timeout = f.timeout.mul_f64(backoff);
             fetch_retries += 1;
             refreshed.push(*key);
-            let msg = if f.served {
-                SipMsg::RequestBlock {
+            resend.push((
+                home,
+                SipMsg::Fetch {
                     key: *key,
                     req: f.req,
-                }
-            } else {
-                SipMsg::GetBlock {
-                    key: *key,
-                    req: f.req,
-                }
-            };
-            resend.push((home, msg));
+                },
+            ));
         }
         self.profile.metrics.fault.put_retries += put_retries;
         self.profile.metrics.fault.prepare_retries += prepare_retries;
@@ -1774,23 +1534,23 @@ impl Worker {
             .collect();
         for (op, key, data, mode, new_home) in to_replay {
             replays += 1;
-            let msg = ft.arm_flight(OpId(op), key, data, mode, false);
-            sends.push((new_home, msg));
+            ft.arm_flight(OpId(op), key, data, mode);
+            sends.push((new_home, ft.pending[&op].store_msg(OpId(op))));
         }
         // Re-route unanswered fetches that were addressed to the corpse.
         let mut reroutes = 0u64;
         for (key, f) in ft.fetches.iter_mut() {
-            if f.served || layout.home_of_distributed_excluding(key, &prev_dead) != dead_rank {
+            if layout.home_of(key, &prev_dead) != dead_rank {
                 continue;
             }
-            let new_home = layout.home_of_distributed_excluding(key, &ft.dead);
+            let new_home = layout.home_of(key, &ft.dead);
             f.sent_at = Instant::now();
             f.timeout = retry_timeout;
             f.attempts = 0;
             reroutes += 1;
             sends.push((
                 new_home,
-                SipMsg::GetBlock {
+                SipMsg::Fetch {
                     key: *key,
                     req: f.req,
                 },

@@ -1,6 +1,8 @@
-//! The I/O server's message loop exercised over a real fabric: a client
-//! thread speaking the SIP protocol against a server thread, including the
-//! write-behind path and shutdown flush.
+//! The I/O server's disk tier exercised over a real fabric: a client thread
+//! speaking the SIP protocol against a server thread through forced
+//! write-behind, shutdown flush, restart over the same directory, and
+//! `DeleteArray`. (What each `Store`/`Fetch` does to the store is pinned by
+//! the protocol table in `src/msg.rs`.)
 
 use sia_blocks::{Block, Shape};
 use sia_bytecode::{
@@ -9,7 +11,7 @@ use sia_bytecode::{
 };
 use sia_fabric::ReqId;
 use sia_runtime::ioserver::IoServer;
-use sia_runtime::{BlockKey, Layout, OpId, SegmentConfig, SipMsg, Topology};
+use sia_runtime::{BlockKey, Layout, OpId, Payload, SegmentConfig, SipMsg, Topology};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -73,9 +75,9 @@ fn full_protocol_over_fabric() {
         client
             .send(
                 io,
-                SipMsg::PrepareBlock {
+                SipMsg::Store {
                     key: BlockKey::new(ArrayId(0), &[i, i]),
-                    data: blk(i as f64).into(),
+                    payload: Payload::Data(blk(i as f64).into()),
                     mode: PutMode::Replace,
                     op: OpId::NONE,
                 },
@@ -85,7 +87,7 @@ fn full_protocol_over_fabric() {
     let mut acks = 0;
     while acks < 5 {
         match client.recv_timeout(Duration::from_secs(5)).unwrap().msg {
-            SipMsg::PrepareAck { .. } => acks += 1,
+            SipMsg::StoreAck { .. } => acks += 1,
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -94,9 +96,9 @@ fn full_protocol_over_fabric() {
     client
         .send(
             io,
-            SipMsg::PrepareBlock {
+            SipMsg::Store {
                 key: BlockKey::new(ArrayId(0), &[3, 3]),
-                data: blk(10.0).into(),
+                payload: Payload::Data(blk(10.0).into()),
                 mode: PutMode::Accumulate,
                 op: OpId::NONE,
             },
@@ -104,7 +106,7 @@ fn full_protocol_over_fabric() {
         .unwrap();
     assert!(matches!(
         client.recv_timeout(Duration::from_secs(5)).unwrap().msg,
-        SipMsg::PrepareAck { .. }
+        SipMsg::StoreAck { .. }
     ));
 
     // Request everything back (mix of cache and disk paths).
@@ -112,14 +114,18 @@ fn full_protocol_over_fabric() {
         client
             .send(
                 io,
-                SipMsg::RequestBlock {
+                SipMsg::Fetch {
                     key: BlockKey::new(ArrayId(0), &[i, i]),
                     req: ReqId::NONE,
                 },
             )
             .unwrap();
         match client.recv_timeout(Duration::from_secs(5)).unwrap().msg {
-            SipMsg::BlockData { key, data, .. } => {
+            SipMsg::Block {
+                key,
+                payload: Payload::Data(data),
+                ..
+            } => {
                 assert_eq!(key, BlockKey::new(ArrayId(0), &[i, i]));
                 let want = if i == 3 { 13.0 } else { i as f64 };
                 assert!(
@@ -155,14 +161,17 @@ fn full_protocol_over_fabric() {
     client2
         .send(
             sia_fabric::Rank(1),
-            SipMsg::RequestBlock {
+            SipMsg::Fetch {
                 key: BlockKey::new(ArrayId(0), &[3, 3]),
                 req: ReqId::NONE,
             },
         )
         .unwrap();
     match client2.recv_timeout(Duration::from_secs(5)).unwrap().msg {
-        SipMsg::BlockData { data, .. } => {
+        SipMsg::Block {
+            payload: Payload::Data(data),
+            ..
+        } => {
             assert!(data.data().iter().all(|&x| (x - 13.0).abs() < 1e-12));
         }
         other => panic!("unexpected {other:?}"),
@@ -188,9 +197,9 @@ fn delete_array_over_fabric() {
     client
         .send(
             io,
-            SipMsg::PrepareBlock {
+            SipMsg::Store {
                 key: BlockKey::new(ArrayId(0), &[1, 1]),
-                data: Block::filled(Shape::new(&[4, 4]), 7.0).into(),
+                payload: Payload::Data(Block::filled(Shape::new(&[4, 4]), 7.0).into()),
                 mode: PutMode::Replace,
                 op: OpId::NONE,
             },
@@ -204,14 +213,17 @@ fn delete_array_over_fabric() {
     client
         .send(
             io,
-            SipMsg::RequestBlock {
+            SipMsg::Fetch {
                 key: BlockKey::new(ArrayId(0), &[1, 1]),
                 req: ReqId::NONE,
             },
         )
         .unwrap();
     match client.recv_timeout(Duration::from_secs(5)).unwrap().msg {
-        SipMsg::BlockData { data, .. } => {
+        SipMsg::Block {
+            payload: Payload::Data(data),
+            ..
+        } => {
             assert!(data.data().iter().all(|&x| x == 0.0));
         }
         other => panic!("unexpected {other:?}"),

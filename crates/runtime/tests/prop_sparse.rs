@@ -108,9 +108,9 @@ fn run_placed(
 }
 
 /// A broadcast-shaped sparse operand: `F(i)` is read by every `k`, so under
-/// planned placement its present blocks travel as `MulticastBlock` and its
-/// screened-absent blocks as `MulticastAbsent` — staged down the same tree
-/// edges and coalesced into shared `Batch` envelopes.
+/// planned placement its present blocks travel as `Multicast` data and its
+/// screened-absent blocks as `Multicast` norm records — staged down the
+/// same tree edges and coalesced into shared `Batch` envelopes.
 fn multicast_src() -> String {
     "sial mb\n\
      aoindex i = 1, n\n\
@@ -269,7 +269,7 @@ proptest! {
 /// placement must cut fabric messages against hash placement (present
 /// blocks ride the multicast tree instead of per-consumer GET
 /// round-trips), and screening must cut planned-path bytes (screened
-/// blocks ride the tree as `MulticastAbsent` norm records instead of full
+/// blocks ride the tree as `Multicast` norm records instead of full
 /// payloads). The sparse savings counter must show the absent path fired.
 #[test]
 fn multicast_absent_improves_screened_broadcast_traffic() {

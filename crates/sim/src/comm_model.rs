@@ -79,7 +79,7 @@ fn per_send(w: &CommWorkload, m: &MachineModel, ranks: u64) -> f64 {
 
 /// Hash placement: every class is remote with probability (P−1)/P, and each
 /// broadcast-shaped block is fetched by each of the P−1 non-home ranks via
-/// a GetBlock/BlockData pair. The home rank's injection link serializes
+/// a Fetch/Block pair. The home rank's injection link serializes
 /// those P−1 responses — the linear fan-out hotspot that motivates the
 /// multicast schedule. With the blocks spread over the ranks by the hash,
 /// the busiest home serves ⌈blocks/P⌉ of them.
