@@ -1,8 +1,8 @@
 //! Hermetic, in-tree subset of `crossbeam` (see `compat/` rationale in
 //! `compat/bytes`). Only `crossbeam::channel`'s unbounded MPMC channel is
 //! provided — enough for sia-fabric's one-receiver-many-senders endpoints,
-//! including `len()` and `recv_timeout`, which `std::sync::mpsc` lacks in the
-//! shape the fabric needs.
+//! including `recv_deadline`, which `std::sync::mpsc` lacks in the shape the
+//! fabric needs.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -48,6 +48,10 @@ pub mod channel {
         /// Queue empty and every sender dropped.
         Disconnected,
     }
+
+    /// Error from [`Receiver::recv`]: queue empty and every sender dropped.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct RecvError;
 
     /// The sending half; cheap to clone.
     pub struct Sender<T> {
@@ -122,9 +126,24 @@ pub mod channel {
             }
         }
 
-        /// Blocking receive with a deadline.
+        /// Blocking receive with a timeout.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
+            self.recv_deadline(Instant::now() + timeout)
+        }
+
+        /// Blocking receive until `deadline`.
+        pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
+            self.recv_until(Some(deadline))
+        }
+
+        /// Blocking receive with no deadline.
+        pub fn recv(&self) -> Result<T, RecvError> {
+            self.recv_until(None).map_err(|_| RecvError)
+        }
+
+        /// `Timeout` is only ever returned at or after the deadline, however
+        /// early the condvar wakes.
+        fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
             let mut state = self.chan.queue.lock().unwrap();
             loop {
                 if let Some(v) = state.items.pop_front() {
@@ -133,16 +152,20 @@ pub mod channel {
                 if state.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (next, timed_out) =
-                    self.chan.ready.wait_timeout(state, deadline - now).unwrap();
-                state = next;
-                if timed_out.timed_out() && state.items.is_empty() {
-                    return Err(RecvTimeoutError::Timeout);
-                }
+                state = match deadline {
+                    None => self.chan.ready.wait(state).unwrap(),
+                    Some(deadline) => {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            return Err(RecvTimeoutError::Timeout);
+                        }
+                        self.chan
+                            .ready
+                            .wait_timeout(state, deadline - now)
+                            .unwrap()
+                            .0
+                    }
+                };
             }
         }
 
@@ -201,6 +224,18 @@ pub mod channel {
             let h = thread::spawn(move || tx.send(42).unwrap());
             assert_eq!(rx.recv_timeout(Duration::from_secs(2)), Ok(42));
             h.join().unwrap();
+        }
+
+        #[test]
+        fn recv_blocks_until_a_send_or_disconnect() {
+            let (tx, rx) = unbounded();
+            let h = thread::spawn(move || {
+                thread::sleep(Duration::from_millis(20));
+                tx.send(7).unwrap();
+            });
+            assert_eq!(rx.recv(), Ok(7));
+            h.join().unwrap();
+            assert_eq!(rx.recv(), Err(RecvError));
         }
 
         #[test]

@@ -266,6 +266,11 @@ impl<E> Injector<E> {
             .push_back((release_at, to, env));
     }
 
+    /// True while any envelope is held back.
+    pub(crate) fn holding(&self) -> bool {
+        !self.holdback.lock().unwrap().is_empty()
+    }
+
     /// Pops every held envelope whose release op has passed.
     pub(crate) fn due(&self, now: u64) -> Vec<(usize, E)> {
         let mut held = self.holdback.lock().unwrap();

@@ -10,9 +10,12 @@
 //! * [`Endpoint::send`] is `mpi_isend`-like: it never blocks the sender and
 //!   returns a [`SendHandle`] that reports completion (delivery into the
 //!   receiver's queue).
-//! * [`Endpoint::try_recv`] / [`Endpoint::recv_timeout`] are the
+//! * [`Endpoint::try_recv`] / [`Endpoint::recv_deadline`] are the
 //!   `mpi_iprobe`/`mpi_recv` pair the SIP's progress loop uses: workers
-//!   "periodically check for messages and process them".
+//!   "periodically check for messages and process them". A rank with
+//!   nothing to compute blocks until its next message or its next due
+//!   timer, whichever is first; raising shutdown or killing a rank wakes
+//!   every blocked receiver.
 //! * Per-(sender, receiver) FIFO ordering is guaranteed, as in MPI.
 //!
 //! The fabric is generic over the message type; `sia-runtime` instantiates it
@@ -25,14 +28,14 @@ pub mod stats;
 pub use fault::{CrashSpec, FaultCounters, FaultPlan, FaultSnapshot};
 pub use stats::TrafficCounters;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use fault::{Injector, Verdict};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A rank: the identity of one participant (master, worker, or I/O server).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -209,8 +212,10 @@ struct Shared {
 /// One rank's connection to the fabric. Owned by the rank's thread.
 pub struct Endpoint<M: Message> {
     rank: Rank,
-    inbox: Receiver<Envelope<M>>,
-    peers: Vec<Sender<Envelope<M>>>,
+    /// `None` on the wire is a wake-up: it carries nothing, and makes a
+    /// blocked receiver look at the shutdown and crash flags again.
+    inbox: Receiver<Option<Envelope<M>>>,
+    peers: Vec<Sender<Option<Envelope<M>>>>,
     shared: Arc<Shared>,
     /// Next sequence number per destination link.
     link_seq: Vec<AtomicU64>,
@@ -268,18 +273,7 @@ impl<M: Message> Endpoint<M> {
     /// fan-out windows (prefetch bursts, multicast pushes, service-loop
     /// drains) where many small block messages share a (src, dst) pair.
     pub fn stage(&self, to: Rank, msg: M) -> Result<(), SendError> {
-        if self.is_crashed() {
-            return Err(SendError {
-                to,
-                kind: SendErrorKind::Crashed,
-            });
-        }
-        if self.shutdown_raised() {
-            return Err(SendError {
-                to,
-                kind: SendErrorKind::Shutdown,
-            });
-        }
+        self.check_open(to)?;
         self.staged.borrow_mut()[to.0].push(msg);
         Ok(())
     }
@@ -325,20 +319,21 @@ impl<M: Message> Endpoint<M> {
         Ok(())
     }
 
+    /// Sends stop once this rank is killed or shutdown is raised.
+    fn check_open(&self, to: Rank) -> Result<(), SendError> {
+        let kind = if self.is_crashed() {
+            SendErrorKind::Crashed
+        } else if self.shutdown_raised() {
+            SendErrorKind::Shutdown
+        } else {
+            return Ok(());
+        };
+        Err(SendError { to, kind })
+    }
+
     /// The unconditional send path (staging already flushed).
     fn send_now(&self, to: Rank, msg: M) -> Result<SendHandle, SendError> {
-        if self.is_crashed() {
-            return Err(SendError {
-                to,
-                kind: SendErrorKind::Crashed,
-            });
-        }
-        if self.shutdown_raised() {
-            return Err(SendError {
-                to,
-                kind: SendErrorKind::Shutdown,
-            });
-        }
+        self.check_open(to)?;
         let now = self.tick();
         let bytes = msg.approx_bytes();
         let faultable = msg.faultable();
@@ -372,10 +367,10 @@ impl<M: Message> Endpoint<M> {
                 } else {
                     None
                 };
-                match self.peers[to.0].send(env) {
+                match self.peers[to.0].send(Some(env)) {
                     Ok(()) => {
                         if let Some(d) = dup {
-                            let _ = self.peers[to.0].send(d);
+                            let _ = self.peers[to.0].send(Some(d));
                         }
                         Ok(SendHandle { delivered: true })
                     }
@@ -398,27 +393,44 @@ impl<M: Message> Endpoint<M> {
         }
         let now = self.tick();
         self.release_due(now);
-        match self.inbox.try_recv() {
-            Ok(env) => Some(self.deliver(env)),
-            Err(TryRecvError::Empty | TryRecvError::Disconnected) => None,
+        while let Ok(woken) = self.inbox.try_recv() {
+            // `None` on the wire is a wake-up; the caller reads the flags.
+            if let Some(env) = woken {
+                return Some(self.deliver(env));
+            }
         }
+        None
     }
 
-    /// Blocking receive with a timeout, for progress loops that have nothing
-    /// to compute and must wait for a message.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        if self.is_crashed() {
-            return None;
-        }
-        if let Some(env) = self.unpacked.borrow_mut().pop_front() {
+    /// The one blocking receive: the next message, or `None` when there is
+    /// something else to look at — `deadline` passed (counted in
+    /// [`TrafficCounters::deadline_wakeups`]), a peer raised shutdown or
+    /// was killed, or this rank is dead. With `None` as the deadline only a
+    /// message or a flag ends the wait: a rank computes its deadline from
+    /// the timers it holds, and one with none due has no reason to look.
+    pub fn recv_deadline(&self, deadline: Option<Instant>) -> Option<Envelope<M>> {
+        if let Some(env) = self.try_recv() {
             return Some(env);
         }
-        let now = self.tick();
-        self.release_due(now);
-        match self.inbox.recv_timeout(timeout) {
-            Ok(env) => Some(self.deliver(env)),
-            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => None,
+        if self.is_crashed() || self.shutdown_raised() {
+            return None;
         }
+        self.release_held();
+        let woken = match deadline {
+            Some(d) => self.inbox.recv_deadline(d).ok(),
+            None => self.inbox.recv().ok(),
+        };
+        if woken.is_none() {
+            self.shared.stats[self.rank.0].record_deadline_wakeup();
+        }
+        // `None` on the wire: woken to look at a flag.
+        woken.flatten().map(|env| self.deliver(env))
+    }
+
+    /// [`recv_deadline`](Self::recv_deadline) with the deadline `timeout`
+    /// from now.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
+        self.recv_deadline(Some(Instant::now() + timeout))
     }
 
     /// Books an arrival and unpacks batched envelopes. The parts of a batch
@@ -459,17 +471,39 @@ impl<M: Message> Endpoint<M> {
     fn release_due(&self, now: u64) {
         if let Some(inj) = &self.injector {
             for (to, env) in inj.due(now) {
-                let _ = self.peers[to].send(env);
+                let _ = self.peers[to].send(Some(env));
             }
+        }
+    }
+
+    /// A delay is counted in fabric operations, and a rank about to block
+    /// performs none: its op clock keeps running here for as long as it
+    /// holds delayed envelopes (at most `max_delay_ops` ticks), so a
+    /// held-back message waits for operations, never for a timer.
+    fn release_held(&self) {
+        while self.injector.as_ref().is_some_and(|inj| inj.holding()) {
+            let now = self.tick();
+            self.release_due(now);
+        }
+    }
+
+    /// Wakes every rank blocked in [`recv_deadline`](Self::recv_deadline)
+    /// so it observes a flag that was just set.
+    fn wake_all(&self) {
+        for peer in &self.peers {
+            let _ = peer.send(None);
         }
     }
 
     /// Kills this endpoint: subsequent sends fail with
     /// [`SendErrorKind::Crashed`] and receives return nothing. Used by the
-    /// runtime's deterministic crash schedule; irreversible.
+    /// runtime's deterministic crash schedule; irreversible. Wakes every
+    /// blocked receiver, so [`peer_crashed`](Self::peer_crashed) is seen
+    /// without polling.
     pub fn kill(&self) {
         self.shared.crashed[self.rank.0].store(true, Ordering::SeqCst);
         self.shared.faults[self.rank.0].mark_crashed();
+        self.wake_all();
     }
 
     /// True once this rank was killed.
@@ -494,16 +528,11 @@ impl<M: Message> Endpoint<M> {
         self.shared.faults[self.rank.0].snapshot()
     }
 
-    /// Number of messages waiting in this rank's queue (including parts
-    /// unpacked from a batched envelope but not yet received).
-    pub fn pending(&self) -> usize {
-        self.inbox.len() + self.unpacked.borrow().len()
-    }
-
     /// Raises the fabric-wide shutdown flag (any rank may call this; e.g. the
-    /// master after `halt`).
+    /// master after `halt`) and wakes every blocked receiver.
     pub fn raise_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.wake_all();
     }
 
     /// True once any rank raised shutdown.
@@ -541,7 +570,7 @@ impl<M: Message> Drop for Endpoint<M> {
         if let Some(inj) = &self.injector {
             if !self.is_crashed() {
                 for (to, env) in inj.drain_all() {
-                    let _ = self.peers[to].send(env);
+                    let _ = self.peers[to].send(Some(env));
                 }
             }
         }
@@ -753,7 +782,6 @@ mod tests {
         let (eps, _stats) = build::<Ping>(1);
         let a = &eps[0];
         a.send(Rank(0), Ping(1, vec![])).unwrap();
-        assert_eq!(a.pending(), 1);
         assert!(a.try_recv().is_some());
         assert!(a.try_recv().is_none());
     }
@@ -1120,5 +1148,48 @@ mod tests {
         let t0 = std::time::Instant::now();
         assert!(eps[0].recv_timeout(Duration::from_millis(10)).is_none());
         assert!(t0.elapsed() >= Duration::from_millis(10));
+        assert_eq!(eps[0].counters().deadline_wakeups(), 1);
+    }
+
+    #[test]
+    fn kill_and_shutdown_wake_a_receiver_blocked_without_deadline() {
+        let (mut eps, _stats) = build::<Ping>(3);
+        let c = eps.pop().unwrap();
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        let t0 = Instant::now();
+        let parked = thread::spawn(move || {
+            // No deadline: only a message or a wake-up ends each wait.
+            while !b.peer_crashed(Rank(0)) {
+                assert!(b.recv_deadline(None).is_none());
+            }
+            while !b.shutdown_raised() {
+                assert!(b.recv_deadline(None).is_none());
+            }
+            b.counters().deadline_wakeups()
+        });
+        thread::sleep(Duration::from_millis(20));
+        a.kill();
+        thread::sleep(Duration::from_millis(20));
+        c.raise_shutdown();
+        assert_eq!(parked.join().unwrap(), 0, "woken by flags, not by time");
+        assert!(t0.elapsed() < Duration::from_secs(10));
+        // Once shutdown is up an empty inbox never blocks.
+        assert!(c.recv_deadline(None).is_none());
+    }
+
+    #[test]
+    fn blocking_receive_releases_held_back_envelopes() {
+        // The sender holds a delayed envelope and then blocks: its op clock
+        // keeps ticking inside the receive, so the envelope goes out after
+        // its operation count, not after the sender's next timer.
+        let mut plan = FaultPlan::seeded(11);
+        plan.delay = 1.0;
+        let (mut eps, _stats) = build_with_faults::<Ping>(2, Some(plan));
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        a.send(Rank(1), Ping(1, vec![])).unwrap();
+        assert!(a.recv_timeout(Duration::from_millis(1)).is_none());
+        assert_eq!(b.recv_timeout(Duration::from_secs(5)).unwrap().msg.0, 1);
     }
 }

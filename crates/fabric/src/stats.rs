@@ -16,6 +16,7 @@ pub struct TrafficCounters {
     msgs_recv: AtomicU64,
     bytes_recv: AtomicU64,
     msgs_coalesced: AtomicU64,
+    deadline_wakeups: AtomicU64,
     per_peer_sent: Vec<AtomicU64>,
 }
 
@@ -27,12 +28,17 @@ impl TrafficCounters {
             msgs_recv: AtomicU64::new(0),
             bytes_recv: AtomicU64::new(0),
             msgs_coalesced: AtomicU64::new(0),
+            deadline_wakeups: AtomicU64::new(0),
             per_peer_sent: (0..world).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     pub(crate) fn record_coalesced(&self, n: u64) {
         self.msgs_coalesced.fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub(crate) fn record_deadline_wakeup(&self) {
+        self.deadline_wakeups.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_send(&self, to: Rank, bytes: usize) {
@@ -76,6 +82,12 @@ impl TrafficCounters {
     /// [`messages_sent`](Self::messages_sent)).
     pub fn messages_coalesced(&self) -> u64 {
         self.msgs_coalesced.load(Ordering::Relaxed)
+    }
+
+    /// Blocking receives that returned because their deadline passed —
+    /// the times this rank woke for a timer instead of a message.
+    pub fn deadline_wakeups(&self) -> u64 {
+        self.deadline_wakeups.load(Ordering::Relaxed)
     }
 }
 

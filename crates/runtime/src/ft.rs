@@ -27,6 +27,50 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+/// When a tracked operation was last sent, how long to wait for its answer,
+/// and how often it has been resent. The one retry clock: stores, fetches
+/// and the master's restore flight all carry it, and a rank's next deadline
+/// is the earliest [`Retry::deadline`] among the operations it tracks.
+#[derive(Debug, Clone)]
+pub(crate) struct Retry {
+    pub sent_at: Instant,
+    /// Current timeout (grows by the backoff factor per retry).
+    pub timeout: Duration,
+    pub attempts: u32,
+}
+
+/// A retry budget ran out after this many transmissions.
+#[derive(Debug)]
+pub(crate) struct Exhausted(pub u32);
+
+impl Retry {
+    /// A first transmission, sent now.
+    pub(crate) fn new(cfg: &FaultConfig) -> Self {
+        Retry {
+            sent_at: Instant::now(),
+            timeout: cfg.retry_timeout,
+            attempts: 0,
+        }
+    }
+
+    /// When the operation is due for a resend.
+    pub(crate) fn deadline(&self) -> Instant {
+        self.sent_at + self.timeout
+    }
+
+    /// Books a resend sent now, backing the timeout off — or reports the
+    /// budget spent.
+    pub(crate) fn bump(&mut self, cfg: &FaultConfig) -> Result<(), Exhausted> {
+        if self.attempts >= cfg.max_retries {
+            return Err(Exhausted(self.attempts + 1));
+        }
+        self.attempts += 1;
+        self.sent_at = Instant::now();
+        self.timeout = self.timeout.mul_f64(cfg.retry_backoff);
+        Ok(())
+    }
+}
+
 /// A tracked, unacknowledged store (PUT or PREPARE — the key's array kind
 /// says which). The payload is retained so the operation can be retried (or
 /// re-routed to a new home) verbatim; the handle shares the wire message's
@@ -36,10 +80,7 @@ pub(crate) struct PendingOp {
     pub key: BlockKey,
     pub data: BlockHandle,
     pub mode: PutMode,
-    pub sent_at: Instant,
-    /// Current timeout (grows by the backoff factor per retry).
-    pub timeout: Duration,
-    pub attempts: u32,
+    pub retry: Retry,
 }
 
 impl PendingOp {
@@ -59,9 +100,7 @@ impl PendingOp {
 #[derive(Debug, Clone)]
 pub(crate) struct FetchState {
     pub req: ReqId,
-    pub sent_at: Instant,
-    pub timeout: Duration,
-    pub attempts: u32,
+    pub retry: Retry,
 }
 
 /// A journaled remote put (replayed to the new home if the old home dies
@@ -144,6 +183,17 @@ impl FtState {
         self.applied.retain(|_, e| *e + 2 > current_epoch);
     }
 
+    /// The earliest instant this worker has something to do unprompted: its
+    /// next heartbeat, or the resend of a tracked store or fetch.
+    pub(crate) fn next_deadline(&self) -> Instant {
+        let stores = self.pending.values().map(|p| &p.retry);
+        let fetches = self.fetches.values().map(|f| &f.retry);
+        stores
+            .chain(fetches)
+            .map(Retry::deadline)
+            .fold(self.last_beat + self.cfg.heartbeat_interval, Instant::min)
+    }
+
     /// Arms (or re-arms) a tracked store flight: the full block is retained
     /// until the home acknowledges, so a retry or journal replay resends it
     /// even when the first transmission was a screened norm record (the
@@ -155,9 +205,7 @@ impl FtState {
                 key,
                 data,
                 mode,
-                sent_at: Instant::now(),
-                timeout: self.cfg.retry_timeout,
-                attempts: 0,
+                retry: Retry::new(&self.cfg),
             },
         );
     }
@@ -270,56 +318,87 @@ pub(crate) fn read_epoch_checkpoint(path: &Path) -> std::io::Result<EpochCheckpo
     })
 }
 
-fn parse_epoch_checkpoint(mut raw: &[u8]) -> Option<EpochCheckpoint> {
+/// A bounds-checked reader over the bytes of a checkpoint file. Both
+/// checkpoint formats (this module's epoch checkpoint and the master's
+/// `blocks_to_list` one) store a block as key · extents · payload and read
+/// the key and the payload through here; they differ only in how wide they
+/// wrote the extents. Every read is `None` past the end — nothing in the
+/// file is trusted to index it or to size an allocation.
+pub(crate) struct Cursor<'a>(pub &'a [u8]);
+
+impl<'a> Cursor<'a> {
     /// Splits `n` bytes off the front.
-    fn take<'a>(raw: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-        let (head, rest) = raw.split_at_checked(n)?;
-        *raw = rest;
+    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
         Some(head)
     }
-    fn u32(raw: &mut &[u8]) -> Option<u32> {
-        Some(u32::from_le_bytes(take(raw, 4)?.try_into().ok()?))
+
+    pub(crate) fn u8(&mut self) -> Option<u8> {
+        self.take(1)?.first().copied()
     }
-    fn u64(raw: &mut &[u8]) -> Option<u64> {
-        Some(u64::from_le_bytes(take(raw, 8)?.try_into().ok()?))
+
+    pub(crate) fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
-    let raw = &mut raw;
-    if take(raw, 8)? != EPOCH_MAGIC {
-        return None;
+
+    pub(crate) fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
-    let epoch = u64(raw)?;
-    // Counts are bounded by the bytes that remain, never trusted to size an
-    // allocation.
-    let nblocks = u64(raw)?;
-    let mut blocks = Vec::new();
-    for _ in 0..nblocks {
-        let array = ArrayId(u32(raw)?);
-        let rank = *take(raw, 1)?.first()? as usize;
+
+    /// A block key: `u32` array id, `u8` rank (at most 8), `i32` segments.
+    pub(crate) fn key(&mut self) -> Option<BlockKey> {
+        let array = ArrayId(self.u32()?);
+        let rank = self.u8()? as usize;
         if rank > 8 {
             return None;
         }
         let segs = (0..rank)
-            .map(|_| u32(raw).map(|s| s as i32 as i64))
+            .map(|_| self.u32().map(|s| s as i32 as i64))
             .collect::<Option<Vec<i64>>>()?;
-        let ndims = u32(raw)? as usize;
-        if ndims > sia_blocks::MAX_RANK {
+        Some(BlockKey::new(array, &segs))
+    }
+
+    /// `n` extents (more than any shape has is refused before reading one),
+    /// each decoded by `extent`, then the block's little-endian payload.
+    pub(crate) fn block(
+        &mut self,
+        n: usize,
+        mut extent: impl FnMut(&mut Self) -> Option<usize>,
+    ) -> Option<Block> {
+        if n > sia_blocks::MAX_RANK {
             return None;
         }
-        let dims = (0..ndims)
-            .map(|_| u64(raw).and_then(|d| usize::try_from(d).ok()))
+        let dims = (0..n)
+            .map(|_| extent(self))
             .collect::<Option<Vec<usize>>>()?;
         let shape = Shape::try_new(&dims)?;
-        let data = take(raw, shape.len().checked_mul(8)?)?;
-        blocks.push((
-            BlockKey::new(array, &segs),
-            Block::from_le_bytes(shape, data)?,
-        ));
+        let data = self.take(shape.len().checked_mul(8)?)?;
+        Block::from_le_bytes(shape, data)
     }
-    let nops = u64(raw)?;
+}
+
+fn parse_epoch_checkpoint(raw: &[u8]) -> Option<EpochCheckpoint> {
+    let mut raw = Cursor(raw);
+    if raw.take(8)? != EPOCH_MAGIC {
+        return None;
+    }
+    let epoch = raw.u64()?;
+    // Counts are bounded by the bytes that remain, never trusted to size an
+    // allocation.
+    let nblocks = raw.u64()?;
+    let mut blocks = Vec::new();
+    for _ in 0..nblocks {
+        let key = raw.key()?;
+        let ndims = raw.u32()? as usize;
+        let block = raw.block(ndims, |r| usize::try_from(r.u64()?).ok())?;
+        blocks.push((key, block));
+    }
+    let nops = raw.u64()?;
     let mut ops = Vec::new();
     for _ in 0..nops {
-        ops.push(u64(raw)?);
-        u64(raw)?; // epoch tag, not needed by the restorer
+        ops.push(raw.u64()?);
+        raw.u64()?; // epoch tag, not needed by the restorer
     }
     Some((epoch, blocks, ops))
 }

@@ -6,9 +6,11 @@
 //! operations of an I/O server are non-blocking." (§V-B)
 //!
 //! Our server keeps an LRU write-behind cache over a directory of block
-//! files. Each message-loop tick flushes at most one dirty block, so a long
-//! prepare burst never blocks request service — the in-process analogue of
-//! the original's asynchronous I/O.
+//! files. While it holds dirty blocks it waits for the next message only
+//! until `WRITE_BEHIND_IDLE` after the last one, then flushes one dirty
+//! block per look at the inbox, so a long prepare burst never blocks request
+//! service — the in-process analogue of the original's asynchronous I/O. A
+//! clean server has no timer and blocks until a message arrives.
 
 use crate::error::RuntimeError;
 use crate::events::{EventKind, TraceSink};
@@ -26,6 +28,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use crate::metrics::ServerStats;
+
+/// How long the inbox must stay quiet before lazy write-behind starts
+/// flushing dirty blocks.
+const WRITE_BEHIND_IDLE: Duration = Duration::from_micros(500);
 
 struct Entry {
     block: BlockHandle,
@@ -410,11 +416,17 @@ impl IoServer {
         self.stats
     }
 
-    /// Runs the server's nonblocking message loop until shutdown.
+    /// Runs the server's message loop until shutdown.
     pub fn run(&mut self) -> Result<ServerStats, RuntimeError> {
+        let mut last_message = Instant::now();
         loop {
-            match self.endpoint.recv_timeout(Duration::from_micros(500)) {
+            // Write-behind is the server's only timer, and it holds it only
+            // while a block is dirty.
+            let dirty = self.cache.values().any(|e| e.dirty);
+            let deadline = dirty.then_some(last_message + WRITE_BEHIND_IDLE);
+            match self.endpoint.recv_deadline(deadline) {
                 Some(env) => {
+                    last_message = Instant::now();
                     let src = env.src;
                     match env.msg {
                         SipMsg::Fetch { key, req } => {
@@ -482,13 +494,13 @@ impl IoServer {
                         _ => {}
                     }
                 }
+                None if self.endpoint.shutdown_raised() || self.endpoint.is_crashed() => {
+                    self.flush_all()?;
+                    return Ok(self.stats);
+                }
+                // Idle: lazy write-behind makes progress.
                 None => {
-                    // Idle: lazy write-behind makes progress.
                     self.flush_one()?;
-                    if self.endpoint.shutdown_raised() {
-                        self.flush_all()?;
-                        return Ok(self.stats);
-                    }
                 }
             }
         }

@@ -137,8 +137,6 @@ pub struct SipConfig {
     pub cache_blocks: usize,
     /// How many upcoming loop iterations the prefetcher requests ahead.
     pub prefetch_depth: usize,
-    /// Per-worker block pool budget in bytes.
-    pub pool_bytes: usize,
     /// Per-I/O-server in-memory cache capacity (blocks).
     pub server_cache_blocks: usize,
     /// Collect all distributed arrays to the master at the end of the run
@@ -167,13 +165,6 @@ pub struct SipConfig {
     /// Feed transpose-shaped operand permutations to the GEMM as layout
     /// flags instead of materializing permuted copies (ablation switch).
     pub fold_transposes: bool,
-    /// Poll interval (a **`Duration`**; default 1 ms) of service loops that
-    /// are idle but must keep draining messages (e.g. a finished worker
-    /// serving GETs until shutdown).
-    pub service_poll: Duration,
-    /// Poll interval (a **`Duration`**; default 200 µs) while blocked on a
-    /// specific event (block arrival, chunk assignment, barrier release).
-    pub wait_poll: Duration,
     /// Fault injection and recovery; `None` (the default) runs on a perfect
     /// fabric with all recovery machinery disabled.
     pub fault: Option<FaultConfig>,
@@ -218,7 +209,6 @@ impl Default for SipConfig {
             segments: SegmentConfig::default(),
             cache_blocks: 64,
             prefetch_depth: 2,
-            pool_bytes: 256 << 20,
             server_cache_blocks: 64,
             collect_distributed: false,
             run_dir: None,
@@ -228,8 +218,6 @@ impl Default for SipConfig {
             chunk_policy: None,
             placement: Placement::default(),
             fold_transposes: true,
-            service_poll: Duration::from_millis(1),
-            wait_poll: Duration::from_micros(200),
             fault: None,
             resumed_epochs: 0,
             trace: false,
@@ -330,12 +318,6 @@ impl SipConfigBuilder {
         self
     }
 
-    /// Per-worker block pool budget in bytes.
-    pub fn pool_bytes(mut self, n: usize) -> Self {
-        self.config.pool_bytes = n;
-        self
-    }
-
     /// Per-I/O-server in-memory cache capacity (blocks).
     pub fn server_cache_blocks(mut self, n: usize) -> Self {
         self.config.server_cache_blocks = n;
@@ -388,18 +370,6 @@ impl SipConfigBuilder {
     /// Transpose-folding ablation switch.
     pub fn fold_transposes(mut self, yes: bool) -> Self {
         self.config.fold_transposes = yes;
-        self
-    }
-
-    /// Idle service-loop poll interval.
-    pub fn service_poll(mut self, d: Duration) -> Self {
-        self.config.service_poll = d;
-        self
-    }
-
-    /// Blocked-wait poll interval.
-    pub fn wait_poll(mut self, d: Duration) -> Self {
-        self.config.wait_poll = d;
         self
     }
 
@@ -471,14 +441,8 @@ impl SipConfigBuilder {
                 c.prefetch_depth, c.cache_blocks
             )));
         }
-        if c.pool_bytes == 0 {
-            return Err(ConfigError("pool_bytes must be nonzero".into()));
-        }
         if c.chunk_factor == 0 {
             return Err(ConfigError("chunk_factor must be ≥ 1".into()));
-        }
-        if c.service_poll.is_zero() || c.wait_poll.is_zero() {
-            return Err(ConfigError("poll intervals must be nonzero".into()));
         }
         if c.tracing() && c.trace_buffer_events < 16 {
             return Err(ConfigError(

@@ -137,6 +137,9 @@ pub struct RankTraffic {
     pub received_messages: u64,
     /// Bytes received by this rank.
     pub received_bytes: u64,
+    /// Times this rank's blocking receive ended on its deadline rather than
+    /// on a message: the wake-ups a timer — not traffic — caused.
+    pub deadline_wakeups: u64,
 }
 
 /// Everything a SIP run returns.
@@ -462,6 +465,7 @@ impl Sip {
                     sent_bytes: c.bytes_sent(),
                     received_messages: c.messages_received(),
                     received_bytes: c.bytes_received(),
+                    deadline_wakeups: c.deadline_wakeups(),
                 }
             })
             .collect();

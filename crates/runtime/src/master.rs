@@ -16,19 +16,19 @@
 
 use crate::error::{CommKind, RuntimeError};
 use crate::events::{EventKind, RecoveryEvent, TraceEvent, TraceSink};
-use crate::ft;
+use crate::ft::{self, Exhausted, Retry};
 use crate::layout::{FaultConfig, Layout, Placement};
 use crate::metrics::{Merge, RecoveryStats, ServerStats};
 use crate::msg::{BarrierKind, BlockKey, OpId, Payload, SipMsg};
 use crate::plan::CommPlan;
 use crate::profile::WorkerProfile;
 use crate::scheduler::{ChunkPolicy, GuidedScheduler, IterationSpace};
-use sia_blocks::{Block, BlockHandle, Shape};
-use sia_bytecode::{ArrayId, Instruction, PutMode};
+use sia_blocks::{Block, BlockHandle};
+use sia_bytecode::{Instruction, PutMode};
 use sia_fabric::{Endpoint, Rank};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,9 +71,7 @@ struct CkptSave {
 /// wire message, so a retry re-sends the same allocation.
 struct PutFlight {
     pending: HashMap<BlockKey, (Rank, BlockHandle)>,
-    sent_at: Instant,
-    timeout: Duration,
-    attempts: u32,
+    retry: Retry,
     then: AfterFlight,
 }
 
@@ -585,12 +583,9 @@ impl Master {
                 if track && !pending.is_empty() {
                     // Restore puts ride the faultable data plane: hold the
                     // release until every one is acknowledged (retrying).
-                    let f = self.fault.as_ref().unwrap();
                     self.flight = Some(PutFlight {
                         pending,
-                        sent_at: Instant::now(),
-                        timeout: f.retry_timeout,
-                        attempts: 0,
+                        retry: Retry::new(self.fault.as_ref().unwrap()),
                         then: AfterFlight::CkptRelease { label },
                     });
                 } else {
@@ -614,65 +609,67 @@ impl Master {
 
     // ---- rank-failure recovery ----------------------------------------------
 
+    /// True while worker `w` is watched for silence: alive, still running,
+    /// and not already queued for recovery.
+    fn watched(&self, w: usize) -> bool {
+        self.alive[w] && self.done[w].is_none() && !self.pending_deaths.contains(&w)
+    }
+
+    /// The earliest instant the master has something to do unprompted: a
+    /// watched worker's silence running out (only when a crash is plausible
+    /// — workers inside long serial kernels do not beat, and a drop-only
+    /// plan must never false-positive a healthy rank) or the restore
+    /// flight's resend. `None` on fault-free runs, where only a message
+    /// moves the master.
+    fn next_deadline(&self) -> Option<Instant> {
+        let f = self.fault.as_ref()?;
+        let silence = (0..self.workers())
+            .filter(|&w| f.expects_crash() && self.watched(w))
+            .map(|w| self.last_seen[w] + f.liveness_timeout);
+        let resend = self.flight.as_ref().map(|fl| fl.retry.deadline());
+        silence.chain(resend).min()
+    }
+
     /// Per-loop bookkeeping: liveness checks, queued deaths, flight retries.
     fn tick(&mut self) -> Result<(), RuntimeError> {
         let Some(f) = &self.fault else {
             return Ok(());
         };
-        let (liveness, retry_timeout, backoff, max_retries) = (
-            f.liveness_timeout,
-            f.retry_timeout,
-            f.retry_backoff,
-            f.max_retries,
-        );
-        // The liveness monitor only arms when a crash is plausible: workers
-        // inside long serial kernels do not beat, and a drop-only plan must
-        // never false-positive a healthy rank.
+        let now = Instant::now();
         if f.expects_crash() {
             for w in 0..self.workers() {
-                if self.alive[w]
-                    && self.done[w].is_none()
-                    && self.last_seen[w].elapsed() > liveness
-                    && !self.pending_deaths.contains(&w)
-                {
+                if self.watched(w) && now >= self.last_seen[w] + f.liveness_timeout {
                     self.pending_deaths.push_back(w);
                 }
             }
         }
         if self.flight.is_none() {
             if let Some(w) = self.pending_deaths.pop_front() {
-                self.start_recovery(w, retry_timeout)?;
+                self.start_recovery(w)?;
             }
         }
         if self.flight.as_ref().is_some_and(|fl| fl.pending.is_empty()) {
             // Nothing left in flight (e.g. the restore had no blocks to put,
             // or every ack drained before this tick). Complete it instead of
-            // panicking on "nonempty flight" in the timeout arm below.
+            // retrying nothing.
             let fl = self.flight.take().expect("checked above");
             self.complete_flight(fl.then);
         }
-        if let Some(fl) = &mut self.flight {
-            if fl.sent_at.elapsed() > fl.timeout {
-                fl.attempts += 1;
-                if fl.attempts > max_retries {
-                    let home = fl
-                        .pending
-                        .values()
-                        .map(|(home, _)| *home)
-                        .next()
-                        .unwrap_or(self.layout.topology.master());
-                    return Err(RuntimeError::Comm {
-                        kind: CommKind::Timeout,
-                        rank: home,
-                        key: None,
-                        context: "restore put unacknowledged after retries".into(),
-                    });
-                }
-                fl.sent_at = Instant::now();
-                fl.timeout = fl.timeout.mul_f64(backoff);
-                for (key, (home, data)) in &fl.pending {
-                    let _ = self.endpoint.send(*home, restore_msg(*key, data.clone()));
-                }
+        let (Some(fl), Some(f)) = (&mut self.flight, &self.fault) else {
+            return Ok(());
+        };
+        if now >= fl.retry.deadline() {
+            fl.retry
+                .bump(f)
+                .map_err(|Exhausted(_)| RuntimeError::Comm {
+                    kind: CommKind::Timeout,
+                    rank: (fl.pending.values().map(|(home, _)| *home).next())
+                        .unwrap_or(self.layout.topology.master()),
+                    key: None,
+                    context: "restore put unacknowledged after retries".into(),
+                })?;
+            for (key, (home, data)) in &fl.pending {
+                let _ = self.endpoint.send(*home, restore_msg(*key, data.clone()));
             }
         }
         Ok(())
@@ -682,7 +679,7 @@ impl Master {
     /// starts restoring its last epoch checkpoint to the surviving homes.
     /// `RankDead` is broadcast only once the restore fully acks, so
     /// survivors never replay journals onto pre-restore state.
-    fn start_recovery(&mut self, widx: usize, retry_timeout: Duration) -> Result<(), RuntimeError> {
+    fn start_recovery(&mut self, widx: usize) -> Result<(), RuntimeError> {
         let dead_rank = self.layout.topology.worker(widx);
         self.alive[widx] = false;
         self.recovery.ranks_died += 1;
@@ -759,9 +756,11 @@ impl Master {
         } else {
             self.flight = Some(PutFlight {
                 pending,
-                sent_at: Instant::now(),
-                timeout: retry_timeout,
-                attempts: 0,
+                retry: Retry::new(
+                    self.fault
+                        .as_ref()
+                        .expect("recovery runs under a fault config"),
+                ),
                 then: AfterFlight::Recovery {
                     dead_widx: widx,
                     inherited_ops: ops,
@@ -877,13 +876,11 @@ impl Master {
         let mut server = ServerStats::default();
         let mut server_events: Vec<(Rank, Vec<TraceEvent>, u64)> = Vec::new();
         let mut awaited = self.layout.topology.io_servers;
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while awaited > 0 && Instant::now() < deadline {
-            let Some(env) = self.endpoint.recv_timeout(Duration::from_millis(20)) else {
-                if self.endpoint.shutdown_raised() {
-                    break;
-                }
-                continue;
+        let deadline = Instant::now() + TEARDOWN_BOUND;
+        while awaited > 0 {
+            // `None`: the bound passed, or a peer raised shutdown.
+            let Some(env) = self.endpoint.recv_deadline(Some(deadline)) else {
+                break;
             };
             // Stragglers from the data plane (late acks, heartbeats) are
             // expected during teardown and safely dropped.
@@ -925,16 +922,21 @@ impl Master {
         })
     }
 
-    /// Runs the master loop until all workers are done (or one failed).
+    /// Runs the master loop until all workers are done (or one failed). An
+    /// error raises the fabric-wide shutdown on the way out, which wakes
+    /// every rank still blocked on its inbox.
     pub fn run(mut self) -> Result<MasterOutput, RuntimeError> {
-        let poll = if self.fault.is_some() {
-            Duration::from_millis(2)
-        } else {
-            Duration::from_millis(5)
-        };
+        let out = self.run_loop();
+        if out.is_err() {
+            self.endpoint.raise_shutdown();
+        }
+        out
+    }
+
+    fn run_loop(&mut self) -> Result<MasterOutput, RuntimeError> {
         loop {
             self.tick()?;
-            let Some(env) = self.endpoint.recv_timeout(poll) else {
+            let Some(env) = self.endpoint.recv_deadline(self.next_deadline()) else {
                 if self.endpoint.shutdown_raised() {
                     return Err(RuntimeError::Comm {
                         kind: CommKind::Poisoned,
@@ -1003,13 +1005,6 @@ impl Master {
                     }
                 }
                 SipMsg::WorkerFailed { error } => {
-                    self.broadcast_workers(|| SipMsg::Shutdown);
-                    for j in 0..self.layout.topology.io_servers {
-                        let _ = self
-                            .endpoint
-                            .send(self.layout.topology.io_server(j), SipMsg::Shutdown);
-                    }
-                    self.endpoint.raise_shutdown();
                     return Err(RuntimeError::Internal(format!(
                         "worker {src} failed: {error}"
                     )));
@@ -1040,6 +1035,10 @@ fn restore_msg(key: BlockKey, data: BlockHandle) -> SipMsg {
     }
 }
 
+/// How long teardown waits for the I/O servers' final counters: a wedged
+/// server must not hang the whole run.
+const TEARDOWN_BOUND: Duration = Duration::from_secs(2);
+
 // ---- served-epoch manifest ------------------------------------------------------
 
 /// Name of the master's served-epoch manifest inside the run directory.
@@ -1063,6 +1062,8 @@ pub fn read_epoch_manifest(run_dir: &Path) -> u64 {
 
 // ---- checkpoint files -----------------------------------------------------------
 
+const CKPT_MAGIC: &[u8; 8] = b"SIACKPT1";
+
 /// Writes a checkpoint: magic, block count, then per block the key and data.
 /// Accepts anything that borrows a [`Block`] — owned blocks and
 /// [`BlockHandle`]s alike — so callers never materialize copies to save.
@@ -1071,7 +1072,7 @@ pub fn write_checkpoint<B: std::borrow::Borrow<Block>>(
     blocks: &[(BlockKey, B)],
 ) -> Result<(), RuntimeError> {
     let mut buf: Vec<u8> = Vec::new();
-    buf.extend_from_slice(b"SIACKPT1");
+    buf.extend_from_slice(CKPT_MAGIC);
     buf.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
     for (key, block) in blocks {
         let block = block.borrow();
@@ -1096,59 +1097,38 @@ pub fn write_checkpoint<B: std::borrow::Borrow<Block>>(
         .map_err(|e| RuntimeError::Checkpoint(format!("write {}: {e}", path.display())))
 }
 
-/// Reads a checkpoint written by [`write_checkpoint`].
+/// Reads a checkpoint written by [`write_checkpoint`]. The file comes from
+/// disk, so nothing in it is trusted: a truncated or inconsistent one is
+/// [`RuntimeError::Checkpoint`], never a panic or an allocation its own
+/// length cannot back.
 pub fn read_checkpoint(path: &Path) -> Result<Vec<(BlockKey, Block)>, RuntimeError> {
-    let mut raw = Vec::new();
-    fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut raw))
+    let raw = fs::read(path)
         .map_err(|e| RuntimeError::Checkpoint(format!("read {}: {e}", path.display())))?;
-    let fail = |m: &str| RuntimeError::Checkpoint(format!("{m} in {}", path.display()));
-    if raw.len() < 16 || &raw[..8] != b"SIACKPT1" {
-        return Err(fail("bad header"));
+    parse_checkpoint(&raw)
+        .ok_or_else(|| RuntimeError::Checkpoint(format!("corrupt checkpoint {}", path.display())))
+}
+
+fn parse_checkpoint(raw: &[u8]) -> Option<Vec<(BlockKey, Block)>> {
+    let mut raw = ft::Cursor(raw);
+    if raw.take(8)? != CKPT_MAGIC {
+        return None;
     }
-    let count = u64::from_le_bytes(raw[8..16].try_into().unwrap()) as usize;
-    let mut off = 16;
-    let mut take = |n: usize| -> Result<std::ops::Range<usize>, RuntimeError> {
-        if off + n > raw.len() {
-            return Err(RuntimeError::Checkpoint("truncated checkpoint".into()));
-        }
-        let r = off..off + n;
-        off += n;
-        Ok(r)
-    };
-    let mut out = Vec::with_capacity(count.min(1 << 16));
+    let count = raw.u64()?;
+    let mut out = Vec::new();
     for _ in 0..count {
-        let array = u32::from_le_bytes(raw[take(4)?].try_into().unwrap());
-        let rank = raw[take(1)?][0] as usize;
-        let mut segs = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            segs.push(i32::from_le_bytes(raw[take(4)?].try_into().unwrap()) as i64);
-        }
-        let drank = raw[take(1)?][0] as usize;
-        let mut dims = Vec::with_capacity(drank);
-        for _ in 0..drank {
-            dims.push(u32::from_le_bytes(raw[take(4)?].try_into().unwrap()) as usize);
-        }
-        let shape = if dims.is_empty() {
-            Shape::scalar()
-        } else {
-            Shape::new(&dims)
-        };
-        let mut data = Vec::with_capacity(shape.len());
-        for _ in 0..shape.len() {
-            data.push(f64::from_le_bytes(raw[take(8)?].try_into().unwrap()));
-        }
-        out.push((
-            BlockKey::new(ArrayId(array), &segs),
-            Block::from_data(shape, data),
-        ));
+        let key = raw.key()?;
+        let ndims = raw.u8()? as usize;
+        let block = raw.block(ndims, |r| r.u32().map(|d| d as usize))?;
+        out.push((key, block));
     }
-    Ok(out)
+    raw.0.is_empty().then_some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sia_blocks::Shape;
+    use sia_bytecode::ArrayId;
 
     fn tmpfile(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("sia-ckpt-test-{tag}-{}.sialck", std::process::id()))
@@ -1181,11 +1161,40 @@ mod tests {
         let _ = fs::remove_file(path);
     }
 
+    /// A checkpoint is outside input: every truncation, a key or shape rank
+    /// nothing has, a zero or unbackable extent and a count no file could
+    /// back are `RuntimeError::Checkpoint` — never a panic or an allocation
+    /// sized by the file's own claims.
     #[test]
     fn corrupt_checkpoint_rejected() {
         let path = tmpfile("bad");
-        fs::write(&path, b"NOTACKPT").unwrap();
-        assert!(read_checkpoint(&path).is_err());
+        let block = Block::from_fn(Shape::new(&[2, 3]), |i| (i[0] * 3 + i[1]) as f64);
+        write_checkpoint(&path, &[(BlockKey::new(ArrayId(2), &[1, 2, 3]), block)]).unwrap();
+        let valid = fs::read(&path).unwrap();
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut raw = valid.clone();
+            raw[at..at + bytes.len()].copy_from_slice(bytes);
+            raw
+        };
+        // magic 8 · count 8 · array 4 · rank 1 · segs 3×4 · ndims 1 · dims 2×4
+        let (count_at, rank_at, ndims_at, dim0_at) = (8, 20, 33, 34);
+        let mut corrupt: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+        corrupt.push(b"NOTACKPT".to_vec());
+        corrupt.push(patched(count_at, &u64::MAX.to_le_bytes()));
+        corrupt.push(patched(count_at, &0u64.to_le_bytes())); // trailing bytes
+        corrupt.push(patched(rank_at, &[9]));
+        corrupt.push(patched(rank_at, &[u8::MAX]));
+        corrupt.push(patched(ndims_at, &[9]));
+        corrupt.push(patched(ndims_at, &[u8::MAX]));
+        corrupt.push(patched(dim0_at, &0u32.to_le_bytes()));
+        corrupt.push(patched(dim0_at, &u32::MAX.to_le_bytes()));
+        for raw in corrupt {
+            fs::write(&path, &raw).unwrap();
+            match read_checkpoint(&path) {
+                Err(RuntimeError::Checkpoint(m)) => assert!(m.contains("corrupt"), "{m}"),
+                other => panic!("{} bytes decoded to {other:?}", raw.len()),
+            }
+        }
         let _ = fs::remove_file(path);
     }
 
@@ -1221,11 +1230,13 @@ mod tests {
         // the configuration under which the old code panicked.
         m.flight = Some(PutFlight {
             pending: HashMap::new(),
-            sent_at: Instant::now()
-                .checked_sub(Duration::from_secs(60))
-                .expect("clock predates test start"),
-            timeout: Duration::from_millis(1),
-            attempts: u32::MAX - 1,
+            retry: Retry {
+                sent_at: Instant::now()
+                    .checked_sub(Duration::from_secs(60))
+                    .expect("clock predates test start"),
+                timeout: Duration::from_millis(1),
+                attempts: u32::MAX - 1,
+            },
             then: AfterFlight::CkptRelease { label: 7 },
         });
         m.tick().expect("tick must not fail on an empty flight");

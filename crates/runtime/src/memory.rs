@@ -14,7 +14,7 @@
 //! * **evictable** — cached copies of remote (distributed/served) blocks,
 //!   LRU-replaced by *bytes* (see [`crate::cache`]);
 //! * **pooled scratch** — temp blocks recycle through the
-//!   [`sia_blocks::BlockPool`] and are bounded by `pool_bytes` separately.
+//!   [`sia_blocks::BlockPool`] and are bounded separately (`POOL_BYTES` in `worker.rs`).
 //!
 //! All blocks move as [`BlockHandle`]s: serving a home block, filling a
 //! cache entry, journaling a put, snapshotting an epoch checkpoint, and

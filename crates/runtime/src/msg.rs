@@ -642,6 +642,42 @@ mod tests {
         }
     }
 
+    /// Fault-free ranks hold no timer, so a parked one is asleep until
+    /// somebody tells it: a peer raising shutdown must wake a worker inside
+    /// `wait_until` and an I/O server inside `run`, neither of which has a
+    /// deadline to fall back on.
+    #[test]
+    fn raised_shutdown_wakes_parked_worker_and_server() {
+        let layout = two_home_layout();
+        let (mut eps, stats) = sia_fabric::build::<SipMsg>(3);
+        let server_ep = eps.pop().unwrap();
+        let worker_ep = eps.pop().unwrap();
+        let client = eps.pop().unwrap();
+        let dir = std::env::temp_dir().join(format!("sia-proto-wake-{}", std::process::id()));
+        let (l, d) = (Arc::clone(&layout), dir.clone());
+        let server = std::thread::spawn(move || IoServer::new(l, server_ep, d, 8)?.run());
+        let worker = std::thread::spawn(move || {
+            let config = SipConfig {
+                workers: 1,
+                ..SipConfig::default()
+            };
+            let mut w = Worker::new(layout, config, worker_ep, SuperRegistry::new());
+            w.wait_until(crate::metrics::WaitCause::SipBarrier, "nothing", |_| false)
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = std::time::Instant::now();
+        client.raise_shutdown();
+        let aborted = worker.join().unwrap().unwrap_err();
+        assert!(aborted.to_string().contains("run aborted"), "{aborted}");
+        server.join().unwrap().unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(10));
+        for rank in [1, 2] {
+            let woke = stats.counters_of(Rank(rank)).deadline_wakeups();
+            assert_eq!(woke, 0, "rank {rank} held a timer");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     impl Rig {
         fn send(&mut self, msg: SipMsg) {
             self.client.send(self.to, msg).unwrap();

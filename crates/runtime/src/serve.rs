@@ -732,15 +732,17 @@ impl Daemon {
     /// Returns the final status, or `None` on timeout/unknown id.
     pub fn wait(&self, id: JobId, timeout: Duration) -> Option<JobStatus> {
         let deadline = Instant::now() + timeout;
+        // A job thread records its final state and only then takes the gate
+        // to notify, so no completion can slip between the status check and
+        // the wait below.
+        let mut running = self.gate.running.lock().unwrap();
         loop {
-            match self.status(id) {
-                None => return None,
-                Some(s) if matches!(s.state, JobState::Done | JobState::Failed(_)) => {
-                    return Some(s);
-                }
-                Some(_) if Instant::now() >= deadline => return None,
-                Some(_) => std::thread::sleep(Duration::from_millis(5)),
+            let status = self.status(id)?;
+            if matches!(status.state, JobState::Done | JobState::Failed(_)) {
+                return Some(status);
             }
+            let left = deadline.checked_duration_since(Instant::now())?;
+            running = self.gate.cv.wait_timeout(running, left).unwrap().0;
         }
     }
 

@@ -9,7 +9,7 @@
 use crate::cache::{BlockGet, CacheEntry};
 use crate::error::{CommKind, RuntimeError};
 use crate::events::{CommOp, EventKind, RecoveryEvent, TraceSink};
-use crate::ft::{self, FetchState, FtState, JournalEntry, TakeoverChunk};
+use crate::ft::{self, Exhausted, FetchState, FtState, JournalEntry, Retry, TakeoverChunk};
 use crate::layout::{Layout, Placement, SipConfig};
 use crate::memory::BlockManager;
 use crate::metrics::WaitCause;
@@ -25,6 +25,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Per-worker budget of the pool recycling temp-block storage.
+const POOL_BYTES: usize = 256 << 20;
 
 /// How a block access treats a non-resident block: issue the fetch and
 /// return immediately (`get`/`request`/prefetch), or block until the data
@@ -167,7 +170,7 @@ impl Worker {
         let n_idx = layout.program.indices.len();
         let scalars = layout.program.scalars.iter().map(|s| s.init).collect();
         let pool = BlockPool::new(PoolConfig {
-            max_bytes: config.pool_bytes,
+            max_bytes: POOL_BYTES,
         });
         let ft = config
             .fault
@@ -264,12 +267,25 @@ impl Worker {
                 return;
             }
             self.maybe_heartbeat();
-            let _ = self.pump_retries();
-            if let Some(env) = self.endpoint.recv_timeout(self.config.service_poll) {
-                let src = env.src;
-                self.handle(src, env.msg);
-                self.flush_forwards();
+            if let (Err(_), Some(ft)) = (self.pump_retries(), self.ft.as_mut()) {
+                // Past the program's end nobody is left to hand a spent
+                // retry budget to; stop tracking, or the dead timer would
+                // keep this rank awake until shutdown.
+                ft.pending.clear();
+                ft.fetches.clear();
             }
+            self.block_on_inbox();
+        }
+    }
+
+    /// Blocks until the next message (handling it) or this worker's next
+    /// due timer. Fault-free runs hold no timer: only a message, a raised
+    /// shutdown or a crash ends the wait.
+    fn block_on_inbox(&mut self) {
+        let deadline = self.ft.as_ref().map(|ft| ft.next_deadline());
+        if let Some(env) = self.endpoint.recv_deadline(deadline) {
+            self.handle(env.src, env.msg);
+            self.flush_forwards();
         }
     }
 
@@ -749,12 +765,7 @@ impl Worker {
                     context: format!("rank crashed while waiting for {what}"),
                 });
             }
-            // Block briefly on the inbox rather than spinning.
-            if let Some(env) = self.endpoint.recv_timeout(self.config.wait_poll) {
-                let src = env.src;
-                self.handle(src, env.msg);
-                self.flush_forwards();
-            }
+            self.block_on_inbox();
         }
     }
 
@@ -900,16 +911,8 @@ impl Worker {
         self.profile.metrics.comm.fetches += 1;
         self.flights.insert(key, (Instant::now(), req.0));
         if let Some(ft) = self.ft.as_mut() {
-            let timeout = ft.cfg.retry_timeout;
-            ft.fetches.insert(
-                key,
-                FetchState {
-                    req,
-                    sent_at: Instant::now(),
-                    timeout,
-                    attempts: 0,
-                },
-            );
+            let retry = Retry::new(&ft.cfg);
+            ft.fetches.insert(key, FetchState { req, retry });
         }
         let msg = SipMsg::Fetch { key, req };
         if self.ft.is_some() {
@@ -1299,33 +1302,27 @@ impl Worker {
             return Ok(());
         }
         let now = Instant::now();
-        let max_retries = ft.cfg.max_retries;
-        let backoff = ft.cfg.retry_backoff;
         let layout = &self.layout;
         let mut resend: Vec<(Rank, SipMsg)> = Vec::new();
         let mut put_retries = 0u64;
         let mut prepare_retries = 0u64;
         for (&op, p) in ft.pending.iter_mut() {
-            if now.duration_since(p.sent_at) < p.timeout {
+            if now < p.retry.deadline() {
                 continue;
             }
             let served = layout.array_kind(p.key.array) == ArrayKind::Served;
             let home = layout.home_of(&p.key, &ft.dead);
-            if p.attempts >= max_retries {
-                return Err(RuntimeError::Comm {
+            p.retry
+                .bump(&ft.cfg)
+                .map_err(|Exhausted(attempts)| RuntimeError::Comm {
                     kind: CommKind::Timeout,
                     rank: home,
                     key: Some(p.key),
                     context: format!(
-                        "{} unacknowledged after {} attempts",
+                        "{} unacknowledged after {attempts} attempts",
                         if served { "PREPARE" } else { "PUT" },
-                        p.attempts + 1
                     ),
-                });
-            }
-            p.attempts += 1;
-            p.sent_at = now;
-            p.timeout = p.timeout.mul_f64(backoff);
+                })?;
             if served {
                 prepare_retries += 1;
             } else {
@@ -1337,29 +1334,25 @@ impl Worker {
         let mut fetch_retries = 0u64;
         let mut refreshed: Vec<BlockKey> = Vec::new();
         for (key, f) in ft.fetches.iter_mut() {
-            if now.duration_since(f.sent_at) < f.timeout {
+            if now < f.retry.deadline() {
                 continue;
             }
             let home = layout.home_of(key, &ft.dead);
-            if f.attempts >= max_retries {
-                return Err(RuntimeError::Comm {
+            f.retry
+                .bump(&ft.cfg)
+                .map_err(|Exhausted(attempts)| RuntimeError::Comm {
                     kind: CommKind::Timeout,
                     rank: home,
                     key: Some(*key),
                     context: format!(
-                        "{} reply lost after {} attempts",
+                        "{} reply lost after {attempts} attempts",
                         if layout.array_kind(key.array) == ArrayKind::Served {
                             "REQUEST"
                         } else {
                             "GET"
                         },
-                        f.attempts + 1
                     ),
-                });
-            }
-            f.attempts += 1;
-            f.sent_at = now;
-            f.timeout = f.timeout.mul_f64(backoff);
+                })?;
             fetch_retries += 1;
             refreshed.push(*key);
             resend.push((
@@ -1514,7 +1507,6 @@ impl Worker {
         for op in inherited_ops {
             ft.applied.entry(op).or_insert(epoch);
         }
-        let retry_timeout = ft.cfg.retry_timeout;
         let mut sends: Vec<(Rank, SipMsg)> = Vec::new();
         // Replay this epoch's puts that were homed at the corpse. The
         // master restored the corpse's last checkpoint to the new homes
@@ -1544,9 +1536,7 @@ impl Worker {
                 continue;
             }
             let new_home = layout.home_of(key, &ft.dead);
-            f.sent_at = Instant::now();
-            f.timeout = retry_timeout;
-            f.attempts = 0;
+            f.retry = Retry::new(&ft.cfg);
             reroutes += 1;
             sends.push((
                 new_home,

@@ -166,31 +166,39 @@ fn planned_cuts_messages_at_least_30_percent() {
 /// Seeded drops/dups/delays with multicast and batching active: dropped
 /// multicast pushes fall back to demand GETs, batched envelopes retry as
 /// units, and per-message OpId dedup still suppresses duplicates — the
-/// collected result stays bitwise-exact.
+/// collected result stays bitwise-exact under every seed.
+///
+/// How many faultable envelopes a rank sends depends on thread timing, and
+/// a 9 % plan can leave the handful of one small run untouched (0xCAFE's
+/// streams perturb nothing before a worker's fourth send), so the "it
+/// really was perturbed" half is asserted over the list: the other seeds
+/// perturb the first faultable envelope any worker sends.
 #[test]
 fn planned_placement_survives_seeded_faults_bitwise() {
     let clean = run(BCAST, 8, config(3, 4, Placement::Planned));
 
-    let mut plan = FaultPlan::seeded(0xCAFE);
-    plan.drop = 0.05;
-    plan.duplicate = 0.02;
-    plan.delay = 0.02;
-    let cfg = SipConfig::builder()
-        .workers(3)
-        .io_servers(0)
-        .segment_size(4)
-        .placement(Placement::Planned)
-        .collect_distributed(true)
-        .fault(FaultConfig::new(plan))
-        .build()
-        .unwrap();
-    let faulty = run(BCAST, 8, cfg);
-
-    assert_bitwise_equal(&clean, &faulty);
+    let mut perturbed = 0;
+    for seed in [0xCAFE, 0xD477, 0xD488, 0xD9B3] {
+        let mut plan = FaultPlan::seeded(seed);
+        plan.drop = 0.05;
+        plan.duplicate = 0.02;
+        plan.delay = 0.02;
+        let cfg = SipConfig::builder()
+            .workers(3)
+            .io_servers(0)
+            .segment_size(4)
+            .placement(Placement::Planned)
+            .collect_distributed(true)
+            .fault(FaultConfig::new(plan))
+            .build()
+            .unwrap();
+        let faulty = run(BCAST, 8, cfg);
+        assert_bitwise_equal(&clean, &faulty);
+        perturbed += faulty.profile.metrics.fabric.perturbed();
+    }
     assert!(
-        faulty.profile.metrics.fabric.perturbed() > 0,
-        "the plan must actually have perturbed traffic: {:?}",
-        faulty.profile.metrics.fabric
+        perturbed > 0,
+        "the plans must actually have perturbed traffic"
     );
 }
 
