@@ -1,7 +1,8 @@
 //! Contraction hot-path baseline: GEMM throughput (seed kernel replica vs
-//! the MR×NR kernel), block-contraction GFLOP/s across segment sizes, the
-//! transpose-folding ablation, and the permute-on-pack grid (shape ×
-//! transpose class, folded vs materialized). One GEMM runs on one thread —
+//! the active register-tile kernel), block-contraction GFLOP/s across
+//! segment sizes, the transpose-folding ablation, and the permute-on-pack
+//! grid (shape × transpose class, plus the CCSD ladder on 16⁴ blocks; folded
+//! vs materialized). One GEMM runs on one thread —
 //! the SIP's parallelism is across workers — which is the `t1` in the keys.
 //! Writes
 //! the numbers to `BENCH_contraction.json` at the repo root so future PRs
@@ -25,7 +26,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// The pre-overhaul GEMM (MC=64/KC=128, scalar 1×NR inner loop, no
+/// The pre-overhaul GEMM (MC=64/KC=128, scalar 1×8 inner loop, no
 /// transpose support), kept verbatim as the seed baseline.
 fn seed_dgemm(m: usize, n: usize, k: usize, alpha: f64, a: &[f64], b: &[f64], c: &mut [f64]) {
     const MC: usize = 64;
@@ -131,6 +132,16 @@ fn grid_shapes(
     rows
 }
 
+/// The repo benchmark's own contraction as one more grid row: the CCSD
+/// ladder `tmp(i,a,j,b) = V(c,a,d,b)·T(i,c,j,d)` on `seg⁴` blocks, with both
+/// operands *and* the output permuted.
+fn ladder_shape(seg: usize) -> (String, ContractionPlan, Block, Block) {
+    // Labels: i=0, a=1, j=2, b=3, c=4, d=5.
+    let plan = ContractionPlan::infer(&[0, 1, 2, 3], &[4, 1, 5, 3], &[0, 4, 2, 5]).unwrap();
+    let blk = ramp(Shape::cube(4, seg));
+    ("ladder".to_string(), plan, blk.clone(), blk)
+}
+
 /// CI smoke: the chem workload must fold its interleaved permutation into
 /// the pack (zero permute scratch) and agree bitwise with the materialized
 /// ablation. Exits nonzero on failure.
@@ -185,7 +196,7 @@ fn main() {
     ));
     println!("microkernel: {}", active_microkernel());
 
-    // ---- raw GEMM at 512^3: seed kernel vs MR×NR ----------------------------
+    // ---- raw GEMM at 512^3 and 256^3: seed kernel vs the active kernel -----
     let n = 512usize;
     let a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64).collect();
     let b = a.clone();
@@ -201,9 +212,30 @@ fn main() {
         flops,
         time(|| dgemm(n, n, n, 1.0, &a, nn, &b, nn, no, &mut c)),
     );
-    println!("gemm 512^3 MRxNR         : {g:.2} GFLOP/s");
+    println!("gemm 512^3 {:<14}: {g:.2} GFLOP/s", active_microkernel());
     json.push_str(&format!("  \"gemm_512_t1_gflops\": {g:.3},\n"));
     println!("speedup vs seed: {:.2}x", g / seed);
+    // 256^3 is the GEMM behind every contraction of 16^4 blocks.
+    let h = 256usize;
+    let g256 = gf(
+        2.0 * (h as f64).powi(3),
+        time(|| {
+            dgemm(
+                h,
+                h,
+                h,
+                1.0,
+                &a[..h * h],
+                nn,
+                &b[..h * h],
+                nn,
+                no,
+                &mut c[..h * h],
+            )
+        }),
+    );
+    println!("gemm 256^3 {:<14}: {g256:.2} GFLOP/s", active_microkernel());
+    json.push_str(&format!("  \"gemm_256_t1_gflops\": {g256:.3},\n"));
 
     // ---- block contraction across segment sizes ----------------------------
     // The paper's R(M,N,I,J) = V(M,N,L,S)·T(L,S,I,J) on one block pair.
@@ -248,7 +280,10 @@ fn main() {
     // timed best-of-rounds: the folded path does strictly no more work, so
     // its true minimum is ≤ the ablation's; extra rounds wash out
     // scheduler noise on small hosts.
-    for (name, plan, ga, gb) in grid_shapes(512, 256, 24, 16) {
+    let grid = grid_shapes(512, 256, 24, 16)
+        .into_iter()
+        .chain([ladder_shape(16)]);
+    for (name, plan, ga, gb) in grid {
         let gflops = plan.flops(ga.shape(), gb.shape()) as f64;
         let mut out = Block::zeros(plan.output_shape(ga.shape(), gb.shape()));
         let mut fold_secs = f64::INFINITY;

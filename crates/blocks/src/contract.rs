@@ -13,11 +13,11 @@
 //! the bytecode and reused for every block the loop touches.
 
 use crate::block::Block;
-use crate::gemm::{dgemm_view, pack_buf_elems, GemmConfig, GemmLayout, PackBufs};
-use crate::permute::{is_identity_permutation, permute_into};
+use crate::gemm::{dgemm_view_into, pack_buf_elems, GemmConfig, GemmLayout, PackBufs};
+use crate::permute::{invert_permutation, is_identity_permutation, permute_into};
 use crate::pool::BlockPool;
 use crate::shape::Shape;
-use crate::view::MatView;
+use crate::view::{MatLayout, MatView};
 use std::fmt;
 
 /// Errors from planning a contraction.
@@ -395,9 +395,12 @@ impl ContractCtx {
 
     /// Draws the two GEMM pack panels from the pool (stale contents allowed:
     /// packing overwrites or zero-pads everything the kernel reads). `None`
-    /// when no pool is attached or its budget is exhausted — the GEMM then
-    /// falls back to local allocations.
+    /// when the GEMM packs nothing (a block dot), no pool is attached or its
+    /// budget is exhausted — the GEMM then falls back to local allocations.
     fn acquire_pack_bufs(&mut self, a_elems: usize, b_elems: usize) -> Option<(Block, Block)> {
+        if a_elems + b_elems == 0 {
+            return None;
+        }
         let pool = self.pool.clone()?;
         let get = |pack: &mut PackStats, elems: usize| -> Option<Block> {
             let hits_before = pool.stats().hits;
@@ -448,10 +451,11 @@ pub fn contract_into(plan: &ContractionPlan, a: &Block, b: &Block, alpha_c: f64,
 /// `FoldedTranspose`, and a strided permuted view for `Permute`, whose
 /// reorder then folds into the GEMM's pack traversal instead of
 /// materializing a reordered copy (only `no_fold` ablation contexts still
-/// materialize). The GEMM's pack panels are drawn from the context's block
-/// pool when one is attached. When the output needs no reordering the GEMM
-/// writes straight into `C` (including the `alpha_c` accumulate, via GEMM's
-/// beta).
+/// materialize). The output is addressed the same way: `plan.out_perm`
+/// becomes a [`MatLayout`] over `C`'s own storage and folds into the GEMM's
+/// tile write (including the `alpha_c` accumulate, via GEMM's beta), so no
+/// raw result block is ever materialized. The GEMM's pack panels are drawn
+/// from the context's block pool when one is attached.
 ///
 /// # Panics
 /// Panics if block shapes are inconsistent with the plan.
@@ -507,47 +511,43 @@ pub fn contract_into_ctx(
         OperandFold::FoldedTranspose => MatView::from_matrix(b_eff.data(), k, n, GemmLayout::Trans),
         OperandFold::Permute => MatView::permuted(b_eff.data(), b_eff.shape(), &plan.b_perm, nc),
     };
+    // C as the GEMM sees it: raw axis `r` of `[free_a.., free_b..]` is C's
+    // stored axis `d` with `out_perm[d] == r`.
+    let c_layout = MatLayout::permuted(c.shape(), &invert_permutation(&plan.out_perm), nf_a);
+    // The tile write is a vector store only along the column group, so C's
+    // unit-stride axis belongs there: when it is one of A's free axes,
+    // compute `Cᵀ = Bᵀ·Aᵀ` instead. Each element is the same chain of
+    // products either way, so the roles never show in the bits.
+    let (a_view, b_view, c_layout) =
+        if c_layout.row_group().unit_run() > c_layout.col_group().unit_run() {
+            (
+                b_view.transposed(),
+                a_view.transposed(),
+                c_layout.transposed(),
+            )
+        } else {
+            (a_view, b_view, c_layout)
+        };
 
     // Route the GEMM's pack panels through the pool so steady-state
     // contractions allocate nothing.
     ctx.pack.packed_bytes += ((m * k + k * n) * std::mem::size_of::<f64>()) as u64;
-    let (a_elems, b_elems) = pack_buf_elems(&ctx.gemm, m, n, k);
+    let (a_elems, b_elems) = pack_buf_elems(&ctx.gemm, a_view.rows(), b_view.cols(), k);
     let mut pack_bufs = ctx.acquire_pack_bufs(a_elems, b_elems);
     let bufs = pack_bufs.as_mut().map(|(ab, bb)| PackBufs {
         apack: ab.data_mut(),
         bpack: bb.data_mut(),
     });
-
-    if is_identity_permutation(&plan.out_perm) {
-        // GEMM straight into C's storage.
-        dgemm_view(ctx.gemm, 1.0, &a_view, &b_view, alpha_c, c.data_mut(), bufs);
-    } else {
-        // GEMM to a raw (free_a, free_b) scratch buffer, permute into place.
-        let raw_dims: Vec<usize> = plan.a_perm[..nf_a]
-            .iter()
-            .map(|&p| a.shape().dim(p))
-            .chain(plan.b_perm[nc..].iter().map(|&p| b.shape().dim(p)))
-            .collect();
-        let raw_shape = if raw_dims.is_empty() {
-            Shape::scalar()
-        } else {
-            Shape::new(&raw_dims)
-        };
-        let mut raw = ctx.scratch(raw_shape);
-        dgemm_view(ctx.gemm, 1.0, &a_view, &b_view, 0.0, raw.data_mut(), bufs);
-        if alpha_c == 0.0 {
-            permute_into(&raw, &plan.out_perm, c.data_mut());
-        } else {
-            let mut permuted = ctx.scratch(*c.shape());
-            permute_into(&raw, &plan.out_perm, permuted.data_mut());
-            if alpha_c != 1.0 {
-                c.scale(alpha_c);
-            }
-            c.accumulate(&permuted);
-            ctx.free(permuted);
-        }
-        ctx.free(raw);
-    }
+    dgemm_view_into(
+        ctx.gemm,
+        1.0,
+        &a_view,
+        &b_view,
+        alpha_c,
+        c.data_mut(),
+        &c_layout,
+        bufs,
+    );
 
     if let Some((ab, bb)) = pack_bufs {
         ctx.free(ab);
@@ -822,25 +822,53 @@ mod tests {
     #[test]
     fn ctx_scratch_reuses_pool() {
         use crate::pool::{BlockPool, PoolConfig};
-        // A plan forcing materialized scratch: B must permute, and the
-        // output needs a reorder, so scratch is drawn repeatedly.
+        // Only the `no_fold` ablation still draws block scratch (one
+        // materialized copy per operand); the output reorder never does.
         let plan = ContractionPlan::infer(&[2, 0], &[0, 1], &[1, 2]).unwrap();
         let a = ramp(Shape::new(&[4, 5]), 0.3);
         let b = ramp(Shape::new(&[5, 3]), 1.1);
         let pool = BlockPool::new(PoolConfig::default());
-        let mut ctx = ContractCtx::with_pool(pool);
+        let mut ctx = ContractCtx::with_pool(pool).fold_transposes(false);
         let mut c = Block::zeros(Shape::new(&[3, 4]));
         contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut c);
         let first = ctx.stats;
-        assert!(first.scratch_pool_misses > 0, "first run allocates");
+        assert_eq!(first.scratch_pool_misses, 2, "first run allocates");
         contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut c);
         let second = ctx.stats;
         assert_eq!(
             second.scratch_pool_misses, first.scratch_pool_misses,
             "second run allocates nothing new"
         );
-        assert!(second.scratch_pool_hits > first.scratch_pool_hits);
+        assert_eq!(second.scratch_pool_hits, first.scratch_pool_hits + 2);
         assert!(c.approx_eq(&naive_contract(&plan, &a, &b), 1e-9));
+    }
+
+    #[test]
+    fn output_permute_folds_into_the_tile_write_with_zero_scratch() {
+        use crate::pool::{BlockPool, PoolConfig};
+        // C(I,M) = A(M,L) * B(L,I): the GEMM's (M,I) order is not C's. The
+        // reorder rides the tile write for every alpha_c class, and no
+        // scratch block is drawn for it.
+        let plan = ContractionPlan::infer(&[2, 0], &[0, 1], &[1, 2]).unwrap();
+        assert!(!is_identity_permutation(&plan.out_perm));
+        let a = ramp(Shape::new(&[4, 5]), 0.3);
+        let b = ramp(Shape::new(&[5, 3]), 1.1);
+        let pool = BlockPool::new(PoolConfig::default());
+        let mut ctx = ContractCtx::with_pool(pool.clone());
+        for alpha_c in [0.0, 1.0, 0.5] {
+            let base = ramp(Shape::new(&[3, 4]), 2.0);
+            let mut c = base.clone();
+            contract_into_ctx(&mut ctx, &plan, &a, &b, alpha_c, &mut c);
+            let mut expect = naive_contract(&plan, &a, &b);
+            expect.axpy(alpha_c, &base);
+            assert!(c.approx_eq(&expect, 1e-12), "alpha_c={alpha_c}");
+        }
+        assert_eq!(
+            ctx.stats.scratch_pool_hits + ctx.stats.scratch_pool_misses,
+            0,
+            "no scratch block for the output reorder"
+        );
+        assert_eq!(pool.stats().live_blocks, 0);
     }
 
     #[test]
@@ -915,6 +943,58 @@ mod tests {
         let mut expect = naive_contract(&plan, &a, &b);
         expect.axpy(-0.5, &base);
         assert!(c.approx_eq(&expect, 1e-9));
+    }
+
+    /// The contraction table: every route a label pattern can take through
+    /// the GEMM (operand views, folded output, swapped roles, the dot
+    /// shortcut) x every `alpha_c` class, on extents that are multiples of
+    /// no register tile, against the index-summation reference.
+    #[test]
+    fn label_pattern_table_matches_naive() {
+        // Labels index into these extents.
+        const EXTENTS: [usize; 6] = [3, 5, 9, 17, 5, 3];
+        type Row = (&'static str, &'static [u32], &'static [u32], &'static [u32]);
+        let table: [Row; 10] = [
+            ("identity", &[0, 3], &[0, 2], &[2, 3]),
+            ("folded transpose", &[0, 3], &[2, 0], &[3, 2]),
+            ("A permuted", &[0, 1, 3], &[0, 2, 1], &[2, 3]),
+            ("B permuted", &[3, 0, 1], &[3, 2, 4], &[2, 0, 4, 1]),
+            ("both permuted", &[0, 1, 3, 4], &[0, 2, 1], &[3, 2, 4]),
+            // Raw order (17 | 5, 9) -> C(5, 17, 9): C's last axis is B's.
+            ("output permuted", &[1, 3, 2], &[3, 0], &[0, 1, 2]),
+            // C(n, m): C's last axis is A's, so the GEMM runs as Cᵀ = BᵀAᵀ.
+            ("roles swapped", &[2, 3], &[0, 3], &[2, 0]),
+            ("m*n == 1", &[], &[2, 0], &[0, 2]),
+            ("rank 2 x rank 4", &[1, 2, 3, 4], &[0, 1], &[2, 0, 3, 4]),
+            // tmp(i,a,j,b) = V(c,a,d,b) * T(i,c,j,d)
+            ("CCSD ladder", &[0, 1, 2, 3], &[4, 1, 5, 3], &[0, 4, 2, 5]),
+        ];
+        for (name, cl, al, bl) in table {
+            check_pattern(name, cl, al, bl, &EXTENTS);
+        }
+    }
+
+    fn check_pattern(name: &str, cl: &[u32], al: &[u32], bl: &[u32], extents: &[usize]) {
+        let plan = ContractionPlan::infer(cl, al, bl).unwrap();
+        let shape_of = |labels: &[u32]| {
+            let dims: Vec<usize> = labels.iter().map(|&l| extents[l as usize]).collect();
+            if dims.is_empty() {
+                Shape::scalar()
+            } else {
+                Shape::new(&dims)
+            }
+        };
+        let a = ramp(shape_of(al), 0.3);
+        let b = ramp(shape_of(bl), 1.1);
+        let base = ramp(shape_of(cl), 2.3);
+        let product = naive_contract(&plan, &a, &b);
+        for alpha_c in [0.0, 1.0, 0.5] {
+            let mut c = base.clone();
+            contract_into(&plan, &a, &b, alpha_c, &mut c);
+            let mut expect = product.clone();
+            expect.axpy(alpha_c, &base);
+            assert!(c.approx_eq(&expect, 1e-9), "{name}, alpha_c={alpha_c}");
+        }
     }
 
     #[test]

@@ -53,4 +53,4 @@ pub use permute::{
 pub use pool::{BlockPool, PoolConfig, PoolStats, PooledBlock};
 pub use shape::{Shape, MAX_RANK};
 pub use slice::{extract_slice, insert_slice, SliceError, SliceSpec};
-pub use view::{AxisCursor, AxisGroup, MatView};
+pub use view::{AxisCursor, AxisGroup, MatLayout, MatView};

@@ -13,16 +13,18 @@
 //! *axis groups* (row group, column group), each a list of source-tensor
 //! dimensions with their row-major strides in GEMM order. Element `(i, j)`
 //! lives at `data[row_offset(i) + col_offset(j)]`, where each group offset
-//! decomposes its logical index over the group's dims mixed-radix style. The
-//! pack routines in [`crate::gemm`] walk these offsets with incremental
-//! cursors, so an arbitrarily permuted operand is packed straight from its
-//! home buffer — permutation folds into the pack traversal for free.
+//! decomposes its logical index over the group's dims mixed-radix style.
+//! [`crate::gemm`] tabulates these offsets once per GEMM
+//! ([`AxisGroup::fill_offsets`]), so an arbitrarily permuted operand is
+//! packed straight from its home buffer — and, through a [`MatLayout`] for
+//! C, an arbitrarily permuted output is written straight to its home buffer.
 //!
-//! When a group's stride pattern is *uniform* (each dim's stride equals the
-//! next-inner dim's stride times extent — i.e. the group is a contiguous
-//! row-major sub-block), `offset(i)` collapses to `i * stride` and the pack
-//! routines take the same streaming fast paths the plain `NoTrans`/`Trans`
-//! layouts always had. `from_matrix` builds exactly those two classic views.
+//! What the pack routines and the C write key on is a group's *unit run*
+//! ([`AxisGroup::unit_run`]): how many consecutive logical indices are
+//! adjacent in storage. The source's unit-stride axis sits in exactly one of
+//! a view's two groups; when it is that group's innermost axis the group
+//! reads (or writes) in contiguous runs, which is what the plain
+//! `NoTrans`/`Trans` layouts of `from_matrix` always were.
 
 use crate::shape::{Shape, MAX_RANK};
 use crate::GemmLayout;
@@ -39,6 +41,8 @@ pub struct AxisGroup {
     /// `Some(s)` iff `offset(i) == i * s` for all `i < len` (uniform
     /// strides); `Some(0)` for an empty group.
     uniform: Option<usize>,
+    /// See [`AxisGroup::unit_run`].
+    run: usize,
 }
 
 impl AxisGroup {
@@ -51,6 +55,7 @@ impl AxisGroup {
             rank: dims.len(),
             len: 1,
             uniform: None,
+            run: 1,
         };
         for (i, (&d, &s)) in dims.iter().zip(strides).enumerate() {
             assert!(d > 0, "zero-extent axis in view");
@@ -59,7 +64,25 @@ impl AxisGroup {
             g.len *= d;
         }
         g.uniform = g.detect_uniform();
+        g.run = g.detect_unit_run();
         g
+    }
+
+    /// Extent of the longest innermost sub-block that is contiguous in
+    /// storage: trailing dims are absorbed while each one's stride equals
+    /// the extent absorbed so far (extent-1 dims are transparent).
+    fn detect_unit_run(&self) -> usize {
+        let mut run = 1;
+        for d in (0..self.rank).rev() {
+            if self.dims[d] == 1 {
+                continue;
+            }
+            if self.strides[d] != run {
+                break;
+            }
+            run *= self.dims[d];
+        }
+        run
     }
 
     /// A group is uniform when consecutive logical indices step by a fixed
@@ -105,6 +128,37 @@ impl AxisGroup {
     #[inline]
     pub fn uniform_stride(&self) -> Option<usize> {
         self.uniform
+    }
+
+    /// The largest `r` dividing [`len`](Self::len) such that
+    /// `offset(q * r + j) == offset(q * r) + j` for every `j < r`: logical
+    /// indices come in storage-contiguous runs of `r`. It is 1 when the
+    /// group's innermost axis is not the source's unit-stride axis.
+    #[inline]
+    pub fn unit_run(&self) -> usize {
+        self.run
+    }
+
+    /// Largest offset any logical index maps to.
+    pub fn max_offset(&self) -> usize {
+        (0..self.rank)
+            .map(|d| (self.dims[d] - 1) * self.strides[d])
+            .sum()
+    }
+
+    /// Writes the offsets of logical indices `start..start + out.len()`.
+    pub fn fill_offsets(&self, start: usize, out: &mut [usize]) {
+        if let Some(step) = self.uniform {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = (start + i) * step;
+            }
+            return;
+        }
+        let mut c = self.cursor(start);
+        for o in out {
+            *o = c.offset();
+            c.advance();
+        }
     }
 
     /// Source-buffer offset of logical index `i` (mixed-radix decompose).
@@ -188,45 +242,40 @@ impl AxisCursor {
     }
 }
 
-/// A logical `rows x cols` matrix over strided storage. Element `(i, j)` is
-/// `data[rows.offset(i) + cols.offset(j)]`. See the module docs for how this
-/// folds operand permutations into GEMM packing.
+/// The addressing half of a [`MatView`]: a logical `rows x cols` matrix as
+/// two axis groups over some buffer, element `(i, j)` at
+/// `rows.offset(i) + cols.offset(j)`. GEMM takes one of these for C, whose
+/// buffer it borrows mutably.
 #[derive(Clone, Copy, Debug)]
-pub struct MatView<'a> {
-    data: &'a [f64],
+pub struct MatLayout {
     rows: AxisGroup,
     cols: AxisGroup,
 }
 
-impl<'a> MatView<'a> {
-    /// Views a plain row-major `rows x cols` matrix (`NoTrans`) or the
-    /// transpose of a stored `cols x rows` matrix (`Trans`). Both are
-    /// single-dim uniform groups, so packing streams exactly as the seed's
-    /// layout-specialized routines did.
-    pub fn from_matrix(data: &'a [f64], rows: usize, cols: usize, layout: GemmLayout) -> Self {
-        assert_eq!(data.len(), rows * cols, "matrix view dimension mismatch");
+impl MatLayout {
+    /// A plain row-major `rows x cols` matrix (`NoTrans`) or the transpose
+    /// of a stored `cols x rows` matrix (`Trans`).
+    pub fn matrix(rows: usize, cols: usize, layout: GemmLayout) -> Self {
         let (rs, cs) = match layout {
             GemmLayout::NoTrans => (cols, 1), // data[i*cols + j]
             GemmLayout::Trans => (1, rows),   // data[j*rows + i]
         };
-        MatView {
-            data,
+        MatLayout {
             rows: AxisGroup::new(&[rows.max(1)], &[rs]),
             cols: AxisGroup::new(&[cols.max(1)], &[cs]),
         }
     }
 
-    /// Views a stored tensor through an index permutation, split into a row
-    /// group and a column group — the permute-on-pack constructor.
+    /// A stored tensor of `shape` seen through an index permutation, split
+    /// into a row group and a column group.
     ///
     /// `perm[d]` names the source axis that provides GEMM-order axis `d`
     /// (the same convention as [`crate::permute::permute`]: output axis `d`
     /// reads source axis `perm[d]`). Axes `perm[..split]` form the row
     /// group, `perm[split..]` the column group; within each group, earlier
     /// axes vary slower.
-    pub fn permuted(data: &'a [f64], shape: &Shape, perm: &[usize], split: usize) -> Self {
+    pub fn permuted(shape: &Shape, perm: &[usize], split: usize) -> Self {
         assert_eq!(perm.len(), shape.rank(), "permutation rank mismatch");
-        assert_eq!(data.len(), shape.len(), "tensor view length mismatch");
         assert!(split <= perm.len(), "row/col split out of range");
         let strides = shape.strides();
         let dims = shape.dims();
@@ -239,27 +288,18 @@ impl<'a> MatView<'a> {
             }
             AxisGroup::new(&d[..axes.len()], &s[..axes.len()])
         };
-        let rows = build(&perm[..split]);
-        let cols = build(&perm[split..]);
-        MatView { data, rows, cols }
+        MatLayout {
+            rows: build(&perm[..split]),
+            cols: build(&perm[split..]),
+        }
     }
 
-    /// The underlying storage.
-    #[inline]
-    pub fn data(&self) -> &'a [f64] {
-        self.data
-    }
-
-    /// Logical row count.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Logical column count.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols.len()
+    /// The same storage read as the transposed matrix.
+    pub fn transposed(&self) -> Self {
+        MatLayout {
+            rows: self.cols,
+            cols: self.rows,
+        }
     }
 
     /// Row axis group.
@@ -274,10 +314,85 @@ impl<'a> MatView<'a> {
         &self.cols
     }
 
-    /// Element accessor (tests / reference paths; pack uses cursors).
+    /// Elements a buffer must hold for every `(i, j)` to be in bounds.
+    pub fn span(&self) -> usize {
+        self.rows.max_offset() + self.cols.max_offset() + 1
+    }
+}
+
+/// A logical `rows x cols` matrix over strided storage. Element `(i, j)` is
+/// `data[rows.offset(i) + cols.offset(j)]`. See the module docs for how this
+/// folds operand permutations into GEMM packing.
+#[derive(Clone, Copy, Debug)]
+pub struct MatView<'a> {
+    data: &'a [f64],
+    layout: MatLayout,
+}
+
+impl<'a> MatView<'a> {
+    /// Views a plain row-major `rows x cols` matrix (`NoTrans`) or the
+    /// transpose of a stored `cols x rows` matrix (`Trans`).
+    pub fn from_matrix(data: &'a [f64], rows: usize, cols: usize, layout: GemmLayout) -> Self {
+        assert_eq!(data.len(), rows * cols, "matrix view dimension mismatch");
+        MatView {
+            data,
+            layout: MatLayout::matrix(rows, cols, layout),
+        }
+    }
+
+    /// Views a stored tensor through an index permutation, split into a row
+    /// group and a column group — the permute-on-pack constructor. See
+    /// [`MatLayout::permuted`] for the conventions.
+    pub fn permuted(data: &'a [f64], shape: &Shape, perm: &[usize], split: usize) -> Self {
+        assert_eq!(data.len(), shape.len(), "tensor view length mismatch");
+        MatView {
+            data,
+            layout: MatLayout::permuted(shape, perm, split),
+        }
+    }
+
+    /// The same storage read as the transposed matrix.
+    pub fn transposed(&self) -> Self {
+        MatView {
+            data: self.data,
+            layout: self.layout.transposed(),
+        }
+    }
+
+    /// The underlying storage.
+    #[inline]
+    pub fn data(&self) -> &'a [f64] {
+        self.data
+    }
+
+    /// Logical row count.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.layout.rows.len()
+    }
+
+    /// Logical column count.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.layout.cols.len()
+    }
+
+    /// Row axis group.
+    #[inline]
+    pub fn row_group(&self) -> &AxisGroup {
+        &self.layout.rows
+    }
+
+    /// Column axis group.
+    #[inline]
+    pub fn col_group(&self) -> &AxisGroup {
+        &self.layout.cols
+    }
+
+    /// Element accessor (tests / reference paths; pack uses offset tables).
     #[inline]
     pub fn at(&self, i: usize, j: usize) -> f64 {
-        self.data[self.rows.offset(i) + self.cols.offset(j)]
+        self.data[self.layout.rows.offset(i) + self.layout.cols.offset(j)]
     }
 }
 

@@ -64,23 +64,141 @@ pub fn orbital_energy(p: usize, n_occ: usize) -> f64 {
     }
 }
 
-fn fill_from_globals(
-    args: &mut [SuperArg],
+/// A rank-`R` block argument taken apart: extents, the 0-based global
+/// coordinate of its first element along each axis, and its storage.
+struct Tile<'a, const R: usize> {
+    dims: [usize; R],
+    origin: [usize; R],
+    data: &'a mut [f64],
+}
+
+/// The block argument of `who`, a kernel defined on rank-`R` blocks only.
+/// `seg` turns the block's 1-based segment coordinates into its origin.
+fn tile_of_rank<'a, const R: usize>(
+    args: &'a mut [SuperArg],
     seg: usize,
-    f: &dyn Fn(&[usize]) -> f64,
-) -> Result<(), String> {
-    let segs: Vec<i64> = args[0].segs()?.to_vec();
+    who: &str,
+) -> Result<Tile<'a, R>, String> {
+    let segs = args[0].segs()?;
+    let segs: [i64; R] = segs
+        .try_into()
+        .map_err(|_| format!("{who} expects {R} segment coordinates, got {}", segs.len()))?;
     let block = args[0].block_mut()?;
     let shape = *block.shape();
-    let rank = shape.rank();
-    let data = block.data_mut();
-    for (i, idx) in shape.indices().enumerate() {
-        let mut global = [0usize; 8];
-        for d in 0..rank {
-            global[d] = (segs[d] as usize - 1) * seg + idx[d];
-        }
-        data[i] = f(&global[..rank]);
+    if shape.rank() != R {
+        return Err(format!("{who} expects a rank-{R} block"));
     }
+    let (mut dims, mut origin) = ([0usize; R], [0usize; R]);
+    for d in 0..R {
+        dims[d] = shape.dim(d);
+        let first = usize::try_from(segs[d] - 1)
+            .map_err(|_| format!("{who}: segment coordinate {} below 1", segs[d]))?;
+        origin[d] = first * seg;
+    }
+    Ok(Tile {
+        dims,
+        origin,
+        data: block.data_mut(),
+    })
+}
+
+/// `x = elem(&row(i0,i1,i2), x, i3)` over a row-major rank-4 block: plain
+/// nested loops and statically dispatched closures, with whatever depends on
+/// the three outer indices alone computed once per row of the innermost.
+fn map_rank4<T>(
+    t: Tile<'_, 4>,
+    row: impl Fn(usize, usize, usize) -> T,
+    elem: impl Fn(&T, f64, usize) -> f64,
+) {
+    let [d0, d1, d2, d3] = t.dims;
+    assert_eq!(t.data.len(), d0 * d1 * d2 * d3, "block length mismatch");
+    let mut rows = t.data.chunks_exact_mut(d3);
+    for i0 in 0..d0 {
+        for i1 in 0..d1 {
+            for i2 in 0..d2 {
+                let outer = row(i0, i1, i2);
+                let xs = rows.next().expect("d0*d1*d2 rows of d3");
+                for (i3, x) in xs.iter_mut().enumerate() {
+                    *x = elem(&outer, *x, i3);
+                }
+            }
+        }
+    }
+}
+
+/// [`map_rank4`] for a rank-2 block.
+fn fill_rank2(t: Tile<'_, 2>, f: impl Fn(usize, usize) -> f64) {
+    assert_eq!(t.data.len(), t.dims[0] * t.dims[1], "block length mismatch");
+    for (i0, row) in t.data.chunks_exact_mut(t.dims[1]).enumerate() {
+        for (i1, x) in row.iter_mut().enumerate() {
+            *x = f(t.origin[0] + i0, t.origin[1] + i1);
+        }
+    }
+}
+
+/// `compute_integrals` and its screened twin: `two` on a rank-4 block,
+/// [`oei`] on a rank-2 block, zero on any other.
+fn fill_integrals(
+    args: &mut [SuperArg],
+    seg: usize,
+    two: impl Fn(usize, usize, usize, usize) -> f64,
+) -> Result<(), String> {
+    match args[0].block_mut()?.shape().rank() {
+        4 => {
+            let t = tile_of_rank::<4>(args, seg, "compute_integrals")?;
+            let o = t.origin;
+            map_rank4(
+                t,
+                |i0, i1, i2| (o[0] + i0, o[1] + i1, o[2] + i2),
+                |&(mu, nu, la), _, i3| two(mu, nu, la, o[3] + i3),
+            );
+        }
+        2 => fill_rank2(tile_of_rank(args, seg, "compute_integrals")?, oei),
+        _ => args[0].block_mut()?.data_mut().fill(0.0),
+    }
+    Ok(())
+}
+
+/// `compute_eps_*`: orbital energies of a rank-1 block whose first global
+/// orbital is `first` past the block's own origin.
+fn fill_energies(
+    args: &mut [SuperArg],
+    seg: usize,
+    first: usize,
+    n_occ: usize,
+) -> Result<(), String> {
+    let t = tile_of_rank::<1>(args, seg, "compute_eps")?;
+    for (i, x) in t.data.iter_mut().enumerate() {
+        *x = orbital_energy(t.origin[0] + first + i, n_occ);
+    }
+    Ok(())
+}
+
+/// `x = g(x, εi + εj − εa − εb)` over a block indexed `(i,a,j,b)` (the
+/// MP2/CCSD energy denominator, virtuals offset by `n_occ` globals). The
+/// sum is taken left to right, so `(εi + εj) − εa` is computed once per
+/// `(i,a,j)` and only `− εb` is left to the inner loop.
+fn map_denominator(
+    args: &mut [SuperArg],
+    seg: usize,
+    n_occ: usize,
+    who: &str,
+    g: impl Fn(f64, f64) -> f64,
+) -> Result<(), String> {
+    let t = tile_of_rank::<4>(args, seg, who)?;
+    let (o, dims) = (t.origin, t.dims);
+    let energies = |first: usize, n: usize| -> Vec<f64> {
+        (first..first + n)
+            .map(|p| orbital_energy(p, n_occ))
+            .collect()
+    };
+    let (ei, ea) = (energies(o[0], dims[0]), energies(o[1] + n_occ, dims[1]));
+    let (ej, eb) = (energies(o[2], dims[2]), energies(o[3] + n_occ, dims[3]));
+    map_rank4(
+        t,
+        |i, a, j| ei[i] + ej[j] - ea[a],
+        |iaj, x, b| g(x, iaj - eb[b]),
+    );
     Ok(())
 }
 
@@ -88,81 +206,38 @@ fn fill_from_globals(
 ///
 /// * `compute_integrals B(μ,ν,λ,σ)` — synthetic ERIs;
 /// * `compute_oei B(μ,ν)` — synthetic core Hamiltonian;
-/// * `compute_eps B(p)` / `compute_eps_occ` / `compute_eps_virt` — orbital
-///   energies (virtuals offset by `n_occ` globals);
+/// * `compute_eps_occ B(p)` / `compute_eps_virt B(p)` — orbital energies
+///   (virtuals offset by `n_occ` globals);
 /// * `invert_denominator B(i,a,j,b)` — replaces each element with
-///   `1 / (εi + εj − εa − εb)` (the MP2/CCSD energy denominator).
+///   `1 / (εi + εj − εa − εb)` (the MP2/CCSD energy denominator);
+/// * `scale_by_denominator B(i,a,j,b)` — divides each element by it.
 ///
 /// `seg` must equal the SIP's segment size; `n_occ` fixes the occupied count
 /// for energies/denominators.
 pub fn register_integrals(reg: &mut SuperRegistry, seg: usize, n_occ: usize) {
     reg.register("compute_integrals", move |args, _env| {
-        fill_from_globals(args, seg, &|g: &[usize]| match g.len() {
-            4 => eri(g[0], g[1], g[2], g[3]),
-            2 => oei(g[0], g[1]),
-            _ => 0.0,
-        })
+        fill_integrals(args, seg, eri)
     });
     reg.register("compute_screened_integrals", move |args, _env| {
-        fill_from_globals(args, seg, &|g: &[usize]| match g.len() {
-            4 => eri_screened(g[0], g[1], g[2], g[3]),
-            2 => oei(g[0], g[1]),
-            _ => 0.0,
-        })
+        fill_integrals(args, seg, eri_screened)
     });
     reg.register("compute_oei", move |args, _env| {
-        fill_from_globals(args, seg, &|g: &[usize]| oei(g[0], g[1]))
+        fill_rank2(tile_of_rank(args, seg, "compute_oei")?, oei);
+        Ok(())
     });
     reg.register("compute_eps_occ", move |args, _env| {
-        fill_from_globals(args, seg, &|g: &[usize]| orbital_energy(g[0], n_occ))
+        fill_energies(args, seg, 0, n_occ)
     });
     reg.register("compute_eps_virt", move |args, _env| {
-        fill_from_globals(args, seg, &|g: &[usize]| {
-            orbital_energy(g[0] + n_occ, n_occ)
-        })
+        fill_energies(args, seg, n_occ, n_occ)
     });
     reg.register("invert_denominator", move |args, _env| {
-        // Block indexed (i,a,j,b): energies from global coordinates.
-        let segs: Vec<i64> = args[0].segs()?.to_vec();
-        let block = args[0].block_mut()?;
-        let shape = *block.shape();
-        if shape.rank() != 4 {
-            return Err("invert_denominator expects a rank-4 block".into());
-        }
-        let data = block.data_mut();
-        for (n, idx) in shape.indices().enumerate() {
-            let gi = (segs[0] as usize - 1) * seg + idx[0];
-            let ga = (segs[1] as usize - 1) * seg + idx[1] + n_occ;
-            let gj = (segs[2] as usize - 1) * seg + idx[2];
-            let gb = (segs[3] as usize - 1) * seg + idx[3] + n_occ;
-            let denom = orbital_energy(gi, n_occ) + orbital_energy(gj, n_occ)
-                - orbital_energy(ga, n_occ)
-                - orbital_energy(gb, n_occ);
-            data[n] = 1.0 / denom;
-        }
-        Ok(())
+        map_denominator(args, seg, n_occ, "invert_denominator", |_, d| 1.0 / d)
     });
     // Elementwise product against a freshly computed denominator block:
     // B *= 1/(εi+εj−εa−εb). Used by MP2/CCSD amplitude updates.
     reg.register("scale_by_denominator", move |args, _env| {
-        let segs: Vec<i64> = args[0].segs()?.to_vec();
-        let block = args[0].block_mut()?;
-        let shape = *block.shape();
-        if shape.rank() != 4 {
-            return Err("scale_by_denominator expects a rank-4 block".into());
-        }
-        let data = block.data_mut();
-        for (n, idx) in shape.indices().enumerate() {
-            let gi = (segs[0] as usize - 1) * seg + idx[0];
-            let ga = (segs[1] as usize - 1) * seg + idx[1] + n_occ;
-            let gj = (segs[2] as usize - 1) * seg + idx[2];
-            let gb = (segs[3] as usize - 1) * seg + idx[3] + n_occ;
-            let denom = orbital_energy(gi, n_occ) + orbital_energy(gj, n_occ)
-                - orbital_energy(ga, n_occ)
-                - orbital_energy(gb, n_occ);
-            data[n] /= denom;
-        }
-        Ok(())
+        map_denominator(args, seg, n_occ, "scale_by_denominator", |x, d| x / d)
     });
 }
 
@@ -241,6 +316,111 @@ mod tests {
         // Element (0,0,0,0) of block (2,1,1,1) is global (2,0,0,0).
         assert!((b.get(&[0, 0, 0, 0]) - eri(2, 0, 0, 0)).abs() < 1e-15);
         assert!((b.get(&[1, 1, 1, 1]) - eri(3, 1, 1, 1)).abs() < 1e-15);
+    }
+
+    fn invoke(name: &str, seg: usize, n_occ: usize, segs: &[i64], block: Block) -> Block {
+        let mut reg = SuperRegistry::new();
+        register_integrals(&mut reg, seg, n_occ);
+        let mut args = vec![SuperArg::Block {
+            segs: segs.to_vec(),
+            block,
+        }];
+        let env = SuperEnv {
+            worker: 0,
+            workers: 1,
+        };
+        reg.invoke(name, &mut args, &env).unwrap();
+        args[0].block_mut().unwrap().clone()
+    }
+
+    /// The loop kernels produce, bit for bit, what the scalar functions
+    /// return at every element's global coordinates — at the first segment
+    /// and at an offset one, on extents that differ per axis.
+    #[test]
+    fn block_kernels_are_bitwise_the_scalar_functions() {
+        let (seg, n_occ) = (5, 7);
+        for segs in [[1i64, 1, 1, 1], [3, 1, 4, 2]] {
+            let g = |d: usize, i: usize| (segs[d] as usize - 1) * seg + i;
+            let shape4 = Shape::new(&[2, 5, 3, 4]);
+            for (name, f) in [
+                (
+                    "compute_integrals",
+                    eri as fn(usize, usize, usize, usize) -> f64,
+                ),
+                ("compute_screened_integrals", eri_screened),
+            ] {
+                let b = invoke(name, seg, n_occ, &segs, Block::zeros(shape4));
+                for idx in shape4.indices() {
+                    let want = f(g(0, idx[0]), g(1, idx[1]), g(2, idx[2]), g(3, idx[3]));
+                    assert_eq!(b.get(&idx[..4]).to_bits(), want.to_bits(), "{name} {idx:?}");
+                }
+            }
+            let shape2 = Shape::new(&[4, 5]);
+            for name in ["compute_integrals", "compute_oei"] {
+                let b = invoke(name, seg, n_occ, &segs[..2], Block::zeros(shape2));
+                for idx in shape2.indices() {
+                    let want = oei(g(0, idx[0]), g(1, idx[1]));
+                    assert_eq!(b.get(&idx[..2]).to_bits(), want.to_bits(), "{name} {idx:?}");
+                }
+            }
+            // Denominators, in the order the scalar expression sums them.
+            let start = Block::from_fn(shape4, |i| {
+                1.0 + (i[0] + 2 * i[1] + 3 * i[2] + 5 * i[3]) as f64
+            });
+            let inverted = invoke("invert_denominator", seg, n_occ, &segs, start.clone());
+            let scaled = invoke("scale_by_denominator", seg, n_occ, &segs, start.clone());
+            for idx in shape4.indices() {
+                let idx = &idx[..4];
+                let e = |d: usize, virt: usize| orbital_energy(g(d, idx[d]) + virt, n_occ);
+                let denom = e(0, 0) + e(2, 0) - e(1, n_occ) - e(3, n_occ);
+                assert_eq!(inverted.get(idx).to_bits(), (1.0 / denom).to_bits());
+                assert_eq!(
+                    scaled.get(idx).to_bits(),
+                    (start.get(idx) / denom).to_bits()
+                );
+            }
+            let occ = invoke(
+                "compute_eps_occ",
+                seg,
+                n_occ,
+                &segs[..1],
+                Block::zeros(Shape::new(&[5])),
+            );
+            let virt = invoke(
+                "compute_eps_virt",
+                seg,
+                n_occ,
+                &segs[..1],
+                Block::zeros(Shape::new(&[5])),
+            );
+            for i in 0..5 {
+                assert_eq!(
+                    occ.get(&[i]).to_bits(),
+                    orbital_energy(g(0, i), n_occ).to_bits()
+                );
+                assert_eq!(
+                    virt.get(&[i]).to_bits(),
+                    orbital_energy(g(0, i) + n_occ, n_occ).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_reject_blocks_of_the_wrong_rank() {
+        let mut reg = SuperRegistry::new();
+        register_integrals(&mut reg, 2, 2);
+        let env = SuperEnv {
+            worker: 0,
+            workers: 1,
+        };
+        for name in ["invert_denominator", "scale_by_denominator", "compute_oei"] {
+            let mut args = vec![SuperArg::Block {
+                segs: vec![1, 1, 1],
+                block: Block::zeros(Shape::new(&[2, 2, 2])),
+            }];
+            assert!(reg.invoke(name, &mut args, &env).is_err(), "{name}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use sia_blocks::{contract_into_ctx, permute, Block, BlockHandle, ContractionPlan
 use sia_bytecode::{
     Arg, ArrayId, ArrayKind, BlockRef, BoolExpr, IndexId, Instruction as I, ScalarExpr,
 };
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -508,18 +508,16 @@ impl Worker {
                 b,
                 accumulate,
             } => {
-                let plan = match plans.get(&pc) {
-                    Some(p) => p.clone(),
-                    None => {
-                        let p = ContractionPlan::infer(
+                let plan: &ContractionPlan = match plans.entry(pc) {
+                    Entry::Occupied(cached) => cached.into_mut(),
+                    Entry::Vacant(slot) => slot.insert(
+                        ContractionPlan::infer(
                             &labels(&dest.indices),
                             &labels(&a.indices),
                             &labels(&b.indices),
                         )
-                        .map_err(|e| RuntimeError::BadProgram(format!("contraction: {e}")))?;
-                        plans.insert(pc, p.clone());
-                        p
-                    }
+                        .map_err(|e| RuntimeError::BadProgram(format!("contraction: {e}")))?,
+                    ),
                 };
                 let aget = self.read_block_get(a.array, &a.indices, wait)?;
                 let bget = self.read_block_get(b.array, &b.indices, wait)?;
@@ -576,16 +574,16 @@ impl Worker {
                             && !self.temp_defined(dest.array, &dest.indices)?;
                         if need_init {
                             let mut out = self.alloc_for(dest.array, out_shape)?;
-                            contract_into_ctx(&mut ctx, &plan, &ablk, &bblk, 0.0, &mut out);
+                            contract_into_ctx(&mut ctx, plan, &ablk, &bblk, 0.0, &mut out);
                             self.write_block(dest.array, &dest.indices, out)?;
                         } else {
                             self.modify_block(dest.array, &dest.indices, |d| {
-                                contract_into_ctx(&mut ctx, &plan, &ablk, &bblk, 1.0, d);
+                                contract_into_ctx(&mut ctx, plan, &ablk, &bblk, 1.0, d);
                             })?;
                         }
                     } else {
                         let mut out = self.alloc_for(dest.array, out_shape)?;
-                        contract_into_ctx(&mut ctx, &plan, &ablk, &bblk, 0.0, &mut out);
+                        contract_into_ctx(&mut ctx, plan, &ablk, &bblk, 0.0, &mut out);
                         self.write_block(dest.array, &dest.indices, out)?;
                     }
                     Ok(())
