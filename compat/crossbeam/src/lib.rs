@@ -19,6 +19,13 @@ pub mod channel {
         items: VecDeque<T>,
         receiver_alive: bool,
         senders: usize,
+        /// The receiver is blocked on `ready` and nobody has notified it yet.
+        /// Set and cleared under the lock, so a sender that finds it clear
+        /// knows the receiver will look at the queue again before it
+        /// sleeps, and skips the notify — with std's futex condvar that is
+        /// one system call per message saved whenever the receiver is
+        /// running.
+        parked: bool,
     }
 
     /// Error returned by [`Sender::send`] when the receiver is gone; carries
@@ -70,6 +77,7 @@ pub mod channel {
                 items: VecDeque::new(),
                 receiver_alive: true,
                 senders: 1,
+                parked: false,
             }),
             ready: Condvar::new(),
         });
@@ -89,8 +97,13 @@ pub mod channel {
                 return Err(SendError(msg));
             }
             state.items.push_back(msg);
+            // One notify per park: the sender that takes the flag wakes the
+            // receiver, later senders find it already on its way.
+            let wake = std::mem::take(&mut state.parked);
             drop(state);
-            self.chan.ready.notify_one();
+            if wake {
+                self.chan.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -152,20 +165,23 @@ pub mod channel {
                 if state.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
-                state = match deadline {
-                    None => self.chan.ready.wait(state).unwrap(),
+                let timeout = match deadline {
+                    None => None,
                     Some(deadline) => {
                         let now = Instant::now();
                         if now >= deadline {
                             return Err(RecvTimeoutError::Timeout);
                         }
-                        self.chan
-                            .ready
-                            .wait_timeout(state, deadline - now)
-                            .unwrap()
-                            .0
+                        Some(deadline - now)
                     }
                 };
+                state.parked = true;
+                state = match timeout {
+                    None => self.chan.ready.wait(state).unwrap(),
+                    Some(t) => self.chan.ready.wait_timeout(state, t).unwrap().0,
+                };
+                // A timed-out or spurious wake-up leaves the flag up.
+                state.parked = false;
             }
         }
 
@@ -236,6 +252,83 @@ pub mod channel {
             assert_eq!(rx.recv(), Ok(7));
             h.join().unwrap();
             assert_eq!(rx.recv(), Err(RecvError));
+        }
+
+        /// Runs `body` on its own thread and fails — instead of hanging the
+        /// suite — if it has not finished within a minute: a lost wake-up
+        /// shows as a receiver asleep beside a non-empty queue.
+        fn within_a_minute(body: impl FnOnce() + Send + 'static) {
+            let (done_tx, done_rx) = unbounded();
+            let h = thread::spawn(move || {
+                body();
+                done_tx.send(()).unwrap();
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a receiver slept through a send");
+            h.join().unwrap();
+        }
+
+        /// Senders notify only a parked receiver. Ping-pong makes every
+        /// send race the peer's decision to park, through both blocking
+        /// receives.
+        #[test]
+        fn ping_pong_loses_no_wake_up() {
+            const ROUNDS: u64 = 100_000;
+            within_a_minute(|| {
+                let (to_b, from_a) = unbounded::<u64>();
+                let (to_a, from_b) = unbounded::<u64>();
+                let far = || Instant::now() + Duration::from_secs(60);
+                let echo = thread::spawn(move || {
+                    for i in 0..ROUNDS {
+                        let got = if i % 2 == 0 {
+                            from_a.recv().unwrap()
+                        } else {
+                            from_a.recv_deadline(far()).unwrap()
+                        };
+                        to_a.send(got + 1).unwrap();
+                    }
+                });
+                for i in 0..ROUNDS {
+                    to_b.send(i).unwrap();
+                    let back = if i % 2 == 0 {
+                        from_b.recv_deadline(far()).unwrap()
+                    } else {
+                        from_b.recv().unwrap()
+                    };
+                    assert_eq!(back, i + 1);
+                }
+                echo.join().unwrap();
+            });
+        }
+
+        #[test]
+        fn many_senders_one_receiver_loses_no_wake_up() {
+            const SENDERS: u64 = 4;
+            const EACH: u64 = 25_000;
+            within_a_minute(|| {
+                let (tx, rx) = unbounded::<u64>();
+                let senders: Vec<_> = (0..SENDERS)
+                    .map(|s| {
+                        let tx = tx.clone();
+                        thread::spawn(move || {
+                            for i in 0..EACH {
+                                tx.send(s * EACH + i).unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                drop(tx);
+                let mut sum = 0;
+                while let Ok(v) = rx.recv() {
+                    sum += v;
+                }
+                let n = SENDERS * EACH;
+                assert_eq!(sum, n * (n - 1) / 2, "every message exactly once");
+                for s in senders {
+                    s.join().unwrap();
+                }
+            });
         }
 
         #[test]

@@ -30,7 +30,7 @@ pub use stats::TrafficCounters;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fault::{Injector, Verdict};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -227,6 +227,10 @@ pub struct Endpoint<M: Message> {
     /// because an endpoint is owned by exactly one thread (the fabric's
     /// contract); the endpoint stays `Send` without becoming `Sync`.
     staged: RefCell<Vec<Vec<M>>>,
+    /// Messages staged across all destinations, so a flush with nothing to
+    /// ship — most of them, in a rank loop that flushes whenever its inbox
+    /// runs dry — costs one load instead of a walk over every peer.
+    staged_total: Cell<usize>,
     /// Arrivals unpacked from a batched envelope, drained ahead of the
     /// inbox so per-link FIFO order survives coalescing.
     unpacked: RefCell<VecDeque<Envelope<M>>>,
@@ -269,12 +273,16 @@ impl<M: Message> Endpoint<M> {
     /// Stages a message for `to` without sending it; [`flush`](Self::flush)
     /// (or a later [`send`](Self::send) to the same destination) ships the
     /// buffer, coalescing multiple staged messages into one envelope when
-    /// the protocol's [`Message::batch`] accepts them. Used by bounded
-    /// fan-out windows (prefetch bursts, multicast pushes, service-loop
-    /// drains) where many small block messages share a (src, dst) pair.
+    /// the protocol's [`Message::batch`] accepts them. The data plane's
+    /// way out of a rank: everything a rank stages while it drains its
+    /// inbox or issues a look-ahead window leaves as one envelope per
+    /// destination at its next flush — and
+    /// [`recv_deadline`](Self::recv_deadline) flushes before it parks, so
+    /// a staged message never waits on a sleeping sender.
     pub fn stage(&self, to: Rank, msg: M) -> Result<(), SendError> {
         self.check_open(to)?;
         self.staged.borrow_mut()[to.0].push(msg);
+        self.staged_total.set(self.staged_total.get() + 1);
         Ok(())
     }
 
@@ -282,11 +290,18 @@ impl<M: Message> Endpoint<M> {
     /// one message are offered to [`Message::batch`]; a batch travels as
     /// one envelope (one traffic-counter message, one fault verdict) and
     /// the receiver's [`Message::unbatch`] restores the parts in order.
+    /// Every destination is tried; the error returned is the first met.
     pub fn flush(&self) -> Result<(), SendError> {
-        for r in 0..self.peers.len() {
-            self.flush_to(Rank(r))?;
+        if self.staged_total.get() == 0 {
+            return Ok(());
         }
-        Ok(())
+        // One unreachable peer must not keep the others' messages back: the
+        // caller may be about to park on their answers.
+        let mut outcome = Ok(());
+        for r in 0..self.peers.len() {
+            outcome = outcome.and(self.flush_to(Rank(r)));
+        }
+        outcome
     }
 
     /// Ships the staging buffer of one destination.
@@ -298,6 +313,7 @@ impl<M: Message> Endpoint<M> {
             }
             std::mem::take(&mut staged[to.0])
         };
+        self.staged_total.set(self.staged_total.get() - msgs.len());
         if msgs.len() == 1 {
             let mut msgs = msgs;
             self.send_now(to, msgs.pop().unwrap())?;
@@ -408,6 +424,8 @@ impl<M: Message> Endpoint<M> {
     /// was killed, or this rank is dead. With `None` as the deadline only a
     /// message or a flag ends the wait: a rank computes its deadline from
     /// the timers it holds, and one with none due has no reason to look.
+    /// Before it blocks it ships everything [`stage`](Self::stage)d, so a
+    /// forgotten [`flush`](Self::flush) costs latency, never a deadlock.
     pub fn recv_deadline(&self, deadline: Option<Instant>) -> Option<Envelope<M>> {
         if let Some(env) = self.try_recv() {
             return Some(env);
@@ -415,6 +433,11 @@ impl<M: Message> Endpoint<M> {
         if self.is_crashed() || self.shutdown_raised() {
             return None;
         }
+        // Nothing staged may wait on a sleeping sender: whoever this rank
+        // is about to wait for may be waiting for exactly these messages.
+        // A send error here means shutdown or a dead peer, which the caller
+        // reads off the flags.
+        let _ = self.flush();
         self.release_held();
         let woken = match deadline {
             Some(d) => self.inbox.recv_deadline(d).ok(),
@@ -633,6 +656,7 @@ pub fn build_tagged<M: Message>(
             req_seq: AtomicU64::new(0),
             injector: plan.clone().map(|p| Injector::new(p, i)),
             staged: RefCell::new((0..n).map(|_| Vec::new()).collect()),
+            staged_total: Cell::new(0),
             unpacked: RefCell::new(VecDeque::new()),
         })
         .collect();

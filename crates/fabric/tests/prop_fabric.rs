@@ -1,8 +1,9 @@
 //! Property tests for the fabric: no message loss, per-pair ordering, and
-//! byte accounting under randomized multi-rank traffic.
+//! byte accounting under randomized multi-rank traffic — sent one by one,
+//! or staged and coalesced into batch envelopes.
 
 use proptest::prelude::*;
-use sia_fabric::{build, Message, Rank};
+use sia_fabric::{build, build_with_faults, FaultPlan, Message, Rank};
 use std::time::Duration;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -18,8 +19,129 @@ impl Message for Tagged {
     }
 }
 
+/// A protocol with a batch container, shaped like the runtime's
+/// `SipMsg::Batch`: `One(link, n)` is the `n`-th message of its link.
+#[derive(Debug, Clone, PartialEq)]
+enum Pkt {
+    One(usize, u64),
+    Many(Vec<Pkt>),
+}
+
+impl Message for Pkt {
+    fn batch(msgs: Vec<Self>) -> Result<Self, Vec<Self>> {
+        Ok(Pkt::Many(msgs))
+    }
+
+    fn unbatch(self) -> Result<Vec<Self>, Self> {
+        match self {
+            Pkt::Many(parts) => Ok(parts),
+            one => Err(one),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Per-link FIFO holds however `stage`, `send` and `flush` interleave:
+    /// each receiver sees its link's messages in the order they were
+    /// handed to the endpoint, whether they travelled alone or in a batch.
+    #[test]
+    fn staged_and_sent_messages_stay_fifo_per_link(
+        // (destination, 0 = stage / 1 = send / 2 = flush everything)
+        ops in prop::collection::vec((0usize..2, 0u8..3), 1..200),
+    ) {
+        let (mut eps, stats) = build::<Pkt>(3);
+        let sender = eps.remove(0);
+        let mut handed = [0u64; 2];
+        for (link, op) in ops {
+            let to = Rank(link + 1);
+            let msg = Pkt::One(link, handed[link]);
+            match op {
+                0 => sender.stage(to, msg).unwrap(),
+                1 => drop(sender.send(to, msg).unwrap()),
+                _ => {
+                    sender.flush().unwrap();
+                    continue;
+                }
+            }
+            handed[link] += 1;
+        }
+        sender.flush().unwrap();
+        for (link, receiver) in eps.iter().enumerate() {
+            for n in 0..handed[link] {
+                let env = receiver.try_recv().expect("no message lost");
+                prop_assert_eq!(env.msg, Pkt::One(link, n));
+            }
+            prop_assert!(receiver.try_recv().is_none(), "no extra messages");
+        }
+        // Every message left in an envelope or was coalesced into one.
+        let c = stats.counters_of(Rank(0));
+        prop_assert_eq!(c.messages_sent() + c.messages_coalesced(), handed[0] + handed[1]);
+    }
+
+    /// A batch draws one fault verdict: under a lossy plan every flushed
+    /// window arrives whole or not at all, and each lost window counts as
+    /// one drop however many messages it carried.
+    #[test]
+    fn a_batch_draws_one_fault_verdict(
+        seed in 0u64..1000,
+        windows in prop::collection::vec(2u64..12, 1..40),
+    ) {
+        let mut plan = FaultPlan::seeded(seed);
+        plan.drop = 0.3;
+        let (mut eps, stats) = build_with_faults::<Pkt>(2, Some(plan));
+        let receiver = eps.pop().unwrap();
+        let sender = eps.pop().unwrap();
+        let mut lost = 0;
+        for (w, &len) in windows.iter().enumerate() {
+            for n in 0..len {
+                sender.stage(Rank(1), Pkt::One(w, n)).unwrap();
+            }
+            sender.flush().unwrap();
+            let mut got = Vec::new();
+            while let Some(env) = receiver.try_recv() {
+                got.push(env.msg);
+            }
+            if got.is_empty() {
+                lost += 1;
+            } else {
+                let whole: Vec<Pkt> = (0..len).map(|n| Pkt::One(w, n)).collect();
+                prop_assert_eq!(got, whole, "a window arrives whole or not at all");
+            }
+        }
+        prop_assert_eq!(stats.fault_snapshot_of(Rank(0)).dropped, lost);
+        prop_assert_eq!(
+            stats.counters_of(Rank(0)).messages_sent(),
+            windows.len() as u64,
+            "one envelope per window"
+        );
+    }
+
+    /// A blocking receive ships everything staged before it parks: a rank
+    /// that forgot to flush still gets its requests out, so the peer that
+    /// would answer them is never left waiting on a sleeper.
+    #[test]
+    fn blocking_receive_never_parks_on_staged_messages(staged in 1u64..20) {
+        let (mut eps, _stats) = build::<Pkt>(2);
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        let echo = std::thread::spawn(move || {
+            // Answers once every request is in: the first blocks until `a`
+            // parks, since `a` never calls `flush`.
+            for n in 0..staged {
+                let env = b.recv_deadline(None).expect("request shipped");
+                assert_eq!(env.msg, Pkt::One(0, n));
+            }
+            b.send(Rank(0), Pkt::One(1, staged)).unwrap();
+        });
+        for n in 0..staged {
+            a.stage(Rank(1), Pkt::One(0, n)).unwrap();
+        }
+        let reply = a.recv_timeout(Duration::from_secs(10));
+        prop_assert_eq!(reply.map(|env| env.msg), Some(Pkt::One(1, staged)));
+        echo.join().unwrap();
+    }
 
     /// Every message sent is received exactly once, and messages from one
     /// sender arrive in send order, across threads.

@@ -197,17 +197,22 @@ impl FtState {
     /// Arms (or re-arms) a tracked store flight: the full block is retained
     /// until the home acknowledges, so a retry or journal replay resends it
     /// even when the first transmission was a screened norm record (the
-    /// home's op dedup keeps that idempotent).
-    pub(crate) fn arm_flight(&mut self, op: OpId, key: BlockKey, data: BlockHandle, mode: PutMode) {
-        self.pending.insert(
-            op.0,
-            PendingOp {
-                key,
-                data,
-                mode,
-                retry: Retry::new(&self.cfg),
-            },
-        );
+    /// home's op dedup keeps that idempotent). True when the op was not
+    /// already pending.
+    pub(crate) fn arm_flight(
+        &mut self,
+        op: OpId,
+        key: BlockKey,
+        data: BlockHandle,
+        mode: PutMode,
+    ) -> bool {
+        let flight = PendingOp {
+            key,
+            data,
+            mode,
+            retry: Retry::new(&self.cfg),
+        };
+        self.pending.insert(op.0, flight).is_none()
     }
 }
 

@@ -19,7 +19,7 @@ use crate::msg::{BlockKey, OpId, Payload, SipMsg};
 use sia_blocks::{Block, BlockHandle, Shape, MAX_RANK};
 use sia_bytecode::{ArrayKind, PutMode};
 use sia_fabric::Endpoint;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -39,6 +39,10 @@ struct Entry {
     stamp: u64,
 }
 
+/// The cached keys of one kind (clean or dirty), least recently used first:
+/// LRU stamp → key. Stamps are unique (the clock ticks per touch).
+type LruOrder = BTreeMap<u64, BlockKey>;
+
 /// One I/O server: an LRU write-behind cache over a block directory.
 pub struct IoServer {
     layout: Arc<Layout>,
@@ -46,6 +50,12 @@ pub struct IoServer {
     dir: PathBuf,
     capacity: usize,
     cache: HashMap<BlockKey, Entry>,
+    /// Eviction order and flush order: every cached key is in exactly one
+    /// of the two, under its entry's stamp. The server consults them per
+    /// message (is anything dirty?) and per insertion into a full cache
+    /// (which entry goes?), so neither may cost a walk over the cache.
+    clean: LruOrder,
+    dirty: LruOrder,
     /// Norm table for sparse served arrays: blocks whose prepare was dropped
     /// under the sparsity threshold, keyed to the recorded Frobenius-norm
     /// bound. A key with a resident (cache or disk) payload is never here.
@@ -147,6 +157,8 @@ impl IoServer {
             dir,
             capacity: capacity.max(1),
             cache: HashMap::new(),
+            clean: LruOrder::new(),
+            dirty: LruOrder::new(),
             norms: HashMap::new(),
             clock: 0,
             stats: ServerStats::default(),
@@ -176,21 +188,48 @@ impl IoServer {
         self.clock
     }
 
+    fn order_of(&mut self, dirty: bool) -> &mut LruOrder {
+        if dirty {
+            &mut self.dirty
+        } else {
+            &mut self.clean
+        }
+    }
+
+    /// Caches `block` under `key` as the most recently used entry,
+    /// replacing any entry the key had.
+    fn insert(&mut self, key: BlockKey, block: BlockHandle, dirty: bool) {
+        self.remove(&key);
+        let stamp = self.tick();
+        self.order_of(dirty).insert(stamp, key);
+        self.cache.insert(
+            key,
+            Entry {
+                block,
+                dirty,
+                stamp,
+            },
+        );
+    }
+
+    /// Drops `key`'s entry (unflushed if dirty), if it has one.
+    fn remove(&mut self, key: &BlockKey) {
+        if let Some(e) = self.cache.remove(key) {
+            self.order_of(e.dirty).remove(&e.stamp);
+        }
+    }
+
     /// Flushes one dirty block (the oldest) — the lazy write-behind step.
     fn flush_one(&mut self) -> Result<bool, RuntimeError> {
-        let victim = self
-            .cache
-            .iter()
-            .filter(|(_, e)| e.dirty)
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(k, _)| *k);
-        let Some(key) = victim else {
+        let Some((&stamp, &key)) = self.dirty.first_key_value() else {
             return Ok(false);
         };
         let path = self.path_of(&key);
-        let entry = self.cache.get_mut(&key).unwrap();
+        let entry = self.cache.get_mut(&key).expect("ordered key is cached");
         write_block_file(&path, &entry.block)?;
         entry.dirty = false;
+        self.dirty.remove(&stamp);
+        self.clean.insert(stamp, key);
         self.stats.disk_writes += 1;
         if let Some(w) = &self.warm {
             w.insert(path, entry.block.clone());
@@ -203,18 +242,12 @@ impl IoServer {
     /// cache is within capacity.
     fn make_room(&mut self) -> Result<(), RuntimeError> {
         while self.cache.len() >= self.capacity {
-            let clean_victim = self
-                .cache
-                .iter()
-                .filter(|(_, e)| !e.dirty)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k);
-            match clean_victim {
-                Some(k) => {
-                    self.cache.remove(&k);
+            match self.clean.pop_first() {
+                Some((_, key)) => {
+                    self.cache.remove(&key);
                 }
+                // Everything dirty: flush the oldest, then loop.
                 None => {
-                    // Everything dirty: flush the oldest, then loop.
                     if !self.flush_one()? {
                         return Ok(());
                     }
@@ -225,13 +258,13 @@ impl IoServer {
     }
 
     fn load(&mut self, key: BlockKey) -> Result<BlockHandle, RuntimeError> {
-        if let Some(e) = self.cache.get_mut(&key) {
+        if let Some(e) = self.cache.get(&key) {
             self.stats.cache_hits += 1;
-            e.stamp = self.clock + 1;
-            self.clock += 1;
             // The served copy aliases the cache entry: the reply envelope
             // rides on the same allocation.
-            return Ok(e.block.clone());
+            let (block, dirty) = (e.block.clone(), e.dirty);
+            self.insert(key, block.clone(), dirty);
+            return Ok(block);
         }
         let path = self.path_of(&key);
         // Serving mode: another job's server (or a previous job) may have
@@ -259,15 +292,7 @@ impl IoServer {
             },
         };
         self.make_room()?;
-        let stamp = self.tick();
-        self.cache.insert(
-            key,
-            Entry {
-                block: block.clone(),
-                dirty: false,
-                stamp,
-            },
-        );
+        self.insert(key, block.clone(), false);
         Ok(block)
     }
 
@@ -284,7 +309,7 @@ impl IoServer {
         self.stats.prepares += 1;
         match mode {
             PutMode::Replace => {
-                self.cache.remove(&key);
+                self.remove(&key);
                 let path = self.path_of(&key);
                 let _ = fs::remove_file(&path);
                 if let Some(w) = &self.warm {
@@ -318,29 +343,13 @@ impl IoServer {
         match mode {
             PutMode::Replace => {
                 self.make_room()?;
-                let stamp = self.tick();
-                self.cache.insert(
-                    key,
-                    Entry {
-                        block: data,
-                        dirty: true,
-                        stamp,
-                    },
-                );
+                self.insert(key, data, true);
             }
             PutMode::Accumulate => {
                 // Accumulate needs the current value (cache or disk).
                 let mut cur = self.load(key)?;
                 cur.make_mut().accumulate(&data);
-                let stamp = self.tick();
-                self.cache.insert(
-                    key,
-                    Entry {
-                        block: cur,
-                        dirty: true,
-                        stamp,
-                    },
-                );
+                self.insert(key, cur, true);
             }
         }
         Ok(())
@@ -390,6 +399,8 @@ impl IoServer {
 
     fn delete_array(&mut self, array: sia_bytecode::ArrayId) -> Result<(), RuntimeError> {
         self.cache.retain(|k, _| k.array != array);
+        self.clean.retain(|_, k| k.array != array);
+        self.dirty.retain(|_, k| k.array != array);
         self.norms.retain(|k, _| k.array != array);
         let prefix = format!("a{}_", array.0);
         if let Some(w) = &self.warm {
@@ -421,9 +432,10 @@ impl IoServer {
         let mut last_message = Instant::now();
         loop {
             // Write-behind is the server's only timer, and it holds it only
-            // while a block is dirty.
-            let dirty = self.cache.values().any(|e| e.dirty);
-            let deadline = dirty.then_some(last_message + WRITE_BEHIND_IDLE);
+            // while a block is dirty. Replies and acks are staged: the
+            // receive ships them once the inbox is drained, before it
+            // parks, so a burst is answered with one envelope per worker.
+            let deadline = (!self.dirty.is_empty()).then_some(last_message + WRITE_BEHIND_IDLE);
             match self.endpoint.recv_deadline(deadline) {
                 Some(env) => {
                     last_message = Instant::now();
@@ -447,7 +459,9 @@ impl IoServer {
                                     self.trace.span_since(EventKind::Serve { key, disk }, t0);
                                     Payload::Data(data)
                                 };
-                            let _ = self.endpoint.send(src, SipMsg::Block { key, payload, req });
+                            let _ = self
+                                .endpoint
+                                .stage(src, SipMsg::Block { key, payload, req });
                         }
                         SipMsg::Store {
                             key,
@@ -464,7 +478,7 @@ impl IoServer {
                                     }
                                 }
                             }
-                            let _ = self.endpoint.send(src, SipMsg::StoreAck { key, op });
+                            let _ = self.endpoint.stage(src, SipMsg::StoreAck { key, op });
                         }
                         SipMsg::EpochMark { epoch } => {
                             self.mark_epoch(epoch)?;
@@ -761,6 +775,34 @@ mod tests {
         s.prepare_absent(key, 0.5, PutMode::Replace);
         s.delete_array(ArrayId(0)).unwrap();
         assert!(s.norms.is_empty());
+    }
+
+    /// The eviction and flush orders are an index over the cache: whatever
+    /// mix of stores, loads, norm records and flushes ran, every cached key
+    /// sits in the order of its kind under its own stamp, and nowhere else.
+    #[test]
+    fn lru_orders_track_the_cache() {
+        let dir = tmpdir("orders");
+        let mut s = test_server(&dir, 4);
+        for step in 0..600i64 {
+            let key = BlockKey::new(ArrayId(0), &[1 + step * 7 % 4, 1 + step * 5 % 3]);
+            match step % 7 {
+                0 | 1 => s.prepare(key, blk(step as f64), PutMode::Replace).unwrap(),
+                2 => s.prepare(key, blk(1.0), PutMode::Accumulate).unwrap(),
+                3 | 4 => drop(s.load(key).unwrap()),
+                5 => drop(s.flush_one().unwrap()),
+                _ => s.prepare_absent(key, 0.5, PutMode::Replace),
+            }
+            if step % 97 == 96 {
+                s.delete_array(ArrayId(0)).unwrap();
+            }
+            assert!(s.cache.len() <= s.capacity, "step {step}");
+            assert_eq!(s.clean.len() + s.dirty.len(), s.cache.len(), "step {step}");
+            for (k, e) in &s.cache {
+                let order = if e.dirty { &s.dirty } else { &s.clean };
+                assert_eq!(order.get(&e.stamp), Some(k), "step {step}");
+            }
+        }
     }
 
     #[test]

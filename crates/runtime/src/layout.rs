@@ -135,7 +135,10 @@ pub struct SipConfig {
     pub segments: SegmentConfig,
     /// Block-cache capacity (blocks) per worker.
     pub cache_blocks: usize,
-    /// How many upcoming loop iterations the prefetcher requests ahead.
+    /// How many upcoming iterations of an enclosing `do` loop a `get` in it
+    /// requests ahead. `0` switches look-ahead off altogether: the `do`-loop
+    /// one and the look-ahead across the granted pardo chunk, whose window
+    /// is sized from the block cache, not from this.
     pub prefetch_depth: usize,
     /// Per-I/O-server in-memory cache capacity (blocks).
     pub server_cache_blocks: usize,
@@ -312,7 +315,7 @@ impl SipConfigBuilder {
         self
     }
 
-    /// Prefetch look-ahead depth.
+    /// `do`-loop look-ahead depth; `0` switches every look-ahead off.
     pub fn prefetch_depth(mut self, n: usize) -> Self {
         self.config.prefetch_depth = n;
         self

@@ -723,6 +723,48 @@ mod tests {
             }
         }
 
+        /// One store and the fetch that reads it back, staged into a single
+        /// `Batch` envelope: the home applies the parts in order and answers
+        /// with one envelope too — the ack, then the block.
+        fn store_then_fetch_batched(
+            &mut self,
+            key: BlockKey,
+            payload: &Payload,
+            mode: PutMode,
+            op: OpId,
+        ) -> Payload {
+            let store = SipMsg::Store {
+                key,
+                payload: payload.clone(),
+                mode,
+                op,
+            };
+            let fetch = SipMsg::Fetch {
+                key,
+                req: ReqId::NONE,
+            };
+            self.client.stage(self.to, store).unwrap();
+            self.client.stage(self.to, fetch).unwrap();
+            self.client.flush().unwrap();
+            if let Home::Worker(w) = &mut self.home {
+                w.service_messages();
+            }
+            let answer = || {
+                self.client
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("home answered")
+            };
+            let (ack, block) = (answer(), answer());
+            assert_eq!(ack.seq, block.seq, "one envelope answers one envelope");
+            match (ack.msg, block.msg) {
+                (SipMsg::StoreAck { key: k, op: o }, SipMsg::Block { payload, .. }) => {
+                    assert_eq!((k, o), (key, op));
+                    payload
+                }
+                other => panic!("expected StoreAck then Block, got {other:?}"),
+            }
+        }
+
         /// Makes everything stored so far durable where the home has a disk
         /// tier (an I/O server flushes on `EpochMark`); a worker home has
         /// none.
@@ -760,6 +802,9 @@ mod tests {
         /// Untracked (`OpId::NONE`) stores bypass the dedup window: sent
         /// twice, applied twice.
         UntrackedTwice,
+        /// Delivered inside a `Batch` with the fetch that reads it back:
+        /// applied once, in order, and answered by one `Batch`.
+        Batched,
     }
 
     struct Row {
@@ -861,9 +906,9 @@ mod tests {
     }
 
     /// home ∈ {worker, I/O server} × payload ∈ {data, absent} × mode ∈
-    /// {replace, accumulate} × delivery: the resulting store state as a
-    /// `Fetch` reports it (payload type included), and exactly one
-    /// `StoreAck` per delivery.
+    /// {replace, accumulate} × delivery (alone, duplicated, untracked, inside
+    /// a `Batch`): the resulting store state as a `Fetch` reports it (payload
+    /// type included), and exactly one `StoreAck` per delivery.
     #[test]
     fn protocol_table() {
         for worker_home in [true, false] {
@@ -874,6 +919,7 @@ mod tests {
                     Delivery::Once,
                     Delivery::Duplicated,
                     Delivery::UntrackedTwice,
+                    Delivery::Batched,
                 ] {
                     let ctx = format!(
                         "{} home, {}, {delivery:?}",
@@ -909,6 +955,12 @@ mod tests {
                             rig.store(key, &payload, mode, OpId::NONE);
                             rig.store(key, &payload, mode, OpId::NONE);
                             row.want_twice
+                        }
+                        Delivery::Batched => {
+                            let read =
+                                rig.store_then_fetch_batched(key, &payload, mode, OpId(next_op));
+                            assert_payload_eq(&read, row.want, &ctx);
+                            row.want
                         }
                     };
                     assert_payload_eq(&rig.fetch(key), want, &ctx);

@@ -19,7 +19,7 @@ use crate::profile::WorkerProfile;
 use crate::registry::SuperRegistry;
 use sia_blocks::{Block, BlockHandle};
 use sia_blocks::{BlockPool, ContractCtx, PoolConfig};
-use sia_bytecode::{ArrayId, ArrayKind, IndexId, PutMode};
+use sia_bytecode::{ArrayId, ArrayKind, BlockRef, IndexId, PutMode};
 use sia_fabric::{Endpoint, Rank, ReqId};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
@@ -28,6 +28,18 @@ use std::time::{Duration, Instant};
 
 /// Per-worker budget of the pool recycling temp-block storage.
 const POOL_BYTES: usize = 256 << 20;
+
+/// The window: the share of the block cache's byte capacity that blocks a
+/// worker asked for ahead of their use (the chunk look-ahead) may occupy.
+/// Half, because the cache is LRU and a block waiting to be used is older
+/// than the block just used: with a window of the whole cache every arrival
+/// would evict the block needed next — the paper's BlueGene/P run, where
+/// over-eager prefetching caused "eviction and refetching of blocks that
+/// would be reused". At half, whatever an arrival evicts was last used at
+/// least a window ago. The same bound caps the bytes of stores a worker has
+/// sent and not seen acknowledged, so a worker that never has to wait cannot
+/// queue a whole chunk of blocks in a home's inbox.
+const WINDOW_CACHE_SHARE: u64 = 2;
 
 /// How a block access treats a non-resident block: issue the fetch and
 /// return immediately (`get`/`request`/prefetch), or block until the data
@@ -66,6 +78,14 @@ pub(crate) struct PardoState {
     pub requested: bool,
     /// Master said the space is exhausted.
     pub exhausted: bool,
+    /// The body's unconditional top-level `get`/`request` refs: what the
+    /// chunk look-ahead fetches for the iterations in `queue`.
+    pub gets: Arc<[BlockRef]>,
+    /// How many iterations ahead the look-ahead may run: the window's bytes
+    /// over the bytes `gets` pulls per iteration (0 = no look-ahead).
+    pub window: usize,
+    /// Iterations at the front of `queue` already looked ahead for.
+    pub ahead: usize,
 }
 
 /// One SIP worker.
@@ -99,11 +119,19 @@ pub struct Worker {
     pub(crate) pardo: Option<PardoState>,
     /// Encounter counters per pardo pc.
     pub(crate) pardo_epochs: HashMap<u32, u64>,
+    /// Look-ahead refs per pardo pc (see [`PardoState::gets`]), found at
+    /// the first encounter.
+    pub(crate) pardo_gets: HashMap<u32, Arc<[BlockRef]>>,
+    /// [`WINDOW_CACHE_SHARE`] of the cache capacity, in bytes.
+    pub(crate) window_bytes: u64,
 
     // ---- communication state ----
     /// Unacknowledged untracked stores: `[puts, prepares]` (fault-free runs;
     /// under fault tolerance `FtState::pending` tracks them instead).
     pub(crate) outstanding: [u64; 2],
+    /// Declared bytes of the blocks of unacknowledged stores, tracked or
+    /// not; [`Worker::send_store`] holds it under `window_bytes`.
+    pub(crate) unacked_bytes: u64,
     pub(crate) barrier_release: Option<BarrierKind>,
     pub(crate) reduce_result: Option<f64>,
     pub(crate) ckpt_released: HashSet<u32>,
@@ -142,9 +170,6 @@ pub struct Worker {
     /// installs one before the program starts). Drives the pardo-entry
     /// multicast push under planned placement.
     pub(crate) plan: Arc<CommPlan>,
-    /// Multicast forwards staged on the endpoint but not yet flushed (set
-    /// while draining a batch so consecutive forwards coalesce).
-    pub(crate) staged_forwards: bool,
 
     // ---- observability ----
     /// Event recorder (disabled — and allocation-free — unless the runtime
@@ -196,7 +221,10 @@ impl Worker {
             call_stack: Vec::new(),
             pardo: None,
             pardo_epochs: HashMap::new(),
+            pardo_gets: HashMap::new(),
+            window_bytes: cache_bytes / WINDOW_CACHE_SHARE,
             outstanding: [0; 2],
+            unacked_bytes: 0,
             barrier_release: None,
             reduce_result: None,
             ckpt_released: HashSet::new(),
@@ -212,7 +240,6 @@ impl Worker {
             warnings: Vec::new(),
             started: Instant::now(),
             plan: Arc::new(CommPlan::default()),
-            staged_forwards: false,
             trace: TraceSink::disabled(),
             flights: HashMap::new(),
             put_flights: HashMap::new(),
@@ -241,22 +268,16 @@ impl Worker {
 
     // ---- message pump ---------------------------------------------------------
 
-    /// Drains the inbox, handling every pending message.
+    /// Drains the inbox, handling every pending message, then ships what
+    /// the handlers and the instruction before them staged: the rank is
+    /// about to compute, and every reply, ack, forward, fetch and store
+    /// bound for one peer leaves as one envelope. A flush error means
+    /// shutdown or a dead peer; the wait loops read those off the flags.
     pub(crate) fn service_messages(&mut self) {
         while let Some(env) = self.endpoint.try_recv() {
             self.handle(env.src, env.msg);
         }
-        self.flush_forwards();
-    }
-
-    /// Ships any multicast forwards staged while draining the inbox (so
-    /// forwards of several blocks to the same child coalesce into one
-    /// envelope). A no-op unless something was staged.
-    pub(crate) fn flush_forwards(&mut self) {
-        if self.staged_forwards {
-            self.staged_forwards = false;
-            let _ = self.endpoint.flush();
-        }
+        let _ = self.endpoint.flush();
     }
 
     /// Keeps serving peers (gets/puts against blocks homed here) after this
@@ -280,12 +301,13 @@ impl Worker {
 
     /// Blocks until the next message (handling it) or this worker's next
     /// due timer. Fault-free runs hold no timer: only a message, a raised
-    /// shutdown or a crash ends the wait.
+    /// shutdown or a crash ends the wait. What the handler stages goes out
+    /// when the inbox next runs dry — at the caller's `service_messages`,
+    /// or inside the next `recv_deadline` before it parks.
     fn block_on_inbox(&mut self) {
         let deadline = self.ft.as_ref().map(|ft| ft.next_deadline());
         if let Some(env) = self.endpoint.recv_deadline(deadline) {
             self.handle(env.src, env.msg);
-            self.flush_forwards();
         }
     }
 
@@ -312,7 +334,9 @@ impl Worker {
                 }
                 self.serve_epoch.insert(key, self.dist_epoch);
                 let payload = self.read_home(&key);
-                let _ = self.endpoint.send(src, SipMsg::Block { key, payload, req });
+                let _ = self
+                    .endpoint
+                    .stage(src, SipMsg::Block { key, payload, req });
             }
             SipMsg::Store {
                 key,
@@ -321,7 +345,7 @@ impl Worker {
                 op,
             } => {
                 self.apply_store_deduped(key, payload, mode, op);
-                let _ = self.endpoint.send(src, SipMsg::StoreAck { key, op });
+                let _ = self.endpoint.stage(src, SipMsg::StoreAck { key, op });
             }
             SipMsg::StoreAck { key, op } => {
                 let served = self.layout.array_kind(key.array) == ArrayKind::Served;
@@ -332,14 +356,18 @@ impl Worker {
                     comm.puts_acked += 1;
                 }
                 self.finish_put_flight(op, key, if served { CommOp::Prepare } else { CommOp::Put });
-                match self.ft.as_mut() {
-                    Some(ft) if op.is_tracked() => {
-                        ft.pending.remove(&op.0);
-                    }
+                // A duplicated or late ack of a tracked store finds nothing.
+                let first = match self.ft.as_mut() {
+                    Some(ft) if op.is_tracked() => ft.pending.remove(&op.0).is_some(),
                     _ => {
                         let n = &mut self.outstanding[served as usize];
                         *n = n.saturating_sub(1);
+                        true
                     }
+                };
+                if first {
+                    let bytes = self.layout.block_bytes(key.array);
+                    self.unacked_bytes = self.unacked_bytes.saturating_sub(bytes);
                 }
             }
             SipMsg::Block { key, payload, .. } => self.on_block(key, payload, None),
@@ -508,7 +536,6 @@ impl Worker {
                 }
             }
         }
-        self.flush_forwards();
     }
 
     /// A block — or a sparse array's absence record — arrived: the reply to
@@ -575,8 +602,8 @@ impl Worker {
 
     /// Stages the block (or norm record) to the tree children of `pos`
     /// (positions `2p+1` and `2p+2`, ranks rotated so the home slot is the
-    /// root). Staged — not sent — so several forwards to one child batch
-    /// into a single envelope at the next [`Worker::flush_forwards`].
+    /// root). Staged like all block traffic, so several forwards to one
+    /// child leave as a single envelope.
     fn multicast_forward(
         &mut self,
         key: BlockKey,
@@ -607,7 +634,6 @@ impl Worker {
                     flight,
                 },
             );
-            self.staged_forwards = true;
         }
     }
 
@@ -918,9 +944,9 @@ impl Worker {
         if self.ft.is_some() {
             // The fetch is registered for retry; a send failure means the
             // home just died and the retry will re-route after RankDead.
-            let _ = self.endpoint.send(home, msg);
+            let _ = self.endpoint.stage(home, msg);
         } else {
-            self.endpoint.send(home, msg)?;
+            self.endpoint.stage(home, msg)?;
         }
         Ok(())
     }
@@ -1169,6 +1195,12 @@ impl Worker {
     /// fault tolerance, or counting an outstanding ack on the fault-free
     /// fast path. The journal entry, the retained pending payload, and the
     /// wire message all share one allocation.
+    ///
+    /// A store that would take the unacknowledged bytes past the window
+    /// first waits (into `wait`) for acks to bring them down to half of it:
+    /// a worker that never has to wait for anything else — its gets looked
+    /// ahead, or none at all — would otherwise run its whole chunk of
+    /// blocks into the home's inbox.
     pub(crate) fn send_store(
         &mut self,
         home: Rank,
@@ -1176,8 +1208,15 @@ impl Worker {
         data: BlockHandle,
         mode: PutMode,
         op: OpId,
+        wait: &mut Duration,
     ) -> Result<(), RuntimeError> {
         let served = self.layout.array_kind(key.array) == ArrayKind::Served;
+        let bytes = self.layout.block_bytes(key.array);
+        if self.unacked_bytes > 0 && self.unacked_bytes + bytes > self.window_bytes {
+            *wait += self.wait_until(WaitCause::AckDrain, "store window", |w| {
+                w.unacked_bytes <= w.window_bytes / 2
+            })?;
+        }
         // Tracked ops get a traced flight span; untracked (`OpId::NONE`)
         // stores have no correlatable id, so they are counted but not
         // spanned.
@@ -1212,13 +1251,16 @@ impl Worker {
                 });
             }
             self.mem.note_share(&data);
-            ft.arm_flight(op, key, data.clone(), mode);
+            if ft.arm_flight(op, key, data.clone(), mode) {
+                self.unacked_bytes += bytes;
+            }
             // Tracked for retry: a failed send to a dying home re-routes
             // once the master broadcasts RankDead.
-            let _ = self.endpoint.send(home, wire(data));
+            let _ = self.endpoint.stage(home, wire(data));
         } else {
             self.outstanding[served as usize] += 1;
-            self.endpoint.send(home, wire(data))?;
+            self.unacked_bytes += bytes;
+            self.endpoint.stage(home, wire(data))?;
         }
         if served {
             // The freshest copy is at the server now.
@@ -1372,7 +1414,7 @@ impl Worker {
         for (to, msg) in resend {
             // A send error means the peer is gone; the liveness monitor will
             // declare it dead and re-route, so keep retrying until then.
-            let _ = self.endpoint.send(to, msg);
+            let _ = self.endpoint.stage(to, msg);
         }
         Ok(())
     }
@@ -1526,7 +1568,9 @@ impl Worker {
             .collect();
         for (op, key, data, mode, new_home) in to_replay {
             replays += 1;
-            ft.arm_flight(OpId(op), key, data, mode);
+            if ft.arm_flight(OpId(op), key, data, mode) {
+                self.unacked_bytes += layout.block_bytes(key.array);
+            }
             sends.push((new_home, ft.pending[&op].store_msg(OpId(op))));
         }
         // Re-route unanswered fetches that were addressed to the corpse.
@@ -1549,7 +1593,7 @@ impl Worker {
         self.profile.metrics.fault.journal_replays += replays;
         self.profile.metrics.fault.reroutes += reroutes;
         for (to, msg) in sends {
-            let _ = self.endpoint.send(to, msg);
+            let _ = self.endpoint.stage(to, msg);
         }
     }
 }
