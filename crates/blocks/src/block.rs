@@ -64,6 +64,15 @@ impl Block {
         Some(Block { shape, data })
     }
 
+    /// Appends the block's elements to `out` as little-endian `f64`s — the
+    /// encoding [`Block::from_le_bytes`] reads back.
+    pub fn append_le_bytes(&self, out: &mut Vec<u8>) {
+        out.reserve(self.data.len() * 8);
+        for v in &self.data {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
     /// Builds a block by evaluating `f` at every multi-index.
     pub fn from_fn(shape: Shape, mut f: impl FnMut(&[usize]) -> f64) -> Self {
         let mut data = Vec::with_capacity(shape.len());
@@ -240,6 +249,22 @@ mod tests {
         assert_eq!(b.get(&[1, 2]), 5.0);
         b.set(&[1, 2], -1.0);
         assert_eq!(b.get(&[1, 2]), -1.0);
+    }
+
+    #[test]
+    fn le_bytes_roundtrip() {
+        let b = Block::from_fn(Shape::new(&[2, 3]), |i| (i[0] * 3 + i[1]) as f64 - 0.125);
+        let mut raw = vec![0xAA];
+        b.append_le_bytes(&mut raw);
+        assert_eq!(raw.len(), 1 + 6 * 8, "appended after what was there");
+        assert_eq!(raw[1..9], (-0.125f64).to_le_bytes());
+        assert_eq!(Block::from_le_bytes(*b.shape(), &raw[1..]), Some(b.clone()));
+        assert_eq!(
+            Block::from_le_bytes(*b.shape(), &raw),
+            None,
+            "one byte over"
+        );
+        assert_eq!(Block::from_le_bytes(*b.shape(), &raw[9..]), None, "short");
     }
 
     #[test]

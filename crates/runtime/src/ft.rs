@@ -279,6 +279,7 @@ pub(crate) fn write_epoch_checkpoint(
     let tmp = path.with_extension("tmp");
     {
         let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        let mut payload = Vec::new();
         f.write_all(EPOCH_MAGIC)?;
         f.write_all(&epoch.to_le_bytes())?;
         f.write_all(&(blocks.len() as u64).to_le_bytes())?;
@@ -293,9 +294,9 @@ pub(crate) fn write_epoch_checkpoint(
             for &d in dims {
                 f.write_all(&(d as u64).to_le_bytes())?;
             }
-            for &v in block.data() {
-                f.write_all(&v.to_le_bytes())?;
-            }
+            payload.clear();
+            block.append_le_bytes(&mut payload);
+            f.write_all(&payload)?;
         }
         f.write_all(&(applied.len() as u64).to_le_bytes())?;
         for (&op, &ep) in applied {

@@ -5,25 +5,24 @@
 //! lazily written to disk … Replacement is done using a LRU strategy. All
 //! operations of an I/O server are non-blocking." (§V-B)
 //!
-//! Our server keeps an LRU write-behind cache over a directory of block
-//! files. While it holds dirty blocks it waits for the next message only
-//! until `WRITE_BEHIND_IDLE` after the last one, then flushes one dirty
-//! block per look at the inbox, so a long prepare burst never blocks request
-//! service — the in-process analogue of the original's asynchronous I/O. A
-//! clean server has no timer and blocks until a message arrives.
+//! Our server keeps an LRU write-behind cache over one store file per
+//! served array ([`crate::store`]: a block lives at a computed slot). While
+//! it holds dirty blocks it waits for the next message only until
+//! `WRITE_BEHIND_IDLE` after the last one, then flushes one dirty block per
+//! look at the inbox, so a long prepare burst never blocks request service —
+//! the in-process analogue of the original's asynchronous I/O. A clean
+//! server has no timer and blocks until a message arrives.
 
 use crate::error::RuntimeError;
 use crate::events::{EventKind, TraceSink};
 use crate::layout::Layout;
 use crate::msg::{BlockKey, OpId, Payload, SipMsg};
-use sia_blocks::{Block, BlockHandle, Shape, MAX_RANK};
-use sia_bytecode::{ArrayKind, PutMode};
+use crate::store::Store;
+use sia_blocks::BlockHandle;
+use sia_bytecode::{ArrayId, ArrayKind, PutMode};
 use sia_fabric::Endpoint;
 use std::collections::{BTreeMap, HashMap};
-use std::fs;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,11 +42,32 @@ struct Entry {
 /// LRU stamp → key. Stamps are unique (the clock ticks per touch).
 type LruOrder = BTreeMap<u64, BlockKey>;
 
-/// One I/O server: an LRU write-behind cache over a block directory.
+/// The store of every served array the program declares.
+type Stores = HashMap<ArrayId, Store>;
+
+/// Where `key` lives: its array's store and its slot in it. Served arrays
+/// are the only ones homed at an I/O server; a fetch or store of anything
+/// else — another kind of array, a segment outside the declared ranges — was
+/// addressed to the wrong role.
+fn locate<'a>(
+    stores: &'a mut Stores,
+    layout: &Layout,
+    key: &BlockKey,
+) -> Result<(&'a mut Store, u64), RuntimeError> {
+    match (stores.get_mut(&key.array), layout.block_ordinal(key)) {
+        (Some(store), Some(slot)) => Ok((store, slot)),
+        _ => Err(RuntimeError::Internal(format!(
+            "protocol error: an I/O server was sent {key:?}, no block of a served array"
+        ))),
+    }
+}
+
+/// One I/O server: an LRU write-behind cache over the served arrays' store
+/// files.
 pub struct IoServer {
     layout: Arc<Layout>,
     endpoint: Endpoint<SipMsg>,
-    dir: PathBuf,
+    stores: Stores,
     capacity: usize,
     cache: HashMap<BlockKey, Entry>,
     /// Eviction order and flush order: every cached key is in exactly one
@@ -70,91 +90,31 @@ pub struct IoServer {
     /// Event recorder (disabled unless the runtime installs a live sink).
     trace: TraceSink,
     /// Cross-job warm block cache (serving mode): consulted before disk on
-    /// a local-cache miss, fed on every flush. Keyed by block-file path, so
-    /// only jobs sharing this server's directory share entries.
+    /// a local-cache miss, fed on every flush. Keyed by store file and
+    /// slot, so only jobs sharing this server's directory share entries.
     warm: Option<Arc<crate::serve::WarmCache>>,
 }
 
-fn key_filename(key: &BlockKey) -> String {
-    let segs: Vec<String> = key.segs().iter().map(|s| s.to_string()).collect();
-    format!("a{}_{}.blk", key.array.0, segs.join("_"))
-}
-
-/// A staging name for an atomic tmp+rename write of `path` that no other
-/// writer shares: several servers — other jobs of one daemon, other
-/// processes — may write the same file of a shared served directory at
-/// once, and each must rename only bytes it wrote itself.
-fn staging_path(path: &Path) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    path.with_extension(format!("{}-{n}.tmp", std::process::id()))
-}
-
-fn write_block_file(path: &Path, block: &Block) -> Result<(), RuntimeError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(16 + block.len() * 8);
-    let dims = block.shape().dims();
-    buf.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-    for &d in dims {
-        buf.extend_from_slice(&d.to_le_bytes());
-    }
-    for v in block.data() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    let tmp = staging_path(path);
-    fs::File::create(&tmp)
-        .and_then(|mut f| f.write_all(&buf))
-        .and_then(|_| fs::rename(&tmp, path))
-        .map_err(|e| RuntimeError::ServedIo(format!("write {}: {e}", path.display())))
-}
-
-/// Decodes the bytes of a block file: `u32` rank, `u32` extents, `f64`
-/// elements, all little-endian. `None` when the file is truncated, names a
-/// rank or extent no shape can have, or its length does not match its
-/// header — the file comes from disk, so nothing in it is trusted.
-fn parse_block_file(raw: &[u8]) -> Option<Block> {
-    let (rank, rest) = raw.split_first_chunk::<4>()?;
-    let rank = u32::from_le_bytes(*rank) as usize;
-    if rank > MAX_RANK {
-        return None;
-    }
-    let (dims, data) = rest.split_at_checked(rank * 4)?;
-    let dims: Vec<usize> = dims
-        .chunks_exact(4)
-        .map(|d| u32::from_le_bytes(d.try_into().expect("chunks_exact(4)")) as usize)
-        .collect();
-    Block::from_le_bytes(Shape::try_new(&dims)?, data)
-}
-
-fn read_block_file(path: &Path) -> Result<Option<Block>, RuntimeError> {
-    let raw = match fs::read(path) {
-        Ok(raw) => raw,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => {
-            return Err(RuntimeError::ServedIo(format!(
-                "read {}: {e}",
-                path.display()
-            )));
-        }
-    };
-    parse_block_file(&raw)
-        .map(Some)
-        .ok_or_else(|| RuntimeError::ServedIo(format!("corrupt block file {}", path.display())))
-}
-
 impl IoServer {
-    /// Creates a server storing block files under `dir` (created if absent).
+    /// Creates a server keeping the served arrays' store files under `dir`
+    /// (created if absent).
     pub fn new(
         layout: Arc<Layout>,
         endpoint: Endpoint<SipMsg>,
         dir: PathBuf,
         capacity: usize,
     ) -> Result<Self, RuntimeError> {
-        fs::create_dir_all(&dir)
+        std::fs::create_dir_all(&dir)
             .map_err(|e| RuntimeError::ServedIo(format!("create {}: {e}", dir.display())))?;
+        let stores = (0..layout.program.arrays.len() as u32)
+            .map(ArrayId)
+            .filter(|&array| layout.array_kind(array) == ArrayKind::Served)
+            .map(|array| (array, Store::new(&dir, &layout, array)))
+            .collect();
         Ok(IoServer {
             layout,
             endpoint,
-            dir,
+            stores,
             capacity: capacity.max(1),
             cache: HashMap::new(),
             clean: LruOrder::new(),
@@ -177,10 +137,6 @@ impl IoServer {
     /// Installs the cross-job warm block cache (serving mode).
     pub(crate) fn set_warm(&mut self, warm: Arc<crate::serve::WarmCache>) {
         self.warm = Some(warm);
-    }
-
-    fn path_of(&self, key: &BlockKey) -> PathBuf {
-        self.dir.join(key_filename(key))
     }
 
     fn tick(&mut self) -> u64 {
@@ -224,15 +180,15 @@ impl IoServer {
         let Some((&stamp, &key)) = self.dirty.first_key_value() else {
             return Ok(false);
         };
-        let path = self.path_of(&key);
+        let (store, slot) = locate(&mut self.stores, &self.layout, &key)?;
         let entry = self.cache.get_mut(&key).expect("ordered key is cached");
-        write_block_file(&path, &entry.block)?;
+        store.write(slot, &entry.block)?;
         entry.dirty = false;
         self.dirty.remove(&stamp);
         self.clean.insert(stamp, key);
         self.stats.disk_writes += 1;
         if let Some(w) = &self.warm {
-            w.insert(path, entry.block.clone());
+            w.insert(&store.path, slot, entry.block.clone());
         }
         self.trace.instant(EventKind::Flush { blocks: 1 });
         Ok(true)
@@ -257,73 +213,107 @@ impl IoServer {
         Ok(())
     }
 
-    fn load(&mut self, key: BlockKey) -> Result<BlockHandle, RuntimeError> {
+    /// The block `key` holds — from the cache, the warm cache or the store,
+    /// in that order — or `None` when it has no payload anywhere: the
+    /// typed-absent state of a sparse served block.
+    fn resident(&mut self, key: BlockKey) -> Result<Option<BlockHandle>, RuntimeError> {
         if let Some(e) = self.cache.get(&key) {
             self.stats.cache_hits += 1;
             // The served copy aliases the cache entry: the reply envelope
             // rides on the same allocation.
             let (block, dirty) = (e.block.clone(), e.dirty);
             self.insert(key, block.clone(), dirty);
-            return Ok(block);
+            return Ok(Some(block));
         }
-        let path = self.path_of(&key);
+        let (store, slot) = locate(&mut self.stores, &self.layout, &key)?;
         // Serving mode: another job's server (or a previous job) may have
         // this block warm in memory — cheaper than the disk round trip.
-        let warm_hit = self.warm.as_ref().and_then(|w| w.get(&path));
+        let warm_hit = self.warm.as_ref().and_then(|w| w.get(&store.path, slot));
         let block: BlockHandle = match warm_hit {
             Some(b) => {
                 self.stats.warm_hits += 1;
                 b
             }
-            None => match read_block_file(&path)? {
-                Some(b) => {
-                    self.stats.disk_reads += 1;
-                    let b: BlockHandle = b.into();
-                    if let Some(w) = &self.warm {
-                        w.insert(path.clone(), b.clone());
-                    }
-                    b
+            None => {
+                let Some(b) = store.load(slot)? else {
+                    return Ok(None);
+                };
+                self.stats.disk_reads += 1;
+                let b: BlockHandle = b.into();
+                if let Some(w) = &self.warm {
+                    w.insert(&store.path, slot, b.clone());
                 }
-                None => {
-                    // Never prepared: zeros, consistent with lazy allocation.
-                    self.stats.zero_serves += 1;
-                    BlockHandle::zeros(self.layout.declared_block_shape(key.array))
-                }
-            },
+                b
+            }
         };
         self.make_room()?;
         self.insert(key, block.clone(), false);
-        Ok(block)
+        Ok(Some(block))
     }
 
-    /// True when `key` has no payload anywhere (neither cache nor disk) —
-    /// the typed-absent state of a sparse served block.
-    fn is_absent(&self, key: &BlockKey) -> bool {
-        !self.cache.contains_key(key) && !self.path_of(key).exists()
+    fn load(&mut self, key: BlockKey) -> Result<BlockHandle, RuntimeError> {
+        if let Some(block) = self.resident(key)? {
+            return Ok(block);
+        }
+        // Never prepared: zeros, consistent with lazy allocation.
+        self.stats.zero_serves += 1;
+        let zeros = BlockHandle::zeros(self.layout.declared_block_shape(key.array));
+        self.make_room()?;
+        self.insert(key, zeros.clone(), false);
+        Ok(zeros)
+    }
+
+    /// What a fetch of `key` is answered with.
+    fn fetch(&mut self, key: BlockKey) -> Result<Payload, RuntimeError> {
+        let t0 = Instant::now();
+        let reads0 = self.stats.disk_reads;
+        let data = if self.layout.array_sparse(key.array) {
+            // An absent block ships its norm bound instead of being
+            // materialized and cached as zeros.
+            let Some(data) = self.resident(key)? else {
+                let norm = self.norms.get(&key).copied().unwrap_or(0.0);
+                return Ok(Payload::Absent { norm });
+            };
+            data
+        } else {
+            self.load(key)?
+        };
+        let disk = self.stats.disk_reads > reads0;
+        self.trace.span_since(EventKind::Serve { key, disk }, t0);
+        Ok(Payload::Data(data))
     }
 
     /// Applies a dropped (norm-only) prepare: a Replace removes any resident
     /// payload and records the bound; an Accumulate onto a resident block is
-    /// a no-op, onto an absent one it accumulates the bound.
-    fn prepare_absent(&mut self, key: BlockKey, norm: f64, mode: PutMode) {
+    /// a no-op, onto an absent one it accumulates the bound. Whether a
+    /// payload is resident is asked of the cache, then of the slot's head
+    /// stamp: no block is read for it.
+    fn prepare_absent(
+        &mut self,
+        key: BlockKey,
+        norm: f64,
+        mode: PutMode,
+    ) -> Result<(), RuntimeError> {
         self.stats.prepares += 1;
         match mode {
             PutMode::Replace => {
                 self.remove(&key);
-                let path = self.path_of(&key);
-                let _ = fs::remove_file(&path);
+                let (store, slot) = locate(&mut self.stores, &self.layout, &key)?;
+                store.clear(slot)?;
                 if let Some(w) = &self.warm {
-                    w.invalidate(&path);
+                    w.invalidate(&store.path, slot);
                 }
                 self.norms.insert(key, norm);
             }
             PutMode::Accumulate => {
-                if self.is_absent(&key) {
+                let (store, slot) = locate(&mut self.stores, &self.layout, &key)?;
+                if !self.cache.contains_key(&key) && !store.present(slot)? {
                     let prior = self.norms.get(&key).copied().unwrap_or(0.0);
                     self.norms.insert(key, prior + norm);
                 }
             }
         }
+        Ok(())
     }
 
     fn prepare(
@@ -338,7 +328,8 @@ impl IoServer {
         // Any warm copy of this block is now stale (the fresh payload is
         // dirty in the local cache until the next flush republishes it).
         if let Some(w) = &self.warm {
-            w.invalidate(&self.path_of(&key));
+            let (store, slot) = locate(&mut self.stores, &self.layout, &key)?;
+            w.invalidate(&store.path, slot);
         }
         match mode {
             PutMode::Replace => {
@@ -368,52 +359,29 @@ impl IoServer {
         true
     }
 
-    /// Served arrays are the only ones homed here; a fetch or store of any
-    /// other kind was addressed to the wrong role.
-    fn check_served(&self, what: &str, key: &BlockKey) -> Result<(), RuntimeError> {
-        if self.layout.array_kind(key.array) == ArrayKind::Served {
-            return Ok(());
-        }
-        Err(RuntimeError::Internal(format!(
-            "protocol error: I/O server {} received a {what} of non-served block {key:?}",
-            self.endpoint.rank()
-        )))
-    }
-
-    /// Commits a served epoch: flushes everything dirty, records the epoch
-    /// in this server's manifest, and prunes the duplicate-suppression
-    /// window (nothing can retry across two committed epochs).
+    /// Commits a served epoch: flushes everything dirty and prunes the
+    /// duplicate-suppression window (nothing can retry across two committed
+    /// epochs). The `EpochAck` that follows is the commit signal; the
+    /// master alone records the epoch on disk.
     fn mark_epoch(&mut self, epoch: u64) -> Result<(), RuntimeError> {
         self.flush_all()?;
         self.epoch = epoch;
-        let path = self
-            .dir
-            .join(format!("manifest_r{}.txt", self.endpoint.rank().0));
-        let tmp = staging_path(&path);
-        fs::write(&tmp, format!("{epoch}\n"))
-            .and_then(|_| fs::rename(&tmp, &path))
-            .map_err(|e| RuntimeError::ServedIo(format!("manifest {}: {e}", path.display())))?;
         self.applied_ops.retain(|_, e| *e + 2 > epoch);
         Ok(())
     }
 
-    fn delete_array(&mut self, array: sia_bytecode::ArrayId) -> Result<(), RuntimeError> {
+    fn delete_array(&mut self, array: ArrayId) -> Result<(), RuntimeError> {
         self.cache.retain(|k, _| k.array != array);
         self.clean.retain(|_, k| k.array != array);
         self.dirty.retain(|_, k| k.array != array);
         self.norms.retain(|k, _| k.array != array);
-        let prefix = format!("a{}_", array.0);
+        let Some(store) = self.stores.get_mut(&array) else {
+            return Ok(());
+        };
         if let Some(w) = &self.warm {
-            w.invalidate_prefix(&self.dir, &prefix);
+            w.invalidate_store(&store.path);
         }
-        let entries =
-            fs::read_dir(&self.dir).map_err(|e| RuntimeError::ServedIo(format!("readdir: {e}")))?;
-        for entry in entries.flatten() {
-            if entry.file_name().to_string_lossy().starts_with(&prefix) {
-                let _ = fs::remove_file(entry.path());
-            }
-        }
-        Ok(())
+        store.delete()
     }
 
     /// Flushes all dirty blocks (shutdown).
@@ -427,8 +395,19 @@ impl IoServer {
         self.stats
     }
 
-    /// Runs the server's message loop until shutdown.
+    /// Runs the server's message loop until shutdown. An error goes to the
+    /// master too, which ends the run: workers wait on this server's replies.
     pub fn run(&mut self) -> Result<ServerStats, RuntimeError> {
+        let out = self.serve();
+        if let Err(e) = &out {
+            let error = e.to_string();
+            let master = self.layout.topology.master();
+            let _ = self.endpoint.send(master, SipMsg::WorkerFailed { error });
+        }
+        out
+    }
+
+    fn serve(&mut self) -> Result<ServerStats, RuntimeError> {
         let mut last_message = Instant::now();
         loop {
             // Write-behind is the server's only timer, and it holds it only
@@ -442,23 +421,7 @@ impl IoServer {
                     let src = env.src;
                     match env.msg {
                         SipMsg::Fetch { key, req } => {
-                            self.check_served("fetch", &key)?;
-                            // A sparse block with no payload anywhere is
-                            // typed-absent: ship the norm bound instead of
-                            // materializing and caching a zero block.
-                            let payload =
-                                if self.layout.array_sparse(key.array) && self.is_absent(&key) {
-                                    Payload::Absent {
-                                        norm: self.norms.get(&key).copied().unwrap_or(0.0),
-                                    }
-                                } else {
-                                    let t0 = Instant::now();
-                                    let reads0 = self.stats.disk_reads;
-                                    let data = self.load(key)?;
-                                    let disk = self.stats.disk_reads > reads0;
-                                    self.trace.span_since(EventKind::Serve { key, disk }, t0);
-                                    Payload::Data(data)
-                                };
+                            let payload = self.fetch(key)?;
                             let _ = self
                                 .endpoint
                                 .stage(src, SipMsg::Block { key, payload, req });
@@ -469,12 +432,12 @@ impl IoServer {
                             mode,
                             op,
                         } => {
-                            self.check_served("store", &key)?;
+                            locate(&mut self.stores, &self.layout, &key)?;
                             if self.first_delivery(op) {
                                 match payload {
                                     Payload::Data(data) => self.prepare(key, data, mode)?,
                                     Payload::Absent { norm } => {
-                                        self.prepare_absent(key, norm, mode)
+                                        self.prepare_absent(key, norm, mode)?
                                     }
                                 }
                             }
@@ -525,12 +488,21 @@ impl IoServer {
 mod tests {
     use super::*;
     use crate::layout::{SegmentConfig, Topology};
+    use sia_blocks::{Block, Shape};
     use sia_bytecode::{
         ArrayDecl, ArrayId, ArrayKind, ConstBindings, IndexDecl, IndexId, IndexKind, Program, Value,
     };
+    use std::fs;
+    use std::path::Path;
     use std::sync::Arc;
 
     fn test_layout() -> Arc<Layout> {
+        layout_of(4)
+    }
+
+    /// Two served arrays, `S` dense and `Z` sparse, of 4×4 blocks of
+    /// `seg`×`seg` elements.
+    fn layout_of(seg: usize) -> Arc<Layout> {
         let program = Program {
             indices: vec![IndexDecl {
                 name: "i".into(),
@@ -538,12 +510,14 @@ mod tests {
                 low: Value::Lit(1),
                 high: Value::Lit(4),
             }],
-            arrays: vec![ArrayDecl {
-                name: "S".into(),
-                kind: ArrayKind::Served,
-                dims: vec![IndexId(0), IndexId(0)],
-                sparse: false,
-            }],
+            arrays: [false, true]
+                .map(|sparse| ArrayDecl {
+                    name: if sparse { "Z" } else { "S" }.into(),
+                    kind: ArrayKind::Served,
+                    dims: vec![IndexId(0), IndexId(0)],
+                    sparse,
+                })
+                .into(),
             ..Default::default()
         };
         Arc::new(
@@ -551,7 +525,7 @@ mod tests {
                 Arc::new(program),
                 &ConstBindings::new(),
                 SegmentConfig {
-                    default: 4,
+                    default: seg,
                     ..Default::default()
                 },
                 Topology::new(1, 1),
@@ -642,57 +616,126 @@ mod tests {
         let key = BlockKey::new(ArrayId(0), &[1, 4]);
         s.prepare(key, blk(5.0), PutMode::Replace).unwrap();
         s.flush_all().unwrap();
+        // Another server of the directory has the store open by now.
+        let mut other = test_server(&dir, 8);
+        let elsewhere = BlockKey::new(ArrayId(0), &[2, 2]);
+        assert_eq!(other.load(elsewhere).unwrap(), blk(0.0));
         s.delete_array(ArrayId(0)).unwrap();
-        let got = s.load(key).unwrap();
-        assert!(
-            got.data().iter().all(|&x| x == 0.0),
-            "deleted block reads zero"
-        );
+        for server in [&mut s, &mut other] {
+            assert_eq!(
+                server.load(key).unwrap(),
+                blk(0.0),
+                "deleted block reads zero"
+            );
+        }
+        // It is still one store they share, not one file each.
+        other
+            .prepare(elsewhere, blk(7.0), PutMode::Replace)
+            .unwrap();
+        other.flush_all().unwrap();
+        assert_eq!(s.load(elsewhere).unwrap(), blk(7.0));
+        assert_eq!(store_file(&s).1.len(), HEADER + 6 * (8 + 16 * 8 + 8));
+    }
+
+    /// A store header over `test_layout`: magic, rank, 2 × (extent, low, high).
+    const HEADER: usize = 8 + 8 + 2 * 3 * 8;
+
+    /// The store `s` keeps array 0 in, and the bytes of its file.
+    fn store_file(s: &IoServer) -> (PathBuf, Vec<u8>) {
+        let path = s.stores[&ArrayId(0)].path.to_path_buf();
+        let raw = fs::read(&path).unwrap();
+        (path, raw)
     }
 
     #[test]
-    fn block_file_format_roundtrips() {
+    fn store_layout_is_header_then_slots_by_ordinal() {
         let dir = tmpdir("fmt");
-        let path = dir.join("x.blk");
-        let b = Block::from_fn(Shape::new(&[2, 3]), |i| (i[0] * 3 + i[1]) as f64);
-        write_block_file(&path, &b).unwrap();
-        let back = read_block_file(&path).unwrap().unwrap();
-        assert_eq!(b, back);
-        assert!(read_block_file(&dir.join("missing.blk")).unwrap().is_none());
+        let mut s = test_server(&dir, 8);
+        // (2,3) of a 4×4 block grid is ordinal 1·4 + 2 = 6.
+        let key = BlockKey::new(ArrayId(0), &[2, 3]);
+        let b = Block::from_fn(Shape::new(&[4, 4]), |i| (i[0] * 4 + i[1]) as f64);
+        s.prepare(key, b.clone().into(), PutMode::Replace).unwrap();
+        s.flush_all().unwrap();
+        let (path, raw) = store_file(&s);
+        assert_eq!(path, dir.join("a0.srv"));
+        let (header, slot) = (HEADER, 8 + 16 * 8 + 8);
+        assert_eq!(
+            raw.len(),
+            header + 7 * slot,
+            "ends with the last slot written"
+        );
+        // Rank 2, then extent 4 over segments 1..=4 in both dimensions.
+        let words = [2u64, 4, 1, 4, 4, 1, 4].map(u64::to_le_bytes).concat();
+        assert_eq!(raw[..header], [b"SIASRV01".as_slice(), &words].concat());
+        assert!(
+            raw[header..header + 6 * slot].iter().all(|&x| x == 0),
+            "holes"
+        );
+        let written = &raw[header + 6 * slot..];
+        assert_ne!(written[..8], [0; 8]);
+        let payload = &written[8..slot - 8];
+        assert_eq!(
+            Block::from_le_bytes(Shape::new(&[4, 4]), payload).as_ref(),
+            Some(&b)
+        );
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "nothing beside it");
+        // The seal is the stamp XOR a fold of the payload: a rewrite of the
+        // same block takes a new stamp and leaves their XOR alone, another
+        // payload does not.
+        let sealed = |raw: &[u8]| {
+            let word = |at: usize| u64::from_le_bytes(raw[at..at + 8].try_into().unwrap());
+            let at = header + 6 * slot;
+            (word(at), word(at) ^ word(at + slot - 8))
+        };
+        let (stamp, fold) = sealed(&raw);
+        s.prepare(key, b.into(), PutMode::Replace).unwrap();
+        s.flush_all().unwrap();
+        let (restamp, refold) = sealed(&store_file(&s).1);
+        assert_ne!(restamp, stamp);
+        assert_eq!(refold, fold);
+        s.prepare(key, blk(1.0), PutMode::Replace).unwrap();
+        s.flush_all().unwrap();
+        assert_ne!(sealed(&store_file(&s).1).1, fold);
     }
 
-    /// Regression: the staging name used to be `<file>.tmp` for every writer,
-    /// so two servers of one shared directory (two daemon jobs) flushing the
-    /// same block raced — one renamed the other's half-written bytes, the
-    /// loser's rename then failed.
+    /// Two servers of one shared directory (two daemon jobs) flushing the
+    /// same block at once: every round leaves one writer's whole slot — the
+    /// positioned writes neither interleave nor clobber the header.
     #[test]
-    fn two_servers_flushing_one_file_do_not_collide() {
+    fn two_servers_flushing_one_slot_do_not_collide() {
         const ROUNDS: usize = 1000;
         let dir = tmpdir("shared");
         let key = BlockKey::new(ArrayId(0), &[2, 2]);
-        let file = dir.join(key_filename(&key));
-        assert_ne!(
-            staging_path(&file),
-            staging_path(&file),
-            "one name per write"
-        );
         // Both threads leave the barrier into `flush_all` together, every
-        // round.
-        let start = Arc::new(std::sync::Barrier::new(2));
+        // round, and meet again before either reads the slot back.
+        let sync = Arc::new(std::sync::Barrier::new(2));
         let writers: Vec<_> = [1.0, 2.0]
             .into_iter()
             .map(|v| {
-                let (dir, start) = (dir.clone(), Arc::clone(&start));
+                let (dir, sync) = (dir.clone(), Arc::clone(&sync));
                 std::thread::spawn(move || -> Result<(), RuntimeError> {
-                    let mut s = test_server(&dir, 8);
+                    // Capacity 1: the read-back below misses the cache.
+                    let mut s = test_server(&dir, 1);
+                    let other = BlockKey::new(ArrayId(0), &[4, 4]);
                     // A failed round still meets the other thread at the
-                    // barrier, so a collision fails the test, not hangs it.
+                    // barriers, so a collision fails the test, not hangs it.
                     let mut outcome = Ok(());
                     for _ in 0..ROUNDS {
                         let prepared = s.prepare(key, blk(v), PutMode::Replace);
-                        start.wait();
-                        outcome = outcome.and(prepared).and(s.flush_all());
+                        sync.wait();
+                        let flushed = s.flush_all();
+                        sync.wait();
+                        let read = s.load(other).and_then(|_| s.load(key)).map(|got| {
+                            assert!(got == blk(1.0) || got == blk(2.0), "a mixed slot");
+                        });
+                        outcome = outcome.and(prepared).and(flushed).and(read);
+                        sync.wait();
                     }
+                    assert_eq!(
+                        s.stats().disk_reads,
+                        ROUNDS as u64,
+                        "every read hit the file"
+                    );
                     outcome
                 })
             })
@@ -700,55 +743,220 @@ mod tests {
         for w in writers {
             w.join()
                 .unwrap()
-                .expect("no ServedIo error from a shared directory");
+                .expect("no ServedIo error from a shared store");
         }
-        let last = read_block_file(&file).unwrap().unwrap();
-        assert!(
-            last == *blk(1.0) || last == *blk(2.0),
-            "one writer's whole payload"
-        );
-        let leftovers = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
-            .count();
-        assert_eq!(leftovers, 0, "every staged file was renamed");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "one store file");
     }
 
-    /// A block file is outside input: every truncation and every header no
-    /// shape can have is a typed `ServedIo` error — never a panic, never an
-    /// allocation sized by the file's own claims.
+    /// A store file is outside input: a header cut anywhere, or naming a
+    /// rank, an extent, a range or a block shape this run does not declare,
+    /// is a typed `ServedIo` error on the first touch — never a panic, an
+    /// allocation sized by the file's own claims, or blocks read at the
+    /// offsets of another geometry.
     #[test]
-    fn corrupt_block_files_are_typed_errors() {
-        let dir = tmpdir("corrupt");
-        let path = dir.join("x.blk");
-        let b = Block::from_fn(Shape::new(&[2, 3]), |i| (i[0] * 3 + i[1]) as f64);
-        write_block_file(&path, &b).unwrap();
-        let valid = fs::read(&path).unwrap();
-        assert_eq!(parse_block_file(&valid), Some(b));
-
-        let patched = |at: usize, word: u32| {
+    fn foreign_or_corrupt_store_headers_are_typed_errors() {
+        let dir = tmpdir("header");
+        let key = BlockKey::new(ArrayId(0), &[1, 1]);
+        let (path, valid) = {
+            let mut s = test_server(&dir, 8);
+            s.prepare(key, blk(3.0), PutMode::Replace).unwrap();
+            s.flush_all().unwrap();
+            store_file(&s)
+        };
+        let patched = |at: usize, word: u64| {
             let mut raw = valid.clone();
-            raw[at..at + 4].copy_from_slice(&word.to_le_bytes());
+            raw[at..at + 8].copy_from_slice(&word.to_le_bytes());
             raw
         };
-        let mut corrupt: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
-        corrupt.push(patched(0, 9)); // rank over MAX_RANK
-        corrupt.push(patched(0, u32::MAX)); // rank no file could back
-        corrupt.push(patched(4, 0)); // zero extent
-        corrupt.push(patched(4, u32::MAX)); // extent the payload cannot back
-        corrupt.push([valid.as_slice(), &[0u8; 8]].concat()); // trailing bytes
+        let (rank_at, extent0_at, high0_at, extent1_at) = (8, 16, 32, 40);
+        let mut corrupt: Vec<Vec<u8>> = (0..HEADER).map(|cut| valid[..cut].to_vec()).collect();
+        corrupt.push(patched(0, u64::from_le_bytes(*b"NOTASTOR")));
+        corrupt.push(patched(rank_at, 9));
+        corrupt.push(patched(rank_at, u64::MAX));
+        corrupt.push(patched(rank_at, 1));
+        corrupt.push(patched(extent0_at, 0));
+        corrupt.push(patched(extent0_at, u64::MAX));
+        corrupt.push(patched(high0_at, i64::MAX as u64));
+        corrupt.push(patched(extent1_at, 8)); // 4×8 blocks
         for raw in corrupt {
             fs::write(&path, &raw).unwrap();
-            match read_block_file(&path) {
-                Err(RuntimeError::ServedIo(m)) => assert!(m.contains("corrupt"), "{m}"),
-                other => panic!("{} bytes decoded to {other:?}", raw.len()),
+            let mut s = test_server(&dir, 8);
+            for touched in [
+                s.load(key).map(drop),
+                s.prepare(key, blk(1.0), PutMode::Replace)
+                    .and_then(|_| s.flush_all()),
+                s.prepare_absent(key, 0.5, PutMode::Replace),
+            ] {
+                match touched {
+                    Err(RuntimeError::ServedIo(m)) => {
+                        assert!(m.contains("header") || m.contains("geometry"), "{m}")
+                    }
+                    other => panic!("{} bytes: {other:?}", raw.len()),
+                }
+            }
+            assert_eq!(
+                fs::read(&path).unwrap(),
+                raw,
+                "a refused file is left alone"
+            );
+        }
+        // The valid file, and one that ends right after its header, serve.
+        for (raw, want) in [(valid.clone(), 3.0), (valid[..HEADER].to_vec(), 0.0)] {
+            fs::write(&path, raw).unwrap();
+            assert_eq!(test_server(&dir, 8).load(key).unwrap(), blk(want));
+        }
+    }
+
+    /// A slot that stays torn — cut short, or bytes its seal does not cover
+    /// — is a typed error once the re-reads a racing writer would have won
+    /// are spent.
+    #[test]
+    fn torn_slot_is_a_typed_error() {
+        let dir = tmpdir("torn");
+        let key = BlockKey::new(ArrayId(0), &[1, 1]);
+        let (path, valid) = {
+            let mut s = test_server(&dir, 8);
+            s.prepare(key, blk(3.0), PutMode::Replace).unwrap();
+            s.flush_all().unwrap();
+            store_file(&s)
+        };
+        let flipped = |at: usize| {
+            let mut raw = valid.clone();
+            raw[at] ^= 1;
+            raw
+        };
+        let slot = 8 + 16 * 8 + 8;
+        assert_eq!(valid.len(), HEADER + slot);
+        let torn = [
+            valid[..HEADER + 1].to_vec(),
+            valid[..HEADER + 8].to_vec(),
+            valid[..HEADER + slot / 2].to_vec(),
+            valid[..HEADER + slot - 1].to_vec(),
+            flipped(HEADER),            // another write's stamp
+            flipped(HEADER + 8),        // another write's payload: first,
+            flipped(HEADER + slot / 2), // middle
+            flipped(HEADER + slot - 9), // and last byte
+            flipped(HEADER + slot - 1), // another write's seal
+        ];
+        for raw in torn {
+            fs::write(&path, &raw).unwrap();
+            match test_server(&dir, 8).load(key) {
+                Err(RuntimeError::ServedIo(m)) => assert!(m.contains("torn slot 0"), "{m}"),
+                other => panic!("{} bytes: {other:?}", raw.len()),
             }
         }
     }
 
+    /// A server reading a slot while another job's server rewrites it, with
+    /// nothing between them but the file: the kernel copies the two
+    /// transfers of an 8 KiB slot (three pages) side by side, so reads do
+    /// come back pieced together from two writes — and each is caught by its
+    /// seal and read again, never served and never an error.
     #[test]
-    fn epoch_mark_flushes_and_writes_manifest() {
+    fn a_read_racing_a_write_of_its_slot_is_one_whole_block() {
+        const ROUNDS: usize = 4000;
+        let dir = tmpdir("race");
+        let server = |capacity| {
+            let (mut eps, _) = sia_fabric::build::<SipMsg>(3);
+            IoServer::new(layout_of(32), eps.remove(2), dir.clone(), capacity).unwrap()
+        };
+        let filled = |v: f64| BlockHandle::new(Block::filled(Shape::new(&[32, 32]), v));
+        let key = BlockKey::new(ArrayId(0), &[2, 2]);
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writer = {
+            let (mut s, done) = (server(8), Arc::clone(&done));
+            std::thread::spawn(move || -> Result<(), RuntimeError> {
+                // The contended slot is one write in four, as in a sweep:
+                // a reader that never finds it at rest has no whole block
+                // to wait for.
+                let written = (0..ROUNDS).try_for_each(|round| {
+                    (1..=4).try_for_each(|j| {
+                        let key = BlockKey::new(ArrayId(0), &[2, j]);
+                        s.prepare(key, filled((round * 4) as f64 + j as f64), PutMode::Replace)
+                    })?;
+                    s.flush_all()
+                });
+                done.store(true, std::sync::atomic::Ordering::Release);
+                written
+            })
+        };
+        // Capacity 1: loading `other` evicts `key`, so every load of `key`
+        // reads the slot.
+        let mut s = server(1);
+        let other = BlockKey::new(ArrayId(0), &[4, 4]);
+        let mut last = 0.0;
+        while !done.load(std::sync::atomic::Ordering::Acquire) {
+            s.load(other).unwrap();
+            let got = s.load(key).expect("a racing write is not an error");
+            let v = got.data()[0];
+            assert!(got.data().iter().all(|&x| x == v), "a mixed block");
+            assert!(v >= last, "an older block after a newer one");
+            last = v;
+        }
+        writer.join().unwrap().unwrap();
+        assert!(s.stats().disk_reads > 100, "the reader kept reading");
+    }
+
+    #[test]
+    fn hole_serves_zeros_dense_and_the_recorded_norm_sparse() {
+        let dir = tmpdir("hole");
+        let mut s = test_server(&dir, 8);
+        // Neighbouring slots of both arrays are filled; (2,2) stays a hole.
+        for array in [ArrayId(0), ArrayId(1)] {
+            for segs in [[2, 1], [2, 3]] {
+                s.prepare(BlockKey::new(array, &segs), blk(1.0), PutMode::Replace)
+                    .unwrap();
+            }
+        }
+        s.flush_all().unwrap();
+        let (dense, sparse) = (
+            BlockKey::new(ArrayId(0), &[2, 2]),
+            BlockKey::new(ArrayId(1), &[2, 2]),
+        );
+        assert!(matches!(s.fetch(dense).unwrap(), Payload::Data(b) if b == blk(0.0)));
+        assert_eq!(s.stats().zero_serves, 1);
+        assert!(matches!(s.fetch(sparse).unwrap(), Payload::Absent { norm } if norm == 0.0));
+        s.prepare_absent(sparse, 0.25, PutMode::Replace).unwrap();
+        s.prepare_absent(sparse, 0.5, PutMode::Accumulate).unwrap();
+        assert!(matches!(s.fetch(sparse).unwrap(), Payload::Absent { norm } if norm == 0.75));
+        assert_eq!(
+            s.stats().zero_serves,
+            1,
+            "an absent block is not materialized"
+        );
+    }
+
+    #[test]
+    fn replace_with_absent_clears_a_resident_slot() {
+        let dir = tmpdir("clear");
+        let mut s = test_server(&dir, 8);
+        let key = BlockKey::new(ArrayId(1), &[3, 2]);
+        s.prepare(key, blk(6.0), PutMode::Replace).unwrap();
+        s.flush_all().unwrap();
+        // An Accumulate-with-absent onto a resident block changes nothing,
+        // and learns that from the cache or the slot's head stamp alone.
+        for mut server in [test_server(&dir, 8), test_server(&dir, 8)] {
+            server
+                .prepare_absent(key, 0.5, PutMode::Accumulate)
+                .unwrap();
+            assert!(server.norms.is_empty() && server.cache.is_empty());
+            assert_eq!(server.stats().disk_reads, 0, "no block read to ask");
+        }
+        s.prepare_absent(key, 0.5, PutMode::Accumulate).unwrap();
+        assert!(matches!(s.fetch(key).unwrap(), Payload::Data(b) if b == blk(6.0)));
+        s.prepare_absent(key, 0.125, PutMode::Replace).unwrap();
+        // Neither this server's cache nor a fresh server's read finds it.
+        for (mut server, recorded) in [(s, 0.125), (test_server(&dir, 8), 0.0)] {
+            let reads = server.stats().disk_reads;
+            let got = server.fetch(key).unwrap();
+            assert!(matches!(got, Payload::Absent { norm } if norm == recorded));
+            assert_eq!(server.load(key).unwrap(), blk(0.0));
+            assert_eq!(server.stats().disk_reads, reads, "no block left to read");
+        }
+    }
+
+    #[test]
+    fn epoch_mark_flushes_and_prunes_applied_ops() {
         let dir = tmpdir("epoch");
         let mut s = test_server(&dir, 8);
         let key = BlockKey::new(ArrayId(0), &[1, 2]);
@@ -756,8 +964,6 @@ mod tests {
         s.prepare(key, blk(4.0), PutMode::Replace).unwrap();
         s.mark_epoch(1).unwrap();
         assert!(s.stats().disk_writes >= 1, "mark flushes dirty blocks");
-        let manifest = dir.join(format!("manifest_r{}.txt", s.endpoint.rank().0));
-        assert_eq!(fs::read_to_string(manifest).unwrap().trim(), "1");
         // The suppression window prunes entries two epochs back.
         s.mark_epoch(2).unwrap();
         s.mark_epoch(3).unwrap();
@@ -772,7 +978,7 @@ mod tests {
         let dir = tmpdir("absdel");
         let mut s = test_server(&dir, 8);
         let key = BlockKey::new(ArrayId(0), &[1, 3]);
-        s.prepare_absent(key, 0.5, PutMode::Replace);
+        s.prepare_absent(key, 0.5, PutMode::Replace).unwrap();
         s.delete_array(ArrayId(0)).unwrap();
         assert!(s.norms.is_empty());
     }
@@ -791,7 +997,7 @@ mod tests {
                 2 => s.prepare(key, blk(1.0), PutMode::Accumulate).unwrap(),
                 3 | 4 => drop(s.load(key).unwrap()),
                 5 => drop(s.flush_one().unwrap()),
-                _ => s.prepare_absent(key, 0.5, PutMode::Replace),
+                _ => s.prepare_absent(key, 0.5, PutMode::Replace).unwrap(),
             }
             if step % 97 == 96 {
                 s.delete_array(ArrayId(0)).unwrap();

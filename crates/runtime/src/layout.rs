@@ -956,6 +956,28 @@ impl Layout {
         decl.dims.iter().map(|&d| self.range_len(d)).product()
     }
 
+    /// Row-major position of a storage block among its array's
+    /// [`total_blocks`](Self::total_blocks): the last declared dimension
+    /// varies fastest. `None` when the key is no block of the array — wrong
+    /// rank, or a segment outside its dimension's declared range.
+    pub fn block_ordinal(&self, key: &BlockKey) -> Option<u64> {
+        let dims = &self.program.arrays.get(key.array.index())?.dims;
+        let segs = key.segs();
+        if segs.len() != dims.len() {
+            return None;
+        }
+        segs.iter().zip(dims).try_fold(0u64, |ordinal, (&seg, &d)| {
+            let (lo, hi) = self.range(d);
+            let seg = i64::from(seg);
+            if seg < lo || seg > hi {
+                return None;
+            }
+            ordinal
+                .checked_mul(self.range_len(d))?
+                .checked_add((seg - lo) as u64)
+        })
+    }
+
     /// Bytes of one declared block of `array`.
     pub fn block_bytes(&self, array: ArrayId) -> u64 {
         self.declared_block_shape(array).len() as u64 * 8
@@ -1131,6 +1153,31 @@ mod tests {
         assert_eq!(l.total_blocks(ArrayId(0)), 8);
         assert_eq!(l.total_blocks(ArrayId(1)), 32);
         assert_eq!(l.block_bytes(ArrayId(0)), 16 * 8 * 8);
+    }
+
+    #[test]
+    fn block_ordinal_is_a_row_major_bijection() {
+        let l = layout_with(segs(16, 8, 4));
+        for array in [ArrayId(0), ArrayId(1)] {
+            let dims = &l.array(array).dims;
+            let (rows, cols) = (l.range(dims[0]), l.range(dims[1]));
+            let ordinals: Vec<u64> = (rows.0..=rows.1)
+                .flat_map(|i| (cols.0..=cols.1).map(move |j| (i, j)))
+                .map(|(i, j)| l.block_ordinal(&BlockKey::new(array, &[i, j])).unwrap())
+                .collect();
+            let want: Vec<u64> = (0..l.total_blocks(array)).collect();
+            assert_eq!(ordinals, want, "last dimension fastest, no gaps");
+        }
+        for outside in [
+            BlockKey::new(ArrayId(0), &[0, 1]),
+            BlockKey::new(ArrayId(0), &[5, 1]),
+            BlockKey::new(ArrayId(0), &[1, 3]),
+            BlockKey::new(ArrayId(0), &[1]),
+            BlockKey::new(ArrayId(0), &[1, 1, 1]),
+            BlockKey::new(ArrayId(7), &[1, 1]),
+        ] {
+            assert_eq!(l.block_ordinal(&outside), None, "{outside:?}");
+        }
     }
 
     #[test]

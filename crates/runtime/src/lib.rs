@@ -73,6 +73,7 @@ pub(crate) mod memory;
 pub(crate) mod msg;
 pub(crate) mod profile;
 pub(crate) mod registry;
+pub(crate) mod store;
 pub(crate) mod worker;
 
 pub use cache::{BlockGet, CacheStats};

@@ -849,13 +849,14 @@ impl Master {
     }
 
     /// Finalizes the run once every live worker reported done and no
-    /// recovery is in flight.
-    fn maybe_finish(&mut self) -> Option<MasterOutput> {
+    /// recovery is in flight. An I/O server whose last flush fails fails
+    /// the run: its blocks are not all in the store.
+    fn maybe_finish(&mut self) -> Result<Option<MasterOutput>, RuntimeError> {
         if self.done_count < self.alive_count()
             || self.flight.is_some()
             || !self.pending_deaths.is_empty()
         {
-            return None;
+            return Ok(None);
         }
         if !self.takeover_queue.is_empty() || !self.takeover_outstanding.is_empty() {
             self.warnings.push(format!(
@@ -882,17 +883,25 @@ impl Master {
             let Some(env) = self.endpoint.recv_deadline(Some(deadline)) else {
                 break;
             };
-            // Stragglers from the data plane (late acks, heartbeats) are
-            // expected during teardown and safely dropped.
-            if let SipMsg::ServerDone {
-                stats,
-                events,
-                dropped,
-            } = env.msg
-            {
-                server.merge(&stats);
-                server_events.push((env.src, events, dropped));
-                awaited -= 1;
+            match env.msg {
+                SipMsg::ServerDone {
+                    stats,
+                    events,
+                    dropped,
+                } => {
+                    server.merge(&stats);
+                    server_events.push((env.src, events, dropped));
+                    awaited -= 1;
+                }
+                SipMsg::WorkerFailed { error } => {
+                    return Err(RuntimeError::Internal(format!(
+                        "rank {} failed: {error}",
+                        env.src
+                    )));
+                }
+                // Stragglers from the data plane (late acks, heartbeats)
+                // are expected during teardown and safely dropped.
+                _ => {}
             }
         }
         if awaited > 0 {
@@ -909,7 +918,7 @@ impl Master {
             scalars_out.push(s);
             profiles.push(p);
         }
-        Some(MasterOutput {
+        Ok(Some(MasterOutput {
             scalars: scalars_out,
             collected: std::mem::take(&mut self.collected),
             profiles,
@@ -919,7 +928,7 @@ impl Master {
             server_events,
             master_events,
             master_dropped,
-        })
+        }))
     }
 
     /// Runs the master loop until all workers are done (or one failed). An
@@ -1000,13 +1009,13 @@ impl Master {
                     self.collected
                         .extend(blocks.into_iter().map(|(k, h)| (k, h.into_block())));
                     self.warnings.extend(warnings);
-                    if let Some(out) = self.maybe_finish() {
+                    if let Some(out) = self.maybe_finish()? {
                         return Ok(out);
                     }
                 }
                 SipMsg::WorkerFailed { error } => {
                     return Err(RuntimeError::Internal(format!(
-                        "worker {src} failed: {error}"
+                        "rank {src} failed: {error}"
                     )));
                 }
                 other => {
@@ -1015,7 +1024,7 @@ impl Master {
                 }
             }
             if self.done_count > 0 {
-                if let Some(out) = self.maybe_finish() {
+                if let Some(out) = self.maybe_finish()? {
                     return Ok(out);
                 }
             }
@@ -1086,9 +1095,7 @@ pub fn write_checkpoint<B: std::borrow::Borrow<Block>>(
         for &d in dims {
             buf.extend_from_slice(&d.to_le_bytes());
         }
-        for v in block.data() {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+        block.append_le_bytes(&mut buf);
     }
     let tmp = path.with_extension("tmp");
     fs::File::create(&tmp)

@@ -337,7 +337,7 @@ pub enum SipMsg {
         /// Diagnostics (e.g. barrier-misuse detections).
         warnings: Vec<String>,
     },
-    /// Worker aborted with an error.
+    /// A worker or I/O server aborted with an error.
     WorkerFailed {
         /// The error message.
         error: String,
@@ -992,7 +992,7 @@ mod tests {
 
     /// A fetch or store addressed to the wrong role is diagnosed, never
     /// silently served: a worker warns, an I/O server's loop ends in a typed
-    /// error.
+    /// error that it also reports to the master.
     #[test]
     fn wrong_role_fetch_and_store_are_diagnosed() {
         for store in [false, true] {
@@ -1033,6 +1033,12 @@ mod tests {
             };
             let err = server.join().unwrap().unwrap_err();
             assert!(err.to_string().contains("protocol error"), "{err}");
+            // The client sits at the master's rank: it hears why the server
+            // left, and nothing else.
+            match rig_s.client.try_recv().map(|env| env.msg) {
+                Some(SipMsg::WorkerFailed { error }) => assert_eq!(error, err.to_string()),
+                other => panic!("expected the server's failure report, got {other:?}"),
+            }
             assert!(rig_s.client.try_recv().is_none(), "no reply, no ack");
             let _ = std::fs::remove_dir_all(dir);
         }

@@ -18,10 +18,10 @@
 //!   priority weight); a job running ahead of the slowest active job gets
 //!   scaled-down chunks and a brief yield, so normalized progress rates —
 //!   exactly what the Jain fairness index is computed over — converge.
-//! * **A warm block cache** — served-array block files read or flushed by
-//!   any job's I/O server are published to a shared, path-keyed
-//!   [`WarmCache`]; a second job referencing the same served array hits
-//!   memory instead of disk (`server.warm_hits` in its profile).
+//! * **A warm block cache** — served-array blocks read or flushed by any
+//!   job's I/O server are published to a shared [`WarmCache`] keyed by
+//!   store file and slot; a second job referencing the same served array
+//!   hits memory instead of disk (`server.warm_hits` in its profile).
 //!
 //! Everything here is a plain library — `siald` (the Unix-socket front end)
 //! and the serving tests both drive [`Daemon`] directly.
@@ -33,7 +33,7 @@ use crate::registry::SuperRegistry;
 use crate::Sip;
 use sia_blocks::BlockHandle;
 use sia_bytecode::{ConstBindings, Program};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -252,22 +252,48 @@ pub fn jain_index(rates: &[f64]) -> f64 {
 
 // ---- warm block cache ----------------------------------------------------------
 
-/// A shared, path-keyed cache of served-array block payloads, warm across
-/// jobs: any job's I/O server publishes blocks it reads from or flushes to
-/// disk, and any job's server consults it before going to disk. Keys are
-/// block-file paths, so only jobs whose layouts resolve a key to the same
-/// file (same served directory) ever share an entry — sharing is opt-in by
-/// pointing jobs at one served dir, exactly what [`Daemon`] does.
+/// A shared cache of served-array block payloads, warm across jobs: any
+/// job's I/O server publishes blocks it reads from or flushes to disk, and
+/// any job's server consults it before going to disk. A block is keyed by
+/// its array's store file and its slot in that file, so only jobs whose
+/// layouts resolve a block to the same slot of the same file (same served
+/// directory, same geometry — the store's header is checked on open) ever
+/// share an entry — sharing is opt-in by pointing jobs at one served dir,
+/// exactly what [`Daemon`] does.
 #[derive(Debug)]
 pub struct WarmCache {
     inner: Mutex<WarmInner>,
     capacity: usize,
 }
 
+/// A block's identity across jobs: its array's store file and its slot.
+type WarmKey = (Arc<Path>, u64);
+
 #[derive(Debug, Default)]
 struct WarmInner {
-    map: HashMap<PathBuf, (BlockHandle, u64)>,
+    map: HashMap<WarmKey, (BlockHandle, u64)>,
+    /// Eviction order, least recently used first: LRU stamp → key. Every
+    /// cached key is here under its entry's stamp (stamps are unique — the
+    /// clock ticks per touch), so an over-capacity insert pops the victim
+    /// instead of walking the map under the daemon-wide lock.
+    order: BTreeMap<u64, WarmKey>,
     clock: u64,
+}
+
+impl WarmInner {
+    fn remove(&mut self, key: &WarmKey) -> Option<BlockHandle> {
+        let (block, stamp) = self.map.remove(key)?;
+        self.order.remove(&stamp);
+        Some(block)
+    }
+
+    /// Caches `block` under `key` as the most recently used entry.
+    fn touch(&mut self, key: WarmKey, block: BlockHandle) {
+        self.remove(&key);
+        self.clock += 1;
+        self.order.insert(self.clock, key.clone());
+        self.map.insert(key, (block, self.clock));
+    }
 }
 
 impl WarmCache {
@@ -279,59 +305,47 @@ impl WarmCache {
         }
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, WarmInner> {
+        self.inner.lock().expect("warm cache lock poisoned")
+    }
+
     /// Looks a block up, refreshing its LRU stamp.
-    pub fn get(&self, path: &Path) -> Option<BlockHandle> {
-        let mut g = self.inner.lock().unwrap();
-        g.clock += 1;
-        let stamp = g.clock;
-        g.map.get_mut(path).map(|e| {
-            e.1 = stamp;
-            e.0.clone()
-        })
+    pub fn get(&self, store: &Arc<Path>, slot: u64) -> Option<BlockHandle> {
+        let key = (Arc::clone(store), slot);
+        let mut g = self.lock();
+        let block = g.remove(&key)?;
+        g.touch(key, block.clone());
+        Some(block)
     }
 
     /// Publishes (or refreshes) a block, evicting the LRU entry over
     /// capacity. Handles are shared, not copied.
-    pub fn insert(&self, path: PathBuf, block: BlockHandle) {
-        let mut g = self.inner.lock().unwrap();
-        g.clock += 1;
-        let stamp = g.clock;
-        g.map.insert(path, (block, stamp));
+    pub fn insert(&self, store: &Arc<Path>, slot: u64, block: BlockHandle) {
+        let mut g = self.lock();
+        g.touch((Arc::clone(store), slot), block);
         while g.map.len() > self.capacity {
-            let victim = g
-                .map
-                .iter()
-                .min_by_key(|(_, (_, s))| *s)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    g.map.remove(&k);
-                }
-                None => break,
-            }
+            let Some((_, victim)) = g.order.pop_first() else {
+                break;
+            };
+            g.map.remove(&victim);
         }
     }
 
     /// Drops one entry (a write made the published payload stale).
-    pub fn invalidate(&self, path: &Path) {
-        self.inner.lock().unwrap().map.remove(path);
+    pub fn invalidate(&self, store: &Arc<Path>, slot: u64) {
+        self.lock().remove(&(Arc::clone(store), slot));
     }
 
-    /// Drops every entry whose file name starts with `prefix` (array
-    /// deletion; block files are named `a<id>_<segs>.blk`).
-    pub fn invalidate_prefix(&self, dir: &Path, prefix: &str) {
-        self.inner.lock().unwrap().map.retain(|p, _| {
-            p.parent() != Some(dir)
-                || !p
-                    .file_name()
-                    .map(|f| f.to_string_lossy().starts_with(prefix))
-                    .unwrap_or(false)
-        });
+    /// Drops every entry of one store file (array deletion).
+    pub fn invalidate_store(&self, store: &Path) {
+        let mut g = self.lock();
+        g.map.retain(|(file, _), _| **file != *store);
+        g.order.retain(|_, (file, _)| **file != *store);
     }
 
     /// Resident entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.lock().map.len()
     }
 
     /// True when nothing is cached.
@@ -814,24 +828,56 @@ mod tests {
         assert!(a.chunk_scale(2) < 1.0);
     }
 
+    fn warm_blk(v: f64) -> BlockHandle {
+        BlockHandle::new(Block::filled(Shape::new(&[2]), v))
+    }
+
+    fn store(n: u32) -> Arc<Path> {
+        PathBuf::from(format!("/served/a{n}.srv")).into()
+    }
+
     #[test]
     fn warm_cache_lru_and_invalidate() {
         let w = WarmCache::new(2);
-        let blk = |v: f64| BlockHandle::new(Block::filled(Shape::new(&[2]), v));
-        let p = |n: &str| PathBuf::from(format!("/served/{n}"));
-        w.insert(p("a1_1.blk"), blk(1.0));
-        w.insert(p("a1_2.blk"), blk(2.0));
-        assert!(w.get(&p("a1_1.blk")).is_some());
-        // Inserting a third evicts the LRU (a1_2 — a1_1 was just touched).
-        w.insert(p("a2_1.blk"), blk(3.0));
+        let (a1, a2) = (store(1), store(2));
+        w.insert(&a1, 1, warm_blk(1.0));
+        w.insert(&a1, 2, warm_blk(2.0));
+        assert!(w.get(&a1, 1).is_some());
+        // Inserting a third evicts the LRU (slot 2 — slot 1 was just touched).
+        w.insert(&a2, 1, warm_blk(3.0));
         assert_eq!(w.len(), 2);
-        assert!(w.get(&p("a1_2.blk")).is_none());
-        assert!(w.get(&p("a1_1.blk")).is_some());
-        // Prefix invalidation drops a deleted array's entries only.
-        w.invalidate_prefix(Path::new("/served"), "a1_");
-        assert!(w.get(&p("a1_1.blk")).is_none());
-        assert!(w.get(&p("a2_1.blk")).is_some());
-        w.invalidate(&p("a2_1.blk"));
+        assert!(w.get(&a1, 2).is_none());
+        assert!(w.get(&a1, 1).is_some());
+        // A deleted array takes its own entries only, whoever names the file.
+        w.invalidate_store(&store(1));
+        assert!(w.get(&a1, 1).is_none());
+        assert_eq!(w.get(&a2, 1), Some(warm_blk(3.0)));
+        w.invalidate(&a2, 1);
         assert!(w.is_empty());
+    }
+
+    /// The eviction order is an index over the map: whatever mix of
+    /// lookups, publications and invalidations ran, every cached key sits in
+    /// the order under its own stamp, and nothing else does.
+    #[test]
+    fn warm_order_tracks_the_map() {
+        let w = WarmCache::new(5);
+        let stores = [store(1), store(2)];
+        for step in 0..600u64 {
+            let (file, slot) = (&stores[(step * 7 % 2) as usize], step * 5 % 4);
+            match step % 7 {
+                0..=2 => w.insert(file, slot, warm_blk(step as f64)),
+                3 | 4 => drop(w.get(file, slot)),
+                5 => w.invalidate(file, slot),
+                _ if step % 97 == 6 => w.invalidate_store(file),
+                _ => {}
+            }
+            let g = w.lock();
+            assert!(g.map.len() <= 5, "step {step}");
+            assert_eq!(g.order.len(), g.map.len(), "step {step}");
+            for (key, (_, stamp)) in &g.map {
+                assert_eq!(g.order.get(stamp), Some(key), "step {step}");
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Served-array checkpoint/restart: a fault-tolerant run commits each
-//! `server_barrier` as an epoch (I/O servers flush + write per-rank
-//! manifests, the master records `epochs.manifest`), and a later run over
-//! the same `run_dir` resumes from the last consistent epoch via the
+//! `server_barrier` as an epoch (I/O servers flush and acknowledge, the
+//! master records `epochs.manifest`), and a later run over the same
+//! `run_dir` resumes from the last consistent epoch via the
 //! `sip_resume_epoch` intrinsic.
 
 use sia_bytecode::ConstBindings;
@@ -45,12 +45,16 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn config(run_dir: &Path) -> SipConfig {
+    config_with_segments(run_dir, 3)
+}
+
+fn config_with_segments(run_dir: &Path, segment_size: usize) -> SipConfig {
     // An inert fault plan: no injected faults, but the full fault-tolerance
     // machinery (epoch commits, manifests, retries) is armed.
     SipConfig::builder()
         .workers(2)
         .io_servers(1)
-        .segment_size(3)
+        .segment_size(segment_size)
         .collect_distributed(true)
         .run_dir(run_dir)
         .fault(FaultConfig::new(FaultPlan::seeded(9)))
@@ -101,4 +105,40 @@ fn restart_resumes_from_epoch_manifest() {
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&fresh);
+}
+
+/// A restart that declares the served array with another block size finds a
+/// store file whose slots are not its own: the I/O server refuses it and the
+/// run ends with that error — it neither reads blocks at the wrong offsets
+/// nor leaves the workers waiting on a server that is gone. A run that only
+/// prepares, into a cache that holds the whole array and with no epochs to
+/// commit, first touches the store in its last flush, after every worker is
+/// done: that is no less a failed run, its blocks are not on disk.
+#[test]
+fn restart_with_another_geometry_is_a_typed_error() {
+    let dir = tmpdir("geometry");
+    let bindings: ConstBindings = [("n".to_string(), 4i64)].into_iter().collect();
+    let produce = sial_frontend::compile(PRODUCE).unwrap();
+    Sip::new(config(&dir)).run(produce, &bindings).unwrap();
+
+    let armed = config_with_segments(&dir, 6);
+    let plain = SipConfig {
+        fault: None,
+        ..armed.clone()
+    };
+    for (program, config, why) in [
+        (RESUME, armed, "6x6 blocks read from 3x3 slots"),
+        (PRODUCE, plain, "6x6 blocks flushed into 3x3 slots"),
+    ] {
+        let err = Sip::new(config)
+            .run(sial_frontend::compile(program).unwrap(), &bindings)
+            .expect_err(why);
+        let message = err.to_string();
+        assert!(
+            message.contains("served-array I/O failure")
+                && message.contains("written for geometry"),
+            "{message}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,8 @@
 //! Multi-tenant serving tests: admission control reports exact bytes,
 //! concurrent jobs sharing a served array hit the warm cache and stay
-//! bitwise-identical to a serial run, and one job's rank death never fails
-//! a neighbor job (each job runs on its own fabric world).
+//! bitwise-identical to a serial run, concurrent jobs writing one served
+//! array share its store file without colliding, and one job's rank death
+//! never fails a neighbor job (each job runs on its own fabric world).
 
 use sia_bytecode::ConstBindings;
 use sia_runtime::serve::{AdmitError, Daemon, DaemonConfig, JobSpec, JobState};
@@ -30,8 +31,8 @@ execute sip_allreduce total
 endsial
 ";
 
-/// Reader: the same declarations (so `B` resolves to the same block files
-/// in a shared served directory), but only requests — a fresh job's server
+/// Reader: the same declarations (so `B` resolves to the same slots of the
+/// same store file in a shared served directory), but only requests — a fresh job's server
 /// must fill from the warm cache or disk, never from its own prepares.
 const READER: &str = "sial served_reader
 aoindex i = 1, n
@@ -234,6 +235,51 @@ fn concurrent_jobs_share_served_array_and_survive_neighbor_crash() {
     // concurrent jobs contribute rates).
     let jain = daemon.fairness();
     assert!((0.0..=1.0).contains(&jain), "jain out of range: {jain}");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two jobs that both `prepare` and `request` the same served array at the
+/// same time: their I/O servers write and read the same slots of one store
+/// file in the shared served directory, through caches too small to hold
+/// the array. Both must finish, each with the right total — no write
+/// collides with another, and no read serves part of one. The blocks are
+/// 8 KiB, slots of three pages: small ones rarely tear.
+#[test]
+fn concurrent_jobs_writing_one_served_array_both_finish() {
+    const N: i64 = 6;
+    const SEG: usize = 32;
+    let want: f64 = (1..=N)
+        .flat_map(|i| (1..=N).map(move |j| (2 * i - j) as f64))
+        .map(|v| (SEG * SEG) as f64 * v * v)
+        .sum();
+    let dir = tmp("cowrite");
+    let daemon = Daemon::new(DaemonConfig {
+        budget_bytes: 1 << 30,
+        max_concurrent: 2,
+        data_dir: dir.clone(),
+        warm_blocks: 8,
+    });
+    let writer = || {
+        let mut spec = job(WRITER, "alice", N, 1, None);
+        spec.config.server_cache_blocks = 4;
+        spec.config.segments.default = SEG;
+        spec
+    };
+    for round in 0..20 {
+        let ids = [writer(), writer()].map(|spec| daemon.submit(spec).unwrap());
+        for id in ids {
+            let s = daemon.wait(id, WAIT).expect("job must finish");
+            assert_eq!(s.state, JobState::Done, "round {round}: {:?}", s.state);
+            let total = s.scalars.iter().find(|(k, _)| k == "total").unwrap().1;
+            assert_eq!(total, want, "round {round}");
+        }
+    }
+    let served: Vec<_> = std::fs::read_dir(dir.join("served"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(served, ["a0.srv"], "one store file per served array");
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
