@@ -97,8 +97,8 @@ pub use plan::{BroadcastOp, CommPlan, CommPlanner, CommVolume, OwnerCompute, Pla
 pub use profile::{ProfileLine, ProfileReport, WorkerProfile};
 pub use registry::{SuperArg, SuperEnv, SuperRegistry};
 pub use serve::{
-    jain_index, AdmitError, Daemon, DaemonConfig, JobId, JobSpec, JobState, JobStatus,
-    ServeHandles, ShareArbiter, WarmCache,
+    jain_index, AdmitError, Daemon, DaemonConfig, JobId, JobProgress, JobSpec, JobState, JobStatus,
+    ServeHandles, WarmCache,
 };
 pub use sia_fabric::{CrashSpec, FaultPlan, FaultSnapshot};
 pub use verify::{check_program, Diagnostic, Rule};
@@ -171,7 +171,7 @@ pub struct RunOutput {
 pub struct Sip {
     config: SipConfig,
     registry: SuperRegistry,
-    /// Serving hooks (fair-share arbiter + warm cache) when this run is a
+    /// Serving hooks (progress counters + warm cache) when this run is a
     /// daemon job; `None` for one-shot runs.
     serving: Option<serve::ServeHandles>,
 }
@@ -187,9 +187,10 @@ impl Sip {
     }
 
     /// Installs the multi-tenant serving hooks (called by
-    /// [`serve::Daemon`] before running a job): the job's master consults
-    /// the shared fair-share arbiter on every chunk grant, and the job's
-    /// I/O servers share the cross-job warm block cache.
+    /// [`serve::Daemon`] before running a job): the job's master counts
+    /// its progress where the daemon can read it, and the job's I/O
+    /// servers share the cross-job warm block cache. The run itself is
+    /// scheduled exactly as a one-shot run.
     pub fn set_serving(&mut self, handles: serve::ServeHandles) {
         self.serving = Some(handles);
     }
@@ -317,7 +318,7 @@ impl Sip {
         );
         master.set_plan(Arc::clone(&comm_plan));
         if let Some(h) = &self.serving {
-            master.set_serving(h.clone());
+            master.set_progress(Arc::clone(&h.progress));
         }
 
         // One epoch `Instant` shared by every rank's trace sink: merged

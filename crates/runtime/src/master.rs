@@ -23,6 +23,7 @@ use crate::msg::{BarrierKind, BlockKey, OpId, Payload, SipMsg};
 use crate::plan::CommPlan;
 use crate::profile::WorkerProfile;
 use crate::scheduler::{ChunkPolicy, GuidedScheduler, IterationSpace};
+use crate::serve::JobProgress;
 use sia_blocks::{Block, BlockHandle};
 use sia_bytecode::{Instruction, PutMode};
 use sia_fabric::{Endpoint, Rank};
@@ -30,6 +31,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -154,14 +156,9 @@ pub struct Master {
     plan: Arc<CommPlan>,
     // ---- observability ------------------------------------------------------
     trace: TraceSink,
-    // ---- serving ------------------------------------------------------------
-    /// Multi-tenant serving hooks: when set, chunk grants consult the
-    /// daemon-wide fair-share arbiter and report progress to it.
-    serving: Option<crate::serve::ServeHandles>,
-    /// Pardo pcs whose iteration count was registered with the arbiter up
-    /// front (at [`Master::set_serving`]); the first scheduler build for
-    /// such a pc consumes the entry instead of re-adding its total.
-    serving_precounted: HashSet<u32>,
+    /// A daemon job's live progress, read by `Daemon::status`: `total` grows
+    /// as pardos are met, `granted` as their chunks are handed out.
+    progress: Option<Arc<JobProgress>>,
 }
 
 impl Master {
@@ -203,49 +200,13 @@ impl Master {
             epoch_pending: None,
             plan: Arc::new(CommPlan::default()),
             trace: TraceSink::disabled(),
-            serving: None,
-            serving_precounted: HashSet::new(),
+            progress: None,
         }
     }
 
-    /// Installs the serving hooks (fair-share arbiter) for a daemon job,
-    /// and registers the program's full iteration-space total up front.
-    /// Totals must not trickle in pardo-by-pardo: a job entering its second
-    /// pardo would see its progress fraction halve and look *behind* jobs
-    /// still grinding through their first, defeating the pacing that keeps
-    /// normalized service rates level across the batch.
-    pub(crate) fn set_serving(&mut self, handles: crate::serve::ServeHandles) {
-        let scalars: Vec<f64> = self.layout.program.scalars.iter().map(|s| s.init).collect();
-        let consts = self.layout.consts.clone();
-        let mut total = 0u64;
-        // Pcs the sum covers; a pc whose enumeration fails here stays out
-        // and registers at first build like any re-execution.
-        let mut counted = HashSet::new();
-        for (pc, ins) in self.layout.program.code.iter().enumerate() {
-            let Instruction::PardoStart {
-                indices,
-                where_clauses,
-                ..
-            } = ins
-            else {
-                continue;
-            };
-            let ranges: Vec<(i64, i64)> = indices.iter().map(|&i| self.layout.range(i)).collect();
-            let Ok(space) = IterationSpace::enumerate(
-                indices,
-                &ranges,
-                where_clauses,
-                &|i| scalars[i as usize],
-                &|i| consts[i as usize],
-            ) else {
-                continue;
-            };
-            total += space.len() as u64;
-            counted.insert(pc as u32);
-        }
-        self.serving_precounted = counted;
-        handles.arbiter.add_total(handles.job, total);
-        self.serving = Some(handles);
+    /// Installs the progress counters of a daemon job.
+    pub(crate) fn set_progress(&mut self, progress: Arc<JobProgress>) {
+        self.progress = Some(progress);
     }
 
     /// Installs an event-trace sink (shared-epoch; see [`TraceSink`]).
@@ -311,12 +272,8 @@ impl Master {
                 )),
                 other => other,
             })?;
-            if let Some(h) = &self.serving {
-                // Pre-counted at set_serving; only a re-execution of the
-                // same pardo (a later epoch) grows the job's total.
-                if !self.serving_precounted.remove(&pardo_pc) {
-                    h.arbiter.add_total(h.job, space.len() as u64);
-                }
+            if let Some(p) = &self.progress {
+                p.total.fetch_add(space.len() as u64, Ordering::Relaxed);
             }
             let sched =
                 GuidedScheduler::with_policy(space.len() as u64, self.workers(), self.chunk_policy);
@@ -365,16 +322,8 @@ impl Master {
         let ft_on = self.fault.is_some();
         let alive = self.alive_count();
         let widx = self.layout.topology.worker_index(src);
-        // Fair-share: a job ahead of its peers' normalized progress gets a
-        // scaled-down chunk (the arbiter also yields briefly when well
-        // ahead), slowing its grant loop until the others catch up.
-        let serving = self.serving.clone();
-        let scale = serving
-            .as_ref()
-            .map(|h| h.arbiter.chunk_scale(h.job))
-            .unwrap_or(1.0);
         let sched = self.scheduler_for(pardo_pc, epoch)?;
-        match sched.sched.next_chunk_scaled(scale) {
+        match sched.sched.next_chunk() {
             Some(range) => {
                 // The guided policy still sizes every chunk; affinity only
                 // changes *which* iterations fill it (requester's bucket
@@ -410,8 +359,8 @@ impl Master {
                 if ft_on {
                     sched.outstanding.insert(chunk, (widx, iters.clone()));
                 }
-                if let Some(h) = &serving {
-                    h.arbiter.record_grant(h.job, iters.len() as u64);
+                if let Some(p) = &self.progress {
+                    p.granted.fetch_add(iters.len() as u64, Ordering::Relaxed);
                 }
                 let _ = self.endpoint.send(
                     src,

@@ -32,6 +32,8 @@ pub struct WorkerProfile {
     pub total_nanos: u64,
     /// Pardo iterations executed.
     pub iterations: u64,
+    /// Pardo chunks the master granted this worker.
+    pub chunks: u64,
     /// The unified counter registry (cache, memory, contraction, comm,
     /// wait causes, fault tolerance).
     pub metrics: Metrics,
@@ -105,6 +107,9 @@ pub struct ProfileReport {
     pub dry_run_estimate_bytes: u64,
     /// Total pardo iterations executed.
     pub iterations: u64,
+    /// Total pardo chunks granted: `iterations / chunks` is the grain the
+    /// chunk policy scheduled at.
+    pub chunks: u64,
 }
 
 impl ProfileReport {
@@ -112,7 +117,7 @@ impl ProfileReport {
     pub fn merge(program: &Program, profiles: &[WorkerProfile]) -> Self {
         let mut per_pc: BTreeMap<u32, (u64, u64, u64)> = BTreeMap::new();
         let mut metrics = Metrics::default();
-        let mut iterations = 0;
+        let (mut iterations, mut chunks) = (0, 0);
         for p in profiles {
             for (&pc, &(c, b, w)) in &p.per_pc {
                 let e = per_pc.entry(pc).or_insert((0, 0, 0));
@@ -122,6 +127,7 @@ impl ProfileReport {
             }
             metrics.merge(&p.metrics);
             iterations += p.iterations;
+            chunks += p.chunks;
         }
         let mut lines: Vec<ProfileLine> = per_pc
             .into_iter()
@@ -156,6 +162,7 @@ impl ProfileReport {
             metrics,
             dry_run_estimate_bytes: 0,
             iterations,
+            chunks,
         }
     }
 
@@ -206,6 +213,8 @@ impl ProfileReport {
         w.string("sia.profile.v1");
         w.key("iterations");
         w.u64(self.iterations);
+        w.key("chunks");
+        w.u64(self.chunks);
         w.key("total_busy_ns");
         w.u64(self.total_busy().as_nanos() as u64);
         w.key("total_wait_ns");
@@ -286,8 +295,9 @@ impl fmt::Display for ProfileReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "SIP profile: {} iterations, wait fraction {:.1}%",
+            "SIP profile: {} iterations in {} chunks, wait fraction {:.1}%",
             self.iterations,
+            self.chunks,
             self.wait_fraction() * 100.0
         )?;
         match self.overlap() {

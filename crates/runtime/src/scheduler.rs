@@ -239,14 +239,6 @@ impl GuidedScheduler {
     /// The next chunk as a range of flattened task ids, or `None` when the
     /// space is exhausted.
     pub fn next_chunk(&mut self) -> Option<std::ops::Range<u64>> {
-        self.next_chunk_scaled(1.0)
-    }
-
-    /// Like [`GuidedScheduler::next_chunk`], but the policy's chunk size is
-    /// multiplied by `scale` (clamped to (0, 1]) before clamping to at
-    /// least one task. Fair-share serving uses fractional scales to slow a
-    /// job that is ahead of its peers without ever starving it.
-    pub fn next_chunk_scaled(&mut self, scale: f64) -> Option<std::ops::Range<u64>> {
         if self.next >= self.total {
             return None;
         }
@@ -257,12 +249,6 @@ impl GuidedScheduler {
             }
             ChunkPolicy::Fixed { size } => size.max(1),
         };
-        let scale = if scale.is_finite() {
-            scale.clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        let size = ((size as f64 * scale).round() as u64).max(1);
         let start = self.next;
         self.next += size.min(remaining);
         Some(start..self.next)

@@ -4,20 +4,19 @@
 //! job gets its **own fabric world** (master + workers + I/O servers as
 //! threads, exactly as a one-shot run) — rank-failure isolation is by
 //! construction, and the world carries the job id as its fabric tag so all
-//! of a world's envelopes attribute to one tenant. What the jobs *share* is
-//! deliberate and narrow:
+//! of a world's envelopes attribute to one tenant. A daemon job is *scheduled*
+//! exactly as a one-shot run: its master hands out the same guided chunks,
+//! and the jobs' threads share the CPUs the way any threads do — through the
+//! OS scheduler. What the jobs *share* is deliberate and narrow:
 //!
 //! * **Admission control** — a job is admitted only when its dry-run memory
 //!   estimate (`workers × per-worker + servers × per-server bytes`) fits the
 //!   daemon's remaining budget; rejection reports the exact bytes needed vs
 //!   available, the same numbers `RuntimeError::Infeasible` reports for a
 //!   single run.
-//! * **Fair-share chunk scheduling** — every job's master consults one
-//!   [`ShareArbiter`] before granting a pardo chunk. The arbiter tracks each
-//!   job's *normalized progress* (granted iterations / total, divided by its
-//!   priority weight); a job running ahead of the slowest active job gets
-//!   scaled-down chunks and a brief yield, so normalized progress rates —
-//!   exactly what the Jain fairness index is computed over — converge.
+//! * **Run slots** — at most `max_concurrent` jobs run at once; the jobs
+//!   queued behind them take a freed slot highest [`JobSpec::priority`]
+//!   first, in submission order within a priority.
 //! * **A warm block cache** — served-array blocks read or flushed by any
 //!   job's I/O server are published to a shared [`WarmCache`] keyed by
 //!   store file and slot; a second job referencing the same served array
@@ -33,205 +32,34 @@ use crate::registry::SuperRegistry;
 use crate::Sip;
 use sia_blocks::BlockHandle;
 use sia_bytecode::{ConstBindings, Program};
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Job identifier, unique within one daemon (also the job's fabric tag).
 pub type JobId = u64;
 
-// ---- fair-share arbiter --------------------------------------------------------
+// ---- progress and fairness ----------------------------------------------------
 
-/// Progress a job ahead of the slowest active job by more than this margin
-/// gets half-sized chunks; twice the margin, quarter-sized plus a yield.
-const SHARE_SLACK: f64 = 0.05;
-/// One step of the over-share yield loop.
-const OVER_SHARE_YIELD: Duration = Duration::from_micros(200);
-/// Cap on the total yield per grant: a job's master must keep servicing
-/// its own heartbeats/liveness well inside the fault-tolerance timeouts,
-/// so a single grant never stalls longer than this — the *next* grant
-/// yields again if the job is still ahead.
-const OVER_SHARE_YIELD_CAP: Duration = Duration::from_millis(20);
-
-#[derive(Debug, Default, Clone)]
-struct JobShare {
-    /// Priority weight (≥ 1.0): a weight-2 job is entitled to run twice as
-    /// far ahead as a weight-1 job before the arbiter throttles it.
-    weight: f64,
-    /// Iterations enumerated so far (grows as pardos are encountered).
-    total: u64,
-    /// Iterations granted to workers so far.
-    granted: u64,
-    /// Whether the job is still running (finished jobs drop out of the
-    /// fair-share comparison but keep their counters for reporting).
-    active: bool,
-    /// Wall-clock seconds spent running (set on finish; live jobs report
-    /// elapsed-so-far).
-    started: Option<Instant>,
-    run_secs: f64,
-}
-
-/// Cross-job fair-share state: one per daemon, shared by every job's master.
-///
-/// The arbiter equalizes *normalized progress* — the fraction of its own
-/// iteration space each job has been granted, divided by its priority
-/// weight. A master asks [`ShareArbiter::chunk_scale`] before every grant;
-/// over-share jobs get fractional chunks (and a brief yield), which slows
-/// their grant loop until the others catch up.
+/// Live progress of one job, written by its master and read by the daemon:
+/// pardo iterations enumerated so far (`total` grows as pardos are met) and
+/// handed to workers so far. A finished job has `granted == total`.
 #[derive(Debug, Default)]
-pub struct ShareArbiter {
-    jobs: Mutex<HashMap<JobId, JobShare>>,
+pub struct JobProgress {
+    pub(crate) granted: AtomicU64,
+    pub(crate) total: AtomicU64,
 }
 
-impl ShareArbiter {
-    /// Creates an empty arbiter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a job with a priority weight (clamped to ≥ 1.0; a higher
-    /// weight entitles the job to proportionally more progress).
-    pub fn register(&self, job: JobId, weight: f64) {
-        let mut jobs = self.jobs.lock().unwrap();
-        jobs.insert(
-            job,
-            JobShare {
-                weight: weight.max(1.0),
-                active: true,
-                started: Some(Instant::now()),
-                ..JobShare::default()
-            },
-        );
-    }
-
-    /// Marks a job finished: it leaves the fair-share comparison.
-    pub fn finish(&self, job: JobId) {
-        let mut jobs = self.jobs.lock().unwrap();
-        if let Some(s) = jobs.get_mut(&job) {
-            s.active = false;
-            if let Some(t0) = s.started {
-                s.run_secs = t0.elapsed().as_secs_f64();
-            }
-        }
-    }
-
-    /// Adds `n` iterations to a job's known total (called by its master as
-    /// each pardo's iteration space is enumerated).
-    pub fn add_total(&self, job: JobId, n: u64) {
-        let mut jobs = self.jobs.lock().unwrap();
-        if let Some(s) = jobs.get_mut(&job) {
-            s.total += n;
-        }
-    }
-
-    /// Records `n` iterations granted to one of the job's workers.
-    pub fn record_grant(&self, job: JobId, n: u64) {
-        let mut jobs = self.jobs.lock().unwrap();
-        if let Some(s) = jobs.get_mut(&job) {
-            s.granted += n;
-        }
-    }
-
-    fn norm_progress(s: &JobShare) -> f64 {
-        if s.total == 0 {
-            return 0.0;
-        }
-        (s.granted as f64 / s.total as f64) / s.weight
-    }
-
-    /// How far the job's normalized progress runs ahead of the slowest
-    /// active job's, or `None` when there is no one to compare against.
-    fn ahead_of_pack(&self, job: JobId) -> Option<f64> {
-        let jobs = self.jobs.lock().unwrap();
-        let s = jobs.get(&job)?;
-        let mine = Self::norm_progress(s);
-        let min_active = jobs
-            .values()
-            .filter(|s| s.active && s.total > 0)
-            .map(Self::norm_progress)
-            .fold(f64::INFINITY, f64::min);
-        min_active.is_finite().then_some(mine - min_active)
-    }
-
-    /// The chunk scale a job's master should apply to its next grant: 1.0
-    /// when the job is at or behind the slowest active job's normalized
-    /// progress, shrinking as it runs ahead. A job *well* over share also
-    /// yields — re-checking as it waits, so a job whose iterations are
-    /// intrinsically cheap (screened-sparse, say) is actually paced to the
-    /// pack rather than merely handed smaller chunks it burns through just
-    /// as fast. The yield is bounded per grant so the master keeps
-    /// servicing its own world. Called with the arbiter lock *released*
-    /// while yielding.
-    pub fn chunk_scale(&self, job: JobId) -> f64 {
-        let Some(mut ahead) = self.ahead_of_pack(job) else {
-            return 1.0;
-        };
-        if ahead > 2.0 * SHARE_SLACK {
-            let deadline = Instant::now() + OVER_SHARE_YIELD_CAP;
-            while ahead > SHARE_SLACK && Instant::now() < deadline {
-                std::thread::sleep(OVER_SHARE_YIELD);
-                match self.ahead_of_pack(job) {
-                    Some(a) => ahead = a,
-                    None => return 1.0,
-                }
-            }
-        }
-        if ahead > 2.0 * SHARE_SLACK {
-            // Still over share after the bounded yield: shrink the grant in
-            // proportion to the overshoot. Smaller chunks mean the worker is
-            // back for the next grant sooner, and every grant is another
-            // bounded yield — so the total pacing a runaway job accumulates
-            // scales with how far ahead it is, not with a fixed constant.
-            (SHARE_SLACK / ahead).clamp(0.02, 0.25)
-        } else if ahead > SHARE_SLACK {
-            0.5
-        } else {
-            1.0
-        }
-    }
-
-    /// Per-job normalized service rates: fraction of the job's own
-    /// iteration space granted per second of runtime, divided by its
-    /// weight. The quantity the Jain index is computed over.
-    pub fn service_rates(&self) -> Vec<(JobId, f64)> {
-        let jobs = self.jobs.lock().unwrap();
-        let mut out: Vec<(JobId, f64)> = jobs
-            .iter()
-            .filter(|(_, s)| s.total > 0)
-            .map(|(&id, s)| {
-                let secs = if s.active {
-                    s.started.map(|t| t.elapsed().as_secs_f64()).unwrap_or(0.0)
-                } else {
-                    s.run_secs
-                };
-                (id, Self::norm_progress(s) / secs.max(1e-9))
-            })
-            .collect();
-        out.sort_by_key(|&(id, _)| id);
-        out
-    }
-
-    /// Progress snapshot `(granted, total)` for one job.
-    pub fn progress(&self, job: JobId) -> (u64, u64) {
-        let jobs = self.jobs.lock().unwrap();
-        jobs.get(&job)
-            .map(|s| (s.granted, s.total))
-            .unwrap_or((0, 0))
-    }
-
-    /// Jain fairness index over the current service rates (1.0 = perfectly
-    /// fair; 1/n = one job got everything). 1.0 when fewer than two jobs
-    /// have run.
-    pub fn jain(&self) -> f64 {
-        jain_index(
-            &self
-                .service_rates()
-                .iter()
-                .map(|&(_, r)| r)
-                .collect::<Vec<_>>(),
+impl JobProgress {
+    /// `(granted, total)` as of now.
+    pub fn snapshot(&self) -> (u64, u64) {
+        (
+            self.granted.load(Ordering::Relaxed),
+            self.total.load(Ordering::Relaxed),
         )
     }
 }
@@ -355,25 +183,29 @@ impl WarmCache {
 }
 
 /// The serving hooks a [`Sip`] carries when it runs as a daemon job: the
-/// job id (also the fabric world tag), the shared fair-share arbiter, and
-/// the shared warm cache.
+/// job id (also the fabric world tag), the shared warm cache, and the
+/// progress counters the job's master keeps for the daemon to read.
 #[derive(Clone)]
 pub struct ServeHandles {
     /// This job's id.
     pub job: JobId,
-    /// The daemon-wide fair-share arbiter.
-    pub arbiter: Arc<ShareArbiter>,
     /// The daemon-wide warm block cache.
     pub warm: Arc<WarmCache>,
+    /// This job's live progress.
+    pub progress: Arc<JobProgress>,
 }
 
 // ---- jobs ----------------------------------------------------------------------
 
 /// Everything a submitted job carries.
 pub struct JobSpec {
-    /// Tenant name (groups per-tenant exports under `tenants/<name>/`).
+    /// Tenant name (groups per-tenant exports under `tenants/<name>/`):
+    /// letters, digits, `.`, `_` and `-`, and not `.` or `..`.
     pub tenant: String,
-    /// Priority weight (≥ 1; higher = entitled to more progress).
+    /// Place in the queue for a run slot: when more jobs are admitted than
+    /// `max_concurrent` lets run, a freed slot goes to the highest priority
+    /// waiting, in submission order within a priority. A running job is
+    /// never slowed for another's sake.
     pub priority: u32,
     /// The compiled program.
     pub program: Program,
@@ -426,9 +258,10 @@ pub struct JobStatus {
     pub queued_ms: u64,
     /// Milliseconds running (so far, or total when finished).
     pub run_ms: u64,
-    /// Iterations granted / enumerated (fair-share progress).
+    /// Pardo iterations handed to workers so far.
     pub granted: u64,
-    /// Total iterations enumerated so far.
+    /// Pardo iterations enumerated so far (grows as pardos are met; equals
+    /// `granted` once the job is done).
     pub total: u64,
     /// Warm-cache hits this job's I/O servers took.
     pub warm_hits: u64,
@@ -455,7 +288,8 @@ pub enum AdmitError {
         /// The daemon's total budget.
         budget_bytes: u64,
     },
-    /// The program failed layout/dry-run analysis before admission.
+    /// The tenant name is not a plain directory name, or the program
+    /// failed layout/dry-run analysis before admission.
     Invalid(String),
 }
 
@@ -512,6 +346,7 @@ struct JobRecord {
     submitted: Instant,
     started: Option<Instant>,
     finished: Option<Instant>,
+    progress: Arc<JobProgress>,
     warm_hits: u64,
     scalars: Vec<(String, f64)>,
     trace_path: Option<PathBuf>,
@@ -519,23 +354,88 @@ struct JobRecord {
     admitted_bytes: u64,
 }
 
+impl JobRecord {
+    fn status(&self, id: JobId) -> JobStatus {
+        let (granted, total) = self.progress.snapshot();
+        let queued_ms = match self.started {
+            Some(t) => t.duration_since(self.submitted).as_millis() as u64,
+            None => self.submitted.elapsed().as_millis() as u64,
+        };
+        JobStatus {
+            id,
+            tenant: self.tenant.clone(),
+            state: self.state.clone(),
+            queued_ms,
+            run_ms: self.run_time().as_millis() as u64,
+            granted,
+            total,
+            warm_hits: self.warm_hits,
+            scalars: self.scalars.clone(),
+            trace_path: self.trace_path.clone(),
+            profile_json: self.profile_json.clone(),
+            admitted_bytes: self.admitted_bytes,
+        }
+    }
+
+    /// Time running: so far, or in all once finished.
+    fn run_time(&self) -> Duration {
+        match (self.started, self.finished) {
+            (Some(s), Some(f)) => f.duration_since(s),
+            (Some(s), None) => s.elapsed(),
+            _ => Duration::ZERO,
+        }
+    }
+}
+
+/// Everything the daemon's threads share, behind [`Shared::state`]; every
+/// change a thread may be waiting for is followed by `Shared::cv.notify_all`.
 #[derive(Default)]
-struct RunGate {
-    running: Mutex<usize>,
+struct DaemonState {
+    jobs: HashMap<JobId, JobRecord>,
+    /// Bytes of the budget held by admitted, unfinished jobs.
+    committed: u64,
+    /// Jobs holding a run slot.
+    running: usize,
+    /// Jobs waiting for a run slot, first in line first: highest priority,
+    /// then lowest id (ids are handed out in submission order).
+    queue: BTreeSet<(Reverse<u32>, JobId)>,
+    last_id: JobId,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+const POISONED: &str = "daemon state lock poisoned";
+
+#[derive(Default)]
+struct Shared {
+    state: Mutex<DaemonState>,
     cv: Condvar,
 }
 
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, DaemonState> {
+        self.state.lock().expect(POISONED)
+    }
+}
+
 /// The long-lived serving core: admission control, per-job fabric worlds,
-/// fair-share arbitration, the shared warm cache, and per-tenant exports.
+/// run slots in priority order, the shared warm cache, and per-tenant
+/// exports.
 pub struct Daemon {
     cfg: DaemonConfig,
-    arbiter: Arc<ShareArbiter>,
     warm: Arc<WarmCache>,
-    jobs: Arc<Mutex<HashMap<JobId, JobRecord>>>,
-    committed: Arc<Mutex<u64>>,
-    gate: Arc<RunGate>,
-    next_id: AtomicU64,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    shared: Arc<Shared>,
+}
+
+/// A tenant name becomes a directory under `tenants/`, and it arrives from
+/// outside (`submit … tenant=<name>`): one path component, nothing else.
+fn check_tenant(name: &str) -> Result<(), AdmitError> {
+    let plain = |c: char| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-');
+    if name.is_empty() || name == "." || name == ".." || !name.chars().all(plain) {
+        return Err(AdmitError::Invalid(format!(
+            "tenant `{name}` is not a name of letters, digits, `.`, `_` and `-`"
+        )));
+    }
+    Ok(())
 }
 
 impl Daemon {
@@ -544,18 +444,8 @@ impl Daemon {
         Daemon {
             warm: Arc::new(WarmCache::new(cfg.warm_blocks)),
             cfg,
-            arbiter: Arc::new(ShareArbiter::new()),
-            jobs: Arc::new(Mutex::new(HashMap::new())),
-            committed: Arc::new(Mutex::new(0)),
-            gate: Arc::new(RunGate::default()),
-            next_id: AtomicU64::new(1),
-            threads: Mutex::new(Vec::new()),
+            shared: Arc::default(),
         }
-    }
-
-    /// The shared fair-share arbiter (for fairness reporting).
-    pub fn arbiter(&self) -> &Arc<ShareArbiter> {
-        &self.arbiter
     }
 
     /// The shared warm cache.
@@ -586,12 +476,16 @@ impl Daemon {
     /// run thread on its own fabric world. Returns the job id immediately;
     /// poll [`Daemon::status`] or block on [`Daemon::wait`].
     pub fn submit(&self, mut spec: JobSpec) -> Result<JobId, AdmitError> {
+        check_tenant(&spec.tenant)?;
         let needed = Self::footprint(&spec).map_err(|e| AdmitError::Invalid(e.to_string()))?;
-        let id = {
-            // Admit under the lock so two submissions cannot both fit the
-            // same last bytes.
-            let mut committed = self.committed.lock().unwrap();
-            let available = self.cfg.budget_bytes.saturating_sub(*committed);
+        let progress = Arc::new(JobProgress::default());
+        let tenant_dir = self.cfg.data_dir.join("tenants").join(&spec.tenant);
+        let ticket = {
+            // Admit, number and queue the job in one step, so two
+            // submissions cannot both fit the same last bytes and the queue
+            // sees jobs in the order their ids say.
+            let mut st = self.shared.lock();
+            let available = self.cfg.budget_bytes.saturating_sub(st.committed);
             if needed > available {
                 return Err(AdmitError::OverBudget {
                     needed_bytes: needed,
@@ -599,175 +493,157 @@ impl Daemon {
                     budget_bytes: self.cfg.budget_bytes,
                 });
             }
-            *committed += needed;
-            self.next_id.fetch_add(1, Ordering::Relaxed)
+            st.committed += needed;
+            st.last_id += 1;
+            let id = st.last_id;
+            let ticket = (Reverse(spec.priority), id);
+            st.queue.insert(ticket);
+
+            spec.config.run_dir = Some(self.cfg.data_dir.join("jobs").join(id.to_string()));
+            spec.config.served_dir = Some(self.cfg.data_dir.join("served"));
+            if spec.export {
+                spec.config.trace_path = Some(tenant_dir.join(format!("job{id}-trace.json")));
+                spec.config.profile_json = Some(tenant_dir.join(format!("job{id}-profile.json")));
+            }
+            st.jobs.insert(
+                id,
+                JobRecord {
+                    tenant: spec.tenant.clone(),
+                    state: JobState::Queued,
+                    submitted: Instant::now(),
+                    started: None,
+                    finished: None,
+                    progress: Arc::clone(&progress),
+                    warm_hits: 0,
+                    scalars: Vec::new(),
+                    trace_path: spec.config.trace_path.clone(),
+                    profile_json: spec.config.profile_json.clone(),
+                    admitted_bytes: needed,
+                },
+            );
+            ticket
         };
+        let id = ticket.1;
 
-        // Serving wants fine-grained grants: the arbiter paces jobs at
-        // chunk boundaries, and the default guided factor hands out most of
-        // a pardo in the first few chunks — far coarser than the 5% share
-        // slack. A higher factor keeps chunks a few percent of the space.
-        if spec.config.chunk_policy.is_none() {
-            spec.config.chunk_policy = Some(crate::scheduler::ChunkPolicy::Guided { factor: 16 });
-        }
-
-        // Per-job layout under the data dir.
-        let job_dir = self.cfg.data_dir.join("jobs").join(id.to_string());
-        let served_dir = self.cfg.data_dir.join("served");
-        let tenant_dir = self.cfg.data_dir.join("tenants").join(&spec.tenant);
-        spec.config.run_dir = Some(job_dir);
-        spec.config.served_dir = Some(served_dir);
-        let (trace_path, profile_json) = if spec.export {
-            let _ = std::fs::create_dir_all(&tenant_dir);
-            let t = tenant_dir.join(format!("job{id}-trace.json"));
-            let p = tenant_dir.join(format!("job{id}-profile.json"));
-            spec.config.trace_path = Some(t.clone());
-            spec.config.profile_json = Some(p.clone());
-            (Some(t), Some(p))
-        } else {
-            (None, None)
-        };
-
-        self.jobs.lock().unwrap().insert(
-            id,
-            JobRecord {
-                tenant: spec.tenant.clone(),
-                state: JobState::Queued,
-                submitted: Instant::now(),
-                started: None,
-                finished: None,
-                warm_hits: 0,
-                scalars: Vec::new(),
-                trace_path,
-                profile_json,
-                admitted_bytes: needed,
-            },
-        );
-
-        let arbiter = Arc::clone(&self.arbiter);
         let warm = Arc::clone(&self.warm);
-        let jobs = Arc::clone(&self.jobs);
-        let committed = Arc::clone(&self.committed);
-        let gate = Arc::clone(&self.gate);
+        let shared = Arc::clone(&self.shared);
         let max_concurrent = self.cfg.max_concurrent.max(1);
         let handle = std::thread::spawn(move || {
-            // Concurrency gate: queued until a run slot frees up.
             {
-                let mut running = gate.running.lock().unwrap();
-                while *running >= max_concurrent {
-                    running = gate.cv.wait(running).unwrap();
+                // Queued until a run slot is free and this job is first in
+                // line for it.
+                let mut st = shared.lock();
+                while st.running >= max_concurrent || st.queue.first() != Some(&ticket) {
+                    st = shared.cv.wait(st).expect(POISONED);
                 }
-                *running += 1;
+                st.queue.pop_first();
+                st.running += 1;
+                let r = st.jobs.get_mut(&id).expect("a job's record outlives it");
+                r.state = JobState::Running;
+                r.started = Some(Instant::now());
+                // The next in line may have a slot too: it looked while
+                // this job was still ahead of it.
+                shared.cv.notify_all();
             }
-            {
-                let mut g = jobs.lock().unwrap();
-                if let Some(r) = g.get_mut(&id) {
-                    r.state = JobState::Running;
-                    r.started = Some(Instant::now());
-                }
+            if spec.export {
+                let _ = std::fs::create_dir_all(&tenant_dir);
             }
-            arbiter.register(id, spec.priority as f64);
             let mut sip = Sip::new(spec.config).with_registry(spec.registry);
             sip.set_serving(ServeHandles {
                 job: id,
-                arbiter: Arc::clone(&arbiter),
                 warm,
+                progress,
             });
             let result = sip.run(spec.program, &spec.bindings);
-            arbiter.finish(id);
-            {
-                let mut g = jobs.lock().unwrap();
-                if let Some(r) = g.get_mut(&id) {
-                    r.finished = Some(Instant::now());
-                    match result {
-                        Ok(out) => {
-                            r.warm_hits = out.profile.metrics.server.warm_hits;
-                            r.scalars = out.scalars.into_iter().collect();
-                            r.state = JobState::Done;
-                        }
-                        Err(e) => r.state = JobState::Failed(e.to_string()),
-                    }
+
+            let mut st = shared.lock();
+            st.committed = st.committed.saturating_sub(needed);
+            st.running -= 1;
+            let r = st.jobs.get_mut(&id).expect("a job's record outlives it");
+            r.finished = Some(Instant::now());
+            match result {
+                Ok(out) => {
+                    r.warm_hits = out.profile.metrics.server.warm_hits;
+                    r.scalars = out.scalars.into_iter().collect();
+                    r.state = JobState::Done;
                 }
+                Err(e) => r.state = JobState::Failed(e.to_string()),
             }
-            {
-                let mut c = committed.lock().unwrap();
-                *c = c.saturating_sub(needed);
-            }
-            let mut running = gate.running.lock().unwrap();
-            *running -= 1;
-            gate.cv.notify_all();
+            shared.cv.notify_all();
         });
-        self.threads.lock().unwrap().push(handle);
+
+        // A long-lived daemon keeps no handle of a job that is over.
+        let mut st = self.shared.lock();
+        let (over, live) = std::mem::take(&mut st.threads)
+            .into_iter()
+            .partition(|h| h.is_finished());
+        st.threads = live;
+        st.threads.push(handle);
+        for h in over {
+            let _ = h.join();
+        }
         Ok(id)
     }
 
     /// Status of one job, or `None` for an unknown id.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        let jobs = self.jobs.lock().unwrap();
-        jobs.get(&id).map(|r| self.snapshot(id, r))
-    }
-
-    fn snapshot(&self, id: JobId, r: &JobRecord) -> JobStatus {
-        let (granted, total) = self.arbiter.progress(id);
-        let queued_ms = match r.started {
-            Some(t) => t.duration_since(r.submitted).as_millis() as u64,
-            None => r.submitted.elapsed().as_millis() as u64,
-        };
-        let run_ms = match (r.started, r.finished) {
-            (Some(s), Some(f)) => f.duration_since(s).as_millis() as u64,
-            (Some(s), None) => s.elapsed().as_millis() as u64,
-            _ => 0,
-        };
-        JobStatus {
-            id,
-            tenant: r.tenant.clone(),
-            state: r.state.clone(),
-            queued_ms,
-            run_ms,
-            granted,
-            total,
-            warm_hits: r.warm_hits,
-            scalars: r.scalars.clone(),
-            trace_path: r.trace_path.clone(),
-            profile_json: r.profile_json.clone(),
-            admitted_bytes: r.admitted_bytes,
-        }
+        self.shared.lock().jobs.get(&id).map(|r| r.status(id))
     }
 
     /// Status of every job, sorted by id.
     pub fn list(&self) -> Vec<JobStatus> {
-        let jobs = self.jobs.lock().unwrap();
-        let mut out: Vec<JobStatus> = jobs.iter().map(|(&id, r)| self.snapshot(id, r)).collect();
+        let st = self.shared.lock();
+        let mut out: Vec<JobStatus> = st.jobs.iter().map(|(&id, r)| r.status(id)).collect();
         out.sort_by_key(|s| s.id);
         out
     }
 
     /// Blocks until the job finishes (done or failed) or `timeout` passes.
-    /// Returns the final status, or `None` on timeout/unknown id.
+    /// Returns the final status, or `None` on timeout/unknown id. A timeout
+    /// too large to be a point in time waits without bound.
     pub fn wait(&self, id: JobId, timeout: Duration) -> Option<JobStatus> {
-        let deadline = Instant::now() + timeout;
-        // A job thread records its final state and only then takes the gate
-        // to notify, so no completion can slip between the status check and
-        // the wait below.
-        let mut running = self.gate.running.lock().unwrap();
+        let deadline = Instant::now().checked_add(timeout);
+        let mut st = self.shared.lock();
         loop {
-            let status = self.status(id)?;
-            if matches!(status.state, JobState::Done | JobState::Failed(_)) {
-                return Some(status);
+            let r = st.jobs.get(&id)?;
+            if r.finished.is_some() {
+                return Some(r.status(id));
             }
-            let left = deadline.checked_duration_since(Instant::now())?;
-            running = self.gate.cv.wait_timeout(running, left).unwrap().0;
+            st = match deadline {
+                Some(d) => {
+                    let left = d.checked_duration_since(Instant::now())?;
+                    self.shared.cv.wait_timeout(st, left).expect(POISONED).0
+                }
+                None => self.shared.cv.wait(st).expect(POISONED),
+            };
         }
     }
 
-    /// Jain fairness index over the jobs' normalized service rates.
+    /// Jain fairness index over the jobs' service rates: the fraction of
+    /// its own iteration space each started job was granted per second of
+    /// its run. 1.0 when fewer than two jobs have met a pardo.
     pub fn fairness(&self) -> f64 {
-        self.arbiter.jain()
+        let st = self.shared.lock();
+        let rates: Vec<f64> = st
+            .jobs
+            .values()
+            .filter_map(|r| {
+                let (granted, total) = r.progress.snapshot();
+                (total > 0)
+                    .then(|| granted as f64 / total as f64 / r.run_time().as_secs_f64().max(1e-9))
+            })
+            .collect();
+        jain_index(&rates)
     }
 
     /// Joins every job thread (all jobs run to completion first).
     pub fn shutdown(&self) {
-        let handles: Vec<_> = self.threads.lock().unwrap().drain(..).collect();
+        // Also what `Drop` runs, where a poisoned lock must not panic again.
+        let Ok(mut st) = self.shared.state.lock() else {
+            return;
+        };
+        let handles = std::mem::take(&mut st.threads);
+        drop(st);
         for h in handles {
             let _ = h.join();
         }
@@ -795,37 +671,6 @@ mod tests {
         assert!((j - 1.0 / 3.0).abs() < 1e-12, "{j}");
         // Mild skew stays high.
         assert!(jain_index(&[1.0, 0.9, 1.1]) > 0.95);
-    }
-
-    #[test]
-    fn arbiter_throttles_the_job_ahead() {
-        let a = ShareArbiter::new();
-        a.register(1, 1.0);
-        a.register(2, 1.0);
-        a.add_total(1, 100);
-        a.add_total(2, 100);
-        a.record_grant(1, 50);
-        a.record_grant(2, 10);
-        assert!(a.chunk_scale(1) < 1.0, "job 1 is 40% ahead");
-        assert_eq!(a.chunk_scale(2), 1.0, "job 2 is the slowest");
-        // A finished job drops out of the comparison.
-        a.finish(2);
-        assert_eq!(a.chunk_scale(1), 1.0, "job 1 is the only active job");
-    }
-
-    #[test]
-    fn arbiter_priority_weight_raises_entitlement() {
-        let a = ShareArbiter::new();
-        a.register(1, 2.0); // priority 2: entitled to 2× progress
-        a.register(2, 1.0);
-        a.add_total(1, 100);
-        a.add_total(2, 100);
-        a.record_grant(1, 40);
-        a.record_grant(2, 40);
-        // Normalized: job1 = 0.40/2 = 0.20, job2 = 0.40. Job 1 is *behind*
-        // despite equal raw progress.
-        assert_eq!(a.chunk_scale(1), 1.0);
-        assert!(a.chunk_scale(2) < 1.0);
     }
 
     fn warm_blk(v: f64) -> BlockHandle {

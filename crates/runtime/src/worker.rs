@@ -384,6 +384,7 @@ impl Worker {
                         }
                         p.queue.extend(iters);
                         p.requested = false;
+                        self.profile.chunks += 1;
                     }
                 }
             }

@@ -1,13 +1,16 @@
 //! Multi-tenant serving tests: admission control reports exact bytes,
 //! concurrent jobs sharing a served array hit the warm cache and stay
 //! bitwise-identical to a serial run, concurrent jobs writing one served
-//! array share its store file without colliding, and one job's rank death
-//! never fails a neighbor job (each job runs on its own fabric world).
+//! array share its store file without colliding, one job's rank death
+//! never fails a neighbor job (each job runs on its own fabric world), a
+//! daemon job is scheduled exactly as a one-shot run, and jobs queued for a
+//! run slot take it in priority order.
 
 use sia_bytecode::ConstBindings;
 use sia_runtime::serve::{AdmitError, Daemon, DaemonConfig, JobSpec, JobState};
-use sia_runtime::{CrashSchedule, FaultConfig, FaultPlan, SipConfig, SuperRegistry};
+use sia_runtime::{CrashSchedule, FaultConfig, FaultPlan, Sip, SipConfig, SuperRegistry};
 use std::path::PathBuf;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// Writer: primes the served array `B` and checks it back.
@@ -96,6 +99,17 @@ fn tmp(tag: &str) -> PathBuf {
 }
 
 const WAIT: Duration = Duration::from_secs(120);
+
+/// A daemon over `dir` with `max_concurrent` run slots and room for any of
+/// these tests' jobs.
+fn daemon_over(dir: &std::path::Path, max_concurrent: usize) -> Daemon {
+    Daemon::new(DaemonConfig {
+        budget_bytes: 1 << 30,
+        max_concurrent,
+        data_dir: dir.to_path_buf(),
+        warm_blocks: 8,
+    })
+}
 
 /// Admission control must reject a job that does not fit the remaining
 /// budget and report the *exact* bytes involved — the same footprint the
@@ -280,6 +294,176 @@ fn concurrent_jobs_writing_one_served_array_both_finish() {
         .map(|e| e.unwrap().file_name())
         .collect();
     assert_eq!(served, ["a0.srv"], "one store file per served array");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job of one `execute <name> s` instruction on one worker, with `f`
+/// registered under that name: the tests' hook into when a job runs.
+fn hooked_job(priority: u32, name: &str, f: impl Fn() + Send + Sync + 'static) -> JobSpec {
+    let src = format!("sial hooked\nscalar s\nexecute {name} s\nendsial\n");
+    let mut registry = SuperRegistry::new();
+    registry.register(name, move |_, _| {
+        f();
+        Ok(())
+    });
+    JobSpec {
+        tenant: "t".to_string(),
+        priority,
+        program: sial_frontend::compile(&src).unwrap(),
+        bindings: ConstBindings::new(),
+        config: SipConfig::builder().workers(1).build().unwrap(),
+        registry,
+        export: false,
+    }
+}
+
+/// One run slot, held by a job the test lets go of only after three more
+/// are queued behind it with priorities 1, 3, 1: they take the slot highest
+/// priority first, and in submission order within a priority.
+#[test]
+fn queued_jobs_start_by_priority_then_submission_order() {
+    let dir = tmp("priority");
+    let daemon = daemon_over(&dir, 1);
+    let (started_tx, started) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let (started_tx, released) = (Mutex::new(started_tx), Mutex::new(released));
+    let blocker = daemon
+        .submit(hooked_job(1, "hold", move || {
+            started_tx.lock().unwrap().send(()).unwrap();
+            released.lock().unwrap().recv().unwrap();
+        }))
+        .unwrap();
+    started.recv().unwrap(); // the blocker holds the slot from here on
+
+    let ran = Arc::new(Mutex::new(Vec::new()));
+    let ids: Vec<_> = [("first low", 1), ("high", 3), ("second low", 1)]
+        .into_iter()
+        .map(|(tag, priority)| {
+            let ran = Arc::clone(&ran);
+            let job = hooked_job(priority, "mark", move || ran.lock().unwrap().push(tag));
+            daemon.submit(job).unwrap()
+        })
+        .collect();
+    for &id in &ids {
+        assert_eq!(daemon.status(id).unwrap().state, JobState::Queued);
+    }
+    release.send(()).unwrap();
+
+    let done: Vec<_> = ids
+        .iter()
+        .map(|&id| daemon.wait(id, WAIT).unwrap())
+        .collect();
+    for s in &done {
+        assert_eq!(s.state, JobState::Done, "{:?}", s.state);
+    }
+    assert_eq!(daemon.wait(blocker, WAIT).unwrap().state, JobState::Done);
+    assert_eq!(*ran.lock().unwrap(), ["high", "first low", "second low"]);
+    // The same order off the status fields: submitted after the first low
+    // job, the high one was nevertheless over before that one started.
+    let (low, high) = (&done[0], &done[1]);
+    assert!(
+        low.queued_ms >= high.queued_ms + high.run_ms,
+        "low queued {} ms, high queued {} ms and ran {} ms",
+        low.queued_ms,
+        high.queued_ms,
+        high.run_ms
+    );
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The number after `"key":` in a JSON text.
+fn json_u64(text: &str, key: &str) -> u64 {
+    let at = text.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+    let digits: String = text[at..]
+        .trim_start()
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect(key)
+}
+
+/// The daemon adds nothing to how a job is scheduled: the same program and
+/// configuration get the same chunks, and so the same bits, from
+/// `Daemon::submit` as from `Sip::run`.
+#[test]
+fn a_daemon_job_is_a_one_shot_run() {
+    let mut spec = job(NEIGHBOR, "t", 8, 1, None);
+    spec.export = true;
+    let one_shot = Sip::new(spec.config.clone())
+        .run(spec.program.clone(), &spec.bindings)
+        .unwrap();
+    assert!(one_shot.profile.chunks > 0);
+
+    let dir = tmp("oneshot");
+    let daemon = daemon_over(&dir, 1);
+    let id = daemon.submit(spec).unwrap();
+    let served = daemon.wait(id, WAIT).unwrap();
+    assert_eq!(served.state, JobState::Done, "{:?}", served.state);
+    let profile = std::fs::read_to_string(served.profile_json.as_ref().unwrap()).unwrap();
+    assert_eq!(json_u64(&profile, "chunks"), one_shot.profile.chunks);
+    assert_eq!(
+        json_u64(&profile, "iterations"),
+        one_shot.profile.iterations
+    );
+    let bits = |v: &f64| v.to_bits();
+    assert_eq!(
+        served
+            .scalars
+            .iter()
+            .map(|(_, v)| bits(v))
+            .collect::<Vec<_>>(),
+        one_shot.scalars.values().map(bits).collect::<Vec<_>>()
+    );
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job's total grows each time a pardo is met — here the same pardo, five
+/// times over — and a finished job was granted all of it.
+#[test]
+fn progress_ends_at_granted_equals_total() {
+    const SWEEPS: &str = "sial pardo_in_do
+index sweep = 1, 5
+aoindex i = 1, n
+scalar count
+do sweep
+  pardo i
+    count += 1.0
+  endpardo i
+  sip_barrier
+enddo sweep
+execute sip_allreduce count
+endsial
+";
+    let dir = tmp("progress");
+    let daemon = daemon_over(&dir, 1);
+    let id = daemon.submit(job(SWEEPS, "t", 4, 2, None)).unwrap();
+    let s = daemon.wait(id, WAIT).unwrap();
+    assert_eq!(s.state, JobState::Done, "{:?}", s.state);
+    assert_eq!((s.granted, s.total), (20, 20), "5 sweeps of 4 iterations");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A tenant name becomes a directory under the data dir: anything but a
+/// plain name is refused before it can name a place outside it.
+#[test]
+fn tenant_names_that_are_not_plain_are_refused() {
+    let dir = tmp("tenant");
+    let daemon = daemon_over(&dir, 1);
+    for bad in ["../x", "a/b", "", "..", "."] {
+        let mut spec = job(NEIGHBOR, bad, 2, 1, None);
+        spec.export = true;
+        match daemon.submit(spec) {
+            Err(AdmitError::Invalid(m)) => assert!(m.contains("tenant"), "{m}"),
+            other => panic!("tenant {bad:?}: expected Invalid, got {other:?}"),
+        }
+    }
+    assert!(daemon.list().is_empty(), "a refused job leaves no record");
+    let ok = daemon.submit(job(NEIGHBOR, "a.b_c-1", 2, 1, None)).unwrap();
+    assert_eq!(daemon.wait(ok, WAIT).unwrap().state, JobState::Done);
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }

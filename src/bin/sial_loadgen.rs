@@ -2,11 +2,11 @@
 //!
 //! Submits a mixed batch of SIAL jobs (dense contraction, screened-sparse
 //! reduction, served-array pipeline — all sized to comparable iteration
-//! spaces so fair-share has something to equalize) to a running daemon,
-//! waits for completion, and reports throughput (jobs/s), latency
-//! percentiles (p50/p99 of submit→done), and the batch's Jain fairness
-//! index over per-job normalized service rates (the daemon's lifetime
-//! figure is recorded alongside as `jain_daemon`).
+//! spaces, so even shares of the machine show as even run times) to a
+//! running daemon, waits for completion, and reports throughput (jobs/s),
+//! latency percentiles (p50/p99 of submit→done), and the batch's Jain
+//! fairness index over per-job normalized service rates (the daemon's
+//! lifetime figure is recorded alongside as `jain_daemon`).
 //!
 //! ```text
 //! siald --socket /tmp/siald.sock --data-dir /tmp/siald-data &
@@ -176,15 +176,13 @@ fn main() -> ExitCode {
         specs.push((
             format!("tenant-{kind}"),
             path,
-            // seg 4 over n=40 gives a 10x10 block space per pardo — enough
-            // grants per job for the arbiter's chunk pacing to equalize
-            // normalized service rates across the mixed batch.
+            // seg 4 over n=40 gives a 10x10 block space per pardo.
             format!("tenant=tenant-{kind} bind:n={n} workers=2 io=1 seg=4 {extra}"),
         ));
     }
 
-    // Submit everything at once from parallel connections — fair share can
-    // only equalize jobs that actually overlap, so the batch must not be
+    // Submit everything at once from parallel connections — the fairness
+    // figure is about jobs that overlap, so the batch must not be
     // serialized by submit round-trips. Per-job latency is submit→done.
     let t0 = Instant::now();
     let handles: Vec<_> = specs

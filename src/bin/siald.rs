@@ -1,11 +1,11 @@
 //! `siald` — the long-lived SIAL serving daemon.
 //!
 //! One SIP process admitting many concurrent SIAL programs over a Unix
-//! socket: dry-run admission control against a shared memory budget,
-//! fair-share chunk scheduling across jobs, per-tenant metric/trace
+//! socket: dry-run admission control against a shared memory budget, run
+//! slots handed to queued jobs in priority order, per-tenant metric/trace
 //! exports, per-job rank-failure isolation (every job runs on its own
-//! fabric world), and a warm block cache shared by jobs referencing the
-//! same served arrays.
+//! fabric world, scheduled exactly as a one-shot `sial run`), and a warm
+//! block cache shared by jobs referencing the same served arrays.
 //!
 //! ```text
 //! siald --socket /tmp/siald.sock --budget 2147483648 --max-jobs 4 \
@@ -14,7 +14,7 @@
 //! sial status /tmp/siald.sock
 //! ```
 //!
-//! ## Wire protocol (one request line per connection)
+//! ## Wire protocol (one request line per connection, at most 64 KiB)
 //!
 //! ```text
 //! ping                         -> ok pong
@@ -36,9 +36,9 @@
 use sia::runtime::serve::{AdmitError, Daemon, DaemonConfig, JobSpec, JobStatus};
 use sia::subsystems::chem::register_integrals;
 use sia::{ConstBindings, SegmentConfig, SipConfig, SuperRegistry};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -206,18 +206,18 @@ fn parse_fault_spec(spec: &str, seed: u64) -> Result<sia::FaultConfig, String> {
     Ok(fault)
 }
 
-fn handle(stream: UnixStream, daemon: &Daemon, stop: &AtomicBool) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut out = stream;
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
-        return;
+/// The longest request line the daemon reads: a client that never sends a
+/// newline costs the daemon this much memory, not all of it.
+const MAX_REQUEST_BYTES: usize = 64 << 10;
+
+/// The one-line reply (several lines for a bare `status`) to one request
+/// line. Whatever the line holds, the answer is a reply, never a panic.
+fn respond(line: &str, daemon: &Daemon, stop: &AtomicBool) -> String {
+    if line.len() > MAX_REQUEST_BYTES {
+        return "error request too long".to_string();
     }
     let tokens: Vec<&str> = line.split_whitespace().collect();
-    let reply = match tokens.as_slice() {
+    match tokens.as_slice() {
         ["ping"] => "ok pong".to_string(),
         ["submit", file, opts @ ..] => match parse_submit(file, opts) {
             Ok(spec) => match daemon.submit(spec) {
@@ -267,8 +267,24 @@ fn handle(stream: UnixStream, daemon: &Daemon, stop: &AtomicBool) {
             "ok bye".to_string()
         }
         _ => "error unknown command".to_string(),
+    }
+}
+
+/// Serves one connection: reads its request line, writes the reply. A
+/// request that stopped the daemon then connects to the daemon's own
+/// `socket`, which is what the acceptor wakes on to see the stop.
+fn handle(stream: UnixStream, daemon: &Daemon, stop: &AtomicBool, socket: &Path) {
+    let mut line = String::new();
+    // One byte over the limit is enough for `respond` to see it exceeded.
+    let mut request = BufReader::new(&stream).take(MAX_REQUEST_BYTES as u64 + 1);
+    let reply = match request.read_line(&mut line) {
+        Ok(_) => respond(&line, daemon, stop),
+        Err(e) => format!("error unreadable request: {e}"),
     };
-    let _ = writeln!(out, "{reply}");
+    let _ = writeln!(&stream, "{reply}");
+    if stop.load(Ordering::SeqCst) {
+        let _ = UnixStream::connect(socket);
+    }
 }
 
 fn main() -> ExitCode {
@@ -332,21 +348,19 @@ fn main() -> ExitCode {
     );
     let daemon = Arc::new(Daemon::new(cfg));
     let stop = Arc::new(AtomicBool::new(false));
-    // Each connection carries one request; short poll timeouts let the
-    // accept loop observe a shutdown request promptly, and a tight accept
-    // cadence keeps back-to-back submits from serializing the batch (fair
-    // share can only equalize jobs that actually overlap).
-    let _ = listener.set_nonblocking(true);
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let daemon = Arc::clone(&daemon);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || handle(stream, &daemon, &stop));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+    let socket: Arc<Path> = socket.into();
+    // Each connection carries one request and gets a thread of its own, so
+    // a `wait` holds up nobody. The acceptor sleeps in `accept()`; the
+    // connection that follows a `shutdown` (see `handle`) wakes it.
+    for stream in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
+                let (daemon, stop, socket) =
+                    (Arc::clone(&daemon), Arc::clone(&stop), Arc::clone(&socket));
+                std::thread::spawn(move || handle(stream, &daemon, &stop, &socket));
             }
             Err(e) => {
                 eprintln!("siald: accept: {e}");
@@ -355,7 +369,78 @@ fn main() -> ExitCode {
         }
     }
     daemon.shutdown();
-    let _ = std::fs::remove_file(&socket);
+    let _ = std::fs::remove_file(&*socket);
     println!("siald: bye");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A scratch directory, a program file in it, and a daemon over it.
+    fn fixture(tag: &str) -> (PathBuf, String, Daemon) {
+        let dir = std::env::temp_dir().join(format!("siald-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let prog = dir.join("f.sial");
+        std::fs::write(&prog, "sial f\nscalar s\ns = 1.0\nendsial\n").unwrap();
+        let daemon = Daemon::new(DaemonConfig {
+            data_dir: dir.join("data"),
+            ..DaemonConfig::default()
+        });
+        (dir, prog.display().to_string(), daemon)
+    }
+
+    /// Whatever a client writes, the handler answers with one `error …`
+    /// line: it does not panic, and no request reaches the daemon's state.
+    #[test]
+    fn malformed_requests_get_one_error_line() {
+        let (dir, prog, daemon) = fixture("respond");
+        let stop = AtomicBool::new(false);
+        let requests = [
+            String::new(),
+            "\n".to_string(),
+            "frobnicate\n".to_string(),
+            "status x\n".to_string(),
+            "status 7\n".to_string(),
+            "wait\n".to_string(),
+            "wait x\n".to_string(),
+            "wait 1 18446744073709551615\n".to_string(),
+            "submit\n".to_string(),
+            "submit /nonexistent\n".to_string(),
+            format!("submit {prog} bad-option\n"),
+            format!("submit {prog} workers=many\n"),
+            format!("submit {prog} tenant=../x\n"),
+            format!("submit {prog} tenant=\n"),
+            "x".repeat(1 << 20),
+        ];
+        for request in &requests {
+            let reply = respond(request, &daemon, &stop);
+            let shown = &request[..request.len().min(40)];
+            assert!(reply.starts_with("error "), "{shown:?} -> {reply:?}");
+            assert_eq!(reply.lines().count(), 1, "{shown:?} -> {reply:?}");
+        }
+        assert!(daemon.list().is_empty());
+        assert!(!stop.load(Ordering::SeqCst));
+        assert_eq!(respond("ping\n", &daemon, &stop), "ok pong");
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `wait` whose timeout is past the end of time waits for the job, as
+    /// one without a timeout would.
+    #[test]
+    fn wait_with_an_unrepresentable_timeout_waits_for_the_job() {
+        let (dir, prog, daemon) = fixture("wait");
+        let stop = AtomicBool::new(false);
+        let submit = format!("submit {prog} workers=1 export=0\n");
+        assert_eq!(respond(&submit, &daemon, &stop), "ok 1");
+        let reply = respond("wait 1 18446744073709551615\n", &daemon, &stop);
+        assert!(
+            reply.starts_with("job 1 ") && reply.contains("state=done"),
+            "{reply}"
+        );
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
