@@ -6,8 +6,9 @@
 //! seeded [`FaultPlan`]: every send of a *faultable* message rolls a
 //! per-endpoint deterministic RNG and may be dropped, duplicated, or held
 //! back for a few operations (which breaks cross-pair ordering the same way
-//! adaptive routing does). Ranks can also be scheduled to crash after a
-//! fixed number of fabric operations.
+//! adaptive routing does). Killing a rank is not the plan's business: the
+//! runtime calls [`Endpoint::kill`](crate::Endpoint::kill) at a point of its
+//! own choosing.
 //!
 //! Determinism contract: for a fixed `(seed, rank)` pair the decision
 //! sequence is a pure function of that endpoint's send order, so a
@@ -16,17 +17,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// A scheduled rank crash: after `after_ops` fabric operations (sends +
-/// receives) by `rank`, the endpoint is killed — subsequent sends fail and
-/// receives return nothing, as if the process vanished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashSpec {
-    /// The fabric rank to crash.
-    pub rank: usize,
-    /// Fabric operation count at which the crash fires.
-    pub after_ops: u64,
-}
 
 /// A seeded, deterministic description of the faults to inject.
 ///
@@ -46,9 +36,6 @@ pub struct FaultPlan {
     pub delay: f64,
     /// Maximum number of fabric operations a delayed message is held for.
     pub max_delay_ops: u64,
-    /// Scheduled rank crashes (fabric-operation based; the runtime usually
-    /// prefers its own iteration-boundary crash schedule).
-    pub crashes: Vec<CrashSpec>,
 }
 
 impl FaultPlan {
@@ -60,17 +47,16 @@ impl FaultPlan {
             duplicate: 0.0,
             delay: 0.0,
             max_delay_ops: 8,
-            crashes: Vec::new(),
         }
     }
 
     /// True when the plan can actually perturb traffic.
     pub fn is_active(&self) -> bool {
-        self.drop > 0.0 || self.duplicate > 0.0 || self.delay > 0.0 || !self.crashes.is_empty()
+        self.drop > 0.0 || self.duplicate > 0.0 || self.delay > 0.0
     }
 
-    /// Validates probabilities and crash targets against a world size.
-    pub fn validate(&self, world: usize) -> Result<(), String> {
+    /// Validates the probabilities.
+    pub fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("drop", self.drop),
             ("duplicate", self.duplicate),
@@ -82,11 +68,6 @@ impl FaultPlan {
         }
         if self.drop + self.duplicate + self.delay > 1.0 {
             return Err("fault probabilities sum past 1.0".into());
-        }
-        for c in &self.crashes {
-            if c.rank >= world {
-                return Err(format!("crash rank {} outside world of {world}", c.rank));
-            }
         }
         Ok(())
     }
@@ -207,7 +188,7 @@ pub(crate) struct Injector<E> {
     plan: FaultPlan,
     rng: Mutex<Rng>,
     /// Fabric operations performed by this rank (sends + receive attempts);
-    /// the clock that releases delayed messages and fires crash schedules.
+    /// the clock that releases delayed messages.
     ops: AtomicU64,
     /// Held-back messages: `(release_at_ops, destination rank, envelope)`.
     holdback: Mutex<VecDeque<(u64, usize, E)>>,
@@ -229,14 +210,6 @@ impl<E> Injector<E> {
     /// Advances the op clock; returns the new count.
     pub(crate) fn tick(&self) -> u64 {
         self.ops.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Whether a scheduled crash for `rank` has fired at op count `ops`.
-    pub(crate) fn crash_due(&self, rank: usize, ops: u64) -> bool {
-        self.plan
-            .crashes
-            .iter()
-            .any(|c| c.rank == rank && ops >= c.after_ops)
     }
 
     /// Rolls the dice for one faultable send.
@@ -325,19 +298,13 @@ mod tests {
     fn plan_validation() {
         let mut p = FaultPlan::seeded(1);
         p.drop = 0.05;
-        assert!(p.validate(4).is_ok());
+        assert!(p.validate().is_ok());
         p.drop = 1.5;
-        assert!(p.validate(4).is_err());
+        assert!(p.validate().is_err());
         p.drop = 0.4;
         p.duplicate = 0.4;
         p.delay = 0.4;
-        assert!(p.validate(4).is_err());
-        let mut p = FaultPlan::seeded(1);
-        p.crashes.push(CrashSpec {
-            rank: 9,
-            after_ops: 10,
-        });
-        assert!(p.validate(4).is_err());
+        assert!(p.validate().is_err());
     }
 
     #[test]

@@ -633,12 +633,17 @@ impl Json {
     }
 }
 
+/// Deepest `[`/`{` nesting [`parse_json`] follows — ten times what the
+/// trace and profile exports use. The parser recurses once per level and
+/// the file may be anybody's, so past this it is an error, not a stack.
+const MAX_JSON_DEPTH: usize = 128;
+
 /// Parses a JSON document. Supports the full grammar the runtime's own
 /// writers emit (and standard escapes); errors carry a byte offset.
 pub fn parse_json(s: &str) -> Result<Json, String> {
     let b = s.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
+    let v = parse_value(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -652,10 +657,13 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} at byte {pos}"
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut members = Vec::new();
@@ -666,7 +674,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key is not a string at byte {pos}")),
                 };
@@ -675,7 +683,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 members.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -697,7 +705,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -773,11 +781,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // The ordinary characters up to the next quote or escape,
+                // in one copy. Both delimiters are ASCII and `b` is the
+                // bytes of a `&str`, so the run is whole UTF-8 scalars.
+                let run = &b[*pos..];
+                let len = run.iter().position(|c| matches!(c, b'"' | b'\\'));
+                let run = &run[..len.unwrap_or(run.len())];
+                out.push_str(std::str::from_utf8(run).map_err(|e| e.to_string())?);
+                *pos += run.len();
             }
         }
     }
@@ -810,14 +821,14 @@ pub struct TraceLint {
 }
 
 /// Validates Chrome-trace JSON produced by [`TraceTimeline::to_chrome_json`]:
-/// parseable JSON, a `traceEvents` array whose entries carry
+/// a `traceEvents` array whose entries carry
 /// `name`/`ph`/`pid`/`tid` (+ `ts`/`dur` where the phase demands them),
 /// monotone nesting of complete spans per `(pid, tid)`, balanced async
 /// begin/end pairs per flight id, and multicast hop correlation — every
 /// forwarded hop's `args.parent` must name an existing hop's `args.id`
-/// (no orphan forwards).
-pub fn lint_chrome_trace(text: &str) -> Result<TraceLint, String> {
-    let doc = parse_json(text)?;
+/// (no orphan forwards). Takes the parsed document: whoever has the text
+/// has usually parsed it already, to tell a trace from a profile.
+pub fn lint_chrome_trace(doc: &Json) -> Result<TraceLint, String> {
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_array)
@@ -1063,6 +1074,10 @@ mod tests {
         BlockKey::new(ArrayId(1), &[2, 3])
     }
 
+    fn lint_text(text: &str) -> Result<TraceLint, String> {
+        lint_chrome_trace(&parse_json(text)?)
+    }
+
     #[test]
     fn disabled_sink_records_nothing() {
         let mut s = TraceSink::disabled();
@@ -1138,7 +1153,7 @@ mod tests {
             dropped: 0,
         });
         let json = tl.to_chrome_json(None);
-        let lint = lint_chrome_trace(&json).expect("lints clean");
+        let lint = lint_text(&json).expect("lints clean");
         let r = lint.ranks.get(&1).expect("rank 1 present");
         assert_eq!(r.label, "worker 1");
         assert_eq!(r.spans, 2);
@@ -1155,7 +1170,7 @@ mod tests {
             {"name":"a","cat":"instruction","ph":"X","pid":1,"tid":0,"ts":0.0,"dur":1.0},
             {"name":"b","cat":"instruction","ph":"X","pid":1,"tid":0,"ts":0.5,"dur":1.0}
         ]}"#;
-        assert!(lint_chrome_trace(bad).is_err());
+        assert!(lint_text(bad).is_err());
     }
 
     #[test]
@@ -1163,7 +1178,7 @@ mod tests {
         let bad = r#"{"traceEvents":[
             {"name":"g","cat":"comm","ph":"b","pid":1,"tid":1,"ts":0.0,"id":"0x1"}
         ]}"#;
-        assert!(lint_chrome_trace(bad).is_err());
+        assert!(lint_text(bad).is_err());
     }
 
     #[test]
@@ -1200,7 +1215,7 @@ mod tests {
             }],
             dropped: 0,
         });
-        let lint = lint_chrome_trace(&tl.to_chrome_json(None)).expect("lints clean");
+        let lint = lint_text(&tl.to_chrome_json(None)).expect("lints clean");
         assert_eq!(lint.ranks[&1].multicasts, 1);
         assert_eq!(lint.ranks[&2].multicasts, 1);
     }
@@ -1223,7 +1238,7 @@ mod tests {
             }],
             dropped: 0,
         });
-        let err = lint_chrome_trace(&tl.to_chrome_json(None)).unwrap_err();
+        let err = lint_text(&tl.to_chrome_json(None)).unwrap_err();
         assert!(err.contains("orphan"), "unexpected error: {err}");
     }
 
@@ -1235,5 +1250,55 @@ mod tests {
         assert_eq!(arr[2].as_f64(), Some(-300.0));
         assert!(parse_json("{").is_err());
         assert!(parse_json("[1,]").is_err());
+        // Runs between escapes are copied whole, multi-byte scalars included.
+        let v = parse_json(r#"["é→\u00e9\"ß\\", ""]"#).unwrap();
+        assert_eq!(v.as_array().unwrap()[0].as_str(), Some("é→é\"ß\\"));
+        assert!(parse_json("\"open").is_err());
+    }
+
+    /// The file is anybody's: nesting past the cap is an error, not a stack
+    /// overflow, and nesting up to it parses.
+    #[test]
+    fn parser_bounds_nesting() {
+        let err = parse_json(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let err = parse_json(&r#"{"a":"#.repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_json(&deep(MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&deep(MAX_JSON_DEPTH + 1)).is_err());
+    }
+
+    /// A trace of ordinary size lints in the time its length warrants: the
+    /// string reader's work per character must not grow with what is left
+    /// of the buffer.
+    #[test]
+    fn megabyte_trace_lints_in_linear_time() {
+        let mut tl = TraceTimeline::default();
+        let events = (0..8_000u64).map(|i| TraceEvent {
+            t_start_ns: i * 100,
+            t_end_ns: i * 100 + 50,
+            kind: EventKind::Instruction {
+                pc: i as u32,
+                class: InstructionClass::Control,
+            },
+        });
+        tl.ranks.push(RankTrace {
+            rank: 1,
+            label: "worker 1".into(),
+            events: events.collect(),
+            dropped: 0,
+        });
+        let json = tl.to_chrome_json(None);
+        assert!(json.len() >= 1 << 20, "only {} bytes", json.len());
+        let t0 = std::time::Instant::now();
+        let lint = lint_text(&json).expect("lints clean");
+        assert_eq!(lint.ranks[&1].spans, 8_000);
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(5),
+            "linting {} bytes took {:?}",
+            json.len(),
+            t0.elapsed()
+        );
     }
 }

@@ -1,31 +1,45 @@
-//! Fault-tolerance state and the epoch-checkpoint file format.
+//! Fault-tolerance state and the checkpoint file record.
 //!
 //! All of this is live only when [`SipConfig::fault`](crate::SipConfig) is
-//! set; a fault-free run never allocates an [`FtState`] and keeps the exact
-//! counter-based ack tracking of the original hot path.
+//! set; a fault-free run never allocates an [`FtState`] and counts its
+//! unacknowledged stores in two integers instead. The fork is kept because
+//! it is measured: arming an `FtState` with nothing injected costs
+//! `putget_fine` a quarter of its wall time (0.56 → 0.71 s, 10 of 10
+//! pairs; ROADMAP deletion-pass item 1) — [`FtState::next_deadline`] and
+//! `Worker::stores_drained` walk every pending op at every wait.
 //!
 //! The recovery protocol (see DESIGN.md "Fault model & recovery"):
 //!
 //! * Every PUT/PREPARE carries a content-derived [`OpId`]; receivers keep a
-//!   window of applied ids and suppress duplicates, which makes sender
-//!   retries, fabric duplication, *and* chunk re-execution idempotent.
+//!   window of applied ids ([`AppliedOps`]) and suppress duplicates, which
+//!   makes sender retries, fabric duplication, *and* chunk re-execution
+//!   idempotent.
 //! * Senders retain tracked operations (payload included) until acked, and
-//!   retry with exponential backoff.
-//! * Each worker checkpoints its authoritative distributed blocks (plus the
-//!   applied-op window) to `run_dir` at every `sip_barrier` release; when
-//!   the master declares a rank dead it restores that rank's last
-//!   checkpoint to the surviving homes, broadcasts the death, and survivors
-//!   replay their current-epoch put journals that were homed at the corpse.
+//!   retry with exponential backoff ([`Retry`], the only clock here).
+//! * When a crash is scheduled each worker checkpoints its authoritative
+//!   distributed blocks (plus the applied-op window) to `run_dir` at every
+//!   `sip_barrier` release; when the fabric reports a rank killed the
+//!   master restores that rank's last checkpoint to the surviving homes,
+//!   broadcasts the death, and survivors replay their current-epoch put
+//!   journals that were homed at the corpse.
 
-use crate::layout::FaultConfig;
+use crate::layout::CrashSchedule;
 use crate::msg::{BlockKey, OpId, Payload, SipMsg};
 use sia_blocks::{Block, BlockHandle, Shape};
 use sia_bytecode::{ArrayId, PutMode};
 use sia_fabric::ReqId;
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+
+/// Wait for an ack or a reply before the first resend.
+const RETRY_TIMEOUT: Duration = Duration::from_millis(40);
+/// Growth of that wait per resend.
+const RETRY_BACKOFF: u32 = 2;
+/// Resends before the operation fails with `Comm { Timeout }`.
+const MAX_RETRIES: u32 = 8;
 
 /// When a tracked operation was last sent, how long to wait for its answer,
 /// and how often it has been resent. The one retry clock: stores, fetches
@@ -45,10 +59,10 @@ pub(crate) struct Exhausted(pub u32);
 
 impl Retry {
     /// A first transmission, sent now.
-    pub(crate) fn new(cfg: &FaultConfig) -> Self {
+    pub(crate) fn new() -> Self {
         Retry {
             sent_at: Instant::now(),
-            timeout: cfg.retry_timeout,
+            timeout: RETRY_TIMEOUT,
             attempts: 0,
         }
     }
@@ -60,14 +74,34 @@ impl Retry {
 
     /// Books a resend sent now, backing the timeout off — or reports the
     /// budget spent.
-    pub(crate) fn bump(&mut self, cfg: &FaultConfig) -> Result<(), Exhausted> {
-        if self.attempts >= cfg.max_retries {
+    pub(crate) fn bump(&mut self) -> Result<(), Exhausted> {
+        if self.attempts >= MAX_RETRIES {
             return Err(Exhausted(self.attempts + 1));
         }
         self.attempts += 1;
         self.sent_at = Instant::now();
-        self.timeout = self.timeout.mul_f64(cfg.retry_backoff);
+        self.timeout *= RETRY_BACKOFF;
         Ok(())
+    }
+}
+
+/// The op ids applied at a home — a worker's distributed blocks, an I/O
+/// server's served ones — each tagged with the barrier epoch it arrived
+/// in. Journals clear at each barrier, so no retry or replay can still
+/// name an op two epochs back: that is what [`prune`](Self::prune) drops.
+#[derive(Debug, Default)]
+pub(crate) struct AppliedOps(HashMap<u64, u64>);
+
+impl AppliedOps {
+    /// Records an applied op id; false when it was already applied (a
+    /// duplicate to suppress).
+    pub(crate) fn note(&mut self, op: u64, epoch: u64) -> bool {
+        self.0.insert(op, epoch).is_none()
+    }
+
+    /// Drops the records older than the epoch before `epoch`.
+    pub(crate) fn prune(&mut self, epoch: u64) {
+        self.0.retain(|_, e| *e + 2 > epoch);
     }
 }
 
@@ -126,72 +160,52 @@ pub(crate) struct TakeoverChunk {
 /// Per-worker fault-tolerance state (absent on fault-free runs).
 #[derive(Debug)]
 pub(crate) struct FtState {
-    pub cfg: FaultConfig,
+    /// The run's scheduled crash, if any: what the put journal and the
+    /// epoch checkpoint are kept for.
+    pub crash: Option<CrashSchedule>,
     /// Unacknowledged tracked operations, keyed by op id.
     pub pending: HashMap<u64, PendingOp>,
     /// Remote distributed puts of the current barrier epoch (cleared at
-    /// `sip_barrier` release). Only kept when a crash is expected.
+    /// `sip_barrier` release). Only kept when a crash is scheduled.
     pub journal: Vec<JournalEntry>,
-    /// Op ids applied at this rank (home side), tagged with the barrier
-    /// epoch they arrived in; pruned two epochs back.
-    pub applied: HashMap<u64, u64>,
+    /// Op ids applied at this rank (home side).
+    pub applied: AppliedOps,
     /// Unanswered fetches by block key.
     pub fetches: HashMap<BlockKey, FetchState>,
     /// Dead workers by worker index (agreed via `RankDead` broadcasts).
     pub dead: Vec<bool>,
-    /// Last heartbeat sent to the master.
-    pub last_beat: Instant,
     /// Chunk-ack accounting: chunks execute FIFO, so the head entry is the
     /// chunk the next completed iteration belongs to.
     pub chunk_acks: VecDeque<(u64, usize)>,
     /// Re-queued chunks received while parked at a barrier.
     pub takeovers: VecDeque<TakeoverChunk>,
-    /// This worker executed its scheduled crash.
-    pub crashed: bool,
     /// A takeover chunk is being executed (puts count as pardo-context for
     /// op-id derivation even though `Worker::pardo` is `None`).
     pub in_takeover: bool,
 }
 
 impl FtState {
-    pub(crate) fn new(cfg: FaultConfig, workers: usize) -> Self {
+    pub(crate) fn new(crash: Option<CrashSchedule>, workers: usize) -> Self {
         FtState {
-            cfg,
+            crash,
             pending: HashMap::new(),
             journal: Vec::new(),
-            applied: HashMap::new(),
+            applied: AppliedOps::default(),
             fetches: HashMap::new(),
             dead: vec![false; workers],
-            last_beat: Instant::now(),
             chunk_acks: VecDeque::new(),
             takeovers: VecDeque::new(),
-            crashed: false,
             in_takeover: false,
         }
     }
 
-    /// Records an applied op id; returns false when it was already applied
-    /// (i.e. this is a duplicate to suppress).
-    pub(crate) fn note_applied(&mut self, op: u64, epoch: u64) -> bool {
-        self.applied.insert(op, epoch).is_none()
-    }
-
-    /// Drops applied-op records old enough that no retry or replay can
-    /// still reference them (journals clear at each barrier, so anything
-    /// two epochs back is unreachable).
-    pub(crate) fn prune_applied(&mut self, current_epoch: u64) {
-        self.applied.retain(|_, e| *e + 2 > current_epoch);
-    }
-
-    /// The earliest instant this worker has something to do unprompted: its
-    /// next heartbeat, or the resend of a tracked store or fetch.
-    pub(crate) fn next_deadline(&self) -> Instant {
+    /// The earliest instant this worker has something to do unprompted: the
+    /// resend of a tracked store or fetch. `None` when nothing is pending —
+    /// an armed worker holds no other timer.
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
         let stores = self.pending.values().map(|p| &p.retry);
         let fetches = self.fetches.values().map(|f| &f.retry);
-        stores
-            .chain(fetches)
-            .map(Retry::deadline)
-            .fold(self.last_beat + self.cfg.heartbeat_interval, Instant::min)
+        stores.chain(fetches).map(Retry::deadline).min()
     }
 
     /// Arms (or re-arms) a tracked store flight: the full block is retained
@@ -210,7 +224,7 @@ impl FtState {
             key,
             data,
             mode,
-            retry: Retry::new(&self.cfg),
+            retry: Retry::new(),
         };
         self.pending.insert(op.0, flight).is_none()
     }
@@ -257,40 +271,43 @@ pub(crate) fn derive_op_id(
     h
 }
 
-// ---- epoch checkpoint files -------------------------------------------------
+// ---- checkpoint files ---------------------------------------------------------
+//
+// One record, two files: the master's `blocks_to_list` checkpoint and a
+// worker's epoch checkpoint are both `magic · block count · blocks ·
+// trailer`, a block being key · `u8` rank · `u64` extents · payload. They
+// differ in the magic and in the trailer — none for `blocks_to_list`,
+// epoch and applied ops for the epoch checkpoint.
 
-const EPOCH_MAGIC: &[u8; 8] = b"SIAEPCK1";
+/// Magic of a `blocks_to_list` checkpoint.
+pub(crate) const CKPT_MAGIC: &[u8; 8] = b"SIACKPT2";
+/// Magic of a worker's epoch checkpoint.
+const EPOCH_MAGIC: &[u8; 8] = b"SIAEPCK2";
 
-/// Path of worker `widx`'s epoch checkpoint inside `run_dir`.
-pub(crate) fn epoch_ckpt_path(run_dir: &Path, widx: usize) -> PathBuf {
-    run_dir.join(format!("ftckpt_w{widx}.bin"))
-}
-
-/// Writes a worker's epoch checkpoint: its authoritative distributed blocks
-/// plus the applied-op window, atomically (tmp + rename) so a reader only
-/// ever sees a complete epoch. The snapshot handles share the authoritative
-/// store's allocations — no block is copied to be checkpointed.
-pub(crate) fn write_epoch_checkpoint(
+/// Writes a checkpoint file atomically (tmp + rename, so a reader only ever
+/// sees a complete one). Takes anything that borrows a [`Block`]; handles
+/// share their store's allocations, so no block is copied to be saved.
+pub(crate) fn write_blocks<B: Borrow<Block>>(
     path: &Path,
-    epoch: u64,
-    blocks: &[(BlockKey, BlockHandle)],
-    applied: &HashMap<u64, u64>,
+    magic: &[u8; 8],
+    blocks: &[(BlockKey, B)],
+    trailer: &[u8],
 ) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
         let mut payload = Vec::new();
-        f.write_all(EPOCH_MAGIC)?;
-        f.write_all(&epoch.to_le_bytes())?;
+        f.write_all(magic)?;
         f.write_all(&(blocks.len() as u64).to_le_bytes())?;
         for (key, block) in blocks {
+            let block = block.borrow();
             f.write_all(&key.array.0.to_le_bytes())?;
             f.write_all(&[key.rank])?;
             for s in key.segs() {
                 f.write_all(&s.to_le_bytes())?;
             }
             let dims = block.shape().dims();
-            f.write_all(&(dims.len() as u32).to_le_bytes())?;
+            f.write_all(&[dims.len() as u8])?;
             for &d in dims {
                 f.write_all(&(d as u64).to_le_bytes())?;
             }
@@ -298,38 +315,16 @@ pub(crate) fn write_epoch_checkpoint(
             block.append_le_bytes(&mut payload);
             f.write_all(&payload)?;
         }
-        f.write_all(&(applied.len() as u64).to_le_bytes())?;
-        for (&op, &ep) in applied {
-            f.write_all(&op.to_le_bytes())?;
-            f.write_all(&ep.to_le_bytes())?;
-        }
+        f.write_all(trailer)?;
         f.flush()?;
     }
     std::fs::rename(&tmp, path)
 }
 
-/// What an epoch checkpoint holds: `(epoch, blocks, applied ops)`.
-type EpochCheckpoint = (u64, Vec<(BlockKey, Block)>, Vec<u64>);
-
-/// Reads an epoch checkpoint back. The file comes from disk, so nothing in
-/// it is trusted: a truncated or inconsistent one is `InvalidData`, never a
-/// panic or an allocation its own length cannot back.
-pub(crate) fn read_epoch_checkpoint(path: &Path) -> std::io::Result<EpochCheckpoint> {
-    let raw = std::fs::read(path)?;
-    parse_epoch_checkpoint(&raw).ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("corrupt epoch checkpoint {}", path.display()),
-        )
-    })
-}
-
-/// A bounds-checked reader over the bytes of a checkpoint file. Both
-/// checkpoint formats (this module's epoch checkpoint and the master's
-/// `blocks_to_list` one) store a block as key · extents · payload and read
-/// the key and the payload through here; they differ only in how wide they
-/// wrote the extents. Every read is `None` past the end — nothing in the
-/// file is trusted to index it or to size an allocation.
+/// A bounds-checked reader over the bytes of a file from disk (checkpoints
+/// here, the store header in `store.rs`). Every read is `None` past the
+/// end — nothing in the file is trusted to index it or to size an
+/// allocation.
 pub(crate) struct Cursor<'a>(pub &'a [u8]);
 
 impl<'a> Cursor<'a> {
@@ -353,7 +348,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// A block key: `u32` array id, `u8` rank (at most 8), `i32` segments.
-    pub(crate) fn key(&mut self) -> Option<BlockKey> {
+    fn key(&mut self) -> Option<BlockKey> {
         let array = ArrayId(self.u32()?);
         let rank = self.u8()? as usize;
         if rank > 8 {
@@ -365,48 +360,84 @@ impl<'a> Cursor<'a> {
         Some(BlockKey::new(array, &segs))
     }
 
-    /// `n` extents (more than any shape has is refused before reading one),
-    /// each decoded by `extent`, then the block's little-endian payload.
-    pub(crate) fn block(
-        &mut self,
-        n: usize,
-        mut extent: impl FnMut(&mut Self) -> Option<usize>,
-    ) -> Option<Block> {
-        if n > sia_blocks::MAX_RANK {
+    /// A block: `u8` rank (more than any shape has is refused before an
+    /// extent is read), `u64` extents, then the little-endian payload.
+    fn block(&mut self) -> Option<Block> {
+        let rank = self.u8()? as usize;
+        if rank > sia_blocks::MAX_RANK {
             return None;
         }
-        let dims = (0..n)
-            .map(|_| extent(self))
+        let dims = (0..rank)
+            .map(|_| usize::try_from(self.u64()?).ok())
             .collect::<Option<Vec<usize>>>()?;
         let shape = Shape::try_new(&dims)?;
         let data = self.take(shape.len().checked_mul(8)?)?;
         Block::from_le_bytes(shape, data)
     }
+
+    /// What [`write_blocks`] wrote ahead of its trailer. The count is
+    /// bounded by the bytes that remain, never trusted to size the vector.
+    pub(crate) fn blocks(&mut self, magic: &[u8; 8]) -> Option<Vec<(BlockKey, Block)>> {
+        if self.take(8)? != magic {
+            return None;
+        }
+        let count = self.u64()?;
+        let mut out = Vec::new();
+        for _ in 0..count {
+            out.push((self.key()?, self.block()?));
+        }
+        Some(out)
+    }
+}
+
+/// Path of worker `widx`'s epoch checkpoint inside `run_dir`.
+pub(crate) fn epoch_ckpt_path(run_dir: &Path, widx: usize) -> PathBuf {
+    run_dir.join(format!("ftckpt_w{widx}.bin"))
+}
+
+/// Writes a worker's epoch checkpoint: its authoritative distributed blocks
+/// plus the applied-op window.
+pub(crate) fn write_epoch_checkpoint(
+    path: &Path,
+    epoch: u64,
+    blocks: &[(BlockKey, BlockHandle)],
+    applied: &AppliedOps,
+) -> std::io::Result<()> {
+    let ops = applied.0.keys();
+    let trailer: Vec<u8> = [epoch, ops.len() as u64]
+        .into_iter()
+        .chain(ops.copied())
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    write_blocks(path, EPOCH_MAGIC, blocks, &trailer)
+}
+
+/// What an epoch checkpoint holds: `(epoch, blocks, applied ops)`.
+type EpochCheckpoint = (u64, Vec<(BlockKey, Block)>, Vec<u64>);
+
+/// Reads an epoch checkpoint back. The file comes from disk, so nothing in
+/// it is trusted: a truncated or inconsistent one is `InvalidData`, never a
+/// panic or an allocation its own length cannot back.
+pub(crate) fn read_epoch_checkpoint(path: &Path) -> std::io::Result<EpochCheckpoint> {
+    let raw = std::fs::read(path)?;
+    parse_epoch_checkpoint(&raw).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("corrupt epoch checkpoint {}", path.display()),
+        )
+    })
 }
 
 fn parse_epoch_checkpoint(raw: &[u8]) -> Option<EpochCheckpoint> {
     let mut raw = Cursor(raw);
-    if raw.take(8)? != EPOCH_MAGIC {
-        return None;
-    }
+    let blocks = raw.blocks(EPOCH_MAGIC)?;
     let epoch = raw.u64()?;
-    // Counts are bounded by the bytes that remain, never trusted to size an
-    // allocation.
-    let nblocks = raw.u64()?;
-    let mut blocks = Vec::new();
-    for _ in 0..nblocks {
-        let key = raw.key()?;
-        let ndims = raw.u32()? as usize;
-        let block = raw.block(ndims, |r| usize::try_from(r.u64()?).ok())?;
-        blocks.push((key, block));
-    }
     let nops = raw.u64()?;
     let mut ops = Vec::new();
     for _ in 0..nops {
         ops.push(raw.u64()?);
-        raw.u64()?; // epoch tag, not needed by the restorer
     }
-    Some((epoch, blocks, ops))
+    raw.0.is_empty().then_some((epoch, blocks, ops))
 }
 
 #[cfg(test)]
@@ -440,6 +471,19 @@ mod tests {
     }
 
     #[test]
+    fn applied_ops_prune_two_epochs_back() {
+        let mut applied = AppliedOps::default();
+        applied.note(1, 1);
+        applied.note(2, 2);
+        applied.prune(3);
+        assert!(
+            applied.note(1, 3),
+            "epoch 1 is out of every journal's reach"
+        );
+        assert!(!applied.note(2, 3), "epoch 2 may still be replayed");
+    }
+
+    #[test]
     fn epoch_checkpoint_roundtrip() {
         let dir = std::env::temp_dir().join(format!("sia-ft-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -449,9 +493,10 @@ mod tests {
         for (i, v) in block.data_mut().iter_mut().enumerate() {
             *v = i as f64 * 0.5;
         }
-        let mut applied = HashMap::new();
-        applied.insert(77u64, 3u64);
-        applied.insert(99u64, 3u64);
+        let mut applied = AppliedOps::default();
+        assert!(applied.note(77, 3));
+        assert!(applied.note(99, 3));
+        assert!(!applied.note(99, 3), "a second sighting is a duplicate");
         write_epoch_checkpoint(&path, 3, &[(key, block.clone().into())], &applied).unwrap();
         let (epoch, blocks, ops) = read_epoch_checkpoint(&path).unwrap();
         assert_eq!(epoch, 3);
@@ -471,11 +516,15 @@ mod tests {
             raw[at..at + bytes.len()].copy_from_slice(bytes);
             raw
         };
-        // magic 8 · epoch 8 · nblocks 8 · array 4 · rank 1 · segs 2×4 · ndims 4 · dims 2×8
-        let (nblocks_at, ndims_at, dim0_at) = (16, 37, 41);
+        // magic 8 · nblocks 8 · array 4 · rank 1 · segs 2×4 · ndims 1 · dims 2×8
+        // · payload 6×8 · epoch 8 · nops 8 · ops 2×8
+        let (nblocks_at, ndims_at, dim0_at, nops_at) = (8, 29, 30, 102);
         let mut corrupt: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+        corrupt.push([&valid[..], &[0]].concat()); // trailing bytes
+        corrupt.push(b"SIACKPT2".to_vec()); // the other file's magic
         corrupt.push(patched(nblocks_at, &u64::MAX.to_le_bytes()));
-        corrupt.push(patched(ndims_at, &9u32.to_le_bytes()));
+        corrupt.push(patched(nops_at, &u64::MAX.to_le_bytes()));
+        corrupt.push(patched(ndims_at, &[9]));
         corrupt.push(patched(dim0_at, &0u64.to_le_bytes()));
         corrupt.push(patched(dim0_at, &u64::MAX.to_le_bytes()));
         for raw in corrupt {

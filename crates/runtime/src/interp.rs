@@ -45,7 +45,6 @@ impl Worker {
         let mut pc: u32 = 0;
         loop {
             self.service_messages();
-            self.maybe_heartbeat();
             self.pump_retries()?;
             self.mem.enforce_budget()?;
             let ins = program

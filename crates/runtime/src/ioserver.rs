@@ -15,6 +15,7 @@
 
 use crate::error::RuntimeError;
 use crate::events::{EventKind, TraceSink};
+use crate::ft::AppliedOps;
 use crate::layout::Layout;
 use crate::msg::{BlockKey, OpId, Payload, SipMsg};
 use crate::store::Store;
@@ -82,9 +83,9 @@ pub struct IoServer {
     norms: HashMap<BlockKey, f64>,
     clock: u64,
     stats: ServerStats,
-    /// Applied prepare op ids → served epoch they arrived in (duplicate
-    /// suppression; pruned two epochs back at each `EpochMark`).
-    applied_ops: HashMap<u64, u64>,
+    /// Applied prepare op ids (duplicate suppression; pruned at each
+    /// `EpochMark`).
+    applied_ops: AppliedOps,
     /// Completed served epochs (advanced by `EpochMark`).
     epoch: u64,
     /// Event recorder (disabled unless the runtime installs a live sink).
@@ -122,7 +123,7 @@ impl IoServer {
             norms: HashMap::new(),
             clock: 0,
             stats: ServerStats::default(),
-            applied_ops: HashMap::new(),
+            applied_ops: AppliedOps::default(),
             epoch: 0,
             trace: TraceSink::disabled(),
             warm: None,
@@ -352,7 +353,7 @@ impl IoServer {
     /// acknowledged, so the sender's retry loop settles. Blocks and norm
     /// records share the one window. Untracked ops always apply.
     fn first_delivery(&mut self, op: OpId) -> bool {
-        if op.is_tracked() && self.applied_ops.insert(op.0, self.epoch).is_some() {
+        if op.is_tracked() && !self.applied_ops.note(op.0, self.epoch) {
             self.stats.dup_prepares_suppressed += 1;
             return false;
         }
@@ -366,7 +367,7 @@ impl IoServer {
     fn mark_epoch(&mut self, epoch: u64) -> Result<(), RuntimeError> {
         self.flush_all()?;
         self.epoch = epoch;
-        self.applied_ops.retain(|_, e| *e + 2 > epoch);
+        self.applied_ops.prune(epoch);
         Ok(())
     }
 
@@ -827,8 +828,11 @@ mod tests {
         };
         let slot = 8 + 16 * 8 + 8;
         assert_eq!(valid.len(), HEADER + slot);
+        // A cut that keeps only zero bytes of the stamp is a never-prepared
+        // slot, not a torn one — one stamp in 256 starts with a zero byte.
+        let stamped = 1 + valid[HEADER..].iter().position(|&b| b != 0).unwrap();
         let torn = [
-            valid[..HEADER + 1].to_vec(),
+            valid[..HEADER + stamped].to_vec(),
             valid[..HEADER + 8].to_vec(),
             valid[..HEADER + slot / 2].to_vec(),
             valid[..HEADER + slot - 1].to_vec(),
@@ -967,10 +971,7 @@ mod tests {
         // The suppression window prunes entries two epochs back.
         s.mark_epoch(2).unwrap();
         s.mark_epoch(3).unwrap();
-        assert!(
-            !s.applied_ops.contains_key(&7),
-            "old applied ops are pruned"
-        );
+        assert!(s.first_delivery(OpId(7)), "old applied ops are pruned");
     }
 
     #[test]

@@ -14,12 +14,12 @@ use sia_fabric::{FaultPlan, Rank};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// A deterministic, runtime-triggered worker crash: worker `worker` kills
-/// its endpoint after executing `after_iterations` pardo iterations. Firing
-/// at an iteration boundary (never mid-block-write) keeps the failure model
-/// clean: a crashed worker's last epoch checkpoint is always consistent.
+/// A deterministic, runtime-triggered worker crash — the one way a rank
+/// dies: worker `worker` kills its endpoint after executing
+/// `after_iterations` pardo iterations. Firing at an iteration boundary
+/// (never mid-block-write) keeps the failure model clean: a crashed
+/// worker's last epoch checkpoint is always consistent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashSchedule {
     /// Worker index (0-based) to crash.
@@ -28,48 +28,24 @@ pub struct CrashSchedule {
     pub after_iterations: u64,
 }
 
-/// Fault-tolerance configuration: the fabric-level fault plan plus the
-/// runtime's retry, heartbeat, and liveness parameters. Present in
-/// [`SipConfig::fault`] only when the run should exercise recovery paths;
-/// `None` keeps every hot path identical to the fault-free build.
+/// Fault-tolerance configuration: what the fabric does to the data plane
+/// and which worker, if any, dies. Present in [`SipConfig::fault`] only when
+/// the run should exercise recovery paths; `None` keeps every hot path
+/// identical to the fault-free build. The retry clock is not configured:
+/// its three values are constants in `ft.rs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Seeded fabric fault plan (drop/duplicate/delay probabilities).
     pub plan: FaultPlan,
-    /// Optional deterministic worker crash.
+    /// Optional deterministic worker crash. Scheduling one is what turns on
+    /// the put journal and the per-barrier epoch checkpoint.
     pub crash: Option<CrashSchedule>,
-    /// How long an unacknowledged GET/REQUEST/PUT/PREPARE waits before its
-    /// first retry.
-    pub retry_timeout: Duration,
-    /// Multiplier applied to the timeout after each retry.
-    pub retry_backoff: f64,
-    /// Retries before the operation fails with a `Comm { Timeout }` error.
-    pub max_retries: u32,
-    /// How often workers beacon a heartbeat to the master.
-    pub heartbeat_interval: Duration,
-    /// Silence span after which the master declares a worker dead.
-    pub liveness_timeout: Duration,
 }
 
 impl FaultConfig {
-    /// A fault configuration around a seeded plan, with retry/liveness
-    /// parameters tuned for in-process fabrics (tens of milliseconds).
+    /// A fault configuration around a seeded plan, with no crash scheduled.
     pub fn new(plan: FaultPlan) -> Self {
-        FaultConfig {
-            plan,
-            crash: None,
-            retry_timeout: Duration::from_millis(40),
-            retry_backoff: 2.0,
-            max_retries: 8,
-            heartbeat_interval: Duration::from_millis(10),
-            liveness_timeout: Duration::from_millis(300),
-        }
-    }
-
-    /// True when a worker crash is scheduled (enables epoch checkpointing
-    /// and the master's liveness monitor aggressiveness).
-    pub fn expects_crash(&self) -> bool {
-        self.crash.is_some() || !self.plan.crashes.is_empty()
+        FaultConfig { plan, crash: None }
     }
 }
 
@@ -466,9 +442,8 @@ impl SipConfigBuilder {
             }
         }
         if let Some(f) = &c.fault {
-            let world = 1 + c.workers + c.io_servers;
             f.plan
-                .validate(world)
+                .validate()
                 .map_err(|e| ConfigError(format!("fault plan: {e}")))?;
             if f.plan.seed == 0 && f.plan.is_active() {
                 return Err(ConfigError(
@@ -489,12 +464,6 @@ impl SipConfigBuilder {
                         "crash recovery needs at least 2 workers".into(),
                     ));
                 }
-            }
-            if f.retry_backoff < 1.0 {
-                return Err(ConfigError("retry_backoff must be ≥ 1.0".into()));
-            }
-            if f.retry_timeout.is_zero() {
-                return Err(ConfigError("retry_timeout must be nonzero".into()));
             }
         }
         Ok(c)

@@ -100,7 +100,7 @@ pub use serve::{
     jain_index, AdmitError, Daemon, DaemonConfig, JobId, JobProgress, JobSpec, JobState, JobStatus,
     ServeHandles, WarmCache,
 };
-pub use sia_fabric::{CrashSpec, FaultPlan, FaultSnapshot};
+pub use sia_fabric::{FaultPlan, FaultSnapshot};
 pub use verify::{check_program, Diagnostic, Rule};
 
 /// The items most embedders need: configure a SIP, run it, read the
@@ -314,7 +314,7 @@ impl Sip {
             master_ep,
             chunk_policy,
             run_dir.clone(),
-            self.config.fault.clone(),
+            self.config.fault.is_some(),
         );
         master.set_plan(Arc::clone(&comm_plan));
         if let Some(h) = &self.serving {

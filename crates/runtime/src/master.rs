@@ -1,6 +1,6 @@
 //! The SIP master: setup, guided chunk scheduling, barrier and collective
-//! coordination, checkpoint files, and — under fault tolerance — the
-//! liveness monitor and rank-failure recovery.
+//! coordination, checkpoint files, and — under fault tolerance —
+//! rank-failure recovery.
 //!
 //! "The master is responsible for allocating work to the workers … the set of
 //! iterations … is divided into 'chunks' and doled out to the workers"
@@ -8,8 +8,8 @@
 //! all-reduces, and owns the checkpoint facility built on
 //! `blocks_to_list`/`list_to_blocks`.
 //!
-//! Under fault tolerance the master additionally tracks worker heartbeats,
-//! declares silent workers dead, restores a dead worker's last epoch
+//! Under fault tolerance the master additionally declares a worker dead
+//! when the fabric reports it killed, restores the dead worker's last epoch
 //! checkpoint to the surviving homes, broadcasts `RankDead`, and re-queues
 //! the corpse's unacknowledged pardo chunks to workers parked at the
 //! post-pardo barrier (see DESIGN.md "Fault model & recovery").
@@ -17,7 +17,7 @@
 use crate::error::{CommKind, RuntimeError};
 use crate::events::{EventKind, RecoveryEvent, TraceEvent, TraceSink};
 use crate::ft::{self, Exhausted, Retry};
-use crate::layout::{FaultConfig, Layout, Placement};
+use crate::layout::{Layout, Placement};
 use crate::metrics::{Merge, RecoveryStats, ServerStats};
 use crate::msg::{BarrierKind, BlockKey, OpId, Payload, SipMsg};
 use crate::plan::CommPlan;
@@ -29,7 +29,6 @@ use sia_bytecode::{Instruction, PutMode};
 use sia_fabric::{Endpoint, Rank};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -119,7 +118,8 @@ pub struct Master {
     endpoint: Endpoint<SipMsg>,
     chunk_policy: ChunkPolicy,
     run_dir: PathBuf,
-    fault: Option<FaultConfig>,
+    /// Whether the run is armed for faults (`SipConfig::fault` is set).
+    fault: bool,
     schedulers: HashMap<(u32, u64), PardoSched>,
     barrier_waiting: HashMap<u8, Vec<Rank>>,
     reduce_waiting: Vec<Rank>,
@@ -131,9 +131,7 @@ pub struct Master {
     warnings: Vec<String>,
     done_count: usize,
     // ---- fault tolerance ----------------------------------------------------
-    /// Liveness: last message seen from each worker.
-    last_seen: Vec<Instant>,
-    /// Workers still considered alive.
+    /// Workers not yet declared dead.
     alive: Vec<bool>,
     /// Deaths detected while another recovery was in flight.
     pending_deaths: VecDeque<usize>,
@@ -162,14 +160,14 @@ pub struct Master {
 }
 
 impl Master {
-    /// Creates the master controller. `fault` enables the liveness monitor,
+    /// Creates the master controller. `fault` enables rank-death recovery,
     /// chunk-ack tracking, and served-epoch manifests.
     pub fn new(
         layout: Arc<Layout>,
         endpoint: Endpoint<SipMsg>,
         chunk_policy: ChunkPolicy,
         run_dir: PathBuf,
-        fault: Option<FaultConfig>,
+        fault: bool,
     ) -> Self {
         let w = layout.topology.workers;
         Master {
@@ -188,7 +186,6 @@ impl Master {
             collected: HashMap::new(),
             warnings: Vec::new(),
             done_count: 0,
-            last_seen: vec![Instant::now(); w],
             alive: vec![true; w],
             pending_deaths: VecDeque::new(),
             flight: None,
@@ -319,7 +316,7 @@ impl Master {
         pardo_pc: u32,
         epoch: u64,
     ) -> Result<(), RuntimeError> {
-        let ft_on = self.fault.is_some();
+        let ft_on = self.fault;
         let alive = self.alive_count();
         let widx = self.layout.topology.worker_index(src);
         let sched = self.scheduler_for(pardo_pc, epoch)?;
@@ -412,7 +409,7 @@ impl Master {
         if waiting_n < target {
             return;
         }
-        if self.fault.is_some() {
+        if self.fault {
             match kind {
                 BarrierKind::Sip => {
                     if self.flight.is_some() || !self.pending_deaths.is_empty() {
@@ -519,7 +516,7 @@ impl Master {
                 self.trace.instant(EventKind::Checkpoint { restore: true });
                 let blocks = read_checkpoint(&self.ckpt_path(label))?;
                 let dead: Vec<bool> = self.alive.iter().map(|a| !a).collect();
-                let track = self.fault.is_some() && self.flight.is_none();
+                let track = self.fault && self.flight.is_none();
                 let mut pending: HashMap<BlockKey, (Rank, BlockHandle)> = HashMap::new();
                 for (key, data) in blocks {
                     let data: BlockHandle = data.into();
@@ -534,7 +531,7 @@ impl Master {
                     // release until every one is acknowledged (retrying).
                     self.flight = Some(PutFlight {
                         pending,
-                        retry: Retry::new(self.fault.as_ref().unwrap()),
+                        retry: Retry::new(),
                         then: AfterFlight::CkptRelease { label },
                     });
                 } else {
@@ -558,38 +555,29 @@ impl Master {
 
     // ---- rank-failure recovery ----------------------------------------------
 
-    /// True while worker `w` is watched for silence: alive, still running,
-    /// and not already queued for recovery.
-    fn watched(&self, w: usize) -> bool {
-        self.alive[w] && self.done[w].is_none() && !self.pending_deaths.contains(&w)
+    /// True once the master has taken the fabric's verdict on worker `w`:
+    /// declared dead, or queued behind a recovery still in flight.
+    fn lost(&self, w: usize) -> bool {
+        !self.alive[w] || self.pending_deaths.contains(&w)
     }
 
-    /// The earliest instant the master has something to do unprompted: a
-    /// watched worker's silence running out (only when a crash is plausible
-    /// — workers inside long serial kernels do not beat, and a drop-only
-    /// plan must never false-positive a healthy rank) or the restore
-    /// flight's resend. `None` on fault-free runs, where only a message
-    /// moves the master.
+    /// The master's one timer: the restore flight's resend. `None` with no
+    /// flight up — a death needs no clock, the fabric's wake-up ends the
+    /// wait — and on fault-free runs, where only a message moves the master.
     fn next_deadline(&self) -> Option<Instant> {
-        let f = self.fault.as_ref()?;
-        let silence = (0..self.workers())
-            .filter(|&w| f.expects_crash() && self.watched(w))
-            .map(|w| self.last_seen[w] + f.liveness_timeout);
-        let resend = self.flight.as_ref().map(|fl| fl.retry.deadline());
-        silence.chain(resend).min()
+        self.flight.as_ref().map(|fl| fl.retry.deadline())
     }
 
-    /// Per-loop bookkeeping: liveness checks, queued deaths, flight retries.
+    /// Per-loop bookkeeping: the fabric's death verdicts, queued deaths,
+    /// flight retries.
     fn tick(&mut self) -> Result<(), RuntimeError> {
-        let Some(f) = &self.fault else {
+        if !self.fault {
             return Ok(());
-        };
-        let now = Instant::now();
-        if f.expects_crash() {
-            for w in 0..self.workers() {
-                if self.watched(w) && now >= self.last_seen[w] + f.liveness_timeout {
-                    self.pending_deaths.push_back(w);
-                }
+        }
+        for w in 0..self.workers() {
+            // A worker is dead when the fabric says so, and only then.
+            if !self.lost(w) && self.endpoint.peer_crashed(self.layout.topology.worker(w)) {
+                self.pending_deaths.push_back(w);
             }
         }
         if self.flight.is_none() {
@@ -604,19 +592,18 @@ impl Master {
             let fl = self.flight.take().expect("checked above");
             self.complete_flight(fl.then);
         }
-        let (Some(fl), Some(f)) = (&mut self.flight, &self.fault) else {
+        let Some(fl) = &mut self.flight else {
             return Ok(());
         };
-        if now >= fl.retry.deadline() {
-            fl.retry
-                .bump(f)
-                .map_err(|Exhausted(_)| RuntimeError::Comm {
-                    kind: CommKind::Timeout,
-                    rank: (fl.pending.values().map(|(home, _)| *home).next())
-                        .unwrap_or(self.layout.topology.master()),
-                    key: None,
-                    context: "restore put unacknowledged after retries".into(),
-                })?;
+        if Instant::now() >= fl.retry.deadline() {
+            fl.retry.bump().map_err(|Exhausted(_)| RuntimeError::Comm {
+                kind: CommKind::Timeout,
+                rank: (fl.pending.values().map(|(home, _)| *home).next())
+                    .unwrap_or(self.layout.topology.master()),
+                key: None,
+                context: "restore put unacknowledged after retries".into(),
+            })?;
+            self.recovery.restore_resends += 1;
             for (key, (home, data)) in &fl.pending {
                 let _ = self.endpoint.send(*home, restore_msg(*key, data.clone()));
             }
@@ -705,11 +692,7 @@ impl Master {
         } else {
             self.flight = Some(PutFlight {
                 pending,
-                retry: Retry::new(
-                    self.fault
-                        .as_ref()
-                        .expect("recovery runs under a fault config"),
-                ),
+                retry: Retry::new(),
                 then: AfterFlight::Recovery {
                     dead_widx: widx,
                     inherited_ops: ops,
@@ -848,8 +831,8 @@ impl Master {
                         env.src
                     )));
                 }
-                // Stragglers from the data plane (late acks, heartbeats)
-                // are expected during teardown and safely dropped.
+                // Stragglers from the data plane (late acks) are expected
+                // during teardown and safely dropped.
                 _ => {}
             }
         }
@@ -906,8 +889,13 @@ impl Master {
                 continue;
             };
             let src = env.src;
-            if self.layout.topology.is_worker(src) {
-                self.last_seen[self.layout.topology.worker_index(src)] = Instant::now();
+            let topology = &self.layout.topology;
+            if topology.is_worker(src) && self.lost(topology.worker_index(src)) {
+                // A corpse's last words, still queued behind the verdict.
+                // Whatever they acknowledge is re-queued and recomputed, and
+                // a stale `ChunkDone` must not settle the takeover of the
+                // chunk it names.
+                continue;
             }
             match env.msg {
                 SipMsg::ChunkRequest { pardo_pc, epoch } => {
@@ -928,7 +916,6 @@ impl Master {
                 }
                 SipMsg::BarrierEnter { kind } => self.handle_barrier(src, kind),
                 SipMsg::ReduceContrib { value } => self.handle_reduce(src, value),
-                SipMsg::Heartbeat => {} // last_seen already refreshed above
                 SipMsg::EpochAck { epoch } => self.handle_epoch_ack(epoch),
                 SipMsg::CkptBlock { label, key, data } => {
                     self.ckpt_saves
@@ -1020,36 +1007,15 @@ pub fn read_epoch_manifest(run_dir: &Path) -> u64 {
 
 // ---- checkpoint files -----------------------------------------------------------
 
-const CKPT_MAGIC: &[u8; 8] = b"SIACKPT1";
-
-/// Writes a checkpoint: magic, block count, then per block the key and data.
-/// Accepts anything that borrows a [`Block`] — owned blocks and
-/// [`BlockHandle`]s alike — so callers never materialize copies to save.
+/// Writes a `blocks_to_list` checkpoint (the record is `ft::write_blocks`',
+/// shared with the epoch checkpoint). Accepts anything that borrows a
+/// [`Block`] — owned blocks and [`BlockHandle`]s alike — so callers never
+/// materialize copies to save.
 pub fn write_checkpoint<B: std::borrow::Borrow<Block>>(
     path: &Path,
     blocks: &[(BlockKey, B)],
 ) -> Result<(), RuntimeError> {
-    let mut buf: Vec<u8> = Vec::new();
-    buf.extend_from_slice(CKPT_MAGIC);
-    buf.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
-    for (key, block) in blocks {
-        let block = block.borrow();
-        buf.extend_from_slice(&key.array.0.to_le_bytes());
-        buf.push(key.rank);
-        for &s in key.segs() {
-            buf.extend_from_slice(&s.to_le_bytes());
-        }
-        let dims = block.shape().dims();
-        buf.push(dims.len() as u8);
-        for &d in dims {
-            buf.extend_from_slice(&d.to_le_bytes());
-        }
-        block.append_le_bytes(&mut buf);
-    }
-    let tmp = path.with_extension("tmp");
-    fs::File::create(&tmp)
-        .and_then(|mut f| f.write_all(&buf))
-        .and_then(|_| fs::rename(&tmp, path))
+    ft::write_blocks(path, ft::CKPT_MAGIC, blocks, &[])
         .map_err(|e| RuntimeError::Checkpoint(format!("write {}: {e}", path.display())))
 }
 
@@ -1060,24 +1026,10 @@ pub fn write_checkpoint<B: std::borrow::Borrow<Block>>(
 pub fn read_checkpoint(path: &Path) -> Result<Vec<(BlockKey, Block)>, RuntimeError> {
     let raw = fs::read(path)
         .map_err(|e| RuntimeError::Checkpoint(format!("read {}: {e}", path.display())))?;
-    parse_checkpoint(&raw)
+    let mut raw = ft::Cursor(&raw);
+    (raw.blocks(ft::CKPT_MAGIC))
+        .filter(|_| raw.0.is_empty())
         .ok_or_else(|| RuntimeError::Checkpoint(format!("corrupt checkpoint {}", path.display())))
-}
-
-fn parse_checkpoint(raw: &[u8]) -> Option<Vec<(BlockKey, Block)>> {
-    let mut raw = ft::Cursor(raw);
-    if raw.take(8)? != CKPT_MAGIC {
-        return None;
-    }
-    let count = raw.u64()?;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let key = raw.key()?;
-        let ndims = raw.u8()? as usize;
-        let block = raw.block(ndims, |r| r.u32().map(|d| d as usize))?;
-        out.push((key, block));
-    }
-    raw.0.is_empty().then_some(out)
 }
 
 #[cfg(test)]
@@ -1132,18 +1084,19 @@ mod tests {
             raw[at..at + bytes.len()].copy_from_slice(bytes);
             raw
         };
-        // magic 8 · count 8 · array 4 · rank 1 · segs 3×4 · ndims 1 · dims 2×4
+        // magic 8 · count 8 · array 4 · rank 1 · segs 3×4 · ndims 1 · dims 2×8
         let (count_at, rank_at, ndims_at, dim0_at) = (8, 20, 33, 34);
         let mut corrupt: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
         corrupt.push(b"NOTACKPT".to_vec());
+        corrupt.push(patched(0, b"SIAEPCK2")); // the other file's magic
         corrupt.push(patched(count_at, &u64::MAX.to_le_bytes()));
         corrupt.push(patched(count_at, &0u64.to_le_bytes())); // trailing bytes
         corrupt.push(patched(rank_at, &[9]));
         corrupt.push(patched(rank_at, &[u8::MAX]));
         corrupt.push(patched(ndims_at, &[9]));
         corrupt.push(patched(ndims_at, &[u8::MAX]));
-        corrupt.push(patched(dim0_at, &0u32.to_le_bytes()));
-        corrupt.push(patched(dim0_at, &u32::MAX.to_le_bytes()));
+        corrupt.push(patched(dim0_at, &0u64.to_le_bytes()));
+        corrupt.push(patched(dim0_at, &u64::MAX.to_le_bytes()));
         for raw in corrupt {
             fs::write(&path, &raw).unwrap();
             match read_checkpoint(&path) {
@@ -1161,7 +1114,6 @@ mod tests {
         // `expect("nonempty flight")` in the timeout arm and crash the
         // master mid-recovery. It must complete the flight's continuation.
         use crate::layout::{SegmentConfig, Topology};
-        use sia_fabric::FaultPlan;
         let program = sial_frontend::compile("sial tiny\nscalar s\ns = 1.0\nendsial\n").unwrap();
         let layout = Layout::new(
             Arc::new(program),
@@ -1180,7 +1132,7 @@ mod tests {
             master_ep,
             ChunkPolicy::default(),
             std::env::temp_dir(),
-            Some(FaultConfig::new(FaultPlan::seeded(1))),
+            true,
         );
         // Stage an empty flight that has already blown its retry budget —
         // the configuration under which the old code panicked.

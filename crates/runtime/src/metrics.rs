@@ -233,7 +233,7 @@ impl Merge for FaultStats {
 /// Master-side recovery counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Workers declared dead by the liveness monitor.
+    /// Workers the master declared dead on the fabric's verdict.
     pub ranks_died: u64,
     /// Pardo chunks re-queued from dead workers to survivors.
     pub requeued_chunks: u64,
@@ -241,6 +241,9 @@ pub struct RecoveryStats {
     pub restored_blocks: u64,
     /// Re-queued chunks dispatched to workers parked at a barrier.
     pub takeover_chunks: u64,
+    /// Times the master resent an unacknowledged restore flight — the only
+    /// thing its clock is for.
+    pub restore_resends: u64,
 }
 
 impl Merge for RecoveryStats {
@@ -249,6 +252,7 @@ impl Merge for RecoveryStats {
         self.requeued_chunks += other.requeued_chunks;
         self.restored_blocks += other.restored_blocks;
         self.takeover_chunks += other.takeover_chunks;
+        self.restore_resends += other.restore_resends;
     }
 }
 
@@ -627,6 +631,7 @@ impl Metrics {
                     field("requeued_chunks", "chunks re-queued", r.requeued_chunks),
                     field("restored_blocks", "blocks restored", r.restored_blocks),
                     field("takeover_chunks", "takeover chunks", r.takeover_chunks),
+                    field("restore_resends", "restore resends", r.restore_resends),
                 ],
             },
             Section {

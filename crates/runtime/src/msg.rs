@@ -299,8 +299,6 @@ pub enum SipMsg {
     },
 
     // ---- fault tolerance ----------------------------------------------------
-    /// Worker liveness beacon (sent periodically under fault tolerance).
-    Heartbeat,
     /// Master declares a worker dead; survivors re-route its keys and replay
     /// their current-epoch puts that were homed there.
     RankDead {
@@ -498,11 +496,11 @@ mod tests {
         let parts = batched.unbatch().expect("batch unbatches");
         assert_eq!(parts.len(), 2);
         // A control-plane message poisons the whole batch.
-        let refused = SipMsg::batch(vec![data_msg(), SipMsg::Heartbeat]);
+        let refused = SipMsg::batch(vec![data_msg(), SipMsg::Shutdown]);
         assert!(refused.is_err());
         assert_eq!(refused.unwrap_err().len(), 2);
         // Non-batch messages refuse to unbatch.
-        assert!(SipMsg::Heartbeat.unbatch().is_err());
+        assert!(SipMsg::Shutdown.unbatch().is_err());
     }
 
     #[test]

@@ -200,7 +200,7 @@ impl Worker {
         let ft = config
             .fault
             .as_ref()
-            .map(|f| Box::new(FtState::new(f.clone(), config.workers)));
+            .map(|f| Box::new(FtState::new(f.crash, config.workers)));
         let run_dir = config.run_dir.clone();
         // Cache capacity in bytes, matching the dry run's sizing formula
         // (`cache_blocks × largest remote block`).
@@ -287,7 +287,6 @@ impl Worker {
             if self.shutdown_seen || self.endpoint.shutdown_raised() || self.endpoint.is_crashed() {
                 return;
             }
-            self.maybe_heartbeat();
             if let (Err(_), Some(ft)) = (self.pump_retries(), self.ft.as_mut()) {
                 // Past the program's end nobody is left to hand a spent
                 // retry budget to; stop tracking, or the dead timer would
@@ -305,7 +304,7 @@ impl Worker {
     /// when the inbox next runs dry — at the caller's `service_messages`,
     /// or inside the next `recv_deadline` before it parks.
     fn block_on_inbox(&mut self) {
-        let deadline = self.ft.as_ref().map(|ft| ft.next_deadline());
+        let deadline = self.ft.as_ref().and_then(|ft| ft.next_deadline());
         if let Some(env) = self.endpoint.recv_deadline(deadline) {
             self.handle(env.src, env.msg);
         }
@@ -446,8 +445,6 @@ impl Worker {
             SipMsg::Shutdown => {
                 self.shutdown_seen = true;
             }
-            // A stray heartbeat (e.g. duplicated routing in tests) is harmless.
-            SipMsg::Heartbeat => {}
             // Messages a worker never receives (a Batch is unpacked by the
             // fabric endpoint before delivery, so a bare one is a protocol
             // error too).
@@ -764,7 +761,6 @@ impl Worker {
         let t0 = Instant::now();
         loop {
             self.service_messages();
-            self.maybe_heartbeat();
             self.pump_retries()?;
             if done(self) {
                 let waited = t0.elapsed();
@@ -938,7 +934,7 @@ impl Worker {
         self.profile.metrics.comm.fetches += 1;
         self.flights.insert(key, (Instant::now(), req.0));
         if let Some(ft) = self.ft.as_mut() {
-            let retry = Retry::new(&ft.cfg);
+            let retry = Retry::new();
             ft.fetches.insert(key, FetchState { req, retry });
         }
         let msg = SipMsg::Fetch { key, req };
@@ -1242,7 +1238,7 @@ impl Worker {
         if let Some(ft) = self.ft.as_mut() {
             // I/O servers never die in the fault model, so prepares are not
             // journaled.
-            if !served && ft.cfg.expects_crash() {
+            if !served && ft.crash.is_some() {
                 self.mem.note_share(&data);
                 ft.journal.push(JournalEntry {
                     op: op.0,
@@ -1326,7 +1322,7 @@ impl Worker {
             && !self
                 .ft
                 .as_mut()
-                .map(|ft| ft.note_applied(op.0, epoch))
+                .map(|ft| ft.applied.note(op.0, epoch))
                 .unwrap_or(true);
         if duplicate {
             self.profile.metrics.fault.dup_puts_suppressed += 1;
@@ -1356,7 +1352,7 @@ impl Worker {
             let served = layout.array_kind(p.key.array) == ArrayKind::Served;
             let home = layout.home_of(&p.key, &ft.dead);
             p.retry
-                .bump(&ft.cfg)
+                .bump()
                 .map_err(|Exhausted(attempts)| RuntimeError::Comm {
                     kind: CommKind::Timeout,
                     rank: home,
@@ -1382,7 +1378,7 @@ impl Worker {
             }
             let home = layout.home_of(key, &ft.dead);
             f.retry
-                .bump(&ft.cfg)
+                .bump()
                 .map_err(|Exhausted(attempts)| RuntimeError::Comm {
                     kind: CommKind::Timeout,
                     rank: home,
@@ -1413,60 +1409,28 @@ impl Worker {
             self.mem.cache_refresh_in_flight(key);
         }
         for (to, msg) in resend {
-            // A send error means the peer is gone; the liveness monitor will
-            // declare it dead and re-route, so keep retrying until then.
+            // A send error means the peer is gone; the master will declare
+            // it dead and re-route, so keep retrying until then.
             let _ = self.endpoint.stage(to, msg);
         }
         Ok(())
     }
 
-    /// Beacons a heartbeat to the master when one is due.
-    pub(crate) fn maybe_heartbeat(&mut self) {
-        let master = self.layout.topology.master();
-        let Some(ft) = self.ft.as_mut() else {
-            return;
-        };
-        if ft.crashed || ft.last_beat.elapsed() < ft.cfg.heartbeat_interval {
-            return;
-        }
-        ft.last_beat = Instant::now();
-        let _ = self.endpoint.send(master, SipMsg::Heartbeat);
-    }
-
-    /// Fires the deterministic crash schedule (and notices fabric-scheduled
-    /// crashes): once this worker has completed its configured number of
-    /// pardo iterations, it kills its endpoint and unwinds. Called at
-    /// iteration boundaries so a crashed rank's last epoch checkpoint is
-    /// always consistent.
+    /// Fires the deterministic crash schedule: once this worker has
+    /// completed its configured number of pardo iterations, it kills its
+    /// endpoint and unwinds. Called at iteration boundaries, the only point
+    /// at which its last epoch checkpoint is promised consistent.
     pub(crate) fn maybe_crash(&mut self) -> Result<(), RuntimeError> {
-        let widx = self.worker_index();
-        let rank = self.endpoint.rank();
-        if self.endpoint.is_crashed() {
-            if let Some(ft) = self.ft.as_mut() {
-                ft.crashed = true;
-            }
-            return Err(RuntimeError::Comm {
-                kind: CommKind::RankDead,
-                rank,
-                key: None,
-                context: "rank crashed (fabric fault schedule)".into(),
-            });
-        }
-        let iters = self.pardo_iters_done;
-        let Some(ft) = self.ft.as_mut() else {
-            return Ok(());
-        };
-        let Some(crash) = ft.cfg.crash else {
-            return Ok(());
-        };
-        if ft.crashed || crash.worker != widx || iters < crash.after_iterations {
+        let due = self.ft.as_ref().and_then(|ft| ft.crash).is_some_and(|c| {
+            c.worker == self.worker_index() && self.pardo_iters_done >= c.after_iterations
+        });
+        if !due {
             return Ok(());
         }
-        ft.crashed = true;
         self.endpoint.kill();
         Err(RuntimeError::Comm {
             kind: CommKind::RankDead,
-            rank,
+            rank: self.endpoint.rank(),
             key: None,
             context: "injected crash (crash schedule)".into(),
         })
@@ -1503,7 +1467,7 @@ impl Worker {
 
     /// Runs the fault-tolerance epoch transition after a `sip_barrier`
     /// release (the epoch counter has already advanced): checkpoint the
-    /// authoritative blocks when a crash is possible, clear the put journal,
+    /// authoritative blocks when a crash is scheduled, clear the put journal,
     /// and prune the applied-op window.
     pub(crate) fn on_sip_barrier_released(&mut self) {
         let widx = self.worker_index();
@@ -1511,7 +1475,7 @@ impl Worker {
         let Some(ft) = self.ft.as_mut() else {
             return;
         };
-        if ft.cfg.expects_crash() {
+        if ft.crash.is_some() {
             if let Some(dir) = &self.run_dir {
                 let path = ft::epoch_ckpt_path(dir, widx);
                 // The snapshot shares the authoritative blocks' allocations.
@@ -1522,7 +1486,7 @@ impl Worker {
             }
         }
         ft.journal.clear();
-        ft.prune_applied(epoch);
+        ft.applied.prune(epoch);
     }
 
     /// Handles a `RankDead` broadcast: marks the worker dead, inherits the
@@ -1548,7 +1512,7 @@ impl Worker {
             what: RecoveryEvent::RankDead,
         });
         for op in inherited_ops {
-            ft.applied.entry(op).or_insert(epoch);
+            ft.applied.note(op, epoch);
         }
         let mut sends: Vec<(Rank, SipMsg)> = Vec::new();
         // Replay this epoch's puts that were homed at the corpse. The
@@ -1581,7 +1545,7 @@ impl Worker {
                 continue;
             }
             let new_home = layout.home_of(key, &ft.dead);
-            f.retry = Retry::new(&ft.cfg);
+            f.retry = Retry::new();
             reroutes += 1;
             sends.push((
                 new_home,

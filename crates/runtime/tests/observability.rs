@@ -3,6 +3,7 @@
 //! attribution, and the `--trace`/`--profile-json` file outputs.
 
 use sia_bytecode::ConstBindings;
+use sia_runtime::events::parse_json;
 use sia_runtime::prelude::*;
 use sia_runtime::{lint_chrome_trace, lint_profile_json};
 
@@ -118,7 +119,7 @@ fn trace_covers_every_rank_and_lints_clean() {
     assert!(tl.total_events() > 0);
 
     let json = tl.to_chrome_json(None);
-    let lint = lint_chrome_trace(&json).expect("chrome trace lints clean");
+    let lint = lint_chrome_trace(&parse_json(&json).unwrap()).expect("chrome trace lints clean");
     assert!(lint.events >= tl.total_events());
     for widx in [1u64, 2] {
         let r = lint.ranks.get(&widx).expect("worker rank in trace");
@@ -158,7 +159,7 @@ fn trace_and_profile_files_are_written_and_lint() {
     assert!(out.trace.is_some(), "trace_path implies tracing");
 
     let trace_text = std::fs::read_to_string(&trace_path).expect("trace file written");
-    lint_chrome_trace(&trace_text).expect("written trace lints clean");
+    lint_chrome_trace(&parse_json(&trace_text).unwrap()).expect("written trace lints clean");
     let profile_text = std::fs::read_to_string(&profile_path).expect("profile file written");
     lint_profile_json(&profile_text).expect("written profile lints clean");
     let _ = std::fs::remove_dir_all(&dir);

@@ -587,7 +587,7 @@ fn main() -> ExitCode {
                 }
             };
             if doc.get("traceEvents").is_some() {
-                match sia::runtime::lint_chrome_trace(&text) {
+                match sia::runtime::lint_chrome_trace(&doc) {
                     Ok(lint) => {
                         println!("{file}: ok — {} trace events", lint.events);
                         for (pid, r) in &lint.ranks {

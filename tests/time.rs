@@ -5,7 +5,6 @@
 
 use sia::subsystems::chem::register_integrals;
 use sia::{ConstBindings, FaultConfig, FaultPlan, RunOutput, Sip, SipConfig, SuperRegistry};
-use std::time::Instant;
 
 const SERVED: &str = "sial served_rt
 aoindex i = 1, n
@@ -86,25 +85,20 @@ fn fault_free_ranks_never_wake_for_a_timer() {
 }
 
 /// Arming fault tolerance on a perfect fabric changes no bit of the result,
-/// and the only timers it adds are the heartbeat and the retry clock:
-/// wake-ups are bounded by the beats that fit in the run plus the retries.
+/// and the only timer it adds is the retry clock: a rank wakes on a deadline
+/// only to resend, however long the run takes.
 #[test]
-fn armed_fault_tolerance_wakes_only_for_heartbeats() {
+fn armed_fault_tolerance_holds_only_the_retry_clock() {
     let clean = contraction(None);
-    let fault = FaultConfig::new(FaultPlan::seeded(1));
-    let beat = fault.heartbeat_interval;
-    let t0 = Instant::now();
-    let armed = contraction(Some(fault));
-    let elapsed = t0.elapsed();
+    let armed = contraction(Some(FaultConfig::new(FaultPlan::seeded(1))));
 
     assert_eq!(block_bits(&clean), block_bits(&armed));
     assert_eq!(armed.profile.metrics.fabric.perturbed(), 0);
     let retries = armed.profile.metrics.fault.retries();
-    let bound = (elapsed.as_nanos() / beat.as_nanos()) as u64 + retries + 2;
     for (rank, t) in armed.traffic_per_rank.iter().enumerate() {
         assert!(
-            t.deadline_wakeups <= bound,
-            "rank {rank}: {} timer wake-ups in {elapsed:?} (bound {bound})",
+            t.deadline_wakeups <= retries,
+            "rank {rank}: {} timer wake-ups for {retries} retries",
             t.deadline_wakeups
         );
     }
