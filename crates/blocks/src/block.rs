@@ -57,6 +57,26 @@ impl Block {
         if shape.len().checked_mul(8)? != bytes.len() {
             return None;
         }
+        // On a little-endian target the encoding is the elements' own
+        // memory: one copy of the whole payload, not one per element.
+        #[cfg(target_endian = "little")]
+        let data = {
+            let mut data = Vec::<f64>::with_capacity(shape.len());
+            // SAFETY: `bytes` is `shape.len() * 8` bytes (checked above) and
+            // the fresh allocation has room for as many; they cannot overlap.
+            // Every bit pattern is an `f64`, so all `shape.len()` elements
+            // are initialized once the bytes are in.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    bytes.as_ptr(),
+                    data.as_mut_ptr().cast::<u8>(),
+                    bytes.len(),
+                );
+                data.set_len(shape.len());
+            }
+            data
+        };
+        #[cfg(not(target_endian = "little"))]
         let data = bytes
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
@@ -67,9 +87,21 @@ impl Block {
     /// Appends the block's elements to `out` as little-endian `f64`s — the
     /// encoding [`Block::from_le_bytes`] reads back.
     pub fn append_le_bytes(&self, out: &mut Vec<u8>) {
-        out.reserve(self.data.len() * 8);
-        for v in &self.data {
-            out.extend_from_slice(&v.to_le_bytes());
+        #[cfg(target_endian = "little")]
+        {
+            // SAFETY: an `f64` slice is `len * 8` initialized bytes with no
+            // padding, and `u8` has no alignment requirement.
+            let bytes = unsafe {
+                std::slice::from_raw_parts(self.data.as_ptr().cast::<u8>(), self.data.len() * 8)
+            };
+            out.extend_from_slice(bytes);
+        }
+        #[cfg(not(target_endian = "little"))]
+        {
+            out.reserve(self.data.len() * 8);
+            for v in &self.data {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
         }
     }
 

@@ -267,11 +267,14 @@ impl TraceSink {
         }
     }
 
-    /// Records a span from `start` until now.
-    pub(crate) fn span_since(&mut self, kind: EventKind, start: Instant) {
+    /// Records a span between two clock readings the caller already took:
+    /// consecutive spans that share a reading then abut exactly, where a
+    /// reading of the sink's own would put one span's end past the next
+    /// one's start.
+    pub(crate) fn span_between(&mut self, kind: EventKind, start: Instant, end: Instant) {
         if let Some(s) = &self.0 {
             let t0 = start.saturating_duration_since(s.epoch).as_nanos() as u64;
-            let t1 = s.epoch.elapsed().as_nanos() as u64;
+            let t1 = end.saturating_duration_since(s.epoch).as_nanos() as u64;
             self.push(TraceEvent {
                 t_start_ns: t0,
                 t_end_ns: t1.max(t0),

@@ -4,9 +4,11 @@
 //! set; a fault-free run never allocates an [`FtState`] and counts its
 //! unacknowledged stores in two integers instead. The fork is kept because
 //! it is measured: arming an `FtState` with nothing injected costs
-//! `putget_fine` a quarter of its wall time (0.56 → 0.71 s, 10 of 10
-//! pairs; ROADMAP deletion-pass item 1) — [`FtState::next_deadline`] and
-//! `Worker::stores_drained` walk every pending op at every wait.
+//! `putget_fine` a fifth of its wall time (0.34 → 0.40 s, 9 of 10 pairs;
+//! ROADMAP deletion-pass item 1). No wait walks what is pending any more
+//! ([`FtState::next_deadline`] is a stored bound, `Worker::stores_drained`
+//! a counter); what is left is per operation — a clock reading per
+//! [`Retry`], a map entry and a retained payload per store.
 //!
 //! The recovery protocol (see DESIGN.md "Fault model & recovery"):
 //!
@@ -24,7 +26,7 @@
 //!   journals that were homed at the corpse.
 
 use crate::layout::CrashSchedule;
-use crate::msg::{BlockKey, OpId, Payload, SipMsg};
+use crate::msg::{BlockKey, KeyMap, OpId, Payload, SipMsg};
 use sia_blocks::{Block, BlockHandle, Shape};
 use sia_bytecode::{ArrayId, PutMode};
 use sia_fabric::ReqId;
@@ -114,6 +116,8 @@ pub(crate) struct PendingOp {
     pub key: BlockKey,
     pub data: BlockHandle,
     pub mode: PutMode,
+    /// A PREPARE (the key is a served array's), not a PUT.
+    pub served: bool,
     pub retry: Retry,
 }
 
@@ -165,13 +169,22 @@ pub(crate) struct FtState {
     pub crash: Option<CrashSchedule>,
     /// Unacknowledged tracked operations, keyed by op id.
     pub pending: HashMap<u64, PendingOp>,
+    /// How many of them are `[puts, prepares]`: what an ack drain waits on.
+    pub pending_stores: [u64; 2],
     /// Remote distributed puts of the current barrier epoch (cleared at
     /// `sip_barrier` release). Only kept when a crash is scheduled.
     pub journal: Vec<JournalEntry>,
     /// Op ids applied at this rank (home side).
     pub applied: AppliedOps,
     /// Unanswered fetches by block key.
-    pub fetches: HashMap<BlockKey, FetchState>,
+    pub fetches: KeyMap<FetchState>,
+    /// A lower bound on the earliest [`Retry::deadline`] among `pending` and
+    /// `fetches`; `None` exactly when both are empty. Arming an operation
+    /// lowers it to that operation's deadline if need be; an ack or an
+    /// answer leaves it as it is, i.e. stale (early) at worst: the rank
+    /// wakes once, finds nothing due and
+    /// [`settle_deadline`](Self::settle_deadline) makes it exact again.
+    due: Option<Instant>,
     /// Dead workers by worker index (agreed via `RankDead` broadcasts).
     pub dead: Vec<bool>,
     /// Chunk-ack accounting: chunks execute FIFO, so the head entry is the
@@ -189,9 +202,11 @@ impl FtState {
         FtState {
             crash,
             pending: HashMap::new(),
+            pending_stores: [0; 2],
             journal: Vec::new(),
             applied: AppliedOps::default(),
-            fetches: HashMap::new(),
+            fetches: KeyMap::default(),
+            due: None,
             dead: vec![false; workers],
             chunk_acks: VecDeque::new(),
             takeovers: VecDeque::new(),
@@ -199,13 +214,63 @@ impl FtState {
         }
     }
 
-    /// The earliest instant this worker has something to do unprompted: the
-    /// resend of a tracked store or fetch. `None` when nothing is pending —
-    /// an armed worker holds no other timer.
+    /// No later than the earliest instant this worker has something to do
+    /// unprompted: the resend of a tracked store or fetch. `None` when
+    /// nothing is pending — an armed worker holds no other timer.
     pub(crate) fn next_deadline(&self) -> Option<Instant> {
+        self.due
+    }
+
+    /// Makes [`next_deadline`](Self::next_deadline) exact: one pass over
+    /// what is tracked, taken when the bound has come due, not per wait.
+    pub(crate) fn settle_deadline(&mut self) {
         let stores = self.pending.values().map(|p| &p.retry);
         let fetches = self.fetches.values().map(|f| &f.retry);
-        stores.chain(fetches).map(Retry::deadline).min()
+        self.due = stores.chain(fetches).map(Retry::deadline).min();
+    }
+
+    fn tracked_one(&mut self, retry: &Retry) {
+        let deadline = retry.deadline();
+        self.due = Some(self.due.map_or(deadline, |due| due.min(deadline)));
+    }
+
+    fn untracked_one(&mut self) {
+        if self.pending.is_empty() && self.fetches.is_empty() {
+            self.due = None;
+        }
+    }
+
+    /// Tracks a fetch just sent under `req` until its block arrives.
+    pub(crate) fn track_fetch(&mut self, key: BlockKey, req: ReqId) {
+        let retry = Retry::new();
+        self.tracked_one(&retry);
+        self.fetches.insert(key, FetchState { req, retry });
+    }
+
+    /// The block of a tracked fetch arrived (or nothing was tracked).
+    pub(crate) fn fetch_answered(&mut self, key: &BlockKey) {
+        if self.fetches.remove(key).is_some() {
+            self.untracked_one();
+        }
+    }
+
+    /// A store was acknowledged; false for a duplicated or late ack, which
+    /// finds nothing pending.
+    pub(crate) fn store_acked(&mut self, op: OpId) -> bool {
+        let Some(acked) = self.pending.remove(&op.0) else {
+            return false;
+        };
+        self.pending_stores[acked.served as usize] -= 1;
+        self.untracked_one();
+        true
+    }
+
+    /// Stops tracking everything.
+    pub(crate) fn forget_all(&mut self) {
+        self.pending.clear();
+        self.fetches.clear();
+        self.pending_stores = [0; 2];
+        self.due = None;
     }
 
     /// Arms (or re-arms) a tracked store flight: the full block is retained
@@ -219,14 +284,19 @@ impl FtState {
         key: BlockKey,
         data: BlockHandle,
         mode: PutMode,
+        served: bool,
     ) -> bool {
         let flight = PendingOp {
             key,
             data,
             mode,
+            served,
             retry: Retry::new(),
         };
-        self.pending.insert(op.0, flight).is_none()
+        self.tracked_one(&flight.retry);
+        let new = self.pending.insert(op.0, flight).is_none();
+        self.pending_stores[served as usize] += new as u64;
+        new
     }
 }
 
@@ -481,6 +551,45 @@ mod tests {
             "epoch 1 is out of every journal's reach"
         );
         assert!(!applied.note(2, 3), "epoch 2 may still be replayed");
+    }
+
+    /// What a blocked worker asks per wait is kept, not recomputed: the
+    /// pending stores per kind, and a deadline that is never later than the
+    /// earliest resend and is gone when nothing is tracked.
+    #[test]
+    fn pending_counts_and_deadline_follow_arms_and_acks() {
+        let earliest = |ft: &FtState| {
+            let stores = ft.pending.values().map(|p| p.retry.deadline());
+            stores
+                .chain(ft.fetches.values().map(|f| f.retry.deadline()))
+                .min()
+        };
+        let block = || BlockHandle::new(Block::zeros(Shape::new(&[2])));
+        let key = |i| BlockKey::new(ArrayId(0), &[i]);
+        let mut ft = FtState::new(None, 2);
+        assert_eq!(ft.next_deadline(), None);
+        assert!(ft.arm_flight(OpId(1), key(1), block(), PutMode::Replace, false));
+        assert!(ft.arm_flight(OpId(2), key(2), block(), PutMode::Replace, true));
+        assert!(
+            !ft.arm_flight(OpId(1), key(1), block(), PutMode::Replace, false),
+            "re-armed, not new"
+        );
+        ft.track_fetch(key(3), ReqId(7));
+        assert_eq!(ft.pending_stores, [1, 1]);
+        assert!(ft.next_deadline() <= earliest(&ft));
+        // A resend backs one deadline off; the bound may stay early, and
+        // settling makes it the new earliest exactly.
+        ft.pending.get_mut(&1).unwrap().retry.bump().unwrap();
+        assert!(ft.next_deadline() <= earliest(&ft));
+        ft.settle_deadline();
+        assert_eq!(ft.next_deadline(), earliest(&ft));
+        assert!(ft.store_acked(OpId(1)));
+        assert!(!ft.store_acked(OpId(1)), "a duplicated ack finds nothing");
+        assert_eq!(ft.pending_stores, [0, 1]);
+        assert!(ft.store_acked(OpId(2)));
+        assert!(ft.next_deadline().is_some(), "the fetch is still tracked");
+        ft.fetch_answered(&key(3));
+        assert_eq!((ft.pending_stores, ft.next_deadline()), ([0, 0], None));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::cache::BlockGet;
 use crate::error::RuntimeError;
 use crate::events::{EventKind, RecoveryEvent};
 use crate::ft::TakeoverChunk;
+use crate::layout::SegVals;
 use crate::metrics::WaitCause;
 use crate::msg::{BarrierKind, BlockKey, Payload, SipMsg};
 use crate::registry::{SuperArg, SuperEnv};
@@ -42,29 +43,36 @@ impl Worker {
         let program = Arc::clone(&self.layout.program);
         let mut plans: HashMap<u32, ContractionPlan> = HashMap::new();
         let t0 = Instant::now();
+        // One clock reading per instruction boundary: the reading that ends
+        // an instruction starts the next one.
+        let mut now = t0;
         let mut pc: u32 = 0;
         loop {
-            self.service_messages();
+            if self.service_messages() {
+                // Time spent serving peers is nobody's busy time.
+                now = Instant::now();
+            }
             self.pump_retries()?;
             self.mem.enforce_budget()?;
             let ins = program
                 .code
                 .get(pc as usize)
                 .ok_or_else(|| RuntimeError::BadProgram(format!("pc {pc} out of range")))?;
-            let t_ins = Instant::now();
+            let t_ins = now;
             let mut wait = Duration::ZERO;
             let class = ins.class();
             let next = self.step(pc, ins, &mut plans, &mut wait)?;
-            let busy = t_ins.elapsed().saturating_sub(wait);
+            now = Instant::now();
+            let busy = (now - t_ins).saturating_sub(wait);
             self.profile.record(pc, busy, wait);
             self.trace
-                .span_since(EventKind::Instruction { pc, class }, t_ins);
+                .span_between(EventKind::Instruction { pc, class }, t_ins, now);
             match next {
                 Some(n) => pc = n,
                 None => break,
             }
         }
-        self.profile.total_nanos = t0.elapsed().as_nanos() as u64;
+        self.profile.total_nanos = (now - t0).as_nanos() as u64;
         self.profile.metrics.cache = self.mem.cache_stats();
         self.profile.metrics.memory = self.mem.stats();
         self.profile
@@ -152,23 +160,21 @@ impl Worker {
         match p.queue.pop_front() {
             Some(vals) => {
                 p.ahead = p.ahead.saturating_sub(1);
-                let indices = p.indices.clone();
-                let body_pc = p.start_pc + 1;
-                for (idx, v) in indices.iter().zip(vals) {
-                    self.set_index(*idx, v);
+                for (idx, v) in p.indices.iter().zip(vals) {
+                    self.env[idx.index()] = v;
                 }
+                let body_pc = p.start_pc + 1;
                 self.op_seq = 0;
                 self.profile.iterations += 1;
                 Ok(body_pc)
             }
             None => {
                 debug_assert!(p.exhausted);
-                let end_pc = p.end_pc;
-                let indices = p.indices.clone();
-                self.pardo = None;
-                for idx in indices {
-                    self.set_index(idx, 0);
+                for idx in &p.indices {
+                    self.env[idx.index()] = 0;
                 }
+                let end_pc = p.end_pc;
+                self.pardo = None;
                 self.free_temps();
                 Ok(end_pc + 1)
             }
@@ -246,14 +252,13 @@ impl Worker {
         indices: &[IndexId],
         vals: &[i64],
     ) -> Option<BlockKey> {
-        let segs: Vec<i64> = block
-            .indices
-            .iter()
-            .map(|i| match indices.iter().position(|j| j == i) {
+        let mut segs = SegVals::zeroed(block.indices.len());
+        for (seg, i) in segs.iter_mut().zip(&block.indices) {
+            *seg = match indices.iter().position(|j| j == i) {
                 Some(at) => vals[at],
                 None => self.index_value(*i),
-            })
-            .collect();
+            };
+        }
         if segs.contains(&0) {
             return None;
         }
@@ -999,7 +1004,10 @@ impl Worker {
                         _ => Origin::Local(key, r.array),
                     };
                     origins.push((marshalled.len(), origin));
-                    marshalled.push(SuperArg::Block { segs, block });
+                    marshalled.push(SuperArg::Block {
+                        segs: segs.to_vec(),
+                        block,
+                    });
                 }
                 Arg::Scalar(id) => {
                     origins.push((marshalled.len(), Origin::Scalar(id.index())));

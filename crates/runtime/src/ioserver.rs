@@ -17,7 +17,7 @@ use crate::error::RuntimeError;
 use crate::events::{EventKind, TraceSink};
 use crate::ft::AppliedOps;
 use crate::layout::Layout;
-use crate::msg::{BlockKey, OpId, Payload, SipMsg};
+use crate::msg::{BlockKey, KeyMap, OpId, Payload, SipMsg};
 use crate::store::Store;
 use sia_blocks::BlockHandle;
 use sia_bytecode::{ArrayId, ArrayKind, PutMode};
@@ -70,7 +70,7 @@ pub struct IoServer {
     endpoint: Endpoint<SipMsg>,
     stores: Stores,
     capacity: usize,
-    cache: HashMap<BlockKey, Entry>,
+    cache: KeyMap<Entry>,
     /// Eviction order and flush order: every cached key is in exactly one
     /// of the two, under its entry's stamp. The server consults them per
     /// message (is anything dirty?) and per insertion into a full cache
@@ -80,7 +80,7 @@ pub struct IoServer {
     /// Norm table for sparse served arrays: blocks whose prepare was dropped
     /// under the sparsity threshold, keyed to the recorded Frobenius-norm
     /// bound. A key with a resident (cache or disk) payload is never here.
-    norms: HashMap<BlockKey, f64>,
+    norms: KeyMap<f64>,
     clock: u64,
     stats: ServerStats,
     /// Applied prepare op ids (duplicate suppression; pruned at each
@@ -117,10 +117,10 @@ impl IoServer {
             endpoint,
             stores,
             capacity: capacity.max(1),
-            cache: HashMap::new(),
+            cache: KeyMap::default(),
             clean: LruOrder::new(),
             dirty: LruOrder::new(),
-            norms: HashMap::new(),
+            norms: KeyMap::default(),
             clock: 0,
             stats: ServerStats::default(),
             applied_ops: AppliedOps::default(),
@@ -280,7 +280,10 @@ impl IoServer {
             self.load(key)?
         };
         let disk = self.stats.disk_reads > reads0;
-        self.trace.span_since(EventKind::Serve { key, disk }, t0);
+        if self.trace.is_on() {
+            self.trace
+                .span_between(EventKind::Serve { key, disk }, t0, Instant::now());
+        }
         Ok(Payload::Data(data))
     }
 

@@ -7,7 +7,7 @@
 //! generator, so all of them agree on placement and sizes by construction.
 
 use crate::error::RuntimeError;
-use crate::msg::BlockKey;
+use crate::msg::{BlockKey, MAX_RANK};
 use sia_blocks::Shape;
 use sia_bytecode::{ArrayId, ArrayKind, ConstBindings, IndexId, IndexKind, Program};
 use sia_fabric::{FaultPlan, Rank};
@@ -712,6 +712,38 @@ impl Topology {
     }
 }
 
+/// The segment values of one block ref, held inline: a ref has at most
+/// [`MAX_RANK`] indices, and one is resolved per block access.
+#[derive(Debug, Clone, Copy)]
+pub struct SegVals {
+    vals: [i64; MAX_RANK],
+    rank: usize,
+}
+
+impl SegVals {
+    /// `rank` zeros, to be filled in through `DerefMut`.
+    pub fn zeroed(rank: usize) -> Self {
+        assert!(rank <= MAX_RANK, "rank too large");
+        SegVals {
+            vals: [0; MAX_RANK],
+            rank,
+        }
+    }
+}
+
+impl std::ops::Deref for SegVals {
+    type Target = [i64];
+    fn deref(&self) -> &[i64] {
+        &self.vals[..self.rank]
+    }
+}
+
+impl std::ops::DerefMut for SegVals {
+    fn deref_mut(&mut self) -> &mut [i64] {
+        &mut self.vals[..self.rank]
+    }
+}
+
 /// The fully resolved data layout for one run.
 #[derive(Debug)]
 pub struct Layout {
@@ -954,14 +986,15 @@ impl Layout {
 
     /// Whether the ref addresses subblocks of `array`'s declared blocks
     /// (i.e. some ref index is a subindex whose parent kind matches a
-    /// super-declared dim). Returns per-dimension flags.
-    pub fn sub_addressed_dims(&self, array: ArrayId, ref_indices: &[IndexId]) -> Vec<bool> {
+    /// super-declared dim). Returns per-dimension flags (false past the
+    /// ref's rank).
+    pub fn sub_addressed_dims(&self, array: ArrayId, ref_indices: &[IndexId]) -> [bool; MAX_RANK] {
         let decl = &self.program.arrays[array.index()];
-        ref_indices
-            .iter()
-            .zip(&decl.dims)
-            .map(|(&r, &d)| self.parent_of(r).is_some() && self.parent_of(d).is_none())
-            .collect()
+        let mut flags = [false; MAX_RANK];
+        for (flag, (&r, &d)) in flags.iter_mut().zip(ref_indices.iter().zip(&decl.dims)) {
+            *flag = self.parent_of(r).is_some() && self.parent_of(d).is_none();
+        }
+        flags
     }
 
     /// The key of the *storage* block containing the referenced (possibly
@@ -977,7 +1010,7 @@ impl Layout {
         seg_vals: &[i64],
     ) -> (BlockKey, Option<(Vec<usize>, Vec<usize>)>) {
         let subdims = self.sub_addressed_dims(array, ref_indices);
-        if !subdims.iter().any(|&b| b) {
+        if subdims == [false; MAX_RANK] {
             return (BlockKey::new(array, seg_vals), None);
         }
         let decl = &self.program.arrays[array.index()];

@@ -19,7 +19,7 @@ use crate::events::{EventKind, RecoveryEvent, TraceEvent, TraceSink};
 use crate::ft::{self, Exhausted, Retry};
 use crate::layout::{Layout, Placement};
 use crate::metrics::{Merge, RecoveryStats, ServerStats};
-use crate::msg::{BarrierKind, BlockKey, OpId, Payload, SipMsg};
+use crate::msg::{BarrierKind, BlockKey, KeyMap, OpId, Payload, SipMsg};
 use crate::plan::CommPlan;
 use crate::profile::WorkerProfile;
 use crate::scheduler::{ChunkPolicy, GuidedScheduler, IterationSpace};
@@ -71,7 +71,7 @@ struct CkptSave {
 /// are naturally idempotent. The pending map shares each payload with the
 /// wire message, so a retry re-sends the same allocation.
 struct PutFlight {
-    pending: HashMap<BlockKey, (Rank, BlockHandle)>,
+    pending: KeyMap<(Rank, BlockHandle)>,
     retry: Retry,
     then: AfterFlight,
 }
@@ -94,7 +94,7 @@ pub struct MasterOutput {
     /// that died and was recovered around).
     pub scalars: Vec<Vec<f64>>,
     /// Collected distributed blocks (when collection was enabled).
-    pub collected: HashMap<BlockKey, Block>,
+    pub collected: KeyMap<Block>,
     /// Per-worker profiles.
     pub profiles: Vec<WorkerProfile>,
     /// Warnings raised across all ranks.
@@ -127,7 +127,7 @@ pub struct Master {
     ckpt_saves: HashMap<u32, CkptSave>,
     ckpt_restore_ready: HashMap<u32, usize>,
     done: Vec<Option<(Vec<f64>, WorkerProfile)>>,
-    collected: HashMap<BlockKey, Block>,
+    collected: KeyMap<Block>,
     warnings: Vec<String>,
     done_count: usize,
     // ---- fault tolerance ----------------------------------------------------
@@ -183,7 +183,7 @@ impl Master {
             ckpt_saves: HashMap::new(),
             ckpt_restore_ready: HashMap::new(),
             done: (0..w).map(|_| None).collect(),
-            collected: HashMap::new(),
+            collected: KeyMap::default(),
             warnings: Vec::new(),
             done_count: 0,
             alive: vec![true; w],
@@ -517,7 +517,7 @@ impl Master {
                 let blocks = read_checkpoint(&self.ckpt_path(label))?;
                 let dead: Vec<bool> = self.alive.iter().map(|a| !a).collect();
                 let track = self.fault && self.flight.is_none();
-                let mut pending: HashMap<BlockKey, (Rank, BlockHandle)> = HashMap::new();
+                let mut pending: KeyMap<(Rank, BlockHandle)> = KeyMap::default();
                 for (key, data) in blocks {
                     let data: BlockHandle = data.into();
                     let home = self.layout.home_of_distributed_excluding(&key, &dead);
@@ -676,7 +676,7 @@ impl Master {
             }
         };
         let dead: Vec<bool> = self.alive.iter().map(|a| !a).collect();
-        let mut pending: HashMap<BlockKey, (Rank, BlockHandle)> = HashMap::new();
+        let mut pending: KeyMap<(Rank, BlockHandle)> = KeyMap::default();
         for (key, data) in blocks {
             let data: BlockHandle = data.into();
             let home = self.layout.home_of_distributed_excluding(&key, &dead);
@@ -1137,7 +1137,7 @@ mod tests {
         // Stage an empty flight that has already blown its retry budget —
         // the configuration under which the old code panicked.
         m.flight = Some(PutFlight {
-            pending: HashMap::new(),
+            pending: KeyMap::default(),
             retry: Retry {
                 sent_at: Instant::now()
                     .checked_sub(Duration::from_secs(60))

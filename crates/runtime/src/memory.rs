@@ -21,12 +21,11 @@
 //! carrying a fabric envelope share one allocation. The manager counts every
 //! avoided clone so the zero-copy property is *asserted*, not assumed.
 
-use crate::cache::{BlockCache, CacheEntry, CacheStats};
+use crate::cache::{BlockCache, CacheEntry, CacheStats, Flight};
 use crate::error::RuntimeError;
-use crate::msg::{BlockKey, Payload};
+use crate::msg::{BlockKey, KeyMap, Payload};
 use sia_blocks::BlockHandle;
 use sia_bytecode::ArrayId;
-use std::collections::HashMap;
 
 /// Snapshot of the manager's byte accounting and zero-copy counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,13 +52,13 @@ pub struct MemoryStats {
 /// One rank's unified block store: pinned home/local maps, the byte-LRU
 /// cache of remote copies, byte accounting, and budget enforcement.
 pub struct BlockManager {
-    home: HashMap<BlockKey, BlockHandle>,
+    home: KeyMap<BlockHandle>,
     /// Norm table for sparse arrays homed here: blocks whose payload was
     /// dropped under the sparsity threshold, keyed to the Frobenius-norm
     /// bound recorded at drop time. A key is never in both `home` and
     /// `home_norms`.
-    home_norms: HashMap<BlockKey, f64>,
-    local: HashMap<BlockKey, BlockHandle>,
+    home_norms: KeyMap<f64>,
+    local: KeyMap<BlockHandle>,
     cache: BlockCache,
     budget: Option<u64>,
     pinned_bytes: u64,
@@ -75,9 +74,9 @@ impl BlockManager {
     /// per-rank budget.
     pub fn new(cache_capacity_bytes: u64, budget: Option<u64>) -> Self {
         BlockManager {
-            home: HashMap::new(),
-            home_norms: HashMap::new(),
-            local: HashMap::new(),
+            home: KeyMap::default(),
+            home_norms: KeyMap::default(),
+            local: KeyMap::default(),
             cache: BlockCache::new(cache_capacity_bytes.max(1)),
             budget,
             pinned_bytes: 0,
@@ -336,9 +335,14 @@ impl BlockManager {
         self.cache.peek(key)
     }
 
-    /// Marks a fetch in flight; true means the caller must issue it.
-    pub fn cache_mark_in_flight(&mut self, key: BlockKey) -> bool {
-        self.cache.mark_in_flight(key)
+    /// Marks a fetch in flight unless the block is cached or already on its
+    /// way; `Some` (the record `issue` built) means the caller must send it.
+    pub fn cache_mark_in_flight(
+        &mut self,
+        key: BlockKey,
+        issue: impl FnOnce() -> Flight,
+    ) -> Option<Flight> {
+        self.cache.mark_in_flight(key, issue)
     }
 
     /// Re-arms a presumed-lost in-flight fetch for re-issue.
@@ -347,10 +351,12 @@ impl BlockManager {
     }
 
     /// Stores an arrived remote block (sharing the sender's allocation) or
-    /// the typed-absent answer for a sparse one.
-    pub fn cache_fill(&mut self, key: BlockKey, payload: Payload) {
-        self.cache.fill(key, payload);
+    /// the typed-absent answer for a sparse one; returns the flight this
+    /// completed, if a fetch of the block was outstanding.
+    pub fn cache_fill(&mut self, key: BlockKey, payload: Payload) -> Option<Flight> {
+        let flight = self.cache.fill(key, payload);
         self.note_usage();
+        flight
     }
 
     /// Drops one cached copy (a fresher value exists).

@@ -1,9 +1,29 @@
 //! The SIP wire protocol: messages exchanged between master, workers, and
-//! I/O servers over the fabric.
+//! I/O servers over the fabric — and [`BlockKey`], the name of a block, with
+//! the one map type the runtime keys by it.
+//!
+//! # Hashing block keys
+//!
+//! A remote get looks its key up half a dozen times between the cache, the
+//! home store and the epoch table, so every per-job map keyed by a block
+//! is a [`KeyMap`]: a `HashMap` over [`KeyHasher`], which folds the key's
+//! words with one multiply each where the standard library's SipHash-1-3
+//! spends ~20 ns on the 40 bytes. Block keys come out of the job's own
+//! program, and a job's keys only ever populate that job's maps, so there is
+//! no other party to defend the buckets against. That is also why the
+//! daemon-wide `WarmCache` — keyed by store path and shared across tenants —
+//! keeps SipHash.
+//!
+//! The map hash is *not* [`BlockKey::placement_hash`] passed through: every
+//! key homed on one rank shares `placement_hash % workers`, and the low bits
+//! are the ones hashbrown picks a bucket with — with two workers a home's
+//! keys would crowd into every other bucket.
 
 use sia_blocks::BlockHandle;
 use sia_bytecode::{ArrayId, PutMode};
 use sia_fabric::{Message, Rank, ReqId};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Identifies one side-effecting operation (a PUT or PREPARE) so receivers
 /// can suppress duplicates from retries, fabric-level duplication, or chunk
@@ -32,13 +52,16 @@ impl std::fmt::Debug for OpId {
     }
 }
 
+/// Most dimensions a block has ([`BlockKey`] stores its segments inline).
+pub const MAX_RANK: usize = 8;
+
 /// Identifies one block of one array by its segment numbers.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct BlockKey {
     /// The array.
     pub array: ArrayId,
     /// Segment number per dimension (1-based), padded with 0.
-    pub segs: [i32; 8],
+    pub segs: [i32; MAX_RANK],
     /// Number of meaningful entries in `segs`.
     pub rank: u8,
 }
@@ -46,8 +69,8 @@ pub struct BlockKey {
 impl BlockKey {
     /// Builds a key from a slice of segment numbers.
     pub fn new(array: ArrayId, segs: &[i64]) -> Self {
-        assert!(segs.len() <= 8, "rank too large");
-        let mut s = [0i32; 8];
+        assert!(segs.len() <= MAX_RANK, "rank too large");
+        let mut s = [0i32; MAX_RANK];
         for (i, &v) in segs.iter().enumerate() {
             s[i] = v as i32;
         }
@@ -78,6 +101,53 @@ impl BlockKey {
         h
     }
 }
+
+/// Feeds the hasher whole words: array and rank, then the meaningful
+/// segments two to a word. Padding is left out — `Eq` compares it, so equal
+/// keys still hash alike.
+impl Hash for BlockKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from(self.array.0) | (u64::from(self.rank) << 32));
+        for pair in self.segs().chunks(2) {
+            let hi = pair.get(1).map_or(0, |&s| u64::from(s as u32));
+            state.write_u64(u64::from(pair[0] as u32) | (hi << 32));
+        }
+    }
+}
+
+/// The hasher behind [`KeyMap`]: per word, rotate, xor the word in and
+/// multiply by an odd constant; [`finish`](Hasher::finish) folds the high
+/// half — where a product's mixing ends up — onto the low bits a hash table
+/// indexes with.
+#[derive(Clone, Copy, Default)]
+pub struct KeyHasher(u64);
+
+/// 2^64 / φ, odd.
+const KEY_HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(KEY_HASH_MUL);
+    }
+
+    /// Keys feed whole words; anything else is folded eight bytes at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A map keyed by block, hashed by [`KeyHasher`] (see the module docs).
+pub type KeyMap<V> = HashMap<BlockKey, V, BuildHasherDefault<KeyHasher>>;
 
 impl std::fmt::Debug for BlockKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -474,6 +544,87 @@ mod tests {
         }
     }
 
+    fn map_hash(key: &BlockKey) -> u64 {
+        use std::hash::BuildHasher;
+        BuildHasherDefault::<KeyHasher>::default().hash_one(key)
+    }
+
+    /// The keys of `putget_fine`'s 96×96-block array that a two-worker world
+    /// homes on worker 0 spread over a hash table's buckets — the low bits
+    /// of the map hash — like random words do. `placement_hash` passed
+    /// through does not: what makes a key worker 0's is its low bit.
+    #[test]
+    fn one_homes_keys_spread_over_the_buckets() {
+        const BUCKET_BITS: u64 = (1 << 13) - 1;
+        let homed: Vec<BlockKey> = (1..=96)
+            .flat_map(|i| (1..=96).map(move |j| BlockKey::new(ArrayId(0), &[i, j])))
+            .filter(|k| k.placement_hash() % 2 == 0)
+            .collect();
+        assert!(homed.len() > 4_000, "about half of 9216: {}", homed.len());
+        let distinct = |hashes: &mut dyn Iterator<Item = u64>| {
+            hashes
+                .map(|h| h & BUCKET_BITS)
+                .collect::<std::collections::HashSet<u64>>()
+                .len() as f64
+        };
+        // As many uniformly random words (splitmix64).
+        let mut state = 0x5eed_u64;
+        let mut random = std::iter::repeat_with(|| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        })
+        .take(homed.len());
+        let uniform = distinct(&mut random);
+        let hashed = distinct(&mut homed.iter().map(map_hash));
+        assert!(
+            hashed >= 0.9 * uniform,
+            "{hashed} buckets hit, {uniform} by random words"
+        );
+        let passed_through = distinct(&mut homed.iter().map(BlockKey::placement_hash));
+        assert!(
+            passed_through < 0.9 * uniform,
+            "placement_hash as the map hash: {passed_through} of {uniform}"
+        );
+    }
+
+    /// `Hash` leaves the padding out and `Eq` compares it: equal keys hash
+    /// alike, and keys that differ only in padding or in rank stay distinct
+    /// entries of a map.
+    #[test]
+    fn hash_and_eq_agree() {
+        let key = BlockKey::new(ArrayId(2), &[3, 4, 5]);
+        assert_eq!(
+            map_hash(&key),
+            map_hash(&BlockKey::new(ArrayId(2), &[3, 4, 5]))
+        );
+        let mut padded = key;
+        padded.segs[5] = 9;
+        let mut shorter = key;
+        shorter.rank = 2;
+        // Same meaningful words as `shorter` once its third segment is 0.
+        let zero_tail = BlockKey::new(ArrayId(2), &[3, 4, 0]);
+        let mut map: KeyMap<u8> = KeyMap::default();
+        let all = [
+            key,
+            padded,
+            shorter,
+            zero_tail,
+            BlockKey::new(ArrayId(2), &[3, 4]),
+        ];
+        for (n, k) in all.iter().enumerate() {
+            assert!(
+                map.insert(*k, n as u8).is_none(),
+                "{k:?} collided with an equal key"
+            );
+        }
+        for (n, k) in all.iter().enumerate() {
+            assert_eq!(map.get(k), Some(&(n as u8)));
+        }
+        assert_ne!(map_hash(&key), map_hash(&shorter), "rank is hashed");
+    }
+
     #[test]
     fn message_sizes_scale_with_payload() {
         let block = |n: usize| SipMsg::Block {
@@ -674,6 +825,32 @@ mod tests {
             assert_eq!(woke, 0, "rank {rank} held a timer");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A wait whose condition already holds is no wait: nothing lands in
+    /// the wait totals and no span is recorded (nor any clock read).
+    #[test]
+    fn a_wait_that_holds_on_entry_records_nothing() {
+        use crate::events::TraceSink;
+        use crate::metrics::WaitCause;
+        let (mut eps, _) = sia_fabric::build::<SipMsg>(2);
+        let config = SipConfig {
+            workers: 1,
+            ..SipConfig::default()
+        };
+        let mut w = Worker::new(
+            two_home_layout(),
+            config,
+            eps.remove(1),
+            SuperRegistry::new(),
+        );
+        w.set_trace(TraceSink::enabled(64, std::time::Instant::now()));
+        let waited = w
+            .wait_until(WaitCause::AckDrain, "nothing", |_| true)
+            .unwrap();
+        assert_eq!(waited, Duration::ZERO);
+        assert_eq!(w.profile.metrics.wait.total_nanos(), 0);
+        assert!(w.trace.drain().0.is_empty(), "no span for no wait");
     }
 
     impl Rig {

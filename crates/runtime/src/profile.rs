@@ -26,8 +26,9 @@ use std::time::Duration;
 /// One worker's raw counters (shipped to the master in `WorkerDone`).
 #[derive(Debug, Clone, Default)]
 pub struct WorkerProfile {
-    /// Per-pc (count, busy nanos, wait nanos).
-    pub per_pc: BTreeMap<u32, (u64, u64, u64)>,
+    /// (count, busy nanos, wait nanos) indexed by pc, up to the highest pc
+    /// executed; all zero for an instruction this worker never executed.
+    pub per_pc: Vec<(u64, u64, u64)>,
     /// Total wall time of the worker's run in nanos.
     pub total_nanos: u64,
     /// Pardo iterations executed.
@@ -51,7 +52,11 @@ impl WorkerProfile {
     ///
     /// [`add_wait`]: WorkerProfile::add_wait
     pub fn record(&mut self, pc: u32, busy: Duration, wait: Duration) {
-        let e = self.per_pc.entry(pc).or_insert((0, 0, 0));
+        let pc = pc as usize;
+        if pc >= self.per_pc.len() {
+            self.per_pc.resize(pc + 1, (0, 0, 0));
+        }
+        let e = &mut self.per_pc[pc];
         e.0 += 1;
         e.1 += busy.as_nanos() as u64;
         e.2 += wait.as_nanos() as u64;
@@ -119,8 +124,8 @@ impl ProfileReport {
         let mut metrics = Metrics::default();
         let (mut iterations, mut chunks) = (0, 0);
         for p in profiles {
-            for (&pc, &(c, b, w)) in &p.per_pc {
-                let e = per_pc.entry(pc).or_insert((0, 0, 0));
+            for (pc, &(c, b, w)) in p.per_pc.iter().enumerate().filter(|(_, e)| e.0 > 0) {
+                let e = per_pc.entry(pc as u32).or_insert((0, 0, 0));
                 e.0 += c;
                 e.1 += b;
                 e.2 += w;
@@ -353,7 +358,7 @@ mod tests {
         let mut p = WorkerProfile::default();
         p.record(3, Duration::from_micros(10), Duration::from_micros(2));
         p.record(3, Duration::from_micros(5), Duration::ZERO);
-        let (c, b, w) = p.per_pc[&3];
+        let (c, b, w) = p.per_pc[3];
         assert_eq!(c, 2);
         assert_eq!(b, 15_000);
         assert_eq!(w, 2_000);
@@ -377,7 +382,7 @@ mod tests {
         assert_eq!(p.metrics.wait.get(WaitCause::SipBarrier), 7_000);
         // Per-pc attribution did accumulate both records (it is a
         // breakdown of where waits were observed, not a second total).
-        assert_eq!(p.per_pc[&4].2, 14_000);
+        assert_eq!(p.per_pc[4].2, 14_000);
     }
 
     #[test]

@@ -314,6 +314,27 @@ impl std::error::Error for AdmitError {}
 
 // ---- the daemon ----------------------------------------------------------------
 
+/// Gives the heap a finished job freed back to the OS. A job's ranks are
+/// threads of their own and glibc hands every thread an arena of its own;
+/// an arena keeps what its thread freed, so without this a daemon's resident
+/// set settles at (arenas × one job's footprint) and, until it has, follows
+/// which ranks happened to land in which arena — 19–27 MiB from run to run
+/// of one job mix, against 14–16 MiB with it (≈ 0.15 ms per job). A no-op
+/// where the allocator is not glibc's.
+fn release_freed_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: `malloc_trim` takes each arena's own lock, touches only
+        // free chunks and is safe to call from any thread at any time.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -555,6 +576,9 @@ impl Daemon {
                 progress,
             });
             let result = sip.run(spec.program, &spec.bindings);
+            // The job's world is gone; its memory goes with it before the
+            // job is reported finished.
+            release_freed_heap();
 
             let mut st = shared.lock();
             st.committed = st.committed.saturating_sub(needed);

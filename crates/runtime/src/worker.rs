@@ -6,14 +6,14 @@
 //! temps, locals), its pardo machinery, outstanding-ack tracking, and the
 //! message pump; the instruction dispatch lives in [`crate::interp`].
 
-use crate::cache::{BlockGet, CacheEntry};
+use crate::cache::{BlockGet, CacheEntry, Flight};
 use crate::error::{CommKind, RuntimeError};
 use crate::events::{CommOp, EventKind, RecoveryEvent, TraceSink};
-use crate::ft::{self, Exhausted, FetchState, FtState, JournalEntry, Retry, TakeoverChunk};
-use crate::layout::{Layout, Placement, SipConfig};
+use crate::ft::{self, Exhausted, FtState, JournalEntry, Retry, TakeoverChunk};
+use crate::layout::{Layout, Placement, SegVals, SipConfig};
 use crate::memory::BlockManager;
 use crate::metrics::WaitCause;
-use crate::msg::{BarrierKind, BlockKey, OpId, Payload, SipMsg};
+use crate::msg::{BarrierKind, BlockKey, KeyMap, OpId, Payload, SipMsg};
 use crate::plan::CommPlan;
 use crate::profile::WorkerProfile;
 use crate::registry::SuperRegistry;
@@ -48,6 +48,15 @@ const WINDOW_CACHE_SHARE: u64 = 2;
 pub(crate) enum Fetch {
     NoWait,
     Wait,
+}
+
+/// The last `sip_barrier` epoch in which a block homed here was served to a
+/// get and in which a Replace-put landed on it (`None`: never) — what the
+/// barrier-misuse check compares against the current epoch.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KeyEpochs {
+    served: Option<u64>,
+    replaced: Option<u64>,
 }
 
 /// An active sequential loop.
@@ -154,10 +163,9 @@ pub struct Worker {
     // ---- conflict detection ----
     /// Barrier epoch for distributed arrays.
     pub(crate) dist_epoch: u64,
-    /// Last epoch a Replace-put landed per block (home side).
-    pub(crate) replace_epoch: HashMap<BlockKey, u64>,
-    /// Last epoch a get was served per block (home side).
-    pub(crate) serve_epoch: HashMap<BlockKey, u64>,
+    /// Last epochs a get was served and a Replace-put landed, per block
+    /// (home side).
+    pub(crate) epochs: KeyMap<KeyEpochs>,
 
     // ---- reporting ----
     pub(crate) profile: WorkerProfile,
@@ -175,10 +183,6 @@ pub struct Worker {
     /// Event recorder (disabled — and allocation-free — unless the runtime
     /// installs an enabled sink before the program starts).
     pub(crate) trace: TraceSink,
-    /// Issue time and request id of each in-flight GET/REQUEST, keyed by
-    /// block. Always on: it backs the comm-overlap metric, at one map
-    /// insert/remove per remote fetch.
-    pub(crate) flights: HashMap<BlockKey, (Instant, u64)>,
     /// Issue times of tracked PUT/PREPARE flights by op id. Populated only
     /// while tracing, so it stays empty (and unallocated) otherwise.
     pub(crate) put_flights: HashMap<u64, Instant>,
@@ -234,14 +238,12 @@ impl Worker {
             pardo_iters_done: 0,
             op_seq: 0,
             dist_epoch: 0,
-            replace_epoch: HashMap::new(),
-            serve_epoch: HashMap::new(),
+            epochs: KeyMap::default(),
             profile: WorkerProfile::default(),
             warnings: Vec::new(),
             started: Instant::now(),
             plan: Arc::new(CommPlan::default()),
             trace: TraceSink::disabled(),
-            flights: HashMap::new(),
             put_flights: HashMap::new(),
         }
     }
@@ -273,11 +275,15 @@ impl Worker {
     /// about to compute, and every reply, ack, forward, fetch and store
     /// bound for one peer leaves as one envelope. A flush error means
     /// shutdown or a dead peer; the wait loops read those off the flags.
-    pub(crate) fn service_messages(&mut self) {
+    /// Returns whether any message was handled.
+    pub(crate) fn service_messages(&mut self) -> bool {
+        let mut handled = false;
         while let Some(env) = self.endpoint.try_recv() {
             self.handle(env.src, env.msg);
+            handled = true;
         }
         let _ = self.endpoint.flush();
+        handled
     }
 
     /// Keeps serving peers (gets/puts against blocks homed here) after this
@@ -291,8 +297,7 @@ impl Worker {
                 // Past the program's end nobody is left to hand a spent
                 // retry budget to; stop tracking, or the dead timer would
                 // keep this rank awake until shutdown.
-                ft.pending.clear();
-                ft.fetches.clear();
+                ft.forget_all();
             }
             self.block_on_inbox();
         }
@@ -325,13 +330,14 @@ impl Worker {
             SipMsg::Fetch { key, req } => {
                 // Conflict check: serving a block Replace-put in this same
                 // epoch means the program raced a read against a write.
-                if self.replace_epoch.get(&key) == Some(&self.dist_epoch) {
+                let epochs = self.epochs.entry(key).or_default();
+                if epochs.replaced == Some(self.dist_epoch) {
                     self.warnings.push(format!(
                         "possible barrier misuse: block {key:?} read and replaced in the \
                          same sip_barrier epoch"
                     ));
                 }
-                self.serve_epoch.insert(key, self.dist_epoch);
+                epochs.served = Some(self.dist_epoch);
                 let payload = self.read_home(&key);
                 let _ = self
                     .endpoint
@@ -357,7 +363,7 @@ impl Worker {
                 self.finish_put_flight(op, key, if served { CommOp::Prepare } else { CommOp::Put });
                 // A duplicated or late ack of a tracked store finds nothing.
                 let first = match self.ft.as_mut() {
-                    Some(ft) if op.is_tracked() => ft.pending.remove(&op.0).is_some(),
+                    Some(ft) if op.is_tracked() => ft.store_acked(op),
                     _ => {
                         let n = &mut self.outstanding[served as usize];
                         *n = n.saturating_sub(1);
@@ -543,11 +549,23 @@ impl Worker {
     /// children. The cache entry shares the envelope's allocation.
     fn on_block(&mut self, key: BlockKey, payload: Payload, hop: Option<(u32, u64)>) {
         if let Some(ft) = self.ft.as_mut() {
-            ft.fetches.remove(&key);
+            ft.fetch_answered(&key);
         }
-        let fetch = self.flights.remove(&key);
-        if let Some((t0, id)) = fetch {
-            let flight_ns = t0.elapsed().as_nanos() as u64;
+        if let Some((pos, parent)) = hop {
+            let id = self.new_multicast_hop(key, parent);
+            self.multicast_forward(key, payload.clone(), self.dist_epoch, pos, id);
+        }
+        let filled = match &payload {
+            Payload::Data(data) => Some(data.heap_bytes()),
+            Payload::Absent { .. } => {
+                self.profile.metrics.sparse.bytes_not_shipped += self.layout.block_bytes(key.array);
+                None
+            }
+        };
+        // The cache hands back the flight this arrival completed.
+        let fetch = self.mem.cache_fill(key, payload);
+        if let Some(Flight { issued, req }) = fetch {
+            let flight_ns = issued.elapsed().as_nanos() as u64;
             self.profile.metrics.comm.flight_nanos += flight_ns;
             if hop.is_none() && self.trace.is_on() {
                 let end = self.trace.now_ns();
@@ -555,31 +573,18 @@ impl Worker {
                     EventKind::Flight {
                         op: CommOp::Get,
                         key,
-                        id,
+                        id: req.0,
                     },
                     end.saturating_sub(flight_ns),
                     end,
                 );
             }
         }
-        if let Some((pos, parent)) = hop {
-            let id = self.new_multicast_hop(key, parent);
-            self.multicast_forward(key, payload.clone(), self.dist_epoch, pos, id);
-        }
-        match &payload {
-            Payload::Data(data) => {
-                if self.trace.is_on() && (hop.is_some() || fetch.is_some()) {
-                    self.trace.instant(EventKind::CacheFill {
-                        key,
-                        bytes: data.heap_bytes(),
-                    });
-                }
-            }
-            Payload::Absent { .. } => {
-                self.profile.metrics.sparse.bytes_not_shipped += self.layout.block_bytes(key.array);
+        if let Some(bytes) = filled {
+            if self.trace.is_on() && (hop.is_some() || fetch.is_some()) {
+                self.trace.instant(EventKind::CacheFill { key, bytes });
             }
         }
-        self.mem.cache_fill(key, payload);
         self.drain_evictions_into_trace();
     }
 
@@ -676,13 +681,14 @@ impl Worker {
             absent => absent,
         };
         if mode == PutMode::Replace {
-            if self.serve_epoch.get(&key) == Some(&self.dist_epoch) {
+            let epochs = self.epochs.entry(key).or_default();
+            if epochs.served == Some(self.dist_epoch) {
                 self.warnings.push(format!(
                     "possible barrier misuse: block {key:?} replaced after being read \
                      in the same sip_barrier epoch"
                 ));
             }
-            self.replace_epoch.insert(key, self.dist_epoch);
+            epochs.replaced = Some(self.dist_epoch);
         }
         match (payload, mode) {
             (Payload::Data(data), PutMode::Replace) => self.mem.home_insert(key, data),
@@ -745,8 +751,10 @@ impl Worker {
     }
 
     /// Waits (servicing messages and pumping retries) until `done(self)`
-    /// holds. Returns the time spent waiting. Aborts with an error if
-    /// shutdown is raised mid-wait or the retry budget runs out.
+    /// holds. Returns the time spent waiting — nothing, with no clock read
+    /// and no wait recorded, when it already holds on entry. Aborts with an
+    /// error naming `what` if shutdown is raised mid-wait or the retry
+    /// budget runs out.
     ///
     /// This is the *single* accounting point for wait time: every blocked
     /// interval lands in the cause-attributed `metrics.wait` totals exactly
@@ -755,20 +763,24 @@ impl Worker {
     pub(crate) fn wait_until(
         &mut self,
         cause: WaitCause,
-        what: &str,
+        what: impl std::fmt::Display,
         mut done: impl FnMut(&Self) -> bool,
     ) -> Result<Duration, RuntimeError> {
+        if done(self) {
+            return Ok(Duration::ZERO);
+        }
         let t0 = Instant::now();
         loop {
             self.service_messages();
             self.pump_retries()?;
             if done(self) {
-                let waited = t0.elapsed();
+                let end = Instant::now();
+                let waited = end - t0;
                 self.profile.add_wait(cause, waited);
-                // Sub-microsecond "waits" (the condition held on entry) would
-                // only smear noise over the timeline.
+                // A sub-microsecond wait (the awaited message was already in
+                // the inbox) would only smear noise over the timeline.
                 if waited.as_nanos() >= 1_000 {
-                    self.trace.span_since(EventKind::Wait { cause }, t0);
+                    self.trace.span_between(EventKind::Wait { cause }, t0, end);
                 }
                 return Ok(waited);
             }
@@ -804,21 +816,18 @@ impl Worker {
 
     /// Values of a ref's indices (errors if any is unbound — sema prevents,
     /// but corrupted bytecode shouldn't panic).
-    pub(crate) fn seg_values(&self, indices: &[IndexId]) -> Result<Vec<i64>, RuntimeError> {
-        indices
-            .iter()
-            .map(|&i| {
-                let v = self.index_value(i);
-                if v == 0 {
-                    Err(RuntimeError::BadProgram(format!(
-                        "index `{}` used while undefined",
-                        self.layout.program.indices[i.index()].name
-                    )))
-                } else {
-                    Ok(v)
-                }
-            })
-            .collect()
+    pub(crate) fn seg_values(&self, indices: &[IndexId]) -> Result<SegVals, RuntimeError> {
+        let mut segs = SegVals::zeroed(indices.len());
+        for (seg, &i) in segs.iter_mut().zip(indices) {
+            *seg = self.index_value(i);
+            if *seg == 0 {
+                return Err(RuntimeError::BadProgram(format!(
+                    "index `{}` used while undefined",
+                    self.layout.program.indices[i.index()].name
+                )));
+            }
+        }
+        Ok(segs)
     }
 
     // ---- block access ---------------------------------------------------------------
@@ -874,25 +883,21 @@ impl Worker {
             });
         }
         if fetch == Fetch::NoWait {
-            if self.mem.cache_mark_in_flight(key) {
-                self.send_fetch(home, key)?;
-            }
+            self.fetch_unless_cached(home, key)?;
             return Ok(BlockGet::Pending);
         }
         loop {
             let hit = match self.mem.cache_lookup(&key) {
                 Some(CacheEntry::Ready(b)) => Some(BlockGet::Ready(b.clone())),
                 Some(&CacheEntry::Absent { norm }) => Some(BlockGet::AbsentZero { norm }),
-                Some(CacheEntry::InFlight) => None,
+                Some(CacheEntry::InFlight(_)) => None,
                 None => {
                     // Late fetch — the contraction operator "ensures that the
                     // necessary blocks are available and waits … if
                     // necessary". Also reached when cache pressure evicted a
                     // filled entry before this waiter observed it: the next
                     // round trip re-fetches (counted as a refetch).
-                    if self.mem.cache_mark_in_flight(key) {
-                        self.send_fetch(home, key)?;
-                    }
+                    self.fetch_unless_cached(home, key)?;
                     None
                 }
             };
@@ -910,10 +915,11 @@ impl Worker {
             // next lookup shares it — eviction only runs on this thread, so
             // it cannot vanish in between) or evicted/absent (loop re-arms
             // the fetch).
-            let waited =
-                self.wait_until(WaitCause::BlockArrival, &format!("block {key:?}"), |w| {
-                    !matches!(w.mem.cache_peek(&key), Some(CacheEntry::InFlight))
-                })?;
+            let waited = self.wait_until(
+                WaitCause::BlockArrival,
+                format_args!("block {key:?}"),
+                |w| !matches!(w.mem.cache_peek(&key), Some(CacheEntry::InFlight(_))),
+            )?;
             // Time blocked on a fetch is comm latency the prefetcher failed
             // to hide — the "exposed" half of the overlap metric.
             self.profile.metrics.comm.exposed_nanos += waited.as_nanos() as u64;
@@ -921,21 +927,28 @@ impl Worker {
         }
     }
 
-    /// Sends the fetch for a block just marked in flight, registering it for
-    /// retry under fault tolerance.
-    fn send_fetch(&mut self, home: Rank, key: BlockKey) -> Result<(), RuntimeError> {
+    /// Fetches `key` from `home` unless the cache holds it or it is already
+    /// on its way: marks it in flight — the entry carries the flight's issue
+    /// time and request id, which back the overlap metric — and sends the
+    /// fetch, registering it for retry under fault tolerance.
+    fn fetch_unless_cached(&mut self, home: Rank, key: BlockKey) -> Result<(), RuntimeError> {
         // A real id is only needed for retry correlation (FT) or flight
         // correlation in the trace; fault-free untraced runs skip it.
-        let req = if self.ft.is_some() || self.trace.is_on() {
-            self.endpoint.next_req_id()
-        } else {
-            ReqId::NONE
+        let (endpoint, correlated) = (&self.endpoint, self.ft.is_some() || self.trace.is_on());
+        let issued = self.mem.cache_mark_in_flight(key, || Flight {
+            issued: Instant::now(),
+            req: if correlated {
+                endpoint.next_req_id()
+            } else {
+                ReqId::NONE
+            },
+        });
+        let Some(Flight { req, .. }) = issued else {
+            return Ok(());
         };
         self.profile.metrics.comm.fetches += 1;
-        self.flights.insert(key, (Instant::now(), req.0));
         if let Some(ft) = self.ft.as_mut() {
-            let retry = Retry::new();
-            ft.fetches.insert(key, FetchState { req, retry });
+            ft.track_fetch(key, req);
         }
         let msg = SipMsg::Fetch { key, req };
         if self.ft.is_some() {
@@ -1248,7 +1261,7 @@ impl Worker {
                 });
             }
             self.mem.note_share(&data);
-            if ft.arm_flight(op, key, data.clone(), mode) {
+            if ft.arm_flight(op, key, data.clone(), mode, served) {
                 self.unacked_bytes += bytes;
             }
             // Tracked for retry: a failed send to a dying home re-routes
@@ -1269,12 +1282,10 @@ impl Worker {
     /// True when every store to arrays of `kind` — PUTs for distributed,
     /// PREPAREs for served — has been acknowledged.
     pub(crate) fn stores_drained(&self, kind: ArrayKind) -> bool {
+        let served = (kind == ArrayKind::Served) as usize;
         match &self.ft {
-            Some(ft) => !ft
-                .pending
-                .values()
-                .any(|p| self.layout.array_kind(p.key.array) == kind),
-            None => self.outstanding[(kind == ArrayKind::Served) as usize] == 0,
+            Some(ft) => ft.pending_stores[served] == 0,
+            None => self.outstanding[served] == 0,
         }
     }
 
@@ -1337,10 +1348,14 @@ impl Worker {
         let Some(ft) = self.ft.as_mut() else {
             return Ok(());
         };
-        if ft.pending.is_empty() && ft.fetches.is_empty() {
+        // Nothing tracked, or nothing due yet: no walk over what is pending.
+        let Some(due) = ft.next_deadline() else {
+            return Ok(());
+        };
+        let now = Instant::now();
+        if now < due {
             return Ok(());
         }
-        let now = Instant::now();
         let layout = &self.layout;
         let mut resend: Vec<(Rank, SipMsg)> = Vec::new();
         let mut put_retries = 0u64;
@@ -1349,7 +1364,7 @@ impl Worker {
             if now < p.retry.deadline() {
                 continue;
             }
-            let served = layout.array_kind(p.key.array) == ArrayKind::Served;
+            let served = p.served;
             let home = layout.home_of(&p.key, &ft.dead);
             p.retry
                 .bump()
@@ -1402,6 +1417,7 @@ impl Worker {
                 },
             ));
         }
+        ft.settle_deadline();
         self.profile.metrics.fault.put_retries += put_retries;
         self.profile.metrics.fault.prepare_retries += prepare_retries;
         self.profile.metrics.fault.fetch_retries += fetch_retries;
@@ -1533,7 +1549,8 @@ impl Worker {
             .collect();
         for (op, key, data, mode, new_home) in to_replay {
             replays += 1;
-            if ft.arm_flight(OpId(op), key, data, mode) {
+            // The journal holds puts only.
+            if ft.arm_flight(OpId(op), key, data, mode, false) {
                 self.unacked_bytes += layout.block_bytes(key.array);
             }
             sends.push((new_home, ft.pending[&op].store_msg(OpId(op))));

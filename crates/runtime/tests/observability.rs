@@ -103,6 +103,52 @@ fn wait_time_is_attributed_by_cause() {
     assert_eq!(report_wait, wait.total_nanos());
 }
 
+/// One clock reading per instruction boundary: a worker's instruction spans
+/// are disjoint and in order (the reading that ends one starts the next, or
+/// a later one after serving peers), every wait lies inside the instruction
+/// that blocked, and the time attributed per pc — busy plus wait — fits in
+/// the workers' wall time.
+#[test]
+fn instruction_spans_are_ordered_and_fit_the_rank_total() {
+    use sia_runtime::events::EventKind;
+    let out = run_overlap(2, true);
+    let tl = out.trace.as_ref().expect("tracing was enabled");
+    for w in &tl.ranks[1..3] {
+        assert_eq!(w.dropped, 0, "the ring held the whole run");
+        let spans = |want_wait: bool| {
+            w.events.iter().filter(move |e| match e.kind {
+                EventKind::Instruction { .. } => !want_wait,
+                EventKind::Wait { .. } => want_wait,
+                _ => false,
+            })
+        };
+        let mut last_end = 0;
+        for e in spans(false) {
+            assert!(
+                e.t_start_ns >= last_end && e.t_end_ns >= e.t_start_ns,
+                "{}: {e:?} starts before its predecessor's end {last_end}",
+                w.label
+            );
+            last_end = e.t_end_ns;
+        }
+        assert!(last_end > 0, "{} executed nothing", w.label);
+        for wait in spans(true) {
+            assert!(
+                spans(false)
+                    .any(|i| i.t_start_ns <= wait.t_start_ns && wait.t_end_ns <= i.t_end_ns),
+                "{}: {wait:?} outside every instruction",
+                w.label
+            );
+        }
+    }
+    let attributed: std::time::Duration = out.profile.lines.iter().map(|l| l.busy + l.wait).sum();
+    let total: std::time::Duration = out.profile.worker_totals.iter().sum();
+    assert!(
+        attributed <= total,
+        "per-pc time {attributed:?} exceeds the workers' {total:?}"
+    );
+}
+
 #[test]
 fn trace_covers_every_rank_and_lints_clean() {
     let out = run_overlap(2, true);
