@@ -22,6 +22,7 @@ use sia_blocks::{
     active_microkernel, contract_into_ctx, dgemm, Block, BlockPool, ContractCtx, ContractionPlan,
     GemmLayout, PoolConfig, Shape,
 };
+use sia_runtime::json::Json;
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -188,12 +189,8 @@ fn main() {
         quick_smoke();
         return;
     }
-    let mut json = String::from("{\n");
     let gf = |flops: f64, secs: f64| flops / secs / 1e9;
-    json.push_str(&format!(
-        "  \"microkernel\": \"{}\",\n",
-        active_microkernel()
-    ));
+    let mut report: Vec<(String, Json)> = vec![("microkernel".into(), active_microkernel().into())];
     println!("microkernel: {}", active_microkernel());
 
     // ---- raw GEMM at 512^3 and 256^3: seed kernel vs the active kernel -----
@@ -205,7 +202,7 @@ fn main() {
 
     let seed = gf(flops, time(|| seed_dgemm(n, n, n, 1.0, &a, &b, &mut c)));
     println!("gemm 512^3 seed kernel   : {seed:.2} GFLOP/s");
-    json.push_str(&format!("  \"gemm_512_seed_gflops\": {seed:.3},\n"));
+    report.push(("gemm_512_seed_gflops".into(), seed.into()));
 
     let (nn, no) = (GemmLayout::NoTrans, 0.0);
     let g = gf(
@@ -213,7 +210,7 @@ fn main() {
         time(|| dgemm(n, n, n, 1.0, &a, nn, &b, nn, no, &mut c)),
     );
     println!("gemm 512^3 {:<14}: {g:.2} GFLOP/s", active_microkernel());
-    json.push_str(&format!("  \"gemm_512_t1_gflops\": {g:.3},\n"));
+    report.push(("gemm_512_t1_gflops".into(), g.into()));
     println!("speedup vs seed: {:.2}x", g / seed);
     // 256^3 is the GEMM behind every contraction of 16^4 blocks.
     let h = 256usize;
@@ -235,7 +232,7 @@ fn main() {
         }),
     );
     println!("gemm 256^3 {:<14}: {g256:.2} GFLOP/s", active_microkernel());
-    json.push_str(&format!("  \"gemm_256_t1_gflops\": {g256:.3},\n"));
+    report.push(("gemm_256_t1_gflops".into(), g256.into()));
 
     // ---- block contraction across segment sizes ----------------------------
     // The paper's R(M,N,I,J) = V(M,N,L,S)·T(L,S,I,J) on one block pair.
@@ -253,7 +250,7 @@ fn main() {
             time(|| contract_into_ctx(&mut ctx, &plan, &va, &vb, 0.0, &mut out)),
         );
         println!("contraction rank4 seg={seg:<2} : {g:.2} GFLOP/s");
-        json.push_str(&format!("  \"contract_seg{seg}_gflops\": {g:.3},\n"));
+        report.push((format!("contract_seg{seg}_gflops"), g.into()));
     }
 
     // ---- transpose-folding ablation ----------------------------------------
@@ -268,10 +265,7 @@ fn main() {
         let secs = time(|| contract_into_ctx(&mut ctx, &plan2, &fa, &fb, 0.0, &mut out));
         let name = if fold { "fold" } else { "no_fold" };
         println!("contract 256^2 {name:<8}: {:.3} ms", secs * 1e3);
-        json.push_str(&format!(
-            "  \"contract_256_{name}_ms\": {:.4},\n",
-            secs * 1e3
-        ));
+        report.push((format!("contract_256_{name}_ms"), (secs * 1e3).into()));
     }
 
     // ---- permute-on-pack grid: shape × transpose class ---------------------
@@ -306,17 +300,15 @@ fn main() {
             "grid {name:<4}: fold {gfold:.2} GFLOP/s, materialize {gmat:.2} GFLOP/s ({:+.1}%)",
             (gfold / gmat - 1.0) * 100.0
         );
-        json.push_str(&format!("  \"grid_{name}_t1_fold_gflops\": {gfold:.3},\n"));
-        json.push_str(&format!("  \"grid_{name}_t1_mat_gflops\": {gmat:.3},\n"));
+        report.push((format!("grid_{name}_t1_fold_gflops"), gfold.into()));
+        report.push((format!("grid_{name}_t1_mat_gflops"), gmat.into()));
     }
 
-    json.push_str(&format!(
-        "  \"host_cpus\": {}\n}}\n",
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    ));
+    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    report.push(("host_cpus".into(), cpus.into()));
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_contraction.json");
-    match fs::write(&path, &json) {
+    match fs::write(&path, Json::obj(report).to_string()) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }

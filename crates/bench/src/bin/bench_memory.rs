@@ -10,6 +10,7 @@
 
 use sia_blocks::{Block, BlockHandle, Shape};
 use sia_bytecode::ConstBindings;
+use sia_runtime::json::Json;
 use sia_runtime::{SegmentConfig, Sip, SipConfig};
 use std::fs;
 use std::path::PathBuf;
@@ -77,7 +78,6 @@ fn run_secs(cfg: &SipConfig, n: i64, reps: usize) -> f64 {
 }
 
 fn main() {
-    let mut json = String::from("{\n");
     let n = 12i64;
     let workers = 4usize;
     let program = sial_frontend::compile(PUT_GET_SRC).unwrap();
@@ -94,16 +94,12 @@ fn main() {
         m.deep_copies,
         m.high_water_bytes / 1024,
     );
-    json.push_str(&format!("  \"clones_avoided\": {},\n", m.clones_avoided));
-    json.push_str(&format!(
-        "  \"bytes_clone_avoided\": {},\n",
-        m.bytes_clone_avoided
-    ));
-    json.push_str(&format!("  \"deep_copies\": {},\n", m.deep_copies));
-    json.push_str(&format!(
-        "  \"high_water_bytes\": {},\n",
-        m.high_water_bytes
-    ));
+    let mut report = vec![
+        ("clones_avoided", m.clones_avoided.into()),
+        ("bytes_clone_avoided", m.bytes_clone_avoided.into()),
+        ("deep_copies", m.deep_copies.into()),
+        ("high_water_bytes", m.high_water_bytes.into()),
+    ];
 
     // ---- high water vs dry-run prediction ----------------------------------
     let estimate = Sip::new(config(workers, 16, None))
@@ -115,11 +111,8 @@ fn main() {
         estimate.per_worker_bytes / 1024,
         ratio * 100.0,
     );
-    json.push_str(&format!(
-        "  \"dry_run_estimate_bytes\": {},\n",
-        estimate.per_worker_bytes
-    ));
-    json.push_str(&format!("  \"high_water_vs_estimate\": {ratio:.4},\n"));
+    report.push(("dry_run_estimate_bytes", estimate.per_worker_bytes.into()));
+    report.push(("high_water_vs_estimate", ratio.into()));
 
     // ---- budget-enforcement overhead ---------------------------------------
     // The same workload free-running vs under an enforced ceiling at the
@@ -134,8 +127,8 @@ fn main() {
         capped * 1e3,
         (capped / free - 1.0) * 100.0,
     );
-    json.push_str(&format!("  \"run_free_ms\": {:.3},\n", free * 1e3));
-    json.push_str(&format!("  \"run_budgeted_ms\": {:.3},\n", capped * 1e3));
+    report.push(("run_free_ms", (free * 1e3).into()));
+    report.push(("run_budgeted_ms", (capped * 1e3).into()));
 
     // ---- eviction pressure under a tight cache -----------------------------
     let out = Sip::new(config(workers, 2, None))
@@ -146,8 +139,8 @@ fn main() {
         "tight cache (2 blocks): {} evictions, {} refetches, {} hits",
         c.evictions, c.refetches, c.hits,
     );
-    json.push_str(&format!("  \"tight_cache_evictions\": {},\n", c.evictions));
-    json.push_str(&format!("  \"tight_cache_refetches\": {},\n", c.refetches));
+    report.push(("tight_cache_evictions", c.evictions.into()));
+    report.push(("tight_cache_refetches", c.refetches.into()));
 
     // ---- handle share vs deep copy micro-benchmark -------------------------
     let block = Block::filled(Shape::cube(2, 512), 1.5); // 2 MiB
@@ -170,16 +163,13 @@ fn main() {
         "2 MiB block: share {share_ns:.0} ns vs deep copy {copy_ns:.0} ns ({:.0}x)",
         copy_ns / share_ns.max(1e-9),
     );
-    json.push_str(&format!("  \"share_2mib_ns\": {share_ns:.1},\n"));
-    json.push_str(&format!("  \"deep_copy_2mib_ns\": {copy_ns:.1},\n"));
-
-    json.push_str(&format!(
-        "  \"host_cpus\": {}\n}}\n",
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    ));
+    report.push(("share_2mib_ns", share_ns.into()));
+    report.push(("deep_copy_2mib_ns", copy_ns.into()));
+    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    report.push(("host_cpus", cpus.into()));
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_memory.json");
-    match fs::write(&path, &json) {
+    match fs::write(&path, Json::obj(report).to_string()) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }

@@ -14,8 +14,9 @@
 //! the CI smoke gate.
 
 use sia_core::{Placement, RunOutput, Sip, SipConfig};
+use sia_runtime::json::Json;
 use sia_sim::machine;
-use sia_sim::{hash_cost, planned_cost, CommWorkload};
+use sia_sim::{hash_cost, planned_cost, CommCost, CommWorkload};
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -98,27 +99,9 @@ fn main() -> ExitCode {
     };
     let m = machine::CRAY_XT5;
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"workers_measured\": {WORKERS},\n"));
-    json.push_str(&format!("  \"measured_hash_messages\": {hm},\n"));
-    json.push_str(&format!("  \"measured_planned_messages\": {pm},\n"));
-    json.push_str(&format!(
-        "  \"measured_message_reduction\": {reduction:.4},\n"
-    ));
-    json.push_str(&format!(
-        "  \"measured_hash_bytes\": {},\n  \"measured_planned_bytes\": {},\n",
-        hash_out.traffic.bytes, planned_out.traffic.bytes
-    ));
-    json.push_str(&format!(
-        "  \"workload\": {{ \"aligned_put_bytes\": {}, \"broadcast_bytes\": {}, \
-         \"broadcast_blocks\": {}, \"other_bytes\": {} }},\n",
-        w.aligned_put_bytes, w.broadcast_bytes, w.broadcast_blocks, w.other_bytes
-    ));
-    json.push_str(&format!("  \"machine\": \"{}\",\n", m.name));
-    json.push_str("  \"scales\": [\n");
-
     let mut planned_wins_at_scale = true;
-    for (i, &ranks) in RANKS.iter().enumerate() {
+    let mut scales = Vec::new();
+    for &ranks in &RANKS {
         let h = hash_cost(&w, ranks, &m);
         let p = planned_cost(&w, ranks, &m);
         println!(
@@ -128,23 +111,39 @@ fn main() -> ExitCode {
         if ranks >= 1024 && p.seconds >= h.seconds {
             planned_wins_at_scale = false;
         }
-        json.push_str(&format!(
-            "    {{ \"ranks\": {ranks}, \
-             \"hash\": {{ \"bytes\": {:.0}, \"messages\": {:.0}, \"seconds\": {:.6} }}, \
-             \"planned\": {{ \"bytes\": {:.0}, \"messages\": {:.0}, \"seconds\": {:.6} }} }}{}\n",
-            h.bytes,
-            h.messages,
-            h.seconds,
-            p.bytes,
-            p.messages,
-            p.seconds,
-            if i + 1 < RANKS.len() { "," } else { "" }
-        ));
+        let cost = |c: &CommCost| {
+            Json::obj([
+                ("bytes", c.bytes.into()),
+                ("messages", c.messages.into()),
+                ("seconds", c.seconds.into()),
+            ])
+        };
+        scales.push(Json::obj([
+            ("ranks", ranks.into()),
+            ("hash", cost(&h)),
+            ("planned", cost(&p)),
+        ]));
     }
-    json.push_str("  ]\n}\n");
+    let workload = Json::obj([
+        ("aligned_put_bytes", w.aligned_put_bytes.into()),
+        ("broadcast_bytes", w.broadcast_bytes.into()),
+        ("broadcast_blocks", w.broadcast_blocks.into()),
+        ("other_bytes", w.other_bytes.into()),
+    ]);
+    let report = Json::obj([
+        ("workers_measured", WORKERS.into()),
+        ("measured_hash_messages", hm.into()),
+        ("measured_planned_messages", pm.into()),
+        ("measured_message_reduction", reduction.into()),
+        ("measured_hash_bytes", hash_out.traffic.bytes.into()),
+        ("measured_planned_bytes", planned_out.traffic.bytes.into()),
+        ("workload", workload),
+        ("machine", m.name.into()),
+        ("scales", Json::Arr(scales)),
+    ]);
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scaling.json");
-    match fs::write(&path, &json) {
+    match fs::write(&path, report.to_string()) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }

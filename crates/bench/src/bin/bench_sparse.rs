@@ -11,6 +11,7 @@
 
 use sia_chem::molecules::Molecule;
 use sia_chem::workloads::{mp2_energy_screened, screened_vd_density};
+use sia_runtime::json::Json;
 use sia_runtime::{RunOutput, Sip, SipConfig};
 use std::fs;
 use std::path::PathBuf;
@@ -65,7 +66,6 @@ fn timed_runs(threshold: f64, reps: usize) -> (f64, RunOutput) {
 
 fn main() {
     let reps = 3;
-    let mut json = String::from("{\n");
 
     // ---- dense vs screened: wall clock, energy, resident blocks ------------
     let (dense_s, dense) = timed_runs(0.0, reps);
@@ -87,15 +87,14 @@ fn main() {
         (e_d - e_s).abs(),
         dropped_frac * 100.0,
     );
-    json.push_str(&format!("  \"dense_ms\": {:.3},\n", dense_s * 1e3));
-    json.push_str(&format!("  \"screened_ms\": {:.3},\n", sparse_s * 1e3));
-    json.push_str(&format!(
-        "  \"energy_abs_delta\": {:.3e},\n",
-        (e_d - e_s).abs()
-    ));
-    json.push_str(&format!("  \"vd_blocks_total\": {total},\n"));
-    json.push_str(&format!("  \"vd_blocks_kept\": {kept},\n"));
-    json.push_str(&format!("  \"vd_dropped_frac\": {dropped_frac:.4},\n"));
+    let mut report = vec![
+        ("dense_ms", (dense_s * 1e3).into()),
+        ("screened_ms", (sparse_s * 1e3).into()),
+        ("energy_abs_delta", (e_d - e_s).abs().into()),
+        ("vd_blocks_total", total.into()),
+        ("vd_blocks_kept", kept.into()),
+        ("vd_dropped_frac", dropped_frac.into()),
+    ];
 
     // ---- screening counters -------------------------------------------------
     let sp = &sparse.profile.metrics.sparse;
@@ -105,12 +104,9 @@ fn main() {
         sp.bytes_not_shipped / 1024,
         sp.flops_avoided,
     );
-    json.push_str(&format!("  \"blocks_skipped\": {},\n", sp.blocks_skipped));
-    json.push_str(&format!(
-        "  \"bytes_not_shipped\": {},\n",
-        sp.bytes_not_shipped
-    ));
-    json.push_str(&format!("  \"flops_avoided\": {},\n", sp.flops_avoided));
+    report.push(("blocks_skipped", sp.blocks_skipped.into()));
+    report.push(("bytes_not_shipped", sp.bytes_not_shipped.into()));
+    report.push(("flops_avoided", sp.flops_avoided.into()));
 
     // ---- realized dry-run estimate vs dense and vs measurement -------------
     let w = mp2_energy_screened(&MOLECULE, SEG);
@@ -139,22 +135,15 @@ fn main() {
         high_water / 1024,
         est_vs_measured,
     );
-    json.push_str(&format!("  \"vd_model_density\": {density:.4},\n"));
-    json.push_str(&format!(
-        "  \"realized_per_worker_bytes\": {},\n",
-        est.per_worker_bytes
-    ));
-    json.push_str(&format!(
-        "  \"dense_per_worker_bytes\": {},\n",
-        est.dense_per_worker_bytes
-    ));
-    json.push_str(&format!("  \"realized_frac\": {realized_frac:.4},\n"));
-    json.push_str(&format!(
-        "  \"high_water_bytes\": {high_water},\n  \"estimate_vs_measured\": {est_vs_measured:.4}\n}}\n"
-    ));
+    report.push(("vd_model_density", density.into()));
+    report.push(("realized_per_worker_bytes", est.per_worker_bytes.into()));
+    report.push(("dense_per_worker_bytes", est.dense_per_worker_bytes.into()));
+    report.push(("realized_frac", realized_frac.into()));
+    report.push(("high_water_bytes", high_water.into()));
+    report.push(("estimate_vs_measured", est_vs_measured.into()));
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sparse.json");
-    match fs::write(&path, &json) {
+    match fs::write(&path, Json::obj(report).to_string()) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }

@@ -6,7 +6,8 @@
 //! `line:col`, a severity, and a stable machine-readable code. The `sial`
 //! CLI renders them clang-style (`file:line:col: error[code]: message`), the
 //! LSP server converts them to `publishDiagnostics`, and `sial check --json`
-//! serializes them under the stable `sia.diag.v1` schema.
+//! serializes them under the stable `sia.diag.v1` schema
+//! (`sia_runtime::diagnostics_to_json`).
 //!
 //! This module lives in `sia-bytecode` because it is the lowest layer both
 //! the front-end and the runtime depend on.
@@ -260,63 +261,6 @@ impl LineMap {
     }
 }
 
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Serializes diagnostics under the stable `sia.diag.v1` schema:
-///
-/// ```json
-/// {
-///   "schema": "sia.diag.v1",
-///   "file": "programs/mp2.sial",
-///   "count": 1,
-///   "diagnostics": [
-///     {"file": "...", "start": 10, "end": 14, "line": 2, "col": 3,
-///      "severity": "error", "code": "sema/unknown-array", "message": "..."}
-///   ]
-/// }
-/// ```
-///
-/// Field meanings are frozen: `start`/`end` are byte offsets, `line`/`col`
-/// are 1-based (0 = unknown), `severity` is one of `error|warning|note`.
-/// Additive evolution only; breaking changes bump to `sia.diag.v2`.
-pub fn diagnostics_to_json(file: &str, diags: &[Diagnostic]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"schema\":\"sia.diag.v1\",\"file\":\"");
-    json_escape(file, &mut out);
-    out.push_str(&format!("\",\"count\":{},\"diagnostics\":[", diags.len()));
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"file\":\"");
-        json_escape(&d.file, &mut out);
-        out.push_str(&format!(
-            "\",\"start\":{},\"end\":{},\"line\":{},\"col\":{},\"severity\":\"{}\",\"code\":\"",
-            d.span.start, d.span.end, d.line, d.col, d.severity
-        ));
-        json_escape(&d.code, &mut out);
-        out.push_str("\",\"message\":\"");
-        json_escape(&d.message, &mut out);
-        out.push_str("\"}");
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,26 +339,5 @@ mod tests {
         assert!(a.contains(4));
         assert!(!a.contains(5));
         assert!(Span::point(3).contains(3));
-    }
-
-    #[test]
-    fn json_schema_shape() {
-        let map = LineMap::new("x\ny \"quoted\"\n");
-        let d = Diagnostic::error("sema/unknown-array", Span::new(2, 3), "no array `y\"`")
-            .locate("a.sial", &map);
-        let s = diagnostics_to_json("a.sial", &[d]);
-        assert!(s.starts_with("{\"schema\":\"sia.diag.v1\""), "{s}");
-        assert!(s.contains("\"count\":1"));
-        assert!(s.contains("\"severity\":\"error\""));
-        assert!(s.contains("\\\""), "escaping: {s}");
-    }
-
-    #[test]
-    fn json_empty_is_valid() {
-        let s = diagnostics_to_json("a.sial", &[]);
-        assert_eq!(
-            s,
-            "{\"schema\":\"sia.diag.v1\",\"file\":\"a.sial\",\"count\":0,\"diagnostics\":[]}"
-        );
     }
 }

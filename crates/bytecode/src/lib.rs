@@ -21,7 +21,7 @@ pub mod ops;
 pub mod program;
 pub mod wire;
 
-pub use diag::{diagnostics_to_json, Diagnostic, LineMap, Severity, Span};
+pub use diag::{Diagnostic, LineMap, Severity, Span};
 pub use disasm::disassemble;
 pub use ops::{
     Arg, BinOp, BlockRef, BoolExpr, CmpOp, Instruction, InstructionClass, PutMode, ScalarExpr,

@@ -23,23 +23,45 @@
 //! process boundary; `main.rs` adds the stdio framing.
 
 use sia_bytecode::diag::{LineMap, Severity, Span};
-use sia_runtime::events::{parse_json, Json};
+use sia_runtime::json::{parse_json, Json};
 use sia_runtime::SegmentConfig;
 use sial_frontend::ast::{AstArrayKind, AstIndexKind, Bound, Decl};
 use sial_frontend::token::Token;
 use sial_frontend::CompilerDb;
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 // ---- framing ---------------------------------------------------------------
 
-/// Reads one `Content-Length`-framed message; `None` at clean EOF.
+/// Largest message body [`read_message`] accepts: the length comes from the
+/// peer, and is allocated before a byte of the body arrives.
+const MAX_BODY_BYTES: usize = 64 << 20;
+
+/// Longest header line [`read_message`] reads, its line break included.
+const MAX_HEADER_LINE: usize = 8 << 10;
+
+fn invalid(why: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, why)
+}
+
+/// Reads one `Content-Length`-framed message; `None` at clean EOF. A
+/// header line over 8 KiB, or a length that is missing, not a number or
+/// over 64 MiB, is `InvalidData`.
 pub fn read_message(r: &mut impl BufRead) -> io::Result<Option<String>> {
     let mut content_length: Option<usize> = None;
     loop {
         let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
+        let n = r
+            .by_ref()
+            .take(MAX_HEADER_LINE as u64 + 1)
+            .read_line(&mut line)?;
+        if n == 0 {
             return Ok(None);
+        }
+        if n > MAX_HEADER_LINE {
+            return Err(invalid(format!(
+                "header line longer than {MAX_HEADER_LINE} bytes"
+            )));
         }
         let line = line.trim_end();
         if line.is_empty() {
@@ -49,17 +71,25 @@ pub fn read_message(r: &mut impl BufRead) -> io::Result<Option<String>> {
             .strip_prefix("Content-Length:")
             .or_else(|| line.strip_prefix("content-length:"))
         {
-            content_length = v.trim().parse().ok();
+            let v = v.trim();
+            let len = v
+                .parse()
+                .map_err(|_| invalid(format!("bad Content-Length {v:?}")))?;
+            content_length = Some(len);
         }
         // Content-Type headers are tolerated and ignored.
     }
-    let len = content_length
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing Content-Length"))?;
+    let len = content_length.ok_or_else(|| invalid("missing Content-Length".into()))?;
+    if len > MAX_BODY_BYTES {
+        return Err(invalid(format!(
+            "Content-Length {len} over the {MAX_BODY_BYTES}-byte limit"
+        )));
+    }
     let mut buf = vec![0u8; len];
     r.read_exact(&mut buf)?;
     String::from_utf8(buf)
         .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "message is not UTF-8"))
+        .map_err(|_| invalid("message is not UTF-8".into()))
 }
 
 /// Writes one `Content-Length`-framed message.
@@ -68,51 +98,38 @@ pub fn write_message(w: &mut impl Write, payload: &str) -> io::Result<()> {
     w.flush()
 }
 
-// ---- JSON helpers ----------------------------------------------------------
+// ---- messages ----------------------------------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A JSON-RPC 2.0 message with these members.
+fn rpc<const N: usize>(members: [(&'static str, Json); N]) -> Json {
+    Json::obj([("jsonrpc", Json::from("2.0"))].into_iter().chain(members))
 }
 
-/// Re-serializes a request id (number or string) for the response.
-fn id_str(id: &Json) -> String {
-    match id {
-        Json::Num(n) => {
-            if n.fract() == 0.0 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        Json::Str(s) => format!("\"{}\"", esc(s)),
-        _ => "null".to_string(),
-    }
+/// A reply to request `id`, echoed as it came (`null` when absent).
+fn response(id: Option<&Json>, result: Json) -> Json {
+    rpc([("id", id.cloned().into()), ("result", result)])
 }
 
-/// `{"line":L,"character":C}` — LSP positions are 0-based.
-fn pos_json(map: &LineMap, offset: u32) -> String {
-    let (line, col) = map.line_col(offset);
-    format!("{{\"line\":{},\"character\":{}}}", line - 1, col - 1)
+fn error(id: Option<&Json>, code: i32, message: String) -> Json {
+    let error = Json::obj([("code", code.into()), ("message", message.into())]);
+    rpc([("id", id.cloned().into()), ("error", error)])
 }
 
-fn range_json(map: &LineMap, span: Span) -> String {
-    format!(
-        "{{\"start\":{},\"end\":{}}}",
-        pos_json(map, span.start),
-        pos_json(map, span.end)
-    )
+fn publish_diagnostics(uri: &str, diagnostics: Vec<Json>) -> Json {
+    let params = Json::obj([("uri", uri.into()), ("diagnostics", Json::Arr(diagnostics))]);
+    rpc([
+        ("method", "textDocument/publishDiagnostics".into()),
+        ("params", params),
+    ])
+}
+
+/// An LSP range; LSP positions are 0-based.
+fn range(map: &LineMap, span: Span) -> Json {
+    let position = |offset| {
+        let (line, col) = map.line_col(offset);
+        Json::obj([("line", (line - 1).into()), ("character", (col - 1).into())])
+    };
+    Json::obj([("start", position(span.start)), ("end", position(span.end))])
 }
 
 // ---- the server ------------------------------------------------------------
@@ -135,25 +152,26 @@ impl Server {
     /// Handles one incoming JSON-RPC message, returning every outgoing
     /// message (the response, if the input was a request, plus any
     /// notifications it triggered).
-    pub fn handle(&mut self, text: &str) -> Vec<String> {
+    pub fn handle(&mut self, text: &str) -> Vec<Json> {
         let Ok(msg) = parse_json(text) else {
-            return vec![
-                "{\"jsonrpc\":\"2.0\",\"id\":null,\"error\":{\"code\":-32700,\"message\":\"parse error\"}}"
-                    .to_string(),
-            ];
+            return vec![error(None, -32700, "parse error".into())];
         };
         let method = msg.get("method").and_then(Json::as_str).unwrap_or("");
         let id = msg.get("id");
         let params = msg.get("params");
         match method {
-            "initialize" => vec![self.resp(
-                id,
-                "{\"capabilities\":{\"textDocumentSync\":1,\"hoverProvider\":true,\
-                 \"definitionProvider\":true},\
-                 \"serverInfo\":{\"name\":\"sial-lsp\",\"version\":\"0.1.0\"}}",
-            )],
+            "initialize" => {
+                let capabilities = Json::obj([
+                    ("textDocumentSync", 1.into()),
+                    ("hoverProvider", true.into()),
+                    ("definitionProvider", true.into()),
+                ]);
+                let server = Json::obj([("name", "sial-lsp".into()), ("version", "0.1.0".into())]);
+                let result = Json::obj([("capabilities", capabilities), ("serverInfo", server)]);
+                vec![response(id, result)]
+            }
             "initialized" | "$/cancelRequest" => Vec::new(),
-            "shutdown" => vec![self.resp(id, "null")],
+            "shutdown" => vec![response(id, Json::Null)],
             "exit" => {
                 self.exited = true;
                 Vec::new()
@@ -163,27 +181,16 @@ impl Server {
             "textDocument/didClose" => self.did_close(params),
             "textDocument/definition" => vec![self.definition(id, params)],
             "textDocument/hover" => vec![self.hover(id, params)],
-            _ if id.is_some() => vec![format!(
-                "{{\"jsonrpc\":\"2.0\",\"id\":{},\"error\":{{\"code\":-32601,\
-                 \"message\":\"method not found: {}\"}}}}",
-                id_str(id.unwrap()),
-                esc(method)
-            )],
+            _ if id.is_some() => {
+                vec![error(id, -32601, format!("method not found: {method}"))]
+            }
             _ => Vec::new(),
         }
     }
 
-    fn resp(&self, id: Option<&Json>, result: &str) -> String {
-        format!(
-            "{{\"jsonrpc\":\"2.0\",\"id\":{},\"result\":{}}}",
-            id.map(id_str).unwrap_or_else(|| "null".into()),
-            result
-        )
-    }
-
     // ---- document sync ------------------------------------------------------
 
-    fn did_open(&mut self, params: Option<&Json>) -> Vec<String> {
+    fn did_open(&mut self, params: Option<&Json>) -> Vec<Json> {
         let Some(p) = params else { return Vec::new() };
         let doc = p.get("textDocument");
         let (Some(uri), Some(text)) = (
@@ -197,7 +204,7 @@ impl Server {
         vec![self.publish(uri)]
     }
 
-    fn did_change(&mut self, params: Option<&Json>) -> Vec<String> {
+    fn did_change(&mut self, params: Option<&Json>) -> Vec<Json> {
         let Some(p) = params else { return Vec::new() };
         let Some(uri) = p
             .get("textDocument")
@@ -226,7 +233,7 @@ impl Server {
         vec![self.publish(&uri)]
     }
 
-    fn did_close(&mut self, params: Option<&Json>) -> Vec<String> {
+    fn did_close(&mut self, params: Option<&Json>) -> Vec<Json> {
         let Some(uri) = params
             .and_then(|p| p.get("textDocument"))
             .and_then(|d| d.get("uri"))
@@ -235,11 +242,7 @@ impl Server {
             return Vec::new();
         };
         self.docs.remove(uri);
-        vec![format!(
-            "{{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/publishDiagnostics\",\
-             \"params\":{{\"uri\":\"{}\",\"diagnostics\":[]}}}}",
-            esc(uri)
-        )]
+        vec![publish_diagnostics(uri, Vec::new())]
     }
 
     // ---- diagnostics --------------------------------------------------------
@@ -247,10 +250,10 @@ impl Server {
     /// The full diagnostic set for a document: every front-end stage via
     /// the database, plus the bytecode verifier (structure and pardo
     /// races) when the program lowers cleanly.
-    fn publish(&mut self, uri: &str) -> String {
+    fn publish(&mut self, uri: &str) -> Json {
         let db = self.docs.get_mut(uri).expect("document is open");
         let map = db.line_map();
-        let mut items: Vec<String> = db
+        let mut items: Vec<Json> = db
             .diagnostics()
             .iter()
             .map(|d| lsp_diag(&map, d.span, d.severity, &d.code, &d.message))
@@ -273,12 +276,7 @@ impl Server {
                 ));
             }
         }
-        format!(
-            "{{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/publishDiagnostics\",\
-             \"params\":{{\"uri\":\"{}\",\"diagnostics\":[{}]}}}}",
-            esc(uri),
-            items.join(",")
-        )
+        publish_diagnostics(uri, items)
     }
 
     // ---- navigation ---------------------------------------------------------
@@ -306,9 +304,9 @@ impl Server {
             .or_else(|| ast.procs.iter().find(|p| p.name == name).map(|p| p.span))
     }
 
-    fn definition(&mut self, id: Option<&Json>, params: Option<&Json>) -> String {
+    fn definition(&mut self, id: Option<&Json>, params: Option<&Json>) -> Json {
         let Some((uri, offset)) = self.uri_offset(params) else {
-            return self.resp(id, "null");
+            return response(id, Json::Null);
         };
         let target = self
             .ident_at(&uri, offset)
@@ -320,41 +318,32 @@ impl Server {
                     .get_mut(&uri)
                     .expect("document is open")
                     .line_map();
-                self.resp(
-                    id,
-                    &format!(
-                        "{{\"uri\":\"{}\",\"range\":{}}}",
-                        esc(&uri),
-                        range_json(&map, span)
-                    ),
-                )
+                let location = Json::obj([("uri", uri.into()), ("range", range(&map, span))]);
+                response(id, location)
             }
-            None => self.resp(id, "null"),
+            None => response(id, Json::Null),
         }
     }
 
-    fn hover(&mut self, id: Option<&Json>, params: Option<&Json>) -> String {
+    fn hover(&mut self, id: Option<&Json>, params: Option<&Json>) -> Json {
         let Some((uri, offset)) = self.uri_offset(params) else {
-            return self.resp(id, "null");
+            return response(id, Json::Null);
         };
         let Some((name, span)) = self.ident_at(&uri, offset) else {
-            return self.resp(id, "null");
+            return response(id, Json::Null);
         };
         let Some(text) = self.hover_text(&uri, &name) else {
-            return self.resp(id, "null");
+            return response(id, Json::Null);
         };
         let map = self
             .docs
             .get_mut(&uri)
             .expect("document is open")
             .line_map();
-        self.resp(
+        let contents = Json::obj([("kind", "markdown".into()), ("value", text.into())]);
+        response(
             id,
-            &format!(
-                "{{\"contents\":{{\"kind\":\"markdown\",\"value\":\"{}\"}},\"range\":{}}}",
-                esc(&text),
-                range_json(&map, span)
-            ),
+            Json::obj([("contents", contents), ("range", range(&map, span))]),
         )
     }
 
@@ -428,8 +417,8 @@ impl Server {
         let p = params?;
         let uri = p.get("textDocument")?.get("uri")?.as_str()?.to_string();
         let pos = p.get("position")?;
-        let line = pos.get("line")?.as_f64()? as u32;
-        let character = pos.get("character")?.as_f64()? as u32;
+        let line = u32::try_from(pos.get("line")?.as_u64()?).ok()?;
+        let character = u32::try_from(pos.get("character")?.as_u64()?).ok()?;
         let map = self.docs.get_mut(&uri)?.line_map();
         Some((uri, map.offset(line + 1, character + 1)))
     }
@@ -441,19 +430,19 @@ impl Server {
     }
 }
 
-fn lsp_diag(map: &LineMap, span: Span, severity: Severity, code: &str, message: &str) -> String {
+fn lsp_diag(map: &LineMap, span: Span, severity: Severity, code: &str, message: &str) -> Json {
     let sev = match severity {
         Severity::Error => 1,
         Severity::Warning => 2,
         Severity::Note => 3,
     };
-    format!(
-        "{{\"range\":{},\"severity\":{},\"code\":\"{}\",\"source\":\"sial\",\"message\":\"{}\"}}",
-        range_json(map, span),
-        sev,
-        esc(code),
-        esc(message)
-    )
+    Json::obj([
+        ("range", range(map, span)),
+        ("severity", sev.into()),
+        ("code", code.into()),
+        ("source", "sial".into()),
+        ("message", message.into()),
+    ])
 }
 
 fn index_kind_name(k: AstIndexKind) -> &'static str {
@@ -506,15 +495,23 @@ mod tests {
         format!("{{\"jsonrpc\":\"2.0\",\"method\":\"{method}\",\"params\":{params}}}")
     }
 
+    /// The server's replies to `msg`, as text.
+    fn handle(server: &mut Server, msg: &str) -> Vec<String> {
+        server.handle(msg).iter().map(Json::to_string).collect()
+    }
+
     fn open(server: &mut Server, uri: &str, text: &str) -> String {
-        let out = server.handle(&notif(
-            "textDocument/didOpen",
-            &format!(
-                "{{\"textDocument\":{{\"uri\":\"{uri}\",\"languageId\":\"sial\",\
-                 \"version\":1,\"text\":\"{}\"}}}}",
-                esc(text)
+        let out = handle(
+            server,
+            &notif(
+                "textDocument/didOpen",
+                &format!(
+                    "{{\"textDocument\":{{\"uri\":\"{uri}\",\"languageId\":\"sial\",\
+                 \"version\":1,\"text\":{}}}}}",
+                    Json::from(text)
+                ),
             ),
-        ));
+        );
         assert_eq!(out.len(), 1, "didOpen publishes once");
         out.into_iter().next().unwrap()
     }
@@ -539,7 +536,7 @@ mod tests {
     #[test]
     fn initialize_advertises_capabilities() {
         let mut s = Server::new();
-        let out = s.handle(&req(1, "initialize", "{}"));
+        let out = handle(&mut s, &req(1, "initialize", "{}"));
         assert_eq!(out.len(), 1);
         assert!(out[0].contains("\"id\":1"), "{}", out[0]);
         assert!(out[0].contains("\"hoverProvider\":true"), "{}", out[0]);
@@ -591,14 +588,17 @@ mod tests {
                      endpardo i\nendsial\n";
         let out = open(&mut s, uri, broken);
         assert!(out.contains("sema/unknown-name"), "{out}");
-        let out = s.handle(&notif(
-            "textDocument/didChange",
-            &format!(
-                "{{\"textDocument\":{{\"uri\":\"{uri}\",\"version\":2}},\
-                 \"contentChanges\":[{{\"text\":\"{}\"}}]}}",
-                esc(fixed)
+        let out = handle(
+            &mut s,
+            &notif(
+                "textDocument/didChange",
+                &format!(
+                    "{{\"textDocument\":{{\"uri\":\"{uri}\",\"version\":2}},\
+                 \"contentChanges\":[{{\"text\":{}}}]}}",
+                    Json::from(fixed)
+                ),
             ),
-        ));
+        );
         assert_eq!(out.len(), 1);
         assert!(out[0].contains("\"diagnostics\":[]"), "{}", out[0]);
     }
@@ -614,16 +614,19 @@ mod tests {
         let use_off = src.rfind("Vd(i,a,j,b)").expect("array used") as u32;
         let map = LineMap::new(&src);
         let (ul, uc) = map.line_col(use_off);
-        let out = s.handle(&req(
-            7,
-            "textDocument/definition",
-            &format!(
-                "{{\"textDocument\":{{\"uri\":\"{uri}\"}},\
+        let out = handle(
+            &mut s,
+            &req(
+                7,
+                "textDocument/definition",
+                &format!(
+                    "{{\"textDocument\":{{\"uri\":\"{uri}\"}},\
                  \"position\":{{\"line\":{},\"character\":{}}}}}",
-                ul - 1,
-                uc - 1
+                    ul - 1,
+                    uc - 1
+                ),
             ),
-        ));
+        );
         assert_eq!(out.len(), 1);
         let decl_off = src.find("Vd(i,a,j,b)").unwrap() as u32;
         let (dl, dc) = map.line_col(decl_off);
@@ -647,25 +650,31 @@ mod tests {
         open(&mut s, uri, &src);
         // Hover an index declaration: segment range.
         let (l, c) = position_of(&src, "i = 1, nocc");
-        let out = s.handle(&req(
-            8,
-            "textDocument/hover",
-            &format!(
-                "{{\"textDocument\":{{\"uri\":\"{uri}\"}},\
+        let out = handle(
+            &mut s,
+            &req(
+                8,
+                "textDocument/hover",
+                &format!(
+                    "{{\"textDocument\":{{\"uri\":\"{uri}\"}},\
                  \"position\":{{\"line\":{l},\"character\":{c}}}}}"
+                ),
             ),
-        ));
+        );
         assert!(out[0].contains("declared range"), "{}", out[0]);
         // Hover an array: dry-run block size.
         let (l, c) = position_of(&src, "Vd(i,a,j,b)");
-        let out = s.handle(&req(
-            9,
-            "textDocument/hover",
-            &format!(
-                "{{\"textDocument\":{{\"uri\":\"{uri}\"}},\
+        let out = handle(
+            &mut s,
+            &req(
+                9,
+                "textDocument/hover",
+                &format!(
+                    "{{\"textDocument\":{{\"uri\":\"{uri}\"}},\
                  \"position\":{{\"line\":{l},\"character\":{c}}}}}"
+                ),
             ),
-        ));
+        );
         assert!(out[0].contains("dry-run block size"), "{}", out[0]);
         assert!(out[0].contains("rank 4"), "{}", out[0]);
     }
@@ -673,14 +682,14 @@ mod tests {
     #[test]
     fn unknown_method_with_id_errors_politely() {
         let mut s = Server::new();
-        let out = s.handle(&req(3, "textDocument/rename", "{}"));
+        let out = handle(&mut s, &req(3, "textDocument/rename", "{}"));
         assert!(out[0].contains("-32601"), "{}", out[0]);
     }
 
     #[test]
     fn shutdown_then_exit_terminates() {
         let mut s = Server::new();
-        let out = s.handle(&req(2, "shutdown", "null"));
+        let out = handle(&mut s, &req(2, "shutdown", "null"));
         assert!(out[0].contains("\"result\":null"), "{}", out[0]);
         assert!(!s.exited);
         s.handle("{\"jsonrpc\":\"2.0\",\"method\":\"exit\"}");
@@ -694,5 +703,29 @@ mod tests {
         let mut r = io::BufReader::new(&buf[..]);
         assert_eq!(read_message(&mut r).unwrap().as_deref(), Some("{\"x\":1}"));
         assert_eq!(read_message(&mut r).unwrap(), None, "EOF after one message");
+    }
+
+    /// The peer sets the lengths: none of them may allocate or read without
+    /// bound, and each bad one is a typed error, not an abort.
+    #[test]
+    fn framing_rejects_hostile_headers() {
+        let long_line = format!("Content-Length: 5\r\n{}", "x".repeat(1 << 20));
+        let cases = [
+            "Content-Length: 18446744073709551615\r\n\r\n".to_string(),
+            format!("Content-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1),
+            "Content-Type: x\r\n\r\n{}".to_string(),
+            "Content-Length: twelve\r\n\r\n".to_string(),
+            long_line,
+        ];
+        for input in cases {
+            let err = read_message(&mut io::BufReader::new(input.as_bytes())).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        // A body exactly at the limit reads, streamed rather than held twice.
+        let header = format!("Content-Length: {MAX_BODY_BYTES}\r\n\r\n");
+        let body = io::repeat(b' ').take(MAX_BODY_BYTES as u64);
+        let mut r = io::BufReader::new(header.as_bytes().chain(body));
+        let msg = read_message(&mut r).unwrap().expect("a message");
+        assert_eq!(msg.len(), MAX_BODY_BYTES);
     }
 }

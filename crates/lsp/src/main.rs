@@ -12,7 +12,7 @@ fn main() -> io::Result<()> {
     let mut server = sial_lsp::Server::new();
     while let Some(msg) = sial_lsp::read_message(&mut reader)? {
         for out in server.handle(&msg) {
-            sial_lsp::write_message(&mut writer, &out)?;
+            sial_lsp::write_message(&mut writer, &out.to_string())?;
         }
         if server.exited {
             break;

@@ -3,7 +3,7 @@
 //! initialize → didOpen → didChange → publishDiagnostics flow, plus
 //! go-to-definition and hover against `programs/mp2_screened.sial`.
 
-use sia_runtime::events::{parse_json, Json};
+use sia_runtime::json::{parse_json, Json};
 use sial_lsp::{read_message, write_message};
 use std::io::BufReader;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};

@@ -26,11 +26,11 @@
 //! rank's sink (one `Instant` captured before the ranks spawn), so the
 //! merged timeline needs no clock alignment.
 
-use crate::metrics::{JsonWriter, WaitCause};
+use crate::json::{Document, Json};
+use crate::metrics::WaitCause;
 use crate::msg::BlockKey;
 use sia_bytecode::{InstructionClass, Program};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Which communication round-trip a flight span measures.
@@ -340,460 +340,157 @@ impl TraceTimeline {
 
     /// Exports the timeline as Chrome-trace JSON (the "JSON Array
     /// Format" inside a `traceEvents` object, as Perfetto and
-    /// `chrome://tracing` load it). Each rank renders as a process:
-    /// tid 0 carries the synchronous execute spans (instruction, wait,
-    /// serve, checkpoint), comm flights render as async `b`/`e` pairs so
-    /// concurrent prefetches stack instead of colliding. When `program`
+    /// `chrome://tracing` load it). Each rank renders as a process whose
+    /// `process_name` metadata also carries the rank's ring `dropped`
+    /// count: tid 0 carries the synchronous execute spans (instruction,
+    /// wait, serve, checkpoint), comm flights render as async `b`/`e` pairs
+    /// so concurrent prefetches stack instead of colliding. When `program`
     /// is given, instruction spans are named by their disassembly.
     pub fn to_chrome_json(&self, program: Option<&Program>) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("displayTimeUnit");
-        w.string("ms");
-        w.key("traceEvents");
-        w.begin_array();
+        let mut events = Vec::new();
         for r in &self.ranks {
-            // Process/thread naming metadata.
-            meta(&mut w, "process_name", r.rank, 0, &r.label);
-            meta(&mut w, "thread_name", r.rank, 0, "execute");
+            let name = |n: &str| vec![("name", Json::from(n))];
+            let process = vec![
+                ("name", r.label.as_str().into()),
+                ("dropped", r.dropped.into()),
+            ];
+            events.push(meta("process_name", r.rank, 0, process));
+            events.push(meta("thread_name", r.rank, 0, name("execute")));
             if r.events.iter().any(|e| {
                 matches!(
                     e.kind,
                     EventKind::Flight { .. } | EventKind::Multicast { .. }
                 )
             }) {
-                meta(&mut w, "thread_name", r.rank, 1, "comm");
+                events.push(meta("thread_name", r.rank, 1, name("comm")));
             }
             let mut ordered: Vec<&TraceEvent> = r.events.iter().collect();
             ordered.sort_by_key(|e| (e.t_start_ns, std::cmp::Reverse(e.t_end_ns)));
             for e in ordered {
-                emit_event(&mut w, r.rank, e, program);
+                emit_event(&mut events, r.rank, e, program);
             }
         }
-        w.end_array();
-        w.end_object();
-        let mut out = w.finish();
-        out.push('\n');
-        out
+        Json::obj([
+            ("displayTimeUnit", "ms".into()),
+            ("traceEvents", Json::Arr(events)),
+        ])
+        .to_string()
     }
 }
 
-fn meta(w: &mut JsonWriter, what: &str, pid: usize, tid: usize, name: &str) {
-    w.begin_object();
-    w.key("name");
-    w.string(what);
-    w.key("ph");
-    w.string("M");
-    w.key("pid");
-    w.u64(pid as u64);
-    w.key("tid");
-    w.u64(tid as u64);
-    w.key("args");
-    w.begin_object();
-    w.key("name");
-    w.string(name);
-    w.end_object();
-    w.end_object();
+fn meta(what: &str, pid: usize, tid: u64, args: Vec<(&'static str, Json)>) -> Json {
+    Json::obj([
+        ("name", what.into()),
+        ("ph", "M".into()),
+        ("pid", pid.into()),
+        ("tid", tid.into()),
+        ("args", Json::obj(args)),
+    ])
 }
 
 /// Microseconds with nanosecond precision, as Chrome's `ts` wants.
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+fn us(ns: u64) -> Json {
+    Json::Num(ns as f64 / 1e3)
 }
 
-fn event_header(
-    w: &mut JsonWriter,
+/// One event: the members every event starts with, then `rest`.
+fn event(
     name: &str,
     cat: &str,
     ph: &str,
     pid: usize,
     tid: u64,
     ns: u64,
-) {
-    w.begin_object();
-    w.key("name");
-    w.string(name);
-    w.key("cat");
-    w.string(cat);
-    w.key("ph");
-    w.string(ph);
-    w.key("pid");
-    w.u64(pid as u64);
-    w.key("tid");
-    w.u64(tid);
-    w.key("ts");
-    let t = us(ns);
-    w.raw_number(&t);
+    rest: Vec<(&'static str, Json)>,
+) -> Json {
+    let head = [
+        ("name", name.into()),
+        ("cat", cat.into()),
+        ("ph", ph.into()),
+        ("pid", pid.into()),
+        ("tid", tid.into()),
+        ("ts", us(ns)),
+    ];
+    Json::obj(head.into_iter().chain(rest))
 }
 
-fn emit_event(w: &mut JsonWriter, rank: usize, e: &TraceEvent, program: Option<&Program>) {
+fn emit_event(out: &mut Vec<Json>, rank: usize, e: &TraceEvent, program: Option<&Program>) {
     let dur_ns = e.t_end_ns - e.t_start_ns;
-    let mut name = String::new();
-    match e.kind {
+    let dur = ("dur", us(dur_ns));
+    let instant = ("s", Json::from("t"));
+    let hex = |id: u64| ("id", Json::from(format!("0x{id:x}")));
+    let (name, cat, ph, rest) = match e.kind {
         EventKind::Instruction { pc, class } => {
-            match program.and_then(|p| p.code.get(pc as usize).map(|i| (p, i))) {
-                Some((p, i)) => {
-                    let _ = write!(
-                        name,
-                        "{}",
-                        sia_bytecode::disasm::disassemble_instruction(p, i)
-                    );
-                }
-                None => {
-                    let _ = write!(name, "pc {pc} ({class:?})");
-                }
-            }
-            event_header(w, &name, "instruction", "X", rank, 0, e.t_start_ns);
-            w.key("dur");
-            w.raw_number(&us(dur_ns));
-            w.key("args");
-            w.begin_object();
-            w.key("pc");
-            w.u64(pc as u64);
-            w.key("class");
-            name.clear();
-            let _ = write!(name, "{class:?}");
-            w.string(&name);
-            w.end_object();
-            w.end_object();
+            let name = match program.and_then(|p| p.code.get(pc as usize).map(|i| (p, i))) {
+                Some((p, i)) => sia_bytecode::disasm::disassemble_instruction(p, i),
+                None => format!("pc {pc} ({class:?})"),
+            };
+            let args = Json::obj([("pc", pc.into()), ("class", format!("{class:?}").into())]);
+            (name, "instruction", "X", vec![dur, ("args", args)])
         }
         EventKind::Wait { cause } => {
-            let _ = write!(name, "wait: {}", cause.label());
-            event_header(w, &name, "wait", "X", rank, 0, e.t_start_ns);
-            w.key("dur");
-            w.raw_number(&us(dur_ns));
-            w.key("args");
-            w.begin_object();
-            w.key("cause");
-            w.string(cause.key());
-            w.end_object();
-            w.end_object();
+            let args = Json::obj([("cause", cause.key().into())]);
+            (
+                format!("wait: {}", cause.label()),
+                "wait",
+                "X",
+                vec![dur, ("args", args)],
+            )
         }
         EventKind::Flight { op, key, id } => {
-            let _ = write!(name, "{} {key:?}", op.label());
-            // Async begin/end pair so overlapping flights stack.
             let uid = ((rank as u64) << 48) | (id & 0xffff_ffff_ffff);
-            for (ph, ns) in [("b", e.t_start_ns), ("e", e.t_end_ns)] {
-                event_header(w, &name, "comm", ph, rank, 1, ns);
-                w.key("id");
-                let hex = format!("0x{uid:x}");
-                w.string(&hex);
-                if ph == "b" {
-                    w.key("args");
-                    w.begin_object();
-                    w.key("id");
-                    w.u64(id);
-                    w.end_object();
-                }
-                w.end_object();
-            }
+            let args = Json::obj([("id", id.into())]);
+            (
+                format!("{} {key:?}", op.label()),
+                "comm",
+                "b",
+                vec![hex(uid), ("args", args)],
+            )
         }
         EventKind::Multicast { key, id, parent } => {
-            let _ = write!(name, "multicast {key:?}");
             // The hop id is already rank-qualified (rank in the top bits),
             // so it doubles as the async correlation id — and `parent`
             // correlates this hop to the upstream rank's hop in args.
-            for (ph, ns) in [("b", e.t_start_ns), ("e", e.t_end_ns)] {
-                event_header(w, &name, "multicast", ph, rank, 1, ns);
-                w.key("id");
-                let hex = format!("0x{id:x}");
-                w.string(&hex);
-                if ph == "b" {
-                    w.key("args");
-                    w.begin_object();
-                    w.key("id");
-                    w.u64(id);
-                    w.key("parent");
-                    w.u64(parent);
-                    w.end_object();
-                }
-                w.end_object();
-            }
+            let args = Json::obj([("id", id.into()), ("parent", parent.into())]);
+            (
+                format!("multicast {key:?}"),
+                "multicast",
+                "b",
+                vec![hex(id), ("args", args)],
+            )
         }
         EventKind::Serve { key, disk } => {
-            let _ = write!(name, "serve {key:?}");
-            if dur_ns == 0 {
-                event_header(w, &name, "serve", "i", rank, 0, e.t_start_ns);
-                w.key("s");
-                w.string("t");
+            let args = ("args", Json::obj([("disk", disk.into())]));
+            let (ph, shape) = if dur_ns == 0 {
+                ("i", instant)
             } else {
-                event_header(w, &name, "serve", "X", rank, 0, e.t_start_ns);
-                w.key("dur");
-                w.raw_number(&us(dur_ns));
-            }
-            w.key("args");
-            w.begin_object();
-            w.key("disk");
-            w.bool(disk);
-            w.end_object();
-            w.end_object();
+                ("X", dur)
+            };
+            (format!("serve {key:?}"), "serve", ph, vec![shape, args])
         }
-        EventKind::Flush { blocks } => {
-            let _ = write!(name, "flush {blocks} blocks");
-            event_header(w, &name, "serve", "X", rank, 0, e.t_start_ns);
-            w.key("dur");
-            w.raw_number(&us(dur_ns));
-            w.end_object();
-        }
+        EventKind::Flush { blocks } => (format!("flush {blocks} blocks"), "serve", "X", vec![dur]),
         EventKind::CacheFill { key, bytes } | EventKind::CacheEvict { key, bytes } => {
             let evict = matches!(e.kind, EventKind::CacheEvict { .. });
-            let _ = write!(name, "{} {key:?}", if evict { "evict" } else { "fill" });
-            event_header(w, &name, "cache", "i", rank, 0, e.t_start_ns);
-            w.key("s");
-            w.string("t");
-            w.key("args");
-            w.begin_object();
-            w.key("bytes");
-            w.u64(bytes);
-            w.end_object();
-            w.end_object();
+            let name = format!("{} {key:?}", if evict { "evict" } else { "fill" });
+            let args = ("args", Json::obj([("bytes", bytes.into())]));
+            (name, "cache", "i", vec![instant, args])
         }
         EventKind::Checkpoint { restore } => {
-            name.push_str(if restore {
-                "checkpoint restore"
-            } else {
-                "checkpoint save"
-            });
-            event_header(w, &name, "checkpoint", "X", rank, 0, e.t_start_ns);
-            w.key("dur");
-            w.raw_number(&us(dur_ns));
-            w.end_object();
+            let what = if restore { "restore" } else { "save" };
+            (format!("checkpoint {what}"), "checkpoint", "X", vec![dur])
         }
-        EventKind::Recovery { what } => {
-            name.push_str(what.label());
-            event_header(w, &name, "recovery", "i", rank, 0, e.t_start_ns);
-            w.key("s");
-            w.string("t");
-            w.end_object();
-        }
-        EventKind::Mark { label } => {
-            event_header(w, label, "mark", "i", rank, 0, e.t_start_ns);
-            w.key("s");
-            w.string("t");
-            w.end_object();
-        }
-    }
-}
-
-// --- minimal JSON reader (for the lint paths and tests) -----------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true`/`false`
-    Bool(bool),
-    /// Any number (parsed as f64).
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object, insertion order preserved.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The object's members, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Deepest `[`/`{` nesting [`parse_json`] follows — ten times what the
-/// trace and profile exports use. The parser recurses once per level and
-/// the file may be anybody's, so past this it is an error, not a stack.
-const MAX_JSON_DEPTH: usize = 128;
-
-/// Parses a JSON document. Supports the full grammar the runtime's own
-/// writers emit (and standard escapes); errors carry a byte offset.
-pub fn parse_json(s: &str) -> Result<Json, String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(b, &mut pos, 0)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
-            "nesting deeper than {MAX_JSON_DEPTH} at byte {pos}"
-        )),
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos, depth + 1)? {
-                    Json::Str(s) => s,
-                    _ => return Err(format!("object key is not a string at byte {pos}")),
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let val = parse_value(b, pos, depth + 1)?;
-                members.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos, depth + 1)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b't') => expect_lit(b, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect_lit(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'n') => expect_lit(b, pos, "null").map(|()| Json::Null),
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {text:?} at byte {start}"))
-        }
-    }
-}
-
-fn expect_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
+        EventKind::Recovery { what } => (what.label().into(), "recovery", "i", vec![instant]),
+        EventKind::Mark { label } => (label.into(), "mark", "i", vec![instant]),
+    };
+    // Flights and multicast hops are async begin/end pairs on the comm
+    // thread, so overlapping ones stack; the end repeats the begin's name
+    // and id.
+    if ph == "b" {
+        let id = rest[0].clone();
+        out.push(event(&name, cat, ph, rank, 1, e.t_start_ns, rest));
+        out.push(event(&name, cat, "e", rank, 1, e.t_end_ns, vec![id]));
     } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // The ordinary characters up to the next quote or escape,
-                // in one copy. Both delimiters are ASCII and `b` is the
-                // bytes of a `&str`, so the run is whole UTF-8 scalars.
-                let run = &b[*pos..];
-                let len = run.iter().position(|c| matches!(c, b'"' | b'\\'));
-                let run = &run[..len.unwrap_or(run.len())];
-                out.push_str(std::str::from_utf8(run).map_err(|e| e.to_string())?);
-                *pos += run.len();
-            }
-        }
+        out.push(event(&name, cat, ph, rank, 0, e.t_start_ns, rest));
     }
 }
 
@@ -812,6 +509,8 @@ pub struct RankLint {
     pub multicasts: usize,
     /// Event categories seen on this rank.
     pub cats: BTreeSet<String>,
+    /// Events the rank's ring overwrote before the export.
+    pub dropped: u64,
 }
 
 /// Summary of a linted Chrome-trace file.
@@ -829,9 +528,9 @@ pub struct TraceLint {
 /// monotone nesting of complete spans per `(pid, tid)`, balanced async
 /// begin/end pairs per flight id, and multicast hop correlation — every
 /// forwarded hop's `args.parent` must name an existing hop's `args.id`
-/// (no orphan forwards). Takes the parsed document: whoever has the text
-/// has usually parsed it already, to tell a trace from a profile.
-pub fn lint_chrome_trace(doc: &Json) -> Result<TraceLint, String> {
+/// (no orphan forwards).
+pub fn lint_chrome_trace(doc: &(impl Document + ?Sized)) -> Result<TraceLint, String> {
+    let doc = doc.tree()?;
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_array)
@@ -857,22 +556,21 @@ pub fn lint_chrome_trace(doc: &Json) -> Result<TraceLint, String> {
             .ok_or(format!("event {i}: missing name"))?;
         let pid = e
             .get("pid")
-            .and_then(Json::as_f64)
-            .ok_or(format!("event {i}: missing pid"))? as u64;
+            .and_then(Json::as_u64)
+            .ok_or(format!("event {i}: missing pid"))?;
         let tid = e
             .get("tid")
-            .and_then(Json::as_f64)
-            .ok_or(format!("event {i}: missing tid"))? as u64;
+            .and_then(Json::as_u64)
+            .ok_or(format!("event {i}: missing tid"))?;
         let rank = lint.ranks.entry(pid).or_default();
         if ph == "M" {
             if e.get("name").and_then(Json::as_str) == Some("process_name") {
-                if let Some(n) = e
-                    .get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Json::as_str)
-                {
+                let args = e.get("args");
+                if let Some(n) = args.and_then(|a| a.get("name")).and_then(Json::as_str) {
                     rank.label = n.to_string();
                 }
+                let dropped = args.and_then(|a| a.get("dropped"));
+                rank.dropped = dropped.and_then(Json::as_u64).unwrap_or(0);
             }
             continue;
         }
@@ -916,14 +614,12 @@ pub fn lint_chrome_trace(doc: &Json) -> Result<TraceLint, String> {
                         .ok_or(format!("event {i}: multicast hop missing args"))?;
                     let hop = args
                         .get("id")
-                        .and_then(Json::as_f64)
-                        .ok_or(format!("event {i}: multicast hop missing args.id"))?
-                        as u64;
+                        .and_then(Json::as_u64)
+                        .ok_or(format!("event {i}: multicast hop missing args.id"))?;
                     let parent = args
                         .get("parent")
-                        .and_then(Json::as_f64)
-                        .ok_or(format!("event {i}: multicast hop missing args.parent"))?
-                        as u64;
+                        .and_then(Json::as_u64)
+                        .ok_or(format!("event {i}: multicast hop missing args.parent"))?;
                     mcast_ids.insert(hop);
                     if parent != 0 {
                         mcast_parents.push((i, parent));
@@ -983,90 +679,6 @@ pub fn lint_chrome_trace(doc: &Json) -> Result<TraceLint, String> {
     Ok(lint)
 }
 
-/// Validates the `--profile-json` export: parseable JSON with the
-/// `sia.profile.v1` schema marker and the required top-level members.
-pub fn lint_profile_json(text: &str) -> Result<(), String> {
-    let doc = parse_json(text)?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("sia.profile.v1") => {}
-        other => return Err(format!("bad schema marker {other:?}")),
-    }
-    for key in [
-        "iterations",
-        "wait_fraction",
-        "total_busy_ns",
-        "total_wait_ns",
-    ] {
-        doc.get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing numeric {key}"))?;
-    }
-    let overlap = doc.get("overlap").ok_or("missing overlap")?;
-    overlap
-        .get("per_worker")
-        .and_then(Json::as_array)
-        .ok_or("missing overlap.per_worker")?;
-    let metrics = doc
-        .get("metrics")
-        .and_then(Json::as_object)
-        .ok_or("missing metrics object")?;
-    for name in ["cache", "memory", "comm", "wait"] {
-        if !metrics.iter().any(|(k, _)| k == name) {
-            return Err(format!("missing metrics.{name}"));
-        }
-    }
-    doc.get("lines")
-        .and_then(Json::as_array)
-        .ok_or("missing lines array")?;
-    Ok(())
-}
-
-/// Validates a `sial check --json` export: parseable JSON with the
-/// `sia.diag.v1` schema marker, a matching `count`, and the required
-/// members on every diagnostic entry.
-pub fn lint_diag_json(text: &str) -> Result<(), String> {
-    let doc = parse_json(text)?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("sia.diag.v1") => {}
-        other => return Err(format!("bad schema marker {other:?}")),
-    }
-    doc.get("file")
-        .and_then(Json::as_str)
-        .ok_or("missing file")?;
-    let count = doc
-        .get("count")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric count")? as usize;
-    let diags = doc
-        .get("diagnostics")
-        .and_then(Json::as_array)
-        .ok_or("missing diagnostics array")?;
-    if diags.len() != count {
-        return Err(format!(
-            "count {} does not match diagnostics length {}",
-            count,
-            diags.len()
-        ));
-    }
-    for (i, d) in diags.iter().enumerate() {
-        for key in ["file", "severity", "code", "message"] {
-            d.get(key)
-                .and_then(Json::as_str)
-                .ok_or(format!("diagnostic {i}: missing string {key}"))?;
-        }
-        for key in ["start", "end", "line", "col"] {
-            d.get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("diagnostic {i}: missing numeric {key}"))?;
-        }
-        match d.get("severity").and_then(Json::as_str) {
-            Some("note" | "warning" | "error") => {}
-            other => return Err(format!("diagnostic {i}: bad severity {other:?}")),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1075,10 +687,6 @@ mod tests {
 
     fn key() -> BlockKey {
         BlockKey::new(ArrayId(1), &[2, 3])
-    }
-
-    fn lint_text(text: &str) -> Result<TraceLint, String> {
-        lint_chrome_trace(&parse_json(text)?)
     }
 
     #[test]
@@ -1110,6 +718,21 @@ mod tests {
         // Oldest four were overwritten; order is chronological.
         assert_eq!(events[0].t_start_ns, 4);
         assert_eq!(events[15].t_start_ns, 19);
+        // The export notes the drops in the rank's metadata, and the lint
+        // reads them back.
+        let tl = TraceTimeline {
+            ranks: vec![RankTrace {
+                rank: 1,
+                label: "worker 1".into(),
+                events,
+                dropped,
+            }],
+        };
+        let doc = crate::json::parse_json(&tl.to_chrome_json(None)).unwrap();
+        let process = &doc.get("traceEvents").and_then(Json::as_array).unwrap()[0];
+        let exported = process.get("args").and_then(|a| a.get("dropped"));
+        assert_eq!(exported.and_then(Json::as_u64), Some(4));
+        assert_eq!(lint_chrome_trace(&doc).unwrap().ranks[&1].dropped, 4);
     }
 
     #[test]
@@ -1156,7 +779,7 @@ mod tests {
             dropped: 0,
         });
         let json = tl.to_chrome_json(None);
-        let lint = lint_text(&json).expect("lints clean");
+        let lint = lint_chrome_trace(&json).expect("lints clean");
         let r = lint.ranks.get(&1).expect("rank 1 present");
         assert_eq!(r.label, "worker 1");
         assert_eq!(r.spans, 2);
@@ -1173,7 +796,7 @@ mod tests {
             {"name":"a","cat":"instruction","ph":"X","pid":1,"tid":0,"ts":0.0,"dur":1.0},
             {"name":"b","cat":"instruction","ph":"X","pid":1,"tid":0,"ts":0.5,"dur":1.0}
         ]}"#;
-        assert!(lint_text(bad).is_err());
+        assert!(lint_chrome_trace(bad).is_err());
     }
 
     #[test]
@@ -1181,7 +804,7 @@ mod tests {
         let bad = r#"{"traceEvents":[
             {"name":"g","cat":"comm","ph":"b","pid":1,"tid":1,"ts":0.0,"id":"0x1"}
         ]}"#;
-        assert!(lint_text(bad).is_err());
+        assert!(lint_chrome_trace(bad).is_err());
     }
 
     #[test]
@@ -1218,58 +841,46 @@ mod tests {
             }],
             dropped: 0,
         });
-        let lint = lint_text(&tl.to_chrome_json(None)).expect("lints clean");
+        let lint = lint_chrome_trace(&tl.to_chrome_json(None)).expect("lints clean");
         assert_eq!(lint.ranks[&1].multicasts, 1);
         assert_eq!(lint.ranks[&2].multicasts, 1);
     }
 
     #[test]
     fn lint_rejects_orphan_multicast_forward() {
-        // A forward whose parent hop id appears nowhere in the trace.
-        let mut tl = TraceTimeline::default();
-        tl.ranks.push(RankTrace {
-            rank: 2,
-            label: "worker 2".into(),
-            events: vec![TraceEvent {
-                t_start_ns: 20,
-                t_end_ns: 20,
-                kind: EventKind::Multicast {
-                    key: key(),
-                    id: (2u64 << 48) | 9,
-                    parent: (1u64 << 48) | 7,
-                },
-            }],
-            dropped: 0,
-        });
-        let err = lint_text(&tl.to_chrome_json(None)).unwrap_err();
-        assert!(err.contains("orphan"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn parser_round_trips_basics() {
-        let v = parse_json(r#"{"a":[1,2.5,-3e2],"b":"xA","c":true,"d":null}"#).unwrap();
-        assert_eq!(v.get("b").and_then(Json::as_str), Some("xA"));
-        let arr = v.get("a").and_then(Json::as_array).unwrap();
-        assert_eq!(arr[2].as_f64(), Some(-300.0));
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        // Runs between escapes are copied whole, multi-byte scalars included.
-        let v = parse_json(r#"["é→\u00e9\"ß\\", ""]"#).unwrap();
-        assert_eq!(v.as_array().unwrap()[0].as_str(), Some("é→é\"ß\\"));
-        assert!(parse_json("\"open").is_err());
-    }
-
-    /// The file is anybody's: nesting past the cap is an error, not a stack
-    /// overflow, and nesting up to it parses.
-    #[test]
-    fn parser_bounds_nesting() {
-        let err = parse_json(&"[".repeat(100_000)).unwrap_err();
-        assert!(err.contains("nesting deeper than"), "{err}");
-        let err = parse_json(&r#"{"a":"#.repeat(100_000)).unwrap_err();
-        assert!(err.contains("nesting deeper than"), "{err}");
-        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
-        assert!(parse_json(&deep(MAX_JSON_DEPTH)).is_ok());
-        assert!(parse_json(&deep(MAX_JSON_DEPTH + 1)).is_err());
+        let hop = |id: u64, parent: u64| TraceEvent {
+            t_start_ns: 20,
+            t_end_ns: 20,
+            kind: EventKind::Multicast {
+                key: key(),
+                id,
+                parent,
+            },
+        };
+        // A forward whose parent hop id appears nowhere in the trace; and
+        // one whose parent differs from an existing hop only past the 53
+        // bits an f64 holds, so a reader that rounds ids matches them.
+        for (rank, events) in [
+            (2, vec![hop((2u64 << 48) | 9, (1u64 << 48) | 7)]),
+            (
+                32,
+                vec![
+                    hop(32u64 << 48, 0),
+                    hop((32u64 << 48) | 2, (32u64 << 48) | 1),
+                ],
+            ),
+        ] {
+            let tl = TraceTimeline {
+                ranks: vec![RankTrace {
+                    rank,
+                    label: format!("worker {rank}"),
+                    events,
+                    dropped: 0,
+                }],
+            };
+            let err = lint_chrome_trace(&tl.to_chrome_json(None)).unwrap_err();
+            assert!(err.contains("orphan"), "unexpected error: {err}");
+        }
     }
 
     /// A trace of ordinary size lints in the time its length warrants: the
@@ -1295,7 +906,7 @@ mod tests {
         let json = tl.to_chrome_json(None);
         assert!(json.len() >= 1 << 20, "only {} bytes", json.len());
         let t0 = std::time::Instant::now();
-        let lint = lint_text(&json).expect("lints clean");
+        let lint = lint_chrome_trace(&json).expect("lints clean");
         assert_eq!(lint.ranks[&1].spans, 8_000);
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(5),

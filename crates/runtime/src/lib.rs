@@ -56,6 +56,7 @@ pub mod cache;
 pub mod dryrun;
 pub mod events;
 pub mod ioserver;
+pub mod json;
 pub mod metrics;
 pub mod plan;
 pub mod scheduler;
@@ -64,6 +65,7 @@ pub mod trace;
 pub mod verify;
 
 // Runtime internals: reachable only through the re-exports below.
+pub(crate) mod diag;
 pub(crate) mod error;
 pub(crate) mod ft;
 pub(crate) mod interp;
@@ -77,11 +79,12 @@ pub(crate) mod store;
 pub(crate) mod worker;
 
 pub use cache::{BlockGet, CacheStats};
+pub use diag::{diagnostics_to_json, lint_diag_json};
 pub use dryrun::MemoryEstimate;
 pub use error::{CommKind, RuntimeError};
 pub use events::{
-    lint_chrome_trace, lint_diag_json, lint_profile_json, CommOp, EventKind, RankTrace,
-    RecoveryEvent, TraceEvent, TraceLint, TraceSink, TraceTimeline,
+    lint_chrome_trace, CommOp, EventKind, RankTrace, RecoveryEvent, TraceEvent, TraceLint,
+    TraceSink, TraceTimeline,
 };
 pub use layout::{
     ConfigError, CrashSchedule, FaultConfig, Layout, Placement, SegmentConfig, SipConfig,
@@ -94,7 +97,7 @@ pub use metrics::{
 };
 pub use msg::{BlockKey, OpId, Payload, SipMsg};
 pub use plan::{BroadcastOp, CommPlan, CommPlanner, CommVolume, OwnerCompute, PlanSummary};
-pub use profile::{ProfileLine, ProfileReport, WorkerProfile};
+pub use profile::{lint_profile_json, ProfileLine, ProfileReport, WorkerProfile};
 pub use registry::{SuperArg, SuperEnv, SuperRegistry};
 pub use serve::{
     jain_index, AdmitError, Daemon, DaemonConfig, JobId, JobProgress, JobSpec, JobState, JobStatus,

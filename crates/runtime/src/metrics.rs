@@ -3,8 +3,8 @@
 //! Every counter the runtime keeps — cache, memory, contraction, comm
 //! flights, wait causes, fault tolerance, recovery, I/O servers, fabric
 //! injection — lives behind one [`Metrics`] registry with one merge
-//! discipline (the [`Merge`] trait), one JSON serialization path and one
-//! text renderer, both driven by the same [`Section`] model. Workers carry
+//! discipline (the [`Merge`] trait), one JSON export and one text
+//! renderer, both driven by the same [`Section`] model. Workers carry
 //! a `Metrics` in their [`WorkerProfile`](crate::profile::WorkerProfile);
 //! the master folds them (plus its own recovery counters and the I/O
 //! servers' counters) into the merged registry surfaced by
@@ -14,6 +14,7 @@
 //! without an impact on performance"; all counters here are plain integer
 //! adds on paths that already do block-sized work.
 
+use crate::json::Json;
 use std::fmt;
 
 /// One merge discipline for every counter group.
@@ -438,37 +439,16 @@ impl Merge for Metrics {
 }
 
 /// A single field of the report model: a JSON key, a human label, and a
-/// value. The text renderer prints `"{value} {label}"`, the JSON writer
-/// emits `"key": value` — one model, two encodings.
+/// value. The text renderer prints `"{value} {label}"`, the JSON export
+/// `"key": value` — one model, two encodings.
 #[derive(Debug, Clone)]
 pub struct Field {
     /// JSON object key.
     pub key: &'static str,
     /// Human-readable label (rendered after the value).
     pub label: &'static str,
-    /// The value.
-    pub value: Value,
-}
-
-/// A field value.
-#[derive(Debug, Clone, Copy)]
-pub enum Value {
-    /// Unsigned counter.
-    U64(u64),
-    /// Ratio/fraction.
-    F64(f64),
-    /// Flag.
-    Bool(bool),
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::U64(v) => write!(f, "{v}"),
-            Value::F64(v) => write!(f, "{v:.3}"),
-            Value::Bool(v) => write!(f, "{v}"),
-        }
-    }
+    /// The value: an integer counter, a ratio, or a flag.
+    pub value: Json,
 }
 
 /// A named group of fields (one JSON sub-object, one report line).
@@ -486,13 +466,13 @@ fn field(key: &'static str, label: &'static str, v: u64) -> Field {
     Field {
         key,
         label,
-        value: Value::U64(v),
+        value: v.into(),
     }
 }
 
 impl Metrics {
     /// The report model: every counter group as a [`Section`]. Both the
-    /// text renderer ([`Metrics::fmt`]) and the JSON writer
+    /// text renderer ([`Metrics::fmt`]) and the JSON export
     /// ([`Metrics::to_json`]) are driven by this one model.
     pub fn sections(&self) -> Vec<Section> {
         let c = &self.cache;
@@ -510,7 +490,7 @@ impl Metrics {
             .map(|&cause| Field {
                 key: cause.key(),
                 label: cause.label(),
-                value: Value::U64(self.wait.get(cause)),
+                value: self.wait.get(cause).into(),
             })
             .collect();
         wait_fields.insert(0, field("total_ns", "ns total", self.wait.total_nanos()));
@@ -525,7 +505,7 @@ impl Metrics {
         comm_fields.push(Field {
             key: "overlap",
             label: "overlap",
-            value: Value::F64(self.comm.overlap().unwrap_or(0.0)),
+            value: self.comm.overlap().unwrap_or(0.0).into(),
         });
         vec![
             Section {
@@ -661,7 +641,7 @@ impl Metrics {
                     Field {
                         key: "crashed",
                         label: "rank crash",
-                        value: Value::Bool(fb.crashed),
+                        value: fb.crashed.into(),
                     },
                 ],
             },
@@ -696,23 +676,15 @@ impl Metrics {
         ]
     }
 
-    /// The one JSON serialization path: a nested object, one sub-object
-    /// per section, keys from the section model. Hand-rolled — no
-    /// external dependencies.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        for s in self.sections() {
-            w.key(s.name);
-            w.begin_object();
-            for f in &s.fields {
-                w.key(f.key);
-                w.value(f.value);
-            }
-            w.end_object();
-        }
-        w.end_object();
-        w.finish()
+    /// The metrics object of the JSON exports: one member per section,
+    /// keys from the section model.
+    pub fn to_json(&self) -> Json {
+        Json::obj(self.sections().into_iter().map(|s| {
+            (
+                s.name,
+                Json::obj(s.fields.into_iter().map(|f| (f.key, f.value))),
+            )
+        }))
     }
 }
 
@@ -728,7 +700,7 @@ impl fmt::Display for Metrics {
             for (i, fl) in s.fields.iter().enumerate() {
                 let sep = if i == 0 { " " } else { ", " };
                 match fl.value {
-                    Value::Bool(b) => {
+                    Json::Bool(b) => {
                         // Flags read as presence: print the label alone
                         // when set, skip when clear.
                         if b {
@@ -737,147 +709,13 @@ impl fmt::Display for Metrics {
                             write!(f, " ")?;
                         }
                     }
-                    v => write!(f, "{sep}{v} {}", fl.label)?,
+                    Json::Num(x) => write!(f, "{sep}{x:.3} {}", fl.label)?,
+                    ref v => write!(f, "{sep}{v} {}", fl.label)?,
                 }
             }
             writeln!(f)?;
         }
         Ok(())
-    }
-}
-
-/// Minimal JSON emitter shared by the metrics/profile/trace exports.
-/// Tracks nesting and comma placement; values are written with the same
-/// conventions everywhere (floats with millis precision where rendered,
-/// raw integers for counters).
-#[derive(Debug, Default)]
-pub struct JsonWriter {
-    out: String,
-    // True when the next item at the current depth needs a leading comma.
-    need_comma: Vec<bool>,
-}
-
-impl JsonWriter {
-    /// A fresh writer.
-    pub fn new() -> Self {
-        JsonWriter {
-            out: String::with_capacity(1024),
-            need_comma: Vec::new(),
-        }
-    }
-
-    fn pre_item(&mut self) {
-        if let Some(n) = self.need_comma.last_mut() {
-            if *n {
-                self.out.push(',');
-            }
-            *n = true;
-        }
-    }
-
-    /// Opens `{`.
-    pub fn begin_object(&mut self) {
-        self.pre_item();
-        self.out.push('{');
-        self.need_comma.push(false);
-    }
-
-    /// Closes `}`.
-    pub fn end_object(&mut self) {
-        self.need_comma.pop();
-        self.out.push('}');
-    }
-
-    /// Opens `[`.
-    pub fn begin_array(&mut self) {
-        self.pre_item();
-        self.out.push('[');
-        self.need_comma.push(false);
-    }
-
-    /// Closes `]`.
-    pub fn end_array(&mut self) {
-        self.need_comma.pop();
-        self.out.push(']');
-    }
-
-    /// Writes `"key":` (the value must follow).
-    pub fn key(&mut self, k: &str) {
-        self.pre_item();
-        self.push_string(k);
-        self.out.push(':');
-        // The value that follows is part of this item.
-        if let Some(n) = self.need_comma.last_mut() {
-            *n = false;
-        }
-    }
-
-    /// Writes a [`Value`].
-    pub fn value(&mut self, v: Value) {
-        match v {
-            Value::U64(x) => self.u64(x),
-            Value::F64(x) => self.f64(x),
-            Value::Bool(x) => self.bool(x),
-        }
-    }
-
-    /// Writes an unsigned integer.
-    pub fn u64(&mut self, v: u64) {
-        self.pre_item();
-        self.out.push_str(&v.to_string());
-    }
-
-    /// Writes a float (6 significant decimals; NaN/inf map to null).
-    pub fn f64(&mut self, v: f64) {
-        self.pre_item();
-        if v.is_finite() {
-            self.out.push_str(&format!("{v:.6}"));
-        } else {
-            self.out.push_str("null");
-        }
-    }
-
-    /// Writes a boolean.
-    pub fn bool(&mut self, v: bool) {
-        self.pre_item();
-        self.out.push_str(if v { "true" } else { "false" });
-    }
-
-    /// Writes a pre-formatted bare number (used for trace `ts`/`dur`,
-    /// which carry fixed nanosecond precision). The caller guarantees the
-    /// text is a valid JSON number.
-    pub fn raw_number(&mut self, n: &str) {
-        self.pre_item();
-        self.out.push_str(n);
-    }
-
-    /// Writes a string value (escaped).
-    pub fn string(&mut self, s: &str) {
-        self.pre_item();
-        self.push_string(s);
-    }
-
-    fn push_string(&mut self, s: &str) {
-        self.out.push('"');
-        for ch in s.chars() {
-            match ch {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    self.out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
-    }
-
-    /// Consumes the writer, returning the JSON text.
-    pub fn finish(self) -> String {
-        self.out
     }
 }
 
@@ -923,8 +761,8 @@ mod tests {
         let mut m = Metrics::default();
         m.cache.hits = 1;
         m.recovery.ranks_died = 2;
-        let j = m.to_json();
-        let v = crate::events::parse_json(&j).expect("metrics json parses");
+        let j = m.to_json().to_string();
+        let v = crate::json::parse_json(&j).expect("metrics json parses");
         let obj = v.as_object().expect("top-level object");
         for name in [
             "cache",
@@ -952,15 +790,5 @@ mod tests {
         assert!(text.contains("ranks died"), "{text}");
         // Quiet sections are suppressed.
         assert!(!text.contains("fabric:"), "{text}");
-    }
-
-    #[test]
-    fn writer_escapes_strings() {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("a\"b");
-        w.string("x\ny");
-        w.end_object();
-        assert_eq!(w.finish(), "{\"a\\\"b\":\"x\\ny\"}");
     }
 }

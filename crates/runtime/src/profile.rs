@@ -17,7 +17,8 @@
 //! cannot double-count wait into both the per-pc table and the totals.
 
 use crate::events::TraceEvent;
-use crate::metrics::{quiet, JsonWriter, Merge, Metrics, WaitCause};
+use crate::json::{Document, Json};
+use crate::metrics::{quiet, Merge, Metrics, WaitCause};
 use sia_bytecode::{InstructionClass, Program};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -206,91 +207,88 @@ impl ProfileReport {
             .sum()
     }
 
-    /// The machine-readable profile (the `--profile-json` payload):
-    /// schema marker, headline numbers, the overlap metric, the unified
-    /// metrics registry (one serialization path shared with
-    /// [`Metrics::to_json`]'s model), per-worker figures, and the per-pc
-    /// lines.
+    /// The machine-readable profile (the `--profile-json` payload,
+    /// `sia.profile.v1`): schema marker, headline numbers, the overlap
+    /// metric, the metrics object of [`Metrics::to_json`], per-worker
+    /// figures, and the per-pc lines.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("schema");
-        w.string("sia.profile.v1");
-        w.key("iterations");
-        w.u64(self.iterations);
-        w.key("chunks");
-        w.u64(self.chunks);
-        w.key("total_busy_ns");
-        w.u64(self.total_busy().as_nanos() as u64);
-        w.key("total_wait_ns");
-        w.u64(self.total_wait().as_nanos() as u64);
-        w.key("wait_fraction");
-        w.f64(self.wait_fraction());
-        w.key("dry_run_estimate_bytes");
-        w.u64(self.dry_run_estimate_bytes);
-        w.key("overlap");
-        w.begin_object();
-        w.key("mean");
-        match self.overlap() {
-            Some(v) => w.f64(v),
-            None => w.f64(f64::NAN), // renders as null
-        }
-        w.key("per_worker");
-        w.begin_array();
-        for o in &self.worker_overlap {
-            match o {
-                Some(v) => w.f64(*v),
-                None => w.f64(f64::NAN),
-            }
-        }
-        w.end_array();
-        w.end_object();
-        w.key("workers");
-        w.begin_array();
-        for (i, total) in self.worker_totals.iter().enumerate() {
-            w.begin_object();
-            w.key("total_ns");
-            w.u64(total.as_nanos() as u64);
-            w.key("wait_ns");
-            w.u64(
-                self.worker_waits
-                    .get(i)
-                    .map(|d| d.as_nanos() as u64)
-                    .unwrap_or(0),
-            );
-            w.end_object();
-        }
-        w.end_array();
-        // The one metrics serialization path: same section model as the
-        // text renderer.
-        w.key("metrics");
-        let metrics_json = self.metrics.to_json();
-        w.raw_number(&metrics_json); // already a complete JSON object
-        w.key("lines");
-        w.begin_array();
-        for l in &self.lines {
-            w.begin_object();
-            w.key("pc");
-            w.u64(l.pc as u64);
-            w.key("class");
-            let class = format!("{:?}", l.class);
-            w.string(&class);
-            w.key("count");
-            w.u64(l.count);
-            w.key("busy_ns");
-            w.u64(l.busy.as_nanos() as u64);
-            w.key("wait_ns");
-            w.u64(l.wait.as_nanos() as u64);
-            w.key("text");
-            w.string(&l.text);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        let mut out = w.finish();
-        out.push('\n');
-        out
+        let ns = |d: Duration| Json::from(d.as_nanos() as u64);
+        let workers = self.worker_totals.iter().enumerate().map(|(i, &total)| {
+            let wait = self.worker_waits.get(i).copied().unwrap_or_default();
+            Json::obj([("total_ns", ns(total)), ("wait_ns", ns(wait))])
+        });
+        let lines = self.lines.iter().map(|l| {
+            Json::obj([
+                ("pc", l.pc.into()),
+                ("class", format!("{:?}", l.class).into()),
+                ("count", l.count.into()),
+                ("busy_ns", ns(l.busy)),
+                ("wait_ns", ns(l.wait)),
+                ("text", l.text.as_str().into()),
+            ])
+        });
+        Json::obj([
+            ("schema", "sia.profile.v1".into()),
+            ("iterations", self.iterations.into()),
+            ("chunks", self.chunks.into()),
+            ("total_busy_ns", ns(self.total_busy())),
+            ("total_wait_ns", ns(self.total_wait())),
+            ("wait_fraction", self.wait_fraction().into()),
+            ("dry_run_estimate_bytes", self.dry_run_estimate_bytes.into()),
+            (
+                "overlap",
+                Json::obj([
+                    ("mean", self.overlap().into()),
+                    (
+                        "per_worker",
+                        self.worker_overlap.iter().map(|&o| o.into()).collect(),
+                    ),
+                ]),
+            ),
+            ("workers", workers.collect()),
+            ("metrics", self.metrics.to_json()),
+            ("lines", lines.collect()),
+        ])
+        .to_string()
     }
+}
+
+/// Validates the `--profile-json` export: the `sia.profile.v1` schema
+/// marker and the required top-level members.
+pub fn lint_profile_json(doc: &(impl Document + ?Sized)) -> Result<(), String> {
+    let doc = doc.tree()?;
+    match doc.get("schema").and_then(Json::as_str) {
+        Some("sia.profile.v1") => {}
+        other => return Err(format!("bad schema marker {other:?}")),
+    }
+    for key in [
+        "iterations",
+        "wait_fraction",
+        "total_busy_ns",
+        "total_wait_ns",
+    ] {
+        doc.get(key)
+            .and_then(Json::as_f64)
+            .ok_or(format!("missing numeric {key}"))?;
+    }
+    let overlap = doc.get("overlap").ok_or("missing overlap")?;
+    overlap
+        .get("per_worker")
+        .and_then(Json::as_array)
+        .ok_or("missing overlap.per_worker")?;
+    let metrics = doc
+        .get("metrics")
+        .and_then(Json::as_object)
+        .ok_or("missing metrics object")?;
+    for name in ["cache", "memory", "comm", "wait"] {
+        if !metrics.iter().any(|(k, _)| k == name) {
+            return Err(format!("missing metrics.{name}"));
+        }
+    }
+    doc.get("lines")
+        .and_then(Json::as_array)
+        .ok_or("missing lines array")?;
+    Ok(())
 }
 
 impl fmt::Display for ProfileReport {
@@ -448,13 +446,12 @@ mod tests {
         a.total_nanos = 10_000;
         let mut r = ProfileReport::merge(&program, &[a]);
         r.dry_run_estimate_bytes = 4096;
-        let json = r.to_json();
-        crate::events::lint_profile_json(&json).expect("profile json lints");
-        let doc = crate::events::parse_json(&json).unwrap();
+        let doc = crate::json::parse_json(&r.to_json()).unwrap();
+        lint_profile_json(&doc).expect("profile json lints");
         let mean = doc
             .get("overlap")
             .and_then(|o| o.get("mean"))
-            .and_then(crate::events::Json::as_f64)
+            .and_then(Json::as_f64)
             .expect("overlap mean present");
         assert!((mean - 0.75).abs() < 1e-9);
     }

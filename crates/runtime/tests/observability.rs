@@ -3,7 +3,7 @@
 //! attribution, and the `--trace`/`--profile-json` file outputs.
 
 use sia_bytecode::ConstBindings;
-use sia_runtime::events::parse_json;
+use sia_runtime::json::parse_json;
 use sia_runtime::prelude::*;
 use sia_runtime::{lint_chrome_trace, lint_profile_json};
 

@@ -10,7 +10,7 @@
 //! sial run     prog.sial --workers 4 --seg 8 --bind n=6 [--chem]
 //! sial run     prog.sial --trace out.json --profile-json prof.json
 //! sial simulate prog.sial --workers 4096 --machine xt5 --seg 24 --bind norb=20
-//! sial trace-lint out.json                   # validate a trace or profile export
+//! sial trace-lint out.json                   # validate a trace, profile or diag export
 //! sial submit  prog.sial siald.sock tenant=alice bind:n=6 [--wait]
 //! sial status  siald.sock                    # job table of a running siald
 //! ```
@@ -341,7 +341,7 @@ fn cmd_check(file: &str, opts: &Opts) -> ExitCode {
         }
     };
     if opts.json {
-        println!("{}", sia::bytecode::diag::diagnostics_to_json(file, &diags));
+        println!("{}", sia::runtime::diagnostics_to_json(file, &diags));
         return if diags.is_empty() {
             ExitCode::SUCCESS
         } else {
@@ -413,7 +413,7 @@ fn cmd_check_watch(file: &str, opts: &Opts) -> ExitCode {
                 }));
             }
             if opts.json {
-                println!("{}", sia::bytecode::diag::diagnostics_to_json(file, &diags));
+                println!("{}", sia::runtime::diagnostics_to_json(file, &diags));
             } else if diags.is_empty() {
                 println!("{file}: ok (revision {})", db.revision());
             } else {
@@ -535,6 +535,51 @@ fn cmd_status(socket: &str, rest: &[String]) -> ExitCode {
     }
 }
 
+/// `sial trace-lint <file>`: lints an export by what the parsed document
+/// is — a Chrome trace (`traceEvents`), a `sia.profile.v1` profile or a
+/// `sia.diag.v1` report — and prints its summary.
+fn trace_lint(file: &str) -> Result<(), String> {
+    use sia::runtime::json::{parse_json, Json};
+    let text = std::fs::read_to_string(file).map_err(|e| e.to_string())?;
+    let doc = parse_json(&text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let schema = doc.get("schema").and_then(Json::as_str);
+    if doc.get("traceEvents").is_some() {
+        let lint = sia::runtime::lint_chrome_trace(&doc)?;
+        println!("{file}: ok — {} trace events", lint.events);
+        for (pid, r) in &lint.ranks {
+            let cats: Vec<&str> = r.cats.iter().map(String::as_str).collect();
+            println!(
+                "  rank {pid} ({}): {} spans, {} flights, {} multicasts, {} dropped [{}]",
+                if r.label.is_empty() { "?" } else { &r.label },
+                r.spans,
+                r.flights,
+                r.multicasts,
+                r.dropped,
+                cats.join(", ")
+            );
+        }
+    } else if schema == Some("sia.profile.v1") {
+        sia::runtime::lint_profile_json(&doc)?;
+        println!("{file}: ok — sia.profile.v1");
+    } else if schema == Some("sia.diag.v1") {
+        let n = sia::runtime::lint_diag_json(&doc)?;
+        println!("{file}: ok — sia.diag.v1, {n} diagnostics");
+    } else {
+        let found = match (schema, doc.as_object()) {
+            (Some(s), _) => format!("schema {s:?}"),
+            (None, Some(members)) => {
+                let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_ref()).collect();
+                format!("an object with keys [{}]", keys.join(", "))
+            }
+            (None, None) => "a document that is not an object".into(),
+        };
+        return Err(format!(
+            "not a trace, profile or diagnostics export: found {found}"
+        ));
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, file, rest) = match args.as_slice() {
@@ -569,58 +614,13 @@ fn main() -> ExitCode {
     };
 
     match cmd {
-        "trace-lint" => {
-            let text = match std::fs::read_to_string(file) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("{file}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // Auto-detect the export kind: a Chrome trace carries a
-            // top-level `traceEvents` array, the profile a schema marker.
-            let doc = match sia::runtime::events::parse_json(&text) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("{file}: not valid JSON: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if doc.get("traceEvents").is_some() {
-                match sia::runtime::lint_chrome_trace(&doc) {
-                    Ok(lint) => {
-                        println!("{file}: ok — {} trace events", lint.events);
-                        for (pid, r) in &lint.ranks {
-                            let cats: Vec<&str> = r.cats.iter().map(String::as_str).collect();
-                            println!(
-                                "  rank {pid} ({}): {} spans, {} flights, {} multicasts [{}]",
-                                if r.label.is_empty() { "?" } else { &r.label },
-                                r.spans,
-                                r.flights,
-                                r.multicasts,
-                                cats.join(", ")
-                            );
-                        }
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("{file}: trace lint failed: {e}");
-                        ExitCode::FAILURE
-                    }
-                }
-            } else {
-                match sia::runtime::lint_profile_json(&text) {
-                    Ok(()) => {
-                        println!("{file}: ok — sia.profile.v1");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("{file}: profile lint failed: {e}");
-                        ExitCode::FAILURE
-                    }
-                }
+        "trace-lint" => match trace_lint(file) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("{file}: {e}");
+                ExitCode::FAILURE
             }
-        }
+        },
         "check" => cmd_check(file, &opts),
         "compile" => match load_program(file) {
             Ok(p) => {

@@ -17,6 +17,7 @@
 //! under 0.8 — the CI serving smoke gate.
 
 use sia_runtime::jain_index;
+use sia_runtime::json::Json;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -263,31 +264,34 @@ fn main() -> ExitCode {
         .filter_map(|(_, _, _, f)| f.get("warm_hits").and_then(|v| v.parse::<u64>().ok()))
         .sum();
 
-    // Hand-rolled report (the workspace is dependency-free by design).
-    let mut per_job = String::new();
-    for (i, (tenant, id, lat, f)) in done.iter().enumerate() {
-        if i > 0 {
-            per_job.push(',');
-        }
-        per_job.push_str(&format!(
-            "\n    {{\"id\": {id}, \"tenant\": \"{tenant}\", \"latency_s\": {lat:.4}, \
-             \"state\": \"{}\", \"granted\": {}, \"total\": {}, \"warm_hits\": {}}}",
-            f.get("state").map(String::as_str).unwrap_or("?"),
-            f.get("granted").map(String::as_str).unwrap_or("0"),
-            f.get("total").map(String::as_str).unwrap_or("0"),
-            f.get("warm_hits").map(String::as_str).unwrap_or("0"),
-        ));
-    }
-    let report = format!(
-        "{{\n  \"bench\": \"sia.serving.v1\",\n  \"jobs\": {},\n  \"failed\": {failed},\n  \
-         \"elapsed_s\": {elapsed:.4},\n  \"jobs_per_s\": {jobs_per_s:.4},\n  \
-         \"latency_p50_s\": {p50:.4},\n  \"latency_p99_s\": {p99:.4},\n  \
-         \"jain_fairness\": {jain:.4},\n  \"jain_daemon\": {daemon_jain:.4},\n  \
-         \"warm_hits\": {warm_hits},\n  \
-         \"per_job\": [{per_job}\n  ]\n}}\n",
-        done.len()
-    );
-    if let Err(e) = std::fs::write(&out, &report) {
+    let count = |f: &HashMap<String, String>, k: &str| {
+        Json::from(f.get(k).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0))
+    };
+    let per_job = done.iter().map(|(tenant, id, lat, f)| {
+        Json::obj([
+            ("id", (*id).into()),
+            ("tenant", tenant.as_str().into()),
+            ("latency_s", (*lat).into()),
+            ("state", f.get("state").map_or("?", String::as_str).into()),
+            ("granted", count(f, "granted")),
+            ("total", count(f, "total")),
+            ("warm_hits", count(f, "warm_hits")),
+        ])
+    });
+    let report = Json::obj([
+        ("bench", "sia.serving.v1".into()),
+        ("jobs", done.len().into()),
+        ("failed", failed.into()),
+        ("elapsed_s", elapsed.into()),
+        ("jobs_per_s", jobs_per_s.into()),
+        ("latency_p50_s", p50.into()),
+        ("latency_p99_s", p99.into()),
+        ("jain_fairness", jain.into()),
+        ("jain_daemon", daemon_jain.into()),
+        ("warm_hits", warm_hits.into()),
+        ("per_job", per_job.collect()),
+    ]);
+    if let Err(e) = std::fs::write(&out, report.to_string()) {
         eprintln!("loadgen: write {}: {e}", out.display());
         return ExitCode::FAILURE;
     }
