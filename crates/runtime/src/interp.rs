@@ -946,7 +946,7 @@ impl Worker {
                     "sip_resume_epoch takes exactly one scalar argument".into(),
                 ));
             };
-            self.scalars[id.index()] = self.config.resumed_epochs as f64;
+            self.scalars[id.index()] = self.resumed_epochs as f64;
             return Ok(());
         }
 

@@ -8,6 +8,7 @@
 
 use crate::error::RuntimeError;
 use crate::msg::{BlockKey, MAX_RANK};
+use crate::scheduler::ChunkPolicy;
 use sia_blocks::Shape;
 use sia_bytecode::{ArrayId, ArrayKind, ConstBindings, IndexId, IndexKind, Program};
 use sia_fabric::{FaultPlan, Rank};
@@ -133,24 +134,14 @@ pub struct SipConfig {
     /// (`None` skips the feasibility gate but the estimate is still produced)
     /// and the block manager enforces at runtime.
     pub memory_budget: Option<u64>,
-    /// Guided-scheduling divisor: first chunks are
-    /// `remaining / (chunk_factor * workers)`, shrinking as work drains.
-    /// Ignored when `chunk_policy` is set explicitly.
-    pub chunk_factor: usize,
-    /// Chunk-sizing policy override (`None` = guided with `chunk_factor`).
-    pub chunk_policy: Option<crate::scheduler::ChunkPolicy>,
+    /// Chunk-sizing policy: guided by default, first chunks
+    /// `remaining / (2 * workers)` and shrinking as work drains.
+    pub chunk_policy: ChunkPolicy,
     /// Distributed-block placement strategy.
     pub placement: Placement,
-    /// Feed transpose-shaped operand permutations to the GEMM as layout
-    /// flags instead of materializing permuted copies (ablation switch).
-    pub fold_transposes: bool,
     /// Fault injection and recovery; `None` (the default) runs on a perfect
     /// fabric with all recovery machinery disabled.
     pub fault: Option<FaultConfig>,
-    /// Completed served-array epochs read from `run_dir`'s manifest at
-    /// startup; surfaced to programs via `execute sip_resume_epoch s`. Set
-    /// by the runtime, not by users.
-    pub resumed_epochs: u64,
     /// Record per-rank trace events (instruction/wait/comm-flight spans,
     /// cache and recovery events) into preallocated ring buffers, merged
     /// into [`RunOutput::trace`](crate::RunOutput::trace) at shutdown.
@@ -193,12 +184,9 @@ impl Default for SipConfig {
             run_dir: None,
             served_dir: None,
             memory_budget: None,
-            chunk_factor: 2,
-            chunk_policy: None,
+            chunk_policy: ChunkPolicy::default(),
             placement: Placement::default(),
-            fold_transposes: true,
             fault: None,
-            resumed_epochs: 0,
             trace: false,
             trace_path: None,
             trace_buffer_events: crate::events::DEFAULT_TRACE_EVENTS,
@@ -328,27 +316,15 @@ impl SipConfigBuilder {
         self
     }
 
-    /// Guided-scheduling divisor.
-    pub fn chunk_factor(mut self, n: usize) -> Self {
-        self.config.chunk_factor = n;
-        self
-    }
-
-    /// Chunk-sizing policy override.
-    pub fn chunk_policy(mut self, p: crate::scheduler::ChunkPolicy) -> Self {
-        self.config.chunk_policy = Some(p);
+    /// Chunk-sizing policy (a zero factor or size is rejected).
+    pub fn chunk_policy(mut self, p: ChunkPolicy) -> Self {
+        self.config.chunk_policy = p;
         self
     }
 
     /// Distributed-block placement strategy.
     pub fn placement(mut self, p: Placement) -> Self {
         self.config.placement = p;
-        self
-    }
-
-    /// Transpose-folding ablation switch.
-    pub fn fold_transposes(mut self, yes: bool) -> Self {
-        self.config.fold_transposes = yes;
         self
     }
 
@@ -420,8 +396,14 @@ impl SipConfigBuilder {
                 c.prefetch_depth, c.cache_blocks
             )));
         }
-        if c.chunk_factor == 0 {
-            return Err(ConfigError("chunk_factor must be ≥ 1".into()));
+        if matches!(
+            c.chunk_policy,
+            ChunkPolicy::Guided { factor: 0 } | ChunkPolicy::Fixed { size: 0 }
+        ) {
+            return Err(ConfigError(format!(
+                "chunk policy {:?} hands out no work",
+                c.chunk_policy
+            )));
         }
         if c.tracing() && c.trace_buffer_events < 16 {
             return Err(ConfigError(
@@ -482,67 +464,12 @@ pub enum Placement {
     /// FNV hash of (array, segments) modulo workers — the SIP default.
     #[default]
     Hash,
-    /// Weighted segment sum modulo workers: preserves neighbour locality but
-    /// creates stride hotspots on structured access patterns.
-    RoundRobin,
     /// Planner-derived placement: each distributed array's block grid is cut
     /// into `workers` contiguous slabs in row-major block order, so blocks
     /// addressed by the same index tuple land on the same worker across
     /// arrays and chunk assignment can be aligned with block homes
-    /// (owner-compute). Resolved through [`Layout::home_of_distributed`];
-    /// a bare [`Topology`] (no block-grid knowledge) falls back to hash.
+    /// (owner-compute). Resolved through [`Layout::slot_of_distributed`].
     Planned,
-}
-
-/// Pluggable block→worker placement map, the facade behind which every
-/// `home_of_distributed` lookup resolves. The static strategies
-/// ([`Placement::Hash`], [`Placement::RoundRobin`]) are pure functions of
-/// the key; the planner-derived map ([`Placement::Planned`]) consults the
-/// per-array block grids resolved by [`Layout::new`]. All implementations
-/// must be deterministic: every rank holds the same map (shared through the
-/// run's `Arc<Layout>`) and must agree on every home without coordination.
-pub trait PlacementMap: Send + Sync + std::fmt::Debug {
-    /// Worker slot (0-based worker index) of a distributed block.
-    fn slot(&self, key: &BlockKey) -> usize;
-
-    /// Strategy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Hash placement behind the [`PlacementMap`] facade.
-#[derive(Debug)]
-struct HashSlots {
-    workers: usize,
-}
-
-impl PlacementMap for HashSlots {
-    fn slot(&self, key: &BlockKey) -> usize {
-        (key.placement_hash() % self.workers as u64) as usize
-    }
-
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-}
-
-/// Round-robin placement behind the facade.
-#[derive(Debug)]
-struct RoundRobinSlots {
-    workers: usize,
-}
-
-impl PlacementMap for RoundRobinSlots {
-    fn slot(&self, key: &BlockKey) -> usize {
-        let mut sum: u64 = key.array.0 as u64;
-        for (d, &seg) in key.segs().iter().enumerate() {
-            sum += (seg.max(0) as u64) << (2 * d);
-        }
-        (sum % self.workers as u64) as usize
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
 }
 
 /// One distributed array's resolved block grid: enough to compute the
@@ -555,45 +482,6 @@ struct BlockGrid {
     len: Vec<u64>,
     /// Product of `len` (total blocks).
     total: u64,
-}
-
-/// Planner-derived placement: contiguous row-major slabs per array.
-///
-/// `slot(key) = linear(key) * workers / total` — a balanced, static,
-/// deterministic partition that (a) keeps each array's blocks contiguous
-/// per worker, and (b) co-locates blocks of *different* arrays addressed
-/// by the same index tuple, which is what lets the master hand a pardo
-/// iteration to the worker that owns the block it writes. Keys without a
-/// resolved grid (or outside it) fall back to hash so the map stays total.
-#[derive(Debug)]
-struct PlannedSlots {
-    workers: usize,
-    grids: Vec<Option<BlockGrid>>,
-}
-
-impl PlacementMap for PlannedSlots {
-    fn slot(&self, key: &BlockKey) -> usize {
-        let grid = match self.grids.get(key.array.index()).and_then(Option::as_ref) {
-            Some(g) if g.total > 0 => g,
-            _ => return (key.placement_hash() % self.workers as u64) as usize,
-        };
-        let segs = key.segs();
-        if segs.len() != grid.len.len() {
-            return (key.placement_hash() % self.workers as u64) as usize;
-        }
-        let mut linear: u64 = 0;
-        for (d, &seg) in segs.iter().enumerate() {
-            let off = (seg as i64 - grid.lo[d]).clamp(0, grid.len[d] as i64 - 1) as u64;
-            linear = linear * grid.len[d] + off;
-        }
-        // Contiguous slabs: ⌊linear · W / total⌋, balanced to within one
-        // block and monotone in the linear order.
-        ((linear as u128 * self.workers as u128) / grid.total as u128) as usize
-    }
-
-    fn name(&self) -> &'static str {
-        "planned"
-    }
 }
 
 /// Rank topology: rank 0 is the master, then workers, then I/O servers.
@@ -650,26 +538,12 @@ impl Topology {
         r.0 - 1
     }
 
-    /// Home worker of a distributed block (simple static placement).
-    pub fn home_of_distributed(&self, key: &BlockKey) -> Rank {
-        self.worker(self.initial_slot(key))
-    }
-
-    /// Home worker of a distributed block when some workers are dead.
+    /// The dead-rank rehash chain from an already-resolved placement slot.
     ///
-    /// `dead` is indexed by worker index. Keys whose initial slot is alive
-    /// keep their home (surviving data never moves); keys homed at a dead
-    /// worker walk a deterministic rehash chain until they land on a
-    /// survivor, so every rank that agrees on the dead set agrees on the
-    /// new home.
-    pub fn home_of_distributed_excluding(&self, key: &BlockKey, dead: &[bool]) -> Rank {
-        self.rehash_from(self.initial_slot(key), key, dead)
-    }
-
-    /// The dead-rank rehash chain from an already-resolved initial slot.
-    /// [`Layout::home_of_distributed_excluding`] seeds this with the
-    /// placement map's slot so every strategy (hash, round-robin, planned)
-    /// shares one rehash discipline.
+    /// `dead` is indexed by worker index. Keys whose slot is alive keep
+    /// their home (surviving data never moves); keys homed at a dead worker
+    /// walk a deterministic rehash chain until they land on a survivor, so
+    /// every rank that agrees on the dead set agrees on the new home.
     pub(crate) fn rehash_from(&self, mut slot: usize, key: &BlockKey, dead: &[bool]) -> Rank {
         if !dead.iter().any(|&d| d) {
             return self.worker(slot);
@@ -686,23 +560,6 @@ impl Topology {
             slot = (z % self.workers as u64) as usize;
         }
         self.worker(slot)
-    }
-
-    fn initial_slot(&self, key: &BlockKey) -> usize {
-        let slot = match self.placement {
-            // A bare topology has no block-grid knowledge; planned
-            // placement resolves through `Layout::home_of_distributed`,
-            // and this fallback only serves topology-level callers.
-            Placement::Hash | Placement::Planned => key.placement_hash() % self.workers as u64,
-            Placement::RoundRobin => {
-                let mut sum: u64 = key.array.0 as u64;
-                for (d, &seg) in key.segs().iter().enumerate() {
-                    sum += (seg.max(0) as u64) << (2 * d);
-                }
-                sum % self.workers as u64
-            }
-        };
-        slot as usize
     }
 
     /// Home I/O server of a served block.
@@ -761,10 +618,9 @@ pub struct Layout {
     /// Per index: the block extent its segments denote (seg size; for a
     /// subindex, seg/nsub).
     index_extents: Vec<usize>,
-    /// The resolved block→worker placement map (the [`PlacementMap`]
-    /// facade): one implementation per [`Placement`] strategy, shared by
-    /// every rank through the run's `Arc<Layout>`.
-    placement_map: Arc<dyn PlacementMap>,
+    /// Per array: its block grid under [`Placement::Planned`], which cuts it
+    /// into contiguous slabs; empty under hash placement.
+    grids: Vec<Option<BlockGrid>>,
 }
 
 impl Layout {
@@ -803,46 +659,33 @@ impl Layout {
                 }
             }
         }
-        let placement_map: Arc<dyn PlacementMap> = match topology.placement {
-            Placement::Hash => Arc::new(HashSlots {
-                workers: topology.workers,
-            }),
-            Placement::RoundRobin => Arc::new(RoundRobinSlots {
-                workers: topology.workers,
-            }),
-            Placement::Planned => {
-                // Resolve each array's block grid so the planned map can
-                // compute row-major linear indices without the layout.
-                let grids = program
-                    .arrays
-                    .iter()
-                    .map(|decl| {
-                        let lo: Vec<i64> = decl
-                            .dims
-                            .iter()
-                            .map(|&d| index_ranges[d.index()].0)
-                            .collect();
-                        let len: Vec<u64> = decl
-                            .dims
-                            .iter()
-                            .map(|&d| {
-                                let (l, h) = index_ranges[d.index()];
-                                (h - l + 1).max(0) as u64
-                            })
-                            .collect();
-                        let total: u64 = len.iter().product();
-                        if decl.dims.is_empty() || total == 0 {
-                            None
-                        } else {
-                            Some(BlockGrid { lo, len, total })
-                        }
-                    })
-                    .collect();
-                Arc::new(PlannedSlots {
-                    workers: topology.workers,
-                    grids,
+        let grids = match topology.placement {
+            Placement::Hash => Vec::new(),
+            Placement::Planned => program
+                .arrays
+                .iter()
+                .map(|decl| {
+                    let lo: Vec<i64> = decl
+                        .dims
+                        .iter()
+                        .map(|&d| index_ranges[d.index()].0)
+                        .collect();
+                    let len: Vec<u64> = decl
+                        .dims
+                        .iter()
+                        .map(|&d| {
+                            let (l, h) = index_ranges[d.index()];
+                            (h - l + 1).max(0) as u64
+                        })
+                        .collect();
+                    let total: u64 = len.iter().product();
+                    if decl.dims.is_empty() || total == 0 {
+                        None
+                    } else {
+                        Some(BlockGrid { lo, len, total })
+                    }
                 })
-            }
+                .collect(),
         };
         Ok(Layout {
             program,
@@ -851,28 +694,41 @@ impl Layout {
             topology,
             index_ranges,
             index_extents,
-            placement_map,
+            grids,
         })
     }
 
-    /// Worker slot (0-based) of a distributed block under the run's
-    /// placement map.
-    pub fn slot_of_distributed(&self, key: &BlockKey) -> usize {
-        self.placement_map.slot(key)
-    }
-
-    /// Home worker of a distributed block — the placement facade every
+    /// Worker slot (0-based) of a distributed block — the placement every
     /// runtime caller resolves through (master, workers, dry run, planner).
-    pub fn home_of_distributed(&self, key: &BlockKey) -> Rank {
-        self.topology.worker(self.placement_map.slot(key))
+    ///
+    /// Under planned placement a block in its array's grid lands in slab
+    /// `⌊linear(key) · workers / total⌋`: balanced to within one block,
+    /// contiguous per worker, and the same slot for blocks of different
+    /// arrays addressed by the same index tuple, which is what lets the
+    /// master hand a pardo iteration to the worker owning the block it
+    /// writes. Every other key — all of them under hash placement — goes
+    /// by the hash of the key.
+    pub fn slot_of_distributed(&self, key: &BlockKey) -> usize {
+        let workers = self.topology.workers;
+        let segs = key.segs();
+        match self.grids.get(key.array.index()).and_then(Option::as_ref) {
+            Some(grid) if segs.len() == grid.len.len() => {
+                let mut linear: u64 = 0;
+                for (d, &seg) in segs.iter().enumerate() {
+                    let off = (seg as i64 - grid.lo[d]).clamp(0, grid.len[d] as i64 - 1) as u64;
+                    linear = linear * grid.len[d] + off;
+                }
+                ((linear as u128 * workers as u128) / grid.total as u128) as usize
+            }
+            _ => (key.placement_hash() % workers as u64) as usize,
+        }
     }
 
-    /// Home worker of a distributed block when some workers are dead:
-    /// the placement map's slot, then the shared deterministic rehash
-    /// chain (see [`Topology::home_of_distributed_excluding`]).
+    /// Home worker of a distributed block when some workers are dead: its
+    /// placement slot, then the deterministic rehash chain past the dead.
     pub fn home_of_distributed_excluding(&self, key: &BlockKey, dead: &[bool]) -> Rank {
         self.topology
-            .rehash_from(self.placement_map.slot(key), key, dead)
+            .rehash_from(self.slot_of_distributed(key), key, dead)
     }
 
     /// Home I/O server of a served block.
@@ -888,11 +744,6 @@ impl Layout {
         } else {
             self.home_of_distributed_excluding(key, dead)
         }
-    }
-
-    /// Name of the active placement strategy.
-    pub fn placement_name(&self) -> &'static str {
-        self.placement_map.name()
     }
 
     /// Inclusive segment range of an index.
@@ -1077,6 +928,10 @@ mod tests {
     use sia_bytecode::{ArrayDecl, IndexDecl, Value};
 
     fn layout_with(segments: SegmentConfig) -> Layout {
+        layout_on(segments, Topology::new(3, 1))
+    }
+
+    fn layout_on(segments: SegmentConfig, topology: Topology) -> Layout {
         // Indices: i (ao, 1..4), j (mo, 1..2), ii (sub of i).
         let program = Program {
             name: "t".into(),
@@ -1116,13 +971,7 @@ mod tests {
             ],
             ..Default::default()
         };
-        Layout::new(
-            Arc::new(program),
-            &ConstBindings::new(),
-            segments,
-            Topology::new(3, 1),
-        )
-        .unwrap()
+        Layout::new(Arc::new(program), &ConstBindings::new(), segments, topology).unwrap()
     }
 
     fn segs(ao: usize, mo: usize, nsub: usize) -> SegmentConfig {
@@ -1260,34 +1109,37 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_homes_stable_and_in_range() {
-        let t = Topology {
-            workers: 5,
-            io_servers: 1,
-            placement: Placement::RoundRobin,
-        };
-        for i in 0..20 {
-            let k = BlockKey::new(ArrayId(1), &[i, i + 2]);
-            let h = t.home_of_distributed(&k);
-            assert!(t.is_worker(h));
-            assert_eq!(h, t.home_of_distributed(&k));
-        }
-        // Adjacent blocks land on different (neighbouring) workers.
-        let h1 = t.home_of_distributed(&BlockKey::new(ArrayId(0), &[1, 1]));
-        let h2 = t.home_of_distributed(&BlockKey::new(ArrayId(0), &[2, 1]));
-        assert_ne!(h1, h2);
+    fn chunk_policy_handing_out_no_work_is_rejected() {
+        let build = |p| SipConfig::builder().chunk_policy(p).build();
+        assert_eq!(
+            SipConfig::default().chunk_policy,
+            ChunkPolicy::Guided { factor: 2 }
+        );
+        assert!(build(ChunkPolicy::Guided { factor: 0 }).is_err());
+        assert!(build(ChunkPolicy::Fixed { size: 0 }).is_err());
+        assert!(build(ChunkPolicy::Fixed { size: 1 }).is_ok());
     }
 
     #[test]
     fn homes_are_stable_and_in_range() {
-        let t = Topology::new(3, 2);
-        for i in 0..20 {
-            let k = BlockKey::new(ArrayId(0), &[i, i + 1]);
-            let h = t.home_of_distributed(&k);
-            assert!(t.is_worker(h));
-            assert_eq!(h, t.home_of_distributed(&k));
-            let s = t.home_of_served(&k);
-            assert!(s.0 >= 4 && s.0 <= 5);
+        for placement in [Placement::Hash, Placement::Planned] {
+            let topology = Topology {
+                placement,
+                ..Topology::new(3, 2)
+            };
+            let l = layout_on(segs(16, 8, 4), topology);
+            let alive = [false; 3];
+            // Keys inside X's 4×2 grid, outside it, and of the wrong rank.
+            for i in 0..20 {
+                for segs in [&[i, i + 1][..], &[i]] {
+                    let k = BlockKey::new(ArrayId(0), segs);
+                    let h = l.home_of_distributed_excluding(&k, &alive);
+                    assert!(l.topology.is_worker(h), "{placement:?} {k:?}");
+                    assert_eq!(h, l.home_of_distributed_excluding(&k, &alive));
+                    let s = l.home_of_served(&k);
+                    assert!(s.0 >= 4 && s.0 <= 5);
+                }
+            }
         }
     }
 }

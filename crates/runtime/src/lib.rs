@@ -293,7 +293,7 @@ impl Sip {
         // behind (surfaced to programs via `execute sip_resume_epoch s`).
         let mut worker_config = self.config.clone();
         worker_config.run_dir = Some(run_dir.clone());
-        worker_config.resumed_epochs = master::read_epoch_manifest(&run_dir);
+        let resumed_epochs = master::read_epoch_manifest(&run_dir);
 
         // ---- spawn the virtual machine -----------------------------------------
         let fault_plan = self.config.fault.as_ref().map(|f| f.plan.clone());
@@ -306,16 +306,10 @@ impl Sip {
         let worker_eps: Vec<_> = endpoints.split_off(1);
         let master_ep = endpoints.pop().expect("master endpoint");
 
-        let chunk_policy = self
-            .config
-            .chunk_policy
-            .unwrap_or(scheduler::ChunkPolicy::Guided {
-                factor: self.config.chunk_factor,
-            });
         let mut master = master::Master::new(
             Arc::clone(&layout),
             master_ep,
-            chunk_policy,
+            self.config.chunk_policy,
             run_dir.clone(),
             self.config.fault.is_some(),
         );
@@ -351,6 +345,7 @@ impl Sip {
                 scope.spawn(move || {
                     let mut w = worker::Worker::new(layout, config, ep, registry);
                     w.set_plan(plan);
+                    w.resumed_epochs = resumed_epochs;
                     if trace_on {
                         w.set_trace(mk_sink());
                     }

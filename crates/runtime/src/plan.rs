@@ -26,7 +26,7 @@
 //! strong-scaling model extrapolates to simulated rank counts far beyond
 //! one host.
 
-use crate::layout::Layout;
+use crate::layout::{Layout, Placement};
 use crate::msg::BlockKey;
 use crate::trace::{Trace, TracePhase};
 use sia_bytecode::{ArrayId, ArrayKind, IndexId, Instruction as I, PutMode};
@@ -351,7 +351,7 @@ impl<'a> CommPlanner<'a> {
     /// else is spread uniformly with a (W−1)/W remote fraction.
     fn predict(&self, regions: &BTreeMap<u32, RegionPlan>) -> (CommVolume, PlanSummary) {
         let workers = self.layout.topology.workers;
-        let planned = self.layout.placement_name() == "planned";
+        let planned = self.layout.topology.placement == Placement::Planned;
         let mut vol = CommVolume::new(workers);
         let mut sum = PlanSummary::default();
         if workers == 0 {
@@ -547,7 +547,7 @@ impl<'a> CommPlanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{Placement, SegmentConfig, Topology};
+    use crate::layout::{SegmentConfig, Topology};
     use crate::trace::{default_cost_model, generate};
     use sia_bytecode::ConstBindings;
     use std::sync::Arc;

@@ -181,9 +181,9 @@ impl IterationSpace {
 /// The SIP uses guided scheduling ("the chunk size decreases as the
 /// computation proceeds. This is similar to … guided scheduling in
 /// OpenMP"). The alternative policies exist for the ablation harness
-/// (`cargo run -p sia-bench --bin ablations`): fixed-size chunking shows
-/// the tail-imbalance guided avoids, and single-task chunking shows the
-/// master-traffic cost of maximal balance.
+/// (`cargo run -p sia-bench --bin figures -- ablations`): fixed-size
+/// chunking shows the tail-imbalance guided avoids, and single-task
+/// chunking shows the master-traffic cost of maximal balance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkPolicy {
     /// `chunk = max(remaining / (factor·workers), 1)` — the SIP default.

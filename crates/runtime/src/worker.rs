@@ -113,9 +113,8 @@ pub struct Worker {
     pub(crate) temps: HashMap<ArrayId, (BlockKey, BlockHandle)>,
     /// Pool recycling temp-block storage.
     pub(crate) pool: BlockPool,
-    /// Contraction context: scratch drawn from `pool`, GEMM tuning and
-    /// transpose-folding policy from the run config, plus hot-path counters
-    /// that land in the profile.
+    /// Contraction context: scratch drawn from `pool`, plus hot-path
+    /// counters that land in the profile.
     pub(crate) contract_ctx: ContractCtx,
     /// Named scalar values.
     pub(crate) scalars: Vec<f64>,
@@ -172,6 +171,10 @@ pub struct Worker {
     pub(crate) warnings: Vec<String>,
     /// Worker start time (backs the `sip_time` intrinsic).
     pub(crate) started: Instant,
+    /// Completed served-array epochs a previous run left in the run
+    /// directory's manifest (backs the `sip_resume_epoch` intrinsic; set by
+    /// the runtime at launch).
+    pub(crate) resumed_epochs: u64,
 
     // ---- communication plan ----
     /// The derived communication plan (an empty default unless the runtime
@@ -211,8 +214,7 @@ impl Worker {
         let cache_bytes = (config.cache_blocks as u64 * layout.largest_remote_block_bytes()).max(1);
         Worker {
             mem: BlockManager::new(cache_bytes, config.memory_budget),
-            contract_ctx: ContractCtx::with_pool(pool.clone())
-                .fold_transposes(config.fold_transposes),
+            contract_ctx: ContractCtx::with_pool(pool.clone()),
             pool,
             layout,
             config,
@@ -242,6 +244,7 @@ impl Worker {
             profile: WorkerProfile::default(),
             warnings: Vec::new(),
             started: Instant::now(),
+            resumed_epochs: 0,
             plan: Arc::new(CommPlan::default()),
             trace: TraceSink::disabled(),
             put_flights: HashMap::new(),

@@ -848,47 +848,8 @@ endsial
 "#;
     let program = sial_frontend::compile(src).unwrap();
     let mut cfg = config(3);
-    cfg.chunk_policy = Some(sia_runtime::scheduler::ChunkPolicy::Fixed { size: 2 });
+    cfg.chunk_policy = sia_runtime::scheduler::ChunkPolicy::Fixed { size: 2 };
     let out = Sip::new(cfg).run(program, &bindings(&[("n", 11)])).unwrap();
     assert!((out.scalars["count"] - 11.0).abs() < 1e-12);
     assert_eq!(out.profile.iterations, 11);
-}
-
-#[test]
-fn round_robin_placement_preserves_results() {
-    let src = r#"
-sial rr
-aoindex i = 1, n
-aoindex j = 1, n
-distributed X(i,j)
-temp t(i,j)
-scalar s
-pardo i, j
-  t(i,j) = i + 10.0 * j
-  put X(i,j) = t(i,j)
-endpardo i, j
-sip_barrier
-pardo i, j
-  get X(i,j)
-  s += X(i,j) * X(i,j)
-endpardo i, j
-sip_barrier
-execute sip_allreduce s
-endsial
-"#;
-    let program = sial_frontend::compile(src).unwrap();
-    let run = |placement| {
-        let mut cfg = config(3);
-        cfg.placement = placement;
-        Sip::new(cfg)
-            .run(program.clone(), &bindings(&[("n", 3)]))
-            .unwrap()
-            .scalars["s"]
-    };
-    let hash = run(sia_runtime::Placement::Hash);
-    let rr = run(sia_runtime::Placement::RoundRobin);
-    assert!(
-        (hash - rr).abs() < 1e-9,
-        "placement must not change results"
-    );
 }

@@ -97,14 +97,11 @@ pub fn simulate_ga(trace: &Trace, cfg: &GaConfig, dist_bytes_total: u64) -> GaOu
     let mut machine = cfg.machine;
     machine.flops_per_core *= cfg.compute_efficiency.clamp(0.01, 1.0);
     let sim_cfg = SimConfig {
-        workers: cfg.workers,
         io_servers: 1,
-        machine,
         prefetch_depth: 0,
         cache_blocks: 1,
-        chunk_factor: 2,
-        chunk_policy: None,
         per_transfer_overhead: cfg.per_transfer_overhead,
+        ..SimConfig::sip(machine, cfg.workers)
     };
     GaOutcome::Completed(simulate(trace, &sim_cfg))
 }

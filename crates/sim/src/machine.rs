@@ -60,7 +60,7 @@ impl MachineModel {
 
     /// Returns a copy with a different per-core memory (Figure 7 sweeps
     /// 1/2/4 GB per core).
-    pub fn with_mem_per_core(mut self, bytes: u64) -> Self {
+    pub const fn with_mem_per_core(mut self, bytes: u64) -> Self {
         self.mem_per_core = bytes;
         self
     }

@@ -34,11 +34,9 @@ pub struct SimConfig {
     pub prefetch_depth: u32,
     /// Worker block-cache capacity in blocks.
     pub cache_blocks: u64,
-    /// Guided-scheduling divisor (as in the real SIP).
-    pub chunk_factor: u64,
-    /// Chunk-sizing policy override (`None` = guided with `chunk_factor`);
-    /// used by the scheduling ablation.
-    pub chunk_policy: Option<ChunkPolicy>,
+    /// Chunk-sizing policy: guided ÷2 as in the real SIP; the scheduling
+    /// ablation swaps it.
+    pub chunk_policy: ChunkPolicy,
     /// Extra software overhead per transfer (seconds); the GA baseline uses
     /// a higher value for its one-sided handshakes.
     pub per_transfer_overhead: f64,
@@ -53,8 +51,7 @@ impl SimConfig {
             machine,
             prefetch_depth: 2,
             cache_blocks: 256,
-            chunk_factor: 2,
-            chunk_policy: None,
+            chunk_policy: ChunkPolicy::default(),
             per_transfer_overhead: 1.0e-6,
         }
     }
@@ -262,10 +259,7 @@ fn simulate_pardo(
     let w = clocks.len();
     let m = &cfg.machine;
     let cost = iter_cost(per_iter, cfg);
-    let policy = cfg.chunk_policy.unwrap_or(ChunkPolicy::Guided {
-        factor: cfg.chunk_factor as usize,
-    });
-    let mut sched = GuidedScheduler::with_policy(iterations, w, policy);
+    let mut sched = GuidedScheduler::with_policy(iterations, w, cfg.chunk_policy);
     let mut phase_wait = 0.0;
     let mut phase_bytes = 0u64;
 
