@@ -1,8 +1,9 @@
 //! Fault-tolerance state and the checkpoint file record.
 //!
 //! All of this is live only when [`SipConfig::fault`](crate::SipConfig) is
-//! set; a fault-free run never allocates an [`FtState`] and counts its
-//! unacknowledged stores in two integers instead. The fork is kept because
+//! set; a fault-free run never allocates an [`FtState`]. Armed or not, a
+//! worker counts its unacknowledged stores in the same two integers
+//! (`Worker::outstanding`). The fork is kept because
 //! it is measured: arming an `FtState` with nothing injected costs
 //! `putget_fine` a fifth of its wall time (0.34 → 0.40 s, 9 of 10 pairs;
 //! ROADMAP deletion-pass item 1). No wait walks what is pending any more
@@ -169,8 +170,6 @@ pub(crate) struct FtState {
     pub crash: Option<CrashSchedule>,
     /// Unacknowledged tracked operations, keyed by op id.
     pub pending: HashMap<u64, PendingOp>,
-    /// How many of them are `[puts, prepares]`: what an ack drain waits on.
-    pub pending_stores: [u64; 2],
     /// Remote distributed puts of the current barrier epoch (cleared at
     /// `sip_barrier` release). Only kept when a crash is scheduled.
     pub journal: Vec<JournalEntry>,
@@ -188,7 +187,8 @@ pub(crate) struct FtState {
     /// Dead workers by worker index (agreed via `RankDead` broadcasts).
     pub dead: Vec<bool>,
     /// Chunk-ack accounting: chunks execute FIFO, so the head entry is the
-    /// chunk the next completed iteration belongs to.
+    /// chunk the next completed iteration belongs to. Only kept when a
+    /// crash is scheduled — the master keeps no chunk ledger otherwise.
     pub chunk_acks: VecDeque<(u64, usize)>,
     /// Re-queued chunks received while parked at a barrier.
     pub takeovers: VecDeque<TakeoverChunk>,
@@ -202,7 +202,6 @@ impl FtState {
         FtState {
             crash,
             pending: HashMap::new(),
-            pending_stores: [0; 2],
             journal: Vec::new(),
             applied: AppliedOps::default(),
             fetches: KeyMap::default(),
@@ -257,10 +256,9 @@ impl FtState {
     /// A store was acknowledged; false for a duplicated or late ack, which
     /// finds nothing pending.
     pub(crate) fn store_acked(&mut self, op: OpId) -> bool {
-        let Some(acked) = self.pending.remove(&op.0) else {
+        if self.pending.remove(&op.0).is_none() {
             return false;
-        };
-        self.pending_stores[acked.served as usize] -= 1;
+        }
         self.untracked_one();
         true
     }
@@ -269,7 +267,6 @@ impl FtState {
     pub(crate) fn forget_all(&mut self) {
         self.pending.clear();
         self.fetches.clear();
-        self.pending_stores = [0; 2];
         self.due = None;
     }
 
@@ -294,9 +291,7 @@ impl FtState {
             retry: Retry::new(),
         };
         self.tracked_one(&flight.retry);
-        let new = self.pending.insert(op.0, flight).is_none();
-        self.pending_stores[served as usize] += new as u64;
-        new
+        self.pending.insert(op.0, flight).is_none()
     }
 }
 
@@ -553,9 +548,10 @@ mod tests {
         assert!(!applied.note(2, 3), "epoch 2 may still be replayed");
     }
 
-    /// What a blocked worker asks per wait is kept, not recomputed: the
-    /// pending stores per kind, and a deadline that is never later than the
-    /// earliest resend and is gone when nothing is tracked.
+    /// What a blocked worker asks per wait is kept, not recomputed: whether
+    /// a store is new (the worker counts it then) or acked for the first
+    /// time, and a deadline that is never later than the earliest resend and
+    /// is gone when nothing is tracked.
     #[test]
     fn pending_counts_and_deadline_follow_arms_and_acks() {
         let earliest = |ft: &FtState| {
@@ -575,7 +571,7 @@ mod tests {
             "re-armed, not new"
         );
         ft.track_fetch(key(3), ReqId(7));
-        assert_eq!(ft.pending_stores, [1, 1]);
+        assert_eq!(ft.pending.len(), 2);
         assert!(ft.next_deadline() <= earliest(&ft));
         // A resend backs one deadline off; the bound may stay early, and
         // settling makes it the new earliest exactly.
@@ -585,11 +581,11 @@ mod tests {
         assert_eq!(ft.next_deadline(), earliest(&ft));
         assert!(ft.store_acked(OpId(1)));
         assert!(!ft.store_acked(OpId(1)), "a duplicated ack finds nothing");
-        assert_eq!(ft.pending_stores, [0, 1]);
+        assert_eq!(ft.pending.len(), 1);
         assert!(ft.store_acked(OpId(2)));
         assert!(ft.next_deadline().is_some(), "the fetch is still tracked");
         ft.fetch_answered(&key(3));
-        assert_eq!((ft.pending_stores, ft.next_deadline()), ([0, 0], None));
+        assert_eq!((ft.pending.len(), ft.next_deadline()), (0, None));
     }
 
     #[test]

@@ -90,10 +90,6 @@ pub struct IoServer {
     epoch: u64,
     /// Event recorder (disabled unless the runtime installs a live sink).
     trace: TraceSink,
-    /// Cross-job warm block cache (serving mode): consulted before disk on
-    /// a local-cache miss, fed on every flush. Keyed by store file and
-    /// slot, so only jobs sharing this server's directory share entries.
-    warm: Option<Arc<crate::serve::WarmCache>>,
 }
 
 impl IoServer {
@@ -126,18 +122,12 @@ impl IoServer {
             applied_ops: AppliedOps::default(),
             epoch: 0,
             trace: TraceSink::disabled(),
-            warm: None,
         })
     }
 
     /// Installs the event sink (called by the runtime before `run`).
     pub(crate) fn set_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
-    }
-
-    /// Installs the cross-job warm block cache (serving mode).
-    pub(crate) fn set_warm(&mut self, warm: Arc<crate::serve::WarmCache>) {
-        self.warm = Some(warm);
     }
 
     fn tick(&mut self) -> u64 {
@@ -188,9 +178,6 @@ impl IoServer {
         self.dirty.remove(&stamp);
         self.clean.insert(stamp, key);
         self.stats.disk_writes += 1;
-        if let Some(w) = &self.warm {
-            w.insert(&store.path, slot, entry.block.clone());
-        }
         self.trace.instant(EventKind::Flush { blocks: 1 });
         Ok(true)
     }
@@ -214,9 +201,9 @@ impl IoServer {
         Ok(())
     }
 
-    /// The block `key` holds — from the cache, the warm cache or the store,
-    /// in that order — or `None` when it has no payload anywhere: the
-    /// typed-absent state of a sparse served block.
+    /// The block `key` holds — from the cache, else from the store — or
+    /// `None` when it has no payload anywhere: the typed-absent state of a
+    /// sparse served block.
     fn resident(&mut self, key: BlockKey) -> Result<Option<BlockHandle>, RuntimeError> {
         if let Some(e) = self.cache.get(&key) {
             self.stats.cache_hits += 1;
@@ -227,26 +214,11 @@ impl IoServer {
             return Ok(Some(block));
         }
         let (store, slot) = locate(&mut self.stores, &self.layout, &key)?;
-        // Serving mode: another job's server (or a previous job) may have
-        // this block warm in memory — cheaper than the disk round trip.
-        let warm_hit = self.warm.as_ref().and_then(|w| w.get(&store.path, slot));
-        let block: BlockHandle = match warm_hit {
-            Some(b) => {
-                self.stats.warm_hits += 1;
-                b
-            }
-            None => {
-                let Some(b) = store.load(slot)? else {
-                    return Ok(None);
-                };
-                self.stats.disk_reads += 1;
-                let b: BlockHandle = b.into();
-                if let Some(w) = &self.warm {
-                    w.insert(&store.path, slot, b.clone());
-                }
-                b
-            }
+        let Some(block) = store.load(slot)? else {
+            return Ok(None);
         };
+        self.stats.disk_reads += 1;
+        let block = BlockHandle::from(block);
         self.make_room()?;
         self.insert(key, block.clone(), false);
         Ok(Some(block))
@@ -304,9 +276,6 @@ impl IoServer {
                 self.remove(&key);
                 let (store, slot) = locate(&mut self.stores, &self.layout, &key)?;
                 store.clear(slot)?;
-                if let Some(w) = &self.warm {
-                    w.invalidate(&store.path, slot);
-                }
                 self.norms.insert(key, norm);
             }
             PutMode::Accumulate => {
@@ -329,12 +298,6 @@ impl IoServer {
         self.stats.prepares += 1;
         // A real payload supersedes any recorded absence.
         self.norms.remove(&key);
-        // Any warm copy of this block is now stale (the fresh payload is
-        // dirty in the local cache until the next flush republishes it).
-        if let Some(w) = &self.warm {
-            let (store, slot) = locate(&mut self.stores, &self.layout, &key)?;
-            w.invalidate(&store.path, slot);
-        }
         match mode {
             PutMode::Replace => {
                 self.make_room()?;
@@ -379,13 +342,10 @@ impl IoServer {
         self.clean.retain(|_, k| k.array != array);
         self.dirty.retain(|_, k| k.array != array);
         self.norms.retain(|k, _| k.array != array);
-        let Some(store) = self.stores.get_mut(&array) else {
-            return Ok(());
-        };
-        if let Some(w) = &self.warm {
-            w.invalidate_store(&store.path);
+        match self.stores.get_mut(&array) {
+            Some(store) => store.delete(),
+            None => Ok(()),
         }
-        store.delete()
     }
 
     /// Flushes all dirty blocks (shutdown).
@@ -641,12 +601,32 @@ mod tests {
         assert_eq!(store_file(&s).1.len(), HEADER + 6 * (8 + 16 * 8 + 8));
     }
 
+    /// Deleting an array nobody has stored leaves the directory empty — no
+    /// header-only store file — while a store another server created is
+    /// emptied even by a server that never opened it.
+    #[test]
+    fn delete_of_a_never_touched_array_creates_no_file() {
+        let dir = tmpdir("untouched");
+        test_server(&dir, 8).delete_array(ArrayId(0)).unwrap();
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "nothing created");
+        let key = BlockKey::new(ArrayId(0), &[2, 3]);
+        let mut writer = test_server(&dir, 8);
+        writer.prepare(key, blk(5.0), PutMode::Replace).unwrap();
+        writer.flush_all().unwrap();
+        test_server(&dir, 8).delete_array(ArrayId(0)).unwrap();
+        assert_eq!(
+            store_file(&writer).1.len(),
+            HEADER,
+            "cut back to the header"
+        );
+    }
+
     /// A store header over `test_layout`: magic, rank, 2 × (extent, low, high).
     const HEADER: usize = 8 + 8 + 2 * 3 * 8;
 
     /// The store `s` keeps array 0 in, and the bytes of its file.
     fn store_file(s: &IoServer) -> (PathBuf, Vec<u8>) {
-        let path = s.stores[&ArrayId(0)].path.to_path_buf();
+        let path = s.stores[&ArrayId(0)].path.clone();
         let raw = fs::read(&path).unwrap();
         (path, raw)
     }

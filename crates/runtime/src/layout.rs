@@ -122,13 +122,13 @@ pub struct SipConfig {
     /// Collect all distributed arrays to the master at the end of the run
     /// (for tests and small examples).
     pub collect_distributed: bool,
-    /// Directory for served-array block files and checkpoints; a fresh
+    /// Directory for served-array store files and checkpoints; a fresh
     /// temporary directory is created when `None`.
     pub run_dir: Option<PathBuf>,
-    /// Override for the served-array block-file directory. `None` (the
-    /// default) keeps served blocks under `run_dir/served`; the serving
-    /// daemon points every job at one shared directory so jobs referencing
-    /// the same served arrays hit the same files (and the warm cache).
+    /// Override for the served-array store directory. `None` (the default)
+    /// keeps served arrays under `run_dir/served`; the serving daemon
+    /// points every job at one shared directory so jobs referencing the
+    /// same served arrays read and write the same store files.
     pub served_dir: Option<PathBuf>,
     /// Per-worker memory budget in **bytes** that the dry run checks against
     /// (`None` skips the feasibility gate but the estimate is still produced)

@@ -101,7 +101,7 @@ pub use profile::{lint_profile_json, ProfileLine, ProfileReport, WorkerProfile};
 pub use registry::{SuperArg, SuperEnv, SuperRegistry};
 pub use serve::{
     jain_index, AdmitError, Daemon, DaemonConfig, JobId, JobProgress, JobSpec, JobState, JobStatus,
-    ServeHandles, WarmCache,
+    ServeHandles,
 };
 pub use sia_fabric::{FaultPlan, FaultSnapshot};
 pub use verify::{check_program, Diagnostic, Rule};
@@ -174,7 +174,7 @@ pub struct RunOutput {
 pub struct Sip {
     config: SipConfig,
     registry: SuperRegistry,
-    /// Serving hooks (progress counters + warm cache) when this run is a
+    /// Serving hooks (job id + progress counters) when this run is a
     /// daemon job; `None` for one-shot runs.
     serving: Option<serve::ServeHandles>,
 }
@@ -191,8 +191,7 @@ impl Sip {
 
     /// Installs the multi-tenant serving hooks (called by
     /// [`serve::Daemon`] before running a job): the job's master counts
-    /// its progress where the daemon can read it, and the job's I/O
-    /// servers share the cross-job warm block cache. The run itself is
+    /// its progress where the daemon can read it. The run itself is
     /// scheduled exactly as a one-shot run.
     pub fn set_serving(&mut self, handles: serve::ServeHandles) {
         self.serving = Some(handles);
@@ -311,7 +310,7 @@ impl Sip {
             master_ep,
             self.config.chunk_policy,
             run_dir.clone(),
-            self.config.fault.is_some(),
+            self.config.fault.as_ref(),
         );
         master.set_plan(Arc::clone(&comm_plan));
         if let Some(h) = &self.serving {
@@ -353,8 +352,8 @@ impl Sip {
                 });
             }
             // I/O servers. Serving daemons point every job at one shared
-            // served directory (and warm cache); one-shot runs keep the
-            // private default under the run directory.
+            // served directory; one-shot runs keep the private default
+            // under the run directory.
             let served_dir = self
                 .config
                 .served_dir
@@ -364,15 +363,11 @@ impl Sip {
                 let layout = Arc::clone(&layout);
                 let dir = served_dir.clone();
                 let cap = self.config.server_cache_blocks;
-                let warm = self.serving.as_ref().map(|h| Arc::clone(&h.warm));
                 scope.spawn(move || {
                     match ioserver::IoServer::new(layout, ep, dir, cap) {
                         Ok(mut server) => {
                             if trace_on {
                                 server.set_trace(mk_sink());
-                            }
-                            if let Some(w) = warm {
-                                server.set_warm(w);
                             }
                             let _ = server.run();
                         }

@@ -17,7 +17,7 @@
 use crate::error::{CommKind, RuntimeError};
 use crate::events::{EventKind, RecoveryEvent, TraceEvent, TraceSink};
 use crate::ft::{self, Exhausted, Retry};
-use crate::layout::{Layout, Placement};
+use crate::layout::{FaultConfig, Layout, Placement};
 use crate::metrics::{Merge, RecoveryStats, ServerStats};
 use crate::msg::{BarrierKind, BlockKey, KeyMap, OpId, Payload, SipMsg};
 use crate::plan::CommPlan;
@@ -47,12 +47,12 @@ struct PardoSched {
     drained_notices: usize,
     /// Next chunk id within this (pardo, epoch).
     next_chunk: u64,
-    /// Unacknowledged chunks by id (tracked only under fault tolerance):
-    /// assignee's worker index plus the iterations, retained so the chunk
-    /// can be re-queued verbatim if the assignee dies.
+    /// Unacknowledged chunks by id (tracked only when a crash is
+    /// scheduled): assignee's worker index plus the iterations, retained so
+    /// the chunk can be re-queued verbatim if the assignee dies.
     outstanding: HashMap<u64, (usize, Vec<Vec<i64>>)>,
-    /// Acknowledged chunks (fault tolerance only), retained until the
-    /// sip-barrier epoch checkpoint. A worker's *local* puts are never
+    /// Acknowledged chunks (likewise), retained until the sip-barrier
+    /// epoch checkpoint. A worker's *local* puts are never
     /// journaled anywhere else — under owner-compute affinity that is most
     /// of its output — so when the assignee dies mid-epoch its acked chunks
     /// are re-queued too and recomputed (Replace puts are value-idempotent;
@@ -120,6 +120,10 @@ pub struct Master {
     run_dir: PathBuf,
     /// Whether the run is armed for faults (`SipConfig::fault` is set).
     fault: bool,
+    /// Whether a crash is scheduled: only a death reads the chunk ledger
+    /// (`PardoSched::{outstanding, acked}`), so only then is each pardo
+    /// encounter's scheduler kept until the next `sip_barrier`.
+    chunk_ledger: bool,
     schedulers: HashMap<(u32, u64), PardoSched>,
     barrier_waiting: HashMap<u8, Vec<Rank>>,
     reduce_waiting: Vec<Rank>,
@@ -160,14 +164,15 @@ pub struct Master {
 }
 
 impl Master {
-    /// Creates the master controller. `fault` enables rank-death recovery,
-    /// chunk-ack tracking, and served-epoch manifests.
+    /// Creates the master controller. `fault` enables rank-death recovery
+    /// and served-epoch manifests, and — when it schedules a crash —
+    /// chunk-ack tracking.
     pub fn new(
         layout: Arc<Layout>,
         endpoint: Endpoint<SipMsg>,
         chunk_policy: ChunkPolicy,
         run_dir: PathBuf,
-        fault: bool,
+        fault: Option<&FaultConfig>,
     ) -> Self {
         let w = layout.topology.workers;
         Master {
@@ -175,7 +180,8 @@ impl Master {
             endpoint,
             chunk_policy,
             run_dir,
-            fault,
+            fault: fault.is_some(),
+            chunk_ledger: fault.is_some_and(|f| f.crash.is_some()),
             schedulers: HashMap::new(),
             barrier_waiting: HashMap::new(),
             reduce_waiting: Vec::new(),
@@ -316,7 +322,7 @@ impl Master {
         pardo_pc: u32,
         epoch: u64,
     ) -> Result<(), RuntimeError> {
-        let ft_on = self.fault;
+        let ledger = self.chunk_ledger;
         let alive = self.alive_count();
         let widx = self.layout.topology.worker_index(src);
         let sched = self.scheduler_for(pardo_pc, epoch)?;
@@ -353,7 +359,7 @@ impl Master {
                 };
                 let chunk = sched.next_chunk;
                 sched.next_chunk += 1;
-                if ft_on {
+                if ledger {
                     sched.outstanding.insert(chunk, (widx, iters.clone()));
                 }
                 if let Some(p) = &self.progress {
@@ -371,10 +377,10 @@ impl Master {
             }
             None => {
                 sched.drained_notices += 1;
-                // Under fault tolerance the scheduler is retained until the
-                // sip-barrier release: its outstanding map is what lets the
+                // With a crash scheduled the scheduler is retained until
+                // the sip-barrier release: its ledger is what lets the
                 // master re-queue a dead assignee's chunks.
-                if !ft_on && sched.drained_notices >= alive {
+                if !ledger && sched.drained_notices >= alive {
                     // Every worker has moved past this encounter.
                     self.schedulers.remove(&(pardo_pc, epoch));
                 }
@@ -1107,33 +1113,40 @@ mod tests {
         let _ = fs::remove_file(path);
     }
 
-    #[test]
-    fn empty_restore_flight_completes_instead_of_panicking() {
-        // Regression: a PutFlight whose pending map is empty (every ack
-        // drained between ticks, or the restore had no blocks) used to hit
-        // `expect("nonempty flight")` in the timeout arm and crash the
-        // master mid-recovery. It must complete the flight's continuation.
+    /// A master over `source` with two workers and one I/O server, and the
+    /// endpoints of those three ranks.
+    fn master_of(source: &str, fault: &FaultConfig) -> (Master, Vec<Endpoint<SipMsg>>) {
         use crate::layout::{SegmentConfig, Topology};
-        let program = sial_frontend::compile("sial tiny\nscalar s\ns = 1.0\nendsial\n").unwrap();
         let layout = Layout::new(
-            Arc::new(program),
+            Arc::new(sial_frontend::compile(source).unwrap()),
             &sia_bytecode::ConstBindings::new(),
             SegmentConfig::default(),
             Topology::new(2, 1),
         )
         .unwrap();
         let (mut eps, _stats) = sia_fabric::build::<SipMsg>(4);
-        let io = eps.pop().unwrap();
-        let w1 = eps.pop().unwrap();
-        let w0 = eps.pop().unwrap();
-        let master_ep = eps.pop().unwrap();
-        let mut m = Master::new(
+        let master_ep = eps.remove(0);
+        let m = Master::new(
             Arc::new(layout),
             master_ep,
             ChunkPolicy::default(),
             std::env::temp_dir(),
-            true,
+            Some(fault),
         );
+        (m, eps)
+    }
+
+    #[test]
+    fn empty_restore_flight_completes_instead_of_panicking() {
+        // Regression: a PutFlight whose pending map is empty (every ack
+        // drained between ticks, or the restore had no blocks) used to hit
+        // `expect("nonempty flight")` in the timeout arm and crash the
+        // master mid-recovery. It must complete the flight's continuation.
+        let source = "sial tiny\nscalar s\ns = 1.0\nendsial\n";
+        let (mut m, eps) = master_of(source, &FaultConfig::new(sia_fabric::FaultPlan::seeded(7)));
+        let [w0, w1, _io] = &eps[..] else {
+            unreachable!("two workers and a server")
+        };
         // Stage an empty flight that has already blown its retry budget —
         // the configuration under which the old code panicked.
         m.flight = Some(PutFlight {
@@ -1150,7 +1163,7 @@ mod tests {
         m.tick().expect("tick must not fail on an empty flight");
         assert!(m.flight.is_none(), "flight must be completed");
         // The continuation ran: both workers got the checkpoint release.
-        for w in [&w0, &w1] {
+        for w in [w0, w1] {
             let env = w
                 .recv_timeout(Duration::from_secs(2))
                 .expect("worker must receive the flight continuation");
@@ -1160,7 +1173,50 @@ mod tests {
                 env.msg
             );
         }
-        drop(io);
+    }
+
+    /// Only a death reads the chunk ledger, and only a scheduled crash kills
+    /// a rank: under a crash-free fault plan a pardo encounter's scheduler
+    /// goes once every worker was told it is drained, however many
+    /// encounters pass without a `sip_barrier`; a scheduled crash keeps each
+    /// one, with its chunks, until the barrier.
+    #[test]
+    fn chunk_ledger_is_kept_only_when_a_crash_is_scheduled() {
+        const ENCOUNTERS: u64 = 5;
+        let source = "sial ledger\naoindex i = 1, 4\ntemp t(i)\npardo i\n  t(i) = 1.0\n\
+                      endpardo i\nserver_barrier\nendsial\n";
+        let inert = FaultConfig::new(sia_fabric::FaultPlan::seeded(7));
+        let crash = FaultConfig {
+            crash: Some(crate::layout::CrashSchedule {
+                worker: 1,
+                after_iterations: u64::MAX,
+            }),
+            ..inert.clone()
+        };
+        for (fault, retained) in [(inert, 0), (crash, ENCOUNTERS as usize)] {
+            let (mut m, eps) = master_of(source, &fault);
+            let code = &m.layout.program.code;
+            let pardo_pc = code
+                .iter()
+                .position(|i| matches!(i, Instruction::PardoStart { .. }))
+                .unwrap() as u32;
+            for epoch in 0..ENCOUNTERS {
+                // Each worker asks until it is told the encounter is drained.
+                for (w, ep) in eps[..2].iter().enumerate() {
+                    let rank = m.layout.topology.worker(w);
+                    loop {
+                        m.handle_chunk_request(rank, pardo_pc, epoch).unwrap();
+                        let env = ep.recv_timeout(Duration::from_secs(2)).unwrap();
+                        if matches!(env.msg, SipMsg::NoMoreChunks { .. }) {
+                            break;
+                        }
+                    }
+                }
+            }
+            assert_eq!(m.schedulers.len(), retained, "{fault:?}");
+            let ledger: usize = m.schedulers.values().map(|s| s.outstanding.len()).sum();
+            assert_eq!(ledger > 0, retained > 0, "{fault:?}");
+        }
     }
 
     #[test]

@@ -272,9 +272,6 @@ pub struct ServerStats {
     pub prepares: u64,
     /// Duplicate PREPAREs suppressed by op-id dedup.
     pub dup_prepares_suppressed: u64,
-    /// REQUESTs served from the cross-job warm cache instead of disk
-    /// (serving mode only; always 0 in one-shot runs).
-    pub warm_hits: u64,
 }
 
 impl Merge for ServerStats {
@@ -285,7 +282,6 @@ impl Merge for ServerStats {
         self.zero_serves += other.zero_serves;
         self.prepares += other.prepares;
         self.dup_prepares_suppressed += other.dup_prepares_suppressed;
-        self.warm_hits += other.warm_hits;
     }
 }
 
@@ -628,7 +624,6 @@ impl Metrics {
                         "duplicate prepares suppressed",
                         s.dup_prepares_suppressed,
                     ),
-                    field("warm_hits", "warm-cache hits", s.warm_hits),
                 ],
             },
             Section {

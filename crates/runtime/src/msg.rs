@@ -10,9 +10,7 @@
 //! words with one multiply each where the standard library's SipHash-1-3
 //! spends ~20 ns on the 40 bytes. Block keys come out of the job's own
 //! program, and a job's keys only ever populate that job's maps, so there is
-//! no other party to defend the buckets against. That is also why the
-//! daemon-wide `WarmCache` — keyed by store path and shared across tenants —
-//! keeps SipHash.
+//! no other party to defend the buckets against.
 //!
 //! The map hash is *not* [`BlockKey::placement_hash`] passed through: every
 //! key homed on one rank shares `placement_hash % workers`, and the low bits

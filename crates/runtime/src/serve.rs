@@ -17,10 +17,10 @@
 //! * **Run slots** — at most `max_concurrent` jobs run at once; the jobs
 //!   queued behind them take a freed slot highest [`JobSpec::priority`]
 //!   first, in submission order within a priority.
-//! * **A warm block cache** — served-array blocks read or flushed by any
-//!   job's I/O server are published to a shared [`WarmCache`] keyed by
-//!   store file and slot; a second job referencing the same served array
-//!   hits memory instead of disk (`server.warm_hits` in its profile).
+//! * **The served store** — every job's I/O servers keep served arrays in
+//!   one shared directory, so a job reads another's blocks from the store
+//!   file exactly as a one-shot run reads its own (`crate::store`: the
+//!   slot seal is what keeps a read racing another job's write whole).
 //!
 //! Everything here is a plain library — `siald` (the Unix-socket front end)
 //! and the serving tests both drive [`Daemon`] directly.
@@ -30,12 +30,11 @@ use crate::error::RuntimeError;
 use crate::layout::{Layout, SipConfig, Topology};
 use crate::registry::SuperRegistry;
 use crate::Sip;
-use sia_blocks::BlockHandle;
 use sia_bytecode::{ConstBindings, Program};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -78,119 +77,13 @@ pub fn jain_index(rates: &[f64]) -> f64 {
     (sum * sum) / (xs.len() as f64 * sq)
 }
 
-// ---- warm block cache ----------------------------------------------------------
-
-/// A shared cache of served-array block payloads, warm across jobs: any
-/// job's I/O server publishes blocks it reads from or flushes to disk, and
-/// any job's server consults it before going to disk. A block is keyed by
-/// its array's store file and its slot in that file, so only jobs whose
-/// layouts resolve a block to the same slot of the same file (same served
-/// directory, same geometry — the store's header is checked on open) ever
-/// share an entry — sharing is opt-in by pointing jobs at one served dir,
-/// exactly what [`Daemon`] does.
-#[derive(Debug)]
-pub struct WarmCache {
-    inner: Mutex<WarmInner>,
-    capacity: usize,
-}
-
-/// A block's identity across jobs: its array's store file and its slot.
-type WarmKey = (Arc<Path>, u64);
-
-#[derive(Debug, Default)]
-struct WarmInner {
-    map: HashMap<WarmKey, (BlockHandle, u64)>,
-    /// Eviction order, least recently used first: LRU stamp → key. Every
-    /// cached key is here under its entry's stamp (stamps are unique — the
-    /// clock ticks per touch), so an over-capacity insert pops the victim
-    /// instead of walking the map under the daemon-wide lock.
-    order: BTreeMap<u64, WarmKey>,
-    clock: u64,
-}
-
-impl WarmInner {
-    fn remove(&mut self, key: &WarmKey) -> Option<BlockHandle> {
-        let (block, stamp) = self.map.remove(key)?;
-        self.order.remove(&stamp);
-        Some(block)
-    }
-
-    /// Caches `block` under `key` as the most recently used entry.
-    fn touch(&mut self, key: WarmKey, block: BlockHandle) {
-        self.remove(&key);
-        self.clock += 1;
-        self.order.insert(self.clock, key.clone());
-        self.map.insert(key, (block, self.clock));
-    }
-}
-
-impl WarmCache {
-    /// Creates a cache holding at most `capacity` blocks (≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        WarmCache {
-            inner: Mutex::new(WarmInner::default()),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, WarmInner> {
-        self.inner.lock().expect("warm cache lock poisoned")
-    }
-
-    /// Looks a block up, refreshing its LRU stamp.
-    pub fn get(&self, store: &Arc<Path>, slot: u64) -> Option<BlockHandle> {
-        let key = (Arc::clone(store), slot);
-        let mut g = self.lock();
-        let block = g.remove(&key)?;
-        g.touch(key, block.clone());
-        Some(block)
-    }
-
-    /// Publishes (or refreshes) a block, evicting the LRU entry over
-    /// capacity. Handles are shared, not copied.
-    pub fn insert(&self, store: &Arc<Path>, slot: u64, block: BlockHandle) {
-        let mut g = self.lock();
-        g.touch((Arc::clone(store), slot), block);
-        while g.map.len() > self.capacity {
-            let Some((_, victim)) = g.order.pop_first() else {
-                break;
-            };
-            g.map.remove(&victim);
-        }
-    }
-
-    /// Drops one entry (a write made the published payload stale).
-    pub fn invalidate(&self, store: &Arc<Path>, slot: u64) {
-        self.lock().remove(&(Arc::clone(store), slot));
-    }
-
-    /// Drops every entry of one store file (array deletion).
-    pub fn invalidate_store(&self, store: &Path) {
-        let mut g = self.lock();
-        g.map.retain(|(file, _), _| **file != *store);
-        g.order.retain(|_, (file, _)| **file != *store);
-    }
-
-    /// Resident entries.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// The serving hooks a [`Sip`] carries when it runs as a daemon job: the
-/// job id (also the fabric world tag), the shared warm cache, and the
-/// progress counters the job's master keeps for the daemon to read.
+/// job id (also the fabric world tag) and the progress counters the job's
+/// master keeps for the daemon to read.
 #[derive(Clone)]
 pub struct ServeHandles {
     /// This job's id.
     pub job: JobId,
-    /// The daemon-wide warm block cache.
-    pub warm: Arc<WarmCache>,
     /// This job's live progress.
     pub progress: Arc<JobProgress>,
 }
@@ -263,8 +156,6 @@ pub struct JobStatus {
     /// Pardo iterations enumerated so far (grows as pardos are met; equals
     /// `granted` once the job is done).
     pub total: u64,
-    /// Warm-cache hits this job's I/O servers took.
-    pub warm_hits: u64,
     /// Final scalars (empty until done).
     pub scalars: Vec<(String, f64)>,
     /// Per-tenant trace export, when the job asked for one.
@@ -318,9 +209,9 @@ impl std::error::Error for AdmitError {}
 /// threads of their own and glibc hands every thread an arena of its own;
 /// an arena keeps what its thread freed, so without this a daemon's resident
 /// set settles at (arenas × one job's footprint) and, until it has, follows
-/// which ranks happened to land in which arena — 19–27 MiB from run to run
-/// of one job mix, against 14–16 MiB with it (≈ 0.15 ms per job). A no-op
-/// where the allocator is not glibc's.
+/// which ranks happened to land in which arena — the benchmark's `serve_mix`
+/// peaks at 12.2–12.6 MiB without it, 9.1–9.3 MiB with it (≈ 0.15 ms per
+/// job). A no-op where the allocator is not glibc's.
 fn release_freed_heap() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
@@ -346,8 +237,6 @@ pub struct DaemonConfig {
     /// Root data directory: `jobs/<id>/` per-job run dirs, `served/` the
     /// shared served-array store, `tenants/<name>/` per-tenant exports.
     pub data_dir: PathBuf,
-    /// Warm-cache capacity in blocks.
-    pub warm_blocks: usize,
 }
 
 impl Default for DaemonConfig {
@@ -356,7 +245,6 @@ impl Default for DaemonConfig {
             budget_bytes: 4 << 30,
             max_concurrent: 4,
             data_dir: std::env::temp_dir().join(format!("siald-{}", std::process::id())),
-            warm_blocks: 4096,
         }
     }
 }
@@ -368,7 +256,6 @@ struct JobRecord {
     started: Option<Instant>,
     finished: Option<Instant>,
     progress: Arc<JobProgress>,
-    warm_hits: u64,
     scalars: Vec<(String, f64)>,
     trace_path: Option<PathBuf>,
     profile_json: Option<PathBuf>,
@@ -390,7 +277,6 @@ impl JobRecord {
             run_ms: self.run_time().as_millis() as u64,
             granted,
             total,
-            warm_hits: self.warm_hits,
             scalars: self.scalars.clone(),
             trace_path: self.trace_path.clone(),
             profile_json: self.profile_json.clone(),
@@ -439,11 +325,10 @@ impl Shared {
 }
 
 /// The long-lived serving core: admission control, per-job fabric worlds,
-/// run slots in priority order, the shared warm cache, and per-tenant
+/// run slots in priority order, the shared served store, and per-tenant
 /// exports.
 pub struct Daemon {
     cfg: DaemonConfig,
-    warm: Arc<WarmCache>,
     shared: Arc<Shared>,
 }
 
@@ -463,15 +348,9 @@ impl Daemon {
     /// Creates a daemon (its data directory is created on demand).
     pub fn new(cfg: DaemonConfig) -> Self {
         Daemon {
-            warm: Arc::new(WarmCache::new(cfg.warm_blocks)),
             cfg,
             shared: Arc::default(),
         }
-    }
-
-    /// The shared warm cache.
-    pub fn warm(&self) -> &Arc<WarmCache> {
-        &self.warm
     }
 
     /// The admission footprint of a job: its dry-run per-worker bytes times
@@ -535,7 +414,6 @@ impl Daemon {
                     started: None,
                     finished: None,
                     progress: Arc::clone(&progress),
-                    warm_hits: 0,
                     scalars: Vec::new(),
                     trace_path: spec.config.trace_path.clone(),
                     profile_json: spec.config.profile_json.clone(),
@@ -546,7 +424,6 @@ impl Daemon {
         };
         let id = ticket.1;
 
-        let warm = Arc::clone(&self.warm);
         let shared = Arc::clone(&self.shared);
         let max_concurrent = self.cfg.max_concurrent.max(1);
         let handle = std::thread::spawn(move || {
@@ -570,11 +447,7 @@ impl Daemon {
                 let _ = std::fs::create_dir_all(&tenant_dir);
             }
             let mut sip = Sip::new(spec.config).with_registry(spec.registry);
-            sip.set_serving(ServeHandles {
-                job: id,
-                warm,
-                progress,
-            });
+            sip.set_serving(ServeHandles { job: id, progress });
             let result = sip.run(spec.program, &spec.bindings);
             // The job's world is gone; its memory goes with it before the
             // job is reported finished.
@@ -587,7 +460,6 @@ impl Daemon {
             r.finished = Some(Instant::now());
             match result {
                 Ok(out) => {
-                    r.warm_hits = out.profile.metrics.server.warm_hits;
                     r.scalars = out.scalars.into_iter().collect();
                     r.state = JobState::Done;
                 }
@@ -683,7 +555,6 @@ impl Drop for Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sia_blocks::{Block, Shape};
 
     #[test]
     fn jain_index_bounds() {
@@ -695,58 +566,5 @@ mod tests {
         assert!((j - 1.0 / 3.0).abs() < 1e-12, "{j}");
         // Mild skew stays high.
         assert!(jain_index(&[1.0, 0.9, 1.1]) > 0.95);
-    }
-
-    fn warm_blk(v: f64) -> BlockHandle {
-        BlockHandle::new(Block::filled(Shape::new(&[2]), v))
-    }
-
-    fn store(n: u32) -> Arc<Path> {
-        PathBuf::from(format!("/served/a{n}.srv")).into()
-    }
-
-    #[test]
-    fn warm_cache_lru_and_invalidate() {
-        let w = WarmCache::new(2);
-        let (a1, a2) = (store(1), store(2));
-        w.insert(&a1, 1, warm_blk(1.0));
-        w.insert(&a1, 2, warm_blk(2.0));
-        assert!(w.get(&a1, 1).is_some());
-        // Inserting a third evicts the LRU (slot 2 — slot 1 was just touched).
-        w.insert(&a2, 1, warm_blk(3.0));
-        assert_eq!(w.len(), 2);
-        assert!(w.get(&a1, 2).is_none());
-        assert!(w.get(&a1, 1).is_some());
-        // A deleted array takes its own entries only, whoever names the file.
-        w.invalidate_store(&store(1));
-        assert!(w.get(&a1, 1).is_none());
-        assert_eq!(w.get(&a2, 1), Some(warm_blk(3.0)));
-        w.invalidate(&a2, 1);
-        assert!(w.is_empty());
-    }
-
-    /// The eviction order is an index over the map: whatever mix of
-    /// lookups, publications and invalidations ran, every cached key sits in
-    /// the order under its own stamp, and nothing else does.
-    #[test]
-    fn warm_order_tracks_the_map() {
-        let w = WarmCache::new(5);
-        let stores = [store(1), store(2)];
-        for step in 0..600u64 {
-            let (file, slot) = (&stores[(step * 7 % 2) as usize], step * 5 % 4);
-            match step % 7 {
-                0..=2 => w.insert(file, slot, warm_blk(step as f64)),
-                3 | 4 => drop(w.get(file, slot)),
-                5 => w.invalidate(file, slot),
-                _ if step % 97 == 6 => w.invalidate_store(file),
-                _ => {}
-            }
-            let g = w.lock();
-            assert!(g.map.len() <= 5, "step {step}");
-            assert_eq!(g.order.len(), g.map.len(), "step {step}");
-            for (key, (_, stamp)) in &g.map {
-                assert_eq!(g.order.get(stamp), Some(key), "step {step}");
-            }
-        }
     }
 }

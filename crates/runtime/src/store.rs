@@ -1,6 +1,8 @@
 //! The store file of one served array: `<served dir>/a<id>.srv`, shared by
 //! every I/O server — of this job, of other jobs of a daemon, of a later
-//! run — pointed at the directory.
+//! run — pointed at the directory. It is the only tier served blocks share:
+//! each server's own LRU cache sits in front of it, and a daemon job reads
+//! another job's blocks from here exactly as a one-shot run reads its own.
 //!
 //! Every storage block of an array has the declared block shape, so a block
 //! needs no index: it lives at the slot [`Layout::block_ordinal`] computes
@@ -36,9 +38,8 @@ use sia_bytecode::ArrayId;
 use std::fs::{self, File};
 use std::io::ErrorKind;
 use std::os::unix::fs::FileExt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 const MAGIC: &[u8; 8] = b"SIASRV01";
@@ -103,8 +104,7 @@ fn parse_header(raw: &[u8]) -> Option<Vec<u64>> {
 
 /// One served array's store file, as one I/O server sees it.
 pub(crate) struct Store {
-    /// With a slot, a block's identity in the cross-job warm cache.
-    pub(crate) path: Arc<Path>,
+    pub(crate) path: PathBuf,
     /// What the file's offsets depend on: the array's rank, then per
     /// dimension the block extent and the inclusive declared segment range.
     geometry: Vec<u64>,
@@ -122,7 +122,7 @@ impl Store {
             [layout.extent(d) as u64, lo as u64, hi as u64]
         });
         Store {
-            path: dir.join(format!("a{}.srv", array.0)).into(),
+            path: dir.join(format!("a{}.srv", array.0)),
             geometry: std::iter::once(dims.len() as u64).chain(words).collect(),
             shape: layout.declared_block_shape(array),
             file: None,
@@ -268,7 +268,11 @@ impl Store {
     /// own. Every server of a job empties the whole store when told to, each
     /// in its own time, so blocks prepared again before all of them have
     /// (that is, with no `server_barrier` after the `delete`) may be lost.
+    /// A store nobody has created is already empty, and stays uncreated.
     pub(crate) fn delete(&mut self) -> Result<(), RuntimeError> {
+        if self.file.is_none() && !self.path.exists() {
+            return Ok(());
+        }
         // Slot 0 starts where the header ends.
         let header = self.seek(0)?;
         self.file()

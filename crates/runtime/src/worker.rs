@@ -134,8 +134,9 @@ pub struct Worker {
     pub(crate) window_bytes: u64,
 
     // ---- communication state ----
-    /// Unacknowledged untracked stores: `[puts, prepares]` (fault-free runs;
-    /// under fault tolerance `FtState::pending` tracks them instead).
+    /// Unacknowledged stores, `[puts, prepares]`: what an ack drain waits
+    /// on. Under fault tolerance a store counts once however often it is
+    /// re-armed, until its first ack.
     pub(crate) outstanding: [u64; 2],
     /// Declared bytes of the blocks of unacknowledged stores, tracked or
     /// not; [`Worker::send_store`] holds it under `window_bytes`.
@@ -301,6 +302,7 @@ impl Worker {
                 // retry budget to; stop tracking, or the dead timer would
                 // keep this rank awake until shutdown.
                 ft.forget_all();
+                self.outstanding = [0; 2];
             }
             self.block_on_inbox();
         }
@@ -367,13 +369,11 @@ impl Worker {
                 // A duplicated or late ack of a tracked store finds nothing.
                 let first = match self.ft.as_mut() {
                     Some(ft) if op.is_tracked() => ft.store_acked(op),
-                    _ => {
-                        let n = &mut self.outstanding[served as usize];
-                        *n = n.saturating_sub(1);
-                        true
-                    }
+                    _ => true,
                 };
                 if first {
+                    let n = &mut self.outstanding[served as usize];
+                    *n = n.saturating_sub(1);
                     let bytes = self.layout.block_bytes(key.array);
                     self.unacked_bytes = self.unacked_bytes.saturating_sub(bytes);
                 }
@@ -387,7 +387,9 @@ impl Worker {
             } => {
                 if let Some(p) = &mut self.pardo {
                     if p.start_pc == pardo_pc && p.epoch == epoch {
-                        if let Some(ft) = self.ft.as_mut() {
+                        // Chunks are acknowledged for the master's ledger,
+                        // which only a scheduled crash keeps.
+                        if let Some(ft) = self.ft.as_mut().filter(|ft| ft.crash.is_some()) {
                             ft.chunk_acks.push_back((chunk, iters.len()));
                         }
                         p.queue.extend(iters);
@@ -1203,11 +1205,11 @@ impl Worker {
 
     // ---- fault tolerance --------------------------------------------------------
 
-    /// Sends a store (PUT or PREPARE, by `key`'s array kind) to `home`,
-    /// tracking the op for retry — and, for puts, journal replay — under
-    /// fault tolerance, or counting an outstanding ack on the fault-free
-    /// fast path. The journal entry, the retained pending payload, and the
-    /// wire message all share one allocation.
+    /// Sends a store (PUT or PREPARE, by `key`'s array kind) to `home` and
+    /// counts it outstanding until acknowledged; under fault tolerance the
+    /// op is also tracked for retry — and, for puts, journal replay. The
+    /// journal entry, the retained pending payload, and the wire message
+    /// all share one allocation.
     ///
     /// A store that would take the unacknowledged bytes past the window
     /// first waits (into `wait`) for acks to bring them down to half of it:
@@ -1251,29 +1253,34 @@ impl Worker {
             mode,
             op,
         };
-        if let Some(ft) = self.ft.as_mut() {
-            // I/O servers never die in the fault model, so prepares are not
-            // journaled.
-            if !served && ft.crash.is_some() {
+        // A re-armed store (already pending) is not counted again.
+        let new = match self.ft.as_mut() {
+            Some(ft) => {
+                // I/O servers never die in the fault model, so prepares are
+                // not journaled.
+                if !served && ft.crash.is_some() {
+                    self.mem.note_share(&data);
+                    ft.journal.push(JournalEntry {
+                        op: op.0,
+                        key,
+                        data: data.clone(),
+                        mode,
+                    });
+                }
                 self.mem.note_share(&data);
-                ft.journal.push(JournalEntry {
-                    op: op.0,
-                    key,
-                    data: data.clone(),
-                    mode,
-                });
+                ft.arm_flight(op, key, data.clone(), mode, served)
             }
-            self.mem.note_share(&data);
-            if ft.arm_flight(op, key, data.clone(), mode, served) {
-                self.unacked_bytes += bytes;
-            }
-            // Tracked for retry: a failed send to a dying home re-routes
-            // once the master broadcasts RankDead.
-            let _ = self.endpoint.stage(home, wire(data));
-        } else {
+            None => true,
+        };
+        if new {
             self.outstanding[served as usize] += 1;
             self.unacked_bytes += bytes;
-            self.endpoint.stage(home, wire(data))?;
+        }
+        let staged = self.endpoint.stage(home, wire(data));
+        // Tracked for retry: a failed send to a dying home re-routes once
+        // the master broadcasts RankDead.
+        if self.ft.is_none() {
+            staged?;
         }
         if served {
             // The freshest copy is at the server now.
@@ -1285,11 +1292,7 @@ impl Worker {
     /// True when every store to arrays of `kind` — PUTs for distributed,
     /// PREPAREs for served — has been acknowledged.
     pub(crate) fn stores_drained(&self, kind: ArrayKind) -> bool {
-        let served = (kind == ArrayKind::Served) as usize;
-        match &self.ft {
-            Some(ft) => ft.pending_stores[served] == 0,
-            None => self.outstanding[served] == 0,
-        }
+        self.outstanding[(kind == ArrayKind::Served) as usize] == 0
     }
 
     /// Derives the duplicate-suppression id for a PUT/PREPARE at `pc` on
@@ -1456,7 +1459,7 @@ impl Worker {
     }
 
     /// Bookkeeping after one completed pardo iteration: drives the crash
-    /// schedule and, under fault tolerance, chunk acknowledgements.
+    /// schedule and, when one is scheduled, chunk acknowledgements.
     pub(crate) fn note_pardo_iter_done(&mut self, pardo_pc: u32, epoch: u64) {
         self.pardo_iters_done += 1;
         let master = self.layout.topology.master();
@@ -1554,6 +1557,7 @@ impl Worker {
             replays += 1;
             // The journal holds puts only.
             if ft.arm_flight(OpId(op), key, data, mode, false) {
+                self.outstanding[0] += 1;
                 self.unacked_bytes += layout.block_bytes(key.array);
             }
             sends.push((new_home, ft.pending[&op].store_msg(OpId(op))));

@@ -43,7 +43,7 @@ pub fn metrics() -> Metrics {
     (r.takeover_chunks, r.restore_resends) = (74, 75);
     let s = &mut m.server;
     (s.cache_hits, s.disk_reads, s.disk_writes, s.zero_serves) = (81, 82, 83, 84);
-    (s.prepares, s.dup_prepares_suppressed, s.warm_hits) = (85, 86, 87);
+    (s.prepares, s.dup_prepares_suppressed) = (85, 86);
     let fb = &mut m.fabric;
     (fb.dropped, fb.duplicated, fb.delayed, fb.crashed) = (91, 92, 93, true);
     let sp = &mut m.sparse;

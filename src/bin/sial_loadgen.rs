@@ -71,7 +71,7 @@ endsial
 "#;
 
 /// Served: the same block space through the I/O-server tier (prepare, a
-/// server barrier, then request) — exercises the shared warm cache.
+/// server barrier, then request) — exercises the shared served store.
 const SERVED_SRC: &str = r#"
 sial loadgen_served
 aoindex i = 1, n
@@ -259,10 +259,7 @@ fn main() -> ExitCode {
     let p50 = percentile(&latencies, 0.5);
     let p99 = percentile(&latencies, 0.99);
     let jobs_per_s = done.len() as f64 / elapsed.max(1e-9);
-    let warm_hits: u64 = done
-        .iter()
-        .filter_map(|(_, _, _, f)| f.get("warm_hits").and_then(|v| v.parse::<u64>().ok()))
-        .sum();
+    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
 
     let count = |f: &HashMap<String, String>, k: &str| {
         Json::from(f.get(k).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0))
@@ -275,7 +272,6 @@ fn main() -> ExitCode {
             ("state", f.get("state").map_or("?", String::as_str).into()),
             ("granted", count(f, "granted")),
             ("total", count(f, "total")),
-            ("warm_hits", count(f, "warm_hits")),
         ])
     });
     let report = Json::obj([
@@ -288,7 +284,7 @@ fn main() -> ExitCode {
         ("latency_p99_s", p99.into()),
         ("jain_fairness", jain.into()),
         ("jain_daemon", daemon_jain.into()),
-        ("warm_hits", warm_hits.into()),
+        ("host_cpus", cpus.into()),
         ("per_job", per_job.collect()),
     ]);
     if let Err(e) = std::fs::write(&out, report.to_string()) {
@@ -297,7 +293,7 @@ fn main() -> ExitCode {
     }
     println!(
         "loadgen: {} jobs in {elapsed:.2}s ({jobs_per_s:.2} jobs/s), p50 {p50:.2}s, \
-         p99 {p99:.2}s, jain {jain:.3}, warm hits {warm_hits} -> {}",
+         p99 {p99:.2}s, jain {jain:.3} -> {}",
         done.len(),
         out.display()
     );

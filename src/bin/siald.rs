@@ -4,8 +4,8 @@
 //! socket: dry-run admission control against a shared memory budget, run
 //! slots handed to queued jobs in priority order, per-tenant metric/trace
 //! exports, per-job rank-failure isolation (every job runs on its own
-//! fabric world, scheduled exactly as a one-shot `sial run`), and a warm
-//! block cache shared by jobs referencing the same served arrays.
+//! fabric world, scheduled exactly as a one-shot `sial run`), and one
+//! served store shared by jobs referencing the same served arrays.
 //!
 //! ```text
 //! siald --socket /tmp/siald.sock --budget 2147483648 --max-jobs 4 \
@@ -47,9 +47,9 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: siald [--socket <path>] [--budget <bytes>] [--max-jobs <n>]\n\
-         \x20            [--data-dir <dir>] [--warm-blocks <n>]\n\
+         \x20            [--data-dir <dir>]\n\
          defaults: socket ./siald.sock, budget 4 GiB, max-jobs 4,\n\
-         data-dir <tmp>/siald-<pid>, warm-blocks 4096"
+         data-dir <tmp>/siald-<pid> (its served/ holds the store every job shares)"
     );
     ExitCode::from(2)
 }
@@ -57,16 +57,8 @@ fn usage() -> ExitCode {
 fn job_line(s: &JobStatus) -> String {
     let mut line = format!(
         "job {} tenant={} state={} queued_ms={} run_ms={} granted={} total={} \
-         warm_hits={} admitted_bytes={}",
-        s.id,
-        s.tenant,
-        s.state,
-        s.queued_ms,
-        s.run_ms,
-        s.granted,
-        s.total,
-        s.warm_hits,
-        s.admitted_bytes
+         admitted_bytes={}",
+        s.id, s.tenant, s.state, s.queued_ms, s.run_ms, s.granted, s.total, s.admitted_bytes
     );
     if let Some(p) = &s.trace_path {
         line.push_str(&format!(" trace={}", p.display()));
@@ -312,11 +304,6 @@ fn main() -> ExitCode {
                         .map_err(|e| format!("--max-jobs: {e}"))?
                 }
                 "--data-dir" => cfg.data_dir = PathBuf::from(need("--data-dir")?),
-                "--warm-blocks" => {
-                    cfg.warm_blocks = need("--warm-blocks")?
-                        .parse()
-                        .map_err(|e| format!("--warm-blocks: {e}"))?
-                }
                 other => return Err(format!("unknown option `{other}`")),
             }
             Ok(())
