@@ -13,8 +13,8 @@
 //! modeled planned time beats hash at every simulated scale ≥ 1024 ranks —
 //! the CI smoke gate.
 
-use sia_core::{Placement, RunOutput, Sip, SipConfig};
 use sia_runtime::json::Json;
+use sia_runtime::{Placement, RunOutput, Sip, SipConfig};
 use sia_sim::machine;
 use sia_sim::{hash_cost, planned_cost, CommCost, CommWorkload};
 use std::fs;
@@ -62,8 +62,8 @@ fn config(placement: Placement) -> SipConfig {
 }
 
 fn run(placement: Placement) -> RunOutput {
-    let program = sia_core::compile(PROGRAM).unwrap();
-    let mut bindings = sia_core::ConstBindings::new();
+    let program = sial_frontend::compile(PROGRAM).unwrap();
+    let mut bindings = sia_bytecode::ConstBindings::new();
     bindings.insert("n".into(), N);
     Sip::new(config(placement)).run(program, &bindings).unwrap()
 }
@@ -85,8 +85,8 @@ fn main() -> ExitCode {
     );
 
     // ---- modeled: extrapolate the plan's byte classes -----------------------
-    let program = sia_core::compile(PROGRAM).unwrap();
-    let mut bindings = sia_core::ConstBindings::new();
+    let program = sial_frontend::compile(PROGRAM).unwrap();
+    let mut bindings = sia_bytecode::ConstBindings::new();
     bindings.insert("n".into(), N);
     let (_, plan) = Sip::new(config(Placement::Planned))
         .plan(program, &bindings)

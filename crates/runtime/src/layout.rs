@@ -624,6 +624,21 @@ pub struct Layout {
 }
 
 impl Layout {
+    /// Resolves the layout a run of `program` under `config` uses: its
+    /// workers, I/O servers, placement and segments.
+    pub fn for_config(
+        program: Arc<Program>,
+        bindings: &ConstBindings,
+        config: &SipConfig,
+    ) -> Result<Self, RuntimeError> {
+        let topology = Topology {
+            workers: config.workers,
+            io_servers: config.io_servers,
+            placement: config.placement,
+        };
+        Self::new(program, bindings, config.segments, topology)
+    }
+
     /// Resolves a layout. Fails if constants are unbound, ranges invalid, or
     /// a segment size is not divisible by `nsub` where subindices need it.
     pub fn new(

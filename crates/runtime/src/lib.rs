@@ -224,21 +224,15 @@ impl Sip {
         program: Program,
         bindings: &ConstBindings,
     ) -> Result<RunOutput, RuntimeError> {
-        let topology = Topology {
-            workers: self.config.workers,
-            io_servers: self.config.io_servers,
-            placement: self.config.placement,
-        };
-        if topology.workers == 0 {
+        if self.config.workers == 0 {
             return Err(RuntimeError::Resolve("need at least one worker".into()));
         }
-        let program = Arc::new(program);
-        let layout = Arc::new(Layout::new(
-            Arc::clone(&program),
+        let layout = Arc::new(Layout::for_config(
+            Arc::new(program),
             bindings,
-            self.config.segments,
-            topology,
+            &self.config,
         )?);
+        let topology = layout.topology;
 
         // ---- dry run -------------------------------------------------------
         let estimate = dryrun::estimate(&layout, &self.config);
@@ -485,12 +479,7 @@ impl Sip {
         program: Program,
         bindings: &ConstBindings,
     ) -> Result<MemoryEstimate, RuntimeError> {
-        let topology = Topology {
-            workers: self.config.workers,
-            io_servers: self.config.io_servers,
-            placement: self.config.placement,
-        };
-        let layout = Layout::new(Arc::new(program), bindings, self.config.segments, topology)?;
+        let layout = Layout::for_config(Arc::new(program), bindings, &self.config)?;
         Ok(dryrun::estimate(&layout, &self.config))
     }
 
@@ -501,12 +490,7 @@ impl Sip {
         program: Program,
         bindings: &ConstBindings,
     ) -> Result<(MemoryEstimate, plan::CommPlan), RuntimeError> {
-        let topology = Topology {
-            workers: self.config.workers,
-            io_servers: self.config.io_servers,
-            placement: self.config.placement,
-        };
-        let layout = Layout::new(Arc::new(program), bindings, self.config.segments, topology)?;
+        let layout = Layout::for_config(Arc::new(program), bindings, &self.config)?;
         let estimate = dryrun::estimate(&layout, &self.config);
         let trace = trace::generate_with_densities(
             &layout,

@@ -27,12 +27,12 @@
 
 use crate::dryrun;
 use crate::error::RuntimeError;
-use crate::layout::{Layout, SipConfig, Topology};
+use crate::layout::{Layout, SipConfig};
 use crate::registry::SuperRegistry;
 use crate::Sip;
 use sia_bytecode::{ConstBindings, Program};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -299,6 +299,9 @@ impl JobRecord {
 #[derive(Default)]
 struct DaemonState {
     jobs: HashMap<JobId, JobRecord>,
+    /// Finished jobs in the order they finished; the records of all but the
+    /// last [`FINISHED_JOBS_KEPT`] go at the next submission.
+    finished: VecDeque<JobId>,
     /// Bytes of the budget held by admitted, unfinished jobs.
     committed: u64,
     /// Jobs holding a run slot.
@@ -309,6 +312,11 @@ struct DaemonState {
     last_id: JobId,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
+
+/// How many finished jobs' records a daemon keeps for `status` and `wait`:
+/// a long-lived daemon's job table holds the running and queued jobs and
+/// only this many finished ones.
+pub const FINISHED_JOBS_KEPT: usize = 64;
 
 const POISONED: &str = "daemon state lock poisoned";
 
@@ -356,17 +364,8 @@ impl Daemon {
     /// The admission footprint of a job: its dry-run per-worker bytes times
     /// workers, plus per-server bytes times I/O servers.
     pub fn footprint(spec: &JobSpec) -> Result<u64, RuntimeError> {
-        let topology = Topology {
-            workers: spec.config.workers,
-            io_servers: spec.config.io_servers,
-            placement: spec.config.placement,
-        };
-        let layout = Layout::new(
-            Arc::new(spec.program.clone()),
-            &spec.bindings,
-            spec.config.segments,
-            topology,
-        )?;
+        let layout =
+            Layout::for_config(Arc::new(spec.program.clone()), &spec.bindings, &spec.config)?;
         let est = dryrun::estimate(&layout, &spec.config);
         Ok(est.per_worker_bytes * spec.config.workers as u64
             + est.per_server_bytes * spec.config.io_servers as u64)
@@ -394,6 +393,10 @@ impl Daemon {
                 });
             }
             st.committed += needed;
+            while st.finished.len() > FINISHED_JOBS_KEPT {
+                let oldest = st.finished.pop_front().expect("longer than the bound");
+                st.jobs.remove(&oldest);
+            }
             st.last_id += 1;
             let id = st.last_id;
             let ticket = (Reverse(spec.priority), id);
@@ -465,6 +468,7 @@ impl Daemon {
                 }
                 Err(e) => r.state = JobState::Failed(e.to_string()),
             }
+            st.finished.push_back(id);
             shared.cv.notify_all();
         });
 
@@ -481,7 +485,8 @@ impl Daemon {
         Ok(id)
     }
 
-    /// Status of one job, or `None` for an unknown id.
+    /// Status of one job, or `None` for an id never handed out or one whose
+    /// record was pruned (see [`FINISHED_JOBS_KEPT`]).
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
         self.shared.lock().jobs.get(&id).map(|r| r.status(id))
     }
@@ -513,23 +518,6 @@ impl Daemon {
                 None => self.shared.cv.wait(st).expect(POISONED),
             };
         }
-    }
-
-    /// Jain fairness index over the jobs' service rates: the fraction of
-    /// its own iteration space each started job was granted per second of
-    /// its run. 1.0 when fewer than two jobs have met a pardo.
-    pub fn fairness(&self) -> f64 {
-        let st = self.shared.lock();
-        let rates: Vec<f64> = st
-            .jobs
-            .values()
-            .filter_map(|r| {
-                let (granted, total) = r.progress.snapshot();
-                (total > 0)
-                    .then(|| granted as f64 / total as f64 / r.run_time().as_secs_f64().max(1e-9))
-            })
-            .collect();
-        jain_index(&rates)
     }
 
     /// Joins every job thread (all jobs run to completion first).

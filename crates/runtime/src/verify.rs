@@ -178,16 +178,6 @@ pub fn check_program(p: &Program) -> Vec<Diagnostic> {
     v.diags
 }
 
-/// Renders diagnostics as a report block for CLI output.
-pub fn render_report(diags: &[Diagnostic]) -> String {
-    let mut s = String::new();
-    for d in diags {
-        s.push_str(&d.to_string());
-        s.push('\n');
-    }
-    s
-}
-
 // ---- shared verifier state -------------------------------------------------
 
 struct Verifier<'a> {

@@ -716,7 +716,7 @@ endsial
     );
     assert_eq!(d.len(), 1, "{d:?}");
     assert!(d[0].message.contains('i'), "{}", d[0].message);
-    let rendered = render_report(&d);
+    let rendered = d[0].to_string();
     assert!(rendered.contains("write-write-race"), "{rendered}");
     assert!(
         rendered.contains(&format!("pc {:>4}", d[0].pc)),

@@ -3,11 +3,12 @@
 //! stay bitwise-identical to a serial run, concurrent jobs writing one served
 //! array share its store file without colliding, one job's rank death
 //! never fails a neighbor job (each job runs on its own fabric world), a
-//! daemon job is scheduled exactly as a one-shot run, and jobs queued for a
-//! run slot take it in priority order.
+//! daemon job is scheduled exactly as a one-shot run, jobs queued for a
+//! run slot take it in priority order, and the job table keeps a bounded
+//! number of finished records.
 
 use sia_bytecode::ConstBindings;
-use sia_runtime::serve::{AdmitError, Daemon, DaemonConfig, JobSpec, JobState};
+use sia_runtime::serve::{AdmitError, Daemon, DaemonConfig, JobSpec, JobState, FINISHED_JOBS_KEPT};
 use sia_runtime::{CrashSchedule, FaultConfig, FaultPlan, Sip, SipConfig, SuperRegistry};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex};
@@ -235,11 +236,6 @@ fn concurrent_jobs_share_served_array_and_survive_neighbor_crash() {
         JobState::Done,
         "the crashing job's own master must recover its rank death"
     );
-
-    // Fairness over the batch stays well-defined (at least the two
-    // concurrent jobs contribute rates).
-    let jain = daemon.fairness();
-    assert!((0.0..=1.0).contains(&jain), "jain out of range: {jain}");
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -433,6 +429,32 @@ endsial
     let s = daemon.wait(id, WAIT).unwrap();
     assert_eq!(s.state, JobState::Done, "{:?}", s.state);
     assert_eq!((s.granted, s.total), (20, 20), "5 sweeps of 4 iterations");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A long-lived daemon's job table does not grow with every job it ran: a
+/// submission past the bound prunes the oldest finished record, and the
+/// job that just finished is still there to be asked about.
+#[test]
+fn the_job_table_keeps_a_bounded_number_of_finished_records() {
+    let dir = tmp("prune");
+    let daemon = daemon_over(&dir, 1);
+    let mut ids = Vec::new();
+    for _ in 0..FINISHED_JOBS_KEPT + 2 {
+        let id = daemon.submit(job(NEIGHBOR, "t", 1, 1, None)).unwrap();
+        assert_eq!(daemon.wait(id, WAIT).unwrap().state, JobState::Done);
+        ids.push(id);
+    }
+    let (oldest, newest) = (ids[0], *ids.last().unwrap());
+    assert!(
+        daemon.status(oldest).is_none(),
+        "the oldest record outlived the bound"
+    );
+    assert!(daemon.wait(oldest, WAIT).is_none());
+    assert_eq!(daemon.status(ids[1]).unwrap().state, JobState::Done);
+    assert_eq!(daemon.status(newest).unwrap().state, JobState::Done);
+    assert_eq!(daemon.list().len(), FINISHED_JOBS_KEPT + 1);
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }

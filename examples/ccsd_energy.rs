@@ -11,7 +11,7 @@
 //! cargo run --release --example ccsd_energy
 //! ```
 
-use sia::subsystems::chem::{ccsd_converged, ccsd_iteration, Molecule};
+use sia::chem::{ccsd_converged, ccsd_iteration, Molecule};
 use sia::SipConfig;
 
 fn main() {

@@ -13,7 +13,7 @@
 //! cargo run --release --example disk_backed_restart
 //! ```
 
-use sia::Sia;
+use sia::{ConstBindings, Sip, SipConfig};
 
 const PROGRAM: &str = r#"
 sial disk_backed_restart
@@ -71,7 +71,7 @@ fn main() {
     let run_dir = std::env::temp_dir().join("sia-disk-backed-example");
     let _ = std::fs::remove_dir_all(&run_dir);
 
-    let config = sia::SipConfig::builder()
+    let config = SipConfig::builder()
         .workers(2)
         .io_servers(2)
         .server_cache_blocks(3) // force spills to disk
@@ -81,10 +81,10 @@ fn main() {
         .build()
         .expect("valid config");
 
-    let out = Sia::builder()
-        .config(config)
-        .bind("n", n)
-        .run(PROGRAM)
+    let bindings: ConstBindings = [("n".to_string(), n)].into_iter().collect();
+    let program = sia::compile(PROGRAM).expect("SIAL compiles");
+    let out = Sip::new(config)
+        .run(program, &bindings)
         .expect("run succeeds");
 
     // Expected: Σ over all blocks/elements of (2·(10i+j))².

@@ -13,8 +13,8 @@
 //! cargo run --release --example dry_run_planner
 //! ```
 
-use sia::subsystems::chem::{ccsd_iteration, molecules};
-use sia::subsystems::runtime::dryrun;
+use sia::chem::{ccsd_iteration, molecules};
+use sia::runtime::dryrun;
 use sia::{RuntimeError, SipConfig};
 
 fn main() {

@@ -9,7 +9,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sia::Sia;
+use sia::{ConstBindings, Sip, SipConfig};
 
 const PROGRAM: &str = r#"
 sial quickstart
@@ -67,18 +67,24 @@ fn main() {
     print!("{}", sia::disassemble(&program));
     println!("--------------------\n");
 
-    let out = Sia::builder()
+    let config = SipConfig::builder()
         .workers(3)
         .io_servers(1)
         .segment_size(4)
-        .bind("norb", 3)
-        .bind("nocc", 2)
-        .register("fill_t", |args, _env| {
-            let segs: Vec<i64> = args[0].segs()?.to_vec();
-            let salt: f64 = segs.iter().map(|&s| s as f64).sum();
-            args[0].block_mut()?.fill(0.25 * salt);
-            Ok(())
-        })
+        .collect_distributed(true)
+        .build()
+        .expect("valid config");
+    let bindings: ConstBindings = [("norb".to_string(), 3), ("nocc".to_string(), 2)]
+        .into_iter()
+        .collect();
+    let mut sip = Sip::new(config);
+    sip.registry_mut().register("fill_t", |args, _env| {
+        let segs: Vec<i64> = args[0].segs()?.to_vec();
+        let salt: f64 = segs.iter().map(|&s| s as f64).sum();
+        args[0].block_mut()?.fill(0.25 * salt);
+        Ok(())
+    });
+    sip.registry_mut()
         .register("compute_integrals", |args, _env| {
             let segs: Vec<i64> = args[0].segs()?.to_vec();
             let salt: f64 = segs
@@ -88,9 +94,8 @@ fn main() {
                 .sum();
             args[0].block_mut()?.fill(1.0 / (1.0 + salt));
             Ok(())
-        })
-        .run(PROGRAM)
-        .expect("run succeeds");
+        });
+    let out = sip.run(program, &bindings).expect("run succeeds");
 
     println!("scalars: {:?}", out.scalars);
     println!(

@@ -9,9 +9,9 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use sia::subsystems::chem::{ccsd_iteration, RDX};
-use sia::subsystems::sim::machine::{CRAY_XT4, CRAY_XT5, SUN_OPTERON_IB};
-use sia::subsystems::sim::{simulate, SimConfig};
+use sia::chem::{ccsd_iteration, RDX};
+use sia::sim::machine::{CRAY_XT4, CRAY_XT5, SUN_OPTERON_IB};
+use sia::sim::{simulate, SimConfig};
 
 fn main() {
     let workload = ccsd_iteration(&RDX, 20, 1);

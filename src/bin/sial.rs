@@ -11,26 +11,29 @@
 //! sial run     prog.sial --trace out.json --profile-json prof.json
 //! sial simulate prog.sial --workers 4096 --machine xt5 --seg 24 --bind norb=20
 //! sial trace-lint out.json                   # validate a trace, profile or diag export
-//! sial submit  prog.sial siald.sock tenant=alice bind:n=6 [--wait]
+//! sial submit  prog.sial siald.sock --tenant alice --bind n=6 [--wait]
 //! sial status  siald.sock                    # job table of a running siald
 //! ```
 //!
 //! `--chem` registers the synthetic chemistry kernels (`compute_integrals`,
 //! `scale_by_denominator`, …) so the programs in `crates/chem` run as-is.
+//! The flags are one grammar, `sia::opts`: `sial submit` forwards them to
+//! `siald` unchanged, where the same parser reads them.
 
-use sia::subsystems::chem::{integral_cost_model, register_integrals};
-use sia::subsystems::sim::machine;
-use sia::subsystems::sim::{simulate, SimConfig};
-use sia::{
-    ConstBindings, CrashSchedule, FaultConfig, FaultPlan, Placement, SegmentConfig, Sip, SipConfig,
-    SuperRegistry,
-};
+use sia::bytecode::diag::{Diagnostic, Span};
+use sia::chem::integral_cost_model;
+use sia::opts::{load_program, parse_opts, JobOpts, Surface};
+use sia::sim::{simulate, SimConfig};
+use sia::{Program, Sip};
 use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: sial <check|compile|disasm|dryrun|run|simulate|trace-lint|submit|status> <file> [options]\n\
+        "usage: sial <check|compile|disasm|dryrun|run|simulate|trace-lint> <file> [options]\n\
+         \x20      sial submit <file> <socket> [options] [--tenant <name>] [--priority <n>]\n\
+         \x20                  [--export 0|1] [--wait]\n\
+         \x20      sial status <socket> [id] | sial shutdown <socket>\n\
          options:\n\
            -o <file>          output path (compile)\n\
            --workers <n>      worker count (default 2)\n\
@@ -67,237 +70,19 @@ fn usage() -> ExitCode {
                               and refuse to launch the SIP on any finding\n\
            --json             check: emit diagnostics as sia.diag.v1 JSON\n\
            --watch            check: re-check on every file change, reusing\n\
-                              the incremental compiler database"
+                              the incremental compiler database\n\
+         submit forwards its options to siald unchanged; a daemon job refuses\n\
+         -o, --run-dir, --trace, --profile-json, --profile, --check, --json,\n\
+         --watch and --machine (tenant `default`, priority 1, export 1 by default)"
     );
     ExitCode::from(2)
-}
-
-/// Parses a `--fault-plan` spec (`drop=0.05,dup=0.01,delay=0.02,crash=1@8`)
-/// into a fabric plan plus an optional runtime crash schedule.
-fn parse_fault_spec(spec: &str, seed: u64) -> Result<FaultConfig, String> {
-    let mut plan = FaultPlan::seeded(seed);
-    let mut crash = None;
-    for part in spec.split(',').filter(|p| !p.is_empty()) {
-        let (k, v) = part
-            .split_once('=')
-            .ok_or_else(|| format!("--fault-plan expects k=v parts, got `{part}`"))?;
-        match k {
-            "drop" => plan.drop = v.parse().map_err(|e| format!("fault drop: {e}"))?,
-            "dup" | "duplicate" => {
-                plan.duplicate = v.parse().map_err(|e| format!("fault dup: {e}"))?
-            }
-            "delay" => plan.delay = v.parse().map_err(|e| format!("fault delay: {e}"))?,
-            "crash" => {
-                let (w, i) = v
-                    .split_once('@')
-                    .ok_or_else(|| format!("crash expects W@I, got `{v}`"))?;
-                crash = Some(CrashSchedule {
-                    worker: w.parse().map_err(|e| format!("crash worker: {e}"))?,
-                    after_iterations: i.parse().map_err(|e| format!("crash iterations: {e}"))?,
-                });
-            }
-            other => return Err(format!("unknown fault-plan key `{other}`")),
-        }
-    }
-    let mut fault = FaultConfig::new(plan);
-    fault.crash = crash;
-    Ok(fault)
-}
-
-struct Opts {
-    output: Option<String>,
-    config: SipConfig,
-    bindings: ConstBindings,
-    chem: bool,
-    profile: bool,
-    check: bool,
-    json: bool,
-    watch: bool,
-    seg: usize,
-    machine: &'static str,
-}
-
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut output = None;
-    let mut bindings = ConstBindings::new();
-    let mut chem = false;
-    let mut profile = false;
-    let mut check = false;
-    let mut json = false;
-    let mut watch = false;
-    let mut seg = 8usize;
-    let mut nsub = 2usize;
-    let mut machine = "xt5";
-    let mut fault_seed: Option<u64> = None;
-    let mut fault_spec: Option<String> = None;
-    let mut builder = SipConfig::builder().collect_distributed(false);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut need = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "-o" => output = Some(need("-o")?),
-            "--workers" => {
-                builder = builder.workers(
-                    need("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?,
-                )
-            }
-            "--io" => {
-                builder =
-                    builder.io_servers(need("--io")?.parse().map_err(|e| format!("--io: {e}"))?)
-            }
-            "--seg" => seg = need("--seg")?.parse().map_err(|e| format!("--seg: {e}"))?,
-            "--nsub" => {
-                nsub = need("--nsub")?
-                    .parse()
-                    .map_err(|e| format!("--nsub: {e}"))?
-            }
-            "--prefetch" => {
-                builder = builder.prefetch_depth(
-                    need("--prefetch")?
-                        .parse()
-                        .map_err(|e| format!("--prefetch: {e}"))?,
-                )
-            }
-            "--cache" => {
-                builder = builder.cache_blocks(
-                    need("--cache")?
-                        .parse()
-                        .map_err(|e| format!("--cache: {e}"))?,
-                )
-            }
-            "--memory-budget" | "--budget" => {
-                builder = builder.memory_budget(need(a)?.parse().map_err(|e| format!("{a}: {e}"))?)
-            }
-            "--run-dir" => builder = builder.run_dir(need("--run-dir")?),
-            "--trace" => builder = builder.trace_path(need("--trace")?),
-            "--trace-buffer" => {
-                builder = builder.trace_buffer_events(
-                    need("--trace-buffer")?
-                        .parse()
-                        .map_err(|e| format!("--trace-buffer: {e}"))?,
-                )
-            }
-            "--profile-json" => builder = builder.profile_json(need("--profile-json")?),
-            "--bind" => {
-                let kv = need("--bind")?;
-                let (k, v) = kv
-                    .split_once('=')
-                    .ok_or_else(|| format!("--bind expects k=v, got `{kv}`"))?;
-                let v: i64 = v.parse().map_err(|e| format!("--bind {k}: {e}"))?;
-                bindings.insert(k.to_string(), v);
-            }
-            "--sparsity-threshold" => {
-                builder = builder.sparsity_threshold(
-                    need("--sparsity-threshold")?
-                        .parse()
-                        .map_err(|e| format!("--sparsity-threshold: {e}"))?,
-                )
-            }
-            "--density" => {
-                let kv = need("--density")?;
-                let (k, v) = kv
-                    .split_once('=')
-                    .ok_or_else(|| format!("--density expects name=frac, got `{kv}`"))?;
-                let v: f64 = v.parse().map_err(|e| format!("--density {k}: {e}"))?;
-                builder = builder.sparsity_density(k, v);
-            }
-            "--fault-seed" => {
-                fault_seed = Some(
-                    need("--fault-seed")?
-                        .parse()
-                        .map_err(|e| format!("--fault-seed: {e}"))?,
-                )
-            }
-            "--fault-plan" => fault_spec = Some(need("--fault-plan")?),
-            "--placement" => {
-                let name = need("--placement")?;
-                builder = builder.placement(match name.as_str() {
-                    "hash" => Placement::Hash,
-                    "planned" => Placement::Planned,
-                    other => {
-                        return Err(format!("unknown placement `{other}` (hash|planned)"));
-                    }
-                });
-            }
-            "--machine" => {
-                let name = need("--machine")?;
-                machine = match name.as_str() {
-                    "sun" => "sun",
-                    "xt4" => "xt4",
-                    "xt5" => "xt5",
-                    "altix" => "altix",
-                    "bgp" => "bgp",
-                    other => return Err(format!("unknown machine `{other}`")),
-                };
-            }
-            "--chem" => chem = true,
-            "--profile" => profile = true,
-            "--check" => check = true,
-            "--json" => json = true,
-            "--watch" => watch = true,
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    builder = builder.segments(SegmentConfig {
-        default: seg,
-        nsub,
-        ..Default::default()
-    });
-    if fault_spec.is_some() && fault_seed.is_none() {
-        return Err("--fault-plan needs --fault-seed for a reproducible run".into());
-    }
-    if let Some(seed) = fault_seed {
-        let spec = fault_spec.as_deref().unwrap_or("");
-        builder = builder.fault(parse_fault_spec(spec, seed)?);
-    }
-    let config = builder.build().map_err(|e| e.to_string())?;
-    Ok(Opts {
-        output,
-        config,
-        bindings,
-        chem,
-        profile,
-        check,
-        json,
-        watch,
-        seg,
-        machine,
-    })
-}
-
-/// Runs the static verifier and prints any findings. Returns `true` when
-/// the program is clean.
-fn verify_program(file: &str, p: &sia::Program) -> bool {
-    let diags = sia::runtime::verify::check_program(p);
-    if diags.is_empty() {
-        return true;
-    }
-    for d in &diags {
-        eprintln!("{file}: {d}");
-    }
-    let races = diags.iter().filter(|d| d.rule.is_race()).count();
-    eprintln!(
-        "{file}: check failed — {} finding(s) ({} structural, {races} race)",
-        diags.len(),
-        diags.len() - races
-    );
-    false
 }
 
 /// Loads `file` (source or `.siab`), compiles/decodes it, and statically
 /// verifies the result, collecting every finding as a located,
 /// span-carrying diagnostic. The `Err` side is an I/O failure only;
 /// compile and verify findings come back in the diagnostic list.
-fn check_diagnostics(
-    file: &str,
-) -> Result<(Option<sia::Program>, Vec<sia::bytecode::diag::Diagnostic>), String> {
-    use sia::bytecode::diag::{Diagnostic, Span};
+fn check_diagnostics(file: &str) -> Result<(Option<Program>, Vec<Diagnostic>), String> {
     let data = std::fs::read(file).map_err(|e| format!("{file}: {e}"))?;
     let (program, mut diags) = if data.starts_with(b"SIAB") {
         match sia::bytecode::decode_program(&data) {
@@ -310,26 +95,51 @@ fn check_diagnostics(
         }
     } else {
         let text = String::from_utf8(data).map_err(|_| format!("{file}: not UTF-8"))?;
-        match sia::subsystems::frontend::compile_file(file, &text) {
+        match sia::frontend::compile_file(file, &text) {
             Ok(p) => (Some(p), Vec::new()),
             Err(e) => (None, e.diagnostics),
         }
     };
     if let Some(p) = &program {
-        diags.extend(sia::runtime::verify::check_program(p).iter().map(|d| {
-            let mut s = d.to_diagnostic();
-            if s.file.is_empty() {
-                s.file = file.to_string();
-            }
-            s
-        }));
+        diags.extend(verify_diagnostics(file, p));
     }
     Ok((program, diags))
 }
 
+/// The static verifier's findings on `p`, located in `file`.
+fn verify_diagnostics<'a>(file: &'a str, p: &Program) -> impl Iterator<Item = Diagnostic> + 'a {
+    sia::runtime::check_program(p).into_iter().map(move |d| {
+        let mut s = d.to_diagnostic();
+        if s.file.is_empty() {
+            s.file = file.to_string();
+        }
+        s
+    })
+}
+
+/// The program `sial run` runs. Under `--check`, only once `sial check`
+/// finds nothing in it; otherwise every finding is printed as `sial check`
+/// prints it.
+fn load_for_run(file: &str, check: bool) -> Result<Program, String> {
+    if !check {
+        return load_program(file);
+    }
+    let (program, diags) = check_diagnostics(file)?;
+    if diags.is_empty() {
+        return Ok(program.expect("no diagnostics means the program loaded"));
+    }
+    for d in &diags {
+        eprintln!("{d}");
+    }
+    Err(format!(
+        "{file}: refusing to run (--check): {} finding(s)",
+        diags.len()
+    ))
+}
+
 /// `sial check [--json] [--watch]`: compile + static verify with located
 /// multi-error diagnostics (`file:line:col: error[code]: message`).
-fn cmd_check(file: &str, opts: &Opts) -> ExitCode {
+fn cmd_check(file: &str, opts: &JobOpts) -> ExitCode {
     if opts.watch {
         return cmd_check_watch(file, opts);
     }
@@ -377,11 +187,11 @@ fn cmd_check(file: &str, opts: &Opts) -> ExitCode {
 }
 
 /// `sial check --watch`: re-checks the file whenever its mtime changes,
-/// reusing one incremental [`CompilerDb`](sia::subsystems::frontend::CompilerDb)
+/// reusing one incremental [`CompilerDb`](sia::frontend::CompilerDb)
 /// so an unchanged declaration section re-runs only the queries the edit
 /// actually invalidated. Prints the memo-table summary after each pass.
-fn cmd_check_watch(file: &str, opts: &Opts) -> ExitCode {
-    use sia::subsystems::frontend::CompilerDb;
+fn cmd_check_watch(file: &str, opts: &JobOpts) -> ExitCode {
+    use sia::frontend::CompilerDb;
     let mut db: Option<CompilerDb> = None;
     let mut last: Option<std::time::SystemTime> = None;
     loop {
@@ -404,13 +214,7 @@ fn cmd_check_watch(file: &str, opts: &Opts) -> ExitCode {
             };
             let mut diags = db.diagnostics();
             if let Some(p) = db.program() {
-                diags.extend(sia::runtime::verify::check_program(&p).iter().map(|d| {
-                    let mut s = d.to_diagnostic();
-                    if s.file.is_empty() {
-                        s.file = file.to_string();
-                    }
-                    s
-                }));
+                diags.extend(verify_diagnostics(file, &p));
             }
             if opts.json {
                 println!("{}", sia::runtime::diagnostics_to_json(file, &diags));
@@ -434,16 +238,6 @@ fn cmd_check_watch(file: &str, opts: &Opts) -> ExitCode {
     }
 }
 
-fn load_program(path: &str) -> Result<sia::Program, String> {
-    let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    if data.starts_with(b"SIAB") {
-        sia::bytecode::decode_program(&data).map_err(|e| format!("{path}: {e}"))
-    } else {
-        let text = String::from_utf8(data).map_err(|_| format!("{path}: not UTF-8"))?;
-        sia::subsystems::frontend::compile_file(path, &text).map_err(|e| e.to_string())
-    }
-}
-
 /// One request/reply exchange with a running `siald` (its line protocol;
 /// see `src/bin/siald.rs`). Returns every reply line.
 fn siald_request(socket: &str, request: &str) -> Result<Vec<String>, String> {
@@ -462,11 +256,12 @@ fn siald_request(socket: &str, request: &str) -> Result<Vec<String>, String> {
     Ok(lines)
 }
 
-/// `sial submit <file> <socket> [k=v ...] [--wait]`: submits a program to a
-/// running `siald` and prints the assigned job id (or the rejection).
+/// `sial submit <file> <socket> [options] [--wait]`: submits a program to a
+/// running `siald`, forwarding the options unchanged, and prints the
+/// assigned job id (or the rejection).
 fn cmd_submit(file: &str, rest: &[String]) -> ExitCode {
     let Some(socket) = rest.first() else {
-        eprintln!("usage: sial submit <file> <socket> [k=v ...] [--wait]");
+        eprintln!("usage: sial submit <file> <socket> [options] [--wait]");
         return ExitCode::from(2);
     };
     let wait = rest.iter().any(|a| a == "--wait");
@@ -605,7 +400,7 @@ fn main() -> ExitCode {
         }
         _ => {}
     }
-    let opts = match parse_opts(rest) {
+    let opts = match parse_opts(rest, Surface::Cli) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
@@ -707,24 +502,9 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        "run" => match load_program(file) {
+        "run" => match load_for_run(file, opts.check) {
             Ok(p) => {
-                if opts.check && !verify_program(file, &p) {
-                    eprintln!("{file}: refusing to run (--check)");
-                    return ExitCode::FAILURE;
-                }
-                let mut registry = SuperRegistry::new();
-                if opts.chem {
-                    // The occupied count for denominators: `nocc` binding ×
-                    // segment size when present.
-                    let n_occ = opts
-                        .bindings
-                        .get("nocc")
-                        .map(|&o| o as usize * opts.seg)
-                        .unwrap_or(opts.seg);
-                    register_integrals(&mut registry, opts.seg, n_occ);
-                }
-                let sip = Sip::new(opts.config).with_registry(registry);
+                let sip = Sip::new(opts.config).with_registry(opts.registry);
                 match sip.run(p, &opts.bindings) {
                     Ok(out) => {
                         for (name, value) in &out.scalars {
@@ -782,13 +562,7 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 };
-                let m = match opts.machine {
-                    "sun" => machine::SUN_OPTERON_IB,
-                    "xt4" => machine::CRAY_XT4,
-                    "altix" => machine::SGI_ALTIX,
-                    "bgp" => machine::BLUEGENE_P,
-                    _ => machine::CRAY_XT5,
-                };
+                let m = opts.machine;
                 let mut cfg = SimConfig::sip(m, opts.config.workers.max(1) as u64);
                 cfg.prefetch_depth = opts.config.prefetch_depth as u32;
                 cfg.cache_blocks = opts.config.cache_blocks as u64;

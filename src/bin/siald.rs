@@ -10,7 +10,7 @@
 //! ```text
 //! siald --socket /tmp/siald.sock --budget 2147483648 --max-jobs 4 \
 //!       --data-dir /tmp/siald-data
-//! sial submit prog.sial /tmp/siald.sock tenant=alice bind:n=6
+//! sial submit prog.sial /tmp/siald.sock --tenant alice --bind n=6 --wait
 //! sial status /tmp/siald.sock
 //! ```
 //!
@@ -18,24 +18,29 @@
 //!
 //! ```text
 //! ping                         -> ok pong
-//! submit <file> [k=v ...]      -> ok <id>
+//! submit <file> [flags ...]    -> ok <id>
 //!                              |  rejected needed=<b> available=<b> budget=<b>
 //!                              |  error <msg>
 //! status                       -> job <id> ... (one line per job), then: end
-//! status <id>                  -> job <id> ...
-//! wait <id> [timeout_ms]       -> job <id> ...  |  error timeout
-//! fairness                     -> ok jain=<x>
+//! status <id>                  -> job <id> ...  |  error unknown job
+//! wait <id> [timeout_ms]       -> job <id> ...  |  error unknown job
+//!                              |  error timeout
 //! shutdown                     -> ok bye (after all jobs finish)
 //! ```
 //!
-//! Submit options: `tenant=<name>` `priority=<n>` `workers=<n>` `io=<n>`
-//! `seg=<n>` `nsub=<n>` `cache=<n>` `bind:<const>=<int>` `threshold=<x>`
-//! `density:<array>=<frac>` `chem=1` `export=0` `placement=planned`
-//! `fault=<spec>@<seed>` (spec as in `sial run --fault-plan`).
+//! A `submit`'s flags are `sial run`'s (`sia::opts`): `--workers 2 --seg 4
+//! --bind n=6 --fault-seed 7 --fault-plan drop=0.05 --chem`, plus the
+//! daemon's own `--tenant <name>`, `--priority <n>` and `--export 0|1`
+//! (default: tenant `default`, priority 1, export on). The daemon owns a
+//! job's run directory and exports and has no terminal, so it refuses
+//! `--run-dir`, `--trace`, `--profile-json`, `-o`, `--profile`, `--check`,
+//! `--json`, `--watch` and `--machine` with an `error` naming the flag. Each
+//! `submit` drops the records of all but the last
+//! `sia::runtime::serve::FINISHED_JOBS_KEPT` finished jobs; a dropped id is
+//! an unknown job.
 
-use sia::runtime::serve::{AdmitError, Daemon, DaemonConfig, JobSpec, JobStatus};
-use sia::subsystems::chem::register_integrals;
-use sia::{ConstBindings, SegmentConfig, SipConfig, SuperRegistry};
+use sia::opts::{load_program, parse_opts, Surface};
+use sia::runtime::serve::{AdmitError, Daemon, DaemonConfig, JobSpec, JobState, JobStatus};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -66,7 +71,7 @@ fn job_line(s: &JobStatus) -> String {
     if let Some(p) = &s.profile_json {
         line.push_str(&format!(" profile={}", p.display()));
     }
-    if let sia::runtime::serve::JobState::Failed(e) = &s.state {
+    if let JobState::Failed(e) = &s.state {
         line.push_str(&format!(" error={}", e.replace([' ', '\n'], "_")));
     }
     for (name, value) in &s.scalars {
@@ -75,132 +80,28 @@ fn job_line(s: &JobStatus) -> String {
     line
 }
 
-/// Parses a `submit` request's option tokens into a job spec.
-fn parse_submit(file: &str, opts: &[&str]) -> Result<JobSpec, String> {
-    let data = std::fs::read(file).map_err(|e| format!("{file}: {e}"))?;
-    let program = if data.starts_with(b"SIAB") {
-        sia::bytecode::decode_program(&data).map_err(|e| format!("{file}: {e}"))?
-    } else {
-        let text = String::from_utf8(data).map_err(|_| format!("{file}: not UTF-8"))?;
-        sia::compile(&text).map_err(|e| format!("{file}: {e}"))?
-    };
-
-    let mut tenant = "default".to_string();
-    let mut priority = 1u32;
-    let mut chem = false;
-    let mut export = true;
-    let mut seg = 8usize;
-    let mut nsub = 2usize;
-    let mut bindings = ConstBindings::new();
-    let mut builder = SipConfig::builder();
-    for tok in opts {
-        let (k, v) = tok
-            .split_once('=')
-            .ok_or_else(|| format!("bad option `{tok}`"))?;
-        match k {
-            "tenant" => tenant = v.to_string(),
-            "priority" => priority = v.parse().map_err(|e| format!("priority: {e}"))?,
-            "workers" => builder = builder.workers(v.parse().map_err(|e| format!("workers: {e}"))?),
-            "io" => builder = builder.io_servers(v.parse().map_err(|e| format!("io: {e}"))?),
-            "seg" => seg = v.parse().map_err(|e| format!("seg: {e}"))?,
-            "nsub" => nsub = v.parse().map_err(|e| format!("nsub: {e}"))?,
-            "cache" => {
-                builder = builder.cache_blocks(v.parse().map_err(|e| format!("cache: {e}"))?)
-            }
-            "threshold" => {
-                builder =
-                    builder.sparsity_threshold(v.parse().map_err(|e| format!("threshold: {e}"))?)
-            }
-            "placement" => match v {
-                "hash" => builder = builder.placement(sia::Placement::Hash),
-                "planned" => builder = builder.placement(sia::Placement::Planned),
-                other => return Err(format!("unknown placement `{other}`")),
-            },
-            "chem" => chem = v != "0",
-            "export" => export = v != "0",
-            "fault" => {
-                let (spec, seed) = v
-                    .rsplit_once('@')
-                    .ok_or_else(|| format!("fault expects spec@seed, got `{v}`"))?;
-                let seed: u64 = seed.parse().map_err(|e| format!("fault seed: {e}"))?;
-                let fault = parse_fault_spec(spec, seed)?;
-                builder = builder.fault(fault);
-            }
-            _ if k.starts_with("bind:") => {
-                let name = &k["bind:".len()..];
-                bindings.insert(
-                    name.to_string(),
-                    v.parse().map_err(|e| format!("{k}: {e}"))?,
-                );
-            }
-            _ if k.starts_with("density:") => {
-                let name = &k["density:".len()..];
-                builder =
-                    builder.sparsity_density(name, v.parse().map_err(|e| format!("{k}: {e}"))?);
-            }
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    builder = builder.segments(SegmentConfig {
-        default: seg,
-        nsub,
-        ..Default::default()
-    });
-    let config = builder.build().map_err(|e| e.to_string())?;
-    let mut registry = SuperRegistry::new();
-    if chem {
-        let n_occ = bindings
-            .get("nocc")
-            .map(|&o| o as usize * seg)
-            .unwrap_or(seg);
-        register_integrals(&mut registry, seg, n_occ);
-    }
+/// Reads a `submit` request's program and option tokens into a job spec.
+fn job_spec(file: &str, opts: &[&str]) -> Result<JobSpec, String> {
+    let opts = parse_opts(opts, Surface::Daemon)?;
     Ok(JobSpec {
-        tenant,
-        priority,
-        program,
-        bindings,
-        config,
-        registry,
-        export,
+        tenant: opts.tenant,
+        priority: opts.priority,
+        // A reply is one line; a program's diagnostics are one each.
+        program: load_program(file).map_err(|e| e.replace('\n', "; "))?,
+        bindings: opts.bindings,
+        config: opts.config,
+        registry: opts.registry,
+        export: opts.export,
     })
-}
-
-/// The `--fault-plan` spec grammar of `sial run`, shared over the wire:
-/// `drop=0.05,dup=0.01,delay=0.02,crash=1@8`.
-fn parse_fault_spec(spec: &str, seed: u64) -> Result<sia::FaultConfig, String> {
-    let mut plan = sia::FaultPlan::seeded(seed);
-    let mut crash = None;
-    for part in spec.split(',').filter(|p| !p.is_empty()) {
-        let (k, v) = part
-            .split_once('=')
-            .ok_or_else(|| format!("fault spec expects k=v parts, got `{part}`"))?;
-        match k {
-            "drop" => plan.drop = v.parse().map_err(|e| format!("fault drop: {e}"))?,
-            "dup" | "duplicate" => {
-                plan.duplicate = v.parse().map_err(|e| format!("fault dup: {e}"))?
-            }
-            "delay" => plan.delay = v.parse().map_err(|e| format!("fault delay: {e}"))?,
-            "crash" => {
-                let (w, i) = v
-                    .split_once('@')
-                    .ok_or_else(|| format!("crash expects W@I, got `{v}`"))?;
-                crash = Some(sia::CrashSchedule {
-                    worker: w.parse().map_err(|e| format!("crash worker: {e}"))?,
-                    after_iterations: i.parse().map_err(|e| format!("crash iterations: {e}"))?,
-                });
-            }
-            other => return Err(format!("unknown fault key `{other}`")),
-        }
-    }
-    let mut fault = sia::FaultConfig::new(plan);
-    fault.crash = crash;
-    Ok(fault)
 }
 
 /// The longest request line the daemon reads: a client that never sends a
 /// newline costs the daemon this much memory, not all of it.
 const MAX_REQUEST_BYTES: usize = 64 << 10;
+
+/// The reply to `status`/`wait` on an id the daemon never handed out, or
+/// whose finished record it has since pruned.
+const UNKNOWN_JOB: &str = "error unknown job";
 
 /// The one-line reply (several lines for a bare `status`) to one request
 /// line. Whatever the line holds, the answer is a reply, never a panic.
@@ -211,7 +112,7 @@ fn respond(line: &str, daemon: &Daemon, stop: &AtomicBool) -> String {
     let tokens: Vec<&str> = line.split_whitespace().collect();
     match tokens.as_slice() {
         ["ping"] => "ok pong".to_string(),
-        ["submit", file, opts @ ..] => match parse_submit(file, opts) {
+        ["submit", file, opts @ ..] => match job_spec(file, opts) {
             Ok(spec) => match daemon.submit(spec) {
                 Ok(id) => format!("ok {id}"),
                 Err(AdmitError::OverBudget {
@@ -237,23 +138,21 @@ fn respond(line: &str, daemon: &Daemon, stop: &AtomicBool) -> String {
         }
         ["status", id] => match id.parse().ok().and_then(|id| daemon.status(id)) {
             Some(s) => job_line(&s),
-            None => "error unknown job".to_string(),
+            None => UNKNOWN_JOB.to_string(),
         },
         ["wait", id, rest @ ..] => {
+            let Some(id) = id.parse().ok().filter(|&id| daemon.status(id).is_some()) else {
+                return UNKNOWN_JOB.to_string();
+            };
             let timeout = rest
                 .first()
                 .and_then(|t| t.parse().ok())
                 .unwrap_or(600_000u64);
-            match id
-                .parse()
-                .ok()
-                .and_then(|id| daemon.wait(id, Duration::from_millis(timeout)))
-            {
+            match daemon.wait(id, Duration::from_millis(timeout)) {
                 Some(s) => job_line(&s),
                 None => "error timeout".to_string(),
             }
         }
-        ["fairness"] => format!("ok jain={:.4}", daemon.fairness()),
         ["shutdown"] => {
             stop.store(true, Ordering::SeqCst);
             "ok bye".to_string()
@@ -384,28 +283,53 @@ mod tests {
     fn malformed_requests_get_one_error_line() {
         let (dir, prog, daemon) = fixture("respond");
         let stop = AtomicBool::new(false);
+        let broken = dir.join("broken.sial").display().to_string();
+        let src = "sial broken\naoindex i = 1, n\ntemp t(i)\npardo i\n  t(i) =\n  \
+                   this is not a statement\nendpardo i\nendsial\n";
+        std::fs::write(&broken, src).unwrap();
+        let broken_at = format!("{broken}:5:");
+        // Each request, and what its reply must name ("" for nothing).
         let requests = [
-            String::new(),
-            "\n".to_string(),
-            "frobnicate\n".to_string(),
-            "status x\n".to_string(),
-            "status 7\n".to_string(),
-            "wait\n".to_string(),
-            "wait x\n".to_string(),
-            "wait 1 18446744073709551615\n".to_string(),
-            "submit\n".to_string(),
-            "submit /nonexistent\n".to_string(),
-            format!("submit {prog} bad-option\n"),
-            format!("submit {prog} workers=many\n"),
-            format!("submit {prog} tenant=../x\n"),
-            format!("submit {prog} tenant=\n"),
-            "x".repeat(1 << 20),
+            (String::new(), ""),
+            ("\n".to_string(), ""),
+            ("frobnicate\n".to_string(), ""),
+            ("status x\n".to_string(), ""),
+            ("status 7\n".to_string(), "unknown job"),
+            ("wait\n".to_string(), ""),
+            ("wait x\n".to_string(), "unknown job"),
+            ("wait 1 18446744073709551615\n".to_string(), "unknown job"),
+            ("submit\n".to_string(), ""),
+            ("submit /nonexistent\n".to_string(), "/nonexistent"),
+            (format!("submit {prog} bad-option\n"), "bad-option"),
+            // Both of its errors, each located in the file.
+            (format!("submit {broken}\n"), &broken_at),
+            (format!("submit {prog} --workers many\n"), "--workers"),
+            (format!("submit {prog} --tenant ../x\n"), "../x"),
+            (format!("submit {prog} --tenant\n"), "--tenant"),
+            // The retired `k=v` dialect, and options a daemon job does not
+            // take, are refused by name rather than dropped.
+            (format!("submit {prog} workers=2\n"), "workers=2"),
+            (format!("submit {prog} bind:n=6\n"), "bind:n=6"),
+            (format!("submit {prog} -o x.siab\n"), "-o"),
+            (format!("submit {prog} --profile\n"), "--profile"),
+            (format!("submit {prog} --check\n"), "--check"),
+            (format!("submit {prog} --json\n"), "--json"),
+            (format!("submit {prog} --watch\n"), "--watch"),
+            (format!("submit {prog} --machine xt5\n"), "--machine"),
+            (format!("submit {prog} --run-dir /tmp/x\n"), "--run-dir"),
+            (format!("submit {prog} --trace t.json\n"), "--trace"),
+            (
+                format!("submit {prog} --profile-json p.json\n"),
+                "--profile-json",
+            ),
+            ("x".repeat(1 << 20), "too long"),
         ];
-        for request in &requests {
+        for (request, named) in &requests {
             let reply = respond(request, &daemon, &stop);
             let shown = &request[..request.len().min(40)];
             assert!(reply.starts_with("error "), "{shown:?} -> {reply:?}");
             assert_eq!(reply.lines().count(), 1, "{shown:?} -> {reply:?}");
+            assert!(reply.contains(named), "{shown:?} -> {reply:?}");
         }
         assert!(daemon.list().is_empty());
         assert!(!stop.load(Ordering::SeqCst));
@@ -420,7 +344,7 @@ mod tests {
     fn wait_with_an_unrepresentable_timeout_waits_for_the_job() {
         let (dir, prog, daemon) = fixture("wait");
         let stop = AtomicBool::new(false);
-        let submit = format!("submit {prog} workers=1 export=0\n");
+        let submit = format!("submit {prog} --workers 1 --export 0\n");
         assert_eq!(respond(&submit, &daemon, &stop), "ok 1");
         let reply = respond("wait 1 18446744073709551615\n", &daemon, &stop);
         assert!(

@@ -438,6 +438,9 @@ endsial
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("refusing to run"), "{stderr}");
+    // Its findings read as `sial check` prints them: located in the file.
+    let located = format!("{}:8:1: error[verify/write-write-race]", racy.display());
+    assert!(stderr.contains(&located), "{stderr}");
     // …and nothing ran: no iteration summary on stdout.
     assert!(!String::from_utf8_lossy(&out.stdout).contains("iterations:"));
     let _ = std::fs::remove_file(racy);
@@ -537,4 +540,68 @@ endsial
     assert!(stderr.contains(&format!("{name}:6:")), "{stderr}");
     assert!(stderr.contains("2 finding(s)"), "{stderr}");
     let _ = std::fs::remove_file(path);
+}
+
+/// Kills the daemon a test started if the test fails before shutting it
+/// down.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn submit_forwards_run_flags_to_siald() {
+    let dir = std::env::temp_dir().join(format!("sia-cli-siald-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("siald.sock");
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_siald"))
+            .arg("--socket")
+            .arg(&socket)
+            .arg("--data-dir")
+            .arg(dir.join("data"))
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !socket.exists() {
+        assert!(std::time::Instant::now() < deadline, "siald never bound");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let prog = write_demo("siald");
+    let (prog, sock) = (prog.to_str().unwrap(), socket.to_str().unwrap());
+
+    let out = sial()
+        .args(["submit", prog, sock, "--bind", "n=5", "--seg", "4"])
+        .args(["--tenant", "t", "--wait"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("tenant=t state=done"), "{stdout}");
+    assert!(stdout.contains("scalar:s=45"), "{stdout}");
+
+    // The retired `k=v` dialect is refused, by name.
+    let out = sial()
+        .args(["submit", prog, sock, "bind:n=5"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!out.status.success(), "{stdout}");
+    assert!(
+        stdout.starts_with("error ") && stdout.contains("bind:n=5"),
+        "{stdout}"
+    );
+
+    let out = sial().args(["shutdown", sock]).output().unwrap();
+    assert!(out.status.success());
+    assert!(daemon.0.wait().unwrap().success());
+    let _ = std::fs::remove_file(prog);
+    let _ = std::fs::remove_dir_all(&dir);
 }

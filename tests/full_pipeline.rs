@@ -4,11 +4,11 @@
 //! code, and end-to-end numeric validation of the chemistry workloads
 //! against independently computed references.
 
-use sia::subsystems::chem::{
+use sia::chem::{
     self, ccsd_iteration, ccsd_t_triples, contraction_demo, fock_build, mp2_energy, Molecule,
 };
-use sia::subsystems::runtime::trace::TracePhase;
-use sia::{Sia, SipConfig};
+use sia::runtime::trace::TracePhase;
+use sia::{ConstBindings, Sip, SipConfig};
 
 fn tiny() -> Molecule {
     Molecule {
@@ -201,17 +201,8 @@ fn trace_totals_agree_with_real_run_traffic_shape() {
 
 #[test]
 fn builder_facade_end_to_end() {
-    let out = Sia::builder()
-        .workers(2)
-        .segment_size(3)
-        .bind("n", 4)
-        .register("ramp", |args, _env| {
-            let segs: Vec<i64> = args[0].segs()?.to_vec();
-            args[0].block_mut()?.fill(segs[0] as f64);
-            Ok(())
-        })
-        .run(
-            r#"
+    let program = sia::compile(
+        r#"
 sial facade
 aoindex i = 1, n
 distributed X(i)
@@ -230,8 +221,22 @@ sip_barrier
 execute sip_allreduce s
 endsial
 "#,
-        )
+    )
+    .unwrap();
+    let config = SipConfig::builder()
+        .workers(2)
+        .segment_size(3)
+        .collect_distributed(true)
+        .build()
         .unwrap();
+    let mut sip = Sip::new(config);
+    sip.registry_mut().register("ramp", |args, _env| {
+        let segs: Vec<i64> = args[0].segs()?.to_vec();
+        args[0].block_mut()?.fill(segs[0] as f64);
+        Ok(())
+    });
+    let bindings: ConstBindings = [("n".to_string(), 4)].into_iter().collect();
+    let out = sip.run(program, &bindings).unwrap();
     // Σ_i 3·i² over segments 1..4 (3 elements per block).
     let want: f64 = (1..=4).map(|i| 3.0 * (i * i) as f64).sum();
     assert!((out.scalars["s"] - want).abs() < 1e-9);

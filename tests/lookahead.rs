@@ -4,9 +4,9 @@
 //! `pardo i, j { get X; use X }` shape it hides the round trip and cuts the
 //! envelopes, which is what it is for.
 
-use sia::subsystems::chem::register_integrals;
-use sia::subsystems::runtime::scheduler::ChunkPolicy;
-use sia::subsystems::runtime::{Placement, SipConfigBuilder};
+use sia::chem::register_integrals;
+use sia::runtime::scheduler::ChunkPolicy;
+use sia::runtime::{Placement, SipConfigBuilder};
 use sia::{ConstBindings, FaultConfig, FaultPlan, RunOutput, Sip, SipConfig, SuperRegistry};
 
 /// `putget_fine`'s shape: a transposed `get` beside a `put`, then a `get`
@@ -183,7 +183,7 @@ fn assert_same_results(off: &RunOutput, on: &RunOutput, exact_scalars: bool, ctx
             "{ctx}: blocks of {name}"
         );
         for (segs, block) in blocks {
-            let bits = |b: &sia::subsystems::blocks::Block| -> Vec<u64> {
+            let bits = |b: &sia::blocks::Block| -> Vec<u64> {
                 b.data().iter().map(|x| x.to_bits()).collect()
             };
             assert_eq!(bits(block), bits(&other[segs]), "{ctx}: {name}{segs:?}");

@@ -3,7 +3,7 @@
 //! from outside through `RunOutput::traffic_per_rank[..].deadline_wakeups` —
 //! the blocking receives that ended on their deadline instead of a message.
 
-use sia::subsystems::chem::register_integrals;
+use sia::chem::register_integrals;
 use sia::{ConstBindings, FaultConfig, FaultPlan, RunOutput, Sip, SipConfig, SuperRegistry};
 
 const SERVED: &str = "sial served_rt
