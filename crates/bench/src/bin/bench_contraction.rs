@@ -1,26 +1,24 @@
 //! Contraction hot-path baseline: GEMM throughput (seed kernel replica vs
 //! the active register-tile kernel), block-contraction GFLOP/s across
-//! segment sizes, the transpose-folding ablation, and the permute-on-pack
-//! grid (shape × transpose class, plus the CCSD ladder on 16⁴ blocks; folded
-//! vs materialized). One GEMM runs on one thread —
-//! the SIP's parallelism is across workers — which is the `t1` in the keys.
-//! Writes
-//! the numbers to `BENCH_contraction.json` at the repo root so future PRs
-//! can track the perf trajectory.
+//! segment sizes, and the permute-on-pack grid (shape × transpose class,
+//! plus the CCSD ladder on 16⁴ blocks). One GEMM runs on one thread — the
+//! SIP's parallelism is across workers — which is the `t1` in the keys.
+//! Writes the numbers to `BENCH_contraction.json` at the repo root so
+//! future PRs can track the perf trajectory.
 //!
 //! ```text
 //! cargo run --release -p sia-bench --bin bench_contraction [-- --quick]
 //! ```
 //!
 //! `--quick` runs a seconds-long smoke check instead: a chem-shaped
-//! contraction with an interleaved operand permutation must take the
-//! folded pack path (pack-stats counter `permutes_folded > 0`) and agree
-//! bitwise with the materialize-then-GEMM ablation. Exits nonzero on
-//! failure; used by CI.
+//! contraction with an interleaved operand permutation must agree bitwise
+//! with permuting its operands into GEMM order first and contracting the
+//! identity-ordered plan, and must give every pool block back. Exits
+//! nonzero on failure; used by CI.
 
 use sia_blocks::{
-    active_microkernel, contract_into_ctx, dgemm, Block, BlockPool, ContractCtx, ContractionPlan,
-    GemmLayout, PoolConfig, Shape,
+    active_microkernel, apply_permutation, contract_into_ctx, dgemm, invert_permutation, permute,
+    Block, BlockPool, ContractCtx, ContractionPlan, GemmLayout, PoolConfig, Shape,
 };
 use sia_runtime::json::Json;
 use std::fs;
@@ -102,7 +100,7 @@ fn ramp(shape: Shape) -> Block {
 
 /// The permute-on-pack grid: every transpose class of `C = A·B` plus the
 /// chem-style rank-4 shape whose operand permutation interleaves free and
-/// contracted axes (classified `Permute`, the case the packers fold).
+/// contracted axes.
 ///
 /// Returns `(name, plan, a, b)` rows. `n` sizes the rank-2 shapes (n³
 /// FLOP-shaped); `(m, ls, ij)` sizes the chem shape `C(M,I,J) =
@@ -143,42 +141,48 @@ fn ladder_shape(seg: usize) -> (String, ContractionPlan, Block, Block) {
     ("ladder".to_string(), plan, blk.clone(), blk)
 }
 
-/// CI smoke: the chem workload must fold its interleaved permutation into
-/// the pack (zero permute scratch) and agree bitwise with the materialized
-/// ablation. Exits nonzero on failure.
+/// `C = A·B` the way the paper describes it: both operands permuted into
+/// GEMM order, the identity-ordered plan contracted into the raw
+/// `[free_a.., free_b..]` order, and that result permuted into `C`'s order.
+fn permute_then_contract(plan: &ContractionPlan, a: &Block, b: &Block) -> Block {
+    let to_raw = invert_permutation(&plan.out_perm);
+    let raw_plan = ContractionPlan::infer(
+        &apply_permutation(&to_raw, &plan.c_labels),
+        &apply_permutation(&plan.a_perm, &plan.a_labels),
+        &apply_permutation(&plan.b_perm, &plan.b_labels),
+    )
+    .expect("a reordered plan is a plan");
+    let (a, b) = (permute(a, &plan.a_perm), permute(b, &plan.b_perm));
+    let mut raw = Block::zeros(raw_plan.output_shape(a.shape(), b.shape()));
+    contract_into_ctx(&mut ContractCtx::new(), &raw_plan, &a, &b, 0.0, &mut raw);
+    permute(&raw, &plan.out_perm)
+}
+
+/// CI smoke: the chem workload, read through permuted views, must agree
+/// bitwise with permute-then-contract and leave no pool block live. Exits
+/// nonzero on failure.
 fn quick_smoke() {
     let (_, plan, a, b) = grid_shapes(32, 32, 8, 8).pop().unwrap();
     let pool = BlockPool::new(PoolConfig {
         max_bytes: 64 << 20,
     });
-    let mut out_fold = Block::zeros(plan.output_shape(a.shape(), b.shape()));
-    let mut out_mat = out_fold.clone();
-
+    let mut out = Block::zeros(plan.output_shape(a.shape(), b.shape()));
     let mut ctx = ContractCtx::with_pool(pool.clone());
-    contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut out_fold);
-    let pack = ctx.take_pack_stats();
+    contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut out);
     let stats = ctx.take_stats();
-
-    let mut ctx_mat = ContractCtx::with_pool(pool).fold_transposes(false);
-    contract_into_ctx(&mut ctx_mat, &plan, &a, &b, 0.0, &mut out_mat);
-
     println!(
-        "quick: microkernel={} permutes_folded={} permutes_performed={} packed_bytes={}",
+        "quick: microkernel={} packed_bytes={} pack_pool_misses={} live_blocks={}",
         active_microkernel(),
-        pack.permutes_folded,
-        stats.permutes_performed,
-        pack.packed_bytes
+        stats.packed_bytes,
+        stats.pack_pool_misses,
+        pool.stats().live_blocks
     );
-    if pack.permutes_folded == 0 {
-        eprintln!("FAIL: chem workload did not fold its operand permutation into the pack");
+    if out.data() != permute_then_contract(&plan, &a, &b).data() {
+        eprintln!("FAIL: the chem contraction disagrees with permute-then-contract");
         std::process::exit(1);
     }
-    if stats.permutes_performed != 0 {
-        eprintln!("FAIL: folded run still materialized a permute");
-        std::process::exit(1);
-    }
-    if out_fold.data() != out_mat.data() {
-        eprintln!("FAIL: folded and materialized contractions disagree");
+    if pool.stats().live_blocks != 0 {
+        eprintln!("FAIL: the contraction kept a pool block");
         std::process::exit(1);
     }
     println!("quick smoke passed");
@@ -253,55 +257,22 @@ fn main() {
         report.push((format!("contract_seg{seg}_gflops"), g.into()));
     }
 
-    // ---- transpose-folding ablation ----------------------------------------
-    // Fold-friendly rank-2 shape C(M,N) = A(L,M)·B(L,N) at 256^3.
-    let m = 256usize;
-    let plan2 = ContractionPlan::infer(&[1, 2], &[0, 1], &[0, 2]).unwrap();
-    let fa = ramp(Shape::new(&[m, m]));
-    let fb = ramp(Shape::new(&[m, m]));
-    let mut out = Block::zeros(plan2.output_shape(fa.shape(), fb.shape()));
-    for fold in [true, false] {
-        let mut ctx = ContractCtx::with_pool(pool.clone()).fold_transposes(fold);
-        let secs = time(|| contract_into_ctx(&mut ctx, &plan2, &fa, &fb, 0.0, &mut out));
-        let name = if fold { "fold" } else { "no_fold" };
-        println!("contract 256^2 {name:<8}: {:.3} ms", secs * 1e3);
-        report.push((format!("contract_256_{name}_ms"), (secs * 1e3).into()));
-    }
-
     // ---- permute-on-pack grid: shape × transpose class ---------------------
-    // Folded (read operands through views, permutation folded into the
-    // pack) vs materialized (permute-then-GEMM ablation). Both paths are
-    // timed best-of-rounds: the folded path does strictly no more work, so
-    // its true minimum is ≤ the ablation's; extra rounds wash out
-    // scheduler noise on small hosts.
+    // Operands read in place through permuted views, timed best-of-rounds:
+    // extra rounds wash out scheduler noise on small hosts.
     let grid = grid_shapes(512, 256, 24, 16)
         .into_iter()
         .chain([ladder_shape(16)]);
     for (name, plan, ga, gb) in grid {
-        let gflops = plan.flops(ga.shape(), gb.shape()) as f64;
+        let flops = plan.flops(ga.shape(), gb.shape()) as f64;
         let mut out = Block::zeros(plan.output_shape(ga.shape(), gb.shape()));
-        let mut fold_secs = f64::INFINITY;
-        let mut mat_secs = f64::INFINITY;
-        for _round in 0..4 {
-            let mut ctx_m = ContractCtx::with_pool(pool.clone()).fold_transposes(false);
-            mat_secs = mat_secs.min(time(|| {
-                contract_into_ctx(&mut ctx_m, &plan, &ga, &gb, 0.0, &mut out)
-            }));
-            let mut ctx_f = ContractCtx::with_pool(pool.clone());
-            fold_secs = fold_secs.min(time(|| {
-                contract_into_ctx(&mut ctx_f, &plan, &ga, &gb, 0.0, &mut out)
-            }));
-            if fold_secs <= mat_secs {
-                break;
-            }
-        }
-        let (gfold, gmat) = (gf(gflops, fold_secs), gf(gflops, mat_secs));
-        println!(
-            "grid {name:<4}: fold {gfold:.2} GFLOP/s, materialize {gmat:.2} GFLOP/s ({:+.1}%)",
-            (gfold / gmat - 1.0) * 100.0
-        );
-        report.push((format!("grid_{name}_t1_fold_gflops"), gfold.into()));
-        report.push((format!("grid_{name}_t1_mat_gflops"), gmat.into()));
+        let mut ctx = ContractCtx::with_pool(pool.clone());
+        let secs = (0..3)
+            .map(|_| time(|| contract_into_ctx(&mut ctx, &plan, &ga, &gb, 0.0, &mut out)))
+            .fold(f64::INFINITY, f64::min);
+        let g = gf(flops, secs);
+        println!("grid {name:<6}: {g:.2} GFLOP/s");
+        report.push((format!("grid_{name}_t1_gflops"), g.into()));
     }
 
     let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());

@@ -4,7 +4,9 @@
 //! blocks over their shared index variables. Per the paper (§III, footnote 3),
 //! the contraction sums over indices common to `A` and `B` wherever they
 //! appear, and is "typically implemented by permuting one of the arrays and
-//! then applying a DGEMM" — exactly what [`contract`] does.
+//! then applying a DGEMM" — what [`contract`] does, with every permute
+//! folded into the DGEMM's operand packing and tile write instead of made
+//! as a copy.
 //!
 //! Index variables are identified by opaque `u32` labels (the compiler uses
 //! its index-table ids). [`ContractionPlan::infer`] classifies each label as
@@ -13,8 +15,8 @@
 //! the bytecode and reused for every block the loop touches.
 
 use crate::block::Block;
-use crate::gemm::{dgemm_view_into, pack_buf_elems, GemmConfig, GemmLayout, PackBufs};
-use crate::permute::{invert_permutation, is_identity_permutation, permute_into};
+use crate::gemm::{dgemm_view_into, pack_elems};
+use crate::permute::invert_permutation;
 use crate::pool::BlockPool;
 use crate::shape::Shape;
 use crate::view::{MatLayout, MatView};
@@ -64,24 +66,6 @@ impl fmt::Display for ContractError {
 
 impl std::error::Error for ContractError {}
 
-/// How an operand reaches GEMM form. Since permute-on-pack, *every* variant
-/// reads the operand in place; the classification now only picks the view
-/// construction (and feeds the fold counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OperandFold {
-    /// Stored order is already the GEMM order — use the data in place with
-    /// `GemmLayout::NoTrans`.
-    Identity,
-    /// Stored order is the GEMM order with the free/contracted groups
-    /// swapped — the stored matrix is the transpose of the wanted one, so
-    /// use the data in place with `GemmLayout::Trans`.
-    FoldedTranspose,
-    /// General reordering — read through a permuted [`MatView`], folding the
-    /// reorder into the GEMM pack traversal (a materialized copy is made
-    /// only in `no_fold` ablation runs).
-    Permute,
-}
-
 /// A precomputed contraction: which axes of each operand are free or
 /// contracted, and the permutations bringing the operands into GEMM form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,26 +85,6 @@ pub struct ContractionPlan {
     pub out_perm: Vec<usize>,
     /// Number of contracted axes.
     pub n_contracted: usize,
-    /// How A reaches its `[free_a.., contracted..]` GEMM form.
-    pub a_fold: OperandFold,
-    /// How B reaches its `[contracted.., free_b..]` GEMM form.
-    pub b_fold: OperandFold,
-}
-
-/// Classifies a GEMM-form permutation: identity, a pure swap of the two
-/// flattened groups (stored = target rotated left by `split`), or general.
-fn classify_fold(perm: &[usize], split: usize) -> OperandFold {
-    if is_identity_permutation(perm) {
-        OperandFold::Identity
-    } else if perm
-        .iter()
-        .enumerate()
-        .all(|(d, &p)| p == (d + split) % perm.len())
-    {
-        OperandFold::FoldedTranspose
-    } else {
-        OperandFold::Permute
-    }
 }
 
 impl ContractionPlan {
@@ -199,9 +163,6 @@ impl ContractionPlan {
         let raw: Vec<u32> = free_a.iter().chain(free_b.iter()).copied().collect();
         let out_perm: Vec<usize> = c_labels.iter().map(|&l| pos(&raw, l)).collect();
 
-        let n_contracted = contracted.len();
-        let a_fold = classify_fold(&a_perm, n_contracted);
-        let b_fold = classify_fold(&b_perm, b_labels.len() - n_contracted);
         Ok(ContractionPlan {
             c_labels: c_labels.to_vec(),
             a_labels: a_labels.to_vec(),
@@ -209,9 +170,7 @@ impl ContractionPlan {
             a_perm,
             b_perm,
             out_perm,
-            n_contracted,
-            a_fold,
-            b_fold,
+            n_contracted: contracted.len(),
         })
     }
 
@@ -253,53 +212,18 @@ impl ContractionPlan {
     }
 }
 
-/// Counters describing how the contraction hot path behaved: copies folded
-/// away, copies materialized, and where the scratch for the latter came
-/// from. Aggregated per worker into the runtime's unified `Metrics`
-/// model (whose `Merge` impl delegates to [`ContractStats::merge`]) and
-/// surfaced as the `contract:` section of `--profile`/`--profile-json`.
+/// Counters of the contraction hot path: contractions run, and what the
+/// GEMM packed and where its pack panels came from. Aggregated per worker
+/// into the runtime's unified `Metrics` model (whose `Merge` impl delegates
+/// to [`ContractStats::merge`]) and surfaced as the `contract:` section of
+/// `--profile`/`--profile-json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContractStats {
     /// Contractions executed.
     pub contractions: u64,
-    /// Operand permutes skipped by using the data in place (identity or
-    /// transpose-folded into the GEMM layout).
-    pub permutes_avoided: u64,
-    /// Operand permutes that had to materialize a reordered copy.
-    pub permutes_performed: u64,
-    /// Scratch buffers served from the block pool's recycled storage.
-    pub scratch_pool_hits: u64,
-    /// Scratch buffers that required a fresh allocation.
-    pub scratch_pool_misses: u64,
-    /// Bytes of operand data that were never copied thanks to folding.
-    pub bytes_not_copied: u64,
-}
-
-impl ContractStats {
-    /// Accumulates another worker's counters into this one.
-    pub fn merge(&mut self, other: &ContractStats) {
-        self.contractions += other.contractions;
-        self.permutes_avoided += other.permutes_avoided;
-        self.permutes_performed += other.permutes_performed;
-        self.scratch_pool_hits += other.scratch_pool_hits;
-        self.scratch_pool_misses += other.scratch_pool_misses;
-        self.bytes_not_copied += other.bytes_not_copied;
-    }
-}
-
-/// Counters for the permute-on-pack GEMM stage: how operand reorders were
-/// handled and where the packing scratch came from. Surfaced as the `pack:`
-/// section of `--profile`/`--profile-json` alongside [`ContractStats`]'s
-/// `contract:` section.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PackStats {
-    /// Operand permutations folded into the pack traversal (no copy).
-    pub permutes_folded: u64,
-    /// Operand permutations materialized as a reordered copy before the
-    /// GEMM (only the `no_fold` ablation path does this now).
-    pub permutes_materialized: u64,
     /// Logical operand bytes routed through the pack stage: `(m·k + k·n) ·
-    /// 8` per contraction, independent of cache-block repacking.
+    /// 8` per contraction that packs, independent of cache-block
+    /// repacking. A block dot (`m·n == 1`) packs nothing.
     pub packed_bytes: u64,
     /// Pack panels served from the block pool's recycled storage.
     pub pack_pool_hits: u64,
@@ -307,42 +231,33 @@ pub struct PackStats {
     pub pack_pool_misses: u64,
 }
 
-impl PackStats {
+impl ContractStats {
     /// Accumulates another worker's counters into this one.
-    pub fn merge(&mut self, other: &PackStats) {
-        self.permutes_folded += other.permutes_folded;
-        self.permutes_materialized += other.permutes_materialized;
+    pub fn merge(&mut self, other: &ContractStats) {
+        self.contractions += other.contractions;
         self.packed_bytes += other.packed_bytes;
         self.pack_pool_hits += other.pack_pool_hits;
         self.pack_pool_misses += other.pack_pool_misses;
     }
 }
 
-/// Execution context for contractions: where scratch comes from, how the
-/// GEMM runs, and whether layout folding is enabled. One lives per SIP
-/// worker (sharing the worker's block pool); a default context gives the
-/// standalone `contract`/`contract_into` entry points sane behavior.
+/// Execution context for contractions: where the GEMM's pack panels come
+/// from, and the running counters. One lives per SIP worker (sharing the
+/// worker's block pool); [`contract`] uses a throwaway one.
 #[derive(Debug, Clone, Default)]
 pub struct ContractCtx {
     pool: Option<BlockPool>,
-    /// GEMM cache blocking used for every contraction in this ctx.
-    pub gemm: GemmConfig,
-    /// When false, operands are always materialized in GEMM order — the
-    /// pre-folding behavior, kept for ablation runs.
-    pub no_fold: bool,
     /// Running counters; reset with [`ContractCtx::take_stats`].
     pub stats: ContractStats,
-    /// Permute-on-pack counters; reset with [`ContractCtx::take_pack_stats`].
-    pub pack: PackStats,
 }
 
 impl ContractCtx {
-    /// A context with no pool (scratch is plainly allocated) and folding on.
+    /// A context with no pool: pack panels are plainly allocated.
     pub fn new() -> Self {
         ContractCtx::default()
     }
 
-    /// A context drawing scratch from `pool`.
+    /// A context drawing pack panels from `pool`.
     pub fn with_pool(pool: BlockPool) -> Self {
         ContractCtx {
             pool: Some(pool),
@@ -350,77 +265,29 @@ impl ContractCtx {
         }
     }
 
-    /// Disables transpose folding (builder style, for ablations).
-    pub fn fold_transposes(mut self, on: bool) -> Self {
-        self.no_fold = !on;
-        self
-    }
-
     /// Returns the counters accumulated so far and resets them.
     pub fn take_stats(&mut self) -> ContractStats {
         std::mem::take(&mut self.stats)
     }
 
-    /// Returns the pack counters accumulated so far and resets them.
-    pub fn take_pack_stats(&mut self) -> PackStats {
-        std::mem::take(&mut self.pack)
-    }
-
-    /// Acquires zeroed scratch of `shape`, recycled from the pool when one
-    /// is attached and has parked storage of that size class.
-    fn scratch(&mut self, shape: Shape) -> Block {
-        if let Some(pool) = &self.pool {
-            let hits_before = pool.stats().hits;
-            if let Ok(blk) = pool.acquire_raw(shape) {
-                if pool.stats().hits > hits_before {
-                    self.stats.scratch_pool_hits += 1;
-                } else {
-                    self.stats.scratch_pool_misses += 1;
-                }
-                return blk;
-            }
-            // Pool budget exhausted: fall through to a plain allocation
-            // rather than failing the contraction.
-        }
-        self.stats.scratch_pool_misses += 1;
-        Block::zeros(shape)
-    }
-
-    /// Returns scratch storage for reuse by later contractions.
-    fn free(&mut self, blk: Block) {
-        if let Some(pool) = &self.pool {
-            pool.release(blk);
-        }
-    }
-
     /// Draws the two GEMM pack panels from the pool (stale contents allowed:
     /// packing overwrites or zero-pads everything the kernel reads). `None`
-    /// when the GEMM packs nothing (a block dot), no pool is attached or its
-    /// budget is exhausted — the GEMM then falls back to local allocations.
-    fn acquire_pack_bufs(&mut self, a_elems: usize, b_elems: usize) -> Option<(Block, Block)> {
-        if a_elems + b_elems == 0 {
-            return None;
-        }
+    /// when no pool is attached or its budget is exhausted — the GEMM then
+    /// falls back to local allocations.
+    fn pack_panels(&mut self, a_elems: usize, b_elems: usize) -> Option<(Block, Block)> {
         let pool = self.pool.clone()?;
-        let get = |pack: &mut PackStats, elems: usize| -> Option<Block> {
+        let mut get = |elems: usize| -> Option<Block> {
             let hits_before = pool.stats().hits;
-            match pool.acquire_scratch(Shape::new(&[elems])) {
-                Ok(blk) => {
-                    if pool.stats().hits > hits_before {
-                        pack.pack_pool_hits += 1;
-                    } else {
-                        pack.pack_pool_misses += 1;
-                    }
-                    Some(blk)
-                }
-                Err(_) => {
-                    pack.pack_pool_misses += 1;
-                    None
-                }
+            let blk = pool.acquire_scratch(Shape::new(&[elems])).ok();
+            if blk.is_some() && pool.stats().hits > hits_before {
+                self.stats.pack_pool_hits += 1;
+            } else {
+                self.stats.pack_pool_misses += 1;
             }
+            blk
         };
-        let a = get(&mut self.pack, a_elems)?;
-        match get(&mut self.pack, b_elems) {
+        let a = get(a_elems)?;
+        match get(b_elems) {
             Some(b) => Some((a, b)),
             None => {
                 pool.release(a);
@@ -433,29 +300,22 @@ impl ContractCtx {
 /// `C = A * B` under `plan`. Allocates the output block.
 pub fn contract(plan: &ContractionPlan, a: &Block, b: &Block) -> Block {
     let mut c = Block::zeros(plan.output_shape(a.shape(), b.shape()));
-    contract_into(plan, a, b, 0.0, &mut c);
+    contract_into_ctx(&mut ContractCtx::new(), plan, a, b, 0.0, &mut c);
     c
-}
-
-/// `C = alpha_c * C + A * B` under `plan` with a throwaway default context
-/// (folding on, no pool, single-threaded GEMM). See [`contract_into_ctx`].
-pub fn contract_into(plan: &ContractionPlan, a: &Block, b: &Block, alpha_c: f64, c: &mut Block) {
-    contract_into_ctx(&mut ContractCtx::new(), plan, a, b, alpha_c, c);
 }
 
 /// `C = alpha_c * C + A * B` under `plan` (`alpha_c = 1.0` implements the
 /// fused contraction-accumulate of SIAL's `+=`).
 ///
-/// The hot path: each operand is classified (see [`OperandFold`]) and read
-/// *in place* through a [`MatView`] — plain for `Identity`, transposed for
-/// `FoldedTranspose`, and a strided permuted view for `Permute`, whose
-/// reorder then folds into the GEMM's pack traversal instead of
-/// materializing a reordered copy (only `no_fold` ablation contexts still
-/// materialize). The output is addressed the same way: `plan.out_perm`
-/// becomes a [`MatLayout`] over `C`'s own storage and folds into the GEMM's
-/// tile write (including the `alpha_c` accumulate, via GEMM's beta), so no
-/// raw result block is ever materialized. The GEMM's pack panels are drawn
-/// from the context's block pool when one is attached.
+/// The hot path: each operand is read *in place* through a
+/// [`MatView::permuted`] over its GEMM-order permutation, so any reorder
+/// folds into the GEMM's pack traversal (an operand already in GEMM order,
+/// or its transpose, is the degenerate case and reads as a plain matrix).
+/// The output is addressed the same way: `plan.out_perm` becomes a
+/// [`MatLayout`] over `C`'s own storage and folds into the GEMM's tile
+/// write (including the `alpha_c` accumulate, via GEMM's beta), so no
+/// operand copy or raw result block is ever materialized. The GEMM's pack
+/// panels are drawn from the context's block pool when one is attached.
 ///
 /// # Panics
 /// Panics if block shapes are inconsistent with the plan.
@@ -475,42 +335,9 @@ pub fn contract_into_ctx(
 
     let nc = plan.n_contracted;
     let nf_a = plan.a_perm.len() - nc;
-    let m: usize = plan.a_perm[..nf_a]
-        .iter()
-        .map(|&p| a.shape().dim(p))
-        .product();
-    let k: usize = plan.a_perm[nf_a..]
-        .iter()
-        .map(|&p| a.shape().dim(p))
-        .product();
-    let n: usize = plan.b_perm[nc..]
-        .iter()
-        .map(|&p| b.shape().dim(p))
-        .product();
-
-    // Bring each operand into GEMM form. `prepare_operand` materializes a
-    // permuted copy only in `no_fold` ablation mode; otherwise the operand
-    // is read in place and any reorder is carried by the view below.
-    let a_scratch = prepare_operand(ctx, a, &plan.a_perm, plan.a_fold);
-    let b_scratch = prepare_operand(ctx, b, &plan.b_perm, plan.b_fold);
-    let (a_eff, a_fold) = match &a_scratch {
-        Some(s) => (s, OperandFold::Identity),
-        None => (a, plan.a_fold),
-    };
-    let (b_eff, b_fold) = match &b_scratch {
-        Some(s) => (s, OperandFold::Identity),
-        None => (b, plan.b_fold),
-    };
-    let a_view = match a_fold {
-        OperandFold::Identity => MatView::from_matrix(a_eff.data(), m, k, GemmLayout::NoTrans),
-        OperandFold::FoldedTranspose => MatView::from_matrix(a_eff.data(), m, k, GemmLayout::Trans),
-        OperandFold::Permute => MatView::permuted(a_eff.data(), a_eff.shape(), &plan.a_perm, nf_a),
-    };
-    let b_view = match b_fold {
-        OperandFold::Identity => MatView::from_matrix(b_eff.data(), k, n, GemmLayout::NoTrans),
-        OperandFold::FoldedTranspose => MatView::from_matrix(b_eff.data(), k, n, GemmLayout::Trans),
-        OperandFold::Permute => MatView::permuted(b_eff.data(), b_eff.shape(), &plan.b_perm, nc),
-    };
+    let a_view = MatView::permuted(a.data(), a.shape(), &plan.a_perm, nf_a);
+    let b_view = MatView::permuted(b.data(), b.shape(), &plan.b_perm, nc);
+    let (m, k, n) = (a_view.rows(), a_view.cols(), b_view.cols());
     // C as the GEMM sees it: raw axis `r` of `[free_a.., free_b..]` is C's
     // stored axis `d` with `out_perm[d] == r`.
     let c_layout = MatLayout::permuted(c.shape(), &invert_permutation(&plan.out_perm), nf_a);
@@ -530,64 +357,28 @@ pub fn contract_into_ctx(
         };
 
     // Route the GEMM's pack panels through the pool so steady-state
-    // contractions allocate nothing.
-    ctx.pack.packed_bytes += ((m * k + k * n) * std::mem::size_of::<f64>()) as u64;
-    let (a_elems, b_elems) = pack_buf_elems(&ctx.gemm, a_view.rows(), b_view.cols(), k);
-    let mut pack_bufs = ctx.acquire_pack_bufs(a_elems, b_elems);
-    let bufs = pack_bufs.as_mut().map(|(ab, bb)| PackBufs {
-        apack: ab.data_mut(),
-        bpack: bb.data_mut(),
-    });
+    // contractions allocate nothing. A block dot packs nothing at all.
+    let (a_elems, b_elems) = pack_elems(a_view.rows(), b_view.cols(), k);
+    let mut panels = None;
+    if a_elems + b_elems > 0 {
+        ctx.stats.packed_bytes += ((m * k + k * n) * std::mem::size_of::<f64>()) as u64;
+        panels = ctx.pack_panels(a_elems, b_elems);
+    }
     dgemm_view_into(
-        ctx.gemm,
         1.0,
         &a_view,
         &b_view,
         alpha_c,
         c.data_mut(),
         &c_layout,
-        bufs,
+        panels
+            .as_mut()
+            .map(|(ab, bb)| (ab.data_mut(), bb.data_mut())),
     );
-
-    if let Some((ab, bb)) = pack_bufs {
-        ctx.free(ab);
-        ctx.free(bb);
+    if let (Some(pool), Some((ab, bb))) = (&ctx.pool, panels) {
+        pool.release(ab);
+        pool.release(bb);
     }
-    if let Some(s) = a_scratch {
-        ctx.free(s);
-    }
-    if let Some(s) = b_scratch {
-        ctx.free(s);
-    }
-}
-
-/// Accounts one operand's fold and, in `no_fold` ablation mode only,
-/// materializes the permuted copy the seed runtime used to make.
-fn prepare_operand(
-    ctx: &mut ContractCtx,
-    op: &Block,
-    perm: &[usize],
-    fold: OperandFold,
-) -> Option<Block> {
-    if !ctx.no_fold {
-        match fold {
-            OperandFold::Identity | OperandFold::FoldedTranspose => {
-                ctx.stats.permutes_avoided += 1;
-                ctx.stats.bytes_not_copied += (op.len() * std::mem::size_of::<f64>()) as u64;
-            }
-            OperandFold::Permute => {
-                // The reorder rides along with the pack traversal: no copy,
-                // no scratch, no extra memory sweep.
-                ctx.pack.permutes_folded += 1;
-            }
-        }
-        return None;
-    }
-    ctx.stats.permutes_performed += 1;
-    ctx.pack.permutes_materialized += 1;
-    let mut scratch = ctx.scratch(op.shape().permuted(perm));
-    permute_into(op, perm, scratch.data_mut());
-    Some(scratch)
 }
 
 /// Reference contraction by explicit index summation. O(output · contracted)
@@ -636,6 +427,8 @@ pub fn naive_contract(plan: &ContractionPlan, a: &Block, b: &Block) -> Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::permute::is_identity_permutation;
+    use crate::pool::PoolConfig;
 
     fn ramp(shape: Shape, salt: f64) -> Block {
         let mut v = salt;
@@ -723,7 +516,7 @@ mod tests {
         let a = ramp(Shape::new(&[3, 4]), 0.5);
         let b = ramp(Shape::new(&[4, 2]), 1.5);
         let mut c = Block::filled(Shape::new(&[3, 2]), 2.0);
-        contract_into(&plan, &a, &b, 1.0, &mut c);
+        contract_into_ctx(&mut ContractCtx::new(), &plan, &a, &b, 1.0, &mut c);
         let mut expect = contract(&plan, &a, &b);
         expect.accumulate(&Block::filled(Shape::new(&[3, 2]), 2.0));
         assert!(c.approx_eq(&expect, 1e-9));
@@ -739,38 +532,11 @@ mod tests {
     }
 
     #[test]
-    fn fold_classification() {
-        // C(M,N) = A(L,M) * B(L,N): A is stored [contracted, free] → folded
-        // transpose; B is stored [contracted, free] → identity for B's form.
-        let plan = ContractionPlan::infer(&[1, 2], &[0, 1], &[0, 2]).unwrap();
-        assert_eq!(plan.a_fold, OperandFold::FoldedTranspose);
-        assert_eq!(plan.b_fold, OperandFold::Identity);
-
-        // C(M,N) = A(M,L) * B(L,N): both already in GEMM order.
-        let plan = ContractionPlan::infer(&[0, 2], &[0, 1], &[1, 2]).unwrap();
-        assert_eq!(plan.a_fold, OperandFold::Identity);
-        assert_eq!(plan.b_fold, OperandFold::Identity);
-
-        // C(M,N) = A(M,L) * B(N,L): B stored [free, contracted] → folded.
-        let plan = ContractionPlan::infer(&[0, 2], &[0, 1], &[2, 1]).unwrap();
-        assert_eq!(plan.a_fold, OperandFold::Identity);
-        assert_eq!(plan.b_fold, OperandFold::FoldedTranspose);
-
-        // Rank-4 group swap: A(L,S,M,N) with C(M,N,..) contracting L,S.
-        let plan = ContractionPlan::infer(&[2, 3, 4], &[0, 1, 2, 3], &[0, 1, 4]).unwrap();
-        assert_eq!(plan.a_fold, OperandFold::FoldedTranspose);
-
-        // Interleaved axes can't fold: B stores the contracted label in the
-        // middle of its free labels.
-        let plan = ContractionPlan::infer(&[1, 2, 3], &[0, 1], &[2, 0, 3]).unwrap();
-        assert_eq!(plan.b_fold, OperandFold::Permute);
-    }
-
-    #[test]
     fn folded_paths_match_naive() {
-        // Every fold combination, checked against the reference.
+        // Every combination of operands stored in GEMM order or transposed,
+        // checked against the reference.
         for (c, al, bl, ash, bsh) in [
-            // A folded-transpose, B identity.
+            // A transposed, B identity.
             (
                 vec![1u32, 2],
                 vec![0u32, 1],
@@ -778,11 +544,11 @@ mod tests {
                 vec![5usize, 4],
                 vec![5usize, 3],
             ),
-            // A identity, B folded-transpose.
+            // A identity, B transposed.
             (vec![0, 2], vec![0, 1], vec![2, 1], vec![4, 5], vec![3, 5]),
-            // Both folded.
+            // Both transposed.
             (vec![1, 2], vec![0, 1], vec![2, 0], vec![5, 4], vec![3, 5]),
-            // Rank-4 grouped fold (paper's eq. 2 shape).
+            // Rank-4 grouped transpose (paper's eq. 2 shape).
             (
                 vec![0, 1, 2, 3],
                 vec![4, 5, 0, 1],
@@ -796,59 +562,11 @@ mod tests {
     }
 
     #[test]
-    fn ctx_counts_folds_and_disables() {
-        let plan = ContractionPlan::infer(&[1, 2], &[0, 1], &[0, 2]).unwrap();
-        let a = ramp(Shape::new(&[5, 4]), 0.4);
-        let b = ramp(Shape::new(&[5, 3]), 1.2);
-        let mut c = Block::zeros(Shape::new(&[4, 3]));
-
-        let mut ctx = ContractCtx::new();
-        contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut c);
-        assert_eq!(ctx.stats.contractions, 1);
-        assert_eq!(ctx.stats.permutes_avoided, 2);
-        assert_eq!(ctx.stats.permutes_performed, 0);
-        assert_eq!(ctx.stats.bytes_not_copied, ((5 * 4 + 5 * 3) * 8) as u64);
-        let folded = c.clone();
-
-        // Folding off: same numbers, two materialized permutes.
-        let mut ctx = ContractCtx::new().fold_transposes(false);
-        let mut c2 = Block::zeros(Shape::new(&[4, 3]));
-        contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut c2);
-        assert_eq!(ctx.stats.permutes_avoided, 0);
-        assert_eq!(ctx.stats.permutes_performed, 2);
-        assert!(folded.approx_eq(&c2, 1e-12));
-    }
-
-    #[test]
-    fn ctx_scratch_reuses_pool() {
-        use crate::pool::{BlockPool, PoolConfig};
-        // Only the `no_fold` ablation still draws block scratch (one
-        // materialized copy per operand); the output reorder never does.
-        let plan = ContractionPlan::infer(&[2, 0], &[0, 1], &[1, 2]).unwrap();
-        let a = ramp(Shape::new(&[4, 5]), 0.3);
-        let b = ramp(Shape::new(&[5, 3]), 1.1);
-        let pool = BlockPool::new(PoolConfig::default());
-        let mut ctx = ContractCtx::with_pool(pool).fold_transposes(false);
-        let mut c = Block::zeros(Shape::new(&[3, 4]));
-        contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut c);
-        let first = ctx.stats;
-        assert_eq!(first.scratch_pool_misses, 2, "first run allocates");
-        contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut c);
-        let second = ctx.stats;
-        assert_eq!(
-            second.scratch_pool_misses, first.scratch_pool_misses,
-            "second run allocates nothing new"
-        );
-        assert_eq!(second.scratch_pool_hits, first.scratch_pool_hits + 2);
-        assert!(c.approx_eq(&naive_contract(&plan, &a, &b), 1e-9));
-    }
-
-    #[test]
     fn output_permute_folds_into_the_tile_write_with_zero_scratch() {
-        use crate::pool::{BlockPool, PoolConfig};
         // C(I,M) = A(M,L) * B(L,I): the GEMM's (M,I) order is not C's. The
         // reorder rides the tile write for every alpha_c class, and no
-        // scratch block is drawn for it.
+        // scratch block is drawn for it: the pool serves the pack panels
+        // and nothing else, and gets every block back.
         let plan = ContractionPlan::infer(&[2, 0], &[0, 1], &[1, 2]).unwrap();
         assert!(!is_identity_permutation(&plan.out_perm));
         let a = ramp(Shape::new(&[4, 5]), 0.3);
@@ -863,65 +581,58 @@ mod tests {
             expect.axpy(alpha_c, &base);
             assert!(c.approx_eq(&expect, 1e-12), "alpha_c={alpha_c}");
         }
+        let (ps, st) = (pool.stats(), ctx.stats);
         assert_eq!(
-            ctx.stats.scratch_pool_hits + ctx.stats.scratch_pool_misses,
-            0,
+            ps.hits + ps.misses,
+            st.pack_pool_hits + st.pack_pool_misses,
             "no scratch block for the output reorder"
         );
-        assert_eq!(pool.stats().live_blocks, 0);
+        assert_eq!(ps.live_blocks, 0);
     }
 
     #[test]
     fn interleaved_permute_folds_into_pack_with_zero_scratch() {
-        use crate::pool::{BlockPool, PoolConfig};
         // C(M,N) = A(M,L,S) * B(L,N,S): B's contracted labels straddle its
-        // free one, so the planner classifies B as Permute — the case the
-        // seed runtime materialized. With folding on it must now run with
-        // ZERO permute scratch: no materialized copy, no ctx scratch draw.
+        // free one, the case a permute-then-GEMM contraction materializes.
+        // Read through a permuted view it runs with ZERO permute scratch:
+        // the pool's only traffic is the two pack panels.
         let plan = ContractionPlan::infer(&[0, 1], &[0, 8, 9], &[8, 1, 9]).unwrap();
-        assert_eq!(plan.a_fold, OperandFold::Identity);
-        assert_eq!(plan.b_fold, OperandFold::Permute);
         let a = ramp(Shape::new(&[4, 3, 5]), 0.3);
         let b = ramp(Shape::new(&[3, 6, 5]), 1.1);
         let pool = BlockPool::new(PoolConfig::default());
-        let mut ctx = ContractCtx::with_pool(pool);
+        let mut ctx = ContractCtx::with_pool(pool.clone());
         let mut c = Block::zeros(Shape::new(&[4, 6]));
         contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut c);
         assert!(c.approx_eq(&naive_contract(&plan, &a, &b), 1e-9));
 
-        assert_eq!(ctx.pack.permutes_folded, 1);
-        assert_eq!(ctx.pack.permutes_materialized, 0);
-        assert_eq!(ctx.stats.permutes_performed, 0, "no materialized permute");
-        assert_eq!(
-            ctx.stats.scratch_pool_hits + ctx.stats.scratch_pool_misses,
-            0,
-            "no permute scratch drawn at all"
-        );
         // m=4, k=15, n=6.
-        assert_eq!(ctx.pack.packed_bytes, ((4 * 15 + 15 * 6) * 8) as u64);
-        // The only pool traffic is the two pack panels, recycled on reuse.
-        assert_eq!(ctx.pack.pack_pool_misses, 2);
+        assert_eq!(ctx.stats.packed_bytes, ((4 * 15 + 15 * 6) * 8) as u64);
+        assert_eq!(ctx.stats.pack_pool_misses, 2);
+        assert_eq!(pool.stats().misses, 2, "no permute scratch drawn at all");
+        assert_eq!(pool.stats().live_blocks, 0);
+        // The panels are recycled on reuse.
         contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut c);
-        assert_eq!(ctx.pack.pack_pool_misses, 2, "panels recycled");
-        assert_eq!(ctx.pack.pack_pool_hits, 2);
+        assert_eq!(ctx.stats.pack_pool_misses, 2, "panels recycled");
+        assert_eq!(ctx.stats.pack_pool_hits, 2);
+        assert_eq!(pool.stats().live_blocks, 0);
     }
 
     #[test]
-    fn fold_and_materialize_agree_bitwise() {
-        // The folded view feeds the same packed panels to the same kernel
-        // as packing a materialized permute, so results must be identical
-        // bit for bit — not merely within tolerance.
-        let plan = ContractionPlan::infer(&[0, 1], &[0, 8, 9], &[8, 1, 9]).unwrap();
-        let a = ramp(Shape::new(&[4, 3, 5]), 0.7);
-        let b = ramp(Shape::new(&[3, 6, 5]), 1.9);
-        let mut fold = Block::zeros(Shape::new(&[4, 6]));
-        let mut ctx = ContractCtx::new();
-        contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut fold);
-        let mut mat = Block::zeros(Shape::new(&[4, 6]));
-        let mut ctx = ContractCtx::new().fold_transposes(false);
-        contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut mat);
-        assert_eq!(ctx.pack.permutes_materialized, 2);
-        assert_eq!(fold.data(), mat.data());
+    fn block_dot_packs_nothing() {
+        // total += X(i,j) * X(i,j): the GEMM takes its dot shortcut, so no
+        // bytes are packed and no pack panel is drawn.
+        let plan = ContractionPlan::infer(&[], &[0, 1], &[0, 1]).unwrap();
+        let x = ramp(Shape::new(&[7, 9]), 0.6);
+        let pool = BlockPool::new(PoolConfig::default());
+        let mut ctx = ContractCtx::with_pool(pool.clone());
+        let mut total = Block::scalar(1.0);
+        contract_into_ctx(&mut ctx, &plan, &x, &x, 1.0, &mut total);
+        assert!((total.as_scalar() - (1.0 + x.dot(&x))).abs() < 1e-9);
+        let st = ctx.take_stats();
+        assert_eq!(st.contractions, 1);
+        assert_eq!(st.packed_bytes, 0);
+        assert_eq!(st.pack_pool_hits + st.pack_pool_misses, 0);
+        assert_eq!(pool.stats().hits + pool.stats().misses, 0);
     }
 
     #[test]
@@ -946,7 +657,7 @@ mod tests {
     }
 
     /// The contraction table: every route a label pattern can take through
-    /// the GEMM (operand views, folded output, swapped roles, the dot
+    /// the GEMM (operand views, permuted output, swapped roles, the dot
     /// shortcut) x every `alpha_c` class, on extents that are multiples of
     /// no register tile, against the index-summation reference.
     #[test]
@@ -956,7 +667,7 @@ mod tests {
         type Row = (&'static str, &'static [u32], &'static [u32], &'static [u32]);
         let table: [Row; 10] = [
             ("identity", &[0, 3], &[0, 2], &[2, 3]),
-            ("folded transpose", &[0, 3], &[2, 0], &[3, 2]),
+            ("transpose", &[0, 3], &[2, 0], &[3, 2]),
             ("A permuted", &[0, 1, 3], &[0, 2, 1], &[2, 3]),
             ("B permuted", &[3, 0, 1], &[3, 2, 4], &[2, 0, 4, 1]),
             ("both permuted", &[0, 1, 3, 4], &[0, 2, 1], &[3, 2, 4]),
@@ -990,7 +701,7 @@ mod tests {
         let product = naive_contract(&plan, &a, &b);
         for alpha_c in [0.0, 1.0, 0.5] {
             let mut c = base.clone();
-            contract_into(&plan, &a, &b, alpha_c, &mut c);
+            contract_into_ctx(&mut ContractCtx::new(), &plan, &a, &b, alpha_c, &mut c);
             let mut expect = product.clone();
             expect.axpy(alpha_c, &base);
             assert!(c.approx_eq(&expect, 1e-9), "{name}, alpha_c={alpha_c}");

@@ -29,7 +29,8 @@
 //! so an element's bits depend on the GEMM's shape and never on which tile
 //! it fell in. One GEMM runs on one thread: a super instruction is serial
 //! and the SIP's parallelism is across workers, as in the paper.
-//! [`GemmConfig`] tunes the cache blocking.
+//! `GemmConfig` holds the cache blocking; only this module's tests and
+//! sweep set anything but the defaults.
 
 use crate::view::{AxisGroup, MatLayout, MatView};
 use std::sync::OnceLock;
@@ -43,21 +44,18 @@ pub enum GemmLayout {
     Trans,
 }
 
-/// Tuning knobs for [`dgemm_with`] / [`dgemm_view`].
-///
-/// `mc`/`kc`/`nc` are the BLIS cache-blocking parameters: an MC x KC packed
-/// A panel should fit L2, a KC x NC packed B panel L3, and one KC-deep
-/// sliver pair L1. They are sanitized to register-tile multiples by
-/// [`GemmConfig::blocking`]. DESIGN.md §10 has the sweep behind the
-/// defaults.
+/// The BLIS cache blocking: an MC x KC packed A panel should fit L2, a
+/// KC x NC packed B panel L3, and one KC-deep sliver pair L1. Sanitized to
+/// register-tile multiples by `blocking_for`. DESIGN.md §10 has the sweep
+/// behind the defaults.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GemmConfig {
+struct GemmConfig {
     /// Rows of op(A) per cache panel (rounded up to a tile-height multiple).
-    pub mc: usize,
+    mc: usize,
     /// Depth per cache panel.
-    pub kc: usize,
+    kc: usize,
     /// Columns of op(B) per cache block (rounded up to a tile-width multiple).
-    pub nc: usize,
+    nc: usize,
 }
 
 impl Default for GemmConfig {
@@ -71,12 +69,8 @@ impl Default for GemmConfig {
 }
 
 impl GemmConfig {
-    /// The sanitized `(mc, kc, nc)` triple: aligned to the active kernel's
-    /// register tile and nonzero.
-    pub fn blocking(&self) -> (usize, usize, usize) {
-        self.blocking_for(kernel())
-    }
-
+    /// The sanitized `(mc, kc, nc)` triple: aligned to `kernel`'s register
+    /// tile and nonzero.
     fn blocking_for(&self, kernel: &Kernel) -> (usize, usize, usize) {
         let mc = self.mc.max(1).next_multiple_of(kernel.mr);
         let kc = self.kc.max(1);
@@ -85,22 +79,11 @@ impl GemmConfig {
     }
 }
 
-/// Caller-provided packing scratch for [`dgemm_view`]: lets the contraction
-/// layer route the pack panels through its block pool instead of allocating
-/// per call. Size each slice with [`pack_buf_elems`]; undersized buffers
-/// fall back to a local allocation.
-pub struct PackBufs<'s> {
-    /// Scratch for the packed A panel.
-    pub apack: &'s mut [f64],
-    /// Scratch for the packed B panel.
-    pub bpack: &'s mut [f64],
-}
-
-/// Element counts `(apack, bpack)` needed to pack an `m x k` by `k x n`
-/// product under `cfg`'s blocking: `(0, 0)` for the `m·n == 1` dot product,
-/// which packs nothing.
-pub fn pack_buf_elems(cfg: &GemmConfig, m: usize, n: usize, k: usize) -> (usize, usize) {
-    pack_elems_for(kernel(), cfg, m, n, k)
+/// Element counts `(apack, bpack)` of the two pack panels an `m x k` by
+/// `k x n` product needs under the default blocking: `(0, 0)` for the
+/// `m·n == 1` dot product, which packs nothing.
+pub(crate) fn pack_elems(m: usize, n: usize, k: usize) -> (usize, usize) {
+    pack_elems_for(kernel(), &GemmConfig::default(), m, n, k)
 }
 
 fn pack_elems_for(
@@ -122,7 +105,7 @@ fn pack_elems_for(
 
 /// `C(m x n) = alpha * op(A) * op(B) + beta * C` with row-major storage.
 /// Single-threaded, like every super instruction: the SIP's parallelism is
-/// across workers. See [`dgemm_with`] for explicit cache blocking.
+/// across workers.
 ///
 /// * `op(A)` is `m x k`: if `ta == NoTrans`, `a` is `m x k`; if `Trans`,
 ///   `a` is stored `k x m`.
@@ -143,29 +126,24 @@ pub fn dgemm(
     beta: f64,
     c: &mut [f64],
 ) {
-    dgemm_with(GemmConfig::default(), m, n, k, alpha, a, ta, b, tb, beta, c);
+    dgemm_kernel(
+        kernel(),
+        GemmConfig::default(),
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        ta,
+        b,
+        tb,
+        beta,
+        c,
+    );
 }
 
-/// [`dgemm`] with explicit cache blocking.
-#[allow(clippy::too_many_arguments)]
-pub fn dgemm_with(
-    cfg: GemmConfig,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    ta: GemmLayout,
-    b: &[f64],
-    tb: GemmLayout,
-    beta: f64,
-    c: &mut [f64],
-) {
-    dgemm_kernel(kernel(), cfg, m, n, k, alpha, a, ta, b, tb, beta, c);
-}
-
-/// [`dgemm_with`] on a chosen kernel (the conformance tests run every
-/// kernel the host supports through here).
+/// [`dgemm`] on a chosen kernel and blocking (the conformance tests and the
+/// blocking sweep run through here).
 #[allow(clippy::too_many_arguments)]
 fn dgemm_kernel(
     kernel: &Kernel,
@@ -194,49 +172,37 @@ fn dgemm_kernel(
     gemm(kernel, cfg, alpha, &av, &bv, beta, c, &cl, None);
 }
 
-/// `C = alpha * A * B + beta * C` where each operand is an arbitrary
-/// [`MatView`] (plain, transposed, or a permuted tensor) — the
-/// permute-on-pack path — and C is a plain row-major `a.rows() x b.cols()`
-/// matrix. `bufs` optionally supplies pool-backed packing scratch (see
-/// [`pack_buf_elems`]).
-///
-/// # Panics
-/// Panics if the view dimensions are inconsistent (`a.cols() != b.rows()`)
-/// or `c.len() != a.rows() * b.cols()`.
-pub fn dgemm_view(
-    cfg: GemmConfig,
-    alpha: f64,
-    a: &MatView<'_>,
-    b: &MatView<'_>,
-    beta: f64,
-    c: &mut [f64],
-    bufs: Option<PackBufs<'_>>,
-) {
-    assert_eq!(c.len(), a.rows() * b.cols(), "C dimension mismatch");
-    let cl = MatLayout::matrix(a.rows(), b.cols(), GemmLayout::NoTrans);
-    gemm(kernel(), cfg, alpha, a, b, beta, c, &cl, bufs);
-}
-
-/// [`dgemm_view`] into a strided C: element `(i, j)` of the product lands
-/// at `c[cl.row_group().offset(i) + cl.col_group().offset(j)]`, so an
+/// `C = alpha * A * B + beta * C` where each operand is a [`MatView`] — the
+/// permute-on-pack path — and C is strided: element `(i, j)` of the product
+/// lands at `c[cl.row_group().offset(i) + cl.col_group().offset(j)]`, so an
 /// output permutation is folded into the tile write. `cl` must address
 /// every element of `c` exactly once (`beta` is applied to the whole slice).
+/// `panels` optionally supplies the `(apack, bpack)` scratch, sized by
+/// [`pack_elems`]; undersized panels fall back to a local allocation.
 ///
 /// # Panics
-/// As [`dgemm_view`], or if `cl` is not `a.rows() x b.cols()` or reaches
-/// past `c`.
-#[allow(clippy::too_many_arguments)]
+/// Panics if `a.cols() != b.rows()`, or if `cl` is not `a.rows() x
+/// b.cols()` or reaches past `c`.
 pub(crate) fn dgemm_view_into(
-    cfg: GemmConfig,
     alpha: f64,
     a: &MatView<'_>,
     b: &MatView<'_>,
     beta: f64,
     c: &mut [f64],
     cl: &MatLayout,
-    bufs: Option<PackBufs<'_>>,
+    panels: Option<(&mut [f64], &mut [f64])>,
 ) {
-    gemm(kernel(), cfg, alpha, a, b, beta, c, cl, bufs);
+    gemm(
+        kernel(),
+        GemmConfig::default(),
+        alpha,
+        a,
+        b,
+        beta,
+        c,
+        cl,
+        panels,
+    );
 }
 
 /// Applies the beta scaling to C once, up front.
@@ -261,7 +227,7 @@ fn gemm(
     beta: f64,
     c: &mut [f64],
     cl: &MatLayout,
-    bufs: Option<PackBufs<'_>>,
+    panels: Option<(&mut [f64], &mut [f64])>,
 ) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(b.rows(), k, "inner dimension mismatch");
@@ -279,9 +245,9 @@ fn gemm(
         return;
     }
     let (a_need, b_need) = pack_elems_for(kernel, &cfg, m, n, k);
-    match bufs {
-        Some(bufs) if bufs.apack.len() >= a_need && bufs.bpack.len() >= b_need => {
-            gemm_blocked(kernel, &cfg, alpha, a, b, c, cl, bufs.apack, bufs.bpack);
+    match panels {
+        Some((apack, bpack)) if apack.len() >= a_need && bpack.len() >= b_need => {
+            gemm_blocked(kernel, &cfg, alpha, a, b, c, cl, apack, bpack);
         }
         _ => {
             let mut apack = vec![0.0f64; a_need];
@@ -1147,7 +1113,7 @@ mod tests {
         let c0 = seq(m * n);
         let mut c1 = c0.clone();
         let mut c2 = c0.clone();
-        dgemm_with(cfg, m, n, k, alpha, &a, ta, &b, tb, beta, &mut c1);
+        dgemm_kernel(kernel(), cfg, m, n, k, alpha, &a, ta, &b, tb, beta, &mut c1);
         naive_gemm(m, n, k, alpha, &a, ta, &b, tb, beta, &mut c2);
         for (x, y) in c1.iter().zip(&c2) {
             assert!((x - y).abs() < 1e-9, "mismatch {x} vs {y}");
@@ -1156,6 +1122,18 @@ mod tests {
 
     fn check(m: usize, n: usize, k: usize, ta: GemmLayout, tb: GemmLayout, alpha: f64, beta: f64) {
         check_with(GemmConfig::default(), m, n, k, ta, tb, alpha, beta);
+    }
+
+    /// `a · b` into a fresh row-major C through the view entry point.
+    fn view_product(
+        a: &MatView<'_>,
+        b: &MatView<'_>,
+        panels: Option<(&mut [f64], &mut [f64])>,
+    ) -> Vec<f64> {
+        let mut c = vec![0.0; a.rows() * b.cols()];
+        let cl = MatLayout::matrix(a.rows(), b.cols(), GemmLayout::NoTrans);
+        dgemm_view_into(1.0, a, b, 0.0, &mut c, &cl, panels);
+        c
     }
 
     #[test]
@@ -1291,8 +1269,7 @@ mod tests {
         let b = seq(k * n);
         let av = MatView::permuted(&a, &Shape::new(&[k, m]), &[1, 0], 1);
         let bv = MatView::from_matrix(&b, k, n, GemmLayout::NoTrans);
-        let mut c1 = vec![0.0; m * n];
-        dgemm_view(GemmConfig::default(), 1.0, &av, &bv, 0.0, &mut c1, None);
+        let c1 = view_product(&av, &bv, None);
         let mut c2 = vec![0.0; m * n];
         naive_gemm(
             m,
@@ -1322,8 +1299,7 @@ mod tests {
         let av = MatView::permuted(&a, &shape, &[0, 2, 1], 2);
         let bv = MatView::from_matrix(&b, l, n, GemmLayout::NoTrans);
         let m = m1 * m2;
-        let mut c1 = vec![0.0; m * n];
-        dgemm_view(GemmConfig::default(), 1.0, &av, &bv, 0.0, &mut c1, None);
+        let c1 = view_product(&av, &bv, None);
         // Reference: materialize the permuted A and run plain GEMM.
         let mut amat = vec![0.0; m * l];
         for i1 in 0..m1 {
@@ -1358,25 +1334,12 @@ mod tests {
         let b = seq(k * n);
         let av = MatView::from_matrix(&a, m, k, GemmLayout::NoTrans);
         let bv = MatView::from_matrix(&b, k, n, GemmLayout::NoTrans);
-        let cfg = GemmConfig::default();
-        let (an, bn) = pack_buf_elems(&cfg, m, n, k);
+        let (an, bn) = pack_elems(m, n, k);
         // Deliberately dirty scratch: packing must fully overwrite or pad
         // every element the kernel reads.
         let mut apack = vec![7.5; an + 3];
         let mut bpack = vec![-3.25; bn];
-        let mut c1 = vec![0.0; m * n];
-        dgemm_view(
-            cfg,
-            1.0,
-            &av,
-            &bv,
-            0.0,
-            &mut c1,
-            Some(PackBufs {
-                apack: &mut apack,
-                bpack: &mut bpack,
-            }),
-        );
+        let c1 = view_product(&av, &bv, Some((&mut apack, &mut bpack)));
         let mut c2 = vec![0.0; m * n];
         naive_gemm(
             m,

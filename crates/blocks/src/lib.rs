@@ -39,18 +39,15 @@ pub mod view;
 
 pub use block::Block;
 pub use contract::{
-    contract, contract_into, contract_into_ctx, naive_contract, ContractCtx, ContractError,
-    ContractStats, ContractionPlan, OperandFold, PackStats,
+    contract, contract_into_ctx, naive_contract, ContractCtx, ContractError, ContractStats,
+    ContractionPlan,
 };
-pub use gemm::{
-    active_microkernel, dgemm, dgemm_view, dgemm_with, pack_buf_elems, GemmConfig, GemmLayout,
-    PackBufs,
-};
+pub use gemm::{active_microkernel, dgemm, GemmLayout};
 pub use handle::BlockHandle;
 pub use permute::{
     apply_permutation, invert_permutation, is_identity_permutation, permute, permute_into,
 };
-pub use pool::{BlockPool, PoolConfig, PoolStats, PooledBlock};
+pub use pool::{BlockPool, PoolConfig, PoolStats};
 pub use shape::{Shape, MAX_RANK};
 pub use slice::{extract_slice, insert_slice, SliceError, SliceSpec};
 pub use view::{AxisCursor, AxisGroup, MatLayout, MatView};

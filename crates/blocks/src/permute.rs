@@ -6,11 +6,10 @@
 //! `out[i0,..,ik] = in[i_{perm[0]}, .., i_{perm[k]}]` — i.e. `out` axis `d`
 //! ranges over `in` axis `perm[d]`.
 //!
-//! Since permute-on-pack landed in the GEMM (see [`crate::view`]), this
-//! kernel no longer runs on contraction *inputs* — those are read in place
-//! through strided views. It remains the engine for SIAL's explicit permute
-//! super instruction, for contraction *outputs* that need reordering, and
-//! for `no_fold` ablation runs.
+//! No contraction calls this kernel: its operands are read in place through
+//! strided views and its output is written through one (see
+//! [`crate::view`]). It is the engine of SIAL's explicit permute super
+//! instruction.
 
 use crate::block::Block;
 use crate::shape::MAX_RANK;

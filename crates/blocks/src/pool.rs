@@ -15,7 +15,6 @@ use crate::shape::Shape;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 /// Pool configuration.
@@ -82,10 +81,6 @@ struct PoolInner {
 }
 
 impl PoolInner {
-    fn acquire(&mut self, shape: Shape) -> Result<Block, PoolExhausted> {
-        self.acquire_with(shape, true)
-    }
-
     fn acquire_with(&mut self, shape: Shape, zero: bool) -> Result<Block, PoolExhausted> {
         let elems = shape.len();
         let bytes = elems * std::mem::size_of::<f64>();
@@ -176,20 +171,12 @@ impl BlockPool {
     }
 
     /// Acquires a zeroed block of `shape`, recycling storage when a block of
-    /// the same size class was released earlier.
-    pub fn acquire(&self, shape: Shape) -> Result<PooledBlock, PoolExhausted> {
-        let block = self.inner.borrow_mut().acquire(shape)?;
-        Ok(PooledBlock {
-            block: Some(block),
-            pool: Rc::clone(&self.inner),
-        })
-    }
-
-    /// Acquires a raw [`Block`] the caller must eventually [`release`].
+    /// the same size class was released earlier. The caller must eventually
+    /// [`release`] it.
     ///
     /// [`release`]: BlockPool::release
     pub fn acquire_raw(&self, shape: Shape) -> Result<Block, PoolExhausted> {
-        self.inner.borrow_mut().acquire(shape)
+        self.inner.borrow_mut().acquire_with(shape, true)
     }
 
     /// Like [`acquire_raw`], but recycled storage keeps its stale contents
@@ -233,46 +220,6 @@ impl fmt::Debug for BlockPool {
     }
 }
 
-/// RAII handle to a pooled block; returns storage to the pool on drop.
-pub struct PooledBlock {
-    block: Option<Block>,
-    pool: Rc<RefCell<PoolInner>>,
-}
-
-impl PooledBlock {
-    /// Detaches the block from the pool (the storage will not be recycled;
-    /// the live-byte accounting is reduced as if released).
-    pub fn into_block(mut self) -> Block {
-        let block = self.block.take().expect("block already taken");
-        let mut inner = self.pool.borrow_mut();
-        let bytes = block.len() * std::mem::size_of::<f64>();
-        inner.stats.live_blocks -= 1;
-        inner.stats.live_bytes -= bytes;
-        block
-    }
-}
-
-impl Deref for PooledBlock {
-    type Target = Block;
-    fn deref(&self) -> &Block {
-        self.block.as_ref().expect("block taken")
-    }
-}
-
-impl DerefMut for PooledBlock {
-    fn deref_mut(&mut self) -> &mut Block {
-        self.block.as_mut().expect("block taken")
-    }
-}
-
-impl Drop for PooledBlock {
-    fn drop(&mut self) {
-        if let Some(block) = self.block.take() {
-            self.pool.borrow_mut().release(block);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,10 +232,8 @@ mod tests {
     fn recycles_same_size_class() {
         let p = pool(1 << 20);
         let s = Shape::new(&[8, 8]);
-        {
-            let _b = p.acquire(s).unwrap();
-        }
-        let _b2 = p.acquire(s).unwrap();
+        p.release(p.acquire_raw(s).unwrap());
+        let _b2 = p.acquire_raw(s).unwrap();
         let st = p.stats();
         assert_eq!(st.misses, 1);
         assert_eq!(st.hits, 1);
@@ -298,11 +243,10 @@ mod tests {
     fn recycled_blocks_are_zeroed() {
         let p = pool(1 << 20);
         let s = Shape::new(&[4]);
-        {
-            let mut b = p.acquire(s).unwrap();
-            b.fill(9.0);
-        }
-        let b2 = p.acquire(s).unwrap();
+        let mut b = p.acquire_raw(s).unwrap();
+        b.fill(9.0);
+        p.release(b);
+        let b2 = p.acquire_raw(s).unwrap();
         assert!(b2.data().iter().all(|&x| x == 0.0));
     }
 
@@ -310,10 +254,9 @@ mod tests {
     fn scratch_skips_zero_fill() {
         let p = pool(1 << 20);
         let s = Shape::new(&[4]);
-        {
-            let mut b = p.acquire(s).unwrap();
-            b.fill(9.0);
-        }
+        let mut b = p.acquire_raw(s).unwrap();
+        b.fill(9.0);
+        p.release(b);
         let b2 = p.acquire_scratch(s).unwrap();
         assert!(
             b2.data().iter().all(|&x| x == 9.0),
@@ -325,23 +268,21 @@ mod tests {
     #[test]
     fn budget_enforced() {
         let p = pool(1024); // room for 128 doubles
-        let a = p.acquire(Shape::new(&[100])).unwrap();
+        let a = p.acquire_raw(Shape::new(&[100])).unwrap();
         let err = p.acquire_raw(Shape::new(&[100])).unwrap_err();
         assert_eq!(err.requested, 800);
-        drop(a);
+        p.release(a);
         // After release the storage is parked but reclaimable.
-        assert!(p.acquire(Shape::new(&[100])).is_ok());
+        assert!(p.acquire_raw(Shape::new(&[100])).is_ok());
     }
 
     #[test]
     fn reclaims_other_classes_under_pressure() {
         let p = pool(1600); // 200 doubles
-        {
-            let _a = p.acquire(Shape::new(&[100])).unwrap();
-        }
+        p.release(p.acquire_raw(Shape::new(&[100])).unwrap());
         // 800 bytes parked in class 100; a class-150 request needs 1200 and
         // must evict the parked storage to fit.
-        let b = p.acquire(Shape::new(&[150]));
+        let b = p.acquire_raw(Shape::new(&[150]));
         assert!(b.is_ok());
         assert_eq!(p.stats().free_bytes, 0);
     }
@@ -349,31 +290,18 @@ mod tests {
     #[test]
     fn peak_tracks_high_water_mark() {
         let p = pool(1 << 20);
-        let a = p.acquire(Shape::new(&[64])).unwrap();
-        let b = p.acquire(Shape::new(&[64])).unwrap();
-        drop(a);
-        drop(b);
+        let a = p.acquire_raw(Shape::new(&[64])).unwrap();
+        let b = p.acquire_raw(Shape::new(&[64])).unwrap();
+        p.release(a);
+        p.release(b);
         assert_eq!(p.stats().peak_bytes, 2 * 64 * 8);
         assert_eq!(p.stats().live_bytes, 0);
     }
 
     #[test]
-    fn into_block_detaches() {
-        let p = pool(1 << 20);
-        let b = p.acquire(Shape::new(&[16])).unwrap();
-        let owned = b.into_block();
-        assert_eq!(owned.len(), 16);
-        let st = p.stats();
-        assert_eq!(st.live_blocks, 0);
-        assert_eq!(st.free_bytes, 0);
-    }
-
-    #[test]
     fn trim_drops_parked_storage() {
         let p = pool(1 << 20);
-        {
-            let _ = p.acquire(Shape::new(&[32])).unwrap();
-        }
+        p.release(p.acquire_raw(Shape::new(&[32])).unwrap());
         assert!(p.stats().free_bytes > 0);
         p.trim();
         assert_eq!(p.stats().free_bytes, 0);
@@ -383,10 +311,8 @@ mod tests {
     #[test]
     fn distinct_classes_tracked() {
         let p = pool(1 << 20);
-        {
-            let _a = p.acquire(Shape::new(&[8])).unwrap();
-            let _b = p.acquire(Shape::new(&[16])).unwrap();
-        }
+        p.release(p.acquire_raw(Shape::new(&[8])).unwrap());
+        p.release(p.acquire_raw(Shape::new(&[16])).unwrap());
         assert_eq!(p.size_classes(), 2);
     }
 }

@@ -3,11 +3,9 @@
 //!
 //! A contraction wants each operand as a logical `rows x cols` matrix whose
 //! row index runs over the free indices and whose column index runs over the
-//! contracted ones (or vice versa for B). When the operand's stored index
-//! order already matches that grouping the matrix is just a reinterpretation
-//! of the buffer (`Identity` / `FoldedTranspose` in the planner's terms).
-//! When it does not, the seed runtime materialized a permuted copy first — a
-//! full extra memory sweep per operand.
+//! contracted ones (or vice versa for B). Stored index order rarely matches
+//! that grouping, and materializing a permuted copy first would cost a full
+//! extra memory sweep per operand.
 //!
 //! [`MatView`] removes that sweep: it describes the logical matrix as two
 //! *axis groups* (row group, column group), each a list of source-tensor
@@ -23,8 +21,10 @@
 //! ([`AxisGroup::unit_run`]): how many consecutive logical indices are
 //! adjacent in storage. The source's unit-stride axis sits in exactly one of
 //! a view's two groups; when it is that group's innermost axis the group
-//! reads (or writes) in contiguous runs, which is what the plain
-//! `NoTrans`/`Trans` layouts of `from_matrix` always were.
+//! reads (or writes) in contiguous runs. The plain `NoTrans`/`Trans`
+//! layouts of `from_matrix` are the degenerate cases: a permuted view whose
+//! permutation is the identity, or a rotation of the two groups, has the
+//! same uniform strides and unit runs, so the GEMM reads it identically.
 
 use crate::shape::{Shape, MAX_RANK};
 use crate::GemmLayout;
@@ -484,6 +484,76 @@ mod tests {
                         "perm {perm:?} ({i},{j})"
                     );
                 }
+            }
+        }
+    }
+
+    /// The premise of reading every operand through `permuted`: for an
+    /// identity permutation (stored order is GEMM order) and for a rotation
+    /// of the two groups (stored order is the transpose), both groups have
+    /// the offsets, uniform stride and unit run of the plain `from_matrix`
+    /// view, so packing reads the same elements in the same order.
+    #[test]
+    fn identity_and_rotation_are_plain_matrix_views() {
+        fn same(got: &AxisGroup, want: &AxisGroup, what: &str) {
+            assert_eq!(got.len(), want.len(), "{what}: len");
+            assert_eq!(
+                got.uniform_stride(),
+                want.uniform_stride(),
+                "{what}: uniform"
+            );
+            assert_eq!(got.unit_run(), want.unit_run(), "{what}: unit run");
+            for i in 0..got.len() {
+                assert_eq!(got.offset(i), want.offset(i), "{what}: offset({i})");
+            }
+        }
+        let shapes: [&[usize]; 10] = [
+            &[5],
+            &[1],
+            &[3, 4],
+            &[1, 4],
+            &[3, 1],
+            &[2, 1, 3],
+            &[2, 3, 4],
+            &[2, 3, 4, 5],
+            &[1, 3, 1, 4],
+            &[4, 1, 1, 1],
+        ];
+        for dims in shapes {
+            let b = filled(Shape::new(dims));
+            let rank = dims.len();
+            for s in 0..=rank {
+                // Split s: the leading group X = dims[..s], the trailing Y.
+                let (x, y): (usize, usize) =
+                    (dims[..s].iter().product(), dims[s..].iter().product());
+                let what = format!("{dims:?} split {s}");
+                let identity: Vec<usize> = (0..rank).collect();
+                let v = MatView::permuted(b.data(), b.shape(), &identity, s);
+                let m = MatView::from_matrix(b.data(), x, y, GemmLayout::NoTrans);
+                same(
+                    v.row_group(),
+                    m.row_group(),
+                    &format!("{what} identity rows"),
+                );
+                same(
+                    v.col_group(),
+                    m.col_group(),
+                    &format!("{what} identity cols"),
+                );
+                // GEMM order (Y | X) over stored (X, Y): the transpose.
+                let rotation: Vec<usize> = (s..rank).chain(0..s).collect();
+                let v = MatView::permuted(b.data(), b.shape(), &rotation, rank - s);
+                let t = MatView::from_matrix(b.data(), y, x, GemmLayout::Trans);
+                same(
+                    v.row_group(),
+                    t.row_group(),
+                    &format!("{what} rotation rows"),
+                );
+                same(
+                    v.col_group(),
+                    t.col_group(),
+                    &format!("{what} rotation cols"),
+                );
             }
         }
     }

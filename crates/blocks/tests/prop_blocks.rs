@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 use sia_blocks::{
-    contract, contract_into_ctx, dgemm, extract_slice, insert_slice, invert_permutation,
-    naive_contract, permute, Block, BlockPool, ContractCtx, ContractionPlan, GemmLayout,
-    PoolConfig, Shape, SliceSpec,
+    apply_permutation, contract, contract_into_ctx, dgemm, extract_slice, insert_slice,
+    invert_permutation, is_identity_permutation, naive_contract, permute, Block, BlockPool,
+    ContractCtx, ContractionPlan, GemmLayout, PoolConfig, Shape, SliceSpec,
 };
 
 /// Splitmix-style step used to derive deterministic shuffles/data from a seed.
@@ -26,7 +26,7 @@ fn arb_contraction() -> impl Strategy<Value = (ContractionPlan, Block, Block, f6
 }
 
 /// [`arb_contraction`] with a configurable per-label dimension bound, so the
-/// bitwise fold/materialize property can reach MR/NR edge remainders while
+/// bitwise permute-on-pack property can reach MR/NR edge remainders while
 /// the 256-case suite stays fast.
 fn arb_contraction_dims(
     max_dim: usize,
@@ -274,9 +274,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The pooled, folding contraction context matches the naive reference
-    /// (`C = alpha_c*C + A*B`) for random shapes, label orders, and alpha_c
-    /// — with transpose folding both enabled and ablated.
+    /// The pooled contraction context matches the naive reference
+    /// (`C = alpha_c*C + A*B`) for random shapes, label orders, and alpha_c,
+    /// and gives every pooled block back.
     #[test]
     fn ctx_contraction_matches_naive((plan, a, b, alpha_c) in arb_contraction()) {
         let out_shape = plan.output_shape(a.shape(), b.shape());
@@ -293,65 +293,60 @@ proptest! {
                 .collect(),
         );
         let pool = BlockPool::new(PoolConfig { max_bytes: 1 << 20 });
-        let mut results = Vec::new();
-        for fold in [true, false] {
-            let mut ctx = ContractCtx::with_pool(pool.clone()).fold_transposes(fold);
-            let mut c = c0.clone();
-            contract_into_ctx(&mut ctx, &plan, &a, &b, alpha_c, &mut c);
-            prop_assert!(c.approx_eq(&expect, 1e-9), "fold={fold}");
-            let st = ctx.take_stats();
-            let pk = ctx.take_pack_stats();
-            prop_assert_eq!(st.contractions, 1);
-            if fold {
-                // Folding on: nothing is ever materialized — reorders ride
-                // the pack traversal or the layout flag.
-                prop_assert_eq!(st.permutes_performed, 0);
-                prop_assert_eq!(pk.permutes_materialized, 0);
-                prop_assert_eq!(st.permutes_avoided + pk.permutes_folded, 2);
-            } else {
-                // Ablated: every operand must have been materialized.
-                prop_assert_eq!(st.permutes_avoided, 0);
-                prop_assert_eq!(st.permutes_performed, 2);
-                prop_assert_eq!(pk.permutes_materialized, 2);
-                prop_assert_eq!(pk.permutes_folded, 0);
-            }
-            results.push(c);
-        }
-        // Permute-on-pack feeds the microkernel the same packed panels as
-        // packing a materialized permute: identical arithmetic, identical
-        // bits.
-        prop_assert_eq!(results[0].data(), results[1].data());
-        // Pool discipline: all scratch was returned.
+        let mut ctx = ContractCtx::with_pool(pool.clone());
+        let mut c = c0.clone();
+        contract_into_ctx(&mut ctx, &plan, &a, &b, alpha_c, &mut c);
+        prop_assert!(c.approx_eq(&expect, 1e-9));
+        prop_assert_eq!(ctx.take_stats().contractions, 1);
         prop_assert_eq!(pool.stats().live_blocks, 0);
     }
 
-    /// Permute-on-pack equals permute-then-pack *bitwise* on larger shapes:
-    /// random label orders (covering both transpose flags and general
-    /// permutations), dimensions spanning size-1 segments through MR/NR edge
-    /// remainders.
+    /// Reading the operands through permuted views equals permuting them
+    /// into GEMM order first and contracting the identity-ordered plan —
+    /// *bitwise*, for random label orders (covering operands already in
+    /// GEMM order, transposed, and interleaved), dimensions from size-1
+    /// segments through MR/NR edge remainders, and every alpha_c class.
     #[test]
     fn permute_on_pack_matches_materialized_bitwise(
-        (plan, a, b, alpha_c) in arb_contraction_dims(13)
+        (plan, a, b, _) in arb_contraction_dims(13)
     ) {
+        // The reference, from public functions only: operands permuted to
+        // [free_a.., contracted..] and [contracted.., free_b..], C to the
+        // raw [free_a.., free_b..] order.
+        let a_gemm = permute(&a, &plan.a_perm);
+        let b_gemm = permute(&b, &plan.b_perm);
+        let to_raw = invert_permutation(&plan.out_perm);
+        let raw_plan = ContractionPlan::infer(
+            &apply_permutation(&to_raw, &plan.c_labels),
+            &apply_permutation(&plan.a_perm, &plan.a_labels),
+            &apply_permutation(&plan.b_perm, &plan.b_labels),
+        )
+        .unwrap();
+        prop_assert!(is_identity_permutation(&raw_plan.a_perm));
+        prop_assert!(is_identity_permutation(&raw_plan.b_perm));
+        prop_assert!(is_identity_permutation(&raw_plan.out_perm));
+
         let out_shape = plan.output_shape(a.shape(), b.shape());
         let c0 = Block::from_fn(out_shape, |i| {
             (i.iter().enumerate().map(|(d, &x)| (d + 3) * x).sum::<usize>() % 5) as f64 - 2.0
         });
-        let mut folded = c0.clone();
-        let mut ctx = ContractCtx::new();
-        contract_into_ctx(&mut ctx, &plan, &a, &b, alpha_c, &mut folded);
-        let mut materialized = c0.clone();
-        let mut ctx = ContractCtx::new().fold_transposes(false);
-        contract_into_ctx(&mut ctx, &plan, &a, &b, alpha_c, &mut materialized);
-        prop_assert_eq!(folded.data(), materialized.data());
+        for alpha_c in [0.0, 1.0, 0.5] {
+            let mut c = c0.clone();
+            contract_into_ctx(&mut ContractCtx::new(), &plan, &a, &b, alpha_c, &mut c);
+            let mut raw = permute(&c0, &to_raw);
+            let mut ctx = ContractCtx::new();
+            contract_into_ctx(&mut ctx, &raw_plan, &a_gemm, &b_gemm, alpha_c, &mut raw);
+            let materialized = permute(&raw, &plan.out_perm);
+            prop_assert_eq!(c.data(), materialized.data(), "alpha_c={}", alpha_c);
+        }
     }
 }
 
 /// Regression: the canonical rank-2 contraction `C(M,N) = Σ_L A(L,M)*B(L,N)`
-/// (and its mirror with B holding the transpose) must run with ZERO permute
-/// materializations — A's transpose folds into the GEMM layout flag, B (resp.
-/// A) is already in GEMM order, and the identity output order lets the GEMM
-/// write straight into C.
+/// (and its mirror with B holding the transpose) reads both operands in
+/// place — A's transpose is a plain transposed view, B (resp. A) is already
+/// in GEMM order — and the identity output order lets the GEMM write
+/// straight into C: the pool's only traffic is the GEMM's pack panels.
 #[test]
 fn rank2_transpose_contractions_avoid_all_permutes() {
     let l = 6;
@@ -361,13 +356,13 @@ fn rank2_transpose_contractions_avoid_all_permutes() {
     let b_val = |i: &[usize]| ((i[0] * 5 + i[1] * 2) % 13) as f64 - 6.0;
 
     // C(M,N) = A(L,M) * B(L,N): labels L=0 (contracted), M=1, N=2.
-    let folded_a = (
+    let transposed_a = (
         ContractionPlan::infer(&[1, 2], &[0, 1], &[0, 2]).unwrap(),
         Block::from_fn(Shape::new(&[l, m]), a_val),
         Block::from_fn(Shape::new(&[l, n]), b_val),
     );
     // C(M,N) = A(M,L) * B(N,L): same contraction, transposes on the other side.
-    let folded_b = (
+    let transposed_b = (
         ContractionPlan::infer(&[1, 2], &[1, 0], &[2, 0]).unwrap(),
         Block::from_fn(Shape::new(&[m, l]), a_val),
         Block::from_fn(Shape::new(&[n, l]), b_val),
@@ -375,27 +370,20 @@ fn rank2_transpose_contractions_avoid_all_permutes() {
 
     let pool = BlockPool::new(PoolConfig { max_bytes: 1 << 20 });
     let mut ctx = ContractCtx::with_pool(pool.clone());
-    for (plan, a, b) in [folded_a, folded_b] {
+    for (plan, a, b) in [transposed_a, transposed_b] {
         let mut c = Block::zeros(plan.output_shape(a.shape(), b.shape()));
         contract_into_ctx(&mut ctx, &plan, &a, &b, 0.0, &mut c);
         assert!(c.approx_eq(&naive_contract(&plan, &a, &b), 1e-12));
-        let st = ctx.take_stats();
-        assert_eq!(st.permutes_performed, 0, "no permute copies allowed");
-        assert_eq!(st.permutes_avoided, 2, "both operands fold");
-        assert_eq!(
-            st.scratch_pool_hits + st.scratch_pool_misses,
-            0,
-            "hot path must not allocate scratch at all"
-        );
-        assert_eq!(st.bytes_not_copied, ((a.len() + b.len()) * 8) as u64);
     }
-    // The only pool traffic is the GEMM's two pack panels per contraction
-    // (same m/n/k both times, so the second pair is recycled), and
-    // everything was returned.
+    // Two pack panels per contraction (same m/n/k both times, so the
+    // second pair is recycled), no other pool traffic, and everything was
+    // returned.
     let ps = pool.stats();
-    let pk = ctx.take_pack_stats();
-    assert_eq!(pk.pack_pool_misses, 2, "first contraction allocates panels");
-    assert_eq!(pk.pack_pool_hits, 2, "second contraction recycles them");
-    assert_eq!(ps.hits + ps.misses, 4);
+    let st = ctx.take_stats();
+    assert_eq!(st.contractions, 2);
+    assert_eq!(st.packed_bytes, 2 * ((m * l + l * n) * 8) as u64);
+    assert_eq!(st.pack_pool_misses, 2, "first contraction allocates panels");
+    assert_eq!(st.pack_pool_hits, 2, "second contraction recycles them");
+    assert_eq!(ps.hits + ps.misses, 4, "hot path must not allocate scratch");
     assert_eq!(ps.live_blocks, 0);
 }

@@ -68,7 +68,7 @@ impl Workload {
     }
 
     /// Compiles the SIAL source.
-    pub fn compile(&self) -> Result<Program, sial_frontend::CompileError> {
+    pub fn compile(&self) -> Result<Program, sial_frontend::CompileErrors> {
         sial_frontend::compile(&self.source)
     }
 

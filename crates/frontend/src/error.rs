@@ -15,10 +15,6 @@ pub struct CompileErrors {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// Backwards-compatible name: earlier revisions surfaced a single
-/// `CompileError`; the multi-error recut aggregates instead.
-pub type CompileError = CompileErrors;
-
 impl CompileErrors {
     /// Wraps a list of diagnostics.
     pub fn new(diagnostics: Vec<Diagnostic>) -> Self {

@@ -64,7 +64,7 @@ pub mod token;
 
 pub use compile::compile_ast;
 pub use db::{CompilerDb, QueryStats};
-pub use error::{CompileError, CompileErrors};
+pub use error::CompileErrors;
 pub use parser::{parse, parse_partial};
 pub use sia_bytecode::diag::{Diagnostic, LineMap, Severity, Span};
 

@@ -66,24 +66,15 @@ fn per_worker(layout: &Layout, config: &SipConfig, workers: u64) -> MemoryEstima
     let mut largest: u64 = 0;
     let mut server_norm_bytes: u64 = 0;
 
-    for (i, decl) in layout.program.arrays.iter().enumerate() {
+    // Fraction of blocks expected to carry data. Only sparse arrays with an
+    // explicit hint tighten the estimate; everything else is the
+    // conservative dense bound.
+    let densities = crate::trace::array_densities(layout, &config.sparsity_density);
+    for (i, (decl, &density)) in layout.program.arrays.iter().zip(&densities).enumerate() {
         let id = sia_bytecode::ArrayId(i as u32);
         let bb = layout.block_bytes(id);
         largest = largest.max(bb);
         let blocks = layout.total_blocks(id);
-        // Fraction of blocks expected to carry data. Only sparse arrays
-        // with an explicit hint tighten the estimate; everything else is
-        // the conservative dense bound.
-        let density = if decl.sparse {
-            config
-                .sparsity_density
-                .get(&decl.name)
-                .copied()
-                .unwrap_or(1.0)
-                .clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
         // Blocks homed on (or replicated to) one worker.
         let home_blocks = match decl.kind {
             // Distributed blocks spread evenly under the static placement.

@@ -79,10 +79,6 @@ impl Worker {
             .metrics
             .contraction
             .merge(&self.contract_ctx.take_stats());
-        self.profile
-            .metrics
-            .pack
-            .merge(&self.contract_ctx.take_pack_stats());
         Ok(())
     }
 
@@ -663,10 +659,10 @@ impl Worker {
                     unreachable!("non-ready operands handled above");
                 };
                 let out_shape = plan.output_shape(ablk.shape(), bblk.shape());
-                // Contract through the worker's context (pooled scratch,
-                // configured GEMM threading, fold counters). The ctx is
-                // taken out of `self` for the duration so the closures below
-                // can borrow it alongside `self`'s block stores.
+                // Contract through the worker's context (pooled pack panels,
+                // contraction counters). The ctx is taken out of `self` for
+                // the duration so the closures below can borrow it alongside
+                // `self`'s block stores.
                 let mut ctx = std::mem::take(&mut self.contract_ctx);
                 let result = (|| -> Result<(), RuntimeError> {
                     if *accumulate {

@@ -118,7 +118,6 @@ pub mod prelude {
 use sia_blocks::Block;
 use sia_bytecode::{ConstBindings, Program};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Fabric traffic totals for a run.
@@ -240,17 +239,7 @@ impl Sip {
         // holds, so it is identical everywhere by construction. A program
         // the trace walker cannot model (e.g. one that would nest pardos)
         // degrades to an empty plan — the demand-fetch path still runs it.
-        let comm_plan = Arc::new(
-            trace::generate_with_densities(
-                &layout,
-                &trace::default_cost_model(),
-                &self.config.sparsity_density,
-            )
-            .map(|t| {
-                plan::CommPlanner::with_densities(&layout, &t, &self.config.sparsity_density).plan()
-            })
-            .unwrap_or_default(),
-        );
+        let comm_plan = Arc::new(self.comm_plan(&layout).unwrap_or_default());
         if let Some(budget) = self.config.memory_budget {
             if !estimate.feasible(budget) {
                 let sufficient =
@@ -491,22 +480,20 @@ impl Sip {
         bindings: &ConstBindings,
     ) -> Result<(MemoryEstimate, plan::CommPlan), RuntimeError> {
         let layout = Layout::for_config(Arc::new(program), bindings, &self.config)?;
-        let estimate = dryrun::estimate(&layout, &self.config);
-        let trace = trace::generate_with_densities(
-            &layout,
-            &trace::default_cost_model(),
-            &self.config.sparsity_density,
-        )?;
-        let plan =
-            plan::CommPlanner::with_densities(&layout, &trace, &self.config.sparsity_density)
-                .plan();
-        Ok((estimate, plan))
+        Ok((
+            dryrun::estimate(&layout, &self.config),
+            self.comm_plan(&layout)?,
+        ))
     }
-}
 
-/// Convenience: compile-free run directory default used by examples.
-pub fn default_run_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("sia-{tag}-{}", std::process::id()))
+    /// Traces `layout` under the configured sparsity hints and plans its
+    /// communication from that trace.
+    fn comm_plan(&self, layout: &Layout) -> Result<plan::CommPlan, RuntimeError> {
+        let densities = &self.config.sparsity_density;
+        let trace =
+            trace::generate_with_densities(layout, &trace::default_cost_model(), densities)?;
+        Ok(plan::CommPlanner::with_densities(layout, &trace, densities).plan())
+    }
 }
 
 fn run_worker(w: &mut worker::Worker, collect: bool) {

@@ -371,13 +371,6 @@ impl Merge for sia_blocks::ContractStats {
     }
 }
 
-impl Merge for sia_blocks::PackStats {
-    /// Event counters: fleet sums (delegates to the blocks crate).
-    fn merge(&mut self, other: &Self) {
-        sia_blocks::PackStats::merge(self, other);
-    }
-}
-
 impl Merge for sia_fabric::FaultSnapshot {
     /// Injection counters sum; `crashed` ors.
     fn merge(&mut self, other: &Self) {
@@ -394,10 +387,9 @@ pub struct Metrics {
     pub cache: crate::cache::CacheStats,
     /// Block-manager byte accounting and zero-copy counters.
     pub memory: crate::memory::MemoryStats,
-    /// Contraction hot-path counters (transpose folds, scratch reuse).
+    /// Contraction hot-path counters (contractions, bytes packed, pack
+    /// pool reuse).
     pub contraction: sia_blocks::ContractStats,
-    /// Permute-on-pack GEMM counters (folded reorders, pack pool reuse).
-    pub pack: sia_blocks::PackStats,
     /// Communication flights and the overlap measurement.
     pub comm: CommStats,
     /// Blocked time by cause.
@@ -422,7 +414,6 @@ impl Merge for Metrics {
         self.cache.merge(&other.cache);
         self.memory.merge(&other.memory);
         Merge::merge(&mut self.contraction, &other.contraction);
-        Merge::merge(&mut self.pack, &other.pack);
         self.comm.merge(&other.comm);
         self.wait.merge(&other.wait);
         self.fault.merge(&other.fault);
@@ -474,7 +465,6 @@ impl Metrics {
         let c = &self.cache;
         let m = &self.memory;
         let k = &self.contraction;
-        let p = &self.pack;
         let f = &self.fault;
         let r = &self.recovery;
         let s = &self.server;
@@ -539,38 +529,9 @@ impl Metrics {
                 quiet: quiet(k),
                 fields: vec![
                     field("contractions", "contractions", k.contractions),
-                    field("permutes_avoided", "permutes avoided", k.permutes_avoided),
-                    field(
-                        "permutes_performed",
-                        "permutes performed",
-                        k.permutes_performed,
-                    ),
-                    field("bytes_not_copied", "bytes uncopied", k.bytes_not_copied),
-                    field(
-                        "scratch_pool_hits",
-                        "scratch pool hits",
-                        k.scratch_pool_hits,
-                    ),
-                    field(
-                        "scratch_pool_misses",
-                        "scratch pool misses",
-                        k.scratch_pool_misses,
-                    ),
-                ],
-            },
-            Section {
-                name: "pack",
-                quiet: quiet(p),
-                fields: vec![
-                    field("permutes_folded", "permutes folded", p.permutes_folded),
-                    field(
-                        "permutes_materialized",
-                        "permutes materialized",
-                        p.permutes_materialized,
-                    ),
-                    field("packed_bytes", "bytes packed", p.packed_bytes),
-                    field("pack_pool_hits", "pack pool hits", p.pack_pool_hits),
-                    field("pack_pool_misses", "pack pool misses", p.pack_pool_misses),
+                    field("packed_bytes", "bytes packed", k.packed_bytes),
+                    field("pack_pool_hits", "pack pool hits", k.pack_pool_hits),
+                    field("pack_pool_misses", "pack pool misses", k.pack_pool_misses),
                 ],
             },
             Section {
@@ -763,7 +724,6 @@ mod tests {
             "cache",
             "memory",
             "contract",
-            "pack",
             "comm",
             "wait",
             "fault",

@@ -187,8 +187,9 @@ pub fn generate(layout: &Layout, cost: &CostModel) -> Result<Trace, RuntimeError
 }
 
 /// Expected shipped fraction per array: `sparsity_density` hints apply to
-/// `sparse` arrays only, clamped exactly like the dry run's realized
-/// estimate so the two models agree.
+/// `sparse` arrays only, clamped to `[0, 1]`; every other array is dense.
+/// The dry run's realized estimate reads the same values, so the two
+/// models agree.
 pub(crate) fn array_densities(
     layout: &Layout,
     densities: &std::collections::BTreeMap<String, f64>,

@@ -20,15 +20,8 @@ pub fn metrics() -> Metrics {
     (mm.budget_bytes, mm.clones_avoided, mm.bytes_clone_avoided) = (24, 25, 26);
     (mm.deep_copies, mm.budget_evictions) = (27, 28);
     let k = &mut m.contraction;
-    (k.contractions, k.permutes_avoided, k.permutes_performed) = (31, 32, 33);
-    (
-        k.scratch_pool_hits,
-        k.scratch_pool_misses,
-        k.bytes_not_copied,
-    ) = (34, 35, 36);
-    let p = &mut m.pack;
-    (p.permutes_folded, p.permutes_materialized, p.packed_bytes) = (41, 42, 43);
-    (p.pack_pool_hits, p.pack_pool_misses) = (44, 45);
+    (k.contractions, k.packed_bytes) = (31, 43);
+    (k.pack_pool_hits, k.pack_pool_misses) = (44, 45);
     let cm = &mut m.comm;
     (cm.fetches, cm.flight_nanos, cm.exposed_nanos) = (3, 3_000, 1_000);
     (cm.puts_acked, cm.prepares_acked) = (51, 52);

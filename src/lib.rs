@@ -62,7 +62,7 @@ pub use sia_runtime::{
     WaitCause,
 };
 pub use sia_sim::{MachineModel, SimConfig, SimReport};
-pub use sial_frontend::{compile, CompileError};
+pub use sial_frontend::{compile, CompileErrors};
 
 #[cfg(test)]
 mod tests {
