@@ -2,16 +2,24 @@
 //! `compat/bytes`). Only `crossbeam::channel`'s unbounded MPMC channel is
 //! provided — enough for sia-fabric's one-receiver-many-senders endpoints,
 //! including `recv_deadline`, which `std::sync::mpsc` lacks in the shape the
-//! fabric needs.
+//! fabric needs, and `drain_into`, which upstream lacks: a receiver that
+//! looks for messages between units of work takes the lock once per look,
+//! and not at all when nothing is queued.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex};
     use std::time::{Duration, Instant};
 
     struct Chan<T> {
         queue: Mutex<ChanState<T>>,
+        /// `queue`'s length, stored under its lock after every change and
+        /// read without it by [`Receiver::drain_into`]. It publishes no
+        /// data (the messages are read under the lock), so a stale zero
+        /// only leaves a message queued for the receiver's next look.
+        queued: AtomicUsize,
         ready: Condvar,
     }
 
@@ -79,6 +87,7 @@ pub mod channel {
                 senders: 1,
                 parked: false,
             }),
+            queued: AtomicUsize::new(0),
             ready: Condvar::new(),
         });
         (
@@ -97,6 +106,7 @@ pub mod channel {
                 return Err(SendError(msg));
             }
             state.items.push_back(msg);
+            self.chan.queued.store(state.items.len(), Ordering::Relaxed);
             // One notify per park: the sender that takes the flag wakes the
             // receiver, later senders find it already on its way.
             let wake = std::mem::take(&mut state.parked);
@@ -133,7 +143,10 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.chan.queue.lock().unwrap();
             match state.items.pop_front() {
-                Some(v) => Ok(v),
+                Some(v) => {
+                    self.chan.queued.store(state.items.len(), Ordering::Relaxed);
+                    Ok(v)
+                }
                 None if state.senders == 0 => Err(TryRecvError::Disconnected),
                 None => Err(TryRecvError::Empty),
             }
@@ -160,6 +173,7 @@ pub mod channel {
             let mut state = self.chan.queue.lock().unwrap();
             loop {
                 if let Some(v) = state.items.pop_front() {
+                    self.chan.queued.store(state.items.len(), Ordering::Relaxed);
                     return Ok(v);
                 }
                 if state.senders == 0 {
@@ -183,6 +197,29 @@ pub mod channel {
                 // A timed-out or spurious wake-up leaves the flag up.
                 state.parked = false;
             }
+        }
+
+        /// Moves every queued message, in order, to the back of `out` under
+        /// one lock and returns how many moved. When a look at the queue's
+        /// length finds it empty — the common case for a receiver checking
+        /// between units of work — no lock is taken. A message sent during
+        /// or after that look stays queued for the next call or for a
+        /// blocking receive, which decides to park under the lock, so the
+        /// sender still finds it parked and wakes it.
+        pub fn drain_into(&self, out: &mut VecDeque<T>) -> usize {
+            if self.chan.queued.load(Ordering::Relaxed) == 0 {
+                return 0;
+            }
+            let mut state = self.chan.queue.lock().unwrap();
+            let moved = state.items.len();
+            if out.is_empty() {
+                // Trade buffers: both sides keep their capacity.
+                std::mem::swap(&mut state.items, out);
+            } else {
+                out.extend(state.items.drain(..));
+            }
+            self.chan.queued.store(0, Ordering::Relaxed);
+            moved
         }
 
         /// Messages waiting in the queue.
@@ -327,6 +364,73 @@ pub mod channel {
                 assert_eq!(sum, n * (n - 1) / 2, "every message exactly once");
                 for s in senders {
                     s.join().unwrap();
+                }
+            });
+        }
+
+        /// A receiver alternating one-lock drains with blocking receives
+        /// sees each sender's messages in send order, every one exactly
+        /// once. Two drains in a row move the queue into an empty buffer
+        /// and then append behind what the first moved.
+        #[test]
+        fn drain_into_keeps_each_senders_order_and_loses_nothing() {
+            const EACH: u64 = 10_000;
+            within_a_minute(|| {
+                let (tx, rx) = unbounded::<(usize, u64)>();
+                let senders: Vec<_> = (0..2)
+                    .map(|s| {
+                        let tx = tx.clone();
+                        thread::spawn(move || {
+                            for i in 0..EACH {
+                                tx.send((s, i)).unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                drop(tx);
+                let mut next = [0u64; 2];
+                let mut take = |(s, i): (usize, u64)| {
+                    assert_eq!(i, next[s], "sender {s} out of order");
+                    next[s] += 1;
+                };
+                let mut buf = VecDeque::new();
+                let far = || Instant::now() + Duration::from_secs(60);
+                loop {
+                    rx.drain_into(&mut buf);
+                    rx.drain_into(&mut buf);
+                    buf.drain(..).for_each(&mut take);
+                    match rx.recv_deadline(far()) {
+                        Ok(m) => take(m),
+                        Err(RecvTimeoutError::Disconnected) => break,
+                        Err(RecvTimeoutError::Timeout) => panic!("a receiver slept through a send"),
+                    }
+                }
+                assert_eq!(next, [EACH, EACH], "every message exactly once");
+                for s in senders {
+                    s.join().unwrap();
+                }
+            });
+        }
+
+        /// A drain that found the queue empty takes no lock; a send landing
+        /// after that look, before or after the receiver parks, still wakes
+        /// the blocking receive that follows.
+        #[test]
+        fn a_send_after_an_empty_look_wakes_the_receiver() {
+            within_a_minute(|| {
+                for round in 0..1_000u64 {
+                    let (tx, rx) = unbounded::<u64>();
+                    let (looked, look_seen) = unbounded::<()>();
+                    let sender = thread::spawn(move || {
+                        look_seen.recv().unwrap();
+                        tx.send(round).unwrap();
+                    });
+                    let mut buf = VecDeque::new();
+                    assert_eq!(rx.drain_into(&mut buf), 0, "nothing was sent yet");
+                    looked.send(()).unwrap();
+                    let far = Instant::now() + Duration::from_secs(60);
+                    assert_eq!(rx.recv_deadline(far), Ok(round));
+                    sender.join().unwrap();
                 }
             });
         }

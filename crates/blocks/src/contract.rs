@@ -16,9 +16,8 @@
 
 use crate::block::Block;
 use crate::gemm::{dgemm_view_into, pack_elems};
-use crate::permute::invert_permutation;
 use crate::pool::BlockPool;
-use crate::shape::Shape;
+use crate::shape::{Shape, MAX_RANK};
 use crate::view::{MatLayout, MatView};
 use std::fmt;
 
@@ -98,7 +97,6 @@ impl ContractionPlan {
         a_labels: &[u32],
         b_labels: &[u32],
     ) -> Result<Self, ContractError> {
-        use crate::shape::MAX_RANK;
         if a_labels.len() > MAX_RANK || b_labels.len() > MAX_RANK || c_labels.len() > MAX_RANK {
             return Err(ContractError::RankTooLarge);
         }
@@ -184,12 +182,7 @@ impl ContractionPlan {
                 b.dim(p)
             }
         };
-        let dims: Vec<usize> = self.c_labels.iter().map(|&l| dim_of(l)).collect();
-        if dims.is_empty() {
-            Shape::scalar()
-        } else {
-            Shape::new(&dims)
-        }
+        self.c_labels.iter().map(|&l| dim_of(l)).collect()
     }
 
     /// Floating-point operations performed by this contraction on blocks of
@@ -340,7 +333,11 @@ pub fn contract_into_ctx(
     let (m, k, n) = (a_view.rows(), a_view.cols(), b_view.cols());
     // C as the GEMM sees it: raw axis `r` of `[free_a.., free_b..]` is C's
     // stored axis `d` with `out_perm[d] == r`.
-    let c_layout = MatLayout::permuted(c.shape(), &invert_permutation(&plan.out_perm), nf_a);
+    let mut c_axes = [0usize; MAX_RANK];
+    for (d, &r) in plan.out_perm.iter().enumerate() {
+        c_axes[r] = d;
+    }
+    let c_layout = MatLayout::permuted(c.shape(), &c_axes[..plan.out_perm.len()], nf_a);
     // The tile write is a vector store only along the column group, so C's
     // unit-stride axis belongs there: when it is one of A's free axes,
     // compute `Cᵀ = Bᵀ·Aᵀ` instead. Each element is the same chain of

@@ -78,7 +78,11 @@ pub fn permute(input: &Block, perm: &[usize]) -> Block {
 pub fn permute_into(input: &Block, perm: &[usize], dst: &mut [f64]) {
     let rank = input.shape().rank();
     assert_eq!(perm.len(), rank, "permutation rank mismatch");
-    let _ = invert_permutation(perm); // validate
+    let mut seen = [false; MAX_RANK];
+    for &p in perm {
+        assert!(p < rank && !seen[p], "{perm:?} is not a permutation");
+        seen[p] = true;
+    }
     assert_eq!(dst.len(), input.len(), "destination length mismatch");
 
     let src = input.data();

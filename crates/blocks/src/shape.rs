@@ -70,9 +70,7 @@ impl Shape {
     /// for SIA blocks where one segment size applies to all indices of a
     /// given type.
     pub fn cube(rank: usize, seg: usize) -> Self {
-        assert!(rank <= MAX_RANK);
-        let dims: Vec<usize> = std::iter::repeat_n(seg, rank).collect();
-        Shape::new(&dims)
+        std::iter::repeat_n(seg, rank).collect()
     }
 
     /// Number of dimensions.
@@ -148,8 +146,25 @@ impl Shape {
     /// self.dim(perm[i])`.
     pub fn permuted(&self, perm: &[usize]) -> Shape {
         assert_eq!(perm.len(), self.rank());
-        let dims: Vec<usize> = perm.iter().map(|&p| self.dim(p)).collect();
-        Shape::new(&dims)
+        perm.iter().map(|&p| self.dim(p)).collect()
+    }
+}
+
+/// Collects extents into a shape without touching the heap (an empty
+/// iterator is the scalar shape).
+///
+/// # Panics
+/// As [`Shape::new`]: more than [`MAX_RANK`] extents, or a zero extent.
+impl FromIterator<usize> for Shape {
+    fn from_iter<I: IntoIterator<Item = usize>>(extents: I) -> Self {
+        let mut dims = [0usize; MAX_RANK];
+        let mut rank = 0;
+        for x in extents {
+            assert!(rank < MAX_RANK, "shape rank exceeds MAX_RANK {MAX_RANK}");
+            dims[rank] = x;
+            rank += 1;
+        }
+        Shape::new(&dims[..rank])
     }
 }
 
@@ -256,6 +271,21 @@ mod tests {
         let s = Shape::new(&[2, 3, 4]);
         let p = s.permuted(&[2, 0, 1]);
         assert_eq!(p.dims(), &[4, 2, 3]);
+    }
+
+    #[test]
+    fn collected_shapes_match_new() {
+        assert_eq!(
+            [2usize, 3].into_iter().collect::<Shape>(),
+            Shape::new(&[2, 3])
+        );
+        assert_eq!(std::iter::empty().collect::<Shape>(), Shape::scalar());
+    }
+
+    #[test]
+    #[should_panic]
+    fn collecting_too_many_extents_panics() {
+        let _: Shape = std::iter::repeat_n(1, MAX_RANK + 1).collect();
     }
 
     #[test]

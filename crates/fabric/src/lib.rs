@@ -234,6 +234,11 @@ pub struct Endpoint<M: Message> {
     /// Arrivals unpacked from a batched envelope, drained ahead of the
     /// inbox so per-link FIFO order survives coalescing.
     unpacked: RefCell<VecDeque<Envelope<M>>>,
+    /// Envelopes moved out of the inbox by one drain and not yet delivered:
+    /// a rank that looks for messages at every instruction boundary takes
+    /// the inbox lock once per look that finds any, and never for one that
+    /// finds none.
+    arrived: RefCell<VecDeque<Option<Envelope<M>>>>,
 }
 
 impl<M: Message> Endpoint<M> {
@@ -308,17 +313,20 @@ impl<M: Message> Endpoint<M> {
     fn flush_to(&self, to: Rank) -> Result<(), SendError> {
         let msgs = {
             let mut staged = self.staged.borrow_mut();
-            if staged[to.0].is_empty() {
-                return Ok(());
+            match staged[to.0].len() {
+                0 => return Ok(()),
+                // A lone message leaves its buffer, and the buffer's
+                // capacity, where it is.
+                1 => {
+                    let msg = staged[to.0].pop().expect("one staged message");
+                    drop(staged);
+                    self.staged_total.set(self.staged_total.get() - 1);
+                    return self.send_now(to, msg).map(drop);
+                }
+                _ => std::mem::take(&mut staged[to.0]),
             }
-            std::mem::take(&mut staged[to.0])
         };
         self.staged_total.set(self.staged_total.get() - msgs.len());
-        if msgs.len() == 1 {
-            let mut msgs = msgs;
-            self.send_now(to, msgs.pop().unwrap())?;
-            return Ok(());
-        }
         let n = msgs.len() as u64;
         match M::batch(msgs) {
             Ok(batched) => {
@@ -409,13 +417,19 @@ impl<M: Message> Endpoint<M> {
         }
         let now = self.tick();
         self.release_due(now);
-        while let Ok(woken) = self.inbox.try_recv() {
-            // `None` on the wire is a wake-up; the caller reads the flags.
-            if let Some(env) = woken {
-                return Some(self.deliver(env));
+        loop {
+            let next = self.arrived.borrow_mut().pop_front();
+            match next {
+                Some(Some(env)) => return Some(self.deliver(env)),
+                // `None` on the wire is a wake-up; the caller reads the flags.
+                Some(None) => {}
+                None => {
+                    if self.inbox.drain_into(&mut self.arrived.borrow_mut()) == 0 {
+                        return None;
+                    }
+                }
             }
         }
-        None
     }
 
     /// The one blocking receive: the next message, or `None` when there is
@@ -648,6 +662,7 @@ pub fn build_tagged<M: Message>(
             staged: RefCell::new((0..n).map(|_| Vec::new()).collect()),
             staged_total: Cell::new(0),
             unpacked: RefCell::new(VecDeque::new()),
+            arrived: RefCell::new(VecDeque::new()),
         })
         .collect();
     let stats = FabricStats {

@@ -159,7 +159,8 @@ pub(crate) struct TakeoverChunk {
     pub pardo_pc: u32,
     pub epoch: u64,
     pub chunk: u64,
-    pub iters: Vec<Vec<i64>>,
+    /// The ordinals of the original grant.
+    pub ordinals: Vec<u64>,
 }
 
 /// Per-worker fault-tolerance state (absent on fault-free runs).

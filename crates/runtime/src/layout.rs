@@ -621,6 +621,9 @@ pub struct Layout {
     /// Per array: its block grid under [`Placement::Planned`], which cuts it
     /// into contiguous slabs; empty under hash placement.
     grids: Vec<Option<BlockGrid>>,
+    /// Per array: the shape of one declared block and its bytes, which
+    /// every store, ack and absent read asks for.
+    declared: Vec<(Shape, u64)>,
 }
 
 impl Layout {
@@ -702,6 +705,24 @@ impl Layout {
                 })
                 .collect(),
         };
+        let declared = program
+            .arrays
+            .iter()
+            .map(|decl| {
+                // An index the program does not declare has no extent: 0,
+                // which no shape accepts.
+                let dims: Vec<usize> = (decl.dims.iter())
+                    .map(|d| index_extents.get(d.index()).copied().unwrap_or(0))
+                    .collect();
+                let shape = Shape::try_new(&dims).ok_or_else(|| {
+                    RuntimeError::Resolve(format!(
+                        "array `{}` has blocks of extents {dims:?}, which no block can hold",
+                        decl.name
+                    ))
+                })?;
+                Ok((shape, shape.len() as u64 * 8))
+            })
+            .collect::<Result<_, RuntimeError>>()?;
         Ok(Layout {
             program,
             consts,
@@ -710,6 +731,7 @@ impl Layout {
             index_ranges,
             index_extents,
             grids,
+            declared,
         })
     }
 
@@ -803,18 +825,12 @@ impl Layout {
     /// Shape of the block addressed by `ref_indices` (the *reference*'s
     /// indices, which may be subindices of the declared dims).
     pub fn block_shape(&self, ref_indices: &[IndexId]) -> Shape {
-        let dims: Vec<usize> = ref_indices.iter().map(|&i| self.extent(i)).collect();
-        if dims.is_empty() {
-            Shape::scalar()
-        } else {
-            Shape::new(&dims)
-        }
+        ref_indices.iter().map(|&i| self.extent(i)).collect()
     }
 
     /// Shape of a block of `array` as declared (all dims at declared extent).
     pub fn declared_block_shape(&self, array: ArrayId) -> Shape {
-        let decl = &self.program.arrays[array.index()];
-        self.block_shape(&decl.dims)
+        self.declared[array.index()].0
     }
 
     /// Total number of blocks of `array` over its declared index ranges.
@@ -847,7 +863,7 @@ impl Layout {
 
     /// Bytes of one declared block of `array`.
     pub fn block_bytes(&self, array: ArrayId) -> u64 {
-        self.declared_block_shape(array).len() as u64 * 8
+        self.declared[array.index()].1
     }
 
     /// Whether the ref addresses subblocks of `array`'s declared blocks
@@ -1106,6 +1122,42 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RuntimeError::Resolve(_)));
+    }
+
+    /// An array whose blocks no `Shape` can hold — more dimensions than
+    /// `MAX_RANK`, or an index the program never declared — is refused when
+    /// the layout resolves, as a typed error.
+    #[test]
+    fn unrepresentable_block_shapes_are_resolve_errors() {
+        let index = IndexDecl {
+            name: "i".into(),
+            kind: IndexKind::AoIndex,
+            low: Value::Lit(1),
+            high: Value::Lit(2),
+        };
+        for dims in [vec![IndexId(0); MAX_RANK + 1], vec![IndexId(0), IndexId(7)]] {
+            let program = Program {
+                indices: vec![index.clone()],
+                arrays: vec![ArrayDecl {
+                    name: "X".into(),
+                    kind: ArrayKind::Distributed,
+                    dims,
+                    sparse: false,
+                }],
+                ..Default::default()
+            };
+            let err = Layout::new(
+                Arc::new(program),
+                &ConstBindings::new(),
+                SegmentConfig::default(),
+                Topology::new(1, 0),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, RuntimeError::Resolve(m) if m.contains("`X`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::metrics::{Merge, RecoveryStats, ServerStats};
 use crate::msg::{BarrierKind, BlockKey, KeyMap, OpId, Payload, SipMsg};
 use crate::plan::CommPlan;
 use crate::profile::WorkerProfile;
-use crate::scheduler::{ChunkPolicy, GuidedScheduler, IterationSpace};
+use crate::scheduler::{decode_ordinal, ChunkPolicy, GuidedScheduler, IterationSpace};
 use crate::serve::JobProgress;
 use sia_blocks::{Block, BlockHandle};
 use sia_bytecode::{Instruction, PutMode};
@@ -38,8 +38,8 @@ struct PardoSched {
     space: IterationSpace,
     sched: GuidedScheduler,
     /// Owner-compute affinity (planned placement only): per-worker queues
-    /// of indices into `space.iters`, each queue holding the iterations
-    /// whose output block is homed at that worker. Requests are served
+    /// of iteration ordinals, each queue holding the iterations whose
+    /// output block is homed at that worker. Requests are served
     /// from the requester's queue first, stealing from the fullest other
     /// queue when it drains — guided chunk sizing is unchanged.
     affinity: Option<Vec<VecDeque<u64>>>,
@@ -48,16 +48,16 @@ struct PardoSched {
     /// Next chunk id within this (pardo, epoch).
     next_chunk: u64,
     /// Unacknowledged chunks by id (tracked only when a crash is
-    /// scheduled): assignee's worker index plus the iterations, retained so
-    /// the chunk can be re-queued verbatim if the assignee dies.
-    outstanding: HashMap<u64, (usize, Vec<Vec<i64>>)>,
+    /// scheduled): assignee's worker index plus the iteration ordinals,
+    /// retained so the chunk can be re-queued verbatim if the assignee dies.
+    outstanding: HashMap<u64, (usize, Vec<u64>)>,
     /// Acknowledged chunks (likewise), retained until the sip-barrier
     /// epoch checkpoint. A worker's *local* puts are never
     /// journaled anywhere else — under owner-compute affinity that is most
     /// of its output — so when the assignee dies mid-epoch its acked chunks
     /// are re-queued too and recomputed (Replace puts are value-idempotent;
     /// survivors' copies just get overwritten with identical bits).
-    acked: HashMap<u64, (usize, Vec<Vec<i64>>)>,
+    acked: HashMap<u64, (usize, Vec<u64>)>,
 }
 
 #[derive(Default)]
@@ -141,8 +141,9 @@ pub struct Master {
     pending_deaths: VecDeque<usize>,
     /// In-flight restore puts (recovery or checkpoint restore).
     flight: Option<PutFlight>,
-    /// Re-queued chunks awaiting a parked worker.
-    takeover_queue: VecDeque<(u32, u64, u64, Vec<Vec<i64>>)>,
+    /// Re-queued chunks (pardo pc, encounter, chunk id, iteration
+    /// ordinals) awaiting a parked worker.
+    takeover_queue: VecDeque<(u32, u64, u64, Vec<u64>)>,
     /// Dispatched takeover chunks awaiting their `ChunkDone`.
     takeover_outstanding: HashSet<(u32, u64, u64)>,
     takeover_rr: usize,
@@ -291,9 +292,12 @@ impl Master {
                     .map(|oc| {
                         let w = self.layout.topology.workers;
                         let mut buckets: Vec<VecDeque<u64>> = vec![VecDeque::new(); w];
-                        for (i, iter) in space.iters.iter().enumerate() {
-                            let slot = self.layout.slot_of_distributed(&oc.key_of(iter));
-                            buckets[slot % w].push_back(i as u64);
+                        let mut vals = vec![0; ranges.len()];
+                        for i in 0..space.len() as u64 {
+                            let ordinal = space.ordinal(i);
+                            decode_ordinal(&ranges, ordinal, |d, v| vals[d] = v);
+                            let slot = self.layout.slot_of_distributed(&oc.key_of(&vals));
+                            buckets[slot % w].push_back(ordinal);
                         }
                         buckets
                     })
@@ -332,38 +336,35 @@ impl Master {
                 // changes *which* iterations fill it (requester's bucket
                 // first, stealing from the fullest other bucket so the
                 // tail stays balanced).
-                let iters: Vec<Vec<i64>> = match &mut sched.affinity {
+                let ordinals: Vec<u64> = match &mut sched.affinity {
                     Some(buckets) => {
                         let want = (range.end - range.start) as usize;
-                        let mut ids = Vec::with_capacity(want);
-                        while ids.len() < want {
-                            if let Some(i) = buckets.get_mut(widx).and_then(VecDeque::pop_front) {
-                                ids.push(i);
+                        let mut ordinals = Vec::with_capacity(want);
+                        while ordinals.len() < want {
+                            if let Some(o) = buckets.get_mut(widx).and_then(VecDeque::pop_front) {
+                                ordinals.push(o);
                                 continue;
                             }
                             let donor = (0..buckets.len())
                                 .filter(|&b| !buckets[b].is_empty())
                                 .max_by_key(|&b| buckets[b].len());
                             match donor {
-                                Some(b) => ids.push(buckets[b].pop_front().unwrap()),
+                                Some(b) => ordinals.push(buckets[b].pop_front().unwrap()),
                                 None => break,
                             }
                         }
-                        ids.iter()
-                            .map(|&i| sched.space.iters[i as usize].clone())
-                            .collect()
+                        ordinals
                     }
-                    None => range
-                        .map(|i| sched.space.iters[i as usize].clone())
-                        .collect(),
+                    None => range.map(|i| sched.space.ordinal(i)).collect(),
                 };
                 let chunk = sched.next_chunk;
                 sched.next_chunk += 1;
                 if ledger {
-                    sched.outstanding.insert(chunk, (widx, iters.clone()));
+                    sched.outstanding.insert(chunk, (widx, ordinals.clone()));
                 }
                 if let Some(p) = &self.progress {
-                    p.granted.fetch_add(iters.len() as u64, Ordering::Relaxed);
+                    p.granted
+                        .fetch_add(ordinals.len() as u64, Ordering::Relaxed);
                 }
                 let _ = self.endpoint.send(
                     src,
@@ -371,7 +372,7 @@ impl Master {
                         pardo_pc,
                         epoch,
                         chunk,
-                        iters,
+                        ordinals,
                     },
                 );
             }
@@ -638,8 +639,8 @@ impl Master {
                 .map(|(&c, _)| c)
                 .collect();
             for c in mine {
-                let (_, iters) = s.outstanding.remove(&c).unwrap();
-                self.takeover_queue.push_back((pc, ep, c, iters));
+                let (_, ordinals) = s.outstanding.remove(&c).unwrap();
+                self.takeover_queue.push_back((pc, ep, c, ordinals));
                 self.recovery.requeued_chunks += 1;
                 self.trace.instant(EventKind::Recovery {
                     what: RecoveryEvent::Requeue,
@@ -656,8 +657,8 @@ impl Master {
                 .map(|(&c, _)| c)
                 .collect();
             for c in acked {
-                let (_, iters) = s.acked.remove(&c).unwrap();
-                self.takeover_queue.push_back((pc, ep, c, iters));
+                let (_, ordinals) = s.acked.remove(&c).unwrap();
+                self.takeover_queue.push_back((pc, ep, c, ordinals));
                 self.recovery.requeued_chunks += 1;
                 self.trace.instant(EventKind::Recovery {
                     what: RecoveryEvent::Requeue,
@@ -740,7 +741,7 @@ impl Master {
         if waiting.is_empty() {
             return;
         }
-        while let Some((pardo_pc, epoch, chunk, iters)) = self.takeover_queue.pop_front() {
+        while let Some((pardo_pc, epoch, chunk, ordinals)) = self.takeover_queue.pop_front() {
             let target = waiting[self.takeover_rr % waiting.len()];
             self.takeover_rr += 1;
             let _ = self.endpoint.send(
@@ -749,7 +750,7 @@ impl Master {
                     pardo_pc,
                     epoch,
                     chunk,
-                    iters,
+                    ordinals,
                 },
             );
             self.takeover_outstanding.insert((pardo_pc, epoch, chunk));

@@ -25,7 +25,7 @@ use crate::cache::{BlockCache, CacheEntry, CacheStats, Flight};
 use crate::error::RuntimeError;
 use crate::msg::{BlockKey, KeyMap, Payload};
 use sia_blocks::BlockHandle;
-use sia_bytecode::ArrayId;
+use sia_bytecode::{ArrayId, PutMode};
 
 /// Snapshot of the manager's byte accounting and zero-copy counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,15 +49,26 @@ pub struct MemoryStats {
     pub budget_evictions: u64,
 }
 
+/// Everything a home knows about one of its blocks, behind one map probe.
+#[derive(Debug, Default)]
+struct HomeSlot {
+    /// The block, or — for a sparse array whose payload fell under the
+    /// sparsity threshold — its Frobenius-norm bound (an entry of the norm
+    /// table); `None` while nothing was stored.
+    block: Option<Payload>,
+    /// The last `sip_barrier` epoch a peer's fetch was served from here and
+    /// the last one a Replace-put landed: what the barrier-misuse check
+    /// compares against the current epoch.
+    served: Option<u64>,
+    replaced: Option<u64>,
+}
+
 /// One rank's unified block store: pinned home/local maps, the byte-LRU
 /// cache of remote copies, byte accounting, and budget enforcement.
 pub struct BlockManager {
-    home: KeyMap<BlockHandle>,
-    /// Norm table for sparse arrays homed here: blocks whose payload was
-    /// dropped under the sparsity threshold, keyed to the Frobenius-norm
-    /// bound recorded at drop time. A key is never in both `home` and
-    /// `home_norms`.
-    home_norms: KeyMap<f64>,
+    home: KeyMap<HomeSlot>,
+    /// Home slots holding a norm record: the norm table's length.
+    home_norms: usize,
     local: KeyMap<BlockHandle>,
     cache: BlockCache,
     budget: Option<u64>,
@@ -75,7 +86,7 @@ impl BlockManager {
     pub fn new(cache_capacity_bytes: u64, budget: Option<u64>) -> Self {
         BlockManager {
             home: KeyMap::default(),
-            home_norms: KeyMap::default(),
+            home_norms: 0,
             local: KeyMap::default(),
             cache: BlockCache::new(cache_capacity_bytes.max(1)),
             budget,
@@ -152,116 +163,145 @@ impl BlockManager {
 
     // ---- pinned home blocks (distributed arrays homed here) ----------------
 
-    /// Shares the home block for `key`, if resident (zero-copy serve).
-    pub fn serve_home(&mut self, key: &BlockKey) -> Option<BlockHandle> {
-        let h = self.home.get(key)?.clone();
-        self.note_share(&h);
-        Some(h)
+    /// What the home holds for `key`: the block (a shared handle — a
+    /// zero-copy serve) or its norm record; `None` when nothing was stored.
+    pub fn home_read(&mut self, key: &BlockKey) -> Option<Payload> {
+        let held = self.home.get(key)?.block.clone();
+        if let Some(Payload::Data(h)) = &held {
+            self.note_share(h);
+        }
+        held
     }
 
-    /// Is a home block resident for `key`?
-    pub fn home_contains(&self, key: &BlockKey) -> bool {
-        self.home.contains_key(key)
+    /// [`home_read`](Self::home_read) for a peer's fetch in `epoch`: stamps
+    /// the block as served in it, and says whether a Replace-put already
+    /// landed on it in the same epoch.
+    pub fn home_fetch(&mut self, key: BlockKey, epoch: u64) -> (Option<Payload>, bool) {
+        let slot = self.home.entry(key).or_default();
+        slot.served = Some(epoch);
+        let replaced = slot.replaced == Some(epoch);
+        let held = slot.block.clone();
+        if let Some(Payload::Data(h)) = &held {
+            self.note_share(h);
+        }
+        (held, replaced)
     }
 
-    /// Inserts (or replaces) the authoritative home block for `key`. A real
-    /// payload supersedes any recorded absence.
-    pub fn home_insert(&mut self, key: BlockKey, data: BlockHandle) {
-        self.pinned_bytes += data.heap_bytes();
-        self.home_norms.remove(&key);
-        if let Some(old) = self.home.insert(key, data) {
-            self.pinned_bytes -= old.heap_bytes();
+    /// Applies a store to the authoritative block for `key` in `epoch`. A
+    /// Replace adopts the payload outright and is stamped; an Accumulate
+    /// adds into the resident block copy-on-write (in place unless a serve
+    /// still shares it). A norm record replaces the block on a Replace; on
+    /// an Accumulate it is a no-op over a resident block (the dropped
+    /// contribution is within the screening bound) and sums the bounds over
+    /// a recorded absence (triangle inequality). Returns whether this was a
+    /// Replace of a block already served to a peer in the same epoch.
+    pub fn home_store(
+        &mut self,
+        key: BlockKey,
+        payload: Payload,
+        mode: PutMode,
+        epoch: u64,
+    ) -> bool {
+        let slot = self.home.entry(key).or_default();
+        let replaced_after_read = mode == PutMode::Replace && slot.served == Some(epoch);
+        if mode == PutMode::Replace {
+            slot.replaced = Some(epoch);
+        }
+        let new = match (payload, mode, &mut slot.block) {
+            (Payload::Data(data), PutMode::Accumulate, Some(Payload::Data(held))) => {
+                held.make_mut().accumulate(&data);
+                None
+            }
+            (Payload::Absent { .. }, PutMode::Accumulate, Some(Payload::Data(_))) => None,
+            (Payload::Absent { norm }, PutMode::Accumulate, held) => {
+                let prior = match held {
+                    Some(Payload::Absent { norm }) => *norm,
+                    _ => 0.0,
+                };
+                Some(Payload::Absent { norm: prior + norm })
+            }
+            (payload, _, _) => Some(payload),
+        };
+        if let Some(new) = new {
+            self.pinned_bytes += new.heap_bytes();
+            self.home_norms += matches!(new, Payload::Absent { .. }) as usize;
+            if let Some(old) = slot.block.replace(new) {
+                self.pinned_bytes -= old.heap_bytes();
+                self.home_norms -= matches!(old, Payload::Absent { .. }) as usize;
+            }
         }
         self.note_usage();
-    }
-
-    /// Records that `key`'s block is absent (exactly zero) with the given
-    /// Frobenius-norm bound, dropping any resident payload. The home side of
-    /// a sparse put whose norm fell under the threshold.
-    pub fn home_record_absent(&mut self, key: BlockKey, norm: f64) {
-        if let Some(old) = self.home.remove(&key) {
-            self.pinned_bytes -= old.heap_bytes();
-        }
-        self.home_norms.insert(key, norm);
-        self.note_usage();
-    }
-
-    /// The recorded norm bound for an absent sparse block homed here, if any.
-    pub fn home_absent_norm(&self, key: &BlockKey) -> Option<f64> {
-        self.home_norms.get(key).copied()
-    }
-
-    /// Number of absent-block entries in the norm table.
-    pub fn home_norm_len(&self) -> usize {
-        self.home_norms.len()
+        replaced_after_read
     }
 
     /// Approximate heap footprint of the norm table — what a sparse home
     /// pays instead of zero payloads (key + f64 + map overhead per entry).
     /// The dry run uses the same per-entry constant.
     pub fn norm_table_bytes(&self) -> u64 {
-        self.home_norms.len() as u64 * crate::dryrun::NORM_TABLE_ENTRY_BYTES
-    }
-
-    /// CoW-mutable access to a home block (for accumulate-puts).
-    pub fn home_entry_mut(&mut self, key: &BlockKey) -> Option<&mut BlockHandle> {
-        self.home.get_mut(key)
+        self.home_norms as u64 * crate::dryrun::NORM_TABLE_ENTRY_BYTES
     }
 
     /// Drops every home block of `array` (DELETE), including recorded
-    /// absences.
+    /// absences. The epoch stamps stay: a delete is not a barrier.
     pub fn home_remove_array(&mut self, array: ArrayId) {
-        let bytes = &mut self.pinned_bytes;
-        self.home.retain(|k, h| {
-            if k.array == array {
-                *bytes -= h.heap_bytes();
-                false
-            } else {
-                true
+        let (bytes, norms) = (&mut self.pinned_bytes, &mut self.home_norms);
+        self.home.retain(|k, slot| {
+            if k.array != array {
+                return true;
             }
+            match slot.block.take() {
+                Some(Payload::Data(h)) => *bytes -= h.heap_bytes(),
+                Some(Payload::Absent { .. }) => *norms -= 1,
+                None => {}
+            }
+            slot.served.is_some() || slot.replaced.is_some()
         });
-        self.home_norms.retain(|k, _| k.array != array);
     }
 
-    /// Shares every resident home block (epoch checkpoints). Each handle in
-    /// the snapshot aliases the authoritative block — no payload is copied.
-    pub fn snapshot_home(&mut self) -> Vec<(BlockKey, BlockHandle)> {
-        let snap: Vec<(BlockKey, BlockHandle)> =
-            self.home.iter().map(|(k, h)| (*k, h.clone())).collect();
-        for (_, h) in &snap {
-            self.clones_avoided += 1;
-            self.bytes_clone_avoided += h.heap_bytes();
-        }
-        snap
-    }
-
-    /// Shares every resident home block of one array (`blocks_to_list`
-    /// checkpoints). Zero-copy, like [`BlockManager::snapshot_home`].
-    pub fn home_array_shares(&mut self, array: ArrayId) -> Vec<(BlockKey, BlockHandle)> {
-        let snap: Vec<(BlockKey, BlockHandle)> = self
-            .home
+    /// The resident home blocks (with `array` given, only that array's).
+    fn home_blocks(
+        &self,
+        array: Option<ArrayId>,
+    ) -> impl Iterator<Item = (BlockKey, &BlockHandle)> {
+        self.home
             .iter()
-            .filter(|(k, _)| k.array == array)
-            .map(|(k, h)| (*k, h.clone()))
+            .filter_map(move |(k, slot)| match &slot.block {
+                Some(Payload::Data(h)) if array.is_none_or(|a| k.array == a) => Some((*k, h)),
+                _ => None,
+            })
+    }
+
+    /// Shares every resident home block, or with `array` given that array's
+    /// (epoch and `blocks_to_list` checkpoints). Each handle aliases the
+    /// authoritative block — no payload is copied.
+    pub fn home_shares(&mut self, array: Option<ArrayId>) -> Vec<(BlockKey, BlockHandle)> {
+        let snap: Vec<(BlockKey, BlockHandle)> = self
+            .home_blocks(array)
+            .map(|(k, h)| (k, h.clone()))
             .collect();
         for (_, h) in &snap {
-            self.clones_avoided += 1;
-            self.bytes_clone_avoided += h.heap_bytes();
+            self.note_share(h);
         }
         snap
     }
 
     /// Moves every home block out (end-of-run collection).
     pub fn drain_home(&mut self) -> Vec<(BlockKey, BlockHandle)> {
-        self.pinned_bytes = self
-            .pinned_bytes
-            .saturating_sub(self.home.values().map(|h| h.heap_bytes()).sum());
-        self.home.drain().collect()
+        self.home_norms = 0;
+        let drained: Vec<(BlockKey, BlockHandle)> = (self.home.drain())
+            .filter_map(|(k, slot)| match slot.block {
+                Some(Payload::Data(h)) => Some((k, h)),
+                _ => None,
+            })
+            .collect();
+        let bytes: u64 = drained.iter().map(|(_, h)| h.heap_bytes()).sum();
+        self.pinned_bytes = self.pinned_bytes.saturating_sub(bytes);
+        drained
     }
 
     /// Number of resident home blocks.
     pub fn home_len(&self) -> usize {
-        self.home.len()
+        self.home_blocks(None).count()
     }
 
     // ---- pinned local/static blocks ----------------------------------------
@@ -403,13 +443,36 @@ mod tests {
         BlockHandle::new(Block::filled(Shape::new(&[8]), v))
     }
 
+    /// A Replace-put of `payload` in epoch 0.
+    fn put(m: &mut BlockManager, k: BlockKey, payload: Payload) {
+        m.home_store(k, payload, PutMode::Replace, 0);
+    }
+
+    fn data(v: f64) -> Payload {
+        Payload::Data(blk(v))
+    }
+
+    fn norm_of(m: &mut BlockManager, k: &BlockKey) -> Option<f64> {
+        match m.home_read(k) {
+            Some(Payload::Absent { norm }) => Some(norm),
+            _ => None,
+        }
+    }
+
+    fn served(m: &mut BlockManager, k: &BlockKey) -> BlockHandle {
+        match m.home_read(k) {
+            Some(Payload::Data(h)) => h,
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn serve_home_shares_allocation() {
         let mut m = BlockManager::new(1024, None);
-        m.home_insert(key(1), blk(1.0));
-        let served = m.serve_home(&key(1)).unwrap();
-        let again = m.serve_home(&key(1)).unwrap();
-        assert!(BlockHandle::ptr_eq(&served, &again));
+        put(&mut m, key(1), data(1.0));
+        let first = served(&mut m, &key(1));
+        let again = served(&mut m, &key(1));
+        assert!(BlockHandle::ptr_eq(&first, &again));
         let s = m.stats();
         assert_eq!(s.clones_avoided, 2);
         assert_eq!(s.bytes_clone_avoided, 128);
@@ -419,7 +482,7 @@ mod tests {
     #[test]
     fn byte_accounting_and_high_water() {
         let mut m = BlockManager::new(1024, None);
-        m.home_insert(key(1), blk(1.0));
+        put(&mut m, key(1), data(1.0));
         m.local_insert(BlockKey::new(ArrayId(1), &[1]), blk(2.0));
         m.cache_fill(BlockKey::new(ArrayId(2), &[1]), Payload::Data(blk(3.0)));
         let s = m.stats();
@@ -435,8 +498,8 @@ mod tests {
     #[test]
     fn replacing_home_block_does_not_leak_bytes() {
         let mut m = BlockManager::new(1024, None);
-        m.home_insert(key(1), blk(1.0));
-        m.home_insert(key(1), blk(2.0));
+        put(&mut m, key(1), data(1.0));
+        put(&mut m, key(1), data(2.0));
         assert_eq!(m.stats().pinned_bytes, 64);
     }
 
@@ -445,8 +508,8 @@ mod tests {
         // Budget 192: 128 pinned + up to 64 cached fits; the second cached
         // block pushes resident to 256 and pressure must evict, not error.
         let mut m = BlockManager::new(1024, Some(192));
-        m.home_insert(key(1), blk(1.0));
-        m.home_insert(key(2), blk(2.0));
+        put(&mut m, key(1), data(1.0));
+        put(&mut m, key(2), data(2.0));
         m.cache_fill(BlockKey::new(ArrayId(2), &[1]), Payload::Data(blk(3.0)));
         m.cache_fill(BlockKey::new(ArrayId(2), &[2]), Payload::Data(blk(4.0)));
         m.enforce_budget()
@@ -459,8 +522,8 @@ mod tests {
     #[test]
     fn over_budget_error_when_pinned_exceeds_budget() {
         let mut m = BlockManager::new(1024, Some(100));
-        m.home_insert(key(1), blk(1.0));
-        m.home_insert(key(2), blk(2.0)); // 128 pinned > 100, nothing evictable
+        put(&mut m, key(1), data(1.0));
+        put(&mut m, key(2), data(2.0)); // 128 pinned > 100, nothing evictable
         match m.enforce_budget() {
             Err(RuntimeError::OverBudget {
                 resident_bytes,
@@ -497,10 +560,10 @@ mod tests {
     #[test]
     fn snapshot_home_is_zero_copy() {
         let mut m = BlockManager::new(1024, None);
-        m.home_insert(key(1), blk(1.0));
-        let snap = m.snapshot_home();
+        put(&mut m, key(1), data(1.0));
+        let snap = m.home_shares(None);
         assert_eq!(snap.len(), 1);
-        let authoritative = m.serve_home(&key(1)).unwrap();
+        let authoritative = served(&mut m, &key(1));
         assert!(BlockHandle::ptr_eq(&snap[0].1, &authoritative));
         assert_eq!(m.stats().deep_copies, 0);
     }
@@ -508,34 +571,81 @@ mod tests {
     #[test]
     fn norm_table_replaces_payload_and_clears_on_delete() {
         let mut m = BlockManager::new(1024, None);
-        m.home_insert(key(1), blk(1.0));
+        put(&mut m, key(1), data(1.0));
         assert_eq!(m.stats().pinned_bytes, 64);
         // Dropping under the threshold removes the payload, records the norm.
-        m.home_record_absent(key(1), 3e-11);
+        put(&mut m, key(1), Payload::Absent { norm: 3e-11 });
         assert_eq!(m.stats().pinned_bytes, 0);
-        assert!(m.serve_home(&key(1)).is_none());
-        assert_eq!(m.home_absent_norm(&key(1)), Some(3e-11));
-        assert_eq!(m.home_norm_len(), 1);
-        assert!(m.norm_table_bytes() > 0);
+        assert_eq!(m.home_len(), 0);
+        assert_eq!(norm_of(&mut m, &key(1)), Some(3e-11));
+        let entry = crate::dryrun::NORM_TABLE_ENTRY_BYTES;
+        assert_eq!(m.norm_table_bytes(), entry);
         // A real put supersedes the recorded absence.
-        m.home_insert(key(1), blk(2.0));
-        assert_eq!(m.home_absent_norm(&key(1)), None);
+        put(&mut m, key(1), data(2.0));
+        assert_eq!(norm_of(&mut m, &key(1)), None);
+        assert_eq!(m.norm_table_bytes(), 0);
         assert_eq!(m.stats().pinned_bytes, 64);
         // DELETE clears norms along with payloads.
-        m.home_record_absent(key(2), 1e-12);
+        put(&mut m, key(2), Payload::Absent { norm: 1e-12 });
+        assert_eq!(m.norm_table_bytes(), entry);
         m.home_remove_array(ArrayId(0));
-        assert_eq!(m.home_norm_len(), 0);
+        assert_eq!(m.norm_table_bytes(), 0);
         assert_eq!(m.home_len(), 0);
+        assert_eq!(m.stats().pinned_bytes, 0);
     }
 
     #[test]
     fn drain_home_credits_bytes() {
         let mut m = BlockManager::new(1024, None);
-        m.home_insert(key(1), blk(1.0));
-        m.home_insert(key(2), blk(2.0));
+        put(&mut m, key(1), data(1.0));
+        put(&mut m, key(2), data(2.0));
         let drained = m.drain_home();
         assert_eq!(drained.len(), 2);
         assert_eq!(m.stats().pinned_bytes, 0);
         assert_eq!(m.home_len(), 0);
+    }
+
+    /// One slot answers a fetch and a store together: the barrier-misuse
+    /// stamps are per epoch and per direction, and a store accumulates into
+    /// the block it serves without touching the bytes it pins.
+    #[test]
+    fn a_home_slot_stamps_reads_and_replaces_per_epoch() {
+        let mut m = BlockManager::new(1024, None);
+        let k = key(1);
+        assert!(!m.home_store(k, data(1.0), PutMode::Replace, 0));
+        let (held, replaced) = m.home_fetch(k, 0);
+        assert!(matches!(held, Some(Payload::Data(_))));
+        assert!(replaced, "read after a Replace in the same epoch");
+        assert!(
+            m.home_store(k, data(2.0), PutMode::Replace, 0),
+            "replaced after a read"
+        );
+        // An accumulate is never a conflict, and adds in place.
+        assert!(!m.home_store(k, data(3.0), PutMode::Accumulate, 0));
+        assert_eq!(served(&mut m, &k).data()[0], 5.0);
+        assert_eq!(m.stats().pinned_bytes, 64);
+        // Next epoch: neither direction remembers the last one.
+        assert!(!m.home_store(k, data(1.0), PutMode::Replace, 1));
+        let (_, replaced) = m.home_fetch(key(2), 1);
+        assert!(!replaced, "a never-stored block was never replaced");
+        assert!(!m.home_fetch(k, 2).1);
+        // A fetch of a block nobody stored leaves it unstored.
+        assert_eq!(m.home_len(), 1);
+    }
+
+    /// Norm records accumulate by the triangle inequality, vanish under a
+    /// resident block, and give way to a real payload.
+    #[test]
+    fn absent_accumulates_follow_the_screening_rules() {
+        let mut m = BlockManager::new(1024, None);
+        let acc = |m: &mut BlockManager, p| m.home_store(key(1), p, PutMode::Accumulate, 0);
+        acc(&mut m, Payload::Absent { norm: 0.5 });
+        acc(&mut m, Payload::Absent { norm: 0.25 });
+        assert_eq!(norm_of(&mut m, &key(1)), Some(0.75));
+        acc(&mut m, data(2.0));
+        assert_eq!(served(&mut m, &key(1)).data()[0], 2.0);
+        acc(&mut m, Payload::Absent { norm: 9.0 });
+        assert_eq!(served(&mut m, &key(1)).data()[0], 2.0);
+        assert_eq!(m.norm_table_bytes(), 0);
     }
 }

@@ -202,7 +202,7 @@ pub enum SipMsg {
         /// space).
         epoch: u64,
     },
-    /// Master assigns a chunk of iterations (index values per iteration).
+    /// Master assigns a chunk of iterations.
     ChunkAssign {
         /// Pc of the `PardoStart`.
         pardo_pc: u32,
@@ -210,8 +210,9 @@ pub enum SipMsg {
         epoch: u64,
         /// Chunk id within this (pardo, epoch), acknowledged by `ChunkDone`.
         chunk: u64,
-        /// Each iteration's value per pardo index.
-        iters: Vec<Vec<i64>>,
+        /// Each iteration's ordinal in the cross product of the pardo's
+        /// index ranges (see [`crate::scheduler::IterationSpace`]).
+        ordinals: Vec<u64>,
     },
     /// Master: the pardo's iteration space is exhausted.
     NoMoreChunks {
@@ -239,8 +240,8 @@ pub enum SipMsg {
         epoch: u64,
         /// Chunk id, acknowledged by `ChunkDone`.
         chunk: u64,
-        /// Each iteration's value per pardo index.
-        iters: Vec<Vec<i64>>,
+        /// The ordinals of the original grant.
+        ordinals: Vec<u64>,
     },
 
     // ---- block traffic (worker <-> worker / io server) ----------------------
@@ -440,9 +441,7 @@ impl Message for SipMsg {
             }
             | SipMsg::CkptBlock { data, .. } => block_bytes(data),
             SipMsg::Batch(msgs) => 16 + msgs.iter().map(|m| m.approx_bytes()).sum::<usize>(),
-            SipMsg::ChunkAssign { iters, .. } => {
-                16 + iters.iter().map(|v| v.len() * 8).sum::<usize>()
-            }
+            SipMsg::ChunkAssign { ordinals, .. } => 16 + ordinals.len() * 8,
             SipMsg::WorkerDone {
                 scalars, blocks, ..
             } => 16 + scalars.len() * 8 + blocks.iter().map(|(_, b)| block_bytes(b)).sum::<usize>(),

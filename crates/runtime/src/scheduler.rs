@@ -3,7 +3,7 @@
 //! The master "divides [the iterations] into 'chunks' and doles them out …
 //! When a worker completes its chunk, it requests another chunk from the
 //! master. The chunk size decreases as the computation proceeds" — the
-//! guided-scheduling scheme of OpenMP. [`IterationSpace`] materializes the
+//! guided-scheduling scheme of OpenMP. [`IterationSpace`] numbers the
 //! filtered cross product of the pardo indices; [`GuidedScheduler`] hands out
 //! shrinking chunks of it.
 
@@ -85,15 +85,17 @@ pub fn eval_bool(
     }
 }
 
-/// The filtered iteration space of one pardo: every combination of index
-/// values (over their declared ranges) passing all where clauses, flattened
-/// in row-major order (last index fastest).
+/// The filtered iteration space of one pardo. An iteration travels as its
+/// *ordinal*: its position in the row-major cross product of the pardo's
+/// index ranges (last index fastest), which [`decode_ordinal`] turns back
+/// into index values. An unfiltered space is only its count; a where clause
+/// keeps the ordinals of the iterations passing it, in order.
 #[derive(Debug, Clone)]
 pub struct IterationSpace {
-    /// The pardo's indices.
-    pub indices: Vec<IndexId>,
-    /// The surviving iterations, each a value per index.
-    pub iters: Vec<Vec<i64>>,
+    /// Size of the cross product.
+    count: u64,
+    /// The surviving ordinals, when a where clause filters.
+    survivors: Option<Vec<u64>>,
 }
 
 impl IterationSpace {
@@ -104,7 +106,8 @@ impl IterationSpace {
     /// Fails with [`RuntimeError::BadBytecode`] when a where clause mentions
     /// an index the pardo does not bind — such an index has no value here,
     /// and the old behavior of evaluating it as 0 silently mis-filtered the
-    /// iteration space.
+    /// iteration space — and with [`RuntimeError::BadProgram`] when the
+    /// cross product has more than 2^64 iterations.
     pub fn enumerate(
         indices: &[IndexId],
         ranges: &[(i64, i64)],
@@ -123,56 +126,73 @@ impl IterationSpace {
                 bad.0
             )));
         }
-        let mut iters = Vec::new();
-        let mut cur: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
-        if indices.is_empty() {
+        let count = if indices.is_empty() {
+            0
+        } else {
+            ranges
+                .iter()
+                .try_fold(1u64, |n, &(lo, hi)| n.checked_mul((hi - lo + 1) as u64))
+                .ok_or_else(|| {
+                    RuntimeError::BadProgram("pardo iteration space exceeds 2^64".into())
+                })?
+        };
+        if wheres.is_empty() {
             return Ok(IterationSpace {
-                indices: indices.to_vec(),
-                iters,
+                count,
+                survivors: None,
             });
         }
-        'outer: loop {
-            let index_val = |id: IndexId| -> i64 {
-                let p = indices
+        let mut vals = vec![0i64; indices.len()];
+        let survivors = (0..count)
+            .filter(|&ordinal| {
+                decode_ordinal(ranges, ordinal, |d, v| vals[d] = v);
+                let index_val = |id: IndexId| -> i64 {
+                    let p = indices
+                        .iter()
+                        .position(|&x| x == id)
+                        .expect("where-clause indices validated against the pardo");
+                    vals[p]
+                };
+                wheres
                     .iter()
-                    .position(|&x| x == id)
-                    .expect("where-clause indices validated against the pardo");
-                cur[p]
-            };
-            if wheres
-                .iter()
-                .all(|w| eval_bool(w, &index_val, scalar_val, const_val))
-            {
-                iters.push(cur.clone());
-            }
-            // Odometer, last index fastest.
-            let mut d = indices.len();
-            loop {
-                if d == 0 {
-                    break 'outer;
-                }
-                d -= 1;
-                cur[d] += 1;
-                if cur[d] <= ranges[d].1 {
-                    break;
-                }
-                cur[d] = ranges[d].0;
-            }
-        }
+                    .all(|w| eval_bool(w, &index_val, scalar_val, const_val))
+            })
+            .collect();
         Ok(IterationSpace {
-            indices: indices.to_vec(),
-            iters,
+            count,
+            survivors: Some(survivors),
         })
     }
 
     /// Number of surviving iterations.
     pub fn len(&self) -> usize {
-        self.iters.len()
+        match &self.survivors {
+            Some(s) => s.len(),
+            None => self.count as usize,
+        }
     }
 
     /// True when no iterations survive the filters.
     pub fn is_empty(&self) -> bool {
-        self.iters.is_empty()
+        self.len() == 0
+    }
+
+    /// The ordinal of the `i`-th surviving iteration.
+    pub fn ordinal(&self, i: u64) -> u64 {
+        match &self.survivors {
+            Some(s) => s[i as usize],
+            None => i,
+        }
+    }
+}
+
+/// Decodes an iteration ordinal of the cross product of `ranges` (row-major,
+/// last index fastest): calls `set(d, value)` for every position `d`.
+pub fn decode_ordinal(ranges: &[(i64, i64)], mut ordinal: u64, mut set: impl FnMut(usize, i64)) {
+    for (d, &(lo, hi)) in ranges.iter().enumerate().rev() {
+        let len = (hi - lo + 1) as u64;
+        set(d, lo + (ordinal % len) as i64);
+        ordinal /= len;
     }
 }
 
@@ -283,9 +303,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sp.len(), 6);
-        assert_eq!(sp.iters[0], vec![1, 1]);
-        assert_eq!(sp.iters[1], vec![1, 2]); // last index fastest
-        assert_eq!(sp.iters[5], vec![3, 2]);
+        assert_eq!(values(&sp, &[(1, 3), (1, 2)], 0), vec![1, 1]);
+        assert_eq!(values(&sp, &[(1, 3), (1, 2)], 1), vec![1, 2]); // last index fastest
+        assert_eq!(values(&sp, &[(1, 3), (1, 2)], 5), vec![3, 2]);
+    }
+
+    /// The index values of the `i`-th surviving iteration.
+    fn values(sp: &IterationSpace, ranges: &[(i64, i64)], i: u64) -> Vec<i64> {
+        let mut vals = vec![0; ranges.len()];
+        decode_ordinal(ranges, sp.ordinal(i), |d, v| vals[d] = v);
+        vals
     }
 
     #[test]
@@ -305,7 +332,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sp.len(), 6);
-        assert!(sp.iters.iter().all(|v| v[0] < v[1]));
+        assert!((0..6).all(|i| {
+            let v = values(&sp, &[(1, 4), (1, 4)], i);
+            v[0] < v[1]
+        }));
     }
 
     #[test]

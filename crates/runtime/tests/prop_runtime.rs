@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sia_bytecode::{BoolExpr, CmpOp, ConstBindings, IndexId, ScalarExpr};
-use sia_runtime::scheduler::{GuidedScheduler, IterationSpace};
+use sia_runtime::scheduler::{decode_ordinal, GuidedScheduler, IterationSpace};
 use sia_runtime::{Sip, SipConfig};
 
 proptest! {
@@ -30,7 +30,9 @@ proptest! {
     }
 
     /// Where-clause enumeration equals brute-force filtering of the cross
-    /// product, for random rectangular ranges and a random linear clause.
+    /// product, for random rectangular ranges and a random linear clause:
+    /// the surviving ordinals decode, in order, to exactly the index values
+    /// that pass.
     #[test]
     fn iteration_space_matches_brute_force(
         lo1 in 1i64..4, len1 in 1i64..5,
@@ -66,7 +68,14 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(space.iters, brute);
+        let decoded: Vec<Vec<i64>> = (0..space.len() as u64)
+            .map(|i| {
+                let mut vals = vec![0; ranges.len()];
+                decode_ordinal(&ranges, space.ordinal(i), |d, v| vals[d] = v);
+                vals
+            })
+            .collect();
+        prop_assert_eq!(decoded, brute);
     }
 
     /// Concurrent `put +=` into one block commutes: for any number of

@@ -430,6 +430,96 @@ endsial
     );
 }
 
+/// A `sip_barrier` whose release every home has handled before any worker
+/// goes on. A home learns of a new epoch from its own release, which can
+/// trail a peer's first fetch or store of that epoch; the collective closes
+/// that window, so what these tests see is the program's order only.
+const BARRIER: &str = "sip_barrier\nexecute sip_allreduce s";
+
+/// `X` written, then read, then written again with a Replace. `between`
+/// separates the read from the second write: a collective orders them —
+/// every fetch served before any put is sent — inside one epoch; a barrier
+/// puts them in two.
+fn read_then_replace(between: &str) -> String {
+    format!(
+        "sial misuse
+aoindex i = 1, n
+distributed X(i)
+temp t(i)
+temp u(i)
+scalar s
+pardo i
+  t(i) = 1.0
+  put X(i) = t(i)
+endpardo i
+{BARRIER}
+pardo i
+  get X(i)
+  u(i) = X(i)
+endpardo i
+{between}
+pardo i
+  t(i) = 2.0
+  put X(i) = t(i)
+endpardo i
+sip_barrier
+endsial
+"
+    )
+}
+
+fn misuse_warnings(src: &str) -> Vec<String> {
+    let program = sial_frontend::compile(src).unwrap();
+    let out = Sip::new(config(2))
+        .run(program, &bindings(&[("n", 8)]))
+        .unwrap();
+    (out.warnings.into_iter())
+        .filter(|w| w.contains("barrier misuse"))
+        .collect()
+}
+
+/// `barrier_misuse_detected`'s other direction: a peer's fetch is served
+/// first, and a Replace-put lands on the block later in the same epoch.
+#[test]
+fn replace_after_a_served_read_is_detected() {
+    let warnings = misuse_warnings(&read_then_replace("execute sip_allreduce s"));
+    assert!(!warnings.is_empty(), "expected a misuse warning");
+    assert!(
+        warnings
+            .iter()
+            .all(|w| w.contains("replaced after being read")),
+        "{warnings:?}"
+    );
+}
+
+#[test]
+fn a_barrier_between_read_and_replace_silences_both_directions() {
+    let fenced = misuse_warnings(&read_then_replace(BARRIER));
+    assert!(fenced.is_empty(), "{fenced:?}");
+    let put_then_get = format!(
+        "sial fenced
+aoindex i = 1, n
+distributed X(i)
+temp t(i)
+temp u(i)
+scalar s
+pardo i
+  t(i) = 1.0
+  put X(i) = t(i)
+endpardo i
+{BARRIER}
+pardo i
+  get X(i)
+  u(i) = X(i)
+endpardo i
+sip_barrier
+endsial
+"
+    );
+    let fenced = misuse_warnings(&put_then_get);
+    assert!(fenced.is_empty(), "{fenced:?}");
+}
+
 #[test]
 fn subindex_slice_insert_roundtrip() {
     // Build a local block, slice each sub-block through a subindexed temp,
