@@ -40,6 +40,15 @@ pub enum RuntimeError {
         /// What the interpreter was doing.
         context: String,
     },
+    /// A block access addressed a key outside its array's declared segment
+    /// ranges (an unguarded loop running past them): no block of the array
+    /// is there, and none is served or allocated.
+    BlockOutOfRange {
+        /// The key addressed.
+        key: BlockKey,
+        /// Array name.
+        array: String,
+    },
     /// A temp block was read before being written in this iteration.
     TempUndefined {
         /// Array name.
@@ -115,6 +124,10 @@ impl fmt::Display for RuntimeError {
             RuntimeError::BlockNotAvailable { key, context } => write!(
                 f,
                 "block {key:?} not available ({context}); missing get/request?"
+            ),
+            RuntimeError::BlockOutOfRange { key, array } => write!(
+                f,
+                "block {key:?} of `{array}` lies outside the array's declared segments"
             ),
             RuntimeError::TempUndefined { array } => {
                 write!(f, "temp block of `{array}` read before being written")

@@ -125,12 +125,15 @@ pub(crate) struct PendingOp {
 impl PendingOp {
     /// The wire message that (re)sends this store: retries and journal
     /// replays ship the full block, sharing the retained allocation.
-    pub(crate) fn store_msg(&self, op: OpId) -> SipMsg {
+    /// `epoch` is the sender's current one: a store is acknowledged before
+    /// its sender crosses a barrier, so it is also the one it was sent in.
+    pub(crate) fn store_msg(&self, op: OpId, epoch: u64) -> SipMsg {
         SipMsg::Store {
             key: self.key,
             payload: Payload::Data(self.data.clone()),
             mode: self.mode,
             op,
+            epoch: Some(epoch),
         }
     }
 }

@@ -284,8 +284,8 @@ impl Worker {
     /// ask for: an index still undefined, or a key outside the array's
     /// declared segment ranges. The loop bound says nothing about the
     /// array: a guarded loop can range past the declared segments
-    /// (`do L … if L <= n`), and a speculative fetch of a nonexistent block
-    /// makes the home allocate and serve spurious zeros.
+    /// (`do L … if L <= n`), and asking for a block the array does not have
+    /// is a `BlockOutOfRange` error — for a fetch nobody may ever use.
     fn lookahead_key(
         &self,
         block: &BlockRef,
@@ -305,12 +305,7 @@ impl Worker {
         let (key, _) = self
             .layout
             .storage_target(block.array, &block.indices, &segs);
-        let dims = &self.layout.array(block.array).dims;
-        let in_range = key.segs().iter().zip(dims).all(|(&s, &dim)| {
-            let (lo, hi) = self.layout.range(dim);
-            (lo..=hi).contains(&i64::from(s))
-        });
-        in_range.then_some(key)
+        self.layout.block_ordinal(&key).map(|_| key)
     }
 
     /// The `get`/`request` refs every iteration of the pardo at `pc` issues
@@ -522,7 +517,7 @@ impl Worker {
                         self.mem.local_remove_array(*array);
                     }
                     ArrayKind::Temp => {
-                        if let Some((_, old)) = self.temps.remove(array) {
+                        if let Some((_, old)) = self.temps[array.index()].take() {
                             self.release_handle(old);
                         }
                     }
@@ -553,7 +548,8 @@ impl Worker {
                 let op = self.derive_op(pc, &key);
                 let home = self.home_of(&key)?;
                 if home == self.endpoint.rank() {
-                    self.apply_store_deduped(key, Payload::Data(data), *mode, op);
+                    let epoch = Some(self.dist_epoch);
+                    self.apply_store_deduped(key, Payload::Data(data), *mode, op, epoch)?;
                 } else {
                     self.send_store(home, key, data, *mode, op, wait)?;
                 }
@@ -830,7 +826,7 @@ impl Worker {
     fn temp_defined(&self, array: ArrayId, ref_indices: &[IndexId]) -> Result<bool, RuntimeError> {
         let segs = self.seg_values(ref_indices)?;
         let (key, _) = self.layout.storage_target(array, ref_indices, &segs);
-        Ok(matches!(self.temps.get(&array), Some((k, _)) if *k == key))
+        Ok(matches!(&self.temps[array.index()], Some((k, _)) if *k == key))
     }
 
     pub(crate) fn barrier(&mut self, kind: BarrierKind) -> Result<Duration, RuntimeError> {
@@ -1023,7 +1019,7 @@ impl Worker {
                         h.into_block()
                     };
                     let block = match kind {
-                        ArrayKind::Temp => match self.temps.remove(&r.array) {
+                        ArrayKind::Temp => match self.temps[r.array.index()].take() {
                             Some((k, b)) if k == key => unwrap(self, b),
                             Some((_, old)) => {
                                 // Stale temp from another iteration: recycle
@@ -1035,7 +1031,7 @@ impl Worker {
                                 self.alloc_for(r.array, self.layout.block_shape(&r.indices), true)?
                             }
                         },
-                        ArrayKind::Local | ArrayKind::Static => match self.mem.local_take(&key) {
+                        ArrayKind::Local | ArrayKind::Static => match self.mem.local_take(&key)? {
                             Some(b) => unwrap(self, b),
                             None => Block::zeros(self.layout.block_shape(&r.indices)),
                         },
@@ -1075,13 +1071,13 @@ impl Worker {
             match (origin, &mut marshalled[slot]) {
                 (Origin::Temp(array, key), SuperArg::Block { block, .. }) => {
                     let b = std::mem::replace(block, Block::scalar(0.0));
-                    if let Some((_, old)) = self.temps.insert(array, (key, b.into())) {
+                    if let Some((_, old)) = self.temps[array.index()].replace((key, b.into())) {
                         self.release_handle(old);
                     }
                 }
                 (Origin::Local(key, _array), SuperArg::Block { block, .. }) => {
                     let b = std::mem::replace(block, Block::scalar(0.0));
-                    self.mem.local_insert(key, b.into());
+                    self.mem.local_insert(key, b.into())?;
                 }
                 (Origin::Scalar(i), SuperArg::Scalar(v)) => {
                     self.scalars[i] = *v;

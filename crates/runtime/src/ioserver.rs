@@ -384,7 +384,7 @@ impl IoServer {
                     last_message = Instant::now();
                     let src = env.src;
                     match env.msg {
-                        SipMsg::Fetch { key, req } => {
+                        SipMsg::Fetch { key, req, .. } => {
                             let payload = self.fetch(key)?;
                             let _ = self
                                 .endpoint
@@ -395,6 +395,7 @@ impl IoServer {
                             payload,
                             mode,
                             op,
+                            ..
                         } => {
                             locate(&mut self.stores, &self.layout, &key)?;
                             if self.first_delivery(op) {

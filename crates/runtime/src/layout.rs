@@ -472,15 +472,18 @@ pub enum Placement {
     Planned,
 }
 
-/// One distributed array's resolved block grid: enough to compute the
-/// row-major linear index of any block key.
-#[derive(Debug, Clone)]
-struct BlockGrid {
-    /// Per declared dim: the low segment number.
-    lo: Vec<i64>,
-    /// Per declared dim: segments spanned.
-    len: Vec<u64>,
-    /// Product of `len` (total blocks).
+/// What the blocks of one array share: the declared block and the grid of
+/// segments they are cut from.
+#[derive(Debug, Clone, Copy)]
+struct Declared {
+    /// The shape of one declared block, which every store, ack and absent
+    /// read asks for, and its bytes.
+    shape: Shape,
+    bytes: u64,
+    /// Per declared dimension: its first segment and how many it spans.
+    /// Block ordinals are row-major positions in this grid.
+    grid: [(i64, u64); MAX_RANK],
+    /// Blocks in the grid.
     total: u64,
 }
 
@@ -618,12 +621,8 @@ pub struct Layout {
     /// Per index: the block extent its segments denote (seg size; for a
     /// subindex, seg/nsub).
     index_extents: Vec<usize>,
-    /// Per array: its block grid under [`Placement::Planned`], which cuts it
-    /// into contiguous slabs; empty under hash placement.
-    grids: Vec<Option<BlockGrid>>,
-    /// Per array: the shape of one declared block and its bytes, which
-    /// every store, ack and absent read asks for.
-    declared: Vec<(Shape, u64)>,
+    /// Per array: its declared block and segment grid.
+    declared: Vec<Declared>,
 }
 
 impl Layout {
@@ -677,34 +676,6 @@ impl Layout {
                 }
             }
         }
-        let grids = match topology.placement {
-            Placement::Hash => Vec::new(),
-            Placement::Planned => program
-                .arrays
-                .iter()
-                .map(|decl| {
-                    let lo: Vec<i64> = decl
-                        .dims
-                        .iter()
-                        .map(|&d| index_ranges[d.index()].0)
-                        .collect();
-                    let len: Vec<u64> = decl
-                        .dims
-                        .iter()
-                        .map(|&d| {
-                            let (l, h) = index_ranges[d.index()];
-                            (h - l + 1).max(0) as u64
-                        })
-                        .collect();
-                    let total: u64 = len.iter().product();
-                    if decl.dims.is_empty() || total == 0 {
-                        None
-                    } else {
-                        Some(BlockGrid { lo, len, total })
-                    }
-                })
-                .collect(),
-        };
         let declared = program
             .arrays
             .iter()
@@ -720,7 +691,25 @@ impl Layout {
                         decl.name
                     ))
                 })?;
-                Ok((shape, shape.len() as u64 * 8))
+                let mut grid = [(0, 0); MAX_RANK];
+                for (cell, d) in grid.iter_mut().zip(&decl.dims) {
+                    let (lo, hi) = index_ranges[d.index()];
+                    *cell = (lo, (hi - lo + 1).max(0) as u64);
+                }
+                let total = (grid[..dims.len()].iter())
+                    .try_fold(1u64, |n, &(_, len)| n.checked_mul(len))
+                    .ok_or_else(|| {
+                        RuntimeError::Resolve(format!(
+                            "array `{}` has more blocks than a 64-bit count holds",
+                            decl.name
+                        ))
+                    })?;
+                Ok(Declared {
+                    shape,
+                    bytes: shape.len() as u64 * 8,
+                    grid,
+                    total,
+                })
             })
             .collect::<Result<_, RuntimeError>>()?;
         Ok(Layout {
@@ -730,7 +719,6 @@ impl Layout {
             topology,
             index_ranges,
             index_extents,
-            grids,
             declared,
         })
     }
@@ -748,14 +736,19 @@ impl Layout {
     pub fn slot_of_distributed(&self, key: &BlockKey) -> usize {
         let workers = self.topology.workers;
         let segs = key.segs();
-        match self.grids.get(key.array.index()).and_then(Option::as_ref) {
-            Some(grid) if segs.len() == grid.len.len() => {
+        match self.declared.get(key.array.index()) {
+            Some(d)
+                if self.topology.placement == Placement::Planned
+                    && !segs.is_empty()
+                    && segs.len() == d.shape.rank()
+                    && d.total > 0 =>
+            {
                 let mut linear: u64 = 0;
-                for (d, &seg) in segs.iter().enumerate() {
-                    let off = (seg as i64 - grid.lo[d]).clamp(0, grid.len[d] as i64 - 1) as u64;
-                    linear = linear * grid.len[d] + off;
+                for (&seg, &(lo, len)) in segs.iter().zip(&d.grid) {
+                    let off = (i64::from(seg) - lo).clamp(0, len as i64 - 1) as u64;
+                    linear = linear * len + off;
                 }
-                ((linear as u128 * workers as u128) / grid.total as u128) as usize
+                ((linear as u128 * workers as u128) / d.total as u128) as usize
             }
             _ => (key.placement_hash() % workers as u64) as usize,
         }
@@ -830,13 +823,12 @@ impl Layout {
 
     /// Shape of a block of `array` as declared (all dims at declared extent).
     pub fn declared_block_shape(&self, array: ArrayId) -> Shape {
-        self.declared[array.index()].0
+        self.declared[array.index()].shape
     }
 
     /// Total number of blocks of `array` over its declared index ranges.
     pub fn total_blocks(&self, array: ArrayId) -> u64 {
-        let decl = &self.program.arrays[array.index()];
-        decl.dims.iter().map(|&d| self.range_len(d)).product()
+        self.declared[array.index()].total
     }
 
     /// Row-major position of a storage block among its array's
@@ -844,26 +836,48 @@ impl Layout {
     /// varies fastest. `None` when the key is no block of the array — wrong
     /// rank, or a segment outside its dimension's declared range.
     pub fn block_ordinal(&self, key: &BlockKey) -> Option<u64> {
-        let dims = &self.program.arrays.get(key.array.index())?.dims;
+        let declared = self.declared.get(key.array.index())?;
         let segs = key.segs();
-        if segs.len() != dims.len() {
+        if segs.len() != declared.shape.rank() {
             return None;
         }
-        segs.iter().zip(dims).try_fold(0u64, |ordinal, (&seg, &d)| {
-            let (lo, hi) = self.range(d);
-            let seg = i64::from(seg);
-            if seg < lo || seg > hi {
-                return None;
-            }
-            ordinal
-                .checked_mul(self.range_len(d))?
-                .checked_add((seg - lo) as u64)
-        })
+        // `total` fits a u64, so no partial ordinal overflows.
+        segs.iter()
+            .zip(&declared.grid)
+            .try_fold(0u64, |ordinal, (&seg, &(lo, len))| {
+                let offset = u64::try_from(i64::from(seg) - lo).ok()?;
+                (offset < len).then(|| ordinal * len + offset)
+            })
+    }
+
+    /// [`block_ordinal`](Self::block_ordinal), or the typed error of an
+    /// access to a key that is no block of its array — what an unguarded
+    /// `do L` running past the declared segments reaches.
+    pub(crate) fn ordinal_of(&self, key: &BlockKey) -> Result<u64, RuntimeError> {
+        self.block_ordinal(key)
+            .ok_or_else(|| RuntimeError::BlockOutOfRange {
+                key: *key,
+                array: (self.program.arrays.get(key.array.index()))
+                    .map_or_else(String::new, |a| a.name.clone()),
+            })
+    }
+
+    /// The storage block of `array` at `ordinal`: the inverse of
+    /// [`block_ordinal`](Self::block_ordinal) over
+    /// `0..total_blocks(array)`.
+    pub(crate) fn block_key(&self, array: ArrayId, mut ordinal: u64) -> BlockKey {
+        let declared = &self.declared[array.index()];
+        let mut segs = SegVals::zeroed(declared.shape.rank());
+        for (seg, &(lo, len)) in segs.iter_mut().zip(&declared.grid).rev() {
+            *seg = lo + (ordinal % len) as i64;
+            ordinal /= len;
+        }
+        BlockKey::new(array, &segs)
     }
 
     /// Bytes of one declared block of `array`.
     pub fn block_bytes(&self, array: ArrayId) -> u64 {
-        self.declared[array.index()].1
+        self.declared[array.index()].bytes
     }
 
     /// Whether the ref addresses subblocks of `array`'s declared blocks
@@ -1049,6 +1063,10 @@ mod tests {
                 .collect();
             let want: Vec<u64> = (0..l.total_blocks(array)).collect();
             assert_eq!(ordinals, want, "last dimension fastest, no gaps");
+            for ordinal in want {
+                let key = l.block_key(array, ordinal);
+                assert_eq!(l.block_ordinal(&key), Some(ordinal), "{key:?}");
+            }
         }
         for outside in [
             BlockKey::new(ArrayId(0), &[0, 1]),

@@ -984,6 +984,7 @@ fn restore_msg(key: BlockKey, data: BlockHandle) -> SipMsg {
         payload: Payload::Data(data),
         mode: PutMode::Replace,
         op: OpId::NONE,
+        epoch: None,
     }
 }
 

@@ -4,17 +4,19 @@
 //!
 //! # Hashing block keys
 //!
-//! A remote get looks its key up half a dozen times between the cache, the
-//! home store and the epoch table, so every per-job map keyed by a block
-//! is a [`KeyMap`]: a `HashMap` over [`KeyHasher`], which folds the key's
-//! words with one multiply each where the standard library's SipHash-1-3
-//! spends ~20 ns on the 40 bytes. Block keys come out of the job's own
-//! program, and a job's keys only ever populate that job's maps, so there is
-//! no other party to defend the buckets against.
+//! A home and a rank's local arrays find a block by its ordinal
+//! ([`crate::layout::Layout::block_ordinal`], in [`crate::memory`]); every
+//! other per-job map keyed by a block — the cache, the fault-tolerance
+//! fetch table, the I/O server's cache and norm table, the master's
+//! collection — is a [`KeyMap`]: a `HashMap` over [`KeyHasher`], which folds
+//! the key's words with one multiply each where the standard library's
+//! SipHash-1-3 spends ~20 ns on the 40 bytes. Block keys come out of the
+//! job's own program, and a job's keys only ever populate that job's maps,
+//! so there is no other party to defend the buckets against.
 //!
 //! The map hash is *not* [`BlockKey::placement_hash`] passed through: every
 //! key homed on one rank shares `placement_hash % workers`, and the low bits
-//! are the ones hashbrown picks a bucket with — with two workers a home's
+//! are the ones hashbrown picks a bucket with — with two workers a cache's
 //! keys would crowd into every other bucket.
 
 use sia_blocks::BlockHandle;
@@ -256,6 +258,9 @@ pub enum SipMsg {
         key: BlockKey,
         /// Correlates the `Block` reply.
         req: ReqId,
+        /// The requester's `sip_barrier` epoch: a worker home stamps and
+        /// checks the read in it (an I/O server ignores it).
+        epoch: u64,
     },
     /// A block in flight (reply to `Fetch`).
     Block {
@@ -279,6 +284,11 @@ pub enum SipMsg {
         mode: PutMode,
         /// Duplicate-suppression id (`OpId::NONE` when untracked).
         op: OpId,
+        /// The sender's `sip_barrier` epoch, which a worker home stamps and
+        /// checks a Replace in; `None` for the master's restore of a
+        /// checkpointed block, which stamps nothing (an I/O server ignores
+        /// it).
+        epoch: Option<u64>,
     },
     /// Home acknowledges a `Store` (workers drain acks before barriers).
     StoreAck {
@@ -752,6 +762,8 @@ mod tests {
         home: Home,
         to: Rank,
         array: ArrayId,
+        /// The `sip_barrier` epoch the client's fetches and stores carry.
+        epoch: u64,
     }
 
     fn rig(worker_home: bool, tag: &str) -> Rig {
@@ -773,6 +785,7 @@ mod tests {
                 home: Home::Worker(Box::new(w)),
                 to: Rank(1),
                 array: DIST,
+                epoch: 0,
             }
         } else {
             let dir = std::env::temp_dir().join(format!("sia-proto-{tag}-{}", std::process::id()));
@@ -784,6 +797,7 @@ mod tests {
                 home: Home::Server(server, dir),
                 to: Rank(2),
                 array: SERVED,
+                epoch: 0,
             }
         }
     }
@@ -872,6 +886,7 @@ mod tests {
                 payload: payload.clone(),
                 mode,
                 op,
+                epoch: Some(self.epoch),
             });
             match self.recv() {
                 SipMsg::StoreAck { key: k, op: o } => assert_eq!((k, o), (key, op)),
@@ -883,6 +898,7 @@ mod tests {
             self.send(SipMsg::Fetch {
                 key,
                 req: ReqId::NONE,
+                epoch: self.epoch,
             });
             match self.recv() {
                 SipMsg::Block {
@@ -910,10 +926,12 @@ mod tests {
                 payload: payload.clone(),
                 mode,
                 op,
+                epoch: Some(self.epoch),
             };
             let fetch = SipMsg::Fetch {
                 key,
                 req: ReqId::NONE,
+                epoch: self.epoch,
             };
             self.client.stage(self.to, store).unwrap();
             self.client.stage(self.to, fetch).unwrap();
@@ -1176,11 +1194,13 @@ mod tests {
                         payload: P::Data(1.0).payload(),
                         mode: R,
                         op: OpId::NONE,
+                        epoch: Some(0),
                     }
                 } else {
                     SipMsg::Fetch {
                         key,
                         req: ReqId::NONE,
+                        epoch: 0,
                     }
                 }
             };
@@ -1214,5 +1234,66 @@ mod tests {
             assert!(rig_s.client.try_recv().is_none(), "no reply, no ack");
             let _ = std::fs::remove_dir_all(dir);
         }
+    }
+
+    fn worker_warnings(rig: &Rig) -> &[String] {
+        match &rig.home {
+            Home::Worker(w) => &w.warnings,
+            Home::Server(..) => unreachable!("a worker home"),
+        }
+    }
+
+    /// A home handles its own barrier release after a peer released first
+    /// may already have fetched: the peer's fetch is stamped and checked in
+    /// the peer's epoch, so a read in the next epoch of a block this epoch
+    /// replaced is no misuse. A read and a Replace in one epoch still are,
+    /// in either order.
+    #[test]
+    fn a_peers_next_epoch_fetch_is_checked_in_its_own_epoch() {
+        let mut rig = rig(true, "epoch");
+        let key = BlockKey::new(DIST, &[1, 1]);
+        rig.store(key, &P::Data(1.0).payload(), R, OpId(1));
+        // The peer is past the barrier; this home has not handled its release.
+        rig.epoch = 1;
+        assert_payload_eq(&rig.fetch(key), P::Data(1.0), "next-epoch read");
+        assert!(
+            worker_warnings(&rig).is_empty(),
+            "{:?}",
+            worker_warnings(&rig)
+        );
+        rig.store(key, &P::Data(2.0).payload(), R, OpId(2));
+        rig.fetch(key);
+        let warned = worker_warnings(&rig);
+        assert_eq!(warned.len(), 2, "{warned:?}");
+        assert!(
+            warned[0].contains("replaced after being read"),
+            "{warned:?}"
+        );
+        assert!(warned[1].contains("read and replaced"), "{warned:?}");
+    }
+
+    /// A fetch or store of a key outside its array's declared segments can
+    /// only come from a broken peer — a requester checks its keys first. A
+    /// worker home warns and answers nothing: no block, no zeros, no ack.
+    #[test]
+    fn an_out_of_range_fetch_or_store_is_refused_unanswered() {
+        let mut rig = rig(true, "range");
+        let key = BlockKey::new(DIST, &[65, 1]);
+        rig.send(SipMsg::Fetch {
+            key,
+            req: ReqId::NONE,
+            epoch: 0,
+        });
+        rig.send(SipMsg::Store {
+            key,
+            payload: P::Data(1.0).payload(),
+            mode: R,
+            op: OpId::NONE,
+            epoch: Some(0),
+        });
+        assert!(rig.client.try_recv().is_none(), "no reply, no ack");
+        let warned = worker_warnings(&rig);
+        assert_eq!(warned.len(), 2, "{warned:?}");
+        assert!(warned.iter().all(|w| w.contains("outside")), "{warned:?}");
     }
 }

@@ -40,6 +40,7 @@ use std::io::ErrorKind;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 const MAGIC: &[u8; 8] = b"SIASRV01";
@@ -50,11 +51,14 @@ const STAMP_BYTES: usize = 8;
 /// torn for good; the pauses between double from 2 µs, 8 ms in all.
 const REREADS: u32 = 12;
 
-/// A stamp no other write of this or any live process carries, never 0.
+/// A stamp no other write of this or any live process carries, never 0. The
+/// process id is read once: asking for it is a syscall, one per slot write.
 fn next_stamp() -> u64 {
     static SEQ: AtomicU64 = AtomicU64::new(1);
+    static PID: OnceLock<u64> = OnceLock::new();
+    let pid = *PID.get_or_init(|| u64::from(std::process::id()) << 32);
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    (u64::from(std::process::id()) << 32 | n & 0xffff_ffff).max(1)
+    (pid | n & 0xffff_ffff).max(1)
 }
 
 /// A 64-bit fold of a slot's payload in which every word counts by its

@@ -105,8 +105,8 @@ pub struct Worker {
     /// arrays, local/static blocks, and the byte-LRU cache of fetched
     /// remote copies — byte-accounted, budget-enforced.
     pub(crate) mem: BlockManager,
-    /// One live block per temp array.
-    pub(crate) temps: HashMap<ArrayId, (BlockKey, BlockHandle)>,
+    /// One live block per temp array, by [`ArrayId`].
+    pub(crate) temps: Vec<Option<(BlockKey, BlockHandle)>>,
     /// Pool recycling temp-block storage.
     pub(crate) pool: BlockPool,
     /// Contraction context: scratch drawn from `pool`, plus hot-path
@@ -197,6 +197,7 @@ impl Worker {
         registry: SuperRegistry,
     ) -> Self {
         let n_idx = layout.program.indices.len();
+        let n_arrays = layout.program.arrays.len();
         let scalars = layout.program.scalars.iter().map(|s| s.init).collect();
         let pool = BlockPool::new(PoolConfig {
             max_bytes: POOL_BYTES,
@@ -210,14 +211,14 @@ impl Worker {
         // (`cache_blocks × largest remote block`).
         let cache_bytes = (config.cache_blocks as u64 * layout.largest_remote_block_bytes()).max(1);
         Worker {
-            mem: BlockManager::new(cache_bytes, config.memory_budget),
+            mem: BlockManager::new(Arc::clone(&layout), cache_bytes, config.memory_budget),
             contract_ctx: ContractCtx::with_pool(pool.clone()),
             pool,
             layout,
             config,
             endpoint,
             registry,
-            temps: HashMap::new(),
+            temps: vec![None; n_arrays],
             scalars,
             env: vec![0; n_idx],
             loop_stack: Vec::new(),
@@ -328,10 +329,14 @@ impl Worker {
                      {key:?} from {src}"
                 ));
             }
-            SipMsg::Fetch { key, req } => {
-                // Conflict check: serving a block Replace-put in this same
-                // epoch means the program raced a read against a write.
-                let (held, replaced) = self.mem.home_fetch(key, self.dist_epoch);
+            SipMsg::Fetch { key, req, epoch } => {
+                // Conflict check: serving a block Replace-put in the
+                // requester's epoch means the program raced a read against a
+                // write.
+                let (held, replaced) = match self.mem.home_fetch(key, epoch) {
+                    Ok(found) => found,
+                    Err(e) => return self.protocol_error(src, e),
+                };
                 if replaced {
                     self.warnings.push(format!(
                         "possible barrier misuse: block {key:?} read and replaced in the \
@@ -348,8 +353,11 @@ impl Worker {
                 payload,
                 mode,
                 op,
+                epoch,
             } => {
-                self.apply_store_deduped(key, payload, mode, op);
+                if let Err(e) = self.apply_store_deduped(key, payload, mode, op, epoch) {
+                    return self.protocol_error(src, e);
+                }
                 let _ = self.endpoint.stage(src, SipMsg::StoreAck { key, op });
             }
             SipMsg::StoreAck { key, op } => {
@@ -472,6 +480,14 @@ impl Worker {
         }
     }
 
+    /// A peer addressed a block this home cannot hold — a requester checks
+    /// its keys first, so only a broken peer gets here: warned, never
+    /// answered.
+    fn protocol_error(&mut self, src: Rank, e: RuntimeError) {
+        self.warnings
+            .push(format!("protocol error: a request from {src}: {e}"));
+    }
+
     /// Forwards any cache evictions logged since the last call to the event
     /// sink (the log is only enabled while tracing, so this is a no-op with
     /// no allocation otherwise).
@@ -516,7 +532,7 @@ impl Worker {
                     // record, so consumers don't each pay a round trip just
                     // to learn absence. Dense unfilled blocks stay on the
                     // demand path (they read as zeros there).
-                    let held = self.mem.home_read(&key);
+                    let held = self.mem.home_read(&key).ok().flatten();
                     if let Some(payload) = self.as_served(&key, held) {
                         let flight = self.new_multicast_hop(key, 0);
                         self.multicast_forward(key, payload, self.dist_epoch, 0, flight);
@@ -661,10 +677,16 @@ impl Worker {
         }
     }
 
-    /// Applies a store to the authoritative store (used by the home for
-    /// remote puts and by the owner for local ones), under the rules of
-    /// [`BlockManager::home_store`].
-    pub(crate) fn apply_store_local(&mut self, key: BlockKey, payload: Payload, mode: PutMode) {
+    /// Applies a store sent in `epoch` to the authoritative store (used by
+    /// the home for remote puts and by the owner for local ones), under the
+    /// rules of [`BlockManager::home_store`].
+    pub(crate) fn apply_store_local(
+        &mut self,
+        key: BlockKey,
+        payload: Payload,
+        mode: PutMode,
+        epoch: Option<u64>,
+    ) -> Result<(), RuntimeError> {
         // Sparse screening at the home: a payload under the threshold is
         // dropped and only its norm bound is recorded. Also reached by a
         // fault-tolerance journal replay of a put the sender dropped (replay
@@ -676,7 +698,7 @@ impl Worker {
             },
             absent => absent,
         };
-        if self.mem.home_store(key, payload, mode, self.dist_epoch) {
+        if self.mem.home_store(key, payload, mode, epoch)? {
             self.warnings.push(format!(
                 "possible barrier misuse: block {key:?} replaced after being read \
                  in the same sip_barrier epoch"
@@ -684,6 +706,7 @@ impl Worker {
         }
         // A fresher value exists; drop any stale cached copy.
         self.mem.cache_invalidate(&key);
+        Ok(())
     }
 
     /// True when blocks of `array` are screened: the array is declared
@@ -858,7 +881,7 @@ impl Worker {
             if fetch == Fetch::NoWait {
                 return Ok(BlockGet::Pending);
             }
-            let held = self.mem.home_read(&key);
+            let held = self.mem.home_read(&key)?;
             return Ok(match self.as_read(&key, held) {
                 Payload::Data(h) => BlockGet::Ready(h),
                 Payload::Absent { norm } => BlockGet::AbsentZero { norm },
@@ -912,8 +935,10 @@ impl Worker {
     /// Fetches `key` from `home` unless the cache holds it or it is already
     /// on its way: marks it in flight — the entry carries the flight's issue
     /// time and request id, which back the overlap metric — and sends the
-    /// fetch, registering it for retry under fault tolerance.
+    /// fetch, registering it for retry under fault tolerance. A key outside
+    /// its array's declared segments fails here, before any home is asked.
     fn fetch_unless_cached(&mut self, home: Rank, key: BlockKey) -> Result<(), RuntimeError> {
+        self.layout.ordinal_of(&key)?;
         // A real id is only needed for retry correlation (FT) or flight
         // correlation in the trace; fault-free untraced runs skip it.
         let (endpoint, correlated) = (&self.endpoint, self.ft.is_some() || self.trace.is_on());
@@ -932,7 +957,11 @@ impl Worker {
         if let Some(ft) = self.ft.as_mut() {
             ft.track_fetch(key, req);
         }
-        let msg = SipMsg::Fetch { key, req };
+        let msg = SipMsg::Fetch {
+            key,
+            req,
+            epoch: self.dist_epoch,
+        };
         if self.ft.is_some() {
             // The fetch is registered for retry; a send failure means the
             // home just died and the retry will re-route after RankDead.
@@ -959,7 +988,7 @@ impl Worker {
         let (key, slice) = self.layout.storage_target(array, ref_indices, &segs);
         let kind = self.layout.array_kind(array);
         let whole = match kind {
-            ArrayKind::Temp => match self.temps.get(&array) {
+            ArrayKind::Temp => match &self.temps[array.index()] {
                 Some((stored_key, block)) if *stored_key == key => {
                     let h = block.clone();
                     self.mem.note_share(&h);
@@ -971,7 +1000,7 @@ impl Worker {
                     });
                 }
             },
-            ArrayKind::Local | ArrayKind::Static => match self.mem.local_share(&key) {
+            ArrayKind::Local | ArrayKind::Static => match self.mem.local_share(&key)? {
                 Some(h) => h,
                 None => {
                     return Err(RuntimeError::BlockNotAvailable {
@@ -1066,15 +1095,12 @@ impl Worker {
         match slice {
             None => match kind {
                 ArrayKind::Temp => {
-                    if let Some((_, old)) = self.temps.insert(array, (key, block)) {
+                    if let Some((_, old)) = self.temps[array.index()].replace((key, block)) {
                         self.release_handle(old);
                     }
                     Ok(())
                 }
-                ArrayKind::Local | ArrayKind::Static => {
-                    self.mem.local_insert(key, block);
-                    Ok(())
-                }
+                ArrayKind::Local | ArrayKind::Static => self.mem.local_insert(key, block),
                 other => Err(RuntimeError::BadProgram(format!(
                     "direct write to {other:?} array"
                 ))),
@@ -1086,10 +1112,8 @@ impl Worker {
                 let parent_shape = self.layout.declared_block_shape(array);
                 match kind {
                     ArrayKind::Temp => {
-                        let entry = self
-                            .temps
-                            .entry(array)
-                            .or_insert_with(|| (key, BlockHandle::zeros(parent_shape)));
+                        let entry = self.temps[array.index()]
+                            .get_or_insert_with(|| (key, BlockHandle::zeros(parent_shape)));
                         if entry.0 != key {
                             *entry = (key, BlockHandle::zeros(parent_shape));
                         }
@@ -1099,7 +1123,7 @@ impl Worker {
                     ArrayKind::Local | ArrayKind::Static => {
                         let parent = self
                             .mem
-                            .local_mut_or_insert(key, || BlockHandle::zeros(parent_shape));
+                            .local_mut_or_insert(key, || BlockHandle::zeros(parent_shape))?;
                         sia_blocks::insert_slice(parent.make_mut(), &spec, &block)
                             .map_err(|e| RuntimeError::Internal(format!("insert failed: {e}")))
                     }
@@ -1128,7 +1152,7 @@ impl Worker {
             return self.write_block(array, ref_indices, sub);
         }
         match self.layout.array_kind(array) {
-            ArrayKind::Temp => match self.temps.get_mut(&array) {
+            ArrayKind::Temp => match &mut self.temps[array.index()] {
                 Some((stored_key, block)) if *stored_key == key => {
                     f(block.make_mut());
                     Ok(())
@@ -1137,7 +1161,7 @@ impl Worker {
                     array: self.layout.array(array).name.clone(),
                 }),
             },
-            ArrayKind::Local | ArrayKind::Static => match self.mem.local_get_mut(&key) {
+            ArrayKind::Local | ArrayKind::Static => match self.mem.local_get_mut(&key)? {
                 Some(block) => {
                     f(block.make_mut());
                     Ok(())
@@ -1163,7 +1187,7 @@ impl Worker {
 
     /// Frees all temp blocks (end of a pardo iteration) back to the pool.
     pub(crate) fn free_temps(&mut self) {
-        for (_, (_, block)) in self.temps.drain() {
+        for (_, block) in self.temps.iter_mut().filter_map(Option::take) {
             release_to(&self.pool, block);
         }
     }
@@ -1190,7 +1214,8 @@ impl Worker {
     /// first waits (into `wait`) for acks to bring them down to half of it:
     /// a worker that never has to wait for anything else — its gets looked
     /// ahead, or none at all — would otherwise run its whole chunk of
-    /// blocks into the home's inbox.
+    /// blocks into the home's inbox. A key outside its array's declared
+    /// segments fails here, before any home is asked.
     pub(crate) fn send_store(
         &mut self,
         home: Rank,
@@ -1200,6 +1225,7 @@ impl Worker {
         op: OpId,
         wait: &mut Duration,
     ) -> Result<(), RuntimeError> {
+        self.layout.ordinal_of(&key)?;
         let served = self.layout.array_kind(key.array) == ArrayKind::Served;
         let bytes = self.layout.block_bytes(key.array);
         if self.unacked_bytes > 0 && self.unacked_bytes + bytes > self.window_bytes {
@@ -1219,6 +1245,7 @@ impl Worker {
         if dropped.is_some() {
             self.profile.metrics.sparse.bytes_not_shipped += data.heap_bytes();
         }
+        let epoch = Some(self.dist_epoch);
         let wire = |data: BlockHandle| SipMsg::Store {
             key,
             payload: match dropped {
@@ -1227,6 +1254,7 @@ impl Worker {
             },
             mode,
             op,
+            epoch,
         };
         // A re-armed store (already pending) is not counted again.
         let new = match self.ft.as_mut() {
@@ -1297,30 +1325,31 @@ impl Worker {
         ))
     }
 
-    /// Applies a store (local or arriving over the wire) with duplicate
-    /// suppression: a tracked op already in the applied window is dropped.
-    /// This is what makes retries, fabric duplication, and chunk
-    /// re-execution idempotent — for blocks and norm records alike, which
-    /// share the one window.
+    /// Applies a store sent in `epoch` (local or arriving over the wire)
+    /// with duplicate suppression: a tracked op already in the applied
+    /// window is dropped. This is what makes retries, fabric duplication,
+    /// and chunk re-execution idempotent — for blocks and norm records
+    /// alike, which share the one window.
     pub(crate) fn apply_store_deduped(
         &mut self,
         key: BlockKey,
         payload: Payload,
         mode: PutMode,
         op: OpId,
-    ) {
-        let epoch = self.dist_epoch;
+        epoch: Option<u64>,
+    ) -> Result<(), RuntimeError> {
+        let window_epoch = self.dist_epoch;
         let duplicate = op.is_tracked()
             && !self
                 .ft
                 .as_mut()
-                .map(|ft| ft.applied.note(op.0, epoch))
+                .map(|ft| ft.applied.note(op.0, window_epoch))
                 .unwrap_or(true);
         if duplicate {
             self.profile.metrics.fault.dup_puts_suppressed += 1;
-        } else {
-            self.apply_store_local(key, payload, mode);
+            return Ok(());
         }
+        self.apply_store_local(key, payload, mode, epoch)
     }
 
     /// Retries timed-out tracked operations (no-op on fault-free runs).
@@ -1337,7 +1366,7 @@ impl Worker {
         if now < due {
             return Ok(());
         }
-        let layout = &self.layout;
+        let (layout, epoch) = (&self.layout, self.dist_epoch);
         let mut resend: Vec<(Rank, SipMsg)> = Vec::new();
         let mut put_retries = 0u64;
         let mut prepare_retries = 0u64;
@@ -1364,7 +1393,7 @@ impl Worker {
                 put_retries += 1;
             }
             // The resend shares the retained payload's allocation.
-            resend.push((home, p.store_msg(OpId(op))));
+            resend.push((home, p.store_msg(OpId(op), epoch)));
         }
         let mut fetch_retries = 0u64;
         let mut refreshed: Vec<BlockKey> = Vec::new();
@@ -1395,6 +1424,7 @@ impl Worker {
                 SipMsg::Fetch {
                     key: *key,
                     req: f.req,
+                    epoch,
                 },
             ));
         }
@@ -1535,7 +1565,7 @@ impl Worker {
                 self.outstanding[0] += 1;
                 self.unacked_bytes += layout.block_bytes(key.array);
             }
-            sends.push((new_home, ft.pending[&op].store_msg(OpId(op))));
+            sends.push((new_home, ft.pending[&op].store_msg(OpId(op), epoch)));
         }
         // Re-route unanswered fetches that were addressed to the corpse.
         let mut reroutes = 0u64;
@@ -1551,6 +1581,7 @@ impl Worker {
                 SipMsg::Fetch {
                     key: *key,
                     req: f.req,
+                    epoch,
                 },
             ));
         }

@@ -80,6 +80,7 @@ fn full_protocol_over_fabric() {
                     payload: Payload::Data(blk(i as f64).into()),
                     mode: PutMode::Replace,
                     op: OpId::NONE,
+                    epoch: None,
                 },
             )
             .unwrap();
@@ -101,6 +102,7 @@ fn full_protocol_over_fabric() {
                 payload: Payload::Data(blk(10.0).into()),
                 mode: PutMode::Accumulate,
                 op: OpId::NONE,
+                epoch: None,
             },
         )
         .unwrap();
@@ -117,6 +119,7 @@ fn full_protocol_over_fabric() {
                 SipMsg::Fetch {
                     key: BlockKey::new(ArrayId(0), &[i, i]),
                     req: ReqId::NONE,
+                    epoch: 0,
                 },
             )
             .unwrap();
@@ -164,6 +167,7 @@ fn full_protocol_over_fabric() {
             SipMsg::Fetch {
                 key: BlockKey::new(ArrayId(0), &[3, 3]),
                 req: ReqId::NONE,
+                epoch: 0,
             },
         )
         .unwrap();
@@ -202,6 +206,7 @@ fn delete_array_over_fabric() {
                 payload: Payload::Data(Block::filled(Shape::new(&[4, 4]), 7.0).into()),
                 mode: PutMode::Replace,
                 op: OpId::NONE,
+                epoch: None,
             },
         )
         .unwrap();
@@ -216,6 +221,7 @@ fn delete_array_over_fabric() {
             SipMsg::Fetch {
                 key: BlockKey::new(ArrayId(0), &[1, 1]),
                 req: ReqId::NONE,
+                epoch: 0,
             },
         )
         .unwrap();

@@ -430,12 +430,6 @@ endsial
     );
 }
 
-/// A `sip_barrier` whose release every home has handled before any worker
-/// goes on. A home learns of a new epoch from its own release, which can
-/// trail a peer's first fetch or store of that epoch; the collective closes
-/// that window, so what these tests see is the program's order only.
-const BARRIER: &str = "sip_barrier\nexecute sip_allreduce s";
-
 /// `X` written, then read, then written again with a Replace. `between`
 /// separates the read from the second write: a collective orders them —
 /// every fetch served before any put is sent — inside one epoch; a barrier
@@ -452,7 +446,7 @@ pardo i
   t(i) = 1.0
   put X(i) = t(i)
 endpardo i
-{BARRIER}
+sip_barrier
 pardo i
   get X(i)
   u(i) = X(i)
@@ -479,7 +473,8 @@ fn misuse_warnings(src: &str) -> Vec<String> {
 }
 
 /// `barrier_misuse_detected`'s other direction: a peer's fetch is served
-/// first, and a Replace-put lands on the block later in the same epoch.
+/// first, and a Replace-put lands on the block later in the same epoch. The
+/// collective orders the two inside that epoch.
 #[test]
 fn replace_after_a_served_read_is_detected() {
     let warnings = misuse_warnings(&read_then_replace("execute sip_allreduce s"));
@@ -494,30 +489,86 @@ fn replace_after_a_served_read_is_detected() {
 
 #[test]
 fn a_barrier_between_read_and_replace_silences_both_directions() {
-    let fenced = misuse_warnings(&read_then_replace(BARRIER));
+    let fenced = misuse_warnings(&read_then_replace("sip_barrier"));
     assert!(fenced.is_empty(), "{fenced:?}");
-    let put_then_get = format!(
-        "sial fenced
+    let put_then_get = "sial fenced
 aoindex i = 1, n
 distributed X(i)
 temp t(i)
 temp u(i)
-scalar s
 pardo i
   t(i) = 1.0
   put X(i) = t(i)
 endpardo i
-{BARRIER}
+sip_barrier
 pardo i
   get X(i)
   u(i) = X(i)
 endpardo i
 sip_barrier
 endsial
-"
-    );
-    let fenced = misuse_warnings(&put_then_get);
+";
+    let fenced = misuse_warnings(put_then_get);
     assert!(fenced.is_empty(), "{fenced:?}");
+}
+
+/// An unguarded `do L` that runs past an array's declared segments
+/// addresses blocks the array does not have. A `get`, a `put` or a local
+/// write there fails the run with the typed error, raised by the rank that
+/// asked — on one worker, whose homes are all its own, and on three, where
+/// most are a peer's — and no home serves or stores a block for it.
+#[test]
+fn an_access_past_the_declared_segments_fails_typed() {
+    let program = |access: &str| {
+        format!(
+            "sial overrun
+aoindex i = 1, n
+aoindex L = 1, m
+distributed X(i)
+local Y(i)
+temp t(i)
+temp u(i)
+pardo i
+  t(i) = 1.0
+  put X(i) = t(i)
+endpardo i
+sip_barrier
+pardo i
+  do L
+{access}
+  enddo L
+endpardo i
+sip_barrier
+endsial
+"
+        )
+    };
+    for access in [
+        "    get X(L)\n    u(L) = X(L)",
+        "    t(L) = 2.0\n    put X(L) = t(L)",
+        "    t(L) = 2.0\n    Y(L) = t(L)",
+    ] {
+        let src = program(access);
+        for workers in [1, 3] {
+            let compiled = sial_frontend::compile(&src).unwrap();
+            let err = Sip::new(config(workers))
+                .run(compiled, &bindings(&[("n", 4), ("m", 6)]))
+                .expect_err("an access past the declared segments");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("B0[5]") || msg.contains("B1[5]"),
+                "{workers} workers, `{access}`: {msg}"
+            );
+            assert!(
+                msg.contains("outside the array's declared segments"),
+                "{workers} workers, `{access}`: {msg}"
+            );
+        }
+        // Inside the declared segments the same program runs.
+        let compiled = sial_frontend::compile(&src).unwrap();
+        (Sip::new(config(3)).run(compiled, &bindings(&[("n", 4), ("m", 4)])))
+            .unwrap_or_else(|e| panic!("`{access}` in range: {e}"));
+    }
 }
 
 #[test]
