@@ -16,11 +16,9 @@ use sia_bench::{e7a_configs, figure, fmt_pct, fmt_time, ga_baseline, FigTable, F
 use sia_chem::{contraction_demo, Molecule};
 use sia_runtime::scheduler::ChunkPolicy;
 use sia_runtime::trace::{IterProfile, Trace, TracePhase};
-use sia_runtime::Placement::{Hash, Planned};
 use sia_runtime::{RunOutput, SipConfig, SipConfigBuilder};
 use sia_sim::machine::CRAY_XT5;
 use sia_sim::{simulate, GaOutcome, SimConfig};
-use std::time::Instant;
 
 fn main() {
     let mut names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
@@ -208,34 +206,8 @@ fn e8(quick: bool) {
 /// The ablations of the SIP's design choices (§V, §VII), each against the
 /// alternative.
 fn ablations(quick: bool) {
-    placement_ablation(quick);
     scheduling_ablation(quick);
     overlap_ablation(quick);
-}
-
-/// Block placement (§V-B: "a simple, static strategy … works well in
-/// practice"): the two strategies a run can pick, on the real SIP.
-fn placement_ablation(quick: bool) {
-    let mut table = FigTable::new(
-        "Ablation 1: block placement on the real SIP (4 workers)",
-        &["placement", "recv imbalance (max/mean)", "wall time (ms)"],
-    );
-    for (name, placement) in [("hash (SIP)", Hash), ("planned", Planned)] {
-        let t0 = Instant::now();
-        let out = run_contraction(40, 4, SipConfig::builder().placement(placement));
-        // Workers are ranks 1..=4.
-        let recv = out.traffic_per_rank[1..=4]
-            .iter()
-            .map(|t| t.received_bytes as f64);
-        let (max, mean) = (recv.clone().fold(0.0, f64::max), recv.sum::<f64>() / 4.0);
-        table.row(vec![
-            name.into(),
-            format!("{:.2}", max / mean.max(1.0)),
-            t0.elapsed().as_millis().to_string(),
-        ]);
-    }
-    emit(&table, "ablation_placement", quick);
-    println!("placement barely moves the result, and swapping it needs zero SIAL changes");
 }
 
 /// Guided chunk scheduling (§V-B: "the chunk size decreases as the

@@ -374,16 +374,16 @@ impl BlockCache {
     }
 
     /// Stores an arrived reply, completing an in-flight entry (or inserting
-    /// fresh — e.g. a block pushed by a multicasting peer), and returns the
-    /// flight it completed, if any. A data handle is shared with the
+    /// fresh — e.g. a duplicate reply after its flight completed), and
+    /// returns the flight it completed, if any. A data handle is shared with the
     /// sender's allocation; no copy is made here. A typed-absent answer
     /// carries no payload bytes, so no room is made.
     ///
     /// A `Ready` entry is never demoted by an absent answer: with envelope
     /// batching, a norm record for a key can legitimately arrive *after*
     /// the real payload it was screened before (the two travelled in
-    /// different envelopes, or a retried multicast hop raced a demand
-    /// fetch). The payload is the newer truth within an epoch — barrier
+    /// different envelopes, or a retried fetch's reply raced the first
+    /// one). The payload is the newer truth within an epoch — barrier
     /// invalidation removes the entry, so a genuinely newer absence always
     /// starts from an empty slot.
     pub fn fill(&mut self, key: BlockKey, payload: Payload) -> Option<Flight> {

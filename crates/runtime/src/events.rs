@@ -103,18 +103,6 @@ pub enum EventKind {
         /// sequence number when the run allocates neither).
         id: u64,
     },
-    /// One hop of a multicast tree push: a broadcast-shaped block pushed
-    /// (root) or forwarded (inner node) toward this rank's tree children.
-    /// Rendered as an async pair on the comm thread, correlated upstream
-    /// by `parent`.
-    Multicast {
-        /// The pushed block.
-        key: BlockKey,
-        /// This hop's globally unique flight id (rank ⊕ sequence).
-        id: u64,
-        /// The upstream hop's flight id; 0 when this rank is the root.
-        parent: u64,
-    },
     /// A block served to a requester (span on I/O servers, where it can
     /// include a disk read; instant on workers serving home blocks).
     Serve {
@@ -356,12 +344,10 @@ impl TraceTimeline {
             ];
             events.push(meta("process_name", r.rank, 0, process));
             events.push(meta("thread_name", r.rank, 0, name("execute")));
-            if r.events.iter().any(|e| {
-                matches!(
-                    e.kind,
-                    EventKind::Flight { .. } | EventKind::Multicast { .. }
-                )
-            }) {
+            if r.events
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::Flight { .. }))
+            {
                 events.push(meta("thread_name", r.rank, 1, name("comm")));
             }
             let mut ordered: Vec<&TraceEvent> = r.events.iter().collect();
@@ -447,18 +433,6 @@ fn emit_event(out: &mut Vec<Json>, rank: usize, e: &TraceEvent, program: Option<
                 vec![hex(uid), ("args", args)],
             )
         }
-        EventKind::Multicast { key, id, parent } => {
-            // The hop id is already rank-qualified (rank in the top bits),
-            // so it doubles as the async correlation id — and `parent`
-            // correlates this hop to the upstream rank's hop in args.
-            let args = Json::obj([("id", id.into()), ("parent", parent.into())]);
-            (
-                format!("multicast {key:?}"),
-                "multicast",
-                "b",
-                vec![hex(id), ("args", args)],
-            )
-        }
         EventKind::Serve { key, disk } => {
             let args = ("args", Json::obj([("disk", disk.into())]));
             let (ph, shape) = if dur_ns == 0 {
@@ -482,9 +456,8 @@ fn emit_event(out: &mut Vec<Json>, rank: usize, e: &TraceEvent, program: Option<
         EventKind::Recovery { what } => (what.label().into(), "recovery", "i", vec![instant]),
         EventKind::Mark { label } => (label.into(), "mark", "i", vec![instant]),
     };
-    // Flights and multicast hops are async begin/end pairs on the comm
-    // thread, so overlapping ones stack; the end repeats the begin's name
-    // and id.
+    // Flights are async begin/end pairs on the comm thread, so overlapping
+    // ones stack; the end repeats the begin's name and id.
     if ph == "b" {
         let id = rest[0].clone();
         out.push(event(&name, cat, ph, rank, 1, e.t_start_ns, rest));
@@ -505,8 +478,6 @@ pub struct RankLint {
     pub spans: usize,
     /// Async begin/end pairs on this rank.
     pub flights: usize,
-    /// Multicast hops recorded on this rank.
-    pub multicasts: usize,
     /// Event categories seen on this rank.
     pub cats: BTreeSet<String>,
     /// Events the rank's ring overwrote before the export.
@@ -526,9 +497,7 @@ pub struct TraceLint {
 /// a `traceEvents` array whose entries carry
 /// `name`/`ph`/`pid`/`tid` (+ `ts`/`dur` where the phase demands them),
 /// monotone nesting of complete spans per `(pid, tid)`, balanced async
-/// begin/end pairs per flight id, and multicast hop correlation — every
-/// forwarded hop's `args.parent` must name an existing hop's `args.id`
-/// (no orphan forwards).
+/// begin/end pairs per flight id.
 pub fn lint_chrome_trace(doc: &(impl Document + ?Sized)) -> Result<TraceLint, String> {
     let doc = doc.tree()?;
     let events = doc
@@ -543,9 +512,6 @@ pub fn lint_chrome_trace(doc: &(impl Document + ?Sized)) -> Result<TraceLint, St
     let mut spans: BTreeMap<(u64, u64), Vec<(u64, u64)>> = BTreeMap::new();
     // (pid, id) -> open async begins.
     let mut open: BTreeMap<(u64, String), i64> = BTreeMap::new();
-    // Multicast hop ids seen (globally unique), and each forward's parent.
-    let mut mcast_ids: BTreeSet<u64> = BTreeSet::new();
-    let mut mcast_parents: Vec<(usize, u64)> = Vec::new();
     for (i, e) in events.iter().enumerate() {
         let ph = e
             .get("ph")
@@ -607,24 +573,6 @@ pub fn lint_chrome_trace(doc: &(impl Document + ?Sized)) -> Result<TraceLint, St
                     .ok_or(format!("event {i}: async begin missing id"))?;
                 *open.entry((pid, id.to_string())).or_insert(0) += 1;
                 rank.flights += 1;
-                if e.get("cat").and_then(Json::as_str) == Some("multicast") {
-                    rank.multicasts += 1;
-                    let args = e
-                        .get("args")
-                        .ok_or(format!("event {i}: multicast hop missing args"))?;
-                    let hop = args
-                        .get("id")
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("event {i}: multicast hop missing args.id"))?;
-                    let parent = args
-                        .get("parent")
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("event {i}: multicast hop missing args.parent"))?;
-                    mcast_ids.insert(hop);
-                    if parent != 0 {
-                        mcast_parents.push((i, parent));
-                    }
-                }
             }
             "e" => {
                 let id = e
@@ -644,13 +592,6 @@ pub fn lint_chrome_trace(doc: &(impl Document + ?Sized)) -> Result<TraceLint, St
     for ((pid, id), n) in &open {
         if *n != 0 {
             return Err(format!("unbalanced async events: pid {pid} id {id}"));
-        }
-    }
-    for (i, parent) in &mcast_parents {
-        if !mcast_ids.contains(parent) {
-            return Err(format!(
-                "event {i}: multicast forward orphaned — parent hop {parent} not in trace"
-            ));
         }
     }
     // Monotone nesting: within a thread, sorted spans must form a proper
@@ -807,85 +748,6 @@ mod tests {
         assert!(lint_chrome_trace(bad).is_err());
     }
 
-    #[test]
-    fn lint_accepts_multicast_parent_chain() {
-        // Root hop on rank 1, forwarded hop on rank 2 correlated back to it.
-        let mut tl = TraceTimeline::default();
-        let root = (1u64 << 48) | 7;
-        let hop = (2u64 << 48) | 9;
-        tl.ranks.push(RankTrace {
-            rank: 1,
-            label: "worker 1".into(),
-            events: vec![TraceEvent {
-                t_start_ns: 10,
-                t_end_ns: 10,
-                kind: EventKind::Multicast {
-                    key: key(),
-                    id: root,
-                    parent: 0,
-                },
-            }],
-            dropped: 0,
-        });
-        tl.ranks.push(RankTrace {
-            rank: 2,
-            label: "worker 2".into(),
-            events: vec![TraceEvent {
-                t_start_ns: 20,
-                t_end_ns: 20,
-                kind: EventKind::Multicast {
-                    key: key(),
-                    id: hop,
-                    parent: root,
-                },
-            }],
-            dropped: 0,
-        });
-        let lint = lint_chrome_trace(&tl.to_chrome_json(None)).expect("lints clean");
-        assert_eq!(lint.ranks[&1].multicasts, 1);
-        assert_eq!(lint.ranks[&2].multicasts, 1);
-    }
-
-    #[test]
-    fn lint_rejects_orphan_multicast_forward() {
-        let hop = |id: u64, parent: u64| TraceEvent {
-            t_start_ns: 20,
-            t_end_ns: 20,
-            kind: EventKind::Multicast {
-                key: key(),
-                id,
-                parent,
-            },
-        };
-        // A forward whose parent hop id appears nowhere in the trace; and
-        // one whose parent differs from an existing hop only past the 53
-        // bits an f64 holds, so a reader that rounds ids matches them.
-        for (rank, events) in [
-            (2, vec![hop((2u64 << 48) | 9, (1u64 << 48) | 7)]),
-            (
-                32,
-                vec![
-                    hop(32u64 << 48, 0),
-                    hop((32u64 << 48) | 2, (32u64 << 48) | 1),
-                ],
-            ),
-        ] {
-            let tl = TraceTimeline {
-                ranks: vec![RankTrace {
-                    rank,
-                    label: format!("worker {rank}"),
-                    events,
-                    dropped: 0,
-                }],
-            };
-            let err = lint_chrome_trace(&tl.to_chrome_json(None)).unwrap_err();
-            assert!(err.contains("orphan"), "unexpected error: {err}");
-        }
-    }
-
-    /// A trace of ordinary size lints in the time its length warrants: the
-    /// string reader's work per character must not grow with what is left
-    /// of the buffer.
     #[test]
     fn megabyte_trace_lints_in_linear_time() {
         let mut tl = TraceTimeline::default();

@@ -394,9 +394,6 @@ impl Worker {
                     window,
                     ahead: 0,
                 });
-                // Planned placement: push broadcast-shaped operands homed
-                // here down their multicast trees before iterating.
-                self.multicast_push(pc);
                 Ok(Some(self.pardo_advance(wait)?))
             }
             I::PardoEnd { .. } => {

@@ -137,8 +137,6 @@ pub struct SipConfig {
     /// Chunk-sizing policy: guided by default, first chunks
     /// `remaining / (2 * workers)` and shrinking as work drains.
     pub chunk_policy: ChunkPolicy,
-    /// Distributed-block placement strategy.
-    pub placement: Placement,
     /// Fault injection and recovery; `None` (the default) runs on a perfect
     /// fabric with all recovery machinery disabled.
     pub fault: Option<FaultConfig>,
@@ -185,7 +183,6 @@ impl Default for SipConfig {
             served_dir: None,
             memory_budget: None,
             chunk_policy: ChunkPolicy::default(),
-            placement: Placement::default(),
             fault: None,
             trace: false,
             trace_path: None,
@@ -322,12 +319,6 @@ impl SipConfigBuilder {
         self
     }
 
-    /// Distributed-block placement strategy.
-    pub fn placement(mut self, p: Placement) -> Self {
-        self.config.placement = p;
-        self
-    }
-
     /// Fault injection and recovery configuration.
     pub fn fault(mut self, f: FaultConfig) -> Self {
         self.config.fault = Some(f);
@@ -452,26 +443,6 @@ impl SipConfigBuilder {
     }
 }
 
-/// Distributed-block placement strategy.
-///
-/// The paper uses "a simple, static strategy" and argues elaborate placement
-/// buys little because communication overlaps computation anyway — and that
-/// "the approach to data distribution could be modified and improved at any
-/// time without requiring any change in the SIAL programs". This enum is that
-/// modification point; the ablation harness compares the strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// FNV hash of (array, segments) modulo workers — the SIP default.
-    #[default]
-    Hash,
-    /// Planner-derived placement: each distributed array's block grid is cut
-    /// into `workers` contiguous slabs in row-major block order, so blocks
-    /// addressed by the same index tuple land on the same worker across
-    /// arrays and chunk assignment can be aligned with block homes
-    /// (owner-compute). Resolved through [`Layout::slot_of_distributed`].
-    Planned,
-}
-
 /// What the blocks of one array share: the declared block and the grid of
 /// segments they are cut from.
 #[derive(Debug, Clone, Copy)]
@@ -494,17 +465,14 @@ pub struct Topology {
     pub workers: usize,
     /// I/O server count.
     pub io_servers: usize,
-    /// Distributed-block placement strategy.
-    pub placement: Placement,
 }
 
 impl Topology {
-    /// A topology with the default (hash) placement.
+    /// A topology of `workers` workers and `io_servers` I/O servers.
     pub fn new(workers: usize, io_servers: usize) -> Self {
         Topology {
             workers,
             io_servers,
-            placement: Placement::Hash,
         }
     }
 
@@ -627,17 +595,13 @@ pub struct Layout {
 
 impl Layout {
     /// Resolves the layout a run of `program` under `config` uses: its
-    /// workers, I/O servers, placement and segments.
+    /// workers, I/O servers and segments.
     pub fn for_config(
         program: Arc<Program>,
         bindings: &ConstBindings,
         config: &SipConfig,
     ) -> Result<Self, RuntimeError> {
-        let topology = Topology {
-            workers: config.workers,
-            io_servers: config.io_servers,
-            placement: config.placement,
-        };
+        let topology = Topology::new(config.workers, config.io_servers);
         Self::new(program, bindings, config.segments, topology)
     }
 
@@ -726,32 +690,21 @@ impl Layout {
     /// Worker slot (0-based) of a distributed block — the placement every
     /// runtime caller resolves through (master, workers, dry run, planner).
     ///
-    /// Under planned placement a block in its array's grid lands in slab
-    /// `⌊linear(key) · workers / total⌋`: balanced to within one block,
-    /// contiguous per worker, and the same slot for blocks of different
-    /// arrays addressed by the same index tuple, which is what lets the
-    /// master hand a pardo iteration to the worker owning the block it
-    /// writes. Every other key — all of them under hash placement — goes
-    /// by the hash of the key.
+    /// The array's blocks are cut into `workers` slabs of consecutive
+    /// [`block_ordinal`](Self::block_ordinal)s: the block lands in slab
+    /// `⌊ordinal · workers / total⌋`. Slabs are balanced to within one
+    /// block, and blocks of arrays over the same grid addressed by the same
+    /// index tuple land on the same worker, which is what lets the master
+    /// hand a pardo iteration to the worker owning the block it writes.
+    /// Every access path refuses a key that is no block of its array as
+    /// [`RuntimeError::BlockOutOfRange`] before it resolves a home; such a
+    /// key reads as slot 0 here.
     pub fn slot_of_distributed(&self, key: &BlockKey) -> usize {
-        let workers = self.topology.workers;
-        let segs = key.segs();
-        match self.declared.get(key.array.index()) {
-            Some(d)
-                if self.topology.placement == Placement::Planned
-                    && !segs.is_empty()
-                    && segs.len() == d.shape.rank()
-                    && d.total > 0 =>
-            {
-                let mut linear: u64 = 0;
-                for (&seg, &(lo, len)) in segs.iter().zip(&d.grid) {
-                    let off = (i64::from(seg) - lo).clamp(0, len as i64 - 1) as u64;
-                    linear = linear * len + off;
-                }
-                ((linear as u128 * workers as u128) / d.total as u128) as usize
-            }
-            _ => (key.placement_hash() % workers as u64) as usize,
-        }
+        let Some(ordinal) = self.block_ordinal(key) else {
+            return 0;
+        };
+        let (workers, total) = (self.topology.workers as u128, self.total_blocks(key.array));
+        (u128::from(ordinal) * workers / u128::from(total)) as usize
     }
 
     /// Home worker of a distributed block when some workers are dead: its
@@ -1207,24 +1160,29 @@ mod tests {
 
     #[test]
     fn homes_are_stable_and_in_range() {
-        for placement in [Placement::Hash, Placement::Planned] {
-            let topology = Topology {
-                placement,
-                ..Topology::new(3, 2)
-            };
-            let l = layout_on(segs(16, 8, 4), topology);
-            let alive = [false; 3];
-            // Keys inside X's 4×2 grid, outside it, and of the wrong rank.
-            for i in 0..20 {
-                for segs in [&[i, i + 1][..], &[i]] {
-                    let k = BlockKey::new(ArrayId(0), segs);
-                    let h = l.home_of_distributed_excluding(&k, &alive);
-                    assert!(l.topology.is_worker(h), "{placement:?} {k:?}");
-                    assert_eq!(h, l.home_of_distributed_excluding(&k, &alive));
-                    let s = l.home_of_served(&k);
-                    assert!(s.0 >= 4 && s.0 <= 5);
-                }
+        let l = layout_on(segs(16, 8, 4), Topology::new(3, 2));
+        let alive = [false; 3];
+        // Keys inside X's 4×2 grid, outside it, and of the wrong rank.
+        for i in 0..20 {
+            for segs in [&[i, i + 1][..], &[i]] {
+                let k = BlockKey::new(ArrayId(0), segs);
+                let h = l.home_of_distributed_excluding(&k, &alive);
+                assert!(l.topology.is_worker(h), "{k:?}");
+                assert_eq!(h, l.home_of_distributed_excluding(&k, &alive));
+                let s = l.home_of_served(&k);
+                assert!(s.0 >= 4 && s.0 <= 5);
             }
         }
+    }
+
+    /// X's 8 blocks over 3 workers: slabs of consecutive ordinals, sized
+    /// 3, 3 and 2.
+    #[test]
+    fn distributed_homes_are_balanced_slabs_of_ordinals() {
+        let l = layout_on(segs(16, 8, 4), Topology::new(3, 2));
+        let slots: Vec<usize> = (0..l.total_blocks(ArrayId(0)))
+            .map(|o| l.slot_of_distributed(&l.block_key(ArrayId(0), o)))
+            .collect();
+        assert_eq!(slots, [0, 0, 0, 1, 1, 1, 2, 2]);
     }
 }

@@ -87,8 +87,8 @@ pub use events::{
     TraceSink, TraceTimeline,
 };
 pub use layout::{
-    ConfigError, CrashSchedule, FaultConfig, Layout, Placement, SegmentConfig, SipConfig,
-    SipConfigBuilder, Topology,
+    ConfigError, CrashSchedule, FaultConfig, Layout, SegmentConfig, SipConfig, SipConfigBuilder,
+    Topology,
 };
 pub use memory::{BlockManager, MemoryStats};
 pub use metrics::{
@@ -162,7 +162,7 @@ pub struct RunOutput {
     /// Fabric traffic totals.
     pub traffic: TrafficSummary,
     /// Per-rank traffic (rank 0 = master, then workers, then I/O servers) —
-    /// the load-balance view the placement ablation reads.
+    /// the load-balance view.
     pub traffic_per_rank: Vec<RankTraffic>,
     /// The merged cross-rank event timeline (`Some` when tracing was
     /// enabled via [`SipConfig::trace`] or a `trace_path`).
@@ -239,7 +239,8 @@ impl Sip {
         // holds, so it is identical everywhere by construction. A program
         // the trace walker cannot model (e.g. one that would nest pardos)
         // degrades to an empty plan — the demand-fetch path still runs it.
-        let comm_plan = Arc::new(self.comm_plan(&layout).unwrap_or_default());
+        let comm_plan = self.comm_plan(&layout).unwrap_or_default();
+        let predicted_bytes = comm_plan.volume.total();
         if let Some(budget) = self.config.memory_budget {
             if !estimate.feasible(budget) {
                 let sufficient =
@@ -295,7 +296,7 @@ impl Sip {
             run_dir.clone(),
             self.config.fault.as_ref(),
         );
-        master.set_plan(Arc::clone(&comm_plan));
+        master.set_plan(comm_plan);
         if let Some(h) = &self.serving {
             master.set_progress(Arc::clone(&h.progress));
         }
@@ -323,10 +324,8 @@ impl Sip {
                 let config = worker_config.clone();
                 let registry = self.registry.clone();
                 let collect = self.config.collect_distributed;
-                let plan = Arc::clone(&comm_plan);
                 scope.spawn(move || {
                     let mut w = worker::Worker::new(layout, config, ep, registry);
-                    w.set_plan(plan);
                     w.resumed_epochs = resumed_epochs;
                     if trace_on {
                         w.set_trace(mk_sink());
@@ -392,7 +391,7 @@ impl Sip {
         // Run-level planner figures: what the plan predicted against what
         // the fabric measured, plus envelope-batching savings.
         profile.metrics.plan.coalesced_messages = stats.total_messages_coalesced();
-        profile.metrics.plan.predicted_bytes = comm_plan.volume.total();
+        profile.metrics.plan.predicted_bytes = predicted_bytes;
         profile.metrics.plan.actual_bytes = stats.total_bytes_sent();
         profile.dry_run_estimate_bytes = estimate.per_worker_bytes;
 

@@ -53,11 +53,13 @@ pub struct MemoryStats {
     pub budget_evictions: u64,
 }
 
-/// Ordinals per page of a [`BlockTable`]. Hash placement gives a worker
-/// one block in W of an array, and `placement_hash`'s low bits spread them
-/// evenly over consecutive ordinals, so with W ≥ 8 workers a page a worker
-/// touches holds about one of its blocks. A table costs a worker at most
-/// one page per block it holds (a page of home slots is 384 bytes) plus one
+/// Ordinals per page of a [`BlockTable`]. A worker's home blocks of an
+/// array are one slab of consecutive ordinals, so its pages are full but
+/// for the two at the slab's ends; its local arrays are dense. A scattered
+/// set arises only when a rank dies and `Topology::rehash_from` spreads its
+/// blocks over the survivors by hash: then a page a survivor touches may
+/// hold one of its blocks. Even so a table costs a worker at most one page
+/// per block it holds (a page of home slots is 384 bytes) plus one
 /// directory pointer per page of the array; DESIGN.md §12 states the bound
 /// and `memory::tests::a_sparse_home_pays_a_page_per_block_at_most` pins it.
 pub const TABLE_PAGE: usize = 8;
@@ -575,7 +577,7 @@ impl BlockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{Placement, SegmentConfig, Topology};
+    use crate::layout::{SegmentConfig, Topology};
     use sia_blocks::{Block, Shape};
     use sia_bytecode::{ArrayDecl, ArrayKind, ConstBindings, IndexDecl, IndexId, IndexKind};
     use std::collections::BTreeMap;
@@ -586,7 +588,6 @@ mod tests {
         (ni, nj): (i64, i64),
         arrays: &[(&str, ArrayKind, &[u32])],
         workers: usize,
-        placement: Placement,
     ) -> Arc<Layout> {
         let index = |name: &str, high| IndexDecl {
             name: name.into(),
@@ -606,10 +607,7 @@ mod tests {
                 .collect(),
             ..Default::default()
         };
-        let topology = Topology {
-            placement,
-            ..Topology::new(workers, 0)
-        };
+        let topology = Topology::new(workers, 0);
         let segments = SegmentConfig {
             default: 2,
             ..SegmentConfig::default()
@@ -626,7 +624,7 @@ mod tests {
             ("L", ArrayKind::Local, &[0]),
             ("C", ArrayKind::Distributed, &[0]),
         ];
-        let layout = layout_of((16, 1), arrays, 1, Placement::Hash);
+        let layout = layout_of((16, 1), arrays, 1);
         BlockManager::new(layout, cache_bytes, budget)
     }
 
@@ -923,10 +921,11 @@ mod tests {
     }
 
     /// The table costs a worker at most one page per block it homes plus a
-    /// pointer per page of the array (DESIGN.md §12): on 16 workers, a
-    /// worker homing its share of a 96×96-block array stays within that and
-    /// under the dense table, and an array it homes nothing of costs an
-    /// empty directory.
+    /// pointer per page of the array (DESIGN.md §12): a worker homing a
+    /// scattered sixteenth of a 96×96-block array — one block in 16 by
+    /// `placement_hash`, the kind of set the rehash after a rank's death
+    /// hands out — stays within that and under the dense table, and an
+    /// array it homes nothing of costs an empty directory.
     #[test]
     fn a_sparse_home_pays_a_page_per_block_at_most() {
         assert_eq!(std::mem::size_of::<[HomeSlot; TABLE_PAGE]>(), 384);
@@ -934,14 +933,14 @@ mod tests {
             ("A", ArrayKind::Distributed, &[0, 1]),
             ("B", ArrayKind::Distributed, &[0, 1]),
         ];
-        let layout = layout_of((96, 96), arrays, 16, Placement::Hash);
+        let layout = layout_of((96, 96), arrays, 16);
         let mut m = BlockManager::new(Arc::clone(&layout), 1024, None);
         let total = layout.total_blocks(ArrayId(0));
         let block = blk(1.0);
         let mut homed = 0;
         for ordinal in 0..total {
             let key = layout.block_key(ArrayId(0), ordinal);
-            if layout.slot_of_distributed(&key) == 0 {
+            if key.placement_hash().is_multiple_of(16) {
                 let fetched = ordinal % 2 == 0;
                 if fetched {
                     m.home_fetch(key, 0).unwrap();
@@ -1007,8 +1006,8 @@ mod tests {
         slots
     }
 
-    /// Random sequences of every home and local operation, on hash and
-    /// planned layouts of 1, 2 and 16 workers, against a `BTreeMap` model:
+    /// Random sequences of every home and local operation, on layouts of 1,
+    /// 2 and 16 workers, against a `BTreeMap` model:
     /// the blocks and stamps of every slot, the pinned bytes, the norm
     /// count and the keys returned agree after every step, and a key
     /// outside the declared segments is refused without a trace.
@@ -1023,211 +1022,201 @@ mod tests {
         let (ni, nj) = (24, 6);
         let filled = |v: f64| BlockHandle::new(Block::filled(Shape::new(&[ELEMS]), v));
         let mut cases = 0;
-        for placement in [Placement::Hash, Placement::Planned] {
-            for workers in [1, 2, 16] {
-                let layout = layout_of((ni, nj), arrays, workers, placement);
-                // The keys worker 0 homes, and the local keys.
-                let keys = |array: u32| -> Vec<BlockKey> {
-                    let array = ArrayId(array);
-                    (0..layout.total_blocks(array))
-                        .map(|o| layout.block_key(array, o))
-                        .collect()
-                };
-                let homed: Vec<BlockKey> = (keys(0).into_iter().chain(keys(1)))
-                    .filter(|k| layout.slot_of_distributed(k) == 0)
-                    .collect();
-                let locals = keys(2);
-                let outside = [
-                    BlockKey::new(ArrayId(0), &[0, 1]),
-                    BlockKey::new(ArrayId(0), &[ni + 1, 1]),
-                    BlockKey::new(ArrayId(0), &[1, nj + 1]),
-                    BlockKey::new(ArrayId(1), &[nj + 1]),
-                    BlockKey::new(ArrayId(1), &[1, 1]),
-                    BlockKey::new(ArrayId(2), &[1, 0]),
-                ];
-                for case in 0..4 {
-                    cases += 1;
-                    let mut rng = proptest::TestRng::for_case(
-                        &format!("tables/{placement:?}/{workers}"),
-                        case,
-                    );
-                    let mut m = BlockManager::new(Arc::clone(&layout), 1024, None);
-                    let mut home: BTreeMap<BlockKey, ModelSlot> = BTreeMap::new();
-                    let mut local: BTreeMap<BlockKey, f64> = BTreeMap::new();
-                    let mut epoch = 0u64;
-                    for step in 0..600 {
-                        let ctx =
-                            format!("{placement:?}, {workers} workers, case {case}, step {step}");
-                        let pick = |rng: &mut proptest::TestRng, from: &[BlockKey]| {
-                            from[rng.below(from.len() as u64) as usize]
+        for workers in [1, 2, 16] {
+            let layout = layout_of((ni, nj), arrays, workers);
+            // The keys worker 0 homes, and the local keys.
+            let keys = |array: u32| -> Vec<BlockKey> {
+                let array = ArrayId(array);
+                (0..layout.total_blocks(array))
+                    .map(|o| layout.block_key(array, o))
+                    .collect()
+            };
+            let homed: Vec<BlockKey> = (keys(0).into_iter().chain(keys(1)))
+                .filter(|k| layout.slot_of_distributed(k) == 0)
+                .collect();
+            let locals = keys(2);
+            let outside = [
+                BlockKey::new(ArrayId(0), &[0, 1]),
+                BlockKey::new(ArrayId(0), &[ni + 1, 1]),
+                BlockKey::new(ArrayId(0), &[1, nj + 1]),
+                BlockKey::new(ArrayId(1), &[nj + 1]),
+                BlockKey::new(ArrayId(1), &[1, 1]),
+                BlockKey::new(ArrayId(2), &[1, 0]),
+            ];
+            for case in 0..8 {
+                cases += 1;
+                let mut rng = proptest::TestRng::for_case(&format!("tables/{workers}"), case);
+                let mut m = BlockManager::new(Arc::clone(&layout), 1024, None);
+                let mut home: BTreeMap<BlockKey, ModelSlot> = BTreeMap::new();
+                let mut local: BTreeMap<BlockKey, f64> = BTreeMap::new();
+                let mut epoch = 0u64;
+                for step in 0..600 {
+                    let ctx = format!("{workers} workers, case {case}, step {step}");
+                    let pick = |rng: &mut proptest::TestRng, from: &[BlockKey]| {
+                        from[rng.below(from.len() as u64) as usize]
+                    };
+                    if rng.below(10) == 0 {
+                        // Outside the declared segments: refused, and
+                        // nothing changes.
+                        let key = pick(&mut rng, &outside);
+                        let refused = match rng.below(4) {
+                            0 => m.home_read(&key).is_err(),
+                            1 => m.home_fetch(key, epoch).is_err(),
+                            2 => (m.home_store(
+                                key,
+                                Payload::Data(filled(1.0)),
+                                PutMode::Replace,
+                                Some(epoch),
+                            ))
+                            .is_err(),
+                            _ => m.local_insert(key, filled(1.0)).is_err(),
                         };
-                        if rng.below(10) == 0 {
-                            // Outside the declared segments: refused, and
-                            // nothing changes.
-                            let key = pick(&mut rng, &outside);
-                            let refused = match rng.below(4) {
-                                0 => m.home_read(&key).is_err(),
-                                1 => m.home_fetch(key, epoch).is_err(),
-                                2 => (m.home_store(
-                                    key,
-                                    Payload::Data(filled(1.0)),
-                                    PutMode::Replace,
-                                    Some(epoch),
-                                ))
-                                .is_err(),
-                                _ => m.local_insert(key, filled(1.0)).is_err(),
-                            };
-                            assert!(refused, "{ctx}: {key:?} accepted");
-                        } else if homed.is_empty() {
-                            continue;
-                        } else {
-                            // A peer may run an epoch ahead of this home.
-                            let at = epoch + rng.below(2);
-                            match rng.below(20) {
-                                0..=5 => {
-                                    let key = pick(&mut rng, &homed);
-                                    let mode = if rng.below(2) == 0 {
-                                        PutMode::Replace
-                                    } else {
-                                        PutMode::Accumulate
-                                    };
-                                    let val = if rng.below(3) == 0 {
-                                        Val::Absent(0.25 * (1 + rng.below(4)) as f64)
-                                    } else {
-                                        Val::Data((1 + rng.below(4)) as f64)
-                                    };
-                                    let stamp = (rng.below(8) != 0).then_some(at);
-                                    let payload = match val {
-                                        Val::Data(v) => Payload::Data(filled(v)),
-                                        Val::Absent(norm) => Payload::Absent { norm },
-                                    };
-                                    let got = m.home_store(key, payload, mode, stamp).unwrap();
-                                    let slot = home.entry(key).or_default();
-                                    let want = match stamp {
-                                        Some(e) if mode == PutMode::Replace => {
-                                            slot.replaced = slot.replaced.max(Some(e));
-                                            slot.served == Some(e)
-                                        }
-                                        _ => false,
-                                    };
-                                    assert_eq!(got, want, "{ctx}: conflict of {key:?}");
-                                    slot.block = match (val, mode, slot.block) {
-                                        (Val::Data(v), PutMode::Accumulate, Some(Val::Data(h))) => {
-                                            Some(Val::Data(h + v))
-                                        }
-                                        (
-                                            Val::Absent(_),
-                                            PutMode::Accumulate,
-                                            Some(Val::Data(h)),
-                                        ) => Some(Val::Data(h)),
-                                        (
-                                            Val::Absent(n),
-                                            PutMode::Accumulate,
-                                            Some(Val::Absent(p)),
-                                        ) => Some(Val::Absent(p + n)),
-                                        (val, _, _) => Some(val),
-                                    };
-                                }
-                                6..=8 => {
-                                    let key = pick(&mut rng, &homed);
-                                    let (held, replaced) = m.home_fetch(key, at).unwrap();
-                                    let slot = home.entry(key).or_default();
-                                    slot.served = slot.served.max(Some(at));
-                                    assert_eq!(held.as_ref().map(val_of), slot.block, "{ctx}");
-                                    assert_eq!(replaced, slot.replaced == Some(at), "{ctx}");
-                                }
-                                9..=10 => {
-                                    let key = pick(&mut rng, &homed);
-                                    let held = m.home_read(&key).unwrap();
-                                    let want = home.get(&key).and_then(|s| s.block);
-                                    assert_eq!(held.as_ref().map(val_of), want, "{ctx}");
-                                }
-                                11 => {
-                                    let array = ArrayId(rng.below(2) as u32);
-                                    m.home_remove_array(array);
-                                    for (_, slot) in home
-                                        .range_mut(BlockKey::new(array, &[])..)
-                                        .take_while(|(k, _)| k.array == array)
-                                    {
-                                        slot.block = None;
+                        assert!(refused, "{ctx}: {key:?} accepted");
+                    } else if homed.is_empty() {
+                        continue;
+                    } else {
+                        // A peer may run an epoch ahead of this home.
+                        let at = epoch + rng.below(2);
+                        match rng.below(20) {
+                            0..=5 => {
+                                let key = pick(&mut rng, &homed);
+                                let mode = if rng.below(2) == 0 {
+                                    PutMode::Replace
+                                } else {
+                                    PutMode::Accumulate
+                                };
+                                let val = if rng.below(3) == 0 {
+                                    Val::Absent(0.25 * (1 + rng.below(4)) as f64)
+                                } else {
+                                    Val::Data((1 + rng.below(4)) as f64)
+                                };
+                                let stamp = (rng.below(8) != 0).then_some(at);
+                                let payload = match val {
+                                    Val::Data(v) => Payload::Data(filled(v)),
+                                    Val::Absent(norm) => Payload::Absent { norm },
+                                };
+                                let got = m.home_store(key, payload, mode, stamp).unwrap();
+                                let slot = home.entry(key).or_default();
+                                let want = match stamp {
+                                    Some(e) if mode == PutMode::Replace => {
+                                        slot.replaced = slot.replaced.max(Some(e));
+                                        slot.served == Some(e)
                                     }
+                                    _ => false,
+                                };
+                                assert_eq!(got, want, "{ctx}: conflict of {key:?}");
+                                slot.block = match (val, mode, slot.block) {
+                                    (Val::Data(v), PutMode::Accumulate, Some(Val::Data(h))) => {
+                                        Some(Val::Data(h + v))
+                                    }
+                                    (Val::Absent(_), PutMode::Accumulate, Some(Val::Data(h))) => {
+                                        Some(Val::Data(h))
+                                    }
+                                    (Val::Absent(n), PutMode::Accumulate, Some(Val::Absent(p))) => {
+                                        Some(Val::Absent(p + n))
+                                    }
+                                    (val, _, _) => Some(val),
+                                };
+                            }
+                            6..=8 => {
+                                let key = pick(&mut rng, &homed);
+                                let (held, replaced) = m.home_fetch(key, at).unwrap();
+                                let slot = home.entry(key).or_default();
+                                slot.served = slot.served.max(Some(at));
+                                assert_eq!(held.as_ref().map(val_of), slot.block, "{ctx}");
+                                assert_eq!(replaced, slot.replaced == Some(at), "{ctx}");
+                            }
+                            9..=10 => {
+                                let key = pick(&mut rng, &homed);
+                                let held = m.home_read(&key).unwrap();
+                                let want = home.get(&key).and_then(|s| s.block);
+                                assert_eq!(held.as_ref().map(val_of), want, "{ctx}");
+                            }
+                            11 => {
+                                let array = ArrayId(rng.below(2) as u32);
+                                m.home_remove_array(array);
+                                for (_, slot) in home
+                                    .range_mut(BlockKey::new(array, &[])..)
+                                    .take_while(|(k, _)| k.array == array)
+                                {
+                                    slot.block = None;
                                 }
-                                12 => {
-                                    let array = match rng.below(3) {
-                                        0 => None,
-                                        a => Some(ArrayId(a as u32 - 1)),
-                                    };
-                                    let shares: Vec<(BlockKey, Val)> = (m.home_shares(array))
+                            }
+                            12 => {
+                                let array = match rng.below(3) {
+                                    0 => None,
+                                    a => Some(ArrayId(a as u32 - 1)),
+                                };
+                                let shares: Vec<(BlockKey, Val)> = (m.home_shares(array))
+                                    .iter()
+                                    .map(|(k, h)| (*k, Val::Data(h.data()[0])))
+                                    .collect();
+                                let want: Vec<(BlockKey, Val)> = (home.iter())
+                                    .filter(|(k, _)| array.is_none_or(|a| k.array == a))
+                                    .filter_map(|(k, s)| match s.block {
+                                        Some(v @ Val::Data(_)) => Some((*k, v)),
+                                        _ => None,
+                                    })
+                                    .collect();
+                                assert_eq!(shares, want, "{ctx}: shares of {array:?}");
+                            }
+                            13 => {
+                                if rng.below(8) == 0 {
+                                    let drained: Vec<(BlockKey, Val)> = (m.drain_home())
                                         .iter()
                                         .map(|(k, h)| (*k, Val::Data(h.data()[0])))
                                         .collect();
                                     let want: Vec<(BlockKey, Val)> = (home.iter())
-                                        .filter(|(k, _)| array.is_none_or(|a| k.array == a))
                                         .filter_map(|(k, s)| match s.block {
                                             Some(v @ Val::Data(_)) => Some((*k, v)),
                                             _ => None,
                                         })
                                         .collect();
-                                    assert_eq!(shares, want, "{ctx}: shares of {array:?}");
-                                }
-                                13 => {
-                                    if rng.below(8) == 0 {
-                                        let drained: Vec<(BlockKey, Val)> = (m.drain_home())
-                                            .iter()
-                                            .map(|(k, h)| (*k, Val::Data(h.data()[0])))
-                                            .collect();
-                                        let want: Vec<(BlockKey, Val)> = (home.iter())
-                                            .filter_map(|(k, s)| match s.block {
-                                                Some(v @ Val::Data(_)) => Some((*k, v)),
-                                                _ => None,
-                                            })
-                                            .collect();
-                                        assert_eq!(drained, want, "{ctx}: drained");
-                                        home.clear();
-                                    } else {
-                                        epoch += 1;
-                                    }
-                                }
-                                14..=16 => {
-                                    let key = pick(&mut rng, &locals);
-                                    let v = (1 + rng.below(4)) as f64;
-                                    m.local_insert(key, filled(v)).unwrap();
-                                    local.insert(key, v);
-                                }
-                                17 => {
-                                    let key = pick(&mut rng, &locals);
-                                    let taken = m.local_take(&key).unwrap();
-                                    let want = local.remove(&key);
-                                    assert_eq!(taken.map(|h| h.data()[0]), want, "{ctx}");
-                                }
-                                18 => {
-                                    let key = pick(&mut rng, &locals);
-                                    let shared = m.local_share(&key).unwrap();
-                                    let want = local.get(&key).copied();
-                                    assert_eq!(shared.map(|h| h.data()[0]), want, "{ctx}");
-                                }
-                                _ => {
-                                    m.local_remove_array(ArrayId(2));
-                                    local.clear();
+                                    assert_eq!(drained, want, "{ctx}: drained");
+                                    home.clear();
+                                } else {
+                                    epoch += 1;
                                 }
                             }
+                            14..=16 => {
+                                let key = pick(&mut rng, &locals);
+                                let v = (1 + rng.below(4)) as f64;
+                                m.local_insert(key, filled(v)).unwrap();
+                                local.insert(key, v);
+                            }
+                            17 => {
+                                let key = pick(&mut rng, &locals);
+                                let taken = m.local_take(&key).unwrap();
+                                let want = local.remove(&key);
+                                assert_eq!(taken.map(|h| h.data()[0]), want, "{ctx}");
+                            }
+                            18 => {
+                                let key = pick(&mut rng, &locals);
+                                let shared = m.local_share(&key).unwrap();
+                                let want = local.get(&key).copied();
+                                assert_eq!(shared.map(|h| h.data()[0]), want, "{ctx}");
+                            }
+                            _ => {
+                                m.local_remove_array(ArrayId(2));
+                                local.clear();
+                            }
                         }
-                        home.retain(|_, slot| *slot != ModelSlot::default());
-                        assert_eq!(home_slots(&m), home, "{ctx}: slots");
-                        let data = home
-                            .values()
-                            .filter(|s| matches!(s.block, Some(Val::Data(_))));
-                        let norms = home
-                            .values()
-                            .filter(|s| matches!(s.block, Some(Val::Absent(_))));
-                        let pinned = (data.count() + local.len()) * ELEMS * 8;
-                        assert_eq!(m.stats().pinned_bytes, pinned as u64, "{ctx}: pinned");
-                        assert_eq!(
-                            m.norm_table_bytes(),
-                            norms.count() as u64 * crate::dryrun::NORM_TABLE_ENTRY_BYTES,
-                            "{ctx}: norms"
-                        );
                     }
+                    home.retain(|_, slot| *slot != ModelSlot::default());
+                    assert_eq!(home_slots(&m), home, "{ctx}: slots");
+                    let data = home
+                        .values()
+                        .filter(|s| matches!(s.block, Some(Val::Data(_))));
+                    let norms = home
+                        .values()
+                        .filter(|s| matches!(s.block, Some(Val::Absent(_))));
+                    let pinned = (data.count() + local.len()) * ELEMS * 8;
+                    assert_eq!(m.stats().pinned_bytes, pinned as u64, "{ctx}: pinned");
+                    assert_eq!(
+                        m.norm_table_bytes(),
+                        norms.count() as u64 * crate::dryrun::NORM_TABLE_ENTRY_BYTES,
+                        "{ctx}: norms"
+                    );
                 }
             }
         }

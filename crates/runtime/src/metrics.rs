@@ -308,16 +308,12 @@ impl Merge for SparseStats {
 }
 
 /// Communication-planner counters: what the plan predicted, what the run
-/// measured, and how much traffic the multicast/batching transports moved.
+/// measured, and how many messages envelope batching saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Fabric messages coalesced away by envelope batching (n staged
     /// messages shipped as one envelope count n−1 here).
     pub coalesced_messages: u64,
-    /// Blocks pushed or forwarded along multicast trees.
-    pub multicast_blocks: u64,
-    /// Payload bytes shipped by multicast pushes.
-    pub multicast_bytes: u64,
     /// Planner-predicted fabric bytes for the whole run (filled on the
     /// merged fleet view).
     pub predicted_bytes: u64,
@@ -330,8 +326,6 @@ impl Merge for PlanStats {
     /// filled on the merged view only, so the max keeps them intact.
     fn merge(&mut self, other: &Self) {
         self.coalesced_messages += other.coalesced_messages;
-        self.multicast_blocks += other.multicast_blocks;
-        self.multicast_bytes += other.multicast_bytes;
         self.predicted_bytes = self.predicted_bytes.max(other.predicted_bytes);
         self.actual_bytes = self.actual_bytes.max(other.actual_bytes);
     }
@@ -404,8 +398,8 @@ pub struct Metrics {
     pub fabric: sia_fabric::FaultSnapshot,
     /// Block-sparse screening counters.
     pub sparse: SparseStats,
-    /// Communication-planner counters (multicast, batching,
-    /// predicted-vs-actual volume).
+    /// Communication-planner counters (batching, predicted-vs-actual
+    /// volume).
     pub plan: PlanStats,
 }
 
@@ -623,8 +617,6 @@ impl Metrics {
                         "messages coalesced",
                         pl.coalesced_messages,
                     ),
-                    field("multicast_blocks", "blocks multicast", pl.multicast_blocks),
-                    field("multicast_bytes", "bytes multicast", pl.multicast_bytes),
                     field("predicted_bytes", "bytes predicted", pl.predicted_bytes),
                     field("actual_bytes", "bytes measured", pl.actual_bytes),
                 ],

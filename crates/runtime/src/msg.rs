@@ -15,9 +15,9 @@
 //! so there is no other party to defend the buckets against.
 //!
 //! The map hash is *not* [`BlockKey::placement_hash`] passed through: every
-//! key homed on one rank shares `placement_hash % workers`, and the low bits
-//! are the ones hashbrown picks a bucket with — with two workers a cache's
-//! keys would crowd into every other bucket.
+//! served key homed on one I/O server shares `placement_hash % servers`, and
+//! the low bits are the ones hashbrown picks a bucket with — with two
+//! servers a server's keys would crowd into every other bucket.
 
 use sia_blocks::BlockHandle;
 use sia_bytecode::{ArrayId, PutMode};
@@ -86,8 +86,9 @@ impl BlockKey {
         &self.segs[..self.rank as usize]
     }
 
-    /// A stable small hash used for home placement (the "simple, static
-    /// strategy" of §V-B). FNV-1a over array id and segments.
+    /// A stable small hash placing served blocks on I/O servers and the
+    /// blocks of a dead worker on survivors. FNV-1a over array id and
+    /// segments.
     pub fn placement_hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| {
@@ -303,27 +304,6 @@ pub enum SipMsg {
         /// The array dropped.
         array: ArrayId,
     },
-    /// One hop of a planner-scheduled tree multicast: the home pushes a
-    /// broadcast-shaped operand's block down a binary tree of workers
-    /// instead of answering per-rank fetches. Receivers at tree position
-    /// `pos` forward to positions `2·pos+1` and `2·pos+2` (positions are
-    /// rotated so the home is the root). A sparse array's absent block
-    /// travels the same tree as a norm record, so consumers learn absence
-    /// without a round trip each. Best-effort: a dropped hop degrades to
-    /// the demand `Fetch` path, so no retry state is kept.
-    Multicast {
-        /// The block's identity.
-        key: BlockKey,
-        /// Its contents (shared with the home's store) or norm bound.
-        payload: Payload,
-        /// The sender's distributed-array epoch; receivers in a different
-        /// epoch drop the push (their cache was invalidated since).
-        epoch: u64,
-        /// This receiver's position in the multicast tree.
-        pos: u32,
-        /// Flight id correlating the trace events of one block's tree.
-        flight: u64,
-    },
     /// Several data-plane messages for one destination coalesced into a
     /// single fabric envelope ([`sia_fabric::Endpoint::stage`]); per-message
     /// OpId/ReqId dedup still applies after unbatching.
@@ -445,10 +425,6 @@ impl Message for SipMsg {
                 payload: Payload::Data(data),
                 ..
             }
-            | SipMsg::Multicast {
-                payload: Payload::Data(data),
-                ..
-            }
             | SipMsg::CkptBlock { data, .. } => block_bytes(data),
             SipMsg::Batch(msgs) => 16 + msgs.iter().map(|m| m.approx_bytes()).sum::<usize>(),
             SipMsg::ChunkAssign { ordinals, .. } => 16 + ordinals.len() * 8,
@@ -464,7 +440,7 @@ impl Message for SipMsg {
     }
 
     /// Only data-plane traffic is faultable: block fetches, stores, their
-    /// replies and acks, and multicast hops. Control-plane messages (scheduling, barriers,
+    /// replies and acks. Control-plane messages (scheduling, barriers,
     /// collectives, lifecycle) ride a reliable channel, mirroring clusters
     /// whose management network is separate from the data interconnect.
     fn faultable(&self) -> bool {
@@ -474,7 +450,6 @@ impl Message for SipMsg {
                 | SipMsg::Block { .. }
                 | SipMsg::Store { .. }
                 | SipMsg::StoreAck { .. }
-                | SipMsg::Multicast { .. }
                 | SipMsg::Batch(_)
         )
     }
@@ -556,10 +531,10 @@ mod tests {
         BuildHasherDefault::<KeyHasher>::default().hash_one(key)
     }
 
-    /// The keys of `putget_fine`'s 96×96-block array that a two-worker world
-    /// homes on worker 0 spread over a hash table's buckets — the low bits
-    /// of the map hash — like random words do. `placement_hash` passed
-    /// through does not: what makes a key worker 0's is its low bit.
+    /// The keys of a 96×96-block served array that a two-server world homes
+    /// on server 0 spread over a hash table's buckets — the low bits of the
+    /// map hash — like random words do. `placement_hash` passed through
+    /// does not: what makes a key server 0's is its low bit.
     #[test]
     fn one_homes_keys_spread_over_the_buckets() {
         const BUCKET_BITS: u64 = (1 << 13) - 1;

@@ -1,19 +1,18 @@
 //! The communication planner (DESIGN.md §17).
 //!
-//! The paper's SIP fixes block homes with a static hash and ships every
-//! block point-to-point. The planner recovers the structure that policy
-//! throws away: it walks the bytecode once, and for every pardo region
-//! classifies each distributed-array reference as
+//! Distributed blocks live in per-array slabs of block ordinals
+//! ([`Layout::slot_of_distributed`]). The planner walks the bytecode once,
+//! and for every pardo region classifies each distributed-array reference
+//! as
 //!
-//! * **aligned** — a `put` whose indices are all pardo-bound, so under the
-//!   planned placement plus owner-compute chunk affinity the write lands on
-//!   the rank that already homes the block (no fabric traffic at all);
+//! * **aligned** — a `put` whose indices are all pardo-bound, so with the
+//!   master's owner-compute chunk affinity the write lands on the rank that
+//!   already homes the block (no fabric traffic at all);
 //! * **broadcast-shaped** — a `get` whose indices are all pardo-bound but
 //!   form a *strict subset* of the pardo indices, so many iterations (on
-//!   many ranks) read the same block. These ship via tree multicast from
-//!   the home instead of N point-to-point GET/reply pairs;
+//!   many ranks) read the same block, each rank fetching it once;
 //! * **other** — everything else (e.g. a `get` driven by an inner `do`
-//!   loop index), which stays on the demand-fetch path.
+//!   loop index), spread uniformly over the ranks.
 //!
 //! The classification is purely static and deterministic: it depends only
 //! on the program, the resolved index ranges, and the topology — never on
@@ -26,8 +25,8 @@
 //! strong-scaling model extrapolates to simulated rank counts far beyond
 //! one host.
 
-use crate::layout::{Layout, Placement};
-use crate::msg::BlockKey;
+use crate::layout::Layout;
+use crate::msg::{BlockKey, MAX_RANK};
 use crate::trace::{Trace, TracePhase};
 use sia_bytecode::{ArrayId, ArrayKind, IndexId, Instruction as I, PutMode};
 use std::collections::BTreeMap;
@@ -60,10 +59,14 @@ pub struct OwnerCompute {
 
 impl OwnerCompute {
     /// The block key an iteration writes, given the pardo index values in
-    /// pardo order.
+    /// pardo order. Built on the stack: the master calls this once per
+    /// iteration of every pardo encounter.
     pub fn key_of(&self, pardo_vals: &[i64]) -> BlockKey {
-        let segs: Vec<i64> = self.dim_pos.iter().map(|&p| pardo_vals[p]).collect();
-        BlockKey::new(self.array, &segs)
+        let mut segs = [0; MAX_RANK];
+        for (seg, &p) in segs.iter_mut().zip(&self.dim_pos) {
+            *seg = pardo_vals[p];
+        }
+        BlockKey::new(self.array, &segs[..self.dim_pos.len()])
     }
 }
 
@@ -74,7 +77,7 @@ pub struct RegionPlan {
     pub pc: u32,
     /// The pardo's index variables, in program order.
     pub indices: Vec<IndexId>,
-    /// Operands to ship by tree multicast.
+    /// Operands read by whole groups of iterations.
     pub broadcast: Vec<BroadcastOp>,
     /// Owner-compute affinity, when the region has exactly one
     /// fully-pardo-bound distributed `put` target (and no conflicting
@@ -126,7 +129,7 @@ impl CommVolume {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanSummary {
     /// Bytes of fully-pardo-bound distributed puts (local under
-    /// owner-compute, remote with probability (P−1)/P under hash).
+    /// owner-compute).
     pub aligned_put_bytes: u64,
     /// Distinct broadcast-shaped blocks × their byte size (bytes shipped to
     /// *each* consuming rank once, whatever the transport).
@@ -142,8 +145,7 @@ pub struct PlanSummary {
 pub struct CommPlan {
     /// Per-pardo-region plans, keyed by `PardoStart` pc.
     pub regions: BTreeMap<u32, RegionPlan>,
-    /// Predicted per-rank fabric volume under the layout's configured
-    /// placement.
+    /// Predicted per-rank fabric volume.
     pub volume: CommVolume,
     /// Aggregate classes for the scaling model.
     pub summary: PlanSummary,
@@ -249,8 +251,8 @@ impl<'a> CommPlanner<'a> {
         let code = &self.layout.program.code;
         let body = &code[(pc as usize + 1)..(end_pc as usize)];
 
-        // Arrays written anywhere in the body are never broadcast: a
-        // multicast copy could race the in-region write.
+        // Arrays written anywhere in the body are never broadcast: their
+        // blocks change under the readers.
         let mut written: Vec<ArrayId> = Vec::new();
         for ins in body {
             if let I::Put { dest, .. } = ins {
@@ -339,19 +341,15 @@ impl<'a> CommPlanner<'a> {
         }
     }
 
-    /// Predicts per-rank fabric bytes under the configured placement, plus
-    /// the aggregate summary for the scaling model.
+    /// Predicts per-rank fabric bytes, plus the aggregate summary for the
+    /// scaling model.
     ///
-    /// The model is deliberately simple: aligned puts land at the written
-    /// block's home (local — zero fabric bytes — when the placement is
-    /// planned and the region has owner-compute affinity); each broadcast
-    /// block reaches every worker once, with the *outbound* side
-    /// concentrated at the home under point-to-point shipping but spread
-    /// along the multicast tree under the planned schedule; everything
-    /// else is spread uniformly with a (W−1)/W remote fraction.
+    /// The model is deliberately simple: aligned puts are local (zero
+    /// fabric bytes); each broadcast block reaches every worker once,
+    /// point-to-point, so its outbound side is concentrated at the home;
+    /// everything else is spread uniformly with a (W−1)/W remote fraction.
     fn predict(&self, regions: &BTreeMap<u32, RegionPlan>) -> (CommVolume, PlanSummary) {
         let workers = self.layout.topology.workers;
-        let planned = self.layout.topology.placement == Placement::Planned;
         let mut vol = CommVolume::new(workers);
         let mut sum = PlanSummary::default();
         if workers == 0 {
@@ -385,11 +383,11 @@ impl<'a> CommPlanner<'a> {
                     bcast_get_discount_per_iter += b.block_bytes - eff;
                     sum.broadcast_blocks += b.blocks;
                     sum.broadcast_bytes += b.blocks * eff;
-                    self.spread_broadcast(&mut vol, b, planned);
+                    self.spread_broadcast(&mut vol, b);
                 }
             }
 
-            // Aligned puts: enumerate the written grid and charge homes.
+            // Aligned puts: local under owner-compute, no traffic.
             let mut aligned_put_bytes_per_iter = 0u64;
             let mut aligned_put_discount_per_iter = 0u64;
             if let Some(OwnerCompute { array, .. }) = region.and_then(|r| r.owner.as_ref()) {
@@ -399,10 +397,6 @@ impl<'a> CommPlanner<'a> {
                 aligned_put_discount_per_iter = bytes - eff;
                 let blocks = self.layout.total_blocks(*array);
                 sum.aligned_put_bytes += blocks * eff;
-                if !planned {
-                    self.spread_puts(&mut vol, *array, remote);
-                }
-                // Planned + owner-compute: the put is local. No traffic.
             }
 
             // Everything else from the trace, uniformly spread. Bytes are
@@ -439,15 +433,14 @@ impl<'a> CommPlanner<'a> {
     }
 
     /// Charges one broadcast operand's traffic to the volume table.
-    fn spread_broadcast(&self, vol: &mut CommVolume, b: &BroadcastOp, planned: bool) {
+    fn spread_broadcast(&self, vol: &mut CommVolume, b: &BroadcastOp) {
         let workers = self.layout.topology.workers;
         let w = workers as f64;
         let eff_bytes = self.effective_bytes(b.array, b.block_bytes);
         let cost = b.blocks * workers as u64;
         if cost > ENUMERATION_LIMIT {
             // Uniform fallback: every rank receives each block once;
-            // outbound averages out across homes (hash) or the tree
-            // (planned) identically in aggregate.
+            // outbound averages out across homes in aggregate.
             let per_rank = b.blocks as f64 * eff_bytes as f64 * (2.0 * (w - 1.0) / w);
             for v in vol.per_rank.iter_mut() {
                 *v += per_rank;
@@ -466,68 +459,9 @@ impl<'a> CommPlanner<'a> {
                     *v += bytes;
                 }
             }
-            if planned {
-                // Tree multicast: the rank at tree position p forwards to
-                // its children 2p+1, 2p+2 (positions rotated so the home
-                // is the root).
-                for pos in 0..workers {
-                    let mut children = 0u64;
-                    if 2 * pos + 1 < workers {
-                        children += 1;
-                    }
-                    if 2 * pos + 2 < workers {
-                        children += 1;
-                    }
-                    let rank = (home + pos) % workers;
-                    vol.per_rank[rank] += bytes * children as f64;
-                }
-            } else {
-                // Point-to-point: the home answers W−1 GETs itself.
-                vol.per_rank[home] += bytes * (workers as f64 - 1.0);
-            }
+            // The home answers W−1 GETs itself.
+            vol.per_rank[home] += bytes * (w - 1.0);
             // Advance the odometer.
-            let mut d = segs.len();
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                segs[d] += 1;
-                if segs[d] <= ranges[d].1 {
-                    break;
-                }
-                segs[d] = ranges[d].0;
-            }
-        }
-    }
-
-    /// Charges hash-placement aligned-put traffic: each block's bytes
-    /// arrive at its home (in) and leave a uniformly-chosen writer (out).
-    fn spread_puts(&self, vol: &mut CommVolume, array: ArrayId, remote: f64) {
-        let workers = self.layout.topology.workers;
-        let w = workers as f64;
-        let bytes = self.effective_bytes(array, self.layout.block_bytes(array)) as f64;
-        let blocks = self.layout.total_blocks(array);
-        if blocks * workers as u64 > ENUMERATION_LIMIT {
-            let per_rank = blocks as f64 * bytes * remote * 2.0 / w;
-            for v in vol.per_rank.iter_mut() {
-                *v += per_rank;
-            }
-            return;
-        }
-        let decl = &self.layout.program.arrays[array.index()];
-        let ranges: Vec<(i64, i64)> = decl.dims.iter().map(|&i| self.layout.range(i)).collect();
-        if ranges.is_empty() {
-            return;
-        }
-        let mut segs: Vec<i64> = ranges.iter().map(|r| r.0).collect();
-        loop {
-            let key = BlockKey::new(array, &segs);
-            let home = self.layout.slot_of_distributed(&key);
-            vol.per_rank[home] += bytes * remote;
-            for v in vol.per_rank.iter_mut() {
-                *v += bytes * remote / w;
-            }
             let mut d = segs.len();
             loop {
                 if d == 0 {
@@ -552,13 +486,12 @@ mod tests {
     use sia_bytecode::ConstBindings;
     use std::sync::Arc;
 
-    fn plan_of(src: &str, n: i64, placement: Placement) -> (Arc<Layout>, CommPlan) {
+    fn plan_of(src: &str, n: i64) -> (Arc<Layout>, CommPlan) {
         let program = sial_frontend::compile(src).unwrap();
         let mut b = ConstBindings::new();
         b.insert("n".into(), n);
         b.insert("nocc".into(), 2);
-        let mut topo = Topology::new(3, 1);
-        topo.placement = placement;
+        let topo = Topology::new(3, 1);
         let layout = Arc::new(
             Layout::new(
                 Arc::new(program),
@@ -580,7 +513,7 @@ mod tests {
 
     #[test]
     fn broadcast_operand_detected() {
-        let (_, plan) = plan_of(BCAST, 4, Placement::Planned);
+        let (_, plan) = plan_of(BCAST, 4);
         let region = plan.regions.values().next().unwrap();
         assert_eq!(region.broadcast.len(), 1, "{region:?}");
         let b = &region.broadcast[0];
@@ -591,9 +524,9 @@ mod tests {
     #[test]
     fn fully_bound_get_is_not_broadcast() {
         // R is read with all pardo indices — each iteration gets its own
-        // block, nothing to multicast.
+        // block, nothing shared.
         let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed R(M,N)\ntemp q(M,N)\npardo M, N\nget R(M,N)\nq(M,N) = R(M,N)\nendpardo\nendsial\n";
-        let (_, plan) = plan_of(src, 4, Placement::Planned);
+        let (_, plan) = plan_of(src, 4);
         let region = plan.regions.values().next().unwrap();
         assert!(region.broadcast.is_empty());
     }
@@ -601,9 +534,9 @@ mod tests {
     #[test]
     fn written_array_never_broadcast() {
         let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed F(M)\ntemp q(M)\npardo M, N\nget F(M)\nq(M) = F(M)\nput F(M) = q(M)\nendpardo\nendsial\n";
-        // F is both read and written in the body — a multicast copy could
-        // race the in-region write, so it must not classify as broadcast.
-        let (_, plan) = plan_of(src, 4, Placement::Planned);
+        // F is both read and written in the body — its blocks change under
+        // the readers, so it must not classify as broadcast.
+        let (_, plan) = plan_of(src, 4);
         let region = plan.regions.values().next().unwrap();
         assert!(region.broadcast.is_empty());
     }
@@ -611,14 +544,14 @@ mod tests {
     #[test]
     fn inner_do_get_not_broadcast() {
         let src = "sial t\naoindex M = 1, n\naoindex L = 1, n\ndistributed X(M,L)\ntemp q(M,L)\npardo M\ndo L\nget X(M,L)\nq(M,L) = X(M,L)\nenddo L\nendpardo\nendsial\n";
-        let (_, plan) = plan_of(src, 4, Placement::Planned);
+        let (_, plan) = plan_of(src, 4);
         let region = plan.regions.values().next().unwrap();
         assert!(region.broadcast.is_empty());
     }
 
     #[test]
     fn owner_compute_detected_and_keys_map() {
-        let (_, plan) = plan_of(BCAST, 4, Placement::Planned);
+        let (_, plan) = plan_of(BCAST, 4);
         let region = plan.regions.values().next().unwrap();
         let owner = region.owner.as_ref().expect("owner-compute");
         // pardo M, N; put R(M,N): dim 0 ← pardo pos 0, dim 1 ← pos 1.
@@ -630,35 +563,34 @@ mod tests {
     #[test]
     fn accumulate_put_disables_owner_compute() {
         let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed R(M)\ntemp q(M)\npardo M, N\nq(M) = 1.0\nput R(M) += q(M)\nendpardo\nendsial\n";
-        let (_, plan) = plan_of(src, 4, Placement::Planned);
+        let (_, plan) = plan_of(src, 4);
         let region = plan.regions.values().next().unwrap();
         assert!(region.owner.is_none());
     }
 
     #[test]
     fn plan_deterministic() {
-        let (_, a) = plan_of(BCAST, 4, Placement::Planned);
-        let (_, b) = plan_of(BCAST, 4, Placement::Planned);
+        let (_, a) = plan_of(BCAST, 4);
+        let (_, b) = plan_of(BCAST, 4);
         assert_eq!(a, b);
     }
 
+    /// Owner-compute makes the aligned `put R(M,N)` local: the program
+    /// predicts the same fabric bytes as one without the put.
     #[test]
-    fn planned_volume_not_worse_than_hash() {
-        let (_, hash) = plan_of(BCAST, 6, Placement::Hash);
-        let (_, planned) = plan_of(BCAST, 6, Placement::Planned);
-        assert!(
-            planned.volume.total() <= hash.volume.total(),
-            "planned {} > hash {}",
-            planned.volume.total(),
-            hash.volume.total()
-        );
-        // The aligned puts vanish entirely under owner-compute.
-        assert!(planned.volume.total() < hash.volume.total());
+    fn aligned_puts_charge_no_volume() {
+        let without_put = BCAST.replace("put R(M,N) = q(M,N)\n", "");
+        let (_, with) = plan_of(BCAST, 6);
+        let (_, without) = plan_of(&without_put, 6);
+        assert!(with.summary.aligned_put_bytes > 0);
+        assert_eq!(without.summary.aligned_put_bytes, 0);
+        assert!(with.volume.total() > 0);
+        assert_eq!(with.volume, without.volume);
     }
 
     #[test]
     fn volume_table_renders() {
-        let (_, plan) = plan_of(BCAST, 4, Placement::Planned);
+        let (_, plan) = plan_of(BCAST, 4);
         let table = plan.volume_table();
         assert!(table.contains("predicted comm volume per rank:"));
         assert!(table.contains("imbalance"));
@@ -666,7 +598,7 @@ mod tests {
 
     #[test]
     fn summary_classes_populated() {
-        let (_, plan) = plan_of(BCAST, 4, Placement::Planned);
+        let (_, plan) = plan_of(BCAST, 4);
         assert!(plan.summary.aligned_put_bytes > 0);
         assert!(plan.summary.broadcast_bytes > 0);
         assert_eq!(plan.summary.broadcast_blocks, 4);

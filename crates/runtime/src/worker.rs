@@ -10,11 +10,10 @@ use crate::cache::{BlockGet, CacheEntry, Flight};
 use crate::error::{CommKind, RuntimeError};
 use crate::events::{CommOp, EventKind, RecoveryEvent, TraceSink};
 use crate::ft::{self, Exhausted, FtState, JournalEntry, Retry, TakeoverChunk};
-use crate::layout::{Layout, Placement, SegVals, SipConfig};
+use crate::layout::{Layout, SegVals, SipConfig};
 use crate::memory::BlockManager;
 use crate::metrics::WaitCause;
 use crate::msg::{BarrierKind, BlockKey, OpId, Payload, SipMsg};
-use crate::plan::CommPlan;
 use crate::profile::WorkerProfile;
 use crate::registry::SuperRegistry;
 use sia_blocks::{Block, BlockHandle};
@@ -173,12 +172,6 @@ pub struct Worker {
     /// the runtime at launch).
     pub(crate) resumed_epochs: u64,
 
-    // ---- communication plan ----
-    /// The derived communication plan (an empty default unless the runtime
-    /// installs one before the program starts). Drives the pardo-entry
-    /// multicast push under planned placement.
-    pub(crate) plan: Arc<CommPlan>,
-
     // ---- observability ----
     /// Event recorder (disabled — and allocation-free — unless the runtime
     /// installs an enabled sink before the program starts).
@@ -243,7 +236,6 @@ impl Worker {
             warnings: Vec::new(),
             started: Instant::now(),
             resumed_epochs: 0,
-            plan: Arc::new(CommPlan::default()),
             trace: TraceSink::disabled(),
             put_flights: HashMap::new(),
         }
@@ -256,12 +248,6 @@ impl Worker {
             self.mem.enable_evict_log();
         }
         self.trace = sink;
-    }
-
-    /// Installs the communication plan (called by the runtime before the
-    /// program starts).
-    pub(crate) fn set_plan(&mut self, plan: Arc<CommPlan>) {
-        self.plan = plan;
     }
 
     /// This worker's 0-based index.
@@ -381,7 +367,7 @@ impl Worker {
                     self.unacked_bytes = self.unacked_bytes.saturating_sub(bytes);
                 }
             }
-            SipMsg::Block { key, payload, .. } => self.on_block(key, payload, None),
+            SipMsg::Block { key, payload, .. } => self.on_block(key, payload),
             SipMsg::ChunkAssign {
                 pardo_pc,
                 epoch,
@@ -439,19 +425,6 @@ impl Worker {
             SipMsg::CkptRelease { label } => {
                 self.ckpt_released.insert(label);
             }
-            SipMsg::Multicast {
-                key,
-                payload,
-                epoch,
-                pos,
-                flight,
-            } => {
-                // A stale push raced a barrier: drop it; demand fetches
-                // recover.
-                if epoch == self.dist_epoch {
-                    self.on_block(key, payload, Some((pos, flight)));
-                }
-            }
             SipMsg::DeleteArray { array } => {
                 self.mem.home_remove_array(array);
                 self.mem.cache_invalidate_array(array);
@@ -500,77 +473,12 @@ impl Worker {
         }
     }
 
-    // ---- multicast ------------------------------------------------------------
-
-    /// Pushes this worker's broadcast-shaped home blocks down their
-    /// multicast trees on pardo entry (planned placement only; a no-op
-    /// otherwise). Best-effort: a receiver that already crossed a barrier
-    /// drops the stale copy and its consumers fall back to demand GETs.
-    pub(crate) fn multicast_push(&mut self, pardo_pc: u32) {
-        if self.layout.topology.placement != Placement::Planned {
-            return;
-        }
-        let workers = self.layout.topology.workers;
-        if workers < 2 {
-            return;
-        }
-        let plan = Arc::clone(&self.plan);
-        let Some(region) = plan.region(pardo_pc) else {
-            return;
-        };
-        let own = self.worker_index();
-        for b in &region.broadcast {
-            let ranges: Vec<(i64, i64)> = b.indices.iter().map(|&i| self.layout.range(i)).collect();
-            if ranges.is_empty() {
-                continue;
-            }
-            let mut segs: Vec<i64> = ranges.iter().map(|r| r.0).collect();
-            loop {
-                let key = BlockKey::new(b.array, &segs);
-                if self.layout.slot_of_distributed(&key) == own {
-                    // A sparse array's absent block rides the tree as a norm
-                    // record, so consumers don't each pay a round trip just
-                    // to learn absence. Dense unfilled blocks stay on the
-                    // demand path (they read as zeros there).
-                    let held = self.mem.home_read(&key).ok().flatten();
-                    if let Some(payload) = self.as_served(&key, held) {
-                        let flight = self.new_multicast_hop(key, 0);
-                        self.multicast_forward(key, payload, self.dist_epoch, 0, flight);
-                    }
-                }
-                let mut d = segs.len();
-                let mut done = false;
-                loop {
-                    if d == 0 {
-                        done = true;
-                        break;
-                    }
-                    d -= 1;
-                    segs[d] += 1;
-                    if segs[d] <= ranges[d].1 {
-                        break;
-                    }
-                    segs[d] = ranges[d].0;
-                }
-                if done {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// A block — or a sparse array's absence record — arrived: the reply to
-    /// a fetch (`hop` is `None`) or a multicast push, with this rank's tree
-    /// position and the parent hop's flight id. Either completes a demand
-    /// fetch in flight; a push is also forwarded to this position's
-    /// children. The cache entry shares the envelope's allocation.
-    fn on_block(&mut self, key: BlockKey, payload: Payload, hop: Option<(u32, u64)>) {
+    /// A block — or a sparse array's absence record — arrived in reply to a
+    /// fetch, completing the demand fetch in flight. The cache entry shares
+    /// the envelope's allocation.
+    fn on_block(&mut self, key: BlockKey, payload: Payload) {
         if let Some(ft) = self.ft.as_mut() {
             ft.fetch_answered(&key);
-        }
-        if let Some((pos, parent)) = hop {
-            let id = self.new_multicast_hop(key, parent);
-            self.multicast_forward(key, payload.clone(), self.dist_epoch, pos, id);
         }
         let filled = match &payload {
             Payload::Data(data) => Some(data.heap_bytes()),
@@ -584,7 +492,7 @@ impl Worker {
         if let Some(Flight { issued, req }) = fetch {
             let flight_ns = issued.elapsed().as_nanos() as u64;
             self.profile.metrics.comm.flight_nanos += flight_ns;
-            if hop.is_none() && self.trace.is_on() {
+            if self.trace.is_on() {
                 let end = self.trace.now_ns();
                 self.trace.span(
                     EventKind::Flight {
@@ -598,63 +506,11 @@ impl Worker {
             }
         }
         if let Some(bytes) = filled {
-            if self.trace.is_on() && (hop.is_some() || fetch.is_some()) {
+            if self.trace.is_on() && fetch.is_some() {
                 self.trace.instant(EventKind::CacheFill { key, bytes });
             }
         }
         self.drain_evictions_into_trace();
-    }
-
-    /// Records a multicast hop in the trace and returns its globally
-    /// unique flight id (0 when tracing is off — the id only exists for
-    /// trace correlation).
-    fn new_multicast_hop(&mut self, key: BlockKey, parent: u64) -> u64 {
-        if !self.trace.is_on() {
-            return 0;
-        }
-        let seq = self.endpoint.next_req_id().0;
-        let id = ((self.endpoint.rank().0 as u64) << 48) | (seq & 0xffff_ffff_ffff);
-        let t = self.trace.now_ns();
-        self.trace
-            .span(EventKind::Multicast { key, id, parent }, t, t);
-        id
-    }
-
-    /// Stages the block (or norm record) to the tree children of `pos`
-    /// (positions `2p+1` and `2p+2`, ranks rotated so the home slot is the
-    /// root). Staged like all block traffic, so several forwards to one
-    /// child leave as a single envelope.
-    fn multicast_forward(
-        &mut self,
-        key: BlockKey,
-        payload: Payload,
-        epoch: u64,
-        pos: u32,
-        flight: u64,
-    ) {
-        let workers = self.layout.topology.workers;
-        let own = self.worker_index();
-        let home = (own + workers - (pos as usize % workers)) % workers;
-        for child in [2 * pos + 1, 2 * pos + 2] {
-            if (child as usize) >= workers {
-                continue;
-            }
-            let widx = (home + child as usize) % workers;
-            let to = self.layout.topology.worker(widx);
-            // A norm record counts as a hop with zero shipped bytes.
-            self.profile.metrics.plan.multicast_blocks += 1;
-            self.profile.metrics.plan.multicast_bytes += payload.heap_bytes();
-            let _ = self.endpoint.stage(
-                to,
-                SipMsg::Multicast {
-                    key,
-                    payload: payload.clone(),
-                    epoch,
-                    pos: child,
-                    flight,
-                },
-            );
-        }
     }
 
     /// Closes the traced flight span of an acknowledged PUT/PREPARE.
@@ -840,7 +696,9 @@ impl Worker {
     /// tolerance) or a served one, by the array's kind. The single resolver
     /// on the worker: every caller goes through here (or through
     /// [`Layout::home_of`] with an explicit dead mask), so nothing can pick
-    /// the stale non-excluding variant during recovery.
+    /// the stale non-excluding variant during recovery. A key that is no
+    /// block of its array is refused here, before any home is resolved or
+    /// anything is sent.
     pub(crate) fn home_of(&self, key: &BlockKey) -> Result<Rank, RuntimeError> {
         match self.layout.array_kind(key.array) {
             ArrayKind::Served if self.layout.topology.io_servers == 0 => {
@@ -855,6 +713,7 @@ impl Worker {
                 )));
             }
         }
+        self.layout.ordinal_of(key)?;
         let dead = self.ft.as_ref().map(|ft| ft.dead.as_slice()).unwrap_or(&[]);
         Ok(self.layout.home_of(key, dead))
     }
@@ -935,10 +794,10 @@ impl Worker {
     /// Fetches `key` from `home` unless the cache holds it or it is already
     /// on its way: marks it in flight — the entry carries the flight's issue
     /// time and request id, which back the overlap metric — and sends the
-    /// fetch, registering it for retry under fault tolerance. A key outside
-    /// its array's declared segments fails here, before any home is asked.
+    /// fetch, registering it for retry under fault tolerance. `home` comes
+    /// from [`Worker::home_of`], which refused any key outside its array's
+    /// declared segments.
     fn fetch_unless_cached(&mut self, home: Rank, key: BlockKey) -> Result<(), RuntimeError> {
-        self.layout.ordinal_of(&key)?;
         // A real id is only needed for retry correlation (FT) or flight
         // correlation in the trace; fault-free untraced runs skip it.
         let (endpoint, correlated) = (&self.endpoint, self.ft.is_some() || self.trace.is_on());
@@ -1214,8 +1073,9 @@ impl Worker {
     /// first waits (into `wait`) for acks to bring them down to half of it:
     /// a worker that never has to wait for anything else — its gets looked
     /// ahead, or none at all — would otherwise run its whole chunk of
-    /// blocks into the home's inbox. A key outside its array's declared
-    /// segments fails here, before any home is asked.
+    /// blocks into the home's inbox. `home` comes from
+    /// [`Worker::home_of`], which refused any key outside its array's
+    /// declared segments.
     pub(crate) fn send_store(
         &mut self,
         home: Rank,
@@ -1225,7 +1085,6 @@ impl Worker {
         op: OpId,
         wait: &mut Duration,
     ) -> Result<(), RuntimeError> {
-        self.layout.ordinal_of(&key)?;
         let served = self.layout.array_kind(key.array) == ArrayKind::Served;
         let bytes = self.layout.block_bytes(key.array);
         if self.unacked_bytes > 0 && self.unacked_bytes + bytes > self.window_bytes {

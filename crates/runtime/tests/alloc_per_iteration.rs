@@ -112,9 +112,8 @@ fn a_pardo_iteration_allocates_at_most_twice() {
         let per_iteration =
             (many_allocs as f64 - few_allocs as f64) / (many_iters - few_iters) as f64;
         eprintln!("{workers} worker(s): {per_iteration:.2} allocations per pardo iteration");
-        // One worker reads 1.53 on every run. Two workers read 1.82–1.83
-        // over ten runs on an idle 2-CPU x86-64 host and 1.80–1.81 over ten
-        // beside three spinning shells: only how envelopes batch between
+        // One worker reads 1.53 on every run. Two workers read 1.72–1.73
+        // on an idle 2-CPU x86-64 host: only how envelopes batch between
         // the ranks varies, and a loaded host batches more, not less.
         assert!(
             per_iteration <= 2.0,

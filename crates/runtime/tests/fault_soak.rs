@@ -5,6 +5,12 @@
 //! The soak program uses only `put =` (Replace) into unique keys, so its
 //! collected output is bitwise-deterministic even fault-free — any deviation
 //! under faults is a real retry/recovery bug, not floating-point reordering.
+//! It fills `X(i,j)`, then copies it transposed into `Y(i,j)` through `get
+//! X(j,i)`. Every put is aligned with its iteration, so owner-compute keeps
+//! it on the rank; the gets are what crosses the fabric, where the faults
+//! are. They also make each worker's second pardo wait on the others'
+//! replies, so the worker a crash schedule names runs its iterations
+//! instead of idling while two others drain a pardo of local puts.
 
 use sia_bytecode::ConstBindings;
 use sia_runtime::{CrashSchedule, FaultConfig, FaultPlan, RunOutput, Sip, SipConfig};
@@ -13,10 +19,18 @@ const SOAK: &str = "sial soak
 aoindex i = 1, n
 aoindex j = 1, n
 distributed X(i,j)
+distributed Y(i,j)
 temp t(i,j)
+temp u(i,j)
 pardo i, j
   t(i,j) = 100.0 * i + j
   put X(i,j) = t(i,j)
+endpardo i, j
+sip_barrier
+pardo i, j
+  get X(j,i)
+  u(i,j) = X(j,i)
+  put Y(i,j) = u(i,j)
 endpardo i, j
 sip_barrier
 endsial

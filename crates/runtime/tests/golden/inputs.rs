@@ -42,11 +42,7 @@ pub fn metrics() -> Metrics {
     let sp = &mut m.sparse;
     (sp.blocks_skipped, sp.bytes_not_shipped, sp.flops_avoided) = (94, 95, 96);
     let pl = &mut m.plan;
-    (
-        pl.coalesced_messages,
-        pl.multicast_blocks,
-        pl.multicast_bytes,
-    ) = (97, 98, 99);
+    pl.coalesced_messages = 97;
     (pl.predicted_bytes, pl.actual_bytes) = (123_456_789_012, 9_876_543_210);
     m
 }
@@ -94,11 +90,9 @@ fn ev(t_start_ns: u64, t_end_ns: u64, kind: EventKind) -> TraceEvent {
     }
 }
 
-/// One event of every kind — `Serve` both as an instant and as a span —
-/// and a multicast root on rank 1 whose forward sits on rank 2.
+/// One event of every kind — `Serve` both as an instant and as a span.
 pub fn timeline() -> TraceTimeline {
     let key = BlockKey::new(ArrayId(1), &[2, 3]);
-    let root = (1u64 << 48) | 1;
     TraceTimeline {
         ranks: vec![
             RankTrace {
@@ -155,15 +149,6 @@ pub fn timeline() -> TraceTimeline {
                     ev(2_000, 2_000, EventKind::CacheFill { key, bytes: 512 }),
                     ev(2_100, 2_100, EventKind::CacheEvict { key, bytes: 512 }),
                     ev(2_200, 2_200, EventKind::Serve { key, disk: false }),
-                    ev(
-                        2_300,
-                        2_300,
-                        EventKind::Multicast {
-                            key,
-                            id: root,
-                            parent: 0,
-                        },
-                    ),
                 ],
                 dropped: 0,
             },
@@ -173,15 +158,6 @@ pub fn timeline() -> TraceTimeline {
                 events: vec![
                     ev(100, 900, EventKind::Serve { key, disk: true }),
                     ev(1_000, 5_000, EventKind::Flush { blocks: 3 }),
-                    ev(
-                        2_400,
-                        2_500,
-                        EventKind::Multicast {
-                            key,
-                            id: (2u64 << 48) | 1,
-                            parent: root,
-                        },
-                    ),
                     ev(
                         3_000,
                         4_000,

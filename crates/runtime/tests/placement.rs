@@ -1,19 +1,21 @@
-//! Placement-strategy tests: the planner-derived placement must be an
-//! invisible optimization — bitwise-identical collected blocks and scalars
-//! versus hash placement — while measurably cutting fabric messages on
-//! broadcast-shaped workloads, and the PR 2 fault machinery (retry, dedup,
-//! crash recovery) must hold with multicast and envelope batching active.
+//! Placement tests: distributed blocks live in slabs of block ordinals and
+//! the master hands an iteration to the worker homing the block it writes
+//! (owner-compute). That must be invisible in the results — collected
+//! blocks and scalars bitwise-identical to the same program on one worker,
+//! where every block is homed and read locally — must keep aligned puts
+//! off the fabric, and the fault machinery (retry, dedup, crash recovery)
+//! must hold with envelope batching active.
 //!
 //! Values in these programs are small integers scaled by powers of two, so
-//! every sum is exact in f64 regardless of the order placement-induced
-//! scheduling produces — any bitwise deviation is a real protocol bug.
+//! every sum is exact in f64 regardless of the order the schedule produces
+//! — any bitwise deviation is a real protocol bug.
 
 use proptest::prelude::*;
 use sia_bytecode::ConstBindings;
-use sia_runtime::{CrashSchedule, FaultConfig, FaultPlan, Placement, RunOutput, Sip, SipConfig};
+use sia_runtime::{CrashSchedule, FaultConfig, FaultPlan, RunOutput, Sip, SipConfig};
 
 /// `F(M)` is indexed by a strict subset of the `pardo M, N` indices: every
-/// worker needs each F block once per N-column — the multicast shape.
+/// worker needs each F block once per N-column — the broadcast shape.
 const BCAST: &str = "sial bcast
 aoindex M = 1, n
 aoindex N = 1, n
@@ -75,12 +77,11 @@ execute sip_allreduce rnorm
 endsial
 ";
 
-fn config(workers: usize, seg: usize, placement: Placement) -> SipConfig {
+fn config(workers: usize, seg: usize) -> SipConfig {
     SipConfig::builder()
         .workers(workers)
         .io_servers(0)
         .segment_size(seg)
-        .placement(placement)
         .collect_distributed(true)
         .build()
         .unwrap()
@@ -123,50 +124,88 @@ fn assert_bitwise_equal(a: &RunOutput, b: &RunOutput) {
 }
 
 #[test]
-fn planned_matches_hash_bitwise_on_broadcast_shape() {
-    let hash = run(BCAST, 8, config(4, 4, Placement::Hash));
-    let planned = run(BCAST, 8, config(4, 4, Placement::Planned));
-    assert_bitwise_equal(&hash, &planned);
-    assert!(
-        planned.profile.metrics.plan.multicast_blocks > 0,
-        "the broadcast shape must actually exercise multicast: {:?}",
-        planned.profile.metrics.plan
-    );
+fn multi_worker_matches_one_worker_bitwise_on_broadcast_shape() {
+    let one = run(BCAST, 8, config(1, 4));
+    let four = run(BCAST, 8, config(4, 4));
+    assert_bitwise_equal(&one, &four);
 }
 
 #[test]
-fn planned_matches_hash_bitwise_on_contraction() {
-    let hash = run(CONTRACT, 6, config(3, 3, Placement::Hash));
-    let planned = run(CONTRACT, 6, config(3, 3, Placement::Planned));
+fn multi_worker_matches_one_worker_bitwise_on_contraction() {
+    let one = run(CONTRACT, 6, config(1, 3));
+    let three = run(CONTRACT, 6, config(3, 3));
     // All values are exact integers in f64, so the reduction is
     // order-independent: n=6 seg=3 gives ‖R‖² = 744874704 exactly.
-    assert_eq!(hash.scalars["rnorm"], 744_874_704.0);
-    assert_bitwise_equal(&hash, &planned);
+    assert_eq!(one.scalars["rnorm"], 744_874_704.0);
+    assert_bitwise_equal(&one, &three);
 }
 
-/// The headline number: multicast + owner-compute affinity + envelope
-/// batching must cut fabric messages by at least 30% on the broadcast
-/// workload (the acceptance bar; measured runs sit near 60%).
+/// `putget_fine`'s shape at n = 32: a fill, then ten repetitions of a
+/// transposed get, copy and put of every block, and a block dot.
+const PUTGET: &str = "sial putget
+aoindex i = 1, n
+aoindex j = 1, n
+index r = 1, reps
+distributed A(i,j)
+distributed B(i,j)
+temp t(i,j)
+temp u(i,j)
+scalar total
+pardo i, j
+  t(i,j) = 0.5 * i + 0.25 * j
+  put A(i,j) = t(i,j)
+endpardo i, j
+sip_barrier
+do r
+  pardo i, j
+    get A(j,i)
+    u(i,j) = A(j,i)
+    put B(i,j) = u(i,j)
+  endpardo i, j
+  sip_barrier
+  pardo i, j
+    get B(i,j)
+    total += B(i,j) * B(i,j)
+  endpardo i, j
+  sip_barrier
+enddo r
+execute sip_allreduce total
+endsial
+";
+
+/// Owner-compute: the master hands each iteration of `pardo i, j { …; put
+/// X(i,j) }` to the worker homing `X(i,j)`, so the put stays local. Of the
+/// 11 264 aligned puts on two workers (1 024 fill + 10 × 1 024 copies) at
+/// most 15 % cross the fabric — those of iterations stolen to balance the
+/// tail.
 #[test]
-fn planned_cuts_messages_at_least_30_percent() {
-    let hash = run(BCAST, 12, config(4, 4, Placement::Hash));
-    let planned = run(BCAST, 12, config(4, 4, Placement::Planned));
-    let (hm, pm) = (hash.traffic.messages, planned.traffic.messages);
+fn owner_compute_keeps_aligned_puts_local() {
+    let program = sial_frontend::compile(PUTGET).unwrap();
+    let bindings: ConstBindings = [("n".to_string(), 32), ("reps".to_string(), 10)].into();
+    let config = SipConfig::builder()
+        .workers(2)
+        .io_servers(0)
+        .segment_size(4)
+        .build()
+        .unwrap();
+    let out = Sip::new(config).run(program, &bindings).unwrap();
+    let aligned_puts = 32 * 32 * 11;
+    let remote = out.profile.metrics.comm.puts_acked;
     assert!(
-        (pm as f64) <= 0.7 * hm as f64,
-        "planned {pm} msgs vs hash {hm} msgs — reduction below 30%"
+        remote as f64 <= 0.15 * aligned_puts as f64,
+        "{remote} of {aligned_puts} aligned puts went remote"
     );
     assert!(
-        planned.profile.metrics.plan.coalesced_messages > 0,
-        "envelope batching must coalesce staged forwards: {:?}",
-        planned.profile.metrics.plan
+        out.profile.metrics.plan.coalesced_messages > 0,
+        "envelope batching must coalesce staged fetches: {:?}",
+        out.profile.metrics.plan
     );
 }
 
-/// Seeded drops/dups/delays with multicast and batching active: dropped
-/// multicast pushes fall back to demand GETs, batched envelopes retry as
-/// units, and per-message OpId dedup still suppresses duplicates — the
-/// collected result stays bitwise-exact under every seed.
+/// Seeded drops/dups/delays with batching active: dropped fetches retry,
+/// batched envelopes retry as units, and per-message OpId dedup still
+/// suppresses duplicates — the collected result stays bitwise-exact under
+/// every seed.
 ///
 /// How many faultable envelopes a rank sends depends on thread timing, and
 /// a 9 % plan can leave the handful of one small run untouched (0xCAFE's
@@ -175,7 +214,7 @@ fn planned_cuts_messages_at_least_30_percent() {
 /// perturb the first faultable envelope any worker sends.
 #[test]
 fn planned_placement_survives_seeded_faults_bitwise() {
-    let clean = run(BCAST, 8, config(3, 4, Placement::Planned));
+    let clean = run(BCAST, 8, config(3, 4));
 
     let mut perturbed = 0;
     for seed in [0xCAFE, 0xD477, 0xD488, 0xD9B3] {
@@ -187,7 +226,6 @@ fn planned_placement_survives_seeded_faults_bitwise() {
             .workers(3)
             .io_servers(0)
             .segment_size(4)
-            .placement(Placement::Planned)
             .collect_distributed(true)
             .fault(FaultConfig::new(plan))
             .build()
@@ -202,11 +240,12 @@ fn planned_placement_survives_seeded_faults_bitwise() {
     );
 }
 
-/// A worker crash mid-pardo under planned placement: the dead rank's homes
-/// re-hash to survivors and the master requeues its chunks — still exact.
+/// A worker crash mid-pardo: the dead rank's homes re-hash to survivors and
+/// the master requeues its chunks, acknowledged ones included — still
+/// exact.
 #[test]
 fn planned_placement_survives_worker_crash_bitwise() {
-    let clean = run(BCAST, 8, config(3, 4, Placement::Planned));
+    let clean = run(BCAST, 8, config(3, 4));
 
     let mut plan = FaultPlan::seeded(0x5EEDED);
     plan.drop = 0.03;
@@ -219,7 +258,6 @@ fn planned_placement_survives_worker_crash_bitwise() {
         .workers(3)
         .io_servers(0)
         .segment_size(4)
-        .placement(Placement::Planned)
         .collect_distributed(true)
         .fault(fault)
         .build()
@@ -233,17 +271,17 @@ fn planned_placement_survives_worker_crash_bitwise() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Satellite property: for arbitrary problem sizes, worker counts, and
-    /// segment sizes, the planned placement is observationally identical to
-    /// hash — bitwise on every collected block and scalar.
+    /// For arbitrary problem sizes, worker counts, and segment sizes, the
+    /// run is observationally identical to one worker's — bitwise on every
+    /// collected block and scalar.
     #[test]
-    fn planned_equals_hash_for_arbitrary_shapes(
+    fn multi_worker_equals_one_worker_for_arbitrary_shapes(
         n in 2i64..10,
         workers in 1usize..5,
         seg in 2usize..5,
     ) {
-        let hash = run(BCAST, n, config(workers, seg, Placement::Hash));
-        let planned = run(BCAST, n, config(workers, seg, Placement::Planned));
-        assert_bitwise_equal(&hash, &planned);
+        let one = run(BCAST, n, config(1, seg));
+        let many = run(BCAST, n, config(workers, seg));
+        assert_bitwise_equal(&one, &many);
     }
 }

@@ -77,17 +77,6 @@ fn sparse_src(sparse: bool) -> String {
 }
 
 fn run(src: &str, n: i64, workers: usize, threshold: f64, fault: Option<FaultConfig>) -> RunOutput {
-    run_placed(src, n, workers, threshold, fault, false)
-}
-
-fn run_placed(
-    src: &str,
-    n: i64,
-    workers: usize,
-    threshold: f64,
-    fault: Option<FaultConfig>,
-    planned: bool,
-) -> RunOutput {
     let program = sial_frontend::compile(src).unwrap();
     let bindings: ConstBindings = [("n".to_string(), n)].into_iter().collect();
     let mut b = SipConfig::builder()
@@ -96,9 +85,6 @@ fn run_placed(
         .segment_size(2)
         .collect_distributed(true)
         .sparsity_threshold(threshold);
-    if planned {
-        b = b.placement(sia_runtime::Placement::Planned);
-    }
     if let Some(f) = fault {
         b = b.fault(f);
     }
@@ -107,11 +93,11 @@ fn run_placed(
         .unwrap()
 }
 
-/// A broadcast-shaped sparse operand: `F(i)` is read by every `k`, so under
-/// planned placement its present blocks travel as `Multicast` data and its
-/// screened-absent blocks as `Multicast` norm records — staged down the
-/// same tree edges and coalesced into shared `Batch` envelopes.
-fn multicast_src() -> String {
+/// A broadcast-shaped sparse operand: `F(i)` is read by every `k`, so each
+/// worker fetches it from its home — present blocks as data replies,
+/// screened-absent blocks as norm records, staged to the same consumers and
+/// coalesced into shared `Batch` envelopes.
+fn broadcast_src() -> String {
     "sial mb\n\
      aoindex i = 1, n\n\
      aoindex k = 1, n\n\
@@ -133,10 +119,10 @@ fn multicast_src() -> String {
         .to_string()
 }
 
-/// The 2-D cousin of [`multicast_src`]: `F(i,j)` blocks carry seg² doubles,
+/// The 2-D cousin of [`broadcast_src`]: `F(i,j)` blocks carry seg² doubles,
 /// so payload bytes dominate control-message noise — the shape the traffic
 /// pin below needs to measure byte savings without flapping.
-fn multicast2_src() -> String {
+fn broadcast2_src() -> String {
     "sial mb2\n\
      aoindex i = 1, n\n\
      aoindex j = 1, n\n\
@@ -227,98 +213,75 @@ proptest! {
         );
     }
 
-    /// Regression (PR 9): batched absent/real interleavings. Under planned
-    /// placement a sparse broadcast operand ships real payloads and
-    /// typed-absent norm records through the same staged multicast
-    /// envelopes; seeded drops, duplicates, and delays then deliver norm
-    /// records *after* the real payload for the same key (a late-flushed
-    /// `Batch`, a delayed duplicate hop). A norm record must never
-    /// supersede a payload already cached — if it did, consumers would
-    /// read absent-zero for a present block and the reduction would drift
-    /// far beyond summation-reorder noise.
+    /// Regression: batched absent/real interleavings. A sparse
+    /// broadcast operand's homes answer with real payloads and
+    /// typed-absent norm records through the same staged envelopes; seeded
+    /// drops, duplicates, and delays then retry fetches and deliver
+    /// duplicate and late replies (a late-flushed `Batch`, a delayed
+    /// duplicate). A norm record must never supersede a payload already
+    /// cached — if it did, consumers would read absent-zero for a present
+    /// block and the reduction would drift far beyond summation-reorder
+    /// noise.
     #[test]
     fn batched_absent_real_interleavings_keep_payloads(
         n in 4i64..9,
         seed in 1u64..49,
     ) {
         let threshold = 1e-2;
-        let src = multicast_src();
-        let clean = run_placed(&src, n, 3, threshold, None, true);
+        let src = broadcast_src();
+        let clean = run(&src, n, 3, threshold, None);
         let mut plan = FaultPlan::seeded(seed);
         plan.drop = 0.05;
         plan.duplicate = 0.10;
         plan.delay = 0.10;
         plan.max_delay_ops = 8;
-        let faulty = run_placed(
-            &src, n, 3, threshold, Some(FaultConfig::new(plan)), true,
-        );
+        let faulty = run(&src, n, 3, threshold, Some(FaultConfig::new(plan)));
         assert_blocks_bitwise_equal(&clean, &faulty)?;
         let (c, f) = (clean.scalars["total"], faulty.scalars["total"]);
         prop_assert!(
             (c - f).abs() <= REORDER_EPS,
             "interleaved absent/real delivery changed the reduction: clean {c} vs faulty {f}"
         );
-        // The hash-placement (no multicast) run is the ground truth both
-        // must match.
-        let hash = run_placed(&src, n, 3, threshold, None, false);
-        prop_assert!((hash.scalars["total"] - c).abs() <= REORDER_EPS);
+        // The same program on one worker, where every block is homed and
+        // read locally, is the ground truth both must match.
+        let one = run(&src, n, 1, threshold, None);
+        assert_blocks_bitwise_equal(&one, &clean)?;
+        prop_assert!((one.scalars["total"] - c).abs() <= REORDER_EPS);
     }
 }
 
-/// Regression pin (PR 9): on the screened broadcast shape, planned
-/// placement must cut fabric messages against hash placement (present
-/// blocks ride the multicast tree instead of per-consumer GET
-/// round-trips), and screening must cut planned-path bytes (screened
-/// blocks ride the tree as `Multicast` norm records instead of full
-/// payloads). The sparse savings counter must show the absent path fired.
+/// Regression pin: on the screened broadcast shape, the homes answer
+/// fetches of screened blocks with norm records instead of full payloads:
+/// the consumers credit the bytes they did not pull, the run ships fewer
+/// bytes than the unscreened one, and the result matches one worker's.
 #[test]
-fn multicast_absent_improves_screened_broadcast_traffic() {
+fn screened_broadcast_ships_norm_records_not_payloads() {
     // The 2-D operand: enough blocks (and enough bytes per block) that the
     // data-path savings dominate control-message noise — chunk grants vary
     // a little with worker interleaving run to run, so a pin on a shape
     // with a few-dozen-byte margin would flip sign.
     let n = 8;
     let threshold = 1e-2;
-    let src = multicast2_src();
-    let hash = run_placed(&src, n, 3, threshold, None, false);
-    let planned = run_placed(&src, n, 3, threshold, None, true);
-    assert_blocks_bitwise_equal(&hash, &planned).unwrap();
+    let src = broadcast2_src();
+    let one = run(&src, n, 1, threshold, None);
+    let screened = run(&src, n, 3, threshold, None);
+    assert_blocks_bitwise_equal(&one, &screened).unwrap();
     assert!(
-        (hash.scalars["total"] - planned.scalars["total"]).abs() <= REORDER_EPS,
-        "placement changed the screened reduction"
+        (one.scalars["total"] - screened.scalars["total"]).abs() <= REORDER_EPS,
+        "the worker count changed the screened reduction"
     );
     // Screening must actually fire on this shape: consumers that learned of
-    // an absence credit the bytes they did not have to pull. (The absolute
-    // counts differ between paths — the tree delivers each absence once per
-    // consumer and it stays cached, while the demand path answers every
-    // fetch — so only `> 0` is pinned, not a cross-path comparison.)
-    let sp = &planned.profile.metrics.sparse;
+    // an absence credit the bytes they did not have to pull.
+    let sp = &screened.profile.metrics.sparse;
     assert!(
         sp.bytes_not_shipped > 0,
         "screened broadcast shipped every block: {sp:?}"
     );
+    let unscreened = run(&src, n, 3, 0.0, None);
     assert!(
-        hash.profile.metrics.sparse.bytes_not_shipped > 0,
-        "demand path must also credit unshipped bytes"
-    );
-    // The improvement pins. Messages: the tree replaces per-consumer GET
-    // round-trips, a ~40% cut against demand fetching. Bytes: measured
-    // against *unscreened* planned placement — the same tree, but every
-    // screened block riding it as a full payload instead of a norm record.
-    // (Bytes against the hash path are a wash on broadcast shapes: the
-    // saved GET requests are about as small as the forwarding headers the
-    // tree adds, so that difference sits inside scheduling noise.)
-    assert!(
-        planned.traffic.messages < hash.traffic.messages,
-        "planned multicast should cut messages: planned {} vs hash {}",
-        planned.traffic.messages,
-        hash.traffic.messages
-    );
-    let unscreened = run_placed(&src, n, 3, 0.0, None, true);
-    assert!(
-        planned.traffic.bytes < unscreened.traffic.bytes,
-        "absent records should cut multicast bytes: screened {} vs unscreened {}",
-        planned.traffic.bytes,
+        screened.traffic.bytes < unscreened.traffic.bytes,
+        "absent records should cut fetched bytes: screened {} vs unscreened {}",
+        screened.traffic.bytes,
         unscreened.traffic.bytes
     );
 }

@@ -10,7 +10,9 @@
 //! binary multicast tree (one message per tree edge, no requests) and turns
 //! pardo-aligned puts into local stores. Both placements move the same
 //! broadcast payload in aggregate; the separation comes from the message
-//! count (latency term) and the aligned-put bytes (bandwidth term).
+//! count (latency term) and the aligned-put bytes (bandwidth term). This is
+//! a claim about scale only: the runtime has one placement (owner-compute
+//! slabs) and ships broadcast operands point to point.
 
 use crate::machine::MachineModel;
 

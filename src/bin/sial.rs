@@ -56,9 +56,6 @@ fn usage() -> ExitCode {
            --fault-plan <s>   fault spec: drop=0.05,dup=0.01,delay=0.02,crash=1@8\n\
                               (crash=W@I kills worker W after I pardo iterations)\n\
            --machine <name>   simulate: sun|xt4|xt5|altix|bgp (default xt5)\n\
-           --placement <p>    distributed-block placement: hash (default) or\n\
-                              planned (planner-derived homes + owner-compute\n\
-                              chunk affinity + multicast for broadcast reads)\n\
            --chem             register the synthetic chemistry kernels\n\
            --profile          print the per-instruction profile after a run\n\
            --profile-json <file>  write the machine-readable profile (schema\n\
@@ -344,11 +341,10 @@ fn trace_lint(file: &str) -> Result<(), String> {
         for (pid, r) in &lint.ranks {
             let cats: Vec<&str> = r.cats.iter().map(String::as_str).collect();
             println!(
-                "  rank {pid} ({}): {} spans, {} flights, {} multicasts, {} dropped [{}]",
+                "  rank {pid} ({}): {} spans, {} flights, {} dropped [{}]",
                 if r.label.is_empty() { "?" } else { &r.label },
                 r.spans,
                 r.flights,
-                r.multicasts,
                 r.dropped,
                 cats.join(", ")
             );
@@ -484,8 +480,7 @@ fn main() -> ExitCode {
                         print!("{}", plan.volume_table());
                         if plan.summary.broadcast_blocks > 0 {
                             println!(
-                                "  broadcast-shaped: {} blocks / {} bytes \
-                                 (multicast under --placement planned)",
+                                "  broadcast-shaped: {} blocks / {} bytes",
                                 plan.summary.broadcast_blocks, plan.summary.broadcast_bytes
                             );
                         }
@@ -542,11 +537,7 @@ fn main() -> ExitCode {
                     std::sync::Arc::new(p),
                     &opts.bindings,
                     opts.config.segments,
-                    sia::runtime::Topology {
-                        workers: opts.config.workers.max(1),
-                        io_servers: 1,
-                        placement: opts.config.placement,
-                    },
+                    sia::runtime::Topology::new(opts.config.workers.max(1), 1),
                 );
                 let layout = match layout {
                     Ok(l) => l,

@@ -57,9 +57,8 @@ pub use sia_bytecode::{disassemble, ConstBindings, Program};
 pub use sia_fabric::{FaultPlan, FaultSnapshot};
 pub use sia_runtime::{
     CommKind, CommPlan, ConfigError, CrashSchedule, FaultConfig, FaultStats, MemoryEstimate, Merge,
-    Metrics, Placement, ProfileReport, RecoveryStats, RunOutput, RuntimeError, SegmentConfig, Sip,
-    SipConfig, SipConfigBuilder, SuperArg, SuperEnv, SuperRegistry, TraceSink, TraceTimeline,
-    WaitCause,
+    Metrics, ProfileReport, RecoveryStats, RunOutput, RuntimeError, SegmentConfig, Sip, SipConfig,
+    SipConfigBuilder, SuperArg, SuperEnv, SuperRegistry, TraceSink, TraceTimeline, WaitCause,
 };
 pub use sia_sim::{MachineModel, SimConfig, SimReport};
 pub use sial_frontend::{compile, CompileErrors};

@@ -14,8 +14,8 @@
 //! name rather than dropping them.
 
 use crate::{
-    ConstBindings, CrashSchedule, FaultConfig, FaultPlan, MachineModel, Placement, Program,
-    SegmentConfig, SipConfig, SuperRegistry,
+    ConstBindings, CrashSchedule, FaultConfig, FaultPlan, MachineModel, Program, SegmentConfig,
+    SipConfig, SuperRegistry,
 };
 use sia_sim::machine::{BLUEGENE_P, CRAY_XT4, CRAY_XT5, SGI_ALTIX, SUN_OPTERON_IB};
 
@@ -170,16 +170,6 @@ pub fn parse_opts(args: &[impl AsRef<str>], surface: Surface) -> Result<JobOpts,
                 )
             }
             "--fault-plan" => fault_spec = Some(need("--fault-plan")?),
-            "--placement" => {
-                let name = need("--placement")?;
-                builder = builder.placement(match name.as_str() {
-                    "hash" => Placement::Hash,
-                    "planned" => Placement::Planned,
-                    other => {
-                        return Err(format!("unknown placement `{other}` (hash|planned)"));
-                    }
-                });
-            }
             "--machine" => {
                 let name = need("--machine")?;
                 machine = match name.as_str() {
