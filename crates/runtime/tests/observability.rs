@@ -10,7 +10,9 @@ use sia_runtime::{lint_chrome_trace, lint_profile_json};
 /// A two-phase program whose second phase gets a remote block and uses it
 /// on the very next instruction: with prefetch off every flight is fully
 /// exposed, with look-ahead the next row's flights hide under the blocked
-/// wait and the accumulate.
+/// wait and the accumulate. The second phase reads `X` transposed: a row of
+/// `X` lies in one worker's slab, so a column crosses the fabric whichever
+/// worker runs the iteration.
 const OVERLAP_SRC: &str = r#"
 sial overlap_probe
 aoindex i = 1, n
@@ -25,8 +27,8 @@ endpardo i, j
 sip_barrier
 pardo i
   do j
-    get X(i,j)
-    acc += X(i,j) * X(i,j)
+    get X(j,i)
+    acc += X(j,i) * X(j,i)
   enddo j
 endpardo i
 sip_barrier
