@@ -21,8 +21,8 @@ use std::process::ExitCode;
 
 /// A broadcast-heavy contraction shape: `F(M)` is indexed by a strict
 /// subset of the pardo indices, so every worker re-reads the same blocks
-/// across its `N` iterations — the pattern the modelled tree schedule
-/// targets.
+/// across its `N` iterations, while `R(M,N)` is put where its pardo
+/// iteration runs.
 const PROGRAM: &str = "\
 sial scaling
 aoindex M = 1, n

@@ -13,7 +13,6 @@ use crate::program::{
     ArrayDecl, ArrayId, ArrayKind, ConstId, IndexDecl, IndexId, IndexKind, LineTable, ProcDecl,
     ProcId, Program, ScalarDecl, ScalarId, StringId, Value,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// Magic bytes of a serialized program.
@@ -41,6 +40,8 @@ pub enum WireError {
     },
     /// A string was not valid UTF-8.
     BadUtf8,
+    /// This many bytes followed a complete program.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for WireError {
@@ -51,6 +52,7 @@ impl fmt::Display for WireError {
             WireError::BadVersion(v) => write!(f, "unsupported bytecode version {v}"),
             WireError::BadTag { what, tag } => write!(f, "invalid tag {tag} decoding {what}"),
             WireError::BadUtf8 => write!(f, "invalid UTF-8 in string table"),
+            WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the program"),
         }
     }
 }
@@ -61,54 +63,51 @@ type R<T> = Result<T, WireError>;
 
 // ---- primitive helpers -----------------------------------------------------
 
-fn need(buf: &Bytes, n: usize) -> R<()> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
-    }
+/// Splits the next `N` bytes off the front of the cursor.
+fn take<const N: usize>(buf: &mut &[u8]) -> R<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>().ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
 }
 
-fn get_u8(buf: &mut Bytes) -> R<u8> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
+fn get_u8(buf: &mut &[u8]) -> R<u8> {
+    Ok(take::<1>(buf)?[0])
 }
 
-fn get_u32(buf: &mut Bytes) -> R<u32> {
-    need(buf, 4)?;
-    Ok(buf.get_u32_le())
+fn get_u32(buf: &mut &[u8]) -> R<u32> {
+    Ok(u32::from_le_bytes(take(buf)?))
 }
 
-fn get_i64(buf: &mut Bytes) -> R<i64> {
-    need(buf, 8)?;
-    Ok(buf.get_i64_le())
+fn get_i64(buf: &mut &[u8]) -> R<i64> {
+    Ok(i64::from_le_bytes(take(buf)?))
 }
 
-fn get_f64(buf: &mut Bytes) -> R<f64> {
-    need(buf, 8)?;
-    Ok(buf.get_f64_le())
+fn get_f64(buf: &mut &[u8]) -> R<f64> {
+    Ok(f64::from_le_bytes(take(buf)?))
 }
 
-fn put_str(out: &mut BytesMut, s: &str) {
-    out.put_u32_le(s.len() as u32);
-    out.put_slice(s.as_bytes());
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> R<String> {
+fn get_str(buf: &mut &[u8]) -> R<String> {
     let n = get_u32(buf)? as usize;
-    need(buf, n)?;
-    let raw = buf.copy_to_bytes(n);
-    String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadUtf8)
+    let (raw, rest) = buf.split_at_checked(n).ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(std::str::from_utf8(raw)
+        .map_err(|_| WireError::BadUtf8)?
+        .to_owned())
 }
 
-fn put_vec<T>(out: &mut BytesMut, items: &[T], mut f: impl FnMut(&mut BytesMut, &T)) {
-    out.put_u32_le(items.len() as u32);
+fn put_vec<T>(out: &mut Vec<u8>, items: &[T], mut f: impl FnMut(&mut Vec<u8>, &T)) {
+    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
     for item in items {
         f(out, item);
     }
 }
 
-fn get_vec<T>(buf: &mut Bytes, mut f: impl FnMut(&mut Bytes) -> R<T>) -> R<Vec<T>> {
+fn get_vec<T>(buf: &mut &[u8], mut f: impl FnMut(&mut &[u8]) -> R<T>) -> R<Vec<T>> {
     let n = get_u32(buf)? as usize;
     // Guard against absurd lengths from corrupt streams.
     let mut v = Vec::with_capacity(n.min(1 << 16));
@@ -120,20 +119,20 @@ fn get_vec<T>(buf: &mut Bytes, mut f: impl FnMut(&mut Bytes) -> R<T>) -> R<Vec<T
 
 // ---- component codecs -------------------------------------------------------
 
-fn put_value(out: &mut BytesMut, v: &Value) {
+fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Lit(x) => {
-            out.put_u8(0);
-            out.put_i64_le(*x);
+            out.push(0);
+            out.extend_from_slice(&x.to_le_bytes());
         }
         Value::Sym(id) => {
-            out.put_u8(1);
-            out.put_u32_le(id.0);
+            out.push(1);
+            out.extend_from_slice(&id.0.to_le_bytes());
         }
     }
 }
 
-fn get_value(buf: &mut Bytes) -> R<Value> {
+fn get_value(buf: &mut &[u8]) -> R<Value> {
     match get_u8(buf)? {
         0 => Ok(Value::Lit(get_i64(buf)?)),
         1 => Ok(Value::Sym(ConstId(get_u32(buf)?))),
@@ -144,22 +143,22 @@ fn get_value(buf: &mut Bytes) -> R<Value> {
     }
 }
 
-fn put_index_kind(out: &mut BytesMut, k: &IndexKind) {
+fn put_index_kind(out: &mut Vec<u8>, k: &IndexKind) {
     match k {
-        IndexKind::AoIndex => out.put_u8(0),
-        IndexKind::MoIndex => out.put_u8(1),
-        IndexKind::MoAIndex => out.put_u8(2),
-        IndexKind::MoBIndex => out.put_u8(3),
-        IndexKind::LaIndex => out.put_u8(4),
-        IndexKind::Simple => out.put_u8(5),
+        IndexKind::AoIndex => out.push(0),
+        IndexKind::MoIndex => out.push(1),
+        IndexKind::MoAIndex => out.push(2),
+        IndexKind::MoBIndex => out.push(3),
+        IndexKind::LaIndex => out.push(4),
+        IndexKind::Simple => out.push(5),
         IndexKind::Subindex { parent } => {
-            out.put_u8(6);
-            out.put_u32_le(parent.0);
+            out.push(6);
+            out.extend_from_slice(&parent.0.to_le_bytes());
         }
     }
 }
 
-fn get_index_kind(buf: &mut Bytes) -> R<IndexKind> {
+fn get_index_kind(buf: &mut &[u8]) -> R<IndexKind> {
     Ok(match get_u8(buf)? {
         0 => IndexKind::AoIndex,
         1 => IndexKind::MoIndex,
@@ -179,8 +178,8 @@ fn get_index_kind(buf: &mut Bytes) -> R<IndexKind> {
     })
 }
 
-fn put_array_kind(out: &mut BytesMut, k: &ArrayKind) {
-    out.put_u8(match k {
+fn put_array_kind(out: &mut Vec<u8>, k: &ArrayKind) {
+    out.push(match k {
         ArrayKind::Static => 0,
         ArrayKind::Temp => 1,
         ArrayKind::Local => 2,
@@ -189,7 +188,7 @@ fn put_array_kind(out: &mut BytesMut, k: &ArrayKind) {
     });
 }
 
-fn get_array_kind(buf: &mut Bytes) -> R<ArrayKind> {
+fn get_array_kind(buf: &mut &[u8]) -> R<ArrayKind> {
     Ok(match get_u8(buf)? {
         0 => ArrayKind::Static,
         1 => ArrayKind::Temp,
@@ -205,34 +204,36 @@ fn get_array_kind(buf: &mut Bytes) -> R<ArrayKind> {
     })
 }
 
-fn put_block_ref(out: &mut BytesMut, b: &BlockRef) {
-    out.put_u32_le(b.array.0);
-    put_vec(out, &b.indices, |o, id| o.put_u32_le(id.0));
+fn put_block_ref(out: &mut Vec<u8>, b: &BlockRef) {
+    out.extend_from_slice(&b.array.0.to_le_bytes());
+    put_vec(out, &b.indices, |o, id| {
+        o.extend_from_slice(&id.0.to_le_bytes())
+    });
 }
 
-fn get_block_ref(buf: &mut Bytes) -> R<BlockRef> {
+fn get_block_ref(buf: &mut &[u8]) -> R<BlockRef> {
     let array = ArrayId(get_u32(buf)?);
     let indices = get_vec(buf, |b| Ok(IndexId(get_u32(b)?)))?;
     Ok(BlockRef { array, indices })
 }
 
-fn put_scalar_expr(out: &mut BytesMut, e: &ScalarExpr) {
+fn put_scalar_expr(out: &mut Vec<u8>, e: &ScalarExpr) {
     match e {
         ScalarExpr::Lit(x) => {
-            out.put_u8(0);
-            out.put_f64_le(*x);
+            out.push(0);
+            out.extend_from_slice(&x.to_le_bytes());
         }
         ScalarExpr::Scalar(id) => {
-            out.put_u8(1);
-            out.put_u32_le(id.0);
+            out.push(1);
+            out.extend_from_slice(&id.0.to_le_bytes());
         }
         ScalarExpr::IndexVal(id) => {
-            out.put_u8(2);
-            out.put_u32_le(id.0);
+            out.push(2);
+            out.extend_from_slice(&id.0.to_le_bytes());
         }
         ScalarExpr::Bin(op, l, r) => {
-            out.put_u8(3);
-            out.put_u8(match op {
+            out.push(3);
+            out.push(match op {
                 BinOp::Add => 0,
                 BinOp::Sub => 1,
                 BinOp::Mul => 2,
@@ -242,17 +243,17 @@ fn put_scalar_expr(out: &mut BytesMut, e: &ScalarExpr) {
             put_scalar_expr(out, r);
         }
         ScalarExpr::Neg(x) => {
-            out.put_u8(4);
+            out.push(4);
             put_scalar_expr(out, x);
         }
         ScalarExpr::Const(id) => {
-            out.put_u8(5);
-            out.put_u32_le(id.0);
+            out.push(5);
+            out.extend_from_slice(&id.0.to_le_bytes());
         }
     }
 }
 
-fn get_scalar_expr(buf: &mut Bytes) -> R<ScalarExpr> {
+fn get_scalar_expr(buf: &mut &[u8]) -> R<ScalarExpr> {
     Ok(match get_u8(buf)? {
         0 => ScalarExpr::Lit(get_f64(buf)?),
         1 => ScalarExpr::Scalar(ScalarId(get_u32(buf)?)),
@@ -285,8 +286,8 @@ fn get_scalar_expr(buf: &mut Bytes) -> R<ScalarExpr> {
     })
 }
 
-fn put_cmp(out: &mut BytesMut, c: &CmpOp) {
-    out.put_u8(match c {
+fn put_cmp(out: &mut Vec<u8>, c: &CmpOp) {
+    out.push(match c {
         CmpOp::Eq => 0,
         CmpOp::Ne => 1,
         CmpOp::Lt => 2,
@@ -296,7 +297,7 @@ fn put_cmp(out: &mut BytesMut, c: &CmpOp) {
     });
 }
 
-fn get_cmp(buf: &mut Bytes) -> R<CmpOp> {
+fn get_cmp(buf: &mut &[u8]) -> R<CmpOp> {
     Ok(match get_u8(buf)? {
         0 => CmpOp::Eq,
         1 => CmpOp::Ne,
@@ -313,32 +314,32 @@ fn get_cmp(buf: &mut Bytes) -> R<CmpOp> {
     })
 }
 
-fn put_bool_expr(out: &mut BytesMut, e: &BoolExpr) {
+fn put_bool_expr(out: &mut Vec<u8>, e: &BoolExpr) {
     match e {
         BoolExpr::Cmp(l, op, r) => {
-            out.put_u8(0);
+            out.push(0);
             put_scalar_expr(out, l);
             put_cmp(out, op);
             put_scalar_expr(out, r);
         }
         BoolExpr::And(l, r) => {
-            out.put_u8(1);
+            out.push(1);
             put_bool_expr(out, l);
             put_bool_expr(out, r);
         }
         BoolExpr::Or(l, r) => {
-            out.put_u8(2);
+            out.push(2);
             put_bool_expr(out, l);
             put_bool_expr(out, r);
         }
         BoolExpr::Not(x) => {
-            out.put_u8(3);
+            out.push(3);
             put_bool_expr(out, x);
         }
     }
 }
 
-fn get_bool_expr(buf: &mut Bytes) -> R<BoolExpr> {
+fn get_bool_expr(buf: &mut &[u8]) -> R<BoolExpr> {
     Ok(match get_u8(buf)? {
         0 => {
             let l = get_scalar_expr(buf)?;
@@ -358,14 +359,14 @@ fn get_bool_expr(buf: &mut Bytes) -> R<BoolExpr> {
     })
 }
 
-fn put_put_mode(out: &mut BytesMut, m: &PutMode) {
-    out.put_u8(match m {
+fn put_put_mode(out: &mut Vec<u8>, m: &PutMode) {
+    out.push(match m {
         PutMode::Replace => 0,
         PutMode::Accumulate => 1,
     });
 }
 
-fn get_put_mode(buf: &mut Bytes) -> R<PutMode> {
+fn get_put_mode(buf: &mut &[u8]) -> R<PutMode> {
     Ok(match get_u8(buf)? {
         0 => PutMode::Replace,
         1 => PutMode::Accumulate,
@@ -378,24 +379,24 @@ fn get_put_mode(buf: &mut Bytes) -> R<PutMode> {
     })
 }
 
-fn put_arg(out: &mut BytesMut, a: &Arg) {
+fn put_arg(out: &mut Vec<u8>, a: &Arg) {
     match a {
         Arg::Block(b) => {
-            out.put_u8(0);
+            out.push(0);
             put_block_ref(out, b);
         }
         Arg::Scalar(id) => {
-            out.put_u8(1);
-            out.put_u32_le(id.0);
+            out.push(1);
+            out.extend_from_slice(&id.0.to_le_bytes());
         }
         Arg::Index(id) => {
-            out.put_u8(2);
-            out.put_u32_le(id.0);
+            out.push(2);
+            out.extend_from_slice(&id.0.to_le_bytes());
         }
     }
 }
 
-fn get_arg(buf: &mut Bytes) -> R<Arg> {
+fn get_arg(buf: &mut &[u8]) -> R<Arg> {
     Ok(match get_u8(buf)? {
         0 => Arg::Block(get_block_ref(buf)?),
         1 => Arg::Scalar(ScalarId(get_u32(buf)?)),
@@ -410,7 +411,7 @@ fn get_arg(buf: &mut Bytes) -> R<Arg> {
 }
 
 #[allow(clippy::too_many_lines)]
-fn put_instruction(out: &mut BytesMut, ins: &Instruction) {
+fn put_instruction(out: &mut Vec<u8>, ins: &Instruction) {
     use Instruction::*;
     match ins {
         PardoStart {
@@ -418,23 +419,25 @@ fn put_instruction(out: &mut BytesMut, ins: &Instruction) {
             where_clauses,
             end_pc,
         } => {
-            out.put_u8(0);
-            put_vec(out, indices, |o, id| o.put_u32_le(id.0));
+            out.push(0);
+            put_vec(out, indices, |o, id| {
+                o.extend_from_slice(&id.0.to_le_bytes())
+            });
             put_vec(out, where_clauses, put_bool_expr);
-            out.put_u32_le(*end_pc);
+            out.extend_from_slice(&end_pc.to_le_bytes());
         }
         PardoEnd { start_pc } => {
-            out.put_u8(1);
-            out.put_u32_le(*start_pc);
+            out.push(1);
+            out.extend_from_slice(&start_pc.to_le_bytes());
         }
         DoStart { index, end_pc } => {
-            out.put_u8(2);
-            out.put_u32_le(index.0);
-            out.put_u32_le(*end_pc);
+            out.push(2);
+            out.extend_from_slice(&index.0.to_le_bytes());
+            out.extend_from_slice(&end_pc.to_le_bytes());
         }
         DoEnd { start_pc } => {
-            out.put_u8(3);
-            out.put_u32_le(*start_pc);
+            out.push(3);
+            out.extend_from_slice(&start_pc.to_le_bytes());
         }
         DoInStart {
             sub,
@@ -442,87 +445,87 @@ fn put_instruction(out: &mut BytesMut, ins: &Instruction) {
             end_pc,
             parallel,
         } => {
-            out.put_u8(4);
-            out.put_u32_le(sub.0);
-            out.put_u32_le(parent.0);
-            out.put_u32_le(*end_pc);
-            out.put_u8(u8::from(*parallel));
+            out.push(4);
+            out.extend_from_slice(&sub.0.to_le_bytes());
+            out.extend_from_slice(&parent.0.to_le_bytes());
+            out.extend_from_slice(&end_pc.to_le_bytes());
+            out.push(u8::from(*parallel));
         }
         DoInEnd { start_pc } => {
-            out.put_u8(5);
-            out.put_u32_le(*start_pc);
+            out.push(5);
+            out.extend_from_slice(&start_pc.to_le_bytes());
         }
         JumpIfFalse { cond, target } => {
-            out.put_u8(6);
+            out.push(6);
             put_bool_expr(out, cond);
-            out.put_u32_le(*target);
+            out.extend_from_slice(&target.to_le_bytes());
         }
         Jump { target } => {
-            out.put_u8(7);
-            out.put_u32_le(*target);
+            out.push(7);
+            out.extend_from_slice(&target.to_le_bytes());
         }
         Call { proc } => {
-            out.put_u8(8);
-            out.put_u32_le(proc.0);
+            out.push(8);
+            out.extend_from_slice(&proc.0.to_le_bytes());
         }
-        Return => out.put_u8(9),
-        Halt => out.put_u8(10),
+        Return => out.push(9),
+        Halt => out.push(10),
         Create { array } => {
-            out.put_u8(11);
-            out.put_u32_le(array.0);
+            out.push(11);
+            out.extend_from_slice(&array.0.to_le_bytes());
         }
         Delete { array } => {
-            out.put_u8(12);
-            out.put_u32_le(array.0);
+            out.push(12);
+            out.extend_from_slice(&array.0.to_le_bytes());
         }
         Get { block } => {
-            out.put_u8(13);
+            out.push(13);
             put_block_ref(out, block);
         }
         Put { dest, src, mode } => {
-            out.put_u8(14);
+            out.push(14);
             put_block_ref(out, dest);
             put_block_ref(out, src);
             put_put_mode(out, mode);
         }
         Request { block } => {
-            out.put_u8(15);
+            out.push(15);
             put_block_ref(out, block);
         }
         Prepare { dest, src, mode } => {
-            out.put_u8(16);
+            out.push(16);
             put_block_ref(out, dest);
             put_block_ref(out, src);
             put_put_mode(out, mode);
         }
         BlocksToList { array, label } => {
-            out.put_u8(17);
-            out.put_u32_le(array.0);
-            out.put_u32_le(label.0);
+            out.push(17);
+            out.extend_from_slice(&array.0.to_le_bytes());
+            out.extend_from_slice(&label.0.to_le_bytes());
         }
         ListToBlocks { array, label } => {
-            out.put_u8(18);
-            out.put_u32_le(array.0);
-            out.put_u32_le(label.0);
+            out.push(18);
+            out.extend_from_slice(&array.0.to_le_bytes());
+            out.extend_from_slice(&label.0.to_le_bytes());
         }
         BlockFill { dest, value } => {
-            out.put_u8(19);
+            out.push(19);
             put_block_ref(out, dest);
             put_scalar_expr(out, value);
         }
         BlockCopy { dest, src } => {
-            out.put_u8(20);
+            out.push(20);
             put_block_ref(out, dest);
             put_block_ref(out, src);
         }
         BlockAccumulate { dest, src, sign } => {
-            out.put_u8(21);
+            out.push(21);
             put_block_ref(out, dest);
             put_block_ref(out, src);
-            out.put_f64_le(*sign);
+            out.extend_from_slice(&sign.to_le_bytes());
         }
         BlockScale { dest, factor } => {
-            out.put_u8(22);
+            out.push(22);
             put_block_ref(out, dest);
             put_scalar_expr(out, factor);
         }
@@ -532,15 +535,15 @@ fn put_instruction(out: &mut BytesMut, ins: &Instruction) {
             b,
             accumulate,
         } => {
-            out.put_u8(23);
+            out.push(23);
             put_block_ref(out, dest);
             put_block_ref(out, a);
             put_block_ref(out, b);
-            out.put_u8(u8::from(*accumulate));
+            out.push(u8::from(*accumulate));
         }
         ScalarAssign { dest, expr } => {
-            out.put_u8(24);
-            out.put_u32_le(dest.0);
+            out.push(24);
+            out.extend_from_slice(&dest.0.to_le_bytes());
             put_scalar_expr(out, expr);
         }
         ScalarFromBlock {
@@ -548,44 +551,44 @@ fn put_instruction(out: &mut BytesMut, ins: &Instruction) {
             src,
             accumulate,
         } => {
-            out.put_u8(25);
-            out.put_u32_le(dest.0);
+            out.push(25);
+            out.extend_from_slice(&dest.0.to_le_bytes());
             put_block_ref(out, src);
-            out.put_u8(u8::from(*accumulate));
+            out.push(u8::from(*accumulate));
         }
         ExecuteSuper { name, args } => {
-            out.put_u8(26);
-            out.put_u32_le(name.0);
+            out.push(26);
+            out.extend_from_slice(&name.0.to_le_bytes());
             put_vec(out, args, put_arg);
         }
         Print { items } => {
-            out.put_u8(27);
+            out.push(27);
             put_vec(out, items, |o, item| match item {
                 PrintItem::Str(id) => {
-                    o.put_u8(0);
-                    o.put_u32_le(id.0);
+                    o.push(0);
+                    o.extend_from_slice(&id.0.to_le_bytes());
                 }
                 PrintItem::Expr(e) => {
-                    o.put_u8(1);
+                    o.push(1);
                     put_scalar_expr(o, e);
                 }
             });
         }
-        SipBarrier => out.put_u8(28),
-        ServerBarrier => out.put_u8(29),
+        SipBarrier => out.push(28),
+        ServerBarrier => out.push(29),
         ExitLoop {
             loop_start_pc,
             target,
         } => {
-            out.put_u8(30);
-            out.put_u32_le(*loop_start_pc);
-            out.put_u32_le(*target);
+            out.push(30);
+            out.extend_from_slice(&loop_start_pc.to_le_bytes());
+            out.extend_from_slice(&target.to_le_bytes());
         }
     }
 }
 
 #[allow(clippy::too_many_lines)]
-fn get_instruction(buf: &mut Bytes) -> R<Instruction> {
+fn get_instruction(buf: &mut &[u8]) -> R<Instruction> {
     use Instruction::*;
     Ok(match get_u8(buf)? {
         0 => PardoStart {
@@ -722,10 +725,10 @@ fn get_instruction(buf: &mut Bytes) -> R<Instruction> {
 // ---- program codec -----------------------------------------------------------
 
 /// Serializes a [`Program`] to the SIA bytecode wire format.
-pub fn encode_program(p: &Program) -> Bytes {
-    let mut out = BytesMut::with_capacity(4096);
-    out.put_slice(MAGIC);
-    out.put_u32_le(VERSION);
+pub fn encode_program(p: &Program) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4096);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
     put_str(&mut out, &p.name);
     put_vec(&mut out, &p.indices, |o, d| {
         put_str(o, &d.name);
@@ -736,38 +739,41 @@ pub fn encode_program(p: &Program) -> Bytes {
     put_vec(&mut out, &p.arrays, |o, d| {
         put_str(o, &d.name);
         put_array_kind(o, &d.kind);
-        put_vec(o, &d.dims, |o2, id| o2.put_u32_le(id.0));
-        o.put_u8(u8::from(d.sparse));
+        put_vec(o, &d.dims, |o2, id| {
+            o2.extend_from_slice(&id.0.to_le_bytes())
+        });
+        o.push(u8::from(d.sparse));
     });
     put_vec(&mut out, &p.scalars, |o, d| {
         put_str(o, &d.name);
-        o.put_f64_le(d.init);
+        o.extend_from_slice(&d.init.to_le_bytes());
     });
     put_vec(&mut out, &p.consts, |o, s| put_str(o, s));
     put_vec(&mut out, &p.procs, |o, d| {
         put_str(o, &d.name);
-        o.put_u32_le(d.entry_pc);
+        o.extend_from_slice(&d.entry_pc.to_le_bytes());
     });
     put_vec(&mut out, &p.strings, |o, s| put_str(o, s));
     put_vec(&mut out, &p.code, put_instruction);
     // v3: optional source line table (presence byte, then file + lines).
     match &p.line_table {
         Some(t) => {
-            out.put_u8(1);
+            out.push(1);
             put_str(&mut out, &t.file);
-            put_vec(&mut out, &t.lines, |o, &l| o.put_u32_le(l));
+            put_vec(&mut out, &t.lines, |o, &l| {
+                o.extend_from_slice(&l.to_le_bytes())
+            });
         }
-        None => out.put_u8(0),
+        None => out.push(0),
     }
-    out.freeze()
+    out
 }
 
-/// Decodes a [`Program`] from the SIA bytecode wire format.
+/// Decodes a [`Program`] from the SIA bytecode wire format. The program
+/// must use up `data`: bytes after it are [`WireError::TrailingBytes`].
 pub fn decode_program(data: &[u8]) -> R<Program> {
-    let mut buf = Bytes::copy_from_slice(data);
-    need(&buf, 4)?;
-    let magic = buf.copy_to_bytes(4);
-    if magic.as_ref() != MAGIC {
+    let mut buf = data;
+    if take::<4>(&mut buf)? != *MAGIC {
         return Err(WireError::BadMagic);
     }
     let version = get_u32(&mut buf)?;
@@ -819,6 +825,9 @@ pub fn decode_program(data: &[u8]) -> R<Program> {
             })
         }
     };
+    if !buf.is_empty() {
+        return Err(WireError::TrailingBytes(buf.len()));
+    }
     Ok(Program {
         name,
         indices,

@@ -298,6 +298,17 @@ proptest! {
         }
     }
 
+    /// Bytes after a complete program are an error, not ignored.
+    #[test]
+    fn trailing_bytes_error(p in arb_program(), junk in prop::collection::vec(any::<u8>(), 1..16)) {
+        let mut bytes = encode_program(&p);
+        bytes.extend_from_slice(&junk);
+        prop_assert_eq!(
+            decode_program(&bytes).unwrap_err(),
+            sia_bytecode::WireError::TrailingBytes(junk.len())
+        );
+    }
+
     /// Flipping a byte never panics (may decode to a different program or
     /// error, but must not crash).
     #[test]

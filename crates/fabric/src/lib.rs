@@ -7,9 +7,9 @@
 //!
 //! Semantics mirror the MPI subset the SIP uses:
 //!
-//! * [`Endpoint::send`] is `mpi_isend`-like: it never blocks the sender and
-//!   returns a [`SendHandle`] that reports completion (delivery into the
-//!   receiver's queue).
+//! * [`Endpoint::send`] is `mpi_isend`-like: it never blocks the sender,
+//!   and a send that returns `Ok` is complete (delivered into the
+//!   receiver's queue, or lost to an injected fault).
 //! * [`Endpoint::try_recv`] / [`Endpoint::recv_deadline`] are the
 //!   `mpi_iprobe`/`mpi_recv` pair the SIP's progress loop uses: workers
 //!   "periodically check for messages and process them". A rank with
@@ -143,25 +143,6 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// Completion handle returned by [`Endpoint::send`] (the analogue of the
-/// `MPI_Request` from `mpi_isend`).
-///
-/// Delivery into the receiver's queue is immediate in-process, so the handle
-/// is complete as soon as `send` returns unless the receiver disappeared; it
-/// exists so runtime code keeps the request-based structure of the original
-/// and so tests can assert on delivery.
-#[derive(Debug)]
-pub struct SendHandle {
-    delivered: bool,
-}
-
-impl SendHandle {
-    /// True when the message reached the receiver's queue.
-    pub fn is_complete(&self) -> bool {
-        self.delivered
-    }
-}
-
 /// Why a send failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendErrorKind {
@@ -261,15 +242,15 @@ impl<M: Message> Endpoint<M> {
     /// Nonblocking send (the `mpi_isend` analogue).
     ///
     /// Under a [`FaultPlan`], a faultable message may be silently dropped
-    /// (the handle still reports completion — exactly the failure mode a
-    /// lossy network presents to `mpi_isend`), duplicated, or delayed.
+    /// (the send still returns `Ok` — exactly the failure mode a lossy
+    /// network presents to `mpi_isend`), duplicated, or delayed.
     ///
     /// # Errors
     /// A typed [`SendError`]: [`PeerGone`](SendErrorKind::PeerGone) if the
     /// destination endpoint was dropped, [`Shutdown`](SendErrorKind::Shutdown)
     /// if the fabric-wide shutdown flag is up, and
     /// [`Crashed`](SendErrorKind::Crashed) if this rank was killed.
-    pub fn send(&self, to: Rank, msg: M) -> Result<SendHandle, SendError> {
+    pub fn send(&self, to: Rank, msg: M) -> Result<(), SendError> {
         // Per-link FIFO: anything staged for this destination goes first.
         self.flush_to(to)?;
         self.send_now(to, msg)
@@ -321,7 +302,7 @@ impl<M: Message> Endpoint<M> {
                     let msg = staged[to.0].pop().expect("one staged message");
                     drop(staged);
                     self.staged_total.set(self.staged_total.get() - 1);
-                    return self.send_now(to, msg).map(drop);
+                    return self.send_now(to, msg);
                 }
                 _ => std::mem::take(&mut staged[to.0]),
             }
@@ -356,7 +337,7 @@ impl<M: Message> Endpoint<M> {
     }
 
     /// The unconditional send path (staging already flushed).
-    fn send_now(&self, to: Rank, msg: M) -> Result<SendHandle, SendError> {
+    fn send_now(&self, to: Rank, msg: M) -> Result<(), SendError> {
         self.check_open(to)?;
         let now = self.tick();
         let bytes = msg.approx_bytes();
@@ -375,11 +356,11 @@ impl<M: Message> Endpoint<M> {
         // the missing reply.
         self.shared.stats[self.rank.0].record_send(to, bytes);
         match verdict {
-            Verdict::Drop => Ok(SendHandle { delivered: true }),
+            Verdict::Drop => Ok(()),
             Verdict::Delay(span) => {
                 let inj = self.injector.as_ref().unwrap();
                 inj.hold(now + span, to.0, env);
-                Ok(SendHandle { delivered: true })
+                Ok(())
             }
             Verdict::Deliver | Verdict::Duplicate => {
                 let dup = if verdict == Verdict::Duplicate {
@@ -396,7 +377,7 @@ impl<M: Message> Endpoint<M> {
                         if let Some(d) = dup {
                             let _ = self.peers[to.0].send(Some(d));
                         }
-                        Ok(SendHandle { delivered: true })
+                        Ok(())
                     }
                     Err(_) => Err(SendError {
                         to,
@@ -548,11 +529,6 @@ impl<M: Message> Endpoint<M> {
     pub fn next_req_id(&self) -> ReqId {
         let n = self.req_seq.fetch_add(1, Ordering::Relaxed) + 1;
         ReqId(((self.rank.0 as u64) << 48) | (n & 0xffff_ffff_ffff))
-    }
-
-    /// This rank's fault counters (all zero on a perfect fabric).
-    pub fn fault_snapshot(&self) -> FaultSnapshot {
-        self.shared.faults[self.rank.0].snapshot()
     }
 
     /// Raises the fabric-wide shutdown flag (any rank may call this; e.g. the

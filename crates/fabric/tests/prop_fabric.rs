@@ -59,7 +59,7 @@ proptest! {
             let msg = Pkt::One(link, handed[link]);
             match op {
                 0 => sender.stage(to, msg).unwrap(),
-                1 => drop(sender.send(to, msg).unwrap()),
+                1 => sender.send(to, msg).unwrap(),
                 _ => {
                     sender.flush().unwrap();
                     continue;

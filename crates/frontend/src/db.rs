@@ -129,6 +129,8 @@ struct AstMemo {
     ast: Arc<AstProgram>,
     diags: Arc<Vec<Diagnostic>>,
     fp: u64,
+    /// [`decl_fingerprint`] of `ast`, taken when `resolve` first needs it.
+    decl_fp: Option<u64>,
 }
 
 struct ResolveMemo {
@@ -250,6 +252,7 @@ impl CompilerDb {
         let m = AstMemo {
             revision: self.revision,
             fp: ast_fingerprint(&ast),
+            decl_fp: None,
             ast: Arc::new(ast),
             diags: Arc::new(diags),
         };
@@ -262,7 +265,7 @@ impl CompilerDb {
     /// section's content fingerprint — body edits keep it green.
     pub fn resolve(&mut self) -> (Arc<SemaInfo>, Arc<Vec<Diagnostic>>) {
         let (ast, _) = self.ast();
-        let decl_fp = decl_fingerprint(&ast);
+        let decl_fp = self.decl_fp();
         if let Some(m) = &self.resolve_memo {
             if m.decl_fp == decl_fp {
                 self.stats.record("resolve", true);
@@ -281,6 +284,13 @@ impl CompilerDb {
         out
     }
 
+    /// The current AST's declaration fingerprint, computed once per
+    /// revision (`resolve` and every `typecheck` unit compare against it).
+    fn decl_fp(&mut self) -> u64 {
+        let m = self.ast_memo.as_mut().expect("the ast query ran first");
+        *m.decl_fp.get_or_insert_with(|| decl_fingerprint(&m.ast))
+    }
+
     /// Unit names for the current AST: `main` plus `proc:<name>` per proc.
     pub fn units(&mut self) -> Vec<String> {
         let (ast, _) = self.ast();
@@ -295,7 +305,7 @@ impl CompilerDb {
     pub fn typecheck(&mut self, unit: &str) -> Arc<Vec<Diagnostic>> {
         let (ast, _) = self.ast();
         let (info, _) = self.resolve();
-        let decl_fp = decl_fingerprint(&ast);
+        let decl_fp = self.decl_fp();
         let unit_fp = unit_fingerprint(&ast, unit);
         let qname = format!("typecheck:{unit}");
         if let Some(m) = self.unit_memos.get(unit) {
@@ -399,6 +409,31 @@ impl CompilerDb {
     /// The compiled program, if the file currently compiles cleanly.
     pub fn program(&mut self) -> Option<Arc<Program>> {
         self.lower().0
+    }
+
+    /// The compiled program, or the located diagnostics that stop it: the
+    /// lexical and parse diagnostics alone when there are any, else those
+    /// of `resolve`, each `typecheck` unit and `lower`, in that order.
+    pub fn compile(&mut self) -> Result<Arc<Program>, Vec<Diagnostic>> {
+        let (_, lex) = self.tokens();
+        let (_, parse) = self.ast();
+        let mut diags: Vec<Diagnostic> = lex.iter().chain(parse.iter()).cloned().collect();
+        if diags.is_empty() {
+            let (program, lower) = self.lower();
+            if let Some(p) = program {
+                return Ok(p);
+            }
+            diags.extend(self.resolve().1.iter().cloned());
+            for unit in self.units() {
+                diags.extend(self.typecheck(&unit).iter().cloned());
+            }
+            diags.extend(lower.iter().cloned());
+        }
+        let map = self.line_map();
+        Err(diags
+            .into_iter()
+            .map(|d| d.locate(&self.file, &map))
+            .collect())
     }
 }
 

@@ -76,16 +76,13 @@ pub fn compile(source: &str) -> Result<sia_bytecode::Program, CompileErrors> {
 
 /// Compiles SIAL source text to SIA bytecode
 /// (tokens → ast → resolve → typecheck → lower), attributing diagnostics —
-/// and the emitted line-table sidecar — to `file`.
+/// and the emitted line-table sidecar — to `file`. Runs the queries of a
+/// one-off [`CompilerDb`] ([`CompilerDb::compile`]).
 pub fn compile_file(file: &str, source: &str) -> Result<sia_bytecode::Program, CompileErrors> {
-    let map = LineMap::new(source);
-    let locate = |ds: Vec<Diagnostic>| -> Vec<Diagnostic> {
-        ds.into_iter().map(|d| d.locate(file, &map)).collect()
-    };
-    let (ast, diags) = parser::parse_partial(source);
-    if !diags.is_empty() {
-        return Err(CompileErrors::new(locate(diags)));
-    }
-    let info = sema::analyze(&ast).map_err(|ds| CompileErrors::new(locate(ds)))?;
-    compile::compile_ast(&ast, &info, file, &map).map_err(|ds| CompileErrors::new(locate(ds)))
+    // The database drops with this statement, so the program it shared is
+    // unwrapped below, not cloned.
+    let program = CompilerDb::new(file, source).compile();
+    program
+        .map(std::sync::Arc::unwrap_or_clone)
+        .map_err(CompileErrors::new)
 }

@@ -422,12 +422,6 @@ impl Server {
         let map = self.docs.get_mut(&uri)?.line_map();
         Some((uri, map.offset(line + 1, character + 1)))
     }
-
-    /// Memo-table hit/miss counters for a document (observability; used by
-    /// the incrementality tests).
-    pub fn stats_summary(&self, uri: &str) -> Option<String> {
-        self.docs.get(uri).map(|db| db.stats().summary())
-    }
 }
 
 fn lsp_diag(map: &LineMap, span: Span, severity: Severity, code: &str, message: &str) -> Json {

@@ -98,18 +98,6 @@ pub enum BlockGet {
     Pending,
 }
 
-impl BlockGet {
-    /// True when data is resident.
-    pub fn is_ready(&self) -> bool {
-        matches!(self, BlockGet::Ready(_))
-    }
-
-    /// True when the block is typed-absent (exactly zero).
-    pub fn is_absent(&self) -> bool {
-        matches!(self, BlockGet::AbsentZero { .. })
-    }
-}
-
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {

@@ -5,8 +5,11 @@
 //! worker counts its unacknowledged stores in the same two integers
 //! (`Worker::outstanding`). The fork is kept because
 //! it is measured: arming an `FtState` with nothing injected costs
-//! `putget_fine` a fifth of its wall time (0.34 → 0.40 s, 9 of 10 pairs;
-//! ROADMAP deletion-pass item 1). No wait walks what is pending any more
+//! `putget_fine` 8.8 % of its wall time (0.266 → 0.289 s over 10
+//! alternating pairs on a 2-vCPU Xeon, the armed run faster in 3), and
+//! still 6.4 % with the applied-op window and the pending map hashed by
+//! `KeyHasher` — over the 5 % the ROADMAP (deletion-pass item 4) allows
+//! the merge. No wait walks what is pending any more
 //! ([`FtState::next_deadline`] is a stored bound, `Worker::stores_drained`
 //! a counter); what is left is per operation — a clock reading per
 //! [`Retry`], a map entry and a retained payload per store.
@@ -25,16 +28,26 @@
 //!   master restores that rank's last checkpoint to the surviving homes,
 //!   broadcasts the death, and survivors replay their current-epoch put
 //!   journals that were homed at the corpse.
+//!
+//! The worker's side of that protocol — op ids, duplicate suppression,
+//! retries, the crash schedule, epoch checkpoints, a peer's death and
+//! takeover chunks — is the `impl Worker` block next to [`FtState`].
 
+use crate::error::{CommKind, RuntimeError};
+use crate::events::{EventKind, RecoveryEvent};
+use crate::interp::bind_iteration;
 use crate::layout::CrashSchedule;
+use crate::metrics::WaitCause;
 use crate::msg::{BlockKey, KeyMap, OpId, Payload, SipMsg};
-use sia_blocks::{Block, BlockHandle, Shape};
-use sia_bytecode::{ArrayId, PutMode};
-use sia_fabric::ReqId;
+use crate::worker::Worker;
+use sia_blocks::{Block, BlockHandle, ContractionPlan, Shape};
+use sia_bytecode::{ArrayId, ArrayKind, Instruction as I, PutMode};
+use sia_fabric::{Rank, ReqId};
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Wait for an ack or a reply before the first resend.
@@ -296,6 +309,374 @@ impl FtState {
         };
         self.tracked_one(&flight.retry);
         self.pending.insert(op.0, flight).is_none()
+    }
+}
+
+/// The worker's side of the recovery protocol: op ids, duplicate
+/// suppression, retries, the crash schedule, epoch checkpoints, a peer's
+/// death and takeover chunks.
+impl Worker {
+    /// Derives the duplicate-suppression id for a PUT/PREPARE at `pc` on
+    /// `key`, consuming one slot of the per-iteration op sequence. Untracked
+    /// (`OpId::NONE`) on fault-free runs. Inside pardos and takeover replays
+    /// the id is worker-independent (re-execution of the iteration
+    /// reproduces it anywhere); outside, the worker index is mixed in so
+    /// each rank's SPMD accumulate counts once.
+    pub(crate) fn derive_op(&mut self, pc: u32, key: &BlockKey) -> OpId {
+        let Some(ft) = &self.ft else {
+            return OpId::NONE;
+        };
+        let seq = self.op_seq;
+        self.op_seq += 1;
+        let spmd = if self.pardo.is_some() || ft.in_takeover {
+            None
+        } else {
+            Some(self.worker_index())
+        };
+        OpId(derive_op_id(pc, self.dist_epoch, key, &self.env, seq, spmd))
+    }
+
+    /// Applies a store sent in `epoch` (local or arriving over the wire)
+    /// with duplicate suppression: a tracked op already in the applied
+    /// window is dropped. This is what makes retries, fabric duplication,
+    /// and chunk re-execution idempotent — for blocks and norm records
+    /// alike, which share the one window.
+    pub(crate) fn apply_store_deduped(
+        &mut self,
+        key: BlockKey,
+        payload: Payload,
+        mode: PutMode,
+        op: OpId,
+        epoch: Option<u64>,
+    ) -> Result<(), RuntimeError> {
+        let window_epoch = self.dist_epoch;
+        let duplicate = op.is_tracked()
+            && !self
+                .ft
+                .as_mut()
+                .map(|ft| ft.applied.note(op.0, window_epoch))
+                .unwrap_or(true);
+        if duplicate {
+            self.profile.metrics.fault.dup_puts_suppressed += 1;
+            return Ok(());
+        }
+        self.apply_store_local(key, payload, mode, epoch)
+    }
+
+    /// Retries timed-out tracked operations (no-op on fault-free runs).
+    /// Errors when an operation exhausts its retry budget.
+    pub(crate) fn pump_retries(&mut self) -> Result<(), RuntimeError> {
+        let Some(ft) = self.ft.as_mut() else {
+            return Ok(());
+        };
+        // Nothing tracked, or nothing due yet: no walk over what is pending.
+        let Some(due) = ft.next_deadline() else {
+            return Ok(());
+        };
+        let now = Instant::now();
+        if now < due {
+            return Ok(());
+        }
+        let (layout, epoch) = (&self.layout, self.dist_epoch);
+        let mut resend: Vec<(Rank, SipMsg)> = Vec::new();
+        let mut put_retries = 0u64;
+        let mut prepare_retries = 0u64;
+        for (&op, p) in ft.pending.iter_mut() {
+            if now < p.retry.deadline() {
+                continue;
+            }
+            let served = p.served;
+            let home = layout.home_of(&p.key, &ft.dead);
+            p.retry
+                .bump()
+                .map_err(|Exhausted(attempts)| RuntimeError::Comm {
+                    kind: CommKind::Timeout,
+                    rank: home,
+                    key: Some(p.key),
+                    context: format!(
+                        "{} unacknowledged after {attempts} attempts",
+                        if served { "PREPARE" } else { "PUT" },
+                    ),
+                })?;
+            if served {
+                prepare_retries += 1;
+            } else {
+                put_retries += 1;
+            }
+            // The resend shares the retained payload's allocation.
+            resend.push((home, p.store_msg(OpId(op), epoch)));
+        }
+        let mut fetch_retries = 0u64;
+        let mut refreshed: Vec<BlockKey> = Vec::new();
+        for (key, f) in ft.fetches.iter_mut() {
+            if now < f.retry.deadline() {
+                continue;
+            }
+            let home = layout.home_of(key, &ft.dead);
+            f.retry
+                .bump()
+                .map_err(|Exhausted(attempts)| RuntimeError::Comm {
+                    kind: CommKind::Timeout,
+                    rank: home,
+                    key: Some(*key),
+                    context: format!(
+                        "{} reply lost after {attempts} attempts",
+                        if layout.array_kind(key.array) == ArrayKind::Served {
+                            "REQUEST"
+                        } else {
+                            "GET"
+                        },
+                    ),
+                })?;
+            fetch_retries += 1;
+            refreshed.push(*key);
+            resend.push((
+                home,
+                SipMsg::Fetch {
+                    key: *key,
+                    req: f.req,
+                    epoch,
+                },
+            ));
+        }
+        ft.settle_deadline();
+        self.profile.metrics.fault.put_retries += put_retries;
+        self.profile.metrics.fault.prepare_retries += prepare_retries;
+        self.profile.metrics.fault.fetch_retries += fetch_retries;
+        for key in &refreshed {
+            self.mem.cache_refresh_in_flight(key);
+        }
+        for (to, msg) in resend {
+            // A send error means the peer is gone; the master will declare
+            // it dead and re-route, so keep retrying until then.
+            let _ = self.endpoint.stage(to, msg);
+        }
+        Ok(())
+    }
+
+    /// Fires the deterministic crash schedule: once this worker has
+    /// completed its configured number of pardo iterations, it kills its
+    /// endpoint and unwinds. Called at iteration boundaries, the only point
+    /// at which its last epoch checkpoint is promised consistent.
+    pub(crate) fn maybe_crash(&mut self) -> Result<(), RuntimeError> {
+        let due = self.ft.as_ref().and_then(|ft| ft.crash).is_some_and(|c| {
+            c.worker == self.worker_index() && self.pardo_iters_done >= c.after_iterations
+        });
+        if !due {
+            return Ok(());
+        }
+        self.endpoint.kill();
+        Err(RuntimeError::Comm {
+            kind: CommKind::RankDead,
+            rank: self.endpoint.rank(),
+            key: None,
+            context: "injected crash (crash schedule)".into(),
+        })
+    }
+
+    /// Bookkeeping after one completed pardo iteration: drives the crash
+    /// schedule and, when one is scheduled, chunk acknowledgements.
+    pub(crate) fn note_pardo_iter_done(&mut self, pardo_pc: u32, epoch: u64) {
+        self.pardo_iters_done += 1;
+        let master = self.layout.topology.master();
+        let Some(ft) = self.ft.as_mut() else {
+            return;
+        };
+        if ft.in_takeover {
+            return; // the takeover runner acks the whole chunk itself
+        }
+        let Some(front) = ft.chunk_acks.front_mut() else {
+            return;
+        };
+        front.1 = front.1.saturating_sub(1);
+        if front.1 == 0 {
+            let chunk = front.0;
+            ft.chunk_acks.pop_front();
+            let _ = self.endpoint.send(
+                master,
+                SipMsg::ChunkDone {
+                    pardo_pc,
+                    epoch,
+                    chunk,
+                },
+            );
+        }
+    }
+
+    /// Runs the fault-tolerance epoch transition after a `sip_barrier`
+    /// release (the epoch counter has already advanced): checkpoint the
+    /// authoritative blocks when a crash is scheduled, clear the put journal,
+    /// and prune the applied-op window.
+    pub(crate) fn on_sip_barrier_released(&mut self) {
+        let widx = self.worker_index();
+        let epoch = self.dist_epoch;
+        let Some(ft) = self.ft.as_mut() else {
+            return;
+        };
+        if ft.crash.is_some() {
+            if let Some(dir) = &self.run_dir {
+                let path = epoch_ckpt_path(dir, widx);
+                // The snapshot shares the authoritative blocks' allocations.
+                let snapshot = self.mem.home_shares(None);
+                if let Err(e) = write_epoch_checkpoint(&path, epoch, &snapshot, &ft.applied) {
+                    self.warnings.push(format!("epoch checkpoint failed: {e}"));
+                }
+            }
+        }
+        ft.journal.clear();
+        ft.applied.prune(epoch);
+    }
+
+    /// Handles a `RankDead` broadcast: marks the worker dead, inherits the
+    /// corpse's applied-op window (so journal replay cannot double-apply
+    /// what its restored checkpoint already contains), replays current-epoch
+    /// puts that were homed there, and re-routes in-flight fetches.
+    pub(crate) fn on_rank_dead(&mut self, dead_rank: Rank, inherited_ops: Vec<u64>) {
+        if !self.layout.topology.is_worker(dead_rank) {
+            return;
+        }
+        let dead_idx = self.layout.topology.worker_index(dead_rank);
+        let epoch = self.dist_epoch;
+        let layout = Arc::clone(&self.layout);
+        let Some(ft) = self.ft.as_mut() else {
+            return;
+        };
+        if ft.dead.get(dead_idx).copied().unwrap_or(true) {
+            return; // unknown index or already processed
+        }
+        let prev_dead = ft.dead.clone();
+        ft.dead[dead_idx] = true;
+        self.trace.instant(EventKind::Recovery {
+            what: RecoveryEvent::RankDead,
+        });
+        for op in inherited_ops {
+            ft.applied.note(op, epoch);
+        }
+        let mut sends: Vec<(Rank, SipMsg)> = Vec::new();
+        // Replay this epoch's puts that were homed at the corpse. The
+        // master restored the corpse's last checkpoint to the new homes
+        // *before* broadcasting the death, so replay lands on (or dedups
+        // against) consistent state. The journal is a superset of the
+        // pending puts, so unacked dead-homed puts are re-armed here too.
+        // Each replay shares the journal entry's allocation.
+        let mut replays = 0u64;
+        let to_replay: Vec<(u64, BlockKey, BlockHandle, PutMode, Rank)> = ft
+            .journal
+            .iter()
+            .filter(|e| layout.home_of_distributed_excluding(&e.key, &prev_dead) == dead_rank)
+            .map(|e| {
+                let new_home = layout.home_of_distributed_excluding(&e.key, &ft.dead);
+                (e.op, e.key, e.data.clone(), e.mode, new_home)
+            })
+            .collect();
+        for (op, key, data, mode, new_home) in to_replay {
+            replays += 1;
+            // The journal holds puts only.
+            if ft.arm_flight(OpId(op), key, data, mode, false) {
+                self.outstanding[0] += 1;
+                self.unacked_bytes += layout.block_bytes(key.array);
+            }
+            sends.push((new_home, ft.pending[&op].store_msg(OpId(op), epoch)));
+        }
+        // Re-route unanswered fetches that were addressed to the corpse.
+        let mut reroutes = 0u64;
+        for (key, f) in ft.fetches.iter_mut() {
+            if layout.home_of(key, &prev_dead) != dead_rank {
+                continue;
+            }
+            let new_home = layout.home_of(key, &ft.dead);
+            f.retry = Retry::new();
+            reroutes += 1;
+            sends.push((
+                new_home,
+                SipMsg::Fetch {
+                    key: *key,
+                    req: f.req,
+                    epoch,
+                },
+            ));
+        }
+        self.profile.metrics.fault.journal_replays += replays;
+        self.profile.metrics.fault.reroutes += reroutes;
+        for (to, msg) in sends {
+            let _ = self.endpoint.stage(to, msg);
+        }
+    }
+
+    /// Executes a re-queued chunk of a dead worker while parked at the
+    /// post-pardo barrier. The iterations replay with `in_takeover` set, so
+    /// op-id derivation matches the original execution and every put the
+    /// corpse managed to deliver is suppressed as a duplicate. The chunk is
+    /// acknowledged only after its puts drain, so the master's release
+    /// implies the replayed data is home.
+    pub(crate) fn run_takeover_chunk(&mut self, chunk: TakeoverChunk) -> Result<(), RuntimeError> {
+        let program = Arc::clone(&self.layout.program);
+        let (indices, end_pc) = match program.code.get(chunk.pardo_pc as usize) {
+            Some(I::PardoStart {
+                indices, end_pc, ..
+            }) => (indices.clone(), *end_pc),
+            _ => {
+                return Err(RuntimeError::Internal(
+                    "takeover chunk does not point at a pardo".into(),
+                ));
+            }
+        };
+        let ranges: Vec<(i64, i64)> = indices.iter().map(|&i| self.layout.range(i)).collect();
+        if let Some(ft) = self.ft.as_mut() {
+            ft.in_takeover = true;
+        }
+        self.trace.instant(EventKind::Recovery {
+            what: RecoveryEvent::Takeover,
+        });
+        let mut plans: HashMap<u32, ContractionPlan> = HashMap::new();
+        let result = (|| -> Result<(), RuntimeError> {
+            for &ordinal in &chunk.ordinals {
+                bind_iteration(&mut self.env, &indices, &ranges, ordinal);
+                self.op_seq = 0;
+                self.profile.iterations += 1;
+                let mut pc = chunk.pardo_pc + 1;
+                while pc != end_pc {
+                    let ins = program
+                        .code
+                        .get(pc as usize)
+                        .ok_or_else(|| RuntimeError::BadProgram(format!("pc {pc} out of range")))?;
+                    let mut wait = Duration::ZERO;
+                    match self.step(pc, ins, &mut plans, &mut wait)? {
+                        Some(n) => pc = n,
+                        None => {
+                            return Err(RuntimeError::BadProgram(
+                                "halt inside a pardo body".into(),
+                            ));
+                        }
+                    }
+                }
+                self.free_temps();
+                self.pardo_iters_done += 1;
+            }
+            // The master counts this chunk complete only once its data is
+            // durable at the (surviving) homes.
+            self.wait_until(WaitCause::Recovery, "takeover put acks", |w| {
+                w.stores_drained(ArrayKind::Distributed)
+            })?;
+            Ok(())
+        })();
+        if let Some(ft) = self.ft.as_mut() {
+            ft.in_takeover = false;
+        }
+        for idx in indices {
+            self.set_index(idx, 0);
+        }
+        result?;
+        let master = self.layout.topology.master();
+        self.endpoint.send(
+            master,
+            SipMsg::ChunkDone {
+                pardo_pc: chunk.pardo_pc,
+                epoch: chunk.epoch,
+                chunk: chunk.chunk,
+            },
+        )?;
+        Ok(())
     }
 }
 

@@ -8,16 +8,16 @@
 //! worker waiting on a barrier still serves its home blocks to others) and
 //! accounts the time as *wait* for the profiler.
 
+use crate::access::Fetch;
 use crate::cache::BlockGet;
 use crate::error::RuntimeError;
-use crate::events::{EventKind, RecoveryEvent};
-use crate::ft::TakeoverChunk;
+use crate::events::EventKind;
 use crate::layout::SegVals;
 use crate::metrics::WaitCause;
 use crate::msg::{BarrierKind, BlockKey, Payload, SipMsg};
 use crate::registry::{SuperArg, SuperEnv};
 use crate::scheduler::{decode_ordinal, eval_bool, eval_scalar};
-use crate::worker::{Fetch, LoopFrame, PardoState, Worker};
+use crate::worker::{LoopFrame, PardoState, Worker};
 use sia_blocks::{contract_into_ctx, permute_into, Block, BlockHandle, ContractionPlan, MAX_RANK};
 use sia_bytecode::{
     Arg, ArrayId, ArrayKind, BlockRef, BoolExpr, IndexId, Instruction as I, ScalarExpr,
@@ -353,7 +353,7 @@ impl Worker {
     // ---- instruction dispatch --------------------------------------------------------
 
     #[allow(clippy::too_many_lines)]
-    fn step(
+    pub(crate) fn step(
         &mut self,
         pc: u32,
         ins: &I,
@@ -866,82 +866,6 @@ impl Worker {
         Ok(total)
     }
 
-    /// Executes a re-queued chunk of a dead worker while parked at the
-    /// post-pardo barrier. The iterations replay with `in_takeover` set, so
-    /// op-id derivation matches the original execution and every put the
-    /// corpse managed to deliver is suppressed as a duplicate. The chunk is
-    /// acknowledged only after its puts drain, so the master's release
-    /// implies the replayed data is home.
-    fn run_takeover_chunk(&mut self, chunk: TakeoverChunk) -> Result<(), RuntimeError> {
-        let program = Arc::clone(&self.layout.program);
-        let (indices, end_pc) = match program.code.get(chunk.pardo_pc as usize) {
-            Some(I::PardoStart {
-                indices, end_pc, ..
-            }) => (indices.clone(), *end_pc),
-            _ => {
-                return Err(RuntimeError::Internal(
-                    "takeover chunk does not point at a pardo".into(),
-                ));
-            }
-        };
-        let ranges: Vec<(i64, i64)> = indices.iter().map(|&i| self.layout.range(i)).collect();
-        if let Some(ft) = self.ft.as_mut() {
-            ft.in_takeover = true;
-        }
-        self.trace.instant(EventKind::Recovery {
-            what: RecoveryEvent::Takeover,
-        });
-        let mut plans: HashMap<u32, ContractionPlan> = HashMap::new();
-        let result = (|| -> Result<(), RuntimeError> {
-            for &ordinal in &chunk.ordinals {
-                bind_iteration(&mut self.env, &indices, &ranges, ordinal);
-                self.op_seq = 0;
-                self.profile.iterations += 1;
-                let mut pc = chunk.pardo_pc + 1;
-                while pc != end_pc {
-                    let ins = program
-                        .code
-                        .get(pc as usize)
-                        .ok_or_else(|| RuntimeError::BadProgram(format!("pc {pc} out of range")))?;
-                    let mut wait = Duration::ZERO;
-                    match self.step(pc, ins, &mut plans, &mut wait)? {
-                        Some(n) => pc = n,
-                        None => {
-                            return Err(RuntimeError::BadProgram(
-                                "halt inside a pardo body".into(),
-                            ));
-                        }
-                    }
-                }
-                self.free_temps();
-                self.pardo_iters_done += 1;
-            }
-            // The master counts this chunk complete only once its data is
-            // durable at the (surviving) homes.
-            self.wait_until(WaitCause::Recovery, "takeover put acks", |w| {
-                w.stores_drained(ArrayKind::Distributed)
-            })?;
-            Ok(())
-        })();
-        if let Some(ft) = self.ft.as_mut() {
-            ft.in_takeover = false;
-        }
-        for idx in indices {
-            self.set_index(idx, 0);
-        }
-        result?;
-        let master = self.layout.topology.master();
-        self.endpoint.send(
-            master,
-            SipMsg::ChunkDone {
-                pardo_pc: chunk.pardo_pc,
-                epoch: chunk.epoch,
-                chunk: chunk.chunk,
-            },
-        )?;
-        Ok(())
-    }
-
     fn execute_super(
         &mut self,
         name: &str,
@@ -1097,7 +1021,12 @@ fn labels(indices: &[IndexId]) -> Vec<u32> {
 
 /// Binds the pardo `indices` to the values iteration `ordinal` of the cross
 /// product of `ranges` denotes.
-fn bind_iteration(env: &mut [i64], indices: &[IndexId], ranges: &[(i64, i64)], ordinal: u64) {
+pub(crate) fn bind_iteration(
+    env: &mut [i64],
+    indices: &[IndexId],
+    ranges: &[(i64, i64)],
+    ordinal: u64,
+) {
     decode_ordinal(ranges, ordinal, |d, v| env[indices[d].index()] = v);
 }
 

@@ -214,11 +214,6 @@ impl SipConfig {
         }
     }
 
-    /// True when fault tolerance (retry/recovery machinery) is active.
-    pub fn fault_tolerant(&self) -> bool {
-        self.fault.is_some()
-    }
-
     /// True when trace events should be recorded (either the flag or an
     /// export path enables collection).
     pub fn tracing(&self) -> bool {

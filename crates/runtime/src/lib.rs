@@ -65,6 +65,7 @@ pub mod trace;
 pub mod verify;
 
 // Runtime internals: reachable only through the re-exports below.
+pub(crate) mod access;
 pub(crate) mod diag;
 pub(crate) mod error;
 pub(crate) mod ft;

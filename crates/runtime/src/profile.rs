@@ -198,15 +198,6 @@ impl ProfileReport {
         self.metrics.comm.overlap()
     }
 
-    /// Busy time attributed to a class of instructions.
-    pub fn busy_by_class(&self, class: InstructionClass) -> Duration {
-        self.lines
-            .iter()
-            .filter(|l| l.class == class)
-            .map(|l| l.busy)
-            .sum()
-    }
-
     /// The machine-readable profile (the `--profile-json` payload,
     /// `sia.profile.v1`): schema marker, headline numbers, the overlap
     /// metric, the metrics object of [`Metrics::to_json`], per-worker

@@ -40,6 +40,26 @@ pub fn bool_expr_indices(e: &BoolExpr, out: &mut Vec<IndexId>) {
     }
 }
 
+/// Refuses a where clause that mentions an index the pardo does not bind
+/// with [`RuntimeError::BadBytecode`]: such an index has no value, and
+/// evaluating it as 0 would silently mis-filter the iteration space.
+pub(crate) fn check_where_indices(
+    indices: &[IndexId],
+    wheres: &[BoolExpr],
+) -> Result<(), RuntimeError> {
+    let mut mentioned = Vec::new();
+    for w in wheres {
+        bool_expr_indices(w, &mut mentioned);
+    }
+    match mentioned.iter().find(|id| !indices.contains(id)) {
+        Some(bad) => Err(RuntimeError::BadBytecode(format!(
+            "where clause references index #{} which the pardo does not bind",
+            bad.0
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Evaluates a scalar expression given index values and scalar/const tables.
 /// Shared by the master (where-clause filtering) and workers (interpreter).
 pub fn eval_scalar(
@@ -116,16 +136,7 @@ impl IterationSpace {
         const_val: &dyn Fn(u32) -> i64,
     ) -> Result<Self, RuntimeError> {
         assert_eq!(indices.len(), ranges.len());
-        let mut mentioned = Vec::new();
-        for w in wheres {
-            bool_expr_indices(w, &mut mentioned);
-        }
-        if let Some(bad) = mentioned.iter().find(|id| !indices.contains(id)) {
-            return Err(RuntimeError::BadBytecode(format!(
-                "where clause references index #{} which the pardo does not bind",
-                bad.0
-            )));
-        }
+        check_where_indices(indices, wheres)?;
         let count = if indices.is_empty() {
             0
         } else {

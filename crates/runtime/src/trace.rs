@@ -14,7 +14,7 @@
 
 use crate::error::RuntimeError;
 use crate::layout::Layout;
-use crate::scheduler::{eval_bool, eval_scalar};
+use crate::scheduler::{check_where_indices, eval_bool, eval_scalar};
 use sia_blocks::{ContractionPlan, Shape};
 use sia_bytecode::{ArrayKind, BlockRef, IndexId, Instruction as I};
 use std::collections::HashSet;
@@ -325,7 +325,7 @@ impl<'a> Walker<'a> {
                         return Err(RuntimeError::BadProgram("nested pardo in trace".into()));
                     }
                     self.flush_serial();
-                    let (iterations, first) = self.count_iterations(indices, where_clauses);
+                    let (iterations, first) = self.count_iterations(indices, where_clauses)?;
                     let mut per_iter = IterProfile::default();
                     if let Some(vals) = first {
                         for (idx, v) in indices.iter().zip(&vals) {
@@ -505,19 +505,21 @@ impl<'a> Walker<'a> {
 
     /// Counts iterations passing the where clauses, returning the first
     /// passing assignment. Uses exact enumeration up to a limit, then
-    /// deterministic strided sampling.
+    /// deterministic strided sampling. A where clause over an index the
+    /// pardo does not bind is refused as the master refuses it.
     fn count_iterations(
         &self,
         indices: &[IndexId],
         wheres: &[sia_bytecode::BoolExpr],
-    ) -> (u64, Option<Vec<i64>>) {
+    ) -> Result<(u64, Option<Vec<i64>>), RuntimeError> {
+        check_where_indices(indices, wheres)?;
         let ranges: Vec<(i64, i64)> = indices.iter().map(|&i| self.layout.range(i)).collect();
         let product: u64 = ranges
             .iter()
             .map(|&(lo, hi)| (hi - lo + 1) as u64)
             .product();
         if product == 0 {
-            return (0, None);
+            return Ok((0, None));
         }
         let sc = &self.scalars;
         let c = &self.layout.consts;
@@ -543,7 +545,7 @@ impl<'a> Walker<'a> {
             vals
         };
         if wheres.is_empty() {
-            return (product, Some(decode(0)));
+            return Ok((product, Some(decode(0))));
         }
         if product <= EXACT_COUNT_LIMIT {
             let mut count = 0;
@@ -557,7 +559,7 @@ impl<'a> Walker<'a> {
                     }
                 }
             }
-            (count, first)
+            Ok((count, first))
         } else {
             // Deterministic strided sampling.
             let samples = 1_000_000u64;
@@ -578,7 +580,7 @@ impl<'a> Walker<'a> {
                 n += stride;
             }
             let est = ((hits as f64 / tried as f64) * product as f64).round() as u64;
-            (est, first)
+            Ok((est, first))
         }
     }
 }
@@ -749,6 +751,38 @@ endsial
                 assert_eq!(per_iter.gets, 0);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Bytecode whose where clause names an index its pardo does not bind
+    /// (the front end never emits it) is refused, not counted with that
+    /// index read as 0.
+    #[test]
+    fn where_on_unbound_index_is_bad_bytecode() {
+        let src = "sial t\naoindex i = 1, n\naoindex j = 1, n\ntemp q(i)\npardo i where i <= 2\nq(i) = 1.0\nendpardo i\nendsial\n";
+        let mut program = sial_frontend::compile(src).unwrap();
+        let j = IndexId(1);
+        assert_eq!(program.indices[j.index()].name, "j");
+        let Some(I::PardoStart { where_clauses, .. }) = program.code.get_mut(0) else {
+            panic!("the program starts with its pardo");
+        };
+        where_clauses[0] = sia_bytecode::BoolExpr::Cmp(
+            sia_bytecode::ScalarExpr::IndexVal(j),
+            sia_bytecode::CmpOp::Le,
+            sia_bytecode::ScalarExpr::Lit(2.0),
+        );
+        let mut b = ConstBindings::new();
+        b.insert("n".into(), 4);
+        let layout = Layout::new(
+            Arc::new(program),
+            &b,
+            SegmentConfig::default(),
+            Topology::new(2, 1),
+        )
+        .unwrap();
+        match generate(&layout, &default_cost_model()) {
+            Err(RuntimeError::BadBytecode(m)) => assert!(m.contains("#1"), "{m}"),
+            other => panic!("expected BadBytecode, got {other:?}"),
         }
     }
 }

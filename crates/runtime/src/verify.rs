@@ -95,14 +95,6 @@ impl Rule {
             Rule::SparseKind => "sparse-kind",
         }
     }
-
-    /// True for the race-detector rules (layer 2).
-    pub fn is_race(self) -> bool {
-        matches!(
-            self,
-            Rule::WriteWriteRace | Rule::GetAfterPut | Rule::RequestAfterPrepare
-        )
-    }
 }
 
 impl fmt::Display for Rule {

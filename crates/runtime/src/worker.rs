@@ -3,23 +3,25 @@
 //! Each worker "loops through the instruction table executing bytecode
 //! instructions, periodically checking for messages and processing them"
 //! (§V-B). This module holds the worker's stores (home blocks, cache,
-//! temps, locals), its pardo machinery, outstanding-ack tracking, and the
-//! message pump; the instruction dispatch lives in [`crate::interp`].
+//! temps, locals), its pardo machinery, outstanding-ack tracking, the
+//! message pump and the waits. Block access and the fetch/store protocol
+//! live in [`crate::access`], the fault-tolerance side in [`crate::ft`],
+//! and the instruction dispatch in [`crate::interp`].
 
-use crate::cache::{BlockGet, CacheEntry, Flight};
+use crate::cache::Flight;
 use crate::error::{CommKind, RuntimeError};
-use crate::events::{CommOp, EventKind, RecoveryEvent, TraceSink};
-use crate::ft::{self, Exhausted, FtState, JournalEntry, Retry, TakeoverChunk};
+use crate::events::{CommOp, EventKind, TraceSink};
+use crate::ft::{FtState, TakeoverChunk};
 use crate::layout::{Layout, SegVals, SipConfig};
 use crate::memory::BlockManager;
 use crate::metrics::WaitCause;
 use crate::msg::{BarrierKind, BlockKey, OpId, Payload, SipMsg};
 use crate::profile::WorkerProfile;
 use crate::registry::SuperRegistry;
-use sia_blocks::{Block, BlockHandle};
+use sia_blocks::BlockHandle;
 use sia_blocks::{BlockPool, ContractCtx, PoolConfig};
-use sia_bytecode::{ArrayId, ArrayKind, BlockRef, IndexId, PutMode};
-use sia_fabric::{Endpoint, Rank, ReqId};
+use sia_bytecode::{ArrayId, ArrayKind, BlockRef, IndexId};
+use sia_fabric::{Endpoint, Rank};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -39,15 +41,6 @@ const POOL_BYTES: usize = 256 << 20;
 /// sent and not seen acknowledged, so a worker that never has to wait cannot
 /// queue a whole chunk of blocks in a home's inbox.
 const WINDOW_CACHE_SHARE: u64 = 2;
-
-/// How a block access treats a non-resident block: issue the fetch and
-/// return immediately (`get`/`request`/prefetch), or block until the data
-/// is resident (operand reads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Fetch {
-    NoWait,
-    Wait,
-}
 
 /// An active sequential loop.
 #[derive(Debug, Clone)]
@@ -533,83 +526,6 @@ impl Worker {
         }
     }
 
-    /// Applies a store sent in `epoch` to the authoritative store (used by
-    /// the home for remote puts and by the owner for local ones), under the
-    /// rules of [`BlockManager::home_store`].
-    pub(crate) fn apply_store_local(
-        &mut self,
-        key: BlockKey,
-        payload: Payload,
-        mode: PutMode,
-        epoch: Option<u64>,
-    ) -> Result<(), RuntimeError> {
-        // Sparse screening at the home: a payload under the threshold is
-        // dropped and only its norm bound is recorded. Also reached by a
-        // fault-tolerance journal replay of a put the sender dropped (replay
-        // resends the full block), keeping replay idempotent with the drop.
-        let payload = match payload {
-            Payload::Data(data) => match self.screen(&key, &data) {
-                Some(norm) => Payload::Absent { norm },
-                None => Payload::Data(data),
-            },
-            absent => absent,
-        };
-        if self.mem.home_store(key, payload, mode, epoch)? {
-            self.warnings.push(format!(
-                "possible barrier misuse: block {key:?} replaced after being read \
-                 in the same sip_barrier epoch"
-            ));
-        }
-        // A fresher value exists; drop any stale cached copy.
-        self.mem.cache_invalidate(&key);
-        Ok(())
-    }
-
-    /// True when blocks of `array` are screened: the array is declared
-    /// sparse and the run has a positive sparsity threshold.
-    pub(crate) fn sparsity_active(&self, array: ArrayId) -> bool {
-        self.config.sparsity_threshold > 0.0 && self.layout.array_sparse(array)
-    }
-
-    /// Sparse screening: the norm of `data` when `key`'s array is screened
-    /// and the norm falls under the threshold (the store then carries only
-    /// the norm); `None` means the block itself is stored.
-    fn screen(&self, key: &BlockKey, data: &BlockHandle) -> Option<f64> {
-        if !self.sparsity_active(key.array) {
-            return None;
-        }
-        let norm = data.norm();
-        (norm < self.config.sparsity_threshold).then_some(norm)
-    }
-
-    /// What the home store's `held` entry for `key` serves: the block
-    /// (sharing the store's allocation), a sparse array's typed absence
-    /// with its norm bound (0.0 if never written), or `None` for a dense
-    /// array's unfilled block.
-    fn as_served(&self, key: &BlockKey, held: Option<Payload>) -> Option<Payload> {
-        match held {
-            Some(Payload::Data(data)) => Some(Payload::Data(data)),
-            held if self.layout.array_sparse(key.array) => Some(Payload::Absent {
-                norm: match held {
-                    Some(Payload::Absent { norm }) => norm,
-                    _ => 0.0,
-                },
-            }),
-            _ => None,
-        }
-    }
-
-    /// [`Worker::as_served`] as a reader sees it: a dense array's unfilled
-    /// block reads as zero ("blocks are allocated … only when actually
-    /// filled"), which is what makes symmetric-array declarations cheap.
-    fn as_read(&self, key: &BlockKey, held: Option<Payload>) -> Payload {
-        self.as_served(key, held).unwrap_or_else(|| {
-            Payload::Data(BlockHandle::zeros(
-                self.layout.declared_block_shape(key.array),
-            ))
-        })
-    }
-
     /// Waits (servicing messages and pumping retries) until `done(self)`
     /// holds. Returns the time spent waiting — nothing, with no clock read
     /// and no wait recorded, when it already holds on entry. Aborts with an
@@ -690,351 +606,7 @@ impl Worker {
         Ok(segs)
     }
 
-    // ---- block access ---------------------------------------------------------------
-
-    /// Home of a distributed block (skipping dead workers under fault
-    /// tolerance) or a served one, by the array's kind. The single resolver
-    /// on the worker: every caller goes through here (or through
-    /// [`Layout::home_of`] with an explicit dead mask), so nothing can pick
-    /// the stale non-excluding variant during recovery. A key that is no
-    /// block of its array is refused here, before any home is resolved or
-    /// anything is sent.
-    pub(crate) fn home_of(&self, key: &BlockKey) -> Result<Rank, RuntimeError> {
-        match self.layout.array_kind(key.array) {
-            ArrayKind::Served if self.layout.topology.io_servers == 0 => {
-                return Err(RuntimeError::ServedIo(
-                    "program uses served arrays but io_servers = 0".into(),
-                ));
-            }
-            ArrayKind::Distributed | ArrayKind::Served => {}
-            other => {
-                return Err(RuntimeError::BadProgram(format!(
-                    "block access on {other:?} array"
-                )));
-            }
-        }
-        self.layout.ordinal_of(key)?;
-        let dead = self.ft.as_ref().map(|ft| ft.dead.as_slice()).unwrap_or(&[]);
-        Ok(self.layout.home_of(key, dead))
-    }
-
-    /// The single entry point for distributed/served block access, returning
-    /// a typed [`BlockGet`] instead of implicitly materializing zero blocks.
-    ///
-    /// [`Fetch::NoWait`] issues the asynchronous fetch behind
-    /// `get`/`request`/prefetch (a no-op when the block is homed here,
-    /// cached, or already in flight) and returns [`BlockGet::Pending`].
-    /// [`Fetch::Wait`] blocks on an in-flight fetch — or issues a late one —
-    /// if necessary, and returns [`BlockGet::Ready`] with the data or
-    /// [`BlockGet::AbsentZero`] when the block is typed-absent from a sparse
-    /// array; the time blocked is added to `wait` for the profiler.
-    pub(crate) fn access_key(
-        &mut self,
-        key: BlockKey,
-        fetch: Fetch,
-        wait: &mut Duration,
-    ) -> Result<BlockGet, RuntimeError> {
-        let home = self.home_of(&key)?;
-        if home == self.endpoint.rank() {
-            // Authoritative store; nothing to fetch.
-            if fetch == Fetch::NoWait {
-                return Ok(BlockGet::Pending);
-            }
-            let held = self.mem.home_read(&key)?;
-            return Ok(match self.as_read(&key, held) {
-                Payload::Data(h) => BlockGet::Ready(h),
-                Payload::Absent { norm } => BlockGet::AbsentZero { norm },
-            });
-        }
-        if fetch == Fetch::NoWait {
-            self.fetch_unless_cached(home, key)?;
-            return Ok(BlockGet::Pending);
-        }
-        loop {
-            let hit = match self.mem.cache_lookup(&key) {
-                Some(CacheEntry::Ready(b)) => Some(BlockGet::Ready(b.clone())),
-                Some(&CacheEntry::Absent { norm }) => Some(BlockGet::AbsentZero { norm }),
-                Some(CacheEntry::InFlight(_)) => None,
-                None => {
-                    // Late fetch — the contraction operator "ensures that the
-                    // necessary blocks are available and waits … if
-                    // necessary". Also reached when cache pressure evicted a
-                    // filled entry before this waiter observed it: the next
-                    // round trip re-fetches (counted as a refetch).
-                    self.fetch_unless_cached(home, key)?;
-                    None
-                }
-            };
-            match hit {
-                Some(BlockGet::Ready(h)) => {
-                    // Sharing the cached handle pins it against eviction
-                    // while the caller holds it.
-                    self.mem.note_share(&h);
-                    return Ok(BlockGet::Ready(h));
-                }
-                Some(got) => return Ok(got),
-                None => {}
-            }
-            // Wait until the entry leaves the in-flight state: Ready (the
-            // next lookup shares it — eviction only runs on this thread, so
-            // it cannot vanish in between) or evicted/absent (loop re-arms
-            // the fetch).
-            let waited = self.wait_until(
-                WaitCause::BlockArrival,
-                format_args!("block {key:?}"),
-                |w| !matches!(w.mem.cache_peek(&key), Some(CacheEntry::InFlight(_))),
-            )?;
-            // Time blocked on a fetch is comm latency the prefetcher failed
-            // to hide — the "exposed" half of the overlap metric.
-            self.profile.metrics.comm.exposed_nanos += waited.as_nanos() as u64;
-            *wait += waited;
-        }
-    }
-
-    /// Fetches `key` from `home` unless the cache holds it or it is already
-    /// on its way: marks it in flight — the entry carries the flight's issue
-    /// time and request id, which back the overlap metric — and sends the
-    /// fetch, registering it for retry under fault tolerance. `home` comes
-    /// from [`Worker::home_of`], which refused any key outside its array's
-    /// declared segments.
-    fn fetch_unless_cached(&mut self, home: Rank, key: BlockKey) -> Result<(), RuntimeError> {
-        // A real id is only needed for retry correlation (FT) or flight
-        // correlation in the trace; fault-free untraced runs skip it.
-        let (endpoint, correlated) = (&self.endpoint, self.ft.is_some() || self.trace.is_on());
-        let issued = self.mem.cache_mark_in_flight(key, || Flight {
-            issued: Instant::now(),
-            req: if correlated {
-                endpoint.next_req_id()
-            } else {
-                ReqId::NONE
-            },
-        });
-        let Some(Flight { req, .. }) = issued else {
-            return Ok(());
-        };
-        self.profile.metrics.comm.fetches += 1;
-        if let Some(ft) = self.ft.as_mut() {
-            ft.track_fetch(key, req);
-        }
-        let msg = SipMsg::Fetch {
-            key,
-            req,
-            epoch: self.dist_epoch,
-        };
-        if self.ft.is_some() {
-            // The fetch is registered for retry; a send failure means the
-            // home just died and the retry will re-route after RankDead.
-            let _ = self.endpoint.stage(home, msg);
-        } else {
-            self.endpoint.stage(home, msg)?;
-        }
-        Ok(())
-    }
-
-    /// Reads the block a ref denotes, waiting for in-flight fetches. Returns
-    /// a shared handle aliasing the resident block — mutation by the caller
-    /// goes through copy-on-write, so correctness is preserved without the
-    /// old defensive deep copy.
-    ///
-    /// `wait` accumulates blocked time for the profiler.
-    pub(crate) fn read_block(
-        &mut self,
-        array: ArrayId,
-        ref_indices: &[IndexId],
-        wait: &mut Duration,
-    ) -> Result<BlockHandle, RuntimeError> {
-        let segs = self.seg_values(ref_indices)?;
-        let (key, slice) = self.layout.storage_target(array, ref_indices, &segs);
-        let kind = self.layout.array_kind(array);
-        let whole = match kind {
-            ArrayKind::Temp => match &self.temps[array.index()] {
-                Some((stored_key, block)) if *stored_key == key => {
-                    let h = block.clone();
-                    self.mem.note_share(&h);
-                    h
-                }
-                _ => {
-                    return Err(RuntimeError::TempUndefined {
-                        array: self.layout.array(array).name.clone(),
-                    });
-                }
-            },
-            ArrayKind::Local | ArrayKind::Static => match self.mem.local_share(&key)? {
-                Some(h) => h,
-                None => {
-                    return Err(RuntimeError::BlockNotAvailable {
-                        key,
-                        context: format!(
-                            "local/static block of `{}` never written",
-                            self.layout.array(array).name
-                        ),
-                    });
-                }
-            },
-            ArrayKind::Distributed | ArrayKind::Served => {
-                match self.access_key(key, Fetch::Wait, wait)? {
-                    BlockGet::Ready(h) => h,
-                    // Dense consumers still see an absent block as zeros;
-                    // screening-aware consumers use `read_block_get`.
-                    BlockGet::AbsentZero { .. } => {
-                        BlockHandle::zeros(self.layout.declared_block_shape(array))
-                    }
-                    BlockGet::Pending => {
-                        return Err(RuntimeError::Internal(
-                            "wait-mode access returned pending".into(),
-                        ));
-                    }
-                }
-            }
-        };
-        match slice {
-            None => Ok(whole),
-            Some((offsets, extents)) => {
-                let spec = sia_blocks::SliceSpec::new(&offsets, &extents);
-                sia_blocks::extract_slice(&whole, &spec)
-                    .map(BlockHandle::new)
-                    .map_err(|e| RuntimeError::Internal(format!("slice extraction failed: {e}")))
-            }
-        }
-    }
-
-    /// Screening-aware read for consumers that can exploit typed absence
-    /// (the contraction path): like [`Worker::read_block`], but an absent
-    /// sparse block comes back as [`BlockGet::AbsentZero`] with its norm
-    /// bound instead of a materialized zero block. A slice of an absent
-    /// block is absent with the same bound (`‖sub‖F ≤ ‖whole‖F`).
-    pub(crate) fn read_block_get(
-        &mut self,
-        array: ArrayId,
-        ref_indices: &[IndexId],
-        wait: &mut Duration,
-    ) -> Result<BlockGet, RuntimeError> {
-        let kind = self.layout.array_kind(array);
-        if !matches!(kind, ArrayKind::Distributed | ArrayKind::Served) {
-            // Temp/local/static arrays are never sparse.
-            return self
-                .read_block(array, ref_indices, wait)
-                .map(BlockGet::Ready);
-        }
-        let segs = self.seg_values(ref_indices)?;
-        let (key, slice) = self.layout.storage_target(array, ref_indices, &segs);
-        match self.access_key(key, Fetch::Wait, wait)? {
-            BlockGet::Ready(whole) => match slice {
-                None => Ok(BlockGet::Ready(whole)),
-                Some((offsets, extents)) => {
-                    let spec = sia_blocks::SliceSpec::new(&offsets, &extents);
-                    sia_blocks::extract_slice(&whole, &spec)
-                        .map(|b| BlockGet::Ready(BlockHandle::new(b)))
-                        .map_err(|e| {
-                            RuntimeError::Internal(format!("slice extraction failed: {e}"))
-                        })
-                }
-            },
-            absent @ BlockGet::AbsentZero { .. } => Ok(absent),
-            BlockGet::Pending => Err(RuntimeError::Internal(
-                "wait-mode access returned pending".into(),
-            )),
-        }
-    }
-
-    /// Writes `block` to the storage a ref denotes (temp/local/static only;
-    /// distributed/served writes go through put/prepare). Accepts anything
-    /// convertible to a [`BlockHandle`], so a shared handle is stored without
-    /// materializing a copy.
-    pub(crate) fn write_block(
-        &mut self,
-        array: ArrayId,
-        ref_indices: &[IndexId],
-        block: impl Into<BlockHandle>,
-    ) -> Result<(), RuntimeError> {
-        let block = block.into();
-        let segs = self.seg_values(ref_indices)?;
-        let (key, slice) = self.layout.storage_target(array, ref_indices, &segs);
-        let kind = self.layout.array_kind(array);
-        match slice {
-            None => match kind {
-                ArrayKind::Temp => {
-                    if let Some((_, old)) = self.temps[array.index()].replace((key, block)) {
-                        self.release_handle(old);
-                    }
-                    Ok(())
-                }
-                ArrayKind::Local | ArrayKind::Static => self.mem.local_insert(key, block),
-                other => Err(RuntimeError::BadProgram(format!(
-                    "direct write to {other:?} array"
-                ))),
-            },
-            Some((offsets, extents)) => {
-                // Insertion: write the subblock into the (existing or fresh)
-                // parent block.
-                let spec = sia_blocks::SliceSpec::new(&offsets, &extents);
-                let parent_shape = self.layout.declared_block_shape(array);
-                match kind {
-                    ArrayKind::Temp => {
-                        let entry = self.temps[array.index()]
-                            .get_or_insert_with(|| (key, BlockHandle::zeros(parent_shape)));
-                        if entry.0 != key {
-                            *entry = (key, BlockHandle::zeros(parent_shape));
-                        }
-                        sia_blocks::insert_slice(entry.1.make_mut(), &spec, &block)
-                            .map_err(|e| RuntimeError::Internal(format!("insert failed: {e}")))
-                    }
-                    ArrayKind::Local | ArrayKind::Static => {
-                        let parent = self
-                            .mem
-                            .local_mut_or_insert(key, || BlockHandle::zeros(parent_shape))?;
-                        sia_blocks::insert_slice(parent.make_mut(), &spec, &block)
-                            .map_err(|e| RuntimeError::Internal(format!("insert failed: {e}")))
-                    }
-                    other => Err(RuntimeError::BadProgram(format!(
-                        "direct write to {other:?} array"
-                    ))),
-                }
-            }
-        }
-    }
-
-    /// Mutates a writable block in place (for `+=`, `*=` on temps/locals).
-    pub(crate) fn modify_block(
-        &mut self,
-        array: ArrayId,
-        ref_indices: &[IndexId],
-        f: impl FnOnce(&mut Block),
-    ) -> Result<(), RuntimeError> {
-        let segs = self.seg_values(ref_indices)?;
-        let (key, slice) = self.layout.storage_target(array, ref_indices, &segs);
-        if slice.is_some() {
-            // Read-modify-write through the slice path.
-            let mut wait = Duration::ZERO;
-            let mut sub = self.read_block(array, ref_indices, &mut wait)?;
-            f(sub.make_mut());
-            return self.write_block(array, ref_indices, sub);
-        }
-        match self.layout.array_kind(array) {
-            ArrayKind::Temp => match &mut self.temps[array.index()] {
-                Some((stored_key, block)) if *stored_key == key => {
-                    f(block.make_mut());
-                    Ok(())
-                }
-                _ => Err(RuntimeError::TempUndefined {
-                    array: self.layout.array(array).name.clone(),
-                }),
-            },
-            ArrayKind::Local | ArrayKind::Static => match self.mem.local_get_mut(&key)? {
-                Some(block) => {
-                    f(block.make_mut());
-                    Ok(())
-                }
-                None => Err(RuntimeError::BlockNotAvailable {
-                    key,
-                    context: "in-place update of unwritten local/static block".into(),
-                }),
-            },
-            other => Err(RuntimeError::BadProgram(format!(
-                "in-place update of {other:?} array"
-            ))),
-        }
-    }
+    // ---- block lifetimes ------------------------------------------------------------
 
     /// Returns a handle's storage to the pool if this was the last holder;
     /// a still-shared handle is dropped and counted back (the other holder —
@@ -1058,396 +630,6 @@ impl Worker {
             if decl.kind == kind {
                 self.mem.cache_invalidate_array(ArrayId(i as u32));
             }
-        }
-    }
-
-    // ---- fault tolerance --------------------------------------------------------
-
-    /// Sends a store (PUT or PREPARE, by `key`'s array kind) to `home` and
-    /// counts it outstanding until acknowledged; under fault tolerance the
-    /// op is also tracked for retry — and, for puts, journal replay. The
-    /// journal entry, the retained pending payload, and the wire message
-    /// all share one allocation.
-    ///
-    /// A store that would take the unacknowledged bytes past the window
-    /// first waits (into `wait`) for acks to bring them down to half of it:
-    /// a worker that never has to wait for anything else — its gets looked
-    /// ahead, or none at all — would otherwise run its whole chunk of
-    /// blocks into the home's inbox. `home` comes from
-    /// [`Worker::home_of`], which refused any key outside its array's
-    /// declared segments.
-    pub(crate) fn send_store(
-        &mut self,
-        home: Rank,
-        key: BlockKey,
-        data: BlockHandle,
-        mode: PutMode,
-        op: OpId,
-        wait: &mut Duration,
-    ) -> Result<(), RuntimeError> {
-        let served = self.layout.array_kind(key.array) == ArrayKind::Served;
-        let bytes = self.layout.block_bytes(key.array);
-        if self.unacked_bytes > 0 && self.unacked_bytes + bytes > self.window_bytes {
-            *wait += self.wait_until(WaitCause::AckDrain, "store window", |w| {
-                w.unacked_bytes <= w.window_bytes / 2
-            })?;
-        }
-        // Tracked ops get a traced flight span; untracked (`OpId::NONE`)
-        // stores have no correlatable id, so they are counted but not
-        // spanned.
-        if self.trace.is_on() && op.is_tracked() {
-            self.put_flights.insert(op.0, Instant::now());
-        }
-        // Sparse screening at the sender: a payload under the threshold
-        // ships as a norm record instead of the block.
-        let dropped = self.screen(&key, &data);
-        if dropped.is_some() {
-            self.profile.metrics.sparse.bytes_not_shipped += data.heap_bytes();
-        }
-        let epoch = Some(self.dist_epoch);
-        let wire = |data: BlockHandle| SipMsg::Store {
-            key,
-            payload: match dropped {
-                Some(norm) => Payload::Absent { norm },
-                None => Payload::Data(data),
-            },
-            mode,
-            op,
-            epoch,
-        };
-        // A re-armed store (already pending) is not counted again.
-        let new = match self.ft.as_mut() {
-            Some(ft) => {
-                // I/O servers never die in the fault model, so prepares are
-                // not journaled.
-                if !served && ft.crash.is_some() {
-                    self.mem.note_share(&data);
-                    ft.journal.push(JournalEntry {
-                        op: op.0,
-                        key,
-                        data: data.clone(),
-                        mode,
-                    });
-                }
-                self.mem.note_share(&data);
-                ft.arm_flight(op, key, data.clone(), mode, served)
-            }
-            None => true,
-        };
-        if new {
-            self.outstanding[served as usize] += 1;
-            self.unacked_bytes += bytes;
-        }
-        let staged = self.endpoint.stage(home, wire(data));
-        // Tracked for retry: a failed send to a dying home re-routes once
-        // the master broadcasts RankDead.
-        if self.ft.is_none() {
-            staged?;
-        }
-        if served {
-            // The freshest copy is at the server now.
-            self.mem.cache_invalidate(&key);
-        }
-        Ok(())
-    }
-
-    /// True when every store to arrays of `kind` — PUTs for distributed,
-    /// PREPAREs for served — has been acknowledged.
-    pub(crate) fn stores_drained(&self, kind: ArrayKind) -> bool {
-        self.outstanding[(kind == ArrayKind::Served) as usize] == 0
-    }
-
-    /// Derives the duplicate-suppression id for a PUT/PREPARE at `pc` on
-    /// `key`, consuming one slot of the per-iteration op sequence. Untracked
-    /// (`OpId::NONE`) on fault-free runs. Inside pardos and takeover replays
-    /// the id is worker-independent (re-execution of the iteration
-    /// reproduces it anywhere); outside, the worker index is mixed in so
-    /// each rank's SPMD accumulate counts once.
-    pub(crate) fn derive_op(&mut self, pc: u32, key: &BlockKey) -> OpId {
-        let Some(ft) = &self.ft else {
-            return OpId::NONE;
-        };
-        let seq = self.op_seq;
-        self.op_seq += 1;
-        let spmd = if self.pardo.is_some() || ft.in_takeover {
-            None
-        } else {
-            Some(self.worker_index())
-        };
-        OpId(ft::derive_op_id(
-            pc,
-            self.dist_epoch,
-            key,
-            &self.env,
-            seq,
-            spmd,
-        ))
-    }
-
-    /// Applies a store sent in `epoch` (local or arriving over the wire)
-    /// with duplicate suppression: a tracked op already in the applied
-    /// window is dropped. This is what makes retries, fabric duplication,
-    /// and chunk re-execution idempotent — for blocks and norm records
-    /// alike, which share the one window.
-    pub(crate) fn apply_store_deduped(
-        &mut self,
-        key: BlockKey,
-        payload: Payload,
-        mode: PutMode,
-        op: OpId,
-        epoch: Option<u64>,
-    ) -> Result<(), RuntimeError> {
-        let window_epoch = self.dist_epoch;
-        let duplicate = op.is_tracked()
-            && !self
-                .ft
-                .as_mut()
-                .map(|ft| ft.applied.note(op.0, window_epoch))
-                .unwrap_or(true);
-        if duplicate {
-            self.profile.metrics.fault.dup_puts_suppressed += 1;
-            return Ok(());
-        }
-        self.apply_store_local(key, payload, mode, epoch)
-    }
-
-    /// Retries timed-out tracked operations (no-op on fault-free runs).
-    /// Errors when an operation exhausts its retry budget.
-    pub(crate) fn pump_retries(&mut self) -> Result<(), RuntimeError> {
-        let Some(ft) = self.ft.as_mut() else {
-            return Ok(());
-        };
-        // Nothing tracked, or nothing due yet: no walk over what is pending.
-        let Some(due) = ft.next_deadline() else {
-            return Ok(());
-        };
-        let now = Instant::now();
-        if now < due {
-            return Ok(());
-        }
-        let (layout, epoch) = (&self.layout, self.dist_epoch);
-        let mut resend: Vec<(Rank, SipMsg)> = Vec::new();
-        let mut put_retries = 0u64;
-        let mut prepare_retries = 0u64;
-        for (&op, p) in ft.pending.iter_mut() {
-            if now < p.retry.deadline() {
-                continue;
-            }
-            let served = p.served;
-            let home = layout.home_of(&p.key, &ft.dead);
-            p.retry
-                .bump()
-                .map_err(|Exhausted(attempts)| RuntimeError::Comm {
-                    kind: CommKind::Timeout,
-                    rank: home,
-                    key: Some(p.key),
-                    context: format!(
-                        "{} unacknowledged after {attempts} attempts",
-                        if served { "PREPARE" } else { "PUT" },
-                    ),
-                })?;
-            if served {
-                prepare_retries += 1;
-            } else {
-                put_retries += 1;
-            }
-            // The resend shares the retained payload's allocation.
-            resend.push((home, p.store_msg(OpId(op), epoch)));
-        }
-        let mut fetch_retries = 0u64;
-        let mut refreshed: Vec<BlockKey> = Vec::new();
-        for (key, f) in ft.fetches.iter_mut() {
-            if now < f.retry.deadline() {
-                continue;
-            }
-            let home = layout.home_of(key, &ft.dead);
-            f.retry
-                .bump()
-                .map_err(|Exhausted(attempts)| RuntimeError::Comm {
-                    kind: CommKind::Timeout,
-                    rank: home,
-                    key: Some(*key),
-                    context: format!(
-                        "{} reply lost after {attempts} attempts",
-                        if layout.array_kind(key.array) == ArrayKind::Served {
-                            "REQUEST"
-                        } else {
-                            "GET"
-                        },
-                    ),
-                })?;
-            fetch_retries += 1;
-            refreshed.push(*key);
-            resend.push((
-                home,
-                SipMsg::Fetch {
-                    key: *key,
-                    req: f.req,
-                    epoch,
-                },
-            ));
-        }
-        ft.settle_deadline();
-        self.profile.metrics.fault.put_retries += put_retries;
-        self.profile.metrics.fault.prepare_retries += prepare_retries;
-        self.profile.metrics.fault.fetch_retries += fetch_retries;
-        for key in &refreshed {
-            self.mem.cache_refresh_in_flight(key);
-        }
-        for (to, msg) in resend {
-            // A send error means the peer is gone; the master will declare
-            // it dead and re-route, so keep retrying until then.
-            let _ = self.endpoint.stage(to, msg);
-        }
-        Ok(())
-    }
-
-    /// Fires the deterministic crash schedule: once this worker has
-    /// completed its configured number of pardo iterations, it kills its
-    /// endpoint and unwinds. Called at iteration boundaries, the only point
-    /// at which its last epoch checkpoint is promised consistent.
-    pub(crate) fn maybe_crash(&mut self) -> Result<(), RuntimeError> {
-        let due = self.ft.as_ref().and_then(|ft| ft.crash).is_some_and(|c| {
-            c.worker == self.worker_index() && self.pardo_iters_done >= c.after_iterations
-        });
-        if !due {
-            return Ok(());
-        }
-        self.endpoint.kill();
-        Err(RuntimeError::Comm {
-            kind: CommKind::RankDead,
-            rank: self.endpoint.rank(),
-            key: None,
-            context: "injected crash (crash schedule)".into(),
-        })
-    }
-
-    /// Bookkeeping after one completed pardo iteration: drives the crash
-    /// schedule and, when one is scheduled, chunk acknowledgements.
-    pub(crate) fn note_pardo_iter_done(&mut self, pardo_pc: u32, epoch: u64) {
-        self.pardo_iters_done += 1;
-        let master = self.layout.topology.master();
-        let Some(ft) = self.ft.as_mut() else {
-            return;
-        };
-        if ft.in_takeover {
-            return; // the takeover runner acks the whole chunk itself
-        }
-        let Some(front) = ft.chunk_acks.front_mut() else {
-            return;
-        };
-        front.1 = front.1.saturating_sub(1);
-        if front.1 == 0 {
-            let chunk = front.0;
-            ft.chunk_acks.pop_front();
-            let _ = self.endpoint.send(
-                master,
-                SipMsg::ChunkDone {
-                    pardo_pc,
-                    epoch,
-                    chunk,
-                },
-            );
-        }
-    }
-
-    /// Runs the fault-tolerance epoch transition after a `sip_barrier`
-    /// release (the epoch counter has already advanced): checkpoint the
-    /// authoritative blocks when a crash is scheduled, clear the put journal,
-    /// and prune the applied-op window.
-    pub(crate) fn on_sip_barrier_released(&mut self) {
-        let widx = self.worker_index();
-        let epoch = self.dist_epoch;
-        let Some(ft) = self.ft.as_mut() else {
-            return;
-        };
-        if ft.crash.is_some() {
-            if let Some(dir) = &self.run_dir {
-                let path = ft::epoch_ckpt_path(dir, widx);
-                // The snapshot shares the authoritative blocks' allocations.
-                let snapshot = self.mem.home_shares(None);
-                if let Err(e) = ft::write_epoch_checkpoint(&path, epoch, &snapshot, &ft.applied) {
-                    self.warnings.push(format!("epoch checkpoint failed: {e}"));
-                }
-            }
-        }
-        ft.journal.clear();
-        ft.applied.prune(epoch);
-    }
-
-    /// Handles a `RankDead` broadcast: marks the worker dead, inherits the
-    /// corpse's applied-op window (so journal replay cannot double-apply
-    /// what its restored checkpoint already contains), replays current-epoch
-    /// puts that were homed there, and re-routes in-flight fetches.
-    fn on_rank_dead(&mut self, dead_rank: Rank, inherited_ops: Vec<u64>) {
-        if !self.layout.topology.is_worker(dead_rank) {
-            return;
-        }
-        let dead_idx = self.layout.topology.worker_index(dead_rank);
-        let epoch = self.dist_epoch;
-        let layout = Arc::clone(&self.layout);
-        let Some(ft) = self.ft.as_mut() else {
-            return;
-        };
-        if ft.dead.get(dead_idx).copied().unwrap_or(true) {
-            return; // unknown index or already processed
-        }
-        let prev_dead = ft.dead.clone();
-        ft.dead[dead_idx] = true;
-        self.trace.instant(EventKind::Recovery {
-            what: RecoveryEvent::RankDead,
-        });
-        for op in inherited_ops {
-            ft.applied.note(op, epoch);
-        }
-        let mut sends: Vec<(Rank, SipMsg)> = Vec::new();
-        // Replay this epoch's puts that were homed at the corpse. The
-        // master restored the corpse's last checkpoint to the new homes
-        // *before* broadcasting the death, so replay lands on (or dedups
-        // against) consistent state. The journal is a superset of the
-        // pending puts, so unacked dead-homed puts are re-armed here too.
-        // Each replay shares the journal entry's allocation.
-        let mut replays = 0u64;
-        let to_replay: Vec<(u64, BlockKey, BlockHandle, PutMode, Rank)> = ft
-            .journal
-            .iter()
-            .filter(|e| layout.home_of_distributed_excluding(&e.key, &prev_dead) == dead_rank)
-            .map(|e| {
-                let new_home = layout.home_of_distributed_excluding(&e.key, &ft.dead);
-                (e.op, e.key, e.data.clone(), e.mode, new_home)
-            })
-            .collect();
-        for (op, key, data, mode, new_home) in to_replay {
-            replays += 1;
-            // The journal holds puts only.
-            if ft.arm_flight(OpId(op), key, data, mode, false) {
-                self.outstanding[0] += 1;
-                self.unacked_bytes += layout.block_bytes(key.array);
-            }
-            sends.push((new_home, ft.pending[&op].store_msg(OpId(op), epoch)));
-        }
-        // Re-route unanswered fetches that were addressed to the corpse.
-        let mut reroutes = 0u64;
-        for (key, f) in ft.fetches.iter_mut() {
-            if layout.home_of(key, &prev_dead) != dead_rank {
-                continue;
-            }
-            let new_home = layout.home_of(key, &ft.dead);
-            f.retry = Retry::new();
-            reroutes += 1;
-            sends.push((
-                new_home,
-                SipMsg::Fetch {
-                    key: *key,
-                    req: f.req,
-                    epoch,
-                },
-            ));
-        }
-        self.profile.metrics.fault.journal_replays += replays;
-        self.profile.metrics.fault.reroutes += reroutes;
-        for (to, msg) in sends {
-            let _ = self.endpoint.stage(to, msg);
         }
     }
 }

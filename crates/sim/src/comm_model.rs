@@ -3,16 +3,13 @@
 //! the planner's `PlanSummary` aggregates) to rank counts no host can run
 //! for real.
 //!
-//! The model deliberately stays closed-form — no event queue — because the
-//! quantity of interest is the *crossover shape*: hash placement pays for
-//! every broadcast-shaped block once per consuming rank via a request/
-//! response pair, while the planned placement ships the same bytes down a
-//! binary multicast tree (one message per tree edge, no requests) and turns
-//! pardo-aligned puts into local stores. Both placements move the same
-//! broadcast payload in aggregate; the separation comes from the message
-//! count (latency term) and the aligned-put bytes (bandwidth term). This is
-//! a claim about scale only: the runtime has one placement (owner-compute
-//! slabs) and ships broadcast operands point to point.
+//! The model deliberately stays closed-form — no event queue. Both
+//! placements fetch every broadcast-shaped block point to point, once per
+//! consuming rank, via a request/response pair, and the block's home
+//! serializes those responses; the planned placement differs by turning
+//! pardo-aligned puts into local stores. The separation is therefore the
+//! aligned-put bytes and their messages. This is a claim about scale only:
+//! the runtime has one placement (owner-compute slabs).
 
 use crate::machine::MachineModel;
 
@@ -79,16 +76,16 @@ fn per_send(w: &CommWorkload, m: &MachineModel, ranks: u64) -> f64 {
     m.net_latency + avg_block_bytes(w) / effective_bw(m, ranks)
 }
 
-/// Hash placement: every class is remote with probability (P−1)/P, and each
-/// broadcast-shaped block is fetched by each of the P−1 non-home ranks via
-/// a Fetch/Block pair. The home rank's injection link serializes
-/// those P−1 responses — the linear fan-out hotspot that motivates the
-/// multicast schedule. With the blocks spread over the ranks by the hash,
-/// the busiest home serves ⌈blocks/P⌉ of them.
-pub fn hash_cost(w: &CommWorkload, ranks: u64, m: &MachineModel) -> CommCost {
+/// Point-to-point transport: `spread` bytes are remote with probability
+/// (P−1)/P, and each broadcast-shaped block is fetched by each of the P−1
+/// non-home ranks via a Fetch/Block pair. The home rank's injection link
+/// serializes those P−1 responses — the linear fan-out hotspot. With the
+/// blocks spread over the ranks, the busiest home serves ⌈blocks/P⌉ of
+/// them.
+fn point_to_point(w: &CommWorkload, spread: u64, ranks: u64, m: &MachineModel) -> CommCost {
     let p = ranks as f64;
     let remote = (p - 1.0) / p;
-    let point_bytes = (w.aligned_put_bytes + w.other_bytes) as f64 * remote;
+    let point_bytes = spread as f64 * remote;
     let bcast_bytes = w.broadcast_bytes as f64 * (p - 1.0);
     let messages = point_bytes / avg_block_bytes(w) + 2.0 * w.broadcast_blocks as f64 * (p - 1.0);
     let per_home = w.broadcast_blocks.div_ceil(ranks.max(1)) as f64;
@@ -96,21 +93,16 @@ pub fn hash_cost(w: &CommWorkload, ranks: u64, m: &MachineModel) -> CommCost {
     cost(point_bytes + bcast_bytes, messages, m, ranks, hotspot)
 }
 
-/// Planned placement: aligned puts land on their owner (no fabric), and
-/// broadcast blocks flow down a binary tree — the same (P−1)·bytes in
-/// aggregate but one unsolicited message per tree edge, no requests, and
-/// every rank forwards at most two copies per block it relays: the critical
-/// path is the log₂ P store-and-forward depth plus the busiest relay's two
-/// sends per homed block, not a linear fan-out.
+/// Hash placement: every byte class is remote with probability (P−1)/P,
+/// aligned puts included.
+pub fn hash_cost(w: &CommWorkload, ranks: u64, m: &MachineModel) -> CommCost {
+    point_to_point(w, w.aligned_put_bytes + w.other_bytes, ranks, m)
+}
+
+/// Planned placement: aligned puts land on their owner (no fabric); the
+/// broadcast blocks travel point to point as under hash placement.
 pub fn planned_cost(w: &CommWorkload, ranks: u64, m: &MachineModel) -> CommCost {
-    let p = ranks as f64;
-    let remote = (p - 1.0) / p;
-    let point_bytes = w.other_bytes as f64 * remote;
-    let bcast_bytes = w.broadcast_bytes as f64 * (p - 1.0);
-    let messages = point_bytes / avg_block_bytes(w) + w.broadcast_blocks as f64 * (p - 1.0);
-    let per_home = w.broadcast_blocks.div_ceil(ranks.max(1)) as f64;
-    let tree = (p.log2().ceil() + 2.0 * per_home) * per_send(w, m, ranks);
-    cost(point_bytes + bcast_bytes, messages, m, ranks, tree)
+    point_to_point(w, w.other_bytes, ranks, m)
 }
 
 #[cfg(test)]
@@ -126,16 +118,26 @@ mod tests {
     };
 
     #[test]
-    fn planned_halves_broadcast_messages() {
+    fn planned_saves_exactly_the_aligned_puts() {
         let m = machine::CRAY_XT5;
         for ranks in [64u64, 1024, 16384] {
             let h = hash_cost(&W, ranks, &m);
             let pl = planned_cost(&W, ranks, &m);
-            // Same broadcast payload either way; planned drops the aligned
-            // puts, so bytes strictly shrink.
+            // Broadcast blocks travel point to point either way; planned
+            // keeps the aligned puts local, and that is all it saves.
+            let remote = (ranks - 1) as f64 / ranks as f64;
+            let aligned = W.aligned_put_bytes as f64 * remote;
+            let per_msg = W.broadcast_bytes as f64 / W.broadcast_blocks as f64;
             assert!(pl.bytes < h.bytes, "bytes at {ranks}");
-            // Requests disappear: the broadcast message count halves.
             assert!(pl.messages < h.messages, "messages at {ranks}");
+            assert!(
+                (h.bytes - pl.bytes - aligned).abs() < 1e-6,
+                "bytes at {ranks}"
+            );
+            assert!(
+                (h.messages - pl.messages - aligned / per_msg).abs() < 1e-6,
+                "messages at {ranks}"
+            );
         }
     }
 

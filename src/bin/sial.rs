@@ -20,9 +20,8 @@
 //! The flags are one grammar, `sia::opts`: `sial submit` forwards them to
 //! `siald` unchanged, where the same parser reads them.
 
-use sia::bytecode::diag::{Diagnostic, Span};
 use sia::chem::integral_cost_model;
-use sia::opts::{load_program, parse_opts, JobOpts, Surface};
+use sia::opts::{check_source, load_program, parse_opts, JobOpts, Surface};
 use sia::sim::{simulate, SimConfig};
 use sia::{Program, Sip};
 use std::path::Path;
@@ -75,43 +74,16 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Loads `file` (source or `.siab`), compiles/decodes it, and statically
-/// verifies the result, collecting every finding as a located,
-/// span-carrying diagnostic. The `Err` side is an I/O failure only;
-/// compile and verify findings come back in the diagnostic list.
-fn check_diagnostics(file: &str) -> Result<(Option<Program>, Vec<Diagnostic>), String> {
-    let data = std::fs::read(file).map_err(|e| format!("{file}: {e}"))?;
-    let (program, mut diags) = if data.starts_with(b"SIAB") {
-        match sia::bytecode::decode_program(&data) {
-            Ok(p) => (Some(p), Vec::new()),
-            Err(e) => {
-                let mut d = Diagnostic::error("bytecode/decode", Span::new(0, 0), e.to_string());
-                d.file = file.to_string();
-                (None, vec![d])
-            }
+/// The program in `file`, or every finding that kept it from loading, one
+/// per line.
+fn program(file: &str) -> Result<Program, String> {
+    match load_program(file)? {
+        (Some(p), _) => Ok(p),
+        (None, diags) => {
+            let lines: Vec<String> = diags.iter().map(ToString::to_string).collect();
+            Err(lines.join("\n"))
         }
-    } else {
-        let text = String::from_utf8(data).map_err(|_| format!("{file}: not UTF-8"))?;
-        match sia::frontend::compile_file(file, &text) {
-            Ok(p) => (Some(p), Vec::new()),
-            Err(e) => (None, e.diagnostics),
-        }
-    };
-    if let Some(p) = &program {
-        diags.extend(verify_diagnostics(file, p));
     }
-    Ok((program, diags))
-}
-
-/// The static verifier's findings on `p`, located in `file`.
-fn verify_diagnostics<'a>(file: &'a str, p: &Program) -> impl Iterator<Item = Diagnostic> + 'a {
-    sia::runtime::check_program(p).into_iter().map(move |d| {
-        let mut s = d.to_diagnostic();
-        if s.file.is_empty() {
-            s.file = file.to_string();
-        }
-        s
-    })
 }
 
 /// The program `sial run` runs. Under `--check`, only once `sial check`
@@ -119,9 +91,9 @@ fn verify_diagnostics<'a>(file: &'a str, p: &Program) -> impl Iterator<Item = Di
 /// prints it.
 fn load_for_run(file: &str, check: bool) -> Result<Program, String> {
     if !check {
-        return load_program(file);
+        return program(file);
     }
-    let (program, diags) = check_diagnostics(file)?;
+    let (program, diags) = load_program(file)?;
     if diags.is_empty() {
         return Ok(program.expect("no diagnostics means the program loaded"));
     }
@@ -140,7 +112,7 @@ fn cmd_check(file: &str, opts: &JobOpts) -> ExitCode {
     if opts.watch {
         return cmd_check_watch(file, opts);
     }
-    let (program, diags) = match check_diagnostics(file) {
+    let (program, diags) = match load_program(file) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
@@ -209,10 +181,7 @@ fn cmd_check_watch(file: &str, opts: &JobOpts) -> ExitCode {
                 }
                 None => db.insert(CompilerDb::new(file, text)),
             };
-            let mut diags = db.diagnostics();
-            if let Some(p) = db.program() {
-                diags.extend(verify_diagnostics(file, &p));
-            }
+            let (_, diags) = check_source(db);
             if opts.json {
                 println!("{}", sia::runtime::diagnostics_to_json(file, &diags));
             } else if diags.is_empty() {
@@ -413,7 +382,7 @@ fn main() -> ExitCode {
             }
         },
         "check" => cmd_check(file, &opts),
-        "compile" => match load_program(file) {
+        "compile" => match program(file) {
             Ok(p) => {
                 let out = opts.output.unwrap_or_else(|| {
                     Path::new(file)
@@ -438,7 +407,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        "disasm" => match load_program(file) {
+        "disasm" => match program(file) {
             Ok(p) => {
                 print!("{}", sia::disassemble(&p));
                 ExitCode::SUCCESS
@@ -448,7 +417,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        "dryrun" => match load_program(file) {
+        "dryrun" => match program(file) {
             Ok(p) => {
                 let sip = Sip::new(opts.config.clone());
                 match sip.plan(p, &opts.bindings) {
@@ -531,7 +500,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        "simulate" => match load_program(file) {
+        "simulate" => match program(file) {
             Ok(p) => {
                 let layout = sia::runtime::Layout::new(
                     std::sync::Arc::new(p),

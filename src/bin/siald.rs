@@ -83,11 +83,18 @@ fn job_line(s: &JobStatus) -> String {
 /// Reads a `submit` request's program and option tokens into a job spec.
 fn job_spec(file: &str, opts: &[&str]) -> Result<JobSpec, String> {
     let opts = parse_opts(opts, Surface::Daemon)?;
+    let program = match load_program(file)? {
+        (Some(p), _) => p,
+        // A reply is one line; a program's diagnostics are one each.
+        (None, diags) => {
+            let lines: Vec<String> = diags.iter().map(ToString::to_string).collect();
+            return Err(lines.join("; "));
+        }
+    };
     Ok(JobSpec {
         tenant: opts.tenant,
         priority: opts.priority,
-        // A reply is one line; a program's diagnostics are one each.
-        program: load_program(file).map_err(|e| e.replace('\n', "; "))?,
+        program,
         bindings: opts.bindings,
         config: opts.config,
         registry: opts.registry,

@@ -17,7 +17,10 @@ use crate::{
     ConstBindings, CrashSchedule, FaultConfig, FaultPlan, MachineModel, Program, SegmentConfig,
     SipConfig, SuperRegistry,
 };
+use sia_bytecode::diag::{Diagnostic, Span};
 use sia_sim::machine::{BLUEGENE_P, CRAY_XT4, CRAY_XT5, SGI_ALTIX, SUN_OPTERON_IB};
+use sial_frontend::CompilerDb;
+use std::sync::Arc;
 
 /// Who reads the flags: they are the same grammar, but each refuses the
 /// flags only the other one reads.
@@ -273,16 +276,58 @@ fn parse_fault_spec(spec: &str, seed: u64) -> Result<FaultConfig, String> {
     Ok(fault)
 }
 
-/// Loads a program file: SIA bytecode (`SIAB…`) is decoded, anything else
-/// compiled as SIAL source, with diagnostics located in `path`.
-pub fn load_program(path: &str) -> Result<Program, String> {
+/// Loads and checks a program file: SIA bytecode (`SIAB…`) is decoded,
+/// anything else compiled as SIAL source. Returns the program, if it
+/// loaded, and every finding located in `path`: the compile or decode
+/// errors that stopped it, else the static verifier's findings on it. The
+/// `Err` side is an I/O failure only.
+pub fn load_program(path: &str) -> Result<(Option<Program>, Vec<Diagnostic>), String> {
     let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    if data.starts_with(b"SIAB") {
-        sia_bytecode::decode_program(&data).map_err(|e| format!("{path}: {e}"))
-    } else {
+    if !data.starts_with(b"SIAB") {
         let text = String::from_utf8(data).map_err(|_| format!("{path}: not UTF-8"))?;
-        sial_frontend::compile_file(path, &text).map_err(|e| e.to_string())
+        // The database drops with this statement: the program is unwrapped,
+        // not cloned.
+        let (program, diags) = check_source(&mut CompilerDb::new(path, text));
+        return Ok((program.map(Arc::unwrap_or_clone), diags));
     }
+    Ok(match sia_bytecode::decode_program(&data) {
+        Ok(p) => {
+            let diags = verify_diagnostics(path, &p);
+            (Some(p), diags)
+        }
+        Err(e) => {
+            let mut d = Diagnostic::error("bytecode/decode", Span::new(0, 0), e.to_string());
+            d.file = path.to_string();
+            (None, vec![d])
+        }
+    })
+}
+
+/// [`load_program`]'s step on source: compiles the database's current
+/// source ([`CompilerDb::compile`]) and verifies the program. `sial check
+/// --watch` runs it on one long-lived database.
+pub fn check_source(db: &mut CompilerDb) -> (Option<Arc<Program>>, Vec<Diagnostic>) {
+    match db.compile() {
+        Ok(p) => {
+            let diags = verify_diagnostics(db.file(), &p);
+            (Some(p), diags)
+        }
+        Err(diags) => (None, diags),
+    }
+}
+
+/// The static verifier's findings on `p`, located in `file`.
+fn verify_diagnostics(file: &str, p: &Program) -> Vec<Diagnostic> {
+    sia_runtime::check_program(p)
+        .into_iter()
+        .map(|d| {
+            let mut s = d.to_diagnostic();
+            if s.file.is_empty() {
+                s.file = file.to_string();
+            }
+            s
+        })
+        .collect()
 }
 
 #[cfg(test)]
