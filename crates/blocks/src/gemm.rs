@@ -16,14 +16,14 @@
 //! into NC-wide column blocks (so the packed B panel stays cache-resident
 //! instead of spanning all of N), the k dimension into KC-deep panels, and
 //! the M dimension into MC-tall panels. Panels of both operands are packed
-//! by one routine ([`pack`]) into slivers as wide as the register tile
+//! by one routine (`pack`) into slivers as wide as the register tile
 //! (`nr` columns of op(B), `mr` rows of op(A), zero-padded at the edges) so
 //! the tile runs over contiguous memory.
 //!
-//! The register tile is a property of the [`Kernel`], not of the crate: one
+//! The register tile is a property of the `Kernel`, not of the crate: one
 //! descriptor per ISA (AVX-512F 8x16, AVX2+FMA 4x8, NEON 4x8, portable
 //! scalar 4x8) carries its own `mr`/`nr`, a full-tile body, an edge body and
-//! a dot product. [`kernel`] resolves the widest one the host supports once
+//! a dot product. `kernel` resolves the widest one the host supports once
 //! per process. Every path of one kernel rounds the same way (fused
 //! multiply-add on every SIMD kernel, multiply-then-add on the scalar one),
 //! so an element's bits depend on the GEMM's shape and never on which tile

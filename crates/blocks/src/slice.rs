@@ -10,11 +10,12 @@ use crate::shape::{Shape, MAX_RANK};
 use std::fmt;
 
 /// A rectangular window within a block: `offset[d] .. offset[d] + extent[d]`
-/// in each dimension.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// in each dimension, held inline like a [`Shape`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SliceSpec {
-    offsets: Vec<usize>,
-    extents: Vec<usize>,
+    offsets: [usize; MAX_RANK],
+    extents: [usize; MAX_RANK],
+    rank: usize,
 }
 
 /// Errors constructing or applying a slice.
@@ -57,38 +58,39 @@ impl SliceSpec {
         );
         assert!(offsets.len() <= MAX_RANK);
         assert!(extents.iter().all(|&e| e > 0), "zero slice extent");
-        SliceSpec {
-            offsets: offsets.to_vec(),
-            extents: extents.to_vec(),
-        }
+        let mut spec = SliceSpec {
+            rank: offsets.len(),
+            ..SliceSpec::default()
+        };
+        spec.offsets[..spec.rank].copy_from_slice(offsets);
+        spec.extents[..spec.rank].copy_from_slice(extents);
+        spec
     }
 
     /// The window covering an entire block of shape `shape` (identity slice).
     pub fn full(shape: &Shape) -> Self {
-        SliceSpec {
-            offsets: vec![0; shape.rank()],
-            extents: shape.dims().iter().map(|&d| d as usize).collect(),
-        }
+        let extents: Vec<usize> = shape.dims().iter().map(|&d| d as usize).collect();
+        SliceSpec::new(&[0; MAX_RANK][..extents.len()], &extents)
     }
 
     /// Window rank.
     pub fn rank(&self) -> usize {
-        self.offsets.len()
+        self.rank
     }
 
     /// Per-dimension window starts.
     pub fn offsets(&self) -> &[usize] {
-        &self.offsets
+        &self.offsets[..self.rank]
     }
 
     /// Per-dimension window lengths.
     pub fn extents(&self) -> &[usize] {
-        &self.extents
+        &self.extents[..self.rank]
     }
 
     /// The shape of the extracted slice.
     pub fn slice_shape(&self) -> Shape {
-        Shape::new(&self.extents)
+        Shape::new(self.extents())
     }
 
     fn validate(&self, shape: &Shape) -> Result<(), SliceError> {
@@ -122,7 +124,7 @@ pub fn extract_slice(block: &Block, spec: &SliceSpec) -> Result<Block, SliceErro
     // Copy contiguous runs along the last dimension.
     let run = spec.extents[rank - 1];
     let outer_extents = &spec.extents[..rank - 1];
-    let mut counters = vec![0usize; rank - 1];
+    let mut counters = [0usize; MAX_RANK];
     loop {
         let mut base = spec.offsets[rank - 1] * src_strides[rank - 1];
         for d in 0..rank - 1 {
@@ -160,7 +162,7 @@ pub fn insert_slice(dest: &mut Block, spec: &SliceSpec, src: &Block) -> Result<(
     let dst_strides = dest.shape().strides();
     let run = spec.extents[rank - 1];
     let outer_extents = &spec.extents[..rank - 1];
-    let mut counters = vec![0usize; rank - 1];
+    let mut counters = [0usize; MAX_RANK];
     let mut src_off = 0usize;
     loop {
         let mut base = spec.offsets[rank - 1] * dst_strides[rank - 1];

@@ -309,11 +309,17 @@ impl Program {
         Ok(out)
     }
 
-    /// Evaluates a [`Value`] against a resolved constant table.
-    pub fn eval_value(&self, v: Value, consts: &[i64]) -> i64 {
+    /// Evaluates a [`Value`] against a resolved constant table; a constant
+    /// the table does not have is reported unbound.
+    pub fn eval_value(&self, v: Value, consts: &[i64]) -> Result<i64, ResolveError> {
         match v {
-            Value::Lit(x) => x,
-            Value::Sym(id) => consts[id.index()],
+            Value::Lit(x) => Ok(x),
+            Value::Sym(id) => consts
+                .get(id.index())
+                .copied()
+                .ok_or(ResolveError::Unbound {
+                    name: format!("#{}", id.0),
+                }),
         }
     }
 
@@ -321,8 +327,8 @@ impl Program {
     /// constants, validating it.
     pub fn index_range(&self, id: IndexId, consts: &[i64]) -> Result<(i64, i64), ResolveError> {
         let decl = &self.indices[id.index()];
-        let low = self.eval_value(decl.low, consts);
-        let high = self.eval_value(decl.high, consts);
+        let low = self.eval_value(decl.low, consts)?;
+        let high = self.eval_value(decl.high, consts)?;
         if low < 1 || high < low {
             return Err(ResolveError::BadRange {
                 index: decl.name.clone(),

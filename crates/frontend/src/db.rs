@@ -9,8 +9,8 @@
 //! The engine is a small hand-rolled red/green scheme. Each query memoizes
 //! its output together with a *content fingerprint* of its inputs; a query
 //! re-runs only when that fingerprint changed. Fingerprints hash `Debug`
-//! renderings, and [`Span`]'s `Debug` impl deliberately elides offsets
-//! ([`sia_bytecode::diag::Span`]), so fingerprints are
+//! renderings, and the `Debug` impl of [`sia_bytecode::diag::Span`]
+//! deliberately elides offsets, so fingerprints are
 //! **position-independent**:
 //!
 //! * `tokens` and `ast` re-run on every source revision (they are O(file)

@@ -11,7 +11,7 @@
 //!
 //! The stages are exposed two ways:
 //!
-//! * [`compile`] / [`compile_file`] — one-shot batch compilation. Multi-
+//! * [`compile()`] / [`compile_file`] — one-shot batch compilation. Multi-
 //!   error: failure returns [`CompileErrors`] carrying every located
 //!   [`Diagnostic`] found in one pass.
 //! * [`CompilerDb`] — an incremental, memoized query database (used by

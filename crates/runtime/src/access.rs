@@ -6,11 +6,12 @@
 use crate::cache::{BlockGet, CacheEntry, Flight};
 use crate::error::RuntimeError;
 use crate::ft::JournalEntry;
+use crate::layout::RefFacts;
 use crate::metrics::WaitCause;
 use crate::msg::{BlockKey, OpId, Payload, SipMsg};
 use crate::worker::Worker;
 use sia_blocks::{Block, BlockHandle};
-use sia_bytecode::{ArrayId, ArrayKind, IndexId, PutMode};
+use sia_bytecode::{ArrayId, ArrayKind, PutMode};
 use sia_fabric::{Rank, ReqId};
 use std::time::{Duration, Instant};
 
@@ -166,20 +167,34 @@ impl Worker {
     /// Reads the block a ref denotes, waiting for in-flight fetches. Returns
     /// a shared handle aliasing the resident block — mutation by the caller
     /// goes through copy-on-write, so correctness is preserved without the
-    /// old defensive deep copy.
+    /// old defensive deep copy. A dense consumer sees a sparse array's
+    /// absent block as zeros.
     ///
     /// `wait` accumulates blocked time for the profiler.
     pub(crate) fn read_block(
         &mut self,
-        array: ArrayId,
-        ref_indices: &[IndexId],
+        r: &RefFacts,
         wait: &mut Duration,
     ) -> Result<BlockHandle, RuntimeError> {
-        let segs = self.seg_values(ref_indices)?;
-        let (key, slice) = self.layout.storage_target(array, ref_indices, &segs);
-        let kind = self.layout.array_kind(array);
-        let whole = match kind {
-            ArrayKind::Temp => match &self.temps[array.index()] {
+        match self.read_block_get(r, wait)? {
+            BlockGet::Ready(h) => Ok(h),
+            _ => Ok(BlockHandle::zeros(r.shape)),
+        }
+    }
+
+    /// Screening-aware read for consumers that can exploit typed absence
+    /// (the contraction path): like [`Worker::read_block`], but an absent
+    /// sparse block comes back as [`BlockGet::AbsentZero`] with its norm
+    /// bound instead of a materialized zero block. A slice of an absent
+    /// block is absent with the same bound (`‖sub‖F ≤ ‖whole‖F`).
+    pub(crate) fn read_block_get(
+        &mut self,
+        r: &RefFacts,
+        wait: &mut Duration,
+    ) -> Result<BlockGet, RuntimeError> {
+        let (key, window) = self.resolve(r)?;
+        let whole = match r.kind {
+            ArrayKind::Temp => match &self.temps[r.array.index()] {
                 Some((stored_key, block)) if *stored_key == key => {
                     let h = block.clone();
                     self.mem.note_share(&h);
@@ -187,7 +202,7 @@ impl Worker {
                 }
                 _ => {
                     return Err(RuntimeError::TempUndefined {
-                        array: self.layout.array(array).name.clone(),
+                        array: self.layout.array(r.array).name.clone(),
                     });
                 }
             },
@@ -198,7 +213,7 @@ impl Worker {
                         key,
                         context: format!(
                             "local/static block of `{}` never written",
-                            self.layout.array(array).name
+                            self.layout.array(r.array).name
                         ),
                     });
                 }
@@ -206,11 +221,7 @@ impl Worker {
             ArrayKind::Distributed | ArrayKind::Served => {
                 match self.access_key(key, Fetch::Wait, wait)? {
                     BlockGet::Ready(h) => h,
-                    // Dense consumers still see an absent block as zeros;
-                    // screening-aware consumers use `read_block_get`.
-                    BlockGet::AbsentZero { .. } => {
-                        BlockHandle::zeros(self.layout.declared_block_shape(array))
-                    }
+                    absent @ BlockGet::AbsentZero { .. } => return Ok(absent),
                     BlockGet::Pending => {
                         return Err(RuntimeError::Internal(
                             "wait-mode access returned pending".into(),
@@ -219,36 +230,13 @@ impl Worker {
                 }
             }
         };
-        sliced(whole, slice)
-    }
-
-    /// Screening-aware read for consumers that can exploit typed absence
-    /// (the contraction path): like [`Worker::read_block`], but an absent
-    /// sparse block comes back as [`BlockGet::AbsentZero`] with its norm
-    /// bound instead of a materialized zero block. A slice of an absent
-    /// block is absent with the same bound (`‖sub‖F ≤ ‖whole‖F`).
-    pub(crate) fn read_block_get(
-        &mut self,
-        array: ArrayId,
-        ref_indices: &[IndexId],
-        wait: &mut Duration,
-    ) -> Result<BlockGet, RuntimeError> {
-        let kind = self.layout.array_kind(array);
-        if !matches!(kind, ArrayKind::Distributed | ArrayKind::Served) {
-            // Temp/local/static arrays are never sparse.
-            return self
-                .read_block(array, ref_indices, wait)
-                .map(BlockGet::Ready);
-        }
-        let segs = self.seg_values(ref_indices)?;
-        let (key, slice) = self.layout.storage_target(array, ref_indices, &segs);
-        match self.access_key(key, Fetch::Wait, wait)? {
-            BlockGet::Ready(whole) => sliced(whole, slice).map(BlockGet::Ready),
-            absent @ BlockGet::AbsentZero { .. } => Ok(absent),
-            BlockGet::Pending => Err(RuntimeError::Internal(
-                "wait-mode access returned pending".into(),
-            )),
-        }
+        // A sub-addressed ref reads the sub-block its window cuts out.
+        let Some(spec) = window else {
+            return Ok(BlockGet::Ready(whole));
+        };
+        (sia_blocks::extract_slice(&whole, &spec))
+            .map(|sub| BlockGet::Ready(sub.into()))
+            .map_err(|e| RuntimeError::Internal(format!("slice extraction failed: {e}")))
     }
 
     /// Writes `block` to the storage a ref denotes (temp/local/static only;
@@ -257,18 +245,15 @@ impl Worker {
     /// materializing a copy.
     pub(crate) fn write_block(
         &mut self,
-        array: ArrayId,
-        ref_indices: &[IndexId],
+        r: &RefFacts,
         block: impl Into<BlockHandle>,
     ) -> Result<(), RuntimeError> {
         let block = block.into();
-        let segs = self.seg_values(ref_indices)?;
-        let (key, slice) = self.layout.storage_target(array, ref_indices, &segs);
-        let kind = self.layout.array_kind(array);
-        match slice {
-            None => match kind {
+        let (key, window) = self.resolve(r)?;
+        let Some(spec) = window else {
+            return match r.kind {
                 ArrayKind::Temp => {
-                    if let Some((_, old)) = self.temps[array.index()].replace((key, block)) {
+                    if let Some((_, old)) = self.temps[r.array.index()].replace((key, block)) {
                         self.release_handle(old);
                     }
                     Ok(())
@@ -277,61 +262,55 @@ impl Worker {
                 other => Err(RuntimeError::BadProgram(format!(
                     "direct write to {other:?} array"
                 ))),
-            },
-            Some((offsets, extents)) => {
-                // Insertion: write the subblock into the (existing or fresh)
-                // parent block.
-                let spec = sia_blocks::SliceSpec::new(&offsets, &extents);
-                let parent_shape = self.layout.declared_block_shape(array);
-                match kind {
-                    ArrayKind::Temp => {
-                        let entry = self.temps[array.index()]
-                            .get_or_insert_with(|| (key, BlockHandle::zeros(parent_shape)));
-                        if entry.0 != key {
-                            *entry = (key, BlockHandle::zeros(parent_shape));
-                        }
-                        sia_blocks::insert_slice(entry.1.make_mut(), &spec, &block)
-                            .map_err(|e| RuntimeError::Internal(format!("insert failed: {e}")))
-                    }
-                    ArrayKind::Local | ArrayKind::Static => {
-                        let parent = self
-                            .mem
-                            .local_mut_or_insert(key, || BlockHandle::zeros(parent_shape))?;
-                        sia_blocks::insert_slice(parent.make_mut(), &spec, &block)
-                            .map_err(|e| RuntimeError::Internal(format!("insert failed: {e}")))
-                    }
-                    other => Err(RuntimeError::BadProgram(format!(
-                        "direct write to {other:?} array"
-                    ))),
+            };
+        };
+        // Insertion: write the subblock into the (existing or fresh) parent
+        // block.
+        let parent_shape = r.declared_shape();
+        let parent = match r.kind {
+            ArrayKind::Temp => {
+                let entry = self.temps[r.array.index()]
+                    .get_or_insert_with(|| (key, BlockHandle::zeros(parent_shape)));
+                if entry.0 != key {
+                    *entry = (key, BlockHandle::zeros(parent_shape));
                 }
+                &mut entry.1
             }
-        }
+            ArrayKind::Local | ArrayKind::Static => self
+                .mem
+                .local_mut_or_insert(key, || BlockHandle::zeros(parent_shape))?,
+            other => {
+                return Err(RuntimeError::BadProgram(format!(
+                    "direct write to {other:?} array"
+                )));
+            }
+        };
+        sia_blocks::insert_slice(parent.make_mut(), &spec, &block)
+            .map_err(|e| RuntimeError::Internal(format!("insert failed: {e}")))
     }
 
     /// Mutates a writable block in place (for `+=`, `*=` on temps/locals).
     pub(crate) fn modify_block(
         &mut self,
-        array: ArrayId,
-        ref_indices: &[IndexId],
+        r: &RefFacts,
         f: impl FnOnce(&mut Block),
     ) -> Result<(), RuntimeError> {
-        let segs = self.seg_values(ref_indices)?;
-        let (key, slice) = self.layout.storage_target(array, ref_indices, &segs);
-        if slice.is_some() {
+        let (key, window) = self.resolve(r)?;
+        if window.is_some() {
             // Read-modify-write through the slice path.
             let mut wait = Duration::ZERO;
-            let mut sub = self.read_block(array, ref_indices, &mut wait)?;
+            let mut sub = self.read_block(r, &mut wait)?;
             f(sub.make_mut());
-            return self.write_block(array, ref_indices, sub);
+            return self.write_block(r, sub);
         }
-        match self.layout.array_kind(array) {
-            ArrayKind::Temp => match &mut self.temps[array.index()] {
+        match r.kind {
+            ArrayKind::Temp => match &mut self.temps[r.array.index()] {
                 Some((stored_key, block)) if *stored_key == key => {
                     f(block.make_mut());
                     Ok(())
                 }
                 _ => Err(RuntimeError::TempUndefined {
-                    array: self.layout.array(array).name.clone(),
+                    array: self.layout.array(r.array).name.clone(),
                 }),
             },
             ArrayKind::Local | ArrayKind::Static => match self.mem.local_get_mut(&key)? {
@@ -521,19 +500,4 @@ impl Worker {
             ))
         })
     }
-}
-
-/// The sub-block a ref's `slice` (offsets and extents) cuts out of
-/// `whole`, or `whole` itself when the ref denotes the whole block.
-fn sliced(
-    whole: BlockHandle,
-    slice: Option<(Vec<usize>, Vec<usize>)>,
-) -> Result<BlockHandle, RuntimeError> {
-    let Some((offsets, extents)) = slice else {
-        return Ok(whole);
-    };
-    let spec = sia_blocks::SliceSpec::new(&offsets, &extents);
-    sia_blocks::extract_slice(&whole, &spec)
-        .map(BlockHandle::new)
-        .map_err(|e| RuntimeError::Internal(format!("slice extraction failed: {e}")))
 }

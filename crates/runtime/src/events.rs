@@ -14,7 +14,7 @@
 //! * **instruction spans** — one per executed super-instruction (pc +
 //!   class), the worker's busy backbone;
 //! * **wait spans** — blocked intervals attributed by
-//!   [`WaitCause`](crate::metrics::WaitCause), nested inside the
+//!   [`WaitCause`], nested inside the
 //!   instruction that blocked;
 //! * **comm-flight spans** — remote fetch issue → `Block` arrival,
 //!   correlated by `ReqId` and drawn as async events so concurrent

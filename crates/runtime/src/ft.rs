@@ -40,7 +40,7 @@ use crate::layout::CrashSchedule;
 use crate::metrics::WaitCause;
 use crate::msg::{BlockKey, KeyMap, OpId, Payload, SipMsg};
 use crate::worker::Worker;
-use sia_blocks::{Block, BlockHandle, ContractionPlan, Shape};
+use sia_blocks::{Block, BlockHandle, Shape};
 use sia_bytecode::{ArrayId, ArrayKind, Instruction as I, PutMode};
 use sia_fabric::{Rank, ReqId};
 use std::borrow::Borrow;
@@ -610,38 +610,32 @@ impl Worker {
     /// acknowledged only after its puts drain, so the master's release
     /// implies the replayed data is home.
     pub(crate) fn run_takeover_chunk(&mut self, chunk: TakeoverChunk) -> Result<(), RuntimeError> {
-        let program = Arc::clone(&self.layout.program);
-        let (indices, end_pc) = match program.code.get(chunk.pardo_pc as usize) {
-            Some(I::PardoStart {
-                indices, end_pc, ..
-            }) => (indices.clone(), *end_pc),
-            _ => {
-                return Err(RuntimeError::Internal(
-                    "takeover chunk does not point at a pardo".into(),
-                ));
-            }
+        let layout = Arc::clone(&self.layout);
+        let (Ok((I::PardoStart { end_pc, .. }, _)), Some(pardo)) = (
+            layout.instruction(chunk.pardo_pc),
+            layout.pardo(chunk.pardo_pc),
+        ) else {
+            return Err(RuntimeError::Internal(
+                "takeover chunk does not point at a pardo".into(),
+            ));
         };
-        let ranges: Vec<(i64, i64)> = indices.iter().map(|&i| self.layout.range(i)).collect();
+        let end_pc = *end_pc;
         if let Some(ft) = self.ft.as_mut() {
             ft.in_takeover = true;
         }
         self.trace.instant(EventKind::Recovery {
             what: RecoveryEvent::Takeover,
         });
-        let mut plans: HashMap<u32, ContractionPlan> = HashMap::new();
         let result = (|| -> Result<(), RuntimeError> {
             for &ordinal in &chunk.ordinals {
-                bind_iteration(&mut self.env, &indices, &ranges, ordinal);
+                bind_iteration(&mut self.env, &pardo.indices, &pardo.ranges, ordinal);
                 self.op_seq = 0;
                 self.profile.iterations += 1;
                 let mut pc = chunk.pardo_pc + 1;
                 while pc != end_pc {
-                    let ins = program
-                        .code
-                        .get(pc as usize)
-                        .ok_or_else(|| RuntimeError::BadProgram(format!("pc {pc} out of range")))?;
+                    let (ins, facts) = layout.instruction(pc)?;
                     let mut wait = Duration::ZERO;
-                    match self.step(pc, ins, &mut plans, &mut wait)? {
+                    match self.step(pc, ins, facts, &mut wait)? {
                         Some(n) => pc = n,
                         None => {
                             return Err(RuntimeError::BadProgram(
@@ -663,8 +657,8 @@ impl Worker {
         if let Some(ft) = self.ft.as_mut() {
             ft.in_takeover = false;
         }
-        for idx in indices {
-            self.set_index(idx, 0);
+        for idx in pardo.indices.iter() {
+            self.env[idx.index()] = 0;
         }
         result?;
         let master = self.layout.topology.master();

@@ -12,17 +12,14 @@ use crate::access::Fetch;
 use crate::cache::BlockGet;
 use crate::error::RuntimeError;
 use crate::events::EventKind;
-use crate::layout::SegVals;
+use crate::layout::{PcFacts, RefFacts};
 use crate::metrics::WaitCause;
 use crate::msg::{BarrierKind, BlockKey, Payload, SipMsg};
 use crate::registry::{SuperArg, SuperEnv};
 use crate::scheduler::{decode_ordinal, eval_bool, eval_scalar};
 use crate::worker::{LoopFrame, PardoState, Worker};
-use sia_blocks::{contract_into_ctx, permute_into, Block, BlockHandle, ContractionPlan, MAX_RANK};
-use sia_bytecode::{
-    Arg, ArrayId, ArrayKind, BlockRef, BoolExpr, IndexId, Instruction as I, ScalarExpr,
-};
-use std::collections::hash_map::{Entry, HashMap};
+use sia_blocks::{contract_into_ctx, permute_into, Block, BlockHandle, MAX_RANK};
+use sia_bytecode::{Arg, ArrayKind, BoolExpr, IndexId, Instruction as I, ScalarExpr};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,7 +27,7 @@ use std::time::{Duration, Instant};
 pub const SIP_ALLREDUCE: &str = "sip_allreduce";
 /// Name of the intrinsic wall-clock super instruction (`execute sip_time s`).
 pub const SIP_TIME: &str = "sip_time";
-///// Name of the intrinsic restart-resume query (`execute sip_resume_epoch s`):
+/// Name of the intrinsic restart-resume query (`execute sip_resume_epoch s`):
 /// sets the scalar to the number of completed served-array epochs found in
 /// the run directory's manifest, so restarted programs can skip them.
 pub const SIP_RESUME_EPOCH: &str = "sip_resume_epoch";
@@ -40,8 +37,7 @@ impl Worker {
     /// master a `WorkerDone` (sent by the runtime harness, which also keeps
     /// the worker servicing peers until shutdown).
     pub fn execute_program(&mut self) -> Result<(), RuntimeError> {
-        let program = Arc::clone(&self.layout.program);
-        let mut plans: HashMap<u32, ContractionPlan> = HashMap::new();
+        let layout = Arc::clone(&self.layout);
         let t0 = Instant::now();
         // One clock reading per instruction boundary: the reading that ends
         // an instruction starts the next one.
@@ -54,14 +50,11 @@ impl Worker {
             }
             self.pump_retries()?;
             self.mem.enforce_budget()?;
-            let ins = program
-                .code
-                .get(pc as usize)
-                .ok_or_else(|| RuntimeError::BadProgram(format!("pc {pc} out of range")))?;
+            let (ins, facts) = layout.instruction(pc)?;
             let t_ins = now;
             let mut wait = Duration::ZERO;
             let class = ins.class();
-            let next = self.step(pc, ins, &mut plans, &mut wait)?;
+            let next = self.step(pc, ins, facts, &mut wait)?;
             now = Instant::now();
             let busy = (now - t_ins).saturating_sub(wait);
             self.profile.record(pc, busy, wait);
@@ -108,17 +101,17 @@ impl Worker {
         )
     }
 
-    /// A block for `array`: pooled storage for a temp (it goes back to the
-    /// pool when the iteration ends), fresh zeroed storage otherwise.
-    /// Recycled storage is zeroed only if `zero`; a caller that writes every
-    /// element before reading passes `false`.
+    /// A block for an array of `kind`: pooled storage for a temp (it goes
+    /// back to the pool when the iteration ends), fresh zeroed storage
+    /// otherwise. Recycled storage is zeroed only if `zero`; a caller that
+    /// writes every element before reading passes `false`.
     fn alloc_for(
         &mut self,
-        array: ArrayId,
+        kind: ArrayKind,
         shape: sia_blocks::Shape,
         zero: bool,
     ) -> Result<Block, RuntimeError> {
-        match self.layout.array_kind(array) {
+        match kind {
             ArrayKind::Temp if zero => Ok(self.pool.acquire_raw(shape)?),
             ArrayKind::Temp => Ok(self.pool.acquire_scratch(shape)?),
             _ => Ok(Block::zeros(shape)),
@@ -130,15 +123,16 @@ impl Worker {
     /// the handle — `T(i,j) = V(i,j)` moves no payload bytes.
     fn permute_to(
         &mut self,
-        dest: &BlockRef,
-        src: &BlockRef,
+        dest: &RefFacts,
+        src: &RefFacts,
         data: &BlockHandle,
     ) -> Result<BlockHandle, RuntimeError> {
-        if dest.indices == src.indices {
+        let (to, from) = (dest.indices(), src.indices());
+        if to == from {
             return Ok(data.clone());
         }
-        let rank = dest.indices.len();
-        if rank != src.indices.len() || rank != data.shape().rank() {
+        let rank = to.len();
+        if rank != from.len() || rank != data.shape().rank() {
             return Err(RuntimeError::BadProgram(
                 "copy between blocks of different rank".into(),
             ));
@@ -147,8 +141,8 @@ impl Worker {
         // once.
         let mut perm = [0usize; MAX_RANK];
         let mut seen = [false; MAX_RANK];
-        for (p, d) in perm.iter_mut().zip(&dest.indices) {
-            match src.indices.iter().position(|s| s == d) {
+        for (p, d) in perm.iter_mut().zip(to) {
+            match from.iter().position(|s| s == d) {
                 Some(at) if !seen[at] => {
                     seen[at] = true;
                     *p = at;
@@ -161,7 +155,7 @@ impl Worker {
             }
         }
         let perm = &perm[..rank];
-        let mut out = self.alloc_for(dest.array, data.shape().permuted(perm), false)?;
+        let mut out = self.alloc_for(dest.kind, data.shape().permuted(perm), false)?;
         permute_into(data, perm, out.data_mut());
         Ok(out.into())
     }
@@ -199,10 +193,11 @@ impl Worker {
         })?;
         self.lookahead_chunk()?;
         let p = self.pardo.as_mut().unwrap();
+        let facts = (self.layout.pardo(p.start_pc)).expect("a pardo runs from its PardoStart");
         match p.queue.pop_front() {
             Some(ordinal) => {
                 p.ahead = p.ahead.saturating_sub(1);
-                bind_iteration(&mut self.env, &p.indices, &p.ranges, ordinal);
+                bind_iteration(&mut self.env, &facts.indices, &facts.ranges, ordinal);
                 let body_pc = p.start_pc + 1;
                 self.op_seq = 0;
                 self.profile.iterations += 1;
@@ -210,7 +205,7 @@ impl Worker {
             }
             None => {
                 debug_assert!(p.exhausted);
-                for idx in &p.indices {
+                for idx in facts.indices.iter() {
                     self.env[idx.index()] = 0;
                 }
                 let end_pc = p.end_pc;
@@ -227,11 +222,11 @@ impl Worker {
     /// be needed soon": when a `get`/`request` sits inside a sequential loop,
     /// also fetch the blocks the next iterations of the *innermost* loop will
     /// ask for.
-    fn prefetch_ahead(&mut self, block: &BlockRef) -> Result<(), RuntimeError> {
+    fn prefetch_ahead(&mut self, block: &RefFacts) -> Result<(), RuntimeError> {
         let Some(frame) = self.loop_stack.last() else {
             return Ok(());
         };
-        if !block.indices.contains(&frame.index) {
+        if !block.indices().contains(&frame.index) {
             return Ok(());
         }
         let (index, current, high) = (frame.index, frame.current, frame.high);
@@ -265,9 +260,11 @@ impl Worker {
         let mut vals = std::mem::take(&mut p.vals);
         let mut keys = std::mem::take(&mut self.lookahead_keys);
         let p = self.pardo.as_ref().unwrap();
+        let facts = (self.layout.pardo(p.start_pc)).expect("a pardo runs from its PardoStart");
         for &ordinal in p.queue.range(from..upto) {
-            decode_ordinal(&p.ranges, ordinal, |d, v| vals[d] = v);
-            keys.extend((p.gets.iter()).filter_map(|g| self.lookahead_key(g, &p.indices, &vals)));
+            decode_ordinal(&facts.ranges, ordinal, |d, v| vals[d] = v);
+            let key_of = |g| self.lookahead_key(g, &facts.indices, &vals);
+            keys.extend(facts.gets.iter().filter_map(key_of));
         }
         if let Some(p) = self.pardo.as_mut() {
             p.vals = vals;
@@ -288,66 +285,16 @@ impl Worker {
     /// is a `BlockOutOfRange` error — for a fetch nobody may ever use.
     fn lookahead_key(
         &self,
-        block: &BlockRef,
+        block: &RefFacts,
         indices: &[IndexId],
         vals: &[i64],
     ) -> Option<BlockKey> {
-        let mut segs = SegVals::zeroed(block.indices.len());
-        for (seg, i) in segs.iter_mut().zip(&block.indices) {
-            *seg = match indices.iter().position(|j| j == i) {
-                Some(at) => vals[at],
-                None => self.index_value(*i),
-            };
-        }
-        if segs.contains(&0) {
-            return None;
-        }
-        let (key, _) = self
-            .layout
-            .storage_target(block.array, &block.indices, &segs);
-        self.layout.block_ordinal(&key).map(|_| key)
-    }
-
-    /// The `get`/`request` refs every iteration of the pardo at `pc` issues
-    /// whatever its data: those at the top level of the body — not inside a
-    /// `do` (their keys depend on the loop index; [`Worker::prefetch_ahead`]
-    /// covers them) and not behind an `if`. A distributed array in a world
-    /// of one worker is left out: every block of it is homed here, and
-    /// resolving keys only to find them local costs an all-local run 8 %.
-    fn pardo_gets(&mut self, pc: u32, end_pc: u32) -> Arc<[BlockRef]> {
-        if let Some(found) = self.pardo_gets.get(&pc) {
-            return Arc::clone(found);
-        }
-        let code = &self.layout.program.code;
-        let all_local = |array| {
-            self.layout.topology.workers == 1
-                && self.layout.array_kind(array) == ArrayKind::Distributed
+        let value = |i: IndexId| match indices.iter().position(|&j| j == i) {
+            Some(at) => vals[at],
+            None => self.env[i.index()],
         };
-        let mut gets = Vec::new();
-        // Everything before `guarded` sits behind a forward jump taken so far.
-        let (mut at, mut guarded) = (pc + 1, 0);
-        while at < end_pc {
-            at = match code.get(at as usize) {
-                None => break,
-                Some(I::DoStart { end_pc, .. } | I::DoInStart { end_pc, .. }) if *end_pc >= at => {
-                    *end_pc + 1
-                }
-                Some(I::JumpIfFalse { target, .. } | I::Jump { target }) => {
-                    guarded = guarded.max(*target);
-                    at + 1
-                }
-                Some(I::Get { block } | I::Request { block })
-                    if at >= guarded && !all_local(block.array) =>
-                {
-                    gets.push(block.clone());
-                    at + 1
-                }
-                Some(_) => at + 1,
-            };
-        }
-        let gets: Arc<[BlockRef]> = gets.into();
-        self.pardo_gets.insert(pc, Arc::clone(&gets));
-        gets
+        let (key, _) = self.layout.storage_target(block, value).ok()?;
+        self.layout.block_ordinal(&key).map(|_| key)
     }
 
     // ---- instruction dispatch --------------------------------------------------------
@@ -357,40 +304,33 @@ impl Worker {
         &mut self,
         pc: u32,
         ins: &I,
-        plans: &mut HashMap<u32, ContractionPlan>,
+        facts: &PcFacts,
         wait: &mut Duration,
     ) -> Result<Option<u32>, RuntimeError> {
+        let refs = &facts.refs;
         match ins {
             // ---- control ------------------------------------------------------
-            I::PardoStart {
-                indices, end_pc, ..
-            } => {
+            I::PardoStart { end_pc, .. } => {
                 if self.pardo.is_some() {
                     return Err(RuntimeError::BadProgram("nested pardo".into()));
                 }
-                let epoch = {
-                    let e = self.pardo_epochs.entry(pc).or_insert(0);
-                    *e += 1;
-                    *e
-                };
+                let pardo = (self.layout.pardo(pc)).expect("the layout resolves every pardo");
+                let epoch = &mut self.pardo_epochs[pardo.slot];
+                *epoch += 1;
+                let epoch = *epoch;
                 // `prefetch_depth == 0` switches both look-aheads off.
-                let gets = self.pardo_gets(pc, *end_pc);
-                let per_iter: u64 = gets.iter().map(|g| self.layout.block_bytes(g.array)).sum();
                 let window = match self.config.prefetch_depth {
                     0 => 0,
-                    _ => self.window_bytes.checked_div(per_iter).unwrap_or(0) as usize,
+                    _ => self.window_bytes.checked_div(pardo.get_bytes).unwrap_or(0) as usize,
                 };
                 self.pardo = Some(PardoState {
                     start_pc: pc,
                     epoch,
                     end_pc: *end_pc,
-                    indices: indices.clone(),
-                    ranges: indices.iter().map(|&i| self.layout.range(i)).collect(),
-                    vals: vec![0; indices.len()],
+                    vals: vec![0; pardo.indices.len()],
                     queue: Default::default(),
                     requested: false,
                     exhausted: false,
-                    gets,
                     window,
                     ahead: 0,
                 });
@@ -416,7 +356,7 @@ impl Worker {
                     current: lo,
                     high: hi,
                 });
-                self.set_index(*index, lo);
+                self.env[index.index()] = lo;
                 Ok(Some(pc + 1))
             }
             I::DoEnd { start_pc } => self.loop_end(*start_pc, pc),
@@ -426,7 +366,7 @@ impl Worker {
                 end_pc,
                 ..
             } => {
-                let pval = self.index_value(*parent);
+                let pval = self.env[parent.index()];
                 if pval == 0 {
                     return Err(RuntimeError::BadProgram(
                         "do-in with undefined parent index".into(),
@@ -442,7 +382,7 @@ impl Worker {
                     current: lo,
                     high: hi,
                 });
-                self.set_index(*sub, lo);
+                self.env[sub.index()] = lo;
                 Ok(Some(pc + 1))
             }
             I::DoInEnd { start_pc } => self.loop_end(*start_pc, pc),
@@ -457,7 +397,7 @@ impl Worker {
                             "exit without a matching loop frame".into(),
                         ));
                     };
-                    self.set_index(frame.index, 0);
+                    self.env[frame.index.index()] = 0;
                     if frame.start_pc == *loop_start_pc {
                         break;
                     }
@@ -523,20 +463,16 @@ impl Worker {
             }
 
             // ---- I/O -------------------------------------------------------------
-            I::Get { block } | I::Request { block } => {
-                let segs = self.seg_values(&block.indices)?;
-                let (key, _) = self
-                    .layout
-                    .storage_target(block.array, &block.indices, &segs);
+            I::Get { .. } | I::Request { .. } => {
+                let (key, _) = self.resolve(&refs[0])?;
                 self.access_key(key, Fetch::NoWait, wait)?;
-                self.prefetch_ahead(block)?;
+                self.prefetch_ahead(&refs[0])?;
                 Ok(Some(pc + 1))
             }
-            I::Put { dest, src, mode } | I::Prepare { dest, src, mode } => {
-                let data = self.read_block(src.array, &src.indices, wait)?;
-                let segs = self.seg_values(&dest.indices)?;
-                let (key, slice) = self.layout.storage_target(dest.array, &dest.indices, &segs);
-                if slice.is_some() {
+            I::Put { mode, .. } | I::Prepare { mode, .. } => {
+                let data = self.read_block(&refs[1], wait)?;
+                let (key, window) = self.resolve(&refs[0])?;
+                if window.is_some() {
                     return Err(RuntimeError::BadProgram(format!(
                         "sub-addressed {} destination is not supported",
                         ins.mnemonic()
@@ -612,58 +548,45 @@ impl Worker {
             }
 
             // ---- computational super instructions ---------------------------------
-            I::BlockFill { dest, value } => {
-                let v = self.eval_expr(value);
-                let shape = self.layout.block_shape(&dest.indices);
-                let mut b = self.alloc_for(dest.array, shape, false)?;
+            I::BlockFill { value, .. } => {
+                let (v, dest) = (self.eval_expr(value), &refs[0]);
+                let mut b = self.alloc_for(dest.kind, dest.shape, false)?;
                 b.fill(v);
-                self.write_block(dest.array, &dest.indices, b)?;
+                self.write_block(dest, b)?;
                 Ok(Some(pc + 1))
             }
-            I::BlockCopy { dest, src } => {
-                let data = self.read_block(src.array, &src.indices, wait)?;
+            I::BlockCopy { .. } => {
+                let (dest, src) = (&refs[0], &refs[1]);
+                let data = self.read_block(src, wait)?;
                 let permuted = self.permute_to(dest, src, &data)?;
                 if BlockHandle::ptr_eq(&permuted, &data) {
                     self.mem.note_share(&permuted);
                 }
-                self.write_block(dest.array, &dest.indices, permuted)?;
+                self.write_block(dest, permuted)?;
                 Ok(Some(pc + 1))
             }
-            I::BlockAccumulate { dest, src, sign } => {
-                let data = self.read_block(src.array, &src.indices, wait)?;
+            I::BlockAccumulate { sign, .. } => {
+                let (dest, src) = (&refs[0], &refs[1]);
+                let data = self.read_block(src, wait)?;
                 let permuted = self.permute_to(dest, src, &data)?;
                 let sign = *sign;
-                self.modify_block(dest.array, &dest.indices, |b| b.axpy(sign, &permuted))?;
+                self.modify_block(dest, |b| b.axpy(sign, &permuted))?;
                 // A permuted copy was drawn for a temp destination.
                 if !BlockHandle::ptr_eq(&permuted, &data) {
                     self.release_handle(permuted);
                 }
                 Ok(Some(pc + 1))
             }
-            I::BlockScale { dest, factor } => {
+            I::BlockScale { factor, .. } => {
                 let v = self.eval_expr(factor);
-                self.modify_block(dest.array, &dest.indices, |b| b.scale(v))?;
+                self.modify_block(&refs[0], |b| b.scale(v))?;
                 Ok(Some(pc + 1))
             }
-            I::BlockContract {
-                dest,
-                a,
-                b,
-                accumulate,
-            } => {
-                let plan: &ContractionPlan = match plans.entry(pc) {
-                    Entry::Occupied(cached) => cached.into_mut(),
-                    Entry::Vacant(slot) => slot.insert(
-                        ContractionPlan::infer(
-                            &labels(&dest.indices),
-                            &labels(&a.indices),
-                            &labels(&b.indices),
-                        )
-                        .map_err(|e| RuntimeError::BadProgram(format!("contraction: {e}")))?,
-                    ),
-                };
-                let aget = self.read_block_get(a.array, &a.indices, wait)?;
-                let bget = self.read_block_get(b.array, &b.indices, wait)?;
+            I::BlockContract { accumulate, .. } => {
+                let plan = facts.plan()?;
+                let (dest, a, b) = (&refs[0], &refs[1], &refs[2]);
+                let aget = self.read_block_get(a, wait)?;
+                let bget = self.read_block_get(b, wait)?;
                 // Sparse screening: a typed-absent operand makes the product
                 // exactly zero; two present operands whose norm product
                 // (Cauchy–Schwarz bound on ‖A·B‖F) falls under the threshold
@@ -681,19 +604,16 @@ impl Worker {
                     }
                 };
                 if skip {
-                    let a_shape = self.layout.block_shape(&a.indices);
-                    let b_shape = self.layout.block_shape(&b.indices);
                     self.profile.metrics.sparse.blocks_skipped += 1;
-                    self.profile.metrics.sparse.flops_avoided += plan.flops(&a_shape, &b_shape);
-                    let need_init = *accumulate
-                        && self.layout.array_kind(dest.array) == ArrayKind::Temp
-                        && !self.temp_defined(dest.array, &dest.indices)?;
+                    self.profile.metrics.sparse.flops_avoided += plan.flops(&a.shape, &b.shape);
+                    let need_init =
+                        *accumulate && dest.kind == ArrayKind::Temp && !self.temp_defined(dest)?;
                     if !*accumulate || need_init {
                         // The (bounded-)zero product still defines the dest
                         // block, exactly as the dense path would.
-                        let out_shape = plan.output_shape(&a_shape, &b_shape);
-                        let out = self.alloc_for(dest.array, out_shape, true)?;
-                        self.write_block(dest.array, &dest.indices, out)?;
+                        let out_shape = plan.output_shape(&a.shape, &b.shape);
+                        let out = self.alloc_for(dest.kind, out_shape, true)?;
+                        self.write_block(dest, out)?;
                     }
                     return Ok(Some(pc + 1));
                 }
@@ -712,21 +632,20 @@ impl Worker {
                         // from zero (the `R += a*b` idiom): contract straight
                         // into fresh pooled storage instead of round-tripping
                         // a zero-filled block through an accumulate.
-                        let need_init = self.layout.array_kind(dest.array) == ArrayKind::Temp
-                            && !self.temp_defined(dest.array, &dest.indices)?;
+                        let need_init = dest.kind == ArrayKind::Temp && !self.temp_defined(dest)?;
                         if need_init {
-                            let mut out = self.alloc_for(dest.array, out_shape, true)?;
+                            let mut out = self.alloc_for(dest.kind, out_shape, true)?;
                             contract_into_ctx(&mut ctx, plan, &ablk, &bblk, 0.0, &mut out);
-                            self.write_block(dest.array, &dest.indices, out)?;
+                            self.write_block(dest, out)?;
                         } else {
-                            self.modify_block(dest.array, &dest.indices, |d| {
+                            self.modify_block(dest, |d| {
                                 contract_into_ctx(&mut ctx, plan, &ablk, &bblk, 1.0, d);
                             })?;
                         }
                     } else {
-                        let mut out = self.alloc_for(dest.array, out_shape, true)?;
+                        let mut out = self.alloc_for(dest.kind, out_shape, true)?;
                         contract_into_ctx(&mut ctx, plan, &ablk, &bblk, 0.0, &mut out);
-                        self.write_block(dest.array, &dest.indices, out)?;
+                        self.write_block(dest, out)?;
                     }
                     Ok(())
                 })();
@@ -739,11 +658,9 @@ impl Worker {
                 Ok(Some(pc + 1))
             }
             I::ScalarFromBlock {
-                dest,
-                src,
-                accumulate,
+                dest, accumulate, ..
             } => {
-                let b = self.read_block(src.array, &src.indices, wait)?;
+                let b = self.read_block(&refs[0], wait)?;
                 if b.len() != 1 {
                     return Err(RuntimeError::BadProgram(
                         "scalar fold of non-scalar block".into(),
@@ -759,7 +676,7 @@ impl Worker {
             }
             I::ExecuteSuper { name, args } => {
                 let name_str = self.layout.program.strings[name.index()].clone();
-                self.execute_super(&name_str, args, wait)?;
+                self.execute_super(&name_str, args, refs, wait)?;
                 Ok(Some(pc + 1))
             }
             I::Print { items } => {
@@ -809,21 +726,18 @@ impl Worker {
         }
         frame.current += 1;
         if frame.current <= frame.high {
-            let (idx, v) = (frame.index, frame.current);
-            self.set_index(idx, v);
+            self.env[frame.index.index()] = frame.current;
             Ok(Some(start_pc + 1))
         } else {
-            let idx = frame.index;
+            self.env[frame.index.index()] = 0;
             self.loop_stack.pop();
-            self.set_index(idx, 0);
             Ok(Some(pc + 1))
         }
     }
 
-    fn temp_defined(&self, array: ArrayId, ref_indices: &[IndexId]) -> Result<bool, RuntimeError> {
-        let segs = self.seg_values(ref_indices)?;
-        let (key, _) = self.layout.storage_target(array, ref_indices, &segs);
-        Ok(matches!(&self.temps[array.index()], Some((k, _)) if *k == key))
+    fn temp_defined(&self, r: &RefFacts) -> Result<bool, RuntimeError> {
+        let (key, _) = self.resolve(r)?;
+        Ok(matches!(&self.temps[r.array.index()], Some((k, _)) if *k == key))
     }
 
     pub(crate) fn barrier(&mut self, kind: BarrierKind) -> Result<Duration, RuntimeError> {
@@ -870,6 +784,7 @@ impl Worker {
         &mut self,
         name: &str,
         args: &[Arg],
+        blocks: &[RefFacts],
         wait: &mut Duration,
     ) -> Result<(), RuntimeError> {
         // Intrinsic collectives are handled by the runtime, not the registry.
@@ -915,18 +830,18 @@ impl Worker {
         let mut marshalled: Vec<SuperArg> = Vec::with_capacity(args.len());
         // (slot index in `marshalled`, origin) for write-back of blocks.
         enum Origin {
-            Temp(ArrayId, BlockKey),
-            Local(BlockKey, ArrayId),
+            Temp(usize, BlockKey),
+            Local(BlockKey),
             Scalar(usize),
         }
         let mut origins: Vec<(usize, Origin)> = Vec::new();
+        let mut blocks = blocks.iter();
         for arg in args {
             match arg {
-                Arg::Block(r) => {
-                    let kind = self.layout.array_kind(r.array);
-                    let segs = self.seg_values(&r.indices)?;
-                    let (key, slice) = self.layout.storage_target(r.array, &r.indices, &segs);
-                    if slice.is_some() {
+                Arg::Block(_) => {
+                    let r = blocks.next().expect("the table holds every block argument");
+                    let (key, window) = self.resolve(r)?;
+                    if window.is_some() {
                         return Err(RuntimeError::BadProgram(
                             "sub-addressed execute argument is not supported".into(),
                         ));
@@ -939,22 +854,20 @@ impl Worker {
                         }
                         h.into_block()
                     };
-                    let block = match kind {
+                    let block = match r.kind {
                         ArrayKind::Temp => match self.temps[r.array.index()].take() {
                             Some((k, b)) if k == key => unwrap(self, b),
                             Some((_, old)) => {
                                 // Stale temp from another iteration: recycle
                                 // and hand the kernel a fresh zero block.
                                 self.release_handle(old);
-                                self.alloc_for(r.array, self.layout.block_shape(&r.indices), true)?
+                                self.alloc_for(r.kind, r.shape, true)?
                             }
-                            None => {
-                                self.alloc_for(r.array, self.layout.block_shape(&r.indices), true)?
-                            }
+                            None => self.alloc_for(r.kind, r.shape, true)?,
                         },
                         ArrayKind::Local | ArrayKind::Static => match self.mem.local_take(&key)? {
                             Some(b) => unwrap(self, b),
-                            None => Block::zeros(self.layout.block_shape(&r.indices)),
+                            None => Block::zeros(r.shape),
                         },
                         other => {
                             return Err(RuntimeError::BadProgram(format!(
@@ -962,13 +875,13 @@ impl Worker {
                             )));
                         }
                     };
-                    let origin = match kind {
-                        ArrayKind::Temp => Origin::Temp(r.array, key),
-                        _ => Origin::Local(key, r.array),
+                    let origin = match r.kind {
+                        ArrayKind::Temp => Origin::Temp(r.array.index(), key),
+                        _ => Origin::Local(key),
                     };
                     origins.push((marshalled.len(), origin));
                     marshalled.push(SuperArg::Block {
-                        segs: segs.to_vec(),
+                        segs: key.segs().iter().map(|&s| i64::from(s)).collect(),
                         block,
                     });
                 }
@@ -977,7 +890,7 @@ impl Worker {
                     marshalled.push(SuperArg::Scalar(self.scalars[id.index()]));
                 }
                 Arg::Index(id) => {
-                    marshalled.push(SuperArg::Index(self.index_value(*id)));
+                    marshalled.push(SuperArg::Index(self.env[id.index()]));
                 }
             }
         }
@@ -992,11 +905,11 @@ impl Worker {
             match (origin, &mut marshalled[slot]) {
                 (Origin::Temp(array, key), SuperArg::Block { block, .. }) => {
                     let b = std::mem::replace(block, Block::scalar(0.0));
-                    if let Some((_, old)) = self.temps[array.index()].replace((key, b.into())) {
+                    if let Some((_, old)) = self.temps[array].replace((key, b.into())) {
                         self.release_handle(old);
                     }
                 }
-                (Origin::Local(key, _array), SuperArg::Block { block, .. }) => {
+                (Origin::Local(key), SuperArg::Block { block, .. }) => {
                     let b = std::mem::replace(block, Block::scalar(0.0));
                     self.mem.local_insert(key, b.into())?;
                 }
@@ -1014,11 +927,6 @@ impl Worker {
     }
 }
 
-/// Index-id labels for contraction planning.
-fn labels(indices: &[IndexId]) -> Vec<u32> {
-    indices.iter().map(|i| i.0).collect()
-}
-
 /// Binds the pardo `indices` to the values iteration `ordinal` of the cross
 /// product of `ranges` denotes.
 pub(crate) fn bind_iteration(
@@ -1033,75 +941,9 @@ pub(crate) fn bind_iteration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{Layout, SegmentConfig, SipConfig, Topology};
+    use crate::layout::{Layout, SipConfig};
     use crate::registry::SuperRegistry;
     use sia_bytecode::ConstBindings;
-
-    /// The chunk look-ahead asks only for what every iteration will ask
-    /// for: a `get` behind an `if` or an `else`, or inside a `do`, is left
-    /// to the instruction itself (and, in a loop, to `prefetch_ahead`).
-    #[test]
-    fn pardo_gets_are_the_unconditional_top_level_refs() {
-        const SRC: &str = "sial scan
-aoindex i = 1, 4
-aoindex j = 1, 4
-distributed First(i,j)
-distributed InIf(i,j)
-distributed InElse(i,j)
-distributed InDo(i,j)
-distributed AfterIf(i,j)
-served Last(i,j)
-pardo i
-  do j
-    get InDo(i,j)
-  enddo j
-endpardo i
-pardo i, j
-  get First(i,j)
-  if i < j
-    get InIf(i,j)
-  else
-    get InElse(i,j)
-  endif
-  get AfterIf(j,i)
-  request Last(i,j)
-endpardo i, j
-endsial
-";
-        let program = Arc::new(sial_frontend::compile(SRC).unwrap());
-        let layout = Layout::new(
-            Arc::clone(&program),
-            &ConstBindings::new(),
-            SegmentConfig::default(),
-            Topology::new(2, 1),
-        )
-        .unwrap();
-        let (mut eps, _) = sia_fabric::build::<SipMsg>(4);
-        let mut w = Worker::new(
-            Arc::new(layout),
-            SipConfig::default(),
-            eps.remove(1),
-            SuperRegistry::new(),
-        );
-        let found: Vec<Vec<&str>> = program
-            .code
-            .iter()
-            .enumerate()
-            .filter_map(|(pc, ins)| match ins {
-                I::PardoStart { end_pc, .. } => Some(w.pardo_gets(pc as u32, *end_pc)),
-                _ => None,
-            })
-            .map(|gets| {
-                let name = |g: &BlockRef| program.arrays[g.array.index()].name.as_str();
-                gets.iter().map(name).collect()
-            })
-            .collect();
-        assert_eq!(
-            found,
-            [vec![], vec!["First", "AfterIf", "Last"]],
-            "one list per pardo, in program order"
-        );
-    }
 
     /// Runs `src` on a world of one worker, driven on this thread beside a
     /// master on its own, and hands back the worker once the run is over.

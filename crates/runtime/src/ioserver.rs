@@ -6,7 +6,7 @@
 //! operations of an I/O server are non-blocking." (§V-B)
 //!
 //! Our server keeps an LRU write-behind cache over one store file per
-//! served array ([`crate::store`]: a block lives at a computed slot). While
+//! served array (`store.rs`: a block lives at a computed slot). While
 //! it holds dirty blocks it waits for the next message only until
 //! `WRITE_BEHIND_IDLE` after the last one, then flushes one dirty block per
 //! look at the inbox, so a long prepare burst never blocks request service —

@@ -5,12 +5,20 @@
 //! paper keeps *out* of SIAL source), block shapes, and home placement. It is
 //! shared read-only by the master, every worker, the dry run, and the trace
 //! generator, so all of them agree on placement and sizes by construction.
+//!
+//! It also resolves the bytecode's static facts, once, into a table indexed
+//! by pc ([`PcFacts`]): per block ref its array, kind, declared block,
+//! sub-addressed dimensions and extents; per pardo its ranges, its
+//! unconditional fetches and a dense slot; per contraction its plan. What
+//! stays per access is reading the ref's index values.
 
 use crate::error::RuntimeError;
 use crate::msg::{BlockKey, MAX_RANK};
 use crate::scheduler::ChunkPolicy;
-use sia_blocks::Shape;
-use sia_bytecode::{ArrayId, ArrayKind, ConstBindings, IndexId, IndexKind, Program};
+use sia_blocks::{ContractError, ContractionPlan, Shape, SliceSpec};
+use sia_bytecode::{
+    Arg, ArrayId, ArrayKind, BlockRef, ConstBindings, IndexId, IndexKind, Instruction as I, Program,
+};
 use sia_fabric::{FaultPlan, Rank};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -535,38 +543,6 @@ impl Topology {
     }
 }
 
-/// The segment values of one block ref, held inline: a ref has at most
-/// [`MAX_RANK`] indices, and one is resolved per block access.
-#[derive(Debug, Clone, Copy)]
-pub struct SegVals {
-    vals: [i64; MAX_RANK],
-    rank: usize,
-}
-
-impl SegVals {
-    /// `rank` zeros, to be filled in through `DerefMut`.
-    pub fn zeroed(rank: usize) -> Self {
-        assert!(rank <= MAX_RANK, "rank too large");
-        SegVals {
-            vals: [0; MAX_RANK],
-            rank,
-        }
-    }
-}
-
-impl std::ops::Deref for SegVals {
-    type Target = [i64];
-    fn deref(&self) -> &[i64] {
-        &self.vals[..self.rank]
-    }
-}
-
-impl std::ops::DerefMut for SegVals {
-    fn deref_mut(&mut self) -> &mut [i64] {
-        &mut self.vals[..self.rank]
-    }
-}
-
 /// The fully resolved data layout for one run.
 #[derive(Debug)]
 pub struct Layout {
@@ -586,6 +562,11 @@ pub struct Layout {
     index_extents: Vec<usize>,
     /// Per array: its declared block and segment grid.
     declared: Vec<Declared>,
+    /// Per pc: the instruction's static facts.
+    code: Vec<PcFacts>,
+    /// How many `PardoStart`s the program has: the range of
+    /// [`PardoFacts::slot`].
+    pub(crate) pardos: usize,
 }
 
 impl Layout {
@@ -616,7 +597,9 @@ impl Layout {
         for (i, decl) in program.indices.iter().enumerate() {
             match decl.kind {
                 IndexKind::Subindex { parent } => {
-                    let pdecl = &program.indices[parent.index()];
+                    let pdecl = program.indices.get(parent.index()).ok_or_else(|| {
+                        RuntimeError::Resolve(format!("subindex `{}` has no parent", decl.name))
+                    })?;
                     let (plo, phi) = program.index_range(parent, &consts)?;
                     let pseg = segments.seg_for(pdecl.kind);
                     if segments.nsub == 0 || !pseg.is_multiple_of(segments.nsub) {
@@ -626,7 +609,13 @@ impl Layout {
                         )));
                     }
                     let nsub = segments.nsub as i64;
-                    index_ranges[i] = ((plo - 1) * nsub + 1, phi * nsub);
+                    let (Some(below), Some(hi)) =
+                        ((plo - 1).checked_mul(nsub), phi.checked_mul(nsub))
+                    else {
+                        let many = format!("subindex `{}` has too many segments", decl.name);
+                        return Err(RuntimeError::Resolve(many));
+                    };
+                    index_ranges[i] = (below + 1, hi);
                     index_extents[i] = pseg / segments.nsub;
                 }
                 kind => {
@@ -671,7 +660,7 @@ impl Layout {
                 })
             })
             .collect::<Result<_, RuntimeError>>()?;
-        Ok(Layout {
+        let mut layout = Layout {
             program,
             consts,
             segments,
@@ -679,7 +668,11 @@ impl Layout {
             index_ranges,
             index_extents,
             declared,
-        })
+            code: Vec::new(),
+            pardos: 0,
+        };
+        (layout.code, layout.pardos) = layout.resolve_code()?;
+        Ok(layout)
     }
 
     /// Worker slot (0-based) of a distributed block — the placement every
@@ -740,14 +733,6 @@ impl Layout {
         self.index_extents[idx.index()]
     }
 
-    /// True if `idx` is a subindex; returns its parent.
-    pub fn parent_of(&self, idx: IndexId) -> Option<IndexId> {
-        match self.program.indices[idx.index()].kind {
-            IndexKind::Subindex { parent } => Some(parent),
-            _ => None,
-        }
-    }
-
     /// The subsegment range (inclusive) within parent segment `pval`.
     pub fn sub_range(&self, pval: i64) -> (i64, i64) {
         let n = self.segments.nsub as i64;
@@ -761,12 +746,6 @@ impl Layout {
         let parent = (sval - 1) / n + 1;
         let off = ((sval - 1) % n) as usize;
         (parent, off)
-    }
-
-    /// Shape of the block addressed by `ref_indices` (the *reference*'s
-    /// indices, which may be subindices of the declared dims).
-    pub fn block_shape(&self, ref_indices: &[IndexId]) -> Shape {
-        ref_indices.iter().map(|&i| self.extent(i)).collect()
     }
 
     /// Shape of a block of `array` as declared (all dims at declared extent).
@@ -815,12 +794,13 @@ impl Layout {
     /// `0..total_blocks(array)`.
     pub(crate) fn block_key(&self, array: ArrayId, mut ordinal: u64) -> BlockKey {
         let declared = &self.declared[array.index()];
-        let mut segs = SegVals::zeroed(declared.shape.rank());
+        let mut segs = [0; MAX_RANK];
+        let segs = &mut segs[..declared.shape.rank()];
         for (seg, &(lo, len)) in segs.iter_mut().zip(&declared.grid).rev() {
             *seg = lo + (ordinal % len) as i64;
             ordinal /= len;
         }
-        BlockKey::new(array, &segs)
+        BlockKey::new(array, segs)
     }
 
     /// Bytes of one declared block of `array`.
@@ -828,57 +808,30 @@ impl Layout {
         self.declared[array.index()].bytes
     }
 
-    /// Whether the ref addresses subblocks of `array`'s declared blocks
-    /// (i.e. some ref index is a subindex whose parent kind matches a
-    /// super-declared dim). Returns per-dimension flags (false past the
-    /// ref's rank).
-    pub fn sub_addressed_dims(&self, array: ArrayId, ref_indices: &[IndexId]) -> [bool; MAX_RANK] {
-        let decl = &self.program.arrays[array.index()];
-        let mut flags = [false; MAX_RANK];
-        for (flag, (&r, &d)) in flags.iter_mut().zip(ref_indices.iter().zip(&decl.dims)) {
-            *flag = self.parent_of(r).is_some() && self.parent_of(d).is_none();
-        }
-        flags
-    }
-
-    /// The key of the *storage* block containing the referenced (possibly
-    /// sub-addressed) block, plus the slice window within it when
-    /// sub-addressed. `seg_vals` are the current values of `ref_indices`.
-    ///
-    /// Returns `(key, Option<(offsets, extents)>)`.
-    #[allow(clippy::type_complexity)]
-    pub fn storage_target(
+    /// The key of the *storage* block a ref denotes when each of its
+    /// indices `i` holds `value(i)`, plus the window within it when the ref
+    /// is sub-addressed. `Err` names the first index still undefined (0).
+    pub(crate) fn storage_target(
         &self,
-        array: ArrayId,
-        ref_indices: &[IndexId],
-        seg_vals: &[i64],
-    ) -> (BlockKey, Option<(Vec<usize>, Vec<usize>)>) {
-        let subdims = self.sub_addressed_dims(array, ref_indices);
-        if subdims == [false; MAX_RANK] {
-            return (BlockKey::new(array, seg_vals), None);
-        }
-        let decl = &self.program.arrays[array.index()];
-        let mut storage_segs = Vec::with_capacity(seg_vals.len());
-        let mut offsets = Vec::with_capacity(seg_vals.len());
-        let mut extents = Vec::with_capacity(seg_vals.len());
-        for (d, (&v, &is_sub)) in seg_vals.iter().zip(&subdims).enumerate() {
-            let decl_extent = self.extent(decl.dims[d]);
-            if is_sub {
-                let (pseg, off) = self.sub_parent_seg(v);
-                let sub_extent = self.extent(ref_indices[d]);
-                storage_segs.push(pseg);
-                offsets.push(off * sub_extent);
-                extents.push(sub_extent);
-            } else {
-                storage_segs.push(v);
-                offsets.push(0);
-                extents.push(decl_extent);
+        r: &RefFacts,
+        value: impl Fn(IndexId) -> i64,
+    ) -> Result<(BlockKey, Option<SliceSpec>), IndexId> {
+        let rank = r.shape.rank();
+        let (mut segs, mut offsets) = ([0; MAX_RANK], [0; MAX_RANK]);
+        for d in 0..rank {
+            let v = value(r.indices[d]);
+            if v == 0 {
+                return Err(r.indices[d]);
+            }
+            segs[d] = v;
+            if r.sub[d] {
+                let (parent, off) = self.sub_parent_seg(v);
+                (segs[d], offsets[d]) = (parent, off * r.shape.dim(d));
             }
         }
-        (
-            BlockKey::new(array, &storage_segs),
-            Some((offsets, extents)),
-        )
+        let window = (r.sub != [false; MAX_RANK])
+            .then(|| SliceSpec::new(&offsets[..rank], &r.window[..rank]));
+        Ok((BlockKey::new(r.array, &segs[..rank]), window))
     }
 
     /// Bytes of the largest declared block among remote (distributed or
@@ -915,9 +868,244 @@ impl Layout {
     }
 }
 
+/// The static facts of one block ref: everything an access to it needs
+/// besides the current values of its indices.
+#[derive(Debug, Clone)]
+pub(crate) struct RefFacts {
+    pub array: ArrayId,
+    pub kind: ArrayKind,
+    /// The array's declared block: the parent extents of a sub-addressed
+    /// ref.
+    declared: Declared,
+    /// The ref's indices (its rank is `shape`'s).
+    indices: [IndexId; MAX_RANK],
+    /// The block the ref denotes: per dimension the extent of the ref's
+    /// index, which is the sub extent where the ref is sub-addressed.
+    pub shape: Shape,
+    /// Per dimension: the ref's index is a subindex where the array
+    /// declares a whole segment, so it addresses a window of the stored
+    /// block. All false for a ref to whole blocks.
+    sub: [bool; MAX_RANK],
+    /// Per dimension: the window's extent in the stored block (the sub
+    /// extent where `sub`, the declared extent elsewhere).
+    window: [usize; MAX_RANK],
+}
+
+impl RefFacts {
+    /// The ref's indices.
+    pub fn indices(&self) -> &[IndexId] {
+        &self.indices[..self.shape.rank()]
+    }
+
+    /// The shape of one stored block of the array.
+    pub fn declared_shape(&self) -> Shape {
+        self.declared.shape
+    }
+}
+
+/// The static facts of a `PardoStart`.
+#[derive(Debug)]
+pub(crate) struct PardoFacts {
+    /// Dense number of this pardo among the program's, in pc order.
+    pub slot: usize,
+    pub indices: Box<[IndexId]>,
+    /// Inclusive segment range per index, which iteration ordinals decode
+    /// against.
+    pub ranges: Box<[(i64, i64)]>,
+    /// The `get`/`request` refs every iteration issues whatever its data:
+    /// those at the top level of the body — not inside a `do` (their keys
+    /// depend on the loop index; the `do`-loop look-ahead covers them) and
+    /// not behind an `if`. A distributed array in a world of one worker is
+    /// left out: every block of it is homed here, and resolving keys only
+    /// to find them local costs an all-local run 8 %.
+    pub gets: Box<[RefFacts]>,
+    /// Declared bytes `gets` pulls per iteration.
+    pub get_bytes: u64,
+}
+
+/// What one instruction needs of the layout, resolved once when the layout
+/// is built: over every instruction, whether it runs or not.
+#[derive(Debug)]
+pub(crate) struct PcFacts {
+    /// The instruction's block refs in operand order: destination first,
+    /// then sources; an `execute`'s block arguments in order.
+    pub refs: Box<[RefFacts]>,
+    /// Set on a `PardoStart`.
+    pardo: Option<Box<PardoFacts>>,
+    /// Set on a `BlockContract`: its plan, or why it has none — reported
+    /// only when the contraction executes.
+    plan: Option<Result<ContractionPlan, ContractError>>,
+}
+
+impl PcFacts {
+    /// The plan of the `BlockContract` at this pc.
+    pub fn plan(&self) -> Result<&ContractionPlan, RuntimeError> {
+        let plan = self
+            .plan
+            .as_ref()
+            .expect("a contraction's facts hold its plan");
+        plan.as_ref()
+            .map_err(|e| RuntimeError::BadProgram(format!("contraction: {e}")))
+    }
+}
+
+/// The block refs of an instruction in the order [`PcFacts::refs`] holds
+/// them.
+fn block_refs(ins: &I) -> Vec<&BlockRef> {
+    match ins {
+        I::Get { block } | I::Request { block } => vec![block],
+        I::BlockFill { dest, .. } | I::BlockScale { dest, .. } => vec![dest],
+        I::ScalarFromBlock { src, .. } => vec![src],
+        I::Put { dest, src, .. }
+        | I::Prepare { dest, src, .. }
+        | I::BlockCopy { dest, src }
+        | I::BlockAccumulate { dest, src, .. } => vec![dest, src],
+        I::BlockContract { dest, a, b, .. } => vec![dest, a, b],
+        I::ExecuteSuper { args, .. } => (args.iter())
+            .filter_map(|arg| match arg {
+                Arg::Block(r) => Some(r),
+                _ => None,
+            })
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+impl Layout {
+    /// The instruction at `pc` and its static facts.
+    pub(crate) fn instruction(&self, pc: u32) -> Result<(&I, &PcFacts), RuntimeError> {
+        let at = pc as usize;
+        (self.program.code.get(at).zip(self.code.get(at)))
+            .ok_or_else(|| RuntimeError::BadProgram(format!("pc {pc} out of range")))
+    }
+
+    /// The facts of the `PardoStart` at `pc`, if that is one.
+    pub(crate) fn pardo(&self, pc: u32) -> Option<&PardoFacts> {
+        self.code.get(pc as usize)?.pardo.as_deref()
+    }
+
+    /// Resolves the static facts of every instruction, and counts the
+    /// pardos. A ref naming an array or index the program does not
+    /// declare, or one with more indices than a block has dimensions, is
+    /// refused here as bad bytecode; a contraction whose plan cannot be
+    /// inferred is refused only when it executes.
+    fn resolve_code(&self) -> Result<(Vec<PcFacts>, usize), RuntimeError> {
+        let labels = |r: &BlockRef| -> Vec<u32> { r.indices.iter().map(|i| i.0).collect() };
+        let mut pardos = 0;
+        let mut code = Vec::with_capacity(self.program.code.len());
+        for (pc, ins) in self.program.code.iter().enumerate() {
+            let refs = (block_refs(ins).into_iter()).map(|r| self.ref_facts(r));
+            let mut facts = PcFacts {
+                refs: refs.collect::<Result<_, _>>()?,
+                pardo: None,
+                plan: None,
+            };
+            if let I::PardoStart {
+                indices, end_pc, ..
+            } = ins
+            {
+                let pardo = self.pardo_facts(pc as u32, *end_pc, indices, pardos)?;
+                (facts.pardo, pardos) = (Some(Box::new(pardo)), pardos + 1);
+            } else if let I::BlockContract { dest, a, b, .. } = ins {
+                let plan = ContractionPlan::infer(&labels(dest), &labels(a), &labels(b));
+                facts.plan = Some(plan);
+            }
+            code.push(facts);
+        }
+        Ok((code, pardos))
+    }
+
+    fn ref_facts(&self, r: &BlockRef) -> Result<RefFacts, RuntimeError> {
+        let bad = |what| RuntimeError::BadBytecode(format!("block ref {what}"));
+        let at = r.array.index();
+        let (Some(decl), Some(&declared)) = (self.program.arrays.get(at), self.declared.get(at))
+        else {
+            return Err(bad(format!("to undeclared array #{}", r.array.0)));
+        };
+        let extents: Option<Vec<usize>> = (r.indices.iter())
+            .map(|i| self.index_extents.get(i.index()).copied())
+            .collect();
+        let shape = (extents.as_deref().and_then(Shape::try_new))
+            .ok_or_else(|| bad(format!("`{}{:?}` addresses no block", decl.name, r.indices)))?;
+        let rank = shape.rank();
+        let (mut indices, mut sub, mut window) =
+            ([IndexId(0); MAX_RANK], [false; MAX_RANK], [0; MAX_RANK]);
+        indices[..rank].copy_from_slice(&r.indices);
+        // Only a ref that agrees with its array's rank is sub-addressed; a
+        // ref that does not is refused by key when it is accessed.
+        let decls = &self.program.indices;
+        let is_sub = |i: IndexId| matches!(decls[i.index()].kind, IndexKind::Subindex { .. });
+        if rank == decl.dims.len() {
+            for d in 0..rank {
+                sub[d] = is_sub(indices[d]) && !is_sub(decl.dims[d]);
+                window[d] = if sub[d] { shape } else { declared.shape }.dim(d);
+            }
+        }
+        Ok(RefFacts {
+            array: r.array,
+            kind: decl.kind,
+            declared,
+            indices,
+            shape,
+            sub,
+            window,
+        })
+    }
+
+    /// The facts of the pardo over `indices` whose body is `pc + 1 ..
+    /// end_pc`, the program's `slot`-th.
+    fn pardo_facts(
+        &self,
+        pc: u32,
+        end_pc: u32,
+        indices: &[IndexId],
+        slot: usize,
+    ) -> Result<PardoFacts, RuntimeError> {
+        let code = &self.program.code;
+        let all_local = self.topology.workers == 1;
+        let mut gets = Vec::new();
+        // Everything before `guarded` sits behind a forward jump taken so far.
+        let (mut at, mut guarded) = (pc + 1, 0);
+        while at < end_pc {
+            at = match code.get(at as usize) {
+                None => break,
+                Some(I::DoStart { end_pc, .. } | I::DoInStart { end_pc, .. }) if *end_pc >= at => {
+                    *end_pc + 1
+                }
+                Some(I::JumpIfFalse { target, .. } | I::Jump { target }) => {
+                    guarded = guarded.max(*target);
+                    at + 1
+                }
+                Some(I::Get { block } | I::Request { block }) if at >= guarded => {
+                    let facts = self.ref_facts(block)?;
+                    if !(all_local && facts.kind == ArrayKind::Distributed) {
+                        gets.push(facts);
+                    }
+                    at + 1
+                }
+                Some(_) => at + 1,
+            };
+        }
+        let ranges = (indices.iter())
+            .map(|&i| self.index_ranges.get(i.index()).copied())
+            .collect::<Option<_>>()
+            .ok_or_else(|| {
+                RuntimeError::BadBytecode(format!("pardo at pc {pc} binds an undeclared index"))
+            })?;
+        Ok(PardoFacts {
+            slot,
+            indices: indices.into(),
+            ranges,
+            get_bytes: gets.iter().map(|g| g.declared.bytes).sum(),
+            gets: gets.into(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify;
     use sia_bytecode::{ArrayDecl, IndexDecl, Value};
 
     fn layout_with(segments: SegmentConfig) -> Layout {
@@ -1038,23 +1226,176 @@ mod tests {
         assert_eq!(l.sub_range(2), (5, 8));
     }
 
+    /// The facts of a ref `array(indices)`, as the table resolves them.
+    fn ref_to(l: &Layout, array: u32, indices: &[u32]) -> RefFacts {
+        let r = BlockRef {
+            array: ArrayId(array),
+            indices: indices.iter().map(|&i| IndexId(i)).collect(),
+        };
+        l.ref_facts(&r).unwrap()
+    }
+
     #[test]
     fn storage_target_plain() {
         let l = layout_with(segs(16, 8, 4));
-        let (key, slice) = l.storage_target(ArrayId(0), &[IndexId(0), IndexId(1)], &[3, 2]);
+        let vals = [3, 2, 0];
+        let r = ref_to(&l, 0, &[0, 1]);
+        let (key, slice) = l.storage_target(&r, |i| vals[i.index()]).unwrap();
         assert_eq!(key, BlockKey::new(ArrayId(0), &[3, 2]));
         assert!(slice.is_none());
+        assert_eq!(r.shape.dims(), &[16, 8]);
+        // An undefined index is named, not read as segment 0.
+        let r = ref_to(&l, 0, &[2, 1]);
+        assert_eq!(l.storage_target(&r, |i| vals[i.index()]), Err(IndexId(2)));
     }
 
     #[test]
     fn storage_target_sub_addressed() {
         let l = layout_with(segs(16, 8, 4));
         // X(ii, j) with ii=6: parent seg 2, offset 1 within → elements 4..8.
-        let (key, slice) = l.storage_target(ArrayId(0), &[IndexId(2), IndexId(1)], &[6, 2]);
+        let vals = [0, 2, 6];
+        let r = ref_to(&l, 0, &[2, 1]);
+        let (key, slice) = l.storage_target(&r, |i| vals[i.index()]).unwrap();
         assert_eq!(key, BlockKey::new(ArrayId(0), &[2, 2]));
-        let (offs, exts) = slice.unwrap();
-        assert_eq!(offs, vec![4, 0]);
-        assert_eq!(exts, vec![4, 8]);
+        let spec = slice.unwrap();
+        assert_eq!(spec.offsets(), &[4, 0]);
+        assert_eq!(spec.extents(), &[4, 8]);
+        assert_eq!(r.shape.dims(), &[4, 8]);
+        assert_eq!(r.declared_shape().dims(), &[16, 8]);
+        // Xii is declared over ii: the same ref addresses its whole blocks.
+        let r = ref_to(&l, 1, &[2, 1]);
+        let (key, slice) = l.storage_target(&r, |i| vals[i.index()]).unwrap();
+        assert_eq!(key, BlockKey::new(ArrayId(1), &[6, 2]));
+        assert!(slice.is_none());
+    }
+
+    /// A ref the program cannot mean — to an undeclared array or index, or
+    /// with more indices than a block has dimensions — fails the layout as
+    /// bad bytecode instead of panicking where it executes.
+    #[test]
+    fn malformed_refs_are_bad_bytecode() {
+        let l = layout_with(segs(16, 8, 4));
+        for (array, indices) in [(7, vec![0, 1]), (0, vec![0, 9]), (0, vec![0; MAX_RANK + 1])] {
+            let r = BlockRef {
+                array: ArrayId(array),
+                indices: indices.into_iter().map(IndexId).collect(),
+            };
+            let err = l.ref_facts(&r).unwrap_err();
+            assert!(matches!(err, RuntimeError::BadBytecode(_)), "{err}");
+        }
+    }
+
+    /// The chunk look-ahead asks only for what every iteration will ask
+    /// for: a `get` behind an `if` or an `else`, or inside a `do`, is left
+    /// to the instruction itself (and, in a loop, to the `do`-loop
+    /// look-ahead). Pardos are numbered densely in pc order.
+    #[test]
+    fn pardo_gets_are_the_unconditional_top_level_refs() {
+        const SRC: &str = "sial scan
+aoindex i = 1, 4
+aoindex j = 1, 4
+distributed First(i,j)
+distributed InIf(i,j)
+distributed InElse(i,j)
+distributed InDo(i,j)
+distributed AfterIf(i,j)
+served Last(i,j)
+pardo i
+  do j
+    get InDo(i,j)
+  enddo j
+endpardo i
+pardo i, j
+  get First(i,j)
+  if i < j
+    get InIf(i,j)
+  else
+    get InElse(i,j)
+  endif
+  get AfterIf(j,i)
+  request Last(i,j)
+endpardo i, j
+endsial
+";
+        let program = Arc::new(sial_frontend::compile(SRC).unwrap());
+        let layout = Layout::new(
+            Arc::clone(&program),
+            &ConstBindings::new(),
+            SegmentConfig::default(),
+            Topology::new(2, 1),
+        )
+        .unwrap();
+        let pardos: Vec<&PardoFacts> = (0..program.code.len() as u32)
+            .filter_map(|pc| layout.pardo(pc))
+            .collect();
+        let found: Vec<Vec<&str>> = (pardos.iter())
+            .map(|p| {
+                p.gets
+                    .iter()
+                    .map(|g| layout.array(g.array).name.as_str())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            found,
+            [vec![], vec!["First", "AfterIf", "Last"]],
+            "one list per pardo, in program order"
+        );
+        let slots: Vec<usize> = pardos.iter().map(|p| p.slot).collect();
+        assert_eq!((slots, layout.pardos), (vec![0, 1], 2));
+        assert_eq!(pardos[1].get_bytes, 3 * layout.block_bytes(ArrayId(0)));
+        assert_eq!(&*pardos[1].ranges, &[(1, 4), (1, 4)]);
+    }
+
+    /// A contraction no plan fits is refused when it executes, not when
+    /// the layout resolves: in code that never runs it fails nothing.
+    #[test]
+    fn a_bad_contraction_fails_where_it_executes() {
+        const SRC: &str = "sial dead
+aoindex i = 1, 2
+aoindex j = 1, 2
+aoindex k = 1, 2
+temp a(i,k)
+temp b(k,j)
+temp c(i,j)
+scalar s
+pardo i, j
+  if s > 1.0
+    do k
+      c(i,j) = a(i,k) * b(k,j)
+    enddo k
+  endif
+endpardo i, j
+endsial
+";
+        let mut program = sial_frontend::compile(SRC).unwrap();
+        let pc = (program.code.iter())
+            .position(|ins| matches!(ins, I::BlockContract { .. }))
+            .unwrap();
+        // Make the output name an index neither operand has: `c(i,i)`.
+        if let I::BlockContract { dest, .. } = &mut program.code[pc] {
+            dest.indices[1] = IndexId(0);
+        }
+        let layout = Layout::new(
+            Arc::new(program.clone()),
+            &ConstBindings::new(),
+            SegmentConfig::default(),
+            Topology::new(1, 0),
+        )
+        .unwrap();
+        let err = layout.instruction(pc as u32).unwrap().1.plan().unwrap_err();
+        assert!(
+            matches!(&err, RuntimeError::BadProgram(m) if m.starts_with("contraction: ")),
+            "{err}"
+        );
+        let config = SipConfig::builder()
+            .workers(1)
+            .io_servers(0)
+            .build()
+            .unwrap();
+        crate::Sip::new(config)
+            .run(program, &ConstBindings::new())
+            .expect("the contraction never runs");
     }
 
     #[test]
@@ -1088,6 +1429,51 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RuntimeError::Resolve(_)));
+    }
+
+    /// Declarations `sial check` does not look at unless a ref uses them —
+    /// a subindex of an undeclared parent, a subindex range past 64 bits,
+    /// a range bound naming an undeclared constant — are resolve errors,
+    /// not panics.
+    #[test]
+    fn unresolvable_index_declarations_are_resolve_errors() {
+        let index = |kind, high| IndexDecl {
+            name: "i".into(),
+            kind,
+            low: Value::Lit(1),
+            high,
+        };
+        let sub = |parent| IndexKind::Subindex {
+            parent: IndexId(parent),
+        };
+        for indices in [
+            vec![
+                index(IndexKind::AoIndex, Value::Lit(2)),
+                index(sub(9), Value::Lit(0)),
+            ],
+            vec![
+                index(IndexKind::AoIndex, Value::Lit(i64::MAX / 2 + 1)),
+                index(sub(0), Value::Lit(0)),
+            ],
+            vec![index(
+                IndexKind::AoIndex,
+                Value::Sym(sia_bytecode::ConstId(3)),
+            )],
+        ] {
+            let program = Program {
+                indices,
+                ..Default::default()
+            };
+            assert!(verify::check_program(&program).is_empty());
+            let err = Layout::new(
+                Arc::new(program),
+                &ConstBindings::new(),
+                SegmentConfig::default(),
+                Topology::new(1, 0),
+            )
+            .unwrap_err();
+            assert!(matches!(err, RuntimeError::Resolve(_)), "{err}");
+        }
     }
 
     /// An array whose blocks no `Shape` can hold — more dimensions than

@@ -119,7 +119,7 @@ impl WaitCause {
 /// into a total.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaitStats {
-    /// Nanoseconds blocked, indexed by [`WaitCause::index`].
+    /// Nanoseconds blocked, indexed by `WaitCause::index`.
     pub nanos: [u64; 8],
 }
 
@@ -453,7 +453,7 @@ fn field(key: &'static str, label: &'static str, v: u64) -> Field {
 
 impl Metrics {
     /// The report model: every counter group as a [`Section`]. Both the
-    /// text renderer ([`Metrics::fmt`]) and the JSON export
+    /// text renderer (`Metrics`' `Display` impl) and the JSON export
     /// ([`Metrics::to_json`]) are driven by this one model.
     pub fn sections(&self) -> Vec<Section> {
         let c = &self.cache;

@@ -182,7 +182,7 @@ pub struct CommPlanner<'a> {
     layout: &'a Layout,
     trace: &'a Trace,
     /// Per-array expected shipped fraction (1.0 everywhere without
-    /// [`SipConfig::sparsity_density`] hints). Indexed by `ArrayId`.
+    /// [`SipConfig::sparsity_density`](crate::SipConfig::sparsity_density) hints). Indexed by `ArrayId`.
     densities: Vec<f64>,
 }
 
@@ -198,7 +198,7 @@ impl<'a> CommPlanner<'a> {
         Self::with_densities(layout, trace, &BTreeMap::new())
     }
 
-    /// A planner that folds [`SipConfig::sparsity_density`] hints into the
+    /// A planner that folds [`SipConfig::sparsity_density`](crate::SipConfig::sparsity_density) hints into the
     /// volume model: a `sparse` array with density `d` is expected to ship
     /// only `d` of each dense block's bytes (the same clamped convention
     /// the dry run's realized-footprint estimate uses). Dense arrays and

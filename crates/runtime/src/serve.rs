@@ -27,6 +27,7 @@
 
 use crate::dryrun;
 use crate::error::RuntimeError;
+use crate::events::TraceEvent;
 use crate::layout::{Layout, SipConfig};
 use crate::registry::SuperRegistry;
 use crate::Sip;
@@ -362,13 +363,24 @@ impl Daemon {
     }
 
     /// The admission footprint of a job: its dry-run per-worker bytes times
-    /// workers, plus per-server bytes times I/O servers.
+    /// workers, plus per-server bytes times I/O servers, plus — when the
+    /// job traces — the event ring every rank preallocates. The request
+    /// sizes that ring, so the sum saturates rather than wraps: an
+    /// oversized one is refused as over budget.
     pub fn footprint(spec: &JobSpec) -> Result<u64, RuntimeError> {
-        let layout =
-            Layout::for_config(Arc::new(spec.program.clone()), &spec.bindings, &spec.config)?;
-        let est = dryrun::estimate(&layout, &spec.config);
-        Ok(est.per_worker_bytes * spec.config.workers as u64
-            + est.per_server_bytes * spec.config.io_servers as u64)
+        let config = &spec.config;
+        let layout = Layout::for_config(Arc::new(spec.program.clone()), &spec.bindings, config)?;
+        let est = dryrun::estimate(&layout, config);
+        let rings = (layout.topology.world_size() as u64)
+            .saturating_mul(config.trace_buffer_events.max(16) as u64)
+            .saturating_mul(std::mem::size_of::<TraceEvent>() as u64);
+        let traced = spec.export || config.tracing();
+        Ok((est.per_worker_bytes.saturating_mul(config.workers as u64))
+            .saturating_add(
+                est.per_server_bytes
+                    .saturating_mul(config.io_servers as u64),
+            )
+            .saturating_add(if traced { rings } else { 0 }))
     }
 
     /// Submits a job: dry-run admission against the daemon budget, then a

@@ -14,8 +14,8 @@
 
 use crate::error::RuntimeError;
 use crate::layout::Layout;
-use crate::scheduler::{check_where_indices, eval_bool, eval_scalar};
-use sia_blocks::{ContractionPlan, Shape};
+use crate::scheduler::{check_where_indices, decode_ordinal, eval_bool, eval_scalar};
+use sia_blocks::Shape;
 use sia_bytecode::{ArrayKind, BlockRef, IndexId, Instruction as I};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -41,7 +41,7 @@ pub struct IterProfile {
     pub prepare_bytes: u64,
     /// Floating-point operations.
     pub flops: u64,
-    /// Of `get_bytes`, the portion a [`SipConfig::sparsity_density`] hint
+    /// Of `get_bytes`, the portion a [`SipConfig::sparsity_density`](crate::SipConfig::sparsity_density) hint
     /// says will never ship (absent blocks of `sparse` arrays). Zero when
     /// the trace was generated without density hints. The dense totals
     /// above stay dense so the scale simulator and the planner can model
@@ -213,7 +213,7 @@ pub(crate) fn array_densities(
 }
 
 /// Generates the trace, additionally recording the per-class byte discount
-/// that [`SipConfig::sparsity_density`] hints predict for `sparse` arrays
+/// that [`SipConfig::sparsity_density`](crate::SipConfig::sparsity_density) hints predict for `sparse` arrays
 /// (the comm planner subtracts it from the dense totals).
 pub fn generate_with_densities(
     layout: &Layout,
@@ -272,16 +272,12 @@ impl<'a> Walker<'a> {
         )
     }
 
-    fn ref_bytes(&self, r: &BlockRef) -> u64 {
-        self.layout.block_shape(&r.indices).len() as u64 * 8
-    }
-
     /// Record a fetch with per-iteration dedup (`seen` is reset per pardo
     /// iteration, mirroring the block cache).
     fn record_fetch(
-        &mut self,
+        &self,
         r: &BlockRef,
-        seen: &mut Option<HashSet<(u32, Vec<i64>)>>,
+        seen: Option<&mut HashSet<(u32, Vec<i64>)>>,
         acc: &mut IterProfile,
     ) {
         let segs: Vec<i64> = r.indices.iter().map(|&i| self.env[i.index()]).collect();
@@ -311,10 +307,11 @@ impl<'a> Walker<'a> {
     /// pardo body walk (then `iter_acc` is a Some(&mut profile) target).
     #[allow(clippy::too_many_lines)]
     fn walk_range(&mut self, from: u32, to: u32, ctx: &mut IterCtx) -> Result<(), RuntimeError> {
-        let program = Arc::clone(&self.layout.program);
+        let layout = self.layout;
+        let program = &layout.program;
         let mut pc = from;
         while pc < to {
-            let ins = &program.code[pc as usize];
+            let (ins, facts) = layout.instruction(pc)?;
             match ins {
                 I::PardoStart {
                     indices,
@@ -325,7 +322,9 @@ impl<'a> Walker<'a> {
                         return Err(RuntimeError::BadProgram("nested pardo in trace".into()));
                     }
                     self.flush_serial();
-                    let (iterations, first) = self.count_iterations(indices, where_clauses)?;
+                    let pardo = layout.pardo(pc).expect("the layout resolves every pardo");
+                    let (iterations, first) =
+                        self.count_iterations(indices, &pardo.ranges, where_clauses)?;
                     let mut per_iter = IterProfile::default();
                     if let Some(vals) = first {
                         for (idx, v) in indices.iter().zip(&vals) {
@@ -406,20 +405,12 @@ impl<'a> Walker<'a> {
                 I::Create { .. } | I::Delete { .. } => {}
                 I::Get { block } | I::Request { block } => {
                     let mut tmp = IterProfile::default();
-                    match ctx {
-                        Some((_, seen)) => {
-                            let mut opt = Some(std::mem::take(*seen));
-                            self.record_fetch(block, &mut opt, &mut tmp);
-                            **seen = opt.unwrap();
-                        }
-                        None => {
-                            self.record_fetch(block, &mut None, &mut tmp);
-                        }
-                    }
+                    let seen = ctx.as_mut().map(|(_, seen)| &mut **seen);
+                    self.record_fetch(block, seen, &mut tmp);
                     self.acc(ctx).add(&tmp);
                 }
                 I::Put { dest, .. } => {
-                    let bytes = self.ref_bytes(dest);
+                    let bytes = facts.refs[0].shape.len() as u64 * 8;
                     let discount = density_discount(bytes, self.densities[dest.array.index()]);
                     let acc = self.acc(ctx);
                     acc.puts += 1;
@@ -427,7 +418,7 @@ impl<'a> Walker<'a> {
                     acc.put_discount_bytes += discount;
                 }
                 I::Prepare { dest, .. } => {
-                    let bytes = self.ref_bytes(dest);
+                    let bytes = facts.refs[0].shape.len() as u64 * 8;
                     let discount = density_discount(bytes, self.densities[dest.array.index()]);
                     let acc = self.acc(ctx);
                     acc.prepares += 1;
@@ -441,44 +432,27 @@ impl<'a> Walker<'a> {
                     acc.put_bytes += bytes;
                     acc.puts += blocks;
                 }
-                I::BlockFill { dest, .. } | I::BlockScale { dest, .. } => {
-                    let n = self.layout.block_shape(&dest.indices).len() as u64;
-                    self.acc(ctx).flops += n;
+                I::BlockFill { .. } | I::BlockScale { .. } => {
+                    self.acc(ctx).flops += facts.refs[0].shape.len() as u64;
                 }
-                I::BlockCopy { dest, .. } | I::BlockAccumulate { dest, .. } => {
-                    let n = self.layout.block_shape(&dest.indices).len() as u64;
-                    self.acc(ctx).flops += 2 * n;
+                I::BlockCopy { .. } | I::BlockAccumulate { .. } => {
+                    self.acc(ctx).flops += 2 * facts.refs[0].shape.len() as u64;
                 }
-                I::BlockContract { dest, a, b, .. } => {
-                    let plan = ContractionPlan::infer(
-                        &a_labels(&dest.indices),
-                        &a_labels(&a.indices),
-                        &a_labels(&b.indices),
-                    )
-                    .map_err(|e| RuntimeError::BadProgram(format!("contraction: {e}")))?;
-                    let fa = self.layout.block_shape(&a.indices);
-                    let fb = self.layout.block_shape(&b.indices);
-                    self.acc(ctx).flops += plan.flops(&fa, &fb);
+                I::BlockContract { .. } => {
+                    let (a, b) = (&facts.refs[1], &facts.refs[2]);
+                    self.acc(ctx).flops += facts.plan()?.flops(&a.shape, &b.shape);
                 }
                 I::ScalarAssign { dest, expr } => {
                     self.scalars[dest.index()] = self.eval(expr);
                 }
                 I::ScalarFromBlock { .. } | I::Print { .. } => {}
-                I::ExecuteSuper { name, args } => {
+                I::ExecuteSuper { name, .. } => {
                     let name = &program.strings[name.index()];
                     if name == crate::interp::SIP_ALLREDUCE {
                         self.flush_serial();
                         self.phases.push(TracePhase::Collective);
                     } else {
-                        let shapes: Vec<Shape> = args
-                            .iter()
-                            .filter_map(|a| match a {
-                                sia_bytecode::Arg::Block(r) => {
-                                    Some(self.layout.block_shape(&r.indices))
-                                }
-                                _ => None,
-                            })
-                            .collect();
+                        let shapes: Vec<Shape> = facts.refs.iter().map(|r| r.shape).collect();
                         self.acc(ctx).flops += (self.cost)(name, &shapes);
                     }
                 }
@@ -510,10 +484,10 @@ impl<'a> Walker<'a> {
     fn count_iterations(
         &self,
         indices: &[IndexId],
+        ranges: &[(i64, i64)],
         wheres: &[sia_bytecode::BoolExpr],
     ) -> Result<(u64, Option<Vec<i64>>), RuntimeError> {
         check_where_indices(indices, wheres)?;
-        let ranges: Vec<(i64, i64)> = indices.iter().map(|&i| self.layout.range(i)).collect();
         let product: u64 = ranges
             .iter()
             .map(|&(lo, hi)| (hi - lo + 1) as u64)
@@ -535,13 +509,9 @@ impl<'a> Walker<'a> {
                 .iter()
                 .all(|w| eval_bool(w, &index_val, &|i| sc[i as usize], &|i| c[i as usize]))
         };
-        let decode = |mut n: u64| -> Vec<i64> {
+        let decode = |n: u64| -> Vec<i64> {
             let mut vals = vec![0i64; ranges.len()];
-            for d in (0..ranges.len()).rev() {
-                let len = (ranges[d].1 - ranges[d].0 + 1) as u64;
-                vals[d] = ranges[d].0 + (n % len) as i64;
-                n /= len;
-            }
+            decode_ordinal(ranges, n, |d, v| vals[d] = v);
             vals
         };
         if wheres.is_empty() {
@@ -583,10 +553,6 @@ impl<'a> Walker<'a> {
             Ok((est, first))
         }
     }
-}
-
-fn a_labels(indices: &[IndexId]) -> Vec<u32> {
-    indices.iter().map(|i| i.0).collect()
 }
 
 #[cfg(test)]

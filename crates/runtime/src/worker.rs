@@ -12,15 +12,14 @@ use crate::cache::Flight;
 use crate::error::{CommKind, RuntimeError};
 use crate::events::{CommOp, EventKind, TraceSink};
 use crate::ft::{FtState, TakeoverChunk};
-use crate::layout::{Layout, SegVals, SipConfig};
+use crate::layout::{Layout, RefFacts, SipConfig};
 use crate::memory::BlockManager;
 use crate::metrics::WaitCause;
 use crate::msg::{BarrierKind, BlockKey, OpId, Payload, SipMsg};
 use crate::profile::WorkerProfile;
 use crate::registry::SuperRegistry;
-use sia_blocks::BlockHandle;
-use sia_blocks::{BlockPool, ContractCtx, PoolConfig};
-use sia_bytecode::{ArrayId, ArrayKind, BlockRef, IndexId};
+use sia_blocks::{BlockHandle, BlockPool, ContractCtx, PoolConfig, SliceSpec};
+use sia_bytecode::{ArrayId, ArrayKind, IndexId};
 use sia_fabric::{Endpoint, Rank};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
@@ -55,7 +54,8 @@ pub(crate) struct LoopFrame {
     pub high: i64,
 }
 
-/// The in-progress pardo of a worker.
+/// The in-progress pardo of a worker; its static facts are the layout's
+/// [`PardoFacts`](crate::layout::PardoFacts) at `start_pc`.
 #[derive(Debug)]
 pub(crate) struct PardoState {
     pub start_pc: u32,
@@ -63,21 +63,15 @@ pub(crate) struct PardoState {
     /// worker reaches the PardoStart).
     pub epoch: u64,
     pub end_pc: u32,
-    pub indices: Vec<IndexId>,
-    /// Inclusive segment range per index, which iteration ordinals decode
-    /// against.
-    pub ranges: Vec<(i64, i64)>,
     /// Assigned iteration ordinals not yet executed.
     pub queue: VecDeque<u64>,
     /// A ChunkRequest is outstanding.
     pub requested: bool,
     /// Master said the space is exhausted.
     pub exhausted: bool,
-    /// The body's unconditional top-level `get`/`request` refs: what the
-    /// chunk look-ahead fetches for the iterations in `queue`.
-    pub gets: Arc<[BlockRef]>,
     /// How many iterations ahead the look-ahead may run: the window's bytes
-    /// over the bytes `gets` pulls per iteration (0 = no look-ahead).
+    /// over the bytes the pardo's unconditional gets pull per iteration
+    /// (0 = no look-ahead).
     pub window: usize,
     /// Iterations at the front of `queue` already looked ahead for.
     pub ahead: usize,
@@ -113,11 +107,8 @@ pub struct Worker {
     pub(crate) loop_stack: Vec<LoopFrame>,
     pub(crate) call_stack: Vec<u32>,
     pub(crate) pardo: Option<PardoState>,
-    /// Encounter counters per pardo pc.
-    pub(crate) pardo_epochs: HashMap<u32, u64>,
-    /// Look-ahead refs per pardo pc (see [`PardoState::gets`]), found at
-    /// the first encounter.
-    pub(crate) pardo_gets: HashMap<u32, Arc<[BlockRef]>>,
+    /// Encounter counters by pardo slot.
+    pub(crate) pardo_epochs: Vec<u64>,
     /// [`WINDOW_CACHE_SHARE`] of the cache capacity, in bytes.
     pub(crate) window_bytes: u64,
     /// The keys one look-ahead window asks for, kept between windows.
@@ -184,6 +175,7 @@ impl Worker {
     ) -> Self {
         let n_idx = layout.program.indices.len();
         let n_arrays = layout.program.arrays.len();
+        let pardos = layout.pardos;
         let scalars = layout.program.scalars.iter().map(|s| s.init).collect();
         let pool = BlockPool::new(PoolConfig {
             max_bytes: POOL_BYTES,
@@ -210,8 +202,7 @@ impl Worker {
             loop_stack: Vec::new(),
             call_stack: Vec::new(),
             pardo: None,
-            pardo_epochs: HashMap::new(),
-            pardo_gets: HashMap::new(),
+            pardo_epochs: vec![0; pardos],
             window_bytes: cache_bytes / WINDOW_CACHE_SHARE,
             lookahead_keys: Vec::new(),
             outstanding: [0; 2],
@@ -582,28 +573,21 @@ impl Worker {
 
     // ---- index environment -------------------------------------------------------
 
-    pub(crate) fn index_value(&self, id: IndexId) -> i64 {
-        self.env[id.index()]
-    }
-
-    pub(crate) fn set_index(&mut self, id: IndexId, v: i64) {
-        self.env[id.index()] = v;
-    }
-
-    /// Values of a ref's indices (errors if any is unbound — sema prevents,
-    /// but corrupted bytecode shouldn't panic).
-    pub(crate) fn seg_values(&self, indices: &[IndexId]) -> Result<SegVals, RuntimeError> {
-        let mut segs = SegVals::zeroed(indices.len());
-        for (seg, &i) in segs.iter_mut().zip(indices) {
-            *seg = self.index_value(i);
-            if *seg == 0 {
-                return Err(RuntimeError::BadProgram(format!(
-                    "index `{}` used while undefined",
-                    self.layout.program.indices[i.index()].name
-                )));
-            }
-        }
-        Ok(segs)
+    /// The storage block a ref denotes under the current index values, and
+    /// the window within it when the ref is sub-addressed (errors if an
+    /// index is unbound — sema prevents, but corrupted bytecode shouldn't
+    /// panic).
+    pub(crate) fn resolve(
+        &self,
+        r: &RefFacts,
+    ) -> Result<(BlockKey, Option<SliceSpec>), RuntimeError> {
+        let env = &self.env;
+        (self.layout.storage_target(r, |i| env[i.index()])).map_err(|i| {
+            RuntimeError::BadProgram(format!(
+                "index `{}` used while undefined",
+                self.layout.program.indices[i.index()].name
+            ))
+        })
     }
 
     // ---- block lifetimes ------------------------------------------------------------

@@ -1,4 +1,5 @@
-//! Heap allocations per pardo iteration on a put/get-bound program.
+//! Heap allocations per pardo iteration on a put/get-bound program and on
+//! sub-indexed code.
 //!
 //! The SIP takes its blocks from "stacks of preallocated blocks per size
 //! class" and spends its time in super instructions, so at fine block
@@ -86,10 +87,43 @@ execute sip_allreduce total
 endsial
 ";
 
-/// Allocations and pardo iterations of one run with `reps` repetitions.
-fn run(workers: usize, reps: i64) -> (u64, u64) {
-    let program = sial_frontend::compile(PUTGET).unwrap();
-    let bindings: ConstBindings = [("n".to_string(), 32), ("reps".to_string(), reps)].into();
+/// `programs/triangular.sial`'s slice-and-rebuild: per iteration a block is
+/// filled, stored whole in a local array, cut into its subblocks by a
+/// `do ii in i` loop (a slice read and an insertion write per subblock) and
+/// read back whole.
+const SUBSLICE: &str = "sial subslice
+aoindex i = 1, n
+aoindex j = 1, n
+subindex ii of i
+index r = 1, reps
+local Xi(i,j)
+temp t(i,j)
+temp Xii(ii,j)
+do r
+  pardo i, j
+    t(i,j) = i + j
+    Xi(i,j) = t(i,j)
+    do ii in i
+      Xii(ii,j) = Xi(ii,j)
+      Xi(ii,j) = Xii(ii,j)
+    enddo ii
+    t(i,j) = Xi(i,j)
+  endpardo i, j
+enddo r
+endsial
+";
+
+/// Allocations a `SUBSLICE` iteration may make. It reads 7.06 on one
+/// worker and 7.12 on two (2-CPU x86-64). The windows themselves allocate
+/// nothing, so what remains is block storage (every slice is a new block);
+/// when each access built its window in `Vec`s an iteration made 31.
+const SUBSLICE_MAX: f64 = 7.5;
+
+/// Allocations and pardo iterations of one run of `src` with `reps`
+/// repetitions.
+fn run(src: &str, n: i64, workers: usize, reps: i64) -> (u64, u64) {
+    let program = sial_frontend::compile(src).unwrap();
+    let bindings: ConstBindings = [("n".to_string(), n), ("reps".to_string(), reps)].into();
     let config = SipConfig::builder()
         .workers(workers)
         .io_servers(0)
@@ -103,14 +137,19 @@ fn run(workers: usize, reps: i64) -> (u64, u64) {
     (allocations, out.profile.iterations)
 }
 
+/// Marginal allocations per pardo iteration of `src` between 2 and 8
+/// repetitions, checking the iterations the 6 extra repetitions add.
+fn allocations_per_iteration(src: &str, n: i64, workers: usize, iterations_per_rep: u64) -> f64 {
+    let (few_allocs, few_iters) = run(src, n, workers, 2);
+    let (many_allocs, many_iters) = run(src, n, workers, 8);
+    assert_eq!(many_iters - few_iters, 6 * iterations_per_rep, "iterations");
+    (many_allocs as f64 - few_allocs as f64) / (many_iters - few_iters) as f64
+}
+
 #[test]
 fn a_pardo_iteration_allocates_at_most_twice() {
     for workers in [2, 1] {
-        let (few_allocs, few_iters) = run(workers, 2);
-        let (many_allocs, many_iters) = run(workers, 8);
-        assert_eq!(many_iters - few_iters, 6 * 2 * 32 * 32, "iterations");
-        let per_iteration =
-            (many_allocs as f64 - few_allocs as f64) / (many_iters - few_iters) as f64;
+        let per_iteration = allocations_per_iteration(PUTGET, 32, workers, 2 * 32 * 32);
         eprintln!("{workers} worker(s): {per_iteration:.2} allocations per pardo iteration");
         // One worker reads 1.53 on every run. Two workers read 1.72–1.73
         // on an idle 2-CPU x86-64 host: only how envelopes batch between
@@ -118,6 +157,12 @@ fn a_pardo_iteration_allocates_at_most_twice() {
         assert!(
             per_iteration <= 2.0,
             "{workers} worker(s): {per_iteration:.2} allocations per pardo iteration"
+        );
+        let sub = allocations_per_iteration(SUBSLICE, 16, workers, 16 * 16);
+        eprintln!("{workers} worker(s): {sub:.2} allocations per sub-indexed iteration");
+        assert!(
+            sub <= SUBSLICE_MAX,
+            "{workers} worker(s): {sub:.2} allocations per sub-indexed iteration"
         );
     }
 }

@@ -4,8 +4,8 @@
 //! array share its store file without colliding, one job's rank death
 //! never fails a neighbor job (each job runs on its own fabric world), a
 //! daemon job is scheduled exactly as a one-shot run, jobs queued for a
-//! run slot take it in priority order, and the job table keeps a bounded
-//! number of finished records.
+//! run slot take it in priority order, the job table keeps a bounded
+//! number of finished records, and a traced job is charged its trace rings.
 
 use sia_bytecode::ConstBindings;
 use sia_runtime::serve::{AdmitError, Daemon, DaemonConfig, JobSpec, JobState, FINISHED_JOBS_KEPT};
@@ -156,6 +156,35 @@ fn admission_rejects_infeasible_job_with_exact_bytes() {
     let id2 = daemon.submit(job(WRITER, "t", 6, 2, None)).unwrap();
     let s2 = daemon.wait(id2, WAIT).expect("second job must finish");
     assert_eq!(s2.state, JobState::Done, "{:?}", s2.state);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job's trace buffer size comes off the socket. Admission charges every
+/// rank's preallocated ring, so a job asking for 2^40 events per rank is
+/// refused as over budget before anything allocates, and the daemon runs
+/// the next ordinary job as if nothing happened.
+#[test]
+fn an_oversized_trace_buffer_is_refused_by_admission() {
+    let dir = tmp("ring");
+    let daemon = daemon_over(&dir, 1);
+    let mut greedy = job(WRITER, "t", 4, 2, None);
+    greedy.export = true;
+    greedy.config.trace_buffer_events = 1 << 40;
+    match daemon.submit(greedy) {
+        Err(AdmitError::OverBudget {
+            needed_bytes,
+            budget_bytes,
+            ..
+        }) => assert!(
+            needed_bytes > budget_bytes,
+            "{needed_bytes} ≤ {budget_bytes}"
+        ),
+        other => panic!("expected OverBudget, got {other:?}"),
+    }
+    let id = daemon.submit(job(WRITER, "t", 4, 2, None)).unwrap();
+    let s = daemon.wait(id, WAIT).expect("the next job must finish");
+    assert_eq!(s.state, JobState::Done, "{:?}", s.state);
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
