@@ -13,7 +13,7 @@ use crate::worker::Worker;
 use sia_blocks::{Block, BlockHandle};
 use sia_bytecode::{ArrayId, ArrayKind, PutMode};
 use sia_fabric::{Rank, ReqId};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How a block access treats a non-resident block: issue the fetch and
 /// return immediately (`get`/`request`/prefetch), or block until the data
@@ -60,12 +60,11 @@ impl Worker {
     /// [`Fetch::Wait`] blocks on an in-flight fetch — or issues a late one —
     /// if necessary, and returns [`BlockGet::Ready`] with the data or
     /// [`BlockGet::AbsentZero`] when the block is typed-absent from a sparse
-    /// array; the time blocked is added to `wait` for the profiler.
+    /// array.
     pub(crate) fn access_key(
         &mut self,
         key: BlockKey,
         fetch: Fetch,
-        wait: &mut Duration,
     ) -> Result<BlockGet, RuntimeError> {
         let home = self.home_of(&key)?;
         if home == self.endpoint.rank() {
@@ -120,7 +119,6 @@ impl Worker {
             // Time blocked on a fetch is comm latency the prefetcher failed
             // to hide — the "exposed" half of the overlap metric.
             self.profile.metrics.comm.exposed_nanos += waited.as_nanos() as u64;
-            *wait += waited;
         }
     }
 
@@ -169,14 +167,8 @@ impl Worker {
     /// goes through copy-on-write, so correctness is preserved without the
     /// old defensive deep copy. A dense consumer sees a sparse array's
     /// absent block as zeros.
-    ///
-    /// `wait` accumulates blocked time for the profiler.
-    pub(crate) fn read_block(
-        &mut self,
-        r: &RefFacts,
-        wait: &mut Duration,
-    ) -> Result<BlockHandle, RuntimeError> {
-        match self.read_block_get(r, wait)? {
+    pub(crate) fn read_block(&mut self, r: &RefFacts) -> Result<BlockHandle, RuntimeError> {
+        match self.read_block_get(r)? {
             BlockGet::Ready(h) => Ok(h),
             _ => Ok(BlockHandle::zeros(r.shape)),
         }
@@ -187,11 +179,7 @@ impl Worker {
     /// sparse block comes back as [`BlockGet::AbsentZero`] with its norm
     /// bound instead of a materialized zero block. A slice of an absent
     /// block is absent with the same bound (`‖sub‖F ≤ ‖whole‖F`).
-    pub(crate) fn read_block_get(
-        &mut self,
-        r: &RefFacts,
-        wait: &mut Duration,
-    ) -> Result<BlockGet, RuntimeError> {
+    pub(crate) fn read_block_get(&mut self, r: &RefFacts) -> Result<BlockGet, RuntimeError> {
         let (key, window) = self.resolve(r)?;
         let whole = match r.kind {
             ArrayKind::Temp => match &self.temps[r.array.index()] {
@@ -219,7 +207,7 @@ impl Worker {
                 }
             },
             ArrayKind::Distributed | ArrayKind::Served => {
-                match self.access_key(key, Fetch::Wait, wait)? {
+                match self.access_key(key, Fetch::Wait)? {
                     BlockGet::Ready(h) => h,
                     absent @ BlockGet::AbsentZero { .. } => return Ok(absent),
                     BlockGet::Pending => {
@@ -298,8 +286,7 @@ impl Worker {
         let (key, window) = self.resolve(r)?;
         if window.is_some() {
             // Read-modify-write through the slice path.
-            let mut wait = Duration::ZERO;
-            let mut sub = self.read_block(r, &mut wait)?;
+            let mut sub = self.read_block(r)?;
             f(sub.make_mut());
             return self.write_block(r, sub);
         }
@@ -336,7 +323,7 @@ impl Worker {
     /// all share one allocation.
     ///
     /// A store that would take the unacknowledged bytes past the window
-    /// first waits (into `wait`) for acks to bring them down to half of it:
+    /// first waits for acks to bring them down to half of it:
     /// a worker that never has to wait for anything else — its gets looked
     /// ahead, or none at all — would otherwise run its whole chunk of
     /// blocks into the home's inbox. `home` comes from
@@ -349,12 +336,11 @@ impl Worker {
         data: BlockHandle,
         mode: PutMode,
         op: OpId,
-        wait: &mut Duration,
     ) -> Result<(), RuntimeError> {
         let served = self.layout.array_kind(key.array) == ArrayKind::Served;
         let bytes = self.layout.block_bytes(key.array);
         if self.unacked_bytes > 0 && self.unacked_bytes + bytes > self.window_bytes {
-            *wait += self.wait_until(WaitCause::AckDrain, "store window", |w| {
+            self.wait_until(WaitCause::AckDrain, "store window", |w| {
                 w.unacked_bytes <= w.window_bytes / 2
             })?;
         }

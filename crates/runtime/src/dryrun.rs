@@ -111,18 +111,25 @@ fn per_worker(layout: &Layout, config: &SipConfig, workers: u64) -> MemoryEstima
         dense_total += dense_bytes;
     }
     // The same sizing the worker's BlockManager uses at runtime, so the
-    // prediction and the enforced ceiling are in the same units.
-    let cache_bytes = config.cache_blocks as u64 * layout.largest_remote_block_bytes();
-    total += cache_bytes;
-    dense_total += cache_bytes;
+    // prediction and the enforced ceiling are in the same units. The cache
+    // sizes may come off a daemon's socket: an absurd one saturates, and
+    // admission refuses it as over budget.
+    let cache = cache_bytes(config.cache_blocks, layout.largest_remote_block_bytes());
     MemoryEstimate {
-        per_worker_bytes: total,
-        dense_per_worker_bytes: dense_total,
-        per_server_bytes: config.server_cache_blocks as u64 * largest + server_norm_bytes,
+        per_worker_bytes: total.saturating_add(cache),
+        dense_per_worker_bytes: dense_total.saturating_add(cache),
+        per_server_bytes: cache_bytes(config.server_cache_blocks, largest)
+            .saturating_add(server_norm_bytes),
         breakdown,
         largest_block_bytes: largest,
-        cache_bytes,
+        cache_bytes: cache,
     }
+}
+
+/// The bytes of a cache of `blocks` blocks of `block_bytes` each,
+/// saturating.
+pub(crate) fn cache_bytes(blocks: usize, block_bytes: u64) -> u64 {
+    (blocks as u64).saturating_mul(block_bytes)
 }
 
 /// The smallest worker count whose per-worker estimate fits `budget`

@@ -634,8 +634,7 @@ impl Worker {
                 let mut pc = chunk.pardo_pc + 1;
                 while pc != end_pc {
                     let (ins, facts) = layout.instruction(pc)?;
-                    let mut wait = Duration::ZERO;
-                    match self.step(pc, ins, facts, &mut wait)? {
+                    match self.step(pc, ins, facts)? {
                         Some(n) => pc = n,
                         None => {
                             return Err(RuntimeError::BadProgram(

@@ -21,7 +21,7 @@ use crate::worker::{LoopFrame, PardoState, Worker};
 use sia_blocks::{contract_into_ctx, permute_into, Block, BlockHandle, MAX_RANK};
 use sia_bytecode::{Arg, ArrayKind, BoolExpr, IndexId, Instruction as I, ScalarExpr};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Name of the intrinsic collective scalar sum (`execute sip_allreduce s`).
 pub const SIP_ALLREDUCE: &str = "sip_allreduce";
@@ -36,36 +36,20 @@ impl Worker {
     /// Runs the program to `halt`. On success the worker still owes the
     /// master a `WorkerDone` (sent by the runtime harness, which also keeps
     /// the worker servicing peers until shutdown).
+    ///
+    /// Busy time is exact per run — its time minus its waits — and is split
+    /// across pcs by the sampler's counts once the program ends.
     pub fn execute_program(&mut self) -> Result<(), RuntimeError> {
-        let layout = Arc::clone(&self.layout);
         let t0 = Instant::now();
-        // One clock reading per instruction boundary: the reading that ends
-        // an instruction starts the next one.
-        let mut now = t0;
-        let mut pc: u32 = 0;
-        loop {
-            if self.service_messages() {
-                // Time spent serving peers is nobody's busy time.
-                now = Instant::now();
-            }
-            self.pump_retries()?;
-            self.mem.enforce_budget()?;
-            let (ins, facts) = layout.instruction(pc)?;
-            let t_ins = now;
-            let mut wait = Duration::ZERO;
-            let class = ins.class();
-            let next = self.step(pc, ins, facts, &mut wait)?;
-            now = Instant::now();
-            let busy = (now - t_ins).saturating_sub(wait);
-            self.profile.record(pc, busy, wait);
-            self.trace
-                .span_between(EventKind::Instruction { pc, class }, t_ins, now);
-            match next {
-                Some(n) => pc = n,
-                None => break,
-            }
-        }
-        self.profile.total_nanos = (now - t0).as_nanos() as u64;
+        let waited_before = self.profile.wait_nanos();
+        let ran = self.run_instructions();
+        self.word.off();
+        ran?;
+        let total = t0.elapsed().as_nanos() as u64;
+        let waited = self.profile.wait_nanos() - waited_before;
+        self.profile.total_nanos = total;
+        let word = &self.word;
+        (self.profile).apportion_busy(total.saturating_sub(waited), |pc| word.samples(pc));
         self.profile.metrics.cache = self.mem.cache_stats();
         self.profile.metrics.memory = self.mem.stats();
         self.profile
@@ -73,6 +57,42 @@ impl Worker {
             .contraction
             .merge(&self.contract_ctx.take_stats());
         Ok(())
+    }
+
+    /// The instruction loop. A boundary stores the next pc into the rank's
+    /// word and reads no clock; time spent there serving peers is charged
+    /// to the instruction that follows. Instruction spans, and the clock
+    /// reads behind them, exist only while tracing: the reading that ends
+    /// one span starts the next, unless serving peers came between.
+    fn run_instructions(&mut self) -> Result<(), RuntimeError> {
+        let layout = Arc::clone(&self.layout);
+        let tracing = self.trace.is_on();
+        let mut now = tracing.then(Instant::now);
+        let mut pc: u32 = 0;
+        loop {
+            self.word.busy(pc);
+            if self.service_messages() && tracing {
+                now = Some(Instant::now());
+            }
+            self.pump_retries()?;
+            self.mem.enforce_budget()?;
+            let (ins, facts) = layout.instruction(pc)?;
+            let next = self.step(pc, ins, facts)?;
+            self.profile.record(pc);
+            if let Some(start) = now {
+                let end = Instant::now();
+                let kind = EventKind::Instruction {
+                    pc,
+                    class: ins.class(),
+                };
+                self.trace.span_between(kind, start, end);
+                now = Some(end);
+            }
+            match next {
+                Some(n) => pc = n,
+                None => return Ok(()),
+            }
+        }
     }
 
     // ---- expression evaluation -----------------------------------------------
@@ -164,7 +184,7 @@ impl Worker {
 
     /// Binds the next assigned iteration or leaves the loop. Returns the next
     /// pc.
-    fn pardo_advance(&mut self, wait: &mut Duration) -> Result<u32, RuntimeError> {
+    fn pardo_advance(&mut self) -> Result<u32, RuntimeError> {
         // Request more work if the queue ran dry.
         let (start_pc, epoch, need_request) = {
             let p = self.pardo.as_ref().expect("pardo_advance outside pardo");
@@ -187,7 +207,7 @@ impl Worker {
                 p.requested = true;
             }
         }
-        *wait += self.wait_until(WaitCause::ChunkAssign, "pardo chunk", |w| {
+        self.wait_until(WaitCause::ChunkAssign, "pardo chunk", |w| {
             let p = w.pardo.as_ref().unwrap();
             !p.queue.is_empty() || p.exhausted
         })?;
@@ -230,13 +250,12 @@ impl Worker {
             return Ok(());
         }
         let (index, current, high) = (frame.index, frame.current, frame.high);
-        let mut wait = Duration::ZERO; // NoWait never blocks; discarded.
         for d in 1..=self.config.prefetch_depth as i64 {
             if current + d > high {
                 break;
             }
             if let Some(key) = self.lookahead_key(block, &[index], &[current + d]) {
-                self.access_key(key, Fetch::NoWait, &mut wait)?;
+                self.access_key(key, Fetch::NoWait)?;
             }
         }
         Ok(())
@@ -269,9 +288,8 @@ impl Worker {
         if let Some(p) = self.pardo.as_mut() {
             p.vals = vals;
         }
-        let mut wait = Duration::ZERO; // NoWait never blocks; discarded.
-        let issued = (keys.drain(..))
-            .try_for_each(|key| self.access_key(key, Fetch::NoWait, &mut wait).map(drop));
+        let issued =
+            (keys.drain(..)).try_for_each(|key| self.access_key(key, Fetch::NoWait).map(drop));
         self.lookahead_keys = keys;
         issued
     }
@@ -305,7 +323,6 @@ impl Worker {
         pc: u32,
         ins: &I,
         facts: &PcFacts,
-        wait: &mut Duration,
     ) -> Result<Option<u32>, RuntimeError> {
         let refs = &facts.refs;
         match ins {
@@ -334,7 +351,7 @@ impl Worker {
                     window,
                     ahead: 0,
                 });
-                Ok(Some(self.pardo_advance(wait)?))
+                Ok(Some(self.pardo_advance()?))
             }
             I::PardoEnd { .. } => {
                 self.free_temps();
@@ -343,7 +360,7 @@ impl Worker {
                     self.note_pardo_iter_done(pardo_pc, epoch);
                 }
                 self.maybe_crash()?;
-                Ok(Some(self.pardo_advance(wait)?))
+                Ok(Some(self.pardo_advance()?))
             }
             I::DoStart { index, end_pc } => {
                 let (lo, hi) = self.layout.range(*index);
@@ -465,12 +482,12 @@ impl Worker {
             // ---- I/O -------------------------------------------------------------
             I::Get { .. } | I::Request { .. } => {
                 let (key, _) = self.resolve(&refs[0])?;
-                self.access_key(key, Fetch::NoWait, wait)?;
+                self.access_key(key, Fetch::NoWait)?;
                 self.prefetch_ahead(&refs[0])?;
                 Ok(Some(pc + 1))
             }
             I::Put { mode, .. } | I::Prepare { mode, .. } => {
-                let data = self.read_block(&refs[1], wait)?;
+                let data = self.read_block(&refs[1])?;
                 let (key, window) = self.resolve(&refs[0])?;
                 if window.is_some() {
                     return Err(RuntimeError::BadProgram(format!(
@@ -484,7 +501,7 @@ impl Worker {
                     let epoch = Some(self.dist_epoch);
                     self.apply_store_deduped(key, Payload::Data(data), *mode, op, epoch)?;
                 } else {
-                    self.send_store(home, key, data, *mode, op, wait)?;
+                    self.send_store(home, key, data, *mode, op)?;
                 }
                 Ok(Some(pc + 1))
             }
@@ -517,7 +534,7 @@ impl Worker {
                 )?;
                 let lbl = label.0;
                 self.trace.instant(EventKind::Checkpoint { restore: false });
-                *wait += self.wait_until(WaitCause::Checkpoint, "checkpoint", |w| {
+                self.wait_until(WaitCause::Checkpoint, "checkpoint", |w| {
                     w.ckpt_released.contains(&lbl)
                 })?;
                 self.ckpt_released.remove(&lbl);
@@ -539,7 +556,7 @@ impl Worker {
                 )?;
                 let lbl = label.0;
                 self.trace.instant(EventKind::Checkpoint { restore: true });
-                *wait += self.wait_until(WaitCause::Checkpoint, "checkpoint restore", |w| {
+                self.wait_until(WaitCause::Checkpoint, "checkpoint restore", |w| {
                     w.ckpt_released.contains(&lbl)
                 })?;
                 self.ckpt_released.remove(&lbl);
@@ -557,7 +574,7 @@ impl Worker {
             }
             I::BlockCopy { .. } => {
                 let (dest, src) = (&refs[0], &refs[1]);
-                let data = self.read_block(src, wait)?;
+                let data = self.read_block(src)?;
                 let permuted = self.permute_to(dest, src, &data)?;
                 if BlockHandle::ptr_eq(&permuted, &data) {
                     self.mem.note_share(&permuted);
@@ -567,7 +584,7 @@ impl Worker {
             }
             I::BlockAccumulate { sign, .. } => {
                 let (dest, src) = (&refs[0], &refs[1]);
-                let data = self.read_block(src, wait)?;
+                let data = self.read_block(src)?;
                 let permuted = self.permute_to(dest, src, &data)?;
                 let sign = *sign;
                 self.modify_block(dest, |b| b.axpy(sign, &permuted))?;
@@ -585,8 +602,8 @@ impl Worker {
             I::BlockContract { accumulate, .. } => {
                 let plan = facts.plan()?;
                 let (dest, a, b) = (&refs[0], &refs[1], &refs[2]);
-                let aget = self.read_block_get(a, wait)?;
-                let bget = self.read_block_get(b, wait)?;
+                let aget = self.read_block_get(a)?;
+                let bget = self.read_block_get(b)?;
                 // Sparse screening: a typed-absent operand makes the product
                 // exactly zero; two present operands whose norm product
                 // (Cauchy–Schwarz bound on ‖A·B‖F) falls under the threshold
@@ -660,7 +677,7 @@ impl Worker {
             I::ScalarFromBlock {
                 dest, accumulate, ..
             } => {
-                let b = self.read_block(&refs[0], wait)?;
+                let b = self.read_block(&refs[0])?;
                 if b.len() != 1 {
                     return Err(RuntimeError::BadProgram(
                         "scalar fold of non-scalar block".into(),
@@ -676,7 +693,7 @@ impl Worker {
             }
             I::ExecuteSuper { name, args } => {
                 let name_str = self.layout.program.strings[name.index()].clone();
-                self.execute_super(&name_str, args, refs, wait)?;
+                self.execute_super(&name_str, args, refs)?;
                 Ok(Some(pc + 1))
             }
             I::Print { items } => {
@@ -702,14 +719,14 @@ impl Worker {
 
             // ---- synchronization ------------------------------------------------------
             I::SipBarrier => {
-                *wait += self.barrier(BarrierKind::Sip)?;
+                self.barrier(BarrierKind::Sip)?;
                 self.invalidate_cached_kind(ArrayKind::Distributed);
                 self.dist_epoch += 1;
                 self.on_sip_barrier_released();
                 Ok(Some(pc + 1))
             }
             I::ServerBarrier => {
-                *wait += self.barrier(BarrierKind::Server)?;
+                self.barrier(BarrierKind::Server)?;
                 self.invalidate_cached_kind(ArrayKind::Served);
                 Ok(Some(pc + 1))
             }
@@ -740,7 +757,7 @@ impl Worker {
         Ok(matches!(&self.temps[r.array.index()], Some((k, _)) if *k == key))
     }
 
-    pub(crate) fn barrier(&mut self, kind: BarrierKind) -> Result<Duration, RuntimeError> {
+    pub(crate) fn barrier(&mut self, kind: BarrierKind) -> Result<(), RuntimeError> {
         let barrier_cause = match kind {
             BarrierKind::Sip => WaitCause::SipBarrier,
             BarrierKind::Server => WaitCause::ServerBarrier,
@@ -751,7 +768,7 @@ impl Worker {
             BarrierKind::Sip => ("put acks", ArrayKind::Distributed),
             BarrierKind::Server => ("prepare acks", ArrayKind::Served),
         };
-        let mut total = self.wait_until(WaitCause::AckDrain, acks, |w| w.stores_drained(stored))?;
+        self.wait_until(WaitCause::AckDrain, acks, |w| w.stores_drained(stored))?;
         let master = self.layout.topology.master();
         self.endpoint.send(master, SipMsg::BarrierEnter { kind })?;
         if self.ft.is_some() {
@@ -766,18 +783,18 @@ impl Worker {
                 if self.barrier_release == Some(kind) {
                     break;
                 }
-                total += self.wait_until(barrier_cause, "barrier release", |w| {
+                self.wait_until(barrier_cause, "barrier release", |w| {
                     w.barrier_release == Some(kind)
                         || w.ft.as_ref().is_some_and(|ft| !ft.takeovers.is_empty())
                 })?;
             }
         } else {
-            total += self.wait_until(barrier_cause, "barrier release", |w| {
+            self.wait_until(barrier_cause, "barrier release", |w| {
                 w.barrier_release == Some(kind)
             })?;
         }
         self.barrier_release = None;
-        Ok(total)
+        Ok(())
     }
 
     fn execute_super(
@@ -785,7 +802,6 @@ impl Worker {
         name: &str,
         args: &[Arg],
         blocks: &[RefFacts],
-        wait: &mut Duration,
     ) -> Result<(), RuntimeError> {
         // Intrinsic collectives are handled by the runtime, not the registry.
         if name == SIP_ALLREDUCE {
@@ -801,7 +817,7 @@ impl Worker {
                     value: self.scalars[id.index()],
                 },
             )?;
-            *wait += self.wait_until(WaitCause::Collective, "allreduce", |w| {
+            self.wait_until(WaitCause::Collective, "allreduce", |w| {
                 w.reduce_result.is_some()
             })?;
             self.scalars[id.index()] = self.reduce_result.take().unwrap();

@@ -691,8 +691,11 @@ impl Layout {
         let Some(ordinal) = self.block_ordinal(key) else {
             return 0;
         };
-        let (workers, total) = (self.topology.workers as u128, self.total_blocks(key.array));
-        (u128::from(ordinal) * workers / u128::from(total)) as usize
+        slab_of(
+            ordinal,
+            self.topology.workers as u64,
+            self.total_blocks(key.array),
+        )
     }
 
     /// Home worker of a distributed block when some workers are dead: its
@@ -1102,11 +1105,50 @@ impl Layout {
     }
 }
 
+/// `⌊ordinal · workers / total⌋`, the slab of a block: in `u64` unless the
+/// product overflows it.
+fn slab_of(ordinal: u64, workers: u64, total: u64) -> usize {
+    match ordinal.checked_mul(workers) {
+        Some(p) => (p / total) as usize,
+        None => (u128::from(ordinal) * u128::from(workers) / u128::from(total)) as usize,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify;
     use sia_bytecode::{ArrayDecl, IndexDecl, Value};
+
+    /// The `u64` slab division is the `u128` formula, on both sides of the
+    /// edge where `ordinal · workers` overflows a `u64`.
+    #[test]
+    fn slab_division_matches_the_wide_formula() {
+        let wide =
+            |o: u64, w: u64, t: u64| (u128::from(o) * u128::from(w) / u128::from(t)) as usize;
+        for workers in [1u64, 2, 3, 7, 64, 1000, u64::from(u32::MAX)] {
+            let edge = u64::MAX / workers;
+            for total in [edge.saturating_add(2), u64::MAX / 2, u64::MAX] {
+                let lo = edge.saturating_sub(3).min(total - 1);
+                for ordinal in (lo..=edge.saturating_add(3).min(total - 1)).chain([0, 1, total - 1])
+                {
+                    assert_eq!(
+                        slab_of(ordinal, workers, total),
+                        wide(ordinal, workers, total),
+                        "ordinal {ordinal}, workers {workers}, total {total}"
+                    );
+                }
+            }
+            for total in [1u64, 5, 17, 4096] {
+                for ordinal in 0..total {
+                    assert_eq!(
+                        slab_of(ordinal, workers, total),
+                        wide(ordinal, workers, total)
+                    );
+                }
+            }
+        }
+    }
 
     fn layout_with(segments: SegmentConfig) -> Layout {
         layout_on(segments, Topology::new(3, 1))

@@ -76,6 +76,7 @@ pub(crate) mod memory;
 pub(crate) mod msg;
 pub(crate) mod profile;
 pub(crate) mod registry;
+pub(crate) mod sampler;
 pub(crate) mod store;
 pub(crate) mod worker;
 
@@ -100,6 +101,7 @@ pub use msg::{BlockKey, OpId, Payload, SipMsg};
 pub use plan::{BroadcastOp, CommPlan, CommPlanner, CommVolume, OwnerCompute, PlanSummary};
 pub use profile::{lint_profile_json, ProfileLine, ProfileReport, WorkerProfile};
 pub use registry::{SuperArg, SuperEnv, SuperRegistry};
+pub use sampler::SAMPLE_TICK;
 pub use serve::{
     jain_index, AdmitError, Daemon, DaemonConfig, JobId, JobProgress, JobSpec, JobState, JobStatus,
     ServeHandles,
@@ -318,9 +320,15 @@ impl Sip {
             master.set_trace(mk_sink());
         }
 
+        // The run's sampling table, allocated here rather than on the
+        // sampler's thread, and sampled until the world is gone.
+        let samples = sampler::RunSamples::new(topology.workers, layout.program.code.len());
+        let sampling = sampler::Sampler::global().register(&samples);
+
         let result = std::thread::scope(|scope| {
             // Workers.
-            for ep in worker_eps {
+            for (i, ep) in worker_eps.into_iter().enumerate() {
+                let word = samples.rank(i);
                 let layout = Arc::clone(&layout);
                 let config = worker_config.clone();
                 let registry = self.registry.clone();
@@ -328,6 +336,7 @@ impl Sip {
                 scope.spawn(move || {
                     let mut w = worker::Worker::new(layout, config, ep, registry);
                     w.resumed_epochs = resumed_epochs;
+                    w.set_sampling(word);
                     if trace_on {
                         w.set_trace(mk_sink());
                     }
@@ -361,6 +370,7 @@ impl Sip {
             // The master runs on the calling thread.
             master.run()
         });
+        drop(sampling);
 
         if owned_dir {
             let _ = std::fs::remove_dir_all(&run_dir);

@@ -2,23 +2,25 @@
 //!
 //! "Because basic operations are relatively time consuming, we can keep track
 //! of very detailed performance metrics without an impact on performance."
-//! Each worker records, per program counter: execution count, cumulative
-//! busy time, and cumulative *wait* time (time blocked on block arrival,
-//! chunk assignment, or barriers). Counters beyond the per-pc table live in
-//! the unified [`Metrics`] registry the profile carries. The master merges
-//! the per-worker profiles into a [`ProfileReport`] whose lines reference
-//! the disassembled instruction, keeping the source↔profile relationship
-//! transparent.
+//! Each worker records, per program counter: execution count, busy time, and
+//! *wait* time (time blocked on block arrival, chunk assignment, or
+//! barriers). Counts and waits are exact. Busy time is exact per worker —
+//! its run time minus its waits — and split across pcs in proportion to the
+//! samples the process-wide sampler took ([`crate::sampler`]), so an
+//! instruction boundary reads no clock. Counters beyond the per-pc table
+//! live in the unified [`Metrics`] registry the profile carries. The master
+//! merges the per-worker profiles into a [`ProfileReport`] whose lines
+//! reference the disassembled instruction, keeping the source↔profile
+//! relationship transparent.
 //!
 //! Wait accounting happens at exactly one point — the `wait_until` call
-//! sites feed [`Metrics::wait`] via [`WorkerProfile::add_wait`] — and
-//! [`WorkerProfile::record`] only *attributes* wait to a pc. A blocked
-//! instruction that retries (re-arms its fetch and waits again) therefore
-//! cannot double-count wait into both the per-pc table and the totals.
+//! sites feed [`Metrics::wait`] and the waiting instruction's per-pc wait
+//! together, via [`WorkerProfile::add_wait`] — so no wait is counted twice.
 
 use crate::events::TraceEvent;
 use crate::json::{Document, Json};
 use crate::metrics::{quiet, Merge, Metrics, WaitCause};
+use crate::sampler::SAMPLE_TICK;
 use sia_bytecode::{InstructionClass, Program};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -27,11 +29,13 @@ use std::time::Duration;
 /// One worker's raw counters (shipped to the master in `WorkerDone`).
 #[derive(Debug, Clone, Default)]
 pub struct WorkerProfile {
-    /// (count, busy nanos, wait nanos) indexed by pc, up to the highest pc
-    /// executed; all zero for an instruction this worker never executed.
+    /// (count, busy nanos, wait nanos) indexed by pc; all zero for an
+    /// instruction this worker never executed.
     pub per_pc: Vec<(u64, u64, u64)>,
     /// Total wall time of the worker's run in nanos.
     pub total_nanos: u64,
+    /// Busy-time samples the sampler took of this worker's run.
+    pub samples: u64,
     /// Pardo iterations executed.
     pub iterations: u64,
     /// Pardo chunks the master granted this worker.
@@ -46,32 +50,68 @@ pub struct WorkerProfile {
 }
 
 impl WorkerProfile {
-    /// Records one instruction execution. `wait` is attribution only: it
-    /// lands in the per-pc table, while the authoritative wait totals are
-    /// accumulated once per actual blocked interval via [`add_wait`]
-    /// (called from the wait sites themselves).
-    ///
-    /// [`add_wait`]: WorkerProfile::add_wait
-    pub fn record(&mut self, pc: u32, busy: Duration, wait: Duration) {
-        let pc = pc as usize;
-        if pc >= self.per_pc.len() {
-            self.per_pc.resize(pc + 1, (0, 0, 0));
+    /// An empty profile of a program of `pcs` instructions.
+    pub fn for_program(pcs: usize) -> Self {
+        WorkerProfile {
+            per_pc: vec![(0, 0, 0); pcs],
+            ..WorkerProfile::default()
         }
-        let e = &mut self.per_pc[pc];
-        e.0 += 1;
-        e.1 += busy.as_nanos() as u64;
-        e.2 += wait.as_nanos() as u64;
     }
 
-    /// The single accounting point for wait totals: adds one blocked
-    /// interval to the by-cause breakdown.
-    pub fn add_wait(&mut self, cause: WaitCause, d: Duration) {
+    /// Counts one execution of the instruction at `pc`.
+    #[inline]
+    pub fn record(&mut self, pc: u32) {
+        if let Some(e) = self.per_pc.get_mut(pc as usize) {
+            e.0 += 1;
+        }
+    }
+
+    /// The single accounting point for waits: adds one blocked interval to
+    /// the by-cause breakdown and, when it blocked an instruction, to that
+    /// instruction's per-pc wait.
+    pub fn add_wait(&mut self, cause: WaitCause, d: Duration, pc: Option<usize>) {
         self.metrics.wait.add(cause, d);
+        if let Some(e) = pc.and_then(|pc| self.per_pc.get_mut(pc)) {
+            e.2 += d.as_nanos() as u64;
+        }
     }
 
     /// Total wait nanoseconds (sum of the by-cause breakdown).
     pub fn wait_nanos(&self) -> u64 {
         self.metrics.wait.total_nanos()
+    }
+
+    /// Splits `busy` nanoseconds across the pcs in proportion to
+    /// `samples(pc)`, exactly: the parts sum to `busy`, the rounding
+    /// remainder going to the most-sampled pc. A worker that took no sample
+    /// (a run shorter than a tick) splits by execution count instead.
+    pub fn apportion_busy(&mut self, busy: u64, samples: impl Fn(usize) -> u64) {
+        let sampled: u64 = (0..self.per_pc.len()).map(&samples).sum();
+        self.samples = sampled;
+        let weight = |pc: usize, e: &(u64, u64, u64)| match sampled {
+            0 => e.0,
+            _ => samples(pc),
+        };
+        let total: u64 = self
+            .per_pc
+            .iter()
+            .enumerate()
+            .map(|(pc, e)| weight(pc, e))
+            .sum();
+        if total == 0 {
+            return;
+        }
+        let (mut given, mut heaviest) = (0, (0, 0));
+        for pc in 0..self.per_pc.len() {
+            let w = weight(pc, &self.per_pc[pc]);
+            let part = (u128::from(busy) * u128::from(w) / u128::from(total)) as u64;
+            self.per_pc[pc].1 = part;
+            given += part;
+            if w > heaviest.1 {
+                heaviest = (pc, w);
+            }
+        }
+        self.per_pc[heaviest.0].1 += busy - given;
     }
 }
 
@@ -116,6 +156,9 @@ pub struct ProfileReport {
     /// Total pardo chunks granted: `iterations / chunks` is the grain the
     /// chunk policy scheduled at.
     pub chunks: u64,
+    /// Busy-time samples, summed over workers, that split each worker's
+    /// busy time across the lines.
+    pub samples: u64,
 }
 
 impl ProfileReport {
@@ -123,7 +166,7 @@ impl ProfileReport {
     pub fn merge(program: &Program, profiles: &[WorkerProfile]) -> Self {
         let mut per_pc: BTreeMap<u32, (u64, u64, u64)> = BTreeMap::new();
         let mut metrics = Metrics::default();
-        let (mut iterations, mut chunks) = (0, 0);
+        let (mut iterations, mut chunks, mut samples) = (0, 0, 0);
         for p in profiles {
             for (pc, &(c, b, w)) in p.per_pc.iter().enumerate().filter(|(_, e)| e.0 > 0) {
                 let e = per_pc.entry(pc as u32).or_insert((0, 0, 0));
@@ -134,6 +177,7 @@ impl ProfileReport {
             metrics.merge(&p.metrics);
             iterations += p.iterations;
             chunks += p.chunks;
+            samples += p.samples;
         }
         let mut lines: Vec<ProfileLine> = per_pc
             .into_iter()
@@ -169,6 +213,7 @@ impl ProfileReport {
             dry_run_estimate_bytes: 0,
             iterations,
             chunks,
+            samples,
         }
     }
 
@@ -201,7 +246,8 @@ impl ProfileReport {
     /// The machine-readable profile (the `--profile-json` payload,
     /// `sia.profile.v1`): schema marker, headline numbers, the overlap
     /// metric, the metrics object of [`Metrics::to_json`], per-worker
-    /// figures, and the per-pc lines.
+    /// figures, and the per-pc lines. `sample_tick_ns` and `samples` say
+    /// what the lines' busy split rests on.
     pub fn to_json(&self) -> String {
         let ns = |d: Duration| Json::from(d.as_nanos() as u64);
         let workers = self.worker_totals.iter().enumerate().map(|(i, &total)| {
@@ -225,6 +271,8 @@ impl ProfileReport {
             ("total_busy_ns", ns(self.total_busy())),
             ("total_wait_ns", ns(self.total_wait())),
             ("wait_fraction", self.wait_fraction().into()),
+            ("sample_tick_ns", ns(SAMPLE_TICK)),
+            ("samples", self.samples.into()),
             ("dry_run_estimate_bytes", self.dry_run_estimate_bytes.into()),
             (
                 "overlap",
@@ -257,6 +305,8 @@ pub fn lint_profile_json(doc: &(impl Document + ?Sized)) -> Result<(), String> {
         "wait_fraction",
         "total_busy_ns",
         "total_wait_ns",
+        "sample_tick_ns",
+        "samples",
     ] {
         doc.get(key)
             .and_then(Json::as_f64)
@@ -289,10 +339,13 @@ impl fmt::Display for ProfileReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "SIP profile: {} iterations in {} chunks, wait fraction {:.1}%",
+            "SIP profile: {} iterations in {} chunks, wait fraction {:.1}%, \
+             busy split by {} samples at {:?}",
             self.iterations,
             self.chunks,
-            self.wait_fraction() * 100.0
+            self.wait_fraction() * 100.0,
+            self.samples,
+            SAMPLE_TICK
         )?;
         match self.overlap() {
             Some(v) => {
@@ -342,36 +395,69 @@ impl fmt::Display for ProfileReport {
 mod tests {
     use super::*;
 
+    /// A profile of `pcs` instructions that executed pc `i` `counts[i]`
+    /// times, busy `busy[i]` µs.
+    fn profile(counts: &[u64], busy_us: &[u64]) -> WorkerProfile {
+        let mut p = WorkerProfile::for_program(counts.len());
+        for (pc, &n) in counts.iter().enumerate() {
+            (0..n).for_each(|_| p.record(pc as u32));
+        }
+        let busy: u64 = busy_us.iter().sum::<u64>() * 1_000;
+        p.apportion_busy(busy, |pc| busy_us.get(pc).copied().unwrap_or(0));
+        p
+    }
+
     #[test]
     fn record_accumulates() {
-        let mut p = WorkerProfile::default();
-        p.record(3, Duration::from_micros(10), Duration::from_micros(2));
-        p.record(3, Duration::from_micros(5), Duration::ZERO);
-        let (c, b, w) = p.per_pc[3];
-        assert_eq!(c, 2);
-        assert_eq!(b, 15_000);
-        assert_eq!(w, 2_000);
+        let mut p = WorkerProfile::for_program(4);
+        p.record(3);
+        p.record(3);
+        p.record(9); // past the program: nothing to count
+        assert_eq!(p.per_pc[3], (2, 0, 0));
+        assert_eq!(p.per_pc.iter().map(|e| e.0).sum::<u64>(), 2);
     }
 
     /// Regression for the wait double-count: a blocked instruction that
-    /// retries passes its (already counted) wait to `record` again, but
-    /// the totals are fed only by `add_wait` — one call per actual
-    /// blocked interval — so re-recording can't inflate them.
+    /// retries is recorded again, but a wait lands — in the totals and in
+    /// its pc — only at `add_wait`, once per actual blocked interval. A wait
+    /// outside any instruction reaches the totals alone.
     #[test]
     fn retried_record_cannot_double_count_wait() {
-        let mut p = WorkerProfile::default();
-        let blocked = Duration::from_micros(7);
-        // The actual blocked interval is accounted once, at the wait site.
-        p.add_wait(WaitCause::SipBarrier, blocked);
-        // The instruction is recorded, then retried after a re-arm and
-        // recorded again with the same attributed wait.
-        p.record(4, Duration::from_micros(1), blocked);
-        p.record(4, Duration::from_micros(1), blocked);
-        assert_eq!(p.wait_nanos(), 7_000, "totals come from add_wait alone");
-        assert_eq!(p.metrics.wait.get(WaitCause::SipBarrier), 7_000);
-        // Per-pc attribution did accumulate both records (it is a
-        // breakdown of where waits were observed, not a second total).
-        assert_eq!(p.per_pc[4].2, 14_000);
+        let mut p = WorkerProfile::for_program(5);
+        p.record(4);
+        p.add_wait(WaitCause::SipBarrier, Duration::from_micros(7), Some(4));
+        p.record(4);
+        assert_eq!(p.per_pc[4], (2, 0, 7_000));
+        p.add_wait(WaitCause::SipBarrier, Duration::from_micros(5), None);
+        assert_eq!(p.wait_nanos(), 12_000, "totals hold every wait");
+        assert_eq!(p.metrics.wait.get(WaitCause::SipBarrier), 12_000);
+        assert_eq!(p.per_pc[4].2, 7_000);
+    }
+
+    #[test]
+    fn busy_splits_by_samples_exactly() {
+        let mut p = WorkerProfile::for_program(3);
+        p.record(0);
+        p.record(1);
+        p.record(2);
+        let samples = [1, 0, 2];
+        p.apportion_busy(1_000, |pc| samples[pc]);
+        assert_eq!(p.samples, 3);
+        // 333 + 0 + 666 = 999: the remainder goes to the most-sampled pc.
+        assert_eq!(
+            p.per_pc.iter().map(|e| e.1).collect::<Vec<_>>(),
+            [333, 0, 667]
+        );
+    }
+
+    #[test]
+    fn an_unsampled_worker_splits_by_execution_count() {
+        let mut p = WorkerProfile::for_program(2);
+        p.record(0);
+        (0..3).for_each(|_| p.record(1));
+        p.apportion_busy(800, |_| 0);
+        assert_eq!(p.samples, 0);
+        assert_eq!((p.per_pc[0].1, p.per_pc[1].1), (200, 600));
     }
 
     #[test]
@@ -380,21 +466,21 @@ mod tests {
             code: vec![sia_bytecode::Instruction::Halt],
             ..Default::default()
         };
-        let mut a = WorkerProfile::default();
-        a.record(0, Duration::from_micros(5), Duration::from_micros(1));
-        a.add_wait(WaitCause::BlockArrival, Duration::from_micros(1));
+        let mut a = profile(&[1], &[5]);
+        a.add_wait(WaitCause::BlockArrival, Duration::from_micros(1), Some(0));
         a.total_nanos = 10_000;
         a.iterations = 3;
-        let mut b = WorkerProfile::default();
-        b.record(0, Duration::from_micros(7), Duration::from_micros(3));
-        b.add_wait(WaitCause::ChunkAssign, Duration::from_micros(3));
+        let mut b = profile(&[1], &[7]);
+        b.add_wait(WaitCause::ChunkAssign, Duration::from_micros(3), Some(0));
         b.total_nanos = 10_000;
         b.iterations = 4;
         let r = ProfileReport::merge(&program, &[a, b]);
         assert_eq!(r.lines.len(), 1);
         assert_eq!(r.lines[0].count, 2);
         assert_eq!(r.lines[0].busy, Duration::from_micros(12));
+        assert_eq!(r.lines[0].wait, Duration::from_micros(4));
         assert_eq!(r.iterations, 7);
+        assert_eq!(r.samples, 12);
         assert!((r.wait_fraction() - 0.2).abs() < 1e-9);
         assert_eq!(r.metrics.wait.total_nanos(), 4_000);
     }
@@ -408,10 +494,7 @@ mod tests {
             ],
             ..Default::default()
         };
-        let mut a = WorkerProfile::default();
-        a.record(0, Duration::from_micros(1), Duration::ZERO);
-        a.record(1, Duration::from_micros(9), Duration::ZERO);
-        let r = ProfileReport::merge(&program, &[a]);
+        let r = ProfileReport::merge(&program, &[profile(&[1, 1], &[1, 9])]);
         assert_eq!(r.lines[0].pc, 1);
         assert_eq!(r.lines[0].class, InstructionClass::Sync);
     }
@@ -428,9 +511,8 @@ mod tests {
             code: vec![sia_bytecode::Instruction::Halt],
             ..Default::default()
         };
-        let mut a = WorkerProfile::default();
-        a.record(0, Duration::from_micros(5), Duration::from_micros(1));
-        a.add_wait(WaitCause::BlockArrival, Duration::from_micros(1));
+        let mut a = profile(&[1], &[5]);
+        a.add_wait(WaitCause::BlockArrival, Duration::from_micros(1), Some(0));
         a.metrics.comm.fetches = 2;
         a.metrics.comm.flight_nanos = 1_000;
         a.metrics.comm.exposed_nanos = 250;
@@ -445,5 +527,8 @@ mod tests {
             .and_then(Json::as_f64)
             .expect("overlap mean present");
         assert!((mean - 0.75).abs() < 1e-9);
+        let tick = doc.get("sample_tick_ns").and_then(Json::as_f64);
+        assert_eq!(tick, Some(SAMPLE_TICK.as_nanos() as f64));
+        assert_eq!(doc.get("samples").and_then(Json::as_f64), Some(5.0));
     }
 }

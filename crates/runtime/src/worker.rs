@@ -9,6 +9,7 @@
 //! and the instruction dispatch in [`crate::interp`].
 
 use crate::cache::Flight;
+use crate::dryrun;
 use crate::error::{CommKind, RuntimeError};
 use crate::events::{CommOp, EventKind, TraceSink};
 use crate::ft::{FtState, TakeoverChunk};
@@ -18,6 +19,7 @@ use crate::metrics::WaitCause;
 use crate::msg::{BarrierKind, BlockKey, OpId, Payload, SipMsg};
 use crate::profile::WorkerProfile;
 use crate::registry::SuperRegistry;
+use crate::sampler::{self, RankWord};
 use sia_blocks::{BlockHandle, BlockPool, ContractCtx, PoolConfig, SliceSpec};
 use sia_bytecode::{ArrayId, ArrayKind, IndexId};
 use sia_fabric::{Endpoint, Rank};
@@ -148,6 +150,9 @@ pub struct Worker {
 
     // ---- reporting ----
     pub(crate) profile: WorkerProfile,
+    /// This rank's state word, which the busy-time sampler reads: the pc
+    /// executing, or the cause of a wait.
+    pub(crate) word: RankWord,
     pub(crate) warnings: Vec<String>,
     /// Worker start time (backs the `sip_time` intrinsic).
     pub(crate) started: Instant,
@@ -175,6 +180,7 @@ impl Worker {
     ) -> Self {
         let n_idx = layout.program.indices.len();
         let n_arrays = layout.program.arrays.len();
+        let n_pcs = layout.program.code.len();
         let pardos = layout.pardos;
         let scalars = layout.program.scalars.iter().map(|s| s.init).collect();
         let pool = BlockPool::new(PoolConfig {
@@ -185,9 +191,9 @@ impl Worker {
             .as_ref()
             .map(|f| Box::new(FtState::new(f.crash, config.workers)));
         let run_dir = config.run_dir.clone();
-        // Cache capacity in bytes, matching the dry run's sizing formula
-        // (`cache_blocks × largest remote block`).
-        let cache_bytes = (config.cache_blocks as u64 * layout.largest_remote_block_bytes()).max(1);
+        // Cache capacity in bytes, the dry run's sizing formula.
+        let cache_bytes =
+            dryrun::cache_bytes(config.cache_blocks, layout.largest_remote_block_bytes()).max(1);
         Worker {
             mem: BlockManager::new(Arc::clone(&layout), cache_bytes, config.memory_budget),
             contract_ctx: ContractCtx::with_pool(pool.clone()),
@@ -216,13 +222,20 @@ impl Worker {
             pardo_iters_done: 0,
             op_seq: 0,
             dist_epoch: 0,
-            profile: WorkerProfile::default(),
+            profile: WorkerProfile::for_program(n_pcs),
+            word: RankWord::detached(),
             warnings: Vec::new(),
             started: Instant::now(),
             resumed_epochs: 0,
             trace: TraceSink::disabled(),
             put_flights: HashMap::new(),
         }
+    }
+
+    /// Hands the worker its word in the run's sampling table (called by the
+    /// runtime before the program starts).
+    pub(crate) fn set_sampling(&mut self, word: RankWord) {
+        self.word = word;
     }
 
     /// Installs the event sink (called by the runtime before the program
@@ -524,9 +537,10 @@ impl Worker {
     /// budget runs out.
     ///
     /// This is the *single* accounting point for wait time: every blocked
-    /// interval lands in the cause-attributed `metrics.wait` totals exactly
-    /// once, here — callers that also fold the returned duration into a
-    /// per-pc figure are attributing, not re-counting.
+    /// interval lands exactly once in the cause-attributed `metrics.wait`
+    /// totals and in the per-pc wait of the instruction it blocked. While
+    /// it waits the rank's word reads `cause`, so the sampler counts none
+    /// of it as busy.
     pub(crate) fn wait_until(
         &mut self,
         cause: WaitCause,
@@ -536,6 +550,8 @@ impl Worker {
         if done(self) {
             return Ok(Duration::ZERO);
         }
+        // An error ends the run, so it leaves the word as it is.
+        let held = self.word.enter_wait(cause);
         let t0 = Instant::now();
         loop {
             self.service_messages();
@@ -543,7 +559,8 @@ impl Worker {
             if done(self) {
                 let end = Instant::now();
                 let waited = end - t0;
-                self.profile.add_wait(cause, waited);
+                self.word.restore(held);
+                self.profile.add_wait(cause, waited, sampler::busy_pc(held));
                 // A sub-microsecond wait (the awaited message was already in
                 // the inbox) would only smear noise over the timeline.
                 if waited.as_nanos() >= 1_000 {

@@ -79,6 +79,7 @@ pub fn profile() -> ProfileReport {
         dry_run_estimate_bytes: 4096,
         iterations: 42,
         chunks: 6,
+        samples: 120,
     }
 }
 

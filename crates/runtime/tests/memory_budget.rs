@@ -125,11 +125,33 @@ fn budget_below_estimate_is_rejected_before_spawning() {
     }
 }
 
+/// [`PUT_GET_SRC`] with the get sweep reading `X` transposed. A row of `X`
+/// lies in one worker's slab, so whichever worker runs iteration `(i, j)`,
+/// on two workers half of its gets are remote.
+const TRANSPOSED_GET_SRC: &str = r#"
+sial putget_transposed
+aoindex i = 1, n
+aoindex j = 1, n
+distributed X(i,j)
+temp t(i,j)
+temp u(i,j)
+pardo i, j
+  t(i,j) = i + 10.0 * j
+  put X(i,j) = t(i,j)
+endpardo i, j
+sip_barrier
+pardo i, j
+  get X(j,i)
+  u(j,i) = X(j,i)
+endpardo i, j
+endsial
+"#;
+
 #[test]
 fn tight_cache_evicts_by_bytes_and_still_completes() {
     // A two-block cache forces byte-accurate LRU eviction on the get sweep;
     // the run must still finish and the eviction counter must move.
-    let program = sial_frontend::compile(PUT_GET_SRC).unwrap();
+    let program = sial_frontend::compile(TRANSPOSED_GET_SRC).unwrap();
     let out = Sip::new(config(2, 2))
         .run(program, &bindings(&[("n", 6)]))
         .unwrap();

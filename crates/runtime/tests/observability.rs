@@ -105,11 +105,11 @@ fn wait_time_is_attributed_by_cause() {
     assert_eq!(report_wait, wait.total_nanos());
 }
 
-/// One clock reading per instruction boundary: a worker's instruction spans
-/// are disjoint and in order (the reading that ends one starts the next, or
-/// a later one after serving peers), every wait lies inside the instruction
-/// that blocked, and the time attributed per pc — busy plus wait — fits in
-/// the workers' wall time.
+/// While tracing, a worker's instruction spans are disjoint and in order
+/// (the reading that ends one starts the next, or a later one after
+/// serving peers), every wait lies inside the instruction that blocked,
+/// and the time attributed per pc — busy plus wait — fits in the workers'
+/// wall time.
 #[test]
 fn instruction_spans_are_ordered_and_fit_the_rank_total() {
     use sia_runtime::events::EventKind;
@@ -145,6 +145,73 @@ fn instruction_spans_are_ordered_and_fit_the_rank_total() {
     }
     let attributed: std::time::Duration = out.profile.lines.iter().map(|l| l.busy + l.wait).sum();
     let total: std::time::Duration = out.profile.worker_totals.iter().sum();
+    assert!(
+        attributed <= total,
+        "per-pc time {attributed:?} exceeds the workers' {total:?}"
+    );
+}
+
+/// Two phases, the second a contraction in a loop: that one pc holds most of
+/// the busy time, so its share of the samples must rank it first.
+const HOT_PC_SRC: &str = r#"
+sial hot_pc
+aoindex i = 1, n
+aoindex j = 1, n
+aoindex k = 1, m
+distributed X(i,j)
+temp t(i,j)
+temp a(i,k)
+temp b(k,j)
+temp c(i,j)
+pardo i, j
+  t(i,j) = 1.5
+  put X(i,j) = t(i,j)
+endpardo i, j
+sip_barrier
+pardo i, j
+  do k
+    a(i,k) = 0.5
+    b(k,j) = 2.0
+    c(i,j) += a(i,k) * b(k,j)
+  enddo k
+endpardo i, j
+sip_barrier
+endsial
+"#;
+
+/// Busy time is sampled, not timed: each worker's exact busy time — its run
+/// time minus its exact waits — is split across pcs by the sampler's
+/// counts. The split ranks the hot pc first, the lines sum to the workers'
+/// exact busy total to the nanosecond, and busy plus wait still fits in
+/// the workers' wall time.
+#[test]
+fn sampled_busy_ranks_the_hot_pc_first_and_sums_to_the_exact_total() {
+    let program = sial_frontend::compile(HOT_PC_SRC).unwrap();
+    let bindings: ConstBindings = [("n".to_string(), 4), ("m".to_string(), 64)]
+        .into_iter()
+        .collect();
+    let config = SipConfig::builder()
+        .workers(2)
+        .io_servers(1)
+        .segment_size(96)
+        .collect_distributed(false)
+        .build()
+        .unwrap();
+    let out = Sip::new(config).run(program, &bindings).unwrap();
+    let p = &out.profile;
+    assert!(p.samples > 0, "a run of many ticks took no sample");
+    assert!(
+        p.lines[0].text.contains("a(i,k) * b(k,j)"),
+        "the contraction must rank first: {:?}",
+        &p.lines[..3]
+    );
+    let busy: u128 = p.lines.iter().map(|l| l.busy.as_nanos()).sum();
+    let exact: u128 = (p.worker_totals.iter().zip(&p.worker_waits))
+        .map(|(total, wait)| (*total - *wait).as_nanos())
+        .sum();
+    assert_eq!(busy, exact, "the lines split the workers' exact busy time");
+    let attributed: std::time::Duration = p.lines.iter().map(|l| l.busy + l.wait).sum();
+    let total: std::time::Duration = p.worker_totals.iter().sum();
     assert!(
         attributed <= total,
         "per-pc time {attributed:?} exceeds the workers' {total:?}"

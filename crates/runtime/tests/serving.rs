@@ -5,11 +5,16 @@
 //! never fails a neighbor job (each job runs on its own fabric world), a
 //! daemon job is scheduled exactly as a one-shot run, jobs queued for a
 //! run slot take it in priority order, the job table keeps a bounded
-//! number of finished records, and a traced job is charged its trace rings.
+//! number of finished records, a traced job is charged its trace rings, an
+//! oversized cache is refused at admission, and concurrent jobs each
+//! count only their own busy-time samples.
 
 use sia_bytecode::ConstBindings;
+use sia_runtime::json::{parse_json, Json};
 use sia_runtime::serve::{AdmitError, Daemon, DaemonConfig, JobSpec, JobState, FINISHED_JOBS_KEPT};
-use sia_runtime::{CrashSchedule, FaultConfig, FaultPlan, Sip, SipConfig, SuperRegistry};
+use sia_runtime::{
+    CrashSchedule, FaultConfig, FaultPlan, Sip, SipConfig, SuperRegistry, SAMPLE_TICK,
+};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -181,6 +186,39 @@ fn an_oversized_trace_buffer_is_refused_by_admission() {
             "{needed_bytes} ≤ {budget_bytes}"
         ),
         other => panic!("expected OverBudget, got {other:?}"),
+    }
+    let id = daemon.submit(job(WRITER, "t", 4, 2, None)).unwrap();
+    let s = daemon.wait(id, WAIT).expect("the next job must finish");
+    assert_eq!(s.state, JobState::Done, "{:?}", s.state);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job's `--cache` comes off the socket too. The dry run's cache bytes
+/// saturate instead of overflowing, so a job asking for 2^60 cache blocks
+/// is refused as over budget, and the daemon runs the next job.
+#[test]
+fn an_oversized_cache_is_refused_by_admission() {
+    let dir = tmp("cache");
+    let daemon = daemon_over(&dir, 1);
+    for server_side in [false, true] {
+        let mut greedy = job(WRITER, "t", 4, 2, None);
+        if server_side {
+            greedy.config.server_cache_blocks = 1 << 60;
+        } else {
+            greedy.config.cache_blocks = 1 << 60;
+        }
+        match daemon.submit(greedy) {
+            Err(AdmitError::OverBudget {
+                needed_bytes,
+                budget_bytes,
+                ..
+            }) => assert!(
+                needed_bytes > budget_bytes,
+                "{needed_bytes} ≤ {budget_bytes}"
+            ),
+            other => panic!("expected OverBudget, got {other:?}"),
+        }
     }
     let id = daemon.submit(job(WRITER, "t", 4, 2, None)).unwrap();
     let s = daemon.wait(id, WAIT).expect("the next job must finish");
@@ -505,6 +543,94 @@ fn tenant_names_that_are_not_plain_are_refused() {
     assert!(daemon.list().is_empty(), "a refused job leaves no record");
     let ok = daemon.submit(job(NEIGHBOR, "a.b_c-1", 2, 1, None)).unwrap();
     assert_eq!(daemon.wait(ok, WAIT).unwrap().state, JobState::Done);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A contraction in a loop: long, and busy at one pc.
+const CONTRACTIONS: &str = "sial contractions
+aoindex i = 1, n
+aoindex j = 1, n
+aoindex k = 1, m
+temp a(i,k)
+temp b(k,j)
+temp c(i,j)
+pardo i, j
+  do k
+    a(i,k) = 0.5
+    b(k,j) = 2.0
+    c(i,j) += a(i,k) * b(k,j)
+  enddo k
+endpardo i, j
+endsial
+";
+
+/// Fills in a loop: short, and no contraction anywhere.
+const FILLS: &str = "sial fills
+aoindex i = 1, n
+aoindex j = 1, n
+aoindex k = 1, m
+temp t(i,j)
+pardo i, j
+  do k
+    t(i,j) = 1.5
+  enddo k
+endpardo i, j
+endsial
+";
+
+/// Two jobs run side by side under one process-wide sampler, and each job
+/// counts only its own samples: a worker is counted only while its word
+/// reads busy, and ticks are at least [`SAMPLE_TICK`] apart, so no worker
+/// can hold more samples than its own run time has ticks — however long
+/// its neighbour runs. Each job's lines split its own exact busy time, and
+/// the long job's contraction ranks first.
+#[test]
+fn concurrent_jobs_each_count_only_their_own_samples() {
+    let spec = |src: &str, m: i64| JobSpec {
+        bindings: [("n".to_string(), 4), ("m".to_string(), m)]
+            .into_iter()
+            .collect(),
+        config: SipConfig::builder()
+            .workers(1)
+            .segment_size(96)
+            .build()
+            .unwrap(),
+        export: true,
+        ..job(src, "t", 4, 1, None)
+    };
+    let dir = tmp("samples");
+    let daemon = daemon_over(&dir, 2);
+    let long = daemon.submit(spec(CONTRACTIONS, 32)).unwrap();
+    let short = daemon.submit(spec(FILLS, 16)).unwrap();
+    for (id, hot) in [(long, Some("a(i,k) * b(k,j)")), (short, None)] {
+        let s = daemon.wait(id, WAIT).expect("the job must finish");
+        assert_eq!(s.state, JobState::Done, "{:?}", s.state);
+        let text = std::fs::read_to_string(s.profile_json.as_ref().unwrap()).unwrap();
+        let doc = parse_json(&text).unwrap();
+        let num = |j: &Json, key: &str| j.get(key).and_then(Json::as_f64).expect(key) as u64;
+        assert_eq!(num(&doc, "sample_tick_ns"), SAMPLE_TICK.as_nanos() as u64);
+        let workers = doc.get("workers").and_then(Json::as_array).unwrap();
+        let ticks: u64 = (workers.iter())
+            .map(|w| num(w, "total_ns") / SAMPLE_TICK.as_nanos() as u64 + 1)
+            .sum();
+        let samples = num(&doc, "samples");
+        assert!(
+            samples <= ticks,
+            "job {id}: {samples} samples, but its workers' run time has {ticks} ticks"
+        );
+        let lines = doc.get("lines").and_then(Json::as_array).unwrap();
+        let busy: u64 = lines.iter().map(|l| num(l, "busy_ns")).sum();
+        let exact: u64 = (workers.iter())
+            .map(|w| num(w, "total_ns") - num(w, "wait_ns"))
+            .sum();
+        assert_eq!(busy, exact, "job {id}'s lines split its exact busy time");
+        if let Some(hot) = hot {
+            assert!(samples > 0, "the long job took no sample");
+            let top = lines[0].get("text").and_then(Json::as_str).unwrap();
+            assert!(top.contains(hot), "job {id} ranks {top:?} first");
+        }
+    }
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
