@@ -1,8 +1,9 @@
 //! Contraction hot-path baseline: GEMM throughput (seed kernel replica vs
 //! the active register-tile kernel), block-contraction GFLOP/s across
 //! segment sizes, and the permute-on-pack grid (shape × transpose class,
-//! plus the CCSD ladder on 16⁴ blocks). One GEMM runs on one thread — the
-//! SIP's parallelism is across workers — which is the `t1` in the keys.
+//! plus the CCSD ladder on 16⁴ blocks), and the integral kernels that
+//! compute `ccsd_dense`'s 16⁴ operand blocks. One GEMM runs on one thread —
+//! the SIP's parallelism is across workers — which is the `t1` in the keys.
 //! Writes the numbers to `BENCH_contraction.json` at the repo root so
 //! future PRs can track the perf trajectory.
 //!
@@ -20,7 +21,9 @@ use sia_blocks::{
     active_microkernel, apply_permutation, contract_into_ctx, dgemm, invert_permutation, permute,
     Block, BlockPool, ContractCtx, ContractionPlan, GemmLayout, PoolConfig, Shape,
 };
+use sia_chem::register_integrals;
 use sia_runtime::json::Json;
+use sia_runtime::{SuperArg, SuperEnv, SuperRegistry};
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -273,6 +276,33 @@ fn main() {
         let g = gf(flops, secs);
         println!("grid {name:<6}: {g:.2} GFLOP/s");
         report.push((format!("grid_{name}_t1_gflops"), g.into()));
+    }
+
+    // ---- integral kernels: one 16^4 block at a nonzero segment offset -------
+    // Median µs per call: a block's kernel time is short enough that a mean
+    // would be the scheduler's.
+    let mut reg = SuperRegistry::new();
+    register_integrals(&mut reg, 16, 16);
+    let env = SuperEnv {
+        worker: 0,
+        workers: 1,
+    };
+    for name in ["compute_integrals", "compute_screened_integrals"] {
+        let mut args = [SuperArg::Block {
+            segs: vec![2, 4, 1, 5],
+            block: Block::zeros(Shape::cube(4, 16)),
+        }];
+        let mut call = || {
+            let t0 = Instant::now();
+            reg.invoke(name, &mut args, &env).expect("a 16^4 block");
+            t0.elapsed().as_secs_f64() * 1e6
+        };
+        call();
+        let mut us: Vec<f64> = (0..301).map(|_| call()).collect();
+        us.sort_by(f64::total_cmp);
+        let median = us[us.len() / 2];
+        println!("{name} 16^4: {median:.1} us");
+        report.push((format!("{name}_16_us"), median.into()));
     }
 
     let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());

@@ -298,7 +298,8 @@ pub fn contract(plan: &ContractionPlan, a: &Block, b: &Block) -> Block {
 }
 
 /// `C = alpha_c * C + A * B` under `plan` (`alpha_c = 1.0` implements the
-/// fused contraction-accumulate of SIAL's `+=`).
+/// fused contraction-accumulate of SIAL's `+=`). `alpha_c = 0.0` overwrites
+/// `C` without reading it, so `C` may arrive holding anything, NaN included.
 ///
 /// The hot path: each operand is read *in place* through a
 /// [`MatView::permuted`] over its GEMM-order permutation, so any reorder

@@ -136,23 +136,87 @@ fn fill_rank2(t: Tile<'_, 2>, f: impl Fn(usize, usize) -> f64) {
     }
 }
 
-/// `compute_integrals` and its screened twin: `two` on a rank-4 block,
-/// [`oei`] on a rank-2 block, zero on any other.
-fn fill_integrals(
-    args: &mut [SuperArg],
-    seg: usize,
-    two: impl Fn(usize, usize, usize, usize) -> f64,
-) -> Result<(), String> {
-    match args[0].block_mut()?.shape().rank() {
-        4 => {
-            let t = tile_of_rank::<4>(args, seg, "compute_integrals")?;
-            let o = t.origin;
-            map_rank4(
-                t,
-                |i0, i1, i2| (o[0] + i0, o[1] + i1, o[2] + i2),
-                |&(mu, nu, la), _, i3| two(mu, nu, la, o[3] + i3),
-            );
+/// The least and greatest `|a − b|` over `a` in `a0..a0 + na` and `b` in
+/// `b0..b0 + nb`, both ranges non-empty.
+fn separation_range(a0: usize, na: usize, b0: usize, nb: usize) -> (usize, usize) {
+    let (a1, b1) = (a0 + na - 1, b0 + nb - 1);
+    let least = b0.saturating_sub(a1).max(a0.saturating_sub(b1));
+    (least, a1.abs_diff(b0).max(b1.abs_diff(a0)))
+}
+
+/// [`eri`] — or [`eri_screened`] if `screened` — over a rank-4 block, one
+/// row of the innermost axis σ at a time, bit for bit the scalar function
+/// at every element:
+/// * `1 + |μ−ν|`, `μ+ν−λ` and `λ` are taken once per row;
+/// * the charge `(μ+ν+λ+σ)·3 mod 5` has period 5 along σ, so a row's
+///   charges are a window into one table laid out once per block;
+/// * `|λ−σ|` and `|μ+ν−λ−σ|` are exact in `f64`, which leaves the inner
+///   loop one division and a few multiplies and adds, free to vectorize;
+/// * the screening `exp(−8·k)` depends only on the integer
+///   `k = |μ−ν| + |λ−σ|`, so it comes from a table over the block's own
+///   range of `k` — each entry is the very `exp` the scalar takes, since
+///   `d1 + d2` is `k` exactly — laid out as one row of factors per
+///   (`|μ−ν|`, λ).
+fn fill_eri(t: Tile<'_, 4>, screened: bool) {
+    let [n0, n1, n2, n3] = t.dims;
+    let o = t.origin;
+    assert_eq!(t.data.len(), n0 * n1 * n2 * n3, "block length mismatch");
+    if t.data.is_empty() {
+        return;
+    }
+    let sigma: Vec<f64> = (o[3]..o[3] + n3).map(|s| s as f64).collect();
+    // `charges[p..p + n3]` is the row whose μ+ν+λ+σ₀ ≡ p (mod 5).
+    let charges: Vec<f64> = (0..n3 + 4)
+        .map(|j| 1.0 + (j * 3 % 5) as f64 * 0.1)
+        .collect();
+    // `damping[(b·n2 + i2)·n3..][..n3]` is the row at |μ−ν| = bra_least + b
+    // and λ = o[2] + i2.
+    let (bra_least, damping) = if screened {
+        let (bra_least, bra_most) = separation_range(o[0], n0, o[1], n1);
+        let (ket_least, ket_most) = separation_range(o[2], n2, o[3], n3);
+        let decay: Vec<f64> = (bra_least + ket_least..=bra_most + ket_most)
+            .map(|k| (-SCREENED_DECAY * k as f64).exp())
+            .collect();
+        let mut damping = Vec::with_capacity((bra_most - bra_least + 1) * n2 * n3);
+        for b in 0..=bra_most - bra_least {
+            for la in o[2]..o[2] + n2 {
+                damping.extend((o[3]..o[3] + n3).map(|si| decay[b + la.abs_diff(si) - ket_least]));
+            }
         }
+        (bra_least, damping)
+    } else {
+        (0, Vec::new())
+    };
+    let mut rows = t.data.chunks_exact_mut(n3);
+    for mu in o[0]..o[0] + n0 {
+        for nu in o[1]..o[1] + n1 {
+            let bra = 1.0 + mu.abs_diff(nu) as f64;
+            for (i2, la) in (o[2]..o[2] + n2).enumerate() {
+                let xs = rows.next().expect("n0*n1*n2 rows of n3");
+                let phase = (mu + nu + la + o[3]) % 5;
+                let row = xs.iter_mut().zip(&sigma).zip(&charges[phase..phase + n3]);
+                let (lam, gap) = (la as f64, (mu + nu) as f64 - la as f64);
+                let denominator = |s: f64| (bra + (lam - s).abs()) * (1.0 + 0.5 * (gap - s).abs());
+                if screened {
+                    let from = ((mu.abs_diff(nu) - bra_least) * n2 + i2) * n3;
+                    for (((x, &s), &c), &d) in row.zip(&damping[from..from + n3]) {
+                        *x = c / denominator(s) * d;
+                    }
+                } else {
+                    for ((x, &s), &c) in row {
+                        *x = c / denominator(s);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `compute_integrals` and its screened twin: [`eri`] (or [`eri_screened`])
+/// on a rank-4 block, [`oei`] on a rank-2 block, zero on any other.
+fn fill_integrals(args: &mut [SuperArg], seg: usize, screened: bool) -> Result<(), String> {
+    match args[0].block_mut()?.shape().rank() {
+        4 => fill_eri(tile_of_rank(args, seg, "compute_integrals")?, screened),
         2 => fill_rank2(tile_of_rank(args, seg, "compute_integrals")?, oei),
         _ => args[0].block_mut()?.data_mut().fill(0.0),
     }
@@ -216,10 +280,10 @@ fn map_denominator(
 /// for energies/denominators.
 pub fn register_integrals(reg: &mut SuperRegistry, seg: usize, n_occ: usize) {
     reg.register("compute_integrals", move |args, _env| {
-        fill_integrals(args, seg, eri)
+        fill_integrals(args, seg, false)
     });
     reg.register("compute_screened_integrals", move |args, _env| {
-        fill_integrals(args, seg, eri_screened)
+        fill_integrals(args, seg, true)
     });
     reg.register("compute_oei", move |args, _env| {
         fill_rank2(tile_of_rank(args, seg, "compute_oei")?, oei);
@@ -335,13 +399,22 @@ mod tests {
 
     /// The loop kernels produce, bit for bit, what the scalar functions
     /// return at every element's global coordinates — at the first segment
-    /// and at an offset one, on extents that differ per axis.
+    /// and at offset ones, on extents that differ per axis.
     #[test]
     fn block_kernels_are_bitwise_the_scalar_functions() {
-        let (seg, n_occ) = (5, 7);
-        for segs in [[1i64, 1, 1, 1], [3, 1, 4, 2]] {
+        let n_occ = 7;
+        // The integral kernels work a row of σ at a time: rows shorter and
+        // longer than the charge's period 5, several rows per block, and a
+        // 16⁴ block whose screening table starts above separation 0.
+        for (seg, segs, dims) in [
+            (5, [1i64, 1, 1, 1], [2, 5, 3, 4]),
+            (5, [3, 1, 4, 2], [2, 5, 3, 4]),
+            (7, [1, 1, 1, 1], [3, 2, 4, 7]),
+            (7, [3, 1, 4, 2], [3, 2, 4, 7]),
+            (16, [2, 4, 1, 5], [16, 16, 16, 16]),
+        ] {
             let g = |d: usize, i: usize| (segs[d] as usize - 1) * seg + i;
-            let shape4 = Shape::new(&[2, 5, 3, 4]);
+            let shape = Shape::new(&dims);
             for (name, f) in [
                 (
                     "compute_integrals",
@@ -349,12 +422,17 @@ mod tests {
                 ),
                 ("compute_screened_integrals", eri_screened),
             ] {
-                let b = invoke(name, seg, n_occ, &segs, Block::zeros(shape4));
-                for idx in shape4.indices() {
+                let b = invoke(name, seg, n_occ, &segs, Block::zeros(shape));
+                for idx in shape.indices() {
                     let want = f(g(0, idx[0]), g(1, idx[1]), g(2, idx[2]), g(3, idx[3]));
                     assert_eq!(b.get(&idx[..4]).to_bits(), want.to_bits(), "{name} {idx:?}");
                 }
             }
+        }
+        let seg = 5;
+        for segs in [[1i64, 1, 1, 1], [3, 1, 4, 2]] {
+            let g = |d: usize, i: usize| (segs[d] as usize - 1) * seg + i;
+            let shape4 = Shape::new(&[2, 5, 3, 4]);
             let shape2 = Shape::new(&[4, 5]);
             for name in ["compute_integrals", "compute_oei"] {
                 let b = invoke(name, seg, n_occ, &segs[..2], Block::zeros(shape2));

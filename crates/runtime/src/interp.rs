@@ -648,10 +648,12 @@ impl Worker {
                         // Accumulating into a not-yet-written temp starts
                         // from zero (the `R += a*b` idiom): contract straight
                         // into fresh pooled storage instead of round-tripping
-                        // a zero-filled block through an accumulate.
+                        // a zero-filled block through an accumulate. The
+                        // GEMM's beta of 0 overwrites every element, so the
+                        // storage is not zeroed first.
                         let need_init = dest.kind == ArrayKind::Temp && !self.temp_defined(dest)?;
                         if need_init {
-                            let mut out = self.alloc_for(dest.kind, out_shape, true)?;
+                            let mut out = self.alloc_for(dest.kind, out_shape, false)?;
                             contract_into_ctx(&mut ctx, plan, &ablk, &bblk, 0.0, &mut out);
                             self.write_block(dest, out)?;
                         } else {
@@ -660,7 +662,7 @@ impl Worker {
                             })?;
                         }
                     } else {
-                        let mut out = self.alloc_for(dest.kind, out_shape, true)?;
+                        let mut out = self.alloc_for(dest.kind, out_shape, false)?;
                         contract_into_ctx(&mut ctx, plan, &ablk, &bblk, 0.0, &mut out);
                         self.write_block(dest, out)?;
                     }
@@ -963,7 +965,8 @@ mod tests {
 
     /// Runs `src` on a world of one worker, driven on this thread beside a
     /// master on its own, and hands back the worker once the run is over.
-    fn run_alone(src: &str, bindings: &ConstBindings) -> Worker {
+    /// `prepare` sees the worker before it starts.
+    fn run_alone(src: &str, bindings: &ConstBindings, prepare: impl FnOnce(&mut Worker)) -> Worker {
         use crate::layout::SegmentConfig;
         let config = SipConfig {
             workers: 1,
@@ -986,6 +989,7 @@ mod tests {
             None,
         );
         let mut w = Worker::new(layout, config, worker_ep, SuperRegistry::new());
+        prepare(&mut w);
         std::thread::scope(|s| {
             let master = s.spawn(|| master.run());
             crate::run_worker(&mut w, false);
@@ -1024,7 +1028,7 @@ endsial
         let parked = |reps: i64| {
             let bindings: ConstBindings =
                 [("n".to_string(), 96), ("reps".to_string(), reps)].into();
-            run_alone(SRC, &bindings).pool.stats().free_bytes
+            run_alone(SRC, &bindings, |_| {}).pool.stats().free_bytes
         };
         let once = parked(1);
         assert!(once > 0, "the pool parks what an iteration frees");
@@ -1062,7 +1066,7 @@ endsial
         let stats = |reps: i64| {
             let bindings: ConstBindings =
                 [("n".to_string(), 32), ("reps".to_string(), reps)].into();
-            run_alone(SRC, &bindings).pool.stats()
+            run_alone(SRC, &bindings, |_| {}).pool.stats()
         };
         let (once, many) = (stats(1), stats(16));
         assert_eq!(many.live_bytes, 0, "put temps still counted as out");
@@ -1072,5 +1076,53 @@ endsial
             "peak grew with the repetitions"
         );
         assert_eq!(many.free_bytes, once.free_bytes, "parking cap grew");
+    }
+
+    /// A contraction's output is drawn from the pool without zeroing: the
+    /// GEMM's beta of 0 overwrites every element. Recycled storage full of
+    /// NaN must leave no trace, for a plain assignment and for the first
+    /// `+=` into a temp.
+    #[test]
+    fn contraction_outputs_overwrite_recycled_storage() {
+        const SRC: &str = "sial nan_pool
+aoindex i = 1, n
+aoindex j = 1, n
+aoindex l = 1, n
+temp a(l,i)
+temp b(l,j)
+temp c(i,j)
+temp d(i,j)
+scalar total
+pardo i, j
+  do l
+    a(l,i) = 1.5
+    b(l,j) = 2.0
+    c(i,j) = a(l,i) * b(l,j)
+    d(i,j) += a(l,i) * b(l,j)
+    total += c(i,j) * c(i,j)
+  enddo l
+  total += d(i,j) * d(i,j)
+endpardo i, j
+endsial
+";
+        let bindings: ConstBindings = [("n".to_string(), 2)].into();
+        let w = run_alone(SRC, &bindings, |w| {
+            let stale: Vec<Block> = (0..8)
+                .map(|_| {
+                    let mut b = w.pool.acquire_raw(sia_blocks::Shape::new(&[4, 4])).unwrap();
+                    b.data_mut().fill(f64::NAN);
+                    b
+                })
+                .collect();
+            for b in stale {
+                w.pool.release(b);
+            }
+        });
+        let total = w.layout.program.scalar_by_name("total").unwrap();
+        // Per (i,j) block pair: c is 4·1.5·2 = 12 in each of 16 elements at
+        // both l, and d ends at 24.
+        let per_pair = 2.0 * 16.0 * 144.0 + 16.0 * 576.0;
+        assert_eq!(w.scalars[total.index()], 4.0 * per_pair);
+        assert!(w.pool.stats().hits >= 8, "the stale blocks were handed out");
     }
 }

@@ -10,10 +10,10 @@
 //! OS scheduler. What the jobs *share* is deliberate and narrow:
 //!
 //! * **Admission control** — a job is admitted only when its dry-run memory
-//!   estimate (`workers × per-worker + servers × per-server bytes`) fits the
-//!   daemon's remaining budget; rejection reports the exact bytes needed vs
-//!   available, the same numbers `RuntimeError::Infeasible` reports for a
-//!   single run.
+//!   estimate (`workers × per-worker + servers × per-server bytes`, plus
+//!   [`RANK_THREAD_BYTES`] per rank) fits the daemon's remaining budget;
+//!   rejection reports the exact bytes needed vs available, the same
+//!   numbers `RuntimeError::Infeasible` reports for a single run.
 //! * **Run slots** — at most `max_concurrent` jobs run at once; the jobs
 //!   queued behind them take a freed slot highest [`JobSpec::priority`]
 //!   first, in submission order within a priority.
@@ -319,6 +319,12 @@ struct DaemonState {
 /// only this many finished ones.
 pub const FINISHED_JOBS_KEPT: usize = 64;
 
+/// Bytes admission charges each rank for its OS thread: the stack `std`
+/// reserves for a spawned thread. A world is one thread per rank, so a job
+/// asking for more ranks than the budget holds stacks for is refused before
+/// any thread starts.
+pub const RANK_THREAD_BYTES: u64 = 2 << 20;
+
 const POISONED: &str = "daemon state lock poisoned";
 
 #[derive(Default)]
@@ -363,15 +369,17 @@ impl Daemon {
     }
 
     /// The admission footprint of a job: its dry-run per-worker bytes times
-    /// workers, plus per-server bytes times I/O servers, plus — when the
-    /// job traces — the event ring every rank preallocates. The request
-    /// sizes that ring, so the sum saturates rather than wraps: an
+    /// workers, plus per-server bytes times I/O servers, plus
+    /// [`RANK_THREAD_BYTES`] for each rank's thread, plus — when the job
+    /// traces — the event ring every rank preallocates. The request sizes
+    /// the world and that ring, so the sum saturates rather than wraps: an
     /// oversized one is refused as over budget.
     pub fn footprint(spec: &JobSpec) -> Result<u64, RuntimeError> {
         let config = &spec.config;
         let layout = Layout::for_config(Arc::new(spec.program.clone()), &spec.bindings, config)?;
         let est = dryrun::estimate(&layout, config);
-        let rings = (layout.topology.world_size() as u64)
+        let ranks = layout.topology.world_size() as u64;
+        let rings = ranks
             .saturating_mul(config.trace_buffer_events.max(16) as u64)
             .saturating_mul(std::mem::size_of::<TraceEvent>() as u64);
         let traced = spec.export || config.tracing();
@@ -380,6 +388,7 @@ impl Daemon {
                 est.per_server_bytes
                     .saturating_mul(config.io_servers as u64),
             )
+            .saturating_add(ranks.saturating_mul(RANK_THREAD_BYTES))
             .saturating_add(if traced { rings } else { 0 }))
     }
 

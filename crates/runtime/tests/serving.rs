@@ -6,12 +6,14 @@
 //! daemon job is scheduled exactly as a one-shot run, jobs queued for a
 //! run slot take it in priority order, the job table keeps a bounded
 //! number of finished records, a traced job is charged its trace rings, an
-//! oversized cache is refused at admission, and concurrent jobs each
-//! count only their own busy-time samples.
+//! oversized cache or world is refused at admission, and concurrent jobs
+//! each count only their own busy-time samples.
 
 use sia_bytecode::ConstBindings;
 use sia_runtime::json::{parse_json, Json};
-use sia_runtime::serve::{AdmitError, Daemon, DaemonConfig, JobSpec, JobState, FINISHED_JOBS_KEPT};
+use sia_runtime::serve::{
+    AdmitError, Daemon, DaemonConfig, JobSpec, JobState, FINISHED_JOBS_KEPT, RANK_THREAD_BYTES,
+};
 use sia_runtime::{
     CrashSchedule, FaultConfig, FaultPlan, Sip, SipConfig, SuperRegistry, SAMPLE_TICK,
 };
@@ -219,6 +221,41 @@ fn an_oversized_cache_is_refused_by_admission() {
             ),
             other => panic!("expected OverBudget, got {other:?}"),
         }
+    }
+    let id = daemon.submit(job(WRITER, "t", 4, 2, None)).unwrap();
+    let s = daemon.wait(id, WAIT).expect("the next job must finish");
+    assert_eq!(s.state, JobState::Done, "{:?}", s.state);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job's `--workers` comes off the socket too, and every rank is an OS
+/// thread. A world of 20 000 workers has a dry-run footprint that fits the
+/// budget, but not with each rank's thread charged: it is refused before
+/// any thread starts, and the daemon runs the next job.
+#[test]
+fn an_oversized_world_is_refused_by_admission() {
+    let dir = tmp("world");
+    let daemon = daemon_over(&dir, 1);
+    let crowd = job(WRITER, "t", 4, 20_000, None);
+    let ranks = 20_000 + 2;
+    match daemon.submit(crowd) {
+        Err(AdmitError::OverBudget {
+            needed_bytes,
+            budget_bytes,
+            ..
+        }) => {
+            let threads = ranks * RANK_THREAD_BYTES;
+            assert!(
+                needed_bytes > budget_bytes,
+                "{needed_bytes} ≤ {budget_bytes}"
+            );
+            assert!(
+                needed_bytes - threads <= budget_bytes,
+                "{needed_bytes} less {threads} thread bytes no longer fits {budget_bytes}"
+            );
+        }
+        other => panic!("expected OverBudget, got {other:?}"),
     }
     let id = daemon.submit(job(WRITER, "t", 4, 2, None)).unwrap();
     let s = daemon.wait(id, WAIT).expect("the next job must finish");
