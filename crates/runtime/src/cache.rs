@@ -283,13 +283,10 @@ impl BlockCache {
         self.evict_log.get_or_insert_with(Vec::new);
     }
 
-    /// Takes the evictions logged since the last drain (empty when the log
-    /// was never enabled).
-    pub fn drain_evictions(&mut self) -> Vec<(BlockKey, u64)> {
-        match self.evict_log.as_mut() {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
+    /// Drains the evictions logged since the last drain (none when the log
+    /// was never enabled); the log keeps its capacity.
+    pub fn drain_evictions(&mut self) -> impl Iterator<Item = (BlockKey, u64)> + '_ {
+        self.evict_log.iter_mut().flat_map(|log| log.drain(..))
     }
 
     /// Looks up a block, refreshing its LRU position. Returns `None` on miss.
@@ -996,7 +993,7 @@ mod tests {
                         c.evict_until(target);
                     }
                 }
-                let evicted: Vec<BlockKey> = c.drain_evictions().iter().map(|e| e.0).collect();
+                let evicted: Vec<BlockKey> = c.drain_evictions().map(|e| e.0).collect();
                 assert_eq!(evicted, expect, "seed {seed}");
                 evictions += evicted.len();
                 assert_consistent(&c, &stamps);

@@ -2,25 +2,24 @@
 //!
 //! Every rank — worker, I/O server, master — owns a [`TraceSink`]: a
 //! preallocated ring buffer of fixed-size [`TraceEvent`]s. Recording is a
-//! couple of integer stores (no allocation, no locks, no syscalls beyond
-//! the monotonic clock reads the profiler already performs); a disabled
-//! sink is a `None` and every record call is a single branch. At shutdown
-//! the master gathers the per-rank buffers — workers ship theirs inside
-//! `WorkerDone`, I/O servers in a `ServerDone` message — and the runtime
-//! merges them into a [`TraceTimeline`] exported as Chrome-trace JSON
-//! (load in Perfetto or `chrome://tracing`).
+//! couple of integer stores (no allocation, no locks); a disabled sink is a
+//! `None` and every record call is a single branch. At shutdown each rank
+//! drains its ring into one [`RankTrace`] and ships it to the master —
+//! workers inside `WorkerDone`, I/O servers inside `ServerDone` — and the
+//! runtime sorts them into a [`TraceTimeline`] exported as Chrome-trace
+//! JSON (load in Perfetto or `chrome://tracing`).
 //!
-//! Event vocabulary:
-//! * **instruction spans** — one per executed super-instruction (pc +
-//!   class), the worker's busy backbone;
-//! * **wait spans** — blocked intervals attributed by
-//!   [`WaitCause`], nested inside the
-//!   instruction that blocked;
-//! * **comm-flight spans** — remote fetch issue → `Block` arrival,
-//!   correlated by `ReqId` and drawn as async events so concurrent
-//!   prefetches stack; the overlap metric integrates these against wait;
-//! * **cache fill/evict, serve, flush, checkpoint/restore, recovery** —
-//!   bookkeeping instants and service spans from all ranks.
+//! The trace records what the wall waits on, each timed exactly where it
+//! happens:
+//! * **wait spans** — blocked intervals attributed by [`WaitCause`] and by
+//!   the pc of the instruction that blocked. A worker's busy time is the
+//!   gaps between them; per-pc busy time is the sampler's
+//!   (`sampler.rs`), so the instruction loop reads no clock;
+//! * **comm-flight spans** — remote fetch or store issue → reply, correlated
+//!   by `ReqId`/`OpId` and drawn as async events so concurrent prefetches
+//!   stack; the overlap metric integrates these against wait;
+//! * **serve spans** on I/O servers, and instants for cache evictions,
+//!   served-block flushes, checkpoint save/restore and recovery.
 //!
 //! All timestamps are nanoseconds since a run epoch shared by every
 //! rank's sink (one `Instant` captured before the ranks spawn), so the
@@ -29,7 +28,6 @@
 use crate::json::{Document, Json};
 use crate::metrics::WaitCause;
 use crate::msg::BlockKey;
-use sia_bytecode::{InstructionClass, Program};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
@@ -81,17 +79,13 @@ impl RecoveryEvent {
 /// The typed payload of one event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// One executed super-instruction (span).
-    Instruction {
-        /// Program counter.
-        pc: u32,
-        /// Instruction class (§V-A).
-        class: InstructionClass,
-    },
     /// A blocked interval (span), attributed by cause.
     Wait {
         /// Why the rank was blocked.
         cause: WaitCause,
+        /// The instruction that blocked (`None` outside the program, as in
+        /// the end-of-run barrier).
+        pc: Option<u32>,
     },
     /// A communication round-trip in flight (async span).
     Flight {
@@ -103,26 +97,16 @@ pub enum EventKind {
         /// sequence number when the run allocates neither).
         id: u64,
     },
-    /// A block served to a requester (span on I/O servers, where it can
-    /// include a disk read; instant on workers serving home blocks).
+    /// A block an I/O server served to a requester (span: it can include
+    /// a disk read).
     Serve {
         /// The block served.
         key: BlockKey,
         /// Whether the serve went to disk.
         disk: bool,
     },
-    /// Dirty-block write-back (span).
-    Flush {
-        /// Blocks written.
-        blocks: u64,
-    },
-    /// A remote copy entered the cache (instant).
-    CacheFill {
-        /// The cached block.
-        key: BlockKey,
-        /// Payload bytes.
-        bytes: u64,
-    },
+    /// An I/O server wrote one dirty block back to its store (instant).
+    Flush,
     /// A cached copy was evicted (instant).
     CacheEvict {
         /// The evicted block.
@@ -130,7 +114,8 @@ pub enum EventKind {
         /// Payload bytes.
         bytes: u64,
     },
-    /// Checkpoint save or restore round-trip (span).
+    /// A rank reached a checkpoint save or restore: a worker handed its
+    /// part over, the master has every part (instant).
     Checkpoint {
         /// True for restore, false for save.
         restore: bool,
@@ -139,11 +124,6 @@ pub enum EventKind {
     Recovery {
         /// What happened.
         what: RecoveryEvent,
-    },
-    /// A labelled instant (barrier releases, epoch commits).
-    Mark {
-        /// Static label.
-        label: &'static str,
     },
 }
 
@@ -223,15 +203,6 @@ impl TraceSink {
         self.0.is_some()
     }
 
-    /// Nanoseconds since the run epoch (0 when disabled).
-    #[inline]
-    pub(crate) fn now_ns(&self) -> u64 {
-        match &self.0 {
-            Some(s) => s.epoch.elapsed().as_nanos() as u64,
-            None => 0,
-        }
-    }
-
     fn push(&mut self, ev: TraceEvent) {
         if let Some(s) = &mut self.0 {
             if s.buf.len() < s.buf.capacity() {
@@ -244,22 +215,9 @@ impl TraceSink {
         }
     }
 
-    /// Records a span from explicit epoch-relative nanoseconds.
-    pub(crate) fn span(&mut self, kind: EventKind, t_start_ns: u64, t_end_ns: u64) {
-        if self.0.is_some() {
-            self.push(TraceEvent {
-                t_start_ns,
-                t_end_ns: t_end_ns.max(t_start_ns),
-                kind,
-            });
-        }
-    }
-
-    /// Records a span between two clock readings the caller already took:
-    /// consecutive spans that share a reading then abut exactly, where a
-    /// reading of the sink's own would put one span's end past the next
-    /// one's start.
-    pub(crate) fn span_between(&mut self, kind: EventKind, start: Instant, end: Instant) {
+    /// Records a span between two clock readings the caller already took
+    /// for its own accounting, so tracing adds no clock read of its own.
+    pub(crate) fn span(&mut self, kind: EventKind, start: Instant, end: Instant) {
         if let Some(s) = &self.0 {
             let t0 = start.saturating_duration_since(s.epoch).as_nanos() as u64;
             let t1 = end.saturating_duration_since(s.epoch).as_nanos() as u64;
@@ -274,29 +232,24 @@ impl TraceSink {
     /// Records an instant at the current time.
     pub(crate) fn instant(&mut self, kind: EventKind) {
         if self.0.is_some() {
-            let t = self.now_ns();
-            self.push(TraceEvent {
-                t_start_ns: t,
-                t_end_ns: t,
-                kind,
-            });
+            let now = Instant::now();
+            self.span(kind, now, now);
         }
     }
 
-    /// Takes the recorded events (ring order restored to chronological)
-    /// and the dropped count, leaving the sink enabled but empty.
-    pub(crate) fn drain(&mut self) -> (Vec<TraceEvent>, u64) {
-        match &mut self.0 {
-            None => (Vec::new(), 0),
-            Some(s) => {
-                let head = s.head;
-                s.head = 0;
-                let dropped = std::mem::take(&mut s.dropped);
-                let mut buf = std::mem::take(&mut s.buf);
-                buf.rotate_left(head);
-                (buf, dropped)
-            }
-        }
+    /// Drains the ring (chronological order restored) into the trace this
+    /// rank ships to the master; `None` when the sink is disabled. The sink
+    /// records nothing afterwards.
+    pub(crate) fn drain(&mut self, rank: usize, label: String) -> Option<RankTrace> {
+        let s = self.0.as_mut()?;
+        let mut events = std::mem::take(&mut s.buf);
+        events.rotate_left(std::mem::take(&mut s.head));
+        Some(RankTrace {
+            rank,
+            label,
+            events,
+            dropped: std::mem::take(&mut s.dropped),
+        })
     }
 }
 
@@ -330,11 +283,10 @@ impl TraceTimeline {
     /// Format" inside a `traceEvents` object, as Perfetto and
     /// `chrome://tracing` load it). Each rank renders as a process whose
     /// `process_name` metadata also carries the rank's ring `dropped`
-    /// count: tid 0 carries the synchronous execute spans (instruction,
-    /// wait, serve, checkpoint), comm flights render as async `b`/`e` pairs
-    /// so concurrent prefetches stack instead of colliding. When `program`
-    /// is given, instruction spans are named by their disassembly.
-    pub fn to_chrome_json(&self, program: Option<&Program>) -> String {
+    /// count: tid 0 carries the synchronous spans (wait, serve) and the
+    /// instants, comm flights render as async `b`/`e` pairs so concurrent
+    /// prefetches stack instead of colliding.
+    pub fn to_chrome_json(&self) -> String {
         let mut events = Vec::new();
         for r in &self.ranks {
             let name = |n: &str| vec![("name", Json::from(n))];
@@ -353,7 +305,7 @@ impl TraceTimeline {
             let mut ordered: Vec<&TraceEvent> = r.events.iter().collect();
             ordered.sort_by_key(|e| (e.t_start_ns, std::cmp::Reverse(e.t_end_ns)));
             for e in ordered {
-                emit_event(&mut events, r.rank, e, program);
+                emit_event(&mut events, r.rank, e);
             }
         }
         Json::obj([
@@ -400,22 +352,15 @@ fn event(
     Json::obj(head.into_iter().chain(rest))
 }
 
-fn emit_event(out: &mut Vec<Json>, rank: usize, e: &TraceEvent, program: Option<&Program>) {
+fn emit_event(out: &mut Vec<Json>, rank: usize, e: &TraceEvent) {
     let dur_ns = e.t_end_ns - e.t_start_ns;
     let dur = ("dur", us(dur_ns));
     let instant = ("s", Json::from("t"));
     let hex = |id: u64| ("id", Json::from(format!("0x{id:x}")));
     let (name, cat, ph, rest) = match e.kind {
-        EventKind::Instruction { pc, class } => {
-            let name = match program.and_then(|p| p.code.get(pc as usize).map(|i| (p, i))) {
-                Some((p, i)) => sia_bytecode::disasm::disassemble_instruction(p, i),
-                None => format!("pc {pc} ({class:?})"),
-            };
-            let args = Json::obj([("pc", pc.into()), ("class", format!("{class:?}").into())]);
-            (name, "instruction", "X", vec![dur, ("args", args)])
-        }
-        EventKind::Wait { cause } => {
-            let args = Json::obj([("cause", cause.key().into())]);
+        EventKind::Wait { cause, pc } => {
+            let pc = pc.map(|pc| ("pc", pc.into()));
+            let args = Json::obj([("cause", cause.key().into())].into_iter().chain(pc));
             (
                 format!("wait: {}", cause.label()),
                 "wait",
@@ -442,19 +387,21 @@ fn emit_event(out: &mut Vec<Json>, rank: usize, e: &TraceEvent, program: Option<
             };
             (format!("serve {key:?}"), "serve", ph, vec![shape, args])
         }
-        EventKind::Flush { blocks } => (format!("flush {blocks} blocks"), "serve", "X", vec![dur]),
-        EventKind::CacheFill { key, bytes } | EventKind::CacheEvict { key, bytes } => {
-            let evict = matches!(e.kind, EventKind::CacheEvict { .. });
-            let name = format!("{} {key:?}", if evict { "evict" } else { "fill" });
+        EventKind::Flush => ("flush".into(), "serve", "i", vec![instant]),
+        EventKind::CacheEvict { key, bytes } => {
             let args = ("args", Json::obj([("bytes", bytes.into())]));
-            (name, "cache", "i", vec![instant, args])
+            (format!("evict {key:?}"), "cache", "i", vec![instant, args])
         }
         EventKind::Checkpoint { restore } => {
             let what = if restore { "restore" } else { "save" };
-            (format!("checkpoint {what}"), "checkpoint", "X", vec![dur])
+            (
+                format!("checkpoint {what}"),
+                "checkpoint",
+                "i",
+                vec![instant],
+            )
         }
         EventKind::Recovery { what } => (what.label().into(), "recovery", "i", vec![instant]),
-        EventKind::Mark { label } => (label.into(), "mark", "i", vec![instant]),
     };
     // Flights are async begin/end pairs on the comm thread, so overlapping
     // ones stack; the end repeats the begin's name and id.
@@ -630,46 +577,40 @@ mod tests {
         BlockKey::new(ArrayId(1), &[2, 3])
     }
 
+    fn wait(pc: u32) -> EventKind {
+        EventKind::Wait {
+            cause: WaitCause::BlockArrival,
+            pc: Some(pc),
+        }
+    }
+
     #[test]
     fn disabled_sink_records_nothing() {
         let mut s = TraceSink::disabled();
         assert!(!s.is_on());
-        s.instant(EventKind::Mark { label: "x" });
-        s.span(
-            EventKind::Wait {
-                cause: WaitCause::BlockArrival,
-            },
-            0,
-            5,
-        );
-        let (events, dropped) = s.drain();
-        assert!(events.is_empty());
-        assert_eq!(dropped, 0);
+        s.instant(EventKind::Flush);
+        s.span(wait(0), Instant::now(), Instant::now());
+        assert!(s.drain(1, "worker 1".into()).is_none());
     }
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
-        let mut s = TraceSink::enabled(16, Instant::now());
+        let epoch = Instant::now();
+        let mut s = TraceSink::enabled(16, epoch);
         for i in 0..20u64 {
-            s.span(EventKind::Mark { label: "m" }, i, i);
+            let t = epoch + std::time::Duration::from_nanos(i);
+            s.span(EventKind::Flush, t, t);
         }
-        let (events, dropped) = s.drain();
-        assert_eq!(events.len(), 16);
-        assert_eq!(dropped, 4);
+        let trace = s.drain(1, "worker 1".into()).expect("an enabled sink");
+        assert_eq!(trace.events.len(), 16);
+        assert_eq!(trace.dropped, 4);
         // Oldest four were overwritten; order is chronological.
-        assert_eq!(events[0].t_start_ns, 4);
-        assert_eq!(events[15].t_start_ns, 19);
+        assert_eq!(trace.events[0].t_start_ns, 4);
+        assert_eq!(trace.events[15].t_start_ns, 19);
         // The export notes the drops in the rank's metadata, and the lint
         // reads them back.
-        let tl = TraceTimeline {
-            ranks: vec![RankTrace {
-                rank: 1,
-                label: "worker 1".into(),
-                events,
-                dropped,
-            }],
-        };
-        let doc = crate::json::parse_json(&tl.to_chrome_json(None)).unwrap();
+        let tl = TraceTimeline { ranks: vec![trace] };
+        let doc = crate::json::parse_json(&tl.to_chrome_json()).unwrap();
         let process = &doc.get("traceEvents").and_then(Json::as_array).unwrap()[0];
         let exported = process.get("args").and_then(|a| a.get("dropped"));
         assert_eq!(exported.and_then(Json::as_u64), Some(4));
@@ -678,64 +619,59 @@ mod tests {
 
     #[test]
     fn chrome_export_lints_clean() {
-        let mut tl = TraceTimeline::default();
-        let events = vec![
-            TraceEvent {
-                t_start_ns: 0,
-                t_end_ns: 1000,
-                kind: EventKind::Instruction {
-                    pc: 0,
-                    class: InstructionClass::Control,
-                },
-            },
-            TraceEvent {
-                t_start_ns: 100,
-                t_end_ns: 600,
-                kind: EventKind::Wait {
-                    cause: WaitCause::BlockArrival,
-                },
-            },
-            TraceEvent {
-                t_start_ns: 50,
-                t_end_ns: 800,
-                kind: EventKind::Flight {
-                    op: CommOp::Get,
-                    key: key(),
-                    id: 7,
-                },
-            },
-            TraceEvent {
-                t_start_ns: 400,
-                t_end_ns: 400,
-                kind: EventKind::CacheFill {
-                    key: key(),
-                    bytes: 64,
-                },
-            },
-        ];
-        tl.ranks.push(RankTrace {
-            rank: 1,
-            label: "worker 1".into(),
-            events,
-            dropped: 0,
-        });
-        let json = tl.to_chrome_json(None);
+        let ev = |t_start_ns, t_end_ns, kind| TraceEvent {
+            t_start_ns,
+            t_end_ns,
+            kind,
+        };
+        let flight = EventKind::Flight {
+            op: CommOp::Get,
+            key: key(),
+            id: 7,
+        };
+        let evict = EventKind::CacheEvict {
+            key: key(),
+            bytes: 64,
+        };
+        let restore = EventKind::Checkpoint { restore: true };
+        let tl = TraceTimeline {
+            ranks: vec![RankTrace {
+                rank: 1,
+                label: "worker 1".into(),
+                events: vec![
+                    ev(100, 600, wait(4)),
+                    ev(50, 800, flight),
+                    ev(700, 700, evict),
+                    ev(900, 900, restore),
+                ],
+                dropped: 0,
+            }],
+        };
+        let json = tl.to_chrome_json();
         let lint = lint_chrome_trace(&json).expect("lints clean");
         let r = lint.ranks.get(&1).expect("rank 1 present");
         assert_eq!(r.label, "worker 1");
-        assert_eq!(r.spans, 2);
+        // Only the wait is a span: the checkpoint is an instant.
+        assert_eq!(r.spans, 1);
         assert_eq!(r.flights, 1);
-        assert!(r.cats.contains("instruction"));
-        assert!(r.cats.contains("wait"));
-        assert!(r.cats.contains("comm"));
+        let cats = ["cache", "checkpoint", "comm", "wait"];
+        assert!(r.cats.iter().eq(cats), "{:?}", r.cats);
+        // The wait names the instruction it blocked.
+        let doc = crate::json::parse_json(&json).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+        let waited = events
+            .iter()
+            .find(|e| e.get("cat").and_then(Json::as_str) == Some("wait"));
+        let pc = waited.and_then(|e| e.get("args")?.get("pc")?.as_u64());
+        assert_eq!(pc, Some(4));
     }
 
     #[test]
     fn lint_rejects_overlapping_spans() {
         // Two X spans on one tid that cross instead of nesting.
         let bad = r#"{"traceEvents":[
-            {"name":"a","cat":"instruction","ph":"X","pid":1,"tid":0,"ts":0.0,"dur":1.0},
-            {"name":"b","cat":"instruction","ph":"X","pid":1,"tid":0,"ts":0.5,"dur":1.0}
+            {"name":"a","cat":"wait","ph":"X","pid":1,"tid":0,"ts":0.0,"dur":1.0},
+            {"name":"b","cat":"wait","ph":"X","pid":1,"tid":0,"ts":0.5,"dur":1.0}
         ]}"#;
         assert!(lint_chrome_trace(bad).is_err());
     }
@@ -751,13 +687,10 @@ mod tests {
     #[test]
     fn megabyte_trace_lints_in_linear_time() {
         let mut tl = TraceTimeline::default();
-        let events = (0..8_000u64).map(|i| TraceEvent {
+        let events = (0..10_000u64).map(|i| TraceEvent {
             t_start_ns: i * 100,
             t_end_ns: i * 100 + 50,
-            kind: EventKind::Instruction {
-                pc: i as u32,
-                class: InstructionClass::Control,
-            },
+            kind: wait(i as u32),
         });
         tl.ranks.push(RankTrace {
             rank: 1,
@@ -765,11 +698,11 @@ mod tests {
             events: events.collect(),
             dropped: 0,
         });
-        let json = tl.to_chrome_json(None);
+        let json = tl.to_chrome_json();
         assert!(json.len() >= 1 << 20, "only {} bytes", json.len());
         let t0 = std::time::Instant::now();
         let lint = lint_chrome_trace(&json).expect("lints clean");
-        assert_eq!(lint.ranks[&1].spans, 8_000);
+        assert_eq!(lint.ranks[&1].spans, 10_000);
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(5),
             "linting {} bytes took {:?}",

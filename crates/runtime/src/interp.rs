@@ -60,34 +60,19 @@ impl Worker {
     }
 
     /// The instruction loop. A boundary stores the next pc into the rank's
-    /// word and reads no clock; time spent there serving peers is charged
-    /// to the instruction that follows. Instruction spans, and the clock
-    /// reads behind them, exist only while tracing: the reading that ends
-    /// one span starts the next, unless serving peers came between.
+    /// word and reads no clock, traced or not; time spent there serving
+    /// peers is charged to the instruction that follows.
     fn run_instructions(&mut self) -> Result<(), RuntimeError> {
         let layout = Arc::clone(&self.layout);
-        let tracing = self.trace.is_on();
-        let mut now = tracing.then(Instant::now);
         let mut pc: u32 = 0;
         loop {
             self.word.busy(pc);
-            if self.service_messages() && tracing {
-                now = Some(Instant::now());
-            }
+            self.service_messages();
             self.pump_retries()?;
             self.mem.enforce_budget()?;
             let (ins, facts) = layout.instruction(pc)?;
             let next = self.step(pc, ins, facts)?;
             self.profile.record(pc);
-            if let Some(start) = now {
-                let end = Instant::now();
-                let kind = EventKind::Instruction {
-                    pc,
-                    class: ins.class(),
-                };
-                self.trace.span_between(kind, start, end);
-                now = Some(end);
-            }
             match next {
                 Some(n) => pc = n,
                 None => return Ok(()),

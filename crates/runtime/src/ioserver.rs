@@ -178,7 +178,7 @@ impl IoServer {
         self.dirty.remove(&stamp);
         self.clean.insert(stamp, key);
         self.stats.disk_writes += 1;
-        self.trace.instant(EventKind::Flush { blocks: 1 });
+        self.trace.instant(EventKind::Flush);
         Ok(true)
     }
 
@@ -238,7 +238,7 @@ impl IoServer {
 
     /// What a fetch of `key` is answered with.
     fn fetch(&mut self, key: BlockKey) -> Result<Payload, RuntimeError> {
-        let t0 = Instant::now();
+        let t0 = self.trace.is_on().then(Instant::now);
         let reads0 = self.stats.disk_reads;
         let data = if self.layout.array_sparse(key.array) {
             // An absent block ships its norm bound instead of being
@@ -252,9 +252,9 @@ impl IoServer {
             self.load(key)?
         };
         let disk = self.stats.disk_reads > reads0;
-        if self.trace.is_on() {
-            self.trace
-                .span_between(EventKind::Serve { key, disk }, t0, Instant::now());
+        if let Some(t0) = t0 {
+            let served = EventKind::Serve { key, disk };
+            self.trace.span(served, t0, Instant::now());
         }
         Ok(Payload::Data(data))
     }
@@ -422,13 +422,13 @@ impl IoServer {
                             // Ship counters (and recorded events) to the
                             // master, which is draining its inbox for these
                             // after the shutdown broadcast.
-                            let (events, dropped) = self.trace.drain();
+                            let rank = self.endpoint.rank().0;
+                            let trace = self.trace.drain(rank, format!("io {rank}"));
                             let _ = self.endpoint.send(
                                 self.layout.topology.master(),
                                 SipMsg::ServerDone {
                                     stats: self.stats,
-                                    events,
-                                    dropped,
+                                    trace,
                                 },
                             );
                             return Ok(self.stats);

@@ -407,38 +407,13 @@ impl Sip {
         profile.dry_run_estimate_bytes = estimate.per_worker_bytes;
 
         // ---- merged trace timeline -------------------------------------------
-        let trace = if trace_on {
-            let mut tl = TraceTimeline::default();
-            tl.ranks.push(RankTrace {
-                rank: 0,
-                label: "master".into(),
-                events: std::mem::take(&mut master_out.master_events),
-                dropped: master_out.master_dropped,
-            });
-            for (i, p) in master_out.profiles.iter_mut().enumerate() {
-                let rank = layout.topology.worker(i).0;
-                tl.ranks.push(RankTrace {
-                    rank,
-                    label: format!("worker {rank}"),
-                    events: std::mem::take(&mut p.events),
-                    dropped: p.events_dropped,
-                });
-            }
-            for (rank, events, dropped) in std::mem::take(&mut master_out.server_events) {
-                tl.ranks.push(RankTrace {
-                    rank: rank.0,
-                    label: format!("io {}", rank.0),
-                    events,
-                    dropped,
-                });
-            }
-            tl.ranks.sort_by_key(|r| r.rank);
-            Some(tl)
-        } else {
-            None
-        };
+        let trace = trace_on.then(|| {
+            let mut ranks = std::mem::take(&mut master_out.traces);
+            ranks.sort_by_key(|r| r.rank);
+            TraceTimeline { ranks }
+        });
         if let (Some(tl), Some(path)) = (&trace, &self.config.trace_path) {
-            std::fs::write(path, tl.to_chrome_json(Some(&layout.program)))
+            std::fs::write(path, tl.to_chrome_json())
                 .map_err(|e| RuntimeError::ServedIo(format!("write trace {path:?}: {e}")))?;
         }
         if let Some(path) = &self.config.profile_json {
@@ -527,15 +502,13 @@ fn run_worker(w: &mut worker::Worker, collect: bool) {
             } else {
                 Vec::new()
             };
-            // Ship the trace ring inside the profile.
-            let (events, events_dropped) = w.trace.drain();
-            w.profile.events = events;
-            w.profile.events_dropped = events_dropped;
+            let rank = w.endpoint.rank().0;
             let msg = SipMsg::WorkerDone {
                 scalars: w.scalars.clone(),
                 blocks,
                 profile: Box::new(std::mem::take(&mut w.profile)),
                 warnings: std::mem::take(&mut w.warnings),
+                trace: w.trace.drain(rank, format!("worker {rank}")),
             };
             let _ = w.endpoint.send(master, msg);
             w.service_until_shutdown();

@@ -15,7 +15,7 @@
 //! post-pardo barrier (see DESIGN.md "Fault model & recovery").
 
 use crate::error::{CommKind, RuntimeError};
-use crate::events::{EventKind, RecoveryEvent, TraceEvent, TraceSink};
+use crate::events::{EventKind, RankTrace, RecoveryEvent, TraceSink};
 use crate::ft::{self, Exhausted, Retry};
 use crate::layout::{FaultConfig, Layout};
 use crate::metrics::{Merge, RecoveryStats, ServerStats};
@@ -190,13 +190,9 @@ pub struct MasterOutput {
     pub recovery: RecoveryStats,
     /// I/O-server counters, merged across servers.
     pub server: ServerStats,
-    /// Per-I/O-server trace events: (rank, events, dropped). Empty unless
-    /// tracing was enabled.
-    pub server_events: Vec<(Rank, Vec<TraceEvent>, u64)>,
-    /// The master's own trace events (empty unless tracing was enabled).
-    pub master_events: Vec<TraceEvent>,
-    /// Events the master's ring buffer overwrote.
-    pub master_dropped: u64,
+    /// Every rank's recorded events (empty unless tracing): each finished
+    /// worker's and I/O server's as it reported, then the master's.
+    pub traces: Vec<RankTrace>,
 }
 
 /// The master rank's controller.
@@ -245,6 +241,8 @@ pub struct Master {
     plan: CommPlan,
     // ---- observability ------------------------------------------------------
     trace: TraceSink,
+    /// The traces the other ranks shipped with their final reports.
+    traces: Vec<RankTrace>,
     /// A daemon job's live progress, read by `Daemon::status`: `total` grows
     /// as pardos are met, `granted` as their chunks are handed out.
     progress: Option<Arc<JobProgress>>,
@@ -290,6 +288,7 @@ impl Master {
             epoch_pending: None,
             plan: CommPlan::default(),
             trace: TraceSink::disabled(),
+            traces: Vec::new(),
             progress: None,
         }
     }
@@ -884,7 +883,6 @@ impl Master {
         // (and trace events). Bounded wait: a wedged server must not hang
         // the whole run's teardown.
         let mut server = ServerStats::default();
-        let mut server_events: Vec<(Rank, Vec<TraceEvent>, u64)> = Vec::new();
         let mut awaited = self.layout.topology.io_servers;
         let deadline = Instant::now() + TEARDOWN_BOUND;
         while awaited > 0 {
@@ -893,13 +891,9 @@ impl Master {
                 break;
             };
             match env.msg {
-                SipMsg::ServerDone {
-                    stats,
-                    events,
-                    dropped,
-                } => {
+                SipMsg::ServerDone { stats, trace } => {
                     server.merge(&stats);
-                    server_events.push((env.src, events, dropped));
+                    self.traces.extend(trace);
                     awaited -= 1;
                 }
                 SipMsg::WorkerFailed { error } => {
@@ -918,7 +912,7 @@ impl Master {
                 "{awaited} I/O server(s) never reported final stats"
             ));
         }
-        let (master_events, master_dropped) = self.trace.drain();
+        self.traces.extend(self.trace.drain(0, "master".into()));
         let mut scalars_out = Vec::with_capacity(self.workers());
         let mut profiles = Vec::with_capacity(self.workers());
         for slot in self.done.drain(..) {
@@ -934,9 +928,7 @@ impl Master {
             warnings: std::mem::take(&mut self.warnings),
             recovery: self.recovery,
             server,
-            server_events,
-            master_events,
-            master_dropped,
+            traces: std::mem::take(&mut self.traces),
         }))
     }
 
@@ -1010,6 +1002,7 @@ impl Master {
                     blocks,
                     profile,
                     warnings,
+                    trace,
                 } => {
                     let w = self.layout.topology.worker_index(src);
                     if self.done[w].is_none() {
@@ -1022,6 +1015,7 @@ impl Master {
                     self.collected
                         .extend(blocks.into_iter().map(|(k, h)| (k, h.into_block())));
                     self.warnings.extend(warnings);
+                    self.traces.extend(trace);
                     if let Some(out) = self.maybe_finish()? {
                         return Ok(out);
                     }

@@ -237,8 +237,8 @@ impl BlockManager {
         self.cache.enable_evict_log();
     }
 
-    /// Takes the `(key, bytes)` evictions logged since the last drain.
-    pub fn drain_evictions(&mut self) -> Vec<(BlockKey, u64)> {
+    /// Drains the `(key, bytes)` evictions logged since the last drain.
+    pub fn drain_evictions(&mut self) -> impl Iterator<Item = (BlockKey, u64)> + '_ {
         self.cache.drain_evictions()
     }
 

@@ -393,6 +393,8 @@ pub enum SipMsg {
         profile: Box<crate::profile::WorkerProfile>,
         /// Diagnostics (e.g. barrier-misuse detections).
         warnings: Vec<String>,
+        /// The worker's recorded events (`None` unless tracing).
+        trace: Option<crate::events::RankTrace>,
     },
     /// A worker or I/O server aborted with an error.
     WorkerFailed {
@@ -404,10 +406,8 @@ pub enum SipMsg {
     ServerDone {
         /// The server's lifetime counters.
         stats: crate::metrics::ServerStats,
-        /// Recorded trace events (empty unless tracing).
-        events: Vec<crate::events::TraceEvent>,
-        /// Events lost to ring-buffer overwrite.
-        dropped: u64,
+        /// The server's recorded events (`None` unless tracing).
+        trace: Option<crate::events::RankTrace>,
     },
     /// Master tells everyone to exit their service loops.
     Shutdown,
@@ -428,13 +428,12 @@ impl Message for SipMsg {
             | SipMsg::CkptBlock { data, .. } => block_bytes(data),
             SipMsg::Batch(msgs) => 16 + msgs.iter().map(|m| m.approx_bytes()).sum::<usize>(),
             SipMsg::ChunkAssign { ordinals, .. } => 16 + ordinals.len() * 8,
+            // A shipped trace is the run's bookkeeping, not its traffic:
+            // neither `WorkerDone` nor `ServerDone` charges it.
             SipMsg::WorkerDone {
                 scalars, blocks, ..
             } => 16 + scalars.len() * 8 + blocks.iter().map(|(_, b)| block_bytes(b)).sum::<usize>(),
             SipMsg::RankDead { inherited_ops, .. } => 16 + inherited_ops.len() * 8,
-            SipMsg::ServerDone { events, .. } => {
-                64 + events.len() * std::mem::size_of::<crate::events::TraceEvent>()
-            }
             _ => 32,
         }
     }
@@ -836,7 +835,8 @@ mod tests {
             .unwrap();
         assert_eq!(waited, Duration::ZERO);
         assert_eq!(w.profile.metrics.wait.total_nanos(), 0);
-        assert!(w.trace.drain().0.is_empty(), "no span for no wait");
+        let trace = w.trace.drain(1, "worker 1".into()).unwrap();
+        assert!(trace.events.is_empty(), "no span for no wait");
     }
 
     impl Rig {

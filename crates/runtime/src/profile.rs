@@ -17,7 +17,6 @@
 //! sites feed [`Metrics::wait`] and the waiting instruction's per-pc wait
 //! together, via [`WorkerProfile::add_wait`] — so no wait is counted twice.
 
-use crate::events::TraceEvent;
 use crate::json::{Document, Json};
 use crate::metrics::{quiet, Merge, Metrics, WaitCause};
 use crate::sampler::SAMPLE_TICK;
@@ -43,10 +42,6 @@ pub struct WorkerProfile {
     /// The unified counter registry (cache, memory, contraction, comm,
     /// wait causes, fault tolerance).
     pub metrics: Metrics,
-    /// Trace events recorded by this rank (empty unless tracing is on).
-    pub events: Vec<TraceEvent>,
-    /// Trace events lost to ring overwrite on this rank.
-    pub events_dropped: u64,
 }
 
 impl WorkerProfile {

@@ -259,15 +259,11 @@ impl Worker {
     /// about to compute, and every reply, ack, forward, fetch and store
     /// bound for one peer leaves as one envelope. A flush error means
     /// shutdown or a dead peer; the wait loops read those off the flags.
-    /// Returns whether any message was handled.
-    pub(crate) fn service_messages(&mut self) -> bool {
-        let mut handled = false;
+    pub(crate) fn service_messages(&mut self) {
         while let Some(env) = self.endpoint.try_recv() {
             self.handle(env.src, env.msg);
-            handled = true;
         }
         let _ = self.endpoint.flush();
-        handled
     }
 
     /// Keeps serving peers (gets/puts against blocks homed here) after this
@@ -458,18 +454,6 @@ impl Worker {
             .push(format!("protocol error: a request from {src}: {e}"));
     }
 
-    /// Forwards any cache evictions logged since the last call to the event
-    /// sink (the log is only enabled while tracing, so this is a no-op with
-    /// no allocation otherwise).
-    pub(crate) fn drain_evictions_into_trace(&mut self) {
-        if !self.trace.is_on() {
-            return;
-        }
-        for (key, bytes) in self.mem.drain_evictions() {
-            self.trace.instant(EventKind::CacheEvict { key, bytes });
-        }
-    }
-
     /// A block — or a sparse array's absence record — arrived in reply to a
     /// fetch, completing the demand fetch in flight. The cache entry shares
     /// the envelope's allocation.
@@ -477,37 +461,30 @@ impl Worker {
         if let Some(ft) = self.ft.as_mut() {
             ft.fetch_answered(&key);
         }
-        let filled = match &payload {
-            Payload::Data(data) => Some(data.heap_bytes()),
-            Payload::Absent { .. } => {
-                self.profile.metrics.sparse.bytes_not_shipped += self.layout.block_bytes(key.array);
-                None
-            }
-        };
-        // The cache hands back the flight this arrival completed.
+        if let Payload::Absent { .. } = payload {
+            self.profile.metrics.sparse.bytes_not_shipped += self.layout.block_bytes(key.array);
+        }
+        // The cache hands back the flight this arrival completed. One
+        // reading ends the flight and stamps the evictions the fill made
+        // room with (the log is only enabled while tracing).
         let fetch = self.mem.cache_fill(key, payload);
+        if fetch.is_none() && !self.trace.is_on() {
+            return;
+        }
+        let now = Instant::now();
         if let Some(Flight { issued, req }) = fetch {
-            let flight_ns = issued.elapsed().as_nanos() as u64;
-            self.profile.metrics.comm.flight_nanos += flight_ns;
-            if self.trace.is_on() {
-                let end = self.trace.now_ns();
-                self.trace.span(
-                    EventKind::Flight {
-                        op: CommOp::Get,
-                        key,
-                        id: req.0,
-                    },
-                    end.saturating_sub(flight_ns),
-                    end,
-                );
-            }
+            self.profile.metrics.comm.flight_nanos += (now - issued).as_nanos() as u64;
+            let kind = EventKind::Flight {
+                op: CommOp::Get,
+                key,
+                id: req.0,
+            };
+            self.trace.span(kind, issued, now);
         }
-        if let Some(bytes) = filled {
-            if self.trace.is_on() && fetch.is_some() {
-                self.trace.instant(EventKind::CacheFill { key, bytes });
-            }
+        for (key, bytes) in self.mem.drain_evictions() {
+            let evicted = EventKind::CacheEvict { key, bytes };
+            self.trace.span(evicted, now, now);
         }
-        self.drain_evictions_into_trace();
     }
 
     /// Closes the traced flight span of an acknowledged PUT/PREPARE.
@@ -516,17 +493,12 @@ impl Worker {
             return;
         }
         if let Some(t0) = self.put_flights.remove(&op.0) {
-            let ns = t0.elapsed().as_nanos() as u64;
-            let end = self.trace.now_ns();
-            self.trace.span(
-                EventKind::Flight {
-                    op: kind,
-                    key,
-                    id: op.0,
-                },
-                end.saturating_sub(ns),
-                end,
-            );
+            let kind = EventKind::Flight {
+                op: kind,
+                key,
+                id: op.0,
+            };
+            self.trace.span(kind, t0, Instant::now());
         }
     }
 
@@ -560,11 +532,13 @@ impl Worker {
                 let end = Instant::now();
                 let waited = end - t0;
                 self.word.restore(held);
-                self.profile.add_wait(cause, waited, sampler::busy_pc(held));
+                let pc = sampler::busy_pc(held);
+                self.profile.add_wait(cause, waited, pc);
                 // A sub-microsecond wait (the awaited message was already in
                 // the inbox) would only smear noise over the timeline.
                 if waited.as_nanos() >= 1_000 {
-                    self.trace.span_between(EventKind::Wait { cause }, t0, end);
+                    let pc = pc.map(|pc| pc as u32);
+                    self.trace.span(EventKind::Wait { cause, pc }, t0, end);
                 }
                 return Ok(waited);
             }

@@ -107,15 +107,8 @@ pub fn timeline() -> TraceTimeline {
                             what: RecoveryEvent::RankDead,
                         },
                     ),
-                    ev(
-                        6,
-                        6,
-                        EventKind::Mark {
-                            label: "barrier \"release\"",
-                        },
-                    ),
-                    ev(7, 9, EventKind::Checkpoint { restore: false }),
-                    ev(10, 12, EventKind::Checkpoint { restore: true }),
+                    ev(7, 7, EventKind::Checkpoint { restore: false }),
+                    ev(10, 10, EventKind::Checkpoint { restore: true }),
                 ],
                 dropped: 0,
             },
@@ -124,18 +117,11 @@ pub fn timeline() -> TraceTimeline {
                 label: "worker 1".into(),
                 events: vec![
                     ev(
-                        1_000,
-                        123_456_789_012,
-                        EventKind::Instruction {
-                            pc: 3,
-                            class: InstructionClass::Compute,
-                        },
-                    ),
-                    ev(
                         1_500,
                         2_750,
                         EventKind::Wait {
                             cause: WaitCause::BlockArrival,
+                            pc: Some(3),
                         },
                     ),
                     ev(
@@ -147,7 +133,6 @@ pub fn timeline() -> TraceTimeline {
                             id: 7,
                         },
                     ),
-                    ev(2_000, 2_000, EventKind::CacheFill { key, bytes: 512 }),
                     ev(2_100, 2_100, EventKind::CacheEvict { key, bytes: 512 }),
                     ev(2_200, 2_200, EventKind::Serve { key, disk: false }),
                 ],
@@ -158,7 +143,7 @@ pub fn timeline() -> TraceTimeline {
                 label: "io 2".into(),
                 events: vec![
                     ev(100, 900, EventKind::Serve { key, disk: true }),
-                    ev(1_000, 5_000, EventKind::Flush { blocks: 3 }),
+                    ev(1_000, 1_000, EventKind::Flush),
                     ev(
                         3_000,
                         4_000,

@@ -24,7 +24,7 @@ fn profile_keeps_its_shape() {
 
 #[test]
 fn chrome_trace_keeps_its_shape() {
-    let mut new = parse_json(&inputs::timeline().to_chrome_json(None)).unwrap();
+    let mut new = parse_json(&inputs::timeline().to_chrome_json()).unwrap();
     sia_runtime::lint_chrome_trace(&new).expect("lints clean");
     // The one member the old writer lacked: each rank's ring drops, in its
     // `process_name` metadata.
