@@ -864,6 +864,45 @@ mod tests {
         );
     }
 
+    /// The dry run's realized (density-hinted) per-worker estimate bounds
+    /// what screened MP2 really holds, with the same 10 % headroom the
+    /// dense `memory_budget` test allows. The cache holds two blocks so the
+    /// estimate, which charges the cache at capacity, and the measured
+    /// high water compare like for like.
+    #[test]
+    fn screened_estimate_bounds_measured_high_water() {
+        let m = Molecule {
+            name: "screened-he3",
+            formula: "He3",
+            electrons: 6,
+            n_occ: 6,
+            n_ao: 18,
+            open_shell: false,
+        };
+        let (seg, threshold) = (2, 1e-10);
+        let w = mp2_energy_screened(&m, seg);
+        let mut cfg = sia_runtime::SipConfig::builder()
+            .workers(4)
+            .io_servers(0)
+            .cache_blocks(2)
+            .sparsity_threshold(threshold)
+            .sparsity_density("Vd", screened_vd_density(&m, seg, threshold))
+            .build()
+            .unwrap();
+        cfg.segments = w.segments();
+        let est = Sip::new(cfg.clone())
+            .dry_run(w.compile().unwrap(), &w.bindings)
+            .unwrap();
+        let out = w.run_real(cfg).unwrap();
+        let high_water = out.profile.metrics.memory.high_water_bytes;
+        assert!(high_water > 0);
+        assert!(
+            high_water as f64 <= 1.10 * est.per_worker_bytes as f64,
+            "high water {high_water} B over 110 % of the realized estimate {} B",
+            est.per_worker_bytes
+        );
+    }
+
     #[test]
     fn ccsd_converged_stops_early() {
         let m = tiny();

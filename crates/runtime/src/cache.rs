@@ -252,12 +252,12 @@ pub struct BlockCache {
     ready_bytes: u64,
     ever_fetched: RefetchFilter,
     stats: CacheStats,
-    /// Evicted `(key, bytes)` pairs since the last drain — `None` (and never
-    /// allocated) unless the tracer asked for it.
-    evict_log: Option<Vec<(BlockKey, u64)>>,
     /// Slots the eviction walks have looked at.
     #[cfg(test)]
     walked: u64,
+    /// Evicted keys, in eviction order, since the test last took them.
+    #[cfg(test)]
+    evicted: Vec<BlockKey>,
 }
 
 impl BlockCache {
@@ -271,22 +271,11 @@ impl BlockCache {
             ready_bytes: 0,
             ever_fetched: RefetchFilter::new(),
             stats: CacheStats::default(),
-            evict_log: None,
             #[cfg(test)]
             walked: 0,
+            #[cfg(test)]
+            evicted: Vec::new(),
         }
-    }
-
-    /// Starts logging evictions (for the event tracer). Off by default so
-    /// the eviction path never allocates on untraced runs.
-    pub fn enable_evict_log(&mut self) {
-        self.evict_log.get_or_insert_with(Vec::new);
-    }
-
-    /// Drains the evictions logged since the last drain (none when the log
-    /// was never enabled); the log keeps its capacity.
-    pub fn drain_evictions(&mut self) -> impl Iterator<Item = (BlockKey, u64)> + '_ {
-        self.evict_log.iter_mut().flat_map(|log| log.drain(..))
     }
 
     /// Looks up a block, refreshing its LRU position. Returns `None` on miss.
@@ -489,9 +478,8 @@ impl BlockCache {
                 let b = h.heap_bytes();
                 self.ready_bytes -= b;
                 freed += b;
-                if let Some(log) = self.evict_log.as_mut() {
-                    log.push((key, b));
-                }
+                #[cfg(test)]
+                self.evicted.push(key);
             }
             self.stats.evictions += 1;
         }
@@ -930,7 +918,6 @@ mod tests {
             let capacity = 12 * B;
             let mut c = BlockCache::new(capacity);
             let mut stamps = Stamps::default();
-            c.enable_evict_log();
             // What a "consumer" still holds of what it looked up.
             let mut held: Vec<BlockHandle> = Vec::new();
             let mut evictions = 0;
@@ -993,7 +980,7 @@ mod tests {
                         c.evict_until(target);
                     }
                 }
-                let evicted: Vec<BlockKey> = c.drain_evictions().map(|e| e.0).collect();
+                let evicted = std::mem::take(&mut c.evicted);
                 assert_eq!(evicted, expect, "seed {seed}");
                 evictions += evicted.len();
                 assert_consistent(&c, &stamps);

@@ -18,8 +18,8 @@
 //! * **comm-flight spans** — remote fetch or store issue → reply, correlated
 //!   by `ReqId`/`OpId` and drawn as async events so concurrent prefetches
 //!   stack; the overlap metric integrates these against wait;
-//! * **serve spans** on I/O servers, and instants for cache evictions,
-//!   served-block flushes, checkpoint save/restore and recovery.
+//! * **serve spans** on I/O servers, and instants for served-block
+//!   flushes, checkpoint save/restore and recovery.
 //!
 //! All timestamps are nanoseconds since a run epoch shared by every
 //! rank's sink (one `Instant` captured before the ranks spawn), so the
@@ -107,13 +107,6 @@ pub enum EventKind {
     },
     /// An I/O server wrote one dirty block back to its store (instant).
     Flush,
-    /// A cached copy was evicted (instant).
-    CacheEvict {
-        /// The evicted block.
-        key: BlockKey,
-        /// Payload bytes.
-        bytes: u64,
-    },
     /// A rank reached a checkpoint save or restore: a worker handed its
     /// part over, the master has every part (instant).
     Checkpoint {
@@ -388,10 +381,6 @@ fn emit_event(out: &mut Vec<Json>, rank: usize, e: &TraceEvent) {
             (format!("serve {key:?}"), "serve", ph, vec![shape, args])
         }
         EventKind::Flush => ("flush".into(), "serve", "i", vec![instant]),
-        EventKind::CacheEvict { key, bytes } => {
-            let args = ("args", Json::obj([("bytes", bytes.into())]));
-            (format!("evict {key:?}"), "cache", "i", vec![instant, args])
-        }
         EventKind::Checkpoint { restore } => {
             let what = if restore { "restore" } else { "save" };
             (
@@ -629,10 +618,6 @@ mod tests {
             key: key(),
             id: 7,
         };
-        let evict = EventKind::CacheEvict {
-            key: key(),
-            bytes: 64,
-        };
         let restore = EventKind::Checkpoint { restore: true };
         let tl = TraceTimeline {
             ranks: vec![RankTrace {
@@ -641,7 +626,6 @@ mod tests {
                 events: vec![
                     ev(100, 600, wait(4)),
                     ev(50, 800, flight),
-                    ev(700, 700, evict),
                     ev(900, 900, restore),
                 ],
                 dropped: 0,
@@ -654,7 +638,7 @@ mod tests {
         // Only the wait is a span: the checkpoint is an instant.
         assert_eq!(r.spans, 1);
         assert_eq!(r.flights, 1);
-        let cats = ["cache", "checkpoint", "comm", "wait"];
+        let cats = ["checkpoint", "comm", "wait"];
         assert!(r.cats.iter().eq(cats), "{:?}", r.cats);
         // The wait names the instruction it blocked.
         let doc = crate::json::parse_json(&json).unwrap();

@@ -969,7 +969,6 @@ mod tests {
         let master = crate::master::Master::new(
             Arc::clone(&layout),
             eps.pop().unwrap(),
-            crate::scheduler::ChunkPolicy::default(),
             std::env::temp_dir(),
             None,
         );

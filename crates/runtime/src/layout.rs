@@ -14,7 +14,6 @@
 
 use crate::error::RuntimeError;
 use crate::msg::{BlockKey, MAX_RANK};
-use crate::scheduler::ChunkPolicy;
 use sia_blocks::{ContractError, ContractionPlan, Shape, SliceSpec};
 use sia_bytecode::{
     Arg, ArrayId, ArrayKind, BlockRef, ConstBindings, IndexId, IndexKind, Instruction as I, Program,
@@ -142,9 +141,6 @@ pub struct SipConfig {
     /// (`None` skips the feasibility gate but the estimate is still produced)
     /// and the block manager enforces at runtime.
     pub memory_budget: Option<u64>,
-    /// Chunk-sizing policy: guided by default, first chunks
-    /// `remaining / (2 * workers)` and shrinking as work drains.
-    pub chunk_policy: ChunkPolicy,
     /// Fault injection and recovery; `None` (the default) runs on a perfect
     /// fabric with all recovery machinery disabled.
     pub fault: Option<FaultConfig>,
@@ -190,7 +186,6 @@ impl Default for SipConfig {
             run_dir: None,
             served_dir: None,
             memory_budget: None,
-            chunk_policy: ChunkPolicy::default(),
             fault: None,
             trace: false,
             trace_path: None,
@@ -316,12 +311,6 @@ impl SipConfigBuilder {
         self
     }
 
-    /// Chunk-sizing policy (a zero factor or size is rejected).
-    pub fn chunk_policy(mut self, p: ChunkPolicy) -> Self {
-        self.config.chunk_policy = p;
-        self
-    }
-
     /// Fault injection and recovery configuration.
     pub fn fault(mut self, f: FaultConfig) -> Self {
         self.config.fault = Some(f);
@@ -388,15 +377,6 @@ impl SipConfigBuilder {
                 "prefetch_depth {} exceeds cache_blocks {}; the prefetcher \
                  would evict its own in-flight blocks",
                 c.prefetch_depth, c.cache_blocks
-            )));
-        }
-        if matches!(
-            c.chunk_policy,
-            ChunkPolicy::Guided { factor: 0 } | ChunkPolicy::Fixed { size: 0 }
-        ) {
-            return Err(ConfigError(format!(
-                "chunk policy {:?} hands out no work",
-                c.chunk_policy
             )));
         }
         if c.tracing() && c.trace_buffer_events < 16 {
@@ -1567,18 +1547,6 @@ endsial
         assert!(!t.is_worker(Rank(0)));
         assert!(!t.is_worker(Rank(4)));
         assert_eq!(t.worker_index(Rank(3)), 2);
-    }
-
-    #[test]
-    fn chunk_policy_handing_out_no_work_is_rejected() {
-        let build = |p| SipConfig::builder().chunk_policy(p).build();
-        assert_eq!(
-            SipConfig::default().chunk_policy,
-            ChunkPolicy::Guided { factor: 2 }
-        );
-        assert!(build(ChunkPolicy::Guided { factor: 0 }).is_err());
-        assert!(build(ChunkPolicy::Fixed { size: 0 }).is_err());
-        assert!(build(ChunkPolicy::Fixed { size: 1 }).is_ok());
     }
 
     #[test]

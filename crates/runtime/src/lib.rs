@@ -98,7 +98,7 @@ pub use metrics::{
     WaitStats,
 };
 pub use msg::{BlockKey, OpId, Payload, SipMsg};
-pub use plan::{BroadcastOp, CommPlan, CommPlanner, CommVolume, OwnerCompute, PlanSummary};
+pub use plan::{BroadcastOp, CommPlan, CommPlanner, CommVolume, OwnerCompute};
 pub use profile::{lint_profile_json, ProfileLine, ProfileReport, WorkerProfile};
 pub use registry::{SuperArg, SuperEnv, SuperRegistry};
 pub use sampler::SAMPLE_TICK;
@@ -271,15 +271,15 @@ impl Sip {
                 (d, true)
             }
         };
-        std::fs::create_dir_all(&run_dir)
-            .map_err(|e| RuntimeError::ServedIo(format!("create run dir: {e}")))?;
-
         // Workers see the resolved run directory (epoch checkpoints land
         // there) and the served-epoch count a previous, interrupted run left
-        // behind (surfaced to programs via `execute sip_resume_epoch s`).
+        // behind (surfaced to programs via `execute sip_resume_epoch s`). A
+        // corrupt manifest fails the run here, before any rank starts.
+        let resumed_epochs = master::read_epoch_manifest(&run_dir)?;
+        std::fs::create_dir_all(&run_dir)
+            .map_err(|e| RuntimeError::ServedIo(format!("create run dir: {e}")))?;
         let mut worker_config = self.config.clone();
         worker_config.run_dir = Some(run_dir.clone());
-        let resumed_epochs = master::read_epoch_manifest(&run_dir);
 
         // ---- spawn the virtual machine -----------------------------------------
         let fault_plan = self.config.fault.as_ref().map(|f| f.plan.clone());
@@ -295,7 +295,6 @@ impl Sip {
         let mut master = master::Master::new(
             Arc::clone(&layout),
             master_ep,
-            self.config.chunk_policy,
             run_dir.clone(),
             self.config.fault.as_ref(),
         );

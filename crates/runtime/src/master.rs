@@ -199,7 +199,6 @@ pub struct MasterOutput {
 pub struct Master {
     layout: Arc<Layout>,
     endpoint: Endpoint<SipMsg>,
-    chunk_policy: ChunkPolicy,
     run_dir: PathBuf,
     /// Whether the run is armed for faults (`SipConfig::fault` is set).
     fault: bool,
@@ -255,7 +254,6 @@ impl Master {
     pub fn new(
         layout: Arc<Layout>,
         endpoint: Endpoint<SipMsg>,
-        chunk_policy: ChunkPolicy,
         run_dir: PathBuf,
         fault: Option<&FaultConfig>,
     ) -> Self {
@@ -263,7 +261,6 @@ impl Master {
         Master {
             layout,
             endpoint,
-            chunk_policy,
             run_dir,
             fault: fault.is_some(),
             chunk_ledger: fault.is_some_and(|f| f.crash.is_some()),
@@ -364,8 +361,11 @@ impl Master {
             if let Some(p) = &self.progress {
                 p.total.fetch_add(space.len() as u64, Ordering::Relaxed);
             }
-            let sched =
-                GuidedScheduler::with_policy(space.len() as u64, self.workers(), self.chunk_policy);
+            let sched = GuidedScheduler::with_policy(
+                space.len() as u64,
+                self.workers(),
+                ChunkPolicy::default(),
+            );
             // Owner-compute affinity: bucket the iterations by the home of
             // the block each one writes, so the writing rank is
             // (preferentially) the owning rank and the put short-circuits
@@ -1070,11 +1070,27 @@ pub fn write_epoch_manifest(run_dir: &Path, epoch: u64) -> std::io::Result<()> {
 }
 
 /// Reads the served-epoch manifest; 0 when absent (fresh run directory).
-pub fn read_epoch_manifest(run_dir: &Path) -> u64 {
-    fs::read_to_string(run_dir.join(EPOCH_MANIFEST))
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
+/// The file comes from disk, so a present one that cannot be read or is
+/// not exactly what [`write_epoch_manifest`] writes — decimal digits and a
+/// newline — is [`RuntimeError::Checkpoint`]: resuming at epoch 0 over a
+/// later epoch's served data would be silent corruption.
+pub fn read_epoch_manifest(run_dir: &Path) -> Result<u64, RuntimeError> {
+    let path = run_dir.join(EPOCH_MANIFEST);
+    let text = match fs::read_to_string(&path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => {
+            let why = format!("read {}: {e}", path.display());
+            return Err(RuntimeError::Checkpoint(why));
+        }
+        Ok(text) => text,
+    };
+    // `parse` alone would take a leading `+`.
+    text.strip_suffix('\n')
+        .filter(|digits| digits.bytes().all(|b| b.is_ascii_digit()))
+        .and_then(|digits| digits.parse().ok())
+        .ok_or_else(|| {
+            RuntimeError::Checkpoint(format!("corrupt epoch manifest {}", path.display()))
+        })
 }
 
 // ---- checkpoint files -----------------------------------------------------------
@@ -1277,7 +1293,6 @@ endsial
         let m = Master::new(
             Arc::new(layout),
             master_ep,
-            ChunkPolicy::default(),
             std::env::temp_dir(),
             Some(fault),
         );
@@ -1367,15 +1382,54 @@ endsial
         }
     }
 
+    /// Absent reads 0 and a written manifest reads back; a truncated or
+    /// garbage one, or one that is not a file, is a checkpoint error.
     #[test]
     fn epoch_manifest_roundtrip() {
         let dir = std::env::temp_dir().join(format!("sia-manifest-test-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        assert_eq!(read_epoch_manifest(&dir), 0, "absent manifest reads 0");
+        let read = || read_epoch_manifest(&dir);
+        assert_eq!(read().unwrap(), 0, "absent manifest reads 0");
         write_epoch_manifest(&dir, 3).unwrap();
-        assert_eq!(read_epoch_manifest(&dir), 3);
+        assert_eq!(read().unwrap(), 3);
         write_epoch_manifest(&dir, 4).unwrap();
-        assert_eq!(read_epoch_manifest(&dir), 4);
+        assert_eq!(read().unwrap(), 4);
+
+        let path = dir.join(EPOCH_MANIFEST);
+        for case in 0..256 {
+            let mut rng = proptest::TestRng::for_case("epoch_manifest", case);
+            let written = format!("{}\n", rng.next_u64() >> rng.below(64)).into_bytes();
+            let bytes = if case % 2 == 0 {
+                written[..rng.below(written.len() as u64) as usize].to_vec()
+            } else {
+                let len = rng.below(24) as usize;
+                let garbage: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+                if garbage.last() == Some(&b'\n')
+                    && garbage.len() > 1
+                    && garbage[..len - 1].iter().all(u8::is_ascii_digit)
+                {
+                    continue;
+                }
+                garbage
+            };
+            fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(read(), Err(RuntimeError::Checkpoint(_))),
+                "{bytes:?} read as {:?}",
+                read()
+            );
+        }
+        fs::write(&path, "99999999999999999999999\n").unwrap();
+        assert!(
+            matches!(read(), Err(RuntimeError::Checkpoint(_))),
+            "overflow"
+        );
+        fs::remove_file(&path).unwrap();
+        fs::create_dir(&path).unwrap();
+        assert!(
+            matches!(read(), Err(RuntimeError::Checkpoint(_))),
+            "a directory"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

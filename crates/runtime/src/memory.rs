@@ -231,17 +231,6 @@ impl BlockManager {
         self.deep_copies += 1;
     }
 
-    /// Starts logging cache evictions (for the event tracer). Off by
-    /// default; the eviction path stays allocation-free on untraced runs.
-    pub fn enable_evict_log(&mut self) {
-        self.cache.enable_evict_log();
-    }
-
-    /// Drains the `(key, bytes)` evictions logged since the last drain.
-    pub fn drain_evictions(&mut self) -> impl Iterator<Item = (BlockKey, u64)> + '_ {
-        self.cache.drain_evictions()
-    }
-
     /// Applies budget pressure: evicts unshared cached copies LRU-first
     /// until resident bytes fit the budget, and returns a typed
     /// [`RuntimeError::OverBudget`] if pinned + unevictable bytes still

@@ -21,9 +21,7 @@
 //!
 //! The planner also predicts a per-rank communication-volume table
 //! (`sial dryrun` prints it; metrics compare it against the measured
-//! volume) and exports an aggregate [`PlanSummary`] that the `sia-sim`
-//! strong-scaling model extrapolates to simulated rank counts far beyond
-//! one host.
+//! volume).
 
 use crate::layout::Layout;
 use crate::msg::{BlockKey, MAX_RANK};
@@ -123,23 +121,6 @@ impl CommVolume {
     }
 }
 
-/// Aggregate byte classes the strong-scaling model extrapolates over
-/// simulated rank counts (all summed over every pardo region, all
-/// iterations).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanSummary {
-    /// Bytes of fully-pardo-bound distributed puts (local under
-    /// owner-compute).
-    pub aligned_put_bytes: u64,
-    /// Distinct broadcast-shaped blocks × their byte size (bytes shipped to
-    /// *each* consuming rank once, whatever the transport).
-    pub broadcast_bytes: u64,
-    /// Distinct broadcast-shaped blocks (message-count model).
-    pub broadcast_blocks: u64,
-    /// All remaining get/put/request/prepare bytes (uniformly spread).
-    pub other_bytes: u64,
-}
-
 /// The whole-program communication plan.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommPlan {
@@ -147,8 +128,6 @@ pub struct CommPlan {
     pub regions: BTreeMap<u32, RegionPlan>,
     /// Predicted per-rank fabric volume.
     pub volume: CommVolume,
-    /// Aggregate classes for the scaling model.
-    pub summary: PlanSummary,
 }
 
 impl CommPlan {
@@ -238,12 +217,8 @@ impl<'a> CommPlanner<'a> {
                 regions.insert(pc as u32, region);
             }
         }
-        let (volume, summary) = self.predict(&regions);
-        CommPlan {
-            regions,
-            volume,
-            summary,
-        }
+        let volume = self.predict(&regions);
+        CommPlan { regions, volume }
     }
 
     /// Classifies one pardo body.
@@ -341,19 +316,17 @@ impl<'a> CommPlanner<'a> {
         }
     }
 
-    /// Predicts per-rank fabric bytes, plus the aggregate summary for the
-    /// scaling model.
+    /// Predicts per-rank fabric bytes.
     ///
     /// The model is deliberately simple: aligned puts are local (zero
     /// fabric bytes); each broadcast block reaches every worker once,
     /// point-to-point, so its outbound side is concentrated at the home;
     /// everything else is spread uniformly with a (W−1)/W remote fraction.
-    fn predict(&self, regions: &BTreeMap<u32, RegionPlan>) -> (CommVolume, PlanSummary) {
+    fn predict(&self, regions: &BTreeMap<u32, RegionPlan>) -> CommVolume {
         let workers = self.layout.topology.workers;
         let mut vol = CommVolume::new(workers);
-        let mut sum = PlanSummary::default();
         if workers == 0 {
-            return (vol, sum);
+            return vol;
         }
         let w = workers as f64;
         let remote = (w - 1.0) / w;
@@ -381,8 +354,6 @@ impl<'a> CommPlanner<'a> {
                     let eff = self.effective_bytes(b.array, b.block_bytes);
                     bcast_get_bytes_per_iter += b.block_bytes;
                     bcast_get_discount_per_iter += b.block_bytes - eff;
-                    sum.broadcast_blocks += b.blocks;
-                    sum.broadcast_bytes += b.blocks * eff;
                     self.spread_broadcast(&mut vol, b);
                 }
             }
@@ -395,8 +366,6 @@ impl<'a> CommPlanner<'a> {
                 let eff = self.effective_bytes(*array, bytes);
                 aligned_put_bytes_per_iter = bytes;
                 aligned_put_discount_per_iter = bytes - eff;
-                let blocks = self.layout.total_blocks(*array);
-                sum.aligned_put_bytes += blocks * eff;
             }
 
             // Everything else from the trace, uniformly spread. Bytes are
@@ -422,14 +391,13 @@ impl<'a> CommPlanner<'a> {
                         * (per_iter.request_discount_bytes + per_iter.prepare_discount_bytes),
                 );
             let other = (other_get + other_put + served) as f64;
-            sum.other_bytes += other.round() as u64;
             // in + out for each transferred byte, remote fraction (W−1)/W.
             let per_rank = other * remote * 2.0 / w;
             for v in vol.per_rank.iter_mut() {
                 *v += per_rank;
             }
         }
-        (vol, sum)
+        vol
     }
 
     /// Charges one broadcast operand's traffic to the volume table.
@@ -582,8 +550,7 @@ mod tests {
         let without_put = BCAST.replace("put R(M,N) = q(M,N)\n", "");
         let (_, with) = plan_of(BCAST, 6);
         let (_, without) = plan_of(&without_put, 6);
-        assert!(with.summary.aligned_put_bytes > 0);
-        assert_eq!(without.summary.aligned_put_bytes, 0);
+        assert!(with.regions.values().next().unwrap().owner.is_some());
         assert!(with.volume.total() > 0);
         assert_eq!(with.volume, without.volume);
     }
@@ -594,14 +561,6 @@ mod tests {
         let table = plan.volume_table();
         assert!(table.contains("predicted comm volume per rank:"));
         assert!(table.contains("imbalance"));
-    }
-
-    #[test]
-    fn summary_classes_populated() {
-        let (_, plan) = plan_of(BCAST, 4);
-        assert!(plan.summary.aligned_put_bytes > 0);
-        assert!(plan.summary.broadcast_bytes > 0);
-        assert_eq!(plan.summary.broadcast_blocks, 4);
     }
 
     /// Regression (PR 9): the comm-volume table must honour

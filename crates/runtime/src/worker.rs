@@ -239,11 +239,8 @@ impl Worker {
     }
 
     /// Installs the event sink (called by the runtime before the program
-    /// starts) and, when it is live, turns on the cache's evict log.
+    /// starts).
     pub(crate) fn set_trace(&mut self, sink: TraceSink) {
-        if sink.is_on() {
-            self.mem.enable_evict_log();
-        }
         self.trace = sink;
     }
 
@@ -464,27 +461,19 @@ impl Worker {
         if let Payload::Absent { .. } = payload {
             self.profile.metrics.sparse.bytes_not_shipped += self.layout.block_bytes(key.array);
         }
-        // The cache hands back the flight this arrival completed. One
-        // reading ends the flight and stamps the evictions the fill made
-        // room with (the log is only enabled while tracing).
-        let fetch = self.mem.cache_fill(key, payload);
-        if fetch.is_none() && !self.trace.is_on() {
+        // The cache hands back the flight this arrival completed; one
+        // reading times it and ends its span.
+        let Some(Flight { issued, req }) = self.mem.cache_fill(key, payload) else {
             return;
-        }
+        };
         let now = Instant::now();
-        if let Some(Flight { issued, req }) = fetch {
-            self.profile.metrics.comm.flight_nanos += (now - issued).as_nanos() as u64;
-            let kind = EventKind::Flight {
-                op: CommOp::Get,
-                key,
-                id: req.0,
-            };
-            self.trace.span(kind, issued, now);
-        }
-        for (key, bytes) in self.mem.drain_evictions() {
-            let evicted = EventKind::CacheEvict { key, bytes };
-            self.trace.span(evicted, now, now);
-        }
+        self.profile.metrics.comm.flight_nanos += (now - issued).as_nanos() as u64;
+        let kind = EventKind::Flight {
+            op: CommOp::Get,
+            key,
+            id: req.0,
+        };
+        self.trace.span(kind, issued, now);
     }
 
     /// Closes the traced flight span of an acknowledged PUT/PREPARE.

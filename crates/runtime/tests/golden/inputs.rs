@@ -133,7 +133,6 @@ pub fn timeline() -> TraceTimeline {
                             id: 7,
                         },
                     ),
-                    ev(2_100, 2_100, EventKind::CacheEvict { key, bytes: 512 }),
                     ev(2_200, 2_200, EventKind::Serve { key, disk: false }),
                 ],
                 dropped: 0,

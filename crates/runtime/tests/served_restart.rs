@@ -107,6 +107,26 @@ fn restart_resumes_from_epoch_manifest() {
     let _ = std::fs::remove_dir_all(&fresh);
 }
 
+/// A restart over a run directory whose manifest is corrupt fails with a
+/// checkpoint error instead of silently resuming at epoch 0, and it fails
+/// before any rank runs: nothing is written to the directory.
+#[test]
+fn corrupt_manifest_fails_the_restart() {
+    let dir = tmpdir("corrupt");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("epochs.manifest"), "1x\n").unwrap();
+    let bindings: ConstBindings = [("n".to_string(), 4i64)].into_iter().collect();
+    let resume = sial_frontend::compile(RESUME).unwrap();
+    let err = Sip::new(config(&dir)).run(resume, &bindings).unwrap_err();
+    assert!(
+        matches!(err, sia_runtime::RuntimeError::Checkpoint(_)),
+        "{err}"
+    );
+    let entries = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(entries, 1, "the failed run left files behind");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A restart that declares the served array with another block size finds a
 /// store file whose slots are not its own: the I/O server refuses it and the
 /// run ends with that error — it neither reads blocks at the wrong offsets

@@ -973,24 +973,3 @@ endsial
     );
     assert_eq!(out.profile.iterations, 20);
 }
-
-#[test]
-fn fixed_chunk_policy_runs_correctly() {
-    let src = r#"
-sial fixed_chunks
-aoindex i = 1, n
-scalar count
-pardo i
-  count += 1.0
-endpardo i
-sip_barrier
-execute sip_allreduce count
-endsial
-"#;
-    let program = sial_frontend::compile(src).unwrap();
-    let mut cfg = config(3);
-    cfg.chunk_policy = sia_runtime::scheduler::ChunkPolicy::Fixed { size: 2 };
-    let out = Sip::new(cfg).run(program, &bindings(&[("n", 11)])).unwrap();
-    assert!((out.scalars["count"] - 11.0).abs() < 1e-12);
-    assert_eq!(out.profile.iterations, 11);
-}

@@ -21,12 +21,10 @@
 //! *shape* of the scaling curves (who wins, where efficiency collapses,
 //! where extra processors hurt) is the reproduction target.
 
-pub mod comm_model;
 pub mod ga_model;
 pub mod machine;
 pub mod sip_model;
 
-pub use comm_model::{hash_cost, planned_cost, CommCost, CommWorkload};
 pub use ga_model::{simulate_ga, GaConfig, GaOutcome};
 pub use machine::MachineModel;
 pub use sip_model::{simulate, PhaseReport, SimConfig, SimReport};

@@ -447,11 +447,15 @@ fn main() -> ExitCode {
                             println!("  {name:<20} {:.2} MiB", *bytes as f64 / (1 << 20) as f64);
                         }
                         print!("{}", plan.volume_table());
-                        if plan.summary.broadcast_blocks > 0 {
-                            println!(
-                                "  broadcast-shaped: {} blocks / {} bytes",
-                                plan.summary.broadcast_blocks, plan.summary.broadcast_bytes
-                            );
+                        let (blocks, bytes) = plan
+                            .regions
+                            .values()
+                            .flat_map(|r| &r.broadcast)
+                            .fold((0, 0), |(n, b), op| {
+                                (n + op.blocks, b + op.blocks * op.block_bytes)
+                            });
+                        if blocks > 0 {
+                            println!("  broadcast-shaped: {blocks} blocks / {bytes} bytes");
                         }
                         ExitCode::SUCCESS
                     }

@@ -5,7 +5,6 @@
 //! envelopes, which is what it is for.
 
 use sia::chem::register_integrals;
-use sia::runtime::scheduler::ChunkPolicy;
 use sia::runtime::SipConfigBuilder;
 use sia::{ConstBindings, FaultConfig, FaultPlan, RunOutput, Sip, SipConfig, SuperRegistry};
 
@@ -234,9 +233,10 @@ fn lookahead_changes_no_bit_of_any_result() {
     }
 }
 
-/// A two-block cache under a 500-iteration chunk: the window shrinks to
-/// what the cache can hold (one iteration) instead of pinning 500 in-flight
-/// entries against it, so the run finishes, and with the right answer.
+/// A two-block cache under guided chunks of up to 144 iterations (576
+/// over two workers): the window shrinks to what the cache can hold (one
+/// iteration) instead of pinning a chunk's worth of in-flight entries
+/// against it, so the run finishes, and with the right answer.
 #[test]
 fn tiny_cache_under_a_long_chunk_finishes() {
     let case = Case {
@@ -247,11 +247,10 @@ fn tiny_cache_under_a_long_chunk_finishes() {
         SipConfig::builder()
             .cache_blocks(2)
             .prefetch_depth(prefetch)
-            .chunk_policy(ChunkPolicy::Fixed { size: 500 })
     };
     let off = run(&case, config(0));
     let on = run(&case, config(2));
-    assert_same_results(&off, &on, true, "cache_blocks=2, chunks of 500");
+    assert_same_results(&off, &on, true, "cache_blocks=2, guided chunks");
     // A window of one iteration holds what it fetched until it is used.
     let (refetched, baseline) = (
         on.profile.metrics.cache.refetches,
@@ -295,12 +294,11 @@ endsial
         binds: &[("n", 24)],
         ..CASES[0]
     };
-    // Chunks of one row (`n` iterations): the reads `A(j,i)` of row `i`
-    // fall half in each worker's slab, so exactly half of them are remote
-    // whichever worker is granted the row.
-    let rows = || SipConfig::builder().chunk_policy(ChunkPolicy::Fixed { size: 24 });
-    let off = run(&case, rows().prefetch_depth(0));
-    let on = run(&case, rows());
+    // The reads `A(j,i)` of row `i` fall half in each worker's slab, so
+    // about half of any chunk's reads are remote whichever worker is
+    // granted it.
+    let off = run(&case, SipConfig::builder().prefetch_depth(0));
+    let on = run(&case, SipConfig::builder());
     assert_same_results(&off, &on, true, "mechanism run");
     let overlap = on.profile.metrics.comm.overlap().expect("fetches flew");
     assert!(
