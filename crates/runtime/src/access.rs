@@ -72,7 +72,7 @@ impl Worker {
             if fetch == Fetch::NoWait {
                 return Ok(BlockGet::Pending);
             }
-            let held = self.mem.home_read(&key)?;
+            let held = self.home_fetch(key, self.dist_epoch)?;
             return Ok(match self.as_read(&key, held) {
                 Payload::Data(h) => BlockGet::Ready(h),
                 Payload::Absent { norm } => BlockGet::AbsentZero { norm },
@@ -407,6 +407,31 @@ impl Worker {
     /// PREPAREs for served — has been acknowledged.
     pub(crate) fn stores_drained(&self, kind: ArrayKind) -> bool {
         self.outstanding[(kind == ArrayKind::Served) as usize] == 0
+    }
+
+    /// Reads the authoritative copy of a block homed here for a read made in
+    /// `epoch` — a peer's fetch, or this rank's own read: which rank reads
+    /// must not decide whether a read and a Replace-put of one block in one
+    /// `sip_barrier` epoch are caught.
+    pub(crate) fn home_fetch(
+        &mut self,
+        key: BlockKey,
+        epoch: u64,
+    ) -> Result<Option<Payload>, RuntimeError> {
+        let (held, replaced) = self.mem.home_fetch(key, epoch)?;
+        if replaced {
+            self.warn_read_after_replace(key);
+        }
+        Ok(held)
+    }
+
+    /// Kept out of line: every local read passes [`Self::home_fetch`].
+    #[cold]
+    fn warn_read_after_replace(&mut self, key: BlockKey) {
+        self.warnings.push(format!(
+            "possible barrier misuse: block {key:?} read and replaced in the \
+             same sip_barrier epoch"
+        ));
     }
 
     /// Applies a store sent in `epoch` to the authoritative store (used by

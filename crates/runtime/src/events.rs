@@ -19,7 +19,8 @@
 //!   by `ReqId`/`OpId` and drawn as async events so concurrent prefetches
 //!   stack; the overlap metric integrates these against wait;
 //! * **serve spans** on I/O servers, and instants for served-block
-//!   flushes, checkpoint save/restore and recovery.
+//!   flushes, checkpoint save/restore, recovery and the master's chunk
+//!   grants.
 //!
 //! All timestamps are nanoseconds since a run epoch shared by every
 //! rank's sink (one `Instant` captured before the ranks spawn), so the
@@ -117,6 +118,18 @@ pub enum EventKind {
     Recovery {
         /// What happened.
         what: RecoveryEvent,
+    },
+    /// The master granted a pardo chunk (instant, one per `ChunkAssign`).
+    Grant {
+        /// Pc of the pardo's `PardoStart`.
+        pc: u32,
+        /// The granted worker's rank (its pid in the export).
+        worker: u32,
+        /// Iterations in the chunk.
+        iterations: u32,
+        /// Of those, how many came from another worker's owner-compute
+        /// bucket (0 in a region without an owner).
+        stolen: u32,
     },
 }
 
@@ -391,6 +404,20 @@ fn emit_event(out: &mut Vec<Json>, rank: usize, e: &TraceEvent) {
             )
         }
         EventKind::Recovery { what } => (what.label().into(), "recovery", "i", vec![instant]),
+        EventKind::Grant {
+            pc,
+            worker,
+            iterations,
+            stolen,
+        } => {
+            let args = Json::obj([
+                ("pc", pc.into()),
+                ("worker", worker.into()),
+                ("iterations", iterations.into()),
+                ("stolen", stolen.into()),
+            ]);
+            ("grant".into(), "grant", "i", vec![instant, ("args", args)])
+        }
     };
     // Flights are async begin/end pairs on the comm thread, so overlapping
     // ones stack; the end repeats the begin's name and id.
@@ -619,17 +646,31 @@ mod tests {
             id: 7,
         };
         let restore = EventKind::Checkpoint { restore: true };
+        let grant = EventKind::Grant {
+            pc: 4,
+            worker: 1,
+            iterations: 12,
+            stolen: 3,
+        };
         let tl = TraceTimeline {
-            ranks: vec![RankTrace {
-                rank: 1,
-                label: "worker 1".into(),
-                events: vec![
-                    ev(100, 600, wait(4)),
-                    ev(50, 800, flight),
-                    ev(900, 900, restore),
-                ],
-                dropped: 0,
-            }],
+            ranks: vec![
+                RankTrace {
+                    rank: 0,
+                    label: "master".into(),
+                    events: vec![ev(40, 40, grant)],
+                    dropped: 0,
+                },
+                RankTrace {
+                    rank: 1,
+                    label: "worker 1".into(),
+                    events: vec![
+                        ev(100, 600, wait(4)),
+                        ev(50, 800, flight),
+                        ev(900, 900, restore),
+                    ],
+                    dropped: 0,
+                },
+            ],
         };
         let json = tl.to_chrome_json();
         let lint = lint_chrome_trace(&json).expect("lints clean");
@@ -648,6 +689,15 @@ mod tests {
             .find(|e| e.get("cat").and_then(Json::as_str) == Some("wait"));
         let pc = waited.and_then(|e| e.get("args")?.get("pc")?.as_u64());
         assert_eq!(pc, Some(4));
+        // The master's grant is an instant carrying its chunk's numbers.
+        assert!(lint.ranks[&0].cats.iter().eq(["grant"]));
+        assert_eq!(lint.ranks[&0].spans, 0);
+        let granted = events
+            .iter()
+            .find(|e| e.get("cat").and_then(Json::as_str) == Some("grant"));
+        let arg = |k| granted.and_then(|e| e.get("args")?.get(k)?.as_u64());
+        let args = ["pc", "worker", "iterations", "stolen"].map(arg);
+        assert_eq!(args, [Some(4), Some(1), Some(12), Some(3)]);
     }
 
     #[test]

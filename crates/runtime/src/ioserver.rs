@@ -86,8 +86,9 @@ pub struct IoServer {
     /// Applied prepare op ids (duplicate suppression; pruned at each
     /// `EpochMark`).
     applied_ops: AppliedOps,
-    /// Completed served epochs (advanced by `EpochMark`).
-    epoch: u64,
+    /// Completed served epochs (advanced by `EpochMark`), counting on from
+    /// the run directory's manifest like the master's.
+    pub(crate) epoch: u64,
     /// Event recorder (disabled unless the runtime installs a live sink).
     trace: TraceSink,
 }

@@ -98,7 +98,7 @@ pub use metrics::{
     WaitStats,
 };
 pub use msg::{BlockKey, OpId, Payload, SipMsg};
-pub use plan::{BroadcastOp, CommPlan, CommPlanner, CommVolume, OwnerCompute};
+pub use plan::{Anchor, BroadcastOp, CommPlan, CommPlanner, CommVolume, OwnerCompute};
 pub use profile::{lint_profile_json, ProfileLine, ProfileReport, WorkerProfile};
 pub use registry::{SuperArg, SuperEnv, SuperRegistry};
 pub use sampler::SAMPLE_TICK;
@@ -273,7 +273,8 @@ impl Sip {
         };
         // Workers see the resolved run directory (epoch checkpoints land
         // there) and the served-epoch count a previous, interrupted run left
-        // behind (surfaced to programs via `execute sip_resume_epoch s`). A
+        // behind (surfaced to programs via `execute sip_resume_epoch s`);
+        // the master counts its epoch commits on from the same count. A
         // corrupt manifest fails the run here, before any rank starts.
         let resumed_epochs = master::read_epoch_manifest(&run_dir)?;
         std::fs::create_dir_all(&run_dir)
@@ -299,6 +300,7 @@ impl Sip {
             self.config.fault.as_ref(),
         );
         master.set_plan(comm_plan);
+        master.served_epochs = resumed_epochs;
         if let Some(h) = &self.serving {
             master.set_progress(Arc::clone(&h.progress));
         }
@@ -357,6 +359,7 @@ impl Sip {
                 scope.spawn(move || {
                     match ioserver::IoServer::new(layout, ep, dir, cap) {
                         Ok(mut server) => {
+                            server.epoch = resumed_epochs;
                             if trace_on {
                                 server.set_trace(mk_sink());
                             }

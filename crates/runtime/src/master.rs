@@ -39,10 +39,11 @@ struct PardoSched {
     space: IterationSpace,
     sched: GuidedScheduler,
     /// Owner-compute affinity (regions whose plan names an owner): one
-    /// queue per worker of the iterations whose output block is homed at
-    /// that worker. Requests are served from the requester's queue first,
-    /// stealing from the fullest other queue when it drains — guided chunk
-    /// sizing is unchanged.
+    /// queue per worker of the iterations whose anchor block — the block
+    /// the region's aligned put writes, or in a read-only region the block
+    /// its aligned get reads — is homed at that worker. Requests are served
+    /// from the requester's queue first, stealing from the fullest other
+    /// queue when it drains — guided chunk sizing is unchanged.
     affinity: Option<Vec<Bucket>>,
     /// Workers told "no more chunks" (scheduler dropped when all have been).
     drained_notices: usize,
@@ -97,8 +98,8 @@ impl Bucket {
     }
 }
 
-/// Buckets the iterations of `space` by the slab holding the block each one
-/// writes. When the written key is the pardo's leading indices in order,
+/// Buckets the iterations of `space` by the slab holding each one's anchor
+/// block. When the anchor key is the pardo's leading indices in order,
 /// the slab never decreases along the space, so each worker's iterations
 /// are one run whose end is found by bisection; any other key walks the
 /// space once.
@@ -230,8 +231,9 @@ pub struct Master {
     takeover_outstanding: HashSet<(u32, u64, u64)>,
     takeover_rr: usize,
     recovery: RecoveryStats,
-    /// Completed served-array epochs (manifest counter).
-    served_epochs: u64,
+    /// Completed served-array epochs (manifest counter), counting on from
+    /// what the run directory's manifest held when the run started.
+    pub(crate) served_epochs: u64,
     /// A served-epoch commit in progress: (epoch, acks still missing).
     epoch_pending: Option<(u64, usize)>,
     // ---- communication plan -------------------------------------------------
@@ -367,9 +369,9 @@ impl Master {
                 ChunkPolicy::default(),
             );
             // Owner-compute affinity: bucket the iterations by the home of
-            // the block each one writes, so the writing rank is
-            // (preferentially) the owning rank and the put short-circuits
-            // locally.
+            // the block each one's anchor writes or reads, so the accessing
+            // rank is (preferentially) the owning rank and the put or get
+            // short-circuits locally.
             let affinity = (self.plan.region(pardo_pc))
                 .and_then(|r| r.owner.as_ref())
                 .map(|owner| owner_buckets(&self.layout, owner, &space, &ranges));
@@ -405,13 +407,14 @@ impl Master {
                 // changes *which* iterations fill it (requester's bucket
                 // first, stealing from the fullest other bucket so the
                 // tail stays balanced).
-                let ordinals: Vec<u64> = match &mut sched.affinity {
+                let (ordinals, stolen) = match &mut sched.affinity {
                     Some(buckets) => {
                         let want = (range.end - range.start) as usize;
                         let mut ordinals = Vec::with_capacity(want);
                         if let Some(own) = buckets.get_mut(widx) {
                             own.take(want, &sched.space, &mut ordinals);
                         }
+                        let own = ordinals.len();
                         while ordinals.len() < want {
                             let donor = buckets
                                 .iter_mut()
@@ -422,9 +425,10 @@ impl Master {
                                 None => break,
                             }
                         }
-                        ordinals
+                        let stolen = ordinals.len() - own;
+                        (ordinals, stolen)
                     }
-                    None => range.map(|i| sched.space.ordinal(i)).collect(),
+                    None => (range.map(|i| sched.space.ordinal(i)).collect(), 0),
                 };
                 let chunk = sched.next_chunk;
                 sched.next_chunk += 1;
@@ -435,6 +439,12 @@ impl Master {
                     p.granted
                         .fetch_add(ordinals.len() as u64, Ordering::Relaxed);
                 }
+                self.trace.instant(EventKind::Grant {
+                    pc: pardo_pc,
+                    worker: src.0 as u32,
+                    iterations: ordinals.len() as u32,
+                    stolen: stolen as u32,
+                });
                 let _ = self.endpoint.send(
                     src,
                     SipMsg::ChunkAssign {
@@ -1131,9 +1141,10 @@ mod tests {
     }
 
     /// Each worker's bucket holds, in order, exactly the iterations whose
-    /// written block lies in its slab — for a key on the leading pardo
-    /// indices (one run per worker, found by bisection) and for a permuted
-    /// one (walked), on a filtered space, at 1 to 5 workers.
+    /// anchor block lies in its slab — for a key on the leading pardo
+    /// indices (one run per worker, found by bisection) and for permuted
+    /// ones (walked), written or only read, on a filtered space, at 1 to 5
+    /// workers.
     #[test]
     fn owner_buckets_hold_each_slabs_iterations_in_order() {
         use crate::layout::{SegmentConfig, Topology};
@@ -1155,6 +1166,10 @@ pardo i, j, k where i != k
   u(j,i) = 1.0
   put Y(j,i) = u(j,i)
 endpardo i, j, k
+pardo i, j, k where i != k
+  get X(j,i)
+  u(j,i) = X(j,i)
+endpardo i, j, k
 endsial
 ";
         let program = Arc::new(sial_frontend::compile(SRC).unwrap());
@@ -1171,7 +1186,7 @@ endsial
             let plan = CommPlanner::new(&layout, &trace).plan();
             let mut runs = 0;
             for region in plan.regions.values() {
-                let owner = region.owner.as_ref().expect("aligned Replace put");
+                let owner = region.owner.as_ref().expect("an aligned anchor");
                 let Some(Instruction::PardoStart {
                     indices,
                     where_clauses,

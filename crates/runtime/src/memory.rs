@@ -147,7 +147,7 @@ struct HomeSlot {
     /// sparsity threshold — its Frobenius-norm bound (an entry of the norm
     /// table); `None` while nothing was stored.
     block: Option<Payload>,
-    /// The last `sip_barrier` epoch a peer's fetch was served from here and
+    /// The last `sip_barrier` epoch a read was served from here and
     /// the last one a Replace-put landed: what the barrier-misuse check
     /// compares against the requester's epoch.
     served: Option<u64>,
@@ -270,9 +270,10 @@ impl BlockManager {
         Ok(held)
     }
 
-    /// [`home_read`](Self::home_read) for a peer's fetch in the peer's
-    /// `epoch`: stamps the block as served in it, and says whether a
-    /// Replace-put already landed on it in the same epoch.
+    /// [`home_read`](Self::home_read) for a read made in `epoch` (a peer's
+    /// fetch, or the home's own read): stamps the block as served in it,
+    /// and says whether a Replace-put already landed on it in the same
+    /// epoch.
     pub fn home_fetch(
         &mut self,
         key: BlockKey,

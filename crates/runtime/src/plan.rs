@@ -5,9 +5,11 @@
 //! and for every pardo region classifies each distributed-array reference
 //! as
 //!
-//! * **aligned** — a `put` whose indices are all pardo-bound, so with the
-//!   master's owner-compute chunk affinity the write lands on the rank that
-//!   already homes the block (no fabric traffic at all);
+//! * **aligned** — the region's owner-compute anchor: a `put` whose
+//!   indices are all pardo-bound, or, in a region that puts no distributed
+//!   array, the first `get` whose indices are a full pardo-bound key. With
+//!   the master's owner-compute chunk affinity the access lands on the rank
+//!   that already homes the block (no fabric traffic at all);
 //! * **broadcast-shaped** — a `get` whose indices are all pardo-bound but
 //!   form a *strict subset* of the pardo indices, so many iterations (on
 //!   many ranks) read the same block, each rank fetching it once;
@@ -43,22 +45,34 @@ pub struct BroadcastOp {
     pub block_bytes: u64,
 }
 
+/// Which reference of a region anchors its owner-compute affinity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Anchor {
+    /// The region's one fully pardo-bound Replace `put`.
+    Put,
+    /// The region puts no distributed array: its first `get` (in body
+    /// order) whose indices are a full pardo-bound key.
+    Get,
+}
+
 /// Owner-compute affinity for a pardo region: the distributed array whose
-/// `put` is fully pardo-bound, and for each of its dimensions the position
-/// of the addressing index inside the pardo index list.
+/// anchoring reference is fully pardo-bound, and for each of its dimensions
+/// the position of the addressing index inside the pardo index list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OwnerCompute {
-    /// The written array.
+    /// The anchoring array: written by a put anchor, read by a get anchor.
     pub array: ArrayId,
     /// `dim_pos[d]` = position in the pardo index list of the index
     /// addressing dimension `d`.
     pub dim_pos: Vec<usize>,
+    /// Which reference the anchor came from.
+    pub anchor: Anchor,
 }
 
 impl OwnerCompute {
-    /// The block key an iteration writes, given the pardo index values in
-    /// pardo order. Built on the stack: the master calls this once per
-    /// iteration of every pardo encounter.
+    /// The block key an iteration's anchor addresses, given the pardo index
+    /// values in pardo order. Built on the stack: the master calls this once
+    /// per iteration of every pardo encounter.
     pub fn key_of(&self, pardo_vals: &[i64]) -> BlockKey {
         let mut segs = [0; MAX_RANK];
         for (seg, &p) in segs.iter_mut().zip(&self.dim_pos) {
@@ -77,9 +91,10 @@ pub struct RegionPlan {
     pub indices: Vec<IndexId>,
     /// Operands read by whole groups of iterations.
     pub broadcast: Vec<BroadcastOp>,
-    /// Owner-compute affinity, when the region has exactly one
-    /// fully-pardo-bound distributed `put` target (and no conflicting
-    /// second write pattern).
+    /// Owner-compute affinity: the region's one fully-pardo-bound
+    /// distributed Replace `put` target (none when a second write pattern
+    /// or an accumulate conflicts), or, when the region puts no
+    /// distributed array, its first fully-pardo-bound `get`.
     pub owner: Option<OwnerCompute>,
 }
 
@@ -234,6 +249,22 @@ impl<'a> CommPlanner<'a> {
                 written.push(dest.array);
             }
         }
+        // A region that puts no distributed array takes its anchor from a
+        // read instead.
+        let read_only = !written
+            .iter()
+            .any(|&a| self.layout.array_kind(a) == ArrayKind::Distributed);
+        // The pardo positions of a reference's indices when they are a full
+        // pardo-bound key of its array.
+        let full_key = |array: ArrayId, indices: &[IndexId]| -> Option<Vec<usize>> {
+            if indices.len() != self.layout.array(array).dims.len() {
+                return None;
+            }
+            indices
+                .iter()
+                .map(|i| pardo.iter().position(|p| p == i))
+                .collect()
+        };
 
         let mut broadcast: Vec<BroadcastOp> = Vec::new();
         let mut owner: Option<OwnerCompute> = None;
@@ -245,6 +276,18 @@ impl<'a> CommPlanner<'a> {
                         || written.contains(&block.array)
                     {
                         continue;
+                    }
+                    if read_only && owner.is_none() {
+                        if let Some(dim_pos) = full_key(block.array, &block.indices) {
+                            // Each iteration runs where the block it reads
+                            // lives, so the read is local, not broadcast.
+                            owner = Some(OwnerCompute {
+                                array: block.array,
+                                dim_pos,
+                                anchor: Anchor::Get,
+                            });
+                            continue;
+                        }
                     }
                     let all_bound = block.indices.iter().all(|i| pardo.contains(i));
                     // Strict subset: at least one pardo index does not
@@ -276,25 +319,21 @@ impl<'a> CommPlanner<'a> {
                     if self.layout.array_kind(dest.array) != ArrayKind::Distributed {
                         continue;
                     }
-                    let fully_bound = dest.indices.iter().all(|i| pardo.contains(i))
-                        && dest.indices.len() == self.layout.array(dest.array).dims.len();
                     // Accumulates from several iterations may target one
                     // block; affinity would then pick one owner for
                     // iterations that also read elsewhere — still sound,
                     // but only Replace guarantees a one-to-one
                     // iteration→block map worth steering for.
-                    if !fully_bound || *mode != PutMode::Replace {
+                    let dim_pos =
+                        full_key(dest.array, &dest.indices).filter(|_| *mode == PutMode::Replace);
+                    let Some(dim_pos) = dim_pos else {
                         owner_conflict = true;
                         continue;
-                    }
-                    let dim_pos: Vec<usize> = dest
-                        .indices
-                        .iter()
-                        .map(|i| pardo.iter().position(|p| p == i).unwrap())
-                        .collect();
+                    };
                     let candidate = OwnerCompute {
                         array: dest.array,
                         dim_pos,
+                        anchor: Anchor::Put,
                     };
                     match &owner {
                         None => owner = Some(candidate),
@@ -318,8 +357,9 @@ impl<'a> CommPlanner<'a> {
 
     /// Predicts per-rank fabric bytes.
     ///
-    /// The model is deliberately simple: aligned puts are local (zero
-    /// fabric bytes); each broadcast block reaches every worker once,
+    /// The model is deliberately simple: the anchor's access — an aligned
+    /// put, or a read-only region's aligned get — is local (zero fabric
+    /// bytes); each broadcast block reaches every worker once,
     /// point-to-point, so its outbound side is concentrated at the home;
     /// everything else is spread uniformly with a (W−1)/W remote fraction.
     fn predict(&self, regions: &BTreeMap<u32, RegionPlan>) -> CommVolume {
@@ -358,14 +398,15 @@ impl<'a> CommPlanner<'a> {
                 }
             }
 
-            // Aligned puts: local under owner-compute, no traffic.
-            let mut aligned_put_bytes_per_iter = 0u64;
-            let mut aligned_put_discount_per_iter = 0u64;
-            if let Some(OwnerCompute { array, .. }) = region.and_then(|r| r.owner.as_ref()) {
-                let bytes = self.layout.block_bytes(*array);
-                let eff = self.effective_bytes(*array, bytes);
-                aligned_put_bytes_per_iter = bytes;
-                aligned_put_discount_per_iter = bytes - eff;
+            // The anchor's access: local under owner-compute, no traffic.
+            let (mut aligned_get, mut aligned_put) = ((0u64, 0u64), (0u64, 0u64));
+            if let Some(owner) = region.and_then(|r| r.owner.as_ref()) {
+                let bytes = self.layout.block_bytes(owner.array);
+                let discount = bytes - self.effective_bytes(owner.array, bytes);
+                match owner.anchor {
+                    Anchor::Get => aligned_get = (bytes, discount),
+                    Anchor::Put => aligned_put = (bytes, discount),
+                }
             }
 
             // Everything else from the trace, uniformly spread. Bytes are
@@ -375,15 +416,13 @@ impl<'a> CommPlanner<'a> {
             // share already excluded with the broadcast/aligned bytes.
             let get_discount = per_iter
                 .get_discount_bytes
-                .saturating_sub(bcast_get_discount_per_iter);
-            let put_discount = per_iter
-                .put_discount_bytes
-                .saturating_sub(aligned_put_discount_per_iter);
+                .saturating_sub(bcast_get_discount_per_iter + aligned_get.1);
+            let put_discount = per_iter.put_discount_bytes.saturating_sub(aligned_put.1);
             let other_get = (iterations * per_iter.get_bytes)
-                .saturating_sub(iterations * bcast_get_bytes_per_iter)
+                .saturating_sub(iterations * (bcast_get_bytes_per_iter + aligned_get.0))
                 .saturating_sub(iterations * get_discount);
             let other_put = (iterations * per_iter.put_bytes)
-                .saturating_sub(iterations * aligned_put_bytes_per_iter)
+                .saturating_sub(iterations * aligned_put.0)
                 .saturating_sub(iterations * put_discount);
             let served = (iterations * (per_iter.request_bytes + per_iter.prepare_bytes))
                 .saturating_sub(
@@ -528,6 +567,60 @@ mod tests {
         assert_eq!(&key.segs[..2], &[2, 3]);
     }
 
+    /// A read-only region anchors on its aligned get, whose reads are then
+    /// local: the program predicts the same fabric bytes as one that does
+    /// not read `R` at all.
+    #[test]
+    fn read_only_region_anchors_on_its_aligned_get() {
+        let reads = "sial t\naoindex M = 1, n\naoindex N = 1, n\naoindex L = 1, n\ndistributed R(M,N)\ndistributed X(M,L)\ntemp q(M,N)\ntemp x(M,L)\npardo M, N\nget R(M,N)\nq(M,N) = R(M,N)\ndo L\nget X(M,L)\nx(M,L) = X(M,L)\nenddo L\nendpardo\nendsial\n";
+        let (_, with) = plan_of(reads, 6);
+        let region = with.regions.values().next().unwrap();
+        let owner = region.owner.as_ref().expect("a get anchor");
+        assert_eq!(
+            (owner.anchor, &owner.dim_pos[..]),
+            (Anchor::Get, &[0, 1][..])
+        );
+        assert!(region.broadcast.is_empty());
+        assert!(with.volume.total() > 0, "the do-loop get still ships");
+        let without = reads.replace("get R(M,N)\nq(M,N) = R(M,N)\n", "");
+        let (_, without) = plan_of(&without, 6);
+        assert_eq!(with.volume, without.volume);
+        // Alone, the aligned get predicts no traffic at all.
+        let alone = reads.replace("get X(M,L)\nx(M,L) = X(M,L)\n", "");
+        assert_eq!(plan_of(&alone, 6).1.volume.total(), 0);
+    }
+
+    #[test]
+    fn transposed_get_anchor_permutes_dim_pos() {
+        let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed R(M,N)\ntemp q(N,M)\npardo M, N\nget R(N,M)\nq(N,M) = R(N,M)\nendpardo\nendsial\n";
+        let (_, plan) = plan_of(src, 4);
+        let owner = plan.regions.values().next().unwrap().owner.as_ref();
+        let owner = owner.expect("a get anchor");
+        assert_eq!(
+            (owner.anchor, &owner.dim_pos[..]),
+            (Anchor::Get, &[1, 0][..])
+        );
+        assert_eq!(&owner.key_of(&[2, 3]).segs[..2], &[3, 2]);
+    }
+
+    /// A region that puts keeps its put anchor, whatever it reads first.
+    #[test]
+    fn put_region_keeps_its_put_anchor() {
+        let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed A(M,N)\ndistributed R(M,N)\ntemp q(N,M)\npardo M, N\nget A(M,N)\nq(N,M) = A(M,N)\nput R(N,M) = q(N,M)\nendpardo\nendsial\n";
+        let (layout, plan) = plan_of(src, 4);
+        let owner = plan.regions.values().next().unwrap().owner.as_ref();
+        let owner = owner.expect("a put anchor");
+        let r = layout.program.array_by_name("R").unwrap();
+        assert_eq!(
+            (owner.array, owner.anchor, &owner.dim_pos[..]),
+            (r, Anchor::Put, &[1, 0][..])
+        );
+        // An accumulating put still leaves the region without an owner,
+        // even though it reads a full key.
+        let (_, acc) = plan_of(&src.replace("put R(N,M) =", "put R(N,M) +="), 4);
+        assert!(acc.regions.values().next().unwrap().owner.is_none());
+    }
+
     #[test]
     fn accumulate_put_disables_owner_compute() {
         let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed R(M)\ntemp q(M)\npardo M, N\nq(M) = 1.0\nput R(M) += q(M)\nendpardo\nendsial\n";
@@ -544,15 +637,19 @@ mod tests {
     }
 
     /// Owner-compute makes the aligned `put R(M,N)` local: the program
-    /// predicts the same fabric bytes as one without the put.
+    /// predicts only its broadcast operand's fabric bytes. (Without the put
+    /// the region would anchor on `get F(M)` instead.)
     #[test]
     fn aligned_puts_charge_no_volume() {
-        let without_put = BCAST.replace("put R(M,N) = q(M,N)\n", "");
-        let (_, with) = plan_of(BCAST, 6);
-        let (_, without) = plan_of(&without_put, 6);
-        assert!(with.regions.values().next().unwrap().owner.is_some());
+        let (layout, with) = plan_of(BCAST, 6);
+        let region = with.regions.values().next().unwrap();
+        assert_eq!(region.owner.as_ref().map(|o| o.anchor), Some(Anchor::Put));
         assert!(with.volume.total() > 0);
-        assert_eq!(with.volume, without.volume);
+        let trace = generate(&layout, &default_cost_model()).unwrap();
+        let mut broadcast_only = CommVolume::new(layout.topology.workers);
+        CommPlanner::new(&layout, &trace)
+            .spread_broadcast(&mut broadcast_only, &region.broadcast[0]);
+        assert_eq!(with.volume, broadcast_only);
     }
 
     #[test]
@@ -569,12 +666,24 @@ mod tests {
     /// arrays. On the screened-MP2 program (whose only distributed array
     /// is the sparse `Vd`), the predicted volume under a density hint must
     /// scale by that density and stay consistent with the realized
-    /// per-block bytes the memory estimate assumes.
+    /// per-block bytes the memory estimate assumes. Both of the program's
+    /// sweeps are aligned (the put sweep and the read-only `get Vd` sweep
+    /// anchor on `Vd` itself) and predict no traffic, so the energy sweep
+    /// here also reads `Vd(k,a,j,b)` in a `do k` loop: that read is what
+    /// ships.
     #[test]
     fn sparse_density_scales_comm_volume_like_realized_estimate() {
         use crate::layout::SipConfig;
-        let src = include_str!("../../../programs/mp2_screened.sial");
-        let program = sial_frontend::compile(src).unwrap();
+        let src = include_str!("../../../programs/mp2_screened.sial")
+            .replace(
+                "moindex j = 1, nocc\n",
+                "moindex j = 1, nocc\nmoindex k = 1, nocc\n",
+            )
+            .replace(
+                "  get Vd(i,a,j,b)\n",
+                "  get Vd(i,a,j,b)\n  do k\n    get Vd(k,a,j,b)\n  enddo k\n",
+            );
+        let program = sial_frontend::compile(&src).unwrap();
         let mut b = ConstBindings::new();
         b.insert("nocc".into(), 2);
         b.insert("nvrt".into(), 4);

@@ -61,17 +61,28 @@ fn next_stamp() -> u64 {
     (pid | n & 0xffff_ffff).max(1)
 }
 
+/// One step of a [`fold`] lane.
+fn mix(h: u64, w: u64) -> u64 {
+    (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
 /// A 64-bit fold of a slot's payload in which every word counts by its
 /// position, so a payload pieced together from two writes does not fold like
-/// either. Eight independent multiply chains: a third of a microsecond per
-/// 8 KiB, against the microseconds of the `pread`/`pwrite` it guards.
+/// either. Eight independent multiply chains, word `k` of each 64-byte row
+/// into lane `k`; a short last row feeds its whole words to the first lanes
+/// and its last bytes short of a word to none. About 0.4 µs per 8 KiB on a
+/// 2.1 GHz Xeon, against the microseconds of the `pread`/`pwrite` it guards.
 fn fold(payload: &[u8]) -> u64 {
-    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
     let mut lanes = [1u64, 2, 3, 4, 5, 6, 7, 8];
-    for chunk in payload.chunks(64) {
-        for (lane, word) in lanes.iter_mut().zip(chunk.chunks_exact(8)) {
-            *lane = mix(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    let mut rows = payload.chunks_exact(64);
+    for row in &mut rows {
+        for (lane, w) in lanes.iter_mut().zip(row.chunks_exact(8)) {
+            *lane = mix(*lane, word(w));
         }
+    }
+    for (lane, w) in lanes.iter_mut().zip(rows.remainder().chunks_exact(8)) {
+        *lane = mix(*lane, word(w));
     }
     lanes.into_iter().fold(payload.len() as u64, mix)
 }
@@ -282,5 +293,31 @@ impl Store {
         self.file()
             .set_len(header)
             .map_err(|e| self.error(format_args!("truncate: {e}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The fold as first written, over `chunks(64)`: the oracle the store
+    /// files on disk were sealed with.
+    fn fold_by_rows_of_any_length(payload: &[u8]) -> u64 {
+        let mut lanes = [1u64, 2, 3, 4, 5, 6, 7, 8];
+        for chunk in payload.chunks(64) {
+            for (lane, word) in lanes.iter_mut().zip(chunk.chunks_exact(8)) {
+                *lane = mix(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+            }
+        }
+        lanes.into_iter().fold(payload.len() as u64, mix)
+    }
+
+    #[test]
+    fn fold_matches_the_row_by_row_oracle() {
+        let payload: Vec<u8> = (0..8192u32).map(|i| (i * 131 + 7) as u8).collect();
+        for len in [0, 3, 8, 13, 72, 127, 128, 8192] {
+            let p = &payload[..len];
+            assert_eq!(fold(p), fold_by_rows_of_any_length(p), "{len} bytes");
+        }
     }
 }

@@ -306,19 +306,11 @@ impl Worker {
                 ));
             }
             SipMsg::Fetch { key, req, epoch } => {
-                // Conflict check: serving a block Replace-put in the
-                // requester's epoch means the program raced a read against a
-                // write.
-                let (held, replaced) = match self.mem.home_fetch(key, epoch) {
-                    Ok(found) => found,
+                // Checked in the requester's epoch.
+                let held = match self.home_fetch(key, epoch) {
+                    Ok(held) => held,
                     Err(e) => return self.protocol_error(src, e),
                 };
-                if replaced {
-                    self.warnings.push(format!(
-                        "possible barrier misuse: block {key:?} read and replaced in the \
-                         same sip_barrier epoch"
-                    ));
-                }
                 let payload = self.as_read(&key, held);
                 let _ = self
                     .endpoint

@@ -125,14 +125,17 @@ fn budget_below_estimate_is_rejected_before_spawning() {
     }
 }
 
-/// [`PUT_GET_SRC`] with the get sweep reading `X` transposed. A row of `X`
-/// lies in one worker's slab, so whichever worker runs iteration `(i, j)`,
-/// on two workers half of its gets are remote.
+/// [`PUT_GET_SRC`] with the get sweep reading `X` transposed and copying
+/// it into `Y`. The aligned `put Y(i,j)` anchors the sweep's owner-compute
+/// affinity (a sweep that only read would anchor on `X(j,i)` and read
+/// locally); a row of `X` lies in one worker's slab, so whichever worker
+/// runs iteration `(i, j)`, on two workers half of its gets are remote.
 const TRANSPOSED_GET_SRC: &str = r#"
 sial putget_transposed
 aoindex i = 1, n
 aoindex j = 1, n
 distributed X(i,j)
+distributed Y(i,j)
 temp t(i,j)
 temp u(i,j)
 pardo i, j
@@ -142,8 +145,10 @@ endpardo i, j
 sip_barrier
 pardo i, j
   get X(j,i)
-  u(j,i) = X(j,i)
+  u(i,j) = X(j,i)
+  put Y(i,j) = u(i,j)
 endpardo i, j
+sip_barrier
 endsial
 "#;
 

@@ -1,6 +1,6 @@
 //! Placement tests: distributed blocks live in slabs of block ordinals and
-//! the master hands an iteration to the worker homing the block it writes
-//! (owner-compute). That must be invisible in the results — collected
+//! the master hands an iteration to the worker homing the block it writes,
+//! or in a pardo that writes none, the block it reads (owner-compute). That must be invisible in the results — collected
 //! blocks and scalars bitwise-identical to the same program on one worker,
 //! where every block is homed and read locally — must keep aligned puts
 //! off the fabric, and the fault machinery (retry, dedup, crash recovery)
@@ -11,8 +11,8 @@
 //! — any bitwise deviation is a real protocol bug.
 
 use proptest::prelude::*;
-use sia_bytecode::ConstBindings;
-use sia_runtime::{CrashSchedule, FaultConfig, FaultPlan, RunOutput, Sip, SipConfig};
+use sia_bytecode::{ConstBindings, Instruction};
+use sia_runtime::{CrashSchedule, EventKind, FaultConfig, FaultPlan, RunOutput, Sip, SipConfig};
 
 /// `F(M)` is indexed by a strict subset of the `pardo M, N` indices: every
 /// worker needs each F block once per N-column — the broadcast shape.
@@ -200,6 +200,86 @@ fn owner_compute_keeps_aligned_puts_local() {
         "envelope batching must coalesce staged fetches: {:?}",
         out.profile.metrics.plan
     );
+}
+
+/// A fill, then twenty repetitions of a sweep that only reads.
+const READ_SWEEP: &str = "sial readsweep
+aoindex i = 1, n
+aoindex j = 1, n
+index r = 1, 20
+distributed X(i,j)
+temp t(i,j)
+scalar total
+pardo i, j
+  t(i,j) = 0.5 * i + 0.25 * j
+  put X(i,j) = t(i,j)
+endpardo i, j
+sip_barrier
+do r
+  pardo i, j
+    get X(i,j)
+    total += X(i,j) * X(i,j)
+  endpardo i, j
+  sip_barrier
+enddo r
+execute sip_allreduce total
+endsial
+";
+
+/// A pardo that puts no distributed array anchors its affinity on its
+/// aligned `get X(i,j)`: each iteration runs where its block lives, so the
+/// only remote reads are those of iterations stolen from the other
+/// worker's bucket, which the master's grant events count. Of the 20 480
+/// reads on two workers at most 15 % cross the fabric: 1–10 % in 40 runs
+/// beside the other placement tests. A worker descheduled at a sweep's
+/// tail loses much of that sweep to steals, so twenty sweeps, not one,
+/// decide the share.
+#[test]
+fn owner_compute_keeps_aligned_reads_local() {
+    let traced = SipConfig::builder()
+        .workers(2)
+        .io_servers(0)
+        .segment_size(4)
+        .collect_distributed(true)
+        .trace(true)
+        .build()
+        .unwrap();
+    let out = run(READ_SWEEP, 32, traced);
+    let program = sial_frontend::compile(READ_SWEEP).unwrap();
+    let pardos: Vec<u32> = (program.code.iter().enumerate())
+        .filter(|(_, ins)| matches!(ins, Instruction::PardoStart { .. }))
+        .map(|(pc, _)| pc as u32)
+        .collect();
+    let sweep = pardos[1];
+    let (mut iterations, mut stolen) = (0u64, 0u64);
+    let trace = out.trace.as_ref().expect("a traced run");
+    for e in trace.ranks.iter().flat_map(|r| &r.events) {
+        if let EventKind::Grant {
+            pc,
+            iterations: n,
+            stolen: s,
+            ..
+        } = e.kind
+        {
+            if pc == sweep {
+                iterations += u64::from(n);
+                stolen += u64::from(s);
+            }
+        }
+    }
+    let sweep_iterations = 20 * 32 * 32;
+    assert_eq!(iterations, sweep_iterations, "the grants cover every sweep");
+    // The fill only puts: every fetch of the run is the sweeps'.
+    let fetches = out.profile.metrics.comm.fetches;
+    assert!(
+        fetches <= stolen,
+        "{fetches} fetches, {stolen} stolen iterations"
+    );
+    assert!(
+        fetches as f64 <= 0.15 * sweep_iterations as f64,
+        "{fetches} of {sweep_iterations} aligned reads went remote"
+    );
+    assert_bitwise_equal(&run(READ_SWEEP, 32, config(1, 4)), &out);
 }
 
 /// Seeded drops/dups/delays with batching active: dropped fetches retry,

@@ -107,6 +107,39 @@ fn restart_resumes_from_epoch_manifest() {
     let _ = std::fs::remove_dir_all(&fresh);
 }
 
+/// A rerun over the same run directory counts its epochs on from the
+/// manifest: two runs of a program with two `server_barrier`s commit four
+/// epochs, not epochs 1 and 2 twice.
+#[test]
+fn rerun_counts_epochs_on_from_the_manifest() {
+    const TWICE: &str = "sial twice
+aoindex i = 1, n
+aoindex j = 1, n
+served Big(i,j)
+temp t(i,j)
+pardo i, j
+  t(i,j) = 10.0 * i + j
+  prepare Big(i,j) = t(i,j)
+endpardo i, j
+server_barrier
+pardo i, j
+  t(i,j) = 20.0 * i + j
+  prepare Big(i,j) = t(i,j)
+endpardo i, j
+server_barrier
+endsial
+";
+    let dir = tmpdir("rerun");
+    let bindings: ConstBindings = [("n".to_string(), 4i64)].into_iter().collect();
+    let manifest = || std::fs::read_to_string(dir.join("epochs.manifest")).unwrap();
+    for want in ["2", "4"] {
+        let program = sial_frontend::compile(TWICE).unwrap();
+        Sip::new(config(&dir)).run(program, &bindings).unwrap();
+        assert_eq!(manifest().trim(), want, "epochs committed so far");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A restart over a run directory whose manifest is corrupt fails with a
 /// checkpoint error instead of silently resuming at epoch 0, and it fails
 /// before any rank runs: nothing is written to the directory.

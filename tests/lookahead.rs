@@ -272,7 +272,9 @@ aoindex i = 1, n
 aoindex j = 1, n
 index r = 1, 8
 distributed A(i,j)
+distributed B(i,j)
 temp t(i,j)
+temp u(i,j)
 scalar total
 pardo i, j
   t(i,j) = 3.0 * i + 7.0 * j
@@ -283,6 +285,10 @@ do r
   pardo i, j
     get A(j,i)
     total += A(j,i) * A(j,i)
+    if i > n
+      u(i,j) = A(j,i)
+      put B(i,j) = u(i,j)
+    endif
   endpardo i, j
 enddo r
 execute sip_allreduce total
@@ -294,9 +300,12 @@ endsial
         binds: &[("n", 24)],
         ..CASES[0]
     };
-    // The reads `A(j,i)` of row `i` fall half in each worker's slab, so
-    // about half of any chunk's reads are remote whichever worker is
-    // granted it.
+    // The sweep's aligned `put B(i,j)` anchors its owner-compute affinity:
+    // a sweep that only read would anchor on `A(j,i)` and read locally. Its
+    // guard is never true, so no put adds stolen iterations' `Store`s to
+    // the envelopes counted. The reads `A(j,i)` of row `i` fall half in
+    // each worker's slab, so about half of any chunk's reads are remote
+    // whichever worker is granted it.
     let off = run(&case, SipConfig::builder().prefetch_depth(0));
     let on = run(&case, SipConfig::builder());
     assert_same_results(&off, &on, true, "mechanism run");
@@ -318,9 +327,9 @@ endsial
     );
     // Coalescing accounts for the envelopes saved (the count of fetches
     // itself moves a little with what the small cache happens to evict).
-    // The fill's puts are not look-ahead traffic: owner-compute keeps them
-    // local but for the rows a worker steals, whose number varies from run
-    // to run, so their `Store`/`StoreAck` pairs are left out.
+    // The puts are not look-ahead traffic: owner-compute keeps them local
+    // but for the rows a worker steals, whose number varies from run to
+    // run, so their `Store`/`StoreAck` pairs are left out.
     let unbatched = |out: &RunOutput| {
         out.traffic.messages + out.profile.metrics.plan.coalesced_messages
             - 2 * out.profile.metrics.comm.puts_acked
