@@ -15,7 +15,7 @@
 //! the bytecode and reused for every block the loop touches.
 
 use crate::block::Block;
-use crate::gemm::{dgemm_view_into, pack_elems};
+use crate::gemm::{dgemm_view_into, dot_chunked, kernel, pack_elems, scale_c, Kernel};
 use crate::pool::BlockPool;
 use crate::shape::{Shape, MAX_RANK};
 use crate::view::{MatLayout, MatView};
@@ -84,6 +84,10 @@ pub struct ContractionPlan {
     pub out_perm: Vec<usize>,
     /// Number of contracted axes.
     pub n_contracted: usize,
+    /// A block dot: the output is a scalar and both operands store the
+    /// contracted axes in one order (`a_perm` and `b_perm` are the
+    /// identity), so the contraction is a dot of the two buffers as stored.
+    block_dot: bool,
 }
 
 impl ContractionPlan {
@@ -161,10 +165,12 @@ impl ContractionPlan {
         let raw: Vec<u32> = free_a.iter().chain(free_b.iter()).copied().collect();
         let out_perm: Vec<usize> = c_labels.iter().map(|&l| pos(&raw, l)).collect();
 
+        let identity = |perm: &[usize]| perm.iter().enumerate().all(|(d, &p)| d == p);
         Ok(ContractionPlan {
             c_labels: c_labels.to_vec(),
             a_labels: a_labels.to_vec(),
             b_labels: b_labels.to_vec(),
+            block_dot: c_labels.is_empty() && identity(&a_perm) && identity(&b_perm),
             a_perm,
             b_perm,
             out_perm,
@@ -311,6 +317,11 @@ pub fn contract(plan: &ContractionPlan, a: &Block, b: &Block) -> Block {
 /// operand copy or raw result block is ever materialized. The GEMM's pack
 /// panels are drawn from the context's block pool when one is attached.
 ///
+/// A plan classified as a block dot (a scalar output, both operands'
+/// contracted axes in one storage order) skips all of that: it scales `C` as the GEMM's beta would and adds the
+/// chunked kernel dot of the two buffers, which is the sum the GEMM's
+/// `m·n == 1` path computes, bit for bit.
+///
 /// # Panics
 /// Panics if block shapes are inconsistent with the plan.
 pub fn contract_into_ctx(
@@ -326,6 +337,10 @@ pub fn contract_into_ctx(
     let expect = plan.output_shape(a.shape(), b.shape());
     assert_eq!(*c.shape(), expect, "C shape mismatch");
     ctx.stats.contractions += 1;
+    if plan.block_dot {
+        block_dot(kernel(), a.data(), b.data(), alpha_c, c.data_mut());
+        return;
+    }
 
     let nc = plan.n_contracted;
     let nf_a = plan.a_perm.len() - nc;
@@ -379,6 +394,14 @@ pub fn contract_into_ctx(
     }
 }
 
+/// `c[0] = alpha_c · c[0] + Σ a[p]·b[p]` on `kernel`: the GEMM's beta
+/// scaling, then its block-dot sum (added with the GEMM's alpha of 1, which
+/// changes no bit).
+fn block_dot(kernel: &Kernel, a: &[f64], b: &[f64], alpha_c: f64, c: &mut [f64]) {
+    scale_c(alpha_c, c);
+    c[0] += dot_chunked(kernel, a, b);
+}
+
 /// Reference contraction by explicit index summation. O(output · contracted)
 /// per element — used to validate [`contract`] in unit and property tests.
 pub fn naive_contract(plan: &ContractionPlan, a: &Block, b: &Block) -> Block {
@@ -425,6 +448,7 @@ pub fn naive_contract(plan: &ContractionPlan, a: &Block, b: &Block) -> Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{compiled_kernels, dgemm_view_on};
     use crate::permute::is_identity_permutation;
     use crate::pool::PoolConfig;
 
@@ -631,6 +655,89 @@ mod tests {
         assert_eq!(st.packed_bytes, 0);
         assert_eq!(st.pack_pool_hits + st.pack_pool_misses, 0);
         assert_eq!(pool.stats().hits + pool.stats().misses, 0);
+    }
+
+    /// A block dot's direct path is the GEMM's view path bit for bit — the
+    /// views `contract_into_ctx` builds for it, through the same GEMM entry
+    /// — on every kernel the host runs, at lengths on both sides of the
+    /// kernel's lanes and of the dot's chunks, for every `alpha_c` class.
+    #[test]
+    fn block_dot_is_the_view_path_bit_for_bit() {
+        let plan = ContractionPlan::infer(&[], &[0], &[0]).unwrap();
+        assert!(plan.block_dot);
+        let vals = |len: usize, salt: usize| -> Vec<f64> {
+            (0..len)
+                .map(|p| ((p * 7919 + salt) % 1009) as f64 / 37.0 - 13.0)
+                .collect()
+        };
+        let c_layout = MatLayout::permuted(&Shape::scalar(), &[], 0);
+        for (kernel, supported) in compiled_kernels() {
+            if !supported {
+                continue;
+            }
+            for len in [0, 1, 15, 16, 17, 255, 256, 257, 1024] {
+                let (a, b) = (vals(len, 3), vals(len, 500));
+                for alpha_c in [0.0, 1.0, 0.5] {
+                    let c0 = 2.0f64.sqrt();
+                    let mut direct = [c0];
+                    block_dot(kernel, &a, &b, alpha_c, &mut direct);
+                    let mut viewed = [c0];
+                    if len == 0 {
+                        // No block has zero elements, so no view of one
+                        // exists: the GEMM's dot path would add an empty
+                        // sum to the scaled C.
+                        scale_c(alpha_c, &mut viewed);
+                        viewed[0] += 0.0;
+                    } else {
+                        let shape = Shape::new(&[len]);
+                        let av = MatView::permuted(&a, &shape, &plan.a_perm, 0);
+                        let bv = MatView::permuted(&b, &shape, &plan.b_perm, 1);
+                        dgemm_view_on(kernel, 1.0, &av, &bv, alpha_c, &mut viewed, &c_layout);
+                    }
+                    assert_eq!(
+                        direct[0].to_bits(),
+                        viewed[0].to_bits(),
+                        "{} len {len} alpha_c {alpha_c}: {} vs {}",
+                        kernel.name,
+                        direct[0],
+                        viewed[0]
+                    );
+                }
+            }
+        }
+    }
+
+    /// Only a dot whose operands store the contracted axes in one order is
+    /// classified a block dot: `A(i,j) * B(j,i)` reads B transposed and
+    /// keeps the view path, which it matches bit for bit.
+    #[test]
+    fn permuted_dot_takes_the_view_path() {
+        assert!(
+            ContractionPlan::infer(&[], &[0, 1], &[0, 1])
+                .unwrap()
+                .block_dot
+        );
+        assert!(
+            !ContractionPlan::infer(&[0], &[0, 1], &[1])
+                .unwrap()
+                .block_dot
+        );
+        let plan = ContractionPlan::infer(&[], &[0, 1], &[1, 0]).unwrap();
+        assert!(!plan.block_dot);
+        let a = ramp(Shape::new(&[5, 7]), 0.4);
+        let b = ramp(Shape::new(&[7, 5]), 1.7);
+        for alpha_c in [0.0, 1.0, 0.5] {
+            let mut c = Block::scalar(0.25);
+            contract_into_ctx(&mut ContractCtx::new(), &plan, &a, &b, alpha_c, &mut c);
+            let av = MatView::permuted(a.data(), a.shape(), &plan.a_perm, 0);
+            let bv = MatView::permuted(b.data(), b.shape(), &plan.b_perm, 2);
+            let c_layout = MatLayout::permuted(&Shape::scalar(), &[], 0);
+            let mut viewed = [0.25];
+            dgemm_view_into(1.0, &av, &bv, alpha_c, &mut viewed, &c_layout, None);
+            assert_eq!(c.as_scalar().to_bits(), viewed[0].to_bits());
+            let expect = alpha_c * 0.25 + naive_contract(&plan, &a, &b).as_scalar();
+            assert!((c.as_scalar() - expect).abs() < 1e-9);
+        }
     }
 
     #[test]

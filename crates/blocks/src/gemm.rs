@@ -205,8 +205,33 @@ pub(crate) fn dgemm_view_into(
     );
 }
 
+/// [`dgemm_view_into`] on a chosen kernel, without pack scratch (the
+/// contraction tests hold the block dot to every kernel's view path).
+#[cfg(test)]
+pub(crate) fn dgemm_view_on(
+    kernel: &Kernel,
+    alpha: f64,
+    a: &MatView<'_>,
+    b: &MatView<'_>,
+    beta: f64,
+    c: &mut [f64],
+    cl: &MatLayout,
+) {
+    gemm(
+        kernel,
+        GemmConfig::default(),
+        alpha,
+        a,
+        b,
+        beta,
+        c,
+        cl,
+        None,
+    );
+}
+
 /// Applies the beta scaling to C once, up front.
-fn scale_c(beta: f64, c: &mut [f64]) {
+pub(crate) fn scale_c(beta: f64, c: &mut [f64]) {
     if beta == 0.0 {
         c.fill(0.0);
     } else if beta != 1.0 {
@@ -257,9 +282,24 @@ fn gemm(
     }
 }
 
-/// Depth of one [`Kernel::dot`] call in [`dot_views`]: bounds the stack
-/// buffers a strided operand is gathered into.
+/// Depth of one [`Kernel::dot`] call in [`dot_chunked`] and
+/// [`dot_views`]: bounds the stack buffers a strided operand is gathered
+/// into.
 const DOT_CHUNK: usize = 256;
+
+/// `Σ_p a[p] * b[p]` over equal-length contiguous slices: [`Kernel::dot`]
+/// per chunk of [`DOT_CHUNK`] elements, the chunks summed left to right.
+/// The one definition of a block dot's rounding: [`dot_views`] gathers a
+/// strided operand into the same chunks, and a contraction the plan
+/// classifies as a block dot calls this directly.
+pub(crate) fn dot_chunked(kernel: &Kernel, a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "dot length mismatch");
+    let mut total = 0.0;
+    for (x, y) in a.chunks(DOT_CHUNK).zip(b.chunks(DOT_CHUNK)) {
+        total += (kernel.dot)(x, y);
+    }
+    total
+}
 
 /// `Σ_p a[ag.offset(p)] * b[bg.offset(p)]`, summed over chunks of
 /// [`DOT_CHUNK`] logical indices whatever the layout, so the rounding
@@ -268,13 +308,10 @@ const DOT_CHUNK: usize = 256;
 fn dot_views(kernel: &Kernel, a: &[f64], ag: &AxisGroup, b: &[f64], bg: &AxisGroup) -> f64 {
     let k = ag.len();
     let contiguous = |g: &AxisGroup| g.unit_run() == g.len();
-    let mut total = 0.0;
     if contiguous(ag) && contiguous(bg) {
-        for (x, y) in a[..k].chunks(DOT_CHUNK).zip(b[..k].chunks(DOT_CHUNK)) {
-            total += (kernel.dot)(x, y);
-        }
-        return total;
+        return dot_chunked(kernel, &a[..k], &b[..k]);
     }
+    let mut total = 0.0;
     let (mut xs, mut ys) = ([0.0f64; DOT_CHUNK], [0.0f64; DOT_CHUNK]);
     let (mut ac, mut bc) = (ag.cursor(0), bg.cursor(0));
     for p in (0..k).step_by(DOT_CHUNK) {
@@ -502,7 +539,7 @@ pub(crate) fn compiled_kernels() -> Vec<(&'static Kernel, bool)> {
 }
 
 /// The widest kernel the running CPU supports, resolved once per process.
-fn kernel() -> &'static Kernel {
+pub(crate) fn kernel() -> &'static Kernel {
     static ACTIVE: OnceLock<&'static Kernel> = OnceLock::new();
     ACTIVE.get_or_init(|| {
         let widest = compiled_kernels().into_iter().find(|&(_, ok)| ok);

@@ -202,6 +202,7 @@ impl Worker {
         match p.queue.pop_front() {
             Some(ordinal) => {
                 p.ahead = p.ahead.saturating_sub(1);
+                p.own = p.own.saturating_sub(1);
                 bind_iteration(&mut self.env, &facts.indices, &facts.ranges, ordinal);
                 let body_pc = p.start_pc + 1;
                 self.op_seq = 0;
@@ -251,7 +252,9 @@ impl Worker {
     /// `request`s name can be asked for now — a window's worth at a time, so
     /// a window leaves as one envelope per home and comes back as one.
     /// Called with the next iteration still at the front of the queue; tops
-    /// the window up once it has run half empty.
+    /// the window up once it has run half empty. An iteration from this
+    /// worker's own owner-compute bucket reads its anchor block here, so
+    /// its anchor is not looked ahead: only a stolen iteration's is remote.
     fn lookahead_chunk(&mut self) -> Result<(), RuntimeError> {
         let Some(p) = self.pardo.as_mut() else {
             return Ok(());
@@ -265,10 +268,22 @@ impl Worker {
         let mut keys = std::mem::take(&mut self.lookahead_keys);
         let p = self.pardo.as_ref().unwrap();
         let facts = (self.layout.pardo(p.start_pc)).expect("a pardo runs from its PardoStart");
-        for &ordinal in p.queue.range(from..upto) {
+        let anchor = self.anchor_gets.get(facts.slot).map_or(&[][..], |a| &a[..]);
+        let is_anchor = |g: usize| anchor.get(g).copied().unwrap_or(false);
+        for (at, &ordinal) in (from..upto).zip(p.queue.range(from..upto)) {
             decode_ordinal(&facts.ranges, ordinal, |d, v| vals[d] = v);
-            let key_of = |g| self.lookahead_key(g, &facts.indices, &vals);
-            keys.extend(facts.gets.iter().filter_map(key_of));
+            let own = at < p.own;
+            for (g, get) in facts.gets.iter().enumerate() {
+                if own && is_anchor(g) {
+                    continue;
+                }
+                keys.extend(self.lookahead_key(get, &facts.indices, &vals));
+            }
+        }
+        #[cfg(test)]
+        for key in &keys {
+            let here = self.home_of(key).is_ok_and(|h| h == self.endpoint.rank());
+            self.lookahead_resolved[usize::from(!here)] += 1;
         }
         if let Some(p) = self.pardo.as_mut() {
             p.vals = vals;
@@ -335,6 +350,7 @@ impl Worker {
                     exhausted: false,
                     window,
                     ahead: 0,
+                    own: 0,
                 });
                 Ok(Some(self.pardo_advance()?))
             }
@@ -980,6 +996,117 @@ mod tests {
             master.join().unwrap().unwrap();
         });
         w
+    }
+
+    /// Runs `src` on a world of `workers` workers with the communication
+    /// plan and anchor flags `Sip::run` installs, and hands back what
+    /// `inspect` reads of each worker, on its own thread, once the run is
+    /// over.
+    fn run_planned<T: Send>(
+        src: &str,
+        bindings: &ConstBindings,
+        workers: usize,
+        inspect: impl Fn(&Worker) -> T + Sync,
+    ) -> Vec<T> {
+        use crate::layout::SegmentConfig;
+        use crate::plan::CommPlanner;
+        use crate::trace::{default_cost_model, generate};
+        let config = SipConfig {
+            workers,
+            io_servers: 0,
+            segments: SegmentConfig {
+                default: 4,
+                ..SegmentConfig::default()
+            },
+            ..SipConfig::default()
+        };
+        let program = Arc::new(sial_frontend::compile(src).unwrap());
+        let layout = Arc::new(Layout::for_config(program, bindings, &config).unwrap());
+        let trace = generate(&layout, &default_cost_model()).unwrap();
+        let plan = CommPlanner::new(&layout, &trace).plan();
+        let anchor_gets = plan.anchor_gets(&layout);
+        let (mut eps, _) = sia_fabric::build::<SipMsg>(1 + workers);
+        let worker_eps = eps.split_off(1);
+        let mut master = crate::master::Master::new(
+            Arc::clone(&layout),
+            eps.pop().unwrap(),
+            std::env::temp_dir(),
+            None,
+        );
+        master.set_plan(plan);
+        std::thread::scope(|s| {
+            let master = s.spawn(|| master.run());
+            let ranks: Vec<_> = (worker_eps.into_iter())
+                .map(|ep| {
+                    let (layout, config) = (Arc::clone(&layout), config.clone());
+                    let (anchor_gets, inspect) = (Arc::clone(&anchor_gets), &inspect);
+                    s.spawn(move || {
+                        let mut w = Worker::new(layout, config, ep, SuperRegistry::new());
+                        w.set_anchor_gets(anchor_gets);
+                        crate::run_worker(&mut w, false);
+                        inspect(&w)
+                    })
+                })
+                .collect();
+            master.join().unwrap().unwrap();
+            ranks.into_iter().map(|r| r.join().unwrap()).collect()
+        })
+    }
+
+    /// A read-only sweep runs where its blocks live, and its chunk
+    /// look-ahead resolves no key it would find homed here: an own-bucket
+    /// iteration's anchor is left out, a stolen one's is asked for. The
+    /// `where` keeps the sweep inside worker 1's slab, so worker 2 runs
+    /// only stolen iterations. Every value is a small integer, so the sum
+    /// is exact whatever the schedule.
+    #[test]
+    fn lookahead_leaves_out_the_local_anchor() {
+        const SRC: &str = "sial sweep
+aoindex i = 1, n
+aoindex j = 1, n
+distributed X(i,j)
+temp t(i,j)
+scalar total
+pardo i, j
+  t(i,j) = 3.0 * i + j
+  put X(i,j) = t(i,j)
+endpardo i, j
+sip_barrier
+pardo i, j where i <= 4
+  get X(i,j)
+  total += X(i,j) * X(i,j)
+endpardo i, j
+sip_barrier
+execute sip_allreduce total
+endsial
+";
+        let bindings: ConstBindings = [("n".to_string(), 8)].into();
+        // Per worker: keys looked ahead `[homed here, elsewhere]`, stolen
+        // iterations, and the bits of `total`.
+        let read = |w: &Worker| {
+            let total = w.layout.program.scalar_by_name("total").unwrap();
+            let bits = w.scalars[total.index()].to_bits();
+            (w.lookahead_resolved, w.stolen_iterations, bits)
+        };
+        let alone = run_planned(SRC, &bindings, 1, read)[0].2;
+        let mut stolen = 0;
+        for _ in 0..20 {
+            let ws = run_planned(SRC, &bindings, 2, read);
+            for (rank, &([here, elsewhere], steals, bits)) in ws.iter().enumerate() {
+                assert_eq!(here, 0, "worker {rank} looked ahead for its own blocks");
+                assert_eq!(
+                    elsewhere, steals,
+                    "worker {rank}: one anchor key per stolen iteration"
+                );
+                assert_eq!(bits, alone, "worker {rank}'s total");
+            }
+            assert_eq!(ws[0].1, 0, "the slab's owner stole");
+            stolen += ws[1].1;
+            if stolen > 0 {
+                break;
+            }
+        }
+        assert!(stolen > 0, "worker 2 never stole an iteration in 20 runs");
     }
 
     /// A temp that a permuting copy fills dies with its iteration and goes

@@ -898,9 +898,12 @@ pub(crate) struct PardoFacts {
     /// The `get`/`request` refs every iteration issues whatever its data:
     /// those at the top level of the body — not inside a `do` (their keys
     /// depend on the loop index; the `do`-loop look-ahead covers them) and
-    /// not behind an `if`. A distributed array in a world of one worker is
-    /// left out: every block of it is homed here, and resolving keys only
-    /// to find them local costs an all-local run 8 %.
+    /// not behind an `if`. An anchor whose blocks are local is not looked
+    /// ahead: resolving keys only to find them local costs an all-local
+    /// run 8 %. So a distributed array in a world of one worker is left out
+    /// here, and the chunk look-ahead skips the owner-compute anchor of an
+    /// iteration from the worker's own bucket
+    /// ([`CommPlan::anchor_gets`](crate::CommPlan)).
     pub gets: Box<[RefFacts]>,
     /// Declared bytes `gets` pulls per iteration.
     pub get_bytes: u64,

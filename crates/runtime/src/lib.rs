@@ -299,6 +299,7 @@ impl Sip {
             run_dir.clone(),
             self.config.fault.as_ref(),
         );
+        let anchor_gets = comm_plan.anchor_gets(&layout);
         master.set_plan(comm_plan);
         master.served_epochs = resumed_epochs;
         if let Some(h) = &self.serving {
@@ -334,9 +335,11 @@ impl Sip {
                 let config = worker_config.clone();
                 let registry = self.registry.clone();
                 let collect = self.config.collect_distributed;
+                let anchor_gets = Arc::clone(&anchor_gets);
                 scope.spawn(move || {
                     let mut w = worker::Worker::new(layout, config, ep, registry);
                     w.resumed_epochs = resumed_epochs;
+                    w.set_anchor_gets(anchor_gets);
                     w.set_sampling(word);
                     if trace_on {
                         w.set_trace(mk_sink());

@@ -407,7 +407,7 @@ impl Master {
                 // changes *which* iterations fill it (requester's bucket
                 // first, stealing from the fullest other bucket so the
                 // tail stays balanced).
-                let (ordinals, stolen) = match &mut sched.affinity {
+                let (ordinals, own, stolen) = match &mut sched.affinity {
                     Some(buckets) => {
                         let want = (range.end - range.start) as usize;
                         let mut ordinals = Vec::with_capacity(want);
@@ -426,9 +426,9 @@ impl Master {
                             }
                         }
                         let stolen = ordinals.len() - own;
-                        (ordinals, stolen)
+                        (ordinals, own, stolen)
                     }
-                    None => (range.map(|i| sched.space.ordinal(i)).collect(), 0),
+                    None => (range.map(|i| sched.space.ordinal(i)).collect(), 0, 0),
                 };
                 let chunk = sched.next_chunk;
                 sched.next_chunk += 1;
@@ -452,6 +452,7 @@ impl Master {
                         epoch,
                         chunk,
                         ordinals,
+                        own: own as u32,
                     },
                 );
             }

@@ -259,21 +259,11 @@ impl BlockManager {
 
     // ---- pinned home blocks (distributed arrays homed here) ----------------
 
-    /// What the home holds for `key`: the block (a shared handle — a
-    /// zero-copy serve) or its norm record; `None` when nothing was stored.
-    pub fn home_read(&mut self, key: &BlockKey) -> Result<Option<Payload>, RuntimeError> {
-        let (array, ordinal) = locate(&self.layout, key)?;
-        let held = self.home[array].get(ordinal).and_then(|s| s.block.clone());
-        if let Some(Payload::Data(h)) = &held {
-            self.note_share(h);
-        }
-        Ok(held)
-    }
-
-    /// [`home_read`](Self::home_read) for a read made in `epoch` (a peer's
-    /// fetch, or the home's own read): stamps the block as served in it,
-    /// and says whether a Replace-put already landed on it in the same
-    /// epoch.
+    /// What the home holds for `key`, read in `epoch` (a peer's fetch, or
+    /// the home's own read): the block (a shared handle — a zero-copy
+    /// serve) or its norm record, `None` when nothing was stored. Stamps
+    /// the block as served in `epoch`, and says whether a Replace-put
+    /// already landed on it in the same epoch.
     pub fn home_fetch(
         &mut self,
         key: BlockKey,
@@ -637,14 +627,14 @@ mod tests {
     }
 
     fn norm_of(m: &mut BlockManager, k: &BlockKey) -> Option<f64> {
-        match m.home_read(k).unwrap() {
+        match m.home_fetch(*k, 0).unwrap().0 {
             Some(Payload::Absent { norm }) => Some(norm),
             _ => None,
         }
     }
 
     fn served(m: &mut BlockManager, k: &BlockKey) -> BlockHandle {
-        match m.home_read(k).unwrap() {
+        match m.home_fetch(*k, 0).unwrap().0 {
             Some(Payload::Data(h)) => h,
             other => panic!("{other:?}"),
         }
@@ -891,7 +881,6 @@ mod tests {
                     "{home:?}/{local:?}: {r:?}"
                 );
             };
-            out_of_range(m.home_read(&home).map(drop));
             out_of_range(m.home_fetch(home, 0).map(drop));
             out_of_range(
                 m.home_store(home, data(1.0), PutMode::Replace, Some(0))
@@ -906,7 +895,7 @@ mod tests {
         assert!(m.home.iter().all(|t| t.pages.is_empty()));
         assert!(m.local.iter().all(|t| t.pages.is_empty()));
         assert_eq!(m.stats().pinned_bytes, 0);
-        let err = m.home_read(&key(17)).unwrap_err().to_string();
+        let err = m.home_fetch(key(17), 0).unwrap_err().to_string();
         assert!(err.contains("`X`") && err.contains("outside"), "{err}");
     }
 
@@ -1049,10 +1038,9 @@ mod tests {
                         // Outside the declared segments: refused, and
                         // nothing changes.
                         let key = pick(&mut rng, &outside);
-                        let refused = match rng.below(4) {
-                            0 => m.home_read(&key).is_err(),
-                            1 => m.home_fetch(key, epoch).is_err(),
-                            2 => (m.home_store(
+                        let refused = match rng.below(3) {
+                            0 => m.home_fetch(key, epoch).is_err(),
+                            1 => (m.home_store(
                                 key,
                                 Payload::Data(filled(1.0)),
                                 PutMode::Replace,
@@ -1108,19 +1096,13 @@ mod tests {
                                     (val, _, _) => Some(val),
                                 };
                             }
-                            6..=8 => {
+                            6..=10 => {
                                 let key = pick(&mut rng, &homed);
                                 let (held, replaced) = m.home_fetch(key, at).unwrap();
                                 let slot = home.entry(key).or_default();
                                 slot.served = slot.served.max(Some(at));
                                 assert_eq!(held.as_ref().map(val_of), slot.block, "{ctx}");
                                 assert_eq!(replaced, slot.replaced == Some(at), "{ctx}");
-                            }
-                            9..=10 => {
-                                let key = pick(&mut rng, &homed);
-                                let held = m.home_read(&key).unwrap();
-                                let want = home.get(&key).and_then(|s| s.block);
-                                assert_eq!(held.as_ref().map(val_of), want, "{ctx}");
                             }
                             11 => {
                                 let array = ArrayId(rng.below(2) as u32);

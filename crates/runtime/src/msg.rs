@@ -216,6 +216,10 @@ pub enum SipMsg {
         /// Each iteration's ordinal in the cross product of the pardo's
         /// index ranges (see [`crate::scheduler::IterationSpace`]).
         ordinals: Vec<u64>,
+        /// How many leading `ordinals` came from the requester's own
+        /// owner-compute bucket: their anchor blocks are homed at the
+        /// requester. The rest were stolen. 0 in a region without an owner.
+        own: u32,
     },
     /// Master: the pardo's iteration space is exhausted.
     NoMoreChunks {

@@ -30,6 +30,7 @@ use crate::msg::{BlockKey, MAX_RANK};
 use crate::trace::{Trace, TracePhase};
 use sia_bytecode::{ArrayId, ArrayKind, IndexId, Instruction as I, PutMode};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One broadcast-shaped operand of a pardo region.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,6 +150,29 @@ impl CommPlan {
     /// The plan for the pardo starting at `pc`, if any.
     pub fn region(&self, pc: u32) -> Option<&RegionPlan> {
         self.regions.get(&pc)
+    }
+
+    /// Per pardo slot, per look-ahead get of that pardo
+    /// ([`PardoFacts::gets`](crate::layout::PardoFacts)): whether the get
+    /// reads its region's owner-compute anchor block. That block is homed
+    /// at whichever worker runs an iteration drawn from its own bucket, so
+    /// the chunk look-ahead leaves it out of such iterations (DESIGN.md
+    /// §17).
+    pub(crate) fn anchor_gets(&self, layout: &Layout) -> Arc<[Box<[bool]>]> {
+        let mut table = vec![Box::<[bool]>::default(); layout.pardos];
+        for region in self.regions.values() {
+            let (Some(owner), Some(facts)) = (&region.owner, layout.pardo(region.pc)) else {
+                continue;
+            };
+            let reads_anchor = |g: &crate::layout::RefFacts| {
+                g.array == owner.array
+                    && g.indices().len() == owner.dim_pos.len()
+                    && (g.indices().iter().zip(&owner.dim_pos))
+                        .all(|(&i, &p)| facts.indices[p] == i)
+            };
+            table[facts.slot] = facts.gets.iter().map(reads_anchor).collect();
+        }
+        table.into()
     }
 
     /// Renders the per-rank volume table the dryrun prints.

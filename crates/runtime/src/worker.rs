@@ -77,6 +77,9 @@ pub(crate) struct PardoState {
     pub window: usize,
     /// Iterations at the front of `queue` already looked ahead for.
     pub ahead: usize,
+    /// Iterations at the front of `queue` drawn from this worker's own
+    /// owner-compute bucket: their anchor blocks are homed here.
+    pub own: usize,
     /// One iteration's index values, decoded for the look-ahead.
     pub vals: Vec<i64>,
 }
@@ -115,6 +118,18 @@ pub struct Worker {
     pub(crate) window_bytes: u64,
     /// The keys one look-ahead window asks for, kept between windows.
     pub(crate) lookahead_keys: Vec<BlockKey>,
+    /// Per pardo slot, which of its look-ahead gets read the region's
+    /// owner-compute anchor ([`CommPlan::anchor_gets`](crate::CommPlan));
+    /// empty until the runtime installs the run's plan.
+    pub(crate) anchor_gets: Arc<[Box<[bool]>]>,
+    /// Keys the chunk look-ahead resolved, `[homed here, homed
+    /// elsewhere]`.
+    #[cfg(test)]
+    pub(crate) lookahead_resolved: [u64; 2],
+    /// Iterations granted to this worker from another worker's bucket, in
+    /// pardos whose look-ahead reads the anchor.
+    #[cfg(test)]
+    pub(crate) stolen_iterations: u64,
 
     // ---- communication state ----
     /// Unacknowledged stores, `[puts, prepares]`: what an ack drain waits
@@ -211,6 +226,11 @@ impl Worker {
             pardo_epochs: vec![0; pardos],
             window_bytes: cache_bytes / WINDOW_CACHE_SHARE,
             lookahead_keys: Vec::new(),
+            anchor_gets: Arc::from([]),
+            #[cfg(test)]
+            lookahead_resolved: [0; 2],
+            #[cfg(test)]
+            stolen_iterations: 0,
             outstanding: [0; 2],
             unacked_bytes: 0,
             barrier_release: None,
@@ -236,6 +256,12 @@ impl Worker {
     /// runtime before the program starts).
     pub(crate) fn set_sampling(&mut self, word: RankWord) {
         self.word = word;
+    }
+
+    /// Installs the run's per-pardo anchor flags (called by the runtime
+    /// before the program starts).
+    pub(crate) fn set_anchor_gets(&mut self, anchor_gets: Arc<[Box<[bool]>]>) {
+        self.anchor_gets = anchor_gets;
     }
 
     /// Installs the event sink (called by the runtime before the program
@@ -355,6 +381,7 @@ impl Worker {
                 epoch,
                 chunk,
                 ordinals,
+                own,
             } => {
                 if let Some(p) = &mut self.pardo {
                     if p.start_pc == pardo_pc && p.epoch == epoch {
@@ -362,6 +389,19 @@ impl Worker {
                         // which only a scheduled crash keeps.
                         if let Some(ft) = self.ft.as_mut().filter(|ft| ft.crash.is_some()) {
                             ft.chunk_acks.push_back((chunk, ordinals.len()));
+                        }
+                        // Own iterations stay a prefix of the queue only
+                        // behind other own ones (a chunk is requested once
+                        // the queue has run dry, so this always holds).
+                        if p.own == p.queue.len() {
+                            p.own += own as usize;
+                        }
+                        #[cfg(test)]
+                        if (self.layout.pardo(pardo_pc))
+                            .and_then(|f| self.anchor_gets.get(f.slot))
+                            .is_some_and(|a| a.contains(&true))
+                        {
+                            self.stolen_iterations += (ordinals.len() - own as usize) as u64;
                         }
                         p.queue.extend(ordinals);
                         p.requested = false;
