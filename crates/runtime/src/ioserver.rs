@@ -6,12 +6,17 @@
 //! operations of an I/O server are non-blocking." (§V-B)
 //!
 //! Our server keeps an LRU write-behind cache over one store file per
-//! served array (`store.rs`: a block lives at a computed slot). While
-//! it holds dirty blocks it waits for the next message only until
-//! `WRITE_BEHIND_IDLE` after the last one, then flushes one dirty block per
-//! look at the inbox, so a long prepare burst never blocks request service —
-//! the in-process analogue of the original's asynchronous I/O. A clean
-//! server has no timer and blocks until a message arrives.
+//! served array (`store.rs`: a block lives at a computed slot). Its unit of
+//! disk work is a run of adjacent slots: a flush writes the oldest dirty
+//! block together with the dirty blocks cached in the slots after it, and a
+//! miss reads the requested slot together with the uncached slots after it.
+//! Replacement is one LRU over clean and dirty blocks; a dirty victim's run
+//! is flushed first. While it holds dirty blocks the server waits for the
+//! next message only until `WRITE_BEHIND_IDLE` after the last one, then
+//! flushes one run per look at the inbox, so a long prepare burst never
+//! blocks request service — the in-process analogue of the original's
+//! asynchronous I/O. A clean server has no timer and blocks until a message
+//! arrives.
 
 use crate::error::RuntimeError;
 use crate::events::{EventKind, TraceSink};
@@ -33,14 +38,28 @@ pub use crate::metrics::ServerStats;
 /// flushing dirty blocks.
 const WRITE_BEHIND_IDLE: Duration = Duration::from_micros(500);
 
+/// Most slots one write-behind run covers (the store's byte cap may cut it
+/// shorter).
+const FLUSH_RUN_SLOTS: u64 = 64;
+
+/// Most slots one miss reads, the requested one included, and never more
+/// than half the cache. A worker asks for its look-ahead window (half its
+/// cache) in one batch, and a run reaching past the window's end leaves
+/// blocks unread while the other workers' batches go by; the LRU takes an
+/// unread block for older than the read ones around it and evicts it, so it
+/// is read twice. On `served_sweep` (two workers, windows of 32, 64 cached
+/// blocks) 16-slot runs read 4.7 % more blocks than one slot per miss did,
+/// 14-slot runs 7.8 % and 32-slot runs 7.1 %.
+const READ_RUN_SLOTS: u64 = 16;
+
 struct Entry {
     block: BlockHandle,
     dirty: bool,
     stamp: u64,
 }
 
-/// The cached keys of one kind (clean or dirty), least recently used first:
-/// LRU stamp → key. Stamps are unique (the clock ticks per touch).
+/// Cached keys, least recently used first: LRU stamp → key. Stamps are
+/// unique (the clock ticks per touch).
 type LruOrder = BTreeMap<u64, BlockKey>;
 
 /// The store of every served array the program declares.
@@ -71,11 +90,13 @@ pub struct IoServer {
     stores: Stores,
     capacity: usize,
     cache: KeyMap<Entry>,
-    /// Eviction order and flush order: every cached key is in exactly one
-    /// of the two, under its entry's stamp. The server consults them per
-    /// message (is anything dirty?) and per insertion into a full cache
-    /// (which entry goes?), so neither may cost a walk over the cache.
-    clean: LruOrder,
+    /// Eviction order: every cached key, clean or dirty, under its entry's
+    /// stamp.
+    lru: LruOrder,
+    /// Flush order: the dirty keys, under the same stamps. The server
+    /// consults the two per message (is anything dirty?) and per insertion
+    /// into a full cache (which entry goes?), so neither may cost a walk
+    /// over the cache.
     dirty: LruOrder,
     /// Norm table for sparse served arrays: blocks whose prepare was dropped
     /// under the sparsity threshold, keyed to the recorded Frobenius-norm
@@ -115,7 +136,7 @@ impl IoServer {
             stores,
             capacity: capacity.max(1),
             cache: KeyMap::default(),
-            clean: LruOrder::new(),
+            lru: LruOrder::new(),
             dirty: LruOrder::new(),
             norms: KeyMap::default(),
             clock: 0,
@@ -136,20 +157,15 @@ impl IoServer {
         self.clock
     }
 
-    fn order_of(&mut self, dirty: bool) -> &mut LruOrder {
-        if dirty {
-            &mut self.dirty
-        } else {
-            &mut self.clean
-        }
-    }
-
     /// Caches `block` under `key` as the most recently used entry,
     /// replacing any entry the key had.
     fn insert(&mut self, key: BlockKey, block: BlockHandle, dirty: bool) {
         self.remove(&key);
         let stamp = self.tick();
-        self.order_of(dirty).insert(stamp, key);
+        self.lru.insert(stamp, key);
+        if dirty {
+            self.dirty.insert(stamp, key);
+        }
         self.cache.insert(
             key,
             Entry {
@@ -163,59 +179,116 @@ impl IoServer {
     /// Drops `key`'s entry (unflushed if dirty), if it has one.
     fn remove(&mut self, key: &BlockKey) {
         if let Some(e) = self.cache.remove(key) {
-            self.order_of(e.dirty).remove(&e.stamp);
+            self.lru.remove(&e.stamp);
+            if e.dirty {
+                self.dirty.remove(&e.stamp);
+            }
         }
     }
 
-    /// Flushes one dirty block (the oldest) — the lazy write-behind step.
-    fn flush_one(&mut self) -> Result<bool, RuntimeError> {
-        let Some((&stamp, &key)) = self.dirty.first_key_value() else {
+    /// Makes `key`'s entry the most recently used, in place; its block, if
+    /// it has one.
+    fn touch(&mut self, key: &BlockKey) -> Option<BlockHandle> {
+        let e = self.cache.get_mut(key)?;
+        self.clock += 1;
+        self.lru.remove(&e.stamp);
+        self.lru.insert(self.clock, *key);
+        if e.dirty {
+            self.dirty.remove(&e.stamp);
+            self.dirty.insert(self.clock, *key);
+        }
+        e.stamp = self.clock;
+        Some(e.block.clone())
+    }
+
+    /// Flushes the oldest dirty block's run — the lazy write-behind step.
+    fn flush_run(&mut self) -> Result<bool, RuntimeError> {
+        let Some(&key) = self.dirty.values().next() else {
             return Ok(false);
         };
-        let (store, slot) = locate(&mut self.stores, &self.layout, &key)?;
-        let entry = self.cache.get_mut(&key).expect("ordered key is cached");
-        store.write(slot, &entry.block)?;
-        entry.dirty = false;
-        self.dirty.remove(&stamp);
-        self.clean.insert(stamp, key);
-        self.stats.disk_writes += 1;
-        self.trace.instant(EventKind::Flush);
+        self.flush_from(key)?;
         Ok(true)
     }
 
-    /// Evicts clean LRU entries (flushing if everything is dirty) until the
-    /// cache is within capacity.
+    /// Writes `key`'s dirty block and the dirty blocks cached in the slots
+    /// after it — up to the first slot that is not, the array's end or the
+    /// run cap — in one positioned write, and marks them clean. Every cached
+    /// key was sent here, so the run holds only blocks homed at this server.
+    fn flush_from(&mut self, key: BlockKey) -> Result<(), RuntimeError> {
+        let (store, first) = locate(&mut self.stores, &self.layout, &key)?;
+        let end = self
+            .layout
+            .total_blocks(key.array)
+            .min(first.saturating_add(store.run_cap(FLUSH_RUN_SLOTS)));
+        let (cache, layout) = (&self.cache, &self.layout);
+        let run: Vec<BlockKey> = (first..end)
+            .map(|slot| layout.block_key(key.array, slot))
+            .take_while(|next| cache.get(next).is_some_and(|e| e.dirty))
+            .collect();
+        store.write_run(first, run.iter().map(|k| &*cache[k].block))?;
+        for k in &run {
+            let entry = self.cache.get_mut(k).expect("a run holds cached keys");
+            entry.dirty = false;
+            self.dirty.remove(&entry.stamp);
+        }
+        self.stats.disk_writes += run.len() as u64;
+        self.trace.instant(EventKind::Flush);
+        Ok(())
+    }
+
+    /// Evicts least recently used entries, clean or dirty, until the cache
+    /// has room for one more; a dirty victim's run is flushed first.
     fn make_room(&mut self) -> Result<(), RuntimeError> {
         while self.cache.len() >= self.capacity {
-            match self.clean.pop_first() {
-                Some((_, key)) => {
-                    self.cache.remove(&key);
-                }
-                // Everything dirty: flush the oldest, then loop.
-                None => {
-                    if !self.flush_one()? {
-                        return Ok(());
-                    }
-                }
+            let Some(&key) = self.lru.values().next() else {
+                return Ok(());
+            };
+            if self.cache[&key].dirty {
+                self.flush_from(key)?;
             }
+            self.remove(&key);
         }
         Ok(())
     }
 
     /// The block `key` holds — from the cache, else from the store — or
     /// `None` when it has no payload anywhere: the typed-absent state of a
-    /// sparse served block.
+    /// sparse served block. A miss reads ahead: the slots after `key`'s,
+    /// up to the array's end, the first slot already cached (a cached
+    /// entry, dirty or clean, is at least as new as the disk), the first
+    /// key homed at another server or the cap, come in the same read, and
+    /// each that holds a whole block is cached clean.
     fn resident(&mut self, key: BlockKey) -> Result<Option<BlockHandle>, RuntimeError> {
-        if let Some(e) = self.cache.get(&key) {
+        if let Some(block) = self.touch(&key) {
             self.stats.cache_hits += 1;
             // The served copy aliases the cache entry: the reply envelope
             // rides on the same allocation.
-            let (block, dirty) = (e.block.clone(), e.dirty);
-            self.insert(key, block.clone(), dirty);
             return Ok(Some(block));
         }
-        let (store, slot) = locate(&mut self.stores, &self.layout, &key)?;
-        let Some(block) = store.load(slot)? else {
+        let (store, first) = locate(&mut self.stores, &self.layout, &key)?;
+        let cap = READ_RUN_SLOTS.min(self.capacity as u64 / 2);
+        let end = self
+            .layout
+            .total_blocks(key.array)
+            .min(first.saturating_add(store.run_cap(cap)));
+        let here = self.endpoint.rank();
+        let (cache, layout) = (&self.cache, &self.layout);
+        let ahead = (first + 1..end)
+            .map(|slot| layout.block_key(key.array, slot))
+            .take_while(|next| !cache.contains_key(next) && layout.home_of_served(next) == here)
+            .count();
+        let mut run = store.load_run(first, 1 + ahead)?;
+        // The farthest block goes in first, so it is the first to go again.
+        while run.len() > 1 {
+            let slot = first + run.len() as u64 - 1;
+            if let Some(block) = run.pop().flatten() {
+                self.stats.disk_reads += 1;
+                self.make_room()?;
+                let next = self.layout.block_key(key.array, slot);
+                self.insert(next, block.into(), false);
+            }
+        }
+        let Some(block) = run.pop().flatten() else {
             return Ok(None);
         };
         self.stats.disk_reads += 1;
@@ -298,7 +371,9 @@ impl IoServer {
     ) -> Result<(), RuntimeError> {
         self.stats.prepares += 1;
         // A real payload supersedes any recorded absence.
-        self.norms.remove(&key);
+        if !self.norms.is_empty() {
+            self.norms.remove(&key);
+        }
         match mode {
             PutMode::Replace => {
                 self.make_room()?;
@@ -340,7 +415,7 @@ impl IoServer {
 
     fn delete_array(&mut self, array: ArrayId) -> Result<(), RuntimeError> {
         self.cache.retain(|k, _| k.array != array);
-        self.clean.retain(|_, k| k.array != array);
+        self.lru.retain(|_, k| k.array != array);
         self.dirty.retain(|_, k| k.array != array);
         self.norms.retain(|k, _| k.array != array);
         match self.stores.get_mut(&array) {
@@ -351,7 +426,7 @@ impl IoServer {
 
     /// Flushes all dirty blocks (shutdown).
     pub fn flush_all(&mut self) -> Result<(), RuntimeError> {
-        while self.flush_one()? {}
+        while self.flush_run()? {}
         Ok(())
     }
 
@@ -441,9 +516,9 @@ impl IoServer {
                     self.flush_all()?;
                     return Ok(self.stats);
                 }
-                // Idle: lazy write-behind makes progress.
+                // Idle: lazy write-behind makes progress, one run at a time.
                 None => {
-                    self.flush_one()?;
+                    self.flush_run()?;
                 }
             }
         }
@@ -451,7 +526,7 @@ impl IoServer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::layout::{SegmentConfig, Topology};
     use sia_blocks::{Block, Shape};
@@ -468,7 +543,12 @@ mod tests {
 
     /// Two served arrays, `S` dense and `Z` sparse, of 4×4 blocks of
     /// `seg`×`seg` elements.
-    fn layout_of(seg: usize) -> Arc<Layout> {
+    pub(crate) fn layout_of(seg: usize) -> Arc<Layout> {
+        layout_on(seg, Topology::new(1, 1))
+    }
+
+    /// [`layout_of`] over `topology`.
+    fn layout_on(seg: usize, topology: Topology) -> Arc<Layout> {
         let program = Program {
             indices: vec![IndexDecl {
                 name: "i".into(),
@@ -494,7 +574,7 @@ mod tests {
                     default: seg,
                     ..Default::default()
                 },
-                Topology::new(1, 1),
+                topology,
             )
             .unwrap(),
         )
@@ -971,7 +1051,8 @@ mod tests {
 
     /// The eviction and flush orders are an index over the cache: whatever
     /// mix of stores, loads, norm records and flushes ran, every cached key
-    /// sits in the order of its kind under its own stamp, and nowhere else.
+    /// sits in the eviction order under its own stamp, a dirty one in the
+    /// flush order under the same stamp too, and nothing else is in either.
     #[test]
     fn lru_orders_track_the_cache() {
         let dir = tmpdir("orders");
@@ -982,17 +1063,21 @@ mod tests {
                 0 | 1 => s.prepare(key, blk(step as f64), PutMode::Replace).unwrap(),
                 2 => s.prepare(key, blk(1.0), PutMode::Accumulate).unwrap(),
                 3 | 4 => drop(s.load(key).unwrap()),
-                5 => drop(s.flush_one().unwrap()),
+                5 => drop(s.flush_run().unwrap()),
                 _ => s.prepare_absent(key, 0.5, PutMode::Replace).unwrap(),
             }
             if step % 97 == 96 {
                 s.delete_array(ArrayId(0)).unwrap();
             }
             assert!(s.cache.len() <= s.capacity, "step {step}");
-            assert_eq!(s.clean.len() + s.dirty.len(), s.cache.len(), "step {step}");
+            assert_eq!(s.lru.len(), s.cache.len(), "step {step}");
+            let dirty = s.cache.values().filter(|e| e.dirty).count();
+            assert_eq!(s.dirty.len(), dirty, "step {step}");
             for (k, e) in &s.cache {
-                let order = if e.dirty { &s.dirty } else { &s.clean };
-                assert_eq!(order.get(&e.stamp), Some(k), "step {step}");
+                assert_eq!(s.lru.get(&e.stamp), Some(k), "step {step}");
+                if e.dirty {
+                    assert_eq!(s.dirty.get(&e.stamp), Some(k), "step {step}");
+                }
             }
         }
     }
@@ -1010,10 +1095,232 @@ mod tests {
             .unwrap();
         }
         assert_eq!(s.stats().disk_writes, 0, "prepares are lazy");
-        assert!(s.flush_one().unwrap());
+        assert!(s.flush_run().unwrap());
         assert_eq!(s.stats().disk_writes, 1);
-        assert!(s.flush_one().unwrap());
-        assert!(s.flush_one().unwrap());
-        assert!(!s.flush_one().unwrap(), "nothing left to flush");
+        assert!(s.flush_run().unwrap());
+        assert!(s.flush_run().unwrap());
+        assert!(!s.flush_run().unwrap(), "nothing left to flush");
+    }
+
+    /// A block of `test_layout` whose every element tells `tag` and its
+    /// position apart, so a block read from the wrong slot cannot pass.
+    fn tagged(tag: f64) -> BlockHandle {
+        BlockHandle::new(Block::from_fn(Shape::new(&[4, 4]), |i| {
+            tag + (i[0] * 4 + i[1]) as f64 / 64.0
+        }))
+    }
+
+    /// The key of array 0 at `ordinal` (row-major over its 4×4 blocks).
+    fn at(ordinal: i64) -> BlockKey {
+        BlockKey::new(ArrayId(0), &[1 + ordinal / 4, 1 + ordinal % 4])
+    }
+
+    #[test]
+    fn adjacent_dirty_slots_flush_as_one_run() {
+        let dir = tmpdir("run");
+        let mut s = test_server(&dir, 16);
+        // Slots 2..=7 and, past a gap, 9: two runs.
+        let written: Vec<i64> = (2..=7).chain([9]).collect();
+        for &o in &written {
+            s.prepare(at(o), tagged(o as f64), PutMode::Replace)
+                .unwrap();
+        }
+        assert!(s.flush_run().unwrap());
+        assert_eq!(s.stats().disk_writes, 6, "one run of six slots");
+        assert_eq!(s.dirty.values().collect::<Vec<_>>(), [&at(9)]);
+        assert!(s.flush_run().unwrap());
+        assert!(!s.flush_run().unwrap());
+        // A fresh server reads every slot back bitwise, and the holes around
+        // them as never prepared.
+        let mut fresh = test_server(&dir, 16);
+        for o in 0..16 {
+            let want = if written.contains(&o) {
+                tagged(o as f64)
+            } else {
+                blk(0.0)
+            };
+            assert_eq!(fresh.load(at(o)).unwrap(), want, "slot {o}");
+        }
+        assert_eq!(fresh.stats().zero_serves, 9);
+        assert_eq!(fresh.stats().disk_reads, 7, "each block entered once");
+        assert_eq!(fresh.stats().cache_hits, 7, "every block came ahead");
+    }
+
+    /// The slots a miss reads ahead into the cache, in slot order.
+    fn cached_slots(s: &IoServer) -> Vec<u64> {
+        let mut slots: Vec<u64> = (s.cache.keys())
+            .map(|k| s.layout.block_ordinal(k).unwrap())
+            .collect();
+        slots.sort_unstable();
+        slots
+    }
+
+    #[test]
+    fn a_torn_slot_inside_a_read_run_is_read_again_alone() {
+        let dir = tmpdir("torn-run");
+        let (path, valid) = {
+            let mut s = test_server(&dir, 8);
+            for o in 0..4 {
+                s.prepare(at(o), tagged(o as f64), PutMode::Replace)
+                    .unwrap();
+            }
+            s.flush_all().unwrap();
+            store_file(&s)
+        };
+        let slot = 8 + 16 * 8 + 8;
+        let mut torn = valid.clone();
+        torn[HEADER + 2 * slot + 40] ^= 0x10;
+        fs::write(&path, &torn).unwrap();
+        // Capacity 8 reads runs of 4: slot 0 brings 1 and 3, not torn 2.
+        let mut s = test_server(&dir, 8);
+        assert_eq!(s.load(at(0)).unwrap(), tagged(0.0));
+        assert_eq!(cached_slots(&s), [0, 1, 3]);
+        assert_eq!(s.load(at(1)).unwrap(), tagged(1.0));
+        assert_eq!(s.load(at(3)).unwrap(), tagged(3.0));
+        assert_eq!((s.stats().disk_reads, s.stats().cache_hits), (3, 2));
+        match s.load(at(2)) {
+            Err(RuntimeError::ServedIo(m)) => assert!(m.contains("torn slot 2"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        // Once the slot is whole again its own read serves it.
+        fs::write(&path, &valid).unwrap();
+        assert_eq!(s.load(at(2)).unwrap(), tagged(2.0));
+        assert_eq!(s.stats().disk_reads, 4);
+    }
+
+    #[test]
+    fn read_ahead_never_shadows_a_cached_entry() {
+        let dir = tmpdir("shadow");
+        let mut old = test_server(&dir, 8);
+        for o in 0..4 {
+            old.prepare(at(o), tagged(o as f64), PutMode::Replace)
+                .unwrap();
+        }
+        old.flush_all().unwrap();
+        let mut s = test_server(&dir, 8);
+        s.prepare(at(1), blk(-1.0), PutMode::Replace).unwrap();
+        assert_eq!(s.load(at(0)).unwrap(), tagged(0.0));
+        assert_eq!(cached_slots(&s), [0, 1], "the run stops at slot 1");
+        assert_eq!(s.load(at(1)).unwrap(), blk(-1.0), "the prepared value");
+        // A clean entry stops it as well.
+        assert_eq!(s.load(at(3)).unwrap(), tagged(3.0));
+        let mut s = test_server(&dir, 8);
+        assert_eq!(s.load(at(3)).unwrap(), tagged(3.0));
+        assert_eq!(s.load(at(2)).unwrap(), tagged(2.0));
+        assert_eq!(s.stats().disk_reads, 2, "slot 2 read slot 3 no more");
+    }
+
+    #[test]
+    fn read_ahead_stops_at_a_slot_homed_at_another_server() {
+        let dir = tmpdir("homes");
+        let layout = layout_on(4, Topology::new(1, 2));
+        let server = |j: usize| {
+            let (mut eps, _) = sia_fabric::build::<SipMsg>(4);
+            let ep = eps.remove(layout.topology.io_server(j).0);
+            IoServer::new(Arc::clone(&layout), ep, dir.clone(), 16).unwrap()
+        };
+        let home = |o: i64| layout.home_of_served(&at(o));
+        // Every slot written, each by its own home.
+        for j in 0..2 {
+            let mut s = server(j);
+            for o in (0..16).filter(|&o| home(o) == layout.topology.io_server(j)) {
+                s.prepare(at(o), tagged(o as f64), PutMode::Replace)
+                    .unwrap();
+            }
+            s.flush_all().unwrap();
+        }
+        let mut s = server(0);
+        let here = layout.topology.io_server(0);
+        let first = (0..16).find(|&o| home(o) == here).unwrap();
+        let elsewhere = (first..16).find(|&o| home(o) != here).unwrap();
+        assert_eq!(s.load(at(first)).unwrap(), tagged(first as f64));
+        let read: Vec<u64> = (first as u64..elsewhere as u64).collect();
+        assert_eq!(
+            cached_slots(&s),
+            read,
+            "up to slot {elsewhere}, not past it"
+        );
+    }
+
+    /// A request phase after a prepare phase: the cache is full of dirty
+    /// blocks, and a miss evicts the least recently used of them — flushed
+    /// first — not the one clean block it read last.
+    #[test]
+    fn eviction_takes_the_oldest_entry_dirty_or_clean() {
+        let dir = tmpdir("one-lru");
+        let mut writer = test_server(&dir, 8);
+        for o in [13, 15] {
+            writer
+                .prepare(at(o), tagged(o as f64), PutMode::Replace)
+                .unwrap();
+        }
+        writer.flush_all().unwrap();
+        // Capacity 4 reads runs of 2; slot 14 is a hole, slot 15 the end.
+        let mut s = test_server(&dir, 4);
+        for o in [0, 4, 8] {
+            s.prepare(at(o), tagged(o as f64), PutMode::Replace)
+                .unwrap();
+        }
+        assert_eq!(s.load(at(15)).unwrap(), tagged(15.0));
+        assert_eq!(s.load(at(13)).unwrap(), tagged(13.0));
+        assert_eq!(cached_slots(&s), [4, 8, 13, 15], "slot 0 went, not 15");
+        assert_eq!(s.stats().disk_writes, 1, "flushed before it went");
+        assert_eq!(test_server(&dir, 4).load(at(0)).unwrap(), tagged(0.0));
+    }
+
+    /// A store file is outside input, and a byte of it may be anything: a
+    /// seeded loop corrupts header bytes and bytes inside a run of slots,
+    /// then reads every slot. Each read is the block written there, never
+    /// prepared, or a typed `ServedIo` error — never another number, never
+    /// a panic.
+    #[test]
+    fn corrupt_store_bytes_read_as_written_absent_or_typed_errors() {
+        let dir = tmpdir("fuzz");
+        let written = [0, 1, 2, 3, 4, 6, 7];
+        let (path, valid) = {
+            let mut s = test_server(&dir, 16);
+            for o in written {
+                s.prepare(at(o), tagged(o as f64), PutMode::Replace)
+                    .unwrap();
+            }
+            s.flush_all().unwrap();
+            store_file(&s)
+        };
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |below: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % below as u64) as usize
+        };
+        let (mut errors, mut served) = (0, 0);
+        for round in 0..48 {
+            let mut raw = valid.clone();
+            let (lo, hi) = if round % 3 == 0 {
+                (0, HEADER)
+            } else {
+                (HEADER, raw.len())
+            };
+            for _ in 0..1 + next(3) {
+                let at = lo + next(hi - lo);
+                raw[at] = next(256) as u8;
+            }
+            fs::write(&path, &raw).unwrap();
+            // Capacity 16 reads runs of 8: the first miss covers them all.
+            let mut s = test_server(&dir, 16);
+            for o in [3, 0, 1, 2, 4, 5, 6, 7] {
+                match s.resident(at(o)) {
+                    Ok(Some(got)) => {
+                        assert!(written.contains(&o), "round {round}: slot {o} was a hole");
+                        assert_eq!(got, tagged(o as f64), "round {round}: slot {o}");
+                        served += 1;
+                    }
+                    Ok(None) => {}
+                    Err(RuntimeError::ServedIo(_)) => errors += 1,
+                    Err(other) => panic!("round {round}: slot {o}: {other:?}"),
+                }
+            }
+        }
+        assert!(errors > 0 && served > 0, "{errors} errors, {served} served");
     }
 }

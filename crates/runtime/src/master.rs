@@ -209,8 +209,8 @@ pub struct Master {
     chunk_ledger: bool,
     schedulers: HashMap<(u32, u64), PardoSched>,
     barrier_waiting: HashMap<u8, Vec<Rank>>,
-    reduce_waiting: Vec<Rank>,
-    reduce_sum: f64,
+    /// This round's `sip_allreduce` contributions, by worker index.
+    reduce_parts: Vec<Option<f64>>,
     ckpt_saves: HashMap<u32, CkptSave>,
     ckpt_restore_ready: HashMap<u32, usize>,
     done: Vec<Option<(Vec<f64>, WorkerProfile)>>,
@@ -268,8 +268,7 @@ impl Master {
             chunk_ledger: fault.is_some_and(|f| f.crash.is_some()),
             schedulers: HashMap::new(),
             barrier_waiting: HashMap::new(),
-            reduce_waiting: Vec::new(),
-            reduce_sum: 0.0,
+            reduce_parts: vec![None; w],
             ckpt_saves: HashMap::new(),
             ckpt_restore_ready: HashMap::new(),
             done: (0..w).map(|_| None).collect(),
@@ -567,13 +566,21 @@ impl Master {
         });
     }
 
+    /// Keeps `src`'s contribution; once every live worker's is in, sums
+    /// them in rank order — so the total's bits do not depend on which
+    /// arrived first — and broadcasts it. A worker that died after
+    /// contributing still counts.
     fn handle_reduce(&mut self, src: Rank, value: f64) {
-        self.reduce_sum += value;
-        self.reduce_waiting.push(src);
-        if self.reduce_waiting.len() == self.alive_count() {
-            let total = self.reduce_sum;
-            self.reduce_waiting.clear();
-            self.reduce_sum = 0.0;
+        if !self.layout.topology.is_worker(src) {
+            return;
+        }
+        self.reduce_parts[self.layout.topology.worker_index(src)] = Some(value);
+        let all_in = (self.alive.iter())
+            .zip(&self.reduce_parts)
+            .all(|(&alive, part)| !alive || part.is_some());
+        if all_in {
+            let parts = self.reduce_parts.iter_mut().filter_map(Option::take);
+            let total = parts.fold(0.0, |sum, part| sum + part);
             self.broadcast_workers(|| SipMsg::ReduceResult { value: total });
         }
     }
@@ -748,7 +755,6 @@ impl Master {
         for w in self.barrier_waiting.values_mut() {
             w.retain(|r| *r != dead_rank);
         }
-        self.reduce_waiting.retain(|r| *r != dead_rank);
         let path = ft::epoch_ckpt_path(&self.run_dir, widx);
         let (blocks, ops) = match ft::read_epoch_checkpoint(&path) {
             Ok((_, blocks, ops)) => (blocks, ops),
@@ -1296,23 +1302,65 @@ endsial
     /// A master over `source` with two workers and one I/O server, and the
     /// endpoints of those three ranks.
     fn master_of(source: &str, fault: &FaultConfig) -> (Master, Vec<Endpoint<SipMsg>>) {
+        master_over(source, 2, Some(fault))
+    }
+
+    /// A master of `workers` workers and one I/O server, and the other
+    /// ranks' endpoints.
+    fn master_over(
+        source: &str,
+        workers: usize,
+        fault: Option<&FaultConfig>,
+    ) -> (Master, Vec<Endpoint<SipMsg>>) {
         use crate::layout::{SegmentConfig, Topology};
         let layout = Layout::new(
             Arc::new(sial_frontend::compile(source).unwrap()),
             &sia_bytecode::ConstBindings::new(),
             SegmentConfig::default(),
-            Topology::new(2, 1),
+            Topology::new(workers, 1),
         )
         .unwrap();
-        let (mut eps, _stats) = sia_fabric::build::<SipMsg>(4);
+        let (mut eps, _stats) = sia_fabric::build::<SipMsg>(workers + 2);
         let master_ep = eps.remove(0);
-        let m = Master::new(
-            Arc::new(layout),
-            master_ep,
-            std::env::temp_dir(),
-            Some(fault),
-        );
+        let m = Master::new(Arc::new(layout), master_ep, std::env::temp_dir(), fault);
         (m, eps)
+    }
+
+    /// Three contributions whose sum depends on the order it is taken in
+    /// reduce to one bit pattern in every arrival order: the rank order's.
+    #[test]
+    fn allreduce_sums_in_rank_order_whatever_the_arrival_order() {
+        let source = "sial tiny\nscalar s\ns = 1.0\nendsial\n";
+        let parts = [0.1, 1e16, -1e16];
+        let rank_order = ((0.0 + parts[0]) + parts[1]) + parts[2];
+        let mut arrival_sums = Vec::new();
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let (mut m, eps) = master_over(source, 3, None);
+            for w in order {
+                m.handle_reduce(m.layout.topology.worker(w), parts[w]);
+            }
+            for ep in &eps[..3] {
+                match ep.recv_timeout(Duration::from_secs(2)).map(|env| env.msg) {
+                    Some(SipMsg::ReduceResult { value }) => {
+                        assert_eq!(value.to_bits(), rank_order.to_bits(), "{order:?}")
+                    }
+                    other => panic!("{order:?}: {other:?}"),
+                }
+            }
+            arrival_sums.push(order.iter().fold(0.0, |sum, &w| sum + parts[w]).to_bits());
+        }
+        arrival_sums.dedup();
+        assert!(
+            arrival_sums.len() > 1,
+            "the parts must not sum alike in any order"
+        );
     }
 
     #[test]

@@ -973,3 +973,39 @@ endsial
     );
     assert_eq!(out.profile.iterations, 20);
 }
+
+/// A single-worker `sip_allreduce` is bitwise reproducible: 20 runs of a
+/// sum whose terms round differently in every order read one bit pattern.
+#[test]
+fn single_worker_allreduce_reads_one_bit_pattern() {
+    let src = r#"
+sial bits
+aoindex i = 1, n
+aoindex j = 1, n
+distributed X(i,j)
+temp t(i,j)
+scalar total
+pardo i, j
+  t(i,j) = 0.1 * i + 1.0 / j
+  put X(i,j) = t(i,j)
+endpardo i, j
+sip_barrier
+pardo i, j
+  get X(i,j)
+  total += X(i,j) * X(i,j)
+endpardo i, j
+sip_barrier
+execute sip_allreduce total
+endsial
+"#;
+    let program = sial_frontend::compile(src).unwrap();
+    let bits: Vec<u64> = (0..20)
+        .map(|_| {
+            let out = Sip::new(config(1))
+                .run(program.clone(), &bindings(&[("n", 7)]))
+                .unwrap();
+            out.scalars["total"].to_bits()
+        })
+        .collect();
+    assert!(bits.iter().all(|&b| b == bits[0]), "{bits:x?}");
+}
