@@ -268,13 +268,11 @@ impl Worker {
         let mut keys = std::mem::take(&mut self.lookahead_keys);
         let p = self.pardo.as_ref().unwrap();
         let facts = (self.layout.pardo(p.start_pc)).expect("a pardo runs from its PardoStart");
-        let anchor = self.anchor_gets.get(facts.slot).map_or(&[][..], |a| &a[..]);
-        let is_anchor = |g: usize| anchor.get(g).copied().unwrap_or(false);
         for (at, &ordinal) in (from..upto).zip(p.queue.range(from..upto)) {
             decode_ordinal(&facts.ranges, ordinal, |d, v| vals[d] = v);
             let own = at < p.own;
-            for (g, get) in facts.gets.iter().enumerate() {
-                if own && is_anchor(g) {
+            for (get, &anchor) in facts.gets.iter().zip(&facts.reads_anchor) {
+                if own && anchor {
                     continue;
                 }
                 keys.extend(self.lookahead_key(get, &facts.indices, &vals));
@@ -998,19 +996,16 @@ mod tests {
         w
     }
 
-    /// Runs `src` on a world of `workers` workers with the communication
-    /// plan and anchor flags `Sip::run` installs, and hands back what
+    /// Runs `src` on a world of `workers` workers and hands back what
     /// `inspect` reads of each worker, on its own thread, once the run is
     /// over.
-    fn run_planned<T: Send>(
+    fn run_world<T: Send>(
         src: &str,
         bindings: &ConstBindings,
         workers: usize,
         inspect: impl Fn(&Worker) -> T + Sync,
     ) -> Vec<T> {
         use crate::layout::SegmentConfig;
-        use crate::plan::CommPlanner;
-        use crate::trace::{default_cost_model, generate};
         let config = SipConfig {
             workers,
             io_servers: 0,
@@ -1022,27 +1017,21 @@ mod tests {
         };
         let program = Arc::new(sial_frontend::compile(src).unwrap());
         let layout = Arc::new(Layout::for_config(program, bindings, &config).unwrap());
-        let trace = generate(&layout, &default_cost_model()).unwrap();
-        let plan = CommPlanner::new(&layout, &trace).plan();
-        let anchor_gets = plan.anchor_gets(&layout);
         let (mut eps, _) = sia_fabric::build::<SipMsg>(1 + workers);
         let worker_eps = eps.split_off(1);
-        let mut master = crate::master::Master::new(
+        let master = crate::master::Master::new(
             Arc::clone(&layout),
             eps.pop().unwrap(),
             std::env::temp_dir(),
             None,
         );
-        master.set_plan(plan);
         std::thread::scope(|s| {
             let master = s.spawn(|| master.run());
             let ranks: Vec<_> = (worker_eps.into_iter())
                 .map(|ep| {
-                    let (layout, config) = (Arc::clone(&layout), config.clone());
-                    let (anchor_gets, inspect) = (Arc::clone(&anchor_gets), &inspect);
+                    let (layout, config, inspect) = (Arc::clone(&layout), config.clone(), &inspect);
                     s.spawn(move || {
                         let mut w = Worker::new(layout, config, ep, SuperRegistry::new());
-                        w.set_anchor_gets(anchor_gets);
                         crate::run_worker(&mut w, false);
                         inspect(&w)
                     })
@@ -1088,10 +1077,10 @@ endsial
             let bits = w.scalars[total.index()].to_bits();
             (w.lookahead_resolved, w.stolen_iterations, bits)
         };
-        let alone = run_planned(SRC, &bindings, 1, read)[0].2;
+        let alone = run_world(SRC, &bindings, 1, read)[0].2;
         let mut stolen = 0;
         for _ in 0..20 {
-            let ws = run_planned(SRC, &bindings, 2, read);
+            let ws = run_world(SRC, &bindings, 2, read);
             for (rank, &([here, elsewhere], steals, bits)) in ws.iter().enumerate() {
                 assert_eq!(here, 0, "worker {rank} looked ahead for its own blocks");
                 assert_eq!(

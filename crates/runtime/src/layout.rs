@@ -16,7 +16,8 @@ use crate::error::RuntimeError;
 use crate::msg::{BlockKey, MAX_RANK};
 use sia_blocks::{ContractError, ContractionPlan, Shape, SliceSpec};
 use sia_bytecode::{
-    Arg, ArrayId, ArrayKind, BlockRef, ConstBindings, IndexId, IndexKind, Instruction as I, Program,
+    Arg, ArrayId, ArrayKind, BlockRef, ConstBindings, IndexId, IndexKind, Instruction as I,
+    Program, PutMode,
 };
 use sia_fabric::{FaultPlan, Rank};
 use std::collections::BTreeMap;
@@ -886,6 +887,52 @@ impl RefFacts {
     }
 }
 
+/// Which reference of a pardo anchors its owner-compute affinity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Anchor {
+    /// The pardo's one fully pardo-bound Replace `put`.
+    Put,
+    /// The pardo puts no distributed array: its first `get` (in body
+    /// order) whose indices are a full pardo-bound key.
+    Get,
+}
+
+/// Owner-compute affinity for a pardo (DESIGN.md §17): the distributed
+/// array whose anchoring reference is fully pardo-bound, and for each of
+/// its dimensions the position of the addressing index inside the pardo
+/// index list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct OwnerCompute {
+    /// The anchoring array: written by a put anchor, read by a get anchor.
+    pub array: ArrayId,
+    /// `dim_pos[d]` = position in the pardo index list of the index
+    /// addressing dimension `d`.
+    pub dim_pos: Vec<usize>,
+    /// Which reference the anchor came from.
+    pub anchor: Anchor,
+}
+
+impl OwnerCompute {
+    /// The block key an iteration's anchor addresses, given the pardo index
+    /// values in pardo order. Built on the stack: the master calls this once
+    /// per iteration of every pardo encounter.
+    pub fn key_of(&self, pardo_vals: &[i64]) -> BlockKey {
+        let mut segs = [0; MAX_RANK];
+        for (seg, &p) in segs.iter_mut().zip(&self.dim_pos) {
+            *seg = pardo_vals[p];
+        }
+        BlockKey::new(self.array, &segs[..self.dim_pos.len()])
+    }
+
+    /// Whether a ref of `array` by `indices`, in the pardo over `pardo`,
+    /// addresses the anchor's block in every iteration.
+    pub fn is_read_by(&self, array: ArrayId, indices: &[IndexId], pardo: &[IndexId]) -> bool {
+        array == self.array
+            && indices.len() == self.dim_pos.len()
+            && (indices.iter().zip(&self.dim_pos)).all(|(&i, &p)| pardo[p] == i)
+    }
+}
+
 /// The static facts of a `PardoStart`.
 #[derive(Debug)]
 pub(crate) struct PardoFacts {
@@ -901,12 +948,17 @@ pub(crate) struct PardoFacts {
     /// not behind an `if`. An anchor whose blocks are local is not looked
     /// ahead: resolving keys only to find them local costs an all-local
     /// run 8 %. So a distributed array in a world of one worker is left out
-    /// here, and the chunk look-ahead skips the owner-compute anchor of an
-    /// iteration from the worker's own bucket
-    /// ([`CommPlan::anchor_gets`](crate::CommPlan)).
+    /// here, and the chunk look-ahead skips the gets `reads_anchor` marks
+    /// in an iteration from the worker's own bucket.
     pub gets: Box<[RefFacts]>,
+    /// Per entry of `gets`: whether it reads the `owner` anchor's block,
+    /// which an iteration from the worker's own bucket finds at home.
+    pub reads_anchor: Box<[bool]>,
     /// Declared bytes `gets` pulls per iteration.
     pub get_bytes: u64,
+    /// The anchor the master buckets the iterations by, if the body has
+    /// one.
+    pub owner: Option<OwnerCompute>,
 }
 
 /// What one instruction needs of the layout, resolved once when the layout
@@ -1078,12 +1130,72 @@ impl Layout {
             .ok_or_else(|| {
                 RuntimeError::BadBytecode(format!("pardo at pc {pc} binds an undeclared index"))
             })?;
+        let body = code
+            .get(pc as usize + 1..end_pc as usize)
+            .unwrap_or_default();
+        let owner = self.owner_compute(indices, body);
+        let reads_anchor = (gets.iter())
+            .map(|g| (owner.as_ref()).is_some_and(|o| o.is_read_by(g.array, g.indices(), indices)))
+            .collect();
         Ok(PardoFacts {
             slot,
             indices: indices.into(),
             ranges,
             get_bytes: gets.iter().map(|g| g.declared.bytes).sum(),
             gets: gets.into(),
+            reads_anchor,
+            owner,
+        })
+    }
+
+    /// The owner-compute anchor of the pardo over `pardo` whose body is
+    /// `body` (DESIGN.md §17). In a body that puts a distributed array it
+    /// is that put, when every such put is one Replace of one fully
+    /// pardo-bound key: only then does each iteration write one block of
+    /// its own (an accumulate or a second key leaves no anchor). A body
+    /// that puts no distributed array anchors on its first `get` whose
+    /// indices are a full pardo-bound key, so a read-only sweep runs where
+    /// its blocks live.
+    fn owner_compute(&self, pardo: &[IndexId], body: &[I]) -> Option<OwnerCompute> {
+        // An undeclared array is none; the ref is refused when its own
+        // instruction resolves.
+        let distributed = |r: &BlockRef| {
+            (self.program.arrays.get(r.array.index())).filter(|d| d.kind == ArrayKind::Distributed)
+        };
+        // The anchor a distributed ref makes when its indices are a full
+        // pardo-bound key of its array.
+        let keyed = |r: &BlockRef, anchor| {
+            let full = r.indices.len() == distributed(r)?.dims.len();
+            let dim_pos = (r.indices.iter())
+                .map(|i| pardo.iter().position(|p| p == i))
+                .collect::<Option<_>>()
+                .filter(|_| full)?;
+            Some(OwnerCompute {
+                array: r.array,
+                dim_pos,
+                anchor,
+            })
+        };
+        let mut owner = None;
+        for ins in body {
+            let I::Put { dest, mode, .. } = ins else {
+                continue;
+            };
+            if distributed(dest).is_none() {
+                continue;
+            }
+            let candidate = keyed(dest, Anchor::Put).filter(|_| *mode == PutMode::Replace)?;
+            match &owner {
+                None => owner = Some(candidate),
+                Some(o) if *o != candidate => return None,
+                Some(_) => {}
+            }
+        }
+        owner.or_else(|| {
+            body.iter().find_map(|ins| match ins {
+                I::Get { block } => keyed(block, Anchor::Get),
+                _ => None,
+            })
         })
     }
 }

@@ -98,7 +98,7 @@ pub use metrics::{
     WaitStats,
 };
 pub use msg::{BlockKey, OpId, Payload, SipMsg};
-pub use plan::{Anchor, BroadcastOp, CommPlan, CommPlanner, CommVolume, OwnerCompute};
+pub use plan::{BroadcastOp, CommPlan, CommPlanner, CommVolume};
 pub use profile::{lint_profile_json, ProfileLine, ProfileReport, WorkerProfile};
 pub use registry::{SuperArg, SuperEnv, SuperRegistry};
 pub use sampler::SAMPLE_TICK;
@@ -238,12 +238,11 @@ impl Sip {
 
         // ---- dry run -------------------------------------------------------
         let estimate = dryrun::estimate(&layout, &self.config);
-        // The communication plan is derived from the same layout every rank
-        // holds, so it is identical everywhere by construction. A program
-        // the trace walker cannot model (e.g. one that would nest pardos)
-        // degrades to an empty plan — the demand-fetch path still runs it.
-        let comm_plan = self.comm_plan(&layout).unwrap_or_default();
-        let predicted_bytes = comm_plan.volume.total();
+        // The planner's predicted volume feeds only the `comm_plan` metrics
+        // (owner-compute is a fact of the layout every rank holds). A
+        // program the trace walker cannot model (e.g. one that would nest
+        // pardos) predicts 0 bytes; the run itself is unaffected.
+        let predicted_bytes = self.comm_plan(&layout).map_or(0, |p| p.volume.total());
         if let Some(budget) = self.config.memory_budget {
             if !estimate.feasible(budget) {
                 let sufficient =
@@ -299,8 +298,6 @@ impl Sip {
             run_dir.clone(),
             self.config.fault.as_ref(),
         );
-        let anchor_gets = comm_plan.anchor_gets(&layout);
-        master.set_plan(comm_plan);
         master.served_epochs = resumed_epochs;
         if let Some(h) = &self.serving {
             master.set_progress(Arc::clone(&h.progress));
@@ -335,11 +332,9 @@ impl Sip {
                 let config = worker_config.clone();
                 let registry = self.registry.clone();
                 let collect = self.config.collect_distributed;
-                let anchor_gets = Arc::clone(&anchor_gets);
                 scope.spawn(move || {
                     let mut w = worker::Worker::new(layout, config, ep, registry);
                     w.resumed_epochs = resumed_epochs;
-                    w.set_anchor_gets(anchor_gets);
                     w.set_sampling(word);
                     if trace_on {
                         w.set_trace(mk_sink());

@@ -17,10 +17,9 @@
 use crate::error::{CommKind, RuntimeError};
 use crate::events::{EventKind, RankTrace, RecoveryEvent, TraceSink};
 use crate::ft::{self, Exhausted, Retry};
-use crate::layout::{FaultConfig, Layout};
+use crate::layout::{FaultConfig, Layout, OwnerCompute};
 use crate::metrics::{Merge, RecoveryStats, ServerStats};
 use crate::msg::{BarrierKind, BlockKey, KeyMap, OpId, Payload, SipMsg};
-use crate::plan::{CommPlan, OwnerCompute};
 use crate::profile::WorkerProfile;
 use crate::scheduler::{decode_ordinal, ChunkPolicy, GuidedScheduler, IterationSpace};
 use crate::serve::JobProgress;
@@ -38,7 +37,7 @@ use std::time::{Duration, Instant};
 struct PardoSched {
     space: IterationSpace,
     sched: GuidedScheduler,
-    /// Owner-compute affinity (regions whose plan names an owner): one
+    /// Owner-compute affinity (pardos whose layout facts name an owner): one
     /// queue per worker of the iterations whose anchor block — the block
     /// the region's aligned put writes, or in a read-only region the block
     /// its aligned get reads — is homed at that worker. Requests are served
@@ -236,10 +235,6 @@ pub struct Master {
     pub(crate) served_epochs: u64,
     /// A served-epoch commit in progress: (epoch, acks still missing).
     epoch_pending: Option<(u64, usize)>,
-    // ---- communication plan -------------------------------------------------
-    /// The derived communication plan (empty default unless the runtime
-    /// installs one); drives owner-compute chunk affinity.
-    plan: CommPlan,
     // ---- observability ------------------------------------------------------
     trace: TraceSink,
     /// The traces the other ranks shipped with their final reports.
@@ -284,7 +279,6 @@ impl Master {
             recovery: RecoveryStats::default(),
             served_epochs: 0,
             epoch_pending: None,
-            plan: CommPlan::default(),
             trace: TraceSink::disabled(),
             traces: Vec::new(),
             progress: None,
@@ -299,12 +293,6 @@ impl Master {
     /// Installs an event-trace sink (shared-epoch; see [`TraceSink`]).
     pub(crate) fn set_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
-    }
-
-    /// Installs the communication plan (called by the runtime before the
-    /// program starts).
-    pub(crate) fn set_plan(&mut self, plan: CommPlan) {
-        self.plan = plan;
     }
 
     fn workers(&self) -> usize {
@@ -371,8 +359,8 @@ impl Master {
             // the block each one's anchor writes or reads, so the accessing
             // rank is (preferentially) the owning rank and the put or get
             // short-circuits locally.
-            let affinity = (self.plan.region(pardo_pc))
-                .and_then(|r| r.owner.as_ref())
+            let affinity = (self.layout.pardo(pardo_pc))
+                .and_then(|f| f.owner.as_ref())
                 .map(|owner| owner_buckets(&self.layout, owner, &space, &ranges));
             self.schedulers.insert(
                 (pardo_pc, epoch),
@@ -1155,8 +1143,6 @@ mod tests {
     #[test]
     fn owner_buckets_hold_each_slabs_iterations_in_order() {
         use crate::layout::{SegmentConfig, Topology};
-        use crate::plan::CommPlanner;
-        use crate::trace::{default_cost_model, generate};
         const SRC: &str = "sial t
 aoindex i = 1, n
 aoindex j = 1, n
@@ -1189,19 +1175,18 @@ endsial
             };
             let layout =
                 Layout::new(program.clone(), &binds, segments, Topology::new(workers, 0)).unwrap();
-            let trace = generate(&layout, &default_cost_model()).unwrap();
-            let plan = CommPlanner::new(&layout, &trace).plan();
             let mut runs = 0;
-            for region in plan.regions.values() {
-                let owner = region.owner.as_ref().expect("an aligned anchor");
-                let Some(Instruction::PardoStart {
+            for (pc, ins) in program.code.iter().enumerate() {
+                let Instruction::PardoStart {
                     indices,
                     where_clauses,
                     ..
-                }) = program.code.get(region.pc as usize)
+                } = ins
                 else {
-                    panic!("no pardo at {}", region.pc);
+                    continue;
                 };
+                let owner = layout.pardo(pc as u32).and_then(|f| f.owner.as_ref());
+                let owner = owner.expect("an aligned anchor");
                 let ranges: Vec<(i64, i64)> = indices.iter().map(|&i| layout.range(i)).collect();
                 let space =
                     IterationSpace::enumerate(indices, &ranges, where_clauses, &|_| 0.0, &|_| 0)

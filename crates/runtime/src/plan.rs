@@ -5,11 +5,12 @@
 //! and for every pardo region classifies each distributed-array reference
 //! as
 //!
-//! * **aligned** — the region's owner-compute anchor: a `put` whose
-//!   indices are all pardo-bound, or, in a region that puts no distributed
-//!   array, the first `get` whose indices are a full pardo-bound key. With
-//!   the master's owner-compute chunk affinity the access lands on the rank
-//!   that already homes the block (no fabric traffic at all);
+//! * **aligned** — the region's owner-compute anchor, which the layout
+//!   decides per pardo: a `put` whose indices are all pardo-bound, or, in
+//!   a region that puts no distributed array, the first `get` whose
+//!   indices are a full pardo-bound key. With the master's owner-compute
+//!   chunk affinity the access lands on the rank that already homes the
+//!   block (no fabric traffic at all);
 //! * **broadcast-shaped** — a `get` whose indices are all pardo-bound but
 //!   form a *strict subset* of the pardo indices, so many iterations (on
 //!   many ranks) read the same block, each rank fetching it once;
@@ -18,19 +19,16 @@
 //!
 //! The classification is purely static and deterministic: it depends only
 //! on the program, the resolved index ranges, and the topology — never on
-//! execution order — so every rank derives the identical plan from the
-//! same `Layout`.
-//!
-//! The planner also predicts a per-rank communication-volume table
-//! (`sial dryrun` prints it; metrics compare it against the measured
-//! volume).
+//! execution order. From it and the dry-run trace the planner predicts a
+//! per-rank communication-volume table (`sial dryrun` prints it; metrics
+//! compare it against the measured volume). Nothing of the plan reaches
+//! the master or the workers.
 
-use crate::layout::Layout;
-use crate::msg::{BlockKey, MAX_RANK};
+use crate::layout::{Anchor, Layout};
+use crate::msg::BlockKey;
 use crate::trace::{Trace, TracePhase};
-use sia_bytecode::{ArrayId, ArrayKind, IndexId, Instruction as I, PutMode};
+use sia_bytecode::{ArrayId, ArrayKind, IndexId, Instruction as I};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// One broadcast-shaped operand of a pardo region.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,43 +44,6 @@ pub struct BroadcastOp {
     pub block_bytes: u64,
 }
 
-/// Which reference of a region anchors its owner-compute affinity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Anchor {
-    /// The region's one fully pardo-bound Replace `put`.
-    Put,
-    /// The region puts no distributed array: its first `get` (in body
-    /// order) whose indices are a full pardo-bound key.
-    Get,
-}
-
-/// Owner-compute affinity for a pardo region: the distributed array whose
-/// anchoring reference is fully pardo-bound, and for each of its dimensions
-/// the position of the addressing index inside the pardo index list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OwnerCompute {
-    /// The anchoring array: written by a put anchor, read by a get anchor.
-    pub array: ArrayId,
-    /// `dim_pos[d]` = position in the pardo index list of the index
-    /// addressing dimension `d`.
-    pub dim_pos: Vec<usize>,
-    /// Which reference the anchor came from.
-    pub anchor: Anchor,
-}
-
-impl OwnerCompute {
-    /// The block key an iteration's anchor addresses, given the pardo index
-    /// values in pardo order. Built on the stack: the master calls this once
-    /// per iteration of every pardo encounter.
-    pub fn key_of(&self, pardo_vals: &[i64]) -> BlockKey {
-        let mut segs = [0; MAX_RANK];
-        for (seg, &p) in segs.iter_mut().zip(&self.dim_pos) {
-            *seg = pardo_vals[p];
-        }
-        BlockKey::new(self.array, &segs[..self.dim_pos.len()])
-    }
-}
-
 /// The plan for one pardo region, keyed by the `PardoStart` pc.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionPlan {
@@ -92,11 +53,6 @@ pub struct RegionPlan {
     pub indices: Vec<IndexId>,
     /// Operands read by whole groups of iterations.
     pub broadcast: Vec<BroadcastOp>,
-    /// Owner-compute affinity: the region's one fully-pardo-bound
-    /// distributed Replace `put` target (none when a second write pattern
-    /// or an accumulate conflicts), or, when the region puts no
-    /// distributed array, its first fully-pardo-bound `get`.
-    pub owner: Option<OwnerCompute>,
 }
 
 /// Predicted per-rank communication volume (fabric bytes in + out).
@@ -147,34 +103,6 @@ pub struct CommPlan {
 }
 
 impl CommPlan {
-    /// The plan for the pardo starting at `pc`, if any.
-    pub fn region(&self, pc: u32) -> Option<&RegionPlan> {
-        self.regions.get(&pc)
-    }
-
-    /// Per pardo slot, per look-ahead get of that pardo
-    /// ([`PardoFacts::gets`](crate::layout::PardoFacts)): whether the get
-    /// reads its region's owner-compute anchor block. That block is homed
-    /// at whichever worker runs an iteration drawn from its own bucket, so
-    /// the chunk look-ahead leaves it out of such iterations (DESIGN.md
-    /// §17).
-    pub(crate) fn anchor_gets(&self, layout: &Layout) -> Arc<[Box<[bool]>]> {
-        let mut table = vec![Box::<[bool]>::default(); layout.pardos];
-        for region in self.regions.values() {
-            let (Some(owner), Some(facts)) = (&region.owner, layout.pardo(region.pc)) else {
-                continue;
-            };
-            let reads_anchor = |g: &crate::layout::RefFacts| {
-                g.array == owner.array
-                    && g.indices().len() == owner.dim_pos.len()
-                    && (g.indices().iter().zip(&owner.dim_pos))
-                        .all(|(&i, &p)| facts.indices[p] == i)
-            };
-            table[facts.slot] = facts.gets.iter().map(reads_anchor).collect();
-        }
-        table.into()
-    }
-
     /// Renders the per-rank volume table the dryrun prints.
     pub fn volume_table(&self) -> String {
         use std::fmt::Write;
@@ -260,122 +188,57 @@ impl<'a> CommPlanner<'a> {
         CommPlan { regions, volume }
     }
 
-    /// Classifies one pardo body.
+    /// Classifies one pardo body's reads.
     fn plan_region(&self, pc: u32, pardo: &[IndexId], end_pc: u32) -> RegionPlan {
         let code = &self.layout.program.code;
         let body = &code[(pc as usize + 1)..(end_pc as usize)];
 
         // Arrays written anywhere in the body are never broadcast: their
         // blocks change under the readers.
-        let mut written: Vec<ArrayId> = Vec::new();
-        for ins in body {
-            if let I::Put { dest, .. } = ins {
-                written.push(dest.array);
-            }
-        }
-        // A region that puts no distributed array takes its anchor from a
-        // read instead.
-        let read_only = !written
-            .iter()
-            .any(|&a| self.layout.array_kind(a) == ArrayKind::Distributed);
-        // The pardo positions of a reference's indices when they are a full
-        // pardo-bound key of its array.
-        let full_key = |array: ArrayId, indices: &[IndexId]| -> Option<Vec<usize>> {
-            if indices.len() != self.layout.array(array).dims.len() {
-                return None;
-            }
-            indices
-                .iter()
-                .map(|i| pardo.iter().position(|p| p == i))
-                .collect()
-        };
-
+        let written: Vec<ArrayId> = (body.iter())
+            .filter_map(|ins| match ins {
+                I::Put { dest, .. } => Some(dest.array),
+                _ => None,
+            })
+            .collect();
+        // Each iteration runs where its get anchor's block lives, so that
+        // read is local, not broadcast.
+        let owner = self.layout.pardo(pc).and_then(|f| f.owner.as_ref());
         let mut broadcast: Vec<BroadcastOp> = Vec::new();
-        let mut owner: Option<OwnerCompute> = None;
-        let mut owner_conflict = false;
         for ins in body {
-            match ins {
-                I::Get { block } => {
-                    if self.layout.array_kind(block.array) != ArrayKind::Distributed
-                        || written.contains(&block.array)
-                    {
-                        continue;
-                    }
-                    if read_only && owner.is_none() {
-                        if let Some(dim_pos) = full_key(block.array, &block.indices) {
-                            // Each iteration runs where the block it reads
-                            // lives, so the read is local, not broadcast.
-                            owner = Some(OwnerCompute {
-                                array: block.array,
-                                dim_pos,
-                                anchor: Anchor::Get,
-                            });
-                            continue;
-                        }
-                    }
-                    let all_bound = block.indices.iter().all(|i| pardo.contains(i));
-                    // Strict subset: at least one pardo index does not
-                    // address the operand, so whole groups of iterations
-                    // share each block.
-                    let strict = pardo.iter().any(|i| !block.indices.contains(i));
-                    if !all_bound || !strict {
-                        continue;
-                    }
-                    if broadcast
-                        .iter()
-                        .any(|b| b.array == block.array && b.indices == block.indices)
-                    {
-                        continue;
-                    }
-                    let blocks: u64 = block
-                        .indices
-                        .iter()
-                        .map(|&i| self.layout.range_len(i))
-                        .product();
-                    broadcast.push(BroadcastOp {
-                        array: block.array,
-                        indices: block.indices.clone(),
-                        blocks,
-                        block_bytes: self.layout.block_bytes(block.array),
-                    });
-                }
-                I::Put { dest, mode, .. } => {
-                    if self.layout.array_kind(dest.array) != ArrayKind::Distributed {
-                        continue;
-                    }
-                    // Accumulates from several iterations may target one
-                    // block; affinity would then pick one owner for
-                    // iterations that also read elsewhere — still sound,
-                    // but only Replace guarantees a one-to-one
-                    // iteration→block map worth steering for.
-                    let dim_pos =
-                        full_key(dest.array, &dest.indices).filter(|_| *mode == PutMode::Replace);
-                    let Some(dim_pos) = dim_pos else {
-                        owner_conflict = true;
-                        continue;
-                    };
-                    let candidate = OwnerCompute {
-                        array: dest.array,
-                        dim_pos,
-                        anchor: Anchor::Put,
-                    };
-                    match &owner {
-                        None => owner = Some(candidate),
-                        Some(o) if *o == candidate => {}
-                        Some(_) => owner_conflict = true,
-                    }
-                }
-                _ => {}
+            let I::Get { block } = ins else {
+                continue;
+            };
+            if self.layout.array_kind(block.array) != ArrayKind::Distributed
+                || written.contains(&block.array)
+                || owner.is_some_and(|o| o.is_read_by(block.array, &block.indices, pardo))
+            {
+                continue;
             }
-        }
-        if owner_conflict {
-            owner = None;
+            let all_bound = block.indices.iter().all(|i| pardo.contains(i));
+            // Strict subset: at least one pardo index does not address the
+            // operand, so whole groups of iterations share each block.
+            let strict = pardo.iter().any(|i| !block.indices.contains(i));
+            if !all_bound
+                || !strict
+                || (broadcast.iter()).any(|b| b.array == block.array && b.indices == block.indices)
+            {
+                continue;
+            }
+            let blocks = (block.indices.iter())
+                .map(|&i| self.layout.range_len(i))
+                .fold(1, u64::saturating_mul);
+            broadcast.push(BroadcastOp {
+                array: block.array,
+                indices: block.indices.clone(),
+                blocks,
+                block_bytes: self.layout.block_bytes(block.array),
+            });
         }
         RegionPlan {
             pc,
             indices: pardo.to_vec(),
             broadcast,
-            owner,
         }
     }
 
@@ -424,7 +287,8 @@ impl<'a> CommPlanner<'a> {
 
             // The anchor's access: local under owner-compute, no traffic.
             let (mut aligned_get, mut aligned_put) = ((0u64, 0u64), (0u64, 0u64));
-            if let Some(owner) = region.and_then(|r| r.owner.as_ref()) {
+            let owner = pc.and_then(|pc| self.layout.pardo(pc)?.owner.as_ref());
+            if let Some(owner) = owner {
                 let bytes = self.layout.block_bytes(owner.array);
                 let discount = bytes - self.effective_bytes(owner.array, bytes);
                 match owner.anchor {
@@ -442,18 +306,17 @@ impl<'a> CommPlanner<'a> {
                 .get_discount_bytes
                 .saturating_sub(bcast_get_discount_per_iter + aligned_get.1);
             let put_discount = per_iter.put_discount_bytes.saturating_sub(aligned_put.1);
-            let other_get = (iterations * per_iter.get_bytes)
-                .saturating_sub(iterations * (bcast_get_bytes_per_iter + aligned_get.0))
-                .saturating_sub(iterations * get_discount);
-            let other_put = (iterations * per_iter.put_bytes)
-                .saturating_sub(iterations * aligned_put.0)
-                .saturating_sub(iterations * put_discount);
-            let served = (iterations * (per_iter.request_bytes + per_iter.prepare_bytes))
-                .saturating_sub(
-                    iterations
-                        * (per_iter.request_discount_bytes + per_iter.prepare_discount_bytes),
-                );
-            let other = (other_get + other_put + served) as f64;
+            let other_get = (per_iter.get_bytes)
+                .saturating_sub(bcast_get_bytes_per_iter + aligned_get.0)
+                .saturating_sub(get_discount);
+            let other_put = (per_iter.put_bytes)
+                .saturating_sub(aligned_put.0)
+                .saturating_sub(put_discount);
+            let served = (per_iter.request_bytes + per_iter.prepare_bytes)
+                .saturating_sub(per_iter.request_discount_bytes + per_iter.prepare_discount_bytes);
+            // Over all iterations, in `f64`: a space of up to 2^64
+            // iterations must not overflow the product.
+            let other = iterations as f64 * (other_get + other_put + served) as f64;
             // in + out for each transferred byte, remote fraction (W−1)/W.
             let per_rank = other * remote * 2.0 / w;
             for v in vol.per_rank.iter_mut() {
@@ -468,7 +331,7 @@ impl<'a> CommPlanner<'a> {
         let workers = self.layout.topology.workers;
         let w = workers as f64;
         let eff_bytes = self.effective_bytes(b.array, b.block_bytes);
-        let cost = b.blocks * workers as u64;
+        let cost = b.blocks.saturating_mul(workers as u64);
         if cost > ENUMERATION_LIMIT {
             // Uniform fallback: every rank receives each block once;
             // outbound averages out across homes in aggregate.
@@ -512,7 +375,7 @@ impl<'a> CommPlanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{SegmentConfig, Topology};
+    use crate::layout::{OwnerCompute, SegmentConfig, Topology};
     use crate::trace::{default_cost_model, generate};
     use sia_bytecode::ConstBindings;
     use std::sync::Arc;
@@ -538,6 +401,13 @@ mod tests {
         let trace = generate(&layout, &default_cost_model()).unwrap();
         let plan = CommPlanner::new(&layout, &trace).plan();
         (layout, plan)
+    }
+
+    /// The owner-compute anchor the layout decided for the program's first
+    /// pardo.
+    fn owner_of(layout: &Layout) -> Option<&OwnerCompute> {
+        let pardo = (0..layout.program.code.len() as u32).find_map(|pc| layout.pardo(pc));
+        pardo?.owner.as_ref()
     }
 
     const BCAST: &str = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed F(M)\ndistributed R(M,N)\ntemp f(M)\ntemp q(M,N)\npardo M, N\nget F(M)\nf(M) = F(M)\nq(M,N) = 0.0\nput R(M,N) = q(M,N)\nendpardo\nendsial\n";
@@ -582,9 +452,8 @@ mod tests {
 
     #[test]
     fn owner_compute_detected_and_keys_map() {
-        let (_, plan) = plan_of(BCAST, 4);
-        let region = plan.regions.values().next().unwrap();
-        let owner = region.owner.as_ref().expect("owner-compute");
+        let (layout, _) = plan_of(BCAST, 4);
+        let owner = owner_of(&layout).expect("owner-compute");
         // pardo M, N; put R(M,N): dim 0 ← pardo pos 0, dim 1 ← pos 1.
         assert_eq!(owner.dim_pos, vec![0, 1]);
         let key = owner.key_of(&[2, 3]);
@@ -597,9 +466,9 @@ mod tests {
     #[test]
     fn read_only_region_anchors_on_its_aligned_get() {
         let reads = "sial t\naoindex M = 1, n\naoindex N = 1, n\naoindex L = 1, n\ndistributed R(M,N)\ndistributed X(M,L)\ntemp q(M,N)\ntemp x(M,L)\npardo M, N\nget R(M,N)\nq(M,N) = R(M,N)\ndo L\nget X(M,L)\nx(M,L) = X(M,L)\nenddo L\nendpardo\nendsial\n";
-        let (_, with) = plan_of(reads, 6);
+        let (layout, with) = plan_of(reads, 6);
         let region = with.regions.values().next().unwrap();
-        let owner = region.owner.as_ref().expect("a get anchor");
+        let owner = owner_of(&layout).expect("a get anchor");
         assert_eq!(
             (owner.anchor, &owner.dim_pos[..]),
             (Anchor::Get, &[0, 1][..])
@@ -617,9 +486,8 @@ mod tests {
     #[test]
     fn transposed_get_anchor_permutes_dim_pos() {
         let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed R(M,N)\ntemp q(N,M)\npardo M, N\nget R(N,M)\nq(N,M) = R(N,M)\nendpardo\nendsial\n";
-        let (_, plan) = plan_of(src, 4);
-        let owner = plan.regions.values().next().unwrap().owner.as_ref();
-        let owner = owner.expect("a get anchor");
+        let (layout, _) = plan_of(src, 4);
+        let owner = owner_of(&layout).expect("a get anchor");
         assert_eq!(
             (owner.anchor, &owner.dim_pos[..]),
             (Anchor::Get, &[1, 0][..])
@@ -631,9 +499,8 @@ mod tests {
     #[test]
     fn put_region_keeps_its_put_anchor() {
         let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed A(M,N)\ndistributed R(M,N)\ntemp q(N,M)\npardo M, N\nget A(M,N)\nq(N,M) = A(M,N)\nput R(N,M) = q(N,M)\nendpardo\nendsial\n";
-        let (layout, plan) = plan_of(src, 4);
-        let owner = plan.regions.values().next().unwrap().owner.as_ref();
-        let owner = owner.expect("a put anchor");
+        let (layout, _) = plan_of(src, 4);
+        let owner = owner_of(&layout).expect("a put anchor");
         let r = layout.program.array_by_name("R").unwrap();
         assert_eq!(
             (owner.array, owner.anchor, &owner.dim_pos[..]),
@@ -641,16 +508,15 @@ mod tests {
         );
         // An accumulating put still leaves the region without an owner,
         // even though it reads a full key.
-        let (_, acc) = plan_of(&src.replace("put R(N,M) =", "put R(N,M) +="), 4);
-        assert!(acc.regions.values().next().unwrap().owner.is_none());
+        let (acc, _) = plan_of(&src.replace("put R(N,M) =", "put R(N,M) +="), 4);
+        assert!(owner_of(&acc).is_none());
     }
 
     #[test]
     fn accumulate_put_disables_owner_compute() {
         let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed R(M)\ntemp q(M)\npardo M, N\nq(M) = 1.0\nput R(M) += q(M)\nendpardo\nendsial\n";
-        let (_, plan) = plan_of(src, 4);
-        let region = plan.regions.values().next().unwrap();
-        assert!(region.owner.is_none());
+        let (layout, _) = plan_of(src, 4);
+        assert!(owner_of(&layout).is_none());
     }
 
     #[test]
@@ -667,7 +533,7 @@ mod tests {
     fn aligned_puts_charge_no_volume() {
         let (layout, with) = plan_of(BCAST, 6);
         let region = with.regions.values().next().unwrap();
-        assert_eq!(region.owner.as_ref().map(|o| o.anchor), Some(Anchor::Put));
+        assert_eq!(owner_of(&layout).map(|o| o.anchor), Some(Anchor::Put));
         assert!(with.volume.total() > 0);
         let trace = generate(&layout, &default_cost_model()).unwrap();
         let mut broadcast_only = CommVolume::new(layout.topology.workers);

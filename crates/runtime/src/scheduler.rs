@@ -140,12 +140,7 @@ impl IterationSpace {
         let count = if indices.is_empty() {
             0
         } else {
-            ranges
-                .iter()
-                .try_fold(1u64, |n, &(lo, hi)| n.checked_mul((hi - lo + 1) as u64))
-                .ok_or_else(|| {
-                    RuntimeError::BadProgram("pardo iteration space exceeds 2^64".into())
-                })?
+            cross_product(ranges)?
         };
         if wheres.is_empty() {
             return Ok(IterationSpace {
@@ -195,6 +190,14 @@ impl IterationSpace {
             None => i,
         }
     }
+}
+
+/// The number of assignments in the cross product of `ranges`, or
+/// [`RuntimeError::BadProgram`] when it has more than 2^64.
+pub(crate) fn cross_product(ranges: &[(i64, i64)]) -> Result<u64, RuntimeError> {
+    (ranges.iter())
+        .try_fold(1u64, |n, &(lo, hi)| n.checked_mul((hi - lo + 1) as u64))
+        .ok_or_else(|| RuntimeError::BadProgram("pardo iteration space exceeds 2^64".into()))
 }
 
 /// Decodes an iteration ordinal of the cross product of `ranges` (row-major,

@@ -14,7 +14,9 @@
 
 use crate::error::RuntimeError;
 use crate::layout::Layout;
-use crate::scheduler::{check_where_indices, decode_ordinal, eval_bool, eval_scalar};
+use crate::scheduler::{
+    check_where_indices, cross_product, decode_ordinal, eval_bool, eval_scalar,
+};
 use sia_blocks::Shape;
 use sia_bytecode::{ArrayKind, BlockRef, IndexId, Instruction as I};
 use std::collections::HashSet;
@@ -480,7 +482,8 @@ impl<'a> Walker<'a> {
     /// Counts iterations passing the where clauses, returning the first
     /// passing assignment. Uses exact enumeration up to a limit, then
     /// deterministic strided sampling. A where clause over an index the
-    /// pardo does not bind is refused as the master refuses it.
+    /// pardo does not bind, or a space of more than 2^64 iterations, is
+    /// refused as the master refuses it.
     fn count_iterations(
         &self,
         indices: &[IndexId],
@@ -488,10 +491,7 @@ impl<'a> Walker<'a> {
         wheres: &[sia_bytecode::BoolExpr],
     ) -> Result<(u64, Option<Vec<i64>>), RuntimeError> {
         check_where_indices(indices, wheres)?;
-        let product: u64 = ranges
-            .iter()
-            .map(|&(lo, hi)| (hi - lo + 1) as u64)
-            .product();
+        let product = cross_product(ranges)?;
         if product == 0 {
             return Ok((0, None));
         }

@@ -118,10 +118,6 @@ pub struct Worker {
     pub(crate) window_bytes: u64,
     /// The keys one look-ahead window asks for, kept between windows.
     pub(crate) lookahead_keys: Vec<BlockKey>,
-    /// Per pardo slot, which of its look-ahead gets read the region's
-    /// owner-compute anchor ([`CommPlan::anchor_gets`](crate::CommPlan));
-    /// empty until the runtime installs the run's plan.
-    pub(crate) anchor_gets: Arc<[Box<[bool]>]>,
     /// Keys the chunk look-ahead resolved, `[homed here, homed
     /// elsewhere]`.
     #[cfg(test)]
@@ -226,7 +222,6 @@ impl Worker {
             pardo_epochs: vec![0; pardos],
             window_bytes: cache_bytes / WINDOW_CACHE_SHARE,
             lookahead_keys: Vec::new(),
-            anchor_gets: Arc::from([]),
             #[cfg(test)]
             lookahead_resolved: [0; 2],
             #[cfg(test)]
@@ -256,12 +251,6 @@ impl Worker {
     /// runtime before the program starts).
     pub(crate) fn set_sampling(&mut self, word: RankWord) {
         self.word = word;
-    }
-
-    /// Installs the run's per-pardo anchor flags (called by the runtime
-    /// before the program starts).
-    pub(crate) fn set_anchor_gets(&mut self, anchor_gets: Arc<[Box<[bool]>]>) {
-        self.anchor_gets = anchor_gets;
     }
 
     /// Installs the event sink (called by the runtime before the program
@@ -398,8 +387,7 @@ impl Worker {
                         }
                         #[cfg(test)]
                         if (self.layout.pardo(pardo_pc))
-                            .and_then(|f| self.anchor_gets.get(f.slot))
-                            .is_some_and(|a| a.contains(&true))
+                            .is_some_and(|f| f.reads_anchor.contains(&true))
                         {
                             self.stolen_iterations += (ordinals.len() - own as usize) as u64;
                         }

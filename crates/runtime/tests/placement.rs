@@ -173,11 +173,43 @@ execute sip_allreduce total
 endsial
 ";
 
+/// The pcs of `src`'s pardos, in program order.
+fn pardo_pcs(src: &str) -> Vec<u32> {
+    let program = sial_frontend::compile(src).unwrap();
+    (program.code.iter().enumerate())
+        .filter(|(_, ins)| matches!(ins, Instruction::PardoStart { .. }))
+        .map(|(pc, _)| pc as u32)
+        .collect()
+}
+
+/// The iterations a traced run's master granted for the pardos at `pcs`,
+/// and how many of them it stole from another worker's bucket.
+fn granted(out: &RunOutput, pcs: &[u32]) -> (u64, u64) {
+    let trace = out.trace.as_ref().expect("a traced run");
+    let (mut iterations, mut stolen) = (0, 0);
+    for e in trace.ranks.iter().flat_map(|r| &r.events) {
+        if let EventKind::Grant {
+            pc,
+            iterations: n,
+            stolen: s,
+            ..
+        } = e.kind
+        {
+            if pcs.contains(&pc) {
+                iterations += u64::from(n);
+                stolen += u64::from(s);
+            }
+        }
+    }
+    (iterations, stolen)
+}
+
 /// Owner-compute: the master hands each iteration of `pardo i, j { …; put
-/// X(i,j) }` to the worker homing `X(i,j)`, so the put stays local. Of the
-/// 11 264 aligned puts on two workers (1 024 fill + 10 × 1 024 copies) at
-/// most 15 % cross the fabric — those of iterations stolen to balance the
-/// tail.
+/// X(i,j) }` to the worker homing `X(i,j)`, so the put stays local. The
+/// only remote puts are those of iterations stolen from the other worker's
+/// bucket to balance the tail, which the master's grant events count; of
+/// the 11 264 aligned puts on two workers (1 024 fill + 10 × 1 024 copies)
+/// at most 15 % cross the fabric.
 #[test]
 fn owner_compute_keeps_aligned_puts_local() {
     let program = sial_frontend::compile(PUTGET).unwrap();
@@ -186,11 +218,21 @@ fn owner_compute_keeps_aligned_puts_local() {
         .workers(2)
         .io_servers(0)
         .segment_size(4)
+        .trace(true)
         .build()
         .unwrap();
     let out = Sip::new(config).run(program, &bindings).unwrap();
+    // The fill and the copy sweep anchor on their puts; the read sweep
+    // puts nothing.
+    let pardos = pardo_pcs(PUTGET);
+    let (iterations, stolen) = granted(&out, &pardos[..2]);
     let aligned_puts = 32 * 32 * 11;
+    assert_eq!(iterations, aligned_puts, "the grants cover every put");
     let remote = out.profile.metrics.comm.puts_acked;
+    assert!(
+        remote <= stolen,
+        "{remote} remote puts, {stolen} stolen iterations"
+    );
     assert!(
         remote as f64 <= 0.15 * aligned_puts as f64,
         "{remote} of {aligned_puts} aligned puts went remote"
@@ -245,28 +287,7 @@ fn owner_compute_keeps_aligned_reads_local() {
         .build()
         .unwrap();
     let out = run(READ_SWEEP, 32, traced);
-    let program = sial_frontend::compile(READ_SWEEP).unwrap();
-    let pardos: Vec<u32> = (program.code.iter().enumerate())
-        .filter(|(_, ins)| matches!(ins, Instruction::PardoStart { .. }))
-        .map(|(pc, _)| pc as u32)
-        .collect();
-    let sweep = pardos[1];
-    let (mut iterations, mut stolen) = (0u64, 0u64);
-    let trace = out.trace.as_ref().expect("a traced run");
-    for e in trace.ranks.iter().flat_map(|r| &r.events) {
-        if let EventKind::Grant {
-            pc,
-            iterations: n,
-            stolen: s,
-            ..
-        } = e.kind
-        {
-            if pc == sweep {
-                iterations += u64::from(n);
-                stolen += u64::from(s);
-            }
-        }
-    }
+    let (iterations, stolen) = granted(&out, &pardo_pcs(READ_SWEEP)[1..]);
     let sweep_iterations = 20 * 32 * 32;
     assert_eq!(iterations, sweep_iterations, "the grants cover every sweep");
     // The fill only puts: every fetch of the run is the sweeps'.

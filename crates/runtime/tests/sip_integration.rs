@@ -397,6 +397,48 @@ endsial
     }
 }
 
+/// A pardo whose iteration space has more than 2^64 iterations
+/// (131 072⁴ = 2^68) is refused with one typed error by the run and by the
+/// dry-run planner alike: the planner's trace walker counts the space with
+/// the master's checked product, so it neither overflows nor wraps to an
+/// empty plan.
+#[test]
+fn an_iteration_space_past_2_64_is_refused_by_run_and_plan() {
+    const SRC: &str = "sial huge
+aoindex i = 1, n
+aoindex j = 1, n
+aoindex k = 1, n
+aoindex l = 1, n
+temp t(i)
+pardo i, j, k, l
+  t(i) = 1.0
+endpardo i, j, k, l
+endsial
+";
+    let cfg = SipConfig::builder()
+        .workers(2)
+        .io_servers(0)
+        .segment_size(1)
+        .build()
+        .unwrap();
+    let binds = bindings(&[("n", 131_072)]);
+    let sip = Sip::new(cfg);
+    let refused = |err: RuntimeError| {
+        assert!(
+            matches!(&err, RuntimeError::BadProgram(m) if m.contains("exceeds 2^64")),
+            "{err}"
+        );
+    };
+    refused(
+        sip.plan(sial_frontend::compile(SRC).unwrap(), &binds)
+            .unwrap_err(),
+    );
+    refused(
+        sip.run(sial_frontend::compile(SRC).unwrap(), &binds)
+            .unwrap_err(),
+    );
+}
+
 #[test]
 fn barrier_misuse_detected() {
     // Replace-put and get of the same array with no separating barrier.
