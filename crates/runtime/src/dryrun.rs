@@ -46,9 +46,10 @@ pub struct MemoryEstimate {
 }
 
 impl MemoryEstimate {
-    /// Does the estimate fit a per-worker budget?
+    /// Does the estimate fit a per-worker budget? A saturated estimate
+    /// (more bytes than a `u64` counts) fits none.
     pub fn feasible(&self, budget: u64) -> bool {
-        self.per_worker_bytes <= budget
+        self.per_worker_bytes <= budget && self.per_worker_bytes < u64::MAX
     }
 }
 
@@ -91,24 +92,29 @@ fn per_worker(layout: &Layout, config: &SipConfig, workers: u64) -> MemoryEstima
             // One live block per temp.
             ArrayKind::Temp => 1,
         };
-        let dense_bytes = home_blocks * bb;
+        // Counts past `u64` saturate (a daemon's socket may bring any
+        // binding), and the saturated estimate fits no budget.
+        let dense_bytes = home_blocks.saturating_mul(bb);
         // Realized: payload for the expected-live blocks, a norm-table
         // entry for each expected-dropped block.
         let live = ((home_blocks as f64) * density).ceil() as u64;
         let live = live.min(home_blocks);
-        let bytes = live * bb + (home_blocks - live) * NORM_TABLE_ENTRY_BYTES;
+        let bytes = (live.saturating_mul(bb))
+            .saturating_add((home_blocks - live).saturating_mul(NORM_TABLE_ENTRY_BYTES));
         // A sparse served array's dropped blocks cost its home — the I/O
         // server — a norm-table entry each (disk holds the live payloads).
         if decl.kind == ArrayKind::Served && decl.sparse {
             let server_blocks = blocks.div_ceil(servers);
             let server_live = (((server_blocks as f64) * density).ceil() as u64).min(server_blocks);
-            server_norm_bytes += (server_blocks - server_live) * NORM_TABLE_ENTRY_BYTES;
+            server_norm_bytes = server_norm_bytes.saturating_add(
+                (server_blocks - server_live).saturating_mul(NORM_TABLE_ENTRY_BYTES),
+            );
         }
         if bytes > 0 {
             breakdown.push((decl.name.clone(), bytes));
         }
-        total += bytes;
-        dense_total += dense_bytes;
+        total = total.saturating_add(bytes);
+        dense_total = dense_total.saturating_add(dense_bytes);
     }
     // The same sizing the worker's BlockManager uses at runtime, so the
     // prediction and the enforced ceiling are in the same units. The cache
@@ -138,14 +144,14 @@ pub(crate) fn cache_bytes(blocks: usize, block_bytes: u64) -> u64 {
 pub fn sufficient_workers(layout: &Layout, config: &SipConfig, budget: u64) -> Option<usize> {
     // Fixed part: everything that does not shrink with more workers.
     let many = per_worker(layout, config, u64::MAX / 2);
-    if many.per_worker_bytes > budget {
+    if !many.feasible(budget) {
         return None;
     }
     // Binary search the worker count (estimate is monotone nonincreasing).
     let (mut lo, mut hi) = (1u64, 1u64 << 32);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if per_worker(layout, config, mid).per_worker_bytes <= budget {
+        if per_worker(layout, config, mid).feasible(budget) {
             hi = mid;
         } else {
             lo = mid + 1;

@@ -657,7 +657,7 @@ impl Layout {
     }
 
     /// Worker slot (0-based) of a distributed block — the placement every
-    /// runtime caller resolves through (master, workers, dry run, planner).
+    /// runtime caller resolves through (master and workers).
     ///
     /// The array's blocks are cut into `workers` slabs of consecutive
     /// [`block_ordinal`](Self::block_ordinal)s: the block lands in slab
@@ -1690,5 +1690,94 @@ endsial
             .map(|o| l.slot_of_distributed(&l.block_key(ArrayId(0), o)))
             .collect();
         assert_eq!(slots, [0, 0, 0, 1, 1, 1, 2, 2]);
+    }
+
+    /// `src` compiled with `n` (and `nocc` = 2) bound, in segments of 4 on
+    /// three workers.
+    fn layout_of(src: &str, n: i64) -> Layout {
+        let program = sial_frontend::compile(src).unwrap();
+        let bindings = ConstBindings::from([("n".into(), n), ("nocc".into(), 2)]);
+        let segments = SegmentConfig {
+            default: 4,
+            ..Default::default()
+        };
+        Layout::new(Arc::new(program), &bindings, segments, Topology::new(3, 1)).unwrap()
+    }
+
+    /// The owner-compute anchor of the program's first pardo.
+    fn owner_of(layout: &Layout) -> Option<&OwnerCompute> {
+        let pardo = (0..layout.program.code.len() as u32).find_map(|pc| layout.pardo(pc));
+        pardo?.owner.as_ref()
+    }
+
+    #[test]
+    fn owner_compute_detected_and_keys_map() {
+        let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed F(M)\ndistributed R(M,N)\ntemp f(M)\ntemp q(M,N)\npardo M, N\nget F(M)\nf(M) = F(M)\nq(M,N) = 0.0\nput R(M,N) = q(M,N)\nendpardo\nendsial\n";
+        let layout = layout_of(src, 4);
+        let owner = owner_of(&layout).expect("owner-compute");
+        // pardo M, N; put R(M,N): dim 0 ← pardo pos 0, dim 1 ← pos 1.
+        assert_eq!(owner.dim_pos, vec![0, 1]);
+        let key = owner.key_of(&[2, 3]);
+        assert_eq!(&key.segs[..2], &[2, 3]);
+    }
+
+    /// A read-only region anchors on its aligned get, whose reads are then
+    /// local: the program predicts the same fabric bytes as one that does
+    /// not read `R` at all.
+    #[test]
+    fn read_only_region_anchors_on_its_aligned_get() {
+        let predicted = |src: &str| {
+            crate::trace::predicted_fabric_bytes(&layout_of(src, 6), &BTreeMap::new()).unwrap()
+        };
+        let reads = "sial t\naoindex M = 1, n\naoindex N = 1, n\naoindex L = 1, n\ndistributed R(M,N)\ndistributed X(M,L)\ntemp q(M,N)\ntemp x(M,L)\npardo M, N\nget R(M,N)\nq(M,N) = R(M,N)\ndo L\nget X(M,L)\nx(M,L) = X(M,L)\nenddo L\nendpardo\nendsial\n";
+        let layout = layout_of(reads, 6);
+        let owner = owner_of(&layout).expect("a get anchor");
+        assert_eq!(
+            (owner.anchor, &owner.dim_pos[..]),
+            (Anchor::Get, &[0, 1][..])
+        );
+        let with = predicted(reads);
+        assert!(with > 0, "the do-loop get still ships");
+        let without = reads.replace("get R(M,N)\nq(M,N) = R(M,N)\n", "");
+        assert_eq!(with, predicted(&without));
+        // Alone, the aligned get predicts no traffic at all.
+        let alone = reads.replace("get X(M,L)\nx(M,L) = X(M,L)\n", "");
+        assert_eq!(predicted(&alone), 0);
+    }
+
+    #[test]
+    fn transposed_get_anchor_permutes_dim_pos() {
+        let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed R(M,N)\ntemp q(N,M)\npardo M, N\nget R(N,M)\nq(N,M) = R(N,M)\nendpardo\nendsial\n";
+        let layout = layout_of(src, 4);
+        let owner = owner_of(&layout).expect("a get anchor");
+        assert_eq!(
+            (owner.anchor, &owner.dim_pos[..]),
+            (Anchor::Get, &[1, 0][..])
+        );
+        assert_eq!(&owner.key_of(&[2, 3]).segs[..2], &[3, 2]);
+    }
+
+    /// A region that puts keeps its put anchor, whatever it reads first.
+    #[test]
+    fn put_region_keeps_its_put_anchor() {
+        let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed A(M,N)\ndistributed R(M,N)\ntemp q(N,M)\npardo M, N\nget A(M,N)\nq(N,M) = A(M,N)\nput R(N,M) = q(N,M)\nendpardo\nendsial\n";
+        let layout = layout_of(src, 4);
+        let owner = owner_of(&layout).expect("a put anchor");
+        let r = layout.program.array_by_name("R").unwrap();
+        assert_eq!(
+            (owner.array, owner.anchor, &owner.dim_pos[..]),
+            (r, Anchor::Put, &[1, 0][..])
+        );
+        // An accumulating put still leaves the region without an owner,
+        // even though it reads a full key.
+        let acc = layout_of(&src.replace("put R(N,M) =", "put R(N,M) +="), 4);
+        assert!(owner_of(&acc).is_none());
+    }
+
+    #[test]
+    fn accumulate_put_disables_owner_compute() {
+        let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed R(M)\ntemp q(M)\npardo M, N\nq(M) = 1.0\nput R(M) += q(M)\nendpardo\nendsial\n";
+        let layout = layout_of(src, 4);
+        assert!(owner_of(&layout).is_none());
     }
 }

@@ -58,7 +58,6 @@ pub mod events;
 pub mod ioserver;
 pub mod json;
 pub mod metrics;
-pub mod plan;
 pub mod scheduler;
 pub mod serve;
 pub mod trace;
@@ -98,7 +97,6 @@ pub use metrics::{
     WaitStats,
 };
 pub use msg::{BlockKey, OpId, Payload, SipMsg};
-pub use plan::{BroadcastOp, CommPlan, CommPlanner, CommVolume};
 pub use profile::{lint_profile_json, ProfileLine, ProfileReport, WorkerProfile};
 pub use registry::{SuperArg, SuperEnv, SuperRegistry};
 pub use sampler::SAMPLE_TICK;
@@ -238,11 +236,6 @@ impl Sip {
 
         // ---- dry run -------------------------------------------------------
         let estimate = dryrun::estimate(&layout, &self.config);
-        // The planner's predicted volume feeds only the `comm_plan` metrics
-        // (owner-compute is a fact of the layout every rank holds). A
-        // program the trace walker cannot model (e.g. one that would nest
-        // pardos) predicts 0 bytes; the run itself is unaffected.
-        let predicted_bytes = self.comm_plan(&layout).map_or(0, |p| p.volume.total());
         if let Some(budget) = self.config.memory_budget {
             if !estimate.feasible(budget) {
                 let sufficient =
@@ -254,6 +247,12 @@ impl Sip {
                 });
             }
         }
+
+        // The walk's predicted fabric bytes feed only the `comm_plan`
+        // metrics. A program the trace walker cannot model (e.g. one that
+        // would nest pardos) predicts 0 bytes; the run itself is unaffected.
+        let predicted_bytes =
+            trace::predicted_fabric_bytes(&layout, &self.config.sparsity_density).unwrap_or(0);
 
         // ---- run directory ---------------------------------------------------
         let (run_dir, owned_dir) = match &self.config.run_dir {
@@ -399,7 +398,7 @@ impl Sip {
         profile.metrics.recovery.merge(&master_out.recovery);
         profile.metrics.server.merge(&master_out.server);
         Merge::merge(&mut profile.metrics.fabric, &stats.total_faults());
-        // Run-level planner figures: what the plan predicted against what
+        // Run-level fabric figures: what the walk predicted against what
         // the fabric measured, plus envelope-batching savings.
         profile.metrics.plan.coalesced_messages = stats.total_messages_coalesced();
         profile.metrics.plan.predicted_bytes = predicted_bytes;
@@ -457,27 +456,18 @@ impl Sip {
         Ok(dryrun::estimate(&layout, &self.config))
     }
 
-    /// Runs the dry-run analysis *and* the communication planner (no
-    /// threads spawned) — `sial dryrun` prints both.
+    /// Runs the dry-run analysis *and* the trace walk's fabric-byte
+    /// prediction (no threads spawned) — `sial dryrun` prints both.
     pub fn plan(
         &self,
         program: Program,
         bindings: &ConstBindings,
-    ) -> Result<(MemoryEstimate, plan::CommPlan), RuntimeError> {
+    ) -> Result<(MemoryEstimate, u64), RuntimeError> {
         let layout = Layout::for_config(Arc::new(program), bindings, &self.config)?;
         Ok((
             dryrun::estimate(&layout, &self.config),
-            self.comm_plan(&layout)?,
+            trace::predicted_fabric_bytes(&layout, &self.config.sparsity_density)?,
         ))
-    }
-
-    /// Traces `layout` under the configured sparsity hints and plans its
-    /// communication from that trace.
-    fn comm_plan(&self, layout: &Layout) -> Result<plan::CommPlan, RuntimeError> {
-        let densities = &self.config.sparsity_density;
-        let trace =
-            trace::generate_with_densities(layout, &trace::default_cost_model(), densities)?;
-        Ok(plan::CommPlanner::with_densities(layout, &trace, densities).plan())
     }
 }
 

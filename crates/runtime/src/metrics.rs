@@ -307,15 +307,16 @@ impl Merge for SparseStats {
     }
 }
 
-/// Communication-planner counters: what the plan predicted, what the run
-/// measured, and how many messages envelope batching saved.
+/// Fabric counters of the `comm_plan` section: the bytes the trace walk
+/// predicted (DESIGN.md §17), the bytes the run measured, and how many
+/// messages envelope batching saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Fabric messages coalesced away by envelope batching (n staged
     /// messages shipped as one envelope count n−1 here).
     pub coalesced_messages: u64,
-    /// Planner-predicted fabric bytes for the whole run (filled on the
-    /// merged fleet view).
+    /// Fabric bytes the trace walk predicted for the whole run (filled on
+    /// the merged fleet view; 0 when the walker cannot model the program).
     pub predicted_bytes: u64,
     /// Measured fabric bytes (filled on the merged fleet view).
     pub actual_bytes: u64,
@@ -398,8 +399,7 @@ pub struct Metrics {
     pub fabric: sia_fabric::FaultSnapshot,
     /// Block-sparse screening counters.
     pub sparse: SparseStats,
-    /// Communication-planner counters (batching, predicted-vs-actual
-    /// volume).
+    /// Fabric counters (batching, predicted-vs-actual bytes).
     pub plan: PlanStats,
 }
 

@@ -1,4 +1,5 @@
-//! Trace generation: the dry-run walk that feeds the scale simulator.
+//! Trace generation: the dry-run walk that feeds the scale simulator and
+//! predicts the run's fabric bytes.
 //!
 //! The paper's evaluation runs on up to 108,000 cores — far beyond one host.
 //! Our reproduction replays the *policies* of the SIP (guided chunks,
@@ -11,15 +12,29 @@
 //! body over same-shaped blocks), so the trace stores one representative
 //! iteration profile plus the iteration count — keeping traces tiny even for
 //! CCSD(T)-sized problems.
+//!
+//! The same walk predicts the bytes the run's fabric carries (DESIGN.md §17,
+//! the `comm_plan` metrics section, `sial dryrun`), charging each block ref
+//! it meets by one rule. A ref of the pardo's owner-compute anchor's block
+//! costs nothing: the iteration runs where that block lives. A
+//! broadcast-shaped `get` — every index pardo-bound, a strict subset of the
+//! pardo's indices, its array not put in the body — reaches every worker
+//! once, so its distinct blocks cost 2(W−1) block transfers each, once per
+//! pardo encounter. Every other get, put, request or prepare is spread
+//! uniformly: a (W−1)/W share is remote, counted out and in, per iteration.
+//! Bytes are realized bytes: a [`SipConfig::sparsity_density`] hint on a
+//! `sparse` array scales them as the dry run's estimate does.
+//!
+//! [`SipConfig::sparsity_density`]: crate::SipConfig::sparsity_density
 
 use crate::error::RuntimeError;
-use crate::layout::Layout;
+use crate::layout::{Layout, PardoFacts};
 use crate::scheduler::{
     check_where_indices, cross_product, decode_ordinal, eval_bool, eval_scalar,
 };
 use sia_blocks::Shape;
-use sia_bytecode::{ArrayKind, BlockRef, IndexId, Instruction as I};
-use std::collections::HashSet;
+use sia_bytecode::{ArrayId, ArrayKind, BlockRef, IndexId, Instruction as I};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// Per-iteration (or per-serial-section) operation counts.
@@ -43,41 +58,12 @@ pub struct IterProfile {
     pub prepare_bytes: u64,
     /// Floating-point operations.
     pub flops: u64,
-    /// Of `get_bytes`, the portion a [`SipConfig::sparsity_density`](crate::SipConfig::sparsity_density) hint
-    /// says will never ship (absent blocks of `sparse` arrays). Zero when
-    /// the trace was generated without density hints. The dense totals
-    /// above stay dense so the scale simulator and the planner can model
-    /// both the declared and the realized traffic.
-    pub get_discount_bytes: u64,
-    /// Sparse discount on `put_bytes`.
-    pub put_discount_bytes: u64,
-    /// Sparse discount on `request_bytes`.
-    pub request_discount_bytes: u64,
-    /// Sparse discount on `prepare_bytes`.
-    pub prepare_discount_bytes: u64,
 }
 
 impl IterProfile {
     /// Whether anything at all happens.
     pub fn is_trivial(&self) -> bool {
         *self == IterProfile::default()
-    }
-
-    /// Componentwise sum.
-    pub fn add(&mut self, other: &IterProfile) {
-        self.gets += other.gets;
-        self.get_bytes += other.get_bytes;
-        self.requests += other.requests;
-        self.request_bytes += other.request_bytes;
-        self.puts += other.puts;
-        self.put_bytes += other.put_bytes;
-        self.prepares += other.prepares;
-        self.prepare_bytes += other.prepare_bytes;
-        self.flops += other.flops;
-        self.get_discount_bytes += other.get_discount_bytes;
-        self.put_discount_bytes += other.put_discount_bytes;
-        self.request_discount_bytes += other.request_discount_bytes;
-        self.prepare_discount_bytes += other.prepare_discount_bytes;
     }
 }
 
@@ -166,9 +152,48 @@ pub fn default_cost_model() -> CostModel {
 /// deterministic strided sampling instead of full enumeration.
 const EXACT_COUNT_LIMIT: u64 = 4_000_000;
 
-/// Per-pardo-iteration walk context: the accumulating profile plus the
-/// fetch-dedup set mirroring the block cache.
-type IterCtx<'a> = Option<(&'a mut IterProfile, &'a mut HashSet<(u32, Vec<i64>)>)>;
+/// The walk through one pardo iteration: its profile, the fetch-dedup set
+/// mirroring the block cache, and what its fabric bytes are charged by.
+struct Iter<'a> {
+    profile: IterProfile,
+    seen: HashSet<(u32, Vec<i64>)>,
+    pardo: &'a PardoFacts,
+    body: &'a [I],
+    /// The broadcast-shaped operands charged in this pardo encounter.
+    charged: Vec<(ArrayId, &'a [IndexId])>,
+    /// Realized bytes the iteration moves, spread over the ranks.
+    spread: u64,
+}
+
+impl Iter<'_> {
+    /// Whether `r` addresses the owner-compute anchor's block, which the
+    /// iteration finds at home.
+    fn anchored(&self, r: &BlockRef) -> bool {
+        let (pardo, owner) = (&self.pardo.indices, self.pardo.owner.as_ref());
+        owner.is_some_and(|o| o.is_read_by(r.array, &r.indices, pardo))
+    }
+
+    /// Whether a get of `r` is broadcast-shaped: every index pardo-bound
+    /// but not every pardo index used, so whole groups of iterations read
+    /// each block, and its array not put in the body (its blocks would
+    /// change under the readers).
+    fn broadcasts(&self, r: &BlockRef) -> bool {
+        let pardo = &self.pardo.indices;
+        r.indices.iter().all(|i| pardo.contains(i))
+            && pardo.iter().any(|i| !r.indices.contains(i))
+            && !self.anchored(r)
+            && !(self.body.iter())
+                .any(|ins| matches!(ins, I::Put { dest, .. } if dest.array == r.array))
+    }
+}
+
+/// `Some` while the walk is inside a pardo body.
+type IterCtx<'a> = Option<Iter<'a>>;
+
+/// Whether the walk is in a pardo iteration that finds `r` at home.
+fn anchored(ctx: &IterCtx, r: &BlockRef) -> bool {
+    ctx.as_ref().is_some_and(|it| it.anchored(r))
+}
 
 struct Walker<'a> {
     layout: &'a Layout,
@@ -180,48 +205,32 @@ struct Walker<'a> {
     /// Per-array expected fraction of blocks that actually ship (1.0 for
     /// dense arrays and for sparse arrays without a density hint).
     densities: Vec<f64>,
+    /// Predicted fabric bytes so far, in and out.
+    fabric: f64,
 }
 
-/// Generates the trace for a program under a layout, assuming every block
-/// ships dense (no sparsity hints).
+/// Generates the trace for a program under a layout.
 pub fn generate(layout: &Layout, cost: &CostModel) -> Result<Trace, RuntimeError> {
-    generate_with_densities(layout, cost, &std::collections::BTreeMap::new())
+    walk(layout, cost, &BTreeMap::new()).map(|w| Trace { phases: w.phases })
 }
 
-/// Expected shipped fraction per array: `sparsity_density` hints apply to
-/// `sparse` arrays only, clamped to `[0, 1]`; every other array is dense.
-/// The dry run's realized estimate reads the same values, so the two
-/// models agree.
-pub(crate) fn array_densities(
+/// The fabric bytes the walk predicts for a run under `layout`, with
+/// `densities` as [`SipConfig::sparsity_density`] hints.
+///
+/// [`SipConfig::sparsity_density`]: crate::SipConfig::sparsity_density
+pub(crate) fn predicted_fabric_bytes(
     layout: &Layout,
-    densities: &std::collections::BTreeMap<String, f64>,
-) -> Vec<f64> {
-    layout
-        .program
-        .arrays
-        .iter()
-        .map(|decl| {
-            if decl.sparse {
-                densities
-                    .get(&decl.name)
-                    .copied()
-                    .unwrap_or(1.0)
-                    .clamp(0.0, 1.0)
-            } else {
-                1.0
-            }
-        })
-        .collect()
+    densities: &BTreeMap<String, f64>,
+) -> Result<u64, RuntimeError> {
+    let fabric = walk(layout, &default_cost_model(), densities)?.fabric;
+    Ok(fabric.round() as u64)
 }
 
-/// Generates the trace, additionally recording the per-class byte discount
-/// that [`SipConfig::sparsity_density`](crate::SipConfig::sparsity_density) hints predict for `sparse` arrays
-/// (the comm planner subtracts it from the dense totals).
-pub fn generate_with_densities(
-    layout: &Layout,
-    cost: &CostModel,
-    densities: &std::collections::BTreeMap<String, f64>,
-) -> Result<Trace, RuntimeError> {
+fn walk<'a>(
+    layout: &'a Layout,
+    cost: &'a CostModel,
+    densities: &BTreeMap<String, f64>,
+) -> Result<Walker<'a>, RuntimeError> {
     let mut w = Walker {
         layout,
         cost,
@@ -230,16 +239,30 @@ pub fn generate_with_densities(
         phases: Vec::new(),
         serial: IterProfile::default(),
         densities: array_densities(layout, densities),
+        fabric: 0.0,
     };
     w.walk_range(0, layout.program.code.len() as u32, &mut None)?;
     w.flush_serial();
-    Ok(Trace { phases: w.phases })
+    Ok(w)
 }
 
-/// The bytes a density hint predicts will *not* ship for one dense-sized
-/// transfer.
-pub(crate) fn density_discount(bytes: u64, density: f64) -> u64 {
-    bytes - (bytes as f64 * density).round() as u64
+/// Expected shipped fraction per array: `sparsity_density` hints apply to
+/// `sparse` arrays only, clamped to `[0, 1]`; every other array is dense.
+/// The dry run's realized estimate reads the same values, so the two
+/// models agree.
+pub(crate) fn array_densities(layout: &Layout, densities: &BTreeMap<String, f64>) -> Vec<f64> {
+    (layout.program.arrays.iter())
+        .map(|decl| match densities.get(&decl.name) {
+            Some(d) if decl.sparse => d.clamp(0.0, 1.0),
+            _ => 1.0,
+        })
+        .collect()
+}
+
+/// The bytes of one dense-sized transfer of `bytes` that an array of
+/// `density` is expected to ship.
+pub(crate) fn realized_bytes(bytes: u64, density: f64) -> u64 {
+    (bytes as f64 * density).round() as u64
 }
 
 impl<'a> Walker<'a> {
@@ -274,41 +297,81 @@ impl<'a> Walker<'a> {
         )
     }
 
-    /// Record a fetch with per-iteration dedup (`seen` is reset per pardo
-    /// iteration, mirroring the block cache).
-    fn record_fetch(
-        &self,
-        r: &BlockRef,
-        seen: Option<&mut HashSet<(u32, Vec<i64>)>>,
-        acc: &mut IterProfile,
-    ) {
-        let segs: Vec<i64> = r.indices.iter().map(|&i| self.env[i.index()]).collect();
-        if let Some(set) = seen {
-            if !set.insert((r.array.0, segs)) {
-                return;
-            }
-        }
+    /// Of each byte a transfer spread uniformly over W workers moves, the
+    /// share that crosses the fabric, counted out and in: 2(W−1)/W.
+    fn remote(&self) -> f64 {
+        let w = self.layout.topology.workers.max(1) as f64;
+        2.0 * (w - 1.0) / w
+    }
+
+    /// Records a fetch once per block per iteration (the block cache holds
+    /// it across the iteration) and charges its fabric bytes.
+    fn fetch(&mut self, r: &'a BlockRef, ctx: &mut IterCtx<'a>) {
         let bytes = self.layout.block_bytes(r.array);
-        let discount = density_discount(bytes, self.densities[r.array.index()]);
-        match self.layout.array_kind(r.array) {
+        let kind = self.layout.array_kind(r.array);
+        let broadcast =
+            kind == ArrayKind::Distributed && ctx.as_ref().is_some_and(|it| it.broadcasts(r));
+        if broadcast {
+            self.broadcast(r, bytes, ctx);
+        }
+        let segs: Vec<i64> = r.indices.iter().map(|&i| self.env[i.index()]).collect();
+        if (ctx.as_mut()).is_some_and(|it| !it.seen.insert((r.array.0, segs))) {
+            return;
+        }
+        let acc = self.acc(ctx);
+        match kind {
             ArrayKind::Distributed => {
                 acc.gets += 1;
                 acc.get_bytes += bytes;
-                acc.get_discount_bytes += discount;
             }
             ArrayKind::Served => {
                 acc.requests += 1;
                 acc.request_bytes += bytes;
-                acc.request_discount_bytes += discount;
             }
-            _ => {}
+            _ => return,
+        }
+        if !broadcast && !anchored(ctx, r) {
+            self.charge(r.array, bytes, ctx);
+        }
+    }
+
+    /// Charges a broadcast-shaped get the first time the pardo encounter
+    /// meets it: every worker but the home fetches each of its blocks once,
+    /// so W−1 copies leave the home and W−1 arrive.
+    fn broadcast(&mut self, r: &'a BlockRef, bytes: u64, ctx: &mut IterCtx<'a>) {
+        let Some(it) = ctx else { return };
+        if it.charged.contains(&(r.array, &r.indices[..])) {
+            return;
+        }
+        it.charged.push((r.array, &r.indices));
+        let blocks = (r.indices.iter())
+            .map(|&i| self.layout.range_len(i))
+            .fold(1, u64::saturating_mul);
+        let copies = 2 * (self.layout.topology.workers.max(1) - 1);
+        let bytes = realized_bytes(bytes, self.densities[r.array.index()]);
+        self.fabric += blocks as f64 * bytes as f64 * copies as f64;
+    }
+
+    /// Charges the realized bytes of one transfer of `bytes` dense bytes of
+    /// `array`, spread over the ranks: per iteration inside a pardo, at
+    /// once in serial code.
+    fn charge(&mut self, array: ArrayId, bytes: u64, ctx: &mut IterCtx<'a>) {
+        let bytes = realized_bytes(bytes, self.densities[array.index()]);
+        match ctx {
+            Some(it) => it.spread += bytes,
+            None => self.fabric += bytes as f64 * self.remote(),
         }
     }
 
     /// Walks `[from, to)` accumulating into `self.serial` unless inside a
-    /// pardo body walk (then `iter_acc` is a Some(&mut profile) target).
+    /// pardo body walk (then into `ctx`'s iteration).
     #[allow(clippy::too_many_lines)]
-    fn walk_range(&mut self, from: u32, to: u32, ctx: &mut IterCtx) -> Result<(), RuntimeError> {
+    fn walk_range(
+        &mut self,
+        from: u32,
+        to: u32,
+        ctx: &mut IterCtx<'a>,
+    ) -> Result<(), RuntimeError> {
         let layout = self.layout;
         let program = &layout.program;
         let mut pc = from;
@@ -332,13 +395,20 @@ impl<'a> Walker<'a> {
                         for (idx, v) in indices.iter().zip(&vals) {
                             self.env[idx.index()] = *v;
                         }
-                        let mut seen: HashSet<(u32, Vec<i64>)> = HashSet::new();
-                        let mut inner = IterProfile::default();
-                        {
-                            let mut c = Some((&mut inner, &mut seen));
-                            self.walk_range(pc + 1, *end_pc, &mut c)?;
+                        let body = program.code.get(pc as usize + 1..*end_pc as usize);
+                        let mut iter = Some(Iter {
+                            profile: IterProfile::default(),
+                            seen: HashSet::new(),
+                            pardo,
+                            body: body.unwrap_or_default(),
+                            charged: Vec::new(),
+                            spread: 0,
+                        });
+                        self.walk_range(pc + 1, *end_pc, &mut iter)?;
+                        if let Some(it) = iter {
+                            per_iter = it.profile;
+                            self.fabric += iterations as f64 * it.spread as f64 * self.remote();
                         }
-                        per_iter = inner;
                         for idx in indices {
                             self.env[idx.index()] = 0;
                         }
@@ -405,27 +475,22 @@ impl<'a> Walker<'a> {
                 // the trace upper-bounds work for convergence-style loops.
                 I::ExitLoop { .. } => return Ok(()),
                 I::Create { .. } | I::Delete { .. } => {}
-                I::Get { block } | I::Request { block } => {
-                    let mut tmp = IterProfile::default();
-                    let seen = ctx.as_mut().map(|(_, seen)| &mut **seen);
-                    self.record_fetch(block, seen, &mut tmp);
-                    self.acc(ctx).add(&tmp);
-                }
+                I::Get { block } | I::Request { block } => self.fetch(block, ctx),
                 I::Put { dest, .. } => {
                     let bytes = facts.refs[0].shape.len() as u64 * 8;
-                    let discount = density_discount(bytes, self.densities[dest.array.index()]);
                     let acc = self.acc(ctx);
                     acc.puts += 1;
                     acc.put_bytes += bytes;
-                    acc.put_discount_bytes += discount;
+                    if !anchored(ctx, dest) {
+                        self.charge(dest.array, bytes, ctx);
+                    }
                 }
                 I::Prepare { dest, .. } => {
                     let bytes = facts.refs[0].shape.len() as u64 * 8;
-                    let discount = density_discount(bytes, self.densities[dest.array.index()]);
                     let acc = self.acc(ctx);
                     acc.prepares += 1;
                     acc.prepare_bytes += bytes;
-                    acc.prepare_discount_bytes += discount;
+                    self.charge(dest.array, bytes, ctx);
                 }
                 I::BlocksToList { array, .. } | I::ListToBlocks { array, .. } => {
                     let blocks = self.layout.total_blocks(*array);
@@ -433,6 +498,7 @@ impl<'a> Walker<'a> {
                     let acc = self.acc(ctx);
                     acc.put_bytes += bytes;
                     acc.puts += blocks;
+                    self.charge(*array, bytes, ctx);
                 }
                 I::BlockFill { .. } | I::BlockScale { .. } => {
                     self.acc(ctx).flops += facts.refs[0].shape.len() as u64;
@@ -474,7 +540,7 @@ impl<'a> Walker<'a> {
 
     fn acc<'b>(&'b mut self, ctx: &'b mut IterCtx<'_>) -> &'b mut IterProfile {
         match ctx {
-            Some((acc, _)) => acc,
+            Some(it) => &mut it.profile,
             None => &mut self.serial,
         }
     }
@@ -561,22 +627,151 @@ mod tests {
     use crate::layout::{SegmentConfig, Topology};
     use sia_bytecode::ConstBindings;
 
-    fn trace_of(src: &str, n: i64) -> Trace {
+    /// `src` compiled with `n` (and `nocc` = 2) bound, in segments of 4.
+    fn layout_of(src: &str, n: i64, workers: usize) -> Layout {
         let program = sial_frontend::compile(src).unwrap();
-        let mut b = ConstBindings::new();
-        b.insert("n".into(), n);
-        b.insert("nocc".into(), 2);
-        let layout = Layout::new(
+        let bindings = ConstBindings::from([("n".into(), n), ("nocc".into(), 2)]);
+        let segments = SegmentConfig {
+            default: 4,
+            ..Default::default()
+        };
+        Layout::new(
             Arc::new(program),
-            &b,
-            SegmentConfig {
-                default: 4,
-                ..Default::default()
-            },
-            Topology::new(2, 1),
+            &bindings,
+            segments,
+            Topology::new(workers, 1),
         )
-        .unwrap();
-        generate(&layout, &default_cost_model()).unwrap()
+        .unwrap()
+    }
+
+    fn trace_of(src: &str, n: i64) -> Trace {
+        generate(&layout_of(src, n, 2), &default_cost_model()).unwrap()
+    }
+
+    /// The fabric bytes the walk predicts on three workers, where a
+    /// broadcast block costs 2(W−1) = 4 transfers and a spread one
+    /// 2(W−1)/W = 4/3.
+    fn predicted(src: &str, n: i64) -> u64 {
+        predicted_fabric_bytes(&layout_of(src, n, 3), &BTreeMap::new()).unwrap()
+    }
+
+    /// `n` iterations' transfers of `bytes` each, spread over three workers.
+    fn spread(n: u64, bytes: u64) -> u64 {
+        (n as f64 * bytes as f64 * 4.0 / 3.0).round() as u64
+    }
+
+    /// `F(M)` is read by every iteration sharing `M`; `R(M,N)` is the
+    /// owner-compute anchor, so its put is local.
+    const BCAST: &str = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed F(M)\ndistributed R(M,N)\ntemp f(M)\ntemp q(M,N)\npardo M, N\nget F(M)\nf(M) = F(M)\nq(M,N) = 0.0\nput R(M,N) = q(M,N)\nendpardo\nendsial\n";
+
+    /// Rank-1 blocks of 4 doubles and rank-2 blocks of 16.
+    const VECTOR: u64 = 32;
+    const MATRIX: u64 = 128;
+
+    /// Each of `F`'s 4 blocks reaches the 2 workers not its home: 4
+    /// transfers, out and in, once for the pardo's 16 iterations.
+    #[test]
+    fn broadcast_operand_detected() {
+        assert_eq!(predicted(BCAST, 4), 4 * VECTOR * 4);
+    }
+
+    /// `R` is read with all pardo indices — each iteration gets its own
+    /// block, nothing shared — so each of the 16 reads is spread.
+    #[test]
+    fn fully_bound_get_is_not_broadcast() {
+        let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed R(M,N)\ndistributed S(M,N)\ntemp q(M,N)\npardo M, N\nget R(M,N)\nq(M,N) = R(M,N)\nput S(M,N) = q(M,N)\nendpardo\nendsial\n";
+        assert_eq!(predicted(src, 4), spread(16, MATRIX));
+    }
+
+    /// `F` is both read and written in the body — its blocks change under
+    /// the readers — so its get is spread like the put.
+    #[test]
+    fn written_array_never_broadcast() {
+        let src = "sial t\naoindex M = 1, n\naoindex N = 1, n\ndistributed F(M)\ntemp q(M)\npardo M, N\nget F(M)\nq(M) = F(M)\nput F(M) += q(M)\nendpardo\nendsial\n";
+        assert_eq!(predicted(src, 4), spread(16, 2 * VECTOR));
+    }
+
+    /// A get addressed by an inner `do` index is spread: 4 iterations of 4.
+    #[test]
+    fn inner_do_get_not_broadcast() {
+        let src = "sial t\naoindex M = 1, n\naoindex L = 1, n\ndistributed X(M,L)\ntemp q(M,L)\npardo M\ndo L\nget X(M,L)\nq(M,L) = X(M,L)\nenddo L\nendpardo\nendsial\n";
+        assert_eq!(predicted(src, 4), spread(4 * 4, MATRIX));
+    }
+
+    /// Owner-compute makes the aligned `put R(M,N)` local: the program
+    /// predicts only its broadcast operand's fabric bytes. (Without the put
+    /// the region would anchor on `get F(M)` instead.)
+    #[test]
+    fn aligned_puts_charge_no_volume() {
+        let layout = layout_of(BCAST, 6, 3);
+        let pardo = (0..layout.program.code.len() as u32).find_map(|pc| layout.pardo(pc));
+        let owner = pardo.and_then(|p| p.owner.as_ref());
+        assert_eq!(owner.map(|o| o.anchor), Some(crate::layout::Anchor::Put));
+        assert_eq!(predicted(BCAST, 6), 6 * VECTOR * 4);
+    }
+
+    /// Regression: the predicted fabric bytes must honour
+    /// `sparsity_density` hints the way the dry run's realized-footprint
+    /// estimate does, instead of charging dense payloads for sparse
+    /// arrays. On the screened-MP2 program (whose only distributed array
+    /// is the sparse `Vd`), the prediction under a density hint must scale
+    /// by that density and stay consistent with the realized per-block
+    /// bytes the memory estimate assumes. Both of the program's sweeps are
+    /// aligned (the put sweep and the read-only `get Vd` sweep anchor on
+    /// `Vd` itself) and predict no traffic, so the energy sweep here also
+    /// reads `Vd(k,a,j,b)` in a `do k` loop: that read is what ships.
+    #[test]
+    fn sparse_density_scales_comm_volume_like_realized_estimate() {
+        use crate::layout::SipConfig;
+        let src = include_str!("../../../programs/mp2_screened.sial")
+            .replace(
+                "moindex j = 1, nocc\n",
+                "moindex j = 1, nocc\nmoindex k = 1, nocc\n",
+            )
+            .replace(
+                "  get Vd(i,a,j,b)\n",
+                "  get Vd(i,a,j,b)\n  do k\n    get Vd(k,a,j,b)\n  enddo k\n",
+            );
+        let program = sial_frontend::compile(&src).unwrap();
+        let b = ConstBindings::from([("nocc".into(), 2), ("nvrt".into(), 4)]);
+        let segments = SegmentConfig {
+            default: 4,
+            ..Default::default()
+        };
+        let layout = Layout::new(Arc::new(program), &b, segments, Topology::new(4, 0)).unwrap();
+        let density = 0.2;
+        let hints = BTreeMap::from([("Vd".to_string(), density)]);
+
+        let dense = predicted_fabric_bytes(&layout, &BTreeMap::new()).unwrap();
+        let sparse = predicted_fabric_bytes(&layout, &hints).unwrap();
+        assert!(dense > 0, "the dense walk predicts traffic");
+        let ratio = sparse as f64 / dense as f64;
+        assert!(
+            (ratio - density).abs() < 0.01,
+            "predicted bytes must scale by the density hint: ratio {ratio}, density {density}"
+        );
+
+        // Agreement with the dryrun memory estimate's convention: both
+        // models assume the same realized bytes per shipped Vd block.
+        let config = SipConfig {
+            workers: 4,
+            io_servers: 0,
+            sparsity_density: hints.clone(),
+            ..SipConfig::default()
+        };
+        let est = crate::dryrun::estimate(&layout, &config);
+        assert!(
+            est.per_worker_bytes < est.dense_per_worker_bytes,
+            "realized estimate must drop below dense under the hint"
+        );
+        let vd = layout.program.array_by_name("Vd").unwrap();
+        let dense_block = layout.block_bytes(vd);
+        let shared = array_densities(&layout, &config.sparsity_density)[vd.index()];
+        assert_eq!(
+            realized_bytes(dense_block, shared),
+            (dense_block as f64 * density).round() as u64,
+            "walker and dry run must share the realized per-block bytes"
+        );
     }
 
     #[test]

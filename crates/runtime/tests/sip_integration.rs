@@ -397,11 +397,93 @@ endsial
     }
 }
 
+/// A dry run whose byte counts pass `u64` saturates instead of wrapping
+/// (or panicking in a debug build): `F(M,N)` and `R(M,N)` over
+/// 3 037 000 499² one-element blocks home more than 2^64 bytes on each of
+/// two workers. The estimate is at least its largest block, and a run
+/// under any memory budget is refused before it launches.
+#[test]
+fn a_footprint_past_2_64_bytes_saturates_and_fits_no_budget() {
+    const SRC: &str = "sial wide
+aoindex M = 1, m
+aoindex N = 1, m
+aoindex K = 1, k
+distributed F(M,N)
+distributed R(M,N)
+temp f(M,N)
+pardo M, N, K
+  get F(M,N)
+  f(M,N) = F(M,N)
+  put R(M,N) = f(M,N)
+endpardo M, N, K
+endsial
+";
+    let binds = bindings(&[("m", 3_037_000_499), ("k", 1)]);
+    let program = || sial_frontend::compile(SRC).unwrap();
+    let config = |budget| {
+        let builder = SipConfig::builder().workers(2).segment_size(1);
+        builder.memory_budget(budget).build().unwrap()
+    };
+    let est = Sip::new(config(1)).dry_run(program(), &binds).unwrap();
+    assert!(est.per_worker_bytes >= est.largest_block_bytes, "{est:?}");
+    assert!(!est.feasible(u64::MAX), "{est:?}");
+    for budget in [1, 1 << 30, u64::MAX] {
+        match Sip::new(config(budget)).run(program(), &binds) {
+            Err(RuntimeError::Infeasible { .. }) => {}
+            other => panic!("budget {budget}: expected Infeasible, got {other:?}"),
+        }
+    }
+}
+
+/// The walker also walks code the run skips: it reads every scalar at its
+/// declared value, so here it enters an `if` that the run never does and
+/// meets a contraction no plan fits. `Sip::plan` (`sial dryrun`) reports
+/// the error; `Sip::run` runs on and predicts 0 fabric bytes.
+#[test]
+fn a_walker_error_costs_the_run_only_its_predicted_bytes() {
+    const SRC: &str = "sial walker_only
+aoindex i = 1, 2
+aoindex j = 1, 2
+aoindex k = 1, 2
+temp a(i,k)
+temp b(k,j)
+temp c(i,j)
+temp t(i,j)
+scalar s
+pardo i, j
+  t(i,j) = 2.0
+  s = t(i,j) * t(i,j)
+  if s < 1.0
+    do k
+      c(i,j) = a(i,k) * b(k,j)
+    enddo k
+  endif
+endpardo i, j
+endsial
+";
+    let mut program = sial_frontend::compile(SRC).unwrap();
+    let c = program.array_by_name("c").unwrap();
+    // Make the output name an index neither operand has: `c(i,i)`.
+    let Some(sia_bytecode::Instruction::BlockContract { dest, .. }) = (program.code.iter_mut())
+        .find(|ins| matches!(ins, sia_bytecode::Instruction::BlockContract { dest, .. } if dest.array == c))
+    else {
+        panic!("the program contracts into c");
+    };
+    dest.indices[1] = dest.indices[0];
+    let sip = Sip::new(config(2));
+    let err = sip.plan(program.clone(), &bindings(&[])).unwrap_err();
+    assert!(
+        matches!(&err, RuntimeError::BadProgram(m) if m.starts_with("contraction: ")),
+        "{err}"
+    );
+    let out = sip.run(program, &bindings(&[])).unwrap();
+    assert_eq!(out.profile.metrics.plan.predicted_bytes, 0);
+}
+
 /// A pardo whose iteration space has more than 2^64 iterations
 /// (131 072⁴ = 2^68) is refused with one typed error by the run and by the
-/// dry-run planner alike: the planner's trace walker counts the space with
-/// the master's checked product, so it neither overflows nor wraps to an
-/// empty plan.
+/// dry run alike: the trace walker counts the space with the master's
+/// checked product, so it neither overflows nor wraps to an empty trace.
 #[test]
 fn an_iteration_space_past_2_64_is_refused_by_run_and_plan() {
     const SRC: &str = "sial huge

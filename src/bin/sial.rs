@@ -421,7 +421,7 @@ fn main() -> ExitCode {
             Ok(p) => {
                 let sip = Sip::new(opts.config.clone());
                 match sip.plan(p, &opts.bindings) {
-                    Ok((est, plan)) => {
+                    Ok((est, fabric)) => {
                         println!(
                             "per-worker estimate: {:.1} MiB ({} bytes, {} workers)",
                             est.per_worker_bytes as f64 / (1 << 20) as f64,
@@ -446,17 +446,7 @@ fn main() -> ExitCode {
                         for (name, bytes) in &est.breakdown {
                             println!("  {name:<20} {:.2} MiB", *bytes as f64 / (1 << 20) as f64);
                         }
-                        print!("{}", plan.volume_table());
-                        let (blocks, bytes) = plan
-                            .regions
-                            .values()
-                            .flat_map(|r| &r.broadcast)
-                            .fold((0, 0), |(n, b), op| {
-                                (n + op.blocks, b + op.blocks * op.block_bytes)
-                            });
-                        if blocks > 0 {
-                            println!("  broadcast-shaped: {blocks} blocks / {bytes} bytes");
-                        }
+                        println!("predicted fabric bytes: {fabric}");
                         ExitCode::SUCCESS
                     }
                     Err(e) => {

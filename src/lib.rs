@@ -56,8 +56,8 @@ pub use sial_frontend as frontend;
 pub use sia_bytecode::{disassemble, ConstBindings, Program};
 pub use sia_fabric::{FaultPlan, FaultSnapshot};
 pub use sia_runtime::{
-    CommKind, CommPlan, ConfigError, CrashSchedule, FaultConfig, FaultStats, MemoryEstimate, Merge,
-    Metrics, ProfileReport, RecoveryStats, RunOutput, RuntimeError, SegmentConfig, Sip, SipConfig,
+    CommKind, ConfigError, CrashSchedule, FaultConfig, FaultStats, MemoryEstimate, Merge, Metrics,
+    ProfileReport, RecoveryStats, RunOutput, RuntimeError, SegmentConfig, Sip, SipConfig,
     SipConfigBuilder, SuperArg, SuperEnv, SuperRegistry, TraceSink, TraceTimeline, WaitCause,
 };
 pub use sia_sim::{MachineModel, SimConfig, SimReport};
